@@ -12,7 +12,7 @@
 //!   paper's §3.2 baseline, one conservative range each;
 //! * **exact** — `Strategy::FileLocking(Exact)` on the central manager:
 //!   one atomic multi-range list grant of the compressed footprint;
-//! * **sharded** — exact grants on the `ShardedLockManager`
+//! * **sharded** — exact grants on the sharded preset of the lock manager
 //!   (per-server extent-lock domains, parallel max-over-shards trips).
 //!
 //! The platform stripes **column-aligned** (stripe unit = run length,

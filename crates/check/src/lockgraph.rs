@@ -29,7 +29,7 @@
 //!
 //! * **R4** — no lock guard live across a blocking call. Seeds:
 //!   [`BLOCKING_SEEDS`] (`Comm` point-to-point and collectives via
-//!   `rendezvous`, `LockService::acquire_set`/`wait_granted_set`, server
+//!   `rendezvous`, `LockManager::acquire_set`/`wait_granted_set`, server
 //!   round-trips via `try_pread`/`try_pwrite`/`try_sync`/`server_rpc`);
 //!   everything that can reach one transitively is blocking too.
 //! * **R5** — no silently dropped `Result` from the `try_`/`FsError`

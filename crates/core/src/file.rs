@@ -116,7 +116,7 @@ pub enum Strategy {
     /// window lock held to the end of the request (strict two-phase
     /// locking), and holding one byte-range lock while waiting for the
     /// next deadlocks under the managers' fair queueing — hence the
-    /// all-or-nothing grant ([`LockService`](atomio_pfs::LockService)).
+    /// all-or-nothing grant ([`LockManager`](atomio_pfs::LockManager)).
     /// This and [`Strategy::FileLocking`]/[`Strategy::ListIo`] are the
     /// only strategies usable from *independent* calls, where no view
     /// exchange is possible ("file locking seems to be the only way to
@@ -784,7 +784,7 @@ impl<'c> MpiFile<'c> {
     /// writers whose windows are disjoint proceed in parallel. `Span`
     /// reproduces the former whole-request span lock. Per-window locking
     /// without the atomic grant would deadlock; see
-    /// [`LockService`](atomio_pfs::LockService). `collective` routes the
+    /// [`LockManager`](atomio_pfs::LockManager). `collective` routes the
     /// grant through the two-phase register/barrier/wait handshake so
     /// contention resolves deterministically, exactly like the collective
     /// file-locking path.

@@ -12,11 +12,12 @@
 //! the revocation flushes the holder's dirty bytes and invalidates its
 //! cached pages *for exactly the revoked ranges*.
 //!
-//! This module is the dispatch fabric of that protocol: the token-caching
-//! lock managers ([`TokenManager`](crate::TokenManager),
-//! [`ShardedLockManager`](crate::ShardedLockManager) in token mode) push
-//! each revocation through a per-file [`CoherenceHub`], which routes it to
-//! the [`RevocationHandler`] the holder's client registered at open time.
+//! This module is the dispatch fabric of that protocol: the
+//! [`LockManager`](crate::LockManager), in the presets that cache tokens
+//! ([`LockKind::has_tokens`](crate::LockKind::has_tokens)), pushes each
+//! revocation — once per holder, in ascending holder order — through a
+//! per-file [`CoherenceHub`], which routes it to the [`RevocationHandler`]
+//! the holder's client registered at open time.
 //! The handler (built by [`FileSystem::open`](crate::FileSystem::open) when
 //! the platform runs [`CoherenceMode::LockDriven`](crate::CoherenceMode))
 //! flushes `dirty ∩ revoked` to storage and drops validity for the revoked

@@ -14,27 +14,19 @@ use crate::fault::{
     FaultAction, FaultInjector, FaultPlan, FaultSite, FaultSnapshot, RestartPolicy,
 };
 use crate::journal::{ReplayReport, RevocationJournal};
-use crate::lock::{range_set, CentralLockManager, LockMode};
+use crate::lock::{LockManager, LockMode, SetGrant};
 use crate::lockclass;
-use crate::profile::{LockKind, PlatformProfile};
+use crate::profile::PlatformProfile;
 use crate::server::{ServerOp, ServerSet};
-use crate::service::LockService;
-use crate::shard::ShardedLockManager;
 use crate::stats::{ClientStats, FsLatency, LatencySnapshot};
 use crate::storage::Storage;
-use crate::token::TokenManager;
-
-/// The lock machinery a file exposes, per platform (paper §3.2 / Table 1):
-/// either nothing (ENFS), or one of the [`LockService`] designs.
-enum LockBackend {
-    None,
-    Service(Box<dyn LockService>),
-}
 
 pub(crate) struct FileObj {
     pub storage: Storage,
-    locks: LockBackend,
-    /// Per-file revocation fan-out: the token-caching lock backends push
+    /// The file's lock manager, in the platform's preset (paper §3.2 /
+    /// Table 1); `None` on a lockless platform (ENFS).
+    locks: Option<LockManager>,
+    /// Per-file revocation fan-out: the token-caching lock presets push
     /// every revocation through here; clients of a lock-driven-coherence
     /// platform register their cache-side handler at open.
     coherence: Arc<CoherenceHub>,
@@ -213,40 +205,7 @@ impl FileSystem {
                 coherence.bind_faults(Arc::clone(&self.inner.faults));
                 Arc::new(FileObj {
                     storage: Storage::new(),
-                    locks: match self.inner.profile.lock_kind {
-                        LockKind::None => LockBackend::None,
-                        LockKind::Central => LockBackend::Service(Box::new(
-                            CentralLockManager::new(self.inner.profile.lock_grant_ns),
-                        )),
-                        LockKind::Distributed => LockBackend::Service(Box::new(
-                            TokenManager::new(
-                                self.inner.profile.lock_grant_ns,
-                                self.inner.profile.token_revoke_ns,
-                            )
-                            .with_revoke_byte_cost(self.inner.profile.token_revoke_byte_ns)
-                            .with_coherence(Arc::clone(&coherence)),
-                        )),
-                        LockKind::Sharded | LockKind::ShardedTokens => {
-                            // One lock domain per I/O server, over the same
-                            // absolute stripe-unit grid the data lives on.
-                            LockBackend::Service(Box::new(
-                                ShardedLockManager::new(
-                                    self.inner.profile.sim_servers,
-                                    self.inner.profile.stripe_unit,
-                                    self.inner.profile.lock_grant_ns,
-                                    self.inner.profile.client_op_ns,
-                                    self.inner.profile.token_revoke_ns,
-                                    self.inner.profile.lock_kind == LockKind::ShardedTokens,
-                                )
-                                .with_server_nodes(
-                                    self.inner.profile.servers_per_node,
-                                    self.inner.profile.net.intra_link.latency_ns,
-                                )
-                                .with_revoke_byte_cost(self.inner.profile.token_revoke_byte_ns)
-                                .with_coherence(Arc::clone(&coherence)),
-                            ))
-                        }
-                    },
+                    locks: LockManager::new(&self.inner.profile, Some(Arc::clone(&coherence))),
                     coherence,
                     journal: RevocationJournal::new(),
                 })
@@ -586,6 +545,7 @@ impl RevocationHandler for CacheCoherence {
 /// A held byte-range lock; releases on drop at the holder's current clock.
 pub struct LockGuard<'f> {
     file: &'f PosixFile,
+    locks: &'f LockManager,
     id: u64,
     released: bool,
     /// Footprint + mode args replayed on the release event, so the
@@ -1611,7 +1571,7 @@ impl PosixFile {
     /// (ENFS/Cplant), exactly as the paper had to skip the file-locking
     /// experiments there.
     pub fn lock(&self, range: ByteRange, mode: LockMode) -> Result<LockGuard<'_>, FsError> {
-        self.lock_set(&range_set(range), mode)
+        self.lock_set(&StridedSet::from_range(range), mode)
     }
 
     /// Acquire an **atomic multi-range list lock** over every range of
@@ -1620,9 +1580,9 @@ impl PosixFile {
     /// (the 2PL deadlock shape) cannot exist. One `LockGuard` releases the
     /// whole set.
     pub fn lock_set(&self, set: &StridedSet, mode: LockMode) -> Result<LockGuard<'_>, FsError> {
-        let svc = self.lock_service()?;
-        let grant = svc.acquire_set(self.client, set, mode, self.clock.now());
-        Ok(self.granted(set, mode, grant))
+        let locks = self.lock_manager()?;
+        let grant = locks.acquire_set(self.client, set, mode, self.clock.now());
+        Ok(self.granted(locks, set, mode, grant))
     }
 
     /// Two-phase byte-range lock: register the request, run `sync` (the MPI
@@ -1636,7 +1596,7 @@ impl PosixFile {
         mode: LockMode,
         sync: impl FnOnce(),
     ) -> Result<LockGuard<'_>, FsError> {
-        self.lock_set_two_phase(&range_set(range), mode, sync)
+        self.lock_set_two_phase(&StridedSet::from_range(range), mode, sync)
     }
 
     /// [`PosixFile::lock_set`] with the two-phase register/`sync`/wait
@@ -1647,30 +1607,28 @@ impl PosixFile {
         mode: LockMode,
         sync: impl FnOnce(),
     ) -> Result<LockGuard<'_>, FsError> {
-        let svc = self.lock_service()?;
+        let locks = self.lock_manager()?;
         let now = self.clock.now();
-        let ticket = svc.register_set(self.client, set, mode, now);
+        let ticket = locks.register_set(self.client, set, mode, now);
         sync();
-        let grant = svc.wait_granted_set(ticket, self.client, set, mode, now);
-        Ok(self.granted(set, mode, grant))
+        let grant = locks.wait_granted_set(ticket, self.client, set, mode, now);
+        Ok(self.granted(locks, set, mode, grant))
     }
 
-    fn lock_service(&self) -> Result<&dyn LockService, FsError> {
-        match &self.file.locks {
-            LockBackend::None => Err(FsError::LocksUnsupported {
-                file_system: self.fs.profile.file_system,
-            }),
-            LockBackend::Service(svc) => Ok(svc.as_ref()),
-        }
+    fn lock_manager(&self) -> Result<&LockManager, FsError> {
+        self.file.locks.as_ref().ok_or(FsError::LocksUnsupported {
+            file_system: self.fs.profile.file_system,
+        })
     }
 
     /// Book a grant: charge stats, advance the clock, wrap in a guard.
-    fn granted(
-        &self,
+    fn granted<'f>(
+        &'f self,
+        locks: &'f LockManager,
         set: &StridedSet,
         mode: LockMode,
-        grant: crate::service::SetGrant,
-    ) -> LockGuard<'_> {
+        grant: SetGrant,
+    ) -> LockGuard<'f> {
         self.stats.add(&self.stats.lock_acquires, 1);
         self.stats.add(&self.stats.lock_ranges, set.run_count());
         // A token hit is a grant served entirely from cached tokens — no
@@ -1715,35 +1673,18 @@ impl PosixFile {
         // resurrect already-revoked rights.
         LockGuard {
             file: self,
+            locks,
             id: grant.id,
             released: false,
             release_args,
         }
     }
 
-    fn unlock(&self, id: u64, release_args: &[(&'static str, u64)]) {
-        match &self.file.locks {
-            LockBackend::None => unreachable!("guard cannot exist without a lock backend"),
-            LockBackend::Service(svc) => {
-                self.tracer.instant(
-                    Category::Lock,
-                    "lock release",
-                    self.clock.now(),
-                    release_args,
-                );
-                svc.release(self.client, id, self.clock.now());
-            }
-        }
-    }
-
-    /// Release-history entries retained by this file's lock service
+    /// Release-history entries retained by this file's lock manager
     /// (diagnostics: the boundedness the history pruner guarantees for
     /// long-running handles). 0 on lockless platforms.
     pub fn lock_history_len(&self) -> usize {
-        match &self.file.locks {
-            LockBackend::None => 0,
-            LockBackend::Service(svc) => svc.history_len(),
-        }
+        self.file.locks.as_ref().map_or(0, LockManager::history_len)
     }
 
     fn apply_write(&self, offset: u64, data: &[u8]) {
@@ -1766,7 +1707,11 @@ impl<'f> LockGuard<'f> {
     fn do_release(&mut self) {
         if !self.released {
             self.released = true;
-            self.file.unlock(self.id, &self.release_args);
+            let now = self.file.clock.now();
+            self.file
+                .tracer
+                .instant(Category::Lock, "lock release", now, &self.release_args);
+            self.locks.release(self.id, now);
         }
     }
 }
@@ -1780,6 +1725,7 @@ impl Drop for LockGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::LockKind;
 
     fn test_fs() -> FileSystem {
         FileSystem::new(PlatformProfile::fast_test())

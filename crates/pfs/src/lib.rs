@@ -22,13 +22,13 @@
 //!   ([`CoherenceMode::LockDriven`], [`CoherenceHub`]): a held byte-range
 //!   token confers cache-validity rights, and revocation flushes and
 //!   invalidates exactly the revoked ranges instead of the whole cache.
-//! * **Three lock-manager designs behind one trait** ([`LockService`]) —
-//!   a centralized byte-range manager ([`CentralLockManager`],
-//!   NFS/XFS-style), a distributed token manager ([`TokenManager`],
-//!   GPFS-style, cf. Schmuck & Haskin FAST'02), and a sharded per-server
-//!   extent-lock manager ([`ShardedLockManager`], Lustre-style, with
-//!   optional token-over-shards caching). All three grant **atomic
-//!   multi-range list locks**: a whole compressed
+//! * **One lock manager, a preset table** ([`LockManager`]) — the central
+//!   (NFS/XFS), distributed-token (GPFS, cf. Schmuck & Haskin FAST'02) and
+//!   sharded per-server extent-lock (Lustre, optionally token-over-shards)
+//!   designs of §3.2 are one implementation whose [`LockKind`] preset picks
+//!   the number of lock domains, whether clients cache tokens, whether
+//!   modes fold to exclusive, and the cost terms. Every preset grants
+//!   **atomic multi-range list locks**: a whole compressed
 //!   [`StridedSet`](atomio_interval::StridedSet) is granted all-or-nothing
 //!   under fair virtual-time queueing, so exact footprints can be locked
 //!   without the per-window 2PL deadlock. The ENFS profile rejects lock
@@ -46,11 +46,8 @@ mod lock;
 mod lockclass;
 mod profile;
 mod server;
-mod service;
-mod shard;
 mod stats;
 mod storage;
-mod token;
 
 pub use cache::{CacheParams, ClientCache};
 pub use coherence::{CoherenceHub, RevocationHandler, RevokeOutcome};
@@ -61,11 +58,8 @@ pub use fault::{
 };
 pub use file::{FileSystem, LockGuard, PosixFile};
 pub use journal::{JournalRecord, ReplayReport, RevocationJournal};
-pub use lock::{CentralLockManager, LockMode};
+pub use lock::{LockManager, LockMode, LockTicket, SetGrant};
 pub use profile::{CoherenceMode, LockKind, PlatformProfile};
 pub use server::ServerSet;
-pub use service::{LockService, LockTicket, SetGrant};
-pub use shard::ShardedLockManager;
 pub use stats::{ClientStats, FsLatency, LatencySnapshot, StatsSnapshot};
 pub use storage::{Storage, NONATOMIC_CHUNK};
-pub use token::TokenManager;

@@ -1,14 +1,67 @@
+//! The byte-range lock manager: **one** implementation, a preset per `LockKind`.
+//!
+//! The paper's §3.2 treats central vs. distributed locking as one design
+//! axis. [`LockManager`] is that axis as data: [`LockManager::new`] reads
+//! the platform's [`LockKind`] and picks a row of the preset table —
+//!
+//! | `LockKind`      | lock domains  | cached tokens | modes                |
+//! |-----------------|---------------|---------------|----------------------|
+//! | `Central`       | 1             | no            | shared / exclusive   |
+//! | `Distributed`   | 1             | yes           | folded to exclusive  |
+//! | `Sharded`       | `sim_servers` | no            | shared / exclusive   |
+//! | `ShardedTokens` | `sim_servers` | yes           | shared / exclusive   |
+//!
+//! — plus the cost terms (`lock_grant_ns` per domain round trip,
+//! `client_op_ns` per extra request injection, `token_revoke_ns` +
+//! `token_revoke_byte_ns` per revocation, `servers_per_node` and the
+//! intra-node hop for co-located domains).
+//!
+//! **Grants are atomic multi-range list locks.** Locking a request's exact
+//! footprint means granting a list of ranges, and granting them one at a
+//! time is unsound: serializability needs every range held to the end of
+//! the request (strict two-phase locking), and holding one range while
+//! waiting for the next deadlocks under fair queueing. So the only granting
+//! shape is an **all-or-nothing** grant of a whole [`StridedSet`] under the
+//! manager-wide fair `(vtime, client, seq)` queue: a request is granted
+//! only when no conflicting byte is held (by anyone, the requester
+//! included) and no earlier-priority conflicting request is queued.
+//!
+//! **Domains** (Lustre-style extent locks): byte `b` belongs to lock domain
+//! `(b / stripe_unit) % domains` — the server that stores it. A request is
+//! sliced per domain ([`StridedSet::shard_slice`]) and ordered after each
+//! touched domain's own conflicting release history; the per-domain round
+//! trips run concurrently, so virtual grant cost is **max over domains, not
+//! sum** ([`fanout_hier_ns`]). With one domain that is exactly one
+//! `lock_grant_ns` round trip — the central manager (NFS/XFS) — and because
+//! the release→grant chain is work-conserving, N conflicting
+//! lock-write-unlock cycles take the sum of their hold times: "using
+//! byte-range file locking serializes the I/O" (§3.4).
+//!
+//! **Tokens** (GPFS, Schmuck & Haskin FAST'02): a client keeps the token
+//! over the bytes it locked after unlocking. A slice covered by the
+//! client's cached token in a domain skips that domain's round trip; a
+//! conflicting acquisition revokes the overlap from every other holder,
+//! paying `token_revoke_ns` per (holder, domain) and waiting for the
+//! holder's last release. With a [`CoherenceHub`] attached, each revocation
+//! is dispatched to the holder — ascending holder id, once per holder — and
+//! flushes and invalidates **exactly the revoked bytes** of its cache
+//! before the new grant completes.
+//!
+//! **Mode fold.** The `Distributed` preset treats every request as
+//! exclusive, as the paper's GPFS experiments do (all writes).
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Duration;
+
 use atomio_check::OrderedMutex;
-use atomio_interval::{ByteRange, StridedSet};
-use atomio_vtime::VNanos;
+use atomio_interval::{IntervalSet, StridedSet};
+use atomio_vtime::{fanout_hier_ns, VNanos};
 use parking_lot::Condvar;
 
+use crate::coherence::CoherenceHub;
 use crate::lockclass;
-
-use crate::service::{
-    latest_conflict, maybe_prune_history, modes_conflict, wait_admitted, LockService, LockTicket,
-    SetGrant, Waiter, LOCK_TIMEOUT,
-};
+use crate::profile::{LockKind, PlatformProfile};
 
 /// Byte-range lock mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,133 +72,205 @@ pub enum LockMode {
     Exclusive,
 }
 
-/// A single byte range as a one-train set (empty range ⇒ empty set, which
-/// conflicts with nothing and grants immediately).
-pub(crate) fn range_set(range: ByteRange) -> StridedSet {
-    StridedSet::from_range(range)
+/// Priority ticket of a registered (not yet granted) lock request:
+/// `(request vtime, client, manager-wide sequence)` — the fair-queueing key.
+pub type LockTicket = (VNanos, usize, u64);
+
+/// Outcome of one atomic multi-range grant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetGrant {
+    /// Handle to release the whole grant with.
+    pub id: u64,
+    /// Virtual time at which every range of the set is held.
+    pub granted_at: VNanos,
+    /// Lock-domain round trips paid: one per touched domain, minus the
+    /// domains served from a cached token.
+    pub shard_trips: u64,
+    /// Domains served from a locally cached token with no round trip.
+    pub token_hits: u64,
+    /// True when the grant was ordered behind a conflicting holder or a
+    /// conflicting past release — the serialization that exact-footprint
+    /// locking exists to avoid, and the unit the `locking` bench counts.
+    pub serialized: bool,
+}
+
+/// How long an admission wait may block before it is declared a deadlock
+/// (which would otherwise hang the test run silently).
+const LOCK_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Soft cap on retained release-history entries per history vector.
+const RELEASE_HISTORY_LIMIT: usize = 512;
+
+/// Two requests conflict when they share a byte and at least one is
+/// exclusive.
+fn conflicts(a: (&StridedSet, LockMode), b: (&StridedSet, LockMode)) -> bool {
+    (a.1 == LockMode::Exclusive || b.1 == LockMode::Exclusive) && a.0.overlaps(b.0)
+}
+
+/// A queued request under the fair `(vtime, client, seq)` order.
+#[derive(Debug)]
+struct Waiter {
+    prio: LockTicket,
+    set: StridedSet,
+    mode: LockMode,
 }
 
 #[derive(Debug)]
 struct Granted {
     id: u64,
-    set: StridedSet,
-    mode: LockMode,
     owner: usize,
+    mode: LockMode,
+    set: StridedSet,
+    /// Per-domain slices, ascending by domain.
+    slices: Vec<(usize, StridedSet)>,
 }
 
+/// Per-client cached token coverage inside one domain.
+#[derive(Debug)]
+struct DomainToken {
+    owner: usize,
+    ranges: IntervalSet,
+    /// Virtual time at which the owner last released a lock in this domain.
+    avail: VNanos,
+}
+
+/// One lock domain: the extent-lock state of one I/O server.
 #[derive(Debug, Default)]
+struct Domain {
+    /// `(set, vtime)` of past exclusive releases: a later conflicting grant
+    /// cannot begin before the writer's release in virtual time.
+    excl_release: Vec<(StridedSet, VNanos)>,
+    /// Past shared releases: constrain later exclusive grants.
+    shared_release: Vec<(StridedSet, VNanos)>,
+    tokens: Vec<DomainToken>,
+}
+
+#[derive(Debug)]
 struct LockState {
     next_id: u64,
     next_seq: u64,
     granted: Vec<Granted>,
-    /// Pending requests, for fair FIFO granting: a request may only be
-    /// granted when no *conflicting* waiter has a smaller priority
-    /// `(request vtime, client, seq)`. This prevents starvation and makes
-    /// contention resolution independent of host thread scheduling.
+    /// Fair admission queue shared across all domains: a request may only
+    /// be granted when no *conflicting* waiter has a smaller priority. This
+    /// prevents starvation and makes contention resolution independent of
+    /// host thread scheduling.
     waiters: Vec<Waiter>,
-    /// `(set, vtime)` of past *exclusive* releases: a later conflicting
-    /// grant cannot begin before the writer's release in virtual time.
-    excl_release: Vec<(StridedSet, VNanos)>,
-    /// Past shared releases: constrain later exclusive grants.
-    shared_release: Vec<(StridedSet, VNanos)>,
+    domains: Vec<Domain>,
+    /// Revocations granted but not yet dispatched to the holders' caches:
+    /// `(grant id, revoked bytes)`. A new grant overlapping any entry waits
+    /// for its dispatch to finish — without this gate a *shared* grant
+    /// (which conflict-waits on nobody) could be admitted between a rival's
+    /// token subtraction and its coherence flush, and read the holder's
+    /// pre-flush data from the servers.
+    pending_coherence: Vec<(u64, StridedSet)>,
 }
 
-/// Centralized byte-range lock manager (the NFS/XFS design of paper §3.2),
-/// granting **atomic multi-range list locks**: one request may carry a
-/// whole compressed [`StridedSet`], and the grant is all-or-nothing under
-/// the fair `(vtime, client, seq)` queue — see
-/// [`LockService`](crate::LockService) for why partial grants are unsound.
-///
-/// Real thread blocking provides the data-layer ordering (a write under an
-/// exclusive lock really is exclusive), while virtual-time accounting
-/// provides the performance model: every grant costs a round trip to the
-/// central server (`grant_ns` — **one** trip however many ranges the list
-/// carries), and a grant over a previously-locked byte cannot begin before
-/// that byte's conflicting release time. Because the release→grant chain
-/// is work-conserving, the total serialization time of N conflicting
-/// lock-write-unlock cycles is the sum of their hold times — "using
-/// byte-range file locking serializes the I/O" (paper §3.4). Requests
-/// whose sets are genuinely disjoint never serialize, which is the whole
-/// case for locking the exact footprint instead of its bounding span.
+impl LockState {
+    /// Whether `(set, mode)` queued at `prio` must keep waiting.
+    fn blocked(&self, prio: LockTicket, set: &StridedSet, mode: LockMode) -> bool {
+        let req = (set, mode);
+        self.granted
+            .iter()
+            .any(|g| conflicts((&g.set, g.mode), req))
+            || self
+                .waiters
+                .iter()
+                .any(|w| w.prio < prio && conflicts((&w.set, w.mode), req))
+            || self.pending_coherence.iter().any(|(_, r)| r.overlaps(set))
+    }
+}
+
+/// The byte-range lock manager of one file; see the module docs.
 #[derive(Debug)]
-pub struct CentralLockManager {
+pub struct LockManager {
     state: OrderedMutex<LockState>,
     cv: Condvar,
+    domains: usize,
+    stripe_unit: u64,
+    tokens: bool,
+    fold_modes: bool,
+    /// One domain's grant round trip.
     grant_ns: VNanos,
+    /// Client-side cost of injecting one extra per-node request message
+    /// (the serial part of the parallel fan-out).
+    issue_ns: VNanos,
+    /// Flat fee per revoked (holder, domain) pair.
+    revoke_ns: VNanos,
+    /// Per-byte cost of the dirty data each revocation flushes, billed to
+    /// the revoking acquirer (see
+    /// [`PlatformProfile::token_revoke_byte_ns`]).
+    revoke_byte_ns: f64,
+    /// Consecutive domains sharing one physical server node; extra missed
+    /// domains on an already-contacted node cost one `intra_hop_ns` forward
+    /// instead of a full inter-node issue + trip.
+    servers_per_node: usize,
+    intra_hop_ns: VNanos,
+    /// Revocation fan-out for lock-driven cache coherence (token presets
+    /// only); `None` keeps revocations a pure cost-model event.
+    coherence: Option<Arc<CoherenceHub>>,
 }
 
-impl CentralLockManager {
-    pub fn new(grant_ns: VNanos) -> Self {
-        CentralLockManager {
-            state: lockclass::lock_state(LockState::default()),
+impl LockManager {
+    /// The manager `profile.lock_kind` selects (the preset table of the
+    /// module docs), or `None` on a lockless platform. `coherence` is the
+    /// file's revocation fan-out; only the token presets use it.
+    pub fn new(profile: &PlatformProfile, coherence: Option<Arc<CoherenceHub>>) -> Option<Self> {
+        let (domains, tokens, fold_modes) = match profile.lock_kind {
+            LockKind::None => return None,
+            LockKind::Central => (1, false, false),
+            LockKind::Distributed => (1, true, true),
+            LockKind::Sharded => (profile.sim_servers, false, false),
+            LockKind::ShardedTokens => (profile.sim_servers, true, false),
+        };
+        assert!(domains > 0 && profile.stripe_unit > 0 && profile.servers_per_node > 0);
+        Some(LockManager {
+            state: lockclass::lock_state(LockState {
+                next_id: 0,
+                next_seq: 0,
+                granted: Vec::new(),
+                waiters: Vec::new(),
+                domains: (0..domains).map(|_| Domain::default()).collect(),
+                pending_coherence: Vec::new(),
+            }),
             cv: Condvar::new(),
-            grant_ns,
+            domains,
+            stripe_unit: profile.stripe_unit,
+            tokens,
+            fold_modes,
+            grant_ns: profile.lock_grant_ns,
+            issue_ns: profile.client_op_ns,
+            revoke_ns: profile.token_revoke_ns,
+            revoke_byte_ns: profile.token_revoke_byte_ns,
+            servers_per_node: profile.servers_per_node,
+            intra_hop_ns: profile.net.intra_link.latency_ns,
+            coherence: coherence.filter(|_| tokens),
+        })
+    }
+
+    fn fold(&self, mode: LockMode) -> LockMode {
+        if self.fold_modes {
+            LockMode::Exclusive
+        } else {
+            mode
         }
     }
 
-    /// Block until the lock can be granted; returns `(lock id, grant vtime)`.
-    ///
-    /// `now` is the requesting client's virtual clock at request time; the
-    /// grant time accounts for both the round trip and any conflicting
-    /// holder's release.
-    pub fn acquire(
-        &self,
-        owner: usize,
-        range: ByteRange,
-        mode: LockMode,
-        now: VNanos,
-    ) -> (u64, VNanos) {
-        let g = self.acquire_set(owner, &range_set(range), mode, now);
-        (g.id, g.granted_at)
+    /// Slice `set` over the domains, ascending, non-empty slices only.
+    fn slices(&self, set: &StridedSet) -> Vec<(usize, StridedSet)> {
+        (0..self.domains)
+            .filter_map(|d| {
+                let slice = set.shard_slice(self.stripe_unit, self.domains as u64, d as u64);
+                (!slice.is_empty()).then_some((d, slice))
+            })
+            .collect()
     }
 
     /// First half of a two-phase acquisition: enqueue the request without
     /// blocking. When every contender registers before anyone waits (the
-    /// collective file-locking strategy interposes a barrier), grants follow
-    /// the fair `(vtime, client, seq)` order exactly, making contention —
-    /// and, on the token manager, revocation counts — deterministic.
-    pub fn register(
-        &self,
-        owner: usize,
-        range: ByteRange,
-        mode: LockMode,
-        now: VNanos,
-    ) -> LockTicket {
-        self.register_set(owner, &range_set(range), mode, now)
-    }
-
-    /// Second half of a two-phase acquisition: block until granted.
-    pub fn wait_granted(
-        &self,
-        prio: LockTicket,
-        owner: usize,
-        range: ByteRange,
-        mode: LockMode,
-        now: VNanos,
-    ) -> (u64, VNanos) {
-        let g = self.wait_granted_set(prio, owner, &range_set(range), mode, now);
-        (g.id, g.granted_at)
-    }
-
-    /// Release lock `id` at virtual time `now`.
-    pub fn release(&self, id: u64, now: VNanos) {
-        LockService::release(self, 0, id, now);
-    }
-
-    /// Number of currently granted locks (diagnostics).
-    pub fn active(&self) -> usize {
-        self.state.lock().granted.len()
-    }
-
-    /// Retained release-history entries (diagnostics; bounded by pruning).
-    pub fn history_len(&self) -> usize {
-        let st = self.state.lock();
-        st.excl_release.len() + st.shared_release.len()
-    }
-}
-
-impl LockService for CentralLockManager {
-    fn register_set(
+    /// collective file-locking strategy interposes a barrier), grants
+    /// follow the fair `(vtime, client, seq)` order exactly, making
+    /// contention — and revocation counts — deterministic.
+    pub fn register_set(
         &self,
         owner: usize,
         set: &StridedSet,
@@ -158,12 +283,16 @@ impl LockService for CentralLockManager {
         st.waiters.push(Waiter {
             prio,
             set: set.clone(),
-            mode,
+            mode: self.fold(mode),
         });
         prio
     }
 
-    fn wait_granted_set(
+    /// Second half: block until **every** range of the set is granted,
+    /// atomically. `now` is the requester's virtual clock at request time;
+    /// the grant time accounts for the round trips, any conflicting
+    /// holder's release, and the revocations the grant caused.
+    pub fn wait_granted_set(
         &self,
         prio: LockTicket,
         owner: usize,
@@ -171,72 +300,172 @@ impl LockService for CentralLockManager {
         mode: LockMode,
         now: VNanos,
     ) -> SetGrant {
+        let mode = self.fold(mode);
+        let slices = self.slices(set);
         let mut st = self.state.lock();
-        let waited = wait_admitted(
-            &self.cv,
-            st.raw(),
-            |st| {
-                st.granted.iter().any(|g| conflicts(g, set, mode))
-                    || st
-                        .waiters
-                        .iter()
-                        .any(|w| w.prio < prio && w.conflicts_with(set, mode))
-            },
-            |st| {
+        // All-or-nothing across every touched domain: two requests conflict
+        // iff some domain slice conflicts, and slicing partitions the byte
+        // set, so whole-set overlap is the same test.
+        let mut waited = false;
+        while st.blocked(prio, set, mode) {
+            waited = true;
+            if self.cv.wait_for(st.raw(), LOCK_TIMEOUT).timed_out() {
                 let holders: Vec<_> = st
                     .granted
                     .iter()
-                    .filter(|g| conflicts(g, set, mode))
+                    .filter(|g| conflicts((&g.set, g.mode), (set, mode)))
                     .map(|g| g.owner)
                     .collect();
-                format!(
+                panic!(
                     "client {owner}: lock {set} ({mode:?}) blocked {LOCK_TIMEOUT:?}; \
                      held by clients {holders:?} — likely deadlock"
-                )
-            },
-        );
+                );
+            }
+        }
         let pos = st
             .waiters
             .iter()
             .position(|w| w.prio == prio)
             .expect("own entry");
         st.waiters.swap_remove(pos);
-        // Granting a shared lock may unblock other shared waiters that were
-        // queued behind this entry.
+        // Leaving the queue may unblock waiters queued behind this entry.
         self.cv.notify_all();
-        let id = st.next_id;
-        st.next_id += 1;
 
-        // Virtual grant time: one list-request round trip, ordered after
-        // every conflicting past release.
         let mut earliest = now;
-        if let Some(t) = latest_conflict(&st.excl_release, set) {
-            earliest = earliest.max(t);
-        }
-        if mode == LockMode::Exclusive {
-            if let Some(t) = latest_conflict(&st.shared_release, set) {
-                earliest = earliest.max(t);
+        let mut token_hits = 0u64;
+        let mut revocations = 0u64;
+        // Missed domains grouped by server node: the shape of the
+        // hierarchical grant fan-out below.
+        let mut missed_per_node = vec![0u64; self.domains.div_ceil(self.servers_per_node)];
+        // Byte ranges each holder loses across all domains, aggregated so
+        // the coherence fan-out runs once per holder, in ascending holder
+        // order — the order holders flush onto the shared server horizons
+        // must not depend on the process.
+        let mut lost: BTreeMap<usize, IntervalSet> = BTreeMap::new();
+        for (d, slice) in &slices {
+            let domain = &mut st.domains[*d];
+            earliest = earliest.max(latest_conflict(&domain.excl_release, slice).unwrap_or(0));
+            if mode == LockMode::Exclusive {
+                earliest =
+                    earliest.max(latest_conflict(&domain.shared_release, slice).unwrap_or(0));
             }
+            if self.tokens {
+                let cached = domain.tokens.iter().any(|t| {
+                    t.owner == owner && slice.iter_runs().all(|r| t.ranges.contains_range(&r))
+                });
+                if cached {
+                    token_hits += 1;
+                    continue;
+                }
+                // Revoke the overlap from every other holder's token; the
+                // rest of the holder's coverage (and cache) stays warm.
+                let dense = slice.to_intervals();
+                for t in domain.tokens.iter_mut().filter(|t| t.owner != owner) {
+                    if t.ranges.overlaps(&dense) {
+                        if self.coherence.is_some() {
+                            let e = lost.entry(t.owner).or_default();
+                            *e = e.union(&t.ranges.intersect(&dense));
+                        }
+                        t.ranges = t.ranges.subtract(&dense);
+                        earliest = earliest.max(t.avail);
+                        revocations += 1;
+                    }
+                }
+                match domain.tokens.iter_mut().find(|t| t.owner == owner) {
+                    Some(t) => t.ranges = t.ranges.union(&dense),
+                    None => domain.tokens.push(DomainToken {
+                        owner,
+                        ranges: dense,
+                        avail: 0,
+                    }),
+                }
+            }
+            missed_per_node[*d / self.servers_per_node] += 1;
         }
         let serialized = waited || earliest > now;
-        let granted_at = earliest + self.grant_ns;
+        // The per-domain round trips proceed concurrently: the fan-out
+        // completes when the slowest one does (nothing at all on an
+        // all-hit grant, exactly `grant_ns` with one domain).
+        let mut granted_at = earliest
+            + fanout_hier_ns(
+                self.issue_ns,
+                self.grant_ns,
+                self.intra_hop_ns,
+                &missed_per_node,
+            )
+            + revocations * self.revoke_ns;
 
+        let id = st.next_id;
+        st.next_id += 1;
         st.granted.push(Granted {
             id,
-            set: set.clone(),
-            mode,
             owner,
+            mode,
+            set: set.clone(),
+            slices,
         });
+        if let Some(hub) = &self.coherence {
+            // Record the grantee's cache-validity rights while the state
+            // mutex is still held — before the tokens are visible to (and
+            // revocable by) any rival; see `RevocationHandler::granted`.
+            hub.grant_coverage(owner, &set.to_intervals());
+            if !lost.is_empty() {
+                let taken = lost
+                    .values()
+                    .fold(IntervalSet::new(), |acc, r| acc.union(r));
+                st.pending_coherence
+                    .push((id, StridedSet::from_intervals(&taken)));
+            }
+        }
+        // Dispatch the revocations with the state mutex released (a
+        // holder's cache flush must not block unrelated lock traffic) but
+        // before the grant is returned, and under the `pending_coherence`
+        // gate so no overlapping grant can be admitted mid-dispatch.
+        drop(st);
+        if let Some(hub) = self.coherence.as_ref().filter(|_| !lost.is_empty()) {
+            // The flat `revoke_ns` fees were charged above; the flush's
+            // *bytes* are known only once the holders have served their
+            // revocations, so the per-byte charge lands here — plus any
+            // fault-injected dispatch delay (dropped/delayed revocations
+            // stall the acquirer, not the holder).
+            let mut flushed = 0u64;
+            let mut fault_delay: VNanos = 0;
+            for (holder, ranges) in &lost {
+                let out = hub.revoke(*holder, ranges, granted_at);
+                flushed += out.flushed;
+                fault_delay += out.delay_ns;
+            }
+            granted_at += (flushed as f64 * self.revoke_byte_ns).round() as VNanos + fault_delay;
+            self.state
+                .lock()
+                .pending_coherence
+                .retain(|(gid, _)| *gid != id);
+            self.cv.notify_all();
+        }
         SetGrant {
             id,
             granted_at,
-            shard_trips: 1,
-            token_hits: 0,
+            shard_trips: missed_per_node.iter().sum(),
+            token_hits,
             serialized,
         }
     }
 
-    fn release(&self, _owner: usize, id: u64, now: VNanos) {
+    /// Register and wait in one call (independent, non-collective I/O).
+    pub fn acquire_set(
+        &self,
+        owner: usize,
+        set: &StridedSet,
+        mode: LockMode,
+        now: VNanos,
+    ) -> SetGrant {
+        let ticket = self.register_set(owner, set, mode, now);
+        self.wait_granted_set(ticket, owner, set, mode, now)
+    }
+
+    /// Release grant `id` (every range at once) at virtual time `now`. Any
+    /// token stays with the client.
+    pub fn release(&self, id: u64, now: VNanos) {
         let mut st = self.state.lock();
         let pos = st
             .granted
@@ -244,191 +473,407 @@ impl LockService for CentralLockManager {
             .position(|g| g.id == id)
             .expect("releasing a lock that is not held");
         let g = st.granted.swap_remove(pos);
-        let hist = match g.mode {
-            LockMode::Exclusive => &mut st.excl_release,
-            LockMode::Shared => &mut st.shared_release,
-        };
-        hist.push((g.set, now));
-        maybe_prune_history(hist);
+        for (d, slice) in g.slices {
+            let domain = &mut st.domains[d];
+            if let Some(t) = domain.tokens.iter_mut().find(|t| t.owner == g.owner) {
+                t.avail = t.avail.max(now);
+            }
+            let hist = match g.mode {
+                LockMode::Exclusive => &mut domain.excl_release,
+                LockMode::Shared => &mut domain.shared_release,
+            };
+            hist.push((slice, now));
+            // Prune to `limit / 2` (hysteresis): with persistently distinct
+            // regions the history oscillates between limit/2 and limit, so
+            // the O(limit) set-algebra pass runs once per limit/2 releases.
+            if hist.len() > RELEASE_HISTORY_LIMIT {
+                prune_history(hist, RELEASE_HISTORY_LIMIT / 2);
+            }
+        }
         self.cv.notify_all();
     }
 
-    fn active(&self) -> usize {
-        CentralLockManager::active(self)
+    /// Number of currently granted multi-range locks (diagnostics).
+    pub fn active(&self) -> usize {
+        self.state.lock().granted.len()
     }
 
-    fn history_len(&self) -> usize {
-        CentralLockManager::history_len(self)
+    /// Release-history entries retained across all domains (diagnostics;
+    /// bounded by pruning).
+    pub fn history_len(&self) -> usize {
+        self.state
+            .lock()
+            .domains
+            .iter()
+            .map(|d| d.excl_release.len() + d.shared_release.len())
+            .sum()
+    }
+
+    /// Total bytes of token coverage `owner` holds across all domains.
+    pub fn cached_bytes(&self, owner: usize) -> u64 {
+        self.state
+            .lock()
+            .domains
+            .iter()
+            .flat_map(|d| d.tokens.iter())
+            .filter(|t| t.owner == owner)
+            .map(|t| t.ranges.total_len())
+            .sum()
     }
 }
 
-fn conflicts(g: &Granted, set: &StridedSet, mode: LockMode) -> bool {
-    modes_conflict(g.mode, mode) && g.set.overlaps(set)
+/// Prune a release history down to at most `limit` entries so a
+/// long-running manager stays bounded.
+///
+/// Two stages:
+/// 1. **Exact dominance** — an entry whose byte set is covered by the
+///    union of entries with release time ≥ its own can never constrain a
+///    later grant beyond what the covering entries already enforce (any
+///    conflicting set intersects some covering entry with a ≥ time), so it
+///    is dropped with zero behaviour change. This is what keeps repeated
+///    lock/unlock cycles over the same footprint at O(1) retained entries.
+/// 2. **Conservative coarsening** — if genuinely distinct regions still
+///    exceed the cap, the oldest surplus folds into one `(union, max
+///    time)` entry. Membership stays exact (the union is the same byte
+///    set, and `StridedSet` compression collapses e.g. a progression of
+///    per-run releases into one train); only the *times* of the folded
+///    bytes are rounded up to the group's newest, which can only delay a
+///    later conflicting grant — monotone-safe for the serialization model.
+fn prune_history(hist: &mut Vec<(StridedSet, VNanos)>, limit: usize) {
+    hist.sort_by_key(|e| std::cmp::Reverse(e.1)); // newest first
+    let mut acc = StridedSet::new();
+    let mut kept: Vec<(StridedSet, VNanos)> = Vec::with_capacity(hist.len().min(limit + 1));
+    for (s, t) in hist.drain(..) {
+        if s.subtract(&acc).is_empty() {
+            continue;
+        }
+        acc = acc.union(&s);
+        kept.push((s, t));
+    }
+    if kept.len() > limit {
+        let tail = kept.split_off(limit - 1);
+        let t = tail.iter().map(|(_, t)| *t).max().expect("non-empty tail");
+        let mut folded = StridedSet::new();
+        for (s, _) in &tail {
+            folded = folded.union(s);
+        }
+        // Re-compress: pairwise union never re-detects arithmetic
+        // progressions (normalize only coalesces touching/continuing
+        // trains), but a fold of per-run releases usually *is* one — one
+        // round trip through the canonical form finds it.
+        kept.push((StridedSet::from_intervals(&folded.to_intervals()), t));
+    }
+    *hist = kept;
+}
+
+/// Latest release time in `hist` conflicting with `set`, if any.
+fn latest_conflict(hist: &[(StridedSet, VNanos)], set: &StridedSet) -> Option<VNanos> {
+    hist.iter()
+        .filter(|(s, _)| s.overlaps(set))
+        .map(|(_, t)| *t)
+        .max()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::RELEASE_HISTORY_LIMIT;
-    use atomio_interval::Train;
+    use crate::coherence::RevocationHandler;
+    use atomio_interval::{ByteRange, Train};
     use parking_lot::Mutex;
-    use std::sync::Arc;
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use LockKind::{Central, Distributed, Sharded, ShardedTokens};
+    use LockMode::{Exclusive, Shared};
+
+    const UNIT: u64 = 1024;
+    const PRESETS: [LockKind; 4] = [Central, Distributed, Sharded, ShardedTokens];
+    const TOKEN_PRESETS: [LockKind; 2] = [Distributed, ShardedTokens];
+
+    /// `kind`'s preset over 4 servers on a 1 KiB stripe grid, 1 µs per
+    /// extra request injection, one server per node.
+    fn profile(kind: LockKind, grant_ns: VNanos, revoke_ns: VNanos) -> PlatformProfile {
+        PlatformProfile {
+            lock_kind: kind,
+            lock_grant_ns: grant_ns,
+            token_revoke_ns: revoke_ns,
+            sim_servers: 4,
+            stripe_unit: UNIT,
+            client_op_ns: 1_000,
+            ..PlatformProfile::fast_test()
+        }
+    }
+
+    fn mgr(kind: LockKind, grant_ns: VNanos, revoke_ns: VNanos) -> LockManager {
+        LockManager::new(&profile(kind, grant_ns, revoke_ns), None).unwrap()
+    }
+
+    fn range(start: u64, end: u64) -> StridedSet {
+        StridedSet::from_range(ByteRange::new(start, end))
+    }
+
+    fn at(start: u64, len: u64) -> StridedSet {
+        StridedSet::from_range(ByteRange::at(start, len))
+    }
+
+    fn comb(start: u64, len: u64, stride: u64, count: u64) -> StridedSet {
+        StridedSet::from_train(Train::new(start, len, stride, count))
+    }
+
+    #[test]
+    fn lockless_platform_has_no_manager() {
+        assert!(LockManager::new(&profile(LockKind::None, 0, 0), None).is_none());
+    }
+
+    // ------------------------------------------------- every preset alike
 
     #[test]
     fn non_overlapping_grants_are_concurrent() {
-        let m = CentralLockManager::new(100);
-        let (a, ta) = m.acquire(0, ByteRange::new(0, 10), LockMode::Exclusive, 0);
-        let (b, tb) = m.acquire(1, ByteRange::new(10, 20), LockMode::Exclusive, 0);
-        assert_eq!(ta, 100);
-        assert_eq!(tb, 100, "disjoint ranges do not serialize");
-        m.release(a, ta + 50);
-        m.release(b, tb + 50);
-        assert_eq!(m.active(), 0);
+        for (kind, grant_ns) in [
+            (Central, 100),
+            (Distributed, 1_000),
+            (Sharded, 100),
+            (ShardedTokens, 1_000),
+        ] {
+            let m = mgr(kind, grant_ns, 10_000);
+            let a = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let b = m.acquire_set(1, &range(100, 200), Exclusive, 0);
+            assert_eq!(a.granted_at, grant_ns);
+            assert_eq!(
+                b.granted_at, grant_ns,
+                "{kind:?}: disjoint ranges neither serialize nor revoke"
+            );
+            m.release(a.id, a.granted_at + 50);
+            m.release(b.id, b.granted_at + 50);
+            assert_eq!(m.active(), 0);
+        }
     }
 
     #[test]
     fn shared_locks_coexist_exclusive_does_not() {
-        let m = CentralLockManager::new(10);
-        let (s1, _) = m.acquire(0, ByteRange::new(0, 100), LockMode::Shared, 0);
-        let (s2, _) = m.acquire(1, ByteRange::new(50, 150), LockMode::Shared, 0);
-        m.release(s1, 500);
-        m.release(s2, 700);
-        // Exclusive over the shared region must start after both shared
-        // releases in virtual time.
-        let (x, tx) = m.acquire(2, ByteRange::new(0, 150), LockMode::Exclusive, 0);
-        assert_eq!(tx, 700 + 10);
-        m.release(x, tx);
+        for kind in [Central, Sharded, ShardedTokens] {
+            let m = mgr(kind, 10, 0);
+            let s1 = m.acquire_set(0, &range(0, 100), Shared, 0);
+            let s2 = m.acquire_set(1, &range(50, 150), Shared, 0);
+            m.release(s1.id, 500);
+            m.release(s2.id, 700);
+            // Exclusive over the shared region must start after both shared
+            // releases in virtual time.
+            let x = m.acquire_set(2, &range(0, 150), Exclusive, 0);
+            assert_eq!(x.granted_at, 700 + 10, "{kind:?}");
+            m.release(x.id, x.granted_at);
+        }
+    }
+
+    #[test]
+    fn distributed_preset_folds_shared_to_exclusive() {
+        // The same two shared requests that coexist above conflict here:
+        // the second waits for the first's release, and its grant is
+        // ordered after that release in virtual time.
+        let m = Arc::new(mgr(Distributed, 10, 0));
+        let released = Arc::new(AtomicBool::new(false));
+        let s1 = m.acquire_set(0, &range(0, 100), Shared, 0);
+        let (m2, released2) = (Arc::clone(&m), Arc::clone(&released));
+        let h = std::thread::spawn(move || {
+            let s2 = m2.acquire_set(1, &range(50, 150), Shared, 0);
+            assert!(
+                released2.load(Ordering::SeqCst),
+                "shared granted alongside shared"
+            );
+            assert!(s2.serialized);
+            assert_eq!(s2.granted_at, 500 + 10);
+            m2.release(s2.id, s2.granted_at);
+        });
+        std::thread::sleep(Duration::from_millis(30));
+        released.store(true, Ordering::SeqCst);
+        m.release(s1.id, 500);
+        h.join().unwrap();
+        assert_eq!(m.history_len(), 2, "both releases land in one history");
+    }
+
+    #[test]
+    fn same_owner_overlap_waits_like_any_other_conflict() {
+        // No preset is re-entrant: a client's own in-use lock blocks its
+        // overlapping second request until released.
+        for kind in PRESETS {
+            let m = Arc::new(mgr(kind, 0, 0));
+            let released = Arc::new(AtomicBool::new(false));
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let (m2, released2) = (Arc::clone(&m), Arc::clone(&released));
+            let h = std::thread::spawn(move || {
+                let g2 = m2.acquire_set(0, &range(50, 60), Exclusive, 0);
+                assert!(
+                    released2.load(Ordering::SeqCst),
+                    "{kind:?}: re-entrant grant over the owner's own held range"
+                );
+                m2.release(g2.id, g2.granted_at);
+            });
+            std::thread::sleep(Duration::from_millis(30));
+            released.store(true, Ordering::SeqCst);
+            m.release(g.id, 1_000);
+            h.join().unwrap();
+        }
     }
 
     #[test]
     fn conflicting_grant_ordered_after_release_vtime() {
-        let m = CentralLockManager::new(10);
-        let (a, ta) = m.acquire(0, ByteRange::new(0, 100), LockMode::Exclusive, 0);
-        assert_eq!(ta, 10);
-        m.release(a, 1_000);
-        // Second client requested "at" vtime 50, but the range was released
-        // at vtime 1000: serialization is visible in virtual time.
-        let (b, tb) = m.acquire(1, ByteRange::new(50, 60), LockMode::Exclusive, 50);
-        assert_eq!(tb, 1_000 + 10);
-        m.release(b, tb);
+        for kind in [Central, Sharded] {
+            let m = mgr(kind, 10, 0);
+            let a = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            assert_eq!(a.granted_at, 10);
+            m.release(a.id, 1_000);
+            // Second client requested "at" vtime 50, but the range was
+            // released at vtime 1000: serialization is visible in virtual
+            // time.
+            let b = m.acquire_set(1, &range(50, 60), Exclusive, 50);
+            assert_eq!(b.granted_at, 1_000 + 10, "{kind:?}");
+            m.release(b.id, b.granted_at);
+        }
     }
 
     #[test]
     fn real_threads_serialize_on_conflict() {
-        let m = Arc::new(CentralLockManager::new(0));
-        let counter = Arc::new(Mutex::new(0u64));
-        let mut handles = Vec::new();
-        for owner in 0..8 {
-            let m = Arc::clone(&m);
-            let counter = Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                let (id, t) = m.acquire(owner, ByteRange::new(0, 10), LockMode::Exclusive, 0);
-                {
-                    // Critical section: nobody else may hold the lock.
-                    let mut c = counter.lock();
-                    *c += 1;
-                    assert_eq!(m.active(), 1, "exclusive lock must be sole");
-                }
-                m.release(id, t + 100);
-            }));
+        for kind in PRESETS {
+            let m = Arc::new(mgr(kind, 0, 0));
+            let counter = Arc::new(Mutex::new(0u64));
+            let handles: Vec<_> = (0..8)
+                .map(|owner| {
+                    let m = Arc::clone(&m);
+                    let counter = Arc::clone(&counter);
+                    std::thread::spawn(move || {
+                        // All conflict in domain 2 of the sharded presets.
+                        let g = m.acquire_set(owner, &at(2 * UNIT, 128), Exclusive, 0);
+                        {
+                            // Critical section: nobody else may hold the lock.
+                            let mut c = counter.lock();
+                            *c += 1;
+                            assert_eq!(m.active(), 1, "{kind:?}: exclusive grant must be sole");
+                        }
+                        m.release(g.id, g.granted_at + 100);
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(*counter.lock(), 8);
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*counter.lock(), 8);
     }
 
     #[test]
     fn serialized_cycles_sum_hold_times() {
         // N lock-hold-release cycles over the same range: final grant time
         // >= sum of hold durations (work-conserving serialization).
-        let m = CentralLockManager::new(0);
-        let hold = 1_000u64;
-        let mut last_grant = 0;
-        for i in 0..10 {
-            let (id, t) = m.acquire(i, ByteRange::new(0, 10), LockMode::Exclusive, 0);
-            m.release(id, t + hold);
-            last_grant = t;
+        for kind in PRESETS {
+            let m = mgr(kind, 0, 0);
+            let hold = 1_000u64;
+            let mut last_grant = 0;
+            for i in 0..10 {
+                let g = m.acquire_set(i, &range(0, 10), Exclusive, 0);
+                m.release(g.id, g.granted_at + hold);
+                last_grant = g.granted_at;
+            }
+            assert_eq!(last_grant, 9 * hold, "{kind:?}");
         }
-        assert_eq!(last_grant, 9 * hold);
     }
 
     #[test]
     fn compaction_preserves_max_release_times() {
-        let m = CentralLockManager::new(0);
-        // Push far more than the history limit of overlapping releases.
-        for i in 0..2_000u64 {
-            let (id, t) = m.acquire(0, ByteRange::new(0, 10), LockMode::Exclusive, 0);
-            m.release(id, t.max(i));
+        for kind in PRESETS {
+            let m = mgr(kind, 0, 0);
+            // Push far more than the history limit of overlapping releases.
+            for i in 0..2_000u64 {
+                let g = m.acquire_set(0, &range(0, 10), Exclusive, 0);
+                m.release(g.id, g.granted_at.max(i));
+            }
+            let g = m.acquire_set(1, &range(5, 6), Exclusive, 0);
+            assert!(
+                g.granted_at >= 1_999,
+                "{kind:?}: history compaction lost the latest release time"
+            );
         }
-        let (_, t) = m.acquire(1, ByteRange::new(5, 6), LockMode::Exclusive, 0);
-        assert!(
-            t >= 1_999,
-            "history compaction lost the latest release time"
-        );
     }
 
     #[test]
     fn repeated_cycles_keep_history_bounded() {
         // The release history of a long-running manager must not grow with
-        // the number of lock/unlock cycles (exact dominance pruning).
-        let m = CentralLockManager::new(0);
-        for i in 0..5_000u64 {
-            let range = ByteRange::at((i % 7) * 100, 10);
-            let (id, t) = m.acquire(0, range, LockMode::Exclusive, i);
-            m.release(id, t + 1);
-            let (id, t) = m.acquire(0, range, LockMode::Shared, i);
-            m.release(id, t + 1);
-        }
+        // the number of lock/unlock cycles (exact dominance pruning), under
+        // two ping-ponging owners and 7 regions spread over the domains.
         // Pruning is lazy (it fires when a history crosses the limit), so
-        // the bound is the limit per history vector, not the 7 distinct
-        // regions dominance reduces to at each prune.
-        assert!(
-            m.history_len() <= 2 * RELEASE_HISTORY_LIMIT,
-            "history grew to {}",
-            m.history_len()
-        );
+        // the bound is the limit per history vector: two per domain, one
+        // for the mode-folding preset.
+        for (kind, histories) in [
+            (Central, 2),
+            (Distributed, 1),
+            (Sharded, 2 * 4),
+            (ShardedTokens, 2 * 4),
+        ] {
+            let m = mgr(kind, 0, 0);
+            let mut now = 0;
+            for i in 0..5_000u64 {
+                let owner = (i % 2) as usize;
+                let set = at((i % 7) * 600, 64);
+                for mode in [Exclusive, Shared] {
+                    let g = m.acquire_set(owner, &set, mode, now);
+                    m.release(g.id, g.granted_at + 1);
+                    now = g.granted_at + 1;
+                }
+            }
+            assert!(
+                m.history_len() <= histories * RELEASE_HISTORY_LIMIT,
+                "{kind:?}: history grew to {}",
+                m.history_len()
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "not held")]
     fn double_release_panics() {
-        let m = CentralLockManager::new(0);
-        let (id, t) = m.acquire(0, ByteRange::new(0, 1), LockMode::Exclusive, 0);
-        m.release(id, t);
-        m.release(id, t);
+        for kind in PRESETS {
+            let m = mgr(kind, 0, 0);
+            let g = m.acquire_set(0, &range(0, 1), Exclusive, 0);
+            m.release(g.id, g.granted_at);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.release(g.id, g.granted_at)
+            }))
+            .expect_err("second release must panic");
+            let msg = err.downcast_ref::<String>().map(String::as_str);
+            let msg = msg.or_else(|| err.downcast_ref::<&str>().copied());
+            assert!(msg.is_some_and(|m| m.contains("not held")), "{kind:?}");
+        }
     }
 
     #[test]
     fn two_phase_grants_in_priority_order() {
         // All three clients register before anyone waits; grants must then
         // follow (vtime, client) order regardless of wait order.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let m = Arc::new(CentralLockManager::new(0));
-        let range = ByteRange::new(0, 100);
-        let tickets: Vec<_> = (0..3)
-            .map(|c| m.register(c, range, LockMode::Exclusive, 0))
-            .collect();
+        for kind in PRESETS {
+            let m = Arc::new(mgr(kind, 0, 0));
+            let set = range(0, 100);
+            let tickets: Vec<_> = (0..3)
+                .map(|c| m.register_set(c, &set, Exclusive, 0))
+                .collect();
 
-        let turn = Arc::new(AtomicUsize::new(0));
-        // Wait in REVERSE client order; fairness must still grant 0,1,2.
-        let handles: Vec<_> = [2usize, 1, 0]
-            .into_iter()
-            .map(|client| {
-                let m = Arc::clone(&m);
-                let turn = Arc::clone(&turn);
-                let ticket = tickets[client];
-                std::thread::spawn(move || {
-                    let (id, t) = m.wait_granted(ticket, client, range, LockMode::Exclusive, 0);
-                    let my_turn = turn.fetch_add(1, Ordering::SeqCst);
-                    assert_eq!(my_turn, client, "grant order must follow priority");
-                    m.release(id, t + 10);
+            let turn = Arc::new(AtomicUsize::new(0));
+            // Wait in REVERSE client order; fairness must still grant 0,1,2.
+            let handles: Vec<_> = [2usize, 1, 0]
+                .into_iter()
+                .map(|client| {
+                    let m = Arc::clone(&m);
+                    let turn = Arc::clone(&turn);
+                    let ticket = tickets[client];
+                    std::thread::spawn(move || {
+                        let g = m.wait_granted_set(ticket, client, &range(0, 100), Exclusive, 0);
+                        let my_turn = turn.fetch_add(1, Ordering::SeqCst);
+                        assert_eq!(
+                            my_turn, client,
+                            "{kind:?}: grant order must follow priority"
+                        );
+                        m.release(g.id, g.granted_at + 10);
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
         }
     }
 
@@ -436,54 +881,28 @@ mod tests {
     fn waiter_priority_blocks_later_vtime() {
         // A registered earlier-vtime waiter must hold off a later one even
         // when the later one calls wait first.
-        let m = Arc::new(CentralLockManager::new(0));
-        let range = ByteRange::new(0, 10);
-        let early = m.register(0, range, LockMode::Exclusive, 100);
-        let late = m.register(1, range, LockMode::Exclusive, 200);
+        for kind in PRESETS {
+            let m = Arc::new(mgr(kind, 0, 0));
+            let set = range(0, 10);
+            let early = m.register_set(0, &set, Exclusive, 100);
+            let late = m.register_set(1, &set, Exclusive, 200);
 
-        let m2 = Arc::clone(&m);
-        let h = std::thread::spawn(move || {
-            let (id, t) = m2.wait_granted(late, 1, range, LockMode::Exclusive, 200);
-            m2.release(id, t);
-            t
-        });
-        // Give the late waiter a chance to (wrongly) grab the lock.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let (id, t_early) = m.wait_granted(early, 0, range, LockMode::Exclusive, 100);
-        m.release(id, t_early + 50);
-        let t_late = h.join().unwrap();
-        assert!(
-            t_late >= t_early + 50,
-            "late grant {t_late} must follow early release"
-        );
-    }
-
-    // ------------------------------------------------- multi-range grants
-
-    fn comb(start: u64, len: u64, stride: u64, count: u64) -> StridedSet {
-        StridedSet::from_train(Train::new(start, len, stride, count))
-    }
-
-    #[test]
-    fn disjoint_interleaved_sets_grant_concurrently() {
-        // Two interleaved strided footprints whose bounding spans overlap
-        // almost entirely: exact list grants must not serialize them.
-        let m = CentralLockManager::new(100);
-        let a = comb(0, 8, 32, 64);
-        let b = comb(8, 8, 32, 64);
-        let ga = m.acquire_set(0, &a, LockMode::Exclusive, 0);
-        let gb = m.acquire_set(1, &b, LockMode::Exclusive, 0);
-        assert_eq!(ga.granted_at, 100);
-        assert_eq!(gb.granted_at, 100, "disjoint lists must not serialize");
-        assert!(!ga.serialized && !gb.serialized);
-        assert_eq!(ga.shard_trips, 1, "one list round trip");
-        LockService::release(&m, 0, ga.id, 500);
-        LockService::release(&m, 1, gb.id, 500);
-        // A later overlapping set is constrained by both releases at once.
-        let gc = m.acquire_set(2, &comb(0, 16, 32, 64), LockMode::Exclusive, 0);
-        assert_eq!(gc.granted_at, 500 + 100);
-        assert!(gc.serialized);
-        LockService::release(&m, 2, gc.id, 600);
+            let m2 = Arc::clone(&m);
+            let h = std::thread::spawn(move || {
+                let g = m2.wait_granted_set(late, 1, &range(0, 10), Exclusive, 200);
+                m2.release(g.id, g.granted_at);
+                g.granted_at
+            });
+            // Give the late waiter a chance to (wrongly) grab the lock.
+            std::thread::sleep(Duration::from_millis(20));
+            let g = m.wait_granted_set(early, 0, &set, Exclusive, 100);
+            m.release(g.id, g.granted_at + 50);
+            let t_late = h.join().unwrap();
+            assert!(
+                t_late >= g.granted_at + 50,
+                "{kind:?}: late grant {t_late} must follow early release"
+            );
+        }
     }
 
     #[test]
@@ -491,31 +910,411 @@ mod tests {
         // A multi-range request must never hold a prefix of its ranges
         // while a conflicting holder pins a later one: the critical
         // section only starts once every range is exclusively held.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let m = Arc::new(CentralLockManager::new(0));
-        let held = Arc::new(AtomicBool::new(true));
-        // Holder pins only the LAST run of the comb.
-        let (hold_id, _) = m.acquire(9, ByteRange::at(32 * 63, 8), LockMode::Exclusive, 0);
+        for kind in PRESETS {
+            let m = Arc::new(mgr(kind, 0, 0));
+            let held = Arc::new(AtomicBool::new(true));
+            // Holder pins only the LAST run of the comb.
+            let hold = m.acquire_set(9, &at(32 * 63, 8), Exclusive, 0);
 
-        let m2 = Arc::clone(&m);
-        let held2 = Arc::clone(&held);
-        let waiter = std::thread::spawn(move || {
-            let g = m2.acquire_set(0, &comb(0, 8, 32, 64), LockMode::Exclusive, 0);
-            assert!(
-                !held2.load(Ordering::SeqCst),
-                "granted while a range was still held"
+            let (m2, held2) = (Arc::clone(&m), Arc::clone(&held));
+            let waiter = std::thread::spawn(move || {
+                let g = m2.acquire_set(0, &comb(0, 8, 32, 64), Exclusive, 0);
+                assert!(
+                    !held2.load(Ordering::SeqCst),
+                    "{kind:?}: granted while a range was still held"
+                );
+                assert!(g.serialized, "blocked grant must report serialization");
+                m2.release(g.id, g.granted_at);
+            });
+            std::thread::sleep(Duration::from_millis(30));
+            // While the set request waits, the comb itself holds nothing:
+            // not even its untouched first runs.
+            assert_eq!(m.active(), 1, "only the single-range holder is active");
+            held.store(false, Ordering::SeqCst);
+            m.release(hold.id, 1_000);
+            waiter.join().unwrap();
+        }
+    }
+
+    // ------------------------------------------------------- one domain
+
+    #[test]
+    fn disjoint_interleaved_sets_grant_concurrently() {
+        // Two interleaved strided footprints whose bounding spans overlap
+        // almost entirely: exact list grants must not serialize them.
+        let m = mgr(Central, 100, 0);
+        let ga = m.acquire_set(0, &comb(0, 8, 32, 64), Exclusive, 0);
+        let gb = m.acquire_set(1, &comb(8, 8, 32, 64), Exclusive, 0);
+        assert_eq!(ga.granted_at, 100);
+        assert_eq!(gb.granted_at, 100, "disjoint lists must not serialize");
+        assert!(!ga.serialized && !gb.serialized);
+        assert_eq!(ga.shard_trips, 1, "one list round trip");
+        m.release(ga.id, 500);
+        m.release(gb.id, 500);
+        // A later overlapping set is constrained by both releases at once.
+        let gc = m.acquire_set(2, &comb(0, 16, 32, 64), Exclusive, 0);
+        assert_eq!(gc.granted_at, 500 + 100);
+        assert!(gc.serialized);
+        m.release(gc.id, 600);
+    }
+
+    // ----------------------------------------------------------- tokens
+
+    #[test]
+    fn first_acquire_pays_grant_cost() {
+        for kind in TOKEN_PRESETS {
+            let m = mgr(kind, 1_000, 10_000);
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            assert_eq!((g.token_hits, g.shard_trips), (0, 1));
+            assert_eq!(g.granted_at, 1_000);
+            m.release(g.id, g.granted_at + 5);
+        }
+    }
+
+    #[test]
+    fn reacquire_with_cached_token_is_cheap() {
+        for kind in TOKEN_PRESETS {
+            let m = mgr(kind, 1_000, 10_000);
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let t = g.granted_at;
+            m.release(g.id, t + 500);
+            // Same client, same range: token is cached, no round trip.
+            let g2 = m.acquire_set(0, &range(10, 20), Exclusive, t + 600);
+            assert_eq!((g2.token_hits, g2.shard_trips), (1, 0));
+            assert_eq!(
+                g2.granted_at,
+                t + 600,
+                "cached grant only waits for conflicting releases"
             );
-            assert!(g.serialized, "blocked grant must report serialization");
-            LockService::release(&*m2, 0, g.id, g.granted_at);
+            m.release(g2.id, g2.granted_at);
+            assert_eq!(m.cached_bytes(0), 100);
+        }
+    }
+
+    #[test]
+    fn conflicting_acquire_pays_revocation() {
+        for kind in TOKEN_PRESETS {
+            let m = mgr(kind, 1_000, 10_000);
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            m.release(g.id, 50_000);
+            // Client 1 overlaps client 0's cached token: revoke + grant,
+            // and ordered after client 0's release vtime.
+            let g2 = m.acquire_set(1, &range(50, 150), Exclusive, 0);
+            assert_eq!(g2.token_hits, 0);
+            assert_eq!(g2.granted_at, 50_000 + 1_000 + 10_000);
+            m.release(g2.id, g2.granted_at);
+            // Client 0's token lost the overlapped part.
+            assert_eq!(m.cached_bytes(0), 50);
+            assert_eq!(m.cached_bytes(1), 100);
+        }
+    }
+
+    #[test]
+    fn ping_pong_is_expensive_caching_is_not() {
+        // Alternating conflicting acquisitions pay revocation every time;
+        // repeated same-client acquisitions pay only once.
+        for kind in TOKEN_PRESETS {
+            let cycle = |owners: usize| {
+                let m = mgr(kind, 1_000, 10_000);
+                let mut now = 0;
+                for i in 0..6 {
+                    let g = m.acquire_set(i % owners, &range(0, 10), Exclusive, now);
+                    m.release(g.id, g.granted_at + 100);
+                    now = g.granted_at + 100;
+                }
+                now
+            };
+            let (t_pingpong, t_single) = (cycle(2), cycle(1));
+            assert!(
+                t_pingpong > t_single + 4 * 10_000,
+                "{kind:?}: ping-pong {t_pingpong} should dwarf single-client {t_single}"
+            );
+        }
+    }
+
+    #[test]
+    fn strided_set_token_covers_all_runs() {
+        // A comb token acquired once serves a sub-comb from cache, while a
+        // set reaching outside the cached bytes pays the round trip.
+        for kind in TOKEN_PRESETS {
+            let m = mgr(kind, 1_000, 10_000);
+            let g = m.acquire_set(0, &comb(0, 8, 32, 16), Exclusive, 0);
+            assert_eq!(g.token_hits, 0);
+            m.release(g.id, 10);
+
+            let g2 = m.acquire_set(0, &comb(32, 4, 32, 8), Exclusive, 20);
+            assert_eq!(g2.token_hits, 1, "sub-comb fully covered by cached token");
+            assert_eq!(g2.shard_trips, 0);
+            m.release(g2.id, 30);
+
+            let g3 = m.acquire_set(0, &comb(8, 8, 32, 16), Exclusive, 40);
+            assert_eq!(g3.token_hits, 0, "gap bytes are not covered");
+            m.release(g3.id, 50);
+        }
+    }
+
+    /// Records, per revocation served, the holder it was registered for
+    /// and the ranges it lost — into a log shared between holders.
+    #[derive(Debug)]
+    struct Recorder {
+        holder: usize,
+        seen: Arc<Mutex<Vec<(usize, IntervalSet)>>>,
+    }
+
+    impl RevocationHandler for Recorder {
+        fn revoke(&self, ranges: &IntervalSet, _now: VNanos) -> u64 {
+            self.seen.lock().push((self.holder, ranges.clone()));
+            0
+        }
+    }
+
+    type RevocationLog = Arc<Mutex<Vec<(usize, IntervalSet)>>>;
+
+    fn recorded(kind: LockKind, holders: &[usize]) -> (LockManager, RevocationLog) {
+        let hub = Arc::new(CoherenceHub::new());
+        let seen = RevocationLog::default();
+        for &holder in holders {
+            let seen = Arc::clone(&seen);
+            hub.register(holder, Arc::new(Recorder { holder, seen }));
+        }
+        let m = LockManager::new(&profile(kind, 1_000, 10_000), Some(hub)).unwrap();
+        (m, seen)
+    }
+
+    #[test]
+    fn revocation_dispatches_exactly_the_lost_ranges() {
+        for kind in TOKEN_PRESETS {
+            let (m, seen) = recorded(kind, &[0]);
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let t = g.granted_at;
+            m.release(g.id, t + 1);
+            // Client 1 takes [50, 150): client 0 must be told to give up
+            // exactly [50, 100) — not its whole token, not the whole cache.
+            let g2 = m.acquire_set(1, &range(50, 150), Exclusive, t + 2);
+            m.release(g2.id, g2.granted_at);
+            let lost = IntervalSet::from_range(ByteRange::new(50, 100));
+            assert_eq!(*seen.lock(), [(0, lost)]);
+            // A non-conflicting acquisition revokes nothing.
+            let g3 = m.acquire_set(1, &range(200, 300), Exclusive, g2.granted_at + 1);
+            m.release(g3.id, g3.granted_at);
+            assert_eq!(seen.lock().len(), 1);
+        }
+    }
+
+    #[test]
+    fn revocations_dispatch_in_ascending_holder_order() {
+        // Holders flush onto shared server horizons, so the dispatch order
+        // must be a function of the request, not of hash seeds or of who
+        // happened to acquire a token first: holder 2 tokens up before
+        // holder 1, yet holder 1 is revoked first.
+        for kind in TOKEN_PRESETS {
+            let (m, seen) = recorded(kind, &[1, 2]);
+            for holder in [2, 1] {
+                let g = m.acquire_set(holder, &at(holder as u64 * 100, 100), Exclusive, 0);
+                m.release(g.id, g.granted_at);
+            }
+            let g = m.acquire_set(0, &range(0, 400), Exclusive, 0);
+            m.release(g.id, g.granted_at);
+            let order: Vec<usize> = seen.lock().iter().map(|(holder, _)| *holder).collect();
+            assert_eq!(order, [1, 2], "{kind:?}");
+        }
+    }
+
+    // --------------------------------------------------- several domains
+
+    #[test]
+    fn single_domain_request_pays_one_trip() {
+        let m = mgr(Sharded, 10_000, 0);
+        let g = m.acquire_set(0, &at(100, 64), Exclusive, 0);
+        assert_eq!(g.shard_trips, 1);
+        assert_eq!(g.granted_at, 10_000);
+        assert!(!g.serialized);
+        m.release(g.id, g.granted_at);
+    }
+
+    #[test]
+    fn multi_domain_fanout_is_max_not_sum() {
+        let m = mgr(Sharded, 10_000, 0);
+        // A request spanning all 4 domains: 3 extra injections + ONE
+        // parallel round trip, not 4 serialized trips.
+        let g = m.acquire_set(0, &at(0, 4 * UNIT), Exclusive, 0);
+        assert_eq!(g.shard_trips, 4);
+        assert_eq!(g.granted_at, 3 * 1_000 + 10_000);
+        assert!(g.granted_at < 4 * 10_000);
+        m.release(g.id, g.granted_at);
+    }
+
+    #[test]
+    fn node_grouped_domains_share_the_inter_node_trip() {
+        // 4 domains on 2 nodes (2 servers each): a request missing all 4
+        // contacts 2 nodes — one extra NIC injection, one parallel trip,
+        // one intra-node forward on each node — instead of 3 extra
+        // inter-node-class injections.
+        let mut grouped = profile(Sharded, 10_000, 0).with_server_nodes(2);
+        grouped.net.intra_link.latency_ns = 200;
+        let m = LockManager::new(&grouped, None).unwrap();
+        let g = m.acquire_set(0, &at(0, 4 * UNIT), Exclusive, 0);
+        assert_eq!(g.shard_trips, 4);
+        assert_eq!(g.granted_at, 1_000 + 10_000 + 200);
+        m.release(g.id, g.granted_at);
+
+        // Regression pin: one server per node (the default) keeps the
+        // historical flat fan-out cost byte-for-byte.
+        let flat = mgr(Sharded, 10_000, 0);
+        let gf = flat.acquire_set(0, &at(0, 4 * UNIT), Exclusive, 0);
+        assert_eq!(gf.granted_at, 3 * 1_000 + 10_000);
+        flat.release(gf.id, gf.granted_at);
+    }
+
+    #[test]
+    fn different_domains_never_serialize() {
+        let m = mgr(Sharded, 10_000, 0);
+        let a = m.acquire_set(0, &at(0, UNIT), Exclusive, 0);
+        let b = m.acquire_set(1, &at(UNIT, UNIT), Exclusive, 0);
+        assert_eq!(a.granted_at, 10_000);
+        assert_eq!(b.granted_at, 10_000);
+        assert!(!b.serialized);
+        m.release(a.id, 99_999);
+        m.release(b.id, 50);
+        // Conflicts are per-domain: a later lock in domain 1 sees only
+        // domain 1's release history, not domain 0's much later release.
+        let c = m.acquire_set(2, &at(UNIT, UNIT), Exclusive, 0);
+        assert_eq!(c.granted_at, 50 + 10_000);
+        assert!(c.serialized);
+        m.release(c.id, c.granted_at);
+    }
+
+    #[test]
+    fn interleaved_combs_on_shared_domains_stay_concurrent() {
+        // Two interleaved footprints that both touch every domain but never
+        // the same byte: exact slices are disjoint in every domain.
+        let m = mgr(Sharded, 10_000, 0);
+        let ga = m.acquire_set(0, &comb(0, 256, 512, 16), Exclusive, 0);
+        let gb = m.acquire_set(1, &comb(256, 256, 512, 16), Exclusive, 0);
+        assert!(!ga.serialized && !gb.serialized);
+        assert_eq!(ga.granted_at, gb.granted_at);
+        m.release(ga.id, 100);
+        m.release(gb.id, 100);
+    }
+
+    #[test]
+    fn token_mode_caches_per_domain() {
+        let m = mgr(ShardedTokens, 10_000, 50_000);
+        // First acquisition over domains 0 and 1: two misses.
+        let g = m.acquire_set(0, &at(0, 2 * UNIT), Exclusive, 0);
+        assert_eq!((g.shard_trips, g.token_hits), (2, 0));
+        m.release(g.id, 100);
+        assert_eq!(m.cached_bytes(0), 2 * UNIT);
+
+        // Re-acquiring a subset: both domains hit, no round trip at all.
+        let g2 = m.acquire_set(0, &at(512, UNIT), Exclusive, 200);
+        assert_eq!((g2.shard_trips, g2.token_hits), (0, 2));
+        assert_eq!(g2.granted_at, 200, "all-hit grant pays no trips");
+        m.release(g2.id, 300);
+
+        // Another client revokes only domain 1's coverage: one revocation,
+        // ordered after client 0's avail there.
+        let g3 = m.acquire_set(1, &at(UNIT, UNIT), Exclusive, 0);
+        assert_eq!(g3.shard_trips, 1);
+        assert_eq!(g3.granted_at, 300 + 10_000 + 50_000);
+        m.release(g3.id, g3.granted_at);
+        assert_eq!(m.cached_bytes(0), UNIT, "domain 1 coverage revoked");
+        assert_eq!(m.cached_bytes(1), UNIT);
+    }
+
+    #[test]
+    fn overlapping_grant_waits_for_pending_coherence_dispatch() {
+        // Regression: a revoking grant's coherence dispatch runs after the
+        // state mutex is dropped, and shared grants conflict-wait on
+        // nobody — so a second shared grant over the same bytes could be
+        // admitted before the holder's flush landed and read pre-flush
+        // data. The `pending_coherence` gate must hold it back until the
+        // dispatch completes.
+        #[derive(Debug)]
+        struct SlowFlush {
+            done: Arc<AtomicBool>,
+        }
+        impl RevocationHandler for SlowFlush {
+            fn revoke(&self, _ranges: &IntervalSet, _now: VNanos) -> u64 {
+                std::thread::sleep(Duration::from_millis(80));
+                self.done.store(true, Ordering::SeqCst);
+                0
+            }
+        }
+
+        let hub = Arc::new(CoherenceHub::new());
+        let done = Arc::new(AtomicBool::new(false));
+        let done2 = Arc::clone(&done);
+        hub.register(0, Arc::new(SlowFlush { done: done2 }));
+        let m = Arc::new(LockManager::new(&profile(ShardedTokens, 0, 0), Some(hub)).unwrap());
+
+        // Client 0 seeds a token, then releases (token retained).
+        let g = m.acquire_set(0, &at(0, 64), Exclusive, 0);
+        m.release(g.id, 1);
+
+        // Client 1's shared grant revokes client 0's token; the dispatch
+        // to client 0's (slow) handler is in flight for ~80 ms.
+        let m2 = Arc::clone(&m);
+        let h = std::thread::spawn(move || {
+            let g = m2.acquire_set(1, &at(0, 64), Shared, 2);
+            m2.release(g.id, 3);
         });
-        std::thread::sleep(Duration::from_millis(30));
-        // While the set request waits, its untouched *first* runs must not
-        // be held either: an unrelated range inside the comb's span is
-        // still grantable to others only if disjoint from the comb — and
-        // the comb itself holds nothing yet.
-        assert_eq!(m.active(), 1, "only the single-range holder is active");
-        held.store(false, Ordering::SeqCst);
-        m.release(hold_id, 1_000);
-        waiter.join().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+
+        // Client 2's overlapping shared grant conflict-waits on nobody,
+        // but must still be held until the pending flush has landed.
+        // (If client 1 hasn't even started yet, client 2 performs the
+        // revocation itself, synchronously — `done` is true either way.)
+        let g = m.acquire_set(2, &at(0, 64), Shared, 4);
+        assert!(
+            done.load(Ordering::SeqCst),
+            "shared grant admitted while the revocation flush was still pending"
+        );
+        m.release(g.id, 5);
+        h.join().unwrap();
+    }
+
+    // -------------------------------------------------- history pruning
+
+    #[test]
+    fn dominance_drops_covered_entries_exactly() {
+        // 1000 releases of the same range: only the newest can ever bind.
+        let mut hist: Vec<(StridedSet, VNanos)> = (0..1000).map(|t| (at(0, 10), t)).collect();
+        prune_history(&mut hist, RELEASE_HISTORY_LIMIT);
+        assert_eq!(hist.len(), 1);
+        assert_eq!(hist[0].1, 999);
+        assert_eq!(latest_conflict(&hist, &at(5, 1)), Some(999));
+    }
+
+    #[test]
+    fn dominance_keeps_uncovered_older_entries() {
+        // Older entry sticks out beyond the newer one: both must stay.
+        let mut hist = vec![(at(0, 100), 10), (at(50, 30), 20)];
+        prune_history(&mut hist, RELEASE_HISTORY_LIMIT);
+        assert_eq!(hist.len(), 2);
+        assert_eq!(latest_conflict(&hist, &at(0, 1)), Some(10));
+        assert_eq!(latest_conflict(&hist, &at(60, 1)), Some(20));
+        assert_eq!(latest_conflict(&hist, &at(200, 1)), None);
+    }
+
+    #[test]
+    fn coarsening_bounds_distinct_regions_and_compresses() {
+        // 4096 disjoint per-run releases in an arithmetic progression:
+        // dominance can't drop any, so the tail folds — and the folded
+        // union compresses back into one train.
+        let mut hist: Vec<(StridedSet, VNanos)> =
+            (0..4096u64).map(|i| (at(i * 64, 16), i)).collect();
+        prune_history(&mut hist, 32);
+        assert!(hist.len() <= 32, "len {}", hist.len());
+        // Folding may only *raise* constraint times, never lose a region.
+        let t = latest_conflict(&hist, &at(0, 1)).expect("region kept");
+        assert!(t <= 4095, "folded time must come from real releases");
+        // Bytes never released stay unconstrained: membership is exact.
+        assert_eq!(latest_conflict(&hist, &at(16, 8)), None);
+        let total_trains: usize = hist.iter().map(|(s, _)| s.train_count()).sum();
+        assert!(
+            total_trains <= 64,
+            "folded progression must compress, got {total_trains} trains"
+        );
     }
 }

@@ -253,9 +253,9 @@ impl PlatformProfile {
     /// (per-OST) extent-lock domains over the stripe grid. The paper's
     /// platforms funnel every grant through one coordinator (or one token
     /// server); Lustre's design — each object storage target runs its own
-    /// lock namespace — is the sharded architecture the
-    /// [`ShardedLockManager`](crate::ShardedLockManager) models, and the
-    /// profile that turns "locking loses" into a tunable axis.
+    /// lock namespace — is the sharded preset of the
+    /// [`LockManager`](crate::LockManager), and the profile that turns
+    /// "locking loses" into a tunable axis.
     pub fn lustre() -> Self {
         PlatformProfile {
             name: "Lustre",

@@ -6,7 +6,7 @@
 
 mod common;
 
-use atomio::pfs::{LockService, ShardedLockManager};
+use atomio::pfs::LockManager;
 use atomio::prelude::*;
 use proptest::prelude::{prop, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
@@ -235,7 +235,15 @@ fn random_concurrent_multi_range_acquirers_never_deadlock() {
     // domains, mixed shared/exclusive: every acquisition is all-or-nothing
     // under fair queueing, so no interleaving can deadlock. The managers'
     // 60 s wait timeout turns a deadlock into a panic, failing the test.
-    let m = Arc::new(ShardedLockManager::new(4, 256, 1_000, 100, 0, false));
+    let sharded = PlatformProfile {
+        lock_kind: LockKind::Sharded,
+        sim_servers: 4,
+        stripe_unit: 256,
+        lock_grant_ns: 1_000,
+        client_op_ns: 100,
+        ..PlatformProfile::fast_test()
+    };
+    let m = Arc::new(LockManager::new(&sharded, None).unwrap());
     let threads = 8;
     let iters = 150;
     let handles: Vec<_> = (0..threads)
@@ -264,7 +272,7 @@ fn random_concurrent_multi_range_acquirers_never_deadlock() {
                     };
                     let g = m.acquire_set(owner, &set, mode, i);
                     std::thread::yield_now();
-                    LockService::release(&*m, owner, g.id, g.granted_at + 1);
+                    m.release(g.id, g.granted_at + 1);
                 }
             })
         })

@@ -228,7 +228,12 @@ fn noop_sink_leaves_metrics_unchanged() {
             // the per-rank counters and the quiescent snapshot instead.
             (format!("{report:?}"), format!("{:?}", close.stats))
         });
-        (reports, format!("{:?}", fs.latency_snapshot()))
+        // Of the quiescent snapshot, `server_service` is left out: which
+        // of two same-vtime requests a server takes first is real arrival
+        // order (host scheduling), and it moves a sample between buckets
+        // with or without a sink.
+        let latency = fs.latency_snapshot();
+        (reports, latency.grant_wait, latency.revoke_flush)
     };
     assert_eq!(
         measure(false),
