@@ -151,13 +151,14 @@ fn json_totals(t: &Totals) -> String {
 /// the totals, the latency histograms, and the final file bytes.
 /// The comparison platform: the test profile with **column-aligned
 /// declustered striping** (stripe unit = run length, one I/O server per
-/// writer column) and RPC costs re-balanced so one synchronous request is
-/// dominated by the client-paid link latency, not by the occupancy it
-/// deposits on the server horizon. Each rank's request stream then lives
-/// on its own server and is independently overlappable: P streams granted
-/// exactly run concurrently, while span locking still runs them end to
-/// end — and because no two ranks ever share a server horizon, the
-/// simulated timing is independent of real thread scheduling.
+/// writer column) and RPC costs re-balanced so one request is dominated
+/// by the client-paid link latency, not by the occupancy it deposits on
+/// the server horizon. Each rank's locked write is one pipelined vector
+/// (`PosixFile::try_pwritev_direct`) that lives on its own server and is
+/// independently overlappable: P vectors granted exactly run concurrently,
+/// while span locking still runs them end to end — and because no two
+/// ranks ever share a server horizon, the simulated timing is independent
+/// of real thread scheduling.
 fn bench_profile(spec: &IndependentStrided, sharded: bool) -> PlatformProfile {
     let mut p = PlatformProfile::fast_test();
     if sharded {

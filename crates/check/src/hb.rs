@@ -48,7 +48,7 @@
 
 use std::collections::HashMap;
 
-use atomio_trace::{Category, TraceEvent, Track};
+use atomio_trace::{TraceEvent, Track};
 
 use crate::jsonv;
 
@@ -459,29 +459,30 @@ fn join(dst: &mut [u64], src: &[u64]) {
 /// [`MemorySink`](atomio_trace::MemorySink) snapshot — its mutex makes
 /// arrival order consistent with the run's real cross-thread causality).
 pub fn check_events(events: &[TraceEvent]) -> HbReport {
-    let stream = events
-        .iter()
-        .filter_map(|e| {
-            let Track::Rank(rank) = e.track else {
-                return None;
-            };
-            let args: Vec<(String, u64)> =
-                e.args.iter().map(|&(k, v)| (k.to_string(), v)).collect();
-            classify(
-                cat_label(e.cat),
-                e.name,
-                rank,
-                e.start,
-                e.dur.is_some(),
-                &args,
-            )
-        })
-        .collect();
-    run_checker(stream)
+    run_checker(events.iter().filter_map(classify_event).collect())
 }
 
-fn cat_label(cat: Category) -> &'static str {
-    cat.label()
+/// The write accesses the checker extracts from `events`, as `(rank,
+/// byte runs)` in stream order — what it *sees*, so a test can tell a
+/// clean verdict from a blind one (an I/O path whose writes emit no
+/// event, or none in the vocabulary, races with nothing).
+pub fn write_accesses(events: &[TraceEvent]) -> Vec<(usize, Vec<(u64, u64)>)> {
+    events
+        .iter()
+        .filter_map(classify_event)
+        .filter_map(|e| match e.kind {
+            Kind::Access { fp, write: true } => Some((e.rank, fp)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn classify_event(e: &TraceEvent) -> Option<HbEvent> {
+    let Track::Rank(rank) = e.track else {
+        return None;
+    };
+    let args: Vec<(String, u64)> = e.args.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+    classify(e.cat.label(), e.name, rank, e.start, e.dur.is_some(), &args)
 }
 
 /// Check an exported Chrome-trace JSON document. The exporter sorts
@@ -546,6 +547,7 @@ pub fn check_chrome_json(text: &str) -> Result<HbReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atomio_trace::Category;
 
     fn ev(
         rank: usize,

@@ -31,7 +31,7 @@ pub mod lockgraph;
 pub mod lockorder;
 pub mod scopes;
 
-pub use hb::{check_chrome_json, check_events, AccessSite, Finding, HbReport};
+pub use hb::{check_chrome_json, check_events, write_accesses, AccessSite, Finding, HbReport};
 pub use lint::{
     check_workspace, lint_source, lint_workspace, parse_allowlist, workspace_sources, AllowEntry,
     LintDiag, WorkspaceReport,

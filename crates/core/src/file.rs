@@ -977,11 +977,12 @@ impl<'c> MpiFile<'c> {
     }
 
     fn write_segments(&self, segs: &[ViewSegment], buf: &[u8], base: u64) -> Result<(), Error> {
-        for seg in segs {
-            let data = &buf[(seg.logical_off - base) as usize..][..seg.len as usize];
-            match self.io_path {
-                IoPath::Direct => self.posix.try_pwrite_direct(seg.file_off, data)?,
-                IoPath::Cached => self.posix.try_pwrite(seg.file_off, data)?,
+        match self.io_path {
+            IoPath::Direct => self.write_segments_direct(segs, buf, base)?,
+            IoPath::Cached => {
+                for (off, data) in seg_slices(segs, buf, base) {
+                    self.posix.try_pwrite(off, data)?;
+                }
             }
         }
         Ok(())
@@ -1008,15 +1009,7 @@ impl<'c> MpiFile<'c> {
     ) -> Result<(), Error> {
         match self.io_path {
             IoPath::Direct => {
-                let writes: Vec<(u64, &[u8])> = segs
-                    .iter()
-                    .map(|seg| {
-                        (
-                            seg.file_off,
-                            &buf[(seg.logical_off - base) as usize..][..seg.len as usize],
-                        )
-                    })
-                    .collect();
+                let writes = seg_slices(segs, buf, base);
                 let ticket = if racing {
                     self.posix.pwrite_batch_racing(&writes)
                 } else {
@@ -1042,16 +1035,8 @@ impl<'c> MpiFile<'c> {
         buf: &[u8],
         base: u64,
     ) -> Result<(), Error> {
-        let writes: Vec<(u64, &[u8])> = segs
-            .iter()
-            .map(|seg| {
-                (
-                    seg.file_off,
-                    &buf[(seg.logical_off - base) as usize..][..seg.len as usize],
-                )
-            })
-            .collect();
-        self.posix.try_listio_direct_atomic(&writes)?;
+        self.posix
+            .try_listio_direct_atomic(&seg_slices(segs, buf, base))?;
         Ok(())
     }
 
@@ -1060,18 +1045,8 @@ impl<'c> MpiFile<'c> {
     fn write_phase(&self, work: Option<(&[ViewSegment], &[u8], u64)>) -> Result<(), Error> {
         match self.io_path {
             IoPath::Direct => {
-                let ticket = work.map(|(segs, buf, base)| {
-                    let writes: Vec<(u64, &[u8])> = segs
-                        .iter()
-                        .map(|seg| {
-                            (
-                                seg.file_off,
-                                &buf[(seg.logical_off - base) as usize..][..seg.len as usize],
-                            )
-                        })
-                        .collect();
-                    self.posix.pwrite_batch(&writes)
-                });
+                let ticket = work
+                    .map(|(segs, buf, base)| self.posix.pwrite_batch(&seg_slices(segs, buf, base)));
                 self.comm.barrier();
                 if let Some(t) = ticket {
                     self.posix.complete_writes(t);
@@ -1089,30 +1064,36 @@ impl<'c> MpiFile<'c> {
         Ok(())
     }
 
+    /// The whole request as one vectored direct write: every segment in
+    /// flight at once, one wait for the slowest ack.
     fn write_segments_direct(
         &self,
         segs: &[ViewSegment],
         buf: &[u8],
         base: u64,
     ) -> Result<(), Error> {
-        for seg in segs {
-            let data = &buf[(seg.logical_off - base) as usize..][..seg.len as usize];
-            self.posix.try_pwrite_direct(seg.file_off, data)?;
-        }
+        self.posix
+            .try_pwritev_direct(&seg_slices(segs, buf, base))?;
         Ok(())
     }
 
-    /// Data movement *inside* a held exclusive lock. Default: synchronous
-    /// direct I/O (ROMIO behaviour — "while a file region is locked, all
-    /// read/write requests to it will directly go to the file server");
-    /// the cache would defeat the lock, and pipelining past an unreleased
-    /// lock is moot since the lock covers the whole request. On a
-    /// lock-driven-coherence platform with the cached path selected, the
-    /// cache does NOT defeat the lock — the granted token confers cache-
-    /// validity rights — so writes go through write-behind: they may stay
-    /// buffered past the release, and a conflicting acquisition revokes
-    /// the token, flushing exactly these bytes before the rival's grant
-    /// completes.
+    /// Data movement *inside* a held exclusive lock. Default: direct I/O
+    /// (ROMIO behaviour — "while a file region is locked, all read/write
+    /// requests to it will directly go to the file server"; the cache
+    /// would defeat the lock), issued as **one pipelined vector**: under
+    /// byte-range locking the overlapping writers run one after another,
+    /// so the time a holder keeps its lock *is* the makespan, and keeping
+    /// the client link and the servers busy together instead of paying a
+    /// round trip per segment is what shortens the hold. The call returns
+    /// only when every segment is acknowledged, so release still implies
+    /// durability.
+    ///
+    /// On a lock-driven-coherence platform with the cached path selected,
+    /// the cache does NOT defeat the lock — the granted token confers
+    /// cache-validity rights — so writes go through write-behind: they may
+    /// stay buffered past the release, and a conflicting acquisition
+    /// revokes the token, flushing exactly these bytes before the rival's
+    /// grant completes.
     ///
     /// **Visibility contract (GPFS semantics, deliberately weaker than the
     /// direct path):** the data is guaranteed on the servers only once a
@@ -1122,7 +1103,7 @@ impl<'c> MpiFile<'c> {
     /// token, which flushes first. A reader that never locks — `ListIo`
     /// reads, direct/handshaking reads, a `FileSystem::snapshot` checker —
     /// reads the servers and can miss still-buffered bytes *even after a
-    /// barrier*, unlike the synchronous direct path where release implies
+    /// barrier*, unlike the direct path where release implies
     /// durability. Programs mixing locked cached writes with non-locking
     /// readers must interpose [`MpiFile::sync`] (or `close`, which syncs).
     fn write_segments_locked(
@@ -1131,7 +1112,7 @@ impl<'c> MpiFile<'c> {
         buf: &[u8],
         base: u64,
     ) -> Result<(), Error> {
-        if self.io_path == IoPath::Cached && self.posix.lock_driven() {
+        if self.lock_driven_cached() {
             self.write_segments(segs, buf, base)
         } else {
             self.write_segments_direct(segs, buf, base)
@@ -1181,6 +1162,19 @@ impl<'c> MpiFile<'c> {
         report.end = self.comm.clock().now();
         report
     }
+}
+
+/// The `(file offset, bytes)` pairs of a request: each view segment with
+/// its slice of the user buffer (borrowed, nothing is copied).
+fn seg_slices<'a>(segs: &[ViewSegment], buf: &'a [u8], base: u64) -> Vec<(u64, &'a [u8])> {
+    segs.iter()
+        .map(|seg| {
+            (
+                seg.file_off,
+                &buf[(seg.logical_off - base) as usize..][..seg.len as usize],
+            )
+        })
+        .collect()
 }
 
 /// The byte span the span-granularity locking strategy locks: "from the

@@ -554,15 +554,26 @@ pub struct LockGuard<'f> {
     release_args: Vec<(&'static str, u64)>,
 }
 
-/// Cap on footprint runs carried in one event's args. Beyond it the args
-/// degrade to the bounding box plus `("elided", 1)` — conservative for
-/// the happens-before checker: a *larger* footprint can only add sync
-/// edges (masking, never inventing, a race on sync events) and is never
-/// attached to access events, whose footprints stay exact or absent.
+/// What one [`PosixFile::inject_writes`] call moved: its start time and
+/// the totals over the requests that landed.
+#[derive(Default)]
+struct Injected {
+    t0: VNanos,
+    landed: usize,
+    bytes: u64,
+    server_reqs: u64,
+}
+
+/// Cap on footprint runs carried in one *sync* event's args (lock grants
+/// and releases, revocation flushes). Beyond it the args degrade to the
+/// bounding box plus `("elided", 1)` — conservative for the
+/// happens-before checker: a *larger* sync footprint can only add edges
+/// (masking, never inventing, a race). Access events never degrade (a
+/// larger access footprint *would* invent races): see [`write_args`].
 const FOOTPRINT_RUN_CAP: usize = 32;
 
-/// Append a byte footprint to trace args as repeated `("lo", x),
-/// ("len", y)` pairs.
+/// Append a sync event's byte footprint to trace args as repeated
+/// `("lo", x), ("len", y)` pairs, capped at [`FOOTPRINT_RUN_CAP`] runs.
 fn push_footprint(args: &mut Vec<(&'static str, u64)>, runs: impl IntoIterator<Item = ByteRange>) {
     let runs: Vec<ByteRange> = runs.into_iter().filter(|r| !r.is_empty()).collect();
     if runs.len() > FOOTPRINT_RUN_CAP {
@@ -577,6 +588,17 @@ fn push_footprint(args: &mut Vec<(&'static str, u64)>, runs: impl IntoIterator<I
             args.push(("len", r.len()));
         }
     }
+}
+
+/// Trace args of a multi-segment write access: the byte total and the
+/// **exact** footprint, one `("lo", x), ("len", y)` pair per segment.
+fn write_args(bytes: u64, segments: &[(u64, &[u8])]) -> Vec<(&'static str, u64)> {
+    let mut args = vec![("bytes", bytes)];
+    for (off, data) in segments.iter().filter(|(_, d)| !d.is_empty()) {
+        args.push(("lo", *off));
+        args.push(("len", data.len() as u64));
+    }
+    args
 }
 
 impl PosixFile {
@@ -663,8 +685,11 @@ impl PosixFile {
     /// the degraded-mode latency of the fault model. If this client's
     /// rejection is the one that completes a server's restart countdown,
     /// it owns the recovery: journal replay runs here, on this client's
-    /// time. Without an active plan this is exactly
-    /// [`ServerSet::access`] plus one branch.
+    /// time. A server some *other* client is recovering does not reject:
+    /// the request waits (in host time) for that replay to finish, so the
+    /// retry budget only ever counts rejections by a server that is down.
+    /// Without an active plan this is exactly [`ServerSet::access`] plus
+    /// one branch.
     fn server_rpc(
         &self,
         mut arrival: VNanos,
@@ -777,30 +802,81 @@ impl PosixFile {
     /// server is retried with vtime backoff, and the typed error comes
     /// back once the retry budget is spent or this handle is dead.
     pub fn try_pwrite_direct(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
+        self.try_pwritev_direct(&[(offset, data)])
+    }
+
+    /// Closed-loop vectored uncached write — what a lock holder issues for
+    /// a noncontiguous request: the segments are pipelined through the NIC
+    /// and the servers ([`PosixFile::inject_writes`]) and the call returns
+    /// once the slowest is acknowledged, so the client link and the
+    /// servers are busy at the same time instead of alternately. Each
+    /// segment is its own POSIX write (applied as it lands, atomically
+    /// when the platform says so); nothing is atomic *across* segments —
+    /// that is [`PosixFile::try_listio_direct_atomic`]. On a fault the
+    /// segments before the failing one are applied and counted, none
+    /// after.
+    pub fn try_pwritev_direct(&self, segments: &[(u64, &[u8])]) -> Result<(), FsError> {
         self.check_alive()?;
-        let len = data.len() as u64;
-        let range = ByteRange::at(offset, len);
-        self.drain_journal_overlap(range);
+        let (inj, res) = self.inject_writes(segments.iter().copied(), |arrival, range, data| {
+            self.drain_journal_overlap(range);
+            let done = self.server_rpc(arrival, range, ServerOp::Write)?;
+            self.apply_write(range.start, data);
+            Ok(done)
+        });
+        if inj.landed > 0 {
+            self.trace_write("direct write", &inj, &segments[..inj.landed]);
+            self.stats.add(&self.stats.writes, inj.landed as u64);
+            self.stats.add(&self.stats.bytes_written, inj.bytes);
+            self.stats
+                .add(&self.stats.server_write_requests, inj.server_reqs);
+        }
+        res
+    }
+
+    /// The one injection formula of every closed-loop multi-request write
+    /// (locked vectors, list I/O, cache flushes): requests leave back to
+    /// back through this client's NIC from the call's start — occupancy
+    /// `payload_ns(len)`, plus `client_op_ns` to issue each request after
+    /// the first — `land` puts each on the servers at `injection end +
+    /// latency` and returns its completion, and the caller's clock
+    /// advances once, to the slowest completion plus the ack. Stops at
+    /// the first request `land` fails; the time of those that landed is
+    /// still charged.
+    fn inject_writes<'a>(
+        &self,
+        mut requests: impl Iterator<Item = (u64, &'a [u8])>,
+        mut land: impl FnMut(VNanos, ByteRange, &'a [u8]) -> Result<VNanos, FsError>,
+    ) -> (Injected, Result<(), FsError>) {
         let link = &self.fs.profile.client_link;
-        let t0 = self.clock.now();
-        let (_, inj_end) = self.nic.serve(t0, link.payload_ns(len));
-        let done = self.server_rpc(inj_end + link.latency_ns, range, ServerOp::Write)?;
-        self.clock.advance_to(done + link.latency_ns);
-        self.tracer.span(
-            Category::Io,
-            "direct write",
-            t0,
-            self.clock.now(),
-            &[("off", offset), ("bytes", len)],
-        );
-        self.apply_write(offset, data);
-        self.stats.add(&self.stats.writes, 1);
-        self.stats.add(&self.stats.bytes_written, len);
-        self.stats.add(
-            &self.stats.server_write_requests,
-            self.fs.servers.requests_for(range),
-        );
-        Ok(())
+        let mut inj = Injected {
+            t0: self.clock.now(),
+            ..Injected::default()
+        };
+        let (mut done, mut issue) = (inj.t0, 0);
+        let res = requests.try_for_each(|(off, data)| {
+            let range = ByteRange::at(off, data.len() as u64);
+            let (_, inj_end) = self.nic.serve(inj.t0, issue + link.payload_ns(range.len()));
+            issue = self.fs.profile.client_op_ns;
+            done = done.max(land(inj_end + link.latency_ns, range, data)?);
+            inj.landed += 1;
+            inj.bytes += range.len();
+            inj.server_reqs += self.fs.servers.requests_for(range);
+            Ok(())
+        });
+        if inj.landed > 0 {
+            self.clock.advance_to(done + link.latency_ns);
+        }
+        (inj, res)
+    }
+
+    /// One `Category::Io` span for a finished [`PosixFile::inject_writes`]
+    /// call, carrying the written footprint for the happens-before checker.
+    fn trace_write(&self, name: &'static str, inj: &Injected, segments: &[(u64, &[u8])]) {
+        if self.tracer.is_enabled() {
+            let args = write_args(inj.bytes, segments);
+            self.tracer
+                .span(Category::Io, name, inj.t0, self.clock.now(), &args);
+        }
     }
 
     /// Synchronous uncached read. Panics if a fault plan left the request
@@ -887,13 +963,7 @@ impl PosixFile {
         self.stats
             .add(&self.stats.server_write_requests, server_reqs);
         if self.tracer.is_enabled() {
-            let mut args = vec![("bytes", total)];
-            push_footprint(
-                &mut args,
-                writes
-                    .iter()
-                    .map(|(off, data)| ByteRange::at(*off, data.len() as u64)),
-            );
+            let args = write_args(total, writes);
             self.tracer.instant(Category::Io, "batch write", t0, &args);
         }
         self.fs.servers.submit(self.client, reqs)
@@ -922,33 +992,12 @@ impl PosixFile {
     /// [`PosixFile::listio_direct_atomic`] with the fault model surfaced.
     pub fn try_listio_direct_atomic(&self, segments: &[(u64, &[u8])]) -> Result<(), FsError> {
         self.check_alive()?;
-        let link = &self.fs.profile.client_link;
-        let t0 = self.clock.now();
-        let mut done = t0;
-        let mut total = 0u64;
-        let mut server_reqs = 0u64;
-        for (off, data) in segments {
-            let len = data.len() as u64;
-            let range = ByteRange::at(*off, len);
-            total += len;
-            server_reqs += self.fs.servers.requests_for(range);
+        let (inj, res) = self.inject_writes(segments.iter().copied(), |arrival, range, _| {
             self.drain_journal_overlap(range);
-            let (_, inj_end) = self.nic.serve(self.clock.now(), link.payload_ns(len));
-            let d = self.server_rpc(inj_end + link.latency_ns, range, ServerOp::Write)?;
-            done = done.max(d);
-        }
-        self.clock.advance_to(done + link.latency_ns);
-        if self.tracer.is_enabled() {
-            let mut args = vec![("bytes", total)];
-            push_footprint(
-                &mut args,
-                segments
-                    .iter()
-                    .map(|(off, data)| ByteRange::at(*off, data.len() as u64)),
-            );
-            self.tracer
-                .span(Category::Io, "listio write", t0, self.clock.now(), &args);
-        }
+            self.server_rpc(arrival, range, ServerOp::Write)
+        });
+        res?;
+        self.trace_write("listio write", &inj, segments);
         self.file.storage.write_listio_atomic(segments);
         if self.fs.profile.cache.enabled {
             // The atomic write bypassed the cache: drop this client's own
@@ -961,9 +1010,9 @@ impl PosixFile {
             }
         }
         self.stats.add(&self.stats.writes, segments.len() as u64);
-        self.stats.add(&self.stats.bytes_written, total);
+        self.stats.add(&self.stats.bytes_written, inj.bytes);
         self.stats
-            .add(&self.stats.server_write_requests, server_reqs);
+            .add(&self.stats.server_write_requests, inj.server_reqs);
         Ok(())
     }
 
@@ -1414,41 +1463,29 @@ impl PosixFile {
                 return Err(FsError::Closed);
             }
         }
-        let link = &self.fs.profile.client_link;
-        let t0 = self.clock.now();
-        let mut done = t0;
-        let mut flushed = 0u64;
-        let mut server_reqs = 0u64;
-        for (off, data) in &runs {
-            let len = data.len() as u64;
-            flushed += len;
-            server_reqs += self.fs.servers.requests_for(ByteRange::at(*off, len));
-            let (_, inj_end) = self.nic.serve(self.clock.now(), link.payload_ns(len));
-            let arrival = inj_end + link.latency_ns;
-            let d = if faulty {
-                self.flush_run_journaled(arrival, *off, data)?
-            } else {
-                let d = self
-                    .fs
-                    .servers
-                    .access(arrival, ByteRange::at(*off, len), ServerOp::Write);
-                self.apply_write(*off, data);
-                d
-            };
-            done = done.max(d);
-        }
-        self.clock.advance_to(done + link.latency_ns);
+        let (inj, res) = self.inject_writes(
+            runs.iter().map(|(off, data)| (*off, data.as_slice())),
+            |arrival, range, data| {
+                if faulty {
+                    return self.flush_run_journaled(arrival, range.start, data);
+                }
+                let done = self.fs.servers.access(arrival, range, ServerOp::Write);
+                self.apply_write(range.start, data);
+                Ok(done)
+            },
+        );
+        res?;
         self.tracer.span(
             Category::Cache,
             "flush",
-            t0,
+            inj.t0,
             self.clock.now(),
-            &[("bytes", flushed)],
+            &[("bytes", inj.bytes)],
         );
         self.stats.add(&self.stats.flushes, 1);
-        self.stats.add(&self.stats.flushed_bytes, flushed);
+        self.stats.add(&self.stats.flushed_bytes, inj.bytes);
         self.stats
-            .add(&self.stats.server_write_requests, server_reqs);
+            .add(&self.stats.server_write_requests, inj.server_reqs);
         Ok(())
     }
 
@@ -1877,6 +1914,155 @@ mod tests {
             fs.snapshot("listio").unwrap().len(),
             fs2.snapshot("seq").unwrap().len()
         );
+    }
+
+    // fast_test costs, spelled out for the closed forms below: 1 ns per
+    // payload byte, 1 µs link latency, 500 ns per extra request, and a
+    // server piece costs 1 µs + 1 ns per byte; 4 servers × 4 KiB stripes.
+    const SEG: u64 = 512;
+    const LAT: u64 = 1_000;
+    const OP: u64 = 500;
+    const SERVICE: u64 = 1_000 + SEG;
+
+    /// `n` 512-byte segments `stride` bytes apart, segment `i` filled
+    /// with `i + 1`.
+    fn strided_rows(n: u64, stride: u64) -> Vec<(u64, Vec<u8>)> {
+        (0..n)
+            .map(|i| (i * stride, vec![i as u8 + 1; SEG as usize]))
+            .collect()
+    }
+
+    fn as_segments(rows: &[(u64, Vec<u8>)]) -> Vec<(u64, &[u8])> {
+        rows.iter().map(|(o, d)| (*o, d.as_slice())).collect()
+    }
+
+    fn assert_rows_landed(image: &[u8], rows: &[(u64, Vec<u8>)]) {
+        for (off, data) in rows {
+            assert_eq!(&image[*off as usize..][..data.len()], data.as_slice());
+        }
+    }
+
+    #[test]
+    fn one_segment_vector_costs_exactly_one_synchronous_write() {
+        let data = [9u8; SEG as usize];
+        let f = test_fs().open(0, Clock::new(), "one");
+        f.pwrite_direct(4096, &data);
+        let g = test_fs().open(0, Clock::new(), "one");
+        g.try_pwritev_direct(&[(4096, &data)]).unwrap();
+        // payload, request latency, service, ack latency — in turn.
+        assert_eq!(f.clock().now(), SEG + LAT + SERVICE + LAT);
+        assert_eq!(g.clock().now(), f.clock().now());
+        assert_eq!(g.stats().snapshot(), f.stats().snapshot());
+        assert_eq!(f.stats().snapshot().server_write_requests, 1);
+    }
+
+    #[test]
+    fn vector_over_distinct_servers_is_bound_by_the_nic() {
+        // One segment per server: each is served the moment it arrives, so
+        // the last injected one finishes last.
+        let n = 4;
+        let rows = strided_rows(n, 4096);
+        let fs = test_fs();
+        let f = fs.open(0, Clock::new(), "spread");
+        f.try_pwritev_direct(&as_segments(&rows)).unwrap();
+        assert_eq!(
+            f.clock().now(),
+            n * SEG + (n - 1) * OP + LAT + SERVICE + LAT
+        );
+        let s = f.stats().snapshot();
+        assert_eq!((s.writes, s.bytes_written), (n, n * SEG));
+        assert_eq!(s.server_write_requests, n);
+        assert_rows_landed(&fs.snapshot("spread").unwrap(), &rows);
+    }
+
+    #[test]
+    fn vector_on_one_server_is_bound_by_that_servers_horizon() {
+        // Every segment homes on server 0 and arrives faster (SEG + OP
+        // apart) than it is served, so they queue: the end time is the
+        // first arrival plus n services, whatever the NIC could inject.
+        let n = 4;
+        let rows = strided_rows(n, 4 * 4096);
+        let f = test_fs().open(0, Clock::new(), "queue");
+        f.try_pwritev_direct(&as_segments(&rows)).unwrap();
+        assert_eq!(f.clock().now(), SEG + LAT + n * SERVICE + LAT);
+        assert!(f.clock().now() > n * SEG + (n - 1) * OP + LAT + SERVICE + LAT);
+    }
+
+    /// A plan crashing server 0 on its `k`-th request.
+    fn crash_server0_at(k: u64, restart: RestartPolicy) -> FileSystem {
+        FileSystem::with_faults(
+            PlatformProfile::fast_test(),
+            FaultPlan::none().with(
+                FaultSite::ServerRequest { server: 0 },
+                k,
+                FaultAction::CrashServer { restart },
+            ),
+        )
+    }
+
+    #[test]
+    fn vector_retries_through_a_crash_and_completes() {
+        let rows = strided_rows(4, 4 * 4096);
+        let fs = crash_server0_at(3, RestartPolicy::Rejections(2));
+        let f = fs.open(0, Clock::new(), "retry");
+        f.try_pwritev_direct(&as_segments(&rows)).unwrap();
+        let s = f.stats().snapshot();
+        assert_eq!((s.writes, s.bytes_written), (4, 4 * SEG));
+        assert_eq!((s.retries, s.faults_injected), (2, 1));
+        assert_eq!(s.journal_replays, 1, "the second rejection owns recovery");
+        assert!(!fs.server_down(0));
+        assert_rows_landed(&fs.snapshot("retry").unwrap(), &rows);
+    }
+
+    #[test]
+    fn vector_stops_at_the_failing_segment_with_the_earlier_ones_applied() {
+        let k = 3;
+        let rows = strided_rows(4, 4 * 4096);
+        let fs = crash_server0_at(k, RestartPolicy::Manual);
+        let f = fs.open(0, Clock::new(), "stop");
+        let err = f.try_pwritev_direct(&as_segments(&rows)).unwrap_err();
+        assert_eq!(
+            err,
+            FsError::RetriesExhausted {
+                server: 0,
+                attempts: fs.profile().max_retries + 1
+            }
+        );
+        // Exactly the first k − 1 segments landed: applied, counted, and
+        // their time charged; the failing one and those after it are not.
+        let s = f.stats().snapshot();
+        assert_eq!((s.writes, s.bytes_written), (k - 1, (k - 1) * SEG));
+        assert_eq!(s.server_write_requests, k - 1);
+        assert_eq!(f.clock().now(), SEG + LAT + (k - 1) * SERVICE + LAT);
+        let (last_off, last) = &rows[k as usize - 2];
+        let image = fs.snapshot("stop").unwrap();
+        assert_eq!(
+            image.len() as u64,
+            last_off + SEG,
+            "nothing past segment k−1"
+        );
+        assert_eq!(&image[*last_off as usize..], last.as_slice());
+    }
+
+    #[test]
+    fn listio_and_flush_share_the_vector_formula() {
+        let n = 4;
+        let rows = strided_rows(n, 4096);
+        let nic_bound = n * SEG + (n - 1) * OP + LAT + SERVICE + LAT;
+        let f = test_fs().open(0, Clock::new(), "lio");
+        f.listio_direct_atomic(&as_segments(&rows));
+        assert_eq!(f.clock().now(), nic_bound);
+
+        // Two dirty runs on two servers, flushed by one sync.
+        let g = test_fs().open(0, Clock::new(), "flush");
+        g.pwrite(0, &rows[0].1);
+        g.pwrite(4096, &rows[1].1);
+        let t0 = g.clock().now();
+        g.sync();
+        assert_eq!(g.clock().now() - t0, 2 * SEG + OP + LAT + SERVICE + LAT);
+        let s = g.stats().snapshot();
+        assert_eq!((s.flushes, s.flushed_bytes), (1, 2 * SEG));
+        assert_eq!(s.server_write_requests, 2);
     }
 
     #[test]
@@ -2408,6 +2594,36 @@ mod tests {
         assert!(fs.restart_server(1), "manual restart");
         assert!(!fs.restart_server(1), "already up");
         f.try_pwrite_direct(4096, &[1u8; 128]).unwrap();
+    }
+
+    #[test]
+    fn request_to_a_recovering_server_waits_instead_of_burning_retries() {
+        // Server 0 crashes on its first request and needs a manual restart;
+        // the first write exhausts its budget against the *down* server.
+        let fs = crash_server0_at(1, RestartPolicy::Manual);
+        let f = fs.open(0, Clock::new(), "wait");
+        assert!(f.try_pwrite_direct(0, &[1u8; 64]).is_err());
+        // This thread now owns the recovery, and takes its time over it.
+        assert!(fs.inner.servers.begin_recovery(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let g = fs.open(1, Clock::new(), "wait");
+                tx.send(()).unwrap();
+                let res = g.try_pwrite_direct(0, &[2u8; 64]);
+                (res, g.stats().snapshot().retries)
+            });
+            rx.recv().unwrap();
+            for _ in 0..1_000 {
+                std::thread::yield_now();
+            }
+            fs.inner.replay_journals();
+            fs.inner.servers.mark_up(0);
+            // However long the replay took in host time, the request was
+            // neither rejected nor charged a retry.
+            assert_eq!(writer.join().unwrap(), (Ok(()), 0));
+        });
+        assert_eq!(&fs.snapshot("wait").unwrap()[..64], &[2u8; 64]);
     }
 
     #[test]

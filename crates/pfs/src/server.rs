@@ -2,6 +2,7 @@ use atomio_check::OrderedMutex;
 use atomio_interval::ByteRange;
 use atomio_trace::{Category, Tracer, Track};
 use atomio_vtime::{Horizon, ServeCost, VNanos};
+use parking_lot::Condvar;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -39,11 +40,11 @@ enum Health {
         restart: RestartPolicy,
         seen: u32,
     },
-    /// Restart triggered: exactly one client (the one whose rejection
-    /// completed the countdown, handed the server via
-    /// [`ServerSet::take_recovery_due`]) runs journal replay and then
-    /// marks the server up. Requests are still rejected meanwhile, so no
-    /// reader can slip in between restart and replay.
+    /// Restart triggered: exactly one client (whoever is handed the server
+    /// by [`ServerSet::take_recovery_due`]) runs journal replay and then
+    /// marks the server up. Requests addressed to it meanwhile wait for
+    /// that ([`ServerSet::try_access`]), so no reader can slip in between
+    /// restart and replay.
     Recovering,
 }
 
@@ -76,6 +77,9 @@ pub struct ServerSet {
     /// Per-server availability; all `Up` (and never locked) without an
     /// active fault plan.
     health: OrderedMutex<Vec<Health>>,
+    /// Signalled by [`ServerSet::mark_up`]; requests addressed to a
+    /// `Recovering` server wait on it.
+    recovered: Condvar,
     /// Servers whose restart countdown just completed, awaiting recovery
     /// by the client that observed it.
     recovery_due: OrderedMutex<Vec<usize>>,
@@ -117,6 +121,7 @@ impl ServerSet {
             serve,
             stripe_unit,
             health: lockclass::server_health(vec![Health::Up; n]),
+            recovered: Condvar::new(),
             recovery_due: lockclass::server_recovery(Vec::new()),
             faults: Arc::new(FaultInjector::new(FaultPlan::none())),
             pending: lockclass::server_pending(Pending::default()),
@@ -271,6 +276,20 @@ impl ServerSet {
         if self.faults.active() {
             let pieces = self.split(range);
             let mut health = self.health.lock();
+            // A server someone else is recovering comes back as soon as
+            // that thread finishes its replay — in *host* time, while
+            // retry backoff is virtual. Rejecting here would let this
+            // client spin its whole retry budget away in the microseconds
+            // the recovering thread happens to be descheduled, so wait
+            // for `mark_up` instead. (The recovering thread never comes
+            // through here for a server it owns: it goes from
+            // `take_recovery_due` straight to replay and `mark_up`.)
+            while pieces
+                .iter()
+                .any(|&(server, _)| health[server] == Health::Recovering)
+            {
+                self.recovered.wait(health.raw());
+            }
             for &(server, _) in &pieces {
                 if let Some(FaultAction::CrashServer { restart }) =
                     self.faults.check(FaultSite::ServerRequest { server })
@@ -311,8 +330,7 @@ impl ServerSet {
                         unavailable.get_or_insert(server);
                     }
                     Health::Recovering => {
-                        self.faults.stats().add(&self.faults.stats().rejections, 1);
-                        unavailable.get_or_insert(server);
+                        unreachable!("waited out above, and `pieces` names each server once")
                     }
                 }
             }
@@ -369,6 +387,7 @@ impl ServerSet {
     /// Recovery finished: the server serves again.
     pub(crate) fn mark_up(&self, server: usize) {
         self.health.lock()[server] = Health::Up;
+        self.recovered.notify_all();
     }
 
     /// Decompose a contiguous range into `(server, bytes)` pieces, merging
@@ -397,6 +416,7 @@ impl ServerSet {
             h.reset();
         }
         self.health.lock().fill(Health::Up);
+        self.recovered.notify_all();
         self.recovery_due.lock().clear();
         let mut p = self.pending.lock();
         assert!(p.reqs.is_empty(), "reset with unsettled requests");

@@ -131,8 +131,12 @@ fn non_posix_platform_interleaves_within_a_call() {
     profile.posix_atomic_calls = false;
     let len = 1 << 20; // 1 MiB overlap, 4 KiB non-atomic chunks
 
+    // Two writers of the same chunks in the same order only mix bytes when
+    // one overtakes the other mid-call, which takes a scheduling accident:
+    // on a 2-core host 40 attempts all missed it in 17 of 100 runs. The
+    // loop stops at the first hit, so a large budget costs nothing.
     let mut interleaved = false;
-    for attempt in 0..40 {
+    for attempt in 0..400 {
         let fs = FileSystem::new(profile.clone());
         let name = format!("raw{attempt}");
         run(2, profile.net.clone(), |comm| {
@@ -155,7 +159,7 @@ fn non_posix_platform_interleaves_within_a_call() {
     }
     assert!(
         interleaved,
-        "non-POSIX writes never interleaved in 40 attempts"
+        "non-POSIX writes never interleaved in 400 attempts"
     );
 }
 

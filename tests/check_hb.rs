@@ -6,7 +6,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use atomio::check::{check_chrome_json, check_events};
+use atomio::check::{check_chrome_json, check_events, write_accesses};
 use atomio::prelude::*;
 use atomio::vtime::MemCost;
 
@@ -175,6 +175,96 @@ fn unlocked_sieved_rmw_is_flagged() {
     );
     // Every finding must involve a write (read-read pairs never conflict)
     // and two distinct ranks.
+    for f in &report.findings {
+        assert_ne!(f.a.rank, f.b.rank, "finding within one rank: {f}");
+    }
+}
+
+/// One traced collective write of a column-wise partitioning of `rows`
+/// rows over 4 ranks under `atomicity`, with 4 ghost columns (neighbours
+/// share bytes in every row).
+fn traced_colwise_write(rows: u64, atomicity: Atomicity) -> (ColWise, Arc<MemorySink>) {
+    const P: usize = 4;
+    let spec = ColWise::new(rows, 64 * P as u64, P, 4).expect("valid geometry");
+    let fs = FileSystem::new(PlatformProfile::fast_test());
+    let sink = Arc::new(MemorySink::new());
+    fs.bind_tracer(Arc::clone(&sink) as Arc<dyn TraceSink>);
+    {
+        let sink = Arc::clone(&sink);
+        run(P, fs.profile().net.clone(), move |comm| {
+            comm.bind_tracer(Arc::clone(&sink) as Arc<dyn TraceSink>);
+            let part = spec.partition(comm.rank());
+            let buf = part.fill(pattern::rank_stamp(comm.rank()));
+            let mut file = MpiFile::open(&comm, &fs, "colwise", OpenMode::ReadWrite).unwrap();
+            file.set_view(0, part.filetype.clone()).unwrap();
+            file.set_atomicity(atomicity).unwrap();
+            comm.barrier();
+            file.write_at_all(0, &buf).unwrap();
+            file.close().unwrap();
+        });
+    }
+    (spec, sink)
+}
+
+/// The locked data path must stay *visible* to the checker: a clean
+/// verdict on a span-locked overlapping write only means something if the
+/// checker saw every rank's bytes being written. (A locked write path that
+/// emits no access event checks just as clean — it races with nothing.)
+#[test]
+fn locked_colwise_write_is_seen_whole_and_race_free() {
+    for (rows, granularity) in [
+        (16, LockGranularity::Span),
+        // More rows than a sync event's footprint carries: the lock events
+        // degrade to their bounding box, the write accesses must not.
+        (48, LockGranularity::Exact),
+    ] {
+        locked_colwise_write_checks_clean(rows, granularity);
+    }
+}
+
+fn locked_colwise_write_checks_clean(rows: u64, granularity: LockGranularity) {
+    let (spec, sink) =
+        traced_colwise_write(rows, Atomicity::Atomic(Strategy::FileLocking(granularity)));
+    let events = sink.snapshot();
+    let writes = write_accesses(&events);
+    for (rank, view) in spec.all_views().iter().enumerate() {
+        let seen: Vec<(u64, u64)> = writes
+            .iter()
+            .filter(|(r, _)| *r == rank)
+            .flat_map(|(_, fp)| fp.iter().copied())
+            .collect();
+        let want: Vec<(u64, u64)> = view.iter().map(|r| (r.start, r.len())).collect();
+        assert_eq!(
+            seen, want,
+            "{granularity:?}, rank {rank}: the checker must see exactly the bytes it wrote"
+        );
+    }
+    let report = check_events(&events);
+    assert!(
+        report.findings.is_empty(),
+        "{granularity:?}-locked overlapping write must be race-free:\n{report}"
+    );
+    assert!(report.sync_joins > 0, "no grant-release edge was drawn");
+    // The same trace through the export → import path `tracecheck --hb` runs.
+    let imported = check_chrome_json(&sink.export_chrome()).expect("exported trace must parse");
+    assert!(
+        imported.findings.is_empty(),
+        "{granularity:?}-locked trace must check clean after export:\n{imported}"
+    );
+    assert_eq!(imported.accesses, report.accesses);
+}
+
+/// The same overlapping writes with atomicity off are the paper's
+/// Figure 2: nothing orders neighbours' shared columns, and the checker
+/// must say so.
+#[test]
+fn nonatomic_colwise_write_is_reported_as_a_race() {
+    let (_, sink) = traced_colwise_write(16, Atomicity::NonAtomic);
+    let report = check_events(&sink.snapshot());
+    assert!(
+        !report.findings.is_empty(),
+        "overlapping non-atomic writes produced no findings"
+    );
     for f in &report.findings {
         assert_ne!(f.a.rank, f.b.rank, "finding within one rank: {f}");
     }
