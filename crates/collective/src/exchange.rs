@@ -1,6 +1,7 @@
 //! Routing of a rank's view segments to the owning aggregators.
 
 use atomio_dtype::ViewSegment;
+use atomio_interval::{ByteRange, IntervalSet};
 
 use crate::domain::{domain_of, FileDomain};
 
@@ -49,6 +50,36 @@ pub fn route_segments(
         }
     }
     out
+}
+
+/// Assemble the pieces an aggregator received into one buffer per covered
+/// *run* — never the domain extent: a sparse request over a huge file must
+/// not allocate the whole domain. Every sender surrendered what a higher
+/// rank overwrites before routing, so no two pieces may overlap; the order
+/// they arrive in is therefore irrelevant, and that is checked here.
+pub(crate) fn assemble<'a>(
+    pieces: impl Iterator<Item = &'a Piece> + Clone,
+) -> Vec<(ByteRange, Vec<u8>)> {
+    let coverage = IntervalSet::from_extents(pieces.clone().map(|(o, d)| (*o, d.len() as u64)));
+    let mut staged: Vec<(ByteRange, Vec<u8>)> = coverage
+        .iter()
+        .map(|r| (*r, vec![0u8; r.len() as usize]))
+        .collect();
+    let mut received = 0u64;
+    for (off, data) in pieces {
+        // Each piece is contiguous, so it lies inside exactly one run.
+        let ri = coverage.runs().partition_point(|r| r.end <= *off);
+        let (run, dst) = &mut staged[ri];
+        let rel = (*off - run.start) as usize;
+        dst[rel..rel + data.len()].copy_from_slice(data);
+        received += data.len() as u64;
+    }
+    assert_eq!(
+        received,
+        coverage.total_len(),
+        "overlapping pieces reached an aggregator: a sender skipped the surrender rule"
+    );
+    staged
 }
 
 #[cfg(test)]

@@ -14,38 +14,42 @@
 //!    Aggregator placement is node-aware (Kang et al., "Improving MPI
 //!    Collective I/O Performance With Intra-node Request Aggregation"):
 //!    aggregators spread across nodes before doubling up within one;
-//! 3. **Redistribution** — an `alltoallv` moves every rank's data pieces to
-//!    the aggregators owning them. Conflicts (bytes contributed by several
-//!    ranks) are resolved *inside the aggregator's buffer* by applying
-//!    contributions in ascending sender rank, so the highest rank wins —
-//!    the same serialization process-rank ordering produces, which is what
-//!    the `atomio-core::verify` checker accepts;
+//! 3. **Redistribution** — every rank first *surrenders* the bytes a higher
+//!    rank also writes (process-rank ordering, §3.3.2; the `surrender`
+//!    module is the one implementation `Strategy::RankOrdering` uses too),
+//!    then an `alltoallv` moves the surviving pieces to the aggregators
+//!    owning them. The highest rank wins every overlap — the serialization
+//!    `atomio-core::verify` accepts — and no losing byte crosses a wire;
 //! 4. **I/O** — each aggregator issues a few large contiguous writes for
 //!    its domain. Domains are disjoint, so the writes need **no locks, no
 //!    ordering phases and no barriers beyond the settle handshake**:
 //!    MPI atomicity comes free.
 //!
-//! The cost is one extra pass of the data over the network (charged through
-//! the `alltoallv` virtual-time model) against far fewer, far larger server
-//! requests — the classic collective-buffering trade.
+//! The cost is one extra pass of the footprint union over the network
+//! (charged through the `alltoallv` virtual-time model) against far fewer,
+//! far larger server requests — the classic collective-buffering trade.
 //!
 //! The redistribution itself comes in two schedules
 //! ([`ExchangeSchedule`]): the classic **flat** single-tier `alltoallv`,
 //! and a **pipelined multi-tier** schedule (the `staged` module) where
 //! each node's ranks first coalesce their pieces at a node leader over the
-//! cheap intra-node link — dropping intra-node overlap before it ever
-//! costs network bandwidth — only leaders run the inter-node exchange, and
+//! cheap intra-node link, only leaders run the inter-node exchange, and
 //! the whole redistribution proceeds in stripe-aligned rounds whose writes
 //! are retired `depth` rounds behind, overlapping communication with file
-//! I/O. Both schedules produce byte-identical files.
+//! I/O. Both schedules surrender first, ship each byte of the union once
+//! and produce byte-identical files.
 
 mod domain;
 mod exchange;
 mod staged;
+mod surrender;
 mod two_phase;
 
 pub use domain::{choose_aggregators, partition_domains, FileDomain};
 pub use exchange::route_segments;
+pub use surrender::{
+    higher_union, higher_union_strided, surviving_pieces, surviving_pieces_strided,
+};
 pub use two_phase::{
     two_phase_read, two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReadReport,
     TwoPhaseReport,

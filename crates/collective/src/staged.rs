@@ -6,26 +6,28 @@
 //! 1. **Intra-node aggregation.** Ranks sharing a node funnel their pieces
 //!    to the node leader over the intra-node link class (shared memory /
 //!    NUMA fabric), which is orders of magnitude cheaper than the
-//!    inter-node network. The leader drops intra-node overlap on the way
-//!    through (keeping the highest-ranked copy of every byte), so
-//!    duplicate bytes never reach a wire that costs anything.
+//!    inter-node network, so each node enters the network exchange with
+//!    one coalesced request (Kang et al.).
 //! 2. **Leaders-only exchange.** Only the node leaders join the inter-node
 //!    `alltoallv`, so its latency tree is `log₂(nodes)` rather than
-//!    `log₂(P)` and every payload byte on the expensive link is unique.
+//!    `log₂(P)`.
 //! 3. **Round pipelining.** The redistribution is cut into stripe-aligned
 //!    rounds; aggregators submit each round's writes to the deferred
 //!    server pipe and only *retire* them `depth` rounds later, so round
 //!    `k`'s exchange runs while round `k-depth`'s file writes are still in
 //!    flight.
 //!
-//! Conflict resolution is still highest-rank-wins per byte: node-tier
-//! dedup keeps the node's highest-ranked copy, pieces carry their original
-//! source rank across the leader exchange, and aggregators apply in
-//! ascending `(source rank, offset)` order — byte-identical to the flat
-//! schedule on any overlapping footprint.
+//! Overlap is gone before the first piece moves: every rank surrenders the
+//! bytes a higher rank also writes (the paper's rank-ordering rule, the
+//! same [`surrender`] the flat schedule and `Strategy::RankOrdering` use),
+//! so no tier deduplicates, tags or orders anything, every byte of the
+//! union rides each link class at most once, and the file is byte-identical
+//! to the flat schedule on any overlapping footprint. The negotiation that
+//! makes this possible stays hierarchical: footprints are allgathered
+//! inside the node, and only per-node *unions* cross the network.
 
 use atomio_dtype::ViewSegment;
-use atomio_interval::{ByteRange, IntervalSet, StridedSet};
+use atomio_interval::{ByteRange, StridedSet};
 use atomio_msg::Comm;
 use atomio_pfs::PosixFile;
 use atomio_trace::Category;
@@ -33,23 +35,16 @@ use atomio_vtime::NodeTopology;
 
 use crate::choose_aggregators;
 use crate::domain::{partition_domains, FileDomain};
-use crate::exchange::route_segments;
-use crate::two_phase::{TwoPhaseConfig, TwoPhaseReport};
+use crate::exchange::{assemble, route_segments, Piece};
+use crate::surrender::{higher_union_strided, surrender};
+use crate::two_phase::{extent_of, TwoPhaseConfig, TwoPhaseReport};
 
-/// A piece in flight between tiers. Node tier: `(destination leader index,
-/// file offset, bytes)`. Leader tier: `(source comm rank, file offset,
-/// bytes)` — the source rank is what keeps conflict resolution global.
+/// A node-tier piece on its way to the leader: `(destination leader index,
+/// file offset, bytes)`.
 type TaggedPiece = (u64, u64, Vec<u8>);
 
 /// Default round size when `round_stripes` is 0.
 const DEFAULT_ROUND_STRIPES: u64 = 4;
-
-fn span_min_max(spans: impl IntoIterator<Item = Option<(u64, u64)>>) -> Option<(u64, u64)> {
-    spans
-        .into_iter()
-        .flatten()
-        .reduce(|(lo, hi), (s, e)| (lo.min(s), hi.max(e)))
-}
 
 #[allow(clippy::too_many_arguments)] // mirrors two_phase_write plus the schedule knobs
 pub(crate) fn staged_write(
@@ -67,22 +62,28 @@ pub(crate) fn staged_write(
     let node = comm.split_node(&topo);
     let leaders = comm.split_leaders(&topo);
 
-    // Phase 0: hierarchical span negotiation. Footprint spans travel
-    // leader-ward over the cheap links; only the leaders allgather across
-    // the network. Every rank then derives the same domains from the same
-    // global span — no per-rank footprint ever crosses a node boundary.
+    // Phase 0: hierarchical negotiation. Footprints are allgathered over
+    // the cheap links inside the node; the leaders allgather one *union*
+    // per node across the network and hand their node the global span plus
+    // the union of every higher node — no per-rank footprint ever crosses a
+    // node boundary. Block placement puts every higher rank on this node or
+    // a higher one, so that is all the surrender rule needs.
     let t0 = comm.clock().now();
     let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
-    let my_span = footprint.span().map(|r| (r.start, r.end));
-    let gathered_spans = node.gather(0, my_span);
-    let node_span = gathered_spans.and_then(span_min_max);
-    let global_span = match &leaders {
-        Some(l) => {
-            let all = l.allgather(node_span);
-            node.bcast(0, Some(span_min_max(all)))
-        }
-        None => node.bcast(0, None),
-    };
+    let mut footprints = node.allgather(footprint);
+    let from_leaders = leaders.as_ref().map(|l| {
+        let node_union = footprints[0].union(&higher_union_strided(&footprints, 0));
+        let node_unions = l.allgather(node_union);
+        (
+            extent_of(&node_unions),
+            higher_union_strided(&node_unions, l.rank()),
+        )
+    });
+    let (extent, higher_nodes) = node.bcast(0, from_leaders);
+    footprints.push(higher_nodes);
+    // Surrender before shipping: what a higher rank overwrites never enters
+    // any tier.
+    let (pieces, conflict_bytes) = surrender(segments, &footprints, node.rank());
 
     let mut report = TwoPhaseReport {
         aggregator_count: 0,
@@ -90,13 +91,13 @@ pub(crate) fn staged_write(
         bytes_shipped: 0,
         bytes_written: 0,
         write_runs: 0,
-        conflict_bytes: 0,
+        conflict_bytes,
         wire_intra_bytes: 0,
         wire_inter_bytes: 0,
         rounds: 0,
         write_errors: 0,
     };
-    let Some((lo, hi)) = global_span else {
+    let Some(extent) = extent else {
         comm.barrier(); // nobody has data this round; leave clocks aligned
         return report;
     };
@@ -108,7 +109,7 @@ pub(crate) fn staged_write(
         .unwrap_or_else(|| file.server_count().max(1))
         .clamp(1, topo.nodes());
     let agg_ranks = choose_aggregators(comm.size(), want, rpn);
-    let domains = partition_domains(ByteRange::new(lo, hi), &agg_ranks, file.stripe_unit());
+    let domains = partition_domains(extent, &agg_ranks, file.stripe_unit());
     comm.tracer().span(
         Category::Exchange,
         "negotiate domains",
@@ -169,16 +170,14 @@ pub(crate) fn staged_write(
         // leader. The destination tag is the *leader-communicator* index of
         // the owning aggregator (aggregators are leaders by construction).
         let t_agg = comm.clock().now();
-        let outgoing = route_segments(comm.size(), segments, buf, base, &round_domains);
+        let outgoing = route_segments(comm.size(), &pieces, buf, base, &round_domains);
         let mut tagged: Vec<TaggedPiece> = Vec::new();
-        for (dst, pieces) in outgoing.into_iter().enumerate() {
+        for (dst, bucket) in outgoing.into_iter().enumerate() {
             let li = (dst / rpn) as u64;
-            for (off, data) in pieces {
-                report.bytes_shipped += data.len() as u64;
-                tagged.push((li, off, data));
-            }
+            tagged.extend(bucket.into_iter().map(|(off, data)| (li, off, data)));
         }
         let payload: u64 = tagged.iter().map(|p| p.2.len() as u64).sum();
+        report.bytes_shipped += payload;
         let gathered = node.gatherv(0, tagged);
         if node.rank() != 0 {
             // Non-leaders paid the intra-node link; the leader's own pieces
@@ -194,33 +193,13 @@ pub(crate) fn staged_write(
         );
 
         let Some(l) = &leaders else { continue };
-        let by_src = gathered.unwrap_or_default();
 
-        // Node-tier dedup, walking local sources highest rank first: the
-        // first copy of a byte to claim coverage wins, so what survives is
-        // exactly the node's highest-ranked contribution. Round domains are
-        // disjoint across aggregators, so one coverage set serves all
-        // destinations.
-        let mut out_buckets: Vec<Vec<TaggedPiece>> = vec![Vec::new(); l.size()];
-        let mut coverage = IntervalSet::new();
+        // The leader repacks its node's pieces by destination aggregator.
+        let mut out_buckets: Vec<Vec<Piece>> = vec![Vec::new(); l.size()];
         let mut gathered_bytes = 0u64;
-        for (i, pieces) in by_src.iter().enumerate().rev() {
-            let src = (comm.rank() + i) as u64; // leader's comm rank == node base
-            for (dest, off, data) in pieces {
-                gathered_bytes += data.len() as u64;
-                let piece = ByteRange::at(*off, data.len() as u64);
-                let survive = IntervalSet::from_range(piece).subtract(&coverage);
-                for r in survive.iter() {
-                    let rel = (r.start - off) as usize;
-                    out_buckets[*dest as usize].push((
-                        src,
-                        r.start,
-                        data[rel..rel + r.len() as usize].to_vec(),
-                    ));
-                }
-                report.conflict_bytes += data.len() as u64 - survive.total_len();
-                coverage.insert(piece);
-            }
+        for (dest, off, data) in gathered.into_iter().flatten().flatten() {
+            gathered_bytes += data.len() as u64;
+            out_buckets[dest as usize].push((off, data));
         }
         comm.compute(mem.copy_ns(gathered_bytes));
 
@@ -231,7 +210,7 @@ pub(crate) fn staged_write(
             .iter()
             .enumerate()
             .filter(|&(j, _)| j != l.rank())
-            .flat_map(|(_, b)| b.iter().map(|p| p.2.len() as u64))
+            .flat_map(|(_, b)| b.iter().map(|p| p.1.len() as u64))
             .sum();
         report.wire_inter_bytes += inter;
         let incoming = l.alltoallv(out_buckets);
@@ -243,33 +222,18 @@ pub(crate) fn staged_write(
             &[("round", k as u64), ("bytes", inter)],
         );
 
-        // Aggregation: apply in ascending (source rank, offset) so the
-        // globally highest-ranked copy of every byte lands last — the same
-        // rank-ordering serialization as the flat exchange buffer.
+        // Aggregation: nothing that arrives overlaps, so the round's
+        // buffers are assembled in whatever order the pieces came.
         let t_w = comm.clock().now();
-        let mut pieces: Vec<TaggedPiece> = incoming.into_iter().flatten().collect();
-        pieces.sort_by_key(|p| (p.0, p.1));
-        let round_cover = IntervalSet::from_extents(pieces.iter().map(|p| (p.1, p.2.len() as u64)));
-        let mut staged: Vec<(ByteRange, Vec<u8>)> = round_cover
-            .iter()
-            .map(|r| (*r, vec![0u8; r.len() as usize]))
-            .collect();
-        let mut received = 0u64;
-        for (_, off, data) in &pieces {
-            let ri = round_cover.runs().partition_point(|r| r.end <= *off);
-            let (run, dst) = &mut staged[ri];
-            let rel = (*off - run.start) as usize;
-            dst[rel..rel + data.len()].copy_from_slice(data);
-            received += data.len() as u64;
-        }
-        report.conflict_bytes += received - round_cover.total_len();
-        comm.compute(mem.copy_ns(received));
+        let staged = assemble(incoming.iter().flatten());
+        let round_bytes_written: u64 = staged.iter().map(|(run, _)| run.len()).sum();
+        comm.compute(mem.copy_ns(round_bytes_written));
 
         let writes: Vec<(u64, &[u8])> = staged
             .iter()
             .map(|(run, data)| (run.start, data.as_slice()))
             .collect();
-        report.bytes_written += round_cover.total_len();
+        report.bytes_written += round_bytes_written;
         report.write_runs += writes.len();
         if !writes.is_empty() {
             if fault_mode {
@@ -288,7 +252,7 @@ pub(crate) fn staged_write(
             "round write",
             t_w,
             comm.clock().now(),
-            &[("round", k as u64), ("bytes", round_cover.total_len())],
+            &[("round", k as u64), ("bytes", round_bytes_written)],
         );
     }
 
@@ -375,8 +339,7 @@ mod tests {
             // round decomposition.
             let written: u64 = pipe.iter().map(|r| r.bytes_written).sum();
             assert_eq!(written, P as u64 * BLOCK);
-            // Total overlap volume is schedule-invariant, wherever the
-            // duplicate copies were dropped.
+            // Total overlap volume is schedule-invariant.
             let flat_conflicts: u64 = flat.iter().map(|r| r.conflict_bytes).sum();
             let pipe_conflicts: u64 = pipe.iter().map(|r| r.conflict_bytes).sum();
             assert_eq!(flat_conflicts, pipe_conflicts);
@@ -384,9 +347,8 @@ mod tests {
         }
     }
 
-    /// Every rank writes the whole extent (maximal overlap): the node tier
-    /// collapses each node's eight copies to one before anything crosses
-    /// the network.
+    /// Every rank writes the whole extent (maximal overlap): all but the
+    /// highest rank surrender everything.
     fn write_full_extent(
         fs: &FileSystem,
         name: &str,
@@ -412,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_tier_cuts_inter_node_wire_bytes() {
+    fn no_schedule_puts_a_byte_of_the_union_on_the_fabric_twice() {
         let fs = FileSystem::new(PlatformProfile::fast_test());
         let flat = write_full_extent(&fs, "wf", ExchangeSchedule::Flat);
         let pipe = write_full_extent(
@@ -424,17 +386,20 @@ mod tests {
             },
         );
         assert_eq!(fs.snapshot("wf").unwrap(), fs.snapshot("wp").unwrap());
-        let flat_inter: u64 = flat.iter().map(|r| r.wire_inter_bytes).sum();
-        let pipe_inter: u64 = pipe.iter().map(|r| r.wire_inter_bytes).sum();
-        assert!(
-            pipe_inter * 2 <= flat_inter,
-            "pipelined {pipe_inter} should be at most half of flat {flat_inter}"
-        );
-        // The inter-node traffic can never exceed the unique bytes that
-        // actually live on another node's aggregator.
-        let written: u64 = pipe.iter().map(|r| r.bytes_written).sum();
-        assert!(pipe_inter <= written);
-        // And the intra-node tier carried real traffic in exchange.
+        for (name, reports) in [("flat", &flat), ("pipelined", &pipe)] {
+            let written: u64 = reports.iter().map(|r| r.bytes_written).sum();
+            let shipped: u64 = reports.iter().map(|r| r.bytes_shipped).sum();
+            let inter: u64 = reports.iter().map(|r| r.wire_inter_bytes).sum();
+            assert_eq!(written, P as u64 * BLOCK, "{name}");
+            assert_eq!(shipped, written, "{name}: the union is shipped once");
+            assert!(inter <= written, "{name}: {inter} inter-node bytes");
+            // Only the highest rank still has anything to ship.
+            assert!(
+                reports[..P - 1].iter().all(|r| r.bytes_shipped == 0),
+                "{name}"
+            );
+        }
+        // The winner is not a leader, so the node tier carried its bytes.
         assert!(pipe.iter().map(|r| r.wire_intra_bytes).sum::<u64>() > 0);
     }
 

@@ -1,3 +1,9 @@
+//! The paper's surrender rule (§3.3.2, Figure 7), implemented once: the
+//! highest rank wins every overlap, so each rank subtracts the union of all
+//! higher ranks' footprints from its request *before* any byte moves.
+//! `Strategy::RankOrdering` writes the surviving pieces itself; both
+//! two-phase drivers route them, so no losing byte crosses a wire.
+
 use atomio_dtype::ViewSegment;
 use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 
@@ -90,6 +96,21 @@ pub fn surviving_pieces_strided(
         }
     }
     out
+}
+
+/// What rank `me` puts into a two-phase exchange: its segments minus
+/// everything a higher rank will overwrite, and how many bytes that took
+/// away. `footprints[me + 1..]` must cover every higher rank (one entry per
+/// rank, or pre-merged unions — only their union matters).
+pub(crate) fn surrender(
+    segments: &[ViewSegment],
+    footprints: &[StridedSet],
+    me: usize,
+) -> (Vec<ViewSegment>, u64) {
+    let pieces = surviving_pieces_strided(segments, &higher_union_strided(footprints, me));
+    let asked: u64 = segments.iter().map(|s| s.len).sum();
+    let kept: u64 = pieces.iter().map(|s| s.len).sum();
+    (pieces, asked - kept)
 }
 
 #[cfg(test)]

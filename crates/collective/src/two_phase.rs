@@ -9,7 +9,8 @@ use atomio_vtime::NodeTopology;
 
 use crate::choose_aggregators;
 use crate::domain::{domain_of, partition_domains, FileDomain};
-use crate::exchange::{route_segments, Piece};
+use crate::exchange::{assemble, route_segments, Piece};
+use crate::surrender::surrender;
 
 /// How the redistribution phase is scheduled across the node topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,10 +20,10 @@ pub enum ExchangeSchedule {
     /// pipelined variants must match byte for byte.
     Flat,
     /// Multi-tier: each node's ranks first funnel their pieces to the node
-    /// leader over the cheap intra-node link (dropping intra-node overlap
-    /// on the way), only the leaders run the inter-node exchange, and the
-    /// whole redistribution is cut into stripe-aligned *rounds* so round
-    /// `k`'s exchange overlaps round `k-1`'s aggregator write.
+    /// leader over the cheap intra-node link, only the leaders run the
+    /// inter-node exchange, and the whole redistribution is cut into
+    /// stripe-aligned *rounds* so round `k`'s exchange overlaps round
+    /// `k-1`'s aggregator write.
     Pipelined {
         /// Stripe units per round (`0` means the default of 4). Smaller
         /// rounds pipeline more finely but pay more per-round collectives.
@@ -71,8 +72,9 @@ pub struct TwoPhaseReport {
     pub aggregator_count: usize,
     /// This rank's file domain, when it served as an aggregator.
     pub domain: Option<ByteRange>,
-    /// Bytes this rank contributed to redistribution (its whole request,
-    /// including any part routed to itself).
+    /// Bytes this rank put into redistribution: its request minus what it
+    /// surrendered to higher ranks, including any part routed to itself.
+    /// Summed over ranks this equals `bytes_written` summed over ranks.
     pub bytes_shipped: u64,
     /// Bytes this rank wrote to the servers as an aggregator (0 for pure
     /// compute ranks). Summed over ranks this equals the union coverage —
@@ -80,10 +82,9 @@ pub struct TwoPhaseReport {
     pub bytes_written: u64,
     /// Contiguous write runs this rank issued (the "large writes").
     pub write_runs: usize,
-    /// Bytes that arrived at this aggregator from more than one rank —
-    /// the overlap volume resolved for free inside the exchange buffer.
-    /// On the pipelined schedule a leader's node-tier dedup drops count
-    /// here too, so the sum over ranks still equals the total overlap.
+    /// Bytes of this rank's request that a higher rank also writes and
+    /// that it therefore surrendered before shipping anything. Summed over
+    /// ranks this is the overlap volume, Σ|F_r| − |∪F_r|, on any schedule.
     pub conflict_bytes: u64,
     /// Redistribution payload bytes this rank put on *intra-node* links
     /// (sender and receiver share a node; self-destined bytes count
@@ -109,30 +110,35 @@ pub struct TwoPhaseReadReport {
     pub read_runs: usize,
 }
 
+/// The aggregate file extent of `footprints`; `None` when all are empty.
+pub(crate) fn extent_of(footprints: &[StridedSet]) -> Option<ByteRange> {
+    let spans = footprints.iter().filter_map(StridedSet::span);
+    spans.reduce(|a, b| ByteRange::new(a.start.min(b.start), a.end.max(b.end)))
+}
+
+/// Every rank's footprint, in rank order, and the file domains cut from
+/// their aggregate extent.
 fn plan_domains(
     comm: &Comm,
     file: &PosixFile,
     segments: &[ViewSegment],
     cfg: &TwoPhaseConfig,
-) -> Vec<FileDomain> {
+) -> (Vec<StridedSet>, Vec<FileDomain>) {
     // Phase 0: exchange flattened views, run-length-compressed. The
     // allgather's wire charge is the *compressed* encoding — O(trains) per
     // rank, not O(rows) — so the modeled §3.4 negotiation overhead scales
     // with the access description, exactly like the handshaking strategies.
     let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
     let all = comm.allgather(footprint);
-
-    let lo = all.iter().filter_map(|s| s.span()).map(|r| r.start).min();
-    let hi = all.iter().filter_map(|s| s.span()).map(|r| r.end).max();
-    let (Some(lo), Some(hi)) = (lo, hi) else {
-        return Vec::new(); // nobody has data this round
+    let Some(extent) = extent_of(&all) else {
+        return (all, Vec::new()); // nobody has data this round
     };
-
     let want = cfg
         .aggregators
         .unwrap_or_else(|| file.server_count().max(1));
     let aggregators = choose_aggregators(comm.size(), want, cfg.ranks_per_node);
-    partition_domains(ByteRange::new(lo, hi), &aggregators, file.stripe_unit())
+    let domains = partition_domains(extent, &aggregators, file.stripe_unit());
+    (all, domains)
 }
 
 /// One collective, MPI-atomic write through two-phase redistribution.
@@ -144,7 +150,8 @@ fn plan_domains(
 ///
 /// Issues **zero lock requests**: domains are disjoint by construction, so
 /// the aggregators' writes cannot conflict, and overlapped user data was
-/// already reduced (highest rank wins) during the exchange phase.
+/// already surrendered to the highest rank (paper §3.3.2) *before* the
+/// exchange — every byte of the union is shipped and written exactly once.
 pub fn two_phase_write(
     comm: &Comm,
     file: &PosixFile,
@@ -176,7 +183,7 @@ pub fn two_phase_write(
         );
     }
     let t0 = comm.clock().now();
-    let domains = plan_domains(comm, file, segments, cfg);
+    let (footprints, domains) = plan_domains(comm, file, segments, cfg);
     comm.tracer().span(
         Category::Exchange,
         "negotiate domains",
@@ -185,11 +192,14 @@ pub fn two_phase_write(
         &[("aggregators", domains.len() as u64)],
     );
 
-    // Phase 1: redistribution. Every piece of every rank's request travels
-    // to the aggregator owning its file domain; the alltoallv charges
-    // virtual time for the full shipped volume.
+    // Phase 1: redistribution. This rank first surrenders every byte a
+    // higher rank also writes (the rank-ordering rule, on the footprints
+    // the negotiation already gathered); what survives travels to the
+    // aggregator owning its file domain, and the alltoallv charges virtual
+    // time for exactly that volume.
     let t1 = comm.clock().now();
-    let outgoing = route_segments(comm.size(), segments, buf, base, &domains);
+    let (pieces, conflict_bytes) = surrender(segments, &footprints, comm.rank());
+    let outgoing = route_segments(comm.size(), &pieces, buf, base, &domains);
     let bytes_shipped: u64 = outgoing.iter().flatten().map(|(_, d)| d.len() as u64).sum();
     // Classify the shipped volume by link class (self-destined bytes never
     // touch a wire) so flat and pipelined runs compare on the same meter.
@@ -211,53 +221,12 @@ pub fn two_phase_write(
     stats.add(&stats.wire_inter_bytes, wire_inter);
     let incoming = comm.alltoallv(outgoing);
 
-    // Phase 2: aggregation. Contributions are applied in ascending sender
-    // rank, so wherever two ranks overlapped, the higher rank's bytes
-    // survive — the rank-ordering serialization, computed as a side effect
-    // of exchange-buffer assembly instead of by view subtraction.
-    //
-    // Staging is one buffer per covered *run*, never the domain extent: a
-    // sparse request over a huge file must not allocate the whole domain.
-    let mine: Option<&FileDomain> = domains.iter().find(|d| d.rank == comm.rank());
-    let mut report = TwoPhaseReport {
-        aggregator_count: domains.len(),
-        domain: mine.map(|d| d.range),
-        bytes_shipped,
-        bytes_written: 0,
-        write_runs: 0,
-        conflict_bytes: 0,
-        wire_intra_bytes: wire_intra,
-        wire_inter_bytes: wire_inter,
-        rounds: 1,
-        write_errors: 0,
-    };
-
-    let mut staged: Vec<(ByteRange, Vec<u8>)> = Vec::new();
-    if mine.is_some() {
-        let coverage =
-            IntervalSet::from_extents(incoming.iter().flatten().map(|(o, d)| (*o, d.len() as u64)));
-        staged = coverage
-            .iter()
-            .map(|r| (*r, vec![0u8; r.len() as usize]))
-            .collect();
-        let mut received = 0u64;
-        for bucket in &incoming {
-            // `incoming` is indexed by source rank in ascending order. Each
-            // piece is contiguous, so it lies inside exactly one coverage run.
-            for (off, data) in bucket {
-                let ri = coverage.runs().partition_point(|r| r.end <= *off);
-                let (run, dst) = &mut staged[ri];
-                let rel = (*off - run.start) as usize;
-                dst[rel..rel + data.len()].copy_from_slice(data);
-                received += data.len() as u64;
-            }
-        }
-        // Every byte received beyond the union arrived from more than one
-        // rank: the overlap volume resolved inside the exchange buffer.
-        report.conflict_bytes = received - coverage.total_len();
-        // Assembling the exchange buffers is local memory traffic.
-        comm.compute(file.profile().cache.mem.copy_ns(received));
-    }
+    // Phase 2: aggregation. Nothing that arrives overlaps, so the exchange
+    // buffers are assembled in whatever order the pieces came.
+    let staged = assemble(incoming.iter().flatten());
+    let bytes_written: u64 = staged.iter().map(|(run, _)| run.len()).sum();
+    // Assembling the exchange buffers is local memory traffic.
+    comm.compute(file.profile().cache.mem.copy_ns(bytes_written));
     comm.tracer().span(
         Category::Exchange,
         "exchange",
@@ -273,8 +242,6 @@ pub fn two_phase_write(
         .iter()
         .map(|(run, data)| (run.start, data.as_slice()))
         .collect();
-    report.bytes_written = writes.iter().map(|(_, d)| d.len() as u64).sum();
-    report.write_runs = writes.len();
     let t2 = comm.clock().now();
     let ticket = file.pwrite_batch(&writes);
     comm.barrier();
@@ -285,9 +252,23 @@ pub fn two_phase_write(
         "write phase",
         t2,
         comm.clock().now(),
-        &[("bytes", report.bytes_written)],
+        &[("bytes", bytes_written)],
     );
-    report
+    TwoPhaseReport {
+        aggregator_count: domains.len(),
+        domain: domains
+            .iter()
+            .find(|d| d.rank == comm.rank())
+            .map(|d| d.range),
+        bytes_shipped,
+        bytes_written,
+        write_runs: writes.len(),
+        conflict_bytes,
+        wire_intra_bytes: wire_intra,
+        wire_inter_bytes: wire_inter,
+        rounds: 1,
+        write_errors: 0,
+    }
 }
 
 /// One collective read through the aggregators: each aggregator fetches its
@@ -312,7 +293,7 @@ pub fn two_phase_read(
         "two_phase_read needs ascending, non-overlapping segments (as FileView::segments yields)"
     );
     let t0 = comm.clock().now();
-    let domains = plan_domains(comm, file, segments, cfg);
+    let (_, domains) = plan_domains(comm, file, segments, cfg);
     comm.tracer().span(
         Category::Exchange,
         "negotiate domains",
@@ -444,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_resolves_to_highest_rank() {
+    fn overlap_is_surrendered_to_the_highest_rank_before_shipping() {
         let fs = FileSystem::new(PlatformProfile::fast_test());
         let reports = run(2, fs.profile().net.clone(), |comm| {
             let file = fs.open(comm.rank(), comm.clock().clone(), "tp");
@@ -463,11 +444,106 @@ mod tests {
         // Each byte written once.
         let written: u64 = reports.iter().map(|r| r.bytes_written).sum();
         assert_eq!(written, 250);
-        // Overlap detected at some aggregator.
-        let conflicts: u64 = reports.iter().map(|r| r.conflict_bytes).sum();
-        assert_eq!(conflicts, 50);
-        // Both ranks shipped their full request.
-        assert!(reports.iter().all(|r| r.bytes_shipped == 150));
+        // Rank 0 gave up the 50 overlapped bytes and shipped the rest; rank
+        // 1 shipped its whole request.
+        let per_rank: Vec<(u64, u64)> = reports
+            .iter()
+            .map(|r| (r.bytes_shipped, r.conflict_bytes))
+            .collect();
+        assert_eq!(per_rank, vec![(100, 50), (150, 0)]);
+    }
+
+    #[test]
+    fn fully_surrendered_rank_ships_nothing_and_the_collective_completes() {
+        // Rank 1's request lies inside rank 2's: every byte of it loses.
+        let request = |rank: usize| -> (u64, u64) {
+            match rank {
+                0 => (0, 8192),
+                1 => (6000, 4000),
+                _ => (4096, 8192),
+            }
+        };
+        for (name, schedule, ranks_per_node) in [
+            ("gone_flat", ExchangeSchedule::Flat, 1),
+            (
+                "gone_pipe",
+                ExchangeSchedule::Pipelined {
+                    round_stripes: 1,
+                    depth: 2,
+                },
+                2,
+            ),
+        ] {
+            let fs = FileSystem::new(PlatformProfile::fast_test());
+            let cfg = TwoPhaseConfig {
+                aggregators: None,
+                ranks_per_node,
+                schedule,
+            };
+            let reports = run(3, fs.profile().net.clone(), |comm| {
+                let file = fs.open(comm.rank(), comm.clock().clone(), name);
+                let (file_off, len) = request(comm.rank());
+                let segs = vec![ViewSegment {
+                    file_off,
+                    logical_off: 0,
+                    len,
+                }];
+                let buf = vec![(comm.rank() + 1) as u8; len as usize];
+                two_phase_write(&comm, &file, &segs, &buf, 0, &cfg)
+            });
+            assert_eq!(reports[1].bytes_shipped, 0, "{name}");
+            assert_eq!(reports[1].conflict_bytes, 4000, "{name}");
+            let snap = fs.snapshot(name).unwrap();
+            assert_eq!(snap.len(), 12288, "{name}");
+            assert!(snap[..4096].iter().all(|&b| b == 1), "{name}");
+            assert!(snap[4096..].iter().all(|&b| b == 3), "{name}");
+            let written: u64 = reports.iter().map(|r| r.bytes_written).sum();
+            assert_eq!(written, 12288, "{name}");
+        }
+    }
+
+    #[test]
+    fn alltoallv_is_charged_for_the_union_not_for_every_copy() {
+        use atomio_trace::{MemorySink, TraceSink};
+        use atomio_vtime::LinkCost;
+        use std::sync::Arc;
+        // Ranks 0..=2 all write [0, 64 KiB), rank 3 writes [64 KiB, 128 KiB):
+        // ranks 0 and 1 surrender everything, so two senders are active and
+        // the wire carries the union once. The four default aggregators own
+        // 32 KiB each, so each sender ships two 32 KiB pieces.
+        const LEN: u64 = 64 * 1024;
+        let mut profile = PlatformProfile::fast_test();
+        profile.net.link = LinkCost::new(5_000, 1.0e9);
+        let link = profile.net.link.clone();
+        let fs = FileSystem::new(profile);
+        let sink = Arc::new(MemorySink::new());
+        let reports = run(4, fs.profile().net.clone(), |comm| {
+            comm.bind_tracer(Arc::clone(&sink) as Arc<dyn TraceSink>);
+            let file = fs.open(comm.rank(), comm.clock().clone(), "cost");
+            let segs = vec![ViewSegment {
+                file_off: (comm.rank() as u64 / 3) * LEN,
+                logical_off: 0,
+                len: LEN,
+            }];
+            let buf = vec![comm.rank() as u8; LEN as usize];
+            two_phase_write(&comm, &file, &segs, &buf, 0, &TwoPhaseConfig::default())
+        });
+        let shipped: Vec<u64> = reports.iter().map(|r| r.bytes_shipped).collect();
+        assert_eq!(shipped, vec![0, 0, LEN, LEN]);
+        // Headers, per active sender: its count vector (8), then per
+        // non-empty bucket its length (8) and per piece its offset and byte
+        // count (8 + 8).
+        let headers = 2 * (8 + 2 * (8 + 16));
+        let expected = link.collective_ns(2, 0) + link.payload_ns(headers + 2 * LEN);
+        let exchanges: Vec<_> = sink
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.name == "alltoallv")
+            .collect();
+        assert_eq!(exchanges.len(), 4);
+        for e in exchanges {
+            assert_eq!(e.dur, Some(expected), "{e:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 use std::sync::Arc;
 
-use atomio_collective::{two_phase_read, two_phase_write, TwoPhaseConfig};
+use atomio_collective::{
+    higher_union_strided, surviving_pieces_strided, two_phase_read, two_phase_write, TwoPhaseConfig,
+};
 use atomio_dtype::{Datatype, FileView, ViewSegment};
 use atomio_interval::{ByteRange, StridedSet};
 use atomio_msg::Comm;
@@ -10,7 +12,6 @@ use atomio_vtime::VNanos;
 
 use crate::coloring::{color_count, greedy_color, OverlapMatrix};
 use crate::error::Error;
-use crate::rank_order::{higher_union_strided, surviving_pieces_strided};
 use crate::sieve::{plan_windows, SieveConfig};
 
 /// How much of the file a locking strategy locks — the granularity axis.
@@ -93,7 +94,8 @@ pub enum Strategy {
     /// Two-phase collective I/O (`atomio-collective`): exchange views,
     /// partition the aggregate extent into disjoint stripe-aligned file
     /// domains owned by A ≤ P aggregators, redistribute data to the owners
-    /// (highest overlapping rank wins inside the exchange buffer), and let
+    /// (every rank first surrenders what a higher rank overwrites, as under
+    /// [`Strategy::RankOrdering`], so only winning bytes travel), and let
     /// each aggregator issue large contiguous writes. Overlap is eliminated
     /// by construction, so atomicity needs zero locks and zero per-color
     /// barrier phases — the classic fourth answer the paper's §3 stops

@@ -27,9 +27,9 @@
 //! * [`Strategy::TwoPhase`] — beyond the paper: two-phase collective I/O
 //!   (`atomio-collective`). Views are exchanged, the aggregate extent is
 //!   split into disjoint stripe-aligned file domains owned by A ≤ P
-//!   aggregator ranks, data is redistributed to the owners (highest rank
-//!   wins inside the exchange buffer) and each aggregator issues large
-//!   contiguous writes — overlap, and with it the need for locks or
+//!   aggregator ranks, data is redistributed to the owners (the highest
+//!   rank wins: lower ranks surrender the overlap before anything is
+//!   shipped) and each aggregator issues large contiguous writes — overlap, and with it the need for locks or
 //!   write phases, is eliminated by construction.
 //! * [`Strategy::DataSieving`] — also beyond the paper: data-sieving
 //!   independent I/O ([`SieveConfig`], Thakur et al.). The request's
@@ -50,18 +50,17 @@ pub mod analysis;
 mod coloring;
 mod error;
 mod file;
-mod rank_order;
 mod sieve;
 pub mod verify;
 
-pub use atomio_collective::{ExchangeSchedule, TwoPhaseConfig};
+pub use atomio_collective::{
+    higher_union, higher_union_strided, surviving_pieces, surviving_pieces_strided,
+    ExchangeSchedule, TwoPhaseConfig,
+};
 pub use coloring::{greedy_color, OverlapMatrix};
 pub use error::Error;
 pub use file::{
     Atomicity, CloseReport, IoPath, LockFootprint, LockGranularity, MpiFile, OpenMode, ReadReport,
     Strategy, WriteReport,
-};
-pub use rank_order::{
-    higher_union, higher_union_strided, surviving_pieces, surviving_pieces_strided,
 };
 pub use sieve::SieveConfig;

@@ -17,8 +17,9 @@
 //!    subtracts the overlap from their view and all ranks write concurrently.
 //! 4. **Two-phase collective I/O** ([`collective`]) — A ≤ P aggregator ranks
 //!    own disjoint stripe-aligned file domains; an `alltoallv` redistribution
-//!    moves the data to its owners (highest rank wins inside the exchange
-//!    buffer) and each aggregator issues large contiguous writes. Overlap is
+//!    moves the data to its owners (highest rank wins: lower ranks surrender
+//!    the overlap before shipping) and each aggregator issues large
+//!    contiguous writes. Overlap is
 //!    eliminated by construction: zero locks, zero phases, and it works even
 //!    on lockless file systems.
 //!

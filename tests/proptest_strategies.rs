@@ -227,6 +227,30 @@ fn run_two_phase_snapshot(footprints: &[IntervalSet], cfg: TwoPhaseConfig) -> Ve
     fs.snapshot("sched").unwrap()
 }
 
+/// Run `two_phase_write` itself on `footprints` under `cfg` and return
+/// every rank's report.
+fn run_two_phase_reports(footprints: &[IntervalSet], cfg: TwoPhaseConfig) -> Vec<TwoPhaseReport> {
+    let fs = FileSystem::new(PlatformProfile::fast_test());
+    run(footprints.len(), fs.profile().net.clone(), |comm| {
+        let file = fs.open(comm.rank(), comm.clock().clone(), "reports");
+        let mut logical_off = 0;
+        let segs: Vec<atomio::dtype::ViewSegment> = footprints[comm.rank()]
+            .iter()
+            .map(|r| {
+                let seg = atomio::dtype::ViewSegment {
+                    file_off: r.start,
+                    logical_off,
+                    len: r.len(),
+                };
+                logical_off += r.len();
+                seg
+            })
+            .collect();
+        let buf = vec![comm.rank() as u8; logical_off as usize];
+        atomio::collective::two_phase_write(&comm, &file, &segs, &buf, 0, &cfg)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -289,5 +313,38 @@ proptest! {
         );
         let rep = verify::check_mpi_atomicity(&piped, &fps, &pattern::offset_stamps(P));
         prop_assert!(rep.is_atomic(), "pipelined result not atomic: {rep:?}");
+    }
+
+    /// Surrender before shipping: whatever the footprints, aggregators,
+    /// topology, round size and depth, both schedules ship and write every
+    /// byte of the union exactly once, and what the ranks gave up is exactly
+    /// the overlap volume.
+    #[test]
+    fn both_schedules_ship_and_write_the_union_exactly_once(
+        fps in prop::collection::vec(arb_footprint(), 4..=4),
+        aggregators in 1usize..=4,
+        ranks_per_node in 1usize..=4,
+        round_stripes in 0u32..=2,
+        depth in 0u32..=3,
+    ) {
+        let union = IntervalSet::from_ranges(fps.iter().flat_map(|f| f.iter().copied())).total_len();
+        let asked: u64 = fps.iter().map(IntervalSet::total_len).sum();
+        for schedule in [
+            ExchangeSchedule::Flat,
+            ExchangeSchedule::Pipelined { round_stripes, depth },
+        ] {
+            let reports = run_two_phase_reports(&fps, TwoPhaseConfig {
+                aggregators: Some(aggregators),
+                ranks_per_node,
+                schedule,
+            });
+            let sum = |field: fn(&TwoPhaseReport) -> u64| reports.iter().map(field).sum::<u64>();
+            let what = format!(
+                "{schedule:?} A={aggregators} rpn={ranks_per_node} on {fps:?}"
+            );
+            prop_assert!(sum(|r| r.bytes_shipped) == union, "shipped: {what}");
+            prop_assert!(sum(|r| r.bytes_written) == union, "written: {what}");
+            prop_assert!(sum(|r| r.conflict_bytes) == asked - union, "conflicts: {what}");
+        }
     }
 }
