@@ -1,7 +1,6 @@
 //! Routing of a rank's view segments to the owning aggregators.
 
 use atomio_dtype::ViewSegment;
-use atomio_interval::{ByteRange, IntervalSet};
 
 use crate::domain::{domain_of, FileDomain};
 
@@ -52,34 +51,48 @@ pub fn route_segments(
     out
 }
 
-/// Assemble the pieces an aggregator received into one buffer per covered
-/// *run* — never the domain extent: a sparse request over a huge file must
-/// not allocate the whole domain. Every sender surrendered what a higher
-/// rank overwrites before routing, so no two pieces may overlap; the order
-/// they arrive in is therefore irrelevant, and that is checked here.
-pub(crate) fn assemble<'a>(
-    pieces: impl Iterator<Item = &'a Piece> + Clone,
-) -> Vec<(ByteRange, Vec<u8>)> {
-    let coverage = IntervalSet::from_extents(pieces.clone().map(|(o, d)| (*o, d.len() as u64)));
-    let mut staged: Vec<(ByteRange, Vec<u8>)> = coverage
-        .iter()
-        .map(|r| (*r, vec![0u8; r.len() as usize]))
+/// What an aggregator received, ready to leave as it is: references to the
+/// pieces in ascending file order. Nothing is staged or copied — a sparse
+/// request over a huge file costs nothing but its covered bytes.
+#[derive(Debug)]
+pub(crate) struct Gathered<'a> {
+    /// `(absolute file offset, bytes)` per piece, ascending, no two
+    /// overlapping — the batch `PosixFile::pwrite_batch` takes.
+    pub writes: Vec<(u64, &'a [u8])>,
+    /// Maximal file-contiguous runs the pieces form (the "large writes").
+    pub runs: usize,
+    /// Total payload.
+    pub bytes: u64,
+}
+
+/// Gather the pieces an aggregator received: sort the *references* by file
+/// offset and group file-adjacent pieces into runs. Every sender surrendered
+/// what a higher rank overwrites before routing, so no two pieces may
+/// overlap; the order they arrive in is therefore irrelevant, and that is
+/// checked here.
+pub(crate) fn gather<'a>(pieces: impl Iterator<Item = &'a Piece>) -> Gathered<'a> {
+    let mut writes: Vec<(u64, &[u8])> = pieces
+        .filter(|(_, d)| !d.is_empty())
+        .map(|(o, d)| (*o, d.as_slice()))
         .collect();
-    let mut received = 0u64;
-    for (off, data) in pieces {
-        // Each piece is contiguous, so it lies inside exactly one run.
-        let ri = coverage.runs().partition_point(|r| r.end <= *off);
-        let (run, dst) = &mut staged[ri];
-        let rel = (*off - run.start) as usize;
-        dst[rel..rel + data.len()].copy_from_slice(data);
-        received += data.len() as u64;
+    writes.sort_unstable_by_key(|&(off, _)| off);
+    let (mut runs, mut bytes, mut end) = (0usize, 0u64, None);
+    for &(off, data) in &writes {
+        assert!(
+            end.is_none_or(|e| e <= off),
+            "overlapping pieces reached an aggregator: a sender skipped the surrender rule"
+        );
+        if end != Some(off) {
+            runs += 1;
+        }
+        bytes += data.len() as u64;
+        end = Some(off + data.len() as u64);
     }
-    assert_eq!(
-        received,
-        coverage.total_len(),
-        "overlapping pieces reached an aggregator: a sender skipped the surrender rule"
-    );
-    staged
+    Gathered {
+        writes,
+        runs,
+        bytes,
+    }
 }
 
 #[cfg(test)]
@@ -151,6 +164,54 @@ mod tests {
         assert_eq!(out[0].len(), 1);
         assert_eq!(out[0][0].0, 1000);
         assert_eq!(out[0][0].1.len(), 64);
+    }
+
+    #[test]
+    fn pieces_from_several_senders_gather_into_offset_ordered_runs() {
+        // Three senders' buckets, arriving in sender order; the file order
+        // interleaves them. [0,10) + [10,30) + [30,40) is one run, [100,120)
+        // and [200,205) stand alone.
+        let incoming: Vec<Vec<Piece>> = vec![
+            vec![(10, vec![2; 20]), (200, vec![5; 5])],
+            vec![],
+            vec![(0, vec![1; 10]), (100, vec![4; 20])],
+            vec![(30, vec![3; 10])],
+        ];
+        let g = gather(incoming.iter().flatten());
+        let extents: Vec<(u64, usize)> = g.writes.iter().map(|w| (w.0, w.1.len())).collect();
+        assert_eq!(
+            extents,
+            vec![(0, 10), (10, 20), (30, 10), (100, 20), (200, 5)]
+        );
+        assert_eq!((g.runs, g.bytes), (3, 65), "five pieces, three runs");
+        // The pieces are handed on as they are: same bytes, same buffers.
+        assert!(std::ptr::eq(g.writes[0].1, incoming[2][0].1.as_slice()));
+        assert!(g.writes[1].1.iter().all(|&b| b == 2));
+
+        // Any arrival order gathers to the same batch.
+        let mut shuffled: Vec<&Piece> = incoming.iter().flatten().collect();
+        shuffled.reverse();
+        shuffled.swap(0, 2);
+        let again = gather(shuffled.into_iter());
+        assert_eq!(again.writes, g.writes);
+        assert_eq!((again.runs, again.bytes), (g.runs, g.bytes));
+    }
+
+    #[test]
+    fn gathering_nothing_is_an_empty_batch() {
+        let incoming: Vec<Vec<Piece>> = vec![vec![], vec![(7, vec![])]];
+        let g = gather(incoming.iter().flatten());
+        assert!(g.writes.is_empty());
+        assert_eq!((g.runs, g.bytes), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "skipped the surrender rule")]
+    fn an_overlapping_piece_trips_the_surrender_assertion() {
+        // [0,10) and [9,12) share byte 9: some sender kept a byte a higher
+        // rank also shipped.
+        let incoming: Vec<Vec<Piece>> = vec![vec![(0, vec![1; 10])], vec![(9, vec![2; 3])]];
+        gather(incoming.iter().flatten());
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //!    owning them. The highest rank wins every overlap — the serialization
 //!    `atomio-core::verify` accepts — and no losing byte crosses a wire;
 //! 4. **I/O** — each aggregator issues a few large contiguous writes for
-//!    its domain. Domains are disjoint, so the writes need **no locks, no
-//!    ordering phases and no barriers beyond the settle handshake**:
-//!    MPI atomicity comes free.
+//!    its domain, straight from the buffers the pieces arrived in: it sorts
+//!    the piece *references* by offset (`exchange::gather`), copies nothing,
+//!    and the file streams each run to the servers a stripe row at a time.
+//!    Domains are disjoint, so the writes need **no locks, no ordering
+//!    phases and no barriers beyond the settle handshake**: MPI atomicity
+//!    comes free.
 //!
 //! The cost is one extra pass of the footprint union over the network
 //! (charged through the `alltoallv` virtual-time model) against far fewer,

@@ -35,9 +35,9 @@ use atomio_vtime::NodeTopology;
 
 use crate::choose_aggregators;
 use crate::domain::{partition_domains, FileDomain};
-use crate::exchange::{assemble, route_segments, Piece};
+use crate::exchange::{gather, route_segments, Piece};
 use crate::surrender::{higher_union_strided, surrender};
-use crate::two_phase::{extent_of, TwoPhaseConfig, TwoPhaseReport};
+use crate::two_phase::{extent_of, submit_runs, TwoPhaseConfig, TwoPhaseReport};
 
 /// A node-tier piece on its way to the leader: `(destination leader index,
 /// file offset, bytes)`.
@@ -86,16 +86,8 @@ pub(crate) fn staged_write(
     let (pieces, conflict_bytes) = surrender(segments, &footprints, node.rank());
 
     let mut report = TwoPhaseReport {
-        aggregator_count: 0,
-        domain: None,
-        bytes_shipped: 0,
-        bytes_written: 0,
-        write_runs: 0,
         conflict_bytes,
-        wire_intra_bytes: 0,
-        wire_inter_bytes: 0,
-        rounds: 0,
-        write_errors: 0,
+        ..TwoPhaseReport::default()
     };
     let Some(extent) = extent else {
         comm.barrier(); // nobody has data this round; leave clocks aligned
@@ -132,12 +124,11 @@ pub(crate) fn staged_write(
     let rounds = max_len.div_ceil(round_bytes).max(1) as usize;
     report.rounds = rounds;
 
-    // Fault injection forces the synchronous, recovery-capable write path:
-    // no tickets may be left in flight across a crash/replay cycle, and
-    // write failures must surface as report entries, never panics.
+    // Fault injection forces the synchronous, recovery-capable write path
+    // (`submit_runs`): no round leaves a ticket, so there is nothing to
+    // retire and the retirement barriers are skipped.
     let fault_mode = file.faults_active();
     let mut tickets: Vec<Option<u64>> = vec![None; rounds];
-    let mem = &file.profile().cache.mem;
 
     for k in 0..rounds {
         // Retire the round that fell out of the write-behind window before
@@ -178,7 +169,7 @@ pub(crate) fn staged_write(
         }
         let payload: u64 = tagged.iter().map(|p| p.2.len() as u64).sum();
         report.bytes_shipped += payload;
-        let gathered = node.gatherv(0, tagged);
+        let node_pieces = node.gatherv(0, tagged);
         if node.rank() != 0 {
             // Non-leaders paid the intra-node link; the leader's own pieces
             // never left its memory.
@@ -194,14 +185,12 @@ pub(crate) fn staged_write(
 
         let Some(l) = &leaders else { continue };
 
-        // The leader repacks its node's pieces by destination aggregator.
+        // The leader sorts its node's pieces by destination aggregator —
+        // each one a `Vec` move, so nothing is charged.
         let mut out_buckets: Vec<Vec<Piece>> = vec![Vec::new(); l.size()];
-        let mut gathered_bytes = 0u64;
-        for (dest, off, data) in gathered.into_iter().flatten().flatten() {
-            gathered_bytes += data.len() as u64;
+        for (dest, off, data) in node_pieces.into_iter().flatten().flatten() {
             out_buckets[dest as usize].push((off, data));
         }
-        comm.compute(mem.copy_ns(gathered_bytes));
 
         // Tier 2: leaders-only exchange. Payload headed to another node is
         // the inter-node wire traffic this schedule is judged on.
@@ -222,37 +211,17 @@ pub(crate) fn staged_write(
             &[("round", k as u64), ("bytes", inter)],
         );
 
-        // Aggregation: nothing that arrives overlaps, so the round's
-        // buffers are assembled in whatever order the pieces came.
+        // Aggregation: nothing that arrives overlaps, so the round's pieces
+        // are put in file order by reference and leave as they came.
         let t_w = comm.clock().now();
-        let staged = assemble(incoming.iter().flatten());
-        let round_bytes_written: u64 = staged.iter().map(|(run, _)| run.len()).sum();
-        comm.compute(mem.copy_ns(round_bytes_written));
-
-        let writes: Vec<(u64, &[u8])> = staged
-            .iter()
-            .map(|(run, data)| (run.start, data.as_slice()))
-            .collect();
-        report.bytes_written += round_bytes_written;
-        report.write_runs += writes.len();
-        if !writes.is_empty() {
-            if fault_mode {
-                for (off, data) in &writes {
-                    if file.try_pwrite_direct(*off, data).is_err() {
-                        report.write_errors += 1;
-                        break;
-                    }
-                }
-            } else {
-                tickets[k] = Some(file.pwrite_batch(&writes));
-            }
-        }
+        let gathered = gather(incoming.iter().flatten());
+        tickets[k] = submit_runs(file, &gathered, &mut report);
         comm.tracer().span(
             Category::Exchange,
             "round write",
             t_w,
             comm.clock().now(),
-            &[("round", k as u64), ("bytes", round_bytes_written)],
+            &[("round", k as u64), ("bytes", gathered.bytes)],
         );
     }
 
@@ -441,76 +410,88 @@ mod tests {
             .all(|r| r.aggregator_count == 0 && r.bytes_written == 0 && r.rounds == 0));
     }
 
-    /// Torn round: a server crashes under an aggregator's mid-run round
-    /// write. The fault-aware path writes synchronously, the client's
-    /// retry/backoff loop rides out the rejections, and the finished file
-    /// is still byte-identical to a fault-free flat run.
+    /// Both schedules, for the fault tests: the fault-aware write step is
+    /// shared, so each must hold on either.
+    const SCHEDULES: [(&str, ExchangeSchedule); 2] = [
+        ("flat", ExchangeSchedule::Flat),
+        (
+            "pipelined",
+            ExchangeSchedule::Pipelined {
+                round_stripes: 1,
+                depth: 2,
+            },
+        ),
+    ];
+
+    /// Torn round: a server crashes under an aggregator's mid-run write.
+    /// The fault-aware path writes synchronously, the client's retry/backoff
+    /// loop rides out the rejections, and the finished file is still
+    /// byte-identical to a fault-free flat run.
     #[test]
     fn torn_round_crash_recovers_and_matches_flat() {
         use atomio_pfs::{FaultAction, FaultPlan, FaultSite, RestartPolicy};
         let clean = FileSystem::new(PlatformProfile::fast_test());
         write_all(&clean, "ref", ExchangeSchedule::Flat);
 
-        // With 1-stripe rounds and two aggregators, server 0 serves round
-        // writes at rounds 0 and 4; its 3rd request is an aggregator write
-        // in the middle of the round sequence.
-        let plan = FaultPlan::none().with(
-            FaultSite::ServerRequest { server: 0 },
-            3,
-            FaultAction::CrashServer {
-                restart: RestartPolicy::Rejections(2),
-            },
-        );
-        let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
-        let pipe = write_all(
-            &fs,
-            "torn",
-            ExchangeSchedule::Pipelined {
-                round_stripes: 1,
-                depth: 2,
-            },
-        );
-        assert_eq!(
-            clean.snapshot("ref").unwrap(),
-            fs.snapshot("torn").unwrap(),
-            "crash + recovery must not change the file image"
-        );
-        assert!(
-            pipe.iter().all(|r| r.write_errors == 0),
-            "recovered writes must not surface as errors"
-        );
-        let fstats = fs.fault_stats();
-        assert_eq!(fstats.server_crashes, 1, "the planned crash must fire");
-        assert!(
-            fstats.rejections >= 2,
-            "the crash must actually reject work"
-        );
+        for (name, schedule) in SCHEDULES {
+            // Server 0 holds one stripe of every 16 KiB: it serves one
+            // aggregator write per flat domain (four in all), and with
+            // 1-stripe rounds and two aggregators the round writes of rounds
+            // 0 and 4. Either way its 3rd request is an aggregator write in
+            // the middle of the sequence.
+            let plan = FaultPlan::none().with(
+                FaultSite::ServerRequest { server: 0 },
+                3,
+                FaultAction::CrashServer {
+                    restart: RestartPolicy::Rejections(2),
+                },
+            );
+            let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
+            let reports = write_all(&fs, "torn", schedule);
+            assert_eq!(
+                clean.snapshot("ref").unwrap(),
+                fs.snapshot("torn").unwrap(),
+                "{name}: crash + recovery must not change the file image"
+            );
+            assert!(
+                reports.iter().all(|r| r.write_errors == 0),
+                "{name}: recovered writes must not surface as errors"
+            );
+            let fstats = fs.fault_stats();
+            assert_eq!(
+                fstats.server_crashes, 1,
+                "{name}: the planned crash must fire"
+            );
+            assert!(
+                fstats.rejections >= 2,
+                "{name}: the crash must actually reject work"
+            );
+        }
     }
 
     /// A server that never comes back: the write path must surface typed
-    /// errors through the report — no panics, no hangs, and every healthy
-    /// rank still completes the collective.
+    /// errors through the report — no panics, no hangs, no writing through
+    /// the dead server, and every healthy rank still completes the
+    /// collective.
     #[test]
     fn unrecoverable_crash_surfaces_write_errors() {
         use atomio_pfs::{FaultAction, FaultPlan, FaultSite, RestartPolicy};
-        let plan = FaultPlan::none().with(
-            FaultSite::ServerRequest { server: 1 },
-            2,
-            FaultAction::CrashServer {
-                restart: RestartPolicy::Manual,
-            },
-        );
-        let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
-        let pipe = write_all(
-            &fs,
-            "dead",
-            ExchangeSchedule::Pipelined {
-                round_stripes: 1,
-                depth: 2,
-            },
-        );
-        let errors: usize = pipe.iter().map(|r| r.write_errors).sum();
-        assert!(errors >= 1, "a dead server must be reported, got {pipe:?}");
+        for (name, schedule) in SCHEDULES {
+            let plan = FaultPlan::none().with(
+                FaultSite::ServerRequest { server: 1 },
+                2,
+                FaultAction::CrashServer {
+                    restart: RestartPolicy::Manual,
+                },
+            );
+            let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
+            let reports = write_all(&fs, "dead", schedule);
+            let errors: usize = reports.iter().map(|r| r.write_errors).sum();
+            assert!(
+                errors >= 1,
+                "{name}: a dead server must be reported, got {reports:?}"
+            );
+        }
     }
 
     #[test]

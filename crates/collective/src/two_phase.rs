@@ -9,7 +9,7 @@ use atomio_vtime::NodeTopology;
 
 use crate::choose_aggregators;
 use crate::domain::{domain_of, partition_domains, FileDomain};
-use crate::exchange::{assemble, route_segments, Piece};
+use crate::exchange::{gather, route_segments, Gathered, Piece};
 use crate::surrender::surrender;
 
 /// How the redistribution phase is scheduled across the node topology.
@@ -66,7 +66,7 @@ impl Default for TwoPhaseConfig {
 }
 
 /// Per-rank accounting of one two-phase collective write.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TwoPhaseReport {
     /// Aggregators that received a (non-empty) file domain this round.
     pub aggregator_count: usize,
@@ -80,7 +80,9 @@ pub struct TwoPhaseReport {
     /// compute ranks). Summed over ranks this equals the union coverage —
     /// each overlapped byte is written exactly once.
     pub bytes_written: u64,
-    /// Contiguous write runs this rank issued (the "large writes").
+    /// Contiguous write runs this rank issued (the "large writes"): maximal
+    /// file-contiguous extents, however many received pieces make one up —
+    /// runs, not pieces. Each leaves as one wire request per stripe row.
     pub write_runs: usize,
     /// Bytes of this rank's request that a higher rank also writes and
     /// that it therefore surrendered before shipping anything. Summed over
@@ -95,8 +97,9 @@ pub struct TwoPhaseReport {
     pub wire_inter_bytes: u64,
     /// Exchange rounds executed (1 on the flat schedule).
     pub rounds: usize,
-    /// Server-write errors this rank absorbed under fault injection (the
-    /// fault-aware slow path reports rather than panics; 0 when healthy).
+    /// Server-write errors this rank absorbed under fault injection, on
+    /// either schedule (the fault-aware slow path reports rather than
+    /// panics; 0 when healthy).
     pub write_errors: usize,
 }
 
@@ -139,6 +142,34 @@ fn plan_domains(
     let aggregators = choose_aggregators(comm.size(), want, cfg.ranks_per_node);
     let domains = partition_domains(extent, &aggregators, file.stripe_unit());
     (all, domains)
+}
+
+/// The write step both schedules share: hand an aggregator's gathered
+/// pieces to the file as they are and account them in `report`.
+///
+/// On a healthy file system they leave as one deferred batch
+/// ([`PosixFile::pwrite_batch`]) whose ticket comes back for the caller to
+/// retire behind its barrier. Under a fault plan nothing may stay in flight
+/// across a crash/replay cycle and a dead server must surface as a report
+/// entry, never a panic or a write through it: the pieces go through the
+/// synchronous, retrying request path instead and there is no ticket.
+pub(crate) fn submit_runs(
+    file: &PosixFile,
+    gathered: &Gathered<'_>,
+    report: &mut TwoPhaseReport,
+) -> Option<u64> {
+    report.bytes_written += gathered.bytes;
+    report.write_runs += gathered.runs;
+    if gathered.writes.is_empty() {
+        return None;
+    }
+    if file.faults_active() {
+        if file.try_pwritev_direct(&gathered.writes).is_err() {
+            report.write_errors += 1;
+        }
+        return None;
+    }
+    Some(file.pwrite_batch(&gathered.writes))
 }
 
 /// One collective, MPI-atomic write through two-phase redistribution.
@@ -221,12 +252,10 @@ pub fn two_phase_write(
     stats.add(&stats.wire_inter_bytes, wire_inter);
     let incoming = comm.alltoallv(outgoing);
 
-    // Phase 2: aggregation. Nothing that arrives overlaps, so the exchange
-    // buffers are assembled in whatever order the pieces came.
-    let staged = assemble(incoming.iter().flatten());
-    let bytes_written: u64 = staged.iter().map(|(run, _)| run.len()).sum();
-    // Assembling the exchange buffers is local memory traffic.
-    comm.compute(file.profile().cache.mem.copy_ns(bytes_written));
+    // Phase 2: aggregation. Nothing that arrives overlaps, so there is
+    // nothing to resolve and nothing to stage: the received pieces are put
+    // in file order by reference and leave from the buffers they came in.
+    let gathered = gather(incoming.iter().flatten());
     comm.tracer().span(
         Category::Exchange,
         "exchange",
@@ -235,40 +264,38 @@ pub fn two_phase_write(
         &[("bytes", bytes_shipped)],
     );
 
-    // Phase 3: large contiguous writes, one per covered run. Every rank —
-    // aggregator or not — walks the same submit/settle handshake so the
-    // deferred server timing stays deterministic.
-    let writes: Vec<(u64, &[u8])> = staged
-        .iter()
-        .map(|(run, data)| (run.start, data.as_slice()))
-        .collect();
-    let t2 = comm.clock().now();
-    let ticket = file.pwrite_batch(&writes);
-    comm.barrier();
-    file.complete_writes(ticket);
-    comm.barrier();
-    comm.tracer().span(
-        Category::Exchange,
-        "write phase",
-        t2,
-        comm.clock().now(),
-        &[("bytes", bytes_written)],
-    );
-    TwoPhaseReport {
+    // Phase 3: large contiguous writes, one per covered run, streamed to the
+    // servers a stripe row at a time. Every rank — aggregator or not — walks
+    // the same submit/settle handshake so the deferred server timing stays
+    // deterministic.
+    let mut report = TwoPhaseReport {
         aggregator_count: domains.len(),
         domain: domains
             .iter()
             .find(|d| d.rank == comm.rank())
             .map(|d| d.range),
         bytes_shipped,
-        bytes_written,
-        write_runs: writes.len(),
         conflict_bytes,
         wire_intra_bytes: wire_intra,
         wire_inter_bytes: wire_inter,
         rounds: 1,
-        write_errors: 0,
+        ..TwoPhaseReport::default()
+    };
+    let t2 = comm.clock().now();
+    let ticket = submit_runs(file, &gathered, &mut report);
+    comm.barrier();
+    if let Some(ticket) = ticket {
+        file.complete_writes(ticket);
     }
+    comm.barrier();
+    comm.tracer().span(
+        Category::Exchange,
+        "write phase",
+        t2,
+        comm.clock().now(),
+        &[("bytes", report.bytes_written)],
+    );
+    report
 }
 
 /// One collective read through the aggregators: each aggregator fetches its

@@ -23,10 +23,12 @@ impl Comm {
     /// empty buckets contribute no wire bytes. Leaders-only exchanges with
     /// mostly-empty count vectors therefore stop paying the full-P
     /// rendezvous price. With every rank active the charge is unchanged.
-    pub fn alltoallv<T: Clone + Send + WireSize + 'static>(
-        &self,
-        items: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
+    ///
+    /// Buckets are handed over **by move**: the bucket rank `i` addressed to
+    /// rank `j` has exactly one reader, so `j` takes it out of `i`'s
+    /// deposited contribution under the round mutex — no element is cloned,
+    /// and `T` need not be `Clone`.
+    pub fn alltoallv<T: Send + WireSize + 'static>(&self, items: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(
             items.len(),
             self.size(),
@@ -55,13 +57,14 @@ impl Comm {
             },
             move |slots| {
                 slots
-                    .iter()
+                    .iter_mut()
                     .map(|s| {
-                        s.as_ref()
+                        let buckets = s
+                            .as_mut()
                             .expect("collective slot filled")
-                            .downcast_ref::<Vec<Vec<T>>>()
-                            .expect("collective type mismatch across ranks")[me]
-                            .clone()
+                            .downcast_mut::<Vec<Vec<T>>>()
+                            .expect("collective type mismatch across ranks");
+                        std::mem::take(&mut buckets[me])
                     })
                     .collect()
             },
@@ -70,8 +73,9 @@ impl Comm {
 
     /// Gather variable-length contributions at `root` (like `MPI_Gatherv`):
     /// the root receives every rank's `Vec<T>` in rank order; other ranks
-    /// get `None`. Zero-length contributions are fine.
-    pub fn gatherv<T: Clone + Send + WireSize + 'static>(
+    /// get `None`. Zero-length contributions are fine. The root is the only
+    /// reader, so it takes every contribution by move.
+    pub fn gatherv<T: Send + WireSize + 'static>(
         &self,
         root: usize,
         value: Vec<T>,
@@ -89,13 +93,12 @@ impl Comm {
             move |slots| {
                 (me == root).then(|| {
                     slots
-                        .iter()
+                        .iter_mut()
                         .map(|s| {
-                            s.as_ref()
+                            *s.take()
                                 .expect("collective slot filled")
-                                .downcast_ref::<Vec<T>>()
+                                .downcast::<Vec<T>>()
                                 .expect("collective type mismatch across ranks")
-                                .clone()
                         })
                         .collect()
                 })
@@ -158,7 +161,9 @@ impl CollState {
     /// * `cost` — computes the round's finish time from (max arrival clock,
     ///   total bytes, count of ranks with non-zero bytes); evaluated once,
     ///   by the last arrival;
-    /// * `read` — extracts this rank's result from the deposited slots.
+    /// * `read` — extracts this rank's result from the deposited slots,
+    ///   under the round mutex; it may move out whatever no other rank
+    ///   reads (the slots are cleared when the last rank leaves).
     ///
     /// Returns `(result, finish_time)`; the caller must advance its clock to
     /// the finish time.
@@ -171,7 +176,7 @@ impl CollState {
         bytes: usize,
         contribution: T,
         cost: impl FnOnce(VNanos, usize, usize) -> VNanos,
-        read: impl FnOnce(&[Option<Box<dyn Any + Send>>]) -> R,
+        read: impl FnOnce(&mut [Option<Box<dyn Any + Send>>]) -> R,
     ) -> (R, VNanos)
     where
         T: Send + 'static,
@@ -207,7 +212,7 @@ impl CollState {
             }
         }
 
-        let result = read(&g.slots);
+        let result = read(&mut g.slots);
         let finish = g.finish;
 
         g.leavers += 1;
@@ -348,6 +353,44 @@ mod tests {
             out[2].as_ref().unwrap(),
             &vec![vec![], vec![1], vec![2, 2], vec![3, 3, 3]]
         );
+    }
+
+    /// A payload that owns its bytes and cannot be cloned: the vector
+    /// collectives must hand it over by move.
+    #[derive(Debug, PartialEq)]
+    struct Owned(Vec<u8>);
+
+    impl atomio_vtime::WireSize for Owned {
+        fn wire_size(&self) -> usize {
+            self.0.wire_size()
+        }
+    }
+
+    #[test]
+    fn alltoallv_moves_a_payload_that_is_not_clone() {
+        // Rank r sends rank j one `Owned` of r+1 bytes stamped r*10 + j.
+        let out = run(3, NetCost::fast_test(), |c| {
+            let items: Vec<Vec<Owned>> = (0..3)
+                .map(|j| vec![Owned(vec![(c.rank() * 10 + j) as u8; c.rank() + 1])])
+                .collect();
+            c.alltoallv(items)
+        });
+        for (j, got) in out.iter().enumerate() {
+            let want: Vec<Vec<Owned>> = (0..3)
+                .map(|src| vec![Owned(vec![(src * 10 + j) as u8; src + 1])])
+                .collect();
+            assert_eq!(got, &want, "rank {j}");
+        }
+    }
+
+    #[test]
+    fn gatherv_moves_a_payload_that_is_not_clone() {
+        let out = run(3, NetCost::fast_test(), |c| {
+            c.gatherv(1, vec![Owned(vec![c.rank() as u8; 4])])
+        });
+        assert!(out[0].is_none() && out[2].is_none());
+        let want: Vec<Vec<Owned>> = (0..3).map(|r| vec![Owned(vec![r as u8; 4])]).collect();
+        assert_eq!(out[1].as_ref().unwrap(), &want);
     }
 
     #[test]

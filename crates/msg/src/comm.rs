@@ -359,7 +359,7 @@ impl Comm {
         contribution: T,
         bytes: usize,
         cost: impl FnOnce(u64, usize, usize) -> u64,
-        read: impl FnOnce(&[Option<Box<dyn Any + Send>>]) -> R,
+        read: impl FnOnce(&mut [Option<Box<dyn Any + Send>>]) -> R,
     ) -> R
     where
         T: Send + 'static,

@@ -915,12 +915,22 @@ impl PosixFile {
         Ok(())
     }
 
-    /// Open-loop (pipelined) batched write: every segment's data is applied
-    /// to storage now, while its *timing* is deposited with the servers as
-    /// a virtually-stamped request. The client paces injections through its
-    /// NIC (`client_op_ns` + payload per request) without waiting for
-    /// per-request acks — the asynchronous-I/O counterpart of
+    /// Open-loop (pipelined) batched write — a `writev`: every entry's data
+    /// is applied to storage now, straight from the caller's slices, while
+    /// its *timing* is deposited with the servers as virtually-stamped
+    /// requests. The client paces injections through its NIC without
+    /// waiting for per-request acks — the asynchronous-I/O counterpart of
     /// [`PosixFile::pwrite_direct`].
+    ///
+    /// For timing, entries that follow each other in the file (each starts
+    /// where the one before it ended) are **one extent**, however many
+    /// slices hold its bytes, and every extent leaves as one wire request
+    /// per *stripe row* it touches: it is cut at the absolute multiples of
+    /// `stripe_unit × server_count`. Each request pays `client_op_ns +
+    /// payload_ns(len)` on the NIC and reaches the servers one link latency
+    /// after *its own* injection ends, so the servers work on the first rows
+    /// of a large extent while the rest is still being injected. An extent
+    /// inside one stripe row is a single request.
     ///
     /// Redeem the returned ticket with [`PosixFile::complete_writes`] after
     /// every concurrent writer has submitted (the MPI layer's barrier
@@ -942,23 +952,38 @@ impl PosixFile {
 
     fn pwrite_batch_inner(&self, writes: &[(u64, &[u8])], racing: bool) -> u64 {
         let link = &self.fs.profile.client_link;
+        let servers = &self.fs.servers;
+        let row = servers.stripe_unit() * servers.server_count() as u64;
         let t0 = self.clock.now();
-        let mut reqs = Vec::with_capacity(writes.len());
-        let mut total = 0u64;
-        let mut server_reqs = 0u64;
-        for (off, data) in writes {
+        // Apply every entry; for timing, coalesce file-adjacent entries.
+        let mut extents: Vec<ByteRange> = Vec::with_capacity(writes.len());
+        for &(off, data) in writes.iter().filter(|(_, d)| !d.is_empty()) {
             let len = data.len() as u64;
-            total += len;
-            server_reqs += self.fs.servers.requests_for(ByteRange::at(*off, len));
-            let occupancy = self.fs.profile.client_op_ns + link.payload_ns(len);
-            let (_, inj_end) = self.nic.serve(t0, occupancy);
-            reqs.push((inj_end + link.latency_ns, ByteRange::at(*off, len)));
-            self.apply_write(*off, data);
+            match extents.last_mut() {
+                Some(e) if e.end == off => e.end += len,
+                _ => extents.push(ByteRange::at(off, len)),
+            }
+            self.apply_write(off, data);
             if racing {
                 std::thread::yield_now();
             }
         }
-        self.stats.add(&self.stats.writes, writes.len() as u64);
+        // One wire request per stripe row an extent touches.
+        let mut reqs = Vec::with_capacity(extents.len());
+        let (mut total, mut server_reqs) = (0u64, 0u64);
+        for e in &extents {
+            total += e.len();
+            let mut cur = e.start;
+            while cur < e.end {
+                let range = ByteRange::new(cur, e.end.min((cur / row + 1) * row));
+                let occupancy = self.fs.profile.client_op_ns + link.payload_ns(range.len());
+                let (_, inj_end) = self.nic.serve(t0, occupancy);
+                reqs.push((inj_end + link.latency_ns, range));
+                server_reqs += servers.requests_for(range);
+                cur = range.end;
+            }
+        }
+        self.stats.add(&self.stats.writes, extents.len() as u64);
         self.stats.add(&self.stats.bytes_written, total);
         self.stats
             .add(&self.stats.server_write_requests, server_reqs);
@@ -1763,6 +1788,7 @@ impl Drop for LockGuard<'_> {
 mod tests {
     use super::*;
     use crate::profile::LockKind;
+    use crate::stats::StatsSnapshot;
 
     fn test_fs() -> FileSystem {
         FileSystem::new(PlatformProfile::fast_test())
@@ -1781,6 +1807,88 @@ mod tests {
         assert_eq!(s.writes, 1);
         assert_eq!(s.bytes_written, 2048);
         assert_eq!(s.bytes_read, 2048);
+    }
+
+    // Batch timing on `fast_test`: NIC 1 byte/ns + 500 ns per request, link
+    // latency 1 us, servers 1 us per request + 1 byte/ns, four servers with
+    // 4 KiB stripes — a stripe row is 16 KiB.
+    const ROW: usize = 4 * 4096;
+
+    /// Submit `writes` as one batch on a fresh file system, retire it, and
+    /// return the completion time and the client's counters.
+    fn batch_completion(writes: &[(u64, &[u8])]) -> (VNanos, StatsSnapshot) {
+        let fs = test_fs();
+        let f = fs.open(0, Clock::new(), "batch");
+        let ticket = f.pwrite_batch(writes);
+        f.complete_writes(ticket);
+        let image = fs.snapshot("batch").unwrap();
+        for (off, data) in writes {
+            assert_eq!(&image[*off as usize..][..data.len()], *data);
+        }
+        (f.clock().now(), f.stats().snapshot())
+    }
+
+    #[test]
+    fn batch_extent_streams_to_the_servers_by_stripe_row() {
+        // One extent of eight stripe rows leaves as eight requests. Request
+        // i is injected by (i+1)·(500 + 16384) and lands 1 us later, where
+        // every server takes 1000 + 4096 ns for its stripe — less than one
+        // injection, so no request queues behind the one before it.
+        let data = vec![3u8; 8 * ROW];
+        let (done, stats) = batch_completion(&[(0, &data)]);
+        let nic = 8 * (500 + ROW as u64);
+        let row_service = 1_000 + 4_096;
+        assert_eq!(done, nic + 1_000 + row_service + 1_000);
+        assert_eq!((stats.writes, stats.server_write_requests), (1, 8 * 4));
+        // Stored whole in the NIC first, the servers would start only after
+        // the last byte: NIC time + the whole extent's service.
+        assert!(done < nic + 1_000 + 8 * 4_096);
+    }
+
+    #[test]
+    fn adjacent_batch_entries_time_as_one_extent() {
+        // An extent crossing a stripe-row boundary, in one slice and in
+        // three: same requests, same completion.
+        let data: Vec<u8> = (0..6000u32).map(|i| i as u8).collect();
+        let off = ROW as u64 - 2_500;
+        let whole = batch_completion(&[(off, &data)]);
+        let pieces = batch_completion(&[
+            (off, &data[..1000]),
+            (off + 1000, &data[1000..4000]),
+            (off + 4000, &data[4000..]),
+        ]);
+        assert_eq!(whole.0, pieces.0);
+        assert_eq!(pieces.1.writes, 1, "three slices, one extent");
+        assert_eq!(
+            whole.1.server_write_requests,
+            pieces.1.server_write_requests
+        );
+        // Two requests: [off, ROW) on server 3 and [ROW, off + 6000) on
+        // server 0. The second is injected by 2·500 + 6000, lands 1 us
+        // later and is served in 1000 + 3500.
+        assert_eq!(whole.1.server_write_requests, 2);
+        assert_eq!(whole.0, 7_000 + 1_000 + 4_500 + 1_000);
+
+        // Entries with a gap between them stay separate extents.
+        let apart = batch_completion(&[(0, &data[..1000]), (1001, &data[1000..2000])]);
+        assert_eq!(apart.1.writes, 2);
+    }
+
+    #[test]
+    fn batch_extent_inside_one_row_is_a_single_request() {
+        // What a batch entry has always cost: `client_op_ns + payload_ns`
+        // on the NIC, one latency to the servers, the slowest per-server
+        // piece, one latency back. [4196, 10196) puts 3996 bytes on server 1
+        // and 2004 on server 2.
+        let data = vec![9u8; 6000];
+        let (done, stats) = batch_completion(&[(4196, &data)]);
+        assert_eq!(done, (500 + 6_000) + 1_000 + (1_000 + 3_996) + 1_000);
+        assert_eq!((stats.writes, stats.server_write_requests), (1, 2));
+
+        // Separate extents queue on the NIC one after the other.
+        let (done, stats) = batch_completion(&[(0, &data[..100]), (8192, &data[..200])]);
+        assert_eq!(done, (600 + 700) + 1_000 + (1_000 + 200) + 1_000);
+        assert_eq!((stats.writes, stats.server_write_requests), (2, 2));
     }
 
     #[test]

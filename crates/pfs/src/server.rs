@@ -68,7 +68,13 @@ enum Health {
 ///   once all are in (the caller's barrier guarantees it), `settle` sorts
 ///   them by `(arrival, client, seq)` and replays them through the
 ///   horizons, making the outcome independent of real thread scheduling —
-///   this is what keeps the Figure 8 reproduction deterministic.
+///   this is what keeps the Figure 8 reproduction deterministic. A
+///   deferred request is whatever range the submitter stamps: batch writers
+///   ([`PosixFile::pwrite_batch`](crate::PosixFile::pwrite_batch)) cut
+///   their extents at stripe-row boundaries (`stripe_unit × n`), so each
+///   request touches every server at most once, pays each its `per_op`,
+///   and a long extent reaches the servers row by row as it is injected
+///   instead of all at once when its last byte has left the client.
 #[derive(Debug)]
 pub struct ServerSet {
     horizons: Vec<Horizon>,
