@@ -77,8 +77,8 @@ fn bench_write_paths_vtime(c: &mut Criterion) {
                 let f = fs.open(0, Clock::new(), "x");
                 let segs: Vec<(u64, &[u8])> =
                     data.iter().map(|(o, d)| (*o, d.as_slice())).collect();
-                let ticket = f.pwrite_batch(&segs);
-                f.complete_writes(ticket);
+                let ticket = f.pwrite_batch(&segs, 0);
+                f.complete_writes(ticket, 0);
                 total += Duration::from_nanos(f.clock().now() + (i & 7));
             }
             total

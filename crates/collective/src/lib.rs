@@ -25,22 +25,24 @@
 //!    the piece *references* by offset (`exchange::gather`), copies nothing,
 //!    and the file streams each run to the servers a stripe row at a time.
 //!    Domains are disjoint, so the writes need **no locks, no ordering
-//!    phases and no barriers beyond the settle handshake**: MPI atomicity
+//!    phases and no barriers beyond the closing drain**: MPI atomicity
 //!    comes free.
 //!
 //! The cost is one extra pass of the footprint union over the network
 //! (charged through the `alltoallv` virtual-time model) against far fewer,
 //! far larger server requests — the classic collective-buffering trade.
 //!
-//! The redistribution itself comes in two schedules
-//! ([`ExchangeSchedule`]): the classic **flat** single-tier `alltoallv`,
-//! and a **pipelined multi-tier** schedule (the `staged` module) where
-//! each node's ranks first coalesce their pieces at a node leader over the
-//! cheap intra-node link, only leaders run the inter-node exchange, and
-//! the whole redistribution proceeds in stripe-aligned rounds whose writes
-//! are retired `depth` rounds behind, overlapping communication with file
-//! I/O. Both schedules surrender first, ship each byte of the union once
-//! and produce byte-identical files.
+//! The redistribution comes in two schedules ([`ExchangeSchedule`]) of
+//! **one round loop** (the `staged` module): the **pipelined multi-tier**
+//! schedule, where each node's ranks first coalesce their pieces at a node
+//! leader over the cheap intra-node link, only leaders run the inter-node
+//! exchange, and the redistribution proceeds in stripe-aligned rounds whose
+//! writes are retired `depth` rounds behind — on the return of a later
+//! round's exchange, never on a barrier — overlapping communication with
+//! file I/O; and the classic **flat** single-tier `alltoallv`, which is the
+//! same loop with every rank its own leader and each domain one round.
+//! Both surrender first, ship each byte of the union once and produce
+//! byte-identical files.
 
 mod domain;
 mod exchange;

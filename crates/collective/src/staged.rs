@@ -1,7 +1,8 @@
-//! The multi-tier, pipelined redistribution schedule
-//! ([`ExchangeSchedule::Pipelined`](crate::ExchangeSchedule)).
+//! The write-side round loop: route, exchange, retire, submit, drain — one
+//! loop under both [`ExchangeSchedule`]s.
 //!
-//! Three ideas compose here, each one paper-faithful on its own:
+//! [`ExchangeSchedule::Pipelined`] composes three ideas, each one
+//! paper-faithful on its own:
 //!
 //! 1. **Intra-node aggregation.** Ranks sharing a node funnel their pieces
 //!    to the node leader over the intra-node link class (shared memory /
@@ -11,20 +12,32 @@
 //! 2. **Leaders-only exchange.** Only the node leaders join the inter-node
 //!    `alltoallv`, so its latency tree is `log₂(nodes)` rather than
 //!    `log₂(P)`.
-//! 3. **Round pipelining.** The redistribution is cut into stripe-aligned
-//!    rounds; aggregators submit each round's writes to the deferred
-//!    server pipe and only *retire* them `depth` rounds later, so round
-//!    `k`'s exchange runs while round `k-depth`'s file writes are still in
-//!    flight.
+//! 3. **Barrier-free write-behind.** The redistribution is cut into
+//!    stripe-aligned rounds; aggregators submit round `k`'s writes to the
+//!    deferred server pipe under epoch `k` and only *retire* them `depth`
+//!    rounds later, so round `k`'s exchange runs while the file writes of
+//!    rounds `k-depth..k` are still in flight. Nothing fences a
+//!    retirement: when round `k`'s exchange returns, every leader has
+//!    entered it and therefore deposited all of its rounds `< k`, so
+//!    settling through epoch `k-1` replays a set that is a function of the
+//!    program, whatever faster leaders have already submitted for round
+//!    `k` (see [`ServerSet`](atomio_pfs::ServerSet) for the epoch
+//!    contract).
+//!
+//! [`ExchangeSchedule::Flat`] is the degenerate schedule of the same loop:
+//! every rank is its own leader on the world communicator (no split, no
+//! node tier, a world `allgather` negotiation) and the whole domain is one
+//! round, so the loop body runs once and the drain is the classic
+//! submit / barrier / settle / barrier handshake.
 //!
 //! Overlap is gone before the first piece moves: every rank surrenders the
 //! bytes a higher rank also writes (the paper's rank-ordering rule, the
-//! same [`surrender`] the flat schedule and `Strategy::RankOrdering` use),
-//! so no tier deduplicates, tags or orders anything, every byte of the
-//! union rides each link class at most once, and the file is byte-identical
-//! to the flat schedule on any overlapping footprint. The negotiation that
-//! makes this possible stays hierarchical: footprints are allgathered
-//! inside the node, and only per-node *unions* cross the network.
+//! same [`surrender`] `Strategy::RankOrdering` uses), so no tier
+//! deduplicates, tags or orders anything, every byte of the union rides
+//! each link class at most once, and the file is byte-identical on either
+//! schedule for any overlapping footprint. The pipelined negotiation stays
+//! hierarchical: footprints are allgathered inside the node, and only
+//! per-node *unions* cross the network.
 
 use atomio_dtype::ViewSegment;
 use atomio_interval::{ByteRange, StridedSet};
@@ -33,11 +46,10 @@ use atomio_pfs::PosixFile;
 use atomio_trace::Category;
 use atomio_vtime::NodeTopology;
 
-use crate::choose_aggregators;
-use crate::domain::{partition_domains, FileDomain};
-use crate::exchange::{gather, route_segments, Piece};
+use crate::domain::FileDomain;
+use crate::exchange::{gather, route_segments, Gathered, Piece};
 use crate::surrender::{higher_union_strided, surrender};
-use crate::two_phase::{extent_of, submit_runs, TwoPhaseConfig, TwoPhaseReport};
+use crate::two_phase::{cut_domains, extent_of, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReport};
 
 /// A node-tier piece on its way to the leader: `(destination leader index,
 /// file offset, bytes)`.
@@ -46,44 +58,92 @@ type TaggedPiece = (u64, u64, Vec<u8>);
 /// Default round size when `round_stripes` is 0.
 const DEFAULT_ROUND_STRIPES: u64 = 4;
 
-#[allow(clippy::too_many_arguments)] // mirrors two_phase_write plus the schedule knobs
-pub(crate) fn staged_write(
+/// The write step: hand an aggregator's gathered pieces to the file as they
+/// are and account them in `report`.
+///
+/// On a healthy file system they leave as one deferred batch under `epoch`
+/// ([`PosixFile::pwrite_batch`]) whose ticket comes back for the round loop
+/// to retire. Under a fault plan nothing may stay in flight across a
+/// crash/replay cycle and a dead server must surface as a report entry,
+/// never a panic or a write through it: the pieces go through the
+/// synchronous, retrying request path instead and there is no ticket.
+fn submit_runs(
+    file: &PosixFile,
+    gathered: &Gathered<'_>,
+    epoch: u64,
+    report: &mut TwoPhaseReport,
+) -> Option<u64> {
+    report.bytes_written += gathered.bytes;
+    report.write_runs += gathered.runs;
+    if gathered.writes.is_empty() {
+        return None;
+    }
+    if file.faults_active() {
+        if file.try_pwritev_direct(&gathered.writes).is_err() {
+            report.write_errors += 1;
+        }
+        return None;
+    }
+    Some(file.pwrite_batch(&gathered.writes, epoch))
+}
+
+/// The body of [`two_phase_write`](crate::two_phase_write), on either
+/// schedule.
+pub(crate) fn write_rounds(
     comm: &Comm,
     file: &PosixFile,
     segments: &[ViewSegment],
     buf: &[u8],
     base: u64,
     cfg: &TwoPhaseConfig,
-    round_stripes: u32,
-    depth: u32,
 ) -> TwoPhaseReport {
     let rpn = cfg.ranks_per_node.max(1);
     let topo = NodeTopology::new(comm.size(), rpn);
-    let node = comm.split_node(&topo);
-    let leaders = comm.split_leaders(&topo);
+    // The exchange communicator and, on the pipelined schedule, the node
+    // lane that feeds it. `stride` maps an aggregator's world rank to its
+    // index on the exchange communicator.
+    let tiers = match cfg.schedule {
+        ExchangeSchedule::Flat => None,
+        ExchangeSchedule::Pipelined { .. } => {
+            Some((comm.split_node(&topo), comm.split_leaders(&topo)))
+        }
+    };
+    let (node, leaders, stride) = match &tiers {
+        None => (None, Some(comm), 1),
+        Some((node, leaders)) => (Some(node), leaders.as_ref(), rpn),
+    };
 
-    // Phase 0: hierarchical negotiation. Footprints are allgathered over
-    // the cheap links inside the node; the leaders allgather one *union*
-    // per node across the network and hand their node the global span plus
-    // the union of every higher node — no per-rank footprint ever crosses a
-    // node boundary. Block placement puts every higher rank on this node or
-    // a higher one, so that is all the surrender rule needs.
+    // Phase 0: negotiation, then surrender before shipping — what a higher
+    // rank overwrites never enters any tier. Flat allgathers every
+    // footprint over the world. Pipelined stays hierarchical: footprints
+    // are allgathered over the cheap links inside the node; the leaders
+    // allgather one *union* per node across the network and hand their node
+    // the global span plus the union of every higher node — no per-rank
+    // footprint ever crosses a node boundary. Block placement puts every
+    // higher rank on this node or a higher one, so that is all the
+    // surrender rule needs.
     let t0 = comm.clock().now();
     let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
-    let mut footprints = node.allgather(footprint);
-    let from_leaders = leaders.as_ref().map(|l| {
-        let node_union = footprints[0].union(&higher_union_strided(&footprints, 0));
-        let node_unions = l.allgather(node_union);
-        (
-            extent_of(&node_unions),
-            higher_union_strided(&node_unions, l.rank()),
-        )
-    });
-    let (extent, higher_nodes) = node.bcast(0, from_leaders);
-    footprints.push(higher_nodes);
-    // Surrender before shipping: what a higher rank overwrites never enters
-    // any tier.
-    let (pieces, conflict_bytes) = surrender(segments, &footprints, node.rank());
+    let (extent, (pieces, conflict_bytes)) = match node {
+        None => {
+            let all = comm.allgather(footprint);
+            (extent_of(&all), surrender(segments, &all, comm.rank()))
+        }
+        Some(node) => {
+            let mut footprints = node.allgather(footprint);
+            let from_leaders = leaders.map(|l| {
+                let node_union = footprints[0].union(&higher_union_strided(&footprints, 0));
+                let node_unions = l.allgather(node_union);
+                (
+                    extent_of(&node_unions),
+                    higher_union_strided(&node_unions, l.rank()),
+                )
+            });
+            let (extent, higher_nodes) = node.bcast(0, from_leaders);
+            footprints.push(higher_nodes);
+            (extent, surrender(segments, &footprints, node.rank()))
+        }
+    };
 
     let mut report = TwoPhaseReport {
         conflict_bytes,
@@ -94,14 +154,15 @@ pub(crate) fn staged_write(
         return report;
     };
 
-    // Aggregators are clamped to the node count so every aggregator is a
-    // node leader and the write phase never re-crosses the network.
-    let want = cfg
-        .aggregators
-        .unwrap_or_else(|| file.server_count().max(1))
-        .clamp(1, topo.nodes());
-    let agg_ranks = choose_aggregators(comm.size(), want, rpn);
-    let domains = partition_domains(extent, &agg_ranks, file.stripe_unit());
+    // On the pipelined schedule aggregators are clamped to the node count
+    // so every aggregator is a node leader and the write phase never
+    // re-crosses the network.
+    let cap = if node.is_some() {
+        topo.nodes()
+    } else {
+        comm.size()
+    };
+    let domains = cut_domains(comm.size(), file, cfg, extent, cap);
     comm.tracer().span(
         Category::Exchange,
         "negotiate domains",
@@ -109,43 +170,38 @@ pub(crate) fn staged_write(
         comm.clock().now(),
         &[("aggregators", domains.len() as u64)],
     );
-
     report.aggregator_count = domains.len();
     report.domain = domains
         .iter()
         .find(|d| d.rank == comm.rank())
         .map(|d| d.range);
 
-    let round_bytes = match round_stripes {
-        0 => DEFAULT_ROUND_STRIPES,
-        n => n as u64,
-    } * file.stripe_unit();
+    // Rounds: flat ships every domain whole; pipelined cuts them into
+    // `round_stripes` stripe units per round and keeps `depth` rounds of
+    // server writes in flight after a submit.
     let max_len = domains.iter().map(|d| d.range.len()).max().unwrap_or(0);
+    let (round_bytes, depth) = match cfg.schedule {
+        ExchangeSchedule::Flat => (max_len.max(1), 0),
+        ExchangeSchedule::Pipelined {
+            round_stripes,
+            depth,
+        } => {
+            let stripes = match round_stripes {
+                0 => DEFAULT_ROUND_STRIPES,
+                n => n as u64,
+            };
+            (stripes * file.stripe_unit(), depth as usize)
+        }
+    };
     let rounds = max_len.div_ceil(round_bytes).max(1) as usize;
     report.rounds = rounds;
 
-    // Fault injection forces the synchronous, recovery-capable write path
-    // (`submit_runs`): no round leaves a ticket, so there is nothing to
-    // retire and the retirement barriers are skipped.
-    let fault_mode = file.faults_active();
+    // One ticket per round, open until the round is retired. Under a fault
+    // plan the write step is synchronous and leaves none, so nothing is
+    // ever pending and nothing is retired.
     let mut tickets: Vec<Option<u64>> = vec![None; rounds];
 
     for k in 0..rounds {
-        // Retire the round that fell out of the write-behind window before
-        // admitting new work. The barrier pair keeps the deferred servers
-        // deterministic: every leader's earlier submissions are in before
-        // the first settle, and nobody submits again until all have
-        // settled.
-        if !fault_mode && depth > 0 && k >= depth as usize {
-            if let Some(l) = &leaders {
-                l.barrier();
-                if let Some(t) = tickets[k - depth as usize].take() {
-                    file.complete_writes(t);
-                }
-                l.barrier();
-            }
-        }
-
         let round_domains: Vec<FileDomain> = domains
             .iter()
             .filter_map(|d| {
@@ -157,65 +213,91 @@ pub(crate) fn staged_write(
             })
             .collect();
 
-        // Tier 1: route this round's pieces and funnel them to the node
-        // leader. The destination tag is the *leader-communicator* index of
-        // the owning aggregator (aggregators are leaders by construction).
+        // Route this round's pieces, one bucket per world rank. Flat hands
+        // the buckets to the exchange as they are.
         let t_agg = comm.clock().now();
         let outgoing = route_segments(comm.size(), &pieces, buf, base, &round_domains);
-        let mut tagged: Vec<TaggedPiece> = Vec::new();
-        for (dst, bucket) in outgoing.into_iter().enumerate() {
-            let li = (dst / rpn) as u64;
-            tagged.extend(bucket.into_iter().map(|(off, data)| (li, off, data)));
-        }
-        let payload: u64 = tagged.iter().map(|p| p.2.len() as u64).sum();
+        let payload: u64 = outgoing.iter().flatten().map(|p| p.1.len() as u64).sum();
         report.bytes_shipped += payload;
-        let node_pieces = node.gatherv(0, tagged);
-        if node.rank() != 0 {
-            // Non-leaders paid the intra-node link; the leader's own pieces
-            // never left its memory.
-            report.wire_intra_bytes += payload;
-        }
-        comm.tracer().span(
-            Category::Exchange,
-            "aggregate",
-            t_agg,
-            comm.clock().now(),
-            &[("round", k as u64), ("bytes", payload)],
-        );
+        let out_buckets = match node {
+            None => outgoing,
+            Some(node) => {
+                // Tier 1: funnel the pieces to the node leader, tagged with
+                // the exchange index of the owning aggregator (aggregators
+                // are leaders by construction). Non-leaders pay the
+                // intra-node link; the leader's own pieces never leave its
+                // memory.
+                let tagged: Vec<TaggedPiece> = outgoing
+                    .into_iter()
+                    .enumerate()
+                    .flat_map(|(dst, bucket)| {
+                        let li = (dst / stride) as u64;
+                        bucket.into_iter().map(move |(off, data)| (li, off, data))
+                    })
+                    .collect();
+                if node.rank() != 0 {
+                    report.wire_intra_bytes += payload;
+                }
+                let node_pieces = node.gatherv(0, tagged);
+                comm.tracer().span(
+                    Category::Exchange,
+                    "aggregate",
+                    t_agg,
+                    comm.clock().now(),
+                    &[("round", k as u64), ("bytes", payload)],
+                );
+                // The leader sorts its node's pieces by destination — each
+                // one a `Vec` move, so nothing is charged.
+                let mut buckets: Vec<Vec<Piece>> = vec![Vec::new(); topo.nodes()];
+                for (dest, off, data) in node_pieces.into_iter().flatten().flatten() {
+                    buckets[dest as usize].push((off, data));
+                }
+                buckets
+            }
+        };
+        let Some(l) = leaders else { continue };
 
-        let Some(l) = &leaders else { continue };
-
-        // The leader sorts its node's pieces by destination aggregator —
-        // each one a `Vec` move, so nothing is charged.
-        let mut out_buckets: Vec<Vec<Piece>> = vec![Vec::new(); l.size()];
-        for (dest, off, data) in node_pieces.into_iter().flatten().flatten() {
-            out_buckets[dest as usize].push((off, data));
-        }
-
-        // Tier 2: leaders-only exchange. Payload headed to another node is
-        // the inter-node wire traffic this schedule is judged on.
+        // The exchange. Payload is classified by the link class between
+        // this rank and the destination (self-destined bytes never touch a
+        // wire), so both schedules report on the same meter.
         let t_ex = comm.clock().now();
-        let inter: u64 = out_buckets
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != l.rank())
-            .flat_map(|(_, b)| b.iter().map(|p| p.1.len() as u64))
-            .sum();
-        report.wire_inter_bytes += inter;
+        let mut wire = 0u64;
+        for (j, bucket) in out_buckets.iter().enumerate() {
+            let dst = j * stride;
+            if dst == comm.rank() {
+                continue;
+            }
+            let n: u64 = bucket.iter().map(|p| p.1.len() as u64).sum();
+            wire += n;
+            if topo.same_node(comm.rank(), dst) {
+                report.wire_intra_bytes += n;
+            } else {
+                report.wire_inter_bytes += n;
+            }
+        }
         let incoming = l.alltoallv(out_buckets);
         comm.tracer().span(
             Category::Exchange,
             "exchange round",
             t_ex,
             comm.clock().now(),
-            &[("round", k as u64), ("bytes", inter)],
+            &[("round", k as u64), ("bytes", wire)],
         );
+
+        // Retire the round that fell out of the write-behind window. Every
+        // leader entered exchange `k` to let it return, so every round
+        // `< k` is deposited: settling through `k - 1` needs no barrier.
+        if depth > 0 && k >= depth {
+            if let Some(t) = tickets[k - depth].take() {
+                file.complete_writes(t, k as u64 - 1);
+            }
+        }
 
         // Aggregation: nothing that arrives overlaps, so the round's pieces
         // are put in file order by reference and leave as they came.
         let t_w = comm.clock().now();
         let gathered = gather(incoming.iter().flatten());
-        tickets[k] = submit_runs(file, &gathered, &mut report);
+        tickets[k] = submit_runs(file, &gathered, k as u64, &mut report);
         comm.tracer().span(
             Category::Exchange,
             "round write",
@@ -225,15 +307,14 @@ pub(crate) fn staged_write(
         );
     }
 
-    // Drain: retire every still-open ticket in submission order, then
-    // realign the whole communicator.
-    if let Some(l) = &leaders {
+    // Drain: once every leader has submitted its last round, retire every
+    // still-open ticket in submission order, then realign the whole
+    // communicator.
+    if let Some(l) = leaders {
         let t_d = comm.clock().now();
         l.barrier();
-        for t in tickets.iter_mut() {
-            if let Some(t) = t.take() {
-                file.complete_writes(t);
-            }
+        for t in tickets.into_iter().flatten() {
+            file.complete_writes(t, u64::MAX);
         }
         comm.tracer()
             .span(Category::Exchange, "drain", t_d, comm.clock().now(), &[]);
@@ -248,7 +329,11 @@ pub(crate) fn staged_write(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
     use atomio_pfs::{FileSystem, PlatformProfile};
+    use atomio_trace::{MemorySink, TraceSink};
 
     use super::*;
     use crate::two_phase::{two_phase_write, ExchangeSchedule};
@@ -258,31 +343,46 @@ mod tests {
     const BLOCK: u64 = 8 * 1024; // 2 fast_test stripes
     const HALO: u64 = 4 * 1024;
 
-    /// Rank r writes [r·B − H, (r+1)·B + H) clipped to the file: every
-    /// interior block boundary is overlapped by two ranks.
-    fn halo_segments(rank: usize) -> Vec<ViewSegment> {
-        let start = (rank as u64 * BLOCK).saturating_sub(HALO);
-        let end = ((rank as u64 + 1) * BLOCK + HALO).min(P as u64 * BLOCK);
-        vec![ViewSegment {
-            file_off: start,
-            logical_off: 0,
-            len: end - start,
-        }]
-    }
-
-    fn write_all(fs: &FileSystem, name: &str, schedule: ExchangeSchedule) -> Vec<TwoPhaseReport> {
+    /// Rank `r` writes `[r·B − halo, (r+1)·B + halo)` clipped to the file —
+    /// with a halo every interior block boundary is overlapped by two
+    /// ranks; returns every rank's end clock and report. With a `sink`
+    /// every rank records its collectives and batch submissions into it.
+    fn clocked_write(
+        fs: &FileSystem,
+        name: &str,
+        halo: u64,
+        schedule: ExchangeSchedule,
+        sink: Option<Arc<dyn TraceSink>>,
+    ) -> Vec<(u64, TwoPhaseReport)> {
         let name = name.to_string();
         atomio_msg::run(P, fs.profile().net.clone(), move |comm| {
             let file = fs.open(comm.rank(), comm.clock().clone(), &name);
-            let segs = halo_segments(comm.rank());
-            let buf = vec![(comm.rank() + 1) as u8; segs[0].len as usize];
+            if let Some(sink) = &sink {
+                comm.bind_tracer(Arc::clone(sink));
+                file.tracer().bind_like(comm.tracer());
+            }
+            let start = (comm.rank() as u64 * BLOCK).saturating_sub(halo);
+            let end = ((comm.rank() as u64 + 1) * BLOCK + halo).min(P as u64 * BLOCK);
+            let segs = vec![ViewSegment {
+                file_off: start,
+                logical_off: 0,
+                len: end - start,
+            }];
+            let buf = vec![(comm.rank() + 1) as u8; (end - start) as usize];
             let cfg = TwoPhaseConfig {
                 aggregators: None,
                 ranks_per_node: RPN,
                 schedule,
             };
-            two_phase_write(&comm, &file, &segs, &buf, 0, &cfg)
+            let report = two_phase_write(&comm, &file, &segs, &buf, 0, &cfg);
+            (comm.clock().now(), report)
         })
+    }
+
+    /// The halo case, reports only.
+    fn write_all(fs: &FileSystem, name: &str, schedule: ExchangeSchedule) -> Vec<TwoPhaseReport> {
+        let out = clocked_write(fs, name, HALO, schedule, None);
+        out.into_iter().map(|(_, report)| report).collect()
     }
 
     #[test]
@@ -527,5 +627,102 @@ mod tests {
             },
         );
         assert_eq!(fs.snapshot("f1").unwrap(), fs.snapshot("p1").unwrap());
+    }
+    /// Flat is the degenerate schedule of the shared loop, not a new
+    /// model: it must land every rank on the clock the dedicated flat
+    /// driver of commit b5da837 produced, to the nanosecond. That driver
+    /// read 46 779 (halo) and 46 772 (disjoint) while `alltoallv` still
+    /// charged the self-addressed bucket; with only that charge fixed it
+    /// reads the figures pinned here, and so does the loop.
+    #[test]
+    fn flat_through_the_shared_loop_keeps_the_dedicated_drivers_clocks() {
+        for (name, halo, want) in [("halo", HALO, 45_955u64), ("disjoint", 0, 45_127)] {
+            let fs = FileSystem::new(PlatformProfile::fast_test());
+            let out = clocked_write(&fs, name, halo, ExchangeSchedule::Flat, None);
+            let clocks: Vec<u64> = out.iter().map(|o| o.0).collect();
+            assert_eq!(clocks, vec![want; P], "{name}");
+            assert!(out.iter().all(|o| o.1.rounds == 1), "{name}");
+        }
+    }
+
+    /// Perturbs the real-time schedule from inside the run: every traced
+    /// event — each collective as it returns, each batch just before it is
+    /// deposited with the servers — draws a seeded yield, short sleep or
+    /// nothing, on the recording rank's own thread.
+    struct Jitter {
+        seed: u64,
+        events: AtomicU64,
+    }
+
+    impl TraceSink for Jitter {
+        fn record(&self, _ev: atomio_trace::TraceEvent) {
+            let n = self.events.fetch_add(1, Ordering::Relaxed);
+            // splitmix64 of (seed, event index).
+            let mut z = (self.seed << 32 | n).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            match (z >> 33) % 8 {
+                0 => std::thread::sleep(std::time::Duration::from_micros(20 + (z & 63))),
+                1..=3 => std::thread::yield_now(),
+                _ => {}
+            }
+        }
+    }
+
+    /// The retirement needs no barrier: whatever the host scheduler does
+    /// between the collectives and the submits, every rank ends on the same
+    /// clock with the same report and the file holds the same bytes. (Drop
+    /// the epoch filter from `ServerSet::settle_through` and a fast
+    /// leader's next round leaks into a slow leader's replay: this fails.)
+    #[test]
+    fn pipelined_clocks_do_not_depend_on_the_host_schedule() {
+        for depth in [1u32, 2, 0] {
+            let schedule = ExchangeSchedule::Pipelined {
+                round_stripes: 1,
+                depth,
+            };
+            let run_once = |seed: u64| {
+                let fs = FileSystem::new(PlatformProfile::fast_test());
+                let sink = Arc::new(Jitter {
+                    seed,
+                    events: AtomicU64::new(0),
+                });
+                let out = clocked_write(&fs, "jit", HALO, schedule, Some(sink));
+                assert_eq!(fs.servers().pending_requests(), 0);
+                (format!("{out:?}"), fs.snapshot("jit").unwrap())
+            };
+            let reference = run_once(0);
+            for seed in 1..50 {
+                assert_eq!(run_once(seed), reference, "depth {depth}, seed {seed}");
+            }
+        }
+    }
+
+    /// Under a fault plan — even one that never fires — both schedules take
+    /// the synchronous write step: no batch is deposited, so no ticket and
+    /// no epoch can be left pending across a crash/replay cycle.
+    #[test]
+    fn an_armed_fault_plan_keeps_every_write_synchronous() {
+        use atomio_pfs::{FaultAction, FaultPlan, FaultSite, RestartPolicy};
+        let clean = FileSystem::new(PlatformProfile::fast_test());
+        write_all(&clean, "ref", ExchangeSchedule::Flat);
+        for (name, schedule) in SCHEDULES {
+            let plan = FaultPlan::none().with(
+                FaultSite::ServerRequest { server: 0 },
+                1_000_000,
+                FaultAction::CrashServer {
+                    restart: RestartPolicy::Manual,
+                },
+            );
+            let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
+            let sink = Arc::new(MemorySink::new());
+            let out = clocked_write(&fs, "armed", HALO, schedule, Some(sink.clone()));
+            assert!(out.iter().all(|o| o.1.write_errors == 0), "{name}");
+            assert_eq!(fs.servers().pending_requests(), 0, "{name}");
+            let events = sink.snapshot();
+            assert!(events.iter().all(|e| e.name != "batch write"), "{name}");
+            assert!(events.iter().any(|e| e.name == "direct write"), "{name}");
+            assert_eq!(clean.snapshot("ref"), fs.snapshot("armed"), "{name}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The paper's surrender rule (§3.3.2, Figure 7), implemented once: the
 //! highest rank wins every overlap, so each rank subtracts the union of all
 //! higher ranks' footprints from its request *before* any byte moves.
-//! `Strategy::RankOrdering` writes the surviving pieces itself; both
-//! two-phase drivers route them, so no losing byte crosses a wire.
+//! `Strategy::RankOrdering` writes the surviving pieces itself; the
+//! two-phase round loop routes them, so no losing byte crosses a wire.
 
 use atomio_dtype::ViewSegment;
 use atomio_interval::{ByteRange, IntervalSet, StridedSet};

@@ -1,38 +1,42 @@
-//! The two-phase collective write/read drivers.
+//! The two-phase entry points and their configuration: the collective
+//! write (whose body, the one round loop both schedules run, lives in the
+//! `staged` module) and the collective read.
 
 use atomio_dtype::ViewSegment;
 use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 use atomio_msg::Comm;
 use atomio_pfs::PosixFile;
 use atomio_trace::Category;
-use atomio_vtime::NodeTopology;
 
 use crate::choose_aggregators;
 use crate::domain::{domain_of, partition_domains, FileDomain};
-use crate::exchange::{gather, route_segments, Gathered, Piece};
-use crate::surrender::surrender;
+use crate::exchange::Piece;
 
-/// How the redistribution phase is scheduled across the node topology.
+/// How the redistribution phase is scheduled across the node topology. Both
+/// schedules are the same round loop — route, exchange, retire, submit,
+/// drain — and write byte-identical files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeSchedule {
-    /// Classic single-tier two-phase: one flat `alltoallv` over all P
-    /// ranks, then one monolithic write phase. The reference schedule the
-    /// pipelined variants must match byte for byte.
+    /// Classic single-tier two-phase, the degenerate schedule of the loop:
+    /// every rank is its own leader on the world communicator and each
+    /// file domain is one round, so there is one flat `alltoallv` over all
+    /// P ranks, then one monolithic write phase retired behind a barrier.
     Flat,
     /// Multi-tier: each node's ranks first funnel their pieces to the node
     /// leader over the cheap intra-node link, only the leaders run the
     /// inter-node exchange, and the whole redistribution is cut into
-    /// stripe-aligned *rounds* so round `k`'s exchange overlaps round
-    /// `k-1`'s aggregator write.
+    /// stripe-aligned *rounds* whose aggregator writes stay in flight
+    /// behind the following rounds' exchanges.
     Pipelined {
         /// Stripe units per round (`0` means the default of 4). Smaller
         /// rounds pipeline more finely but pay more per-round collectives.
         round_stripes: u32,
-        /// Write-behind depth: how many rounds of server writes may be in
-        /// flight before the leaders stop and retire the oldest. `1`
-        /// serializes write-behind (strict tiering, no overlap), `2`
-        /// double-buffers, `0` means unbounded (retire everything at the
-        /// end).
+        /// Write-behind depth: rounds of server writes in flight after a
+        /// submit. Round `k - depth` retires when round `k`'s exchange
+        /// returns — that rendezvous proves every leader has deposited its
+        /// earlier rounds, so no barrier is needed. `1` keeps one round in
+        /// flight, `2` double-buffers, `0` means unbounded (retire
+        /// everything at the end).
         depth: u32,
     },
 }
@@ -95,7 +99,8 @@ pub struct TwoPhaseReport {
     /// Redistribution payload bytes this rank put on *inter-node* links —
     /// the traffic the multi-tier schedule exists to shrink.
     pub wire_inter_bytes: u64,
-    /// Exchange rounds executed (1 on the flat schedule).
+    /// Exchange rounds executed (1 on the flat schedule; 0 when no rank had
+    /// anything to write).
     pub rounds: usize,
     /// Server-write errors this rank absorbed under fault injection, on
     /// either schedule (the fault-aware slow path reports rather than
@@ -119,70 +124,36 @@ pub(crate) fn extent_of(footprints: &[StridedSet]) -> Option<ByteRange> {
     spans.reduce(|a, b| ByteRange::new(a.start.min(b.start), a.end.max(b.end)))
 }
 
-/// Every rank's footprint, in rank order, and the file domains cut from
-/// their aggregate extent.
-fn plan_domains(
-    comm: &Comm,
+/// Cut `extent` into one stripe-aligned file domain per aggregator: as many
+/// aggregators as `cfg` asks for (default: one per I/O server), at most
+/// `cap`, placed node-aware.
+pub(crate) fn cut_domains(
+    nprocs: usize,
     file: &PosixFile,
-    segments: &[ViewSegment],
     cfg: &TwoPhaseConfig,
-) -> (Vec<StridedSet>, Vec<FileDomain>) {
-    // Phase 0: exchange flattened views, run-length-compressed. The
-    // allgather's wire charge is the *compressed* encoding — O(trains) per
-    // rank, not O(rows) — so the modeled §3.4 negotiation overhead scales
-    // with the access description, exactly like the handshaking strategies.
-    let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
-    let all = comm.allgather(footprint);
-    let Some(extent) = extent_of(&all) else {
-        return (all, Vec::new()); // nobody has data this round
-    };
+    extent: ByteRange,
+    cap: usize,
+) -> Vec<FileDomain> {
     let want = cfg
         .aggregators
-        .unwrap_or_else(|| file.server_count().max(1));
-    let aggregators = choose_aggregators(comm.size(), want, cfg.ranks_per_node);
-    let domains = partition_domains(extent, &aggregators, file.stripe_unit());
-    (all, domains)
-}
-
-/// The write step both schedules share: hand an aggregator's gathered
-/// pieces to the file as they are and account them in `report`.
-///
-/// On a healthy file system they leave as one deferred batch
-/// ([`PosixFile::pwrite_batch`]) whose ticket comes back for the caller to
-/// retire behind its barrier. Under a fault plan nothing may stay in flight
-/// across a crash/replay cycle and a dead server must surface as a report
-/// entry, never a panic or a write through it: the pieces go through the
-/// synchronous, retrying request path instead and there is no ticket.
-pub(crate) fn submit_runs(
-    file: &PosixFile,
-    gathered: &Gathered<'_>,
-    report: &mut TwoPhaseReport,
-) -> Option<u64> {
-    report.bytes_written += gathered.bytes;
-    report.write_runs += gathered.runs;
-    if gathered.writes.is_empty() {
-        return None;
-    }
-    if file.faults_active() {
-        if file.try_pwritev_direct(&gathered.writes).is_err() {
-            report.write_errors += 1;
-        }
-        return None;
-    }
-    Some(file.pwrite_batch(&gathered.writes))
+        .unwrap_or_else(|| file.server_count().max(1))
+        .clamp(1, cap);
+    let aggregators = choose_aggregators(nprocs, want, cfg.ranks_per_node);
+    partition_domains(extent, &aggregators, file.stripe_unit())
 }
 
 /// One collective, MPI-atomic write through two-phase redistribution.
 ///
 /// All ranks of `comm` must call this together (it is built from
-/// collectives and barriers). `segments` is this rank's request mapped
-/// through its file view; `buf` holds the data, whose first byte is logical
-/// stream offset `base`.
+/// collectives). `segments` is this rank's request mapped through its file
+/// view; `buf` holds the data, whose first byte is logical stream offset
+/// `base`.
 ///
 /// Issues **zero lock requests**: domains are disjoint by construction, so
 /// the aggregators' writes cannot conflict, and overlapped user data was
 /// already surrendered to the highest rank (paper §3.3.2) *before* the
 /// exchange — every byte of the union is shipped and written exactly once.
+/// Both [`ExchangeSchedule`]s run the one round loop in the `staged` module.
 pub fn two_phase_write(
     comm: &Comm,
     file: &PosixFile,
@@ -197,105 +168,7 @@ pub fn two_phase_write(
             .all(|w| w[0].file_end() <= w[1].file_off),
         "two_phase_write needs ascending, non-overlapping segments (as FileView::segments yields)"
     );
-    if let ExchangeSchedule::Pipelined {
-        round_stripes,
-        depth,
-    } = cfg.schedule
-    {
-        return crate::staged::staged_write(
-            comm,
-            file,
-            segments,
-            buf,
-            base,
-            cfg,
-            round_stripes,
-            depth,
-        );
-    }
-    let t0 = comm.clock().now();
-    let (footprints, domains) = plan_domains(comm, file, segments, cfg);
-    comm.tracer().span(
-        Category::Exchange,
-        "negotiate domains",
-        t0,
-        comm.clock().now(),
-        &[("aggregators", domains.len() as u64)],
-    );
-
-    // Phase 1: redistribution. This rank first surrenders every byte a
-    // higher rank also writes (the rank-ordering rule, on the footprints
-    // the negotiation already gathered); what survives travels to the
-    // aggregator owning its file domain, and the alltoallv charges virtual
-    // time for exactly that volume.
-    let t1 = comm.clock().now();
-    let (pieces, conflict_bytes) = surrender(segments, &footprints, comm.rank());
-    let outgoing = route_segments(comm.size(), &pieces, buf, base, &domains);
-    let bytes_shipped: u64 = outgoing.iter().flatten().map(|(_, d)| d.len() as u64).sum();
-    // Classify the shipped volume by link class (self-destined bytes never
-    // touch a wire) so flat and pipelined runs compare on the same meter.
-    let topo = NodeTopology::new(comm.size(), cfg.ranks_per_node.max(1));
-    let (mut wire_intra, mut wire_inter) = (0u64, 0u64);
-    for (dst, bucket) in outgoing.iter().enumerate() {
-        if dst == comm.rank() {
-            continue;
-        }
-        let n: u64 = bucket.iter().map(|(_, d)| d.len() as u64).sum();
-        if topo.same_node(comm.rank(), dst) {
-            wire_intra += n;
-        } else {
-            wire_inter += n;
-        }
-    }
-    let stats = file.stats();
-    stats.add(&stats.wire_intra_bytes, wire_intra);
-    stats.add(&stats.wire_inter_bytes, wire_inter);
-    let incoming = comm.alltoallv(outgoing);
-
-    // Phase 2: aggregation. Nothing that arrives overlaps, so there is
-    // nothing to resolve and nothing to stage: the received pieces are put
-    // in file order by reference and leave from the buffers they came in.
-    let gathered = gather(incoming.iter().flatten());
-    comm.tracer().span(
-        Category::Exchange,
-        "exchange",
-        t1,
-        comm.clock().now(),
-        &[("bytes", bytes_shipped)],
-    );
-
-    // Phase 3: large contiguous writes, one per covered run, streamed to the
-    // servers a stripe row at a time. Every rank — aggregator or not — walks
-    // the same submit/settle handshake so the deferred server timing stays
-    // deterministic.
-    let mut report = TwoPhaseReport {
-        aggregator_count: domains.len(),
-        domain: domains
-            .iter()
-            .find(|d| d.rank == comm.rank())
-            .map(|d| d.range),
-        bytes_shipped,
-        conflict_bytes,
-        wire_intra_bytes: wire_intra,
-        wire_inter_bytes: wire_inter,
-        rounds: 1,
-        ..TwoPhaseReport::default()
-    };
-    let t2 = comm.clock().now();
-    let ticket = submit_runs(file, &gathered, &mut report);
-    comm.barrier();
-    if let Some(ticket) = ticket {
-        file.complete_writes(ticket);
-    }
-    comm.barrier();
-    comm.tracer().span(
-        Category::Exchange,
-        "write phase",
-        t2,
-        comm.clock().now(),
-        &[("bytes", report.bytes_written)],
-    );
-    report
+    crate::staged::write_rounds(comm, file, segments, buf, base, cfg)
 }
 
 /// One collective read through the aggregators: each aggregator fetches its
@@ -319,8 +192,16 @@ pub fn two_phase_read(
             .all(|w| w[0].file_end() <= w[1].file_off),
         "two_phase_read needs ascending, non-overlapping segments (as FileView::segments yields)"
     );
+    // Phase 0: exchange flattened views, run-length-compressed. The
+    // allgather's wire charge is the *compressed* encoding — O(trains) per
+    // rank, not O(rows) — so the modeled §3.4 negotiation overhead scales
+    // with the access description, exactly like the handshaking strategies.
     let t0 = comm.clock().now();
-    let (_, domains) = plan_domains(comm, file, segments, cfg);
+    let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
+    let domains = match extent_of(&comm.allgather(footprint)) {
+        Some(extent) => cut_domains(comm.size(), file, cfg, extent, comm.size()),
+        None => Vec::new(), // nobody has data this round
+    };
     comm.tracer().span(
         Category::Exchange,
         "negotiate domains",
@@ -536,8 +417,9 @@ mod tests {
         use std::sync::Arc;
         // Ranks 0..=2 all write [0, 64 KiB), rank 3 writes [64 KiB, 128 KiB):
         // ranks 0 and 1 surrender everything, so two senders are active and
-        // the wire carries the union once. The four default aggregators own
-        // 32 KiB each, so each sender ships two 32 KiB pieces.
+        // the wire carries the union at most once. The four default
+        // aggregators own 32 KiB each, so each sender ships two 32 KiB
+        // pieces.
         const LEN: u64 = 64 * 1024;
         let mut profile = PlatformProfile::fast_test();
         profile.net.link = LinkCost::new(5_000, 1.0e9);
@@ -557,11 +439,13 @@ mod tests {
         });
         let shipped: Vec<u64> = reports.iter().map(|r| r.bytes_shipped).collect();
         assert_eq!(shipped, vec![0, 0, LEN, LEN]);
-        // Headers, per active sender: its count vector (8), then per
-        // non-empty bucket its length (8) and per piece its offset and byte
-        // count (8 + 8).
-        let headers = 2 * (8 + 2 * (8 + 16));
-        let expected = link.collective_ns(2, 0) + link.payload_ns(headers + 2 * LEN);
+        // Rank 2's two pieces go to aggregators 0 and 1; of rank 3's, one
+        // goes to aggregator 2 and the other is its own — handed over
+        // without touching a wire. Headers, per active sender: its count
+        // vector (8), then per remote non-empty bucket its length (8) and
+        // per piece its offset and byte count (8 + 8).
+        let headers = (8 + 2 * (8 + 16)) + (8 + (8 + 16));
+        let expected = link.collective_ns(2, 0) + link.payload_ns(headers + 3 * (LEN / 2));
         let exchanges: Vec<_> = sink
             .snapshot()
             .into_iter()

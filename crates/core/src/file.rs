@@ -1015,10 +1015,10 @@ impl<'c> MpiFile<'c> {
                 let ticket = if racing {
                     self.posix.pwrite_batch_racing(&writes)
                 } else {
-                    self.posix.pwrite_batch(&writes)
+                    self.posix.pwrite_batch(&writes, 0)
                 };
                 self.comm.barrier();
-                self.posix.complete_writes(ticket);
+                self.posix.complete_writes(ticket, 0);
                 self.comm.barrier();
             }
             IoPath::Cached => {
@@ -1047,11 +1047,12 @@ impl<'c> MpiFile<'c> {
     fn write_phase(&self, work: Option<(&[ViewSegment], &[u8], u64)>) -> Result<(), Error> {
         match self.io_path {
             IoPath::Direct => {
-                let ticket = work
-                    .map(|(segs, buf, base)| self.posix.pwrite_batch(&seg_slices(segs, buf, base)));
+                let ticket = work.map(|(segs, buf, base)| {
+                    self.posix.pwrite_batch(&seg_slices(segs, buf, base), 0)
+                });
                 self.comm.barrier();
                 if let Some(t) = ticket {
-                    self.posix.complete_writes(t);
+                    self.posix.complete_writes(t, 0);
                 }
                 self.comm.barrier();
             }

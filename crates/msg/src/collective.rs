@@ -17,12 +17,13 @@ impl Comm {
     /// empty `Vec<T>` — is delivered to rank `j`; element `i` of the result
     /// is the (possibly empty) contribution rank `i` sent here.
     ///
-    /// **Sparse fast path:** only ranks that actually send something (any
-    /// non-empty bucket) count toward the latency tree — the round is
-    /// charged `collective_ns(active, 0)`, not `collective_ns(p, 0)` — and
-    /// empty buckets contribute no wire bytes. Leaders-only exchanges with
-    /// mostly-empty count vectors therefore stop paying the full-P
-    /// rendezvous price. With every rank active the charge is unchanged.
+    /// **Sparse fast path:** only ranks that actually send something to
+    /// *another* rank (any non-empty bucket but their own) count toward the
+    /// latency tree — the round is charged `collective_ns(active, 0)`, not
+    /// `collective_ns(p, 0)` — and neither empty buckets nor the
+    /// self-addressed one contribute wire bytes. Leaders-only exchanges
+    /// with mostly-empty count vectors therefore stop paying the full-P
+    /// rendezvous price.
     ///
     /// Buckets are handed over **by move**: the bucket rank `i` addressed to
     /// rank `j` has exactly one reader, so `j` takes it out of `i`'s
@@ -36,18 +37,19 @@ impl Comm {
         );
         let link = self.net().link.clone();
         let me = self.rank();
-        // Idle ranks (all buckets empty) contribute zero wire bytes and are
-        // excluded from the rendezvous' active count; senders pay the outer
-        // count-vector header plus their non-empty buckets.
-        let bytes = if items.iter().all(Vec::is_empty) {
-            0
-        } else {
-            8 + items
-                .iter()
-                .filter(|b| !b.is_empty())
-                .map(WireSize::wire_size)
-                .sum::<usize>()
-        };
+        // Only what is addressed to *another* rank is on the wire: the
+        // self-addressed bucket is handed over by move like the rest, but
+        // it never leaves this rank. Ranks with nothing for anyone else
+        // contribute zero wire bytes and are excluded from the rendezvous'
+        // active count; senders pay the outer count-vector header plus
+        // their non-empty remote buckets.
+        let remote: usize = items
+            .iter()
+            .enumerate()
+            .filter(|&(j, b)| j != me && !b.is_empty())
+            .map(|(_, b)| b.wire_size())
+            .sum();
+        let bytes = if remote == 0 { 0 } else { 8 + remote };
         self.rendezvous(
             "alltoallv",
             items,
@@ -328,9 +330,10 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_dense_charge_is_unchanged() {
-        // Every rank active: the sparse fast path must charge exactly the
-        // historical dense price (collective_ns(p) + sum of wire sizes).
+    fn alltoallv_dense_charge_covers_every_remote_bucket() {
+        // Every rank sends to every rank: the charge is the dense price,
+        // collective_ns(p) plus each rank's three *remote* buckets — the
+        // fourth, addressed to itself, never touches a wire.
         let link = atomio_vtime::LinkCost::new(100, 1e9);
         let net = NetCost::new(link.clone(), 0);
         let out = run(4, net, move |c| {
@@ -338,9 +341,37 @@ mod tests {
             c.alltoallv(items);
             c.clock().now()
         });
-        let per_rank = 8 + 4 * (8 + 32); // outer header + four full buckets
+        let per_rank = 8 + 3 * (8 + 32); // outer header + three remote buckets
         let want = link.collective_ns(4, 0) + link.payload_ns(4 * per_rank);
         assert!(out.iter().all(|&t| t == want), "{out:?} != {want}");
+    }
+
+    #[test]
+    fn alltoallv_self_bucket_is_free_and_does_not_make_a_rank_active() {
+        // Rank 0 keeps 1000 bytes and sends 64 to rank 1; rank 1 keeps 500
+        // bytes and sends nothing; ranks 2 and 3 are idle. The self buckets
+        // are delivered (by move) but cost nothing, and rank 1 — whose only
+        // non-empty bucket is its own — is not active:
+        // span = collective_ns(active) + payload_ns(headers + non-self bytes).
+        let link = atomio_vtime::LinkCost::new(100, 1e9);
+        let net = NetCost::new(link.clone(), 0);
+        let out = run(4, net, move |c| {
+            let mut items: Vec<Vec<u8>> = vec![Vec::new(); 4];
+            match c.rank() {
+                0 => {
+                    items[0] = vec![1; 1000];
+                    items[1] = vec![2; 64];
+                }
+                1 => items[1] = vec![3; 500],
+                _ => {}
+            }
+            (c.alltoallv(items), c.clock().now())
+        });
+        assert_eq!(out[0].0[0], vec![1; 1000]);
+        assert_eq!(out[1].0[0], vec![2; 64]);
+        assert_eq!(out[1].0[1], vec![3; 500]);
+        let want = link.collective_ns(1, 0) + link.payload_ns(8 + 8 + 64);
+        assert!(out.iter().all(|o| o.1 == want), "{out:?} != {want}");
     }
 
     #[test]

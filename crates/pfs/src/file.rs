@@ -932,12 +932,16 @@ impl PosixFile {
     /// of a large extent while the rest is still being injected. An extent
     /// inside one stripe row is a single request.
     ///
-    /// Redeem the returned ticket with [`PosixFile::complete_writes`] after
-    /// every concurrent writer has submitted (the MPI layer's barrier
-    /// guarantees this); the deferred settlement is what makes concurrent
-    /// write timing deterministic (see [`ServerSet`](crate::ServerSet)).
-    pub fn pwrite_batch(&self, writes: &[(u64, &[u8])]) -> u64 {
-        self.pwrite_batch_inner(writes, false)
+    /// The requests are deposited under `epoch`. Redeem the returned ticket
+    /// with [`PosixFile::complete_writes`], settling through an epoch at or
+    /// above this one, once every concurrent writer has deposited its
+    /// batches up to that epoch — a barrier proves it, or any collective the
+    /// writers enter after submitting. Callers that fence every batch with a
+    /// barrier use epoch 0 throughout. The deferred settlement is what makes
+    /// concurrent write timing deterministic (see
+    /// [`ServerSet`](crate::ServerSet)).
+    pub fn pwrite_batch(&self, writes: &[(u64, &[u8])], epoch: u64) -> u64 {
+        self.pwrite_batch_inner(writes, epoch, false)
     }
 
     /// [`PosixFile::pwrite_batch`] for *deliberately racing* writers
@@ -947,10 +951,10 @@ impl PosixFile {
     /// on a single-CPU host. Strategies whose batches are disjoint by
     /// construction should use the plain variant and skip the yields.
     pub fn pwrite_batch_racing(&self, writes: &[(u64, &[u8])]) -> u64 {
-        self.pwrite_batch_inner(writes, true)
+        self.pwrite_batch_inner(writes, 0, true)
     }
 
-    fn pwrite_batch_inner(&self, writes: &[(u64, &[u8])], racing: bool) -> u64 {
+    fn pwrite_batch_inner(&self, writes: &[(u64, &[u8])], epoch: u64, racing: bool) -> u64 {
         let link = &self.fs.profile.client_link;
         let servers = &self.fs.servers;
         let row = servers.stripe_unit() * servers.server_count() as u64;
@@ -991,13 +995,14 @@ impl PosixFile {
             let args = write_args(total, writes);
             self.tracer.instant(Category::Io, "batch write", t0, &args);
         }
-        self.fs.servers.submit(self.client, reqs)
+        self.fs.servers.submit(self.client, epoch, reqs)
     }
 
-    /// Settle all deposited batches and advance this rank's clock to its
-    /// batch's completion (plus the ack latency).
-    pub fn complete_writes(&self, ticket: u64) {
-        self.fs.servers.settle();
+    /// Settle the deposited batches of epochs `<= through` (which must
+    /// cover `ticket`'s) and advance this rank's clock to its batch's
+    /// completion (plus the ack latency).
+    pub fn complete_writes(&self, ticket: u64, through: u64) {
+        self.fs.servers.settle_through(through);
         let done = self.fs.servers.take_completion(ticket);
         let link = &self.fs.profile.client_link;
         if done > 0 {
@@ -1819,8 +1824,8 @@ mod tests {
     fn batch_completion(writes: &[(u64, &[u8])]) -> (VNanos, StatsSnapshot) {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "batch");
-        let ticket = f.pwrite_batch(writes);
-        f.complete_writes(ticket);
+        let ticket = f.pwrite_batch(writes, 0);
+        f.complete_writes(ticket, 0);
         let image = fs.snapshot("batch").unwrap();
         for (off, data) in writes {
             assert_eq!(&image[*off as usize..][..data.len()], *data);

@@ -63,12 +63,21 @@ enum Health {
 ///   horizons right away, in real-thread arrival order. Used for
 ///   synchronous RPC-style I/O where the caller blocks per request (the
 ///   locking strategy, independent I/O, cache fills).
-/// * [`ServerSet::submit`] / [`ServerSet::settle`] — deferred (open-loop):
-///   concurrent writers deposit requests with *virtual* arrival stamps;
-///   once all are in (the caller's barrier guarantees it), `settle` sorts
-///   them by `(arrival, client, seq)` and replays them through the
-///   horizons, making the outcome independent of real thread scheduling —
-///   this is what keeps the Figure 8 reproduction deterministic. A
+/// * [`ServerSet::submit`] / [`ServerSet::settle_through`] — deferred
+///   (open-loop): concurrent writers deposit requests with *virtual*
+///   arrival stamps and an **epoch**; `settle_through(e)` sorts the pending
+///   requests of epochs `<= e` by `(arrival, client, seq)` and replays them
+///   through the horizons, leaving later epochs where they are. The epoch
+///   contract: a caller may settle through `e` once it knows every
+///   submitter has deposited all of its epochs `<= e` — a barrier proves
+///   that, and so does any collective the submitters enter *after*
+///   submitting (the two-phase round loop uses the next round's exchange).
+///   Submitters that have already moved on to epoch `e + 1` cannot disturb
+///   the replay: their requests are filtered out, so the replayed set, and
+///   with it every horizon and completion time, is a function of the
+///   program and not of real thread scheduling — this is what keeps the
+///   Figure 8 reproduction deterministic. [`ServerSet::settle`] is
+///   "through everything", for callers that fence with a barrier. A
 ///   deferred request is whatever range the submitter stamps: batch writers
 ///   ([`PosixFile::pwrite_batch`](crate::PosixFile::pwrite_batch)) cut
 ///   their extents at stripe-row boundaries (`stripe_unit × n`), so each
@@ -111,6 +120,7 @@ struct Pending {
 
 #[derive(Debug)]
 struct PendingReq {
+    epoch: u64,
     ticket: u64,
     client: usize,
     seq: u64,
@@ -172,10 +182,11 @@ impl ServerSet {
         end
     }
 
-    /// Deposit a batch of requests with virtual arrival stamps; returns a
-    /// ticket to redeem after [`ServerSet::settle`]. An empty batch's
-    /// completion is time zero.
-    pub fn submit(&self, client: usize, reqs: Vec<(VNanos, ByteRange)>) -> u64 {
+    /// Deposit a batch of requests with virtual arrival stamps under
+    /// `epoch`; returns a ticket to redeem once a
+    /// [`ServerSet::settle_through`] has covered that epoch. An empty
+    /// batch's completion is time zero.
+    pub fn submit(&self, client: usize, epoch: u64, reqs: Vec<(VNanos, ByteRange)>) -> u64 {
         let mut p = self.pending.lock();
         let ticket = p.next_ticket;
         p.next_ticket += 1;
@@ -184,6 +195,7 @@ impl ServerSet {
         } else {
             for (seq, (arrival, range)) in reqs.into_iter().enumerate() {
                 p.reqs.push(PendingReq {
+                    epoch,
                     ticket,
                     client,
                     seq: seq as u64,
@@ -195,17 +207,25 @@ impl ServerSet {
         ticket
     }
 
-    /// Replay all pending requests in `(arrival, client, seq)` order.
-    /// Callers must guarantee (e.g. with a barrier) that every concurrent
-    /// submitter has submitted; the call is idempotent and thread-safe.
+    /// Replay every pending request in `(arrival, client, seq)` order:
+    /// [`ServerSet::settle_through`] with no epoch left out.
     pub fn settle(&self) {
+        self.settle_through(u64::MAX);
+    }
+
+    /// Replay the pending requests of epochs `<= epoch` in `(arrival,
+    /// client, seq)` order; later epochs stay pending and their tickets
+    /// unsettled. Callers must know that every submitter has deposited all
+    /// of its epochs `<= epoch` (see the type docs); the call is idempotent
+    /// and thread-safe — of several concurrent callers the first replays,
+    /// the rest find nothing left at or below `epoch`.
+    pub fn settle_through(&self, epoch: u64) {
         let mut p = self.pending.lock();
-        if p.reqs.is_empty() {
-            return;
-        }
-        let mut reqs = std::mem::take(&mut p.reqs);
-        reqs.sort_by_key(|r| (r.arrival, r.client, r.seq));
-        for r in reqs {
+        // Due requests first, in replay order; what is left stays pending.
+        let mut due = std::mem::take(&mut p.reqs);
+        due.sort_by_key(|r| (r.epoch > epoch, r.arrival, r.client, r.seq));
+        p.reqs = due.split_off(due.partition_point(|r| r.epoch <= epoch));
+        for r in due {
             let mut done = r.arrival;
             for (server, bytes) in self.split(r.range) {
                 // Deferred requests are the two-phase write path's: writes.
@@ -222,7 +242,7 @@ impl ServerSet {
             .lock()
             .done
             .remove(&ticket)
-            .expect("ticket not settled — call settle() after all submissions")
+            .expect("ticket not settled — settle through its epoch after all submissions")
     }
 
     pub fn server_count(&self) -> usize {
@@ -429,6 +449,12 @@ impl ServerSet {
         p.done.clear();
     }
 
+    /// Deferred requests deposited and not yet replayed (diagnostics): zero
+    /// between collective writes.
+    pub fn pending_requests(&self) -> usize {
+        self.pending.lock().reqs.len()
+    }
+
     /// Sum of all servers' busy-until times (diagnostics).
     pub fn total_busy(&self) -> VNanos {
         self.horizons.iter().map(Horizon::busy_until).sum()
@@ -519,8 +545,8 @@ mod tests {
     fn deferred_requests_replay_in_arrival_order() {
         // Submit out of order in real time; settle sorts by virtual arrival.
         let s = set();
-        let late = s.submit(1, vec![(1_000, ByteRange::at(0, 512))]);
-        let early = s.submit(0, vec![(0, ByteRange::at(0, 512))]);
+        let late = s.submit(1, 0, vec![(1_000, ByteRange::at(0, 512))]);
+        let early = s.submit(0, 0, vec![(0, ByteRange::at(0, 512))]);
         s.settle();
         let t_early = s.take_completion(early);
         let t_late = s.take_completion(late);
@@ -536,14 +562,14 @@ mod tests {
         let batch_b = vec![(0u64, ByteRange::at(0, 512)), (150, ByteRange::at(0, 512))];
 
         let s1 = set();
-        let a1 = s1.submit(0, batch_a.clone());
-        let b1 = s1.submit(1, batch_b.clone());
+        let a1 = s1.submit(0, 0, batch_a.clone());
+        let b1 = s1.submit(1, 0, batch_b.clone());
         s1.settle();
         let (ca1, cb1) = (s1.take_completion(a1), s1.take_completion(b1));
 
         let s2 = set();
-        let b2 = s2.submit(1, batch_b);
-        let a2 = s2.submit(0, batch_a);
+        let b2 = s2.submit(1, 0, batch_b);
+        let a2 = s2.submit(0, 0, batch_a);
         s2.settle();
         let (ca2, cb2) = (s2.take_completion(a2), s2.take_completion(b2));
 
@@ -557,8 +583,8 @@ mod tests {
     #[test]
     fn equal_arrivals_tiebreak_by_client_then_seq() {
         let s = set();
-        let a = s.submit(1, vec![(0, ByteRange::at(0, 1024))]);
-        let b = s.submit(0, vec![(0, ByteRange::at(0, 1024))]);
+        let a = s.submit(1, 0, vec![(0, ByteRange::at(0, 1024))]);
+        let b = s.submit(0, 0, vec![(0, ByteRange::at(0, 1024))]);
         s.settle();
         // Client 0 wins the tiebreak even though it submitted second.
         assert_eq!(s.take_completion(b), 1_000 + 1024);
@@ -568,7 +594,7 @@ mod tests {
     #[test]
     fn empty_batch_settles_to_zero() {
         let s = set();
-        let t = s.submit(0, vec![]);
+        let t = s.submit(0, 0, vec![]);
         s.settle();
         assert_eq!(s.take_completion(t), 0);
     }
@@ -576,7 +602,7 @@ mod tests {
     #[test]
     fn settle_is_idempotent() {
         let s = set();
-        let t = s.submit(0, vec![(5, ByteRange::at(0, 100))]);
+        let t = s.submit(0, 0, vec![(5, ByteRange::at(0, 100))]);
         s.settle();
         s.settle();
         assert_eq!(s.take_completion(t), 5 + 1_000 + 100);
@@ -586,7 +612,110 @@ mod tests {
     #[should_panic(expected = "not settled")]
     fn unsettled_ticket_panics() {
         let s = set();
-        let t = s.submit(0, vec![(0, ByteRange::at(0, 10))]);
+        let t = s.submit(0, 0, vec![(0, ByteRange::at(0, 10))]);
         let _ = s.take_completion(t);
+    }
+    #[test]
+    fn settle_through_leaves_later_epochs_pending() {
+        let s = set();
+        let first = s.submit(0, 0, vec![(0, ByteRange::at(0, 512))]);
+        let second = s.submit(1, 1, vec![(10, ByteRange::at(0, 512))]);
+        s.settle_through(0);
+        assert_eq!(s.pending_requests(), 1, "epoch 1 must stay deposited");
+        assert_eq!(s.take_completion(first), 1_000 + 512);
+        assert_eq!(s.total_busy(), 1_512, "epoch 1 must not be on a horizon");
+        // The later ticket is unsettled: redeeming it is the contract
+        // violation `unsettled_ticket_panics` pins.
+        let early =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.take_completion(second)));
+        assert!(early.is_err(), "epoch 1's ticket must not be settled yet");
+        s.settle_through(1);
+        assert_eq!(s.pending_requests(), 0);
+        assert_eq!(s.take_completion(second), 1_512 + 1_000 + 512);
+    }
+
+    /// One `submit` call: `(client, epoch, requests)`.
+    type Batch = (usize, u64, Vec<(VNanos, ByteRange)>);
+
+    /// Four clients, three epochs each, all on one server so that every
+    /// ordering mistake shows in a completion time. An earlier epoch may
+    /// carry a *later* arrival than the next one (client 3's NIC runs
+    /// behind): replay is epoch-major, arrival-ordered inside the call.
+    fn epoch_batches() -> Vec<Batch> {
+        let mut out = Vec::new();
+        for client in 0..4usize {
+            for epoch in 0..3u64 {
+                let lag = if client == 3 { 2_500 } else { 0 };
+                let at = epoch * 2_000 + client as u64 * 100 + lag;
+                out.push((
+                    client,
+                    epoch,
+                    vec![
+                        (at, ByteRange::at(0, 256)),
+                        (at + 50, ByteRange::at(4096, 256)),
+                    ],
+                ));
+            }
+        }
+        out
+    }
+
+    /// Deposit the batches in `order`, let `settle` replay them all;
+    /// returns every ticket's completion (in `epoch_batches` order) and the
+    /// summed horizons.
+    fn replay(order: &[usize], settle: impl Fn(&ServerSet)) -> (Vec<VNanos>, VNanos) {
+        let s = set();
+        let batches = epoch_batches();
+        let mut tickets = vec![0u64; batches.len()];
+        for &i in order {
+            let (client, epoch, reqs) = batches[i].clone();
+            tickets[i] = s.submit(client, epoch, reqs);
+        }
+        settle(&s);
+        assert_eq!(s.pending_requests(), 0);
+        let done = tickets.iter().map(|&t| s.take_completion(t)).collect();
+        (done, s.total_busy())
+    }
+
+    /// Settle epoch by epoch, `threads` concurrent callers each.
+    fn by_epoch(threads: usize) -> impl Fn(&ServerSet) {
+        move |s| {
+            for epoch in 0..3u64 {
+                std::thread::scope(|scope| {
+                    for _ in 0..threads {
+                        scope.spawn(|| s.settle_through(epoch));
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_replay_is_independent_of_submit_order_and_settling_threads() {
+        let n = epoch_batches().len();
+        let forward: Vec<usize> = (0..n).collect();
+        let reference = replay(&forward, by_epoch(1));
+        let backward: Vec<usize> = (0..n).rev().collect();
+        // Later epochs first, clients interleaved.
+        let mut strided: Vec<usize> = (0..n).collect();
+        strided.sort_by_key(|&i| (std::cmp::Reverse(i % 3), i % 5, i));
+        for order in [&forward, &backward, &strided] {
+            for threads in [1, 2, 4] {
+                assert_eq!(
+                    replay(order, by_epoch(threads)),
+                    reference,
+                    "order {order:?}, {threads} settling thread(s)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn settle_is_settle_through_everything() {
+        let forward: Vec<usize> = (0..epoch_batches().len()).collect();
+        assert_eq!(
+            replay(&forward, ServerSet::settle),
+            replay(&forward, |s| s.settle_through(u64::MAX))
+        );
     }
 }

@@ -437,6 +437,44 @@ fn two_phase_pipelined_schedule_through_mpifile() {
     assert!(rep.is_atomic(), "{rep:?}");
 }
 
+/// Epochs are round indices and restart with every collective write: a
+/// pipelined write retires all of its rounds before it returns, so a second
+/// write on the same file system starts with an empty deferred queue and
+/// its rounds cannot meet a leftover epoch of the first.
+#[test]
+fn back_to_back_pipelined_writes_leave_no_epoch_pending() {
+    let spec = ColWise::new(32, 256, 4, 4).unwrap();
+    let fs = FileSystem::new(PlatformProfile::fast_test());
+    run(spec.p, fs.profile().net.clone(), |comm| {
+        let part = spec.partition(comm.rank());
+        let mut file = MpiFile::open(&comm, &fs, "twice", OpenMode::ReadWrite).unwrap();
+        file.set_view(0, part.filetype.clone()).unwrap();
+        file.set_two_phase_config(TwoPhaseConfig {
+            aggregators: None,
+            ranks_per_node: 2,
+            schedule: ExchangeSchedule::Pipelined {
+                round_stripes: 1,
+                depth: 2,
+            },
+        });
+        file.set_atomicity(Atomicity::Atomic(Strategy::TwoPhase))
+            .unwrap();
+        let first = part.fill(pattern::rank_stamp(comm.rank()));
+        let second = part.fill(pattern::offset_stamp(comm.rank()));
+        for buf in [first, second] {
+            comm.barrier();
+            assert_eq!(fs.servers().pending_requests(), 0);
+            file.write_at_all(0, &buf).unwrap();
+        }
+        assert_eq!(fs.servers().pending_requests(), 0);
+        file.close().unwrap();
+    });
+    let snap = fs.snapshot("twice").unwrap();
+    let rep =
+        verify::check_mpi_atomicity(&snap, &spec.all_views(), &pattern::offset_stamps(spec.p));
+    assert!(rep.is_atomic(), "the second write must win whole: {rep:?}");
+}
+
 #[test]
 fn two_phase_works_on_lockless_enfs() {
     // File locking is impossible on Cplant/ENFS; two-phase must not care.

@@ -352,7 +352,7 @@ fn traced_pipelined_two_phase(sink: &Arc<MemorySink>) {
 
 /// Acceptance: one pipelined multi-tier schedule, checked race-free from
 /// its trace. Leaders emit many more sub-communicator collectives (node
-/// gathers, leader exchanges, retirement barriers) than plain ranks, so
+/// gathers, leader exchanges, the drain barrier) than plain ranks, so
 /// this is exactly the shape that misaligns a global collective counter —
 /// the per-member-list groups must keep the world barrier paired up and
 /// the cross-node reads ordered.
