@@ -33,8 +33,16 @@
 //! `makespan(pipelined) <= makespan(flat)` at every P — write-behind has to
 //! pay for its per-round collectives (the 8-rank smoke geometry has three
 //! rounds and half of flat's aggregators, too little to overlap, and is
-//! exempt). `inter_byte_reduction` stays 1.00: with no duplicate left to
-//! drop every schedule moves the same inter-node bytes.
+//! exempt). Also asserted in every mode: no link class carries more than
+//! `bytes_shipped`, and on flat, where a byte rides one link in all,
+//! `wire_intra_bytes + wire_inter_bytes <= bytes_shipped` — a piece its
+//! holder serves itself counts on no wire. File domains go to the aggregator candidate that
+//! already holds the most of them, and the schedules see different
+//! candidates — flat every rank, the multi-tier modes one leader per node
+//! holding its node's union — so `inter_byte_reduction` is no longer 1.00:
+//! flat's owners keep their own blocks off the wire wherever that leaves
+//! the rest (its one `alltoallv` is priced on the fabric either way), the
+//! leaders keep whole nodes' blocks at home.
 //!
 //! Run with `cargo bench -p atomio-bench --bench aggregation`; pass
 //! `-- --smoke` for the quick CI geometry, `-- --out <path>` to choose
@@ -272,6 +280,21 @@ fn run_mode(
         (p as u64 - 1) * header,
         "{name}: surrendered bytes must equal the header overlap"
     );
+    // A shipped byte rides each link class at most once — on the one-tier
+    // flat schedule one link in all; the multi-tier modes funnel it to its
+    // leader first and may then send it across — and a piece its holder
+    // serves itself rides none.
+    let hops = match mode.schedule {
+        ExchangeSchedule::Flat => t.wire_intra_bytes + t.wire_inter_bytes,
+        ExchangeSchedule::Pipelined { .. } => t.wire_intra_bytes.max(t.wire_inter_bytes),
+    };
+    assert!(
+        hops <= t.bytes_shipped,
+        "{name}: {} intra and {} inter wire bytes for {} shipped",
+        t.wire_intra_bytes,
+        t.wire_inter_bytes,
+        t.bytes_shipped
+    );
     let snap = fs.snapshot(name).expect("file written");
     (t, snap)
 }
@@ -367,10 +390,14 @@ fn main() {
         "  \"note\": \"wire_inter_bytes counts payload crossing the node-to-node fabric; \
          wire_intra_bytes counts payload on the shared-memory links. Every rank surrenders \
          the bytes a higher rank overwrites before anything is shipped, so in every mode \
-         bytes_shipped equals bytes_written and conflict_bytes is the overlap volume; the \
-         multi-tier modes then move the same inter-node bytes as flat, pay one gatherv and \
-         one leaders' alltoallv per round, and retire each round's writes on a later \
-         round's exchange instead of a barrier\","
+         bytes_shipped equals bytes_written and conflict_bytes is the overlap volume; each \
+         file domain goes to the aggregator candidate already holding the most of it (flat: \
+         any rank, by its own surviving bytes; multi-tier: a node leader, by what its node \
+         keeps of its union), and a piece its holder serves itself counts on no wire, so \
+         the modes differ in wire bytes; flat's single alltoallv is priced on the fabric \
+         whichever link class a byte is metered on, while the multi-tier modes pay one \
+         gatherv and one leaders' alltoallv per round and retire each round's writes on a \
+         later round's exchange instead of a barrier\","
     );
     let _ = writeln!(json, "  \"points\": [");
     for (i, (p, row)) in panels.iter().enumerate() {
@@ -418,8 +445,9 @@ fn main() {
             let _ = writeln!(
                 json,
                 "  \"acceptance\": {{\"p\": {p}, \"metric\": \"byte identity across the three \
-                 modes; bytes_shipped == bytes_written and conflict_bytes == (P - 1) * header in \
-                 every mode at every P; makespan(pipelined) <= makespan(flat) at every P\", \
+                 modes; bytes_shipped == bytes_written, conflict_bytes == (P - 1) * header and no \
+                 link class carrying more than bytes_shipped (flat: both together) in every \
+                 mode at every P; makespan(pipelined) <= makespan(flat) at every P\", \
                  \"byte_identical\": true, \"shipped_equals_written\": true, \
                  \"conflict_bytes\": {}, \"inter_byte_reduction\": {:.2}, \
                  \"makespan_speedup\": {:.2}, \"pass\": true}}",

@@ -13,7 +13,13 @@
 //!    stripe-aligned *file domains*, each owned by one aggregator rank.
 //!    Aggregator placement is node-aware (Kang et al., "Improving MPI
 //!    Collective I/O Performance With Intra-node Request Aggregation"):
-//!    aggregators spread across nodes before doubling up within one;
+//!    aggregators spread across nodes before doubling up within one, which
+//!    fixes how many each node seats. *Which* rank owns *which* domain
+//!    follows the footprints of step 1: each domain goes to the candidate
+//!    already holding the most of its bytes (greedy by |held ∩ domain|,
+//!    one domain per rank, no node over its seats), and to rank order when
+//!    that holds as much — the paper's handshaking idea, deciding from the
+//!    negotiation what need not be sent, applied to placement;
 //! 3. **Redistribution** — every rank first *surrenders* the bytes a higher
 //!    rank also writes (process-rank ordering, §3.3.2; the `surrender`
 //!    module is the one implementation `Strategy::RankOrdering` uses too),

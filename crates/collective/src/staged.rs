@@ -38,6 +38,12 @@
 //! schedule for any overlapping footprint. The pipelined negotiation stays
 //! hierarchical: footprints are allgathered inside the node, and only
 //! per-node *unions* cross the network.
+//!
+//! What survives the surrender also decides who aggregates what: each file
+//! domain goes to the candidate already holding the most of it (see
+//! `cut_domains`) — on flat any rank, by its own surviving bytes; on
+//! pipelined a node leader, by what its node keeps of its union, the
+//! leaders' choice riding the node broadcast that carries the extent.
 
 use atomio_dtype::ViewSegment;
 use atomio_interval::{ByteRange, StridedSet};
@@ -48,8 +54,10 @@ use atomio_vtime::NodeTopology;
 
 use crate::domain::FileDomain;
 use crate::exchange::{gather, route_segments, Gathered, Piece};
-use crate::surrender::{higher_union_strided, surrender};
-use crate::two_phase::{cut_domains, extent_of, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReport};
+use crate::surrender::{higher_union_strided, surrender, surviving_footprints};
+use crate::two_phase::{
+    cut_domains, extent_of, ExchangeSchedule, Owners, TwoPhaseConfig, TwoPhaseReport,
+};
 
 /// A node-tier piece on its way to the leader: `(destination leader index,
 /// file offset, bytes)`.
@@ -113,35 +121,53 @@ pub(crate) fn write_rounds(
         Some((node, leaders)) => (Some(node), leaders.as_ref(), rpn),
     };
 
+    // On the pipelined schedule aggregators are clamped to the node count
+    // so every aggregator is a node leader and the write phase never
+    // re-crosses the network.
+    let cap = if node.is_some() {
+        topo.nodes()
+    } else {
+        comm.size()
+    };
+
     // Phase 0: negotiation, then surrender before shipping — what a higher
-    // rank overwrites never enters any tier. Flat allgathers every
-    // footprint over the world. Pipelined stays hierarchical: footprints
-    // are allgathered over the cheap links inside the node; the leaders
-    // allgather one *union* per node across the network and hand their node
-    // the global span plus the union of every higher node — no per-rank
-    // footprint ever crosses a node boundary. Block placement puts every
-    // higher rank on this node or a higher one, so that is all the
-    // surrender rule needs.
+    // rank overwrites never enters any tier — and domain ownership by what
+    // survives. Flat allgathers every footprint over the world, so every
+    // rank applies the ownership rule to every rank's surviving bytes.
+    // Pipelined stays hierarchical: footprints are allgathered over the
+    // cheap links inside the node; the leaders allgather one *union* per
+    // node across the network, apply the rule to what each node keeps of
+    // its union, and hand their node the global span, the owners they chose
+    // and the union of every higher node — no per-rank footprint ever
+    // crosses a node boundary. Block placement puts every higher rank on
+    // this node or a higher one, so that is all the surrender rule needs.
     let t0 = comm.clock().now();
     let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
-    let (extent, (pieces, conflict_bytes)) = match node {
+    let (extent, owners, (pieces, conflict_bytes)) = match node {
         None => {
             let all = comm.allgather(footprint);
-            (extent_of(&all), surrender(segments, &all, comm.rank()))
+            let survivors = surrender(segments, &all, comm.rank());
+            let held = surviving_footprints(&all);
+            (extent_of(&all), Owners::Held { held, stride }, survivors)
         }
         Some(node) => {
             let mut footprints = node.allgather(footprint);
             let from_leaders = leaders.map(|l| {
                 let node_union = footprints[0].union(&higher_union_strided(&footprints, 0));
                 let node_unions = l.allgather(node_union);
-                (
-                    extent_of(&node_unions),
-                    higher_union_strided(&node_unions, l.rank()),
-                )
+                let extent = extent_of(&node_unions);
+                let owners: Vec<usize> = extent.map_or_else(Vec::new, |extent| {
+                    let held = surviving_footprints(&node_unions);
+                    let held = Owners::Held { held, stride };
+                    let domains = cut_domains(comm.size(), file, cfg, extent, cap, &held);
+                    domains.iter().map(|d| d.rank).collect()
+                });
+                (extent, owners, higher_union_strided(&node_unions, l.rank()))
             });
-            let (extent, higher_nodes) = node.bcast(0, from_leaders);
+            let (extent, owners, higher_nodes) = node.bcast(0, from_leaders);
             footprints.push(higher_nodes);
-            (extent, surrender(segments, &footprints, node.rank()))
+            let survivors = surrender(segments, &footprints, node.rank());
+            (extent, Owners::Chosen(owners), survivors)
         }
     };
 
@@ -153,16 +179,7 @@ pub(crate) fn write_rounds(
         comm.barrier(); // nobody has data this round; leave clocks aligned
         return report;
     };
-
-    // On the pipelined schedule aggregators are clamped to the node count
-    // so every aggregator is a node leader and the write phase never
-    // re-crosses the network.
-    let cap = if node.is_some() {
-        topo.nodes()
-    } else {
-        comm.size()
-    };
-    let domains = cut_domains(comm.size(), file, cfg, extent, cap);
+    let domains = cut_domains(comm.size(), file, cfg, extent, cap, &owners);
     comm.tracer().span(
         Category::Exchange,
         "negotiate domains",
@@ -523,6 +540,96 @@ mod tests {
         ),
     ];
 
+    /// The shared-header checkpoint in miniature: 8 ranks, 2 per node, all
+    /// writing a 32 KiB header — exactly the first of the four domains, and
+    /// rank 7's after the surrender — plus a 12 KiB block of their own in a
+    /// seeded slot. Ownership follows the holdings on both schedules.
+    #[test]
+    fn a_shared_header_is_served_by_the_node_that_holds_it() {
+        const RANKS: usize = 8;
+        const PER_NODE: usize = 2;
+        const HEADER: u64 = 32 * 1024;
+        const OWN: u64 = 12 * 1024;
+        const TOTAL: u64 = HEADER + RANKS as u64 * OWN;
+        for seed in 1..=4u64 {
+            // Fisher–Yates over a toy LCG: `slot[r]` is where rank r's
+            // block lands behind the header.
+            let mut slot: Vec<u64> = (0..RANKS as u64).collect();
+            let mut state = seed;
+            for i in (1..RANKS).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                slot.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let block = |r: usize| ByteRange::at(HEADER + slot[r] * OWN, OWN);
+            let mut expected = vec![RANKS as u8; TOTAL as usize];
+            for r in 0..RANKS {
+                expected[block(r).start as usize..block(r).end as usize].fill(r as u8 + 1);
+            }
+
+            for (name, schedule) in SCHEDULES {
+                let fs = FileSystem::new(PlatformProfile::fast_test());
+                let reports = atomio_msg::run(RANKS, fs.profile().net.clone(), |comm| {
+                    let me = comm.rank();
+                    let file = fs.open(me, comm.clock().clone(), name);
+                    let segs = [
+                        ViewSegment {
+                            file_off: 0,
+                            logical_off: 0,
+                            len: HEADER,
+                        },
+                        ViewSegment {
+                            file_off: block(me).start,
+                            logical_off: HEADER,
+                            len: OWN,
+                        },
+                    ];
+                    let buf = vec![me as u8 + 1; (HEADER + OWN) as usize];
+                    let cfg = TwoPhaseConfig {
+                        aggregators: None,
+                        ranks_per_node: PER_NODE,
+                        schedule,
+                    };
+                    two_phase_write(&comm, &file, &segs, &buf, 0, &cfg)
+                });
+                let what = format!("{name}, seed {seed}");
+                assert_eq!(fs.snapshot(name).unwrap(), expected, "{what}");
+                let sum =
+                    |field: fn(&TwoPhaseReport) -> u64| reports.iter().map(field).sum::<u64>();
+                assert_eq!(sum(|r| r.bytes_written), TOTAL, "{what}");
+                assert_eq!(sum(|r| r.bytes_shipped), TOTAL, "{what}");
+
+                // One owner map on every rank: all count the same domains,
+                // and the ones they claim tile the extent.
+                assert!(reports.iter().all(|r| r.aggregator_count == 4), "{what}");
+                let mut claimed: Vec<(ByteRange, usize)> = (0..RANKS)
+                    .filter_map(|r| reports[r].domain.map(|d| (d, r)))
+                    .collect();
+                claimed.sort_unstable_by_key(|c| c.0.start);
+                let tiles: Vec<ByteRange> = claimed.iter().map(|c| c.0).collect();
+                let quarter = |i: u64| ByteRange::at(i * TOTAL / 4, TOTAL / 4);
+                assert_eq!(tiles, (0..4).map(quarter).collect::<Vec<_>>(), "{what}");
+
+                // Rank 7's node serves the header — rank 7 itself on flat,
+                // its leader on pipelined — and at most one domain.
+                let nodes: Vec<usize> = claimed.iter().map(|c| c.1 / PER_NODE).collect();
+                assert_eq!(nodes[0], (RANKS - 1) / PER_NODE, "{what}");
+                assert!((1..4).all(|i| !nodes[..i].contains(&nodes[i])), "{what}");
+                // So no header byte crosses the fabric: what does is exactly
+                // the block bytes lying in a domain another node owns.
+                let crossing: u64 = (0..RANKS)
+                    .flat_map(|r| {
+                        let away = claimed
+                            .iter()
+                            .filter(move |c| c.1 / PER_NODE != r / PER_NODE);
+                        away.filter_map(move |c| c.0.intersect(&block(r)))
+                    })
+                    .map(|piece| piece.len())
+                    .sum();
+                assert_eq!(sum(|r| r.wire_inter_bytes), crossing, "{what}");
+            }
+        }
+    }
+
     /// Torn round: a server crashes under an aggregator's mid-run write.
     /// The fault-aware path writes synchronously, the client's retry/backoff
     /// loop rides out the rejections, and the finished file is still
@@ -632,16 +739,60 @@ mod tests {
     /// model: it must land every rank on the clock the dedicated flat
     /// driver of commit b5da837 produced, to the nanosecond. That driver
     /// read 46 779 (halo) and 46 772 (disjoint) while `alltoallv` still
-    /// charged the self-addressed bucket; with only that charge fixed it
-    /// reads the figures pinned here, and so does the loop.
+    /// charged the self-addressed bucket; with only that charge fixed it —
+    /// and the loop — read 45 955 and 45 127 under rank-order owners.
+    ///
+    /// Ownership by locality changes nothing but which pieces are
+    /// self-addressed, so each clock is that figure with the one flat
+    /// `alltoallv` re-priced over the new owner map. The aggregators keep
+    /// two seats per node and every 16 KiB domain goes to the rank holding
+    /// most of it:
+    ///
+    /// * halo — ranks keep 4, 8, 8, 8, 8, 8, 8, 12 KiB after surrender.
+    ///   Rank order (0, 1, 4, 5) kept two 4 KiB pieces local: 7 senders,
+    ///   9 remote buckets, 56 KiB. Now (1, 3, 5, 7) keep 8 + 8 + 8 + 12 KiB:
+    ///   ranks 0, 2, 4, 6 send 1 + 2 + 2 + 2 buckets, 28 KiB.
+    /// * disjoint — every rank keeps its 8 KiB block. Rank order kept the
+    ///   blocks of ranks 0 and 4 local: 6 senders, 6 buckets, 48 KiB. Now
+    ///   (0, 2, 4, 6) each keep their own: the odd ranks send one bucket
+    ///   each, 32 KiB.
     #[test]
     fn flat_through_the_shared_loop_keeps_the_dedicated_drivers_clocks() {
-        for (name, halo, want) in [("halo", HALO, 45_955u64), ("disjoint", 0, 45_127)] {
+        let link = PlatformProfile::fast_test().net.link;
+        // One flat `alltoallv` of one-piece buckets: the latency tree over
+        // the ranks with anything for another rank, then every sender's
+        // count vector (8), every remote bucket's length, offset and byte
+        // count (8 + 8 + 8) and the remote payload on the bus.
+        let exchange = |senders: usize, buckets: u64, bytes: u64| {
+            link.collective_ns(senders, 0)
+                + link.payload_ns(8 * senders as u64 + 24 * buckets + bytes)
+        };
+        const KIB: u64 = 1024;
+        for (name, halo, rank_order, before, after, owners) in [
+            (
+                "halo",
+                HALO,
+                45_955u64,
+                exchange(7, 9, 56 * KIB),
+                exchange(4, 7, 28 * KIB),
+                [1, 3, 5, 7],
+            ),
+            (
+                "disjoint",
+                0,
+                45_127,
+                exchange(6, 6, 48 * KIB),
+                exchange(4, 4, 32 * KIB),
+                [0, 2, 4, 6],
+            ),
+        ] {
             let fs = FileSystem::new(PlatformProfile::fast_test());
             let out = clocked_write(&fs, name, halo, ExchangeSchedule::Flat, None);
             let clocks: Vec<u64> = out.iter().map(|o| o.0).collect();
-            assert_eq!(clocks, vec![want; P], "{name}");
+            assert_eq!(clocks, vec![rank_order - before + after; P], "{name}");
             assert!(out.iter().all(|o| o.1.rounds == 1), "{name}");
+            let served: Vec<usize> = (0..P).filter(|&r| out[r].1.domain.is_some()).collect();
+            assert_eq!(served, owners, "{name}");
         }
     }
 

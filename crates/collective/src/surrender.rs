@@ -98,6 +98,26 @@ pub fn surviving_pieces_strided(
     out
 }
 
+/// What every rank still holds once all of them have surrendered:
+/// `footprints[r]` minus the union of `footprints[r + 1..]`, for every `r`
+/// in one descending pass — pairwise disjoint, and together the union.
+pub(crate) fn surviving_footprints(footprints: &[StridedSet]) -> Vec<StridedSet> {
+    let mut higher = StridedSet::new();
+    let mut kept: Vec<StridedSet> = footprints
+        .iter()
+        .rev()
+        .map(|f| {
+            let mine = f.subtract(&higher);
+            // Disjoint by construction: the union is the trains side by side.
+            let both = higher.trains().iter().chain(mine.trains()).copied();
+            higher = StridedSet::from_disjoint_trains(both.collect());
+            mine
+        })
+        .collect();
+    kept.reverse();
+    kept
+}
+
 /// What rank `me` puts into a two-phase exchange: its segments minus
 /// everything a higher rank will overwrite, and how many bytes that took
 /// away. `footprints[me + 1..]` must cover every higher rank (one entry per

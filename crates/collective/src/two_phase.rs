@@ -7,9 +7,10 @@ use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 use atomio_msg::Comm;
 use atomio_pfs::PosixFile;
 use atomio_trace::Category;
+use atomio_vtime::NodeTopology;
 
 use crate::choose_aggregators;
-use crate::domain::{domain_of, partition_domains, FileDomain};
+use crate::domain::{domain_of, own_by_locality, partition_domains, FileDomain};
 use crate::exchange::Piece;
 
 /// How the redistribution phase is scheduled across the node topology. Both
@@ -50,6 +51,12 @@ pub struct TwoPhaseConfig {
     ///
     /// The pipelined schedule additionally clamps to the node count, so
     /// every aggregator is a node leader.
+    ///
+    /// The count — and through [`choose_aggregators`] the count per node —
+    /// is all this fixes. Which ranks serve, and which domain each gets,
+    /// follows the footprints of the call: a domain goes to the candidate
+    /// already holding the most of it, in rank order when nobody holds
+    /// more than the rank-order owner does.
     pub aggregators: Option<usize>,
     /// Ranks per node, for node-aware aggregator placement (Kang et al.).
     /// With the threads-as-ranks runtime this is a modeling input; 1 means
@@ -74,7 +81,11 @@ impl Default for TwoPhaseConfig {
 pub struct TwoPhaseReport {
     /// Aggregators that received a (non-empty) file domain this round.
     pub aggregator_count: usize,
-    /// This rank's file domain, when it served as an aggregator.
+    /// This rank's file domain, when it served as an aggregator — the one
+    /// it already held the most of, not the one its rank order would give
+    /// it. Every rank computes (or, below a node leader, is told) the same
+    /// owner map, so the `domain`s of one call are disjoint and tile the
+    /// aggregate extent.
     pub domain: Option<ByteRange>,
     /// Bytes this rank put into redistribution: its request minus what it
     /// surrendered to higher ranks, including any part routed to itself.
@@ -97,7 +108,10 @@ pub struct TwoPhaseReport {
     /// nowhere). Zero on the flat schedule with 1 rank per node.
     pub wire_intra_bytes: u64,
     /// Redistribution payload bytes this rank put on *inter-node* links —
-    /// the traffic the multi-tier schedule exists to shrink.
+    /// the traffic the multi-tier schedule and ownership by locality exist
+    /// to shrink: a piece whose holder (flat) or whose holder's node leader
+    /// (pipelined) owns its domain is self-addressed at the exchange and
+    /// counts on neither meter.
     pub wire_inter_bytes: u64,
     /// Exchange rounds executed (1 on the flat schedule; 0 when no rank had
     /// anything to write).
@@ -124,22 +138,51 @@ pub(crate) fn extent_of(footprints: &[StridedSet]) -> Option<ByteRange> {
     spans.reduce(|a, b| ByteRange::new(a.start.min(b.start), a.end.max(b.end)))
 }
 
+/// What decides which aggregator owns which file domain.
+#[derive(Debug)]
+pub(crate) enum Owners {
+    /// The bytes each candidate already holds — candidate `i` is rank
+    /// `i * stride` of the caller's communicator: the rule is applied here.
+    Held {
+        held: Vec<StridedSet>,
+        stride: usize,
+    },
+    /// The owners a node leader chose by that rule, in file order.
+    Chosen(Vec<usize>),
+}
+
 /// Cut `extent` into one stripe-aligned file domain per aggregator: as many
 /// aggregators as `cfg` asks for (default: one per I/O server), at most
-/// `cap`, placed node-aware.
+/// `cap`, placed node-aware — and then give each domain to the aggregator
+/// candidate that already holds the most of it
+/// ([`own_by_locality`]; rank order when holdings are uniform).
 pub(crate) fn cut_domains(
     nprocs: usize,
     file: &PosixFile,
     cfg: &TwoPhaseConfig,
     extent: ByteRange,
     cap: usize,
+    owners: &Owners,
 ) -> Vec<FileDomain> {
     let want = cfg
         .aggregators
         .unwrap_or_else(|| file.server_count().max(1))
         .clamp(1, cap);
     let aggregators = choose_aggregators(nprocs, want, cfg.ranks_per_node);
-    partition_domains(extent, &aggregators, file.stripe_unit())
+    let mut domains = partition_domains(extent, &aggregators, file.stripe_unit());
+    match owners {
+        Owners::Held { held, stride } => {
+            let topo = NodeTopology::new(nprocs, cfg.ranks_per_node.max(1));
+            own_by_locality(&mut domains, &aggregators, held, *stride, &topo);
+        }
+        Owners::Chosen(ranks) => {
+            assert_eq!(ranks.len(), domains.len(), "one chosen owner per domain");
+            for (dom, &rank) in domains.iter_mut().zip(ranks) {
+                dom.rank = rank;
+            }
+        }
+    }
+    domains
 }
 
 /// One collective, MPI-atomic write through two-phase redistribution.
@@ -198,8 +241,16 @@ pub fn two_phase_read(
     // with the access description, exactly like the handshaking strategies.
     let t0 = comm.clock().now();
     let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
-    let domains = match extent_of(&comm.allgather(footprint)) {
-        Some(extent) => cut_domains(comm.size(), file, cfg, extent, comm.size()),
+    let footprints = comm.allgather(footprint);
+    let domains = match extent_of(&footprints) {
+        // An aggregator that asked for most of a domain keeps what it reads.
+        Some(extent) => {
+            let held = Owners::Held {
+                held: footprints,
+                stride: 1,
+            };
+            cut_domains(comm.size(), file, cfg, extent, comm.size(), &held)
+        }
         None => Vec::new(), // nobody has data this round
     };
     comm.tracer().span(
@@ -418,8 +469,8 @@ mod tests {
         // Ranks 0..=2 all write [0, 64 KiB), rank 3 writes [64 KiB, 128 KiB):
         // ranks 0 and 1 surrender everything, so two senders are active and
         // the wire carries the union at most once. The four default
-        // aggregators own 32 KiB each, so each sender ships two 32 KiB
-        // pieces.
+        // aggregators own 32 KiB each, so each sender holds two whole
+        // domains and serves one of them itself.
         const LEN: u64 = 64 * 1024;
         let mut profile = PlatformProfile::fast_test();
         profile.net.link = LinkCost::new(5_000, 1.0e9);
@@ -439,13 +490,18 @@ mod tests {
         });
         let shipped: Vec<u64> = reports.iter().map(|r| r.bytes_shipped).collect();
         assert_eq!(shipped, vec![0, 0, LEN, LEN]);
-        // Rank 2's two pieces go to aggregators 0 and 1; of rank 3's, one
-        // goes to aggregator 2 and the other is its own — handed over
-        // without touching a wire. Headers, per active sender: its count
-        // vector (8), then per remote non-empty bucket its length (8) and
-        // per piece its offset and byte count (8 + 8).
-        let headers = (8 + 2 * (8 + 16)) + (8 + (8 + 16));
-        let expected = link.collective_ns(2, 0) + link.payload_ns(headers + 3 * (LEN / 2));
+        // Ownership by locality: rank 3 keeps its own fourth domain (equal
+        // weights prefer the arriving owner), rank 2 takes the first, and
+        // the two domains left over go to the spare aggregators 0 and 1. So
+        // each sender hands one 32 KiB piece to itself — no wire — and ships
+        // the other. Headers, per active sender: its count vector (8), then
+        // for its one remote bucket the length (8) and the piece's offset
+        // and byte count (8 + 8).
+        let owners: Vec<Option<ByteRange>> = reports.iter().map(|r| r.domain).collect();
+        let domain = |i: u64| Some(ByteRange::at(i * (LEN / 2), LEN / 2));
+        assert_eq!(owners, vec![domain(1), domain(2), domain(0), domain(3)]);
+        let headers = 2 * (8 + (8 + 16));
+        let expected = link.collective_ns(2, 0) + link.payload_ns(headers + 2 * (LEN / 2));
         let exchanges: Vec<_> = sink
             .snapshot()
             .into_iter()
@@ -579,6 +635,61 @@ mod tests {
         });
         let (data, back) = &out[0];
         assert_eq!(data, back);
+    }
+
+    #[test]
+    fn roundtrip_under_an_owner_map_that_follows_the_footprints() {
+        // 16 stripe units, four 4-unit domains. Rank 3 asks for all of
+        // domain 0 plus unit 12; ranks 0..=2 for units 13..=15. Domain 0
+        // goes to rank 3, the last domain — rank 3 arrived with it but is
+        // taken — to rank 0, and the two nobody touches to the spare
+        // aggregators: owners (3, 1, 2, 0), on the write and on the read.
+        const UNIT: u64 = 4096;
+        let segments = |rank: usize| -> Vec<ViewSegment> {
+            let own = ViewSegment {
+                file_off: (12 + (rank as u64 + 1) % 4) * UNIT,
+                logical_off: 0,
+                len: UNIT,
+            };
+            let domain0 = ViewSegment {
+                file_off: 0,
+                logical_off: 0,
+                len: 4 * UNIT,
+            };
+            match rank {
+                3 => vec![
+                    domain0,
+                    ViewSegment {
+                        logical_off: 4 * UNIT,
+                        ..own
+                    },
+                ],
+                _ => vec![own],
+            }
+        };
+        let fs = FileSystem::new(PlatformProfile::fast_test());
+        let out = run(4, fs.profile().net.clone(), |comm| {
+            let file = fs.open(comm.rank(), comm.clock().clone(), "owners");
+            let segs = segments(comm.rank());
+            let len: u64 = segs.iter().map(|s| s.len).sum();
+            let data: Vec<u8> = (0..len)
+                .map(|i| (i % 249) as u8 + comm.rank() as u8)
+                .collect();
+            let cfg = TwoPhaseConfig::default();
+            let wrote = two_phase_write(&comm, &file, &segs, &data, 0, &cfg);
+            let mut back = vec![0u8; len as usize];
+            let read = two_phase_read(&comm, &file, &segs, &mut back, 0, &cfg);
+            assert_eq!(back, data, "rank {}", comm.rank());
+            (wrote, read)
+        });
+        let domain = |i: u64| Some(ByteRange::at(i * 4 * UNIT, 4 * UNIT));
+        let owned: Vec<Option<ByteRange>> = out.iter().map(|o| o.0.domain).collect();
+        assert_eq!(owned, vec![domain(3), domain(1), domain(2), domain(0)]);
+        // The read's owners follow what was asked for in the same way:
+        // rank 3 reads domain 0, rank 0 the four requested units of the
+        // last domain, and nobody asked for anything in between.
+        let read: Vec<u64> = out.iter().map(|o| o.1.bytes_read_from_servers).collect();
+        assert_eq!(read, vec![4 * UNIT, 0, 0, 4 * UNIT]);
     }
 
     #[test]

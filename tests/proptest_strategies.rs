@@ -287,15 +287,29 @@ proptest! {
     /// The multi-tier pipelined schedule is an execution-plan change only:
     /// for arbitrary overlapping footprints and any (aggregators, topology,
     /// round size, pipeline depth) combination, the file image must be
-    /// byte-for-byte the one the flat exchange produces.
+    /// byte-for-byte the one the flat exchange produces. Most cases are
+    /// skewed — one rank also holds a contiguous block at least a domain
+    /// long behind the random runs — so the two schedules place their file
+    /// domains by holdings, each from its own view of them, not in rank
+    /// order.
     #[test]
     fn pipelined_schedule_is_byte_identical_to_flat(
         fps in prop::collection::vec(arb_footprint(), P..=P),
+        skew in (0usize..P, 1u64..=2, 0u64..=4),
         aggregators in 1usize..=P,
         ranks_per_node in 1usize..=P,
         round_stripes in 0u32..=2,
         depth in 0u32..=3,
     ) {
+        // `FILE_SPAN` is one stripe unit of the test profile. The block
+        // starts `at` stripes in and runs `at + extra` stripes: over half
+        // the extent, so at least a domain for two aggregators or more.
+        // `extra == 0` leaves the case unskewed.
+        let mut fps = fps;
+        let (holder, at, extra) = skew;
+        if extra > 0 {
+            fps[holder].insert(ByteRange::at(at * FILE_SPAN, (at + extra) * FILE_SPAN));
+        }
         let flat = run_two_phase_snapshot(&fps, TwoPhaseConfig {
             aggregators: Some(aggregators),
             ranks_per_node,
