@@ -44,16 +44,15 @@
 //! the rest (its one `alltoallv` is priced on the fabric either way), the
 //! leaders keep whole nodes' blocks at home.
 //!
-//! Run with `cargo bench -p atomio-bench --bench aggregation`; pass
-//! `-- --smoke` for the quick CI geometry, `-- --out <path>` to choose
-//! where the JSON lands (default: the workspace root), and
-//! `-- --trace <path>` to dump a Chrome-trace timeline of the pipelined
-//! smoke run (checkable with `tracecheck --hb`).
+//! Run with `cargo bench -p atomio-bench --bench aggregation` (flags:
+//! [`atomio_bench::Args`]); `--trace` records the pipelined smoke run — one
+//! deterministic multi-tier timeline, small enough for `tracecheck --hb` in
+//! CI. Both scales are `cmp`-gated against `BENCH_aggregation.json` and
+//! `tests/golden/aggregation_smoke.json`.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 
+use atomio_bench::{counters, makespan, object, ratio, Args, Artifact, Value};
 use atomio_collective::{two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReport};
 use atomio_dtype::ViewSegment;
 use atomio_msg::run;
@@ -62,58 +61,10 @@ use atomio_trace::{MemorySink, TraceSink, Track};
 use atomio_vtime::{LinkCost, VNanos};
 use atomio_workloads::pattern;
 
-struct Config {
+struct Geometry {
     header: u64,
     block: u64,
     ranks_per_node: usize,
-    procs: Vec<usize>,
-    out: PathBuf,
-    trace: Option<PathBuf>,
-    smoke: bool,
-}
-
-fn parse_args() -> Config {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().map(PathBuf::from),
-            "--trace" => trace = args.next().map(PathBuf::from),
-            // `cargo bench` forwards harness flags; ignore the rest.
-            _ => {}
-        }
-    }
-    let out = out.unwrap_or_else(|| {
-        let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        p.pop();
-        p.pop();
-        p.push("BENCH_aggregation.json");
-        p
-    });
-    if smoke {
-        Config {
-            header: 16 * 1024,
-            block: 8 * 1024,
-            ranks_per_node: 4,
-            procs: vec![8],
-            out,
-            trace,
-            smoke,
-        }
-    } else {
-        Config {
-            header: 64 * 1024,
-            block: 16 * 1024,
-            ranks_per_node: 16,
-            procs: vec![64, 256, 1024],
-            out,
-            trace,
-            smoke,
-        }
-    }
 }
 
 /// One exchange-schedule point of the comparison.
@@ -144,33 +95,18 @@ const MODES: [Mode; 3] = [
     },
 ];
 
-/// Aggregate counters of one whole run (all ranks).
-#[derive(Debug, Clone, Copy, Default)]
-struct Totals {
-    makespan_ns: VNanos,
-    bytes_shipped: u64,
-    bytes_written: u64,
-    wire_intra_bytes: u64,
-    wire_inter_bytes: u64,
-    conflict_bytes: u64,
-    rounds: usize,
-    write_runs: usize,
-}
-
-fn json_totals(t: &Totals) -> String {
-    format!(
-        "{{\"makespan_ns\": {}, \"bytes_shipped\": {}, \"bytes_written\": {}, \
-         \"wire_intra_bytes\": {}, \"wire_inter_bytes\": {}, \"conflict_bytes\": {}, \
-         \"rounds\": {}, \"write_runs\": {}}}",
-        t.makespan_ns,
-        t.bytes_shipped,
-        t.bytes_written,
-        t.wire_intra_bytes,
-        t.wire_inter_bytes,
-        t.conflict_bytes,
-        t.rounds,
-        t.write_runs
-    )
+counters! {
+    /// Aggregate counters of one whole run (all ranks).
+    struct Totals {
+        makespan_ns: VNanos,
+        bytes_shipped: u64,
+        bytes_written: u64,
+        wire_intra_bytes: u64,
+        wire_inter_bytes: u64,
+        conflict_bytes: u64,
+        rounds: usize,
+        write_runs: usize,
+    }
 }
 
 /// The comparison platform: the test profile with the network re-balanced
@@ -204,7 +140,7 @@ fn segments_of(rank: usize, header: u64, block: u64) -> Vec<ViewSegment> {
 /// Run the shared-header workload under one schedule; returns the totals
 /// and the final file bytes.
 fn run_mode(
-    cfg: &Config,
+    cfg: &Geometry,
     p: usize,
     mode: Mode,
     name: &str,
@@ -248,10 +184,8 @@ fn run_mode(
             let report = two_phase_write(&comm, &file, &segs, &buf, 0, &tp);
             (start, comm.clock().now(), report)
         });
-    let start = out.iter().map(|(s, _, _)| *s).min().unwrap_or(0);
-    let end = out.iter().map(|(_, e, _)| *e).max().unwrap_or(0);
     let mut t = Totals {
-        makespan_ns: end - start,
+        makespan_ns: makespan(out.iter().map(|(s, e, _)| (*s, *e))),
         ..Totals::default()
     };
     for (_, _, r) in &out {
@@ -306,31 +240,35 @@ fn totals_of(row: &[(Mode, Totals)], key: &str) -> Totals {
 }
 
 fn main() {
-    let cfg = parse_args();
+    let args = Args::parse("aggregation");
+    let (header, block, ranks_per_node, procs) = if args.smoke {
+        (16 * 1024, 8 * 1024, 4, vec![8])
+    } else {
+        (64 * 1024, 16 * 1024, 16, vec![64, 256, 1024])
+    };
+    let cfg = Geometry {
+        header,
+        block,
+        ranks_per_node,
+    };
     println!(
         "aggregation bench: shared {}-byte header + {}-byte private blocks, {} ranks/node{}",
         cfg.header,
         cfg.block,
         cfg.ranks_per_node,
-        if cfg.smoke { " [smoke]" } else { "" }
-    );
-    println!(
-        "{:>5} {:>10} {:>14} {:>14} {:>14} {:>14} {:>7} {:>10}",
-        "P", "mode", "makespan_ns", "inter_bytes", "intra_bytes", "shipped", "rounds", "writes"
+        if args.smoke { " [smoke]" } else { "" }
     );
 
-    let trace_sink = cfg.trace.as_ref().map(|_| Arc::new(MemorySink::new()));
+    let trace = args.trace_file();
     type Panel = (usize, Vec<(Mode, Totals)>);
     let mut panels: Vec<Panel> = Vec::new();
-    for &p in &cfg.procs {
+    for &p in &procs {
         let mut row = Vec::new();
         let mut reference: Option<Vec<u8>> = None;
         for mode in MODES {
             let name = format!("agg-{p}-{}", mode.key);
-            // Trace the pipelined smoke run only: one deterministic
-            // multi-tier timeline, small enough to check in CI.
-            let traced = mode.key == "pipelined" && cfg.smoke && p == cfg.procs[0];
-            let sink = if traced { trace_sink.as_ref() } else { None };
+            let traced = mode.key == "pipelined" && args.smoke && p == procs[0];
+            let sink = trace.as_ref().filter(|_| traced).map(|t| t.sink());
             let (t, snap) = run_mode(&cfg, p, mode, &name, sink);
             // All three schedules surrender to the highest rank: the
             // bench doubles as an equivalence check.
@@ -342,93 +280,103 @@ fn main() {
                 ),
                 None => reference = Some(snap),
             }
-            println!(
-                "{:>5} {:>10} {:>14} {:>14} {:>14} {:>14} {:>7} {:>10}",
-                p,
-                mode.key,
-                t.makespan_ns,
-                t.wire_inter_bytes,
-                t.wire_intra_bytes,
-                t.bytes_shipped,
-                t.rounds,
-                t.write_runs
-            );
+            println!("P={p:<5} {:>10}  {}", mode.key, Value::from(&t));
             row.push((mode, t));
         }
         panels.push((p, row));
     }
-
-    if let (Some(path), Some(sink)) = (&cfg.trace, &trace_sink) {
-        std::fs::write(path, sink.export_chrome()).expect("write Chrome trace JSON");
-        println!("wrote {}", path.display());
+    if let Some(t) = &trace {
+        t.export();
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"aggregation\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"shared-header checkpoint: every rank atomically rewrites the common \
-         file header (P overlapping copies, highest rank wins) plus its private block, via \
-         two-phase collective I/O\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"geometry\": {{\"header_bytes\": {}, \"block_bytes\": {}, \"ranks_per_node\": {}, \
-         \"smoke\": {}}},",
-        cfg.header, cfg.block, cfg.ranks_per_node, cfg.smoke
-    );
-    let _ = writeln!(
-        json,
-        "  \"modes\": {{\"flat\": \"single-tier world alltoallv, monolithic exchange then \
-         write\", \"tiered\": \"intra-node aggregation + leaders-only exchange, one round of \
-         writes in flight (depth 1)\", \"pipelined\": \"multi-tier exchange, double-buffered \
-         rounds (depth 2): round k-2's writes retire when round k's exchange returns\"}},",
-    );
-    let _ = writeln!(
-        json,
-        "  \"note\": \"wire_inter_bytes counts payload crossing the node-to-node fabric; \
-         wire_intra_bytes counts payload on the shared-memory links. Every rank surrenders \
-         the bytes a higher rank overwrites before anything is shipped, so in every mode \
-         bytes_shipped equals bytes_written and conflict_bytes is the overlap volume; each \
-         file domain goes to the aggregator candidate already holding the most of it (flat: \
-         any rank, by its own surviving bytes; multi-tier: a node leader, by what its node \
-         keeps of its union), and a piece its holder serves itself counts on no wire, so \
-         the modes differ in wire bytes; flat's single alltoallv is priced on the fabric \
-         whichever link class a byte is metered on, while the multi-tier modes pay one \
-         gatherv and one leaders' alltoallv per round and retire each round's writes on a \
-         later round's exchange instead of a barrier\","
-    );
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, (p, row)) in panels.iter().enumerate() {
-        let flat = totals_of(row, "flat");
-        let _ = writeln!(json, "    {{\"p\": {p},");
-        for (mode, t) in row {
-            let inter_reduction = flat.wire_inter_bytes as f64 / t.wire_inter_bytes.max(1) as f64;
-            let speedup = flat.makespan_ns as f64 / t.makespan_ns.max(1) as f64;
-            let _ = writeln!(
-                json,
-                "     \"{}\": {{\"totals\": {}, \"inter_byte_reduction\": {:.2}, \
-                 \"makespan_speedup\": {:.2}}}{}",
-                mode.key,
-                json_totals(t),
-                inter_reduction,
-                speedup,
-                if mode.key == "pipelined" { "" } else { "," }
-            );
-        }
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < panels.len() { "," } else { "" }
+    let mut artifact = Artifact::new(&args);
+    artifact
+        .field(
+            "workload",
+            "shared-header checkpoint: every rank atomically rewrites the common file header (P \
+             overlapping copies, highest rank wins) plus its private block, via two-phase \
+             collective I/O",
+        )
+        .field(
+            "geometry",
+            object! {
+                "header_bytes": cfg.header,
+                "block_bytes": cfg.block,
+                "ranks_per_node": cfg.ranks_per_node,
+                "smoke": args.smoke,
+            },
+        )
+        .field(
+            "modes",
+            object! {
+                "flat": "single-tier world alltoallv, monolithic exchange then write",
+                "tiered": "intra-node aggregation + leaders-only exchange, one round of writes \
+                           in flight (depth 1)",
+                "pipelined": "multi-tier exchange, double-buffered rounds (depth 2): round \
+                              k-2's writes retire when round k's exchange returns",
+            },
+        )
+        .field(
+            "note",
+            "wire_inter_bytes counts payload crossing the node-to-node fabric; \
+             wire_intra_bytes counts payload on the shared-memory links. Every rank surrenders \
+             the bytes a higher rank overwrites before anything is shipped, so in every mode \
+             bytes_shipped equals bytes_written and conflict_bytes is the overlap volume; each \
+             file domain goes to the aggregator candidate already holding the most of it (flat: \
+             any rank, by its own surviving bytes; multi-tier: a node leader, by what its node \
+             keeps of its union), and a piece its holder serves itself counts on no wire, so \
+             the modes differ in wire bytes; flat's single alltoallv is priced on the fabric \
+             whichever link class a byte is metered on, while the multi-tier modes pay one \
+             gatherv and one leaders' alltoallv per round and retire each round's writes on a \
+             later round's exchange instead of a barrier",
         );
+    // What a mode gains on flat: fabric bytes kept off the wire, makespan.
+    let vs_flat = |flat: &Totals, t: &Totals| {
+        (
+            Value::fixed(ratio(flat.wire_inter_bytes, t.wire_inter_bytes), 2),
+            Value::fixed(ratio(flat.makespan_ns, t.makespan_ns), 2),
+        )
+    };
+    for (p, row) in &panels {
+        let flat = totals_of(row, "flat");
+        let modes = row.iter().map(|(mode, t)| {
+            let (inter_reduction, speedup) = vs_flat(&flat, t);
+            let point = object! {
+                "totals": t,
+                "inter_byte_reduction": inter_reduction,
+                "makespan_speedup": speedup,
+            };
+            (mode.key, point)
+        });
+        artifact.panel(object! {"p": *p}, modes);
     }
-    let _ = writeln!(json, "  ],");
 
     // Acceptance: `run_mode` asserted union-once shipping and the overlap
     // volume in every mode at every P and `main` the byte identity; at full
     // scale the pipelined schedule must also be no slower than flat.
-    if !cfg.smoke {
+    let acceptance = panels.iter().find(|(p, _)| *p == 256 && !args.smoke);
+    artifact.acceptance(
+        "P=256",
+        acceptance.map(|(p, row)| {
+            let pipe = totals_of(row, "pipelined");
+            let (inter_reduction, speedup) = vs_flat(&totals_of(row, "flat"), &pipe);
+            object! {
+                "p": *p,
+                "metric": "byte identity across the three modes; bytes_shipped == \
+                           bytes_written, conflict_bytes == (P - 1) * header and no link class \
+                           carrying more than bytes_shipped (flat: both together) in every mode \
+                           at every P; makespan(pipelined) <= makespan(flat) at every P",
+                "byte_identical": true,
+                "shipped_equals_written": true,
+                "conflict_bytes": pipe.conflict_bytes,
+                "inter_byte_reduction": inter_reduction,
+                "makespan_speedup": speedup,
+                "pass": true,
+            }
+        }),
+    );
+    artifact.write();
+    if !args.smoke {
         for (p, row) in &panels {
             let (flat, pipe) = (totals_of(row, "flat"), totals_of(row, "pipelined"));
             assert!(
@@ -439,32 +387,4 @@ fn main() {
             );
         }
     }
-    match panels.iter().find(|(p, _)| *p == 256 && !cfg.smoke) {
-        Some((p, row)) => {
-            let (flat, pipe) = (totals_of(row, "flat"), totals_of(row, "pipelined"));
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"p\": {p}, \"metric\": \"byte identity across the three \
-                 modes; bytes_shipped == bytes_written, conflict_bytes == (P - 1) * header and no \
-                 link class carrying more than bytes_shipped (flat: both together) in every \
-                 mode at every P; makespan(pipelined) <= makespan(flat) at every P\", \
-                 \"byte_identical\": true, \"shipped_equals_written\": true, \
-                 \"conflict_bytes\": {}, \"inter_byte_reduction\": {:.2}, \
-                 \"makespan_speedup\": {:.2}, \"pass\": true}}",
-                pipe.conflict_bytes,
-                flat.wire_inter_bytes as f64 / pipe.wire_inter_bytes.max(1) as f64,
-                flat.makespan_ns as f64 / pipe.makespan_ns.max(1) as f64,
-            );
-        }
-        None => {
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"note\": \"smoke geometry; run without --smoke for the \
-                 P=256 acceptance point\"}}"
-            );
-        }
-    }
-    let _ = writeln!(json, "}}");
-    std::fs::write(&cfg.out, &json).expect("write BENCH_aggregation.json");
-    println!("wrote {}", cfg.out.display());
 }

@@ -39,18 +39,14 @@
 //! (`server_read_requests`, the acceptance criterion) count real requests
 //! on every path.
 //!
-//! Run with `cargo bench -p atomio-bench --bench coherence`; pass
-//! `-- --smoke` for the quick CI geometry, `-- --out <path>` to choose
-//! where the JSON lands (default: the workspace root), and
-//! `-- --trace <path>` to additionally dump a Perfetto-loadable
-//! Chrome-trace timeline of the lock-driven producer-consumer run (the
-//! revocation-heavy one).
+//! Run with `cargo bench -p atomio-bench --bench coherence` (flags:
+//! [`atomio_bench::Args`]); `--trace` records the revocation-heavy run —
+//! lock-driven coherence on the producer-consumer ping-pong at the
+//! smallest P — as a Perfetto-loadable timeline.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 
-use atomio_bench::json_latency;
+use atomio_bench::{counters, makespan, object, ratio, Args, Artifact, Value};
 use atomio_core::verify::check_mpi_atomicity;
 use atomio_core::{Atomicity, IoPath, LockGranularity, MpiFile, OpenMode, Strategy};
 use atomio_msg::run;
@@ -60,60 +56,6 @@ use atomio_pfs::{
 use atomio_trace::{MemorySink, TraceSink};
 use atomio_vtime::VNanos;
 use atomio_workloads::{ReaderWriter, RwPreset};
-
-struct Config {
-    block: u64,
-    rounds: u64,
-    rereads: u64,
-    procs: Vec<usize>,
-    out: PathBuf,
-    trace: Option<PathBuf>,
-    smoke: bool,
-}
-
-fn parse_args() -> Config {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().map(PathBuf::from),
-            "--trace" => trace = args.next().map(PathBuf::from),
-            // `cargo bench` forwards harness flags; ignore the rest.
-            _ => {}
-        }
-    }
-    let out = out.unwrap_or_else(|| {
-        let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        p.pop();
-        p.pop();
-        p.push("BENCH_coherence.json");
-        p
-    });
-    if smoke {
-        Config {
-            block: 8 * 1024,
-            rounds: 2,
-            rereads: 2,
-            procs: vec![4],
-            out,
-            trace,
-            smoke,
-        }
-    } else {
-        Config {
-            block: 64 * 1024,
-            rounds: 4,
-            rereads: 4,
-            procs: vec![4, 8],
-            out,
-            trace,
-            smoke,
-        }
-    }
-}
 
 /// One coherence mode of the comparison.
 #[derive(Debug, Clone, Copy)]
@@ -160,38 +102,20 @@ fn profile(coherence: CoherenceMode) -> PlatformProfile {
     }
 }
 
-/// Aggregate counters of one whole run (all ranks).
-#[derive(Debug, Clone, Copy, Default)]
-struct Totals {
-    makespan_ns: VNanos,
-    server_read_requests: u64,
-    server_write_requests: u64,
-    cache_hit_bytes: u64,
-    coherent_hit_bytes: u64,
-    flushed_bytes: u64,
-    revocations_served: u64,
-    revoke_flushed_bytes: u64,
-    coherence_invalidated_bytes: u64,
-    stale_reads: u64,
-}
-
-fn json_totals(t: &Totals) -> String {
-    format!(
-        "{{\"makespan_ns\": {}, \"server_read_requests\": {}, \"server_write_requests\": {}, \
-         \"cache_hit_bytes\": {}, \"coherent_hit_bytes\": {}, \"flushed_bytes\": {}, \
-         \"revocations_served\": {}, \"revoke_flushed_bytes\": {}, \
-         \"coherence_invalidated_bytes\": {}, \"stale_reads\": {}}}",
-        t.makespan_ns,
-        t.server_read_requests,
-        t.server_write_requests,
-        t.cache_hit_bytes,
-        t.coherent_hit_bytes,
-        t.flushed_bytes,
-        t.revocations_served,
-        t.revoke_flushed_bytes,
-        t.coherence_invalidated_bytes,
-        t.stale_reads,
-    )
+counters! {
+    /// Aggregate counters of one whole run (all ranks).
+    struct Totals {
+        makespan_ns: VNanos,
+        server_read_requests: u64,
+        server_write_requests: u64,
+        cache_hit_bytes: u64,
+        coherent_hit_bytes: u64,
+        flushed_bytes: u64,
+        revocations_served: u64,
+        revoke_flushed_bytes: u64,
+        coherence_invalidated_bytes: u64,
+        stale_reads: u64,
+    }
 }
 
 /// Run one reader-writer workload under one mode; returns the totals, the
@@ -243,10 +167,8 @@ fn run_mode(
         let close = file.close().unwrap();
         (start, end, close.stats, stale)
     });
-    let start = out.iter().map(|(s, _, _, _)| *s).min().unwrap_or(0);
-    let end = out.iter().map(|(_, e, _, _)| *e).max().unwrap_or(0);
     let mut t = Totals {
-        makespan_ns: end - start,
+        makespan_ns: makespan(out.iter().map(|(s, e, _, _)| (*s, *e))),
         ..Totals::default()
     };
     for (_, _, s, stale) in &out {
@@ -285,54 +207,49 @@ fn run_mode(
     (t, latency, snap)
 }
 
+/// The totals `key`'s mode produced in one panel.
+fn totals_of(row: &[(Mode, Totals, LatencySnapshot)], key: &str) -> Totals {
+    let mode = row.iter().find(|(m, _, _)| m.key == key);
+    mode.expect("every mode runs in every panel").1
+}
+
 fn main() {
-    let cfg = parse_args();
+    let args = Args::parse("coherence");
+    let (block, rounds, rereads, procs) = if args.smoke {
+        (8 * 1024, 2, 2, vec![4])
+    } else {
+        (64 * 1024, 4, 4, vec![4, 8])
+    };
     // All three modes share the platform's revocation cost model; quote it
     // in the header and JSON so the flushed-byte freight is interpretable.
     let revoke_byte_ns = profile(CoherenceMode::LockDriven).token_revoke_byte_ns;
     println!(
-        "coherence bench: reader-writer rounds, {} B blocks x {} rounds x {} rereads{}",
-        cfg.block,
-        cfg.rounds,
-        cfg.rereads,
-        if cfg.smoke { " [smoke]" } else { "" }
+        "coherence bench: reader-writer rounds, {block} B blocks x {rounds} rounds x {rereads} \
+         rereads{}",
+        if args.smoke { " [smoke]" } else { "" }
     );
     println!(
         "revocation cost model: token_revoke_ns flat + {revoke_byte_ns} ns per flushed byte, \
          charged to the acquirer"
     );
-    println!(
-        "{:>4} {:>20} {:>14}  {:>14} {:>10} {:>10} {:>12} {:>8} {:>12}",
-        "P",
-        "preset",
-        "mode",
-        "makespan_ns",
-        "srv_reads",
-        "srv_writes",
-        "hit_bytes",
-        "revokes",
-        "revoke_flush"
-    );
 
     /// One (process count, preset) panel: per-mode totals and latency.
     type Panel = (usize, RwPreset, Vec<(Mode, Totals, LatencySnapshot)>);
     let presets = [RwPreset::CheckpointReread, RwPreset::ProducerConsumer];
-    let trace_sink = cfg.trace.as_ref().map(|_| Arc::new(MemorySink::new()));
+    let trace = args.trace_file();
     let mut panels: Vec<Panel> = Vec::new();
-    for &p in &cfg.procs {
+    for &p in &procs {
         for preset in presets {
-            let spec = ReaderWriter::new(p, cfg.block, cfg.rounds, cfg.rereads, preset)
-                .expect("valid geometry");
+            let spec =
+                ReaderWriter::new(p, block, rounds, rereads, preset).expect("valid geometry");
             let mut row = Vec::new();
             let mut reference: Option<Vec<u8>> = None;
             for mode in MODES {
                 let name = format!("coh-{p}-{}-{}", preset.label(), mode.key);
-                // Trace the revocation-heavy run: lock-driven coherence on
-                // the producer-consumer ping-pong at the smallest P.
                 let traced = mode.key == "lock_driven"
                     && preset == RwPreset::ProducerConsumer
-                    && p == cfg.procs[0];
-                let sink = if traced { trace_sink.as_ref() } else { None };
+                    && p == procs[0];
+                let sink = trace.as_ref().filter(|_| traced).map(|t| t.sink());
                 let (t, lat, snap) = run_mode(spec, mode, &name, sink);
                 match &reference {
                     Some(r) => assert_eq!(
@@ -345,27 +262,17 @@ fn main() {
                     None => reference = Some(snap),
                 }
                 println!(
-                    "{:>4} {:>20} {:>14}  {:>14} {:>10} {:>10} {:>12} {:>8} {:>12}",
-                    p,
+                    "P={p:<3} {:>22} {:>14}  {}",
                     preset.label(),
                     mode.key,
-                    t.makespan_ns,
-                    t.server_read_requests,
-                    t.server_write_requests,
-                    t.cache_hit_bytes,
-                    t.revocations_served,
-                    t.revoke_flushed_bytes
+                    Value::from(&t)
                 );
                 row.push((mode, t, lat));
             }
             // Producer-consumer under lock-driven coherence must actually
             // exercise the revocation path (token ping-pong every round).
             if preset == RwPreset::ProducerConsumer {
-                let ld = row
-                    .iter()
-                    .find(|(m, _, _)| m.key == "lock_driven")
-                    .unwrap()
-                    .1;
+                let ld = totals_of(&row, "lock_driven");
                 assert!(
                     ld.revocations_served > 0,
                     "P={p}: producer-consumer must serve revocations"
@@ -378,123 +285,93 @@ fn main() {
             panels.push((p, preset, row));
         }
     }
-
-    if let (Some(path), Some(sink)) = (&cfg.trace, &trace_sink) {
-        std::fs::write(path, sink.export_chrome()).expect("write Chrome trace JSON");
-        println!(
-            "wrote {} ({} events) — load it at https://ui.perfetto.dev",
-            path.display(),
-            sink.len()
-        );
+    if let Some(t) = &trace {
+        t.export();
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"coherence\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"reader-writer rounds over rank-owned blocks under GPFS-style \
-         distributed tokens; atomic independent FileLocking(Exact) I/O; every read asserts \
-         the exact current-round stamp (stale bytes fail the run)\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"geometry\": {{\"block\": {}, \"rounds\": {}, \"rereads\": {}, \"smoke\": {}}},",
-        cfg.block, cfg.rounds, cfg.rereads, cfg.smoke
-    );
-    let _ = writeln!(
-        json,
-        "  \"cost_model\": {{\"token_revoke_byte_ns\": {revoke_byte_ns}, \"note\": \"a \
-         revocation flush charges the acquirer token_revoke_ns plus this per flushed \
-         write-behind byte, and the flushed bytes occupy the I/O-server horizons like any \
-         other write (they appear in server_service and delay later requests)\"}},",
-    );
-    let _ = writeln!(
-        json,
-        "  \"modes\": {{\"bypass\": \"IoPath::Direct — ROMIO-style, every access hits the \
-         servers\", \"close_to_open\": \"IoPath::Cached + blanket sync/invalidate around \
-         every atomic access\", \"lock_driven\": \"IoPath::Cached + CoherenceMode::LockDriven \
-         — tokens confer cache-validity rights, revocation flushes/invalidates exactly the \
-         revoked ranges\"}},",
-    );
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, (p, preset, row)) in panels.iter().enumerate() {
-        let bypass = row.iter().find(|(m, _, _)| m.key == "bypass").unwrap().1;
-        let _ = writeln!(
-            json,
-            "    {{\"p\": {p}, \"preset\": \"{}\",",
-            preset.label()
+    let mut artifact = Artifact::new(&args);
+    artifact
+        .field(
+            "workload",
+            "reader-writer rounds over rank-owned blocks under GPFS-style distributed tokens; \
+             atomic independent FileLocking(Exact) I/O; every read asserts the exact \
+             current-round stamp (stale bytes fail the run)",
+        )
+        .field(
+            "geometry",
+            object! {"block": block, "rounds": rounds, "rereads": rereads, "smoke": args.smoke},
+        )
+        .field(
+            "cost_model",
+            object! {
+                "token_revoke_byte_ns": Value::Number(revoke_byte_ns.to_string()),
+                "note": "a revocation flush charges the acquirer token_revoke_ns plus this per \
+                         flushed write-behind byte, and the flushed bytes occupy the I/O-server \
+                         horizons like any other write (they appear in server_service and delay \
+                         later requests)",
+            },
+        )
+        .field(
+            "modes",
+            object! {
+                "bypass": "IoPath::Direct — ROMIO-style, every access hits the servers",
+                "close_to_open": "IoPath::Cached + blanket sync/invalidate around every atomic \
+                                  access",
+                "lock_driven": "IoPath::Cached + CoherenceMode::LockDriven — tokens confer \
+                                cache-validity rights, revocation flushes/invalidates exactly \
+                                the revoked ranges",
+            },
         );
-        for (mode, t, lat) in row {
-            let read_reduction =
-                bypass.server_read_requests as f64 / t.server_read_requests.max(1) as f64;
-            let speedup = bypass.makespan_ns as f64 / t.makespan_ns.max(1) as f64;
-            let _ = writeln!(
-                json,
-                "     \"{}\": {{\"totals\": {}, \"server_read_reduction\": {:.2}, \
-                 \"makespan_speedup\": {:.2}, \"latency\": {{\"grant_wait\": {}, \
-                 \"revoke_flush\": {}, \"server_service\": {}}}}}{}",
-                mode.key,
-                json_totals(t),
-                read_reduction,
-                speedup,
-                json_latency(&lat.grant_wait),
-                json_latency(&lat.revoke_flush),
-                json_latency(&lat.server_service),
-                if mode.key == "lock_driven" { "" } else { "," }
-            );
-        }
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < panels.len() { "," } else { "" }
-        );
+    for (p, preset, row) in &panels {
+        let bypass = totals_of(row, "bypass");
+        let modes = row.iter().map(|(mode, t, lat)| {
+            let point = object! {
+                "totals": t,
+                "server_read_reduction":
+                    Value::fixed(ratio(bypass.server_read_requests, t.server_read_requests), 2),
+                "makespan_speedup": Value::fixed(ratio(bypass.makespan_ns, t.makespan_ns), 2),
+                "latency": object! {
+                    "grant_wait": &lat.grant_wait,
+                    "revoke_flush": &lat.revoke_flush,
+                    "server_service": &lat.server_service,
+                },
+            };
+            (mode.key, point)
+        });
+        artifact.panel(object! {"p": *p, "preset": preset.label()}, modes);
     }
-    let _ = writeln!(json, "  ],");
 
     // Acceptance: P = 8 checkpoint-then-reread at full geometry —
     // lock-driven cached atomic I/O must cut server read requests >= 5x
     // vs the direct bypass path, with zero stale reads anywhere.
     let acceptance = panels
         .iter()
-        .find(|(p, preset, _)| *p == 8 && *preset == RwPreset::CheckpointReread && !cfg.smoke);
-    match acceptance {
-        Some((p, _, row)) => {
-            let bypass = row.iter().find(|(m, _, _)| m.key == "bypass").unwrap().1;
-            let ld = row
-                .iter()
-                .find(|(m, _, _)| m.key == "lock_driven")
-                .unwrap()
-                .1;
-            let reduction =
-                bypass.server_read_requests as f64 / ld.server_read_requests.max(1) as f64;
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"p\": {p}, \"preset\": \"checkpoint-then-reread\", \
-                 \"metric\": \"bypass / lock_driven server read requests\", \
-                 \"reduction\": {:.2}, \"threshold\": 5.0, \"byte_identical\": true, \
-                 \"stale_reads\": 0, \"pass\": {}}}",
-                reduction,
-                reduction >= 5.0
-            );
-            let _ = writeln!(json, "}}");
-            std::fs::write(&cfg.out, &json).expect("write BENCH_coherence.json");
-            println!("wrote {}", cfg.out.display());
-            assert!(
-                reduction >= 5.0,
-                "acceptance: lock-driven cached atomic I/O must issue >= 5x fewer server \
-                 read requests than bypass at P=8 checkpoint-then-reread, got {reduction:.2}x"
-            );
-        }
-        None => {
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"note\": \"smoke geometry; run without --smoke for the \
-                 P=8 acceptance point\"}}"
-            );
-            let _ = writeln!(json, "}}");
-            std::fs::write(&cfg.out, &json).expect("write BENCH_coherence.json");
-            println!("wrote {}", cfg.out.display());
-        }
+        .find(|(p, preset, _)| *p == 8 && *preset == RwPreset::CheckpointReread && !args.smoke)
+        .map(|(_, _, row)| {
+            let (bypass, ld) = (totals_of(row, "bypass"), totals_of(row, "lock_driven"));
+            ratio(bypass.server_read_requests, ld.server_read_requests)
+        });
+    artifact.acceptance(
+        "P=8",
+        acceptance.map(|reduction| {
+            object! {
+                "p": 8usize,
+                "preset": "checkpoint-then-reread",
+                "metric": "bypass / lock_driven server read requests",
+                "reduction": Value::fixed(reduction, 2),
+                "threshold": Value::fixed(5.0, 1),
+                "byte_identical": true,
+                "stale_reads": 0u64,
+                "pass": reduction >= 5.0,
+            }
+        }),
+    );
+    artifact.write();
+    if let Some(reduction) = acceptance {
+        assert!(
+            reduction >= 5.0,
+            "acceptance: lock-driven cached atomic I/O must issue >= 5x fewer server \
+             read requests than bypass at P=8 checkpoint-then-reread, got {reduction:.2}x"
+        );
     }
 }

@@ -33,66 +33,17 @@
 //! round trips** *and* **≥ 3× lower makespan** than bounding-span
 //! locking, with byte-identical file contents across all three modes.
 //!
-//! Run with `cargo bench -p atomio-bench --bench locking`; pass
-//! `-- --smoke` for the quick CI geometry and `-- --out <path>` to choose
-//! where the JSON lands (default: the workspace root).
+//! Run with `cargo bench -p atomio-bench --bench locking` (flags:
+//! [`atomio_bench::Args`]). Both scales are deterministic and `cmp`-gated
+//! in CI against `BENCH_locking.json` and `tests/golden/locking_smoke.json`.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-use atomio_bench::json_latency;
+use atomio_bench::{counters, makespan, object, ratio, Args, Artifact, Value};
 use atomio_core::verify::check_mpi_atomicity;
 use atomio_core::{Atomicity, LockGranularity, MpiFile, OpenMode, Strategy};
 use atomio_msg::run;
 use atomio_pfs::{FileSystem, LatencySnapshot, PlatformProfile};
 use atomio_vtime::{LinkCost, ServeCost, VNanos};
 use atomio_workloads::{pattern, IndependentStrided};
-
-struct Config {
-    rows: u64,
-    row_bytes: u64,
-    procs: Vec<usize>,
-    out: PathBuf,
-    smoke: bool,
-}
-
-fn parse_args() -> Config {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().map(PathBuf::from),
-            // `cargo bench` forwards harness flags; ignore the rest.
-            _ => {}
-        }
-    }
-    let out = out.unwrap_or_else(|| {
-        let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        p.pop();
-        p.pop();
-        p.push("BENCH_locking.json");
-        p
-    });
-    if smoke {
-        Config {
-            rows: 128,
-            row_bytes: 256,
-            procs: vec![4, 16],
-            out,
-            smoke,
-        }
-    } else {
-        Config {
-            rows: 4096,
-            row_bytes: 4096,
-            procs: vec![4, 16, 64],
-            out,
-            smoke,
-        }
-    }
-}
 
 /// One granularity/architecture point of the comparison.
 #[derive(Debug, Clone, Copy)]
@@ -120,31 +71,19 @@ const MODES: [Mode; 3] = [
     },
 ];
 
-/// Aggregate counters of one whole run (all ranks).
-#[derive(Debug, Clone, Copy, Default)]
-struct Totals {
-    makespan_ns: VNanos,
-    lock_acquires: u64,
-    lock_ranges: u64,
-    serialized_grants: u64,
-    shard_trips: u64,
-    /// Total virtual time all ranks spent waiting for their grants — the
-    /// pure lock-serialization time, independent of the (server-bound,
-    /// identical across modes) data movement.
-    grant_wait_ns: u64,
-}
-
-fn json_totals(t: &Totals) -> String {
-    format!(
-        "{{\"makespan_ns\": {}, \"lock_acquires\": {}, \"lock_ranges\": {}, \
-         \"serialized_grants\": {}, \"shard_trips\": {}, \"grant_wait_ns\": {}}}",
-        t.makespan_ns,
-        t.lock_acquires,
-        t.lock_ranges,
-        t.serialized_grants,
-        t.shard_trips,
-        t.grant_wait_ns
-    )
+counters! {
+    /// Aggregate counters of one whole run (all ranks).
+    struct Totals {
+        makespan_ns: VNanos,
+        lock_acquires: u64,
+        lock_ranges: u64,
+        serialized_grants: u64,
+        shard_trips: u64,
+        /// Total virtual time all ranks spent waiting for their grants — the
+        /// pure lock-serialization time, independent of the (server-bound,
+        /// identical across modes) data movement.
+        grant_wait_ns: u64,
+    }
 }
 
 /// Run the disjoint interleaved collective write under one mode; returns
@@ -191,10 +130,8 @@ fn run_mode(
         let close = file.close().unwrap();
         (start, end, close.stats)
     });
-    let start = out.iter().map(|(s, _, _)| *s).min().unwrap_or(0);
-    let end = out.iter().map(|(_, e, _)| *e).max().unwrap_or(0);
     let mut t = Totals {
-        makespan_ns: end - start,
+        makespan_ns: makespan(out.iter().map(|(s, e, _)| (*s, *e))),
         ..Totals::default()
     };
     for (_, _, s) in &out {
@@ -212,34 +149,29 @@ fn run_mode(
     (t, latency, snap)
 }
 
+/// The totals `key`'s mode produced in one panel.
+fn totals_of(row: &[(Mode, Totals, LatencySnapshot)], key: &str) -> Totals {
+    let mode = row.iter().find(|(m, _, _)| m.key == key);
+    mode.expect("every mode runs in every panel").1
+}
+
 fn main() {
-    let cfg = parse_args();
+    let args = Args::parse("locking");
+    let (rows, row_bytes, procs) = if args.smoke {
+        (128, 256, vec![4, 16])
+    } else {
+        (4096, 4096, vec![4, 16, 64])
+    };
     println!(
-        "locking bench: disjoint interleaved writers, {} runs x {} B rows{}",
-        cfg.rows,
-        cfg.row_bytes,
-        if cfg.smoke { " [smoke]" } else { "" }
-    );
-    println!(
-        "{:>4} {:>8}  {:>14} {:>8} {:>10} {:>12} {:>12} {:>16} {:>10} {:>10}",
-        "P",
-        "mode",
-        "makespan_ns",
-        "locks",
-        "ranges",
-        "serialized",
-        "shard_trips",
-        "grant_wait_ns",
-        "g_p50_ns",
-        "g_p99_ns"
+        "locking bench: disjoint interleaved writers, {rows} runs x {row_bytes} B rows{}",
+        if args.smoke { " [smoke]" } else { "" }
     );
 
     type Panel = (usize, Vec<(Mode, Totals, LatencySnapshot)>);
     let mut panels: Vec<Panel> = Vec::new();
-    for &p in &cfg.procs {
-        let run_len = cfg.row_bytes / p as u64;
-        let spec =
-            IndependentStrided::disjoint_interleaved(p, cfg.rows, run_len).expect("valid geometry");
+    for &p in &procs {
+        let spec = IndependentStrided::disjoint_interleaved(p, rows, row_bytes / p as u64)
+            .expect("valid geometry");
         let mut row = Vec::new();
         let mut reference: Option<Vec<u8>> = None;
         for mode in MODES {
@@ -255,132 +187,100 @@ fn main() {
                 ),
                 None => reference = Some(snap),
             }
-            println!(
-                "{:>4} {:>8}  {:>14} {:>8} {:>10} {:>12} {:>12} {:>16} {:>10} {:>10}",
-                p,
-                mode.key,
-                t.makespan_ns,
-                t.lock_acquires,
-                t.lock_ranges,
-                t.serialized_grants,
-                t.shard_trips,
-                t.grant_wait_ns,
-                lat.grant_wait.p50(),
-                lat.grant_wait.p99()
-            );
+            println!("P={p:<4} {:>8}  {}", mode.key, Value::from(&t));
             row.push((mode, t, lat));
         }
         panels.push((p, row));
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"locking\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"disjoint interleaved strided writers (colwise 4096x4096 with zero \
-         overlapped columns): rank r owns slot r of every row; collective atomic \
-         MPI_File_write_at_all under Strategy::FileLocking\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"geometry\": {{\"rows\": {}, \"row_bytes\": {}, \"smoke\": {}}},",
-        cfg.rows, cfg.row_bytes, cfg.smoke
-    );
-    let _ = writeln!(
-        json,
-        "  \"modes\": {{\"span\": \"bounding-span lock, central manager\", \"exact\": \
-         \"exact-footprint atomic list grant, central manager\", \"sharded\": \
-         \"exact list grant over per-server sharded lock domains\"}},",
-    );
-    let _ = writeln!(
-        json,
-        "  \"note\": \"striping is column-aligned (stripe unit = run length, one I/O server \
-         per writer column) and the costing latency-dominated (RPC latency >> per-request \
-         server occupancy), so each rank's request stream is independently overlappable: \
-         exact-footprint grants run all P streams concurrently (overlapped I/O) while span \
-         locking runs them end to end, and the serialization the granularity axis removes \
-         shows up in the makespan as well as in serialized_grants and grant_wait_ns\","
-    );
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, (p, row)) in panels.iter().enumerate() {
-        let span = row.iter().find(|(m, _, _)| m.key == "span").unwrap().1;
-        let _ = writeln!(json, "    {{\"p\": {p},");
-        for (mode, t, lat) in row {
-            let reduction = span.serialized_grants as f64 / t.serialized_grants.max(1) as f64;
-            let wait_reduction = span.grant_wait_ns as f64 / t.grant_wait_ns.max(1) as f64;
-            let speedup = span.makespan_ns as f64 / t.makespan_ns.max(1) as f64;
-            let _ = writeln!(
-                json,
-                "     \"{}\": {{\"totals\": {}, \"serialized_grant_reduction\": {:.2}, \
-                 \"grant_wait_reduction\": {:.2}, \"makespan_speedup\": {:.2}, \
-                 \"latency\": {{\"grant_wait\": {}, \"server_service\": {}}}}}{}",
-                mode.key,
-                json_totals(t),
-                reduction,
-                wait_reduction,
-                speedup,
-                json_latency(&lat.grant_wait),
-                json_latency(&lat.server_service),
-                if mode.key == "sharded" { "" } else { "," }
-            );
-        }
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < panels.len() { "," } else { "" }
+    let mut artifact = Artifact::new(&args);
+    artifact
+        .field(
+            "workload",
+            "disjoint interleaved strided writers (colwise 4096x4096 with zero overlapped \
+             columns): rank r owns slot r of every row; collective atomic \
+             MPI_File_write_at_all under Strategy::FileLocking",
+        )
+        .field(
+            "geometry",
+            object! {"rows": rows, "row_bytes": row_bytes, "smoke": args.smoke},
+        )
+        .field(
+            "modes",
+            object! {
+                "span": "bounding-span lock, central manager",
+                "exact": "exact-footprint atomic list grant, central manager",
+                "sharded": "exact list grant over per-server sharded lock domains",
+            },
+        )
+        .field(
+            "note",
+            "striping is column-aligned (stripe unit = run length, one I/O server per writer \
+             column) and the costing latency-dominated (RPC latency >> per-request server \
+             occupancy), so each rank's request stream is independently overlappable: \
+             exact-footprint grants run all P streams concurrently (overlapped I/O) while span \
+             locking runs them end to end, and the serialization the granularity axis removes \
+             shows up in the makespan as well as in serialized_grants and grant_wait_ns",
         );
+    for (p, row) in &panels {
+        let span = totals_of(row, "span");
+        let modes = row.iter().map(|(mode, t, lat)| {
+            let vs_span = |of: fn(&Totals) -> u64| Value::fixed(ratio(of(&span), of(t)), 2);
+            let point = object! {
+                "totals": t,
+                "serialized_grant_reduction": vs_span(|t| t.serialized_grants),
+                "grant_wait_reduction": vs_span(|t| t.grant_wait_ns),
+                "makespan_speedup": vs_span(|t| t.makespan_ns),
+                "latency": object! {
+                    "grant_wait": &lat.grant_wait,
+                    "server_service": &lat.server_service,
+                },
+            };
+            (mode.key, point)
+        });
+        artifact.panel(object! {"p": *p}, modes);
     }
-    let _ = writeln!(json, "  ],");
 
     // Acceptance: P = 16 at full geometry — exact and sharded must each
     // cut serialized grant round trips >= 5x vs bounding-span locking
     // AND beat its makespan >= 3x (the overlapped-I/O win itself).
-    let acceptance = panels.iter().find(|(p, _)| *p == 16 && !cfg.smoke);
-    match acceptance {
-        Some((p, row)) => {
-            let span = row.iter().find(|(m, _, _)| m.key == "span").unwrap().1;
+    let acceptance = panels.iter().find(|(p, _)| *p == 16 && !args.smoke);
+    let acceptance = acceptance.map(|(_, row)| {
+        let span = totals_of(row, "span");
+        let worst = |of: fn(&Totals) -> u64| {
             let fine = row.iter().filter(|(m, _, _)| m.key != "span");
-            let worst = fine
-                .clone()
-                .map(|(_, t, _)| span.serialized_grants as f64 / t.serialized_grants.max(1) as f64)
-                .fold(f64::INFINITY, f64::min);
-            let worst_speedup = fine
-                .map(|(_, t, _)| span.makespan_ns as f64 / t.makespan_ns.max(1) as f64)
-                .fold(f64::INFINITY, f64::min);
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"p\": {p}, \"metric\": \"span / exact serialized grant \
-                 round trips and span / exact makespan (each min over exact and sharded)\", \
-                 \"reduction\": {:.2}, \"threshold\": 5.0, \"makespan_speedup\": {:.2}, \
-                 \"speedup_threshold\": 3.0, \"byte_identical\": true, \"pass\": {}}}",
-                worst,
-                worst_speedup,
-                worst >= 5.0 && worst_speedup >= 3.0
-            );
-            let _ = writeln!(json, "}}");
-            std::fs::write(&cfg.out, &json).expect("write BENCH_locking.json");
-            println!("wrote {}", cfg.out.display());
-            assert!(
-                worst >= 5.0,
-                "acceptance: exact/sharded locking must cut serialized grant round trips \
-                 >= 5x vs span locking at P=16, got {worst:.2}x"
-            );
-            assert!(
-                worst_speedup >= 3.0,
-                "acceptance: exact/sharded locking must beat span locking's makespan >= 3x \
-                 at P=16 on the latency-dominated platform, got {worst_speedup:.2}x"
-            );
-        }
-        None => {
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"note\": \"smoke geometry; run without --smoke for the \
-                 P=16 acceptance point\"}}"
-            );
-            let _ = writeln!(json, "}}");
-            std::fs::write(&cfg.out, &json).expect("write BENCH_locking.json");
-            println!("wrote {}", cfg.out.display());
-        }
+            fine.map(|(_, t, _)| ratio(of(&span), of(t)))
+                .fold(f64::INFINITY, f64::min)
+        };
+        (worst(|t| t.serialized_grants), worst(|t| t.makespan_ns))
+    });
+    artifact.acceptance(
+        "P=16",
+        acceptance.map(|(reduction, speedup)| {
+            object! {
+                "p": 16usize,
+                "metric": "span / exact serialized grant round trips and span / exact makespan \
+                           (each min over exact and sharded)",
+                "reduction": Value::fixed(reduction, 2),
+                "threshold": Value::fixed(5.0, 1),
+                "makespan_speedup": Value::fixed(speedup, 2),
+                "speedup_threshold": Value::fixed(3.0, 1),
+                "byte_identical": true,
+                "pass": reduction >= 5.0 && speedup >= 3.0,
+            }
+        }),
+    );
+    artifact.write();
+    if let Some((reduction, speedup)) = acceptance {
+        assert!(
+            reduction >= 5.0,
+            "acceptance: exact/sharded locking must cut serialized grant round trips \
+             >= 5x vs span locking at P=16, got {reduction:.2}x"
+        );
+        assert!(
+            speedup >= 3.0,
+            "acceptance: exact/sharded locking must beat span locking's makespan >= 3x \
+             at P=16 on the latency-dominated platform, got {speedup:.2}x"
+        );
     }
 }

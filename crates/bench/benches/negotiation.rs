@@ -4,68 +4,12 @@
 //! pipelines, plus a machine-readable `BENCH_negotiation.json` artifact
 //! recording the speedups and wire compression.
 //!
-//! Run with `cargo bench -p atomio-bench --bench negotiation`; pass
-//! `-- --smoke` for the quick CI geometry and `-- --out <path>` to choose
-//! where the JSON lands (default: the workspace root).
-
-use std::fmt::Write as _;
-use std::path::PathBuf;
+//! Run with `cargo bench -p atomio-bench --bench negotiation` (flags:
+//! [`atomio_bench::Args`]). Host time: the digits move run to run, so the
+//! artifact is validated in CI, not `cmp`-gated.
 
 use atomio_bench::negotiation::{measure_best, NegotiationCost, Repr};
-
-struct Config {
-    m: u64,
-    n: u64,
-    r: u64,
-    procs: Vec<usize>,
-    iters: u32,
-    out: PathBuf,
-    smoke: bool,
-}
-
-fn parse_args() -> Config {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().map(PathBuf::from),
-            // `cargo bench` forwards harness flags (`--bench` etc.);
-            // ignore anything unrecognized.
-            _ => {}
-        }
-    }
-    let out = out.unwrap_or_else(|| {
-        // Workspace root, two levels above this crate's manifest.
-        let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        p.pop();
-        p.pop();
-        p.push("BENCH_negotiation.json");
-        p
-    });
-    if smoke {
-        Config {
-            m: 256,
-            n: 256,
-            r: 16,
-            procs: vec![4, 8],
-            iters: 3,
-            out,
-            smoke,
-        }
-    } else {
-        Config {
-            m: 4096,
-            n: 4096,
-            r: 16,
-            procs: vec![4, 16, 64],
-            iters: 3,
-            out,
-            smoke,
-        }
-    }
-}
+use atomio_bench::{object, ratio, Args, Artifact, Value};
 
 struct PointRow {
     p: usize,
@@ -75,73 +19,40 @@ struct PointRow {
 
 impl PointRow {
     fn speedup_build_plus_overlap(&self) -> f64 {
-        self.dense.build_plus_overlap_ns() as f64
-            / self.strided.build_plus_overlap_ns().max(1) as f64
+        ratio(
+            self.dense.build_plus_overlap_ns(),
+            self.strided.build_plus_overlap_ns(),
+        )
     }
 
     fn speedup_total(&self) -> f64 {
-        self.dense.total_ns() as f64 / self.strided.total_ns().max(1) as f64
+        ratio(self.dense.total_ns(), self.strided.total_ns())
     }
 
     fn wire_compression(&self) -> f64 {
-        self.dense.wire_bytes as f64 / self.strided.wire_bytes.max(1) as f64
+        ratio(self.dense.wire_bytes, self.strided.wire_bytes)
     }
 }
 
-fn json_cost(c: &NegotiationCost) -> String {
-    format!(
-        "{{\"footprint_ns\": {}, \"exchange_ns\": {}, \"overlap_graph_ns\": {}, \
-         \"view_recompute_ns\": {}, \"total_ns\": {}, \"wire_bytes\": {}, \
-         \"description_units\": {}, \"colors\": {}}}",
-        c.footprint_ns,
-        c.exchange_ns,
-        c.overlap_ns,
-        c.recompute_ns,
-        c.total_ns(),
-        c.wire_bytes,
-        c.description_units,
-        c.colors
-    )
-}
-
 fn main() {
-    let cfg = parse_args();
+    let args = Args::parse("negotiation");
+    let (m, n, procs) = if args.smoke {
+        (256, 256, vec![4, 8])
+    } else {
+        (4096, 4096, vec![4, 16, 64])
+    };
+    let (r, iters) = (16, 3);
     println!(
-        "negotiation bench: M={} N={} R={} (column-wise), best of {} iterations{}",
-        cfg.m,
-        cfg.n,
-        cfg.r,
-        cfg.iters,
-        if cfg.smoke { " [smoke]" } else { "" }
-    );
-    println!(
-        "{:>4}  {:>8}  {:>14} {:>14} {:>14} {:>14}  {:>12}  {:>10}",
-        "P",
-        "repr",
-        "footprint_ns",
-        "exchange_ns",
-        "overlap_ns",
-        "recompute_ns",
-        "wire_bytes",
-        "units"
+        "negotiation bench: M={m} N={n} R={r} (column-wise), best of {iters} iterations{}",
+        if args.smoke { " [smoke]" } else { "" }
     );
 
     let mut rows: Vec<PointRow> = Vec::new();
-    for &p in &cfg.procs {
-        let dense = measure_best(cfg.m, cfg.n, p, cfg.r, Repr::Dense, cfg.iters);
-        let strided = measure_best(cfg.m, cfg.n, p, cfg.r, Repr::Strided, cfg.iters);
+    for &p in &procs {
+        let dense = measure_best(m, n, p, r, Repr::Dense, iters);
+        let strided = measure_best(m, n, p, r, Repr::Strided, iters);
         for (repr, c) in [("dense", &dense), ("strided", &strided)] {
-            println!(
-                "{:>4}  {:>8}  {:>14} {:>14} {:>14} {:>14}  {:>12}  {:>10}",
-                p,
-                repr,
-                c.footprint_ns,
-                c.exchange_ns,
-                c.overlap_ns,
-                c.recompute_ns,
-                c.wire_bytes,
-                c.description_units
-            );
+            println!("P={p:<3} {repr:>8}  {}", Value::from(c));
         }
         assert_eq!(
             dense.colors, strided.colors,
@@ -161,71 +72,63 @@ fn main() {
         rows.push(row);
     }
 
+    let mut artifact = Artifact::new(&args);
+    artifact
+        .field(
+            "workload",
+            "column-wise M×N byte array, R overlapped columns, one footprint run per row when \
+             dense",
+        )
+        .field(
+            "geometry",
+            object! {"m": m, "n": n, "r": r, "smoke": args.smoke},
+        )
+        .field(
+            "phases",
+            Value::array([
+                "footprint build",
+                "allgather exchange materialization",
+                "overlap graph + coloring",
+                "rank-ordering view recompute",
+            ]),
+        );
+    for row in &rows {
+        artifact.panel(
+            object! {"p": row.p},
+            [
+                ("dense", Value::from(&row.dense)),
+                ("strided", Value::from(&row.strided)),
+                (
+                    "speedup_build_plus_overlap",
+                    Value::fixed(row.speedup_build_plus_overlap(), 2),
+                ),
+                ("speedup_total", Value::fixed(row.speedup_total(), 2)),
+                ("wire_compression", Value::fixed(row.wire_compression(), 2)),
+            ],
+        );
+    }
+
     // The acceptance point: P = 16 at full geometry (absent in smoke runs).
-    let acceptance = rows.iter().find(|r| r.p == 16 && !cfg.smoke);
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"negotiation\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"column-wise M×N byte array, R overlapped columns, one footprint run per row when dense\","
+    let acceptance = rows.iter().find(|r| r.p == 16 && !args.smoke);
+    let acceptance = acceptance.map(PointRow::speedup_build_plus_overlap);
+    artifact.acceptance(
+        "P=16",
+        acceptance.map(|speedup| {
+            object! {
+                "p": 16usize,
+                "metric": "footprint build + overlap graph, dense/strided",
+                "speedup": Value::fixed(speedup, 2),
+                "threshold": Value::fixed(10.0, 1),
+                "pass": speedup >= 10.0,
+            }
+        }),
     );
-    let _ = writeln!(
-        json,
-        "  \"geometry\": {{\"m\": {}, \"n\": {}, \"r\": {}, \"smoke\": {}}},",
-        cfg.m, cfg.n, cfg.r, cfg.smoke
-    );
-    let _ = writeln!(
-        json,
-        "  \"phases\": [\"footprint build\", \"allgather exchange materialization\", \"overlap graph + coloring\", \"rank-ordering view recompute\"],"
-    );
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"p\": {},", row.p);
-        let _ = writeln!(json, "      \"dense\": {},", json_cost(&row.dense));
-        let _ = writeln!(json, "      \"strided\": {},", json_cost(&row.strided));
-        let _ = writeln!(
-            json,
-            "      \"speedup_build_plus_overlap\": {:.2},",
-            row.speedup_build_plus_overlap()
-        );
-        let _ = writeln!(json, "      \"speedup_total\": {:.2},", row.speedup_total());
-        let _ = writeln!(
-            json,
-            "      \"wire_compression\": {:.2}",
-            row.wire_compression()
-        );
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-    match acceptance {
-        Some(row) => {
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"p\": 16, \"metric\": \"footprint build + overlap graph, dense/strided\", \"speedup\": {:.2}, \"threshold\": 10.0, \"pass\": {}}}",
-                row.speedup_build_plus_overlap(),
-                row.speedup_build_plus_overlap() >= 10.0
-            );
-        }
-        None => {
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"note\": \"smoke geometry; run without --smoke for the P=16 acceptance point\"}}"
-            );
-        }
-    }
-    let _ = writeln!(json, "}}");
-
-    std::fs::write(&cfg.out, &json).expect("write BENCH_negotiation.json");
-    println!("wrote {}", cfg.out.display());
-
-    if let Some(row) = acceptance {
+    artifact.write();
+    if let Some(speedup) = acceptance {
         assert!(
-            row.speedup_build_plus_overlap() >= 10.0,
-            "acceptance: strided footprint+overlap must be >= 10x faster at P=16, got {:.2}x",
-            row.speedup_build_plus_overlap()
+            speedup >= 10.0,
+            "acceptance: strided footprint+overlap must be >= 10x faster at P=16, got \
+             {speedup:.2}x"
         );
     }
 }

@@ -21,16 +21,13 @@
 //!   discarded.
 //!
 //! Emits `BENCH_recovery.json`. Run with
-//! `cargo bench -p atomio-bench --bench recovery`; `-- --smoke` for the CI
-//! geometry, `-- --out <path>` for the JSON, `-- --trace <path>` to dump a
-//! Chrome-trace timeline (Category::Fault events included) of the
-//! acceptance run.
+//! `cargo bench -p atomio-bench --bench recovery` (flags:
+//! [`atomio_bench::Args`]); `--trace` records the acceptance run, its
+//! `Category::Fault` events included.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 
-use atomio_bench::json_latency;
+use atomio_bench::{makespan, object, ratio, Args, Artifact, Value};
 use atomio_core::{Atomicity, IoPath, LockGranularity, MpiFile, OpenMode, Strategy};
 use atomio_msg::run;
 use atomio_pfs::{
@@ -40,62 +37,6 @@ use atomio_pfs::{
 use atomio_trace::{MemorySink, TraceSink};
 use atomio_vtime::VNanos;
 use atomio_workloads::CrashRecovery;
-
-struct Config {
-    block: u64,
-    rounds: u64,
-    rereads: u64,
-    procs: Vec<usize>,
-    fault_rates: Vec<usize>,
-    out: PathBuf,
-    trace: Option<PathBuf>,
-    smoke: bool,
-}
-
-fn parse_args() -> Config {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().map(PathBuf::from),
-            "--trace" => trace = args.next().map(PathBuf::from),
-            _ => {}
-        }
-    }
-    let out = out.unwrap_or_else(|| {
-        let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        p.pop();
-        p.pop();
-        p.push("BENCH_recovery.json");
-        p
-    });
-    if smoke {
-        Config {
-            block: 8 * 1024,
-            rounds: 2,
-            rereads: 2,
-            procs: vec![4],
-            fault_rates: vec![0, 4, 8],
-            out,
-            trace,
-            smoke,
-        }
-    } else {
-        Config {
-            block: 64 * 1024,
-            rounds: 4,
-            rereads: 4,
-            procs: vec![4, 8],
-            fault_rates: vec![0, 4, 8, 16],
-            out,
-            trace,
-            smoke,
-        }
-    }
-}
 
 /// GPFS-flavoured platform like the coherence bench, but with a
 /// write-behind limit *below* one checkpoint block so every round's write
@@ -182,10 +123,8 @@ fn run_plan(
         let close = file.close().unwrap();
         (start, end, close.stats, anomalies)
     });
-    let start = out.iter().map(|(s, _, _, _)| *s).min().unwrap_or(0);
-    let end = out.iter().map(|(_, e, _, _)| *e).max().unwrap_or(0);
     let mut res = RunResult {
-        makespan_ns: end - start,
+        makespan_ns: makespan(out.iter().map(|(s, e, _, _)| (*s, *e))),
         anomalies: 0,
         retries: 0,
         journal_replays: 0,
@@ -214,58 +153,45 @@ fn run_plan(
     res
 }
 
-fn json_run(r: &RunResult) -> String {
-    let f = &r.faults;
-    format!(
-        "{{\"makespan_ns\": {}, \"anomalies\": {}, \"retries\": {}, \"rejections\": {}, \
-         \"server_crashes\": {}, \"records_torn\": {}, \"journal_replays\": {}, \
-         \"replayed_records\": {}, \"replayed_bytes\": {}, \"torn_records_discarded\": {}, \
-         \"revocations_dropped\": {}, \"revocations_delayed\": {}, \"faults_fired\": {}, \
-         \"grant_wait\": {}, \"server_service\": {}}}",
-        r.makespan_ns,
-        r.anomalies,
-        r.retries,
-        f.rejections,
-        f.server_crashes,
-        f.records_torn,
-        f.journal_replays,
-        f.replayed_records,
-        f.replayed_bytes,
-        f.torn_records_discarded,
-        f.revocations_dropped,
-        f.revocations_delayed,
-        f.faults_injected,
-        json_latency(&r.latency.grant_wait),
-        json_latency(&r.latency.server_service),
-    )
+impl From<&RunResult> for Value {
+    fn from(r: &RunResult) -> Value {
+        let f = &r.faults;
+        object! {
+            "makespan_ns": r.makespan_ns,
+            "anomalies": r.anomalies,
+            "retries": r.retries,
+            "rejections": f.rejections,
+            "server_crashes": f.server_crashes,
+            "records_torn": f.records_torn,
+            "journal_replays": f.journal_replays,
+            "replayed_records": f.replayed_records,
+            "replayed_bytes": f.replayed_bytes,
+            "torn_records_discarded": f.torn_records_discarded,
+            "revocations_dropped": f.revocations_dropped,
+            "revocations_delayed": f.revocations_delayed,
+            "faults_fired": f.faults_injected,
+            "grant_wait": &r.latency.grant_wait,
+            "server_service": &r.latency.server_service,
+        }
+    }
 }
 
 fn main() {
-    let cfg = parse_args();
+    let args = Args::parse("recovery");
+    let (block, rounds, rereads, procs, fault_rates) = if args.smoke {
+        (8 * 1024, 2, 2, vec![4], vec![0, 4, 8])
+    } else {
+        (64 * 1024, 4, 4, vec![4, 8], vec![0, 4, 8, 16])
+    };
     println!(
-        "recovery bench: crash-recovery checkpoint rounds, {} B blocks x {} rounds x {} \
-         rereads{}",
-        cfg.block,
-        cfg.rounds,
-        cfg.rereads,
-        if cfg.smoke { " [smoke]" } else { "" }
-    );
-    println!(
-        "{:>4} {:>8} {:>14} {:>8} {:>8} {:>9} {:>8} {:>12} {:>14}",
-        "P",
-        "faults",
-        "makespan_ns",
-        "retries",
-        "crashes",
-        "torn",
-        "replays",
-        "grant_p99",
-        "slowdown"
+        "recovery bench: crash-recovery checkpoint rounds, {block} B blocks x {rounds} rounds x \
+         {rereads} rereads{}",
+        if args.smoke { " [smoke]" } else { "" }
     );
 
     // --- No-fault identity: FaultPlan::none() vs a plain FileSystem.
-    let ident_spec = CrashRecovery::new(cfg.procs[0], cfg.block, cfg.rounds, cfg.rereads, 1, 0)
-        .expect("valid geometry");
+    let ident_spec =
+        CrashRecovery::new(procs[0], block, rounds, rereads, 1, 0).expect("valid geometry");
     let with_plan = run_plan(ident_spec, FaultPlan::none(), "rec-ident-plan", None);
     let baseline = {
         // Same workload on FileSystem::new — byte- and vtime-identical.
@@ -297,9 +223,7 @@ fn main() {
             file.close().unwrap();
             (start, end)
         });
-        let start = out.iter().map(|(s, _)| *s).min().unwrap();
-        let end = out.iter().map(|(_, e)| *e).max().unwrap();
-        (end - start, fs.snapshot("rec-ident-base").unwrap())
+        (makespan(out), fs.snapshot("rec-ident-base").unwrap())
     };
     let identical = with_plan.snap == baseline.1 && with_plan.makespan_ns == baseline.0;
     assert!(
@@ -315,39 +239,24 @@ fn main() {
     );
 
     // --- Fault-rate sweep: seeded schedules at increasing fault counts.
-    let servers = profile(cfg.block).sim_servers;
+    let servers = profile(block).sim_servers;
     type Point = (usize, usize, RunResult, f64);
     let mut points: Vec<Point> = Vec::new();
-    for &p in &cfg.procs {
+    for &p in &procs {
         let mut clean_makespan = 0;
-        for &faults in &cfg.fault_rates {
-            let spec = CrashRecovery::new(
-                p,
-                cfg.block,
-                cfg.rounds,
-                cfg.rereads,
-                0xA70 + p as u64,
-                faults,
-            )
-            .expect("valid geometry");
+        for &faults in &fault_rates {
+            let spec = CrashRecovery::new(p, block, rounds, rereads, 0xA70 + p as u64, faults)
+                .expect("valid geometry");
             let plan = FaultPlan::seeded(spec.seed, servers, p, spec.faults);
             let name = format!("rec-{p}-f{faults}");
             let r = run_plan(spec, plan, &name, None);
             if faults == 0 {
                 clean_makespan = r.makespan_ns;
             }
-            let slowdown = r.makespan_ns as f64 / clean_makespan.max(1) as f64;
+            let slowdown = ratio(r.makespan_ns, clean_makespan);
             println!(
-                "{:>4} {:>8} {:>14} {:>8} {:>8} {:>9} {:>8} {:>12} {:>13.2}x",
-                p,
-                faults,
-                r.makespan_ns,
-                r.retries,
-                r.faults.server_crashes,
-                r.faults.records_torn,
-                r.faults.journal_replays,
-                r.latency.grant_wait.p99(),
-                slowdown
+                "P={p:<3} faults={faults:<3} slowdown={slowdown:.2}x  {}",
+                Value::from(&r)
             );
             points.push((p, faults, r, slowdown));
         }
@@ -358,9 +267,8 @@ fn main() {
     // intent record and takes the server down; the retrying flush drives
     // restart + replay, which must discard the torn record and re-land the
     // bytes — with every later verification read still clean.
-    let p_acc = *cfg.procs.last().unwrap();
-    let acc_spec = CrashRecovery::new(p_acc, cfg.block, cfg.rounds, cfg.rereads, 0, 1)
-        .expect("valid geometry");
+    let p_acc = *procs.last().unwrap();
+    let acc_spec = CrashRecovery::new(p_acc, block, rounds, rereads, 0, 1).expect("valid geometry");
     let acc_plan = FaultPlan::none().with(
         FaultSite::JournalAppend { server: 0 },
         1,
@@ -368,12 +276,12 @@ fn main() {
             restart: RestartPolicy::Rejections(2),
         },
     );
-    let trace_sink = cfg.trace.as_ref().map(|_| Arc::new(MemorySink::new()));
+    let trace = args.trace_file();
     let acc = run_plan(
         acc_spec,
         acc_plan,
         &format!("rec-acc-{p_acc}"),
-        trace_sink.as_ref(),
+        trace.as_ref().map(|t| t.sink()),
     );
     let acc_pass = acc.anomalies == 0
         && acc.faults.journal_replays >= 1
@@ -388,73 +296,63 @@ fn main() {
         if acc_pass { "pass" } else { "FAIL" }
     );
 
-    if let (Some(path), Some(sink)) = (&cfg.trace, &trace_sink) {
-        std::fs::write(path, sink.export_chrome()).expect("write Chrome trace JSON");
-        println!(
-            "wrote {} ({} events) — load it at https://ui.perfetto.dev",
-            path.display(),
-            sink.len()
-        );
+    if let Some(t) = &trace {
+        t.export();
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"recovery\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"CrashRecovery checkpoint-then-reread rounds under deterministic \
-         fault schedules on the lock-driven cached path; every verification read classified \
-         clean/stale/torn/corrupt by the workload checker (any anomaly fails the run)\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"geometry\": {{\"block\": {}, \"rounds\": {}, \"rereads\": {}, \
-         \"write_behind_limit\": {}, \"smoke\": {}}},",
-        cfg.block,
-        cfg.rounds,
-        cfg.rereads,
-        profile(cfg.block).cache.write_behind_limit,
-        cfg.smoke
-    );
-    let _ = writeln!(
-        json,
-        "  \"fault_model\": \"seeded FaultPlan: server crashes (restart after 1-4 rejected \
-         requests), torn journal appends, dropped/delayed revocations; retries pay \
-         exponential vtime backoff (retry_backoff_ns << attempt)\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"no_fault_identity\": {{\"byte_identical\": {identical}, \"makespan_ns\": {}}},",
-        baseline.0
-    );
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, (p, faults, r, slowdown)) in points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"p\": {p}, \"faults_scheduled\": {faults}, \"slowdown\": {slowdown:.3}, \
-             \"run\": {}}}{}",
-            json_run(r),
-            if i + 1 < points.len() { "," } else { "" }
+    let mut artifact = Artifact::new(&args);
+    artifact
+        .field(
+            "workload",
+            "CrashRecovery checkpoint-then-reread rounds under deterministic fault schedules on \
+             the lock-driven cached path; every verification read classified \
+             clean/stale/torn/corrupt by the workload checker (any anomaly fails the run)",
+        )
+        .field(
+            "geometry",
+            object! {
+                "block": block,
+                "rounds": rounds,
+                "rereads": rereads,
+                "write_behind_limit": profile(block).cache.write_behind_limit,
+                "smoke": args.smoke,
+            },
+        )
+        .field(
+            "fault_model",
+            "seeded FaultPlan: server crashes (restart after 1-4 rejected requests), torn \
+             journal appends, dropped/delayed revocations; retries pay exponential vtime \
+             backoff (retry_backoff_ns << attempt)",
+        )
+        .field(
+            "no_fault_identity",
+            object! {"byte_identical": identical, "makespan_ns": baseline.0},
         );
+    for (p, faults, r, slowdown) in &points {
+        artifact.row(object! {
+            "p": *p,
+            "faults_scheduled": *faults,
+            "slowdown": Value::fixed(*slowdown, 3),
+            "run": r,
+        });
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"acceptance\": {{\"p\": {p_acc}, \"scenario\": \"mid-flush TearRecord on server 0 \
-         (power-cut during revocation-journal append), restart after 2 rejections\", \
-         \"journal_replays\": {}, \"torn_records_discarded\": {}, \"replayed_records\": {}, \
-         \"replayed_bytes\": {}, \"stale_or_torn_reads\": {}, \"byte_identical_no_fault\": \
-         {identical}, \"run\": {}, \"pass\": {acc_pass}}}",
-        acc.faults.journal_replays,
-        acc.faults.torn_records_discarded,
-        acc.faults.replayed_records,
-        acc.faults.replayed_bytes,
-        acc.anomalies,
-        json_run(&acc)
+    artifact.acceptance(
+        "mid-flush crash",
+        Some(object! {
+            "p": p_acc,
+            "scenario": "mid-flush TearRecord on server 0 (power-cut during revocation-journal \
+                         append), restart after 2 rejections",
+            "journal_replays": acc.faults.journal_replays,
+            "torn_records_discarded": acc.faults.torn_records_discarded,
+            "replayed_records": acc.faults.replayed_records,
+            "replayed_bytes": acc.faults.replayed_bytes,
+            "stale_or_torn_reads": acc.anomalies,
+            "byte_identical_no_fault": identical,
+            "run": &acc,
+            "pass": acc_pass,
+        }),
     );
-    let _ = writeln!(json, "}}");
-    std::fs::write(&cfg.out, &json).expect("write BENCH_recovery.json");
-    println!("wrote {}", cfg.out.display());
+    artifact.write();
     assert!(
         acc_pass,
         "acceptance: the mid-flush crash run must replay the journal (got {}), discard the \

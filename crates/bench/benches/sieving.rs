@@ -13,13 +13,10 @@
 //! sieved write path must issue **≥ 5× fewer server write requests** than
 //! per-run locking (it lands around 30×; locks drop ~4000×).
 //!
-//! Run with `cargo bench -p atomio-bench --bench sieving`; pass
-//! `-- --smoke` for the quick CI geometry and `-- --out <path>` to choose
-//! where the JSON lands (default: the workspace root).
+//! Run with `cargo bench -p atomio-bench --bench sieving` (flags:
+//! [`atomio_bench::Args`]).
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
+use atomio_bench::{counters, makespan, object, ratio, Args, Artifact, Value};
 use atomio_core::verify::check_mpi_atomicity;
 use atomio_core::{Atomicity, LockGranularity, MpiFile, OpenMode, SieveConfig, Strategy};
 use atomio_msg::run;
@@ -27,74 +24,15 @@ use atomio_pfs::{FileSystem, LockMode, PlatformProfile};
 use atomio_vtime::VNanos;
 use atomio_workloads::{pattern, ColWise};
 
-struct Config {
-    m: u64,
-    n: u64,
-    p: usize,
-    r: u64,
-    buffers: Vec<u64>,
-    out: PathBuf,
-    smoke: bool,
-}
-
-fn parse_args() -> Config {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().map(PathBuf::from),
-            // `cargo bench` forwards harness flags; ignore the rest.
-            _ => {}
-        }
+counters! {
+    /// Aggregate counters of one whole run (all ranks).
+    struct Totals {
+        server_write_requests: u64,
+        server_read_requests: u64,
+        lock_acquires: u64,
+        windows: u64,
+        makespan_ns: VNanos,
     }
-    let out = out.unwrap_or_else(|| {
-        let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        p.pop();
-        p.pop();
-        p.push("BENCH_sieving.json");
-        p
-    });
-    if smoke {
-        Config {
-            m: 256,
-            n: 256,
-            p: 4,
-            r: 16,
-            buffers: vec![4 << 10, 16 << 10],
-            out,
-            smoke,
-        }
-    } else {
-        Config {
-            m: 4096,
-            n: 4096,
-            p: 4,
-            r: 16,
-            buffers: vec![64 << 10, 256 << 10, 512 << 10, 1 << 20, 4 << 20],
-            out,
-            smoke,
-        }
-    }
-}
-
-/// Aggregate counters of one whole run (all ranks).
-#[derive(Debug, Clone, Copy, Default)]
-struct Totals {
-    server_write_requests: u64,
-    server_read_requests: u64,
-    lock_acquires: u64,
-    windows: u64,
-    makespan_ns: VNanos,
-}
-
-fn json_totals(t: &Totals) -> String {
-    format!(
-        "{{\"server_write_requests\": {}, \"server_read_requests\": {}, \
-         \"lock_acquires\": {}, \"windows\": {}, \"makespan_ns\": {}}}",
-        t.server_write_requests, t.server_read_requests, t.lock_acquires, t.windows, t.makespan_ns
-    )
 }
 
 /// Per-run locking: one exclusive lock and one synchronous write per
@@ -177,11 +115,9 @@ fn run_sieving(spec: ColWise, name: &str, buffer: u64) -> (Totals, FileSystem) {
 }
 
 fn collect(out: Vec<(VNanos, VNanos, atomio_pfs::StatsSnapshot)>, windows: u64) -> Totals {
-    let start = out.iter().map(|(s, _, _)| *s).min().unwrap_or(0);
-    let end = out.iter().map(|(_, e, _)| *e).max().unwrap_or(0);
     let mut t = Totals {
         windows,
-        makespan_ns: end - start,
+        makespan_ns: makespan(out.iter().map(|(s, e, _)| (*s, *e))),
         ..Totals::default()
     };
     for (_, _, s) in &out {
@@ -199,131 +135,83 @@ fn verify_atomic(fs: &FileSystem, name: &str, spec: ColWise) {
 }
 
 fn main() {
-    let cfg = parse_args();
-    let spec = ColWise::new(cfg.m, cfg.n, cfg.p, cfg.r).expect("valid geometry");
+    let args = Args::parse("sieving");
+    let (m, n, p, r, buffers) = if args.smoke {
+        (256, 256, 4, 16, vec![4 << 10, 16 << 10])
+    } else {
+        let buffers = vec![64 << 10, 256 << 10, 512 << 10, 1 << 20, 4 << 20];
+        (4096, 4096, 4, 16, buffers)
+    };
+    let spec = ColWise::new(m, n, p, r).expect("valid geometry");
     println!(
-        "sieving bench: column-wise M={} N={} P={} R={} independent atomic writes{}",
-        cfg.m,
-        cfg.n,
-        cfg.p,
-        cfg.r,
-        if cfg.smoke { " [smoke]" } else { "" }
-    );
-    println!(
-        "{:>16}  {:>10} {:>10} {:>10} {:>9} {:>14}",
-        "mode", "wr_reqs", "rd_reqs", "locks", "windows", "makespan_ns"
+        "sieving bench: column-wise M={m} N={n} P={p} R={r} independent atomic writes{}",
+        if args.smoke { " [smoke]" } else { "" }
     );
 
     let per_run = run_per_run_locking(spec, "per-run");
-    println!(
-        "{:>16}  {:>10} {:>10} {:>10} {:>9} {:>14}",
-        "per-run locking",
-        per_run.server_write_requests,
-        per_run.server_read_requests,
-        per_run.lock_acquires,
-        "-",
-        per_run.makespan_ns
-    );
+    println!("{:>16}  {}", "per-run locking", Value::from(&per_run));
     let span = run_span_locking(spec, "span");
-    println!(
-        "{:>16}  {:>10} {:>10} {:>10} {:>9} {:>14}",
-        "span locking",
-        span.server_write_requests,
-        span.server_read_requests,
-        span.lock_acquires,
-        "-",
-        span.makespan_ns
-    );
+    println!("{:>16}  {}", "span locking", Value::from(&span));
 
     let mut points: Vec<(u64, Totals)> = Vec::new();
-    for &buffer in &cfg.buffers {
+    for &buffer in &buffers {
         let name = format!("sieve-{buffer}");
         let (t, fs) = run_sieving(spec, &name, buffer);
         // Every sieved outcome must be serializable — the bench doubles as
         // an end-to-end correctness check.
         verify_atomic(&fs, &name, spec);
-        println!(
-            "{:>16}  {:>10} {:>10} {:>10} {:>9} {:>14}",
-            format!("sieve {}K", buffer >> 10),
-            t.server_write_requests,
-            t.server_read_requests,
-            t.lock_acquires,
-            t.windows,
-            t.makespan_ns
-        );
+        let label = format!("sieve {}K", buffer >> 10);
+        println!("{label:>16}  {}", Value::from(&t));
         points.push((buffer, t));
+    }
+
+    let mut artifact = Artifact::new(&args);
+    artifact
+        .field(
+            "workload",
+            "column-wise M×N byte array, R overlapped columns, independent MPI_File_write_at \
+             per rank in atomic mode",
+        )
+        .field(
+            "geometry",
+            object! {"m": m, "n": n, "p": p, "r": r, "smoke": args.smoke},
+        )
+        .field(
+            "platform",
+            "TestFS (4 servers, 4 KiB stripes, central lock manager)",
+        )
+        .field("per_run_locking", &per_run)
+        .field("span_file_locking", &span);
+    let write_reduction =
+        |t: &Totals| ratio(per_run.server_write_requests, t.server_write_requests);
+    for (buffer, t) in &points {
+        artifact.row(object! {
+            "buffer_size": *buffer,
+            "totals": t,
+            "write_request_reduction": Value::fixed(write_reduction(t), 2),
+            "lock_reduction": Value::fixed(ratio(per_run.lock_acquires, t.lock_acquires), 2),
+        });
     }
 
     // Acceptance point: the default 512 KiB window at full geometry.
     let acceptance = points
         .iter()
-        .find(|(b, _)| *b == SieveConfig::default().buffer_size && !cfg.smoke);
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"sieving\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"column-wise M×N byte array, R overlapped columns, independent \
-         MPI_File_write_at per rank in atomic mode\","
+        .find(|(b, _)| *b == SieveConfig::default().buffer_size && !args.smoke)
+        .map(|(buffer, t)| (*buffer, write_reduction(t)));
+    artifact.acceptance(
+        "512 KiB",
+        acceptance.map(|(buffer, reduction)| {
+            object! {
+                "buffer_size": buffer,
+                "metric": "per-run / sieved server write requests",
+                "reduction": Value::fixed(reduction, 2),
+                "threshold": Value::fixed(5.0, 1),
+                "pass": reduction >= 5.0,
+            }
+        }),
     );
-    let _ = writeln!(
-        json,
-        "  \"geometry\": {{\"m\": {}, \"n\": {}, \"p\": {}, \"r\": {}, \"smoke\": {}}},",
-        cfg.m, cfg.n, cfg.p, cfg.r, cfg.smoke
-    );
-    let _ = writeln!(
-        json,
-        "  \"platform\": \"TestFS (4 servers, 4 KiB stripes, central lock manager)\","
-    );
-    let _ = writeln!(json, "  \"per_run_locking\": {},", json_totals(&per_run));
-    let _ = writeln!(json, "  \"span_file_locking\": {},", json_totals(&span));
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, (buffer, t)) in points.iter().enumerate() {
-        let reduction =
-            per_run.server_write_requests as f64 / t.server_write_requests.max(1) as f64;
-        let lock_reduction = per_run.lock_acquires as f64 / t.lock_acquires.max(1) as f64;
-        let _ = writeln!(
-            json,
-            "    {{\"buffer_size\": {}, \"totals\": {}, \
-             \"write_request_reduction\": {:.2}, \"lock_reduction\": {:.2}}}{}",
-            buffer,
-            json_totals(t),
-            reduction,
-            lock_reduction,
-            if i + 1 < points.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    match acceptance {
-        Some((buffer, t)) => {
-            let reduction =
-                per_run.server_write_requests as f64 / t.server_write_requests.max(1) as f64;
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"buffer_size\": {}, \"metric\": \"per-run / sieved server \
-                 write requests\", \"reduction\": {:.2}, \"threshold\": 5.0, \"pass\": {}}}",
-                buffer,
-                reduction,
-                reduction >= 5.0
-            );
-        }
-        None => {
-            let _ = writeln!(
-                json,
-                "  \"acceptance\": {{\"note\": \"smoke geometry; run without --smoke for the \
-                 512 KiB acceptance point\"}}"
-            );
-        }
-    }
-    let _ = writeln!(json, "}}");
-
-    std::fs::write(&cfg.out, &json).expect("write BENCH_sieving.json");
-    println!("wrote {}", cfg.out.display());
-
-    if let Some((_, t)) = acceptance {
-        let reduction =
-            per_run.server_write_requests as f64 / t.server_write_requests.max(1) as f64;
+    artifact.write();
+    if let Some((_, reduction)) = acceptance {
         assert!(
             reduction >= 5.0,
             "acceptance: sieving must cut server write requests >= 5x vs per-run locking, \

@@ -5,12 +5,11 @@
 //! ```
 //!
 //! Every file must parse as JSON ([`atomio_trace::validate_json`] — the
-//! same hand-rolled parser the exporter is tested against, so CI needs no
+//! workspace's one strict parser, [`atomio_trace::json`], so CI needs no
 //! external JSON tooling); files passed with `--chrome` must additionally
-//! satisfy the Chrome-trace-event shape checks
-//! ([`atomio_trace::validate_chrome_trace`]: a `traceEvents` array whose
-//! entries carry `ph`/`pid`/`tid`/`ts`, with `dur` on every `X` event) that
-//! Perfetto relies on.
+//! have the Chrome-trace shape Perfetto relies on
+//! ([`atomio_trace::validate_chrome_trace`]: a top-level object whose
+//! `traceEvents` is an array).
 //!
 //! Files passed with `--hb` run the whole chrome-trace pipeline *plus*
 //! the `atomio-check` happens-before race detector: the trace must carry

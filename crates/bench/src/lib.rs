@@ -5,6 +5,11 @@
 //! §4 workload) on one platform profile with one atomicity strategy,
 //! measured in **virtual time** and reported as aggregate MiB/s — the unit
 //! of Figure 8's y-axes.
+//!
+//! The benches that emit a `BENCH_<name>.json` build on [`artifact`]: its
+//! flags, makespan arithmetic, `--trace` recorder and the artifact's frame
+//! are written there once, so a bench file is its scenario and its
+//! acceptance thresholds.
 
 use std::sync::Arc;
 
@@ -13,7 +18,7 @@ use atomio_core::{
 };
 use atomio_msg::run;
 use atomio_pfs::{FileSystem, PlatformProfile};
-use atomio_trace::{HistogramSnapshot, MemorySink, TraceSink};
+use atomio_trace::{MemorySink, TraceSink};
 use atomio_vtime::{bandwidth_mibps, VNanos};
 use atomio_workloads::{pattern, ColWise};
 
@@ -180,8 +185,7 @@ fn measure_colwise_inner(
         rep
     });
 
-    let start = reports.iter().map(|r| r.start).min().unwrap();
-    let end = reports.iter().map(|r| r.end).max().unwrap();
+    let makespan = makespan(reports.iter().map(|r| (r.start, r.end)));
     let bytes: u64 = reports.iter().map(|r| r.bytes_written).sum();
     Point {
         platform: profile.name,
@@ -190,9 +194,9 @@ fn measure_colwise_inner(
         size_label: size_label(m * n),
         p,
         strategy,
-        makespan: end - start,
+        makespan,
         bytes,
-        mibps: bandwidth_mibps(bytes, end - start),
+        mibps: bandwidth_mibps(bytes, makespan),
     }
 }
 
@@ -215,20 +219,6 @@ pub fn strategies_for(profile: &PlatformProfile) -> Vec<Strategy> {
         .into_iter()
         .filter(|s| !matches!(s, Strategy::FileLocking(_)) || profile.supports_locking())
         .collect()
-}
-
-/// JSON object summarising one latency histogram: sample count plus
-/// log₂-bucket quantiles (each quantile is the upper bound of the bucket
-/// holding the exact quantile — ≥ it, within 2× of it).
-pub fn json_latency(h: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-        h.count(),
-        h.p50(),
-        h.p90(),
-        h.p99(),
-        h.max_bound()
-    )
 }
 
 /// Render a horizontal ASCII bar for a bandwidth value.
@@ -309,7 +299,11 @@ pub fn check_shape(points: &[Point]) -> Vec<String> {
     failures
 }
 
+pub mod artifact;
 pub mod negotiation;
+
+pub use artifact::{makespan, ratio, Args, Artifact, TraceFile};
+pub use atomio_trace::{json::Value, object};
 
 #[cfg(test)]
 mod tests {

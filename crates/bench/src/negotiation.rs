@@ -18,6 +18,7 @@ use atomio_core::{
 };
 use atomio_dtype::ViewSegment;
 use atomio_interval::{IntervalSet, StridedSet};
+use atomio_trace::{json::Value, object};
 use atomio_vtime::WireSize;
 use atomio_workloads::ColWise;
 
@@ -69,6 +70,23 @@ impl NegotiationCost {
 
     pub fn total_ns(&self) -> u64 {
         self.footprint_ns + self.exchange_ns + self.overlap_ns + self.recompute_ns
+    }
+}
+
+/// The phase costs as `BENCH_negotiation.json` records them (the two
+/// sanity fields the bench asserts on are left out).
+impl From<&NegotiationCost> for Value {
+    fn from(c: &NegotiationCost) -> Value {
+        object! {
+            "footprint_ns": c.footprint_ns,
+            "exchange_ns": c.exchange_ns,
+            "overlap_graph_ns": c.overlap_ns,
+            "view_recompute_ns": c.recompute_ns,
+            "total_ns": c.total_ns(),
+            "wire_bytes": c.wire_bytes,
+            "description_units": c.description_units,
+            "colors": c.colors,
+        }
     }
 }
 

@@ -48,9 +48,7 @@
 
 use std::collections::HashMap;
 
-use atomio_trace::{TraceEvent, Track};
-
-use crate::jsonv;
+use atomio_trace::{json, TraceEvent, Track};
 
 /// Byte runs `(lo, len)`; event args encode them as repeated
 /// `("lo", x), ("len", y)` pairs, or a single `("off", o)` next to the
@@ -493,7 +491,7 @@ fn classify_event(e: &TraceEvent) -> Option<HbEvent> {
 /// same-instant ties broken access → release → flush → grant →
 /// collective. Stable sort keeps per-track program order.
 pub fn check_chrome_json(text: &str) -> Result<HbReport, String> {
-    let doc = jsonv::parse(text)?;
+    let doc = json::parse(text)?;
     let events = doc
         .get("traceEvents")
         .and_then(|v| v.as_array())
@@ -753,6 +751,25 @@ mod tests {
         ]);
         let report = check_chrome_json(&clean).unwrap();
         assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn malformed_trace_is_an_error_not_a_report() {
+        // What `tracecheck --json` refuses builds no happens-before edges:
+        // each of these differs from a racy, well-formed trace by one token.
+        let racy = atomio_trace::export_chrome(&[w(0, 0, 0, 64), r(1, 5, 32, 64)]);
+        assert_eq!(check_chrome_json(&racy).unwrap().findings.len(), 1);
+        for (good, bad) in [
+            ("\"ts\":0.000", "\"ts\":00.000"),
+            ("\"ts\":0.005", "\"ts\":.005"),
+            ("\"off\":32", "\"off\":+32"),
+            ("\"bytes\":64", "\"bytes\":64."),
+            ("direct read", "direct\tread"),
+        ] {
+            assert!(racy.contains(good), "fixture lost {good}");
+            let err = check_chrome_json(&racy.replacen(good, bad, 1)).unwrap_err();
+            assert!(err.contains("at byte"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //!   runtime-edge coverage).
 
 pub mod hb;
-pub mod jsonv;
 pub mod lexer;
 pub mod lint;
 pub mod lockgraph;

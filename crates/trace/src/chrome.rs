@@ -9,6 +9,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write;
 
+use crate::json::escape;
 use crate::tracer::{TraceEvent, Track};
 
 fn pid_tid(track: Track) -> (u32, usize) {
@@ -22,24 +23,6 @@ fn pid_tid(track: Track) -> (u32, usize) {
 /// decimals (`1234567` → `1234.567`).
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn args_json(args: &[(&'static str, u64)]) -> String {

@@ -1,5 +1,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::Value;
+
 /// Bucket count: one bucket for zero plus one per power of two up to
 /// `u64::MAX` — value `v > 0` lands in bucket `floor(log2 v) + 1`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -139,6 +141,21 @@ impl HistogramSnapshot {
             .rev()
             .find(|(_, &c)| c > 0)
             .map_or(0, |(i, _)| bounds_of(i).1)
+    }
+}
+
+/// The summary bench artifacts record per histogram: sample count plus the
+/// bucket upper bounds of p50/p90/p99 and of the highest sample (each ≥
+/// the exact figure and within 2× of it).
+impl From<&HistogramSnapshot> for Value {
+    fn from(h: &HistogramSnapshot) -> Value {
+        crate::object! {
+            "count": h.count(),
+            "p50_ns": h.p50(),
+            "p90_ns": h.p90(),
+            "p99_ns": h.p99(),
+            "max_ns": h.max_bound(),
+        }
     }
 }
 

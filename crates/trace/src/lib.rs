@@ -20,12 +20,14 @@
 //!   or `figure8` run can dump a timeline loadable in Perfetto
 //!   (<https://ui.perfetto.dev>), one row per rank and per I/O server.
 //!
-//! [`validate_json`] / [`validate_chrome_trace`] round out the crate with a
-//! dependency-free well-formedness checker used by tests and CI.
+//! [`json`] is the workspace's one JSON module — the [`json::Value`] bench
+//! artifacts are built from and printed through, and the strict parser
+//! behind [`validate_json`] / [`validate_chrome_trace`], `tracecheck` and
+//! the happens-before checker's trace import.
 
 mod chrome;
 mod histogram;
-mod json;
+pub mod json;
 mod sink;
 mod tracer;
 
