@@ -69,12 +69,11 @@ const DEFAULT_ROUND_STRIPES: u64 = 4;
 /// The write step: hand an aggregator's gathered pieces to the file as they
 /// are and account them in `report`.
 ///
-/// On a healthy file system they leave as one deferred batch under `epoch`
-/// ([`PosixFile::pwrite_batch`]) whose ticket comes back for the round loop
-/// to retire. Under a fault plan nothing may stay in flight across a
-/// crash/replay cycle and a dead server must surface as a report entry,
-/// never a panic or a write through it: the pieces go through the
-/// synchronous, retrying request path instead and there is no ticket.
+/// They leave through [`PosixFile::submit_writes`] under `epoch`: on a
+/// healthy file system one deferred batch whose ticket comes back for the
+/// round loop to retire; under a fault plan synchronously, with no ticket,
+/// and a dead server surfaces as a report entry — never a panic or a write
+/// through it.
 fn submit_runs(
     file: &PosixFile,
     gathered: &Gathered<'_>,
@@ -86,13 +85,12 @@ fn submit_runs(
     if gathered.writes.is_empty() {
         return None;
     }
-    if file.faults_active() {
-        if file.try_pwritev_direct(&gathered.writes).is_err() {
+    file.submit_writes(&gathered.writes, epoch, false)
+        .unwrap_or_else(|e| {
             report.write_errors += 1;
-        }
-        return None;
-    }
-    Some(file.pwrite_batch(&gathered.writes, epoch))
+            report.first_error.get_or_insert(e);
+            None
+        })
 }
 
 /// The body of [`two_phase_write`](crate::two_phase_write), on either

@@ -5,7 +5,7 @@
 use atomio_dtype::ViewSegment;
 use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 use atomio_msg::Comm;
-use atomio_pfs::PosixFile;
+use atomio_pfs::{FsError, PosixFile};
 use atomio_trace::Category;
 use atomio_vtime::NodeTopology;
 
@@ -120,6 +120,8 @@ pub struct TwoPhaseReport {
     /// either schedule (the fault-aware slow path reports rather than
     /// panics; 0 when healthy).
     pub write_errors: usize,
+    /// The first of those errors, for callers that return a typed one.
+    pub first_error: Option<FsError>,
 }
 
 /// Per-rank accounting of one two-phase collective read.

@@ -10,7 +10,7 @@ use atomio_pfs::{FileSystem, LockMode, PosixFile};
 use atomio_trace::Category;
 use atomio_vtime::VNanos;
 
-use crate::coloring::{color_count, greedy_color, OverlapMatrix};
+use crate::coloring::{color_count, greedy_color, held_bytes, split_request, OverlapMatrix};
 use crate::error::Error;
 use crate::sieve::{plan_windows, SieveConfig};
 
@@ -78,7 +78,16 @@ pub enum Strategy {
     /// footprint as an atomic list grant.
     FileLocking(LockGranularity),
     /// Overlap-graph coloring; one barrier-separated phase per color
-    /// (§3.3.1, Figures 5/6).
+    /// (§3.3.1, Figures 5/6). The colors order the *overlapped* bytes:
+    /// a rank of color `c > 0` keeps what
+    /// [`held_bytes`](crate::held_bytes) holds of its request for phase
+    /// `c` and sends the rest — touched by no other rank — in phase 0,
+    /// next to the color-0 ranks' whole requests. Under the paper's
+    /// schedule everything is held; where the clients are the bottleneck
+    /// only the bytes two ranks write are, and phases `1..k` carry the
+    /// ghost cells instead of whole requests. Either way the file is the
+    /// serialization of the requests in color order and every rank writes
+    /// every byte it was asked to.
     GraphColoring,
     /// Highest overlapping rank wins; views recomputed, fully concurrent
     /// I/O (§3.3.2, Figure 7).
@@ -238,9 +247,16 @@ pub struct WriteReport {
     /// included — the write amplification side of the fewer-requests
     /// trade).
     pub bytes_written: u64,
-    /// Contiguous file segments touched.
+    /// Contiguous file pieces this rank issued: the view's segments,
+    /// except where a strategy cuts them — the surviving pieces under rank
+    /// ordering, the free plus the held pieces under graph coloring (a
+    /// segment with held bytes at both ends counts three times), the
+    /// aggregator's runs under two-phase I/O, the windows under sieving.
     pub segments: usize,
-    /// I/O phases (colors) the operation used; 1 except for graph coloring.
+    /// Barrier-delimited I/O phases of the operation: the number of colors
+    /// under graph coloring — a rank writes in its own color's phase and,
+    /// when it has free bytes, in phase 0 — 2 under two-phase I/O
+    /// (exchange, write), 1 otherwise.
     pub phases: usize,
     /// This rank's color (0 except for graph coloring).
     pub color: usize,
@@ -460,8 +476,9 @@ impl<'c> MpiFile<'c> {
             // materializes the request's full segment list; the collective
             // flavour only adds the deterministic two-phase lock handshake
             // and a closing barrier.
-            let report = self.sieved_write(offset, buf, true, true)?;
+            let report = self.sieved_write(offset, buf, true, true);
             self.comm.barrier();
+            let report = report?;
             self.invalidate_if_cached()?;
             return Ok(report);
         }
@@ -481,7 +498,7 @@ impl<'c> MpiFile<'c> {
 
         match self.atomicity {
             Atomicity::NonAtomic => {
-                self.write_segments_concurrent(&segments, buf, offset, true)?;
+                self.write_phase(Some((&segments, buf, offset)), true)?;
             }
             Atomicity::Atomic(Strategy::FileLocking(granularity)) => {
                 let lockset = self.lock_set_for(granularity, &segments, offset, buf.len() as u64);
@@ -489,7 +506,7 @@ impl<'c> MpiFile<'c> {
                     granularity,
                     set: lockset.clone(),
                 });
-                if !lockset.is_empty() {
+                let written = if !lockset.is_empty() {
                     // Two-phase: every rank registers its lock request, a
                     // barrier makes the requests globally visible, then all
                     // block for their grant — so contention resolves in fair
@@ -501,12 +518,15 @@ impl<'c> MpiFile<'c> {
                             .lock_set_two_phase(&lockset, LockMode::Exclusive, || {
                                 self.comm.barrier()
                             })?;
-                    self.write_segments_locked(&segments, buf, offset)?;
+                    let written = self.write_segments_locked(&segments, buf, offset);
                     guard.release();
+                    written
                 } else {
                     self.comm.barrier();
-                }
+                    Ok(())
+                };
                 self.comm.barrier();
+                written?;
             }
             Atomicity::Atomic(Strategy::GraphColoring) => {
                 // View negotiation in compressed space: the allgather ships
@@ -520,15 +540,33 @@ impl<'c> MpiFile<'c> {
                 let colors = greedy_color(&w);
                 let phases = color_count(&colors);
                 let mine = colors[self.comm.rank()];
+                // Only the bytes another rank also writes have to wait for
+                // this rank's color; what `held_bytes` leaves free may go
+                // out in phase 0. A color-0 rank writes in phase 0 anyway:
+                // whole, coalesced segments.
+                let (early, late) = if mine == 0 {
+                    (Vec::new(), segments)
+                } else {
+                    split_request(&segments, &held_bytes(&all, &colors, self.posix.profile()))
+                };
                 report.phases = phases;
                 report.color = mine;
-                for phase in 0..phases {
-                    let writing = phase == mine;
+                report.segments = early.len() + late.len();
+                let mut by_phase: Vec<&[ViewSegment]> = vec![&[]; phases];
+                by_phase[0] = &early;
+                by_phase[mine] = &late;
+                let mut written = Ok(());
+                for pieces in by_phase {
                     // "Process synchronization between any two steps is
                     // necessary" (§3.3.1); the two barriers delimit one
                     // phase: all submissions in, then settled completions.
-                    self.write_phase(writing.then_some((&segments[..], buf, offset)))?;
+                    // A rank that failed sends nothing more but still
+                    // attends.
+                    let sends = written.is_ok() && !pieces.is_empty();
+                    written = written
+                        .and(self.write_phase(sends.then_some((pieces, buf, offset)), false));
                 }
+                written?;
                 self.invalidate_if_cached()?;
                 return Ok(self.sealed(report));
             }
@@ -541,11 +579,12 @@ impl<'c> MpiFile<'c> {
                 let pieces = surviving_pieces_strided(&segments, &surrendered);
                 report.bytes_written = pieces.iter().map(|s| s.len).sum();
                 report.segments = pieces.len();
-                self.write_segments_concurrent(&pieces, buf, offset, false)?;
+                self.write_phase(Some((&pieces, buf, offset)), false)?;
             }
             Atomicity::Atomic(Strategy::ListIo) => {
-                self.write_segments_listio(&segments, buf, offset)?;
+                let written = self.write_segments_listio(&segments, buf, offset);
                 self.comm.barrier();
+                written?;
             }
             Atomicity::Atomic(Strategy::DataSieving) => {
                 unreachable!("data sieving takes the early sieved path above")
@@ -566,6 +605,9 @@ impl<'c> MpiFile<'c> {
                 report.segments = tp.write_runs;
                 report.phases = 2;
                 report.aggregators = tp.aggregator_count;
+                if let Some(e) = tp.first_error {
+                    return Err(Error::Fs(e));
+                }
             }
         }
         self.invalidate_if_cached()?;
@@ -759,10 +801,12 @@ impl<'c> MpiFile<'c> {
         Ok(())
     }
 
-    /// Collective close; returns this rank's I/O summary.
+    /// Collective close; returns this rank's I/O summary. A rank whose
+    /// final flush fails still attends the barrier before it reports.
     pub fn close(self) -> Result<CloseReport, Error> {
-        self.posix.try_sync()?;
+        let synced = self.posix.try_sync();
         self.comm.barrier();
+        synced?;
         let stats = self.posix.stats().snapshot();
         Ok(CloseReport {
             bytes_written: stats.bytes_written,
@@ -990,46 +1034,6 @@ impl<'c> MpiFile<'c> {
         Ok(())
     }
 
-    /// Concurrent-writer data movement for the handshaking strategies and
-    /// non-atomic collective writes: open-loop pipelined submission, a
-    /// barrier so every concurrent writer's requests are deposited, then a
-    /// deterministic settlement (see `ServerSet::settle`).
-    ///
-    /// On the cached path the pipelining is delegated to write-behind +
-    /// sync, which is the protocol §3 prescribes.
-    ///
-    /// `racing` marks submissions whose segments may genuinely overlap
-    /// other ranks' (non-atomic mode): those yield the scheduler between
-    /// entries so the race stays observable on single-CPU hosts. The
-    /// handshaking strategies write disjoint sets and skip the yields.
-    fn write_segments_concurrent(
-        &self,
-        segs: &[ViewSegment],
-        buf: &[u8],
-        base: u64,
-        racing: bool,
-    ) -> Result<(), Error> {
-        match self.io_path {
-            IoPath::Direct => {
-                let writes = seg_slices(segs, buf, base);
-                let ticket = if racing {
-                    self.posix.pwrite_batch_racing(&writes)
-                } else {
-                    self.posix.pwrite_batch(&writes, 0)
-                };
-                self.comm.barrier();
-                self.posix.complete_writes(ticket, 0);
-                self.comm.barrier();
-            }
-            IoPath::Cached => {
-                self.write_segments(segs, buf, base)?;
-                self.finish_writes()?;
-                self.comm.barrier();
-            }
-        }
-        Ok(())
-    }
-
     /// Submit all segments as one atomic `lio_listio` call.
     fn write_segments_listio(
         &self,
@@ -1042,26 +1046,54 @@ impl<'c> MpiFile<'c> {
         Ok(())
     }
 
-    /// One graph-coloring phase: writers submit, everyone synchronizes,
-    /// writers settle, everyone synchronizes again.
-    fn write_phase(&self, work: Option<(&[ViewSegment], &[u8], u64)>) -> Result<(), Error> {
+    /// One barrier-delimited write phase — the data movement of the
+    /// handshaking strategies and of non-atomic collective writes (one
+    /// phase each) and of every graph-coloring phase: ranks with `work`
+    /// submit it open-loop and pipelined, a barrier proves every concurrent
+    /// writer's requests are deposited, the writers settle
+    /// deterministically (see `ServerSet::settle`), and a second barrier
+    /// ends the phase. On the cached path the pipelining is delegated to
+    /// write-behind + sync, the protocol §3 prescribes, and one barrier
+    /// follows.
+    ///
+    /// Under graph coloring a rank's `work` is not always its request: in
+    /// phase 0 it is the whole request of a color-0 rank and the *free*
+    /// pieces of every other rank, in phase `c > 0` the *held* pieces of
+    /// the color-`c` ranks (see [`held_bytes`]).
+    ///
+    /// `racing` marks submissions whose segments may genuinely overlap
+    /// other ranks' (non-atomic mode): those yield the scheduler between
+    /// entries so the race stays observable on single-CPU hosts. The
+    /// handshaking strategies write disjoint sets and skip the yields.
+    ///
+    /// A rank whose own I/O fails still attends the phase's barriers and
+    /// reports the error after them: leaving a collective early would hang
+    /// the healthy ranks.
+    fn write_phase(
+        &self,
+        work: Option<(&[ViewSegment], &[u8], u64)>,
+        racing: bool,
+    ) -> Result<(), Error> {
         match self.io_path {
             IoPath::Direct => {
-                let ticket = work.map(|(segs, buf, base)| {
-                    self.posix.pwrite_batch(&seg_slices(segs, buf, base), 0)
+                let ticket = work.map_or(Ok(None), |(segs, buf, base)| {
+                    self.posix
+                        .submit_writes(&seg_slices(segs, buf, base), 0, racing)
                 });
                 self.comm.barrier();
-                if let Some(t) = ticket {
+                if let Ok(Some(t)) = ticket {
                     self.posix.complete_writes(t, 0);
                 }
                 self.comm.barrier();
+                ticket?;
             }
             IoPath::Cached => {
-                if let Some((segs, buf, base)) = work {
-                    self.write_segments(segs, buf, base)?;
-                    self.finish_writes()?;
-                }
+                let written = work.map_or(Ok(()), |(segs, buf, base)| {
+                    self.write_segments(segs, buf, base)
+                        .and_then(|()| self.finish_writes())
+                });
                 self.comm.barrier();
+                written?;
             }
         }
         Ok(())

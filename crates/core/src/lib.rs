@@ -19,7 +19,10 @@
 //! * [`Strategy::GraphColoring`] — exchange file views, build the P×P
 //!   boolean overlap matrix W, greedily color the overlap graph (Figure 5),
 //!   then write in one barrier-separated phase per color: no two
-//!   overlapping processes are ever in flight together.
+//!   processes are ever in flight together on bytes they share. Only
+//!   those bytes wait for their writer's color when that is the cheaper
+//!   schedule on the platform ([`held_bytes`]); the rest of every request
+//!   leaves in phase 0.
 //! * [`Strategy::RankOrdering`] — agree that the highest rank wins every
 //!   overlap; every process subtracts higher-ranked processes' views from
 //!   its own (Figure 7) and all processes write concurrently with zero
@@ -57,7 +60,7 @@ pub use atomio_collective::{
     higher_union, higher_union_strided, surviving_pieces, surviving_pieces_strided,
     ExchangeSchedule, TwoPhaseConfig,
 };
-pub use coloring::{greedy_color, OverlapMatrix};
+pub use coloring::{greedy_color, held_bytes, split_request, OverlapMatrix};
 pub use error::Error;
 pub use file::{
     Atomicity, CloseReport, IoPath, LockFootprint, LockGranularity, MpiFile, OpenMode, ReadReport,

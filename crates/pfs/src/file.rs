@@ -650,10 +650,8 @@ impl PosixFile {
         self.fs.servers.server_count()
     }
 
-    /// Whether a fault plan is armed on the owning file system. Batched
-    /// writers use this to fall back to the synchronous, recovery-capable
-    /// request path (faults fire against individual server RPCs, not
-    /// deferred batch tickets).
+    /// Whether a fault plan is armed on the owning file system
+    /// ([`PosixFile::submit_writes`] is what acts on it).
     pub fn faults_active(&self) -> bool {
         self.fs.faults.active()
     }
@@ -944,14 +942,31 @@ impl PosixFile {
         self.pwrite_batch_inner(writes, epoch, false)
     }
 
-    /// [`PosixFile::pwrite_batch`] for *deliberately racing* writers
-    /// (non-atomic mode): yields the scheduler between entries so
-    /// concurrently-submitting ranks interleave — and the undefined
-    /// outcomes the paper's Figure 2 demonstrates stay observable — even
-    /// on a single-CPU host. Strategies whose batches are disjoint by
-    /// construction should use the plain variant and skip the yields.
-    pub fn pwrite_batch_racing(&self, writes: &[(u64, &[u8])]) -> u64 {
-        self.pwrite_batch_inner(writes, 0, true)
+    /// What every collective open-loop writer submits through: on a healthy
+    /// file system a [`PosixFile::pwrite_batch`] under `epoch`, whose ticket
+    /// comes back to be redeemed. Under a fault plan nothing may stay in
+    /// flight across a crash/replay cycle and no byte may land on a server
+    /// that is down — faults fire against individual server RPCs, not
+    /// deferred tickets — so the writes go through the synchronous,
+    /// retrying [`PosixFile::try_pwritev_direct`] instead: there is no
+    /// ticket, and a dead server is a typed error.
+    ///
+    /// `racing` is for *deliberately racing* writers (non-atomic mode): the
+    /// batch yields the scheduler between entries so concurrently
+    /// submitting ranks interleave — and the undefined outcomes the paper's
+    /// Figure 2 demonstrates stay observable — even on a single-CPU host.
+    /// Writers whose batches are disjoint by construction skip the yields.
+    pub fn submit_writes(
+        &self,
+        writes: &[(u64, &[u8])],
+        epoch: u64,
+        racing: bool,
+    ) -> Result<Option<u64>, FsError> {
+        if self.faults_active() {
+            self.try_pwritev_direct(writes)?;
+            return Ok(None);
+        }
+        Ok(Some(self.pwrite_batch_inner(writes, epoch, racing)))
     }
 
     fn pwrite_batch_inner(&self, writes: &[(u64, &[u8])], epoch: u64, racing: bool) -> u64 {
@@ -2125,6 +2140,25 @@ mod tests {
         assert_eq!(s.journal_replays, 1, "the second rejection owns recovery");
         assert!(!fs.server_down(0));
         assert_rows_landed(&fs.snapshot("retry").unwrap(), &rows);
+    }
+
+    #[test]
+    fn submitted_batch_is_deferred_when_healthy_and_synchronous_under_a_plan() {
+        let rows = strided_rows(4, 4 * 4096);
+        // Healthy: a ticket, redeemed after the submitters' fence.
+        let fs = test_fs();
+        let f = fs.open(0, Clock::new(), "batch");
+        let ticket = f.submit_writes(&as_segments(&rows), 0, false).unwrap();
+        f.complete_writes(ticket.expect("deferred batch"), 0);
+        assert_rows_landed(&fs.snapshot("batch").unwrap(), &rows);
+        // Armed: no ticket, and a server that is down takes no byte — the
+        // batch stops at the request that finds it so.
+        let fs = crash_server0_at(1, RestartPolicy::Manual);
+        let f = fs.open(0, Clock::new(), "batch");
+        let err = f.submit_writes(&as_segments(&rows), 0, false).unwrap_err();
+        assert!(matches!(err, FsError::RetriesExhausted { server: 0, .. }));
+        assert_eq!(f.stats().snapshot().bytes_written, 0);
+        assert_eq!(fs.servers().pending_requests(), 0);
     }
 
     #[test]

@@ -178,14 +178,18 @@ fn virtual_time_is_deterministic() {
 
 #[test]
 fn coloring_cost_tracks_phase_count() {
-    // With a 2-colorable pattern the coloring strategy needs 2 phases; its
-    // bandwidth is roughly half of rank ordering when clients are the
-    // bottleneck (small P, plenty of servers).
+    // A phase costs what it carries, and only the overlapped bytes wait
+    // for their writer's color. With clients as the bottleneck (small P,
+    // plenty of servers) the 2-colorable pattern's second phase is 2·M
+    // sixteen-byte pieces, not a second pass over the client links:
+    // coloring lands within a few percent of rank ordering — and never
+    // above it, it still writes the ghost columns twice.
     let profile = PlatformProfile::origin2000();
+    let wide = 4 * N;
     let gc = measure_colwise(
         &profile,
         M,
-        N,
+        wide,
         4,
         R,
         Some(Strategy::GraphColoring),
@@ -194,7 +198,7 @@ fn coloring_cost_tracks_phase_count() {
     let ro = measure_colwise(
         &profile,
         M,
-        N,
+        wide,
         4,
         R,
         Some(Strategy::RankOrdering),
@@ -202,9 +206,13 @@ fn coloring_cost_tracks_phase_count() {
     );
     let ratio = gc.mibps / ro.mibps;
     assert!(
-        (0.35..=0.75).contains(&ratio),
-        "2-phase coloring should be roughly half of rank ordering, got {ratio:.2}"
+        (0.90..=1.0).contains(&ratio),
+        "client-bound coloring should be just under rank ordering, got {ratio:.3}"
     );
+    assert!(gc.makespan > ro.makespan);
+    // (Where one color class already saturates the servers — P = 16 on the
+    // small array — the paper's whole-request phases stay the cheaper
+    // schedule; `held_bytes`' unit tests and the Figure 8 golden pin that.)
 }
 
 #[test]

@@ -184,9 +184,17 @@ fn unlocked_sieved_rmw_is_flagged() {
 /// rows over 4 ranks under `atomicity`, with 4 ghost columns (neighbours
 /// share bytes in every row).
 fn traced_colwise_write(rows: u64, atomicity: Atomicity) -> (ColWise, Arc<MemorySink>) {
+    traced_colwise_write_on(PlatformProfile::fast_test(), rows, atomicity)
+}
+
+fn traced_colwise_write_on(
+    profile: PlatformProfile,
+    rows: u64,
+    atomicity: Atomicity,
+) -> (ColWise, Arc<MemorySink>) {
     const P: usize = 4;
     let spec = ColWise::new(rows, 64 * P as u64, P, 4).expect("valid geometry");
-    let fs = FileSystem::new(PlatformProfile::fast_test());
+    let fs = FileSystem::new(profile);
     let sink = Arc::new(MemorySink::new());
     fs.bind_tracer(Arc::clone(&sink) as Arc<dyn TraceSink>);
     {
@@ -252,6 +260,43 @@ fn locked_colwise_write_checks_clean(rows: u64, granularity: LockGranularity) {
         "{granularity:?}-locked trace must check clean after export:\n{imported}"
     );
     assert_eq!(imported.accesses, report.accesses);
+}
+
+/// Graph coloring on the schedule that holds back only the contested
+/// bytes (clients slow enough that `held_bytes` picks it): the odd ranks'
+/// free columns leave in phase 0, next to their even neighbours' whole
+/// rows, and only their ghost columns wait for phase 1. Every conflicting
+/// pair must still be ordered by a phase barrier, and the checker must
+/// have seen every byte of every rank, in two batches for the odd ones.
+#[test]
+fn split_coloring_write_is_seen_whole_and_race_free() {
+    let client_bound = PlatformProfile {
+        client_link: atomio::vtime::LinkCost::new(1_000, 1.0e6),
+        ..PlatformProfile::fast_test()
+    };
+    let (spec, sink) =
+        traced_colwise_write_on(client_bound, 16, Atomicity::Atomic(Strategy::GraphColoring));
+    let events = sink.snapshot();
+    let writes = write_accesses(&events);
+    for (rank, view) in spec.all_views().iter().enumerate() {
+        let batches: Vec<_> = writes.iter().filter(|(r, _)| *r == rank).collect();
+        assert_eq!(
+            batches.len(),
+            1 + rank % 2,
+            "rank {rank}: free and held batches"
+        );
+        let seen = IntervalSet::from_extents(batches.iter().flat_map(|(_, fp)| fp.iter().copied()));
+        assert_eq!(
+            &seen, view,
+            "rank {rank}: the checker must see what it wrote"
+        );
+    }
+    let report = check_events(&events);
+    assert!(
+        report.findings.is_empty(),
+        "held-bytes coloring must be race-free:\n{report}"
+    );
+    assert!(report.sync_joins > 0, "no phase barrier edge was drawn");
 }
 
 /// The same overlapping writes with atomicity off are the paper's

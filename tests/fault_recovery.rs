@@ -10,6 +10,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use atomio::core::higher_union;
 use atomio::prelude::*;
 use atomio::vtime::MemCost;
 
@@ -163,4 +164,137 @@ fn seeded_fault_sweep_preserves_version_floor() {
 fn empty_plan_is_inert() {
     let snap = run_faulted_stress(FaultPlan::none());
     assert_eq!(snap, FaultSnapshot::default());
+}
+
+// ------------------------------------------------ collective-write fault grid
+
+/// Every collective write path: the four that used to leave the collective
+/// on a failed write (the healthy ranks then sat in a barrier until the
+/// 60 s deadlock timeout) and the three that used to write *through* a
+/// crashed server and report success.
+const COLLECTIVE_WRITES: [(Strategy, IoPath); 7] = [
+    (Strategy::FileLocking(LockGranularity::Span), IoPath::Direct),
+    (Strategy::ListIo, IoPath::Direct),
+    (Strategy::GraphColoring, IoPath::Cached),
+    (Strategy::RankOrdering, IoPath::Cached),
+    (Strategy::GraphColoring, IoPath::Direct),
+    (Strategy::RankOrdering, IoPath::Direct),
+    (Strategy::TwoPhase, IoPath::Direct),
+];
+
+const DEAD: usize = 3;
+
+/// 16 rows of 16 KiB over 4 ranks on `fast_test`'s 4 servers × 4 KiB
+/// stripes: a row is one stripe row, so rank r's columns sit on server r
+/// plus the ghost columns it shares with its neighbours' servers.
+fn asymmetric_spec() -> ColWise {
+    ColWise::new(16, 16 * 1024, 4, 8).unwrap()
+}
+
+/// What one rank brings back: its write's outcome and its retry count.
+type Outcome = (Result<WriteReport, atomio::core::Error>, u64);
+
+/// One collective column-wise write under `strategy`/`path` with server
+/// `DEAD` crashing on the first request it sees. Every rank must come
+/// back, with its write's outcome and its retry count, well inside the
+/// collective deadlock timeout.
+fn faulted_collective_write(
+    restart: RestartPolicy,
+    strategy: Strategy,
+    path: IoPath,
+) -> (FileSystem, Vec<Outcome>) {
+    let plan = FaultPlan::none().with(
+        FaultSite::ServerRequest { server: DEAD },
+        1,
+        FaultAction::CrashServer { restart },
+    );
+    let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
+    let spec = asymmetric_spec();
+    let started = std::time::Instant::now();
+    let outcomes = run(spec.p, fs.profile().net.clone(), |comm| {
+        let part = spec.partition(comm.rank());
+        let buf = part.fill(pattern::rank_stamp(comm.rank()));
+        let mut file = MpiFile::open(&comm, &fs, "grid", OpenMode::ReadWrite).unwrap();
+        file.set_view(0, part.filetype.clone()).unwrap();
+        file.set_io_path(path);
+        file.set_atomicity(Atomicity::Atomic(strategy)).unwrap();
+        let written = file.write_at_all(0, &buf);
+        let retries = file.posix().stats().snapshot().retries;
+        // Collective too: a rank that cannot flush still attends.
+        let _ = file.close();
+        (written, retries)
+    });
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "{strategy}/{path:?}: ranks took {:?} to return",
+        started.elapsed()
+    );
+    (fs, outcomes)
+}
+
+/// A server that stays down: every rank returns, the ranks whose bytes
+/// live on it with a typed error and the others with `Ok`, and it holds
+/// no byte of the file.
+#[test]
+fn collective_writes_fail_typed_on_exactly_the_ranks_of_a_dead_server() {
+    let views = asymmetric_spec().all_views();
+    let unit = PlatformProfile::fast_test().stripe_unit;
+    let on_dead = |offset: u64| (offset / unit) as usize % 4 == DEAD;
+    for (strategy, path) in COLLECTIVE_WRITES {
+        let (fs, outcomes) = faulted_collective_write(RestartPolicy::Manual, strategy, path);
+        for (rank, (written, _)) in outcomes.iter().enumerate() {
+            // What the rank itself sends to the servers: its request,
+            // minus what it surrenders under rank ordering; a two-phase
+            // aggregator writes its file domain instead, whoever asked for
+            // the bytes, and every domain here spans whole stripe rows.
+            let sent = match strategy {
+                Strategy::RankOrdering => views[rank].subtract(&higher_union(&views, rank)),
+                _ => views[rank].clone(),
+            };
+            let touches_dead = strategy == Strategy::TwoPhase
+                || sent
+                    .iter()
+                    .any(|run| on_dead(run.start) || on_dead(run.end - 1));
+            match written {
+                Ok(_) => assert!(
+                    !touches_dead,
+                    "{strategy}/{path:?}: rank {rank} reported success over a dead server"
+                ),
+                Err(atomio::core::Error::Fs(FsError::RetriesExhausted { server, .. })) => {
+                    assert!(touches_dead, "{strategy}/{path:?}: rank {rank} failed");
+                    assert_eq!(*server, DEAD);
+                }
+                Err(e) => panic!("{strategy}/{path:?}: rank {rank}: untyped failure {e}"),
+            }
+        }
+        let image = fs.snapshot("grid").unwrap_or_default();
+        let landed = (0..image.len() as u64).filter(|&o| on_dead(o) && image[o as usize] != 0);
+        assert_eq!(
+            landed.count(),
+            0,
+            "{strategy}/{path:?}: bytes landed on the dead server"
+        );
+    }
+}
+
+/// The same crash with a restart after three rejections: retries and a
+/// journal replay cost virtual time, never the result.
+#[test]
+fn collective_writes_ride_out_a_restarting_server() {
+    let spec = asymmetric_spec();
+    for (strategy, path) in COLLECTIVE_WRITES {
+        let (fs, outcomes) = faulted_collective_write(RestartPolicy::Rejections(3), strategy, path);
+        for (rank, (written, _)) in outcomes.iter().enumerate() {
+            assert!(
+                written.is_ok(),
+                "{strategy}/{path:?}: rank {rank}: {written:?}"
+            );
+        }
+        let retries: u64 = outcomes.iter().map(|(_, retries)| retries).sum();
+        assert!(retries > 0, "{strategy}/{path:?}: the crash never bit");
+        let image = fs.snapshot("grid").expect("file written");
+        let check =
+            verify::check_mpi_atomicity(&image, &spec.all_views(), &pattern::rank_stamps(spec.p));
+        assert!(check.is_atomic(), "{strategy}/{path:?}: {check:?}");
+    }
 }

@@ -3,6 +3,7 @@
 //! must yield a serializable result, rank ordering must partition exactly,
 //! and the checker itself must agree with a brute-force serial oracle.
 
+use atomio::core::{greedy_color, held_bytes, split_request, OverlapMatrix};
 use atomio::prelude::*;
 use proptest::prelude::{prop, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
@@ -360,5 +361,150 @@ proptest! {
             prop_assert!(sum(|r| r.bytes_written) == union, "written: {what}");
             prop_assert!(sum(|r| r.conflict_bytes) == asked - union, "conflicts: {what}");
         }
+    }
+}
+
+// ------------------------------------------------ graph coloring, both schedules
+
+/// The array every coloring case partitions: 12 rows of 2 KiB, so a view
+/// is 12 noncontiguous row pieces over all four servers of the profile.
+const ROWS: u64 = 12;
+const COLS: u64 = 2048;
+
+/// A random sub-block of the array: `(first row, rows, first column,
+/// columns)`. Four of them overlap in most draws.
+fn arb_block() -> impl PropStrategy<Value = (u64, u64, u64, u64)> {
+    (0..ROWS - 1, 1..=ROWS, 0..COLS - 1, 1..=COLS)
+        .prop_map(|(r0, nr, c0, nc)| (r0, nr.min(ROWS - r0), c0, nc.min(COLS - c0)))
+}
+
+/// `fast_test` with clients slow enough that holding only the contested
+/// bytes is the cheaper schedule on any overlapping pattern.
+fn client_bound() -> PlatformProfile {
+    PlatformProfile {
+        client_link: atomio::vtime::LinkCost::new(1_000, 1.0e6),
+        ..PlatformProfile::fast_test()
+    }
+}
+
+/// One graph-coloring collective write of `parts` on `profile`, checked
+/// against what the strategy promises whichever schedule `held_bytes`
+/// picks: the file is the serialization of the requests in color order
+/// byte for byte, every rank writes all it was asked to, and its free and
+/// held pieces tile its request with the free ones touching no other rank.
+/// Returns whether anything was left free.
+fn check_color_order(
+    parts: &[Partition],
+    profile: &PlatformProfile,
+    path: IoPath,
+) -> Result<bool, String> {
+    let fs = FileSystem::new(profile.clone());
+    let reports = run(parts.len(), profile.net.clone(), |comm| {
+        let part = &parts[comm.rank()];
+        let buf = part.fill(pattern::rank_stamp(comm.rank()));
+        let mut file = MpiFile::open(&comm, &fs, "colors", OpenMode::ReadWrite).unwrap();
+        file.set_view(0, part.filetype.clone()).unwrap();
+        file.set_io_path(path);
+        file.set_atomicity(Atomicity::Atomic(Strategy::GraphColoring))
+            .unwrap();
+        let report = file.write_at_all(0, &buf).unwrap();
+        file.close().unwrap();
+        report
+    });
+
+    let views: Vec<IntervalSet> = parts.iter().map(Partition::footprint).collect();
+    let strided: Vec<StridedSet> = views.iter().map(StridedSet::from_intervals).collect();
+    let colors = greedy_color(&OverlapMatrix::from_strided(&strided));
+    let mut order: Vec<usize> = (0..parts.len()).collect();
+    order.sort_by_key(|&r| colors[r]);
+    let mut expected = vec![0u8; (ROWS * COLS) as usize];
+    for &r in &order {
+        for run in views[r].iter() {
+            expected[run.start as usize..run.end as usize].fill(pattern::stamp_byte(r));
+        }
+    }
+    let mut image = fs.snapshot("colors").unwrap_or_default();
+    image.resize(expected.len(), 0);
+    if image != expected {
+        return Err(format!(
+            "file is not the color-order serialization {order:?}"
+        ));
+    }
+
+    let held = held_bytes(&strided, &colors, profile);
+    for (r, (part, report)) in parts.iter().zip(&reports).enumerate() {
+        if (report.color, report.bytes_written) != (colors[r], part.data_bytes()) {
+            return Err(format!("rank {r}: {report:?}"));
+        }
+        let segments = part.view.segments(0, part.data_bytes());
+        let (free, kept) = split_request(&segments, &held);
+        // Pieces carry the buffer offset of their first byte, so file and
+        // buffer positions must advance together inside every segment.
+        let mut pieces: Vec<_> = free.iter().chain(&kept).collect();
+        pieces.sort_by_key(|p| p.file_off);
+        let mut pieces = pieces.into_iter().peekable();
+        for seg in &segments {
+            let mut at = seg.file_off;
+            while let Some(p) = pieces.next_if(|p| p.file_off < seg.file_end()) {
+                if (p.file_off, p.logical_off) != (at, seg.logical_off + (at - seg.file_off)) {
+                    return Err(format!("rank {r}: piece {p:?} does not continue {seg:?}"));
+                }
+                at = p.file_end();
+            }
+            if at != seg.file_end() {
+                return Err(format!("rank {r}: {seg:?} is covered up to {at}"));
+            }
+        }
+        let free = IntervalSet::from_extents(free.iter().map(|p| (p.file_off, p.len)));
+        if let Some(o) = (0..parts.len()).find(|&o| o != r && free.overlaps(&views[o])) {
+            return Err(format!("rank {r}: a free piece touches rank {o}'s request"));
+        }
+    }
+    Ok(held.total_len()
+        < views
+            .iter()
+            .fold(IntervalSet::new(), |u, v| u.union(v))
+            .total_len())
+}
+
+fn arb_io_path() -> impl PropStrategy<Value = IoPath> {
+    prop::sample::select(vec![IoPath::Direct, IoPath::Cached])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn graph_coloring_writes_the_color_order_serialization(
+        blocks in prop::collection::vec(arb_block(), 4..=4),
+        path in arb_io_path(),
+        slow_clients in proptest::arbitrary::any::<bool>(),
+    ) {
+        let parts: Vec<Partition> = blocks
+            .iter()
+            .enumerate()
+            .map(|(rank, &(r0, nr, c0, nc))| {
+                Partition::subarray(rank, vec![ROWS, COLS], vec![nr, nc], vec![r0, c0]).unwrap()
+            })
+            .collect();
+        let profile = if slow_clients { client_bound() } else { PlatformProfile::fast_test() };
+        let checked = check_color_order(&parts, &profile, path);
+        prop_assert!(checked.is_ok(), "{path:?} on {blocks:?}: {checked:?}");
+    }
+
+    /// Block-block ghost cells: the corner where four blocks meet is
+    /// written by all four ranks, so the overlap graph is complete and
+    /// needs four colors — three phases of held pieces behind phase 0.
+    #[test]
+    fn ghost_corners_serialize_in_color_order_on_either_schedule(
+        ghost in 1u64..=3,
+        path in arb_io_path(),
+    ) {
+        let spec = BlockBlock::new(ROWS, COLS, 2, 2, ghost).unwrap();
+        let parts: Vec<Partition> = (0..4).map(|r| spec.partition(r)).collect();
+        let whole = check_color_order(&parts, &PlatformProfile::fast_test(), path);
+        prop_assert!(whole.is_ok(), "{path:?} g={ghost}: {whole:?}");
+        let split = check_color_order(&parts, &client_bound(), path);
+        prop_assert!(split == Ok(true), "{path:?} g={ghost}, slow clients: {split:?}");
     }
 }
