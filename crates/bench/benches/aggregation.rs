@@ -10,9 +10,9 @@
 //!
 //! Three schedule points per P:
 //!
-//! * **flat** — the monolithic redistribute-then-write exchange of
-//!   `ExchangeSchedule::Flat`: one world-sized `alltoallv`, then one
-//!   write phase;
+//! * **flat** — the single-round exchange of `ExchangeSchedule::Flat`:
+//!   one world-sized `alltoallv`, with each aggregator's own pieces
+//!   written while it runs and the received ones after it;
 //! * **tiered** — `Pipelined { depth: 1 }`: node leaders coalesce their
 //!   node's requests over the intra-node links before the leaders-only
 //!   exchange, and one round of file writes stays in flight behind each

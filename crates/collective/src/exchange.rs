@@ -1,6 +1,7 @@
 //! Routing of a rank's view segments to the owning aggregators.
 
 use atomio_dtype::ViewSegment;
+use atomio_interval::ByteRange;
 
 use crate::domain::{domain_of, FileDomain};
 
@@ -59,8 +60,10 @@ pub(crate) struct Gathered<'a> {
     /// `(absolute file offset, bytes)` per piece, ascending, no two
     /// overlapping — the batch `PosixFile::pwrite_batch` takes.
     pub writes: Vec<(u64, &'a [u8])>,
-    /// Maximal file-contiguous runs the pieces form (the "large writes").
-    pub runs: usize,
+    /// Maximal file-contiguous runs the pieces form (the "large writes"),
+    /// ascending. They outlive the pieces, so runs can be counted over
+    /// several batches.
+    pub runs: Vec<ByteRange>,
     /// Total payload.
     pub bytes: u64,
 }
@@ -76,17 +79,20 @@ pub(crate) fn gather<'a>(pieces: impl Iterator<Item = &'a Piece>) -> Gathered<'a
         .map(|(o, d)| (*o, d.as_slice()))
         .collect();
     writes.sort_unstable_by_key(|&(off, _)| off);
-    let (mut runs, mut bytes, mut end) = (0usize, 0u64, None);
+    let (mut runs, mut bytes) = (Vec::<ByteRange>::new(), 0u64);
     for &(off, data) in &writes {
-        assert!(
-            end.is_none_or(|e| e <= off),
-            "overlapping pieces reached an aggregator: a sender skipped the surrender rule"
-        );
-        if end != Some(off) {
-            runs += 1;
+        let piece = ByteRange::at(off, data.len() as u64);
+        match runs.last_mut() {
+            Some(run) if run.end == off => run.end = piece.end,
+            last => {
+                assert!(
+                    last.is_none_or(|run| run.end <= off),
+                    "overlapping pieces reached an aggregator: a sender skipped the surrender rule"
+                );
+                runs.push(piece);
+            }
         }
-        bytes += data.len() as u64;
-        end = Some(off + data.len() as u64);
+        bytes += piece.len();
     }
     Gathered {
         writes,
@@ -98,7 +104,6 @@ pub(crate) fn gather<'a>(pieces: impl Iterator<Item = &'a Piece>) -> Gathered<'a
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomio_interval::ByteRange;
 
     fn seg(file_off: u64, logical_off: u64, len: u64) -> ViewSegment {
         ViewSegment {
@@ -183,7 +188,12 @@ mod tests {
             extents,
             vec![(0, 10), (10, 20), (30, 10), (100, 20), (200, 5)]
         );
-        assert_eq!((g.runs, g.bytes), (3, 65), "five pieces, three runs");
+        let runs = [(0, 40), (100, 120), (200, 205)].map(|(s, e)| ByteRange::new(s, e));
+        assert_eq!(
+            (g.runs.as_slice(), g.bytes),
+            (&runs[..], 65),
+            "five pieces, three runs"
+        );
         // The pieces are handed on as they are: same bytes, same buffers.
         assert!(std::ptr::eq(g.writes[0].1, incoming[2][0].1.as_slice()));
         assert!(g.writes[1].1.iter().all(|&b| b == 2));
@@ -194,7 +204,7 @@ mod tests {
         shuffled.swap(0, 2);
         let again = gather(shuffled.into_iter());
         assert_eq!(again.writes, g.writes);
-        assert_eq!((again.runs, again.bytes), (g.runs, g.bytes));
+        assert_eq!((&again.runs, again.bytes), (&g.runs, g.bytes));
     }
 
     #[test]
@@ -202,7 +212,7 @@ mod tests {
         let incoming: Vec<Vec<Piece>> = vec![vec![], vec![(7, vec![])]];
         let g = gather(incoming.iter().flatten());
         assert!(g.writes.is_empty());
-        assert_eq!((g.runs, g.bytes), (0, 0));
+        assert_eq!((g.runs.len(), g.bytes), (0, 0));
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //!    its domain, straight from the buffers the pieces arrived in: it sorts
 //!    the piece *references* by offset (`exchange::gather`), copies nothing,
 //!    and the file streams each run to the servers a stripe row at a time.
+//!    The pieces it routed to itself never touch a wire, so they leave
+//!    before the `alltoallv` and only the received ones wait for it.
 //!    Domains are disjoint, so the writes need **no locks, no ordering
 //!    phases and no barriers beyond the closing drain**: MPI atomicity
 //!    comes free.

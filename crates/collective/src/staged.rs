@@ -1,5 +1,13 @@
-//! The write-side round loop: route, exchange, retire, submit, drain — one
-//! loop under both [`ExchangeSchedule`]s.
+//! The write-side round loop: route, submit own, exchange, retire, submit
+//! received, drain — one loop under both [`ExchangeSchedule`]s.
+//!
+//! Each round an aggregator writes in two batches under the round's epoch.
+//! What it routed to itself — on flat its own surviving pieces, on
+//! pipelined what the leader gathered from its node for its own domain —
+//! never touches a wire, so it leaves before the exchange and the pieces
+//! are dropped; what the exchange delivers leaves when it returns. The two
+//! are disjoint after the surrender, ride the one NIC in call order and
+//! retire together.
 //!
 //! [`ExchangeSchedule::Pipelined`] composes three ideas, each one
 //! paper-faithful on its own:
@@ -27,8 +35,8 @@
 //! [`ExchangeSchedule::Flat`] is the degenerate schedule of the same loop:
 //! every rank is its own leader on the world communicator (no split, no
 //! node tier, a world `allgather` negotiation) and the whole domain is one
-//! round, so the loop body runs once and the drain is the classic
-//! submit / barrier / settle / barrier handshake.
+//! round, so the loop body runs once: submit own, exchange, submit
+//! received, barrier, settle, barrier.
 //!
 //! Overlap is gone before the first piece moves: every rank surrenders the
 //! bytes a higher rank also writes (the paper's rank-ordering rule, the
@@ -46,7 +54,7 @@
 //! leaders' choice riding the node broadcast that carries the extent.
 
 use atomio_dtype::ViewSegment;
-use atomio_interval::{ByteRange, StridedSet};
+use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 use atomio_msg::Comm;
 use atomio_pfs::PosixFile;
 use atomio_trace::Category;
@@ -66,31 +74,49 @@ type TaggedPiece = (u64, u64, Vec<u8>);
 /// Default round size when `round_stripes` is 0.
 const DEFAULT_ROUND_STRIPES: u64 = 4;
 
-/// The write step: hand an aggregator's gathered pieces to the file as they
-/// are and account them in `report`.
+/// The write step: put an aggregator's pieces of round `k` in file order,
+/// hand them to the file as they are and account their bytes in `report`.
+/// Returns the batch's ticket and the runs it wrote; the caller counts runs
+/// over everything the round wrote, so a run split across two batches
+/// counts once.
 ///
-/// They leave through [`PosixFile::submit_writes`] under `epoch`: on a
+/// They leave through [`PosixFile::submit_writes`] under epoch `k`: on a
 /// healthy file system one deferred batch whose ticket comes back for the
 /// round loop to retire; under a fault plan synchronously, with no ticket,
 /// and a dead server surfaces as a report entry — never a panic or a write
-/// through it.
-fn submit_runs(
+/// through it. Either way the pieces are on storage when this returns.
+fn submit_runs<'a>(
+    comm: &Comm,
     file: &PosixFile,
-    gathered: &Gathered<'_>,
-    epoch: u64,
+    pieces: impl Iterator<Item = &'a Piece>,
+    k: usize,
     report: &mut TwoPhaseReport,
-) -> Option<u64> {
-    report.bytes_written += gathered.bytes;
-    report.write_runs += gathered.runs;
-    if gathered.writes.is_empty() {
-        return None;
-    }
-    file.submit_writes(&gathered.writes, epoch, false)
-        .unwrap_or_else(|e| {
-            report.write_errors += 1;
-            report.first_error.get_or_insert(e);
-            None
-        })
+) -> (Option<u64>, Vec<ByteRange>) {
+    let t_w = comm.clock().now();
+    let Gathered {
+        writes,
+        runs,
+        bytes,
+    } = gather(pieces);
+    report.bytes_written += bytes;
+    let ticket = if writes.is_empty() {
+        None
+    } else {
+        file.submit_writes(&writes, k as u64, false)
+            .unwrap_or_else(|e| {
+                report.write_errors += 1;
+                report.first_error.get_or_insert(e);
+                None
+            })
+    };
+    comm.tracer().span(
+        Category::Exchange,
+        "round write",
+        t_w,
+        comm.clock().now(),
+        &[("round", k as u64), ("bytes", bytes)],
+    );
+    (ticket, runs)
 }
 
 /// The body of [`two_phase_write`](crate::two_phase_write), on either
@@ -211,10 +237,11 @@ pub(crate) fn write_rounds(
     let rounds = max_len.div_ceil(round_bytes).max(1) as usize;
     report.rounds = rounds;
 
-    // One ticket per round, open until the round is retired. Under a fault
-    // plan the write step is synchronous and leaves none, so nothing is
-    // ever pending and nothing is retired.
-    let mut tickets: Vec<Option<u64>> = vec![None; rounds];
+    // Two tickets per round — the aggregator's own pieces and the received
+    // ones — open until the round is retired. Under a fault plan the write
+    // step is synchronous and leaves none, so nothing is ever pending and
+    // nothing is retired.
+    let mut tickets: Vec<[Option<u64>; 2]> = vec![[None; 2]; rounds];
 
     for k in 0..rounds {
         let round_domains: Vec<FileDomain> = domains
@@ -234,7 +261,7 @@ pub(crate) fn write_rounds(
         let outgoing = route_segments(comm.size(), &pieces, buf, base, &round_domains);
         let payload: u64 = outgoing.iter().flatten().map(|p| p.1.len() as u64).sum();
         report.bytes_shipped += payload;
-        let out_buckets = match node {
+        let mut out_buckets = match node {
             None => outgoing,
             Some(node) => {
                 // Tier 1: funnel the pieces to the node leader, tagged with
@@ -272,16 +299,20 @@ pub(crate) fn write_rounds(
         };
         let Some(l) = leaders else { continue };
 
-        // The exchange. Payload is classified by the link class between
-        // this rank and the destination (self-destined bytes never touch a
-        // wire), so both schedules report on the same meter.
+        // What an aggregator routed to itself never touches a wire, so it
+        // does not wait for the exchange: it leaves for the servers now,
+        // under epoch `k`, and the pieces go with it.
+        let own = std::mem::take(&mut out_buckets[l.rank()]);
+        let (own_ticket, mut runs) = submit_runs(comm, file, own.iter(), k, &mut report);
+        drop(own);
+
+        // The exchange, of the rest. Payload is classified by the link
+        // class between this rank and the destination, so both schedules
+        // report on the same meter.
         let t_ex = comm.clock().now();
         let mut wire = 0u64;
         for (j, bucket) in out_buckets.iter().enumerate() {
             let dst = j * stride;
-            if dst == comm.rank() {
-                continue;
-            }
             let n: u64 = bucket.iter().map(|p| p.1.len() as u64).sum();
             wire += n;
             if topo.same_node(comm.rank(), dst) {
@@ -303,23 +334,18 @@ pub(crate) fn write_rounds(
         // leader entered exchange `k` to let it return, so every round
         // `< k` is deposited: settling through `k - 1` needs no barrier.
         if depth > 0 && k >= depth {
-            if let Some(t) = tickets[k - depth].take() {
+            for t in tickets[k - depth].iter_mut().filter_map(Option::take) {
                 file.complete_writes(t, k as u64 - 1);
             }
         }
 
-        // Aggregation: nothing that arrives overlaps, so the round's pieces
-        // are put in file order by reference and leave as they came.
-        let t_w = comm.clock().now();
-        let gathered = gather(incoming.iter().flatten());
-        tickets[k] = submit_runs(file, &gathered, k as u64, &mut report);
-        comm.tracer().span(
-            Category::Exchange,
-            "round write",
-            t_w,
-            comm.clock().now(),
-            &[("round", k as u64), ("bytes", gathered.bytes)],
-        );
+        // Aggregation: nothing that arrives overlaps the own pieces or each
+        // other, so the received pieces are put in file order by reference
+        // and leave as they came, under the same epoch.
+        let (ticket, received) = submit_runs(comm, file, incoming.iter().flatten(), k, &mut report);
+        tickets[k] = [own_ticket, ticket];
+        runs.extend(received);
+        report.write_runs += IntervalSet::from_ranges(runs).run_count();
     }
 
     // Drain: once every leader has submitted its last round, retire every
@@ -328,7 +354,7 @@ pub(crate) fn write_rounds(
     if let Some(l) = leaders {
         let t_d = comm.clock().now();
         l.barrier();
-        for t in tickets.into_iter().flatten() {
+        for t in tickets.into_iter().flatten().flatten() {
             file.complete_writes(t, u64::MAX);
         }
         comm.tracer()
@@ -699,6 +725,82 @@ mod tests {
         }
     }
 
+    /// The early batch under a crash: 4 ranks, 2 per node, two aggregators.
+    /// Ranks 0 and 1 write a 4 KiB unit each of the first domain (servers 0
+    /// and 1), rank 3 the whole second one. Rank 0 owns the first domain on
+    /// either schedule, so its own unit — on pipelined the leader's node
+    /// share — is the first request server 0 ever sees. Crash server 0
+    /// there: for good, rank 0 reports the error and everyone completes
+    /// promptly; with a restart, the file is the fault-free one.
+    #[test]
+    fn a_crash_under_the_own_batch_is_reported_and_recovered() {
+        use atomio_pfs::{FaultAction, FaultPlan, FaultSite, RestartPolicy};
+        const UNIT: u64 = 4 * 1024;
+        let write = |fs: &FileSystem, name: &str, schedule| {
+            atomio_msg::run(4, fs.profile().net.clone(), |comm| {
+                let file = fs.open(comm.rank(), comm.clock().clone(), name);
+                let (file_off, len) = match comm.rank() {
+                    0 => (0, UNIT),
+                    1 => (UNIT, UNIT),
+                    2 => (0, 0),
+                    _ => (2 * UNIT, 2 * UNIT),
+                };
+                let segs = [ViewSegment {
+                    file_off,
+                    logical_off: 0,
+                    len,
+                }];
+                let buf = vec![comm.rank() as u8 + 1; len as usize];
+                let cfg = TwoPhaseConfig {
+                    aggregators: Some(2),
+                    ranks_per_node: 2,
+                    schedule,
+                };
+                two_phase_write(&comm, &file, &segs[..(len > 0) as usize], &buf, 0, &cfg)
+            })
+        };
+        let clean = FileSystem::new(PlatformProfile::fast_test());
+        write(&clean, "ref", ExchangeSchedule::Flat);
+        let expected = clean.snapshot("ref").unwrap();
+
+        for (name, schedule) in SCHEDULES {
+            for restart in [RestartPolicy::Manual, RestartPolicy::Rejections(2)] {
+                let what = format!("{name}, {restart:?}");
+                let plan = FaultPlan::none().with(
+                    FaultSite::ServerRequest { server: 0 },
+                    1,
+                    FaultAction::CrashServer { restart },
+                );
+                let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
+                let started = std::time::Instant::now();
+                let reports = write(&fs, "crash", schedule);
+                assert!(
+                    started.elapsed().as_secs() < 5,
+                    "{what}: took {:?}",
+                    started.elapsed()
+                );
+                assert_eq!(fs.fault_stats().server_crashes, 1, "{what}");
+                assert_eq!(
+                    reports[0].domain,
+                    Some(ByteRange::at(0, 2 * UNIT)),
+                    "{what}"
+                );
+                let errors: Vec<usize> = reports.iter().map(|r| r.write_errors).collect();
+                let snap = fs.snapshot("crash").unwrap();
+                if restart == RestartPolicy::Manual {
+                    assert!(errors[0] > 0, "{what}: {errors:?}");
+                    assert!(reports[0].first_error.is_some(), "{what}");
+                    assert_eq!(errors[1..], [0, 0, 0], "{what}");
+                    // Everything off server 0 still landed.
+                    assert_eq!(snap[UNIT as usize..], expected[UNIT as usize..], "{what}");
+                } else {
+                    assert_eq!(errors, [0; 4], "{what}");
+                    assert_eq!(snap, expected, "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn one_rank_per_node_still_matches_flat() {
         // Degenerate topology: every rank its own leader; the node tier is
@@ -733,65 +835,149 @@ mod tests {
         );
         assert_eq!(fs.snapshot("f1").unwrap(), fs.snapshot("p1").unwrap());
     }
-    /// Flat is the degenerate schedule of the shared loop, not a new
-    /// model: it must land every rank on the clock the dedicated flat
-    /// driver of commit b5da837 produced, to the nanosecond. That driver
-    /// read 46 779 (halo) and 46 772 (disjoint) while `alltoallv` still
-    /// charged the self-addressed bucket; with only that charge fixed it —
-    /// and the loop — read 45 955 and 45 127 under rank-order owners.
-    ///
-    /// Ownership by locality changes nothing but which pieces are
-    /// self-addressed, so each clock is that figure with the one flat
-    /// `alltoallv` re-priced over the new owner map. The aggregators keep
-    /// two seats per node and every 16 KiB domain goes to the rank holding
-    /// most of it:
+    /// Flat's clocks, from the cost model: an owner's own pieces leave at
+    /// exchange entry `n`, the pieces it receives once the exchange ends at
+    /// `e` and its NIC is free, and every 16 KiB domain is one stripe row,
+    /// so each server piece is one 4 KiB stripe unit. The aggregators keep
+    /// two seats per node and every domain goes to the rank holding most of
+    /// it:
     ///
     /// * halo — ranks keep 4, 8, 8, 8, 8, 8, 8, 12 KiB after surrender.
-    ///   Rank order (0, 1, 4, 5) kept two 4 KiB pieces local: 7 senders,
-    ///   9 remote buckets, 56 KiB. Now (1, 3, 5, 7) keep 8 + 8 + 8 + 12 KiB:
-    ///   ranks 0, 2, 4, 6 send 1 + 2 + 2 + 2 buckets, 28 KiB.
-    /// * disjoint — every rank keeps its 8 KiB block. Rank order kept the
-    ///   blocks of ranks 0 and 4 local: 6 senders, 6 buckets, 48 KiB. Now
-    ///   (0, 2, 4, 6) each keep their own: the odd ranks send one bucket
-    ///   each, 32 KiB.
+    ///   Owners 1, 3, 5 hold the middle two units of their domain (servers
+    ///   1, 2) and receive its head (server 0) and tail (server 3); owner 7
+    ///   holds its last three units (servers 1–3) and receives its head.
+    /// * disjoint — every rank keeps its 8 KiB block. Owners 0, 2, 4, 6
+    ///   hold their domain's first half (servers 0, 1) and receive the
+    ///   second (servers 2, 3) from the next rank.
+    ///
+    /// Every rank ends on one clock: the last server piece, its ack, and
+    /// the closing barrier. With the whole domain written after the
+    /// exchange, as one request per owner, it would end later.
     #[test]
-    fn flat_through_the_shared_loop_keeps_the_dedicated_drivers_clocks() {
-        let link = PlatformProfile::fast_test().net.link;
-        // One flat `alltoallv` of one-piece buckets: the latency tree over
-        // the ranks with anything for another rank, then every sender's
-        // count vector (8), every remote bucket's length, offset and byte
-        // count (8 + 8 + 8) and the remote payload on the bus.
-        let exchange = |senders: usize, buckets: u64, bytes: u64| {
-            link.collective_ns(senders, 0)
-                + link.payload_ns(8 * senders as u64 + 24 * buckets + bytes)
+    fn flat_clocks_follow_from_the_own_and_the_received_batches() {
+        const UNIT: u64 = 4 * 1024;
+        let p = PlatformProfile::fast_test();
+        let inject = |bytes: u64| p.client_op_ns + p.client_link.payload_ns(bytes);
+        let (lat, svc) = (p.client_link.latency_ns, p.serve.service_ns(UNIT));
+        // One server takes its one-unit pieces in arrival order.
+        let queue = |mut arrivals: Vec<u64>| {
+            arrivals.sort_unstable();
+            arrivals.into_iter().fold(0, |free, a| free.max(a) + svc)
         };
-        const KIB: u64 = 1024;
-        for (name, halo, rank_order, before, after, owners) in [
-            (
-                "halo",
-                HALO,
-                45_955u64,
-                exchange(7, 9, 56 * KIB),
-                exchange(4, 7, 28 * KIB),
-                [1, 3, 5, 7],
-            ),
-            (
-                "disjoint",
-                0,
-                45_127,
-                exchange(6, 6, 48 * KIB),
-                exchange(4, 4, 32 * KIB),
-                [0, 2, 4, 6],
-            ),
-        ] {
+        let close = lat + p.net.link.collective_ns(P, 16);
+        for (name, halo, owners) in [("halo", HALO, [1, 3, 5, 7]), ("disjoint", 0, [0, 2, 4, 6])] {
             let fs = FileSystem::new(PlatformProfile::fast_test());
-            let out = clocked_write(&fs, name, halo, ExchangeSchedule::Flat, None);
+            let sink = Arc::new(MemorySink::new());
+            let out = clocked_write(&fs, name, halo, ExchangeSchedule::Flat, Some(sink.clone()));
+            let exchanges: Vec<(u64, u64)> = sink
+                .snapshot()
+                .iter()
+                .filter(|ev| ev.name == "alltoallv")
+                .map(|ev| (ev.start, ev.start + ev.dur.unwrap()))
+                .collect();
+            assert_eq!(exchanges.len(), P, "{name}");
+            assert!(exchanges.iter().all(|&x| x == exchanges[0]), "{name}");
+            let (n, e) = exchanges[0];
+            // The exchange ends while every own batch is still being
+            // injected, so the received pieces follow it back to back.
+            assert!(e < n + inject(2 * UNIT), "{name}");
+            // Arrival of a request that leaves after `before` on the NIC.
+            let at = |before: u64| n + before + lat;
+            let servers = if halo > 0 {
+                let (own, own7) = (inject(2 * UNIT), inject(3 * UNIT));
+                let head = vec![at(own + inject(UNIT)); 3];
+                vec![
+                    [head, vec![at(own7 + inject(UNIT))]].concat(),
+                    [vec![at(own); 3], vec![at(own7)]].concat(),
+                    [vec![at(own); 3], vec![at(own7)]].concat(),
+                    [vec![at(own7)], vec![at(own + 2 * inject(UNIT)); 3]].concat(),
+                ]
+            } else {
+                let half = inject(2 * UNIT);
+                let (own, received) = (vec![at(half); 4], vec![at(2 * half); 4]);
+                vec![own.clone(), own, received.clone(), received]
+            };
+            let end = servers.into_iter().map(queue).max().unwrap() + close;
             let clocks: Vec<u64> = out.iter().map(|o| o.0).collect();
-            assert_eq!(clocks, vec![rank_order - before + after; P], "{name}");
+            assert_eq!(clocks, vec![end; P], "{name}");
+            let whole_domain_after_exchange = e + inject(4 * UNIT) + lat + 4 * svc + close;
+            assert!(end < whole_domain_after_exchange, "{name}");
+
             assert!(out.iter().all(|o| o.1.rounds == 1), "{name}");
             let served: Vec<usize> = (0..P).filter(|&r| out[r].1.domain.is_some()).collect();
             assert_eq!(served, owners, "{name}");
+            // Own and received pieces tile each domain: one run, however
+            // many batches carried it.
+            let runs: Vec<usize> = out.iter().map(|o| o.1.write_runs).collect();
+            let expected: Vec<usize> = (0..P).map(|r| owners.contains(&r) as usize).collect();
+            assert_eq!(runs, expected, "{name}");
         }
+    }
+
+    /// An aggregator holding its whole domain writes it while the exchange
+    /// runs: its servers finish at exchange entry plus its own injection,
+    /// the latency and the service, however slow the exchange is. The
+    /// aggregator holding none of its domain writes only after the
+    /// exchange, so its servers finish later the slower it is.
+    #[test]
+    fn a_domain_its_owner_holds_is_written_while_the_exchange_runs() {
+        use atomio_trace::Track;
+        use atomio_vtime::LinkCost;
+        // Two aggregators, two 8 KiB domains: servers 0, 1 and 2, 3.
+        const HALF: u64 = 8 * 1024;
+        let mut lags = Vec::new();
+        for slow in [1u64, 100] {
+            let mut profile = PlatformProfile::fast_test();
+            profile.net.link = LinkCost::new(100 * slow, 10e9 / slow as f64);
+            let inject = profile.client_op_ns + profile.client_link.payload_ns(HALF);
+            let service = profile.serve.service_ns(HALF / 2);
+            let write = inject + profile.client_link.latency_ns + service;
+            let fs = FileSystem::new(profile);
+            let sink = Arc::new(MemorySink::new());
+            fs.bind_tracer(sink.clone());
+            let reports = atomio_msg::run(2, fs.profile().net.clone(), |comm| {
+                comm.bind_tracer(sink.clone());
+                let file = fs.open(comm.rank(), comm.clock().clone(), "held");
+                // Rank 0 writes the whole extent, rank 1 nothing.
+                let len = if comm.rank() == 0 { 2 * HALF } else { 0 };
+                let segs = [ViewSegment {
+                    file_off: 0,
+                    logical_off: 0,
+                    len,
+                }];
+                let segs = &segs[..(len > 0) as usize];
+                let buf = vec![1u8; len as usize];
+                two_phase_write(&comm, &file, segs, &buf, 0, &TwoPhaseConfig::default())
+            });
+            let domains: Vec<Option<ByteRange>> = reports.iter().map(|r| r.domain).collect();
+            assert_eq!(
+                domains,
+                [
+                    Some(ByteRange::at(0, HALF)),
+                    Some(ByteRange::at(HALF, HALF))
+                ]
+            );
+            assert_eq!(fs.snapshot("held").unwrap(), vec![1u8; 2 * HALF as usize]);
+
+            let events = sink.snapshot();
+            let ex = events.iter().find(|ev| ev.name == "alltoallv").unwrap();
+            let (n, e) = (ex.start, ex.start + ex.dur.unwrap());
+            let served = |server| -> Vec<u64> {
+                let on = events.iter().filter(|ev| ev.track == Track::Server(server));
+                on.map(|ev| ev.start + ev.dur.unwrap()).collect()
+            };
+            for server in [0, 1] {
+                assert_eq!(served(server), [n + write], "slow {slow}, server {server}");
+            }
+            for server in [2, 3] {
+                assert_eq!(served(server), [e + write], "slow {slow}, server {server}");
+            }
+            lags.push(e - n);
+        }
+        assert!(
+            lags[1] > lags[0] + 10_000,
+            "the slow exchange must be slower: {lags:?}"
+        );
     }
 
     /// Perturbs the real-time schedule from inside the run: every traced
@@ -823,13 +1009,15 @@ mod tests {
     /// clock with the same report and the file holds the same bytes. (Drop
     /// the epoch filter from `ServerSet::settle_through` and a fast
     /// leader's next round leaks into a slow leader's replay: this fails.)
+    /// Flat deposits two batches per aggregator — its own pieces before the
+    /// exchange, the received ones after it — ahead of its drain barrier.
     #[test]
-    fn pipelined_clocks_do_not_depend_on_the_host_schedule() {
-        for depth in [1u32, 2, 0] {
-            let schedule = ExchangeSchedule::Pipelined {
-                round_stripes: 1,
-                depth,
-            };
+    fn round_loop_clocks_do_not_depend_on_the_host_schedule() {
+        let pipelined = [1u32, 2, 0].map(|depth| ExchangeSchedule::Pipelined {
+            round_stripes: 1,
+            depth,
+        });
+        for schedule in [ExchangeSchedule::Flat].into_iter().chain(pipelined) {
             let run_once = |seed: u64| {
                 let fs = FileSystem::new(PlatformProfile::fast_test());
                 let sink = Arc::new(Jitter {
@@ -842,7 +1030,7 @@ mod tests {
             };
             let reference = run_once(0);
             for seed in 1..50 {
-                assert_eq!(run_once(seed), reference, "depth {depth}, seed {seed}");
+                assert_eq!(run_once(seed), reference, "{schedule:?}, seed {seed}");
             }
         }
     }

@@ -14,14 +14,15 @@ use crate::domain::{domain_of, own_by_locality, partition_domains, FileDomain};
 use crate::exchange::Piece;
 
 /// How the redistribution phase is scheduled across the node topology. Both
-/// schedules are the same round loop — route, exchange, retire, submit,
-/// drain — and write byte-identical files.
+/// schedules are the same round loop — route, submit own, exchange,
+/// retire, submit received, drain — and write byte-identical files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeSchedule {
     /// Classic single-tier two-phase, the degenerate schedule of the loop:
     /// every rank is its own leader on the world communicator and each
     /// file domain is one round, so there is one flat `alltoallv` over all
-    /// P ranks, then one monolithic write phase retired behind a barrier.
+    /// P ranks. An aggregator's own pieces are written while it runs, the
+    /// received ones after it, and both retire behind one barrier.
     Flat,
     /// Multi-tier: each node's ranks first funnel their pieces to the node
     /// leader over the cheap intra-node link, only the leaders run the
