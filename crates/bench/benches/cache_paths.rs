@@ -30,7 +30,7 @@ fn bench_write_paths_vtime(c: &mut Criterion) {
                 let fs = FileSystem::new(PlatformProfile::cplant());
                 let f = fs.open(0, Clock::new(), "x");
                 for (off, d) in &data {
-                    f.pwrite_direct(*off, d);
+                    f.try_pwrite_direct(*off, d).unwrap();
                 }
                 total += Duration::from_nanos(f.clock().now() + (i & 7));
             }
@@ -45,9 +45,9 @@ fn bench_write_paths_vtime(c: &mut Criterion) {
                 let fs = FileSystem::new(PlatformProfile::cplant());
                 let f = fs.open(0, Clock::new(), "x");
                 for (off, d) in &data {
-                    f.pwrite(*off, d);
+                    f.try_pwrite(*off, d).unwrap();
                 }
-                f.sync();
+                f.try_sync().unwrap();
                 total += Duration::from_nanos(f.clock().now() + (i & 7));
             }
             total
@@ -62,7 +62,7 @@ fn bench_write_paths_vtime(c: &mut Criterion) {
                 let f = fs.open(0, Clock::new(), "x");
                 let segs: Vec<(u64, &[u8])> =
                     data.iter().map(|(o, d)| (*o, d.as_slice())).collect();
-                f.listio_direct_atomic(&segs);
+                f.try_listio_direct_atomic(&segs).unwrap();
                 total += Duration::from_nanos(f.clock().now() + (i & 7));
             }
             total
@@ -77,8 +77,8 @@ fn bench_write_paths_vtime(c: &mut Criterion) {
                 let f = fs.open(0, Clock::new(), "x");
                 let segs: Vec<(u64, &[u8])> =
                     data.iter().map(|(o, d)| (*o, d.as_slice())).collect();
-                let ticket = f.pwrite_batch(&segs, 0);
-                f.complete_writes(ticket, 0);
+                let ticket = f.submit_writes(&segs, 0, false).unwrap();
+                f.complete_writes(ticket.expect("no fault plan: deferred"), 0);
                 total += Duration::from_nanos(f.clock().now() + (i & 7));
             }
             total
@@ -99,11 +99,11 @@ fn bench_read_paths_vtime(c: &mut Criterion) {
             for i in 0..iters {
                 let fs = FileSystem::new(PlatformProfile::cplant());
                 let f = fs.open(0, Clock::new(), "x");
-                f.pwrite_direct(0, &vec![1u8; len as usize]);
+                f.try_pwrite_direct(0, &vec![1u8; len as usize]).unwrap();
                 let t0 = f.clock().now();
                 let mut buf = vec![0u8; 4096];
                 for i in 0..(len / 4096) {
-                    f.pread_direct(i * 4096, &mut buf);
+                    f.try_pread_direct(i * 4096, &mut buf).unwrap();
                 }
                 total += Duration::from_nanos(f.clock().now() - t0 + (i & 7));
             }
@@ -117,11 +117,11 @@ fn bench_read_paths_vtime(c: &mut Criterion) {
             for i in 0..iters {
                 let fs = FileSystem::new(PlatformProfile::cplant());
                 let f = fs.open(0, Clock::new(), "x");
-                f.pwrite_direct(0, &vec![1u8; len as usize]);
+                f.try_pwrite_direct(0, &vec![1u8; len as usize]).unwrap();
                 let t0 = f.clock().now();
                 let mut buf = vec![0u8; 4096];
                 for i in 0..(len / 4096) {
-                    f.pread(i * 4096, &mut buf);
+                    f.try_pread(i * 4096, &mut buf).unwrap();
                 }
                 total += Duration::from_nanos(f.clock().now() - t0 + (i & 7));
             }

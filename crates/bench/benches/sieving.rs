@@ -53,10 +53,8 @@ fn run_per_run_locking(spec: ColWise, name: &str) -> Totals {
                     LockMode::Exclusive,
                 )
                 .expect("fast_test supports locking");
-            posix.pwrite_direct(
-                seg.file_off,
-                &buf[seg.logical_off as usize..][..seg.len as usize],
-            );
+            let data = &buf[seg.logical_off as usize..][..seg.len as usize];
+            posix.try_pwrite_direct(seg.file_off, data).unwrap();
             guard.release();
         }
         (start, comm.clock().now(), posix.stats().snapshot())

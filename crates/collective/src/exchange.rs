@@ -58,7 +58,7 @@ pub fn route_segments(
 #[derive(Debug)]
 pub(crate) struct Gathered<'a> {
     /// `(absolute file offset, bytes)` per piece, ascending, no two
-    /// overlapping — the batch `PosixFile::pwrite_batch` takes.
+    /// overlapping — the batch `PosixFile::submit_writes` takes.
     pub writes: Vec<(u64, &'a [u8])>,
     /// Maximal file-contiguous runs the pieces form (the "large writes"),
     /// ascending. They outlive the pieces, so runs can be counted over

@@ -748,7 +748,7 @@ mod tests {
         {
             let f = fs.open(0, atomio_vtime::Clock::new(), "scatter");
             let data: Vec<u8> = (0..300u64).map(|o| (o % 251) as u8).collect();
-            f.pwrite_direct(0, &data);
+            f.try_pwrite_direct(0, &data).unwrap();
         }
         let out = run(2, fs.profile().net.clone(), |comm| {
             let file = fs.open(comm.rank(), comm.clock().clone(), "scatter");

@@ -512,15 +512,16 @@ impl<'c> MpiFile<'c> {
                     // block for their grant — so contention resolves in fair
                     // rank order regardless of host scheduling. The grant is
                     // all-or-nothing over the whole set, whatever the
-                    // granularity.
-                    let guard =
-                        self.posix
-                            .lock_set_two_phase(&lockset, LockMode::Exclusive, || {
-                                self.comm.barrier()
-                            })?;
-                    let written = self.write_segments_locked(&segments, buf, offset);
-                    guard.release();
-                    written
+                    // granularity. A refused grant still attends the closing
+                    // barrier below.
+                    self.posix
+                        .lock_set_two_phase(&lockset, LockMode::Exclusive, || self.comm.barrier())
+                        .map_err(Error::from)
+                        .and_then(|guard| {
+                            let written = self.write_segments_locked(&segments, buf, offset);
+                            guard.release();
+                            written
+                        })
                 } else {
                     self.comm.barrier();
                     Ok(())
@@ -978,7 +979,7 @@ impl<'c> MpiFile<'c> {
     /// One sieve window's read-modify-write through the client cache
     /// (lock-driven coherence only; the caller holds the exclusive grant
     /// covering the window). Mirrors
-    /// [`PosixFile::rmw_direct_with`](atomio_pfs::PosixFile::rmw_direct_with)
+    /// [`PosixFile::try_rmw_direct_with`](atomio_pfs::PosixFile::try_rmw_direct_with)
     /// but lets the hole-fill read hit warm pages and leaves the
     /// write-back in write-behind.
     fn rmw_cached(

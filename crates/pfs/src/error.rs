@@ -24,12 +24,12 @@ pub enum FsError {
     /// `try_*` I/O variants see this only once the retry budget is spent —
     /// as [`FsError::RetriesExhausted`], which wraps the last rejection.
     ServerUnavailable { server: usize },
-    /// A request was rejected [`PlatformProfile::max_retries`]
-    /// (crate::PlatformProfile::max_retries) times with exponential
-    /// vtime backoff and the server still had not restarted (a
-    /// [`RestartPolicy::Manual`](crate::RestartPolicy::Manual) crash with
-    /// nobody calling [`FileSystem::restart_server`]
-    /// (crate::FileSystem::restart_server)).
+    /// A request was rejected
+    /// [`PlatformProfile::max_retries`](crate::PlatformProfile::max_retries)
+    /// times with exponential vtime backoff and the server still had not
+    /// restarted (a [`RestartPolicy::Manual`](crate::RestartPolicy::Manual)
+    /// crash with nobody calling
+    /// [`FileSystem::restart_server`](crate::FileSystem::restart_server)).
     RetriesExhausted { server: usize, attempts: u32 },
 }
 

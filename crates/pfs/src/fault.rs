@@ -74,10 +74,10 @@ pub enum RestartPolicy {
     /// counted in protocol events rather than a wall clock the servers
     /// don't have. Must be ≥ 1.
     Rejections(u32),
-    /// The server stays down until [`FileSystem::restart_server`]
-    /// (crate::FileSystem::restart_server) is called; retry loops
-    /// eventually give up with [`FsError::RetriesExhausted`]
-    /// (crate::FsError::RetriesExhausted).
+    /// The server stays down until
+    /// [`FileSystem::restart_server`](crate::FileSystem::restart_server)
+    /// is called; retry loops eventually give up with
+    /// [`FsError::RetriesExhausted`](crate::FsError::RetriesExhausted).
     Manual,
 }
 

@@ -83,7 +83,7 @@ impl FsInner {
 ///
 /// let fs = FileSystem::new(PlatformProfile::fast_test());
 /// let f = fs.open(0, Clock::new(), "data");
-/// f.pwrite_direct(0, b"hello");
+/// f.try_pwrite_direct(0, b"hello").unwrap();
 /// assert_eq!(fs.snapshot("data").unwrap(), b"hello");
 /// ```
 #[derive(Clone)]
@@ -310,13 +310,17 @@ impl FileSystem {
 /// A client-side POSIX-style file handle on the simulated file system.
 ///
 /// Two I/O paths, selected per call:
-/// * `pwrite`/`pread` go through the client page cache (when the platform
-///   enables it) with read-ahead and write-behind — the behaviour the
-///   paper's §3 warns makes handshaking strategies require an explicit
-///   `sync` + `invalidate`;
-/// * `pwrite_direct`/`pread_direct` bypass the cache, the way locked I/O
-///   does in ROMIO's atomic mode ("while a file region is locked, all
-///   read/write requests to it will directly go to the file server").
+/// * `try_pwrite`/`try_pread` go through the client page cache (when the
+///   platform enables it) with read-ahead and write-behind — the behaviour
+///   the paper's §3 warns makes handshaking strategies require an explicit
+///   `try_sync` + `try_invalidate`;
+/// * `try_pwrite_direct`/`try_pread_direct` bypass the cache, the way
+///   locked I/O does in ROMIO's atomic mode ("while a file region is
+///   locked, all read/write requests to it will directly go to the file
+///   server").
+///
+/// Every operation reports failure as a typed [`FsError`]. Without a fault
+/// plan the I/O calls never fail, so fault-free callers may `unwrap` them.
 ///
 /// On a lock-driven-coherence platform
 /// ([`CoherenceMode::LockDriven`](crate::CoherenceMode)) the cached path
@@ -788,17 +792,9 @@ impl PosixFile {
 
     /// Synchronous uncached write: request → servers → ack, charged in
     /// virtual time; bytes really applied to storage (POSIX-atomically when
-    /// the platform says so). Panics if a fault plan left the request
-    /// unservable — fault-injected runs use
-    /// [`PosixFile::try_pwrite_direct`].
-    pub fn pwrite_direct(&self, offset: u64, data: &[u8]) {
-        self.try_pwrite_direct(offset, data)
-            .expect("pwrite_direct on a fault-injected file system: use try_pwrite_direct");
-    }
-
-    /// [`PosixFile::pwrite_direct`] with the fault model surfaced: a down
-    /// server is retried with vtime backoff, and the typed error comes
-    /// back once the retry budget is spent or this handle is dead.
+    /// the platform says so). A down server is retried with vtime backoff,
+    /// and the typed error comes back once the retry budget is spent or
+    /// this handle is dead.
     pub fn try_pwrite_direct(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
         self.try_pwritev_direct(&[(offset, data)])
     }
@@ -877,15 +873,8 @@ impl PosixFile {
         }
     }
 
-    /// Synchronous uncached read. Panics if a fault plan left the request
-    /// unservable — fault-injected runs use
-    /// [`PosixFile::try_pread_direct`].
-    pub fn pread_direct(&self, offset: u64, buf: &mut [u8]) {
-        self.try_pread_direct(offset, buf)
-            .expect("pread_direct on a fault-injected file system: use try_pread_direct");
-    }
-
-    /// [`PosixFile::pread_direct`] with the fault model surfaced.
+    /// Synchronous uncached read, with the fault model of
+    /// [`PosixFile::try_pwrite_direct`].
     pub fn try_pread_direct(&self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
         self.check_alive()?;
         let len = buf.len() as u64;
@@ -913,12 +902,14 @@ impl PosixFile {
         Ok(())
     }
 
-    /// Open-loop (pipelined) batched write — a `writev`: every entry's data
-    /// is applied to storage now, straight from the caller's slices, while
-    /// its *timing* is deposited with the servers as virtually-stamped
-    /// requests. The client paces injections through its NIC without
-    /// waiting for per-request acks — the asynchronous-I/O counterpart of
-    /// [`PosixFile::pwrite_direct`].
+    /// What every collective open-loop writer submits through.
+    ///
+    /// On a healthy file system this is a pipelined batched write — a
+    /// `writev`: every entry's data is applied to storage now, straight
+    /// from the caller's slices, while its *timing* is deposited with the
+    /// servers as virtually-stamped requests. The client paces injections
+    /// through its NIC without waiting for per-request acks — the
+    /// asynchronous-I/O counterpart of [`PosixFile::try_pwritev_direct`].
     ///
     /// For timing, entries that follow each other in the file (each starts
     /// where the one before it ended) are **one extent**, however many
@@ -938,18 +929,13 @@ impl PosixFile {
     /// barrier use epoch 0 throughout. The deferred settlement is what makes
     /// concurrent write timing deterministic (see
     /// [`ServerSet`](crate::ServerSet)).
-    pub fn pwrite_batch(&self, writes: &[(u64, &[u8])], epoch: u64) -> u64 {
-        self.pwrite_batch_inner(writes, epoch, false)
-    }
-
-    /// What every collective open-loop writer submits through: on a healthy
-    /// file system a [`PosixFile::pwrite_batch`] under `epoch`, whose ticket
-    /// comes back to be redeemed. Under a fault plan nothing may stay in
-    /// flight across a crash/replay cycle and no byte may land on a server
-    /// that is down — faults fire against individual server RPCs, not
-    /// deferred tickets — so the writes go through the synchronous,
-    /// retrying [`PosixFile::try_pwritev_direct`] instead: there is no
-    /// ticket, and a dead server is a typed error.
+    ///
+    /// Under a fault plan nothing may stay in flight across a crash/replay
+    /// cycle and no byte may land on a server that is down — faults fire
+    /// against individual server RPCs, not deferred tickets — so the
+    /// writes go through the synchronous, retrying
+    /// [`PosixFile::try_pwritev_direct`] instead: there is no ticket, and a
+    /// dead server is a typed error.
     ///
     /// `racing` is for *deliberately racing* writers (non-atomic mode): the
     /// batch yields the scheduler between entries so concurrently
@@ -966,10 +952,12 @@ impl PosixFile {
             self.try_pwritev_direct(writes)?;
             return Ok(None);
         }
-        Ok(Some(self.pwrite_batch_inner(writes, epoch, racing)))
+        Ok(Some(self.pwrite_batch(writes, epoch, racing)))
     }
 
-    fn pwrite_batch_inner(&self, writes: &[(u64, &[u8])], epoch: u64, racing: bool) -> u64 {
+    /// The healthy-file-system body of [`PosixFile::submit_writes`]:
+    /// apply, deposit, and return the ticket.
+    fn pwrite_batch(&self, writes: &[(u64, &[u8])], epoch: u64, racing: bool) -> u64 {
         let link = &self.fs.profile.client_link;
         let servers = &self.fs.servers;
         let row = servers.stripe_unit() * servers.server_count() as u64;
@@ -1028,13 +1016,8 @@ impl PosixFile {
     /// Atomic list I/O: apply several segments as *one* atomic operation —
     /// the `lio_listio` extension discussed in paper §3.2. Segments are
     /// injected back-to-back (pipelined) and applied under one storage gate,
-    /// so no other write can interleave anywhere between them.
-    pub fn listio_direct_atomic(&self, segments: &[(u64, &[u8])]) {
-        self.try_listio_direct_atomic(segments)
-            .expect("listio on a fault-injected file system: use try_listio_direct_atomic");
-    }
-
-    /// [`PosixFile::listio_direct_atomic`] with the fault model surfaced.
+    /// so no other write can interleave anywhere between them. A failed
+    /// segment fails the whole call and none of them is applied.
     pub fn try_listio_direct_atomic(&self, segments: &[(u64, &[u8])]) -> Result<(), FsError> {
         self.check_alive()?;
         let (inj, res) = self.inject_writes(segments.iter().copied(), |arrival, range, _| {
@@ -1072,27 +1055,14 @@ impl PosixFile {
     /// another client can update a hole byte, and the write-back then
     /// buries it under stale data — the §2.1 hazard. `racing` yields the
     /// scheduler at that point so the hazard stays observable on
-    /// single-CPU hosts; atomic callers wrap the RMW in an exclusive lock
-    /// ([`PosixFile::rmw_locked`] or a span lock held by the MPI layer).
-    pub fn rmw_direct(&self, window: ByteRange, patches: &[(u64, &[u8])], racing: bool) {
-        self.rmw_direct_with(window, patches, racing, &mut Vec::new());
-    }
-
-    /// [`PosixFile::rmw_direct`] with a caller-provided staging buffer, so
-    /// a multi-window sieve pays one allocation per request instead of one
-    /// per window.
-    pub fn rmw_direct_with(
-        &self,
-        window: ByteRange,
-        patches: &[(u64, &[u8])],
-        racing: bool,
-        staging: &mut Vec<u8>,
-    ) {
-        self.try_rmw_direct_with(window, patches, racing, staging)
-            .expect("rmw on a fault-injected file system: use try_rmw_direct_with");
-    }
-
-    /// [`PosixFile::rmw_direct_with`] with the fault model surfaced.
+    /// single-CPU hosts; atomic callers wrap the RMW in an exclusive lock.
+    /// (The MPI layer's atomic sieving holds one lock spanning **all**
+    /// windows of a request, because per-window locking without
+    /// whole-request holding is not serializable; see
+    /// `Strategy::DataSieving` in `atomio-core`.)
+    ///
+    /// `staging` is the caller's buffer for the window, so a multi-window
+    /// sieve pays one allocation per request instead of one per window.
     pub fn try_rmw_direct_with(
         &self,
         window: ByteRange,
@@ -1132,25 +1102,6 @@ impl PosixFile {
         self.try_pwrite_direct(window.start, staging)
     }
 
-    /// [`PosixFile::rmw_direct`] under its own exclusive byte-range lock
-    /// spanning the read-modify-write: a standalone atomic-RMW primitive
-    /// for callers whose whole request is one window. (The MPI layer's
-    /// atomic sieving does *not* build on this — it holds one lock
-    /// spanning **all** windows of a request and calls
-    /// [`PosixFile::rmw_direct`] per window inside it, because per-window
-    /// locking without whole-request holding is not serializable; see
-    /// `Strategy::DataSieving` in `atomio-core`.) Fails on lockless
-    /// platforms (ENFS).
-    pub fn rmw_locked(&self, window: ByteRange, patches: &[(u64, &[u8])]) -> Result<(), FsError> {
-        if window.is_empty() {
-            return Ok(());
-        }
-        let guard = self.lock(window, LockMode::Exclusive)?;
-        self.try_rmw_direct_with(window, patches, false, &mut Vec::new())?;
-        guard.release();
-        Ok(())
-    }
-
     // ------------------------------------------------------------ cached I/O
 
     /// Write through the client cache (write-behind). Falls back to direct
@@ -1165,12 +1116,6 @@ impl PosixFile {
     /// of the cache mutex — the coherence point a concurrent revocation
     /// also takes before shrinking coverage — so a revocation can never
     /// land mid-call and leave dirty bytes outside coverage.
-    pub fn pwrite(&self, offset: u64, data: &[u8]) {
-        self.try_pwrite(offset, data)
-            .expect("pwrite on a fault-injected file system: use try_pwrite");
-    }
-
-    /// [`PosixFile::pwrite`] with the fault model surfaced.
     pub fn try_pwrite(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
         self.check_alive()?;
         if !self.fs.profile.cache.enabled {
@@ -1217,7 +1162,7 @@ impl PosixFile {
         self.pwrite_buffered(offset, data)
     }
 
-    /// The write-behind body of [`PosixFile::pwrite`] (close-to-open path).
+    /// The write-behind body of [`PosixFile::try_pwrite`] (close-to-open path).
     fn pwrite_buffered(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
         let needs_flush = {
             let mut cache = self.cache.lock();
@@ -1253,17 +1198,11 @@ impl PosixFile {
     /// through the cache (their validity is guaranteed: any conflicting
     /// write must first revoke the token, which invalidates exactly those
     /// ranges); uncovered sub-ranges are read directly and *not* cached,
-    /// so no stale byte can ever be admitted. As in [`PosixFile::pwrite`],
+    /// so no stale byte can ever be admitted. As in [`PosixFile::try_pwrite`],
     /// the coverage snapshot and the cached accesses share one hold of the
     /// cache mutex, so a concurrent revocation cannot slip between the
     /// snapshot and a fill and let stale bytes in under a coverage the
     /// client no longer holds.
-    pub fn pread(&self, offset: u64, buf: &mut [u8]) {
-        self.try_pread(offset, buf)
-            .expect("pread on a fault-injected file system: use try_pread");
-    }
-
-    /// [`PosixFile::pread`] with the fault model surfaced.
     pub fn try_pread(&self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
         self.check_alive()?;
         if !self.fs.profile.cache.enabled {
@@ -1309,7 +1248,7 @@ impl PosixFile {
         self.pread_cached(offset, buf, None).map(|_| ())
     }
 
-    /// The cached-read body of [`PosixFile::pread`] (close-to-open path).
+    /// The cached-read body of [`PosixFile::try_pread`] (close-to-open path).
     fn pread_cached(
         &self,
         offset: u64,
@@ -1440,40 +1379,16 @@ impl PosixFile {
     /// after the drain marked bytes clean — where it would invalidate,
     /// let its acquirer write, and then watch this flush bury the newer
     /// data under the drained copy.
-    pub fn sync(&self) {
-        self.try_sync()
-            .expect("sync on a fault-injected file system: use try_sync");
-    }
-
-    /// [`PosixFile::sync`] with the fault model surfaced: the client may
-    /// die at its own flush site ([`FaultAction::KillClient`] →
-    /// [`FsError::Closed`], dirty bytes die with it), and a flush whose
-    /// retry budget is spent reports the down server.
+    ///
+    /// Under a fault plan the client may die at its own flush site
+    /// ([`FaultAction::KillClient`] → [`FsError::Closed`], dirty bytes die
+    /// with it), and a flush whose retry budget is spent reports the down
+    /// server.
     pub fn try_sync(&self) -> Result<(), FsError> {
         self.check_alive()?;
         let res = {
             let mut cache = self.cache.lock();
             let runs = cache.take_dirty_runs();
-            self.flush_runs(runs)
-        };
-        self.settle_fate(res)
-    }
-
-    /// Flush only the write-behind data overlapping `range` — the
-    /// range-accurate `sync` of the coherence protocol. Dirty data outside
-    /// `range` stays buffered. Holds the cache mutex across drain and
-    /// write-back, like [`PosixFile::sync`].
-    pub fn flush_range(&self, range: ByteRange) {
-        self.try_flush_range(range)
-            .expect("flush_range on a fault-injected file system: use try_flush_range");
-    }
-
-    /// [`PosixFile::flush_range`] with the fault model surfaced.
-    pub fn try_flush_range(&self, range: ByteRange) -> Result<(), FsError> {
-        self.check_alive()?;
-        let res = {
-            let mut cache = self.cache.lock();
-            let runs = cache.take_dirty_runs_in(range);
             self.flush_runs(runs)
         };
         self.settle_fate(res)
@@ -1604,34 +1519,13 @@ impl PosixFile {
     /// Flush, then drop all cached pages, so the next read fetches fresh
     /// data from the servers (close-to-open consistency; the "cache
     /// invalidation shall also be performed in each process before reading
-    /// from the overlapped regions" requirement of §3). Lock-driven
-    /// platforms rarely need this blanket form — see
-    /// [`PosixFile::invalidate_range`].
-    pub fn invalidate(&self) {
-        self.try_invalidate()
-            .expect("invalidate on a fault-injected file system: use try_invalidate");
-    }
-
-    /// [`PosixFile::invalidate`] with the fault model surfaced.
+    /// from the overlapped regions" requirement of §3), with the fault
+    /// model of [`PosixFile::try_sync`]. Lock-driven platforms rarely need
+    /// this blanket form: a served token revocation flushes and
+    /// invalidates exactly the revoked ranges.
     pub fn try_invalidate(&self) -> Result<(), FsError> {
         self.try_sync()?;
         self.cache.lock().invalidate();
-        Ok(())
-    }
-
-    /// Byte-accurate invalidation: flush the dirty data overlapping
-    /// `range`, then drop cache validity for exactly `range` — the rest of
-    /// the cache stays warm. This is what a served token revocation does,
-    /// exposed for callers that know precisely which bytes went stale.
-    pub fn invalidate_range(&self, range: ByteRange) {
-        self.try_invalidate_range(range)
-            .expect("invalidate_range on a fault-injected file system: use try_invalidate_range");
-    }
-
-    /// [`PosixFile::invalidate_range`] with the fault model surfaced.
-    pub fn try_invalidate_range(&self, range: ByteRange) -> Result<(), FsError> {
-        self.try_flush_range(range)?;
-        self.cache.lock().invalidate_range(range);
         Ok(())
     }
 
@@ -1651,7 +1545,7 @@ impl PosixFile {
 
     /// Acquire a byte-range lock. Fails on platforms without lock support
     /// (ENFS/Cplant), exactly as the paper had to skip the file-locking
-    /// experiments there.
+    /// experiments there, and on a dead handle.
     pub fn lock(&self, range: ByteRange, mode: LockMode) -> Result<LockGuard<'_>, FsError> {
         self.lock_set(&StridedSet::from_range(range), mode)
     }
@@ -1660,36 +1554,34 @@ impl PosixFile {
     /// `set` — granted all-or-nothing under the backend's fair vtime
     /// queue, so disjoint footprints never serialize and partial grants
     /// (the 2PL deadlock shape) cannot exist. One `LockGuard` releases the
-    /// whole set.
+    /// whole set. Fails like [`PosixFile::lock`].
     pub fn lock_set(&self, set: &StridedSet, mode: LockMode) -> Result<LockGuard<'_>, FsError> {
+        self.check_alive()?;
         let locks = self.lock_manager()?;
         let grant = locks.acquire_set(self.client, set, mode, self.clock.now());
         Ok(self.granted(locks, set, mode, grant))
     }
 
-    /// Two-phase byte-range lock: register the request, run `sync` (the MPI
-    /// layer passes a barrier), then block for the grant. When every
-    /// contender registers before any waits, grants follow the fair
-    /// `(vtime, client)` order, which makes collective atomic-mode locking
-    /// deterministic — including GPFS token-revocation counts.
-    pub fn lock_two_phase(
-        &self,
-        range: ByteRange,
-        mode: LockMode,
-        sync: impl FnOnce(),
-    ) -> Result<LockGuard<'_>, FsError> {
-        self.lock_set_two_phase(&StridedSet::from_range(range), mode, sync)
-    }
-
-    /// [`PosixFile::lock_set`] with the two-phase register/`sync`/wait
-    /// handshake of [`PosixFile::lock_two_phase`].
+    /// [`PosixFile::lock_set`] as a two-phase handshake: register the
+    /// request, run `sync` (the MPI layer passes a barrier), then block for
+    /// the grant. When every contender registers before any waits, grants
+    /// follow the fair `(vtime, client)` order, which makes collective
+    /// atomic-mode locking deterministic — including GPFS token-revocation
+    /// counts. A refused request still runs `sync` before it returns the
+    /// error, so the other contenders' handshake completes.
     pub fn lock_set_two_phase(
         &self,
         set: &StridedSet,
         mode: LockMode,
         sync: impl FnOnce(),
     ) -> Result<LockGuard<'_>, FsError> {
-        let locks = self.lock_manager()?;
+        let locks = match self.check_alive().and_then(|()| self.lock_manager()) {
+            Ok(locks) => locks,
+            Err(e) => {
+                sync();
+                return Err(e);
+            }
+        };
         let now = self.clock.now();
         let ticket = locks.register_set(self.client, set, mode, now);
         sync();
@@ -1818,10 +1710,10 @@ mod tests {
     fn direct_write_read_roundtrip_and_time() {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "a");
-        f.pwrite_direct(0, &[7u8; 2048]);
+        f.try_pwrite_direct(0, &[7u8; 2048]).unwrap();
         assert!(f.clock().now() > 0, "direct I/O must cost virtual time");
         let mut buf = [0u8; 2048];
-        f.pread_direct(0, &mut buf);
+        f.try_pread_direct(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 7));
         let s = f.stats().snapshot();
         assert_eq!(s.writes, 1);
@@ -1839,7 +1731,7 @@ mod tests {
     fn batch_completion(writes: &[(u64, &[u8])]) -> (VNanos, StatsSnapshot) {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "batch");
-        let ticket = f.pwrite_batch(writes, 0);
+        let ticket = f.pwrite_batch(writes, 0, false);
         f.complete_writes(ticket, 0);
         let image = fs.snapshot("batch").unwrap();
         for (off, data) in writes {
@@ -1917,17 +1809,17 @@ mod tests {
         let writer = fs.open(0, Clock::new(), "a");
         let reader = fs.open(1, Clock::new(), "a");
 
-        writer.pwrite(0, b"fresh!");
+        writer.try_pwrite(0, b"fresh!").unwrap();
         // Write-behind: nothing on the servers yet.
         let mut buf = [0u8; 6];
-        reader.pread_direct(0, &mut buf);
+        reader.try_pread_direct(0, &mut buf).unwrap();
         assert_eq!(
             &buf, &[0u8; 6],
             "write-behind data must not be visible before sync"
         );
 
-        writer.sync();
-        reader.pread_direct(0, &mut buf);
+        writer.try_sync().unwrap();
+        reader.try_pread_direct(0, &mut buf).unwrap();
         assert_eq!(&buf, b"fresh!");
     }
 
@@ -1937,17 +1829,17 @@ mod tests {
         let a = fs.open(0, Clock::new(), "a");
         let b = fs.open(1, Clock::new(), "a");
 
-        a.pwrite_direct(0, b"old");
+        a.try_pwrite_direct(0, b"old").unwrap();
         let mut buf = [0u8; 3];
-        b.pread(0, &mut buf); // b now caches "old"
+        b.try_pread(0, &mut buf).unwrap(); // b now caches "old"
         assert_eq!(&buf, b"old");
 
-        a.pwrite_direct(0, b"new");
-        b.pread(0, &mut buf);
+        a.try_pwrite_direct(0, b"new").unwrap();
+        b.try_pread(0, &mut buf).unwrap();
         assert_eq!(&buf, b"old", "cached page must serve stale data");
 
-        b.invalidate();
-        b.pread(0, &mut buf);
+        b.try_invalidate().unwrap();
+        b.try_pread(0, &mut buf).unwrap();
         assert_eq!(&buf, b"new", "invalidate must force a fresh fetch");
     }
 
@@ -1955,11 +1847,11 @@ mod tests {
     fn write_behind_flushes_on_threshold() {
         let fs = test_fs(); // write_behind_limit = 4 KiB in test params
         let f = fs.open(0, Clock::new(), "a");
-        f.pwrite(0, &vec![1u8; 8 * 1024]);
+        f.try_pwrite(0, &vec![1u8; 8 * 1024]).unwrap();
         // Threshold exceeded -> auto flush -> visible to others.
         let g = fs.open(1, Clock::new(), "a");
         let mut buf = vec![0u8; 8 * 1024];
-        g.pread_direct(0, &mut buf);
+        g.try_pread_direct(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 1));
         assert!(f.stats().snapshot().flushes >= 1);
     }
@@ -1990,7 +1882,8 @@ mod tests {
             let guard = f
                 .lock(ByteRange::new(0, 1 << 30), LockMode::Exclusive)
                 .unwrap();
-            f.pwrite_direct(0, &vec![client as u8; hold_write as usize]);
+            f.try_pwrite_direct(0, &vec![client as u8; hold_write as usize])
+                .unwrap();
             guard.release();
             ends.push(f.clock().now());
         }
@@ -2025,13 +1918,13 @@ mod tests {
 
         let f1 = fs.open(0, Clock::new(), "listio");
         let segs: Vec<(u64, &[u8])> = rows.iter().map(|(o, d)| (*o, d.as_slice())).collect();
-        f1.listio_direct_atomic(&segs);
+        f1.try_listio_direct_atomic(&segs).unwrap();
         let t_listio = f1.clock().now();
 
         let fs2 = test_fs();
         let f2 = fs2.open(0, Clock::new(), "seq");
         for (o, d) in &rows {
-            f2.pwrite_direct(*o, d);
+            f2.try_pwrite_direct(*o, d).unwrap();
         }
         let t_seq = f2.clock().now();
         assert!(
@@ -2074,7 +1967,7 @@ mod tests {
     fn one_segment_vector_costs_exactly_one_synchronous_write() {
         let data = [9u8; SEG as usize];
         let f = test_fs().open(0, Clock::new(), "one");
-        f.pwrite_direct(4096, &data);
+        f.try_pwrite_direct(4096, &data).unwrap();
         let g = test_fs().open(0, Clock::new(), "one");
         g.try_pwritev_direct(&[(4096, &data)]).unwrap();
         // payload, request latency, service, ack latency — in turn.
@@ -2197,15 +2090,15 @@ mod tests {
         let rows = strided_rows(n, 4096);
         let nic_bound = n * SEG + (n - 1) * OP + LAT + SERVICE + LAT;
         let f = test_fs().open(0, Clock::new(), "lio");
-        f.listio_direct_atomic(&as_segments(&rows));
+        f.try_listio_direct_atomic(&as_segments(&rows)).unwrap();
         assert_eq!(f.clock().now(), nic_bound);
 
         // Two dirty runs on two servers, flushed by one sync.
         let g = test_fs().open(0, Clock::new(), "flush");
-        g.pwrite(0, &rows[0].1);
-        g.pwrite(4096, &rows[1].1);
+        g.try_pwrite(0, &rows[0].1).unwrap();
+        g.try_pwrite(4096, &rows[1].1).unwrap();
         let t0 = g.clock().now();
-        g.sync();
+        g.try_sync().unwrap();
         assert_eq!(g.clock().now() - t0, 2 * SEG + OP + LAT + SERVICE + LAT);
         let s = g.stats().snapshot();
         assert_eq!((s.flushes, s.flushed_bytes), (1, 2 * SEG));
@@ -2227,20 +2120,20 @@ mod tests {
         // bytes that don't exist. 1 KiB pages, 2 pages read-ahead.
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "short");
-        f.pwrite_direct(0, &[7u8; 100]); // file is 100 bytes long
+        f.try_pwrite_direct(0, &[7u8; 100]).unwrap(); // file is 100 bytes long
         let t0 = f.clock().now();
 
         let mut buf = [0u8; 100];
-        f.pread(0, &mut buf);
+        f.try_pread(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 7));
         let clamped_cost = f.clock().now() - t0;
 
         // The same read against a file long enough for the full 3 KiB
         // window must cost strictly more — the unclamped fetch volume.
         let g = fs.open(1, Clock::new(), "long");
-        g.pwrite_direct(0, &vec![7u8; 4096]);
+        g.try_pwrite_direct(0, &vec![7u8; 4096]).unwrap();
         let t0 = g.clock().now();
-        g.pread(0, &mut buf);
+        g.try_pread(0, &mut buf).unwrap();
         let full_cost = g.clock().now() - t0;
         assert!(
             clamped_cost < full_cost,
@@ -2251,7 +2144,7 @@ mod tests {
         // Read-ahead past EOF must not have marked pages resident: a later
         // read behind EOF is a miss, not a phantom hit.
         let mut tail = [0u8; 50];
-        f.pread(2000, &mut tail);
+        f.try_pread(2000, &mut tail).unwrap();
         assert_eq!(tail, [0u8; 50]);
         let s = f.stats().snapshot();
         assert_eq!(
@@ -2264,10 +2157,10 @@ mod tests {
     fn cached_read_entirely_past_eof_is_free_zeros() {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "a");
-        f.pwrite_direct(0, b"x");
+        f.try_pwrite_direct(0, b"x").unwrap();
         let t0 = f.clock().now();
         let mut buf = [9u8; 16];
-        f.pread(5000, &mut buf);
+        f.try_pread(5000, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 16]);
         let s = f.stats().snapshot();
         assert_eq!(
@@ -2283,11 +2176,17 @@ mod tests {
     fn rmw_patches_holes_with_server_contents() {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "rmw");
-        f.pwrite_direct(0, &[1u8; 64]);
+        f.try_pwrite_direct(0, &[1u8; 64]).unwrap();
         // Patch bytes 8..16 and 32..40 in one window RMW.
         let p1 = [2u8; 8];
         let p2 = [3u8; 8];
-        f.rmw_direct(ByteRange::new(0, 64), &[(8, &p1), (32, &p2)], false);
+        f.try_rmw_direct_with(
+            ByteRange::new(0, 64),
+            &[(8, &p1), (32, &p2)],
+            false,
+            &mut Vec::new(),
+        )
+        .unwrap();
         let snap = fs.snapshot("rmw").unwrap();
         assert_eq!(&snap[0..8], &[1u8; 8]);
         assert_eq!(&snap[8..16], &[2u8; 8]);
@@ -2304,28 +2203,12 @@ mod tests {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "rmwfull");
         let data = [5u8; 32];
-        f.rmw_direct(ByteRange::new(0, 32), &[(0, &data)], false);
+        f.try_rmw_direct_with(ByteRange::new(0, 32), &[(0, &data)], false, &mut Vec::new())
+            .unwrap();
         let s = f.stats().snapshot();
         assert_eq!(s.reads, 0, "fully covered window needs no hole fill");
         assert_eq!(s.writes, 1);
         assert_eq!(fs.snapshot("rmwfull").unwrap(), vec![5u8; 32]);
-    }
-
-    #[test]
-    fn rmw_locked_excludes_concurrent_writers() {
-        let fs = test_fs();
-        let f = fs.open(0, Clock::new(), "rmwlock");
-        f.pwrite_direct(0, &[0u8; 128]);
-        let patch = [9u8; 8];
-        f.rmw_locked(ByteRange::new(0, 128), &[(64, &patch)])
-            .unwrap();
-        let snap = fs.snapshot("rmwlock").unwrap();
-        assert_eq!(&snap[64..72], &[9u8; 8]);
-        assert_eq!(f.stats().snapshot().lock_acquires, 1);
-        // Lockless platform: the locked RMW path must refuse.
-        let enfs = FileSystem::new(PlatformProfile::cplant());
-        let g = enfs.open(0, Clock::new(), "x");
-        assert!(g.rmw_locked(ByteRange::new(0, 8), &[]).is_err());
     }
 
     #[test]
@@ -2334,10 +2217,10 @@ mod tests {
         // 4 servers twice, merged to 4 requests; a 1 KiB access touches 1.
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "acct");
-        f.pwrite_direct(0, &vec![1u8; 32 * 1024]);
-        f.pwrite_direct(0, &[1u8; 1024]);
+        f.try_pwrite_direct(0, &vec![1u8; 32 * 1024]).unwrap();
+        f.try_pwrite_direct(0, &[1u8; 1024]).unwrap();
         let mut buf = vec![0u8; 8 * 1024];
-        f.pread_direct(0, &mut buf);
+        f.try_pread_direct(0, &mut buf).unwrap();
         let s = f.stats().snapshot();
         assert_eq!(s.server_write_requests, 4 + 1);
         assert_eq!(s.server_read_requests, 2);
@@ -2347,9 +2230,9 @@ mod tests {
     fn read_of_hole_returns_zeros() {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "a");
-        f.pwrite_direct(100, b"x");
+        f.try_pwrite_direct(100, b"x").unwrap();
         let mut buf = [9u8; 4];
-        f.pread(0, &mut buf);
+        f.try_pread(0, &mut buf).unwrap();
         assert_eq!(buf, [0, 0, 0, 0]);
     }
 
@@ -2368,7 +2251,7 @@ mod tests {
         let f = fs.open(0, Clock::new(), "coh");
         let r = ByteRange::new(0, 2048);
         let g = f.lock(r, LockMode::Exclusive).unwrap();
-        f.pwrite(0, &[7u8; 2048]);
+        f.try_pwrite(0, &[7u8; 2048]).unwrap();
         g.release();
         assert_eq!(f.coherence_coverage().total_len(), 2048);
         // Re-read under a (cheap, token-cached) shared lock: the write
@@ -2376,7 +2259,7 @@ mod tests {
         // zero server read requests, no blanket invalidation anywhere.
         let g = f.lock(r, LockMode::Shared).unwrap();
         let mut buf = [0u8; 2048];
-        f.pread(0, &mut buf);
+        f.try_pread(0, &mut buf).unwrap();
         g.release();
         assert_eq!(buf, [7u8; 2048]);
         let s = f.stats().snapshot();
@@ -2393,7 +2276,7 @@ mod tests {
         let g = a
             .lock(ByteRange::new(0, 4096), LockMode::Exclusive)
             .unwrap();
-        a.pwrite(0, &[0xA0u8; 4096]); // write-behind: stays dirty
+        a.try_pwrite(0, &[0xA0u8; 4096]).unwrap(); // write-behind: stays dirty
         g.release();
         assert!(
             fs.snapshot("coh").unwrap().iter().all(|&x| x == 0),
@@ -2407,9 +2290,9 @@ mod tests {
             .lock(ByteRange::new(1024, 2048), LockMode::Exclusive)
             .unwrap();
         let mut seen = [0u8; 1024];
-        b.pread_direct(1024, &mut seen);
+        b.try_pread_direct(1024, &mut seen).unwrap();
         assert_eq!(seen, [0xA0u8; 1024], "revocation must flush A's data");
-        b.pwrite_direct(1024, &[0xB1u8; 1024]);
+        b.try_pwrite_direct(1024, &[0xB1u8; 1024]).unwrap();
         g.release();
 
         let s = a.stats().snapshot();
@@ -2426,7 +2309,7 @@ mod tests {
         // fresh (B's bytes), the untouched ranges come from A's warm cache.
         let g = a.lock(ByteRange::new(0, 4096), LockMode::Shared).unwrap();
         let mut buf = [0u8; 4096];
-        a.pread(0, &mut buf);
+        a.try_pread(0, &mut buf).unwrap();
         g.release();
         assert_eq!(&buf[0..1024], &[0xA0u8; 1024][..]);
         assert_eq!(&buf[1024..2048], &[0xB1u8; 1024][..], "no stale read");
@@ -2446,7 +2329,7 @@ mod tests {
             let g = a
                 .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
                 .unwrap();
-            a.pwrite(0, &[0xDDu8; 1024]); // write-behind, never synced
+            a.try_pwrite(0, &[0xDDu8; 1024]).unwrap(); // write-behind, never synced
             g.release();
         } // dropped without sync: the data is gone, and so is the handler
 
@@ -2455,7 +2338,7 @@ mod tests {
             .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
             .unwrap();
         let mut buf = [9u8; 16];
-        b.pread_direct(0, &mut buf);
+        b.try_pread_direct(0, &mut buf).unwrap();
         g.release();
         assert_eq!(buf, [0u8; 16], "discarded write-behind data resurrected");
 
@@ -2464,10 +2347,10 @@ mod tests {
         let g = a2
             .lock(ByteRange::new(0, 512), LockMode::Exclusive)
             .unwrap();
-        a2.pwrite(0, &[0xEEu8; 512]);
+        a2.try_pwrite(0, &[0xEEu8; 512]).unwrap();
         g.release();
         let g = b.lock(ByteRange::new(0, 512), LockMode::Exclusive).unwrap();
-        b.pread_direct(0, &mut buf);
+        b.try_pread_direct(0, &mut buf).unwrap();
         g.release();
         assert_eq!(buf, [0xEEu8; 16], "live handle must still be revocable");
         assert_eq!(a2.stats().snapshot().revocations_served, 1);
@@ -2487,7 +2370,7 @@ mod tests {
         let g = a
             .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
             .unwrap();
-        a.pwrite(0, &[0x11u8; 1024]); // dirty write-behind under coverage
+        a.try_pwrite(0, &[0x11u8; 1024]).unwrap(); // dirty write-behind under coverage
         g.release();
         assert_eq!(a.coherence_coverage().total_len(), 1024);
 
@@ -2501,22 +2384,22 @@ mod tests {
         // close-without-fsync contract as dropping the handle): its reads
         // fall through to the servers, and its sync flushes nothing.
         let mut buf = [9u8; 16];
-        a.pread(0, &mut buf);
+        a.try_pread(0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 16], "old handle must not serve discarded data");
-        a.sync();
+        a.try_sync().unwrap();
         let b = fs.open(1, Clock::new(), "dup");
         let mut seen = [9u8; 16];
-        b.pread_direct(0, &mut seen);
+        b.try_pread_direct(0, &mut seen).unwrap();
         assert_eq!(seen, [0u8; 16], "discarded write-behind data resurrected");
 
         // The successor participates in coherence normally.
         let g = a2
             .lock(ByteRange::new(0, 512), LockMode::Exclusive)
             .unwrap();
-        a2.pwrite(0, &[0x22u8; 512]);
+        a2.try_pwrite(0, &[0x22u8; 512]).unwrap();
         g.release();
         let g = b.lock(ByteRange::new(0, 512), LockMode::Exclusive).unwrap();
-        b.pread_direct(0, &mut seen);
+        b.try_pread_direct(0, &mut seen).unwrap();
         g.release();
         assert_eq!(seen, [0x22u8; 16], "successor must still be revocable");
         assert_eq!(a2.stats().snapshot().revoke_flushed_bytes, 512);
@@ -2548,7 +2431,7 @@ mod tests {
         let g = a
             .lock(ByteRange::new(0, 2048), LockMode::Exclusive)
             .unwrap();
-        a.pwrite(0, &[0xAAu8; 2048]); // write-behind: stays dirty
+        a.try_pwrite(0, &[0xAAu8; 2048]).unwrap(); // write-behind: stays dirty
         g.release();
         assert!(
             fs.snapshot("scoh").unwrap().iter().all(|&x| x == 0),
@@ -2562,7 +2445,7 @@ mod tests {
             .lock(ByteRange::new(1024, 1536), LockMode::Shared)
             .unwrap();
         let mut seen = [0u8; 512];
-        b.pread(1024, &mut seen);
+        b.try_pread(1024, &mut seen).unwrap();
         g.release();
         assert_eq!(seen, [0xAAu8; 512], "revocation must flush A's data");
 
@@ -2579,7 +2462,7 @@ mod tests {
         // re-fetched, the rest comes from A's warm (still dirty) cache.
         let g = a.lock(ByteRange::new(0, 2048), LockMode::Shared).unwrap();
         let mut buf = [0u8; 2048];
-        a.pread(0, &mut buf);
+        a.try_pread(0, &mut buf).unwrap();
         g.release();
         assert_eq!(buf, [0xAAu8; 2048], "no stale or lost bytes anywhere");
     }
@@ -2593,12 +2476,12 @@ mod tests {
         // the covered miss caches as a zero hole.
         let fs = gpfs_test_fs();
         let f = fs.open(0, Clock::new(), "eof");
-        f.pwrite_direct(0, &[7u8; 1200]); // file length 1200, unaligned
+        f.try_pwrite_direct(0, &[7u8; 1200]).unwrap(); // file length 1200, unaligned
         let g = f
             .lock(ByteRange::new(1500, 2000), LockMode::Exclusive)
             .unwrap();
         let mut buf = [9u8; 500];
-        f.pread(1500, &mut buf); // covered, wholly past EOF
+        f.try_pread(1500, &mut buf).unwrap(); // covered, wholly past EOF
         g.release();
         assert_eq!(buf, [0u8; 500], "past-EOF covered bytes read as zeros");
         assert_eq!(
@@ -2618,11 +2501,11 @@ mod tests {
         // deferred until after the copy-out.
         let fs = test_fs(); // cap 64 KiB, 1 KiB pages
         let f = fs.open(0, Clock::new(), "big");
-        f.pwrite_direct(0, &vec![7u8; 80 * 1024]);
+        f.try_pwrite_direct(0, &vec![7u8; 80 * 1024]).unwrap();
         let mut warm = vec![0u8; 64 * 1024];
-        f.pread(0, &mut warm); // warm the cache to its cap
+        f.try_pread(0, &mut warm).unwrap(); // warm the cache to its cap
         let mut big = vec![0u8; 72 * 1024];
-        f.pread(0, &mut big); // head hits + tail fills: must not panic
+        f.try_pread(0, &mut big).unwrap(); // head hits + tail fills: must not panic
         assert!(big.iter().all(|&b| b == 7));
         // The cache settled back under its cap after the read.
         assert!(f.cache.lock().resident_bytes() <= 64 * 1024);
@@ -2636,17 +2519,17 @@ mod tests {
         // No token coverage: reads fall through to direct I/O and admit
         // nothing into the cache, so a later write by another client can
         // never be shadowed by a stale page.
-        g.pwrite_direct(0, &[1u8; 512]);
+        g.try_pwrite_direct(0, &[1u8; 512]).unwrap();
         let mut buf = [0u8; 512];
-        f.pread(0, &mut buf);
+        f.try_pread(0, &mut buf).unwrap();
         assert_eq!(buf, [1u8; 512]);
-        g.pwrite_direct(0, &[2u8; 512]);
-        f.pread(0, &mut buf);
+        g.try_pwrite_direct(0, &[2u8; 512]).unwrap();
+        f.try_pread(0, &mut buf).unwrap();
         assert_eq!(buf, [2u8; 512], "uncovered bytes must never be cached");
         let s = f.stats().snapshot();
         assert_eq!(s.cache_hit_bytes, 0);
         // Uncovered cached writes also write through.
-        f.pwrite(0, &[3u8; 512]);
+        f.try_pwrite(0, &[3u8; 512]).unwrap();
         assert_eq!(&fs.snapshot("coh").unwrap()[..512], &[3u8; 512][..]);
     }
 
@@ -2662,12 +2545,12 @@ mod tests {
         let run = |fs: FileSystem| {
             let a = fs.open(0, Clock::new(), "id");
             let b = fs.open(1, Clock::new(), "id");
-            a.pwrite_direct(0, &[1u8; 4096]);
-            a.pwrite(4096, &[2u8; 2048]);
-            a.sync();
+            a.try_pwrite_direct(0, &[1u8; 4096]).unwrap();
+            a.try_pwrite(4096, &[2u8; 2048]).unwrap();
+            a.try_sync().unwrap();
             let mut buf = vec![0u8; 6144];
-            b.pread(0, &mut buf);
-            b.pwrite_direct(1024, &[3u8; 512]);
+            b.try_pread(0, &mut buf).unwrap();
+            b.try_pwrite_direct(1024, &[3u8; 512]).unwrap();
             (fs.snapshot("id").unwrap(), a.clock().now(), b.clock().now())
         };
         let plain = run(FileSystem::new(PlatformProfile::fast_test()));
@@ -2708,9 +2591,9 @@ mod tests {
         // The degraded run must cost more vtime than a fault-free one.
         let clean = FileSystem::new(PlatformProfile::fast_test());
         let g = clean.open(0, Clock::new(), "crash");
-        g.pwrite_direct(0, &[1u8; 512]);
-        g.pwrite_direct(0, &[2u8; 512]);
-        g.pread_direct(0, &mut buf);
+        g.try_pwrite_direct(0, &[1u8; 512]).unwrap();
+        g.try_pwrite_direct(0, &[2u8; 512]).unwrap();
+        g.try_pread_direct(0, &mut buf).unwrap();
         assert!(f.clock().now() > g.clock().now(), "backoff must cost vtime");
     }
 
@@ -2876,7 +2759,7 @@ mod tests {
         let g = a
             .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
             .unwrap();
-        a.pwrite(0, &[0xDDu8; 1024]); // dirty under coverage
+        a.try_pwrite(0, &[0xDDu8; 1024]).unwrap(); // dirty under coverage
         g.release();
         assert_eq!(a.try_sync().unwrap_err(), FsError::Closed, "killed");
         assert_eq!(
@@ -2892,10 +2775,31 @@ mod tests {
             .unwrap();
         let mut buf = [9u8; 16];
         b.try_pread_direct(0, &mut buf).unwrap();
+        b.try_pwrite(0, &[0xBBu8; 16]).unwrap(); // the rival's own dirty bytes
         g.release();
         assert_eq!(buf, [0u8; 16], "dirty bytes must die with the client");
         assert_eq!(fs.fault_stats().client_deaths, 1);
         assert_eq!(a.stats().snapshot().faults_injected, 1);
+
+        // A dead handle takes no lock either: it neither advances its clock
+        // nor revokes the rival's token, which would flush the rival's
+        // cache. The two-phase form still attends its handshake.
+        let t = a.clock().now();
+        let whole = ByteRange::new(0, 4096);
+        let refused = a.lock(whole, LockMode::Exclusive).err();
+        assert_eq!(refused, Some(FsError::Closed));
+        let mut synced = false;
+        let set = StridedSet::from_range(whole);
+        let refused = a
+            .lock_set_two_phase(&set, LockMode::Exclusive, || synced = true)
+            .err();
+        assert_eq!(refused, Some(FsError::Closed));
+        assert!(synced, "a refused two-phase lock must still run `sync`");
+        assert_eq!(a.clock().now(), t);
+        assert_eq!(a.stats().snapshot().lock_acquires, 1);
+        assert_eq!(b.stats().snapshot().revocations_served, 0);
+        let image = fs.snapshot("kill").unwrap();
+        assert!(image.iter().all(|&x| x == 0), "the rival's cache stays put");
     }
 
     #[test]
@@ -2903,14 +2807,14 @@ mod tests {
         let fs = gpfs_test_fs();
         let a = fs.open(0, Clock::new(), "fiat");
         let g = a.lock(ByteRange::new(0, 512), LockMode::Exclusive).unwrap();
-        a.pwrite(0, &[0xCCu8; 512]);
+        a.try_pwrite(0, &[0xCCu8; 512]).unwrap();
         g.release();
         assert!(fs.crash_client(0, "fiat"));
         assert!(!fs.crash_client(0, "fiat"), "already dead");
         assert_eq!(a.coherence_coverage().total_len(), 0, "coverage cleared");
         let b = fs.open(1, Clock::new(), "fiat");
         let mut buf = [9u8; 16];
-        b.pread_direct(0, &mut buf);
+        b.try_pread_direct(0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 16], "corpse's write-behind data discarded");
         assert_eq!(fs.fault_stats().client_deaths, 1);
     }

@@ -79,7 +79,7 @@ enum Health {
 ///   Figure 8 reproduction deterministic. [`ServerSet::settle`] is
 ///   "through everything", for callers that fence with a barrier. A
 ///   deferred request is whatever range the submitter stamps: batch writers
-///   ([`PosixFile::pwrite_batch`](crate::PosixFile::pwrite_batch)) cut
+///   ([`PosixFile::submit_writes`](crate::PosixFile::submit_writes)) cut
 ///   their extents at stripe-row boundaries (`stripe_unit × n`), so each
 ///   request touches every server at most once, pays each its `per_op`,
 ///   and a long extent reaches the servers row by row as it is injected

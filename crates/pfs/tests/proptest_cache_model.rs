@@ -43,22 +43,22 @@ proptest! {
         for op in &ops {
             match *op {
                 Op::WriteCached { off, len, fill } => {
-                    f.pwrite(off, &vec![fill; len as usize]);
+                    f.try_pwrite(off, &vec![fill; len as usize]).unwrap();
                     model[off as usize..(off + len) as usize].fill(fill);
                 }
                 Op::WriteDirect { off, len, fill } => {
                     // A direct write bypasses the cache; to keep the single-
                     // client view coherent the client must first flush its
                     // own overlapping dirty data (like O_DIRECT discipline).
-                    f.sync();
-                    f.pwrite_direct(off, &vec![fill; len as usize]);
+                    f.try_sync().unwrap();
+                    f.try_pwrite_direct(off, &vec![fill; len as usize]).unwrap();
                     // ...and drop stale clean pages covering that range.
-                    f.invalidate();
+                    f.try_invalidate().unwrap();
                     model[off as usize..(off + len) as usize].fill(fill);
                 }
                 Op::Read { off, len } => {
                     let mut buf = vec![0u8; len as usize];
-                    f.pread(off, &mut buf);
+                    f.try_pread(off, &mut buf).unwrap();
                     prop_assert_eq!(
                         &buf[..],
                         &model[off as usize..(off + len) as usize],
@@ -67,13 +67,13 @@ proptest! {
                         off + len
                     );
                 }
-                Op::Sync => f.sync(),
-                Op::Invalidate => f.invalidate(),
+                Op::Sync => f.try_sync().unwrap(),
+                Op::Invalidate => f.try_invalidate().unwrap(),
             }
         }
 
         // After a final sync, the server-side file must equal the model.
-        f.sync();
+        f.try_sync().unwrap();
         let snap = fs.snapshot("model").unwrap();
         let written = snap.len().min(model.len());
         prop_assert_eq!(&snap[..written], &model[..written]);
@@ -87,17 +87,18 @@ proptest! {
         let mut last = 0;
         for op in &ops {
             match *op {
-                Op::WriteCached { off, len, fill } => f.pwrite(off, &vec![fill; len as usize]),
+                Op::WriteCached { off, len, fill } => f.try_pwrite(off, &vec![fill; len as usize]),
                 Op::WriteDirect { off, len, fill } => {
-                    f.pwrite_direct(off, &vec![fill; len as usize])
+                    f.try_pwrite_direct(off, &vec![fill; len as usize])
                 }
                 Op::Read { off, len } => {
                     let mut buf = vec![0u8; len as usize];
-                    f.pread(off, &mut buf);
+                    f.try_pread(off, &mut buf)
                 }
-                Op::Sync => f.sync(),
-                Op::Invalidate => f.invalidate(),
+                Op::Sync => f.try_sync(),
+                Op::Invalidate => f.try_invalidate(),
             }
+            .unwrap();
             let now = f.clock().now();
             prop_assert!(now >= last, "clock went backwards: {last} -> {now}");
             last = now;

@@ -183,8 +183,8 @@ fn apply(cache: &mut ClientCache, m: &mut Mirror, op: &Op, exact: bool) {
         }
         Op::InvalidateRange { off, len } => {
             let r = ByteRange::at(off, len);
-            // Protocol discipline (what PosixFile::invalidate_range does):
-            // flush the range first, then drop its validity.
+            // Protocol discipline (what a served revocation does): flush
+            // the range first, then drop its validity.
             let got = runs_to_map(&cache.take_dirty_runs_in(r));
             let want = m.drain_dirty(r);
             prop_assert_eq!(got, want);

@@ -34,10 +34,8 @@ fn main() {
             let guard = posix
                 .lock(ByteRange::at(seg.file_off, seg.len), LockMode::Exclusive)
                 .expect("lockful platform");
-            posix.pwrite_direct(
-                seg.file_off,
-                &buf[seg.logical_off as usize..][..seg.len as usize],
-            );
+            let data = &buf[seg.logical_off as usize..][..seg.len as usize];
+            posix.try_pwrite_direct(seg.file_off, data).unwrap();
             guard.release();
         }
         posix.stats().snapshot()

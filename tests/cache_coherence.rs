@@ -74,7 +74,7 @@ fn stale_read_without_invalidate_fresh_with() {
             let mut stale = [0u8; 4];
             file.read_at(0, &mut stale).unwrap();
             // Now invalidate and see the fresh data.
-            file.posix().invalidate();
+            file.posix().try_invalidate().unwrap();
             let mut fresh = [0u8; 4];
             file.read_at(0, &mut fresh).unwrap();
             out = (stale[0], fresh[0]);
@@ -109,7 +109,8 @@ fn skipping_the_sync_step_breaks_visibility() {
         // sync. Buffers are small enough to stay under write-behind limits.
         for seg in part.view.segments(0, part.data_bytes()) {
             let lo = seg.logical_off as usize;
-            file.pwrite(seg.file_off, &buf[lo..lo + seg.len as usize]);
+            file.try_pwrite(seg.file_off, &buf[lo..lo + seg.len as usize])
+                .unwrap();
         }
         comm.barrier();
     });
@@ -126,12 +127,12 @@ fn read_ahead_populates_cache() {
     let fs = FileSystem::new(PlatformProfile::fast_test());
     run(1, fs.profile().net.clone(), |comm| {
         let file = fs.open(0, comm.clock().clone(), "ra");
-        file.pwrite_direct(0, &vec![5u8; 8 * 1024]);
+        file.try_pwrite_direct(0, &vec![5u8; 8 * 1024]).unwrap();
         let mut buf = [0u8; 16];
-        file.pread(0, &mut buf); // miss: fetches window incl. read-ahead
+        file.try_pread(0, &mut buf).unwrap(); // miss: fetches window incl. read-ahead
         let miss1 = file.stats().snapshot().cache_miss_bytes;
         let mut buf2 = [0u8; 512];
-        file.pread(1024, &mut buf2); // within the read-ahead window: hit
+        file.try_pread(1024, &mut buf2).unwrap(); // within the read-ahead window: hit
         let s = file.stats().snapshot();
         assert_eq!(
             s.cache_miss_bytes, miss1,
@@ -148,12 +149,12 @@ fn cached_write_costs_less_vtime_than_direct_until_sync() {
     run(1, fs.profile().net.clone(), |comm| {
         let cached = fs.open(0, comm.clock().clone(), "c");
         let t0 = comm.clock().now();
-        cached.pwrite(0, &vec![1u8; 16 * 1024]);
+        cached.try_pwrite(0, &vec![1u8; 16 * 1024]).unwrap();
         let t_cached = comm.clock().now() - t0;
 
         let direct = fs.open(0, comm.clock().clone(), "d");
         let t1 = comm.clock().now();
-        direct.pwrite_direct(0, &vec![1u8; 16 * 1024]);
+        direct.try_pwrite_direct(0, &vec![1u8; 16 * 1024]).unwrap();
         let t_direct = comm.clock().now() - t1;
         assert!(
             t_cached < t_direct / 2,

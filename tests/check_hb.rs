@@ -436,7 +436,8 @@ fn traced_pipelined_two_phase(sink: &Arc<MemorySink>) {
             comm.barrier();
             if comm.rank() == turn {
                 let mut back = vec![0u8; BLOCK as usize];
-                file.pread_direct(((comm.rank() + P / 2) % P) as u64 * BLOCK, &mut back);
+                file.try_pread_direct(((comm.rank() + P / 2) % P) as u64 * BLOCK, &mut back)
+                    .unwrap();
             }
         }
     });

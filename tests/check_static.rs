@@ -126,13 +126,14 @@ fn static_graph_covers_runtime_discovered_edges() {
             let f = fs.open(client, Clock::new(), "static-x-check");
             let r = ByteRange::at(client as u64 * 512, 1024);
             let g = f.lock(r, LockMode::Exclusive).unwrap();
-            f.pwrite(r.start, &vec![client as u8 + 1; 1024]);
+            f.try_pwrite(r.start, &vec![client as u8 + 1; 1024])
+                .unwrap();
             g.release();
             let g = f.lock(r, LockMode::Shared).unwrap();
             let mut buf = vec![0u8; 1024];
-            f.pread(r.start, &mut buf);
+            f.try_pread(r.start, &mut buf).unwrap();
             g.release();
-            f.sync();
+            f.try_sync().unwrap();
         }));
     }
     for h in handles {

@@ -104,7 +104,7 @@ fn run_revocation_stress(profile: PlatformProfile) {
                             .unwrap()
                             + 1
                     };
-                    f.pwrite(off, &vec![v; len as usize]); // write-behind
+                    f.try_pwrite(off, &vec![v; len as usize]).unwrap(); // write-behind
                     floor.lock().unwrap()[off as usize..(off + len) as usize].fill(v);
                     guard.release();
                 } else {
@@ -112,7 +112,7 @@ fn run_revocation_stress(profile: PlatformProfile) {
                     let snap: Vec<u8> =
                         floor.lock().unwrap()[off as usize..(off + len) as usize].to_vec();
                     let mut buf = vec![0u8; len as usize];
-                    f.pread(off, &mut buf);
+                    f.try_pread(off, &mut buf).unwrap();
                     guard.release();
                     for (i, (&got, &min)) in buf.iter().zip(snap.iter()).enumerate() {
                         assert!(
@@ -123,7 +123,7 @@ fn run_revocation_stress(profile: PlatformProfile) {
                     }
                 }
             }
-            f.sync();
+            f.try_sync().unwrap();
         }));
     }
     for h in handles {
@@ -169,13 +169,13 @@ fn write_behind_visibility_contract() {
     let g = w
         .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
         .unwrap();
-    w.pwrite(0, &[0xCCu8; 1024]);
+    w.try_pwrite(0, &[0xCCu8; 1024]).unwrap();
     g.release();
 
     // Non-locking reader after the release: reads the servers, and the
     // write-behind data legitimately is not there yet.
     let mut buf = [0u8; 1024];
-    r.pread(0, &mut buf);
+    r.try_pread(0, &mut buf).unwrap();
     assert_eq!(
         buf, [0u8; 1024],
         "a non-locking reader may miss write-behind data — by contract"
@@ -184,7 +184,7 @@ fn write_behind_visibility_contract() {
     // Locking reader: the shared grant revokes the writer's token, which
     // flushes before the grant completes — never a stale byte.
     let g = r.lock(ByteRange::new(0, 1024), LockMode::Shared).unwrap();
-    r.pread(0, &mut buf);
+    r.try_pread(0, &mut buf).unwrap();
     g.release();
     assert_eq!(buf, [0xCCu8; 1024], "a locking reader always sees the data");
 
@@ -193,9 +193,9 @@ fn write_behind_visibility_contract() {
     let g = w
         .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
         .unwrap();
-    w.pwrite(0, &[0xDDu8; 1024]);
+    w.try_pwrite(0, &[0xDDu8; 1024]).unwrap();
     g.release();
-    w.sync();
+    w.try_sync().unwrap();
     assert_eq!(
         &fs.snapshot("vis").unwrap()[..1024],
         &[0xDDu8; 1024][..],

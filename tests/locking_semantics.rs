@@ -180,7 +180,7 @@ fn shared_read_locks_do_not_serialize() {
     // Seed the file.
     run(1, fs.profile().net.clone(), |comm| {
         let f = fs.open(0, comm.clock().clone(), "shared");
-        f.pwrite_direct(0, &vec![3u8; 4096]);
+        f.try_pwrite_direct(0, &vec![3u8; 4096]).unwrap();
     });
     fs.reset_timing();
     let clocks = run(4, fs.profile().net.clone(), |comm| {

@@ -186,10 +186,8 @@ fn sieving_slashes_server_requests_vs_per_run_locking() {
             let guard = posix
                 .lock(ByteRange::at(seg.file_off, seg.len), LockMode::Exclusive)
                 .unwrap();
-            posix.pwrite_direct(
-                seg.file_off,
-                &buf[seg.logical_off as usize..][..seg.len as usize],
-            );
+            let data = &buf[seg.logical_off as usize..][..seg.len as usize];
+            posix.try_pwrite_direct(seg.file_off, data).unwrap();
             guard.release();
         }
         posix.stats().snapshot()
