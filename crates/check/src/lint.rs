@@ -93,19 +93,20 @@ fn allow_match(allow: &[AllowEntry], path: &str, source: &str) -> Option<usize> 
 }
 
 /// Modules where a panic is a correctness bug: everything the fault
-/// injector or crash/replay path can reach.
+/// injector or crash/replay path can reach. An entry ending in `/` covers
+/// every file under that directory.
 const FAULT_REACHABLE: &[&str] = &[
     "crates/pfs/src/fault.rs",
     "crates/pfs/src/journal.rs",
     "crates/pfs/src/coherence.rs",
-    "crates/pfs/src/file.rs",
+    "crates/pfs/src/file/",
     "crates/pfs/src/server.rs",
     "crates/pfs/src/cache.rs",
     "crates/pfs/src/storage.rs",
 ];
 
 fn is_fault_reachable(path: &str) -> bool {
-    FAULT_REACHABLE.iter().any(|m| path.ends_with(m))
+    FAULT_REACHABLE.iter().any(|m| path.contains(m))
 }
 
 fn is_pfs_src(path: &str) -> bool {

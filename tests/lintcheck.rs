@@ -79,6 +79,18 @@ fn token_rules_still_bite_under_the_checked_in_allowlist() {
     );
     assert_eq!(unwrap_diags.len(), 1, "R1 went blind: {unwrap_diags:?}");
 
+    // R1 covers the whole file layer, not just one file in it.
+    let expect_diags = lint_source(
+        "crates/pfs/src/file/cached.rs",
+        "fn f(x: Option<u8>) -> u8 { x.expect(\"cached\") }\n",
+        &allow,
+    );
+    assert_eq!(
+        expect_diags.len(),
+        1,
+        "R1 skips the file layer: {expect_diags:?}"
+    );
+
     let mutex_diags = lint_source(
         "crates/pfs/src/cache.rs",
         "struct S { m: parking_lot::Mutex<u8> }\n",
