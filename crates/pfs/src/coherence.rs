@@ -73,8 +73,9 @@ pub trait RevocationHandler: Send + Sync + std::fmt::Debug {
 
     /// The owner died
     /// ([`FileSystem::crash_client`](crate::FileSystem::crash_client) or a
-    /// [`FaultAction::KillClient`] event): same obligations as [`RevocationHandler::superseded`] — the
-    /// register-supersede path generalized to crash. Dirty write-behind
+    /// [`FaultAction::KillClient`] event): same obligations as
+    /// [`RevocationHandler::superseded`] — the register-supersede path
+    /// generalized to crash. Dirty write-behind
     /// data dies with the client (the documented close-without-fsync
     /// contract); coverage is cleared so the token ranges the manager
     /// still holds for the corpse protect nothing. Default: supersede.

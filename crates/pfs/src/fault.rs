@@ -17,9 +17,10 @@
 //! What can fail, and where:
 //! * [`FaultSite::ServerRequest`] — a client request about to be served:
 //!   [`FaultAction::CrashServer`] marks the server down; every subsequent
-//!   request is *rejected* ([`FsError::ServerUnavailable`]
-//!   (crate::FsError::ServerUnavailable)) and the client-side retry loop
-//!   pays vtime backoff until the [`RestartPolicy`] restarts it.
+//!   request is *rejected*
+//!   ([`FsError::ServerUnavailable`](crate::FsError::ServerUnavailable))
+//!   and the client-side retry loop pays vtime backoff until the
+//!   [`RestartPolicy`] restarts it.
 //! * [`FaultSite::JournalAppend`] — a write-ahead journal intent record
 //!   being appended (revocation flush or writer sync):
 //!   [`FaultAction::TearRecord`] truncates the record mid-append (it lands
