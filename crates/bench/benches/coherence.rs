@@ -38,7 +38,7 @@
 //! wait is billed where it is actually suffered. Large write-behind
 //! transfers therefore no longer ride free under `lock_driven`: makespans
 //! are comparable across all three modes, and the *request-count* metrics
-//! (`server_read_requests`, the acceptance criterion) count real requests
+//! (`server_read_requests`, which the acceptance compares) count real requests
 //! on every path.
 //!
 //! Run with `cargo bench -p atomio-bench --bench coherence` (flags:

@@ -23,8 +23,9 @@ pub struct Args {
 }
 
 impl Args {
-    /// The process's arguments; a flag without its path is a usage error
-    /// (exit 2), not a run that overwrites the checked-in artifact.
+    /// The process's arguments; an unknown flag or a flag without its path
+    /// is a usage error (exit 2), not a run that overwrites the checked-in
+    /// artifact.
     pub fn parse(bench: &'static str) -> Args {
         Args::parse_from(bench, std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -36,6 +37,10 @@ impl Args {
         bench: &'static str,
         args: impl IntoIterator<Item = String>,
     ) -> Result<Args, String> {
+        let usage = format!(
+            "usage: cargo bench -p atomio-bench --bench {bench} -- \
+             [--smoke] [--out <path>] [--trace <path>]"
+        );
         let (mut smoke, mut out, mut trace) = (false, None, None);
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -46,18 +51,15 @@ impl Args {
                 }
                 "--out" => &mut out,
                 "--trace" => &mut trace,
-                // `cargo bench` forwards harness flags; ignore the rest.
+                // `cargo bench` appends `--bench`; a bare word is a filter.
+                "--bench" => continue,
+                f if f.starts_with("--") => return Err(format!("unknown flag {f}; {usage}")),
                 _ => continue,
             };
             // `cargo bench` appends its own `--bench` after the user's
             // arguments, so a trailing `--out` is followed by a flag.
             let path = args.next().filter(|p| !p.starts_with("--"));
-            *slot = Some(path.ok_or_else(|| {
-                format!(
-                    "{a} needs a path; usage: cargo bench -p atomio-bench --bench {bench} -- \
-                     [--smoke] [--out <path>] [--trace <path>]"
-                )
-            })?);
+            *slot = Some(path.ok_or_else(|| format!("{a} needs a path; {usage}"))?);
         }
         let out = out.map_or_else(
             || {
@@ -247,6 +249,7 @@ mod tests {
         let out = parse(&["--out", "x"]).unwrap();
         assert_eq!((out.smoke, out.out.as_path()), (false, "x".as_ref()));
         assert_eq!(parse(&["--bench", "--out", "x"]).unwrap(), out);
+        assert_eq!(parse(&["--out", "x", "filter", "--bench"]).unwrap(), out);
         let traced = parse(&["--trace", "t", "--smoke", "--out", "x"]).unwrap();
         assert_eq!(traced.trace.as_deref(), Some("t".as_ref()));
 
@@ -259,6 +262,44 @@ mod tests {
         ] {
             let err = parse(bad).unwrap_err();
             assert!(err.contains("needs a path") && !err.contains('\n'), "{err}");
+        }
+        // A mistyped flag would otherwise run the full geometry and
+        // overwrite the checked-in artifact.
+        for bad in [&["--out=x"][..], &["--smokee"], &["--smoke", "--trace=t"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(
+                err.starts_with("unknown flag --") && !err.contains('\n'),
+                "{err}"
+            );
+        }
+    }
+
+    /// Every bench in the manifest writes a checked-in `BENCH_<name>.json`
+    /// through [`Artifact`]: a bench that only prints has nothing to
+    /// compare a later run against.
+    #[test]
+    fn every_bench_writes_a_checked_in_artifact() {
+        let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = crate_dir.ancestors().nth(2).unwrap();
+        let manifest = std::fs::read_to_string(crate_dir.join("Cargo.toml")).unwrap();
+        let mut lines = manifest.lines();
+        let mut benches = Vec::new();
+        while let Some(line) = lines.next() {
+            if line.trim() == "[[bench]]" {
+                let name = lines.next().and_then(|l| l.strip_prefix("name = "));
+                benches.push(name.expect("`name` opens a [[bench]]").trim_matches('"'));
+            }
+        }
+        assert!(!benches.is_empty());
+        for name in benches {
+            let artifact = root.join(format!("BENCH_{name}.json"));
+            assert!(artifact.exists(), "bench {name}: no {}", artifact.display());
+            let source = crate_dir.join(format!("benches/{name}.rs"));
+            let source = std::fs::read_to_string(&source).unwrap();
+            assert!(
+                source.contains("Artifact::new("),
+                "bench {name} writes no artifact"
+            );
         }
     }
 

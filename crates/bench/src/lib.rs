@@ -1,5 +1,5 @@
-//! Experiment harness shared by the `figure8`/`table1` binaries and the
-//! criterion benches.
+//! Experiment harness shared by the `figure8`/`table1` binaries, the
+//! artifact benches and the bandwidth-shape tests.
 //!
 //! One *experiment point* = one concurrent column-wise write (the paper's
 //! §4 workload) on one platform profile with one atomicity strategy,

@@ -41,3 +41,17 @@ pub use lockgraph::{
 pub use lockorder::{
     global_edges, CycleReport, LockEdge, LockOrderGraph, OrderedMutex, OrderedMutexGuard, Registry,
 };
+
+use atomio_trace::json::Value;
+
+/// A top-level member `"key": [...]` of the lock-graph reports, one
+/// object per line (the layout `tests/golden/static_report.json` pins).
+fn json_list(key: &str, rows: impl IntoIterator<Item = Value>) -> String {
+    let rows: Vec<String> = rows.into_iter().map(|r| format!("    {r}")).collect();
+    let mut s = format!("  {}: [\n", Value::from(key));
+    if !rows.is_empty() {
+        s += &rows.join(",\n");
+        s.push('\n');
+    }
+    s + "  ]"
+}

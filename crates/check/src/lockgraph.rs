@@ -45,6 +45,7 @@ use crate::lexer::TokKind;
 use crate::lint::LintDiag;
 use crate::lockorder::LockEdge;
 use crate::scopes::{self, FileModel};
+use atomio_trace::object;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
 
@@ -683,26 +684,18 @@ impl StaticAnalysis {
     /// edge list. Sites are file-only so the fixture survives unrelated
     /// line churn.
     pub fn report_json(&self) -> String {
-        let mut s = String::from("{\n  \"classes\": [\n");
-        let n = self.classes.len();
-        for (i, (name, rank)) in self.classes.iter().enumerate() {
-            match rank {
-                Some(r) => s.push_str(&format!("    {{\"name\": \"{name}\", \"rank\": {r}}}")),
-                None => s.push_str(&format!("    {{\"name\": \"{name}\"}}")),
-            }
-            s.push_str(if i + 1 < n { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n  \"edges\": [\n");
-        let n = self.edges.len();
-        for (i, e) in self.edges.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"from\": \"{}\", \"to\": \"{}\", \"site\": \"{}\"}}",
-                e.from, e.to, e.file
-            ));
-            s.push_str(if i + 1 < n { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let classes = self.classes.iter().map(|(name, rank)| match rank {
+            Some(r) => object! {"name": name.as_str(), "rank": u64::from(*r)},
+            None => object! {"name": name.as_str()},
+        });
+        let edges = self.edges.iter().map(|e| {
+            object! {"from": e.from.as_str(), "to": e.to.as_str(), "site": e.file.as_str()}
+        });
+        format!(
+            "{{\n{},\n{}\n}}\n",
+            crate::json_list("classes", classes),
+            crate::json_list("edges", edges)
+        )
     }
 
     /// Deterministic Graphviz DOT rendering of the edge list; ranked

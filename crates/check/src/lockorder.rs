@@ -372,14 +372,10 @@ impl Registry {
             Self::edges().iter().map(|e| (e.from, e.to)).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let mut s = String::from("{\n  \"edges\": [\n");
-        let n = pairs.len();
-        for (i, (from, to)) in pairs.iter().enumerate() {
-            s.push_str(&format!("    {{\"from\": \"{from}\", \"to\": \"{to}\"}}"));
-            s.push_str(if i + 1 < n { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let edges = pairs
+            .into_iter()
+            .map(|(from, to)| atomio_trace::object! {"from": from, "to": to});
+        format!("{{\n{}\n}}\n", crate::json_list("edges", edges))
     }
 }
 
@@ -467,6 +463,12 @@ mod tests {
         let needle = "{\"from\": \"t.reg_a\", \"to\": \"t.reg_b\"}";
         assert_eq!(json.matches(needle).count(), 1, "{json}");
         assert_eq!(json, Registry::export_json(), "byte-stable across calls");
+        atomio_trace::validate_json(&json).unwrap();
+        assert!(
+            json.starts_with("{\n  \"edges\": [\n    {\"from\": "),
+            "{json}"
+        );
+        assert!(json.ends_with("\"}\n  ]\n}\n"), "{json}");
     }
 
     #[test]

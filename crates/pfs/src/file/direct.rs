@@ -404,6 +404,46 @@ mod tests {
             fs.snapshot("listio").unwrap().len(),
             fs2.snapshot("seq").unwrap().len()
         );
+
+        // §3.2's non-contiguous paths on Cplant's ENFS, 256 rows × 2 KiB at
+        // a 32 KiB stride: write-behind + sync, listio and a pipelined
+        // batch each take at most half the per-segment synchronous time.
+        let rows: Vec<(u64, Vec<u8>)> = (0..256u64)
+            .map(|r| (r * 32 * 1024, vec![0x5A; 2048]))
+            .collect();
+        let segs = as_segments(&rows);
+        let on_cplant = |write: &dyn Fn(&PosixFile)| {
+            let fs = FileSystem::new(PlatformProfile::cplant());
+            let f = fs.open(0, Clock::new(), "x");
+            write(&f);
+            f.clock().now()
+        };
+        let per_segment = on_cplant(&|f| {
+            for (o, d) in &rows {
+                f.try_pwrite_direct(*o, d).unwrap();
+            }
+        });
+        let write_behind = on_cplant(&|f| {
+            for (o, d) in &rows {
+                f.try_pwrite(*o, d).unwrap();
+            }
+            f.try_sync().unwrap();
+        });
+        let listio = on_cplant(&|f| f.try_listio_direct_atomic(&segs).unwrap());
+        let batch = on_cplant(&|f| {
+            let ticket = f.submit_writes(&segs, 0, false).unwrap();
+            f.complete_writes(ticket.expect("no fault plan: deferred"), 0);
+        });
+        for (path, t) in [
+            ("write-behind + sync", write_behind),
+            ("listio", listio),
+            ("batch", batch),
+        ] {
+            assert!(
+                2 * t <= per_segment,
+                "{path} ({t}) should halve per-segment sync ({per_segment})"
+            );
+        }
     }
 
     // fast_test costs, spelled out for the closed forms below: 1 ns per

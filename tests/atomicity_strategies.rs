@@ -395,6 +395,27 @@ fn two_phase_aggregator_sweep_stays_atomic() {
             verify::check_mpi_atomicity(&snap, &spec.all_views(), &pattern::offset_stamps(spec.p));
         assert!(rep.is_atomic(), "A={aggregators}: {rep:?}");
     }
+
+    // On IBM SP's 12 servers, each doubling of the aggregators up to 8
+    // shortens a flat two-phase write of 256 × 8192 at P = 8.
+    let makespans = [1, 2, 4, 8].map(|a| {
+        atomio_bench::measure_colwise_two_phase(
+            &PlatformProfile::ibm_sp(),
+            256,
+            8192,
+            8,
+            atomio_bench::DEFAULT_R,
+            Some(Strategy::TwoPhase),
+            IoPath::Direct,
+            TwoPhaseConfig {
+                aggregators: Some(a),
+                ranks_per_node: 1,
+                schedule: ExchangeSchedule::Flat,
+            },
+        )
+        .makespan
+    });
+    assert!(makespans.windows(2).all(|w| w[1] < w[0]), "{makespans:?}");
 }
 
 /// The pipelined multi-tier schedule through the full `MpiFile` stack:

@@ -38,10 +38,9 @@ fn check_golden(got: &str, rel: &str) {
 /// the checked-in fixture CI compares against.
 #[test]
 fn golden_static_report_json_is_stable() {
-    check_golden(
-        &workspace().report_json(),
-        "tests/golden/static_report.json",
-    );
+    let json = workspace().report_json();
+    atomio::trace::validate_json(&json).unwrap();
+    check_golden(&json, "tests/golden/static_report.json");
 }
 
 /// Same for the Graphviz rendering (uploaded as a CI artifact).
@@ -165,6 +164,7 @@ fn registry_export_is_deterministic_and_rank_monotone() {
     let a = Registry::export_json();
     let b = Registry::export_json();
     assert_eq!(a, b, "export must be byte-stable within a process");
+    atomio::trace::validate_json(&a).unwrap();
     let ranks = [
         ("pfs.lock_state", 10u32),
         ("pfs.coherence_faults", 11),
