@@ -6,7 +6,7 @@ use atomio_collective::{
 use atomio_dtype::{Datatype, FileView, ViewSegment};
 use atomio_interval::{ByteRange, StridedSet};
 use atomio_msg::Comm;
-use atomio_pfs::{FileSystem, LockMode, PosixFile};
+use atomio_pfs::{FileSystem, LockGuard, LockMode, PosixFile};
 use atomio_trace::Category;
 use atomio_vtime::VNanos;
 
@@ -443,7 +443,7 @@ impl<'c> MpiFile<'c> {
         self.sieve
     }
 
-    // -------------------------------------------------------- collective I/O
+    // -------------------------------------------------------------------- I/O
 
     /// Collective write at `offset` (etype units = bytes) through the file
     /// view (like `MPI_File_write_at_all`). All ranks of the communicator
@@ -451,7 +451,7 @@ impl<'c> MpiFile<'c> {
     pub fn write_at_all(&mut self, offset: u64, buf: &[u8]) -> Result<WriteReport, Error> {
         let before = self.posix.stats().snapshot();
         let t0 = self.comm.clock().now();
-        let report = self.write_at_all_inner(offset, buf)?;
+        let report = self.write(offset, buf, true)?;
         let d = self.posix.stats().snapshot().delta(&before);
         self.comm.tracer().span(
             Category::Io,
@@ -468,27 +468,111 @@ impl<'c> MpiFile<'c> {
         Ok(report)
     }
 
-    fn write_at_all_inner(&mut self, offset: u64, buf: &[u8]) -> Result<WriteReport, Error> {
+    /// Collective read at `offset` through the file view.
+    pub fn read_at_all(&mut self, offset: u64, buf: &mut [u8]) -> Result<ReadReport, Error> {
+        let before = self.posix.stats().snapshot();
+        let t0 = self.comm.clock().now();
+        let report = self.read(offset, buf, true)?;
+        let d = self.posix.stats().snapshot().delta(&before);
+        self.comm.tracer().span(
+            Category::Io,
+            "read_at_all",
+            t0,
+            self.comm.clock().now(),
+            &[
+                ("bytes", report.bytes_read),
+                ("server_read_requests", d.server_read_requests),
+                ("cache_hit_bytes", d.cache_hit_bytes),
+            ],
+        );
+        Ok(report)
+    }
+
+    /// Independent write (like `MPI_File_write_at`). In atomic mode only
+    /// locking, list I/O and sieving are possible: the handshaking
+    /// strategies need to know every participant, which only collective
+    /// calls provide — "file locking seems to be the only way to ensure
+    /// atomic results in non-collective I/O calls" (paper §5).
+    pub fn write_at(&mut self, offset: u64, buf: &[u8]) -> Result<WriteReport, Error> {
+        self.write(offset, buf, false)
+    }
+
+    /// Independent read.
+    pub fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<ReadReport, Error> {
+        self.read(offset, buf, false)
+    }
+
+    /// Independent **non-atomic** sieved write: the same windowing and
+    /// read-modify-write as [`Strategy::DataSieving`], but with no locks at
+    /// all. Between a window's hole-fill read and its write-back another
+    /// writer can update a hole byte, and the write-back then buries it
+    /// under stale data — the §2.1 read-modify-write hazard, and the
+    /// reason ROMIO refuses to data-sieve writes on lockless file systems.
+    /// Exists so tests and demos can make that torn outcome observable;
+    /// safe only when no other writer can touch the sieved extent.
+    pub fn write_at_sieved(&mut self, offset: u64, buf: &[u8]) -> Result<WriteReport, Error> {
         self.check_writable()?;
         let offset = self.view.etype_offset_to_bytes(offset);
-        if self.atomicity == Atomicity::Atomic(Strategy::DataSieving) {
-            // Sieving plans on the compressed footprint and never
-            // materializes the request's full segment list; the collective
-            // flavour only adds the deterministic two-phase lock handshake
-            // and a closing barrier.
-            let report = self.sieved_write(offset, buf, true, true);
-            self.comm.barrier();
-            let report = report?;
-            self.invalidate_if_cached()?;
-            return Ok(report);
-        }
-        let segments = self.view.segments(offset, buf.len() as u64);
+        let report = self.sieved_write(offset, buf, false, false)?;
+        self.sealed(false, report)
+    }
+
+    /// Flush this rank's write-behind data (like `MPI_File_sync`).
+    ///
+    /// Fallible: under fault injection the flush can find its client
+    /// killed ([`FsError::Closed`](atomio_pfs::FsError)) or exhaust its
+    /// retries against a crashed server — callers that care can match on
+    /// [`Error::Fs`] and retry or fail the rank.
+    pub fn sync(&self) -> Result<(), Error> {
+        self.posix.try_sync()?;
+        Ok(())
+    }
+
+    /// Collective close; returns this rank's I/O summary. A rank whose
+    /// final flush fails still attends the barrier before it reports.
+    pub fn close(self) -> Result<CloseReport, Error> {
+        let synced = self.posix.try_sync();
+        self.comm.barrier();
+        synced?;
+        let stats = self.posix.stats().snapshot();
+        Ok(CloseReport {
+            bytes_written: stats.bytes_written,
+            bytes_read: stats.bytes_read,
+            end_vtime: self.comm.clock().now(),
+            stats,
+            latency: self.posix.latency_snapshot(),
+        })
+    }
+
+    // ------------------------------------------------------------- I/O bodies
+
+    /// The one write body: [`MpiFile::write_at`] and
+    /// [`MpiFile::write_at_all`] differ only in `collective`. Locking,
+    /// list I/O and sieving move the same data from either call; the
+    /// collective one adds the lock handshake ([`MpiFile::lock`]), a
+    /// closing barrier ([`MpiFile::closing`]) and the close-to-open
+    /// invalidation, and alone may use the handshaking strategies.
+    ///
+    /// A rank whose own I/O fails in a collective call still attends every
+    /// barrier of the call and reports the error after the last one:
+    /// leaving early would hang the healthy ranks.
+    fn write(&self, offset: u64, buf: &[u8], collective: bool) -> Result<WriteReport, Error> {
+        self.check_writable()?;
+        let strategy = self.strategy(collective)?;
+        let offset = self.view.etype_offset_to_bytes(offset);
+        let len = buf.len() as u64;
+        // Sieving plans on the compressed footprint and never materializes
+        // the request's segment list.
+        let segments = match strategy {
+            Some(Strategy::DataSieving) => Vec::new(),
+            _ => self.view.segments(offset, len),
+        };
         let start = self.comm.clock().now();
         let mut report = WriteReport {
             start,
             end: start,
-            requested_bytes: buf.len() as u64,
-            bytes_written: buf.len() as u64,
+            requested_bytes: len,
+            bytes_written: len,
             segments: segments.len(),
             phases: 1,
             color: 0,
@@ -496,46 +580,42 @@ impl<'c> MpiFile<'c> {
             aggregators: 0,
         };
 
-        match self.atomicity {
-            Atomicity::NonAtomic => {
-                self.write_phase(Some((&segments, buf, offset)), true)?;
-            }
-            Atomicity::Atomic(Strategy::FileLocking(granularity)) => {
-                let lockset = self.lock_set_for(granularity, &segments, offset, buf.len() as u64);
+        match strategy {
+            None if collective => self.write_phase(Some((&segments, buf, offset)), true)?,
+            None => self.write_segments(&segments, buf, offset)?,
+            Some(Strategy::FileLocking(granularity)) => {
+                let lockset = granular(self.view.strided_file_ranges(offset, len), granularity);
                 report.lock_footprint = (!lockset.is_empty()).then(|| LockFootprint {
                     granularity,
                     set: lockset.clone(),
                 });
-                let written = if !lockset.is_empty() {
-                    // Two-phase: every rank registers its lock request, a
-                    // barrier makes the requests globally visible, then all
-                    // block for their grant — so contention resolves in fair
-                    // rank order regardless of host scheduling. The grant is
-                    // all-or-nothing over the whole set, whatever the
-                    // granularity. A refused grant still attends the closing
-                    // barrier below.
-                    self.posix
-                        .lock_set_two_phase(&lockset, LockMode::Exclusive, || self.comm.barrier())
-                        .map_err(Error::from)
-                        .and_then(|guard| {
-                            let written = self.write_segments_locked(&segments, buf, offset);
-                            guard.release();
-                            written
-                        })
-                } else {
-                    self.comm.barrier();
-                    Ok(())
-                };
-                self.comm.barrier();
-                written?;
+                let written = self
+                    .lock(&lockset, LockMode::Exclusive, collective, Ok(()))
+                    .and_then(|guard| {
+                        let written = self.write_segments_locked(&segments, buf, offset);
+                        drop(guard);
+                        written
+                    });
+                self.closing(collective, written)?;
             }
-            Atomicity::Atomic(Strategy::GraphColoring) => {
+            Some(Strategy::ListIo) => {
+                let written = self
+                    .posix
+                    .try_listio_direct_atomic(&seg_slices(&segments, buf, offset))
+                    .map_err(Error::from);
+                self.closing(collective, written)?;
+            }
+            Some(Strategy::DataSieving) => {
+                let written = self.sieved_write(offset, buf, true, collective);
+                report = self.closing(collective, written)?;
+            }
+            Some(Strategy::GraphColoring) => {
                 // View negotiation in compressed space: the allgather ships
                 // O(trains) per rank instead of O(rows), and the overlap
                 // graph is built by a sweep over train descriptions — the
                 // §3.4 negotiation cost now scales with the access
                 // *description*, not the row count.
-                let footprint = self.view.strided_file_ranges(offset, buf.len() as u64);
+                let footprint = self.view.strided_file_ranges(offset, len);
                 let all = self.comm.allgather(footprint);
                 let w = OverlapMatrix::from_strided(&all);
                 let colors = greedy_color(&w);
@@ -568,13 +648,11 @@ impl<'c> MpiFile<'c> {
                         .and(self.write_phase(sends.then_some((pieces, buf, offset)), false));
                 }
                 written?;
-                self.invalidate_if_cached()?;
-                return Ok(self.sealed(report));
             }
-            Atomicity::Atomic(Strategy::RankOrdering) => {
+            Some(Strategy::RankOrdering) => {
                 // Compressed view exchange + compressed suffix union; the
                 // recomputed pieces are byte-identical to the dense path.
-                let footprint = self.view.strided_file_ranges(offset, buf.len() as u64);
+                let footprint = self.view.strided_file_ranges(offset, len);
                 let all = self.comm.allgather(footprint);
                 let surrendered = higher_union_strided(&all, self.comm.rank());
                 let pieces = surviving_pieces_strided(&segments, &surrendered);
@@ -582,15 +660,7 @@ impl<'c> MpiFile<'c> {
                 report.segments = pieces.len();
                 self.write_phase(Some((&pieces, buf, offset)), false)?;
             }
-            Atomicity::Atomic(Strategy::ListIo) => {
-                let written = self.write_segments_listio(&segments, buf, offset);
-                self.comm.barrier();
-                written?;
-            }
-            Atomicity::Atomic(Strategy::DataSieving) => {
-                unreachable!("data sieving takes the early sieved path above")
-            }
-            Atomicity::Atomic(Strategy::TwoPhase) => {
+            Some(Strategy::TwoPhase) => {
                 let tp = two_phase_write(
                     self.comm,
                     &self.posix,
@@ -611,62 +681,50 @@ impl<'c> MpiFile<'c> {
                 }
             }
         }
-        self.invalidate_if_cached()?;
-        Ok(self.sealed(report))
+        self.sealed(collective, report)
     }
 
-    /// Collective read at `offset` through the file view.
-    pub fn read_at_all(&mut self, offset: u64, buf: &mut [u8]) -> Result<ReadReport, Error> {
-        let before = self.posix.stats().snapshot();
-        let t0 = self.comm.clock().now();
-        let report = self.read_at_all_inner(offset, buf)?;
-        let d = self.posix.stats().snapshot().delta(&before);
-        self.comm.tracer().span(
-            Category::Io,
-            "read_at_all",
-            t0,
-            self.comm.clock().now(),
-            &[
-                ("bytes", report.bytes_read),
-                ("server_read_requests", d.server_read_requests),
-                ("cache_hit_bytes", d.cache_hit_bytes),
-            ],
-        );
-        Ok(report)
-    }
-
-    /// A rank whose own I/O fails still attends every barrier of the call
-    /// and reports the error after the last one, as the collective writes
-    /// do: leaving early would hang the healthy ranks.
-    fn read_at_all_inner(&mut self, offset: u64, buf: &mut [u8]) -> Result<ReadReport, Error> {
+    /// The one read body, the write body's mirror: an atomic read first
+    /// drops its cached pages for fresh data (§3), locking reads take the
+    /// shared grant through [`MpiFile::lock`], and a collective call
+    /// attends every barrier before it reports a failure.
+    fn read(&self, offset: u64, buf: &mut [u8], collective: bool) -> Result<ReadReport, Error> {
+        let strategy = self.strategy(collective)?;
         let offset = self.view.etype_offset_to_bytes(offset);
-        if self.atomicity == Atomicity::Atomic(Strategy::DataSieving) {
-            let report = match self.invalidate_if_cached() {
-                Ok(()) => self.sieved_read(offset, buf, true),
-                Err(e) => {
-                    // Stands in for the lock handshake's barrier.
-                    self.comm.barrier();
-                    Err(e)
-                }
-            };
-            self.comm.barrier();
-            return report;
-        }
-        let segments = self.view.segments(offset, buf.len() as u64);
+        let len = buf.len() as u64;
+        let segments = match strategy {
+            Some(Strategy::DataSieving) => Vec::new(),
+            _ => self.view.segments(offset, len),
+        };
         let start = self.comm.clock().now();
-        // Fresh data for overlapped reads: drop cached pages first (§3).
-        let fresh = match self.atomicity {
-            Atomicity::Atomic(_) => self.invalidate_if_cached(),
-            Atomicity::NonAtomic => Ok(()),
+        let fresh = match strategy {
+            Some(_) => self.invalidate_if_cached(),
+            None => Ok(()),
         };
         let mut report = ReadReport {
             start,
             end: start,
-            bytes_read: buf.len() as u64,
+            bytes_read: len,
             segments: segments.len(),
         };
-        let read = match self.atomicity {
-            Atomicity::Atomic(Strategy::TwoPhase) => {
+
+        match strategy {
+            Some(Strategy::FileLocking(granularity)) => {
+                let lockset = granular(self.view.strided_file_ranges(offset, len), granularity);
+                let read = self
+                    .lock(&lockset, LockMode::Shared, collective, fresh)
+                    .and_then(|guard| {
+                        let read = self.read_segments(&segments, buf, offset);
+                        drop(guard);
+                        read
+                    });
+                self.closing(collective, read)?;
+            }
+            Some(Strategy::DataSieving) => {
+                let read = self.sieved_read(offset, buf, collective, fresh);
+                report = self.closing(collective, read)?;
+            }
+            Some(Strategy::TwoPhase) => {
                 // Collective down to its closing barrier, failed runs included.
                 let tp = two_phase_read(
                     self.comm,
@@ -677,154 +735,79 @@ impl<'c> MpiFile<'c> {
                     &self.two_phase,
                 );
                 report.segments = tp.read_runs;
-                report.end = self.comm.clock().now();
-                return fresh.and(tp.first_error.map_or(Ok(report), |e| Err(Error::Fs(e))));
+                fresh.and(tp.first_error.map_or(Ok(()), |e| Err(Error::Fs(e))))?;
             }
-            Atomicity::Atomic(Strategy::FileLocking(granularity)) => {
-                let lockset = self.lock_set_for(granularity, &segments, offset, buf.len() as u64);
-                fresh.and_then(|()| {
-                    if lockset.is_empty() {
-                        return self.read_segments(&segments, buf, offset);
-                    }
-                    let guard = self.posix.lock_set(&lockset, LockMode::Shared)?;
-                    let read = self.read_segments(&segments, buf, offset);
-                    guard.release();
-                    read
-                })
+            _ => {
+                let read = fresh.and_then(|()| self.read_segments(&segments, buf, offset));
+                self.closing(collective, read)?;
             }
-            _ => fresh.and_then(|()| self.read_segments(&segments, buf, offset)),
-        };
-        self.comm.barrier();
-        read?;
+        }
         report.end = self.comm.clock().now();
         Ok(report)
     }
 
-    // ------------------------------------------------------- independent I/O
-
-    /// Independent write (like `MPI_File_write_at`). In atomic mode only
-    /// file locking is possible: the handshaking strategies need to know
-    /// every participant, which only collective calls provide — "file
-    /// locking seems to be the only way to ensure atomic results in
-    /// non-collective I/O calls" (paper §5).
-    pub fn write_at(&mut self, offset: u64, buf: &[u8]) -> Result<WriteReport, Error> {
-        self.check_writable()?;
-        let offset = self.view.etype_offset_to_bytes(offset);
-        if self.atomicity == Atomicity::Atomic(Strategy::DataSieving) {
-            return self.sieved_write(offset, buf, true, false);
-        }
-        let segments = self.view.segments(offset, buf.len() as u64);
-        let start = self.comm.clock().now();
-        let mut report = WriteReport {
-            start,
-            end: start,
-            requested_bytes: buf.len() as u64,
-            bytes_written: buf.len() as u64,
-            segments: segments.len(),
-            phases: 1,
-            color: 0,
-            lock_footprint: None,
-            aggregators: 0,
-        };
+    /// The atomic-mode strategy, if any. The handshaking strategies are
+    /// refused to an independent call: they need every participant.
+    fn strategy(&self, collective: bool) -> Result<Option<Strategy>, Error> {
         match self.atomicity {
-            Atomicity::NonAtomic => {
-                self.write_segments(&segments, buf, offset)?;
-            }
-            Atomicity::Atomic(Strategy::FileLocking(granularity)) => {
-                let lockset = self.lock_set_for(granularity, &segments, offset, buf.len() as u64);
-                report.lock_footprint = (!lockset.is_empty()).then(|| LockFootprint {
-                    granularity,
-                    set: lockset.clone(),
-                });
-                if !lockset.is_empty() {
-                    let guard = self.posix.lock_set(&lockset, LockMode::Exclusive)?;
-                    self.write_segments_locked(&segments, buf, offset)?;
-                    guard.release();
-                }
-            }
-            // Like locking, list I/O needs no knowledge of the other
-            // participants, so it works for independent calls too.
-            Atomicity::Atomic(Strategy::ListIo) => {
-                self.write_segments_listio(&segments, buf, offset)?;
-            }
-            Atomicity::Atomic(s) => return Err(Error::RequiresCollective(s.label())),
+            Atomicity::NonAtomic => Ok(None),
+            Atomicity::Atomic(
+                s @ (Strategy::GraphColoring | Strategy::RankOrdering | Strategy::TwoPhase),
+            ) if !collective => Err(Error::RequiresCollective(s.label())),
+            Atomicity::Atomic(s) => Ok(Some(s)),
         }
-        Ok(self.sealed(report))
     }
 
-    /// Independent read.
-    pub fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<ReadReport, Error> {
-        let offset = self.view.etype_offset_to_bytes(offset);
-        if self.atomicity == Atomicity::Atomic(Strategy::DataSieving) {
+    /// Every byte-range lock `MpiFile` takes: one atomic grant over `set`
+    /// (none when it is empty), all-or-nothing whatever the granularity.
+    /// An independent call asks for it once `ready` says its earlier steps
+    /// succeeded. A collective call runs the two-phase handshake — every
+    /// rank registers its request, a barrier makes the requests globally
+    /// visible, then all block for their grants — so contention resolves
+    /// in fair rank order regardless of host scheduling. It attends that
+    /// barrier even with nothing to lock, after a failed earlier step
+    /// (`ready` is `Err`) or with its grant refused, so the other ranks'
+    /// handshake completes.
+    fn lock(
+        &self,
+        set: &StridedSet,
+        mode: LockMode,
+        collective: bool,
+        ready: Result<(), Error>,
+    ) -> Result<Option<LockGuard<'_>>, Error> {
+        match ready {
+            Ok(()) if !set.is_empty() => Ok(Some(if collective {
+                self.posix
+                    .lock_set_two_phase(set, mode, || self.comm.barrier())?
+            } else {
+                self.posix.lock_set(set, mode)?
+            })),
+            _ => {
+                if collective {
+                    self.comm.barrier();
+                }
+                ready.map(|()| None)
+            }
+        }
+    }
+
+    /// The closing barrier of a collective locking, list-I/O or sieving
+    /// call, attended before `result` is reported.
+    fn closing<T>(&self, collective: bool, result: Result<T, Error>) -> Result<T, Error> {
+        if collective {
+            self.comm.barrier();
+        }
+        result
+    }
+
+    /// A write's last step: a collective call drops this rank's cached
+    /// pages (close-to-open, §3), then the report is stamped.
+    fn sealed(&self, collective: bool, mut report: WriteReport) -> Result<WriteReport, Error> {
+        if collective {
             self.invalidate_if_cached()?;
-            return self.sieved_read(offset, buf, false);
         }
-        let segments = self.view.segments(offset, buf.len() as u64);
-        let start = self.comm.clock().now();
-        match self.atomicity {
-            Atomicity::NonAtomic => self.read_segments(&segments, buf, offset)?,
-            Atomicity::Atomic(Strategy::FileLocking(granularity)) => {
-                self.invalidate_if_cached()?;
-                let lockset = self.lock_set_for(granularity, &segments, offset, buf.len() as u64);
-                if !lockset.is_empty() {
-                    let guard = self.posix.lock_set(&lockset, LockMode::Shared)?;
-                    self.read_segments(&segments, buf, offset)?;
-                    guard.release();
-                }
-            }
-            Atomicity::Atomic(Strategy::ListIo) => {
-                self.invalidate_if_cached()?;
-                self.read_segments(&segments, buf, offset)?;
-            }
-            Atomicity::Atomic(s) => return Err(Error::RequiresCollective(s.label())),
-        }
-        Ok(ReadReport {
-            start,
-            end: self.comm.clock().now(),
-            bytes_read: buf.len() as u64,
-            segments: segments.len(),
-        })
-    }
-
-    /// Independent **non-atomic** sieved write: the same windowing and
-    /// read-modify-write as [`Strategy::DataSieving`], but with no locks at
-    /// all. Between a window's hole-fill read and its write-back another
-    /// writer can update a hole byte, and the write-back then buries it
-    /// under stale data — the §2.1 read-modify-write hazard, and the
-    /// reason ROMIO refuses to data-sieve writes on lockless file systems.
-    /// Exists so tests and demos can make that torn outcome observable;
-    /// safe only when no other writer can touch the sieved extent.
-    pub fn write_at_sieved(&mut self, offset: u64, buf: &[u8]) -> Result<WriteReport, Error> {
-        self.check_writable()?;
-        let offset = self.view.etype_offset_to_bytes(offset);
-        self.sieved_write(offset, buf, false, false)
-    }
-
-    /// Flush this rank's write-behind data (like `MPI_File_sync`).
-    ///
-    /// Fallible: under fault injection the flush can find its client
-    /// killed ([`FsError::Closed`](atomio_pfs::FsError)) or exhaust its
-    /// retries against a crashed server — callers that care can match on
-    /// [`Error::Fs`] and retry or fail the rank.
-    pub fn sync(&self) -> Result<(), Error> {
-        self.posix.try_sync()?;
-        Ok(())
-    }
-
-    /// Collective close; returns this rank's I/O summary. A rank whose
-    /// final flush fails still attends the barrier before it reports.
-    pub fn close(self) -> Result<CloseReport, Error> {
-        let synced = self.posix.try_sync();
-        self.comm.barrier();
-        synced?;
-        let stats = self.posix.stats().snapshot();
-        Ok(CloseReport {
-            bytes_written: stats.bytes_written,
-            bytes_read: stats.bytes_read,
-            end_vtime: self.comm.clock().now(),
-            stats,
-            latency: self.posix.latency_snapshot(),
-        })
+        report.end = self.comm.clock().now();
+        Ok(report)
     }
 
     // ----------------------------------------------------------- data sieving
@@ -833,17 +816,10 @@ impl<'c> MpiFile<'c> {
     /// compressed footprint, then read-patch-write each window. With
     /// `locked`, one exclusive **atomic list grant** covers the whole
     /// request — every window's RMW happens inside it, which is what makes
-    /// the result serializable (see [`Strategy::DataSieving`]). At
-    /// [`LockGranularity::Exact`] (the default) the grant is exactly the
-    /// planned *windows* — holes inside a window are read and rewritten,
-    /// so they must be held, but the gaps **between** windows are not, and
-    /// writers whose windows are disjoint proceed in parallel. `Span`
-    /// reproduces the former whole-request span lock. Per-window locking
-    /// without the atomic grant would deadlock; see
-    /// [`LockManager`](atomio_pfs::LockManager). `collective` routes the
-    /// grant through the two-phase register/barrier/wait handshake so
-    /// contention resolves deterministically, exactly like the collective
-    /// file-locking path.
+    /// the result serializable (see [`Strategy::DataSieving`]). Per-window
+    /// locking without the atomic grant would deadlock; see
+    /// [`LockManager`](atomio_pfs::LockManager). The report comes back
+    /// unstamped.
     fn sieved_write(
         &self,
         offset: u64,
@@ -852,56 +828,26 @@ impl<'c> MpiFile<'c> {
         collective: bool,
     ) -> Result<WriteReport, Error> {
         let len = buf.len() as u64;
-        let footprint = self.view.strided_file_ranges(offset, len);
-        let windows = plan_windows(&footprint, &self.sieve);
-        let lockset = sieve_lock_set(&windows, self.sieve.lock_granularity);
+        let (windows, lockset) = self.sieve_plan(offset, len);
         let start = self.comm.clock().now();
-
-        let guard = match (locked, lockset.is_empty()) {
-            (true, false) => Some(if collective {
-                self.posix
-                    .lock_set_two_phase(&lockset, LockMode::Exclusive, || self.comm.barrier())?
-            } else {
-                self.posix.lock_set(&lockset, LockMode::Exclusive)?
-            }),
-            (true, true) if collective => {
-                self.comm.barrier();
-                None
-            }
-            _ => None,
+        let guard = if locked {
+            self.lock(&lockset, LockMode::Exclusive, collective, Ok(()))?
+        } else {
+            None
         };
+        // Lock-driven coherence: the granted token covers every window, so
+        // the RMW runs through the client cache. Otherwise, like all
+        // close-to-open locked I/O, sieving goes straight to the servers —
+        // the RMW staging buffer *is* the cache.
         let cached = locked && self.lock_driven_cached();
         let mut staging = Vec::new();
         for w in &windows {
             let segs = self.view.window_segments(offset, len, w);
-            let patches: Vec<(u64, &[u8])> = segs
-                .iter()
-                .map(|s| {
-                    (
-                        s.file_off,
-                        &buf[(s.logical_off - offset) as usize..][..s.len as usize],
-                    )
-                })
-                .collect();
-            if cached {
-                // Lock-driven coherence: the granted token covers every
-                // window, so the RMW runs through the client cache — the
-                // hole-fill read is answered from warm pages when possible
-                // and the write-back is write-behind, flushed lazily by
-                // sync or by a conflicting acquisition's revocation.
-                self.rmw_cached(*w, &patches, &mut staging)?;
-            } else {
-                // Like all close-to-open locked I/O, sieving goes straight
-                // to the servers — the RMW staging buffer *is* the cache.
-                // Unlocked (non-atomic) sieving yields between read and
-                // write-back so the §2.1 hazard stays observable on
-                // single-CPU hosts.
-                self.posix
-                    .try_rmw_direct_with(*w, &patches, !locked, &mut staging)?;
-            }
+            let patches = seg_slices(&segs, buf, offset);
+            self.rmw(*w, &patches, cached, !locked, &mut staging)?;
         }
         drop(guard);
-        let report = WriteReport {
+        Ok(WriteReport {
             start,
             end: start,
             requested_bytes: len,
@@ -917,39 +863,24 @@ impl<'c> MpiFile<'c> {
                 set: lockset,
             }),
             aggregators: 0,
-        };
-        Ok(self.sealed(report))
+        })
     }
 
     /// Sieved read engine: each window is fetched whole with one request
     /// and the view's pieces are copied out — the write path without the
-    /// write-back. Atomic mode holds one shared list grant over the
-    /// windows (or the span, per [`SieveConfig::lock_granularity`]).
+    /// write-back, under one shared grant. The report comes back
+    /// unstamped.
     fn sieved_read(
         &self,
         offset: u64,
         buf: &mut [u8],
         collective: bool,
+        ready: Result<(), Error>,
     ) -> Result<ReadReport, Error> {
         let len = buf.len() as u64;
-        let footprint = self.view.strided_file_ranges(offset, len);
-        let windows = plan_windows(&footprint, &self.sieve);
-        let lockset = sieve_lock_set(&windows, self.sieve.lock_granularity);
+        let (windows, lockset) = self.sieve_plan(offset, len);
         let start = self.comm.clock().now();
-
-        let guard = match lockset.is_empty() {
-            false => Some(if collective {
-                self.posix
-                    .lock_set_two_phase(&lockset, LockMode::Shared, || self.comm.barrier())?
-            } else {
-                self.posix.lock_set(&lockset, LockMode::Shared)?
-            }),
-            true if collective => {
-                self.comm.barrier();
-                None
-            }
-            true => None,
-        };
+        let guard = self.lock(&lockset, LockMode::Shared, collective, ready)?;
         let cached = self.lock_driven_cached();
         let mut staged = Vec::new();
         for w in &windows {
@@ -970,60 +901,68 @@ impl<'c> MpiFile<'c> {
         drop(guard);
         Ok(ReadReport {
             start,
-            end: self.comm.clock().now(),
+            end: start,
             bytes_read: len,
             segments: windows.len(),
         })
     }
 
-    /// One sieve window's read-modify-write through the client cache
-    /// (lock-driven coherence only; the caller holds the exclusive grant
-    /// covering the window). Mirrors
-    /// [`PosixFile::try_rmw_direct_with`](atomio_pfs::PosixFile::try_rmw_direct_with)
-    /// but lets the hole-fill read hit warm pages and leaves the
-    /// write-back in write-behind.
-    fn rmw_cached(
+    /// A sieved request's windows, and what atomic mode locks of them
+    /// ([`SieveConfig::lock_granularity`]): every window is read and
+    /// rewritten **whole**, holes included, so the windows — not the bare
+    /// footprint runs — are the bytes to hold. The gaps *between* windows
+    /// are not, so writers whose windows are disjoint proceed in parallel.
+    fn sieve_plan(&self, offset: u64, len: u64) -> (Vec<ByteRange>, StridedSet) {
+        let windows = plan_windows(&self.view.strided_file_ranges(offset, len), &self.sieve);
+        let held = StridedSet::from_sorted_extents(windows.iter().map(|w| (w.start, w.len())));
+        (windows, granular(held, self.sieve.lock_granularity))
+    }
+
+    /// One sieve window's read-modify-write: read the window whole, patch
+    /// the ascending `(offset, bytes)` pieces into it, and write it back as
+    /// **one** contiguous request — two round trips however many pieces
+    /// there are; pieces that cover the window skip the read. `cached`
+    /// goes through the client cache (the hole-fill read may hit warm
+    /// pages, the write-back stays write-behind), otherwise to the servers.
+    ///
+    /// Not atomic by itself: between the read and the write-back another
+    /// writer can update a hole byte, and the write-back buries it under
+    /// stale data — the §2.1 hazard. `racing` yields the scheduler at that
+    /// point so the hazard stays observable on single-CPU hosts. `staging`
+    /// is the caller's buffer, one allocation per request.
+    fn rmw(
         &self,
         window: ByteRange,
         patches: &[(u64, &[u8])],
+        cached: bool,
+        racing: bool,
         staging: &mut Vec<u8>,
     ) -> Result<(), Error> {
-        if window.is_empty() {
-            return Ok(());
-        }
         let covered: u64 = patches.iter().map(|(_, d)| d.len() as u64).sum();
         staging.clear();
         staging.resize(window.len() as usize, 0);
         if covered < window.len() {
-            self.posix.try_pread(window.start, staging)?;
+            if cached {
+                self.posix.try_pread(window.start, staging)?;
+            } else {
+                self.posix.try_pread_direct(window.start, staging)?;
+            }
+            if racing {
+                std::thread::yield_now();
+            }
         }
         for (off, data) in patches {
-            let rel = (off - window.start) as usize;
-            staging[rel..rel + data.len()].copy_from_slice(data);
+            staging[(off - window.start) as usize..][..data.len()].copy_from_slice(data);
         }
-        self.posix.try_pwrite(window.start, staging)?;
+        if cached {
+            self.posix.try_pwrite(window.start, staging)?;
+        } else {
+            self.posix.try_pwrite_direct(window.start, staging)?;
+        }
         Ok(())
     }
 
     // ---------------------------------------------------------------- helpers
-
-    /// The byte set a [`Strategy::FileLocking`] request locks at the given
-    /// granularity: the bounding span (§3.2), or the exact compressed
-    /// footprint of the view window.
-    fn lock_set_for(
-        &self,
-        granularity: LockGranularity,
-        segments: &[ViewSegment],
-        offset: u64,
-        len: u64,
-    ) -> StridedSet {
-        match granularity {
-            LockGranularity::Span => {
-                lock_span(segments).map_or_else(StridedSet::new, StridedSet::from_range)
-            }
-            LockGranularity::Exact => self.view.strided_file_ranges(offset, len),
-        }
-    }
 
     fn check_writable(&self) -> Result<(), Error> {
         match self.mode {
@@ -1032,27 +971,19 @@ impl<'c> MpiFile<'c> {
         }
     }
 
+    /// The request through the client cache, or as one vectored direct
+    /// write: every segment in flight at once, one wait for the slowest
+    /// ack.
     fn write_segments(&self, segs: &[ViewSegment], buf: &[u8], base: u64) -> Result<(), Error> {
+        let slices = seg_slices(segs, buf, base);
         match self.io_path {
-            IoPath::Direct => self.write_segments_direct(segs, buf, base)?,
+            IoPath::Direct => self.posix.try_pwritev_direct(&slices)?,
             IoPath::Cached => {
-                for (off, data) in seg_slices(segs, buf, base) {
+                for (off, data) in slices {
                     self.posix.try_pwrite(off, data)?;
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Submit all segments as one atomic `lio_listio` call.
-    fn write_segments_listio(
-        &self,
-        segs: &[ViewSegment],
-        buf: &[u8],
-        base: u64,
-    ) -> Result<(), Error> {
-        self.posix
-            .try_listio_direct_atomic(&seg_slices(segs, buf, base))?;
         Ok(())
     }
 
@@ -1063,8 +994,9 @@ impl<'c> MpiFile<'c> {
     /// writer's requests are deposited, the writers settle
     /// deterministically (see `ServerSet::settle`), and a second barrier
     /// ends the phase. On the cached path the pipelining is delegated to
-    /// write-behind + sync, the protocol §3 prescribes, and one barrier
-    /// follows.
+    /// write-behind + sync, the protocol §3 prescribes ("a file
+    /// synchronization call immediately following every write call is
+    /// required"), and one barrier follows.
     ///
     /// Under graph coloring a rank's `work` is not always its request: in
     /// phase 0 it is the whole request of a color-0 rank and the *free*
@@ -1100,25 +1032,12 @@ impl<'c> MpiFile<'c> {
             IoPath::Cached => {
                 let written = work.map_or(Ok(()), |(segs, buf, base)| {
                     self.write_segments(segs, buf, base)
-                        .and_then(|()| self.finish_writes())
+                        .and_then(|()| self.posix.try_sync().map_err(Error::from))
                 });
                 self.comm.barrier();
                 written?;
             }
         }
-        Ok(())
-    }
-
-    /// The whole request as one vectored direct write: every segment in
-    /// flight at once, one wait for the slowest ack.
-    fn write_segments_direct(
-        &self,
-        segs: &[ViewSegment],
-        buf: &[u8],
-        base: u64,
-    ) -> Result<(), Error> {
-        self.posix
-            .try_pwritev_direct(&seg_slices(segs, buf, base))?;
         Ok(())
     }
 
@@ -1160,7 +1079,9 @@ impl<'c> MpiFile<'c> {
         if self.lock_driven_cached() {
             self.write_segments(segs, buf, base)
         } else {
-            self.write_segments_direct(segs, buf, base)
+            self.posix
+                .try_pwritev_direct(&seg_slices(segs, buf, base))
+                .map_err(Error::from)
         }
     }
 
@@ -1181,16 +1102,6 @@ impl<'c> MpiFile<'c> {
         Ok(())
     }
 
-    /// After the data movement of a write: flush write-behind so the data
-    /// is visible to the other ranks ("a file synchronization call
-    /// immediately following every write call is required", §3).
-    fn finish_writes(&self) -> Result<(), Error> {
-        if self.io_path == IoPath::Cached {
-            self.posix.try_sync()?;
-        }
-        Ok(())
-    }
-
     fn invalidate_if_cached(&self) -> Result<(), Error> {
         // Lock-driven coherence makes the blanket flush + invalidate
         // unnecessary — and wasteful: cache admission already requires
@@ -1201,11 +1112,6 @@ impl<'c> MpiFile<'c> {
             self.posix.try_invalidate()?;
         }
         Ok(())
-    }
-
-    fn sealed(&self, mut report: WriteReport) -> WriteReport {
-        report.end = self.comm.clock().now();
-        report
     }
 }
 
@@ -1222,28 +1128,14 @@ fn seg_slices<'a>(segs: &[ViewSegment], buf: &'a [u8], base: u64) -> Vec<(u64, &
         .collect()
 }
 
-/// The byte span the span-granularity locking strategy locks: "from the
-/// process's first file offset ... to the very last file offset the
-/// process will write" (§3.2).
-pub(crate) fn lock_span(segs: &[ViewSegment]) -> Option<ByteRange> {
-    match (segs.first(), segs.last()) {
-        (Some(a), Some(b)) => Some(ByteRange::new(a.file_off, b.file_end())),
-        _ => None,
-    }
-}
-
-/// What an atomic sieved request locks: at `Exact`, the planned windows —
-/// every window is read and rewritten **whole**, holes included, so the
-/// windows (not the bare footprint runs) are the bytes that must be held;
-/// at `Span`, their bounding range. Windows arrive ascending and disjoint.
-fn sieve_lock_set(windows: &[ByteRange], granularity: LockGranularity) -> StridedSet {
+/// What a locking strategy locks of `set` at `granularity`: the set itself
+/// at `Exact`; at `Span`, one range "from the process's first file offset
+/// ... to the very last file offset the process will write" (§3.2).
+fn granular(set: StridedSet, granularity: LockGranularity) -> StridedSet {
     match granularity {
-        LockGranularity::Span => match (windows.first(), windows.last()) {
-            (Some(a), Some(b)) => StridedSet::from_range(ByteRange::new(a.start, b.end)),
-            _ => StridedSet::new(),
-        },
-        LockGranularity::Exact => {
-            StridedSet::from_sorted_extents(windows.iter().map(|w| (w.start, w.len())))
-        }
+        LockGranularity::Exact => set,
+        LockGranularity::Span => set
+            .span()
+            .map_or_else(StridedSet::new, StridedSet::from_range),
     }
 }

@@ -1,5 +1,5 @@
-//! The uncached path: synchronous, vectored, batched, list and
-//! read-modify-write requests straight to the servers.
+//! The uncached path: synchronous, vectored, batched and list requests
+//! straight to the servers.
 
 use atomio_interval::ByteRange;
 use atomio_trace::Category;
@@ -215,64 +215,6 @@ impl PosixFile {
         self.stats
             .add(&self.stats.server_write_requests, inj.server_reqs);
         Ok(())
-    }
-
-    /// Data-sieving read-modify-write of one contiguous `window`: read the
-    /// window whole, patch the given ascending `(offset, bytes)` pieces
-    /// into it, and write it back as **one** contiguous request — two
-    /// server round trips however many pieces there are, instead of one
-    /// per piece. When the pieces already cover the window exactly, the
-    /// read is skipped and only the write is issued.
-    ///
-    /// This is *not* atomic by itself: between the read and the write-back
-    /// another client can update a hole byte, and the write-back then
-    /// buries it under stale data — the §2.1 hazard. `racing` yields the
-    /// scheduler at that point so the hazard stays observable on
-    /// single-CPU hosts; atomic callers wrap the RMW in an exclusive lock.
-    /// (The MPI layer's atomic sieving holds one lock spanning **all**
-    /// windows of a request, because per-window locking without
-    /// whole-request holding is not serializable; see
-    /// `Strategy::DataSieving` in `atomio-core`.)
-    ///
-    /// `staging` is the caller's buffer for the window, so a multi-window
-    /// sieve pays one allocation per request instead of one per window.
-    pub fn try_rmw_direct_with(
-        &self,
-        window: ByteRange,
-        patches: &[(u64, &[u8])],
-        racing: bool,
-        staging: &mut Vec<u8>,
-    ) -> Result<(), FsError> {
-        if window.is_empty() {
-            return Ok(());
-        }
-        debug_assert!(
-            patches
-                .windows(2)
-                .all(|w| w[0].0 + w[0].1.len() as u64 <= w[1].0),
-            "patches must be ascending and disjoint"
-        );
-        let covered: u64 = patches.iter().map(|(_, d)| d.len() as u64).sum();
-        debug_assert!(
-            patches
-                .iter()
-                .all(|(off, d)| { *off >= window.start && off + d.len() as u64 <= window.end }),
-            "patches must lie inside the window"
-        );
-        staging.clear();
-        staging.resize(window.len() as usize, 0);
-        if covered < window.len() {
-            // Holes: fill them with the servers' current contents.
-            self.try_pread_direct(window.start, staging)?;
-            if racing {
-                std::thread::yield_now();
-            }
-        }
-        for (off, data) in patches {
-            let rel = (off - window.start) as usize;
-            staging[rel..rel + data.len()].copy_from_slice(data);
-        }
-        self.try_pwrite_direct(window.start, staging)
     }
 }
 
@@ -600,45 +542,6 @@ mod tests {
         let s = g.stats().snapshot();
         assert_eq!((s.flushes, s.flushed_bytes), (1, 2 * SEG));
         assert_eq!(s.server_write_requests, 2);
-    }
-
-    #[test]
-    fn rmw_patches_holes_with_server_contents() {
-        let fs = test_fs();
-        let f = fs.open(0, Clock::new(), "rmw");
-        f.try_pwrite_direct(0, &[1u8; 64]).unwrap();
-        // Patch bytes 8..16 and 32..40 in one window RMW.
-        let p1 = [2u8; 8];
-        let p2 = [3u8; 8];
-        f.try_rmw_direct_with(
-            ByteRange::new(0, 64),
-            &[(8, &p1), (32, &p2)],
-            false,
-            &mut Vec::new(),
-        )
-        .unwrap();
-        let snap = fs.snapshot("rmw").unwrap();
-        assert_eq!(&snap[0..8], &[1u8; 8]);
-        assert_eq!(&snap[8..16], &[2u8; 8]);
-        assert_eq!(&snap[16..32], &[1u8; 16]);
-        assert_eq!(&snap[32..40], &[3u8; 8]);
-        assert_eq!(&snap[40..64], &[1u8; 24]);
-        let s = f.stats().snapshot();
-        // One read + one write regardless of patch count.
-        assert_eq!((s.reads, s.writes), (1, 2)); // +1 write for the seed
-    }
-
-    #[test]
-    fn rmw_skips_read_when_fully_covered() {
-        let fs = test_fs();
-        let f = fs.open(0, Clock::new(), "rmwfull");
-        let data = [5u8; 32];
-        f.try_rmw_direct_with(ByteRange::new(0, 32), &[(0, &data)], false, &mut Vec::new())
-            .unwrap();
-        let s = f.stats().snapshot();
-        assert_eq!(s.reads, 0, "fully covered window needs no hole fill");
-        assert_eq!(s.writes, 1);
-        assert_eq!(fs.snapshot("rmwfull").unwrap(), vec![5u8; 32]);
     }
 
     #[test]

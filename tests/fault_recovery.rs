@@ -300,50 +300,68 @@ fn collective_writes_ride_out_a_restarting_server() {
 }
 
 /// A rank whose handle died at its first flush (`KillClient`) enters a
-/// collective file-locking write: it gets `Closed` without taking a lock,
-/// and still attends the handshake and closing barriers, so the healthy
-/// ranks return with `Ok`.
+/// collective locked write or read, under file locking or sieving: it gets
+/// `Closed` without taking a lock, and still attends the handshake and
+/// closing barriers, so the healthy ranks return with `Ok`.
 #[test]
 fn collective_locked_write_fails_only_the_rank_with_a_dead_handle() {
-    let plan = FaultPlan::none().with(
-        FaultSite::ClientFlush { client: DEAD },
-        1,
-        FaultAction::KillClient,
-    );
-    let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
-    let spec = asymmetric_spec();
-    let started = std::time::Instant::now();
-    let outcomes = run(spec.p, fs.profile().net.clone(), |comm| {
-        let part = spec.partition(comm.rank());
-        let buf = part.fill(pattern::rank_stamp(comm.rank()));
-        let mut file = MpiFile::open(&comm, &fs, "dead", OpenMode::ReadWrite).unwrap();
-        // One cached byte each, so every rank's sync has a flush to make.
-        file.posix().try_pwrite(comm.rank() as u64, &[1]).unwrap();
-        let synced = file.sync();
-        file.set_view(0, part.filetype.clone()).unwrap();
-        let locking = Strategy::FileLocking(LockGranularity::Span);
-        file.set_atomicity(Atomicity::Atomic(locking)).unwrap();
-        let written = file.write_at_all(0, &buf);
-        let locks = file.posix().stats().snapshot().lock_acquires;
-        let _ = file.close();
-        (synced.is_ok(), written, locks)
-    });
-    assert!(
-        started.elapsed() < std::time::Duration::from_secs(5),
-        "ranks took {:?} to return",
-        started.elapsed()
-    );
-    for (rank, (synced, written, locks)) in outcomes.into_iter().enumerate() {
-        if rank == DEAD {
-            assert!(!synced, "the plan must kill rank {rank}'s handle");
-            assert!(
-                matches!(written, Err(atomio::core::Error::Fs(FsError::Closed))),
-                "dead rank {rank}: {written:?}"
+    let strategies = [
+        Strategy::FileLocking(LockGranularity::Span),
+        Strategy::DataSieving,
+    ];
+    for read in [false, true] {
+        for strategy in strategies {
+            let call = if read { "read_at_all" } else { "write_at_all" };
+            let plan = FaultPlan::none().with(
+                FaultSite::ClientFlush { client: DEAD },
+                1,
+                FaultAction::KillClient,
             );
-            assert_eq!(locks, 0, "a dead handle must take no lock");
-        } else {
-            assert!(synced && written.is_ok(), "rank {rank}: {written:?}");
-            assert_eq!(locks, 1, "rank {rank}");
+            let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
+            let spec = asymmetric_spec();
+            let started = std::time::Instant::now();
+            let outcomes = run(spec.p, fs.profile().net.clone(), |comm| {
+                let part = spec.partition(comm.rank());
+                let mut buf = part.fill(pattern::rank_stamp(comm.rank()));
+                let mut file = MpiFile::open(&comm, &fs, "dead", OpenMode::ReadWrite).unwrap();
+                // One cached byte each, so every rank's sync has a flush to make.
+                file.posix().try_pwrite(comm.rank() as u64, &[1]).unwrap();
+                let synced = file.sync();
+                file.set_view(0, part.filetype.clone()).unwrap();
+                file.set_atomicity(Atomicity::Atomic(strategy)).unwrap();
+                let done = if read {
+                    file.read_at_all(0, &mut buf).map(drop)
+                } else {
+                    file.write_at_all(0, &buf).map(drop)
+                };
+                let locks = file.posix().stats().snapshot().lock_acquires;
+                let _ = file.close();
+                (synced.is_ok(), done, locks)
+            });
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(5),
+                "{strategy} {call}: ranks took {:?} to return",
+                started.elapsed()
+            );
+            for (rank, (synced, done, locks)) in outcomes.into_iter().enumerate() {
+                if rank == DEAD {
+                    assert!(!synced, "the plan must kill rank {rank}'s handle");
+                    assert!(
+                        matches!(done, Err(atomio::core::Error::Fs(FsError::Closed))),
+                        "{strategy} {call}: dead rank {rank}: {done:?}"
+                    );
+                    assert_eq!(
+                        locks, 0,
+                        "{strategy} {call}: a dead handle must take no lock"
+                    );
+                } else {
+                    assert!(
+                        synced && done.is_ok(),
+                        "{strategy} {call}: rank {rank}: {done:?}"
+                    );
+                    assert_eq!(locks, 1, "{strategy} {call}: rank {rank}");
+                }
+            }
         }
     }
 }

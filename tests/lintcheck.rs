@@ -3,6 +3,8 @@
 //! stale-allowlist detection), and every rule demonstrably still bites
 //! on seeded violations.
 
+use atomio::check::lexer::{lex, Tok};
+use atomio::check::lint::workspace_sources;
 use atomio::check::{
     analyze_sources, check_workspace, lint_source, parse_allowlist, AllowEntry, LintDiag,
 };
@@ -136,6 +138,28 @@ fn static_rules_still_bite_under_the_checked_in_allowlist() {
             fired.iter().all(|d| !suppressed(&allow, d)),
             "{rule} finding would be swallowed by the checked-in allowlist: {fired:?}"
         );
+    }
+}
+
+/// `MpiFile` takes every byte-range lock in one helper, so a collective
+/// call cannot skip the handshake: `crates/core/src` holds exactly one
+/// `.lock_set(` and one `.lock_set_two_phase(` call. Counted on tokens,
+/// so comments and doc links do not count.
+#[test]
+fn core_takes_every_lock_in_one_place() {
+    let core = repo_root().join("crates/core/src");
+    let toks: Vec<Tok> = workspace_sources(repo_root())
+        .expect("workspace sources readable")
+        .into_iter()
+        .filter(|path| path.starts_with(&core))
+        .flat_map(|path| lex(&std::fs::read_to_string(path).expect("core source readable")))
+        .collect();
+    for call in ["lock_set", "lock_set_two_phase"] {
+        let sites = toks
+            .windows(3)
+            .filter(|w| w[0].is_punct(".") && w[1].is_ident(call) && w[2].is_punct("("))
+            .count();
+        assert_eq!(sites, 1, "`.{call}(` call sites in crates/core/src");
     }
 }
 

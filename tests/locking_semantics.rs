@@ -206,6 +206,52 @@ fn shared_read_locks_do_not_serialize() {
     );
 }
 
+/// Collective locking grants follow the handshake's fair rank order, not
+/// the order the ranks reach the call. On the IBM SP the token manager
+/// folds shared grants to exclusive, so readers queue like writers: each
+/// rank's lock wait and acquire count must not depend on which rank
+/// enters first while the others sleep.
+#[test]
+fn collective_lock_grants_do_not_depend_on_entry_order() {
+    let spec = ColWise::new(64, 512, 4, 8).unwrap();
+    let strategies = [
+        Strategy::FileLocking(LockGranularity::Span),
+        Strategy::FileLocking(LockGranularity::Exact),
+        Strategy::DataSieving,
+    ];
+    for read in [false, true] {
+        for strategy in strategies {
+            let locks_by_first = [0, 3].map(|first| {
+                let fs = FileSystem::new(PlatformProfile::ibm_sp());
+                run(spec.p, fs.profile().net.clone(), |comm| {
+                    let part = spec.partition(comm.rank());
+                    let mut buf = part.fill(pattern::rank_stamp(comm.rank()));
+                    let mut file = MpiFile::open(&comm, &fs, "order", OpenMode::ReadWrite).unwrap();
+                    file.set_view(0, part.filetype.clone()).unwrap();
+                    file.set_atomicity(Atomicity::Atomic(strategy)).unwrap();
+                    comm.barrier();
+                    if comm.rank() != first {
+                        std::thread::sleep(std::time::Duration::from_millis(100));
+                    }
+                    if read {
+                        file.read_at_all(0, &mut buf).unwrap();
+                    } else {
+                        file.write_at_all(0, &buf).unwrap();
+                    }
+                    let s = file.posix().stats().snapshot();
+                    (s.lock_wait_ns, s.lock_acquires)
+                })
+            });
+            assert_eq!(
+                locks_by_first[0],
+                locks_by_first[1],
+                "{strategy} {}: (lock_wait_ns, lock_acquires) per rank, rank 0 vs rank 3 first",
+                if read { "read_at_all" } else { "write_at_all" }
+            );
+        }
+    }
+}
+
 #[test]
 fn read_only_handle_rejects_writes() {
     let fs = FileSystem::new(PlatformProfile::fast_test());

@@ -247,6 +247,60 @@ fn rmw_disabled_sieving_never_reads() {
     assert!(check_colwise(&fs, "norm", spec).is_atomic());
 }
 
+/// One rank's atomic sieved `write_at` of `buf` through a byte vector view
+/// of `blocks` × 8-byte blocks `stride` bytes apart from offset `disp`, on
+/// a file seeded with `seed`. Returns the file image and the
+/// (reads, writes) the call issued.
+fn sieve_one_window(
+    seed: &[u8],
+    disp: u64,
+    blocks: u64,
+    stride: i64,
+    buf: &[u8],
+) -> (Vec<u8>, (u64, u64)) {
+    let fs = FileSystem::new(PlatformProfile::fast_test());
+    let ops = run(1, fs.profile().net.clone(), |comm| {
+        let mut file = MpiFile::open(&comm, &fs, "rmw", OpenMode::ReadWrite).unwrap();
+        if !seed.is_empty() {
+            file.posix().try_pwrite_direct(0, seed).unwrap();
+        }
+        let filetype = Datatype::vector(blocks, 8, stride, Datatype::byte()).unwrap();
+        file.set_view(disp, filetype).unwrap();
+        file.set_atomicity(Atomicity::Atomic(Strategy::DataSieving))
+            .unwrap();
+        let before = file.posix().stats().snapshot();
+        let rep = file.write_at(0, buf).unwrap();
+        assert_eq!(rep.segments, 1, "one window");
+        let d = file.posix().stats().snapshot().delta(&before);
+        (d.reads, d.writes)
+    });
+    (fs.snapshot("rmw").unwrap(), ops[0])
+}
+
+#[test]
+fn rmw_patches_holes_with_server_contents() {
+    // Four 8-byte pieces at 8, 24, 40 and 56 make one window [8, 64) with
+    // three holes; the holes keep the seed, and the window costs one read
+    // plus one write-back whatever its piece count.
+    let buf: Vec<u8> = (2..6u8).flat_map(|v| [v; 8]).collect();
+    let (image, ops) = sieve_one_window(&[1u8; 64], 8, 4, 16, &buf);
+    let mut want = vec![1u8; 64];
+    for (i, v) in (2..6u8).enumerate() {
+        want[8 + 16 * i..][..8].fill(v);
+    }
+    assert_eq!(image, want);
+    assert_eq!(ops, (1, 1), "(reads, writes) of one window");
+}
+
+#[test]
+fn rmw_skips_read_when_fully_covered() {
+    // Touching blocks: the pieces cover the window, so there is no hole to
+    // fill and no read.
+    let (image, ops) = sieve_one_window(&[], 0, 4, 8, &[5u8; 32]);
+    assert_eq!(image, vec![5u8; 32]);
+    assert_eq!(ops, (0, 1), "a covered window needs no hole fill");
+}
+
 #[test]
 fn unlocked_rmw_sieving_exhibits_the_torn_read_hazard() {
     // §2.1 made observable: two *independent* writers with disjoint runs in
