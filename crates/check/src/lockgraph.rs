@@ -28,7 +28,7 @@
 //! The analyses gate CI through `lintcheck`:
 //!
 //! * **R4** — no lock guard live across a blocking call. Seeds:
-//!   [`BLOCKING_SEEDS`] (`Comm` point-to-point and collectives via
+//!   [`BLOCKING_SEEDS`] (channel `send`/`recv`, `Comm` collectives via
 //!   `rendezvous`, `LockManager::acquire_set`/`wait_granted_set`, server
 //!   round-trips via `try_pread`/`try_pwrite`/`try_sync`/`server_rpc`);
 //!   everything that can reach one transitively is blocking too.

@@ -426,21 +426,11 @@ impl<'c> MpiFile<'c> {
         self.two_phase = cfg;
     }
 
-    /// The current two-phase configuration.
-    pub fn two_phase_config(&self) -> TwoPhaseConfig {
-        self.two_phase
-    }
-
-    /// Tune the data-sieving engine (window size, RMW, coalescing gap).
+    /// Tune the data-sieving engine (window size, RMW, lock granularity).
     /// Local state, like an `MPI_Info` hint (`ind_wr_buffer_size`); takes
     /// effect on the next sieved I/O call.
     pub fn set_sieve_config(&mut self, cfg: SieveConfig) {
         self.sieve = cfg;
-    }
-
-    /// The current data-sieving configuration.
-    pub fn sieve_config(&self) -> SieveConfig {
-        self.sieve
     }
 
     // -------------------------------------------------------------------- I/O

@@ -32,17 +32,13 @@ pub struct SieveConfig {
     /// than this still becomes one (oversized) window, since a contiguous
     /// run never needs staging help. Default 512 KiB.
     pub buffer_size: u64,
-    /// Allow read-modify-write: windows may span holes between runs, which
-    /// the engine fills by reading the window before writing it back. Off,
-    /// windows only coalesce *touching* runs — no hole is ever read or
-    /// rewritten (ROMIO's `romio_ds_write disable`).
+    /// Allow read-modify-write: a window may span any hole between runs
+    /// within `buffer_size` (like ROMIO, which sieves the whole
+    /// `[first, last]` extent of a request), and the engine fills the holes
+    /// by reading the window before writing it back. Off, windows only
+    /// coalesce *touching* runs — no hole is ever read or rewritten
+    /// (ROMIO's `romio_ds_write disable`).
     pub read_modify_write: bool,
-    /// Largest hole a window may span (effective only with RMW enabled):
-    /// runs separated by more than this start a new window, so a sparse
-    /// request doesn't drag unrelated file regions through the sieve
-    /// buffer. Default unlimited, like ROMIO, which sieves the whole
-    /// `[first, last]` extent of a request.
-    pub coalesce_gap: u64,
     /// What atomic mode locks: the planned windows as one atomic
     /// multi-range grant ([`LockGranularity::Exact`], the default — holes
     /// *inside* a window are held because the RMW rewrites them, gaps
@@ -56,7 +52,6 @@ impl Default for SieveConfig {
         SieveConfig {
             buffer_size: 512 * 1024,
             read_modify_write: true,
-            coalesce_gap: u64::MAX,
             lock_granularity: LockGranularity::Exact,
         }
     }
@@ -72,24 +67,24 @@ impl SieveConfig {
 
 /// Greedy window plan over a request's compressed footprint: walk the runs
 /// in ascending order and grow the current window while it stays within
-/// `buffer_size` and the gap to the next run is coalescible; otherwise
+/// `buffer_size` and the gap to the next run may be spanned; otherwise
 /// start a new window. Windows come back ascending and disjoint, and every
 /// footprint run lies inside exactly one window.
 pub(crate) fn plan_windows(footprint: &StridedSet, cfg: &SieveConfig) -> Vec<ByteRange> {
     let buffer = cfg.buffer_size.max(1);
-    // Without RMW a window must stay hole-free: only touching runs merge.
-    let gap_cap = if cfg.read_modify_write {
-        cfg.coalesce_gap
-    } else {
-        0
-    };
     let mut out = Vec::new();
     let mut cur: Option<ByteRange> = None;
     for run in footprint.iter_runs() {
         cur = Some(match cur {
             None => run,
-            // Runs arrive ascending and disjoint, so `run.start >= w.end`.
-            Some(w) if run.start - w.end <= gap_cap && run.end - w.start <= buffer => w.hull(&run),
+            // Without RMW a window must stay hole-free: only touching runs
+            // merge (runs arrive ascending and disjoint, so
+            // `run.start >= w.end`).
+            Some(w)
+                if (cfg.read_modify_write || run.start == w.end) && run.end - w.start <= buffer =>
+            {
+                w.hull(&run)
+            }
             Some(w) => {
                 out.push(w);
                 run
@@ -130,19 +125,6 @@ mod tests {
         // One huge buffer: the whole request is one window.
         let one = plan_windows(&fp, &SieveConfig::default());
         assert_eq!(one, vec![ByteRange::new(0, 63 * 64 + 8)]);
-    }
-
-    #[test]
-    fn gap_threshold_splits_windows() {
-        let fp = comb(0, 8, 64, 8); // gaps of 56 bytes
-        let cfg = SieveConfig {
-            buffer_size: 1 << 20,
-            coalesce_gap: 32,
-            ..SieveConfig::default()
-        };
-        let windows = plan_windows(&fp, &cfg);
-        assert_eq!(windows.len(), 8, "56-byte holes exceed the 32-byte cap");
-        assert!(windows.iter().all(|w| w.len() == 8));
     }
 
     #[test]

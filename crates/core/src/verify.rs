@@ -196,14 +196,6 @@ where
     report
 }
 
-/// Convenience: footprints from already-flattened per-rank extents.
-pub fn footprints_from_extents(extents: &[Vec<(u64, u64)>]) -> Vec<IntervalSet> {
-    extents
-        .iter()
-        .map(|e| IntervalSet::from_extents(e.iter().copied()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn alltoallv_cost_scales_with_bytes() {
-        let net = NetCost::new(atomio_vtime::LinkCost::new(100, 1e9), 0);
+        let net = NetCost::new(atomio_vtime::LinkCost::new(100, 1e9));
         let time_for = |n: usize| {
             run(4, net.clone(), move |c| {
                 let items: Vec<Vec<u8>> = (0..4).map(|_| vec![0u8; n]).collect();
@@ -308,7 +308,7 @@ mod tests {
         // idle (all-empty buckets). The latency tree is charged for the two
         // active ranks, not all eight.
         let link = atomio_vtime::LinkCost::new(100, 1e9);
-        let net = NetCost::new(link.clone(), 0);
+        let net = NetCost::new(link.clone());
         let out = run(8, net, move |c| {
             let mut items: Vec<Vec<u8>> = vec![Vec::new(); 8];
             if c.rank() < 2 {
@@ -335,7 +335,7 @@ mod tests {
         // collective_ns(p) plus each rank's three *remote* buckets — the
         // fourth, addressed to itself, never touches a wire.
         let link = atomio_vtime::LinkCost::new(100, 1e9);
-        let net = NetCost::new(link.clone(), 0);
+        let net = NetCost::new(link.clone());
         let out = run(4, net, move |c| {
             let items: Vec<Vec<u8>> = (0..4).map(|_| vec![0u8; 32]).collect();
             c.alltoallv(items);
@@ -354,7 +354,7 @@ mod tests {
         // non-empty bucket is its own — is not active:
         // span = collective_ns(active) + payload_ns(headers + non-self bytes).
         let link = atomio_vtime::LinkCost::new(100, 1e9);
-        let net = NetCost::new(link.clone(), 0);
+        let net = NetCost::new(link.clone());
         let out = run(4, net, move |c| {
             let mut items: Vec<Vec<u8>> = vec![Vec::new(); 4];
             match c.rank() {
@@ -372,6 +372,49 @@ mod tests {
         assert_eq!(out[1].0[1], vec![3; 500]);
         let want = link.collective_ns(1, 0) + link.payload_ns(8 + 8 + 64);
         assert!(out.iter().all(|o| o.1 == want), "{out:?} != {want}");
+    }
+
+    #[test]
+    fn kept_collectives_finish_at_their_cost_formula() {
+        // Skewed arrivals: every rank leaves at the slowest arrival plus the
+        // span its collective's cost closure prices (alltoallv is pinned
+        // above). Rank r contributes a vector of r + 1 bytes.
+        let link = atomio_vtime::LinkCost::new(100, 1e9);
+        let p = 4;
+        let skew: [u64; 4] = [0, 5_000, 300, 42_000];
+        let wire = |r: usize| (8 + r + 1) as u64;
+        let all: u64 = (0..p).map(wire).sum();
+        type Call = fn(&crate::Comm);
+        let table: [(&str, Call, u64); 4] = [
+            ("barrier", |c| c.barrier(), link.collective_ns(p, 16)),
+            (
+                "allgather",
+                |c| drop(c.allgather(vec![0u8; c.rank() + 1])),
+                link.collective_ns(p, 0) + link.payload_ns(all),
+            ),
+            (
+                "bcast",
+                |c| drop(c.bcast(2, (c.rank() == 2).then(|| vec![0u8; 3]))),
+                link.collective_ns(p, wire(2)),
+            ),
+            // The root's own vector is priced as wire bytes, though it never
+            // leaves the root (alltoallv's self bucket rides free). ROADMAP
+            // item 3 settles both rules together.
+            (
+                "gatherv",
+                |c| drop(c.gatherv(1, vec![0u8; c.rank() + 1])),
+                link.collective_ns(p, 0) + link.payload_ns(all),
+            ),
+        ];
+        for (name, call, span) in table {
+            let out = run(p, NetCost::new(link.clone()), move |c| {
+                c.compute(skew[c.rank()]);
+                call(&c);
+                c.clock().now()
+            });
+            let want = 42_000 + span;
+            assert!(out.iter().all(|&t| t == want), "{name}: {out:?} != {want}");
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@ use std::sync::Arc;
 use atomio_trace::{Category, TraceSink, Tracer, Track};
 use atomio_vtime::{Clock, WireSize};
 
-use crate::p2p::{Envelope, RecvSel, Tag};
 use crate::runtime::Shared;
 use atomio_vtime::{NetCost, NodeTopology};
 
@@ -106,45 +105,6 @@ impl Comm {
         self.clock.advance(ns);
     }
 
-    // ---------------------------------------------------------- point-to-point
-
-    /// Non-blocking-buffered send (like a buffered `MPI_Send`).
-    pub fn send<T: Send + WireSize + 'static>(&self, dst: usize, tag: Tag, value: T) {
-        assert!(dst < self.size, "send to rank {dst} of {}", self.size);
-        let bytes = value.wire_size();
-        let sent_at = self.clock.advance(self.shared.net.op_overhead_ns);
-        self.shared.mailboxes[dst].deliver(Envelope {
-            src: self.rank,
-            tag,
-            bytes,
-            sent_at,
-            payload: Box::new(value),
-        });
-    }
-
-    /// Blocking receive; returns `(source rank, value)`.
-    ///
-    /// Panics if the matched message's payload is not a `T` — the simulated
-    /// equivalent of an MPI datatype mismatch.
-    pub fn recv<T: Send + 'static>(&self, sel: RecvSel) -> (usize, T) {
-        let env = self.shared.mailboxes[self.rank].take(sel, self.rank);
-        self.clock.advance(self.shared.net.op_overhead_ns);
-        self.clock
-            .advance_to(env.sent_at + self.shared.net.link.transfer_ns(env.bytes as u64));
-        let src = env.src;
-        let value = env.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: recv from {src} tag {}: wrong payload type (expected {})",
-                self.rank,
-                env.tag,
-                std::any::type_name::<T>()
-            )
-        });
-        (src, *value)
-    }
-
-    // ------------------------------------------------------------- collectives
-
     /// Synchronize all ranks; afterwards every clock reads the same time.
     pub fn barrier(&self) {
         let link = self.shared.net.link.clone();
@@ -189,101 +149,6 @@ impl Comm {
             bytes,
             move |max, total, _| max + link.collective_ns(p, total as u64),
             move |slots| clone_slot::<Option<T>>(&slots[root]).expect("root deposited Some"),
-        )
-    }
-
-    /// Gather all values at `root`; other ranks get `None`.
-    pub fn gather<T: Clone + Send + WireSize + 'static>(
-        &self,
-        root: usize,
-        value: T,
-    ) -> Option<Vec<T>> {
-        assert!(root < self.size);
-        let link = self.shared.net.link.clone();
-        let p = self.size;
-        let me = self.rank;
-        self.rendezvous(
-            "gather",
-            value.clone(),
-            value.wire_size(),
-            move |max, total, _| max + link.collective_ns(p, 0) + link.payload_ns(total as u64),
-            move |slots| (me == root).then(|| slots.iter().map(|s| clone_slot::<T>(s)).collect()),
-        )
-    }
-
-    /// Combine all contributions with `op`; every rank gets the result.
-    /// `op` must be associative and is applied in rank order.
-    pub fn allreduce<T: Clone + Send + WireSize + 'static>(
-        &self,
-        value: T,
-        op: impl Fn(&T, &T) -> T,
-    ) -> T {
-        let link = self.shared.net.link.clone();
-        let p = self.size;
-        let bytes = value.wire_size();
-        self.rendezvous(
-            "allreduce",
-            value,
-            bytes,
-            move |max, total, _| max + 2 * link.collective_ns(p, (total / p.max(1)) as u64),
-            move |slots| {
-                let mut it = slots.iter().map(|s| clone_slot::<T>(s));
-                let first = it.next().expect("at least one rank");
-                it.fold(first, |acc, v| op(&acc, &v))
-            },
-        )
-    }
-
-    /// Inclusive prefix reduction: rank `i` receives `op` folded over the
-    /// contributions of ranks `0..=i`.
-    pub fn scan<T: Clone + Send + WireSize + 'static>(
-        &self,
-        value: T,
-        op: impl Fn(&T, &T) -> T,
-    ) -> T {
-        let link = self.shared.net.link.clone();
-        let p = self.size;
-        let me = self.rank;
-        let bytes = value.wire_size();
-        self.rendezvous(
-            "scan",
-            value,
-            bytes,
-            move |max, total, _| max + link.collective_ns(p, (total / p.max(1)) as u64),
-            move |slots| {
-                let mut it = slots[..=me].iter().map(|s| clone_slot::<T>(s));
-                let first = it.next().expect("own slot present");
-                it.fold(first, |acc, v| op(&acc, &v))
-            },
-        )
-    }
-
-    /// Personalized all-to-all: element `j` of this rank's `items` is
-    /// delivered to rank `j`; the result's element `i` came from rank `i`.
-    pub fn alltoall<T: Clone + Send + WireSize + 'static>(&self, items: Vec<T>) -> Vec<T> {
-        assert_eq!(
-            items.len(),
-            self.size,
-            "alltoall needs one item per destination"
-        );
-        let link = self.shared.net.link.clone();
-        let p = self.size;
-        let me = self.rank;
-        let bytes = items.wire_size();
-        self.rendezvous(
-            "alltoall",
-            items,
-            bytes,
-            move |max, total, _| max + link.collective_ns(p, 0) + link.payload_ns(total as u64),
-            move |slots| {
-                slots
-                    .iter()
-                    .map(|s| {
-                        let v: Vec<T> = clone_slot::<Vec<T>>(s);
-                        v[me].clone()
-                    })
-                    .collect()
-            },
         )
     }
 
@@ -450,40 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_only_at_root() {
-        let out = run(4, NetCost::fast_test(), |c| c.gather(1, c.rank() as u32));
-        assert_eq!(out[1], Some(vec![0, 1, 2, 3]));
-        assert_eq!(out[0], None);
-        assert_eq!(out[3], None);
-    }
-
-    #[test]
-    fn allreduce_and_scan() {
-        let out = run(5, NetCost::fast_test(), |c| {
-            let sum = c.allreduce(c.rank() as u64 + 1, |a, b| a + b);
-            let prefix = c.scan(c.rank() as u64 + 1, |a, b| a + b);
-            let max = c.allreduce(c.rank() as u64, |a, b| *a.max(b));
-            (sum, prefix, max)
-        });
-        for (r, &(sum, prefix, max)) in out.iter().enumerate() {
-            assert_eq!(sum, 15);
-            assert_eq!(prefix, ((r + 1) * (r + 2) / 2) as u64);
-            assert_eq!(max, 4);
-        }
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let out = run(3, NetCost::fast_test(), |c| {
-            let items: Vec<u64> = (0..3).map(|j| (c.rank() * 10 + j) as u64).collect();
-            c.alltoall(items)
-        });
-        assert_eq!(out[0], vec![0, 10, 20]);
-        assert_eq!(out[1], vec![1, 11, 21]);
-        assert_eq!(out[2], vec![2, 12, 22]);
-    }
-
-    #[test]
     fn repeated_collectives_generations() {
         run(4, NetCost::fast_test(), |c| {
             for i in 0..50u64 {
@@ -528,7 +359,7 @@ mod tests {
     fn split_node_uses_intra_link_and_maps_world_ranks() {
         use atomio_vtime::{LinkCost, NodeTopology};
         let net =
-            NetCost::new(LinkCost::new(10_000, 100e6), 0).with_intra_link(LinkCost::new(100, 10e9));
+            NetCost::new(LinkCost::new(10_000, 100e6)).with_intra_link(LinkCost::new(100, 10e9));
         let out = run(4, net, |c| {
             let topo = NodeTopology::new(4, 2);
             let node = c.split_node(&topo);
@@ -556,7 +387,7 @@ mod tests {
         // Two jobs differing only in payload size: bigger payload, later clock.
         let small = run(
             4,
-            NetCost::new(atomio_vtime::LinkCost::new(100, 1e9), 0),
+            NetCost::new(atomio_vtime::LinkCost::new(100, 1e9)),
             |c| {
                 c.allgather(vec![0u8; 16]);
                 c.clock().now()
@@ -564,7 +395,7 @@ mod tests {
         );
         let big = run(
             4,
-            NetCost::new(atomio_vtime::LinkCost::new(100, 1e9), 0),
+            NetCost::new(atomio_vtime::LinkCost::new(100, 1e9)),
             |c| {
                 c.allgather(vec![0u8; 1 << 20]);
                 c.clock().now()

@@ -1,9 +1,10 @@
 //! Threads-as-ranks message-passing runtime.
 //!
 //! The paper's strategies need a small MPI subset: ranks and communicator
-//! size, point-to-point messages, and the collectives used for process
-//! handshaking (barrier, allgather of file views, allreduce). This crate
-//! provides that subset with OS threads standing in for MPI processes.
+//! size, a barrier, an allgather of file views for the §3.3 handshake, and
+//! the two-phase redistribution (bcast, gatherv, alltoallv, and splits into
+//! node and leader communicators). This crate provides exactly that subset,
+//! all of it collective, with OS threads standing in for MPI processes.
 //!
 //! **Substitution note (see DESIGN.md):** a real MPI job on Cplant/Origin/SP
 //! is replaced by [`run`], which spawns one thread per rank and hands each a
@@ -17,18 +18,16 @@
 //! use atomio_msg::{run, NetCost};
 //!
 //! let sums = run(4, NetCost::fast_test(), |comm| {
-//!     // Each rank contributes its rank id; everyone gets the total.
-//!     comm.allreduce(comm.rank() as u64, |a, b| a + b)
+//!     // Each rank contributes its rank id; everyone sums what it gathered.
+//!     comm.allgather(comm.rank() as u64).iter().sum::<u64>()
 //! });
 //! assert_eq!(sums, vec![6, 6, 6, 6]);
 //! ```
 
 mod collective;
 mod comm;
-mod p2p;
 mod runtime;
 
 pub use atomio_vtime::NetCost;
 pub use comm::Comm;
-pub use p2p::{RecvSel, Tag};
 pub use runtime::run;

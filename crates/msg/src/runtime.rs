@@ -2,14 +2,12 @@ use std::sync::Arc;
 
 use crate::collective::CollState;
 use crate::comm::Comm;
-use crate::p2p::Mailbox;
 use atomio_vtime::NetCost;
 
 /// Shared state of one communicator.
 pub(crate) struct Shared {
     pub nprocs: usize,
     pub net: NetCost,
-    pub mailboxes: Vec<Mailbox>,
     pub coll: CollState,
 }
 
@@ -18,7 +16,6 @@ impl Shared {
         Arc::new(Shared {
             nprocs,
             net,
-            mailboxes: (0..nprocs).map(|_| Mailbox::new()).collect(),
             coll: CollState::new(nprocs),
         })
     }

@@ -457,6 +457,7 @@ mod tests {
     use super::super::tests::*;
     use super::super::*;
     use super::*;
+    use crate::fault::RestartPolicy;
     use crate::lock::LockMode;
 
     #[test]

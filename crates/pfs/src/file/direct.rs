@@ -222,6 +222,7 @@ impl PosixFile {
 mod tests {
     use super::super::tests::*;
     use super::super::*;
+    use crate::fault::RestartPolicy;
     use crate::stats::StatsSnapshot;
 
     #[test]

@@ -14,7 +14,7 @@ use atomio_vtime::{Clock, Horizon, VNanos};
 use crate::cache::ClientCache;
 use crate::coherence::{CoherenceHub, RevocationHandler};
 use crate::error::FsError;
-use crate::fault::{FaultInjector, FaultPlan, FaultSnapshot, RestartPolicy};
+use crate::fault::{FaultInjector, FaultPlan, FaultSnapshot};
 use crate::journal::{ReplayReport, RevocationJournal};
 use crate::lock::LockManager;
 use crate::lockclass;
@@ -137,13 +137,6 @@ impl FileSystem {
         self.inner.faults.stats().snapshot()
     }
 
-    /// Crash an I/O server by fiat (tests, benches, chaos drivers); every
-    /// request touching it is rejected until the policy restarts it.
-    /// Plan-driven crashes fire inside the request path instead.
-    pub fn crash_server(&self, server: usize, restart: RestartPolicy) {
-        self.inner.servers.crash(server, restart);
-    }
-
     /// Whether `server` currently rejects requests.
     pub fn server_down(&self, server: usize) -> bool {
         self.inner.servers.is_down(server)
@@ -152,7 +145,8 @@ impl FileSystem {
     /// Restart a crashed server by fiat: run recovery (journal replay
     /// across every file) and mark it up. Returns `false` if the server
     /// was not down — or if another caller already owns its recovery.
-    /// This is the only way back up from [`RestartPolicy::Manual`].
+    /// This is the only way back up from
+    /// [`RestartPolicy::Manual`](crate::RestartPolicy::Manual).
     pub fn restart_server(&self, server: usize) -> bool {
         if !self.inner.servers.begin_recovery(server) {
             return false;
@@ -680,7 +674,7 @@ impl PosixFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultAction, FaultSite};
+    use crate::fault::{FaultAction, FaultSite, RestartPolicy};
     use crate::lock::LockMode;
     use crate::profile::LockKind;
     use atomio_interval::StridedSet;

@@ -13,8 +13,7 @@
 //!
 //! — plus the cost terms (`lock_grant_ns` per domain round trip,
 //! `client_op_ns` per extra request injection, `token_revoke_ns` +
-//! `token_revoke_byte_ns` per revocation, `servers_per_node` and the
-//! intra-node hop for co-located domains).
+//! `token_revoke_byte_ns` per revocation).
 //!
 //! **Grants are atomic multi-range list locks.** Locking a request's exact
 //! footprint means granting a list of ranges, and granting them one at a
@@ -31,7 +30,8 @@
 //! sliced per domain ([`StridedSet::shard_slice`]) and ordered after each
 //! touched domain's own conflicting release history; the per-domain round
 //! trips run concurrently, so virtual grant cost is **max over domains, not
-//! sum** ([`fanout_hier_ns`]). With one domain that is exactly one
+//! sum**: [`fanout_ns`] over the domains the grant must contact, each on
+//! its own server. With one domain that is exactly one
 //! `lock_grant_ns` round trip — the central manager (NFS/XFS) — and because
 //! the release→grant chain is work-conserving, N conflicting
 //! lock-write-unlock cycles take the sum of their hold times: "using
@@ -71,7 +71,7 @@ use std::time::Duration;
 
 use atomio_check::OrderedMutex;
 use atomio_interval::{IntervalSet, StridedSet};
-use atomio_vtime::{fanout_hier_ns, VNanos};
+use atomio_vtime::{fanout_ns, VNanos};
 use parking_lot::Condvar;
 
 use crate::coherence::CoherenceHub;
@@ -211,7 +211,7 @@ pub struct LockManager {
     rides_data: bool,
     /// One domain's grant round trip.
     grant_ns: VNanos,
-    /// Client-side cost of injecting one extra per-node request message
+    /// Client-side cost of injecting one extra per-domain request message
     /// (the serial part of the parallel fan-out).
     issue_ns: VNanos,
     /// Flat fee per revoked (holder, domain) pair.
@@ -220,11 +220,6 @@ pub struct LockManager {
     /// the revoking acquirer (see
     /// [`PlatformProfile::token_revoke_byte_ns`]).
     revoke_byte_ns: f64,
-    /// Consecutive domains sharing one physical server node; extra missed
-    /// domains on an already-contacted node cost one `intra_hop_ns` forward
-    /// instead of a full inter-node issue + trip.
-    servers_per_node: usize,
-    intra_hop_ns: VNanos,
     /// Revocation fan-out for lock-driven cache coherence (token presets
     /// only); `None` keeps revocations a pure cost-model event.
     coherence: Option<Arc<CoherenceHub>>,
@@ -242,7 +237,7 @@ impl LockManager {
             LockKind::Sharded => (profile.sim_servers, false, false, true),
             LockKind::ShardedTokens => (profile.sim_servers, true, false, false),
         };
-        assert!(domains > 0 && profile.stripe_unit > 0 && profile.servers_per_node > 0);
+        assert!(domains > 0 && profile.stripe_unit > 0);
         Some(LockManager {
             state: lockclass::lock_state(LockState {
                 next_id: 0,
@@ -262,8 +257,6 @@ impl LockManager {
             issue_ns: profile.client_op_ns,
             revoke_ns: profile.token_revoke_ns,
             revoke_byte_ns: profile.token_revoke_byte_ns,
-            servers_per_node: profile.servers_per_node,
-            intra_hop_ns: profile.net.intra_link.latency_ns,
             coherence: coherence.filter(|_| tokens),
         })
     }
@@ -355,9 +348,8 @@ impl LockManager {
         let mut earliest = now;
         let mut token_hits = 0u64;
         let mut revocations = 0u64;
-        // Missed domains grouped by server node: the shape of the
-        // hierarchical grant fan-out below.
-        let mut missed_per_node = vec![0u64; self.domains.div_ceil(self.servers_per_node)];
+        // Domains the grant must contact: the width of the fan-out below.
+        let mut missed = 0u64;
         // Byte ranges each holder loses across all domains, aggregated so
         // the coherence fan-out runs once per holder, in ascending holder
         // order — the order holders flush onto the shared server horizons
@@ -401,26 +393,21 @@ impl LockManager {
                     }),
                 }
             }
-            missed_per_node[*d / self.servers_per_node] += 1;
+            missed += 1;
         }
         if self.rides_data && slices.len() == 1 {
             // The one server this request touches grants it when the first
             // data request arrives: no trip goes out ahead of the I/O, and
             // `earliest` still orders it after that server's conflicting
             // releases.
-            missed_per_node.fill(0);
+            missed = 0;
         }
         let serialized = waited || earliest > now;
         // The per-domain round trips proceed concurrently: the fan-out
         // completes when the slowest one does (nothing at all on an
         // all-hit or ridden grant, exactly `grant_ns` with one domain).
         let mut granted_at = earliest
-            + fanout_hier_ns(
-                self.issue_ns,
-                self.grant_ns,
-                self.intra_hop_ns,
-                &missed_per_node,
-            )
+            + fanout_ns(self.issue_ns, self.grant_ns, missed)
             + revocations * self.revoke_ns;
 
         let id = st.next_id;
@@ -473,7 +460,7 @@ impl LockManager {
         SetGrant {
             id,
             granted_at,
-            shard_trips: missed_per_node.iter().sum(),
+            shard_trips: missed,
             token_hits,
             serialized,
         }
@@ -617,7 +604,7 @@ mod tests {
     const TOKEN_PRESETS: [LockKind; 2] = [Distributed, ShardedTokens];
 
     /// `kind`'s preset over 4 servers on a 1 KiB stripe grid, 1 µs per
-    /// extra request injection, one server per node.
+    /// extra request injection.
     fn profile(kind: LockKind, grant_ns: VNanos, revoke_ns: VNanos) -> PlatformProfile {
         PlatformProfile {
             lock_kind: kind,
@@ -1238,28 +1225,6 @@ mod tests {
         assert_eq!(g.granted_at, 3 * 1_000 + 10_000);
         assert!(g.granted_at < 4 * 10_000);
         m.release(g.id, g.granted_at);
-    }
-
-    #[test]
-    fn node_grouped_domains_share_the_inter_node_trip() {
-        // 4 domains on 2 nodes (2 servers each): a request missing all 4
-        // contacts 2 nodes — one extra NIC injection, one parallel trip,
-        // one intra-node forward on each node — instead of 3 extra
-        // inter-node-class injections.
-        let mut grouped = profile(Sharded, 10_000, 0).with_server_nodes(2);
-        grouped.net.intra_link.latency_ns = 200;
-        let m = LockManager::new(&grouped, None).unwrap();
-        let g = m.acquire_set(0, &at(0, 4 * UNIT), Exclusive, 0);
-        assert_eq!(g.shard_trips, 4);
-        assert_eq!(g.granted_at, 1_000 + 10_000 + 200);
-        m.release(g.id, g.granted_at);
-
-        // Regression pin: one server per node (the default) keeps the
-        // historical flat fan-out cost byte-for-byte.
-        let flat = mgr(Sharded, 10_000, 0);
-        let gf = flat.acquire_set(0, &at(0, 4 * UNIT), Exclusive, 0);
-        assert_eq!(gf.granted_at, 3 * 1_000 + 10_000);
-        flat.release(gf.id, gf.granted_at);
     }
 
     #[test]

@@ -86,13 +86,6 @@ pub struct PlatformProfile {
     // ----- simulation cost model -----
     /// Number of simulated I/O servers (stripes).
     pub sim_servers: usize,
-    /// Consecutive I/O servers (and their lock domains) sharing one
-    /// physical server node. Extra lock domains on an already-contacted
-    /// node cost an intra-node forward (`net.intra_link.latency_ns`)
-    /// instead of a full inter-node issue + trip — see
-    /// [`fanout_hier_ns`](atomio_vtime::fanout_hier_ns). One server per
-    /// node (every preset) reproduces the flat fan-out model exactly.
-    pub servers_per_node: usize,
     /// Stripe unit in bytes.
     pub stripe_unit: u64,
     /// Client→server link: per-request latency and streaming bandwidth as
@@ -163,7 +156,6 @@ impl PlatformProfile {
             io_servers: Some(12),
             peak_io_mbps: 50.0,
             sim_servers: 12,
-            servers_per_node: 1,
             stripe_unit: 64 * 1024,
             // Synchronous NFS-style RPCs: high per-op latency, modest
             // streaming bandwidth per client.
@@ -198,7 +190,6 @@ impl PlatformProfile {
             io_servers: None,
             peak_io_mbps: 4096.0,
             sim_servers: 4,
-            servers_per_node: 1,
             stripe_unit: 64 * 1024,
             client_link: LinkCost::new(100_000, 3.5e6),
             client_op_ns: 60_000,
@@ -230,7 +221,6 @@ impl PlatformProfile {
             io_servers: Some(12),
             peak_io_mbps: 1536.0,
             sim_servers: 12,
-            servers_per_node: 1,
             stripe_unit: 256 * 1024,
             client_link: LinkCost::new(150_000, 3.0e6),
             client_op_ns: 100_000,
@@ -272,7 +262,6 @@ impl PlatformProfile {
             io_servers: Some(8),
             peak_io_mbps: 2048.0,
             sim_servers: 8,
-            servers_per_node: 1,
             stripe_unit: 1024 * 1024, // Lustre's classic 1 MiB stripe
             client_link: LinkCost::new(50_000, 5.0e6),
             client_op_ns: 20_000,
@@ -303,7 +292,6 @@ impl PlatformProfile {
             io_servers: Some(4),
             peak_io_mbps: 1000.0,
             sim_servers: 4,
-            servers_per_node: 1,
             stripe_unit: 4 * 1024,
             client_link: LinkCost::new(1_000, 1.0e9),
             client_op_ns: 500,
@@ -331,15 +319,6 @@ impl PlatformProfile {
     /// Whether byte-range locking is available.
     pub fn supports_locking(&self) -> bool {
         self.lock_kind != LockKind::None
-    }
-
-    /// This platform with its I/O servers grouped `n` to a physical node,
-    /// so multi-domain lock fan-outs pay hierarchical (intra-node forward)
-    /// costs instead of one inter-node trip per domain.
-    pub fn with_server_nodes(mut self, n: usize) -> Self {
-        assert!(n >= 1, "nodes hold at least one server");
-        self.servers_per_node = n;
-        self
     }
 
     /// This platform with the `lio_listio` atomicity extension enabled

@@ -82,11 +82,6 @@ impl Storage {
         self.fetch(offset, buf);
     }
 
-    /// Read without any atomicity guarantee.
-    pub fn read_nonatomic(&self, offset: u64, buf: &mut [u8]) {
-        self.fetch(offset, buf);
-    }
-
     /// Copy of the whole file (for verification). Takes the gate so the
     /// snapshot is consistent with atomic writes.
     pub fn snapshot(&self) -> Vec<u8> {

@@ -96,16 +96,13 @@ impl MemCost {
 }
 
 /// Completion time of one parallel fan-out round trip to `domains` peers
-/// (e.g. the per-server lock domains of a sharded lock manager): the client
+/// (the per-server lock domains a grant must contact): the client
 /// serializes the per-domain request messages through its own NIC
 /// (`issue_ns` each), then the round trips proceed **concurrently**, so the
 /// total is `(domains - 1) · issue_ns + trip_ns` — max-over-domains, not
-/// sum. Zero domains cost nothing.
-///
-/// This is the **flat** model: every domain is assumed to sit on its own
-/// node, so every trip pays the full inter-node latency. When several
-/// domains share a node, use [`fanout_hier_ns`](crate::fanout_hier_ns),
-/// of which this is the 1-domain-per-node special case.
+/// sum. Zero domains cost nothing. Every domain sits on its own server
+/// node, so every trip pays the same `trip_ns`; this is the lock manager's
+/// only fan-out price.
 pub fn fanout_ns(issue_ns: VNanos, trip_ns: VNanos, domains: u64) -> VNanos {
     if domains == 0 {
         0

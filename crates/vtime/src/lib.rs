@@ -30,5 +30,5 @@ pub use cost::{bandwidth_mibps, fanout_ns, LinkCost, MemCost, ServeCost, GIB, KI
 pub use horizon::Horizon;
 pub use net::NetCost;
 pub use span::{Span, SpanSet};
-pub use topo::{fanout_hier_ns, NodeTopology};
+pub use topo::NodeTopology;
 pub use wire::WireSize;

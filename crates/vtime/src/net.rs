@@ -1,4 +1,4 @@
-use crate::{LinkCost, VNanos};
+use crate::LinkCost;
 
 /// Network cost parameters for one communicator.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,16 +12,13 @@ pub struct NetCost {
     /// unchanged; the platform presets override it with the much cheaper
     /// intra-node parameters of their era's SMP nodes.
     pub intra_link: LinkCost,
-    /// Local software overhead charged on each send/recv posting.
-    pub op_overhead_ns: VNanos,
 }
 
 impl NetCost {
-    pub fn new(link: LinkCost, op_overhead_ns: VNanos) -> Self {
+    pub fn new(link: LinkCost) -> Self {
         NetCost {
             intra_link: link.clone(),
             link,
-            op_overhead_ns,
         }
     }
 
@@ -35,27 +32,26 @@ impl NetCost {
     /// ~18 µs latency, ~140 MB/s; intra-node shared memory on the
     /// Alpha-based nodes at ~1 µs / ~500 MB/s.
     pub fn myrinet() -> Self {
-        NetCost::new(LinkCost::new(18_000, 140e6), 2_000)
-            .with_intra_link(LinkCost::new(1_000, 500e6))
+        NetCost::new(LinkCost::new(18_000, 140e6)).with_intra_link(LinkCost::new(1_000, 500e6))
     }
 
     /// NUMAlink-class shared-memory interconnect (SGI Origin 2000):
     /// ~1 µs latency, ~600 MB/s. The Origin is a single NUMA machine, so
     /// intra- and inter-"node" hops share one link class.
     pub fn numalink() -> Self {
-        NetCost::new(LinkCost::new(1_000, 600e6), 500)
+        NetCost::new(LinkCost::new(1_000, 600e6))
     }
 
     /// Colony-switch-class interconnect (IBM SP Blue Horizon):
     /// ~20 µs latency, ~350 MB/s; intra-node shared memory on the 8-way
     /// POWER3 SMP nodes at ~800 ns / ~1 GB/s.
     pub fn colony() -> Self {
-        NetCost::new(LinkCost::new(20_000, 350e6), 2_000).with_intra_link(LinkCost::new(800, 1e9))
+        NetCost::new(LinkCost::new(20_000, 350e6)).with_intra_link(LinkCost::new(800, 1e9))
     }
 
     /// Cheap, fast parameters for unit tests.
     pub fn fast_test() -> Self {
-        NetCost::new(LinkCost::new(100, 10e9), 10).with_intra_link(LinkCost::new(10, 40e9))
+        NetCost::new(LinkCost::new(100, 10e9)).with_intra_link(LinkCost::new(10, 40e9))
     }
 }
 

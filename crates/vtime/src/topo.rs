@@ -1,5 +1,3 @@
-use crate::VNanos;
-
 /// Placement of ranks onto physical nodes: `ranks_per_node` consecutive
 /// ranks share a node (block placement, the default of every scheduler the
 /// paper's platforms used). Rank `r` lives on node `r / ranks_per_node`,
@@ -72,45 +70,9 @@ impl NodeTopology {
     }
 }
 
-/// Completion time of a **hierarchical** parallel fan-out: the per-domain
-/// targets are grouped onto nodes (`node_domain_counts[n]` = domains
-/// contacted on node `n`; zero entries are skipped). The client serializes
-/// one request message per *contacted node* through its NIC (`issue_ns`
-/// each); each node's message pays one inter-node trip (`inter_trip_ns`)
-/// and is then forwarded to the node's remaining co-located domains over
-/// the cheap intra-node link (`intra_hop_ns` per extra domain). The node
-/// round trips proceed concurrently, so the total is
-///
-/// `(contacted_nodes − 1)·issue_ns + max_n (inter_trip_ns + (count_n − 1)·intra_hop_ns)`
-///
-/// — max over nodes, not sum. With one domain per node this degenerates to
-/// the flat [`fanout_ns`](crate::fanout_ns) model.
-pub fn fanout_hier_ns(
-    issue_ns: VNanos,
-    inter_trip_ns: VNanos,
-    intra_hop_ns: VNanos,
-    node_domain_counts: &[u64],
-) -> VNanos {
-    let mut contacted: u64 = 0;
-    let mut max_trip: VNanos = 0;
-    for &count in node_domain_counts {
-        if count == 0 {
-            continue;
-        }
-        contacted += 1;
-        max_trip = max_trip.max(inter_trip_ns + (count - 1) * intra_hop_ns);
-    }
-    if contacted == 0 {
-        0
-    } else {
-        (contacted - 1) * issue_ns + max_trip
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fanout_ns;
 
     #[test]
     fn block_placement_maps_ranks_to_nodes() {
@@ -136,39 +98,5 @@ mod tests {
             assert_eq!(t.leader_of(r), 0);
             assert!(t.same_node(0, r));
         }
-    }
-
-    #[test]
-    fn hier_fanout_is_max_over_nodes() {
-        // Two nodes contacted, 3 domains on one and 1 on the other: one
-        // extra NIC injection, then the slower node bounds the trip.
-        let got = fanout_hier_ns(1_000, 50_000, 2_000, &[3, 1]);
-        assert_eq!(got, 1_000 + 50_000 + 2 * 2_000);
-        // Max over nodes, not sum: far below four serialized round trips.
-        assert!(got < 4 * 50_000);
-        // Zero-count nodes are skipped entirely.
-        assert_eq!(fanout_hier_ns(1_000, 50_000, 2_000, &[0, 0]), 0);
-        assert_eq!(
-            fanout_hier_ns(1_000, 50_000, 2_000, &[0, 2, 0]),
-            50_000 + 2_000
-        );
-    }
-
-    #[test]
-    fn hier_fanout_with_one_domain_per_node_pins_flat_behavior() {
-        // Regression pin: the pre-topology flat model `fanout_ns` must be
-        // exactly the 1-domain-per-node special case, so existing platforms
-        // (servers_per_node == 1) keep byte-identical vtimes.
-        for nodes in [1u64, 2, 3, 8, 17] {
-            let counts = vec![1u64; nodes as usize];
-            assert_eq!(
-                fanout_hier_ns(1_000, 50_000, 2_000, &counts),
-                fanout_ns(1_000, 50_000, nodes)
-            );
-        }
-        assert_eq!(
-            fanout_hier_ns(1_000, 50_000, 2_000, &[]),
-            fanout_ns(1_000, 50_000, 0)
-        );
     }
 }

@@ -105,11 +105,6 @@ impl CrashRecovery {
         })
     }
 
-    /// The fault-free control run of the same geometry and seed.
-    pub fn fault_free(&self) -> CrashRecovery {
-        CrashRecovery { faults: 0, ..*self }
-    }
-
     /// Decode a stamp byte back to its `(writer, round)` pair; `None` for
     /// 0 (never written) and for values past the last round.
     pub fn decode(&self, stamp: u8) -> Option<(usize, u64)> {

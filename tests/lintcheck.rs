@@ -3,12 +3,13 @@
 //! stale-allowlist detection), and every rule demonstrably still bites
 //! on seeded violations.
 
-use atomio::check::lexer::{lex, Tok};
+use atomio::check::lexer::{lex, Tok, TokKind};
 use atomio::check::lint::workspace_sources;
 use atomio::check::{
     analyze_sources, check_workspace, lint_source, parse_allowlist, AllowEntry, LintDiag,
 };
-use std::path::Path;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -161,6 +162,64 @@ fn core_takes_every_lock_in_one_place() {
             .count();
         assert_eq!(sites, 1, "`.{call}(` call sites in crates/core/src");
     }
+}
+
+/// Every `pub fn` under `crates/*/src` has a caller somewhere in the
+/// repository — library code, tests, benches, examples or the frozen
+/// `benchmark/` package. A name is called when it appears as an
+/// identifier token anywhere except right after `fn`, so comments, doc
+/// text and strings do not count. There is no allowlist: an uncalled
+/// function is deleted, not excused.
+#[test]
+fn every_pub_fn_is_called_somewhere() {
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("repo tree readable") {
+            let path = entry.expect("repo entry readable").path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if path.is_dir() {
+                if name != "target" && !name.starts_with('.') {
+                    rust_files(&path, out);
+                }
+            } else if name.ends_with(".rs") {
+                out.push(path);
+            }
+        }
+    }
+    let lib_sources: HashSet<PathBuf> = workspace_sources(repo_root())
+        .expect("workspace sources readable")
+        .into_iter()
+        .filter(|path| path.starts_with(repo_root().join("crates")))
+        .collect();
+    let mut files = Vec::new();
+    rust_files(repo_root(), &mut files);
+
+    let mut called: HashSet<String> = HashSet::new();
+    let mut defined: Vec<(String, String)> = Vec::new();
+    for path in &files {
+        let toks = lex(&std::fs::read_to_string(path).expect("source readable"));
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokKind::Ident {
+                continue;
+            }
+            if i == 0 || !toks[i - 1].is_ident("fn") {
+                called.insert(t.text.clone());
+            } else if i >= 2 && toks[i - 2].is_ident("pub") && lib_sources.contains(path) {
+                let rel = path.strip_prefix(repo_root()).unwrap_or(path);
+                defined.push((t.text.clone(), format!("{}:{}", rel.display(), t.line)));
+            }
+        }
+    }
+    assert!(defined.len() > 100, "found only {} pub fns", defined.len());
+    let uncalled: Vec<String> = defined
+        .iter()
+        .filter(|(name, _)| !called.contains(name))
+        .map(|(name, site)| format!("{site}: {name}"))
+        .collect();
+    assert!(
+        uncalled.is_empty(),
+        "pub fns nothing calls:\n{}",
+        uncalled.join("\n")
+    );
 }
 
 /// Stale-allowlist detection bites: an entry that suppresses nothing is
