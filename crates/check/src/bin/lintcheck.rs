@@ -1,45 +1,41 @@
-//! `lintcheck` — the repo lint gate. Runs the token-level rules R1–R3,
-//! the static concurrency analyses R4–R6 (guard across blocking call,
-//! dropped fault-path `Result`, static lock-order graph), and
-//! stale-allowlist detection; exits nonzero on any non-allowlisted
-//! diagnostic. Run from the repo root (or pass it):
+//! `lintcheck` — the repo lint gate. Runs the token-level rules R1–R3
+//! and R5 (see `atomio_check::lint`) and stale-allowlist detection; exits
+//! nonzero on any non-allowlisted diagnostic. Run from the repo root (or
+//! pass it):
 //!
 //! ```text
-//! cargo run --release -p atomio-check --bin lintcheck -- \
-//!     [ROOT] [--static-report PATH.json] [--dot PATH.dot]
+//! cargo run --release -p atomio-check --bin lintcheck -- [ROOT]
 //! ```
 //!
-//! `--static-report` / `--dot` write the deterministic JSON / Graphviz
-//! renderings of the statically derived lock-order graph (compared
-//! against `tests/golden/static_report.json` in CI).
+//! An unknown flag or a second root is a usage error (exit 2); a root
+//! without `lintcheck.allow` or without sources under `crates/` fails the
+//! gate instead of passing an empty scan.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut report_path: Option<PathBuf> = None;
-    let mut dot_path: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--static-report" => match args.next() {
-                Some(p) => report_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("lintcheck: --static-report needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--dot" => match args.next() {
-                Some(p) => dot_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("lintcheck: --dot needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => root = PathBuf::from(a),
+const USAGE: &str = "usage: lintcheck [ROOT]";
+
+/// The root to scan, or the usage error.
+fn parse_root(args: impl IntoIterator<Item = String>) -> Result<PathBuf, String> {
+    let mut root = None;
+    for a in args {
+        if a.starts_with("--") || root.is_some() {
+            return Err(format!("lintcheck: unexpected argument {a}; {USAGE}"));
         }
+        root = Some(PathBuf::from(a));
     }
+    Ok(root.unwrap_or_else(|| PathBuf::from(".")))
+}
+
+fn main() -> ExitCode {
+    let root = match parse_root(std::env::args().skip(1)) {
+        Ok(root) => root,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     let report = match atomio_check::check_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
@@ -47,26 +43,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(p) = report_path {
-        if let Err(e) = std::fs::write(&p, report.analysis.report_json()) {
-            eprintln!("lintcheck: cannot write {}: {e}", p.display());
-            return ExitCode::FAILURE;
-        }
-        println!("lintcheck: static report written to {}", p.display());
-    }
-    if let Some(p) = dot_path {
-        if let Err(e) = std::fs::write(&p, report.analysis.report_dot()) {
-            eprintln!("lintcheck: cannot write {}: {e}", p.display());
-            return ExitCode::FAILURE;
-        }
-        println!("lintcheck: lock graph DOT written to {}", p.display());
-    }
     if report.diags.is_empty() {
-        println!(
-            "lintcheck: clean ({} lock classes, {} static edges)",
-            report.analysis.classes.len(),
-            report.analysis.edges.len()
-        );
+        println!("lintcheck: clean");
         return ExitCode::SUCCESS;
     }
     for d in &report.diags {
@@ -74,4 +52,31 @@ fn main() -> ExitCode {
     }
     println!("lintcheck: {} violation(s)", report.diags.len());
     ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<PathBuf, String> {
+        parse_root(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn root_defaults_to_the_current_directory() {
+        assert_eq!(parse(&[]), Ok(PathBuf::from(".")));
+        assert_eq!(parse(&["/repo"]), Ok(PathBuf::from("/repo")));
+    }
+
+    #[test]
+    fn unknown_flags_and_extra_roots_are_usage_errors() {
+        for args in [
+            &["--bogus"][..],
+            &["--static-report", "x.json"],
+            &["a", "b"],
+        ] {
+            let err = parse(args).expect_err("usage error");
+            assert!(err.contains(USAGE), "{err}");
+        }
+    }
 }

@@ -1,15 +1,14 @@
-//! A dependency-free token-level Rust lexer — the foundation the static
-//! concurrency analyses ([`crate::scopes`], [`crate::lockgraph`]) and the
-//! R1–R3 source lints stand on.
+//! A dependency-free token-level Rust lexer — the foundation the source
+//! lints ([`crate::lint`]) and the repo's token guards stand on.
 //!
 //! It is *not* a full Rust lexer: it produces exactly the token classes
-//! the analyses need, but it is **exact** about the things a line scanner
+//! the rules need, but it is **exact** about the things a line scanner
 //! gets wrong — nested `/* /* */ */` block comments, raw strings
 //! (`r#"..."#` with any number of `#`s, plus `b`/`br`/`c`/`cr` prefixes),
 //! escaped quotes, char literals vs lifetimes — so no byte of a string or
 //! comment can ever masquerade as code to a rule. Multi-character
 //! operators (`::`, `->`, `=>`, `==`, `..`, shifts, compound assignment)
-//! are combined, so `=` reliably means assignment to the scope walker.
+//! are combined, so `=` reliably means assignment.
 
 /// What a token is. String/char/byte literal *content* is deliberately
 /// carried only as opaque `text` — rules match on `kind` + exact ident
@@ -110,10 +109,9 @@ pub fn lex(src: &str) -> Vec<Tok> {
         }
         // Raw strings and prefixed strings: r", r#", br", b", c", cr#"…
         if c == b'r' || c == b'b' || c == b'c' {
-            if let Some((end, raw)) = string_prefix_end(b, i) {
+            if let Some(end) = string_prefix_end(b, i) {
                 let start_line = line;
                 bump_lines(b, i, end, &mut line);
-                let _ = raw;
                 toks.push(Tok {
                     kind: TokKind::Str,
                     text: String::from_utf8_lossy(&b[i..end]).into_owned(),
@@ -185,7 +183,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
         }
         // Idents and keywords (incl. raw idents r#type).
         if ident_start(c) {
-            let start = i;
             if c == b'r' && b[i..].starts_with(b"r#") && i + 2 < b.len() && ident_start(b[i + 2]) {
                 i += 2; // raw ident: token text is the bare ident
             }
@@ -193,7 +190,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
             while i < b.len() && ident_byte(b[i]) {
                 i += 1;
             }
-            let _ = start;
             toks.push(Tok {
                 kind: TokKind::Ident,
                 text: String::from_utf8_lossy(&b[word_start..i]).into_owned(),
@@ -295,9 +291,9 @@ fn dquote_end(b: &[u8], i: usize) -> usize {
 }
 
 /// If `b[i..]` starts a (possibly raw, possibly prefixed) string literal,
-/// return `(end_exclusive, was_raw)`. Handles `r"…"`, `r#"…"#` (any #
-/// count), `b"…"`, `br#"…"#`, `c"…"`, `cr"…"`.
-fn string_prefix_end(b: &[u8], i: usize) -> Option<(usize, bool)> {
+/// return its exclusive end. Handles `r"…"`, `r#"…"#` (any # count),
+/// `b"…"`, `br#"…"#`, `c"…"`, `cr"…"`.
+fn string_prefix_end(b: &[u8], i: usize) -> Option<usize> {
     let mut j = i;
     // Optional b/c prefix before r.
     if b[j] == b'b' || b[j] == b'c' {
@@ -319,18 +315,18 @@ fn string_prefix_end(b: &[u8], i: usize) -> Option<(usize, bool)> {
                     if b[close..].len() >= hashes
                         && b[close..close + hashes].iter().all(|&c| c == b'#')
                     {
-                        return Some((close + hashes, true));
+                        return Some(close + hashes);
                     }
                 }
                 j += 1;
             }
-            return Some((b.len(), true));
+            return Some(b.len());
         }
         return None; // `r` not followed by a string — a raw ident or plain ident
     }
     // b"…" / c"…" (non-raw).
     if j > i && j < b.len() && b[j] == b'"' {
-        return Some((dquote_end(b, j), false));
+        return Some(dquote_end(b, j));
     }
     None
 }

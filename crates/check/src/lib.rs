@@ -10,48 +10,26 @@
 //!   byte accesses with no grant-release→acquire, revocation-flush, or
 //!   collective edge between them.
 //! * [`lockorder`] — [`OrderedMutex`], a drop-in mutex wrapper that
-//!   feeds a global runtime lock-order graph with cycle detection
-//!   (debug/test builds only; release builds compile to a plain mutex).
-//! * [`lint`] — the `lintcheck` source gate: token-level rules R1–R3
+//!   feeds a global runtime lock-order graph with cycle detection, and
+//!   [`assert_may_wait`], which rejects a lock held where a thread waits
+//!   for another (debug/test builds only; release builds compile both to
+//!   a plain mutex and nothing).
+//! * [`lint`] — the `lintcheck` source gate over [`lexer`] tokens: R1–R3
 //!   (no `unwrap`/`expect` on fault-reachable paths, no bare `Mutex` in
-//!   pfs, no unjustified `Ordering::Relaxed`) plus stale-allowlist
-//!   detection.
-//! * [`lexer`] / [`scopes`] / [`lockgraph`] — the static concurrency
-//!   analyzer: a dependency-free token-level Rust lexer, guard-lifetime
-//!   inference, and the R4–R6 analyses (guard held across a blocking
-//!   call; silently dropped fault-path `Result`s; a statically extracted
-//!   lock-order graph checked for acyclicity, rank respect, and
-//!   runtime-edge coverage).
+//!   pfs, no unjustified `Ordering::Relaxed`), R5 (no silently dropped
+//!   `Result`) and stale-allowlist detection.
 
 pub mod hb;
 pub mod lexer;
 pub mod lint;
-pub mod lockgraph;
 pub mod lockorder;
-pub mod scopes;
 
 pub use hb::{check_chrome_json, check_events, write_accesses, AccessSite, Finding, HbReport};
 pub use lint::{
-    check_workspace, lint_source, lint_workspace, parse_allowlist, workspace_sources, AllowEntry,
-    LintDiag, WorkspaceReport,
-};
-pub use lockgraph::{
-    analyze_sources, analyze_workspace, StaticAnalysis, StaticEdge, BLOCKING_SEEDS,
+    check_workspace, lint_source, parse_allowlist, workspace_sources, AllowEntry, LintDiag,
+    WorkspaceReport,
 };
 pub use lockorder::{
-    global_edges, CycleReport, LockEdge, LockOrderGraph, OrderedMutex, OrderedMutexGuard, Registry,
+    assert_may_wait, global_edges, CycleReport, LockEdge, LockOrderGraph, OrderedMutex,
+    OrderedMutexGuard, Registry,
 };
-
-use atomio_trace::json::Value;
-
-/// A top-level member `"key": [...]` of the lock-graph reports, one
-/// object per line (the layout `tests/golden/static_report.json` pins).
-fn json_list(key: &str, rows: impl IntoIterator<Item = Value>) -> String {
-    let rows: Vec<String> = rows.into_iter().map(|r| format!("    {r}")).collect();
-    let mut s = format!("  {}: [\n", Value::from(key));
-    if !rows.is_empty() {
-        s += &rows.join(",\n");
-        s.push('\n');
-    }
-    s + "  ]"
-}

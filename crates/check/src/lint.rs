@@ -12,29 +12,34 @@
 //! * **R3 — no `Ordering::Relaxed` outside the allowlist.** A relaxed
 //!   cross-thread flag is how the PR 5 coherence bug family starts; every
 //!   surviving use must be justified in `lintcheck.allow`.
+//! * **R5 — no silently dropped `Result`.** A statement-final call whose
+//!   value nothing binds, `?`s or returns (`self.try_x(…);`,
+//!   `let _ = …;`) discards the error path the `try_`/`FsError` plumbing
+//!   exists for, when the callee is `try_*`, or is called on a path
+//!   (`self.f(…)`, `Type::f(…)`) and every workspace `fn` of that name is
+//!   declared `-> Result<`.
 //!
-//! R1–R3 run over [`crate::lexer`] token streams, so string literals
+//! The rules run over [`crate::lexer`] token streams, so string literals
 //! (raw, byte, any `#` depth), nested block comments, and doc comments
-//! can never false-positive, and `#[cfg(test)]` regions are excluded on
-//! the token level. The original line [`Stripper`] survives, fixed, as
-//! the reference the lexer is cross-checked against on a corpus of
-//! tricky snippets.
+//! can never false-positive, and `#[test]`/`#[cfg(test)]` items are
+//! excluded on the token level.
 //!
-//! [`check_workspace`] is the full gate: R1–R3 here, R4–R6 from
-//! [`crate::lockgraph`], plus **stale-allowlist detection** — every
-//! `lintcheck.allow` entry must suppress at least one diagnostic, so
-//! dead suppressions rot loudly.
+//! [`check_workspace`] is the full gate: the rules plus
+//! **stale-allowlist detection** — every `lintcheck.allow` entry must
+//! suppress at least one diagnostic, so dead suppressions rot loudly.
+//! Lock holds are checked where a thread really waits, at runtime
+//! ([`crate::assert_may_wait`]), and lock order on every acquisition
+//! ([`crate::OrderedMutex`]).
 //!
 //! Allowlist format (`lintcheck.allow` at the repo root): one
 //! `path-suffix :: substring` per line; a diagnostic is suppressed if
 //! its path ends with the suffix and its source line contains the
 //! substring.
 
-use crate::lexer::TokKind;
-use crate::lockgraph::{self, StaticAnalysis};
-use crate::scopes;
-use std::collections::HashSet;
+use crate::lexer::{lex, Tok, TokKind};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::io;
 use std::path::{Path, PathBuf};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,150 +118,214 @@ fn is_pfs_src(path: &str) -> bool {
     path.contains("crates/pfs/src/")
 }
 
-/// Strip comments and string literals from one line, tracking multi-line
-/// state. This is the legacy line-based reference implementation; the
-/// live rules run on [`crate::lexer`], and a corpus test keeps the two
-/// in agreement. Handles nested `/* /* */ */` block comments (depth
-/// counted, not a boolean) and raw strings `r#"…"#` at any `#` depth
-/// (where backslashes do *not* escape), including multi-line ones.
-#[derive(Default)]
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) struct Stripper {
-    /// Nesting depth of block comments (`/* /* */ */` needs two closes).
-    block_depth: usize,
-    /// Inside a multi-line plain string?
-    in_str: bool,
-    /// Inside a multi-line raw string, with this many closing `#`s.
-    in_raw: Option<usize>,
+/// One lexed source file and which of its tokens sit inside a `#[test]`
+/// or `#[cfg(test)]` item (the rules skip those).
+struct Lexed {
+    toks: Vec<Tok>,
+    in_test: Vec<bool>,
 }
 
-impl Stripper {
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn strip(&mut self, line: &str) -> String {
-        let b = line.as_bytes();
-        let mut out = String::with_capacity(line.len());
+impl Lexed {
+    fn new(text: &str) -> Lexed {
+        let toks = lex(text);
+        let mut in_test = vec![false; toks.len()];
         let mut i = 0;
-        while i < b.len() {
-            if self.block_depth > 0 {
-                if b[i..].starts_with(b"*/") {
-                    self.block_depth -= 1;
-                    i += 2;
-                } else if b[i..].starts_with(b"/*") {
-                    self.block_depth += 1;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-                out.push(' ');
-                continue;
-            }
-            if self.in_str {
-                match b[i] {
-                    b'\\' => i += 2,
-                    b'"' => {
-                        self.in_str = false;
-                        i += 1;
-                        out.push('"');
-                        continue;
-                    }
-                    _ => i += 1,
-                }
-                out.push(' ');
-                continue;
-            }
-            if let Some(hashes) = self.in_raw {
-                if b[i] == b'"'
-                    && b[i + 1..].len() >= hashes
-                    && b[i + 1..i + 1 + hashes].iter().all(|&c| c == b'#')
-                {
-                    self.in_raw = None;
-                    i += 1 + hashes;
-                    out.push('"');
-                } else {
-                    i += 1;
-                    out.push(' ');
-                }
-                continue;
-            }
-            // Raw string openers: r", r#…#", br", cr#…
-            if b[i] == b'r' || b[i] == b'b' || b[i] == b'c' {
-                let mut j = i;
-                if b[j] != b'r' {
-                    j += 1;
-                }
-                if j < b.len() && b[j] == b'r' {
-                    let mut k = j + 1;
-                    let mut hashes = 0usize;
-                    while k < b.len() && b[k] == b'#' {
-                        hashes += 1;
-                        k += 1;
-                    }
-                    if k < b.len() && b[k] == b'"' {
-                        // Don't treat an identifier ending in r (e.g.
-                        // `var"…`? not valid Rust) — a raw string opener
-                        // can't follow an ident char.
-                        let prev_ident =
-                            i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_');
-                        if !prev_ident {
-                            self.in_raw = Some(hashes);
-                            i = k + 1;
-                            out.push('"');
-                            continue;
-                        }
-                    }
+        while i + 1 < toks.len() {
+            if toks[i].is_punct("#") && toks[i + 1].is_punct("[") {
+                let close = close_of(&toks, i + 1);
+                let attr = toks.get(i + 2..close).unwrap_or_default();
+                let first = |name| attr.first().is_some_and(|t| t.is_ident(name));
+                if first("test") || (first("cfg") && attr.iter().any(|t| t.is_ident("test"))) {
+                    let end = item_end(&toks, close + 1);
+                    in_test[i..=end].fill(true);
+                    i = end;
                 }
             }
-            match b[i] {
-                b'/' if b[i..].starts_with(b"//") => break, // line comment
-                b'/' if b[i..].starts_with(b"/*") => {
-                    self.block_depth = 1;
-                    i += 2;
-                    out.push(' ');
-                }
-                b'"' => {
-                    i += 1;
-                    out.push('"');
-                    self.in_str = true;
-                    while i < b.len() {
-                        match b[i] {
-                            b'\\' => i += 2,
-                            b'"' => {
-                                i += 1;
-                                self.in_str = false;
-                                break;
-                            }
-                            _ => i += 1,
-                        }
-                    }
-                    if !self.in_str {
-                        out.push('"');
-                    }
-                }
-                b'\'' if i + 2 < b.len() && (b[i + 1] == b'\\' || b[i + 2] == b'\'') => {
-                    // char literal ('x' or '\n'); lifetimes ('a) fall through
-                    i += 1; // opening quote
-                    while i < b.len() && b[i] != b'\'' {
-                        i += if b[i] == b'\\' { 2 } else { 1 };
-                    }
-                    i += 1;
-                    out.push(' ');
-                }
-                c => {
-                    out.push(c as char);
-                    i += 1;
-                }
-            }
+            i += 1;
         }
-        out
+        Lexed { toks, in_test }
+    }
+
+    /// Every non-test `fn` item: its name and whether it is declared
+    /// `-> Result<` (a path ending in `Result`, so `io::Result<` counts).
+    fn fns(&self) -> impl Iterator<Item = (&str, bool)> {
+        let toks = &self.toks;
+        (1..toks.len())
+            .filter(|&i| toks[i - 1].is_ident("fn") && !self.in_test[i])
+            .map(|i| {
+                (
+                    toks[i].text.as_str(),
+                    returns_result(toks, i).unwrap_or(false),
+                )
+            })
     }
 }
 
-/// Token-level R1–R3 over one file. Returns diagnostics *not* matched by
+/// Whether the `fn` named at `name` is declared `-> Result<`.
+fn returns_result(toks: &[Tok], name: usize) -> Option<bool> {
+    let mut j = name + 1;
+    if toks.get(j)?.is_punct("<") {
+        let mut depth = 0i32;
+        loop {
+            depth += match toks.get(j)?.text.as_str() {
+                "<" => 1,
+                ">" => -1,
+                ">>" => -2,
+                _ => 0,
+            };
+            j += 1;
+            if depth <= 0 {
+                break;
+            }
+        }
+    }
+    if !toks.get(j)?.is_punct("(") {
+        return None;
+    }
+    let mut k = close_of(toks, j) + 1;
+    if !toks.get(k)?.is_punct("->") {
+        return None;
+    }
+    k += 1;
+    while toks.get(k + 1).is_some_and(|t| t.is_punct("::")) {
+        k += 2;
+    }
+    Some(toks.get(k)?.is_ident("Result") && toks.get(k + 1)?.is_punct("<"))
+}
+
+/// Names whose every workspace `fn` is declared `-> Result<`: a name
+/// some definition gives another type (`ClientCache::read`) is ambiguous
+/// from tokens, so R5 leaves it to `try_*` naming.
+fn fallible_names<'a>(srcs: impl IntoIterator<Item = &'a Lexed>) -> HashSet<&'a str> {
+    let mut all: HashMap<&str, bool> = HashMap::new();
+    for (name, result) in srcs.into_iter().flat_map(Lexed::fns) {
+        *all.entry(name).or_insert(true) &= result;
+    }
+    all.into_iter()
+        .filter(|&(_, r)| r)
+        .map(|(n, _)| n)
+        .collect()
+}
+
+fn opens(t: &Tok) -> bool {
+    t.kind == TokKind::Punct && matches!(t.text.as_str(), "(" | "[" | "{")
+}
+
+fn closes(t: &Tok) -> bool {
+    t.kind == TokKind::Punct && matches!(t.text.as_str(), ")" | "]" | "}")
+}
+
+/// The bracket closing the one opened at `open` (the last token if none).
+fn close_of(toks: &[Tok], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        if opens(t) {
+            depth += 1;
+        } else if closes(t) {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
+    }
+    toks.len() - 1
+}
+
+/// The bracket opening the one closed at `close` (the first token if none).
+fn open_of(toks: &[Tok], close: usize) -> usize {
+    let mut depth = 0usize;
+    for i in (0..=close).rev() {
+        if closes(&toks[i]) {
+            depth += 1;
+        } else if opens(&toks[i]) {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
+    }
+    0
+}
+
+/// The `;` or closing `}` that ends the item starting at `start`.
+fn item_end(toks: &[Tok], start: usize) -> usize {
+    let mut i = start;
+    while i < toks.len() {
+        if toks[i].is_punct("{") {
+            return close_of(toks, i);
+        }
+        if toks[i].is_punct(";") {
+            return i;
+        }
+        i = if opens(&toks[i]) {
+            close_of(toks, i)
+        } else {
+            i
+        } + 1;
+    }
+    toks.len() - 1
+}
+
+/// First token of the statement holding `at`: just after the nearest
+/// `;`, `{` or `}` before it at its own depth. `None` inside `(…)` or
+/// `[…]` (`vec![x; n]`), where a `;` ends no statement.
+fn stmt_start(toks: &[Tok], at: usize) -> Option<usize> {
+    let mut i = at;
+    while i > 0 {
+        let t = &toks[i - 1];
+        if t.is_punct(";") || t.is_punct("{") || t.is_punct("}") {
+            return Some(i);
+        }
+        if opens(t) {
+            return None;
+        }
+        i = if closes(t) {
+            open_of(toks, i - 1)
+        } else {
+            i - 1
+        };
+    }
+    Some(0)
+}
+
+/// Name tokens of statement-final calls `name(…);` whose value nothing
+/// binds, `?`s or returns: the statement does not open with `let x`,
+/// `return` or `break`, and assigns nothing (`let _ =` binds nothing).
+fn dropped_calls(toks: &[Tok]) -> impl Iterator<Item = usize> + '_ {
+    (2..toks.len()).filter_map(|semi| {
+        if !toks[semi].is_punct(";") || !toks[semi - 1].is_punct(")") {
+            return None;
+        }
+        let name = open_of(toks, semi - 1).checked_sub(1)?;
+        if toks[name].kind != TokKind::Ident || name > 0 && toks[name - 1].is_ident("fn") {
+            return None;
+        }
+        let stmt = &toks[stmt_start(toks, name)?..name];
+        let used = match stmt.first() {
+            Some(t) if t.is_ident("return") || t.is_ident("break") => true,
+            Some(t) if t.is_ident("let") => !(stmt.len() > 2 && stmt[1].is_ident("_")),
+            _ => stmt.iter().any(|t| {
+                t.kind == TokKind::Punct
+                    && t.text.ends_with('=')
+                    && !matches!(t.text.as_str(), "==" | "!=" | "<=" | ">=")
+            }),
+        };
+        (!used).then_some(name)
+    })
+}
+
+/// The token rules over one file. Returns diagnostics *not* matched by
 /// the allowlist; matched entries are flagged in `used`.
-fn lint_tokens(path: &str, text: &str, allow: &[AllowEntry], used: &mut [bool]) -> Vec<LintDiag> {
-    let model = scopes::analyze(text, &HashSet::new());
+fn lint_tokens(
+    path: &str,
+    text: &str,
+    src: &Lexed,
+    fallible: &HashSet<&str>,
+    allow: &[AllowEntry],
+    used: &mut [bool],
+) -> Vec<LintDiag> {
     let lines: Vec<&str> = text.lines().collect();
-    let toks = &model.toks;
+    let toks = &src.toks;
     let mut diags = Vec::new();
     let mut push = |line: u32, rule: &'static str, message: String| {
         let source = lines
@@ -280,7 +349,7 @@ fn lint_tokens(path: &str, text: &str, allow: &[AllowEntry], used: &mut [bool]) 
         }
     };
     for (i, t) in toks.iter().enumerate() {
-        if model.test_mask[i] || t.kind != TokKind::Ident {
+        if src.in_test[i] || t.kind != TokKind::Ident {
             continue;
         }
         let prev_dot = i > 0 && toks[i - 1].is_punct(".");
@@ -327,19 +396,43 @@ fn lint_tokens(path: &str, text: &str, allow: &[AllowEntry], used: &mut [bool]) 
             _ => {}
         }
     }
+    for i in dropped_calls(toks) {
+        let t = &toks[i];
+        // A fallible name counts on a path receiver only (`self.f(…)`,
+        // `Type::f(…)`): a bare call may be a local closure, and a chained
+        // call's receiver type is unknown.
+        let on_path = i >= 2
+            && (toks[i - 1].is_punct(".") || toks[i - 1].is_punct("::"))
+            && toks[i - 2].kind == TokKind::Ident;
+        if !src.in_test[i]
+            && (t.text.starts_with("try_") || on_path && fallible.contains(t.text.as_str()))
+        {
+            push(
+                t.line,
+                "R5",
+                format!(
+                    "result of fallible `{}` silently dropped — handle, `?`, or bind it",
+                    t.text
+                ),
+            );
+        }
+    }
     diags
 }
 
-/// Lint one file's source text (R1–R3). `path` is the repo-relative path
-/// used in diagnostics and rule scoping.
+/// Lint one file's source text. `path` is the repo-relative path used in
+/// diagnostics and rule scoping; R5 knows the `-> Result<` fns of this
+/// file only.
 pub fn lint_source(path: &str, text: &str, allow: &[AllowEntry]) -> Vec<LintDiag> {
+    let src = Lexed::new(text);
+    let fallible = fallible_names([&src]);
     let mut used = vec![false; allow.len()];
-    lint_tokens(path, text, allow, &mut used)
+    lint_tokens(path, text, &src, &fallible, allow, &mut used)
 }
 
-/// Collect the `.rs` files the analyses apply to: `crates/*/src` and
+/// Collect the `.rs` files the rules apply to: `crates/*/src` and
 /// `src/`, skipping `shims/`, `target/`, and `tests/` trees.
-pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub fn workspace_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut roots = vec![root.join("src")];
     if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
@@ -356,7 +449,7 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
@@ -368,68 +461,45 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// `(repo-relative path, source text)` pairs, the unit the analyses eat.
-type SourceFiles = Vec<(String, String)>;
+/// The full workspace gate: the token rules and stale-allowlist detection.
+pub struct WorkspaceReport {
+    /// Unsuppressed diagnostics, plus one `stale-allow` per unused entry.
+    pub diags: Vec<LintDiag>,
+    /// Allowlist entries that suppressed nothing.
+    pub unused_allow: Vec<AllowEntry>,
+}
 
-fn read_workspace(root: &Path) -> std::io::Result<(Vec<AllowEntry>, SourceFiles)> {
-    let allow = match std::fs::read_to_string(root.join("lintcheck.allow")) {
-        Ok(text) => parse_allowlist(&text),
-        Err(_) => Vec::new(),
-    };
+/// Run the gate over a repo checkout. A root without `lintcheck.allow`
+/// or without Rust sources under `crates/` is an error, not a clean
+/// scan of nothing.
+pub fn check_workspace(root: &Path) -> io::Result<WorkspaceReport> {
+    let allow_path = root.join("lintcheck.allow");
+    let allow = std::fs::read_to_string(&allow_path)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", allow_path.display())))?;
+    let allow = parse_allowlist(&allow);
+    let paths = workspace_sources(root)?;
+    if !paths.iter().any(|p| p.starts_with(root.join("crates"))) {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("no Rust sources under {}", root.join("crates").display()),
+        ));
+    }
     let mut files = Vec::new();
-    for file in workspace_sources(root)? {
+    for file in paths {
         let rel = file
             .strip_prefix(root)
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        files.push((rel, std::fs::read_to_string(&file)?));
+        let text = std::fs::read_to_string(&file)?;
+        let src = Lexed::new(&text);
+        files.push((rel, text, src));
     }
-    Ok((allow, files))
-}
-
-/// Run R1–R3 over a repo checkout (back-compat entry point; the full
-/// gate is [`check_workspace`]). Reads `lintcheck.allow` at the root if
-/// present.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<LintDiag>> {
-    let (allow, files) = read_workspace(root)?;
+    let fallible = fallible_names(files.iter().map(|(_, _, src)| src));
     let mut used = vec![false; allow.len()];
     let mut diags = Vec::new();
-    for (rel, text) in &files {
-        diags.extend(lint_tokens(rel, text, &allow, &mut used));
-    }
-    Ok(diags)
-}
-
-/// The full workspace gate: R1–R3, the static concurrency analyses
-/// R4–R6, and stale-allowlist detection.
-pub struct WorkspaceReport {
-    /// Unsuppressed diagnostics, R1–R6 plus `stale-allow`.
-    pub diags: Vec<LintDiag>,
-    /// Allowlist entries that suppressed nothing.
-    pub unused_allow: Vec<AllowEntry>,
-    /// The static analysis (lock classes, edge graph) for reporting.
-    pub analysis: StaticAnalysis,
-}
-
-/// Run everything over a repo checkout.
-pub fn check_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
-    let (allow, files) = read_workspace(root)?;
-    let mut used = vec![false; allow.len()];
-    let mut diags = Vec::new();
-    for (rel, text) in &files {
-        diags.extend(lint_tokens(rel, text, &allow, &mut used));
-    }
-    let analysis = lockgraph::analyze_sources(&files);
-    for d in &analysis.diags {
-        match allow_match(&allow, &d.path, &d.source) {
-            Some(idx) => {
-                if let Some(u) = used.get_mut(idx) {
-                    *u = true;
-                }
-            }
-            None => diags.push(d.clone()),
-        }
+    for (rel, text, src) in &files {
+        diags.extend(lint_tokens(rel, text, src, &fallible, &allow, &mut used));
     }
     let unused_allow: Vec<AllowEntry> = allow
         .iter()
@@ -452,7 +522,6 @@ pub fn check_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     Ok(WorkspaceReport {
         diags,
         unused_allow,
-        analysis,
     })
 }
 
@@ -511,6 +580,49 @@ fn h() { y.unwrap(); }
     }
 
     #[test]
+    fn test_fns_and_cfg_test_items_are_exempt_to_their_end() {
+        let src = "\
+#[test]
+#[should_panic(expected = \"}\")]
+fn t() { if a { x.unwrap(); } x.unwrap(); }
+#[cfg(all(test, unix))]
+const C: u8 = y.unwrap();
+fn h() { z.unwrap(); }
+";
+        let diags = lint_source("crates/pfs/src/journal.rs", src, &[]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].line, 6);
+    }
+
+    #[test]
+    fn r5_flags_dropped_results_only() {
+        let src = "\
+trait T { fn try_decl(&self); }
+impl M {
+    fn try_sync(&self) -> Result<(), E> { Ok(()) }
+    fn settle<F: Fn() -> u8>(&self, f: F) -> io::Result<u8> { Ok(f()) }
+    fn f(&self) -> Result<(), E> {
+        self.try_sync();
+        let _ = self.settle(g);
+        self.settle(|| 1);
+        self.try_sync()?;
+        let r = self.settle(g);
+        self.last = self.try_sync();
+        self.other.try_flush(2).unwrap();
+        log!(self.try_sync());
+        return self.try_sync();
+    }
+}
+#[cfg(test)]
+mod tests { fn t(m: M) { m.try_sync(); } }
+";
+        let diags = lint_source("crates/x/src/a.rs", src, &[]);
+        let got: Vec<_> = diags.iter().map(|d| (d.rule, d.line)).collect();
+        assert_eq!(got, vec![("R5", 6), ("R5", 7), ("R5", 8)], "{diags:?}");
+        assert!(diags[0].message.contains("`try_sync`"));
+    }
+
+    #[test]
     fn r2_flags_bare_mutex_but_not_ordered_or_guard() {
         let diags = lint_source(
             "crates/pfs/src/lock.rs",
@@ -544,72 +656,57 @@ fn h() { y.unwrap(); }
         );
     }
 
-    /// Corpus of tricky snippets: the fixed line [`Stripper`] and the
-    /// token lexer must agree on which probe substrings survive
-    /// comment/string removal.
+    /// Tricky snippets and which rule probes survive comment and string
+    /// removal: `(snippet, .unwrap(), Mutex<, Ordering::Relaxed)`.
     #[test]
-    fn stripper_and_lexer_agree_on_corpus() {
-        let corpus: &[&str] = &[
-            "x.unwrap();",
-            "// x.unwrap()",
-            "/* x.unwrap() */",
-            "/* outer /* inner */ x.unwrap() */ y",
-            "/* outer /* inner */ still */ x.unwrap();",
-            "let s = \"x.unwrap()\";",
-            "let s = r\"x.unwrap()\";",
-            "let s = r#\"quote \" x.unwrap()\"#;",
-            "let s = r##\"deep \"# x.unwrap()\"##;",
-            "let s = br#\"bytes x.unwrap()\"#;",
-            "let s = r#\"multi\nline x.unwrap()\nstill\"#; y.unwrap();",
-            "let s = \"multi \\\n line\"; x.unwrap();",
-            "let c = '\"'; x.unwrap();",
-            "let c = '\\''; x.unwrap();",
-            "state: Mutex<State>,",
-            "let s = \"Mutex<\";",
-            "let s = r#\"Mutex< Ordering::Relaxed\"#;",
-            "c.fetch_add(1, Ordering::Relaxed);",
-            "/* Ordering::Relaxed */ let x = 1;",
+    fn only_code_reaches_the_rules_on_a_tricky_corpus() {
+        let corpus: &[(&str, bool, bool, bool)] = &[
+            ("x.unwrap();", true, false, false),
+            ("// x.unwrap()", false, false, false),
+            ("/* x.unwrap() */", false, false, false),
+            ("/* outer /* inner */ x.unwrap() */ y", false, false, false),
+            (
+                "/* outer /* inner */ still */ x.unwrap();",
+                true,
+                false,
+                false,
+            ),
+            ("let s = \"x.unwrap()\";", false, false, false),
+            ("let s = r\"x.unwrap()\";", false, false, false),
+            ("let s = r#\"quote \" x.unwrap()\"#;", false, false, false),
+            ("let s = r##\"deep \"# x.unwrap()\"##;", false, false, false),
+            ("let s = br#\"bytes x.unwrap()\"#;", false, false, false),
+            (
+                "let s = r#\"multi\nline x.unwrap()\nstill\"#; y.unwrap();",
+                true,
+                false,
+                false,
+            ),
+            (
+                "let s = \"multi \\\n line\"; x.unwrap();",
+                true,
+                false,
+                false,
+            ),
+            ("let c = '\"'; x.unwrap();", true, false, false),
+            ("let c = '\\''; x.unwrap();", true, false, false),
+            ("state: Mutex<State>,", false, true, false),
+            ("let s = \"Mutex<\";", false, false, false),
+            (
+                "let s = r#\"Mutex< Ordering::Relaxed\"#;",
+                false,
+                false,
+                false,
+            ),
+            ("c.fetch_add(1, Ordering::Relaxed);", false, false, true),
+            ("/* Ordering::Relaxed */ let x = 1;", false, false, false),
         ];
-        for snippet in corpus {
-            // Stripper view: concatenated stripped lines.
-            let mut st = Stripper::default();
-            let stripped: String = snippet
-                .lines()
-                .map(|l| st.strip(l))
-                .collect::<Vec<_>>()
-                .join("\n");
-            // Lexer view: does the token stream contain the pattern?
+        for &(snippet, unwrap, mutex, relaxed) in corpus {
             let toks = crate::lexer::lex(snippet);
-            let tok_has = |name: &str| toks.iter().any(|t| t.is_ident(name));
-            assert_eq!(
-                stripped.contains(".unwrap()"),
-                tok_has("unwrap"),
-                "unwrap disagreement on {snippet:?}: stripped={stripped:?}"
-            );
-            assert_eq!(
-                stripped.contains("Mutex<"),
-                toks.iter().enumerate().any(|(i, t)| {
-                    t.is_ident("Mutex") && toks.get(i + 1).is_some_and(|n| n.is_punct("<"))
-                }),
-                "Mutex disagreement on {snippet:?}: stripped={stripped:?}"
-            );
-            assert_eq!(
-                stripped.contains("Ordering::Relaxed"),
-                tok_has("Relaxed"),
-                "Relaxed disagreement on {snippet:?}: stripped={stripped:?}"
-            );
+            let seq = |a: &str, b: &str| toks.windows(2).any(|w| w[0].text == a && w[1].text == b);
+            let got = (seq("unwrap", "("), seq("Mutex", "<"), seq("::", "Relaxed"));
+            assert_eq!(got, (unwrap, mutex, relaxed), "{snippet:?}");
         }
-    }
-
-    #[test]
-    fn stripper_handles_multiline_raw_string() {
-        let mut st = Stripper::default();
-        let l1 = st.strip("let s = r#\"begin");
-        let l2 = st.strip("x.unwrap() inside");
-        let l3 = st.strip("end\"#; y.unwrap();");
-        assert!(!l1.contains("unwrap"));
-        assert!(!l2.contains("unwrap"), "{l2:?}");
-        assert!(l3.contains("y.unwrap()"), "{l3:?}");
     }
 
     #[test]

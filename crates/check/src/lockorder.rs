@@ -1,6 +1,6 @@
 //! Runtime lock-order analysis: a thin ordered wrapper around the
 //! `parking_lot` mutex plus a process-wide lock-order graph with cycle
-//! detection.
+//! detection, and the hold check at host waits ([`assert_may_wait`]).
 //!
 //! Every [`OrderedMutex`] belongs to a named **class** (all per-handle
 //! cache mutexes are one class, all lock-manager state mutexes another).
@@ -333,6 +333,38 @@ impl<T: ?Sized> Drop for OrderedMutexGuard<'_, T> {
     }
 }
 
+/// Debug builds: panic unless every class this thread holds is in
+/// `allowed`. Call it where a thread is about to wait in *host* time for
+/// another thread to act (a condvar that thread signals): a class held
+/// there that the other thread needs first is a deadlock on any schedule
+/// that reaches it. The panic names each offending class, where it was
+/// locked, the wait `site` and its caller. Release builds compile it to
+/// nothing.
+#[track_caller]
+#[inline]
+pub fn assert_may_wait(site: &str, allowed: &[&str]) {
+    #[cfg(debug_assertions)]
+    {
+        let caller = Location::caller();
+        tracking::HELD.with(|held| {
+            let bad: Vec<String> = held
+                .borrow()
+                .iter()
+                .filter(|h| !allowed.contains(&h.class))
+                .map(|h| format!("{} (locked at {})", h.class, h.site))
+                .collect();
+            if !bad.is_empty() {
+                panic!(
+                    "lock held across a host wait: {} held at the {site} ({caller})",
+                    bad.join(", ")
+                );
+            }
+        });
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = (site, allowed);
+}
+
 /// Snapshot of the process-wide discovered lock-order edges (diagnostics
 /// and tests). Empty in release builds.
 pub fn global_edges() -> Vec<LockEdge> {
@@ -350,10 +382,9 @@ pub fn global_edges() -> Vec<LockEdge> {
     }
 }
 
-/// Access to the runtime-discovered lock-order graph as exportable data:
-/// the bridge between the runtime engine and the static analyzer's R6
-/// cross-validation (`tests/check_static.rs` asserts every edge any
-/// schedule discovered is also statically derived).
+/// Access to the runtime-discovered lock-order graph as exportable data
+/// (`tests/check_lockorder.rs` asserts every edge a lock-driven workload
+/// discovers climbs the declared rank chain).
 pub struct Registry;
 
 impl Registry {
@@ -372,10 +403,13 @@ impl Registry {
             Self::edges().iter().map(|e| (e.from, e.to)).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let edges = pairs
+        // One edge object per line.
+        let rows: Vec<String> = pairs
             .into_iter()
-            .map(|(from, to)| atomio_trace::object! {"from": from, "to": to});
-        format!("{{\n{}\n}}\n", crate::json_list("edges", edges))
+            .map(|(from, to)| format!("    {}", atomio_trace::object! {"from": from, "to": to}))
+            .collect();
+        let end = if rows.is_empty() { "" } else { "\n" };
+        format!("{{\n  \"edges\": [\n{}{end}  ]\n}}\n", rows.join(",\n"))
     }
 }
 
@@ -469,6 +503,34 @@ mod tests {
             "{json}"
         );
         assert!(json.ends_with("\"}\n  ]\n}\n"), "{json}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn held_class_at_a_wait_panics_with_class_and_sites() {
+        let err = std::thread::spawn(|| {
+            let own = OrderedMutex::new("t.wait_own", ());
+            let other = OrderedMutex::new("t.wait_other", ());
+            let _g = other.lock();
+            let _h = own.lock();
+            assert_may_wait("test wait", &["t.wait_own"]);
+        })
+        .join()
+        .expect_err("must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("t.wait_other (locked at"), "{msg}");
+        assert!(!msg.contains("t.wait_own"), "allowed class named: {msg}");
+        assert!(msg.contains("test wait"), "{msg}");
+        assert!(msg.contains("lockorder.rs"), "sites named: {msg}");
+    }
+
+    #[test]
+    fn allowed_and_released_classes_may_wait() {
+        let own = OrderedMutex::new("t.wait_ok", ());
+        let other = OrderedMutex::new("t.wait_dropped", ());
+        drop(other.lock());
+        let _g = own.lock();
+        assert_may_wait("test wait", &["t.wait_ok"]);
     }
 
     #[test]

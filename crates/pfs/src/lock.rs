@@ -69,7 +69,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use atomio_check::OrderedMutex;
+use atomio_check::{assert_may_wait, OrderedMutex};
 use atomio_interval::{IntervalSet, StridedSet};
 use atomio_vtime::{fanout_ns, VNanos};
 use parking_lot::Condvar;
@@ -317,6 +317,9 @@ impl LockManager {
         let mode = self.fold(mode);
         let slices = self.slices(set);
         let mut st = self.state.lock();
+        // Only the holder's release admits this request: hold nothing it
+        // may need, whether or not this call ends up waiting.
+        assert_may_wait("lock admission wait", lockclass::ADMISSION_WAIT);
         // All-or-nothing across every touched domain: two requests conflict
         // iff some domain slice conflicts, and slicing partitions the byte
         // set, so whole-set overlap is the same test.
@@ -636,6 +639,31 @@ mod tests {
     #[test]
     fn lockless_platform_has_no_manager() {
         assert!(LockManager::new(&profile(LockKind::None, 0, 0), None).is_none());
+    }
+
+    /// A class held into a contended acquisition panics before the
+    /// admission wait, naming the class, where it was locked and the wait.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn guard_held_across_a_contended_acquire_panics() {
+        let m = Arc::new(mgr(Central, 10, 0));
+        let holder = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+        let m2 = Arc::clone(&m);
+        let err = std::thread::spawn(move || {
+            // A leaf class: any ranked one would trip the rank check first.
+            let pending = lockclass::server_pending(());
+            let _g = pending.lock();
+            m2.acquire_set(1, &range(50, 150), Exclusive, 0);
+        })
+        .join()
+        .expect_err("must panic instead of waiting under another mutex");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("pfs.server_pending (locked at crates/pfs/src/lock.rs"),
+            "{msg}"
+        );
+        assert!(msg.contains("lock admission wait"), "{msg}");
+        m.release(holder.id, 100);
     }
 
     // ------------------------------------------------- every preset alike

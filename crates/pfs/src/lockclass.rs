@@ -45,6 +45,25 @@ pub(crate) fn coverage<T>(value: T) -> OrderedMutex<T> {
     OrderedMutex::with_rank("pfs.coverage", 22, value)
 }
 
+/// What a thread may hold where it waits in host time for another thread
+/// ([`atomio_check::assert_may_wait`], debug builds). Each list opens
+/// with the condvar's own class, which the wait releases; every other
+/// entry is a class the test suite holds there, with the reason the
+/// thread it waits for never needs it.
+///
+/// `LockManager::wait_granted_set`: waits for a conflicting holder's
+/// release.
+pub(crate) const ADMISSION_WAIT: &[&str] = &["pfs.lock_state"];
+/// `ServerSet::try_access`: waits for the client replaying a recovering
+/// server to mark it up.
+pub(crate) const RECOVERY_WAIT: &[&str] = &[
+    "pfs.server_health",
+    // Cached reads, fills and syncs reach the servers under the cache
+    // mutex (the coherence point); the replayer takes only the files
+    // registry, journals and storage before `mark_up`, never a cache.
+    "pfs.cache",
+];
+
 pub(crate) fn files<T>(value: T) -> OrderedMutex<T> {
     OrderedMutex::new("pfs.files", value)
 }

@@ -1,4 +1,4 @@
-use atomio_check::OrderedMutex;
+use atomio_check::{assert_may_wait, OrderedMutex};
 use atomio_interval::ByteRange;
 use atomio_trace::{Category, Tracer, Track};
 use atomio_vtime::{Horizon, ServeCost, VNanos};
@@ -310,6 +310,7 @@ impl ServerSet {
             // for `mark_up` instead. (The recovering thread never comes
             // through here for a server it owns: it goes from
             // `take_recovery_due` straight to replay and `mark_up`.)
+            assert_may_wait("recovering-server wait", lockclass::RECOVERY_WAIT);
             while pieces
                 .iter()
                 .any(|&(server, _)| health[server] == Health::Recovering)
@@ -468,6 +469,39 @@ mod tests {
     fn set() -> ServerSet {
         // 4 servers, 1 KiB stripes, 1 us/op + 1 GB/s.
         ServerSet::new(4, ServeCost::new(1_000, 1.0e9), 1024)
+    }
+
+    /// A class the recovering-server wait does not allow, held into a
+    /// request for a server another client is recovering, panics before
+    /// the wait, naming the class, where it was locked and the wait.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn guard_held_across_a_recovering_server_wait_panics() {
+        let mut s = set();
+        let never = FaultAction::CrashServer {
+            restart: RestartPolicy::Manual,
+        };
+        let plan = FaultPlan::none().with(FaultSite::ServerRequest { server: 3 }, 1_000, never);
+        s.bind_faults(Arc::new(FaultInjector::new(plan)));
+        s.crash(0, RestartPolicy::Manual);
+        assert!(s.begin_recovery(0));
+        let err = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let pending = lockclass::server_pending(());
+                    let _g = pending.lock();
+                    s.try_access(0, ByteRange::at(0, 64), ServerOp::Read)
+                })
+                .join()
+                .expect_err("must panic instead of waiting under another mutex")
+        });
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("pfs.server_pending (locked at crates/pfs/src/server.rs"),
+            "{msg}"
+        );
+        assert!(msg.contains("recovering-server wait"), "{msg}");
+        s.mark_up(0);
     }
 
     #[test]

@@ -277,6 +277,50 @@ mod tests {
         assert_eq!(evs[0].dur, None);
     }
 
+    /// `bind_like` clones the binding out before re-locking. Nesting the
+    /// two slot locks instead deadlocks a self-bind (one shared slot) and
+    /// two threads binding each other crosswise, and no lock-order check
+    /// sees these mutexes, so the test bounds both with a timeout rather
+    /// than hang.
+    #[test]
+    fn bind_like_never_nests_slot_locks() {
+        let sink: Arc<dyn TraceSink> = Arc::new(MemorySink::new());
+        let t = Tracer::bound(Track::Rank(0), Arc::clone(&sink));
+        let a = Tracer::bound(Track::Rank(1), Arc::clone(&sink));
+        let b = Tracer::bound(Track::Rank(2), sink);
+        let crosswise = |x: Tracer, y: Tracer| {
+            move || {
+                for _ in 0..10_000 {
+                    x.bind_like(&y);
+                }
+            }
+        };
+        let jobs: [Box<dyn FnOnce() + Send>; 3] = [
+            Box::new(move || t.bind_like(&t)),
+            Box::new(crosswise(a.clone(), b.clone())),
+            Box::new(crosswise(b, a)),
+        ];
+        let (done, finished) = std::sync::mpsc::channel();
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|job| {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    job();
+                    done.send(()).ok();
+                })
+            })
+            .collect();
+        for _ in 0..handles.len() {
+            finished
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("bind_like deadlocked");
+        }
+        for h in handles {
+            h.join().expect("bind_like thread panicked");
+        }
+    }
+
     #[test]
     fn unbind_stops_recording() {
         let sink = Arc::new(MemorySink::new());

@@ -1,10 +1,95 @@
 //! Lock-order analysis end-to-end: the cycle detector's report is pinned
 //! to a golden file, and a real lock-driven workload registers exactly the
 //! documented class order — the ranked `lock_state → coherence registry →
-//! cache → coverage` chain — with no cycle anywhere in the observed graph.
+//! cache → coverage` chain, as `crates/pfs/src/lockclass.rs` declares it —
+//! with no cycle anywhere in the observed graph.
 
-use atomio::check::{global_edges, LockOrderGraph};
+use atomio::check::lexer::{lex, TokKind};
+use atomio::check::{global_edges, LockOrderGraph, Registry};
 use atomio::prelude::*;
+
+/// The ranked classes `crates/pfs/src/lockclass.rs` declares, read from
+/// its `OrderedMutex::with_rank("class", rank, …)` tokens.
+fn declared_chain() -> Vec<(String, u32)> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/pfs/src/lockclass.rs");
+    let toks = lex(&std::fs::read_to_string(path).expect("lockclass.rs readable"));
+    toks.windows(7)
+        .filter(|w| {
+            w[0].is_ident("OrderedMutex")
+                && w[1].is_punct("::")
+                && w[2].is_ident("with_rank")
+                && w[3].is_punct("(")
+                && w[4].kind == TokKind::Str
+                && w[6].kind == TokKind::Num
+        })
+        .map(|w| {
+            let rank = w[6].text.parse().expect("numeric rank");
+            (w[4].text.trim_matches('"').to_string(), rank)
+        })
+        .collect()
+}
+
+fn rank_of(chain: &[(String, u32)], class: &str) -> Option<u32> {
+    chain.iter().find(|(c, _)| c == class).map(|&(_, r)| r)
+}
+
+/// Two clients on one lock-driven coherent file: exclusive grants whose
+/// conflicting second phase forces a revocation flush of the rival's
+/// write-behind, then shared grants over cached reads, then a sync.
+fn run_lock_driven_workload(name: &str) {
+    let profile = PlatformProfile {
+        lock_kind: LockKind::Distributed,
+        coherence: CoherenceMode::LockDriven,
+        cache: CacheParams {
+            enabled: true,
+            page_size: 1024,
+            read_ahead_pages: 2,
+            write_behind_limit: 1024 * 1024,
+            max_bytes: 4 * 1024 * 1024,
+            mem: atomio::vtime::MemCost::new(1.0e9),
+        },
+        ..PlatformProfile::fast_test()
+    };
+    let fs = FileSystem::new(profile);
+    let mut handles = Vec::new();
+    for client in 0..2usize {
+        let fs = fs.clone();
+        let name = name.to_string();
+        handles.push(std::thread::spawn(move || {
+            let f = fs.open(client, Clock::new(), &name);
+            let r = ByteRange::at(client as u64 * 512, 1024);
+            let g = f.lock(r, LockMode::Exclusive).unwrap();
+            f.try_pwrite(r.start, &vec![client as u8 + 1; 1024])
+                .unwrap();
+            g.release();
+            let g = f.lock(r, LockMode::Shared).unwrap();
+            let mut buf = vec![0u8; 1024];
+            f.try_pread(r.start, &mut buf).unwrap();
+            g.release();
+            f.try_sync().unwrap();
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+}
+
+/// The declared pfs chain (DESIGN.md) is what `lockclass.rs` builds, with
+/// exactly the documented ranks.
+#[test]
+fn declared_pfs_chain_is_in_the_class_table() {
+    let expected: Vec<(String, u32)> = [
+        ("pfs.lock_state", 10),
+        ("pfs.coherence_faults", 11),
+        ("pfs.coherence_registry", 12),
+        ("pfs.cache", 20),
+        ("pfs.coverage", 22),
+    ]
+    .into_iter()
+    .map(|(c, r)| (c.to_string(), r))
+    .collect();
+    assert_eq!(declared_chain(), expected);
+}
 
 /// A three-class cycle assembled directly: A→B and B→C commit, C→A must
 /// be rejected with a report naming the whole chain. The text is pinned
@@ -66,41 +151,7 @@ fn non_cycles_commit_and_are_queryable() {
 /// Debug builds only: release builds compile the tracking out.
 #[test]
 fn pfs_runtime_lock_order_matches_documented_chain() {
-    let profile = PlatformProfile {
-        lock_kind: LockKind::Distributed,
-        coherence: CoherenceMode::LockDriven,
-        cache: CacheParams {
-            enabled: true,
-            page_size: 1024,
-            read_ahead_pages: 2,
-            write_behind_limit: 1024 * 1024,
-            max_bytes: 4 * 1024 * 1024,
-            mem: atomio::vtime::MemCost::new(1.0e9),
-        },
-        ..PlatformProfile::fast_test()
-    };
-    let fs = FileSystem::new(profile);
-    let mut handles = Vec::new();
-    for client in 0..2usize {
-        let fs = fs.clone();
-        handles.push(std::thread::spawn(move || {
-            let f = fs.open(client, Clock::new(), "order");
-            let r = ByteRange::at(client as u64 * 512, 1024);
-            let g = f.lock(r, LockMode::Exclusive).unwrap();
-            f.try_pwrite(r.start, &vec![client as u8 + 1; 1024])
-                .unwrap();
-            g.release();
-            let g = f.lock(r, LockMode::Shared).unwrap();
-            let mut buf = vec![0u8; 1024];
-            f.try_pread(r.start, &mut buf).unwrap();
-            g.release();
-            f.try_sync().unwrap();
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    drop(fs);
+    run_lock_driven_workload("order");
 
     // Release builds compile the tracking out (empty graph): assert only
     // where the instrumentation is live.
@@ -123,6 +174,54 @@ fn pfs_runtime_lock_order_matches_documented_chain() {
             assert!(
                 !saw(e.to, e.from),
                 "observed both {}→{} and its reverse — ordering discipline broken",
+                e.from,
+                e.to
+            );
+        }
+    }
+}
+
+/// Every edge the lock-driven workload discovers between two ranked
+/// classes climbs the chain `lockclass.rs` declares. Debug builds only.
+#[test]
+fn runtime_edges_climb_the_declared_chain() {
+    run_lock_driven_workload("climb");
+    if cfg!(debug_assertions) {
+        let chain = declared_chain();
+        let edges = global_edges();
+        assert!(!edges.is_empty(), "no runtime edges: instrumentation dead?");
+        for e in &edges {
+            if let (Some(rf), Some(rt)) = (rank_of(&chain, e.from), rank_of(&chain, e.to)) {
+                assert!(
+                    rf < rt,
+                    "runtime edge {} ({rf}) -> {} ({rt}) descends the chain",
+                    e.from,
+                    e.to
+                );
+            }
+        }
+    }
+}
+
+/// `Registry::export_json` is deterministic, sorted and site-free, and
+/// every exported edge between two ranked classes goes up in rank.
+#[test]
+fn registry_export_is_deterministic_and_rank_monotone() {
+    // Whatever edges this test binary's workloads registered (the registry
+    // is process-wide); determinism must hold regardless.
+    let a = Registry::export_json();
+    assert_eq!(
+        a,
+        Registry::export_json(),
+        "export must be byte-stable within a process"
+    );
+    atomio::trace::validate_json(&a).unwrap();
+    let chain = declared_chain();
+    for e in Registry::edges() {
+        if let (Some(rf), Some(rt)) = (rank_of(&chain, e.from), rank_of(&chain, e.to)) {
+            assert!(
+                rf < rt,
+                "registry edge {} ({rf}) -> {} ({rt}) descends the chain",
                 e.from,
                 e.to
             );
