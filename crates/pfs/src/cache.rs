@@ -69,14 +69,6 @@ impl CacheParams {
             mem: MemCost::new(1.0e9),
         }
     }
-
-    /// Caching disabled (every access is direct).
-    pub fn disabled() -> Self {
-        CacheParams {
-            enabled: false,
-            ..CacheParams::test_small()
-        }
-    }
 }
 
 /// One client's page cache for one file.

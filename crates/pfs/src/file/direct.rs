@@ -505,7 +505,7 @@ mod tests {
             err,
             FsError::RetriesExhausted {
                 server: 0,
-                attempts: fs.profile().max_retries + 1
+                attempts: MAX_RETRIES + 1
             }
         );
         // Exactly the first k − 1 segments landed: applied, counted, and

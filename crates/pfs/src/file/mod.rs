@@ -430,6 +430,10 @@ fn write_args(bytes: u64, segments: &[(u64, &[u8])]) -> Vec<(&'static str, u64)>
     args
 }
 
+/// Rejected-request retries [`PosixFile::server_rpc`] pays before giving
+/// up with [`FsError::RetriesExhausted`].
+const MAX_RETRIES: u32 = 8;
+
 impl PosixFile {
     pub fn client(&self) -> usize {
         self.client
@@ -538,7 +542,7 @@ impl PosixFile {
                     for s in self.fs.servers.take_recovery_due() {
                         arrival = self.recover_server(s, arrival);
                     }
-                    if attempt >= self.fs.profile.max_retries {
+                    if attempt >= MAX_RETRIES {
                         return Err(FsError::RetriesExhausted {
                             server,
                             attempts: attempt + 1,
@@ -787,12 +791,11 @@ mod tests {
         let f = fs.open(0, Clock::new(), "manual");
         // Stripe unit 4 KiB: offset 4096 homes on server 1.
         let err = f.try_pwrite_direct(4096, &[1u8; 128]).unwrap_err();
-        let max = fs.profile().max_retries;
         assert_eq!(
             err,
             FsError::RetriesExhausted {
                 server: 1,
-                attempts: max + 1
+                attempts: MAX_RETRIES + 1
             }
         );
         assert!(fs.server_down(1));

@@ -120,9 +120,6 @@ pub struct PlatformProfile {
     /// server; doubles per consecutive rejection (capped at 64× base) so
     /// degraded-mode latency is modeled, not hand-waved.
     pub retry_backoff_ns: VNanos,
-    /// Rejected-request retries a client pays before giving up with
-    /// [`FsError::RetriesExhausted`](crate::FsError::RetriesExhausted).
-    pub max_retries: u32,
     /// Client page-cache behaviour (read-ahead / write-behind).
     pub cache: CacheParams,
     /// How client caches are kept coherent: blanket close-to-open
@@ -167,7 +164,6 @@ impl PlatformProfile {
             token_revoke_ns: 0,
             token_revoke_byte_ns: 0.0,
             retry_backoff_ns: 500_000,
-            max_retries: 8,
             cache: CacheParams::nfs_like(),
             coherence: CoherenceMode::CloseToOpen,
             posix_atomic_calls: true,
@@ -199,7 +195,6 @@ impl PlatformProfile {
             token_revoke_ns: 0,
             token_revoke_byte_ns: 0.0,
             retry_backoff_ns: 300_000,
-            max_retries: 8,
             cache: CacheParams::local_fs(),
             coherence: CoherenceMode::CloseToOpen,
             posix_atomic_calls: true,
@@ -230,7 +225,6 @@ impl PlatformProfile {
             token_revoke_ns: 5_000_000, // revoking a conflicting token: flush + msg
             token_revoke_byte_ns: 285.0, // ~1/serve bandwidth: the flush's bytes
             retry_backoff_ns: 400_000,
-            max_retries: 8,
             cache: CacheParams::gpfs_like(),
             // GPFS keeps client caches coherent through the token protocol
             // itself: revocation flushes and invalidates exactly the
@@ -271,7 +265,6 @@ impl PlatformProfile {
             token_revoke_ns: 2_000_000,
             token_revoke_byte_ns: 165.0,
             retry_backoff_ns: 200_000,
-            max_retries: 8,
             cache: CacheParams::gpfs_like(),
             coherence: CoherenceMode::CloseToOpen,
             posix_atomic_calls: true,
@@ -301,7 +294,6 @@ impl PlatformProfile {
             token_revoke_ns: 10_000,
             token_revoke_byte_ns: 1.0,
             retry_backoff_ns: 2_000,
-            max_retries: 8,
             cache: CacheParams::test_small(),
             coherence: CoherenceMode::CloseToOpen,
             posix_atomic_calls: true,
@@ -319,13 +311,6 @@ impl PlatformProfile {
     /// Whether byte-range locking is available.
     pub fn supports_locking(&self) -> bool {
         self.lock_kind != LockKind::None
-    }
-
-    /// This platform with the `lio_listio` atomicity extension enabled
-    /// (for the §3.2 what-if ablation).
-    pub fn with_listio_atomicity(mut self) -> Self {
-        self.listio_atomic = true;
-        self
     }
 
     /// This platform with its lock manager sharded over the per-server

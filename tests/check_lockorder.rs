@@ -33,10 +33,15 @@ fn rank_of(chain: &[(String, u32)], class: &str) -> Option<u32> {
     chain.iter().find(|(c, _)| c == class).map(|&(_, r)| r)
 }
 
+/// Held by every workload run and across the export test's two reads, so
+/// the process-wide registry cannot grow between them.
+static REGISTRY_WRITERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Two clients on one lock-driven coherent file: exclusive grants whose
 /// conflicting second phase forces a revocation flush of the rival's
 /// write-behind, then shared grants over cached reads, then a sync.
 fn run_lock_driven_workload(name: &str) {
+    let _writer = REGISTRY_WRITERS.lock().unwrap_or_else(|e| e.into_inner());
     let profile = PlatformProfile {
         lock_kind: LockKind::Distributed,
         coherence: CoherenceMode::LockDriven,
@@ -209,12 +214,11 @@ fn runtime_edges_climb_the_declared_chain() {
 fn registry_export_is_deterministic_and_rank_monotone() {
     // Whatever edges this test binary's workloads registered (the registry
     // is process-wide); determinism must hold regardless.
-    let a = Registry::export_json();
-    assert_eq!(
-        a,
-        Registry::export_json(),
-        "export must be byte-stable within a process"
-    );
+    let (a, b) = {
+        let _no_writer = REGISTRY_WRITERS.lock().unwrap_or_else(|e| e.into_inner());
+        (Registry::export_json(), Registry::export_json())
+    };
+    assert_eq!(a, b, "export must be byte-stable within a process");
     atomio::trace::validate_json(&a).unwrap();
     let chain = declared_chain();
     for e in Registry::edges() {

@@ -281,12 +281,78 @@ fn core_takes_every_lock_in_one_place() {
     }
 }
 
+/// One `pub fn` under `crates/*/src`: its name, where it is, the type
+/// whose `impl` block holds it (`None` for a free fn) and whether it
+/// takes `self`.
+struct PubFn {
+    name: String,
+    site: String,
+    owner: Option<String>,
+    takes_self: bool,
+}
+
+/// How far `t` moves the generic-angle depth.
+fn angle_step(t: &Tok) -> i32 {
+    match t.text.as_str() {
+        "<" => 1,
+        ">" => -1,
+        ">>" => -2,
+        _ => 0,
+    }
+}
+
+/// The type an item-level `impl` header at `toks[at]` implements for:
+/// the last path segment after `for`, or after the generics when there
+/// is no `for`. `None` when `impl` is in type position (`-> impl Fn`).
+fn impl_owner(toks: &[Tok], at: usize) -> Option<(String, usize)> {
+    let item_start = at == 0
+        || ["}", ";", "{", "]"]
+            .iter()
+            .any(|p| toks[at - 1].is_punct(p))
+        || toks[at - 1].is_ident("unsafe");
+    if !item_start {
+        return None;
+    }
+    let (mut angle, mut owner, mut in_where) = (0i32, None, false);
+    for (j, t) in toks.iter().enumerate().skip(at + 1) {
+        angle += angle_step(t);
+        match t.text.as_str() {
+            "{" if angle == 0 => return owner.map(|o| (o, j)),
+            "where" => in_where = true,
+            _ if angle == 0 && !in_where && t.kind == TokKind::Ident => {
+                owner = (t.text != "for").then(|| t.text.clone());
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Whether the `fn` whose name is `toks[at]` takes `self`: its first
+/// parameter, after the generics, names `self` before any `:`.
+fn takes_self(toks: &[Tok], at: usize) -> bool {
+    let mut angle = 0i32;
+    let Some(open) = toks[at..].iter().position(|t| {
+        angle += angle_step(t);
+        angle == 0 && t.is_punct("(")
+    }) else {
+        return false;
+    };
+    toks[at + open + 1..]
+        .iter()
+        .take_while(|t| !(t.is_punct(":") || t.is_punct(",") || t.is_punct(")")))
+        .any(|t| t.is_ident("self"))
+}
+
 /// Every `pub fn` under `crates/*/src` has a caller somewhere in the
 /// repository — library code, tests, benches, examples or the frozen
 /// `benchmark/` package. A name is called when it appears as an
 /// identifier token anywhere except right after `fn`, so comments, doc
-/// text and strings do not count. There is no allowlist: an uncalled
-/// function is deleted, not excused.
+/// text and strings do not count. A name several `pub fn`s share needs
+/// more: an associated fn without `self` counts as called only through
+/// `Type::name`, or `Self::name` inside an `impl Type`, so a called
+/// `Tracer::disabled` cannot hide an uncalled `disabled` of another type.
+/// There is no allowlist: an uncalled function is deleted, not excused.
 #[test]
 fn every_pub_fn_is_called_somewhere() {
     let lib_sources: HashSet<PathBuf> = workspace_sources(repo_root())
@@ -297,26 +363,65 @@ fn every_pub_fn_is_called_somewhere() {
     let files = repo_rust_files();
 
     let mut called: HashSet<String> = HashSet::new();
-    let mut defined: Vec<(String, String)> = Vec::new();
+    let mut called_on: HashSet<(String, String)> = HashSet::new();
+    let mut defined: Vec<PubFn> = Vec::new();
     for path in &files {
         let toks = lex(&std::fs::read_to_string(path).expect("source readable"));
+        // Open `impl` blocks: (brace depth inside the body, owner type).
+        let mut impls: Vec<(usize, String)> = Vec::new();
+        let (mut depth, mut body_at) = (0usize, None);
         for (i, t) in toks.iter().enumerate() {
+            if t.is_punct("{") {
+                depth += 1;
+                if body_at.as_ref().is_some_and(|(j, _)| *j == i) {
+                    let (_, owner) = body_at.take().expect("checked above");
+                    impls.push((depth, owner));
+                }
+            } else if t.is_punct("}") {
+                if impls.last().is_some_and(|(d, _)| *d == depth) {
+                    impls.pop();
+                }
+                depth = depth.saturating_sub(1);
+            }
             if t.kind != TokKind::Ident {
                 continue;
             }
+            if t.is_ident("impl") {
+                if let Some((owner, open)) = impl_owner(&toks, i) {
+                    body_at = Some((open, owner));
+                }
+            }
             if i == 0 || !toks[i - 1].is_ident("fn") {
                 called.insert(t.text.clone());
+                if i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].kind == TokKind::Ident {
+                    let ty = match toks[i - 2].text.as_str() {
+                        "Self" => impls.last().map(|(_, o)| o.clone()).unwrap_or_default(),
+                        ty => ty.to_string(),
+                    };
+                    called_on.insert((ty, t.text.clone()));
+                }
             } else if i >= 2 && toks[i - 2].is_ident("pub") && lib_sources.contains(path) {
                 let rel = path.strip_prefix(repo_root()).unwrap_or(path);
-                defined.push((t.text.clone(), format!("{}:{}", rel.display(), t.line)));
+                defined.push(PubFn {
+                    name: t.text.clone(),
+                    site: format!("{}:{}", rel.display(), t.line),
+                    owner: impls.last().map(|(_, o)| o.clone()),
+                    takes_self: takes_self(&toks, i),
+                });
             }
         }
     }
     assert!(defined.len() > 100, "found only {} pub fns", defined.len());
+    let shared = |name: &str| defined.iter().filter(|f| f.name == name).count() > 1;
     let uncalled: Vec<String> = defined
         .iter()
-        .filter(|(name, _)| !called.contains(name))
-        .map(|(name, site)| format!("{site}: {name}"))
+        .filter(|f| match &f.owner {
+            Some(ty) if !f.takes_self && shared(&f.name) => {
+                !called_on.contains(&(ty.clone(), f.name.clone()))
+            }
+            _ => !called.contains(&f.name),
+        })
+        .map(|f| format!("{}: {}", f.site, f.name))
         .collect();
     assert!(
         uncalled.is_empty(),

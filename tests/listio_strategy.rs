@@ -1,22 +1,19 @@
 //! The §3.2 what-if: MPI atomicity on top of an atomicity-extended
 //! `lio_listio()`. One atomic multi-segment submission per rank — no locks,
 //! no handshake, works for independent I/O too — but only on a file system
-//! that provides the extension.
+//! that provides the extension (`fast_test` does; the paper's platforms do
+//! not).
 
 mod common;
 
 use atomio::prelude::*;
 use common::{check_colwise, run_colwise};
 
-fn listio_profile() -> PlatformProfile {
-    PlatformProfile::fast_test().with_listio_atomicity()
-}
-
 #[test]
 fn listio_strategy_is_atomic_on_colwise() {
     let spec = ColWise::new(64, 512, 4, 8).unwrap();
     for attempt in 0..5 {
-        let fs = FileSystem::new(listio_profile());
+        let fs = FileSystem::new(PlatformProfile::fast_test());
         let name = format!("li{attempt}");
         run_colwise(
             &fs,
@@ -33,7 +30,7 @@ fn listio_strategy_is_atomic_on_colwise() {
 #[test]
 fn listio_supports_independent_writes() {
     // Unlike the handshaking strategies, list I/O needs no collective call.
-    let fs = FileSystem::new(listio_profile());
+    let fs = FileSystem::new(PlatformProfile::fast_test());
     run(2, fs.profile().net.clone(), |comm| {
         let spec = ColWise::new(32, 256, 2, 8).unwrap();
         let part = spec.partition(comm.rank());
@@ -74,7 +71,7 @@ fn listio_rejected_without_the_extension() {
 #[test]
 fn listio_on_ghost_cells() {
     let spec = BlockBlock::new(48, 48, 3, 3, 2).unwrap();
-    let fs = FileSystem::new(listio_profile());
+    let fs = FileSystem::new(PlatformProfile::fast_test());
     run(spec.nprocs(), fs.profile().net.clone(), |comm| {
         let part = spec.partition(comm.rank());
         let buf = part.fill(pattern::rank_stamp(comm.rank()));
@@ -98,7 +95,7 @@ fn listio_on_ghost_cells() {
 #[test]
 fn listio_report_counts_all_segments() {
     let spec = ColWise::new(32, 512, 4, 8).unwrap();
-    let fs = FileSystem::new(listio_profile());
+    let fs = FileSystem::new(PlatformProfile::fast_test());
     let reports = run_colwise(
         &fs,
         "rep",

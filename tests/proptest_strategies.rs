@@ -28,7 +28,7 @@ fn filetype_of(fp: &IntervalSet) -> Arc<Datatype> {
 /// Run a concurrent write of `footprints` under `atomicity`; return the
 /// checker report.
 fn run_and_check(footprints: &[IntervalSet], atomicity: Atomicity) -> verify::AtomicityReport {
-    let profile = PlatformProfile::fast_test().with_listio_atomicity();
+    let profile = PlatformProfile::fast_test();
     let fs = FileSystem::new(profile.clone());
     let fs2 = fs.clone();
     let fps = footprints.to_vec();
