@@ -40,9 +40,10 @@
 //! already holds the most of them, and the schedules see different
 //! candidates — flat every rank, the multi-tier modes one leader per node
 //! holding its node's union — so `inter_byte_reduction` is no longer 1.00:
-//! flat's owners keep their own blocks off the wire wherever that leaves
-//! the rest (its one `alltoallv` is priced on the fabric either way), the
-//! leaders keep whole nodes' blocks at home.
+//! flat's owners keep their own blocks off the wire and receive the rest
+//! (its one `alltoallv` prices each aggregator's receive, a node-mate's
+//! bytes at intra-node rates), the leaders keep whole nodes' blocks at
+//! home.
 //!
 //! Run with `cargo bench -p atomio-bench --bench aggregation` (flags:
 //! [`atomio_bench::Args`]); `--trace` records the pipelined smoke run — one
@@ -325,10 +326,12 @@ fn main() {
              file domain goes to the aggregator candidate already holding the most of it (flat: \
              any rank, by its own surviving bytes; multi-tier: a node leader, by what its node \
              keeps of its union), and a piece its holder serves itself counts on no wire, so \
-             the modes differ in wire bytes; flat's single alltoallv is priced on the fabric \
-             whichever link class a byte is metered on, while the multi-tier modes pay one \
-             gatherv and one leaders' alltoallv per round and retire each round's writes on a \
-             later round's exchange instead of a barrier",
+             the modes differ in wire bytes. Every collective is priced on a switched fabric \
+             and ends at its busiest endpoint per link class, each byte on the class it is \
+             metered on: flat's single alltoallv pays each aggregator's receive, at intra-node \
+             rates from its node-mates, while the multi-tier modes pay one gatherv and one \
+             leaders' alltoallv per round and retire each round's writes on a later round's \
+             exchange instead of a barrier",
         );
     // What a mode gains on flat: fabric bytes kept off the wire, makespan.
     let vs_flat = |flat: &Totals, t: &Totals| {

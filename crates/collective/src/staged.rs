@@ -34,9 +34,10 @@
 //!
 //! [`ExchangeSchedule::Flat`] is the degenerate schedule of the same loop:
 //! every rank is its own leader on the world communicator (no split, no
-//! node tier, a world `allgather` negotiation) and the whole domain is one
-//! round, so the loop body runs once: submit own, exchange, submit
-//! received, barrier, settle, barrier.
+//! node tier, a world `allgather` negotiation), placed on the nodes so its
+//! exchange prices a node-mate's bucket on the intra-node link, and the
+//! whole domain is one round, so the loop body runs once: submit own,
+//! exchange, submit received, barrier, settle, barrier.
 //!
 //! Overlap is gone before the first piece moves: every rank surrenders the
 //! bytes a higher rank also writes (the paper's rank-ordering rule, the
@@ -58,7 +59,7 @@ use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 use atomio_msg::Comm;
 use atomio_pfs::PosixFile;
 use atomio_trace::Category;
-use atomio_vtime::NodeTopology;
+use atomio_vtime::{LinkClass, NodeTopology};
 
 use crate::domain::FileDomain;
 use crate::exchange::{gather, route_segments, Gathered, Piece};
@@ -73,6 +74,15 @@ type TaggedPiece = (u64, u64, Vec<u8>);
 
 /// Default round size when `round_stripes` is 0.
 const DEFAULT_ROUND_STRIPES: u64 = 4;
+
+/// Count `bytes` of redistribution payload on the meter of the link class
+/// that carries them — the class the exchange prices them on.
+fn meter(report: &mut TwoPhaseReport, class: LinkClass, bytes: u64) {
+    match class {
+        LinkClass::Intra => report.wire_intra_bytes += bytes,
+        LinkClass::Inter => report.wire_inter_bytes += bytes,
+    }
+}
 
 /// The write step: put an aggregator's pieces of round `k` in file order,
 /// hand them to the file as they are and account their bytes in `report`.
@@ -131,19 +141,18 @@ pub(crate) fn write_rounds(
 ) -> TwoPhaseReport {
     let rpn = cfg.ranks_per_node.max(1);
     let topo = NodeTopology::new(comm.size(), rpn);
-    // The exchange communicator and, on the pipelined schedule, the node
-    // lane that feeds it. `stride` maps an aggregator's world rank to its
-    // index on the exchange communicator.
-    let tiers = match cfg.schedule {
-        ExchangeSchedule::Flat => None,
+    // The node lane (pipelined only) and the exchange communicator it
+    // feeds: on flat the world itself, placed on `topo` so that its
+    // exchange prices each pair on the link class that carries it; on
+    // pipelined the leaders. `stride` maps an aggregator's world rank to
+    // its index on the exchange communicator.
+    let (node, exchange, stride) = match cfg.schedule {
+        ExchangeSchedule::Flat => (None, Some(comm.placed(topo)), 1),
         ExchangeSchedule::Pipelined { .. } => {
-            Some((comm.split_node(&topo), comm.split_leaders(&topo)))
+            (Some(comm.split_node(&topo)), comm.split_leaders(&topo), rpn)
         }
     };
-    let (node, leaders, stride) = match &tiers {
-        None => (None, Some(comm), 1),
-        Some((node, leaders)) => (Some(node), leaders.as_ref(), rpn),
-    };
+    let (node, leaders) = (node.as_ref(), exchange.as_ref());
 
     // On the pipelined schedule aggregators are clamped to the node count
     // so every aggregator is a node leader and the write phase never
@@ -278,7 +287,7 @@ pub(crate) fn write_rounds(
                     })
                     .collect();
                 if node.rank() != 0 {
-                    report.wire_intra_bytes += payload;
+                    meter(&mut report, node.link_class(node.rank(), 0), payload);
                 }
                 let node_pieces = node.gatherv(0, tagged);
                 comm.tracer().span(
@@ -306,20 +315,15 @@ pub(crate) fn write_rounds(
         let (own_ticket, mut runs) = submit_runs(comm, file, own.iter(), k, &mut report);
         drop(own);
 
-        // The exchange, of the rest. Payload is classified by the link
-        // class between this rank and the destination, so both schedules
-        // report on the same meter.
+        // The exchange, of the rest. Each bucket is metered on the link
+        // class the exchange prices it on (`Comm::link_class`, one rule),
+        // so both schedules report on the same meters.
         let t_ex = comm.clock().now();
         let mut wire = 0u64;
         for (j, bucket) in out_buckets.iter().enumerate() {
-            let dst = j * stride;
             let n: u64 = bucket.iter().map(|p| p.1.len() as u64).sum();
             wire += n;
-            if topo.same_node(comm.rank(), dst) {
-                report.wire_intra_bytes += n;
-            } else {
-                report.wire_inter_bytes += n;
-            }
+            meter(&mut report, l.link_class(l.rank(), j), n);
         }
         let incoming = l.alltoallv(out_buckets);
         comm.tracer().span(
@@ -567,9 +571,13 @@ mod tests {
     /// The shared-header checkpoint in miniature: 8 ranks, 2 per node, all
     /// writing a 32 KiB header — exactly the first of the four domains, and
     /// rank 7's after the surrender — plus a 12 KiB block of their own in a
-    /// seeded slot. Ownership follows the holdings on both schedules.
+    /// seeded slot. Ownership follows the holdings on both schedules. Every
+    /// traced `alltoallv` ends where the price rebuilt from the bytes each
+    /// pair of its ranks moves puts it, and the `wire_*_bytes` meters count
+    /// that payload on the same link classes: the meter is the price.
     #[test]
     fn a_shared_header_is_served_by_the_node_that_holds_it() {
+        use atomio_trace::Track;
         const RANKS: usize = 8;
         const PER_NODE: usize = 2;
         const HEADER: u64 = 32 * 1024;
@@ -592,7 +600,9 @@ mod tests {
 
             for (name, schedule) in SCHEDULES {
                 let fs = FileSystem::new(PlatformProfile::fast_test());
+                let sink = Arc::new(MemorySink::new());
                 let reports = atomio_msg::run(RANKS, fs.profile().net.clone(), |comm| {
+                    comm.bind_tracer(sink.clone());
                     let me = comm.rank();
                     let file = fs.open(me, comm.clock().clone(), name);
                     let segs = [
@@ -650,6 +660,85 @@ mod tests {
                     .map(|piece| piece.len())
                     .sum();
                 assert_eq!(sum(|r| r.wire_inter_bytes), crossing, "{what}");
+
+                // The exchange's price, rebuilt from the bytes each pair of
+                // its ranks moves. Flat runs one exchange over every rank,
+                // placed on the nodes; pipelined one per stripe round over
+                // the leaders, every pair across nodes. A bucket is its
+                // length word plus, per piece, offset, length word and bytes;
+                // a sender's first bucket also carries its count vector.
+                let flat = schedule == ExchangeSchedule::Flat;
+                let survivors = |r: usize| {
+                    let header = (r == RANKS - 1).then(|| ByteRange::at(0, HEADER));
+                    header.into_iter().chain([block(r)])
+                };
+                let (n, per, round) = if flat {
+                    (RANKS, 1, TOTAL / 4)
+                } else {
+                    (RANKS / PER_NODE, PER_NODE, fs.profile().stripe_unit)
+                };
+                let class = |x: usize, y: usize| {
+                    if flat && x / PER_NODE == y / PER_NODE {
+                        LinkClass::Intra
+                    } else {
+                        LinkClass::Inter
+                    }
+                };
+                let net = &fs.profile().net;
+                let events = sink.snapshot();
+                let mut metered = [0u64; 2];
+                for k in 0..(TOTAL / 4).div_ceil(round) {
+                    let mut sent = vec![vec![0u64; n]; n];
+                    for x in 0..n {
+                        for &(domain, owner) in &claimed {
+                            let y = owner / per;
+                            let end = (domain.start + (k + 1) * round).min(domain.end);
+                            let chunk = ByteRange::new(domain.start + k * round, end);
+                            let pieces: Vec<u64> = (x * per..(x + 1) * per)
+                                .flat_map(survivors)
+                                .filter_map(|s| s.intersect(&chunk))
+                                .map(|piece| piece.len())
+                                .collect();
+                            if x != y && !pieces.is_empty() {
+                                sent[x][y] += 8 + pieces.iter().map(|len| 16 + len).sum::<u64>();
+                                metered[class(x, y) as usize] += pieces.iter().sum::<u64>();
+                            }
+                        }
+                        if let Some(first) = sent[x].iter_mut().find(|b| **b > 0) {
+                            *first += 8;
+                        }
+                    }
+                    let active = sent.iter().filter(|row| row.iter().any(|&b| b > 0));
+                    let span = (0..n).map(|r| {
+                        let per_class = LinkClass::ALL.map(|c| {
+                            let out = (0..n).filter(|&y| class(r, y) == c).map(|y| sent[r][y]);
+                            let inn = (0..n).filter(|&x| class(x, r) == c).map(|x| sent[x][r]);
+                            net.link_of(c).payload_ns(out.sum::<u64>().max(inn.sum()))
+                        });
+                        per_class[0].max(per_class[1])
+                    });
+                    let price = net.link.collective_ns(active.count(), 0) + span.max().unwrap();
+                    // Round k's exchange on each participant's track.
+                    let traced: Vec<(u64, u64)> = (0..n)
+                        .map(|x| {
+                            let mut on = events.iter().filter(|ev| {
+                                ev.name == "alltoallv" && ev.track == Track::Rank(x * per)
+                            });
+                            let ev = on.nth(k as usize).expect("one exchange per round");
+                            (ev.start, ev.start + ev.dur.unwrap())
+                        })
+                        .collect();
+                    let entry = traced.iter().map(|t| t.0).max().unwrap();
+                    assert!(
+                        traced.iter().all(|t| t.1 == entry + price),
+                        "{what}, round {k}: {traced:?}, price {price}"
+                    );
+                }
+                let [intra, inter] = metered;
+                assert_eq!(inter, sum(|r| r.wire_inter_bytes), "{what}");
+                if flat {
+                    assert_eq!(intra, sum(|r| r.wire_intra_bytes), "{what}");
+                }
             }
         }
     }
@@ -851,8 +940,12 @@ mod tests {
     ///   second (servers 2, 3) from the next rank.
     ///
     /// Every rank ends on one clock: the last server piece, its ack, and
-    /// the closing barrier. With the whole domain written after the
-    /// exchange, as one request per owner, it would end later.
+    /// the closing barrier. Against writing the whole domain after the
+    /// exchange, as one request per owner, the early batch pays a second
+    /// request's `client_op_ns` and saves the exchange's span. Halo wins.
+    /// Disjoint loses by exactly the difference: each owner receives from
+    /// a node-mate, so its exchange runs on the intra-node link in less
+    /// than one `client_op_ns`.
     #[test]
     fn flat_clocks_follow_from_the_own_and_the_received_batches() {
         const UNIT: u64 = 4 * 1024;
@@ -901,7 +994,16 @@ mod tests {
             let clocks: Vec<u64> = out.iter().map(|o| o.0).collect();
             assert_eq!(clocks, vec![end; P], "{name}");
             let whole_domain_after_exchange = e + inject(4 * UNIT) + lat + 4 * svc + close;
-            assert!(end < whole_domain_after_exchange, "{name}");
+            if halo > 0 {
+                assert!(end < whole_domain_after_exchange, "{name}");
+            } else {
+                assert!(e - n < p.client_op_ns, "{name}");
+                assert_eq!(
+                    end + (e - n),
+                    whole_domain_after_exchange + p.client_op_ns,
+                    "{name}"
+                );
+            }
 
             assert!(out.iter().all(|o| o.1.rounds == 1), "{name}");
             let served: Vec<usize> = (0..P).filter(|&r| out[r].1.domain.is_some()).collect();

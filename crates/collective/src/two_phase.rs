@@ -543,14 +543,15 @@ mod tests {
         // weights prefer the arriving owner), rank 2 takes the first, and
         // the two domains left over go to the spare aggregators 0 and 1. So
         // each sender hands one 32 KiB piece to itself — no wire — and ships
-        // the other. Headers, per active sender: its count vector (8), then
-        // for its one remote bucket the length (8) and the piece's offset
-        // and byte count (8 + 8).
+        // the other: rank 2 to rank 0 and rank 3 to rank 1, side by side on
+        // a switched fabric. The busiest endpoint moves one bucket: the
+        // sender's count vector (8), the bucket's length (8), the piece's
+        // offset and byte count (8 + 8), the piece.
         let owners: Vec<Option<ByteRange>> = reports.iter().map(|r| r.domain).collect();
         let domain = |i: u64| Some(ByteRange::at(i * (LEN / 2), LEN / 2));
         assert_eq!(owners, vec![domain(1), domain(2), domain(0), domain(3)]);
-        let headers = 2 * (8 + (8 + 16));
-        let expected = link.collective_ns(2, 0) + link.payload_ns(headers + 2 * (LEN / 2));
+        let bucket = 8 + 8 + 16 + LEN / 2;
+        let expected = link.collective_ns(2, 0) + link.payload_ns(bucket);
         let exchanges: Vec<_> = sink
             .snapshot()
             .into_iter()

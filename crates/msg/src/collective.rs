@@ -1,29 +1,94 @@
 use std::any::Any;
 use std::time::Duration;
 
-use atomio_vtime::{VNanos, WireSize};
+use atomio_vtime::{LinkClass, NetCost, VNanos, WireSize};
 use parking_lot::{Condvar, Mutex};
 
 use crate::comm::Comm;
 
+/// The deposited contributions of one collective round, one slot per rank.
+pub(crate) type Slots = [Option<Box<dyn Any + Send>>];
+
+/// The contribution rank `i` deposited, by reference.
+pub(crate) fn slot_ref<T: 'static>(slots: &Slots, i: usize) -> &T {
+    slots[i]
+        .as_ref()
+        .expect("collective slot filled")
+        .downcast_ref::<T>()
+        .expect("collective type mismatch across ranks")
+}
+
+/// What one rank's endpoint moves in one collective, per link class
+/// (indexed by `LinkClass as usize`). The last arrival fills one per rank
+/// from the deposits; the price reads all of them, each rank's trace span
+/// its own.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Endpoint {
+    pub send: [u64; 2],
+    pub recv: [u64; 2],
+}
+
+impl Endpoint {
+    /// Every byte this rank puts on a wire.
+    pub fn sent(&self) -> u64 {
+        self.send.iter().sum()
+    }
+
+    /// The endpoint's serialisation: on each class the larger of what it
+    /// sends and what it receives, at that class's rate. The two classes
+    /// run concurrently, so the slower one is the span.
+    fn span_ns(&self, net: &NetCost) -> VNanos {
+        let per_class = LinkClass::ALL.map(|c| {
+            let i = c as usize;
+            net.link_of(c).payload_ns(self.send[i].max(self.recv[i]))
+        });
+        per_class[0].max(per_class[1])
+    }
+}
+
 /// Vector-variant collectives used by the two-phase collective-I/O
-/// subsystem. They live here, next to the rendezvous machinery, because
-/// their cost accounting is what distinguishes them: the wire charge is the
-/// *sum of the actual per-destination payloads*, so a skewed redistribution
-/// (everything bound for one aggregator) costs what it should.
+/// subsystem, and the switched-fabric price every payload-carrying
+/// collective pays.
+///
+/// **The price.** Disjoint transfers overlap on a switched fabric, so a
+/// collective is bound by its busiest *endpoint*, not by the sum of every
+/// byte. The last arrival holds every deposit and derives from them each
+/// rank's send and receive bytes per [`LinkClass`] (what a rank addresses
+/// to itself is free). A rank's span is, on each class, the larger of its
+/// send and receive serialisation at that class's rate, and the slower of
+/// the two classes. The collective ends at the slowest arrival, plus a
+/// latency tree on `link`, plus the largest span. Receive-side incast —
+/// every rank shipping to one aggregator or one root — is therefore
+/// priced at the receiver.
 impl Comm {
+    /// Count `bytes` moving from rank `from` to rank `to`, on their link
+    /// class.
+    fn carry(&self, at: &mut [Endpoint], from: usize, to: usize, bytes: u64) {
+        let class = self.link_class(from, to) as usize;
+        at[from].send[class] += bytes;
+        at[to].recv[class] += bytes;
+    }
+
+    /// When a collective whose endpoints moved `at` finishes, for ranks
+    /// that arrived by `max`, behind a latency tree over `tree` ranks.
+    pub(crate) fn switched_finish(&self, max: VNanos, tree: usize, at: &[Endpoint]) -> VNanos {
+        let net = self.net();
+        let span = at.iter().map(|e| e.span_ns(net)).max().unwrap_or(0);
+        max + net.link.collective_ns(tree, 0) + span
+    }
+
     /// Personalized all-to-all with per-destination counts (like
     /// `MPI_Alltoallv`): element `j` of this rank's `items` — a possibly
     /// empty `Vec<T>` — is delivered to rank `j`; element `i` of the result
     /// is the (possibly empty) contribution rank `i` sent here.
     ///
-    /// **Sparse fast path:** only ranks that actually send something to
-    /// *another* rank (any non-empty bucket but their own) count toward the
-    /// latency tree — the round is charged `collective_ns(active, 0)`, not
-    /// `collective_ns(p, 0)` — and neither empty buckets nor the
-    /// self-addressed one contribute wire bytes. Leaders-only exchanges
-    /// with mostly-empty count vectors therefore stop paying the full-P
-    /// rendezvous price.
+    /// Priced per endpoint (see above): rank `i` sends each non-empty
+    /// bucket addressed to *another* rank, its count vector (8 bytes)
+    /// riding the first of them, and receives each one addressed to it.
+    /// Neither empty buckets nor the self-addressed one are on the wire,
+    /// and the latency tree spans only the ranks that send, so
+    /// leaders-only exchanges with mostly-empty count vectors do not pay
+    /// the full-P rendezvous price.
     ///
     /// Buckets are handed over **by move**: the bucket rank `i` addressed to
     /// rank `j` has exactly one reader, so `j` takes it out of `i`'s
@@ -35,27 +100,22 @@ impl Comm {
             self.size(),
             "alltoallv needs one (possibly empty) bucket per destination"
         );
-        let link = self.net().link.clone();
         let me = self.rank();
-        // Only what is addressed to *another* rank is on the wire: the
-        // self-addressed bucket is handed over by move like the rest, but
-        // it never leaves this rank. Ranks with nothing for anyone else
-        // contribute zero wire bytes and are excluded from the rendezvous'
-        // active count; senders pay the outer count-vector header plus
-        // their non-empty remote buckets.
-        let remote: usize = items
-            .iter()
-            .enumerate()
-            .filter(|&(j, b)| j != me && !b.is_empty())
-            .map(|(_, b)| b.wire_size())
-            .sum();
-        let bytes = if remote == 0 { 0 } else { 8 + remote };
         self.rendezvous(
             "alltoallv",
             items,
-            bytes,
-            move |max, total, active| {
-                max + link.collective_ns(active, 0) + link.payload_ns(total as u64)
+            |max, slots, at| {
+                for i in 0..self.size() {
+                    let mut header = 8;
+                    for (j, bucket) in slot_ref::<Vec<Vec<T>>>(slots, i).iter().enumerate() {
+                        if j != i && !bucket.is_empty() {
+                            let bytes = std::mem::take(&mut header) + bucket.wire_size() as u64;
+                            self.carry(at, i, j, bytes);
+                        }
+                    }
+                }
+                let senders = at.iter().filter(|e| e.sent() > 0).count();
+                self.switched_finish(max, senders, at)
             },
             move |slots| {
                 slots
@@ -77,21 +137,28 @@ impl Comm {
     /// the root receives every rank's `Vec<T>` in rank order; other ranks
     /// get `None`. Zero-length contributions are fine. The root is the only
     /// reader, so it takes every contribution by move.
+    ///
+    /// Priced per endpoint: every other rank sends its vector and the root
+    /// receives them all — its incast is the receive term. The root's own
+    /// vector never leaves it, so it is free. The latency tree spans all P
+    /// ranks, the root included.
     pub fn gatherv<T: Send + WireSize + 'static>(
         &self,
         root: usize,
         value: Vec<T>,
     ) -> Option<Vec<Vec<T>>> {
         assert!(root < self.size());
-        let link = self.net().link.clone();
-        let p = self.size();
         let me = self.rank();
-        let bytes = value.wire_size();
         self.rendezvous(
             "gatherv",
             value,
-            bytes,
-            move |max, total, _| max + link.collective_ns(p, 0) + link.payload_ns(total as u64),
+            |max, slots, at| {
+                for i in (0..self.size()).filter(|&i| i != root) {
+                    let bytes = slot_ref::<Vec<T>>(slots, i).wire_size() as u64;
+                    self.carry(at, i, root, bytes);
+                }
+                self.switched_finish(max, self.size(), at)
+            },
             move |slots| {
                 (me == root).then(|| {
                     slots
@@ -113,10 +180,10 @@ impl Comm {
 ///
 /// Collectives are executed as a shared-memory rendezvous (every rank
 /// deposits its contribution, the last arrival computes the round's virtual
-/// finish time, every rank reads what it needs) while the *cost* charged to
-/// the clocks models the usual log₂(P) tree algorithms. MPI semantics —
-/// all ranks must call collectives in the same order — are inherited
-/// naturally from the generation counter.
+/// finish time from every deposit, every rank reads what it needs) while
+/// the *cost* charged to the clocks models a switched fabric with log₂(P)
+/// latency trees. MPI semantics — all ranks must call collectives in the
+/// same order — are inherited naturally from the generation counter.
 pub(crate) struct CollState {
     inner: Mutex<Round>,
     cv: Condvar,
@@ -128,12 +195,9 @@ struct Round {
     leavers: usize,
     complete: bool,
     max_clock: VNanos,
-    total_bytes: usize,
-    /// Ranks that contributed a non-zero wire payload this round — the
-    /// population a sparse-aware cost model (alltoallv) charges latency for.
-    active: usize,
     finish: VNanos,
     slots: Vec<Option<Box<dyn Any + Send>>>,
+    endpoints: Vec<Endpoint>,
 }
 
 const COLLECTIVE_TIMEOUT: Duration = Duration::from_secs(60);
@@ -147,10 +211,9 @@ impl CollState {
                 leavers: 0,
                 complete: false,
                 max_clock: 0,
-                total_bytes: 0,
-                active: 0,
                 finish: 0,
                 slots: (0..nprocs).map(|_| None).collect(),
+                endpoints: vec![Endpoint::default(); nprocs],
             }),
             cv: Condvar::new(),
         }
@@ -159,27 +222,25 @@ impl CollState {
     /// Execute one collective round.
     ///
     /// * `now` — the caller's virtual arrival time;
-    /// * `bytes` — the caller's contribution size on the wire;
-    /// * `cost` — computes the round's finish time from (max arrival clock,
-    ///   total bytes, count of ranks with non-zero bytes); evaluated once,
-    ///   by the last arrival;
+    /// * `cost` — computes the round's finish time from the max arrival
+    ///   clock and every rank's deposit, filling in each rank's
+    ///   [`Endpoint`] (all zero on entry); evaluated once, by the last
+    ///   arrival, under the round mutex;
     /// * `read` — extracts this rank's result from the deposited slots,
     ///   under the round mutex; it may move out whatever no other rank
     ///   reads (the slots are cleared when the last rank leaves).
     ///
-    /// Returns `(result, finish_time)`; the caller must advance its clock to
-    /// the finish time.
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI collective signature
+    /// Returns `(result, finish_time, bytes this rank sent)`; the caller
+    /// must advance its clock to the finish time.
     pub fn rendezvous<T, R>(
         &self,
         rank: usize,
         nprocs: usize,
         now: VNanos,
-        bytes: usize,
         contribution: T,
-        cost: impl FnOnce(VNanos, usize, usize) -> VNanos,
-        read: impl FnOnce(&mut [Option<Box<dyn Any + Send>>]) -> R,
-    ) -> (R, VNanos)
+        cost: impl FnOnce(VNanos, &Slots, &mut [Endpoint]) -> VNanos,
+        read: impl FnOnce(&mut Slots) -> R,
+    ) -> (R, VNanos, u64)
     where
         T: Send + 'static,
     {
@@ -199,13 +260,10 @@ impl CollState {
         g.slots[rank] = Some(Box::new(contribution));
         g.arrived += 1;
         g.max_clock = g.max_clock.max(now);
-        g.total_bytes += bytes;
-        if bytes > 0 {
-            g.active += 1;
-        }
 
         if g.arrived == nprocs {
-            g.finish = cost(g.max_clock, g.total_bytes, g.active);
+            let round = &mut *g;
+            round.finish = cost(round.max_clock, &round.slots, &mut round.endpoints);
             g.complete = true;
             self.cv.notify_all();
         } else {
@@ -216,6 +274,7 @@ impl CollState {
 
         let result = read(&mut g.slots);
         let finish = g.finish;
+        let sent = g.endpoints[rank].sent();
 
         g.leavers += 1;
         if g.leavers == nprocs {
@@ -224,14 +283,13 @@ impl CollState {
             g.leavers = 0;
             g.complete = false;
             g.max_clock = 0;
-            g.total_bytes = 0;
-            g.active = 0;
             for s in g.slots.iter_mut() {
                 *s = None;
             }
+            g.endpoints.fill(Endpoint::default());
             self.cv.notify_all();
         }
-        (result, finish)
+        (result, finish, sent)
     }
 
     fn wait(&self, g: &mut parking_lot::MutexGuard<'_, Round>, rank: usize, what: &str) {
@@ -247,6 +305,7 @@ impl CollState {
 #[cfg(test)]
 mod tests {
     use crate::{run, NetCost};
+    use atomio_vtime::{LinkCost, NodeTopology};
 
     #[test]
     fn alltoallv_transposes_ragged_matrix() {
@@ -302,47 +361,77 @@ mod tests {
         assert!(time_for(1 << 18) > time_for(16));
     }
 
-    #[test]
-    fn alltoallv_sparse_charges_only_active_ranks() {
-        // 8 ranks, but only ranks 0 and 1 exchange data; the other six are
-        // idle (all-empty buckets). The latency tree is charged for the two
-        // active ranks, not all eight.
-        let link = atomio_vtime::LinkCost::new(100, 1e9);
-        let net = NetCost::new(link.clone());
-        let out = run(8, net, move |c| {
-            let mut items: Vec<Vec<u8>> = vec![Vec::new(); 8];
-            if c.rank() < 2 {
-                items[1 - c.rank()] = vec![c.rank() as u8; 64];
-            }
-            let got = c.alltoallv(items);
-            if c.rank() < 2 {
-                assert_eq!(got[1 - c.rank()], vec![(1 - c.rank()) as u8; 64]);
-            }
+    /// Every rank's clock after one `alltoallv` in which rank `i` sends
+    /// `counts[i][j]` bytes to rank `j`, on a world handle placed by
+    /// `topo` (none: every pair on `link`).
+    fn alltoallv_clocks(
+        net: NetCost,
+        topo: Option<NodeTopology>,
+        counts: &[Vec<usize>],
+    ) -> Vec<u64> {
+        run(counts.len(), net, |c| {
+            let c = match topo {
+                Some(topo) => c.placed(topo),
+                None => c,
+            };
+            let items = counts[c.rank()].iter().map(|&n| vec![0u8; n]).collect();
+            c.alltoallv(items);
             c.clock().now()
-        });
-        // Each active rank ships one 64-byte bucket: 8 (count vector)
-        // + 8 + 64 on the wire; idle ranks ship nothing.
-        let total = 2 * (8 + 8 + 64);
-        let want = link.collective_ns(2, 0) + link.payload_ns(total);
-        assert!(out.iter().all(|&t| t == want), "{out:?} != {want}");
-        // Strictly cheaper than the dense-rendezvous charge it replaces.
-        assert!(want < link.collective_ns(8, 0) + link.payload_ns(total));
+        })
     }
 
     #[test]
-    fn alltoallv_dense_charge_covers_every_remote_bucket() {
-        // Every rank sends to every rank: the charge is the dense price,
-        // collective_ns(p) plus each rank's three *remote* buckets — the
-        // fourth, addressed to itself, never touches a wire.
-        let link = atomio_vtime::LinkCost::new(100, 1e9);
-        let net = NetCost::new(link.clone());
-        let out = run(4, net, move |c| {
-            let items: Vec<Vec<u8>> = (0..4).map(|_| vec![0u8; 32]).collect();
-            c.alltoallv(items);
-            c.clock().now()
-        });
-        let per_rank = 8 + 3 * (8 + 32); // outer header + three remote buckets
-        let want = link.collective_ns(4, 0) + link.payload_ns(4 * per_rank);
+    fn alltoallv_incast_is_priced_at_the_receiver() {
+        // Ranks 1..=3 each send rank 0 100 bytes (a 108-byte bucket and
+        // the 8-byte count vector): the senders' spans overlap, rank 0
+        // receives all three in series.
+        let link = LinkCost::new(100, 1e9);
+        let mut counts = vec![vec![0; 4]; 4];
+        for row in &mut counts[1..] {
+            row[0] = 100;
+        }
+        let out = alltoallv_clocks(NetCost::new(link.clone()), None, &counts);
+        let want = link.collective_ns(3, 0) + link.payload_ns(3 * (8 + 108));
+        assert!(out.iter().all(|&t| t == want), "{out:?} != {want}");
+        // Every byte crosses the receiver, so incast is as dear as the one
+        // bus was; only disjoint transfers overlap.
+    }
+
+    #[test]
+    fn alltoallv_on_one_node_is_priced_on_the_intra_link() {
+        // Every rank sends every other rank 32 bytes, all on one node:
+        // each endpoint sends and receives three 40-byte buckets at the
+        // intra-node rate; the latency tree stays on `link`. Rank 0 is the
+        // busiest: ranks 1..=3 each address their first bucket, and with it
+        // their 8-byte count vector, to rank 0.
+        let (link, intra) = (LinkCost::new(100, 1e9), LinkCost::new(10, 4e9));
+        let net = NetCost::new(link.clone()).with_intra_link(intra.clone());
+        let counts: Vec<Vec<usize>> = (0..4)
+            .map(|i| (0..4).map(|j| if i == j { 0 } else { 32 }).collect())
+            .collect();
+        let out = alltoallv_clocks(net, Some(NodeTopology::single_node(4)), &counts);
+        let want = link.collective_ns(4, 0) + intra.payload_ns(3 * (40 + 8));
+        assert!(out.iter().all(|&t| t == want), "{out:?} != {want}");
+    }
+
+    #[test]
+    fn alltoallv_mixed_classes_end_at_the_slower_class_of_the_busiest_endpoint() {
+        // Two nodes of two. Rank 0 sends 8 000 bytes to rank 1 (intra), its
+        // count vector with them, and 200 to rank 2 (inter); rank 3 sends
+        // 500 to rank 0 (inter). Rank 0's endpoint carries 8 016 intra
+        // bytes and max(208, 516) inter bytes concurrently; rank 1
+        // receives the 8 016, rank 2 the 208, rank 3 sends 516. Two ranks
+        // send.
+        let (link, intra) = (LinkCost::new(100, 1e9), LinkCost::new(10, 4e9));
+        let net = NetCost::new(link.clone()).with_intra_link(intra.clone());
+        let mut counts = vec![vec![0; 4]; 4];
+        counts[0][1] = 8_000;
+        counts[0][2] = 200;
+        counts[3][0] = 500;
+        let out = alltoallv_clocks(net, Some(NodeTopology::new(4, 2)), &counts);
+        let span = intra.payload_ns(8_016).max(link.payload_ns(516));
+        assert_eq!(span, intra.payload_ns(8_016), "the intra class dominates");
+        let want = link.collective_ns(2, 0) + span;
         assert!(out.iter().all(|&t| t == want), "{out:?} != {want}");
     }
 
@@ -352,7 +441,8 @@ mod tests {
         // bytes and sends nothing; ranks 2 and 3 are idle. The self buckets
         // are delivered (by move) but cost nothing, and rank 1 — whose only
         // non-empty bucket is its own — is not active:
-        // span = collective_ns(active) + payload_ns(headers + non-self bytes).
+        // span = collective_ns(active) + payload_ns(the count vector and
+        // the one 72-byte bucket).
         let link = atomio_vtime::LinkCost::new(100, 1e9);
         let net = NetCost::new(link.clone());
         let out = run(4, net, move |c| {
@@ -387,23 +477,23 @@ mod tests {
         type Call = fn(&crate::Comm);
         let table: [(&str, Call, u64); 4] = [
             ("barrier", |c| c.barrier(), link.collective_ns(p, 16)),
+            // Rank 0 receives the most: everything but its own vector.
             (
                 "allgather",
                 |c| drop(c.allgather(vec![0u8; c.rank() + 1])),
-                link.collective_ns(p, 0) + link.payload_ns(all),
+                link.collective_ns(p, 0) + link.payload_ns(all - wire(0)),
             ),
             (
                 "bcast",
                 |c| drop(c.bcast(2, (c.rank() == 2).then(|| vec![0u8; 3]))),
                 link.collective_ns(p, wire(2)),
             ),
-            // The root's own vector is priced as wire bytes, though it never
-            // leaves the root (alltoallv's self bucket rides free). ROADMAP
-            // item 3 settles both rules together.
+            // The root's incast; its own vector never leaves it, so it is
+            // not on the wire. The latency tree still spans all P ranks.
             (
                 "gatherv",
                 |c| drop(c.gatherv(1, vec![0u8; c.rank() + 1])),
-                link.collective_ns(p, 0) + link.payload_ns(all),
+                link.collective_ns(p, 0) + link.payload_ns(all - wire(1)),
             ),
         ];
         for (name, call, span) in table {
@@ -414,6 +504,91 @@ mod tests {
             });
             let want = 42_000 + span;
             assert!(out.iter().all(|&t| t == want), "{name}: {out:?} != {want}");
+        }
+    }
+
+    /// A toy LCG: uniform-enough draws below `n` for the seeded tests.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// Each re-priced collective ends no later than the one-bus price it
+    /// replaced — `collective_ns` plus `payload_ns` of every wire byte on
+    /// `link`, recomputed here — on every preset, for random ragged
+    /// bucket matrices, P in 1..=16 and random placements.
+    #[test]
+    fn no_collective_is_dearer_than_one_bus() {
+        let presets = [
+            NetCost::myrinet(),
+            NetCost::numalink(),
+            NetCost::colony(),
+            NetCost::fast_test(),
+        ];
+        for seed in 0..32u64 {
+            let mut rng = Lcg(seed);
+            let p = 1 + rng.below(16) as usize;
+            let topo = NodeTopology::new(p, 1 + rng.below(p as u64) as usize);
+            let root = rng.below(p as u64) as usize;
+            let counts: Vec<Vec<usize>> = (0..p)
+                .map(|_| {
+                    let mut draw = || match rng.below(3) {
+                        0 => 0,
+                        _ => rng.below(20_000) as usize,
+                    };
+                    (0..p).map(|_| draw()).collect()
+                })
+                .collect();
+            let own: Vec<usize> = (0..p).map(|_| rng.below(20_000) as usize).collect();
+
+            // The one-bus charges: alltoallv a count vector plus the
+            // non-empty remote buckets of each sender, the latency tree over
+            // the senders; gatherv and allgather every rank's vector, the
+            // root's included, over a tree of all P.
+            let remote = |i: usize| -> u64 {
+                let buckets = (0..p).filter(|&j| j != i && counts[i][j] > 0);
+                buckets.map(|j| 8 + counts[i][j] as u64).sum()
+            };
+            let senders = (0..p).filter(|&i| remote(i) > 0).count();
+            let exchanged: u64 = (0..p)
+                .filter(|&i| remote(i) > 0)
+                .map(|i| 8 + remote(i))
+                .sum();
+            let vectors: u64 = own.iter().map(|&n| 8 + n as u64).sum();
+
+            for net in &presets {
+                let out = run(p, net.clone(), |c| {
+                    let c = c.placed(topo);
+                    let me = c.rank();
+                    c.alltoallv(counts[me].iter().map(|&n| vec![0u8; n]).collect());
+                    let a = c.clock().now();
+                    c.gatherv(root, vec![0u8; own[me]]);
+                    let g = c.clock().now();
+                    c.allgather(vec![0u8; own[me]]);
+                    [a, g - a, c.clock().now() - g]
+                });
+                let link = &net.link;
+                let bus = [
+                    link.collective_ns(senders, 0) + link.payload_ns(exchanged),
+                    link.collective_ns(p, 0) + link.payload_ns(vectors),
+                    link.collective_ns(p, 0) + link.payload_ns(vectors),
+                ];
+                for (name, i) in [("alltoallv", 0), ("gatherv", 1), ("allgather", 2)] {
+                    assert!(
+                        out.iter().all(|o| o[i] <= bus[i]),
+                        "seed {seed}, {net:?}: {name} took {} > {}",
+                        out[0][i],
+                        bus[i]
+                    );
+                }
+            }
         }
     }
 

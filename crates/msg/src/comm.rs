@@ -1,9 +1,9 @@
-use std::any::Any;
 use std::sync::Arc;
 
 use atomio_trace::{Category, TraceSink, Tracer, Track};
-use atomio_vtime::{Clock, WireSize};
+use atomio_vtime::{Clock, LinkClass, WireSize};
 
+use crate::collective::{slot_ref, Endpoint, Slots};
 use crate::runtime::Shared;
 use atomio_vtime::{NetCost, NodeTopology};
 
@@ -23,6 +23,10 @@ pub struct Comm {
     /// trace args so the happens-before checker can pair up concurrent
     /// collectives group by group.
     members: Option<Arc<Vec<usize>>>,
+    /// Where this handle puts its ranks on nodes, which decides each
+    /// pair's link class ([`Comm::link_class`]). `None` — the world and
+    /// leader communicators — puts every pair on `link`.
+    placement: Option<NodeTopology>,
     clock: Clock,
     shared: Arc<Shared>,
     /// Per-rank event recorder; every collective emits a `Category::Comm`
@@ -48,6 +52,7 @@ impl Comm {
             size: shared.nprocs,
             world_rank: rank,
             members: None,
+            placement: None,
             clock: Clock::new(),
             shared,
             tracer: Tracer::disabled(),
@@ -105,34 +110,85 @@ impl Comm {
         self.clock.advance(ns);
     }
 
+    /// This communicator placed on `topo`: a handle on the same ranks,
+    /// clock, tracer and collectives whose payload between two ranks
+    /// `topo` puts on one node is priced on `intra_link`. Every rank must
+    /// enter a collective through a handle with the same placement, as
+    /// with any collective argument.
+    pub fn placed(&self, topo: NodeTopology) -> Comm {
+        assert_eq!(topo.nprocs(), self.size, "a placement covers every rank");
+        Comm {
+            rank: self.rank,
+            size: self.size,
+            world_rank: self.world_rank,
+            members: self.members.clone(),
+            placement: Some(topo),
+            clock: self.clock.clone(),
+            shared: Arc::clone(&self.shared),
+            tracer: self.tracer.clone(),
+        }
+    }
+
+    /// The link class between ranks `a` and `b` of this communicator:
+    /// intra-node where its placement puts both on one node, `link` for
+    /// every other pair and on a communicator with no placement. The one
+    /// rule the collectives' prices and the two-phase `wire_*_bytes`
+    /// meters share.
+    pub fn link_class(&self, a: usize, b: usize) -> LinkClass {
+        match &self.placement {
+            Some(topo) if topo.same_node(a, b) => LinkClass::Intra,
+            _ => LinkClass::Inter,
+        }
+    }
+
     /// Synchronize all ranks; afterwards every clock reads the same time.
     pub fn barrier(&self) {
-        let link = self.shared.net.link.clone();
-        let p = self.size;
         self.rendezvous(
             "barrier",
             (),
-            16,
-            move |max, _, _| max + link.collective_ns(p, 16),
+            |max, _, at| {
+                // Every rank's 16-byte token, on the tree over `link`.
+                for e in at {
+                    e.send[LinkClass::Inter as usize] = 16;
+                }
+                max + self.net().link.collective_ns(self.size, 16)
+            },
             |_| (),
         );
     }
 
     /// Every rank contributes one value; every rank receives all values in
     /// rank order. Contributions may differ in size (allgatherv).
+    ///
+    /// Priced per endpoint like [`Comm::alltoallv`]: a rank receives every
+    /// value but its own, each on its pair's link class, and injects its
+    /// own once on each class it has peers on. The latency tree spans all
+    /// P ranks.
     pub fn allgather<T: Clone + Send + WireSize + 'static>(&self, value: T) -> Vec<T> {
-        let link = self.shared.net.link.clone();
-        let p = self.size;
         self.rendezvous(
             "allgather",
             value.clone(),
-            value.wire_size(),
-            move |max, total, _| max + link.collective_ns(p, 0) + link.payload_ns(total as u64),
-            |slots| slots.iter().map(|s| clone_slot::<T>(s)).collect(),
+            |max, slots, at| {
+                for j in 0..self.size {
+                    let bytes = slot_ref::<T>(slots, j).wire_size() as u64;
+                    for r in (0..self.size).filter(|&r| r != j) {
+                        let class = self.link_class(j, r) as usize;
+                        at[j].send[class] = bytes;
+                        at[r].recv[class] += bytes;
+                    }
+                }
+                self.switched_finish(max, self.size, at)
+            },
+            |slots| {
+                (0..self.size)
+                    .map(|i| slot_ref::<T>(slots, i).clone())
+                    .collect()
+            },
         )
     }
 
     /// Root's value is distributed to all ranks. Non-root ranks pass `None`.
+    /// Priced as a log₂(P) tree that moves the value in every round.
     pub fn bcast<T: Clone + Send + WireSize + 'static>(&self, root: usize, value: Option<T>) -> T {
         assert!(root < self.size);
         assert_eq!(
@@ -140,15 +196,20 @@ impl Comm {
             value.is_some(),
             "exactly the root must supply the broadcast value"
         );
-        let link = self.shared.net.link.clone();
-        let p = self.size;
-        let bytes = value.as_ref().map_or(0, WireSize::wire_size);
         self.rendezvous(
             "bcast",
             value,
-            bytes,
-            move |max, total, _| max + link.collective_ns(p, total as u64),
-            move |slots| clone_slot::<Option<T>>(&slots[root]).expect("root deposited Some"),
+            |max, slots, at| {
+                let value = slot_ref::<Option<T>>(slots, root);
+                let bytes = value.as_ref().map_or(0, WireSize::wire_size) as u64;
+                at[root].send[LinkClass::Inter as usize] = bytes;
+                max + self.net().link.collective_ns(self.size, bytes)
+            },
+            |slots| {
+                slot_ref::<Option<T>>(slots, root)
+                    .clone()
+                    .expect("root deposited Some")
+            },
         )
     }
 
@@ -169,19 +230,24 @@ impl Comm {
     /// communicator's ranks map onto nodes, so it is colored by local
     /// rank): the local lanes intra-node aggregation runs over. The
     /// sub-communicator's link model is the parent's *intra-node* link
-    /// class, so its collectives charge shared-memory prices.
+    /// class and it places every pair on one node, so its collectives
+    /// charge shared-memory prices.
     pub fn split_node(&self, topo: &NodeTopology) -> Comm {
         let mut net = self.shared.net.clone();
         net.link = net.intra_link.clone();
-        self.split_with_net(Some(topo.node_of(self.rank) as u64), net)
-            .expect("color provided")
+        let mut node = self
+            .split_with_net(Some(topo.node_of(self.rank) as u64), net)
+            .expect("color provided");
+        node.placement = Some(NodeTopology::single_node(node.size));
+        node
     }
 
     /// One communicator spanning the node leaders of `topo` (interpreted
     /// over this communicator's local ranks): the ranks that run the
     /// inter-node exchange on behalf of their node. Non-leaders get `None`
     /// (but still participate in the split's collectives). Keeps the
-    /// parent's inter-node link model.
+    /// parent's inter-node link model and no placement: every pair of
+    /// leaders is on `link`.
     pub fn split_leaders(&self, topo: &NodeTopology) -> Option<Comm> {
         self.split_opt(topo.is_leader(self.rank).then_some(0))
     }
@@ -210,6 +276,7 @@ impl Comm {
             size: members.len(),
             world_rank: self.world_rank,
             members: Some(Arc::new(world_members)),
+            placement: None,
             clock: self.clock.clone(),
             shared,
             // The sub-communicator inherits the rank's recorder, so its
@@ -218,42 +285,36 @@ impl Comm {
         })
     }
 
+    /// Run one collective: deposit `contribution`, advance the clock to the
+    /// finish `cost` computes from the slowest arrival and every deposit,
+    /// and record a `Category::Comm` span carrying the bytes this rank's
+    /// [`Endpoint`] sent — the count the price was made of.
     pub(crate) fn rendezvous<T, R>(
         &self,
         name: &'static str,
         contribution: T,
-        bytes: usize,
-        cost: impl FnOnce(u64, usize, usize) -> u64,
-        read: impl FnOnce(&mut [Option<Box<dyn Any + Send>>]) -> R,
+        cost: impl FnOnce(u64, &Slots, &mut [Endpoint]) -> u64,
+        read: impl FnOnce(&mut Slots) -> R,
     ) -> R
     where
         T: Send + 'static,
     {
         let start = self.clock.now();
-        let (r, finish) = self.shared.coll.rendezvous(
-            self.rank,
-            self.size,
-            start,
-            bytes,
-            contribution,
-            cost,
-            read,
-        );
+        let (r, finish, bytes) =
+            self.shared
+                .coll
+                .rendezvous(self.rank, self.size, start, contribution, cost, read);
         self.clock.advance_to(finish);
         if self.tracer.is_enabled() {
             match &self.members {
-                None => self.tracer.span(
-                    Category::Comm,
-                    name,
-                    start,
-                    finish,
-                    &[("bytes", bytes as u64)],
-                ),
+                None => self
+                    .tracer
+                    .span(Category::Comm, name, start, finish, &[("bytes", bytes)]),
                 // Sub-communicator spans name their group so trace checkers
                 // can align collectives per group instead of globally.
                 Some(ms) => {
                     let mut args = Vec::with_capacity(1 + ms.len());
-                    args.push(("bytes", bytes as u64));
+                    args.push(("bytes", bytes));
                     args.extend(ms.iter().map(|&m| ("mem", m as u64)));
                     self.tracer.span(Category::Comm, name, start, finish, &args);
                 }
@@ -261,14 +322,6 @@ impl Comm {
         }
         r
     }
-}
-
-fn clone_slot<T: Clone + 'static>(slot: &Option<Box<dyn Any + Send>>) -> T {
-    slot.as_ref()
-        .expect("collective slot filled")
-        .downcast_ref::<T>()
-        .expect("collective type mismatch across ranks")
-        .clone()
 }
 
 #[cfg(test)]
@@ -383,8 +436,24 @@ mod tests {
     }
 
     #[test]
+    fn a_placement_decides_the_link_class_of_each_pair() {
+        let topo = NodeTopology::new(4, 2);
+        run(4, NetCost::fast_test(), |c| {
+            let placed = c.placed(topo);
+            assert_eq!(placed.link_class(0, 1), LinkClass::Intra);
+            assert_eq!(placed.link_class(1, 2), LinkClass::Inter);
+            assert_eq!(c.link_class(0, 1), LinkClass::Inter, "no placement");
+            let node = c.split_node(&topo);
+            assert_eq!(node.link_class(0, 1), LinkClass::Intra);
+            if let Some(leaders) = c.split_leaders(&topo) {
+                assert_eq!(leaders.link_class(0, 1), LinkClass::Inter);
+            }
+        });
+    }
+
+    #[test]
     fn allgather_cost_scales_with_bytes() {
-        // Two jobs differing only in payload size: bigger payload, later clock.
+        // Two jobs that differ only in payload size: the bigger one ends later.
         let small = run(
             4,
             NetCost::new(atomio_vtime::LinkCost::new(100, 1e9)),

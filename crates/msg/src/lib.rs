@@ -10,9 +10,10 @@
 //! is replaced by [`run`], which spawns one thread per rank and hands each a
 //! [`Comm`]. Every operation charges *virtual* time through the rank's
 //! [`Clock`](atomio_vtime::Clock) using a latency/bandwidth [`NetCost`]
-//! model with log₂(P) collective trees — so simulated communication cost
-//! scales the way the paper's negotiation overhead analysis (§3.4) assumes,
-//! while the actual data movement is an in-process memory exchange.
+//! model: log₂(P) latency trees — so simulated communication cost scales
+//! the way the paper's negotiation overhead analysis (§3.4) assumes — plus
+//! the payload of the busiest endpoint of a switched fabric, per link
+//! class, while the actual data movement is an in-process memory exchange.
 //!
 //! ```
 //! use atomio_msg::{run, NetCost};

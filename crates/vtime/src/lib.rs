@@ -28,7 +28,7 @@ mod wire;
 pub use clock::{Clock, VNanos};
 pub use cost::{bandwidth_mibps, fanout_ns, LinkCost, MemCost, ServeCost, GIB, KIB, MIB};
 pub use horizon::Horizon;
-pub use net::NetCost;
+pub use net::{LinkClass, NetCost};
 pub use span::{Span, SpanSet};
 pub use topo::NodeTopology;
 pub use wire::WireSize;

@@ -1,5 +1,21 @@
 use crate::LinkCost;
 
+/// Which of a communicator's two link models carries a transfer between
+/// two of its ranks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkClass {
+    /// Both ranks share a node: [`NetCost::intra_link`].
+    Intra = 0,
+    /// Different nodes, or a communicator that knows no placement:
+    /// [`NetCost::link`].
+    Inter = 1,
+}
+
+impl LinkClass {
+    /// Both classes, in discriminant order.
+    pub const ALL: [LinkClass; 2] = [LinkClass::Intra, LinkClass::Inter];
+}
+
 /// Network cost parameters for one communicator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetCost {
@@ -26,6 +42,14 @@ impl NetCost {
     pub fn with_intra_link(mut self, intra_link: LinkCost) -> Self {
         self.intra_link = intra_link;
         self
+    }
+
+    /// The link model of `class`.
+    pub fn link_of(&self, class: LinkClass) -> &LinkCost {
+        match class {
+            LinkClass::Intra => &self.intra_link,
+            LinkClass::Inter => &self.link,
+        }
     }
 
     /// Myrinet-class cluster interconnect (ASCI Cplant, Table 1):
