@@ -300,7 +300,6 @@ pub fn check_shape(points: &[Point]) -> Vec<String> {
 }
 
 pub mod artifact;
-pub mod negotiation;
 
 pub use artifact::{makespan, ratio, reduction, Args, Artifact, TraceFile};
 pub use atomio_trace::{json::Value, object};

@@ -60,9 +60,7 @@ mod two_phase;
 
 pub use domain::{choose_aggregators, partition_domains, FileDomain};
 pub use exchange::route_segments;
-pub use surrender::{
-    higher_union, higher_union_strided, surviving_pieces, surviving_pieces_strided,
-};
+pub use surrender::{higher_union_strided, surviving_pieces_strided};
 pub use two_phase::{
     two_phase_read, two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReadReport,
     TwoPhaseReport,

@@ -10,29 +10,16 @@ use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 /// Union of the file-view footprints of every rank *higher* than `me` —
 /// the region this process must surrender under process-rank ordering
 /// (paper §3.3.2: "the higher ranked process wins the right to access the
-/// overlapped regions while others surrender their writes").
-///
-/// Built in one batch from every run of every higher rank instead of
-/// folding pairwise unions, which rebuilt the accumulated set once per
-/// rank (quadratic in total runs).
-pub fn higher_union(all_footprints: &[IntervalSet], me: usize) -> IntervalSet {
-    IntervalSet::from_ranges(
-        all_footprints[me + 1..]
-            .iter()
-            .flat_map(|s| s.iter().copied()),
-    )
-}
-
-/// [`higher_union`] in compressed space: the suffix union of strided
-/// footprints, computed train-by-train without expanding rows. For the
+/// overlapped regions while others surrender their writes"). Computed
+/// train-by-train in compressed space, without expanding rows. For the
 /// paper's column-wise pattern the result is O(1) trains — the higher
 /// ranks' merged column window per row — whatever M is.
 ///
 /// Footprints that compress well (a handful of trains per rank) are folded
 /// in train space; poorly compressed ones (trains ≈ runs, e.g. irregular
 /// hindexed soups) would make the fold quadratic in total trains, so they
-/// fall back to the dense batch build — linear in runs, exactly what the
-/// dense pipeline pays — and recompress the result.
+/// fall back to one batch build of the runs — linear in runs — and
+/// recompress the result.
 pub fn higher_union_strided(all_footprints: &[StridedSet], me: usize) -> StridedSet {
     let higher = &all_footprints[me + 1..];
     let total_trains: usize = higher.iter().map(StridedSet::train_count).sum();
@@ -57,29 +44,8 @@ pub fn higher_union_strided(all_footprints: &[StridedSet], me: usize) -> Strided
 ///
 /// This is the "re-calculation of each process's file view by marking down
 /// the overlapped regions with all higher-rank processes' file views"
-/// (Figure 7).
-pub fn surviving_pieces(
-    my_segments: &[ViewSegment],
-    surrendered: &IntervalSet,
-) -> Vec<ViewSegment> {
-    let mut out = Vec::with_capacity(my_segments.len());
-    for seg in my_segments {
-        let seg_set = IntervalSet::from_extents(std::iter::once((seg.file_off, seg.len)));
-        for piece in seg_set.subtract(surrendered).iter() {
-            out.push(ViewSegment {
-                file_off: piece.start,
-                logical_off: seg.logical_off + (piece.start - seg.file_off),
-                len: piece.len(),
-            });
-        }
-    }
-    out
-}
-
-/// [`surviving_pieces`] against a compressed surrendered set: each segment
-/// subtracts only the train cuts intersecting it (O(trains + cuts) per
-/// segment, independent of the surrendered set's total run count), and the
-/// resulting pieces are identical to the dense recomputation.
+/// (Figure 7). Each segment subtracts only the train cuts intersecting it:
+/// O(trains + cuts) per segment, whatever the surrendered set's run count.
 pub fn surviving_pieces_strided(
     my_segments: &[ViewSegment],
     surrendered: &StridedSet,
@@ -136,7 +102,7 @@ pub(crate) fn surrender(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomio_interval::ByteRange;
+    use atomio_interval::Train;
 
     fn seg(file_off: u64, logical_off: u64, len: u64) -> ViewSegment {
         ViewSegment {
@@ -146,44 +112,56 @@ mod tests {
         }
     }
 
+    fn range(start: u64, end: u64) -> StridedSet {
+        StridedSet::from_sorted_extents([(start, end - start)])
+    }
+
+    /// The dense reference: each segment minus `surrendered` by
+    /// `IntervalSet` algebra, pieces in file order.
+    fn dense_pieces(segments: &[ViewSegment], surrendered: &IntervalSet) -> Vec<ViewSegment> {
+        let mut out = Vec::new();
+        for s in segments {
+            let own = IntervalSet::from_extents([(s.file_off, s.len)]);
+            for piece in own.subtract(surrendered).iter() {
+                out.push(seg(
+                    piece.start,
+                    s.logical_off + (piece.start - s.file_off),
+                    piece.len(),
+                ));
+            }
+        }
+        out
+    }
+
     #[test]
     fn higher_union_is_suffix_union() {
-        let views = vec![
-            IntervalSet::from_range(ByteRange::new(0, 10)),
-            IntervalSet::from_range(ByteRange::new(8, 20)),
-            IntervalSet::from_range(ByteRange::new(18, 30)),
-        ];
-        assert_eq!(
-            higher_union(&views, 0),
-            IntervalSet::from_range(ByteRange::new(8, 30))
-        );
-        assert_eq!(
-            higher_union(&views, 1),
-            IntervalSet::from_range(ByteRange::new(18, 30))
-        );
-        assert!(higher_union(&views, 2).is_empty());
+        let views = vec![range(0, 10), range(8, 20), range(18, 30)];
+        let dense = |me| higher_union_strided(&views, me).to_intervals();
+        assert_eq!(dense(0), range(8, 30).to_intervals());
+        assert_eq!(dense(1), range(18, 30).to_intervals());
+        assert!(dense(2).is_empty());
     }
 
     #[test]
     fn pieces_keep_logical_alignment() {
         // One segment [100,120) carrying buffer bytes 40..60; the middle
         // [105,115) is surrendered.
-        let surr = IntervalSet::from_range(ByteRange::new(105, 115));
-        let got = surviving_pieces(&[seg(100, 40, 20)], &surr);
+        let got = surviving_pieces_strided(&[seg(100, 40, 20)], &range(105, 115));
         assert_eq!(got, vec![seg(100, 40, 5), seg(115, 55, 5)]);
     }
 
     #[test]
     fn untouched_segments_pass_through() {
-        let surr = IntervalSet::from_range(ByteRange::new(500, 600));
         let segs = [seg(0, 0, 10), seg(20, 10, 10)];
-        assert_eq!(surviving_pieces(&segs, &surr), segs.to_vec());
+        assert_eq!(
+            surviving_pieces_strided(&segs, &range(500, 600)),
+            segs.to_vec()
+        );
     }
 
     #[test]
     fn fully_surrendered_segment_vanishes() {
-        let surr = IntervalSet::from_range(ByteRange::new(0, 100));
-        assert!(surviving_pieces(&[seg(10, 0, 50)], &surr).is_empty());
+        assert!(surviving_pieces_strided(&[seg(10, 0, 50)], &range(0, 100)).is_empty());
     }
 
     #[test]
@@ -191,14 +169,13 @@ mod tests {
         // Column-wise miniature: 8 rows of width 6 starting at column 4,
         // surrendering ghost columns [8, 12) of every row.
         let segs: Vec<ViewSegment> = (0..8u64).map(|r| seg(r * 16 + 4, r * 6, 6)).collect();
-        let surr_strided = StridedSet::from_train(atomio_interval::Train::new(8, 4, 16, 8));
-        let surr_dense = surr_strided.to_intervals();
+        let surr = StridedSet::from_train(Train::new(8, 4, 16, 8));
         assert_eq!(
-            surviving_pieces_strided(&segs, &surr_strided),
-            surviving_pieces(&segs, &surr_dense)
+            surviving_pieces_strided(&segs, &surr),
+            dense_pieces(&segs, &surr.to_intervals())
         );
-        // And the union paths agree extensionally.
-        let views_dense = vec![
+        // And the union agrees with the dense fold over the higher ranks.
+        let views_dense = [
             IntervalSet::from_extents((0..8u64).map(|r| (r * 16, 8u64))),
             IntervalSet::from_extents((0..8u64).map(|r| (r * 16 + 6, 8u64))),
             IntervalSet::from_extents((0..8u64).map(|r| (r * 16 + 12, 4u64))),
@@ -206,9 +183,12 @@ mod tests {
         let views_strided: Vec<StridedSet> =
             views_dense.iter().map(StridedSet::from_intervals).collect();
         for me in 0..3 {
+            let higher = views_dense[me + 1..]
+                .iter()
+                .fold(IntervalSet::new(), |acc, v| acc.union(v));
             assert_eq!(
                 higher_union_strided(&views_strided, me).to_intervals(),
-                higher_union(&views_dense, me),
+                higher,
                 "rank {me}"
             );
         }
@@ -217,11 +197,11 @@ mod tests {
     #[test]
     fn survivors_total_matches_set_subtraction() {
         let segs = [seg(0, 0, 10), seg(20, 10, 10), seg(40, 20, 10)];
-        let surr = IntervalSet::from_extents([(5u64, 20u64), (45, 2)]);
-        let got = surviving_pieces(&segs, &surr);
+        let surr = StridedSet::from_sorted_extents([(5u64, 20u64), (45, 2)]);
+        let got = surviving_pieces_strided(&segs, &surr);
         let got_set = IntervalSet::from_extents(got.iter().map(|s| (s.file_off, s.len)));
         let mine = IntervalSet::from_extents(segs.iter().map(|s| (s.file_off, s.len)));
-        assert_eq!(got_set, mine.subtract(&surr));
+        assert_eq!(got_set, mine.subtract(&surr.to_intervals()));
         // Logical offsets remain consistent with the file offsets.
         for s in &got {
             let parent = segs

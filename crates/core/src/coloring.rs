@@ -1,8 +1,6 @@
-use std::collections::HashMap;
-
 use atomio_collective::surviving_pieces_strided;
 use atomio_dtype::ViewSegment;
-use atomio_interval::{ByteRange, IntervalSet, StridedSet, Train};
+use atomio_interval::StridedSet;
 use atomio_pfs::PlatformProfile;
 use atomio_vtime::VNanos;
 
@@ -16,112 +14,19 @@ pub struct OverlapMatrix {
 }
 
 impl OverlapMatrix {
-    /// Build from every process's dense file-view footprint.
-    ///
-    /// A single sweep over the sorted run endpoints of *all* ranks finds
-    /// every overlapping pair in O(E log E + pairs) for E total runs —
-    /// no O(P²) pairwise set intersections: a rank's run entering the sweep
-    /// overlaps exactly the ranks whose runs are active at that point.
-    pub fn from_footprints(footprints: &[IntervalSet]) -> Self {
-        let n = footprints.len();
-        let mut m = OverlapMatrix {
-            n,
-            bits: vec![false; n * n],
-        };
-        // (position, is_start, rank); ends sort before starts at equal
-        // positions so touching runs (half-open ranges) never count.
-        let mut events: Vec<(u64, bool, usize)> = Vec::new();
-        for (rank, fp) in footprints.iter().enumerate() {
-            for run in fp.iter() {
-                events.push((run.start, true, rank));
-                events.push((run.end, false, rank));
-            }
-        }
-        events.sort_unstable();
-        let mut active: Vec<usize> = Vec::new();
-        for (_, is_start, rank) in events {
-            if is_start {
-                for &other in &active {
-                    m.set(rank, other, true);
-                }
-                active.push(rank);
-            } else {
-                let pos = active.iter().position(|&r| r == rank).expect("active run");
-                active.swap_remove(pos);
-            }
-        }
-        m
-    }
-
-    /// Build from run-length-compressed footprints without expanding them:
-    /// a sweep-line over *train* descriptions, O(S log S + candidate pairs)
-    /// for S total trains instead of O(P²) dense intersections.
-    ///
-    /// Trains sharing a stride (the regular-partitioning case — every rank
-    /// of a column-wise or block decomposition strides by the row length)
-    /// are compared in *phase space*: two same-stride combs overlap iff
-    /// their per-period windows intersect **and** their period ranges
-    /// intersect, so one sweep over the window intervals of each stride
-    /// class finds all candidate pairs and an O(1) period check confirms
-    /// each. Plain runs are projected into every stride class (≤ 3 combs
-    /// each) and swept against each other in absolute space. Only
-    /// cross-stride comb pairs — absent from regular workloads — fall back
-    /// to pairwise train tests (still O(min(count)) each, never dense).
+    /// Build from every process's run-length-compressed footprint: one exact
+    /// [`StridedSet::overlaps`] test per pair, Θ(P²) like W itself and
+    /// [`greedy_color`], each test costing trains, not rows.
     pub fn from_strided(footprints: &[StridedSet]) -> Self {
         let n = footprints.len();
         let mut m = OverlapMatrix {
             n,
             bits: vec![false; n * n],
         };
-        // Decompose every train into aligned combs (stride class, period
-        // range, window) or plain runs.
-        let mut classes: HashMap<u64, Vec<Comb>> = HashMap::new();
-        let mut runs: Vec<(ByteRange, usize)> = Vec::new();
-        for (rank, fp) in footprints.iter().enumerate() {
-            for t in fp.trains() {
-                if t.is_run() {
-                    runs.push((t.bounds(), rank));
-                } else {
-                    for comb in decompose(t, rank) {
-                        classes.entry(t.stride()).or_default().push(comb);
-                    }
-                }
-            }
-        }
-        // Same-class pairs (plus runs projected into each class).
-        for (&stride, combs) in &classes {
-            let mut items = combs.clone();
-            for &(r, rank) in &runs {
-                project_run(r, stride, rank, &mut items);
-            }
-            sweep_combs(&items, &mut m, true);
-        }
-        // Runs against runs, in absolute space.
-        let mut run_items: Vec<Comb> = Vec::new();
-        for &(r, rank) in &runs {
-            run_items.push(Comb {
-                rank,
-                window: (r.start, r.end),
-                periods: (0, 1),
-                from_run: true,
-            });
-        }
-        sweep_combs(&run_items, &mut m, false);
-        // Cross-class comb pairs: rare (heterogeneous strides); exact
-        // train-vs-train tests, skipping pairs already known to overlap.
-        let mut class_list: Vec<(&u64, &Vec<Comb>)> = classes.iter().collect();
-        class_list.sort_unstable_by_key(|(d, _)| **d);
-        for (ci, (&da, combs_a)) in class_list.iter().enumerate() {
-            for (&db, combs_b) in class_list.iter().skip(ci + 1) {
-                for a in combs_a.iter() {
-                    for b in combs_b.iter() {
-                        if a.rank == b.rank || m.overlaps(a.rank, b.rank) {
-                            continue;
-                        }
-                        if a.to_train(da).overlaps(&b.to_train(db)) {
-                            m.set(a.rank, b.rank, true);
-                        }
-                    }
+        for i in 0..n {
+            for j in i + 1..n {
+                if footprints[i].overlaps(&footprints[j]) {
+                    m.set(i, j);
                 }
             }
         }
@@ -136,7 +41,7 @@ impl OverlapMatrix {
         };
         for &(i, j) in edges {
             assert!(i != j, "no self-overlap");
-            m.set(i, j, true);
+            m.set(i, j);
         }
         m
     }
@@ -163,140 +68,9 @@ impl OverlapMatrix {
         (0..self.n).map(|i| self.degree(i)).max().unwrap_or(0)
     }
 
-    fn set(&mut self, i: usize, j: usize, v: bool) {
-        self.bits[i * self.n + j] = v;
-        self.bits[j * self.n + i] = v;
-    }
-}
-
-/// One aligned comb of a stride class `d`: bytes `p*d + w` for every period
-/// `p` in `periods` and window offset `w` in `window ⊂ [0, d)`. The product
-/// structure makes the pairwise overlap test within a class O(1): combs
-/// overlap iff the windows intersect and the period ranges intersect.
-#[derive(Debug, Clone, Copy)]
-struct Comb {
-    rank: usize,
-    window: (u64, u64),
-    periods: (u64, u64),
-    /// True when this comb is the projection of a plain run (run–run pairs
-    /// are found once by the absolute-space sweep, not per class).
-    from_run: bool,
-}
-
-impl Comb {
-    fn to_train(self, stride: u64) -> Train {
-        Train::new(
-            self.periods.0 * stride + self.window.0,
-            self.window.1 - self.window.0,
-            stride,
-            self.periods.1 - self.periods.0,
-        )
-    }
-}
-
-/// Split a train into 1–2 aligned combs of its stride class (2 when the
-/// run crosses the period boundary).
-fn decompose(t: &Train, rank: usize) -> Vec<Comb> {
-    let d = t.stride();
-    let q = t.start() / d;
-    let r = t.start() % d;
-    if r + t.len() <= d {
-        vec![Comb {
-            rank,
-            window: (r, r + t.len()),
-            periods: (q, q + t.count()),
-            from_run: false,
-        }]
-    } else {
-        vec![
-            Comb {
-                rank,
-                window: (r, d),
-                periods: (q, q + t.count()),
-                from_run: false,
-            },
-            Comb {
-                rank,
-                window: (0, r + t.len() - d),
-                periods: (q + 1, q + 1 + t.count()),
-                from_run: false,
-            },
-        ]
-    }
-}
-
-/// Project a contiguous run into stride class `d` as up to three aligned
-/// combs (partial first period, full middle periods, partial last period).
-fn project_run(r: ByteRange, d: u64, rank: usize, out: &mut Vec<Comb>) {
-    if r.is_empty() {
-        return;
-    }
-    let q0 = r.start / d;
-    let q1 = (r.end - 1) / d;
-    if q0 == q1 {
-        out.push(Comb {
-            rank,
-            window: (r.start % d, r.start % d + r.len()),
-            periods: (q0, q0 + 1),
-            from_run: true,
-        });
-        return;
-    }
-    out.push(Comb {
-        rank,
-        window: (r.start % d, d),
-        periods: (q0, q0 + 1),
-        from_run: true,
-    });
-    if q1 > q0 + 1 {
-        out.push(Comb {
-            rank,
-            window: (0, d),
-            periods: (q0 + 1, q1),
-            from_run: true,
-        });
-    }
-    let tail = r.end - q1 * d;
-    out.push(Comb {
-        rank,
-        window: (0, tail),
-        periods: (q1, q1 + 1),
-        from_run: true,
-    });
-}
-
-/// Sweep-line over comb windows: when a comb's window opens while another
-/// rank's comb is active, the pair overlaps iff their period ranges also
-/// intersect. With `skip_run_pairs`, pairs of projected runs are ignored —
-/// the absolute-space run sweep reports those once, instead of once per
-/// stride class.
-fn sweep_combs(items: &[Comb], m: &mut OverlapMatrix, skip_run_pairs: bool) {
-    let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(items.len() * 2);
-    for (idx, c) in items.iter().enumerate() {
-        events.push((c.window.0, true, idx));
-        events.push((c.window.1, false, idx));
-    }
-    // Ends before starts at equal offsets: windows are half-open.
-    events.sort_unstable_by_key(|&(pos, is_start, idx)| (pos, is_start, idx));
-    let mut active: Vec<usize> = Vec::new();
-    for (_, is_start, idx) in events {
-        if is_start {
-            let c = &items[idx];
-            for &other in &active {
-                let o = &items[other];
-                if o.rank != c.rank
-                    && !(skip_run_pairs && c.from_run && o.from_run)
-                    && c.periods.0 < o.periods.1
-                    && o.periods.0 < c.periods.1
-                {
-                    m.set(c.rank, o.rank, true);
-                }
-            }
-            active.push(idx);
-        } else {
-            let pos = active.iter().position(|&i| i == idx).expect("active comb");
-            active.swap_remove(pos);
-        }
+    fn set(&mut self, i: usize, j: usize) {
+        self.bits[i * self.n + j] = true;
+        self.bits[j * self.n + i] = true;
     }
 }
 
@@ -479,7 +253,7 @@ pub fn split_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomio_interval::ByteRange;
+    use atomio_interval::{ByteRange, IntervalSet, Train};
 
     fn chain(n: usize) -> OverlapMatrix {
         let edges: Vec<_> = (1..n).map(|i| (i - 1, i)).collect();
@@ -548,12 +322,25 @@ mod tests {
         assert!(color_count(&colors) <= w.max_degree() + 1);
     }
 
+    /// W by one dense `IntervalSet::overlaps` test per pair: the reference
+    /// `from_strided` must equal.
+    fn dense_matrix(footprints: &[StridedSet]) -> OverlapMatrix {
+        let dense: Vec<IntervalSet> = footprints.iter().map(StridedSet::to_intervals).collect();
+        let mut edges = Vec::new();
+        for i in 0..dense.len() {
+            for j in i + 1..dense.len() {
+                if dense[i].overlaps(&dense[j]) {
+                    edges.push((i, j));
+                }
+            }
+        }
+        OverlapMatrix::from_edges(dense.len(), &edges)
+    }
+
     #[test]
-    fn from_footprints_detects_overlap() {
-        let a = IntervalSet::from_range(ByteRange::new(0, 100));
-        let b = IntervalSet::from_range(ByteRange::new(90, 200));
-        let c = IntervalSet::from_range(ByteRange::new(200, 300));
-        let w = OverlapMatrix::from_footprints(&[a, b, c]);
+    fn from_strided_detects_overlap() {
+        let run = |start: u64, end: u64| StridedSet::from_sorted_extents([(start, end - start)]);
+        let w = OverlapMatrix::from_strided(&[run(0, 100), run(90, 200), run(200, 300)]);
         assert!(w.overlaps(0, 1));
         assert!(w.overlaps(1, 0));
         assert!(!w.overlaps(1, 2), "touching but not overlapping");
@@ -566,18 +353,9 @@ mod tests {
     fn from_strided_matches_dense_on_colwise_combs() {
         // 4 ranks of a 16-row × 64-column array with 4 ghost columns:
         // neighbours overlap, non-neighbours don't.
-        let (m_rows, n_cols, width, ghost) = (16u64, 64u64, 16u64, 4u64);
-        let strided: Vec<StridedSet> = (0..4u64)
-            .map(|k| {
-                let start = (k * width).saturating_sub(ghost / 2);
-                let end = ((k + 1) * width + ghost / 2).min(n_cols);
-                StridedSet::from_train(Train::new(start, end - start, n_cols, m_rows))
-            })
-            .collect();
-        let dense: Vec<IntervalSet> = strided.iter().map(StridedSet::to_intervals).collect();
+        let strided = colwise(16, 64, 4, 4);
         let ws = OverlapMatrix::from_strided(&strided);
-        let wd = OverlapMatrix::from_footprints(&dense);
-        assert_eq!(ws, wd);
+        assert_eq!(ws, dense_matrix(&strided));
         assert!(ws.overlaps(0, 1) && ws.overlaps(1, 2) && ws.overlaps(2, 3));
         assert!(!ws.overlaps(0, 2) && !ws.overlaps(1, 3) && !ws.overlaps(0, 3));
     }
@@ -589,10 +367,9 @@ mod tests {
         let run = StridedSet::from_train(Train::new(30, 10, 10, 1)); // plain run
         let empty = StridedSet::new();
         let strided = vec![comb_a, comb_b, run, empty];
-        let dense: Vec<IntervalSet> = strided.iter().map(StridedSet::to_intervals).collect();
         assert_eq!(
             OverlapMatrix::from_strided(&strided),
-            OverlapMatrix::from_footprints(&dense)
+            dense_matrix(&strided)
         );
     }
 

@@ -49,7 +49,6 @@
 //! concurrent writes — the ground-truth test used throughout the test
 //! suite and examples.
 
-pub mod analysis;
 mod coloring;
 mod error;
 mod file;
@@ -57,8 +56,7 @@ mod sieve;
 pub mod verify;
 
 pub use atomio_collective::{
-    higher_union, higher_union_strided, surviving_pieces, surviving_pieces_strided,
-    ExchangeSchedule, TwoPhaseConfig,
+    higher_union_strided, surviving_pieces_strided, ExchangeSchedule, TwoPhaseConfig,
 };
 pub use coloring::{greedy_color, held_bytes, split_request, OverlapMatrix};
 pub use error::Error;

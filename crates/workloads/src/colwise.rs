@@ -1,6 +1,6 @@
 use atomio_interval::IntervalSet;
 
-use crate::layout::{Partition, WorkloadError};
+use crate::layout::{positive, Partition, WorkloadError};
 
 /// Column-wise partitioning of an M×N byte array over P processes with R
 /// overlapped columns between neighbours (paper Figure 3b) — the workload
@@ -27,13 +27,7 @@ impl ColWise {
         if p == 0 {
             return Err(WorkloadError::NoProcesses);
         }
-        if m == 0 || n == 0 {
-            return Err(WorkloadError::Indivisible {
-                what: "array dim",
-                size: 0,
-                by: 1,
-            });
-        }
+        positive([("rows", m), ("columns", n)])?;
         if !n.is_multiple_of(p as u64) {
             return Err(WorkloadError::Indivisible {
                 what: "columns",
@@ -111,6 +105,9 @@ mod tests {
         assert_eq!(c.start_col(0), 0);
         assert_eq!(c.start_col(1), 6); // 1*8 - 2
         assert_eq!(c.start_col(7), 54);
+        // Locking and coloring write every ghost column twice.
+        let widths: u64 = (0..8).map(|k| c.width(k)).sum();
+        assert_eq!(widths, c.n + (c.p as u64 - 1) * c.r);
     }
 
     #[test]
@@ -145,6 +142,10 @@ mod tests {
         assert_eq!(part.footprint().run_count(), 16, "one run per row");
         assert!(!part.view.is_contiguous());
         assert_eq!(part.data_bytes(), 16 * c.width(1));
+        // M write calls per process, each one row of the view (§3.2).
+        let segs = part.view.segments(0, part.data_bytes());
+        assert_eq!(segs.len() as u64, c.m);
+        assert!(segs.iter().all(|s| s.len == c.width(1)));
     }
 
     #[test]
@@ -195,6 +196,12 @@ mod tests {
                 assert_eq!(c.file_bytes(), 4096 * n);
             }
         }
+        // A span lock covers (M−1)·N + width bytes: "virtually the entire
+        // file" (§3.2).
+        let c = ColWise::new(4096, 32768, 8, 16).unwrap();
+        let span = c.partition(3).footprint().span().unwrap();
+        assert_eq!(span.len(), (c.m - 1) * c.n + c.width(3));
+        assert!(span.len() as f64 > 0.999 * c.file_bytes() as f64);
         // 32 MB / 128 MB / 1 GB as the paper states.
         assert_eq!(4096u64 * 8192, 32 << 20);
         assert_eq!(4096u64 * 32768, 128 << 20);

@@ -1,6 +1,6 @@
 use atomio_interval::IntervalSet;
 
-use crate::layout::{Partition, WorkloadError};
+use crate::layout::{positive, Partition, WorkloadError};
 
 /// 2-D block-block decomposition with ghost cells (paper Figure 1).
 ///
@@ -27,6 +27,7 @@ impl BlockBlock {
         if pr == 0 || pc == 0 {
             return Err(WorkloadError::NoProcesses);
         }
+        positive([("rows", rows), ("cols", cols)])?;
         if !rows.is_multiple_of(pr as u64) {
             return Err(WorkloadError::Indivisible {
                 what: "rows",

@@ -63,6 +63,19 @@ impl From<ViewError> for WorkloadError {
     }
 }
 
+/// `Err(Invalid)` naming the first zero dimension: an empty array has no
+/// partition to build.
+pub(crate) fn positive(dims: [(&'static str, u64); 2]) -> Result<(), WorkloadError> {
+    match dims.into_iter().find(|&(_, got)| got == 0) {
+        Some((what, got)) => Err(WorkloadError::Invalid {
+            what,
+            got,
+            constraint: "must be positive",
+        }),
+        None => Ok(()),
+    }
+}
+
 /// One rank's share of a distributed array: the subarray filetype, its file
 /// view, and enough geometry to build and verify data buffers.
 #[derive(Debug, Clone)]
@@ -148,6 +161,23 @@ mod tests {
         assert_eq!(buf[2], 11);
         assert_eq!(buf[3], 12);
         assert_eq!(buf.len(), 8);
+    }
+
+    #[test]
+    fn zero_array_dimensions_are_invalid() {
+        use crate::{BlockBlock, ColWise, RowWise};
+        let zero = |what| WorkloadError::Invalid {
+            what,
+            got: 0,
+            constraint: "must be positive",
+        };
+        assert_eq!(BlockBlock::new(0, 8, 1, 1, 0), Err(zero("rows")));
+        assert_eq!(BlockBlock::new(8, 0, 1, 1, 0), Err(zero("cols")));
+        assert_eq!(ColWise::new(0, 64, 4, 4), Err(zero("rows")));
+        assert_eq!(ColWise::new(64, 0, 4, 4), Err(zero("columns")));
+        assert_eq!(RowWise::new(64, 0, 4, 4), Err(zero("columns")));
+        assert_eq!(RowWise::new(0, 64, 4, 4), Err(zero("rows")));
+        assert_eq!(zero("rows").to_string(), "rows = 0: must be positive");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use atomio_interval::IntervalSet;
 
-use crate::layout::{Partition, WorkloadError};
+use crate::layout::{positive, Partition, WorkloadError};
 
 /// Row-wise partitioning of an M×N byte array over P processes with R
 /// overlapped rows between neighbours (paper Figure 3a).
@@ -23,13 +23,7 @@ impl RowWise {
         if p == 0 {
             return Err(WorkloadError::NoProcesses);
         }
-        if m == 0 || n == 0 {
-            return Err(WorkloadError::Indivisible {
-                what: "array dim",
-                size: 0,
-                by: 1,
-            });
-        }
+        positive([("rows", m), ("columns", n)])?;
         if !m.is_multiple_of(p as u64) {
             return Err(WorkloadError::Indivisible {
                 what: "rows",

@@ -25,7 +25,12 @@ fn file_locking_is_atomic_on_colwise() {
     let rep = check_colwise(&fs, "lk", spec);
     assert!(rep.is_atomic(), "{rep:?}");
     assert!(reports.iter().all(|r| r.lock_footprint.is_some()));
-    // Lock span is "virtually the entire file" (§3.2).
+    // Lock span is "virtually the entire file" (§3.2): from row 0 of the
+    // rank's columns to row M−1, (M−1)·N + width bytes.
+    for (rank, report) in reports.iter().enumerate() {
+        let span = report.lock_footprint.as_ref().unwrap().span().unwrap();
+        assert_eq!(span.len(), (spec.m - 1) * spec.n + spec.width(rank));
+    }
     let footprint = reports[1].lock_footprint.clone().unwrap();
     assert_eq!(footprint.granularity, LockGranularity::Span);
     let span = footprint.span().unwrap();

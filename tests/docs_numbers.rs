@@ -21,12 +21,11 @@ const CLOSE: &str = " -->";
 const DESIGN_MAX_LINES: usize = 600;
 
 /// Artifacts no CI gate regenerates byte for byte: their makespans move
-/// with host scheduling, or they are host-timed. Quote their counts only.
-const UNGATED: [&str; 4] = [
+/// with host scheduling. Quote their counts only.
+const UNGATED: [&str; 3] = [
     "BENCH_coherence.json",
     "BENCH_recovery.json",
     "BENCH_sieving.json",
-    "BENCH_negotiation.json",
 ];
 
 const UNITS: [&str; 7] = ["vns", "ns", "ms", "µs", "MiB/s", "MB/s", "GB/s"];

@@ -10,7 +10,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use atomio::core::higher_union;
 use atomio::prelude::*;
 use atomio::vtime::MemCost;
 
@@ -248,7 +247,12 @@ fn collective_writes_fail_typed_on_exactly_the_ranks_of_a_dead_server() {
             // aggregator writes its file domain instead, whoever asked for
             // the bytes, and every domain here spans whole stripe rows.
             let sent = match strategy {
-                Strategy::RankOrdering => views[rank].subtract(&higher_union(&views, rank)),
+                Strategy::RankOrdering => {
+                    let higher = views[rank + 1..]
+                        .iter()
+                        .fold(IntervalSet::new(), |acc, v| acc.union(v));
+                    views[rank].subtract(&higher)
+                }
                 _ => views[rank].clone(),
             };
             let touches_dead = strategy == Strategy::TwoPhase

@@ -1,13 +1,14 @@
 //! The compressed negotiation pipeline must be *byte-identical* to the
-//! dense reference it replaced: same overlap matrix, same coloring, same
-//! recomputed rank-ordering views, same final file contents — on the
-//! paper's regular geometry and on irregular random soups.
+//! dense reference: same overlap matrix, same coloring, same recomputed
+//! rank-ordering views, same final file contents — on the paper's regular
+//! geometry and on irregular random soups. The reference is plain
+//! `IntervalSet` algebra: one `overlaps` test per pair for W, and a rank's
+//! segments minus the union of every higher rank's footprint.
 
 use atomio::prelude::*;
-use atomio_core::{
-    greedy_color, higher_union, higher_union_strided, surviving_pieces, surviving_pieces_strided,
-    OverlapMatrix,
-};
+use atomio_core::{greedy_color, higher_union_strided, surviving_pieces_strided, OverlapMatrix};
+use atomio_dtype::ViewSegment;
+use atomio_vtime::WireSize;
 use proptest::prelude::{prop, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
 use proptest::{prop_assert, prop_assert_eq, proptest};
@@ -16,8 +17,41 @@ use proptest::{prop_assert, prop_assert_eq, proptest};
 mod common;
 use common::run_colwise;
 
-/// Both overlap-graph builders and both rank-ordering recomputations over
-/// the paper's column-wise geometry, across sizes and process counts.
+/// W from dense footprints, one `IntervalSet::overlaps` test per pair.
+fn dense_matrix(dense: &[IntervalSet]) -> OverlapMatrix {
+    let mut edges = Vec::new();
+    for i in 0..dense.len() {
+        for j in i + 1..dense.len() {
+            if dense[i].overlaps(&dense[j]) {
+                edges.push((i, j));
+            }
+        }
+    }
+    OverlapMatrix::from_edges(dense.len(), &edges)
+}
+
+/// Rank `me`'s segments minus the union of every higher rank's dense
+/// footprint, cut per segment with logical offsets kept.
+fn dense_surviving(segments: &[ViewSegment], dense: &[IntervalSet], me: usize) -> Vec<ViewSegment> {
+    let higher = dense[me + 1..]
+        .iter()
+        .fold(IntervalSet::new(), |acc, v| acc.union(v));
+    let mut out = Vec::new();
+    for s in segments {
+        let own = IntervalSet::from_extents([(s.file_off, s.len)]);
+        for piece in own.subtract(&higher).iter() {
+            out.push(ViewSegment {
+                file_off: piece.start,
+                logical_off: s.logical_off + (piece.start - s.file_off),
+                len: piece.len(),
+            });
+        }
+    }
+    out
+}
+
+/// The overlap graph and the rank-ordering recomputation over the paper's
+/// column-wise geometry, across sizes and process counts.
 #[test]
 fn colwise_negotiation_matches_dense_reference() {
     for (m, n, p, r) in [
@@ -38,20 +72,44 @@ fn colwise_negotiation_matches_dense_reference() {
             assert!(s.train_count() <= 2, "colwise footprint: {s}");
         }
         // Identical overlap matrices and colorings.
-        let wd = OverlapMatrix::from_footprints(&dense);
+        let wd = dense_matrix(&dense);
         let ws = OverlapMatrix::from_strided(&strided);
         assert_eq!(wd, ws, "M={m} N={n} P={p} R={r}");
         assert_eq!(greedy_color(&wd), greedy_color(&ws));
-        // Identical recomputed views under rank ordering.
+        // Identical recomputed views under rank ordering, which together
+        // write every byte of the file exactly once.
+        let mut written = 0;
         for (me, part) in parts.iter().enumerate() {
             let segs = part.view.segments(0, part.data_bytes());
-            assert_eq!(
-                surviving_pieces(&segs, &higher_union(&dense, me)),
-                surviving_pieces_strided(&segs, &higher_union_strided(&strided, me)),
-                "rank {me}"
-            );
+            let pieces = surviving_pieces_strided(&segs, &higher_union_strided(&strided, me));
+            assert_eq!(pieces, dense_surviving(&segs, &dense, me), "rank {me}");
+            written += pieces.iter().map(|s| s.len).sum::<u64>();
         }
+        assert_eq!(written, spec.file_bytes());
     }
+}
+
+/// The paper's 4096 × 4096 column-wise views at P = 16: the exchanged
+/// description is one train per rank whatever the row count, against one
+/// dense run per row, and more than a thousandfold smaller on the wire.
+#[test]
+fn colwise_description_is_one_train_per_rank() {
+    let spec = ColWise::new(4096, 4096, 16, 16).unwrap();
+    let parts: Vec<Partition> = (0..16).map(|k| spec.partition(k)).collect();
+    let dense: Vec<IntervalSet> = parts.iter().map(Partition::footprint).collect();
+    let strided: Vec<StridedSet> = parts
+        .iter()
+        .map(|pt| pt.view.strided_footprint(pt.data_bytes()))
+        .collect();
+    let trains: usize = strided.iter().map(StridedSet::train_count).sum();
+    let runs: usize = dense.iter().map(IntervalSet::run_count).sum();
+    assert_eq!((trains, runs), (16, 65_536));
+    let dense_wire: usize = dense.iter().map(WireSize::wire_size).sum();
+    let strided_wire: usize = strided.iter().map(WireSize::wire_size).sum();
+    assert!(
+        dense_wire >= 1_000 * strided_wire,
+        "dense {dense_wire} B vs strided {strided_wire} B"
+    );
 }
 
 /// End-to-end: the handshaking strategies and two-phase I/O, all running on
@@ -112,20 +170,19 @@ proptest! {
         for (s, d) in strided.iter().zip(&fps) {
             prop_assert_eq!(&s.to_intervals(), d);
         }
-        let wd = OverlapMatrix::from_footprints(&fps);
+        let wd = dense_matrix(&fps);
         let ws = OverlapMatrix::from_strided(&strided);
         prop_assert_eq!(&wd, &ws);
         prop_assert_eq!(greedy_color(&wd), greedy_color(&ws));
         for me in 0..fps.len() {
             let segs = views[me].segments(0, fps[me].total_len());
             prop_assert_eq!(
-                surviving_pieces(&segs, &higher_union(&fps, me)),
+                dense_surviving(&segs, &fps, me),
                 surviving_pieces_strided(&segs, &higher_union_strided(&strided, me))
             );
         }
         // The compressed description never costs more wire than the dense
         // one (the vtime allgather charge can only shrink).
-        use atomio_vtime::WireSize;
         for (s, d) in strided.iter().zip(&fps) {
             prop_assert!(s.wire_size() <= d.wire_size());
         }
