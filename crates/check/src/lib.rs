@@ -2,8 +2,8 @@
 //!
 //! Three engines, one goal: make the atomicity guarantees the rest of
 //! the workspace *claims* (paper §2.1 torn-write freedom, PR 5's
-//! revocation visibility contract, the documented cache → coverage lock
-//! order) mechanically checkable.
+//! revocation visibility contract, the documented state → registry →
+//! cache lock order) mechanically checkable.
 //!
 //! * [`hb`] — a vector-clock happens-before detector over recorded
 //!   [`atomio_trace`] event streams: reports conflicting overlapping

@@ -7,8 +7,8 @@
 //!   panic.
 //! * **R2 — no bare `Mutex`/`RwLock` in `crates/pfs`.** All pfs locking
 //!   goes through `atomio_check::OrderedMutex` so the runtime lock-order
-//!   graph sees every acquisition (the documented cache → coverage order,
-//!   the managers' state-mutex discipline).
+//!   graph sees every acquisition (the documented state → registry →
+//!   cache order, the managers' state-mutex discipline).
 //! * **R3 — no `Ordering::Relaxed` outside the allowlist.** A relaxed
 //!   cross-thread flag is how the PR 5 coherence bug family starts; every
 //!   surviving use must be justified in `lintcheck.allow`.

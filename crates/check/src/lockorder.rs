@@ -11,9 +11,9 @@
 //! both sites:
 //!
 //! * **Declared ranks** ([`OrderedMutex::with_rank`]) pin a documented
-//!   order — e.g. the cache→coverage order of the coherence protocol:
-//!   acquiring a ranked mutex while holding one of equal or higher rank
-//!   is a violation even on the very first occurrence.
+//!   order — e.g. the state → registry → cache order of the coherence
+//!   protocol: acquiring a ranked mutex while holding one of equal or
+//!   higher rank is a violation even on the very first occurrence.
 //! * **Discovered cycles**: unranked classes are checked against the
 //!   accumulated edge graph — the first acquisition closing a directed
 //!   cycle panics with the full edge chain, each edge labelled with the

@@ -602,8 +602,8 @@ impl<'c> MpiFile<'c> {
             Some(Strategy::GraphColoring) => {
                 // View negotiation in compressed space: the allgather ships
                 // O(trains) per rank instead of O(rows), and the overlap
-                // graph is built by a sweep over train descriptions — the
-                // §3.4 negotiation cost now scales with the access
+                // graph is one exact `StridedSet::overlaps` test per rank
+                // pair — the §3.4 negotiation cost scales with the access
                 // *description*, not the row count.
                 let footprint = self.view.strided_file_ranges(offset, len);
                 let all = self.comm.allgather(footprint);

@@ -542,10 +542,19 @@ impl StridedSet {
 
     /// Set union.
     pub fn union(&self, other: &StridedSet) -> StridedSet {
-        let mut trains = self.trains.clone();
-        trains.extend(other.subtract(self).trains);
-        StridedSet {
-            trains: normalize(trains),
+        let mut u = self.clone();
+        u.union_with(other);
+        u
+    }
+
+    /// `self ∪= other` in `self`'s own buffer: a set grown grant by grant
+    /// (a lock token, a cache's coverage) is not copied per grant.
+    pub fn union_with(&mut self, other: &StridedSet) {
+        let extra = other.subtract(self);
+        if !extra.is_empty() {
+            let mut trains = std::mem::take(&mut self.trains);
+            trains.extend(extra.trains);
+            self.trains = normalize(trains);
         }
     }
 
@@ -566,6 +575,10 @@ impl StridedSet {
     pub fn subtract(&self, other: &StridedSet) -> StridedSet {
         let mut acc = self.trains.clone();
         for b in &other.trains {
+            // A cut that misses every piece leaves `acc` as it is.
+            if !acc.iter().any(|a| a.bounds().overlaps(&b.bounds())) {
+                continue;
+            }
             let mut next = Vec::with_capacity(acc.len());
             for a in &acc {
                 train_minus_train(a, b, &mut next);
@@ -577,21 +590,51 @@ impl StridedSet {
         }
     }
 
-    /// The runs of the set intersecting `r`, clipped to `r`, ascending —
-    /// the cuts the rank-ordering view recomputation removes from one view
-    /// segment. O(trains + produced runs), independent of total run count.
-    pub fn cuts_within(&self, r: &ByteRange) -> Vec<ByteRange> {
-        let mut cuts = Vec::new();
+    /// The runs of every train meeting `r`, unclipped, ascending.
+    /// O(trains + produced runs), independent of total run count.
+    fn runs_within(&self, r: &ByteRange) -> Vec<ByteRange> {
+        let mut runs = Vec::new();
         for t in &self.trains {
             let (lo, hi) = t.idx_overlapping(r);
-            for i in lo..hi {
-                if let Some(c) = t.nth(i).intersect(r) {
-                    cuts.push(c);
-                }
+            runs.extend((lo..hi).map(|i| t.nth(i)));
+        }
+        runs.sort_unstable_by_key(|c| c.start);
+        runs
+    }
+
+    /// The **maximal** runs of the set meeting `r`, unclipped, ascending,
+    /// as [`IntervalSet::runs`] has them. A run touching a comb stays its
+    /// own train, so [`StridedSet::iter_runs`] splits a maximal run at such
+    /// a seam; this walk joins the pieces, following touching runs beyond
+    /// `r` too.
+    pub fn runs_meeting(&self, r: &ByteRange) -> Vec<ByteRange> {
+        // The run holding byte `b`, if any (trains are disjoint).
+        let run_at = |b: u64| {
+            self.trains.iter().find_map(|t| {
+                let (lo, hi) = t.idx_overlapping(&ByteRange::at(b, 1));
+                (lo < hi).then(|| t.nth(lo))
+            })
+        };
+        let mut runs: Vec<ByteRange> = Vec::new();
+        for p in self.runs_within(r) {
+            match runs.last_mut() {
+                Some(last) if last.end == p.start => last.end = p.end,
+                _ => runs.push(p),
             }
         }
-        cuts.sort_unstable_by_key(|c| c.start);
-        cuts
+        // A seam between two runs that both meet `r` lies inside `r`, so
+        // only the outermost runs can continue past what was collected.
+        if let Some(first) = runs.first_mut() {
+            while let Some(prev) = first.start.checked_sub(1).and_then(run_at) {
+                first.start = prev.start;
+            }
+        }
+        if let Some(last) = runs.last_mut() {
+            while let Some(next) = run_at(last.end) {
+                last.end = next.end;
+            }
+        }
+        runs
     }
 
     /// All runs of the set in ascending order — a k-way merge over the
@@ -639,7 +682,7 @@ impl StridedSet {
     pub fn subtract_from_range(&self, r: &ByteRange) -> Vec<ByteRange> {
         let mut out = Vec::new();
         let mut cursor = r.start;
-        for cut in self.cuts_within(r) {
+        for cut in self.runs_within(r) {
             if cut.start > cursor {
                 out.push(ByteRange::new(cursor, cut.start));
             }
@@ -678,12 +721,6 @@ impl Iterator for RunIter<'_> {
     }
 }
 
-impl From<&IntervalSet> for StridedSet {
-    fn from(s: &IntervalSet) -> Self {
-        StridedSet::from_intervals(s)
-    }
-}
-
 impl WireSize for StridedSet {
     /// Charged on the compressed encoding: 8 bytes of header, 16 bytes per
     /// plain run, 32 per periodic train — what a view-exchange message
@@ -715,17 +752,9 @@ impl std::fmt::Display for StridedSet {
 /// one period after the last run) absorbs it.
 fn normalize(mut trains: Vec<Train>) -> Vec<Train> {
     trains.sort_unstable_by_key(|t| (t.start, t.end()));
-    let mut out: Vec<Train> = Vec::with_capacity(trains.len());
-    for t in trains {
-        match out.last_mut() {
-            Some(last) => match try_merge(last, &t) {
-                Some(m) => *last = m,
-                None => out.push(t),
-            },
-            None => out.push(t),
-        }
-    }
-    out
+    // In place: a successor that merges folds into the train kept before it.
+    trains.dedup_by(|next, kept| try_merge(kept, next).map(|m| *kept = m).is_some());
+    trains
 }
 
 fn try_merge(a: &Train, b: &Train) -> Option<Train> {
@@ -898,7 +927,7 @@ mod tests {
     fn cuts_and_range_subtraction() {
         let ghost = comb(6, 4, 16, 4);
         let row = ByteRange::new(16, 32); // second period
-        assert_eq!(ghost.cuts_within(&row), vec![ByteRange::new(22, 26)]);
+        assert_eq!(ghost.runs_meeting(&row), vec![ByteRange::new(22, 26)]);
         assert_eq!(
             ghost.subtract_from_range(&row),
             vec![ByteRange::new(16, 22), ByteRange::new(26, 32)]
@@ -911,6 +940,27 @@ mod tests {
             rebuilt,
             IntervalSet::from_range(wide).subtract(&ghost.to_intervals())
         );
+    }
+
+    #[test]
+    fn runs_meeting_joins_train_seams() {
+        // A run touching a comb stays two trains; its maximal run does not.
+        let s = StridedSet::from_range(ByteRange::new(0, 100)).union(&comb(100, 50, 200, 3));
+        assert_eq!(s.train_count(), 2);
+        // Meeting either side of the seam yields the whole maximal run.
+        for r in [ByteRange::new(120, 130), ByteRange::new(10, 20)] {
+            assert_eq!(s.runs_meeting(&r), vec![ByteRange::new(0, 150)]);
+        }
+        assert_eq!(
+            s.runs_meeting(&ByteRange::new(0, 600)),
+            vec![
+                ByteRange::new(0, 150),
+                ByteRange::new(300, 350),
+                ByteRange::new(500, 550)
+            ]
+        );
+        assert!(s.runs_meeting(&ByteRange::new(150, 300)).is_empty());
+        assert!(s.runs_meeting(&ByteRange::new(10, 10)).is_empty());
     }
 
     #[test]

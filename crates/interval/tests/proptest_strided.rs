@@ -150,10 +150,13 @@ proptest! {
     fn range_queries_match_dense(s in arb_strided(), r in arb_range()) {
         let d = s.to_intervals();
         prop_assert_eq!(s.overlaps_range(&r), d.overlaps_range(&r));
-        let cuts = IntervalSet::from_ranges(s.cuts_within(&r));
-        prop_assert_eq!(cuts, d.intersect(&IntervalSet::from_range(r)));
         let kept = IntervalSet::from_ranges(s.subtract_from_range(&r));
         prop_assert_eq!(kept, IntervalSet::from_range(r).subtract(&d));
+        // Compared raw, not through `from_ranges`: coalescing would hide a
+        // maximal run split at a train seam.
+        let meeting: Vec<ByteRange> =
+            d.iter().filter(|run| run.intersect(&r).is_some()).copied().collect();
+        prop_assert_eq!(s.runs_meeting(&r), meeting);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use atomio_interval::{ByteRange, IntervalSet};
+use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 use atomio_vtime::MemCost;
 
 /// Client cache behaviour knobs.
@@ -91,6 +91,10 @@ pub struct ClientCache {
     fifo: VecDeque<u64>,
     valid: IntervalSet,
     dirty: IntervalSet,
+    /// Lock-driven coherence's token coverage: the bytes this client may
+    /// cache, under the pages' own mutex. Grown by grants, shrunk by
+    /// revocations; empty on close-to-open platforms.
+    pub(crate) coverage: StridedSet,
     /// Total eviction-loop iterations ever run (diagnostics: the pressure
     /// test asserts this stays linear in the pages inserted).
     evict_scan_steps: u64,
@@ -104,6 +108,7 @@ impl ClientCache {
             fifo: VecDeque::new(),
             valid: IntervalSet::new(),
             dirty: IntervalSet::new(),
+            coverage: StridedSet::new(),
             evict_scan_steps: 0,
         }
     }
@@ -297,16 +302,18 @@ impl ClientCache {
         dropped
     }
 
-    /// Drop the whole cache — pages, validity, **and dirty data** —
-    /// without flushing anything. The superseded-handle path: a handle
-    /// whose coherence registration was replaced by a re-open must stop
-    /// trusting (and stop owing) every cached byte, exactly like closing a
-    /// POSIX fd without fsync discards its unsynced write-behind data.
+    /// Drop the whole cache — pages, validity, coverage **and dirty
+    /// data** — without flushing anything. The superseded-handle path: a
+    /// handle whose coherence registration was replaced by a re-open must
+    /// stop trusting (and stop owing) every cached byte, exactly like
+    /// closing a POSIX fd without fsync discards its unsynced write-behind
+    /// data.
     pub fn discard_all(&mut self) {
         self.pages.clear();
         self.fifo.clear();
         self.valid = IntervalSet::new();
         self.dirty = IntervalSet::new();
+        self.coverage = StridedSet::new();
     }
 
     /// Drop `r` from the cache entirely, **discarding** (not flushing) any

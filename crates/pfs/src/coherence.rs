@@ -27,19 +27,21 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use atomio_check::OrderedMutex;
-use atomio_interval::IntervalSet;
+use atomio_interval::StridedSet;
 use atomio_vtime::VNanos;
 
-use crate::fault::{FaultAction, FaultInjector, FaultSite};
+use crate::fault::{FaultAction, FaultInjector, FaultPlan, FaultSite};
 use crate::lockclass;
 
 /// One client's side of the revocation protocol: flush dirty bytes inside
 /// `ranges` to storage and drop cache validity for exactly those ranges.
 ///
+/// Both directions carry the lock manager's own compressed [`StridedSet`];
+/// walk its bytes by maximal run ([`StridedSet::runs_meeting`]).
+///
 /// Called by a lock manager *while another client's acquisition is being
 /// granted*, so implementations must only take client-local locks (the
-/// holder's cache/coverage mutexes, the storage gate) — never a lock
-/// manager's.
+/// holder's cache mutex, the storage gate) — never a lock manager's.
 pub trait RevocationHandler: Send + Sync + std::fmt::Debug {
     /// Serve the revocation; returns the dirty bytes flushed to storage on
     /// its behalf, so the dispatching lock manager can bill the revoking
@@ -50,7 +52,7 @@ pub trait RevocationHandler: Send + Sync + std::fmt::Debug {
     /// agree on — and is the timestamp implementations must stamp on any
     /// coherence trace events (the holder's own clock may be anywhere and
     /// is racy to read from the dispatcher's thread).
-    fn revoke(&self, ranges: &IntervalSet, now: VNanos) -> u64;
+    fn revoke(&self, ranges: &StridedSet, now: VNanos) -> u64;
 
     /// The owner was granted a token over `ranges`: record the
     /// cache-validity rights. Called by a lock manager **while its state
@@ -62,7 +64,7 @@ pub trait RevocationHandler: Send + Sync + std::fmt::Debug {
     /// token is already gone, caching stale bytes no revocation ever
     /// visits again. Implementations must take only client-local locks
     /// and never call back into a lock manager. Default: no-op.
-    fn granted(&self, _ranges: &IntervalSet) {}
+    fn granted(&self, _ranges: &StridedSet) {}
 
     /// This handler's registration was replaced by a re-open of the same
     /// (client, file). The superseded side must stop trusting its cache —
@@ -109,28 +111,24 @@ pub struct RevokeOutcome {
 pub struct CoherenceHub {
     handlers: OrderedMutex<HashMap<usize, Arc<dyn RevocationHandler>>>,
     /// Fault schedule consulted per dispatch ([`FaultSite::RevokeDispatch`]);
-    /// `None` (the default) keeps dispatch on the zero-cost path.
-    faults: OrderedMutex<Option<Arc<FaultInjector>>>,
+    /// inert (an empty plan) unless bound before the hub is shared.
+    faults: Arc<FaultInjector>,
 }
 
 impl Default for CoherenceHub {
     fn default() -> Self {
         CoherenceHub {
             handlers: lockclass::coherence_registry(HashMap::new()),
-            faults: lockclass::coherence_faults(None),
+            faults: Arc::new(FaultInjector::new(FaultPlan::none())),
         }
     }
 }
 
 impl CoherenceHub {
-    pub fn new() -> Self {
-        CoherenceHub::default()
-    }
-
-    /// Attach the file system's fault injector (done once when the file is
-    /// created on a fault-injected file system).
-    pub(crate) fn bind_faults(&self, faults: Arc<FaultInjector>) {
-        *self.faults.lock() = Some(faults);
+    /// Attach the file system's fault injector (called once when the file
+    /// is created, before the hub is shared).
+    pub(crate) fn bind_faults(&mut self, faults: Arc<FaultInjector>) {
+        self.faults = faults;
     }
 
     /// Register (or replace) `owner`'s handler; returns the replaced one,
@@ -141,11 +139,6 @@ impl CoherenceHub {
         handler: Arc<dyn RevocationHandler>,
     ) -> Option<Arc<dyn RevocationHandler>> {
         self.handlers.lock().insert(owner, handler)
-    }
-
-    /// Remove `owner`'s handler (dropped client handle).
-    pub fn unregister(&self, owner: usize) {
-        self.handlers.lock().remove(&owner);
     }
 
     /// Remove `owner`'s registration only if it still is `handler` — the
@@ -172,13 +165,13 @@ impl CoherenceHub {
     /// charged to the acquirer as dispatch delay. A
     /// [`FaultAction::DelayRevocation`] stalls delivery — the handler runs
     /// at `now + ns`, and the acquirer's grant completes that much later.
-    pub fn revoke(&self, owner: usize, ranges: &IntervalSet, now: VNanos) -> RevokeOutcome {
+    pub fn revoke(&self, owner: usize, ranges: &StridedSet, now: VNanos) -> RevokeOutcome {
         if ranges.is_empty() {
             return RevokeOutcome::default();
         }
-        let faults = self.faults.lock().clone();
         let mut delay_ns: VNanos = 0;
-        if let Some(inj) = faults.filter(|f| f.active()) {
+        let inj = &self.faults;
+        if inj.active() {
             loop {
                 match inj.check(FaultSite::RevokeDispatch { holder: owner }) {
                     Some(FaultAction::DropRevocation { timeout_ns }) => {
@@ -223,7 +216,7 @@ impl CoherenceHub {
     /// Dispatch a grant of `ranges` to `owner`'s handler, if any — see
     /// [`RevocationHandler::granted`] for why the lock manager calls this
     /// under its state mutex.
-    pub fn grant_coverage(&self, owner: usize, ranges: &IntervalSet) {
+    pub fn grant_coverage(&self, owner: usize, ranges: &StridedSet) {
         if ranges.is_empty() {
             return;
         }
@@ -231,11 +224,6 @@ impl CoherenceHub {
         if let Some(h) = handler {
             h.granted(ranges);
         }
-    }
-
-    /// Registered handler count (diagnostics).
-    pub fn registered(&self) -> usize {
-        self.handlers.lock().len()
     }
 }
 
@@ -247,11 +235,11 @@ mod tests {
 
     #[derive(Debug, Default)]
     struct Recorder {
-        seen: Mutex<Vec<IntervalSet>>,
+        seen: Mutex<Vec<StridedSet>>,
     }
 
     impl RevocationHandler for Recorder {
-        fn revoke(&self, ranges: &IntervalSet, _now: VNanos) -> u64 {
+        fn revoke(&self, ranges: &StridedSet, _now: VNanos) -> u64 {
             self.seen.lock().push(ranges.clone());
             0
         }
@@ -259,17 +247,22 @@ mod tests {
 
     #[test]
     fn routes_to_registered_owner_only() {
-        let hub = CoherenceHub::new();
+        let hub = CoherenceHub::default();
         let a = Arc::new(Recorder::default());
-        hub.register(3, Arc::clone(&a) as Arc<dyn RevocationHandler>);
-        let r = IntervalSet::from_range(ByteRange::new(0, 10));
+        let handler = Arc::clone(&a) as Arc<dyn RevocationHandler>;
+        hub.register(3, Arc::clone(&handler));
+        let r = StridedSet::from_range(ByteRange::new(0, 10));
         hub.revoke(3, &r, 0);
         hub.revoke(4, &r, 0); // unregistered: no-op
-        hub.revoke(3, &IntervalSet::new(), 0); // empty: no-op
+        hub.revoke(3, &StridedSet::new(), 0); // empty: no-op
         assert_eq!(a.seen.lock().len(), 1);
-        assert_eq!(hub.registered(), 1);
-        hub.unregister(3);
+        // Only the registered handler itself can take its registration down.
+        let stranger: Arc<dyn RevocationHandler> = Arc::new(Recorder::default());
+        hub.unregister_if(3, &stranger);
         hub.revoke(3, &r, 0);
-        assert_eq!(a.seen.lock().len(), 1);
+        assert_eq!(a.seen.lock().len(), 2);
+        hub.unregister_if(3, &handler);
+        hub.revoke(3, &r, 0);
+        assert_eq!(a.seen.lock().len(), 2);
     }
 }

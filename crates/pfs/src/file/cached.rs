@@ -3,7 +3,7 @@
 
 use std::sync::atomic::Ordering;
 
-use atomio_interval::{ByteRange, IntervalSet};
+use atomio_interval::{ByteRange, StridedSet};
 use atomio_trace::Category;
 use atomio_vtime::VNanos;
 
@@ -22,10 +22,11 @@ impl PosixFile {
     /// (and may stay dirty past the lock release — a conflicting
     /// acquisition will revoke the token and flush them), uncovered
     /// sub-ranges write through directly, dropping any stale clean copy.
-    /// The coverage snapshot and the buffered writes happen under one hold
-    /// of the cache mutex — the coherence point a concurrent revocation
-    /// also takes before shrinking coverage — so a revocation can never
-    /// land mid-call and leave dirty bytes outside coverage.
+    /// Coverage lives in the cache, so reading it and buffering the writes
+    /// happen under one hold of the cache mutex — the coherence point a
+    /// concurrent revocation also takes before shrinking coverage — and a
+    /// revocation can never land mid-call and leave dirty bytes outside
+    /// coverage.
     pub fn try_pwrite(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
         self.check_alive()?;
         if !self.fs.profile.cache.enabled {
@@ -33,8 +34,7 @@ impl PosixFile {
         }
         if self.lock_driven() {
             let mut cache = self.cache.lock();
-            let cov = self.coverage.lock().clone();
-            if cov.is_empty() {
+            if cache.coverage.is_empty() {
                 // No validity rights at all (the common case for
                 // strategies that never lock): pure write-through, and
                 // coverage-empty implies the cache holds nothing to
@@ -44,18 +44,18 @@ impl PosixFile {
                 return self.try_pwrite_direct(offset, data);
             }
             let req = ByteRange::at(offset, data.len() as u64);
-            let reqset = IntervalSet::from_range(req);
             let mut needs_flush = false;
-            for r in reqset.subtract(&cov).iter() {
+            for r in cache.coverage.subtract_from_range(&req) {
                 let s = (r.start - offset) as usize;
                 self.try_pwrite_direct(r.start, &data[s..s + r.len() as usize])?;
                 // The cache has no validity rights here: drop any stale
                 // clean copy of what was just overwritten. (Dirty bytes
                 // cannot exist outside coverage: buffering requires it,
                 // and revocation flushes before shrinking it.)
-                cache.invalidate_range(*r);
+                cache.invalidate_range(r);
             }
-            for r in reqset.intersect(&cov).iter() {
+            for run in cache.coverage.runs_meeting(&req) {
+                let r = ByteRange::new(run.start.max(req.start), run.end.min(req.end));
                 let s = (r.start - offset) as usize;
                 needs_flush |= self.pwrite_buffered_locked(
                     &mut cache,
@@ -109,10 +109,10 @@ impl PosixFile {
     /// write must first revoke the token, which invalidates exactly those
     /// ranges); uncovered sub-ranges are read directly and *not* cached,
     /// so no stale byte can ever be admitted. As in [`PosixFile::try_pwrite`],
-    /// the coverage snapshot and the cached accesses share one hold of the
+    /// reading coverage and the cached accesses share one hold of the
     /// cache mutex, so a concurrent revocation cannot slip between the
-    /// snapshot and a fill and let stale bytes in under a coverage the
-    /// client no longer holds.
+    /// two and let stale bytes in under a coverage the client no longer
+    /// holds.
     pub fn try_pread(&self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
         self.check_alive()?;
         if !self.fs.profile.cache.enabled {
@@ -120,31 +120,22 @@ impl PosixFile {
         }
         if self.lock_driven() {
             let mut cache = self.cache.lock();
-            let cov = self.coverage.lock().clone();
-            if cov.is_empty() {
+            if cache.coverage.is_empty() {
                 // No validity rights: pure read-through, nothing cached.
                 drop(cache);
                 return self.try_pread_direct(offset, buf);
             }
             let req = ByteRange::at(offset, buf.len() as u64);
-            let reqset = IntervalSet::from_range(req);
-            for r in reqset.subtract(&cov).iter() {
+            for r in cache.coverage.subtract_from_range(&req) {
                 let s = (r.start - offset) as usize;
                 self.try_pread_direct(r.start, &mut buf[s..s + r.len() as usize])?;
             }
-            for r in reqset.intersect(&cov).iter() {
-                // Each run of the intersection lies inside one coverage
-                // run; clamp read-ahead to it so the cache never admits
-                // bytes the token does not protect.
+            for clamp in cache.coverage.runs_meeting(&req) {
+                // Each covered piece lies inside one maximal coverage run;
+                // clamp read-ahead to it so the cache never admits bytes
+                // the token does not protect.
+                let r = ByteRange::new(clamp.start.max(req.start), clamp.end.min(req.end));
                 let s = (r.start - offset) as usize;
-                let Some(clamp) = cov.runs().iter().find(|c| c.contains_range(r)).copied() else {
-                    // A normalized coverage set always has a containing
-                    // run; if the invariant ever breaks, fall back to an
-                    // uncached direct read rather than admitting bytes
-                    // under a clamp we cannot establish.
-                    self.try_pread_direct(r.start, &mut buf[s..s + r.len() as usize])?;
-                    continue;
-                };
                 let hit = self.pread_cached_locked(
                     &mut cache,
                     r.start,
@@ -447,8 +438,8 @@ impl PosixFile {
 
     /// The byte set this client currently holds token-validity rights
     /// over (lock-driven coherence; empty on close-to-open platforms).
-    pub fn coherence_coverage(&self) -> IntervalSet {
-        self.coverage.lock().clone()
+    pub fn coherence_coverage(&self) -> StridedSet {
+        self.cache.lock().coverage.clone()
     }
 }
 

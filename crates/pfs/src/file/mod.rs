@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use atomio_check::OrderedMutex;
-use atomio_interval::{ByteRange, IntervalSet};
+use atomio_interval::ByteRange;
 use atomio_trace::{Category, TraceSink, Tracer, Track};
 use atomio_vtime::{Clock, Horizon, VNanos};
 
@@ -206,8 +206,9 @@ impl FileSystem {
         let file = {
             let mut files = self.inner.files.lock();
             Arc::clone(files.entry(name.to_string()).or_insert_with(|| {
-                let coherence = Arc::new(CoherenceHub::new());
-                coherence.bind_faults(Arc::clone(&self.inner.faults));
+                let mut hub = CoherenceHub::default();
+                hub.bind_faults(Arc::clone(&self.inner.faults));
+                let coherence = Arc::new(hub);
                 Arc::new(FileObj {
                     storage: Storage::new(),
                     locks: LockManager::new(&self.inner.profile, Some(Arc::clone(&coherence))),
@@ -220,7 +221,6 @@ impl FileSystem {
             self.inner.profile.cache.clone(),
         )));
         let stats = Arc::new(ClientStats::default());
-        let coverage = Arc::new(lockclass::coverage(IntervalSet::new()));
         let tracer = Tracer::disabled();
         let handler = if self.inner.profile.lock_driven_coherence() {
             // Wire this client into the revocation fan-out: a conflicting
@@ -233,7 +233,6 @@ impl FileSystem {
             // removes the registration (see `impl Drop`).
             let h: Arc<dyn RevocationHandler> = Arc::new(CacheCoherence {
                 cache: Arc::clone(&cache),
-                coverage: Arc::clone(&coverage),
                 stats: Arc::clone(&stats),
                 tracer: tracer.clone(),
                 file: Arc::downgrade(&file),
@@ -252,7 +251,6 @@ impl FileSystem {
             fs: Arc::clone(&self.inner),
             file,
             cache,
-            coverage,
             handler,
             nic: Horizon::new(),
             dead: AtomicBool::new(false),
@@ -339,21 +337,18 @@ impl FileSystem {
 /// release, reaching the servers only when a conflicting acquisition
 /// revokes the token or this client syncs — an accessor that neither
 /// locks nor waits for a sync reads the servers and can legitimately miss
-/// them. The coverage set and the cache share one coherence point, this
-/// handle's cache mutex: revocations shrink coverage and invalidate under
-/// it, and every cached access snapshots coverage and completes under it,
-/// so a revocation can never land in the middle of an access.
+/// them. The coverage set lives in the cache, under one coherence point,
+/// this handle's cache mutex: revocations shrink coverage and invalidate
+/// under it, and every cached access reads coverage and completes under
+/// it, so a revocation can never land in the middle of an access.
 pub struct PosixFile {
     client: usize,
     clock: Clock,
     fs: Arc<FsInner>,
     file: Arc<FileObj>,
+    /// Pages plus, under lock-driven coherence, the token coverage that
+    /// admits bytes to them.
     cache: Arc<OrderedMutex<ClientCache>>,
-    /// Token-validity rights under lock-driven coherence: the byte set a
-    /// held (or retained) token entitles this client to cache. Grown by
-    /// every grant, shrunk by served revocations. Unused (empty) on
-    /// close-to-open platforms.
-    coverage: Arc<OrderedMutex<IntervalSet>>,
     /// This handle's registration in the file's [`CoherenceHub`], removed
     /// on drop; `None` on close-to-open platforms.
     handler: Option<Arc<dyn RevocationHandler>>,

@@ -4,7 +4,7 @@
 use std::sync::{Arc, Weak};
 
 use atomio_check::OrderedMutex;
-use atomio_interval::{ByteRange, IntervalSet};
+use atomio_interval::{ByteRange, StridedSet};
 use atomio_trace::{Category, Tracer};
 use atomio_vtime::VNanos;
 
@@ -22,7 +22,6 @@ use crate::stats::ClientStats;
 #[derive(Debug)]
 pub(super) struct CacheCoherence {
     pub(super) cache: Arc<OrderedMutex<ClientCache>>,
-    pub(super) coverage: Arc<OrderedMutex<IntervalSet>>,
     pub(super) stats: Arc<ClientStats>,
     pub(super) tracer: Tracer,
     pub(super) file: Weak<FileObj>,
@@ -30,37 +29,38 @@ pub(super) struct CacheCoherence {
 }
 
 impl RevocationHandler for CacheCoherence {
-    fn revoke(&self, ranges: &IntervalSet, now: VNanos) -> u64 {
+    fn revoke(&self, ranges: &StridedSet, now: VNanos) -> u64 {
         let Some(file) = self.file.upgrade() else {
             return 0; // file deleted: nothing to keep coherent
         };
         let fs = self.fs.upgrade();
+        // One flush, server request and invalidation per *maximal* run.
+        let runs = ranges
+            .span()
+            .map_or_else(Vec::new, |s| ranges.runs_meeting(&s));
         self.tracer.instant(
             Category::Coherence,
             "revoke dispatch",
             now,
-            &[("ranges", ranges.runs().len() as u64)],
+            &[("ranges", runs.len() as u64)],
         );
-        // The holder's cache mutex is the coherence point: its cached I/O
-        // paths snapshot coverage and run the whole access under it, and
-        // we shrink coverage under the same mutex — so a revocation can
-        // never land *mid-access*, between an access's coverage snapshot
-        // and its cache admission/dirtying. (Without this, a lock design
-        // that revokes without conflict-waiting — sharded shared-mode
-        // grants, or any access under retained-but-not-in-use coverage —
-        // could invalidate first and then watch the stale snapshot admit
-        // or dirty bytes outside coverage, bytes no revocation would ever
-        // visit again.) Lock order: cache, then coverage — everywhere.
+        // The holder's cache mutex is the coherence point: it guards the
+        // coverage too, its cached I/O paths read coverage and run the
+        // whole access under it, and we shrink coverage under it — so a
+        // revocation can never land *mid-access*, between an access's
+        // coverage read and its cache admission/dirtying. (Without this, a
+        // lock design that revokes without conflict-waiting — sharded
+        // shared-mode grants, or any access under retained-but-not-in-use
+        // coverage — could invalidate first and then watch the stale
+        // coverage admit or dirty bytes outside it, bytes no revocation
+        // would ever visit again.)
         let mut cache = self.cache.lock();
-        {
-            // The revoked bytes are no longer ours to cache.
-            let mut cov = self.coverage.lock();
-            *cov = cov.subtract(ranges);
-        }
+        // The revoked bytes are no longer ours to cache.
+        cache.coverage = cache.coverage.subtract(ranges);
         let mut flushed = 0u64;
         let mut server_reqs = 0u64;
         let mut invalidated = 0u64;
-        for r in ranges.iter() {
+        for &r in &runs {
             // Flush the holder's write-behind data for the revoked range —
             // the real-bytes half of the revocation. Since PR 7 the flush
             // is a first-class write: its bytes *occupy the server
@@ -71,7 +71,7 @@ impl RevocationHandler for CacheCoherence {
             // RPC. Only the holder's own clock stays uncharged — it may
             // be anywhere and is racy to read from the dispatcher's
             // thread.
-            for (off, data) in cache.take_dirty_runs_in(*r) {
+            for (off, data) in cache.take_dirty_runs_in(r) {
                 let len = data.len() as u64;
                 flushed += len;
                 if let Some(fs) = &fs {
@@ -116,7 +116,7 @@ impl RevocationHandler for CacheCoherence {
                     file.storage.write_atomic(off, &data);
                 }
             }
-            let dropped = cache.invalidate_range(*r);
+            let dropped = cache.invalidate_range(r);
             invalidated += dropped;
             self.stats
                 .add(&self.stats.coherence_invalidated_bytes, dropped);
@@ -137,7 +137,7 @@ impl RevocationHandler for CacheCoherence {
                     ("flushed_bytes", flushed),
                     ("invalidated_bytes", invalidated),
                 ];
-                push_footprint(&mut args, ranges.iter().copied());
+                push_footprint(&mut args, runs);
                 self.tracer
                     .span(Category::Coherence, "revoke flush", now, now + cost, &args);
             }
@@ -159,15 +159,13 @@ impl RevocationHandler for CacheCoherence {
         flushed
     }
 
-    fn granted(&self, ranges: &IntervalSet) {
+    fn granted(&self, ranges: &StridedSet) {
         // Record the validity rights the token confers. Runs under the
         // lock manager's state mutex (see the trait doc), so the rights
         // are in place before any rival acquisition can revoke the token
         // — a revocation arriving later always finds something to
-        // subtract. Lock order: cache, then coverage, as everywhere.
-        let _cache = self.cache.lock();
-        let mut cov = self.coverage.lock();
-        *cov = cov.union(ranges);
+        // subtract.
+        self.cache.lock().coverage.union_with(ranges);
     }
 
     fn superseded(&self) {
@@ -178,9 +176,7 @@ impl RevocationHandler for CacheCoherence {
         // coverage every later access through the old handle falls through
         // to direct I/O, and the unsynced dirty bytes are discarded, the
         // same close-without-fsync contract the `Drop` impl documents.
-        let mut cache = self.cache.lock();
-        *self.coverage.lock() = IntervalSet::new();
-        cache.discard_all();
+        self.cache.lock().discard_all();
     }
 }
 
@@ -188,8 +184,73 @@ impl RevocationHandler for CacheCoherence {
 mod tests {
     use super::super::tests::*;
     use super::super::*;
+    use super::StridedSet;
     use crate::lock::LockMode;
     use crate::profile::LockKind;
+    use atomio_interval::Train;
+    use atomio_trace::{MemorySink, Track};
+
+    /// What serving `ranges` against a holder whose whole `[0, 600)` is
+    /// dirty write-behind costs: `(server write requests, flushed bytes,
+    /// the dispatch's "ranges" arg, the flush span's footprint)`.
+    fn serve_revocation(ranges: &StridedSet) -> (u64, u64, u64, Vec<(&'static str, u64)>) {
+        let fs = gpfs_test_fs();
+        let a = fs.open(0, Clock::new(), "seam");
+        let sink = Arc::new(MemorySink::new());
+        a.tracer().bind(Track::Rank(0), sink.clone());
+        let g = a.lock(ByteRange::new(0, 600), LockMode::Exclusive).unwrap();
+        a.try_pwrite(0, &[0xA0u8; 600]).unwrap();
+        g.release();
+        a.file.coherence.revoke(0, ranges, 0);
+        let events = sink.snapshot();
+        let event = |name: &str| events.iter().find(|e| e.name == name).expect(name).clone();
+        let s = a.stats().snapshot();
+        assert_eq!(s.coherence_invalidated_bytes, ranges.total_len());
+        assert_eq!(
+            a.coherence_coverage().to_intervals(),
+            StridedSet::from_range(ByteRange::new(0, 600))
+                .subtract(ranges)
+                .to_intervals()
+        );
+        let footprint = event("revoke flush").args.split_off(2); // after flushed/invalidated
+        (
+            s.server_write_requests,
+            s.revoke_flushed_bytes,
+            event("revoke dispatch").args[0].1,
+            footprint,
+        )
+    }
+
+    #[test]
+    fn revocation_across_a_train_seam_flushes_one_run() {
+        // A run touching a comb does not normalize away: two trains whose
+        // runs meet at byte 100. The handler must still see the maximal
+        // run [0, 150) — one flush, one server request, one invalidation.
+        let seamed = StridedSet::from_range(ByteRange::new(0, 100))
+            .union(&StridedSet::from_train(Train::new(100, 50, 200, 3)));
+        assert_eq!(seamed.train_count(), 2);
+        let got = serve_revocation(&seamed);
+        assert_eq!(
+            got,
+            (
+                3,
+                250,
+                3,
+                vec![
+                    ("lo", 0),
+                    ("len", 150),
+                    ("lo", 300),
+                    ("len", 50),
+                    ("lo", 500),
+                    ("len", 50)
+                ]
+            )
+        );
+        // The same bytes in the compressor's own decomposition cost the same.
+        let dense = StridedSet::from_intervals(&seamed.to_intervals());
+        assert_ne!(dense, seamed);
+        assert_eq!(serve_revocation(&dense), got);
+    }
 
     #[test]
     fn revocation_flushes_dirty_and_invalidates_exactly_the_ranges() {
@@ -327,6 +388,65 @@ mod tests {
         g.release();
         assert_eq!(seen, [0x22u8; 16], "successor must still be revocable");
         assert_eq!(a2.stats().snapshot().revoke_flushed_bytes, 512);
+    }
+
+    #[test]
+    fn coverage_never_exceeds_the_managers_tokens() {
+        // The invariant `granted` runs under the state mutex to keep: a
+        // handle never holds cache rights its manager-side token lacks.
+        for fs in [gpfs_test_fs(), sharded_gpfs_test_fs()] {
+            let kind = fs.profile().lock_kind;
+            let files: Vec<PosixFile> = (0..3).map(|c| fs.open(c, Clock::new(), "inv")).collect();
+            let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+            let mut next = |n: u64| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed % n
+            };
+            for step in 0..300 {
+                let f = &files[next(3) as usize];
+                // A run or a comb, anywhere in four stripe units.
+                let start = next(16 * 1024);
+                let len = 1 + next(2048);
+                let set = if next(2) == 0 {
+                    StridedSet::from_range(ByteRange::at(start, len))
+                } else {
+                    StridedSet::from_train(Train::new(
+                        start,
+                        len,
+                        len + 1 + next(4096),
+                        2 + next(4),
+                    ))
+                };
+                let mode = if next(2) == 0 {
+                    LockMode::Shared
+                } else {
+                    LockMode::Exclusive
+                };
+                let g = f.lock_set(&set, mode).unwrap();
+                if mode == LockMode::Exclusive {
+                    // Dirty write-behind, so revocations flush real bytes.
+                    let first = set.trains()[0].nth(0);
+                    f.try_pwrite(first.start, &vec![step as u8; first.len() as usize])
+                        .unwrap();
+                }
+                g.release();
+                let locks = f.file.locks.as_ref().unwrap();
+                for (c, h) in files.iter().enumerate() {
+                    let cov = h.coherence_coverage();
+                    assert!(
+                        cov.subtract(&locks.token_set(c)).is_empty(),
+                        "{kind:?} step {step}: client {c} covers {cov} beyond its tokens"
+                    );
+                }
+            }
+            let served: u64 = files
+                .iter()
+                .map(|f| f.stats().snapshot().revocations_served)
+                .sum();
+            assert!(served > 50, "{kind:?}: only {served} revocations served");
+        }
     }
 
     /// fast_test timing with Lustre-style sharded **token** domains and

@@ -70,7 +70,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use atomio_check::{assert_may_wait, OrderedMutex};
-use atomio_interval::{IntervalSet, StridedSet};
+use atomio_interval::StridedSet;
 use atomio_vtime::{fanout_ns, VNanos};
 use parking_lot::Condvar;
 
@@ -145,7 +145,7 @@ struct Granted {
 #[derive(Debug)]
 struct DomainToken {
     owner: usize,
-    ranges: IntervalSet,
+    ranges: StridedSet,
     /// Virtual time at which the owner last released a lock in this domain.
     avail: VNanos,
 }
@@ -357,7 +357,7 @@ impl LockManager {
         // the coherence fan-out runs once per holder, in ascending holder
         // order — the order holders flush onto the shared server horizons
         // must not depend on the process.
-        let mut lost: BTreeMap<usize, IntervalSet> = BTreeMap::new();
+        let mut lost: BTreeMap<usize, StridedSet> = BTreeMap::new();
         for (d, slice) in &slices {
             let domain = &mut st.domains[*d];
             earliest = earliest.max(latest_conflict(&domain.excl_release, slice).unwrap_or(0));
@@ -366,32 +366,33 @@ impl LockManager {
                     earliest.max(latest_conflict(&domain.shared_release, slice).unwrap_or(0));
             }
             if self.tokens {
-                let cached = domain.tokens.iter().any(|t| {
-                    t.owner == owner && slice.iter_runs().all(|r| t.ranges.contains_range(&r))
-                });
+                let cached = domain
+                    .tokens
+                    .iter()
+                    .any(|t| t.owner == owner && slice.subtract(&t.ranges).is_empty());
                 if cached {
                     token_hits += 1;
                     continue;
                 }
                 // Revoke the overlap from every other holder's token; the
                 // rest of the holder's coverage (and cache) stays warm.
-                let dense = slice.to_intervals();
                 for t in domain.tokens.iter_mut().filter(|t| t.owner != owner) {
-                    if t.ranges.overlaps(&dense) {
+                    if t.ranges.overlaps(slice) {
                         if self.coherence.is_some() {
-                            let e = lost.entry(t.owner).or_default();
-                            *e = e.union(&t.ranges.intersect(&dense));
+                            lost.entry(t.owner)
+                                .or_default()
+                                .union_with(&t.ranges.intersect(slice));
                         }
-                        t.ranges = t.ranges.subtract(&dense);
+                        t.ranges = t.ranges.subtract(slice);
                         earliest = earliest.max(t.avail);
                         revocations += 1;
                     }
                 }
                 match domain.tokens.iter_mut().find(|t| t.owner == owner) {
-                    Some(t) => t.ranges = t.ranges.union(&dense),
+                    Some(t) => t.ranges.union_with(slice),
                     None => domain.tokens.push(DomainToken {
                         owner,
-                        ranges: dense,
+                        ranges: slice.clone(),
                         avail: 0,
                     }),
                 }
@@ -426,13 +427,10 @@ impl LockManager {
             // Record the grantee's cache-validity rights while the state
             // mutex is still held — before the tokens are visible to (and
             // revocable by) any rival; see `RevocationHandler::granted`.
-            hub.grant_coverage(owner, &set.to_intervals());
+            hub.grant_coverage(owner, set);
             if !lost.is_empty() {
-                let taken = lost
-                    .values()
-                    .fold(IntervalSet::new(), |acc, r| acc.union(r));
-                st.pending_coherence
-                    .push((id, StridedSet::from_intervals(&taken)));
+                let taken = lost.values().fold(StridedSet::new(), |acc, r| acc.union(r));
+                st.pending_coherence.push((id, taken));
             }
         }
         // Dispatch the revocations with the state mutex released (a
@@ -527,16 +525,15 @@ impl LockManager {
             .sum()
     }
 
-    /// Total bytes of token coverage `owner` holds across all domains.
-    pub fn cached_bytes(&self, owner: usize) -> u64 {
+    /// The token coverage `owner` holds across all domains.
+    pub fn token_set(&self, owner: usize) -> StridedSet {
         self.state
             .lock()
             .domains
             .iter()
             .flat_map(|d| d.tokens.iter())
             .filter(|t| t.owner == owner)
-            .map(|t| t.ranges.total_len())
-            .sum()
+            .fold(StridedSet::new(), |acc, t| acc.union(&t.ranges))
     }
 }
 
@@ -1031,7 +1028,7 @@ mod tests {
                 "cached grant only waits for conflicting releases"
             );
             m.release(g2.id, g2.granted_at);
-            assert_eq!(m.cached_bytes(0), 100);
+            assert_eq!(m.token_set(0).total_len(), 100);
         }
     }
 
@@ -1048,8 +1045,8 @@ mod tests {
             assert_eq!(g2.granted_at, 50_000 + 1_000 + 10_000);
             m.release(g2.id, g2.granted_at);
             // Client 0's token lost the overlapped part.
-            assert_eq!(m.cached_bytes(0), 50);
-            assert_eq!(m.cached_bytes(1), 100);
+            assert_eq!(m.token_set(0).total_len(), 50);
+            assert_eq!(m.token_set(1).total_len(), 100);
         }
     }
 
@@ -1102,20 +1099,20 @@ mod tests {
     #[derive(Debug)]
     struct Recorder {
         holder: usize,
-        seen: Arc<Mutex<Vec<(usize, IntervalSet)>>>,
+        seen: RevocationLog,
     }
 
     impl RevocationHandler for Recorder {
-        fn revoke(&self, ranges: &IntervalSet, _now: VNanos) -> u64 {
+        fn revoke(&self, ranges: &StridedSet, _now: VNanos) -> u64 {
             self.seen.lock().push((self.holder, ranges.clone()));
             0
         }
     }
 
-    type RevocationLog = Arc<Mutex<Vec<(usize, IntervalSet)>>>;
+    type RevocationLog = Arc<Mutex<Vec<(usize, StridedSet)>>>;
 
     fn recorded(kind: LockKind, holders: &[usize]) -> (LockManager, RevocationLog) {
-        let hub = Arc::new(CoherenceHub::new());
+        let hub = Arc::new(CoherenceHub::default());
         let seen = RevocationLog::default();
         for &holder in holders {
             let seen = Arc::clone(&seen);
@@ -1136,7 +1133,7 @@ mod tests {
             // exactly [50, 100) — not its whole token, not the whole cache.
             let g2 = m.acquire_set(1, &range(50, 150), Exclusive, t + 2);
             m.release(g2.id, g2.granted_at);
-            let lost = IntervalSet::from_range(ByteRange::new(50, 100));
+            let lost = StridedSet::from_range(ByteRange::new(50, 100));
             assert_eq!(*seen.lock(), [(0, lost)]);
             // A non-conflicting acquisition revokes nothing.
             let g3 = m.acquire_set(1, &range(200, 300), Exclusive, g2.granted_at + 1);
@@ -1294,7 +1291,7 @@ mod tests {
         let g = m.acquire_set(0, &at(0, 2 * UNIT), Exclusive, 0);
         assert_eq!((g.shard_trips, g.token_hits), (2, 0));
         m.release(g.id, 100);
-        assert_eq!(m.cached_bytes(0), 2 * UNIT);
+        assert_eq!(m.token_set(0).total_len(), 2 * UNIT);
 
         // Re-acquiring a subset: both domains hit, no round trip at all.
         let g2 = m.acquire_set(0, &at(512, UNIT), Exclusive, 200);
@@ -1308,8 +1305,12 @@ mod tests {
         assert_eq!(g3.shard_trips, 1);
         assert_eq!(g3.granted_at, 300 + 10_000 + 50_000);
         m.release(g3.id, g3.granted_at);
-        assert_eq!(m.cached_bytes(0), UNIT, "domain 1 coverage revoked");
-        assert_eq!(m.cached_bytes(1), UNIT);
+        assert_eq!(
+            m.token_set(0).total_len(),
+            UNIT,
+            "domain 1 coverage revoked"
+        );
+        assert_eq!(m.token_set(1).total_len(), UNIT);
     }
 
     #[test]
@@ -1325,14 +1326,14 @@ mod tests {
             done: Arc<AtomicBool>,
         }
         impl RevocationHandler for SlowFlush {
-            fn revoke(&self, _ranges: &IntervalSet, _now: VNanos) -> u64 {
+            fn revoke(&self, _ranges: &StridedSet, _now: VNanos) -> u64 {
                 std::thread::sleep(Duration::from_millis(80));
                 self.done.store(true, Ordering::SeqCst);
                 0
             }
         }
 
-        let hub = Arc::new(CoherenceHub::new());
+        let hub = Arc::new(CoherenceHub::default());
         let done = Arc::new(AtomicBool::new(false));
         let done2 = Arc::clone(&done);
         hub.register(0, Arc::new(SlowFlush { done: done2 }));

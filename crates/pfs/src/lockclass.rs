@@ -8,13 +8,14 @@
 //! thread may only climb it:
 //!
 //! ```text
-//! lock_state (10) → coherence registry (11/12) → cache (20) → coverage (22)
+//! lock_state (10) → coherence registry (12) → cache (20)
 //! ```
 //!
 //! * a lock manager's state mutex is held while it publishes coverage
-//!   to the grantee (`RevocationHandler::granted`), which takes the
-//!   holder's cache, then coverage — the documented "cache, then
-//!   coverage — everywhere" order of the coherence protocol;
+//!   to the grantee (`RevocationHandler::granted`), which looks the
+//!   handler up in the registry and then takes the holder's cache — the
+//!   one mutex guarding both the pages and the token coverage that
+//!   admits bytes to them;
 //! * revocation dispatch (`CoherenceHub::revoke`) runs with the manager
 //!   state *released* and the registry guard dropped before the handler
 //!   flushes, so no reverse edge exists.
@@ -29,20 +30,12 @@ pub(crate) fn lock_state<T>(value: T) -> OrderedMutex<T> {
     OrderedMutex::with_rank("pfs.lock_state", 10, value)
 }
 
-pub(crate) fn coherence_faults<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::with_rank("pfs.coherence_faults", 11, value)
-}
-
 pub(crate) fn coherence_registry<T>(value: T) -> OrderedMutex<T> {
     OrderedMutex::with_rank("pfs.coherence_registry", 12, value)
 }
 
 pub(crate) fn cache<T>(value: T) -> OrderedMutex<T> {
     OrderedMutex::with_rank("pfs.cache", 20, value)
-}
-
-pub(crate) fn coverage<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::with_rank("pfs.coverage", 22, value)
 }
 
 /// What a thread may hold where it waits in host time for another thread
