@@ -1,5 +1,5 @@
-//! A dependency-free token-level Rust lexer — the foundation the source
-//! lints ([`crate::lint`]) and the repo's token guards stand on.
+//! A dependency-free token-level Rust lexer — the foundation the repo's
+//! token guards (`tests/lintcheck.rs`, `tests/check_lockorder.rs`) stand on.
 //!
 //! It is *not* a full Rust lexer: it produces exactly the token classes
 //! the rules need, but it is **exact** about the things a line scanner
@@ -58,7 +58,7 @@ const OPERATORS: &[&str] = &[
 /// Lex `src` into tokens. Comments (line, doc, nested block) vanish;
 /// everything else becomes a [`Tok`]. Never panics on malformed input —
 /// an unterminated literal simply swallows the rest of the file, which is
-/// the conservative behaviour for a lint (rustc will reject the file
+/// the conservative behaviour for a token guard (rustc will reject the file
 /// anyway).
 pub fn lex(src: &str) -> Vec<Tok> {
     let b = src.as_bytes();

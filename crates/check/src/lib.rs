@@ -1,6 +1,6 @@
 //! `atomio-check` — the correctness-analysis layer.
 //!
-//! Three engines, one goal: make the atomicity guarantees the rest of
+//! Two engines, one goal: make the atomicity guarantees the rest of
 //! the workspace *claims* (paper §2.1 torn-write freedom, PR 5's
 //! revocation visibility contract, the documented state → registry →
 //! cache lock order) mechanically checkable.
@@ -14,21 +14,16 @@
 //!   [`assert_may_wait`], which rejects a lock held where a thread waits
 //!   for another (debug/test builds only; release builds compile both to
 //!   a plain mutex and nothing).
-//! * [`lint`] — the `lintcheck` source gate over [`lexer`] tokens: R1–R3
-//!   (no `unwrap`/`expect` on fault-reachable paths, no bare `Mutex` in
-//!   pfs, no unjustified `Ordering::Relaxed`), R5 (no silently dropped
-//!   `Result`) and stale-allowlist detection.
+//!
+//! [`lexer`] tokenises Rust source for the repo's token guards. The
+//! source rules themselves are compiler lint levels: see the workspace
+//! `Cargo.toml` and `crates/pfs/clippy.toml`.
 
 pub mod hb;
 pub mod lexer;
-pub mod lint;
 pub mod lockorder;
 
 pub use hb::{check_chrome_json, check_events, write_accesses, AccessSite, Finding, HbReport};
-pub use lint::{
-    check_workspace, lint_source, parse_allowlist, workspace_sources, AllowEntry, LintDiag,
-    WorkspaceReport,
-};
 pub use lockorder::{
     assert_may_wait, global_edges, CycleReport, LockEdge, LockOrderGraph, OrderedMutex,
     OrderedMutexGuard, Registry,

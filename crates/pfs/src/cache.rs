@@ -1,3 +1,6 @@
+// R1: fault-reachable code returns `FsError`; it never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use atomio_interval::{ByteRange, IntervalSet, StridedSet};

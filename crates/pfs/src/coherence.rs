@@ -23,6 +23,9 @@
 //! flushes `dirty ∩ revoked` to storage and drops validity for the revoked
 //! byte ranges only — the rest of the holder's cache stays warm.
 
+// R1: fault-reachable code returns `FsError`; it never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -228,6 +231,10 @@ impl CoherenceHub {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test recorder: a plain mutex the code under test never takes"
+)]
 mod tests {
     use super::*;
     use atomio_interval::ByteRange;

@@ -39,12 +39,15 @@
 //!   bytes and all — the "client death while holding dirty tokens" window
 //!   PR 5's visibility contract warned about.
 
+// R1: fault-reachable code returns `FsError`; it never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use atomio_check::OrderedMutex;
 
 use crate::lockclass;
+use crate::stats::counters;
 
 /// An instrumented point in the file system a [`FaultPlan`] event can fire
 /// at. Sites are identified by the resource they belong to, so one plan
@@ -214,71 +217,34 @@ impl FaultPlan {
     }
 }
 
-/// File-system-wide fault/recovery counters (shared by every client;
-/// [`ClientStats`](crate::ClientStats) carries the per-client view). All
-/// relaxed atomics — same discipline as the client counters.
-#[derive(Debug, Default)]
-pub struct FaultStats {
+counters! {
+    /// File-system-wide fault/recovery counters (shared by every client;
+    /// [`ClientStats`](crate::ClientStats) carries the per-client view).
+    FaultStats,
+    /// Plain-value copy of [`FaultStats`].
+    FaultSnapshot;
     /// Plan events that fired.
-    pub faults_injected: AtomicU64,
+    faults_injected,
     /// Servers crashed (by any action that crashes one).
-    pub server_crashes: AtomicU64,
+    server_crashes,
     /// Requests rejected by a down server.
-    pub rejections: AtomicU64,
+    rejections,
     /// Revocation dispatches lost and re-sent.
-    pub revocations_dropped: AtomicU64,
+    revocations_dropped,
     /// Revocation dispatches stalled.
-    pub revocations_delayed: AtomicU64,
+    revocations_delayed,
     /// Journal records that landed torn.
-    pub records_torn: AtomicU64,
+    records_torn,
     /// Recovery replays run (per file × restart).
-    pub journal_replays: AtomicU64,
+    journal_replays,
     /// Committed records applied by replay.
-    pub replayed_records: AtomicU64,
+    replayed_records,
     /// Bytes those records carried.
-    pub replayed_bytes: AtomicU64,
+    replayed_bytes,
     /// Torn records discarded by replay.
-    pub torn_records_discarded: AtomicU64,
+    torn_records_discarded,
     /// Clients killed (by plan or by `FileSystem::crash_client`).
-    pub client_deaths: AtomicU64,
-}
-
-/// Plain-value copy of [`FaultStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultSnapshot {
-    pub faults_injected: u64,
-    pub server_crashes: u64,
-    pub rejections: u64,
-    pub revocations_dropped: u64,
-    pub revocations_delayed: u64,
-    pub records_torn: u64,
-    pub journal_replays: u64,
-    pub replayed_records: u64,
-    pub replayed_bytes: u64,
-    pub torn_records_discarded: u64,
-    pub client_deaths: u64,
-}
-
-impl FaultStats {
-    pub fn add(&self, field: &AtomicU64, n: u64) {
-        field.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> FaultSnapshot {
-        FaultSnapshot {
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            server_crashes: self.server_crashes.load(Ordering::Relaxed),
-            rejections: self.rejections.load(Ordering::Relaxed),
-            revocations_dropped: self.revocations_dropped.load(Ordering::Relaxed),
-            revocations_delayed: self.revocations_delayed.load(Ordering::Relaxed),
-            records_torn: self.records_torn.load(Ordering::Relaxed),
-            journal_replays: self.journal_replays.load(Ordering::Relaxed),
-            replayed_records: self.replayed_records.load(Ordering::Relaxed),
-            replayed_bytes: self.replayed_bytes.load(Ordering::Relaxed),
-            torn_records_discarded: self.torn_records_discarded.load(Ordering::Relaxed),
-            client_deaths: self.client_deaths.load(Ordering::Relaxed),
-        }
-    }
+    client_deaths,
 }
 
 #[derive(Debug)]

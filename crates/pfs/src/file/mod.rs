@@ -2,6 +2,9 @@
 //! plumbing. The direct and cached paths, byte-range locks and the
 //! revocation handler each live in a submodule.
 
+// R1: fault-reachable code returns `FsError`; it never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -24,6 +24,9 @@
 //! record whose byte range spans a *healthy* server can never be read
 //! around while its home server is down.
 
+// R1: fault-reachable code returns `FsError`; it never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use atomio_check::OrderedMutex;

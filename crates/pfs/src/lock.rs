@@ -590,6 +590,10 @@ fn latest_conflict(hist: &[(StridedSet, VNanos)], set: &StridedSet) -> Option<VN
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test recorder: a plain mutex the code under test never takes"
+)]
 mod tests {
     use super::*;
     use crate::coherence::RevocationHandler;

@@ -1,3 +1,6 @@
+// R1: fault-reachable code returns `FsError`; it never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use atomio_check::{assert_may_wait, OrderedMutex};
 use atomio_interval::ByteRange;
 use atomio_trace::{Category, Tracer, Track};
@@ -237,6 +240,14 @@ impl ServerSet {
     }
 
     /// Completion time of a settled ticket (consumes it).
+    #[expect(
+        clippy::expect_used,
+        reason = "API-contract assertion: redeeming a ticket before a `settle_through` \
+                  covered its epoch is a caller bug. `settle_through` has no fault site \
+                  and fault-injected runs never deposit a batch (the two-phase write goes \
+                  synchronous), so no injected fault can reach it; a should_panic test \
+                  pins the message"
+    )]
     pub fn take_completion(&self, ticket: u64) -> VNanos {
         self.pending
             .lock()

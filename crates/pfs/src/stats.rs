@@ -1,52 +1,65 @@
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use atomio_trace::{HistogramSnapshot, LatencyHistogram};
 
-/// Defines [`ClientStats`] (atomic counters), [`StatsSnapshot`] (plain
-/// values) and the conversions between them from **one** field list, so the
-/// two structs can never drift apart — adding a counter is one line here
-/// and `snapshot`/`delta` pick it up automatically.
-macro_rules! client_stats {
-    ($( $(#[$doc:meta])* $field:ident ),* $(,)?) => {
-        /// Per-client I/O counters (diagnostics and EXPERIMENTS.md tables).
+/// Defines a struct of atomic counters, its plain-value snapshot and the
+/// conversions between them from **one** field list, so the two structs
+/// can never drift apart — adding a counter is one line at the call and
+/// `snapshot`/`delta` pick it up automatically. Builds [`ClientStats`] /
+/// [`StatsSnapshot`] here and [`FaultStats`](crate::FaultStats) /
+/// [`FaultSnapshot`](crate::FaultSnapshot) in `fault.rs`.
+///
+/// Every counter is a relaxed atomic: an increment carries no payload
+/// another thread reads through it, and a snapshot tolerates a torn
+/// cross-counter view (counts are diagnostics, never control flow).
+macro_rules! counters {
+    (
+        $(#[$stats_doc:meta])* $stats:ident,
+        $(#[$snap_doc:meta])* $snap:ident;
+        $( $(#[$doc:meta])* $field:ident ),* $(,)?
+    ) => {
+        $(#[$stats_doc])*
         #[derive(Debug, Default)]
-        pub struct ClientStats {
-            $( $(#[$doc])* pub $field: AtomicU64, )*
+        pub struct $stats {
+            $( $(#[$doc])* pub $field: ::std::sync::atomic::AtomicU64, )*
         }
 
-        /// A plain-value copy of [`ClientStats`].
+        $(#[$snap_doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct StatsSnapshot {
+        pub struct $snap {
             $( pub $field: u64, )*
         }
 
-        impl ClientStats {
-            pub fn add(&self, field: &AtomicU64, n: u64) {
-                field.fetch_add(n, Ordering::Relaxed);
+        impl $stats {
+            pub fn add(&self, field: &::std::sync::atomic::AtomicU64, n: u64) {
+                field.fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
             }
 
-            pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
-                    $( $field: self.$field.load(Ordering::Relaxed), )*
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*
                 }
             }
         }
 
-        impl StatsSnapshot {
+        impl $snap {
             /// Field-wise `self - earlier`: what happened between two
             /// snapshots (one phase, one operation). Counters are monotone,
             /// so with `earlier` taken first every field is exact;
             /// saturation only guards misuse.
-            pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-                StatsSnapshot {
+            pub fn delta(&self, earlier: &$snap) -> $snap {
+                $snap {
                     $( $field: self.$field.saturating_sub(earlier.$field), )*
                 }
             }
         }
     };
 }
+pub(crate) use counters;
 
-client_stats! {
+counters! {
+    /// Per-client I/O counters (diagnostics and EXPERIMENTS.md tables).
+    ClientStats,
+    /// A plain-value copy of [`ClientStats`].
+    StatsSnapshot;
     /// Client-layer write *requests* issued, not API calls: a batched
     /// write counts one per segment, and a lock-driven cached write that
     /// splits at a token-coverage boundary counts one per sub-range (each

@@ -1,3 +1,12 @@
+// R1: fault-reachable code returns `FsError`; it never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the block map and the atomicity gate are RwLocks, reader-parallel by design, \
+              and OrderedMutex wraps a mutex only. Storage locks are leaves, taken with no \
+              other lock held and never nested, so they sit outside the lock-order graph"
+)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 

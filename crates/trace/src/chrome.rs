@@ -31,7 +31,7 @@ fn args_json(args: &[(&'static str, u64)]) -> String {
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(s, "\"{}\":{}", escape(k), v);
+        write!(s, "\"{}\":{}", escape(k), v).expect("a String accepts every write");
     }
     s.push('}');
     s
@@ -110,12 +110,14 @@ pub fn export_chrome(events: &[TraceEvent]) -> String {
         );
         match e.dur {
             Some(d) => {
-                let _ = write!(ev, ",\"ph\":\"X\",\"dur\":{}", us(d));
+                ev.push_str(",\"ph\":\"X\",\"dur\":");
+                ev.push_str(&us(d));
             }
             None => ev.push_str(",\"ph\":\"i\",\"s\":\"t\""),
         }
         if !e.args.is_empty() {
-            let _ = write!(ev, ",\"args\":{}", args_json(&e.args));
+            ev.push_str(",\"args\":");
+            ev.push_str(&args_json(&e.args));
         }
         ev.push('}');
         push(&mut out, ev);

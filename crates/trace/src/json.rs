@@ -140,7 +140,7 @@ pub fn escape(s: &str) -> String {
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                write!(out, "\\u{:04x}", c as u32).expect("a String accepts every write");
             }
             c => out.push(c),
         }

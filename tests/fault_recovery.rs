@@ -219,8 +219,11 @@ fn faulted_collective_write(
         file.set_atomicity(Atomicity::Atomic(strategy)).unwrap();
         let written = file.write_at_all(0, &buf);
         let retries = file.posix().stats().snapshot().retries;
-        // Collective too: a rank that cannot flush still attends.
-        let _ = file.close();
+        // Collective too: a rank that cannot flush still attends. The
+        // write drained the cache, failed flushes included, so close
+        // has nothing left to fail on.
+        let closed = file.close();
+        assert!(closed.is_ok(), "rank {}: close: {closed:?}", comm.rank());
         (written, retries)
     });
     assert!(
@@ -339,29 +342,31 @@ fn collective_locked_write_fails_only_the_rank_with_a_dead_handle() {
                     file.write_at_all(0, &buf).map(drop)
                 };
                 let locks = file.posix().stats().snapshot().lock_acquires;
-                let _ = file.close();
-                (synced.is_ok(), done, locks)
+                let closed = file.close().map(drop);
+                (synced.is_ok(), done, locks, closed)
             });
             assert!(
                 started.elapsed() < std::time::Duration::from_secs(5),
                 "{strategy} {call}: ranks took {:?} to return",
                 started.elapsed()
             );
-            for (rank, (synced, done, locks)) in outcomes.into_iter().enumerate() {
+            for (rank, (synced, done, locks, closed)) in outcomes.into_iter().enumerate() {
                 if rank == DEAD {
                     assert!(!synced, "the plan must kill rank {rank}'s handle");
-                    assert!(
-                        matches!(done, Err(atomio::core::Error::Fs(FsError::Closed))),
-                        "{strategy} {call}: dead rank {rank}: {done:?}"
-                    );
+                    for result in [&done, &closed] {
+                        assert!(
+                            matches!(result, Err(atomio::core::Error::Fs(FsError::Closed))),
+                            "{strategy} {call}: dead rank {rank}: {result:?}"
+                        );
+                    }
                     assert_eq!(
                         locks, 0,
                         "{strategy} {call}: a dead handle must take no lock"
                     );
                 } else {
                     assert!(
-                        synced && done.is_ok(),
-                        "{strategy} {call}: rank {rank}: {done:?}"
+                        synced && done.is_ok() && closed.is_ok(),
+                        "{strategy} {call}: rank {rank}: {done:?}, close {closed:?}"
                     );
                     assert_eq!(locks, 1, "{strategy} {call}: rank {rank}");
                 }
@@ -436,7 +441,9 @@ fn faulted_collective_read(
         file.set_atomicity(atomicity).unwrap();
         let read = file.read_at_all(0, &mut buf);
         let retries = file.posix().stats().snapshot().retries;
-        let _ = file.close();
+        // A read leaves nothing dirty for close to flush.
+        let closed = file.close();
+        assert!(closed.is_ok(), "rank {}: close: {closed:?}", comm.rank());
         (read, buf, retries)
     });
     assert!(
