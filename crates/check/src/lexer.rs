@@ -1,5 +1,5 @@
 //! A dependency-free token-level Rust lexer — the foundation the repo's
-//! token guards (`tests/lintcheck.rs`, `tests/check_lockorder.rs`) stand on.
+//! token guards (`tests/source_rules.rs`, `tests/check_lockorder.rs`) stand on.
 //!
 //! It is *not* a full Rust lexer: it produces exactly the token classes
 //! the rules need, but it is **exact** about the things a line scanner

@@ -385,9 +385,9 @@ mod tests {
             .collect()
     }
 
-    fn plan(footprints: &[StridedSet], profile: &PlatformProfile) -> IntervalSet {
+    fn plan(footprints: &[StridedSet], profile: &PlatformProfile) -> StridedSet {
         let colors = greedy_color(&OverlapMatrix::from_strided(footprints));
-        held_bytes(footprints, &colors, profile).to_intervals()
+        held_bytes(footprints, &colors, profile)
     }
 
     #[test]
@@ -403,7 +403,6 @@ mod tests {
             fps[1]
                 .intersect(&fps[0].union(&fps[2]))
                 .union(&fps[2].intersect(&fps[3]))
-                .to_intervals()
         );
     }
 
@@ -416,7 +415,7 @@ mod tests {
             let held = plan(&colwise(512, 8192, 16, 16), &profile);
             assert_eq!(
                 held,
-                IntervalSet::from_range(ByteRange::new(0, 512 * 8192)),
+                StridedSet::from_range(ByteRange::new(0, 512 * 8192)),
                 "{}",
                 profile.name
             );
@@ -438,7 +437,7 @@ mod tests {
         let fps = colwise(8, 256, 4, 8);
         assert_eq!(
             plan(&fps, &profile),
-            IntervalSet::from_range(ByteRange::new(0, 8 * 256))
+            StridedSet::from_range(ByteRange::new(0, 8 * 256))
         );
         // A per-request price on the clients is enough to break it.
         let dearer = PlatformProfile {

@@ -10,7 +10,10 @@
 //! sorted trains of `(start, len, stride, count)` — so the regular
 //! footprints of array partitionings cost O(trains) to describe, exchange
 //! and negotiate instead of O(rows), with lossless promotion to and from
-//! the dense form.
+//! the dense form. Its form is canonical too — the maximal runs, cut
+//! greedily into arithmetic progressions, and a stretch that repeats
+//! period after period folded into one comb per run — so `==` and the
+//! `WireSize` it is charged are functions of the byte set alone.
 
 mod range;
 mod set;
@@ -18,4 +21,4 @@ mod strided;
 
 pub use range::ByteRange;
 pub use set::IntervalSet;
-pub use strided::{RunIter, StridedSet, Train};
+pub use strided::{StridedSet, Train};

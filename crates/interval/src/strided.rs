@@ -9,13 +9,21 @@
 //! trains of `(start, len, stride, count)` so the description is O(1) per
 //! periodic pattern, the wire encoding is charged on the compressed form,
 //! and the algebra has O(1) fast paths for the same-stride case that
-//! dominates regular array partitionings.
+//! dominates regular array partitionings: their results stay O(1) trains.
 //!
-//! All operations are **exact**: whatever the train structure, every
-//! operation returns precisely the set a dense expansion would. Mixed-stride
-//! operands fall back to stepping over the runs of the smaller train
-//! (O(min(count))), never to dense per-byte or per-row materialization of
-//! both sides.
+//! All operations are **exact**: every operation returns precisely the set
+//! a dense expansion would, in the one canonical train decomposition of
+//! that set (see [`StridedSet`]). Mixed-stride operands fall back to
+//! stepping over the runs of the smaller train (O(min(count))), never to
+//! dense per-byte or per-row materialization of both sides. Bringing a
+//! result into canonical form steps run by run only where its trains
+//! interleave, and folds those runs back into combs; a result that is one
+//! fold already (a same-stride difference or intersection whose pieces
+//! alternate within each period) is recognised on `k + 1` of its periods.
+
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use atomio_vtime::WireSize;
 
@@ -239,29 +247,23 @@ fn shift_windows(a: &Train, b: &Train) -> Vec<ShiftWindow> {
 
 /// `t ∩ r` as up to three trains (left partial run, full middle runs, right
 /// partial run), ascending.
-fn clip_train_to_range(t: &Train, r: &ByteRange, out: &mut Vec<Train>) {
+fn clip_train_to_range(t: &Train, r: &ByteRange) -> impl Iterator<Item = Train> {
     let (lo, hi) = t.idx_overlapping(r);
-    if lo >= hi {
-        return;
-    }
+    let part = |i: u64| t.nth(i).intersect(r).and_then(Train::from_range);
+    let mut pieces = [None; 3];
     if hi - lo == 1 {
-        let piece = t.nth(lo).intersect(r).expect("index said overlap");
-        out.extend(Train::from_range(piece));
-        return;
+        pieces[0] = part(lo);
+    } else if lo < hi {
+        // An end run `r` covers only in part stays out of the full middle.
+        let full_lo = lo + u64::from(!r.contains_range(&t.nth(lo)));
+        let full_hi = hi - u64::from(!r.contains_range(&t.nth(hi - 1)));
+        pieces = [
+            (full_lo > lo).then(|| part(lo)).flatten(),
+            t.slice(full_lo, full_hi),
+            (full_hi < hi).then(|| part(hi - 1)).flatten(),
+        ];
     }
-    let first = t.nth(lo);
-    let last = t.nth(hi - 1);
-    let full_lo = if r.contains_range(&first) { lo } else { lo + 1 };
-    let full_hi = if r.contains_range(&last) { hi } else { hi - 1 };
-    if full_lo > lo {
-        out.extend(Train::from_range(first.intersect(r).expect("overlap")));
-    }
-    if let Some(mid) = t.slice(full_lo, full_hi) {
-        out.push(mid);
-    }
-    if full_hi < hi {
-        out.extend(Train::from_range(last.intersect(r).expect("overlap")));
-    }
+    pieces.into_iter().flatten()
 }
 
 /// `r \ t` as up to three trains (left remainder, the gap train between
@@ -291,27 +293,6 @@ fn range_minus_train(r: ByteRange, t: &Train, out: &mut Vec<Train>) {
     }
 }
 
-/// `t \ cut` for one contiguous cut, as up to four trains.
-fn train_minus_range(t: &Train, cut: &ByteRange, out: &mut Vec<Train>) {
-    let (lo, hi) = t.idx_overlapping(cut);
-    if lo >= hi {
-        out.push(*t);
-        return;
-    }
-    out.extend(t.slice(0, lo));
-    // Only the first and last intersected runs can survive partially: a
-    // contiguous cut reaching run `hi-1` covers every run in between.
-    let (left, right_of_first) = t.nth(lo).subtract(cut);
-    out.extend(left.and_then(Train::from_range));
-    if hi - lo == 1 {
-        out.extend(right_of_first.and_then(Train::from_range));
-    } else {
-        let (_, right) = t.nth(hi - 1).subtract(cut);
-        out.extend(right.and_then(Train::from_range));
-    }
-    out.extend(t.slice(hi, t.count));
-}
-
 /// `a ∩ b` appended to `out` (pieces pairwise disjoint, not globally
 /// sorted).
 fn train_intersect(a: &Train, b: &Train, out: &mut Vec<Train>) {
@@ -319,11 +300,11 @@ fn train_intersect(a: &Train, b: &Train, out: &mut Vec<Train>) {
         return;
     }
     if b.is_run() {
-        clip_train_to_range(a, &b.bounds(), out);
+        out.extend(clip_train_to_range(a, &b.bounds()));
         return;
     }
     if a.is_run() {
-        clip_train_to_range(b, &a.bounds(), out);
+        out.extend(clip_train_to_range(b, &a.bounds()));
         return;
     }
     if a.stride == b.stride {
@@ -339,7 +320,7 @@ fn train_intersect(a: &Train, b: &Train, out: &mut Vec<Train>) {
     }
     let (small, big) = if a.count <= b.count { (a, b) } else { (b, a) };
     for r in small.runs() {
-        clip_train_to_range(big, &r, out);
+        out.extend(clip_train_to_range(big, &r));
     }
 }
 
@@ -350,7 +331,7 @@ fn train_minus_train(a: &Train, b: &Train, out: &mut Vec<Train>) {
         return;
     }
     if b.is_run() {
-        train_minus_range(a, &b.bounds(), out);
+        train_minus_cuts(a, [[*b]], out);
         return;
     }
     if a.is_run() {
@@ -362,21 +343,55 @@ fn train_minus_train(a: &Train, b: &Train, out: &mut Vec<Train>) {
         return;
     }
     if b.count <= a.count {
-        // Carve b's runs (ascending, disjoint) out of a.
-        let mut acc = vec![*a];
-        for cut in b.runs() {
-            let mut next = Vec::with_capacity(acc.len() + 3);
-            for t in &acc {
-                train_minus_range(t, &cut, &mut next);
-            }
-            acc = next;
-        }
-        out.extend(acc);
+        let runs = b.runs().filter_map(Train::from_range).map(|r| [r]);
+        train_minus_cuts(a, runs, out);
     } else {
         for r in a.runs() {
             range_minus_train(r, b, out);
         }
     }
+}
+
+/// `a` minus cuts given as [`groups`] with ascending, pairwise disjoint
+/// bounds: the stretches of `a` between the groups' bounds stay whole, and
+/// what lies inside one group's bounds loses bytes to that group alone
+/// (all of them to a run).
+fn train_minus_cuts<G: AsRef<[Train]>>(
+    a: &Train,
+    cuts: impl IntoIterator<Item = G>,
+    out: &mut Vec<Train>,
+) {
+    let stretch = |from: u64, to: u64| ByteRange::new(from, to.max(from));
+    let mut from = a.start;
+    for group in cuts {
+        let group = group.as_ref();
+        let hull = ByteRange::new(group[0].start, group[group.len() - 1].end());
+        out.extend(clip_train_to_range(a, &stretch(from, hull.start)));
+        match group {
+            [b] if b.is_run() => {}
+            [b] => {
+                for piece in clip_train_to_range(a, &hull) {
+                    train_minus_train(&piece, b, out);
+                }
+            }
+            _ => {
+                // The pieces so far sit at `out[first..]`; each member of
+                // the group cuts them in turn.
+                let first = out.len();
+                out.extend(clip_train_to_range(a, &hull));
+                for b in group {
+                    let cut = out.len();
+                    for i in first..cut {
+                        let piece = out[i];
+                        train_minus_train(&piece, b, out);
+                    }
+                    out.drain(first..cut);
+                }
+            }
+        }
+        from = hull.end;
+    }
+    out.extend(clip_train_to_range(a, &stretch(from, a.end())));
 }
 
 /// Same-stride subtraction: split `a`'s index space at the boundaries of
@@ -425,13 +440,24 @@ fn train_minus_same_stride(a: &Train, b: &Train, out: &mut Vec<Train>) {
     }
 }
 
-/// A set of bytes stored as sorted, pairwise-disjoint [`Train`]s.
+/// A set of bytes stored as pairwise-disjoint [`Train`]s in **canonical
+/// form**, built in two steps from the set's maximal runs, ascending:
 ///
-/// Unlike [`IntervalSet`], the representation is not unique (the same byte
-/// set can decompose into trains in several ways), so derived `==` is
-/// representational; use [`StridedSet::to_intervals`] for extensional
-/// comparison. Every operation is exact with respect to the represented
-/// byte set.
+/// 1. a greedy cuts them into arithmetic progressions — a run joins the
+///    train being grown when it has the train's run length and continues
+///    its stride (the train's second run sets the stride), and otherwise
+///    closes that train and opens the next;
+/// 2. scanning those trains left to right, a stretch of `k ≤ 32` trains
+///    that repeats at a fixed shift `P` at least twice becomes one train
+///    of stride `P` per run of its first `k` trains, when that gives fewer
+///    trains (the smallest `k` wins). Step 1 cuts interleaved combs of one
+///    stride into pieces per period; this puts each comb back whole.
+///
+/// Every constructor and operation returns this form, so the trains are a
+/// function of the byte set alone: derived `==` and `Hash` are set
+/// equality, [`WireSize`] is a function of the bytes, and every train's
+/// runs are maximal runs of the set. The trains are sorted by start and
+/// by end; only the trains of one fold interleave.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Hash)]
 pub struct StridedSet {
     trains: Vec<Train>,
@@ -454,47 +480,38 @@ impl StridedSet {
     }
 
     /// Build from trains whose byte sets are already pairwise disjoint
-    /// (e.g. emitted by a validated monotone file view). Sorts and
-    /// coalesces; disjointness is the caller's contract.
-    pub fn from_disjoint_trains(trains: Vec<Train>) -> Self {
-        StridedSet {
-            trains: normalize(trains),
-        }
+    /// (e.g. emitted by a validated monotone file view), in any order;
+    /// disjointness is the caller's contract.
+    pub fn from_disjoint_trains(mut trains: Vec<Train>) -> Self {
+        canonicalize(&mut trains);
+        StridedSet { trains }
     }
 
-    /// Compress a dense set losslessly: greedy detection of runs of equal
-    /// length in arithmetic progression. O(runs).
+    /// Compress a dense set losslessly. O(runs).
     pub fn from_intervals(s: &IntervalSet) -> Self {
-        StridedSet {
-            trains: compress_runs(s.runs()),
-        }
+        let runs = s.runs().iter().map(|r| Train::new(r.start, r.len(), 0, 1));
+        StridedSet::from_disjoint_trains(runs.collect())
     }
 
     /// Compress ascending, non-overlapping `(offset, len)` extents (the
-    /// form view segments arrive in), coalescing touching neighbours.
+    /// form view segments arrive in); touching neighbours coalesce.
     pub fn from_sorted_extents<I: IntoIterator<Item = (u64, u64)>>(extents: I) -> Self {
-        let mut runs: Vec<ByteRange> = Vec::new();
-        for (off, len) in extents {
-            if len == 0 {
-                continue;
-            }
-            match runs.last_mut() {
-                Some(last) if last.end == off => last.end += len,
-                Some(last) => {
-                    assert!(off >= last.end, "extents must be ascending and disjoint");
-                    runs.push(ByteRange::at(off, len));
-                }
-                None => runs.push(ByteRange::at(off, len)),
-            }
-        }
-        StridedSet {
-            trains: compress_runs(&runs),
-        }
+        let mut end = 0;
+        let runs = extents
+            .into_iter()
+            .filter_map(|(off, len)| {
+                let run = Train::from_range(ByteRange::at(off, len))?;
+                assert!(off >= end, "extents must be ascending and disjoint");
+                end = off + len;
+                Some(run)
+            })
+            .collect();
+        StridedSet::from_disjoint_trains(runs)
     }
 
-    /// Lossless expansion to the canonical dense representation.
+    /// Lossless expansion to the dense representation.
     pub fn to_intervals(&self) -> IntervalSet {
-        IntervalSet::from_ranges(self.trains.iter().flat_map(Train::runs))
+        IntervalSet::from_ranges(self.iter_runs())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -506,7 +523,7 @@ impl StridedSet {
         self.trains.len()
     }
 
-    /// Number of runs a dense expansion would hold.
+    /// Number of maximal runs.
     pub fn run_count(&self) -> u64 {
         self.trains.iter().map(|t| t.count).sum()
     }
@@ -516,7 +533,7 @@ impl StridedSet {
         self.trains.iter().map(Train::nbytes).sum()
     }
 
-    /// The trains, sorted by start offset.
+    /// The trains, ascending.
     pub fn trains(&self) -> &[Train] {
         &self.trains
     }
@@ -524,20 +541,28 @@ impl StridedSet {
     /// Smallest single range covering the set (the file-locking span).
     pub fn span(&self) -> Option<ByteRange> {
         let start = self.trains.first()?.start;
-        let end = self.trains.iter().map(Train::end).max()?;
+        let end = self.trains.last()?.end();
         Some(ByteRange::new(start, end))
     }
 
     /// True when the two sets share at least one byte.
     pub fn overlaps(&self, other: &StridedSet) -> bool {
-        self.trains
-            .iter()
-            .any(|a| other.trains.iter().any(|b| a.overlaps(b)))
+        self.trains.iter().any(|a| {
+            let bs = other.trains_meeting(&a.bounds());
+            bs.iter().any(|b| a.overlaps(b))
+        })
     }
 
     /// True when `r` intersects the set.
     pub fn overlaps_range(&self, r: &ByteRange) -> bool {
-        self.trains.iter().any(|t| t.overlaps_range(r))
+        self.trains_meeting(r).iter().any(|t| t.overlaps_range(r))
+    }
+
+    /// The trains whose bounds meet `r`: one stretch, found by binary
+    /// search, since both the trains' starts and their ends ascend.
+    fn trains_meeting(&self, r: &ByteRange) -> &[Train] {
+        let rest = &self.trains[self.trains.partition_point(|t| t.end() <= r.start)..];
+        &rest[..rest.partition_point(|t| t.start < r.end)]
     }
 
     /// Set union.
@@ -552,9 +577,8 @@ impl StridedSet {
     pub fn union_with(&mut self, other: &StridedSet) {
         let extra = other.subtract(self);
         if !extra.is_empty() {
-            let mut trains = std::mem::take(&mut self.trains);
-            trains.extend(extra.trains);
-            self.trains = normalize(trains);
+            self.trains.extend(extra.trains);
+            canonicalize(&mut self.trains);
         }
     }
 
@@ -562,91 +586,43 @@ impl StridedSet {
     pub fn intersect(&self, other: &StridedSet) -> StridedSet {
         let mut out = Vec::new();
         for a in &self.trains {
-            for b in &other.trains {
+            for b in other.trains_meeting(&a.bounds()) {
                 train_intersect(a, b, &mut out);
             }
         }
-        StridedSet {
-            trains: normalize(out),
-        }
+        StridedSet::from_disjoint_trains(out)
     }
 
     /// Set difference `self \ other`.
     pub fn subtract(&self, other: &StridedSet) -> StridedSet {
-        let mut acc = self.trains.clone();
-        for b in &other.trains {
-            // A cut that misses every piece leaves `acc` as it is.
-            if !acc.iter().any(|a| a.bounds().overlaps(&b.bounds())) {
-                continue;
-            }
-            let mut next = Vec::with_capacity(acc.len());
-            for a in &acc {
-                train_minus_train(a, b, &mut next);
-            }
-            acc = next;
+        let mut out = Vec::new();
+        for a in &self.trains {
+            train_minus_cuts(a, groups(other.trains_meeting(&a.bounds())), &mut out);
         }
-        StridedSet {
-            trains: normalize(acc),
-        }
+        StridedSet::from_disjoint_trains(out)
     }
 
-    /// The runs of every train meeting `r`, unclipped, ascending.
-    /// O(trains + produced runs), independent of total run count.
-    fn runs_within(&self, r: &ByteRange) -> Vec<ByteRange> {
+    /// The maximal runs of the set meeting `r`, unclipped, ascending.
+    /// O(log trains + produced runs), independent of total run count.
+    pub fn runs_meeting(&self, r: &ByteRange) -> Vec<ByteRange> {
         let mut runs = Vec::new();
-        for t in &self.trains {
+        for t in self.trains_meeting(r) {
             let (lo, hi) = t.idx_overlapping(r);
             runs.extend((lo..hi).map(|i| t.nth(i)));
         }
-        runs.sort_unstable_by_key(|c| c.start);
+        // A fold's trains interleave.
+        runs.sort_unstable_by_key(|run| run.start);
         runs
     }
 
-    /// The **maximal** runs of the set meeting `r`, unclipped, ascending,
-    /// as [`IntervalSet::runs`] has them. A run touching a comb stays its
-    /// own train, so [`StridedSet::iter_runs`] splits a maximal run at such
-    /// a seam; this walk joins the pieces, following touching runs beyond
-    /// `r` too.
-    pub fn runs_meeting(&self, r: &ByteRange) -> Vec<ByteRange> {
-        // The run holding byte `b`, if any (trains are disjoint).
-        let run_at = |b: u64| {
-            self.trains.iter().find_map(|t| {
-                let (lo, hi) = t.idx_overlapping(&ByteRange::at(b, 1));
-                (lo < hi).then(|| t.nth(lo))
-            })
-        };
-        let mut runs: Vec<ByteRange> = Vec::new();
-        for p in self.runs_within(r) {
-            match runs.last_mut() {
-                Some(last) if last.end == p.start => last.end = p.end,
-                _ => runs.push(p),
-            }
-        }
-        // A seam between two runs that both meet `r` lies inside `r`, so
-        // only the outermost runs can continue past what was collected.
-        if let Some(first) = runs.first_mut() {
-            while let Some(prev) = first.start.checked_sub(1).and_then(run_at) {
-                first.start = prev.start;
-            }
-        }
-        if let Some(last) = runs.last_mut() {
-            while let Some(next) = run_at(last.end) {
-                last.end = next.end;
-            }
-        }
-        runs
-    }
-
-    /// All runs of the set in ascending order — a k-way merge over the
-    /// trains' run sequences. O(log trains) per yielded run with no
+    /// All maximal runs of the set in ascending order, group by group (a
+    /// fold's trains period by period): O(1) per yielded run with no
     /// materialized run list, which is what lets a data-sieving planner
-    /// walk a million-run footprint while holding only O(trains) state.
-    pub fn iter_runs(&self) -> RunIter<'_> {
-        let mut heap = std::collections::BinaryHeap::with_capacity(self.trains.len());
-        for (i, t) in self.trains.iter().enumerate() {
-            heap.push(std::cmp::Reverse((t.start, i, 0u64)));
-        }
-        RunIter { set: self, heap }
+    /// walk a million-run footprint while holding only O(1) state.
+    pub fn iter_runs(&self) -> impl Iterator<Item = ByteRange> + '_ {
+        groups(&self.trains).flat_map(|group| {
+            (0..group[0].count).flat_map(move |i| group.iter().map(move |t| t.nth(i)))
+        })
     }
 
     /// The subset of the set lying on shard `shard` of a sharded lock
@@ -682,11 +658,11 @@ impl StridedSet {
     pub fn subtract_from_range(&self, r: &ByteRange) -> Vec<ByteRange> {
         let mut out = Vec::new();
         let mut cursor = r.start;
-        for cut in self.runs_within(r) {
+        for cut in self.runs_meeting(r) {
             if cut.start > cursor {
                 out.push(ByteRange::new(cursor, cut.start));
             }
-            cursor = cursor.max(cut.end);
+            cursor = cut.end;
         }
         if cursor < r.end {
             out.push(ByteRange::new(cursor, r.end));
@@ -695,36 +671,11 @@ impl StridedSet {
     }
 }
 
-/// Ascending run iterator over a [`StridedSet`] (see
-/// [`StridedSet::iter_runs`]).
-#[derive(Debug, Clone)]
-pub struct RunIter<'s> {
-    set: &'s StridedSet,
-    /// Min-heap of `(next run start, train index, run index)`.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize, u64)>>,
-}
-
-impl Iterator for RunIter<'_> {
-    type Item = ByteRange;
-
-    fn next(&mut self) -> Option<ByteRange> {
-        let std::cmp::Reverse((_, ti, ri)) = self.heap.pop()?;
-        let t = &self.set.trains[ti];
-        if ri + 1 < t.count {
-            self.heap.push(std::cmp::Reverse((
-                t.start + (ri + 1) * t.stride,
-                ti,
-                ri + 1,
-            )));
-        }
-        Some(t.nth(ri))
-    }
-}
-
 impl WireSize for StridedSet {
     /// Charged on the compressed encoding: 8 bytes of header, 16 bytes per
     /// plain run, 32 per periodic train — what a view-exchange message
-    /// shipping the strided description would actually carry.
+    /// shipping the strided description would actually carry. The trains
+    /// are canonical, so the size is a function of the byte set.
     fn wire_size(&self) -> usize {
         8 + self
             .trains
@@ -747,62 +698,334 @@ impl std::fmt::Display for StridedSet {
     }
 }
 
-/// Sort disjoint trains and coalesce: touching runs merge, and a train
-/// continued exactly by its successor (same stride and length, next start
-/// one period after the last run) absorbs it.
-fn normalize(mut trains: Vec<Train>) -> Vec<Train> {
-    trains.sort_unstable_by_key(|t| (t.start, t.end()));
-    // In place: a successor that merges folds into the train kept before it.
-    trains.dedup_by(|next, kept| try_merge(kept, next).map(|m| *kept = m).is_some());
-    trains
-}
-
-fn try_merge(a: &Train, b: &Train) -> Option<Train> {
-    // Touching contiguous runs.
-    if a.is_run() && b.is_run() && a.end() == b.start {
-        return Some(Train::new(a.start, a.len + b.len, a.len + b.len, 1));
-    }
-    // Touching windows of the same comb: every run of `b` starts exactly
-    // where the matching run of `a` ends.
-    if !a.is_run() && a.stride == b.stride && a.count == b.count && b.start == a.start + a.len {
-        return Some(Train::new(a.start, a.len + b.len, a.stride, a.count));
-    }
-    // Periodic continuation: same shape, next period.
-    if !a.is_run() && a.len == b.len && b.start == a.start + a.count * a.stride {
-        if b.is_run() {
-            return Some(Train::new(a.start, a.len, a.stride, a.count + 1));
-        }
-        if b.stride == a.stride {
-            return Some(Train::new(a.start, a.len, a.stride, a.count + b.count));
+/// Rewrite pairwise disjoint `trains`, given in any order, into the
+/// canonical form (see [`StridedSet`]) of their byte set.
+///
+/// Works on blocks of runs, not on runs. The trains are taken by start: a
+/// train goes whole when the next one starts past its end, and otherwise
+/// only its runs before that start go and its remainder waits its turn —
+/// so runs go one by one only where trains' bounds interleave. Touching
+/// runs join across blocks, the open progression grows by a whole block in
+/// O(1), and [`fold_periods`] then folds repeated stretches of the result.
+fn canonicalize(trains: &mut Vec<Train>) {
+    trains.sort_unstable_by_key(|t| t.start);
+    if let Some((slots, k)) = fold_layout(trains) {
+        trains.clear();
+        trains.extend_from_slice(&slots[..k]);
+        if k == 1 || (slots[0].count > k as u64 + 1 && canonical_over_periods(trains, &slots[..k]))
+        {
+            return;
         }
     }
-    None
-}
-
-/// Greedy arithmetic-progression compression of canonical (sorted,
-/// disjoint, coalesced) runs.
-fn compress_runs(runs: &[ByteRange]) -> Vec<Train> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < runs.len() {
-        let len = runs[i].len();
-        let mut j = i;
-        if i + 1 < runs.len() && runs[i + 1].len() == len {
-            let stride = runs[i + 1].start - runs[i].start;
-            j = i + 1;
-            while j + 1 < runs.len()
-                && runs[j + 1].len() == len
-                && runs[j + 1].start - runs[j].start == stride
-            {
-                j += 1;
+    let mut greedy = Greedy {
+        buf: Buf {
+            v: trains,
+            read: 0,
+            write: 0,
+            pending: PENDING.take(),
+        },
+        held: None,
+        open: None,
+    };
+    loop {
+        // A fold's trains interleave run by run: take their runs period by
+        // period instead of splitting the trains one run at a time.
+        if let Some((slots, k)) = greedy.buf.fold_ahead() {
+            for i in 0..slots[0].count {
+                for t in &slots[..k] {
+                    greedy.push(Train::new(t.start + i * t.stride, t.len, 0, 1));
+                }
             }
-            out.push(Train::new(runs[i].start, len, stride, (j - i + 1) as u64));
-        } else {
-            out.push(Train::new(runs[i].start, len, len, 1));
+            continue;
         }
-        i = j + 1;
+        let Some(t) = greedy.buf.pop() else {
+            break;
+        };
+        match greedy.buf.next_start() {
+            // The next train starts in a gap of `t` (trains are disjoint).
+            Some(next) if next < t.end() => {
+                let k = (next - t.start).div_ceil(t.stride);
+                greedy.push(Train::new(t.start, t.len, t.stride, k));
+                greedy
+                    .buf
+                    .defer(t.slice(k, t.count).expect("a gap precedes t's last run"));
+            }
+            _ => greedy.push(t),
+        }
     }
-    out
+    if let Some(h) = greedy.held.take() {
+        greedy.extend(h);
+    }
+    if let Some(o) = greedy.open.take() {
+        greedy.buf.emit(o);
+    }
+    let Buf { write, pending, .. } = greedy.buf;
+    PENDING.set(pending);
+    trains.truncate(write);
+    fold_periods(trains);
+}
+
+/// Ascending `trains` laid out like one fold (see [`fold_periods`]) — at
+/// most `MAX_PERIOD` of them, with one stride and one count, and every run
+/// of the first period ending before the second period starts — as the
+/// fold's trains, touching neighbours joined.
+fn fold_layout(trains: &[Train]) -> Option<([Train; MAX_PERIOD], usize)> {
+    let (first, last) = (trains.first()?, trains.last()?);
+    let shaped = |t: &Train| t.stride == first.stride && t.count == first.count;
+    let laid_out = matches!(trains.len(), 2..=MAX_PERIOD)
+        && trains.iter().all(shaped)
+        && last.start + last.len <= first.start + first.stride;
+    if !laid_out {
+        return None;
+    }
+    let mut slots = [*first; MAX_PERIOD];
+    let mut k = 1;
+    for t in &trains[1..] {
+        let prev = slots[k - 1];
+        if prev.start + prev.len == t.start {
+            // Only the last join can fill the period and make one run.
+            slots[k - 1] = Train::new(prev.start, prev.len + t.len, prev.stride, prev.count);
+        } else {
+            slots[k] = *t;
+            k += 1;
+        }
+    }
+    Some((slots, k))
+}
+
+/// Whether the `k` trains of a fold over more than `k + 1` periods are in
+/// canonical form, decided on `k + 1` periods of it. Canonical there means
+/// the greedy cuts at each period's end, so every period gives the same
+/// trains, and a shorter repeat would already show within two periods.
+/// Fewer periods would still never answer yes wrongly, but over `k + 1`
+/// the fold saves trains however few the greedy makes of one period, so a
+/// canonical fold is recognised as one.
+fn canonical_over_periods(trains: &mut Vec<Train>, fold: &[Train]) -> bool {
+    let periods = fold.len() as u64 + 1;
+    trains.iter_mut().for_each(|t| t.count = periods);
+    canonicalize(trains);
+    let few = fold.iter().map(|t| Train {
+        count: periods,
+        ..*t
+    });
+    let kept = trains.iter().copied().eq(few);
+    trains.clear();
+    trains.extend_from_slice(fold);
+    kept
+}
+
+type Pending = BinaryHeap<Reverse<(u64, u64, u64, u64)>>;
+
+thread_local! {
+    /// [`Buf::pending`]'s storage, kept for the thread's next call: a lock
+    /// token grown grant by grant would otherwise allocate a heap whenever
+    /// a grant lands in one of its gaps.
+    static PENDING: Cell<Pending> = Cell::default();
+}
+
+/// [`canonicalize`]'s one buffer: `v[..write]` is output and `v[read..]`
+/// input not yet taken, ascending. `pending` holds, by start, the
+/// remainders of split trains and any unread train whose slot the output
+/// needed, so the output never shifts the input.
+struct Buf<'v> {
+    v: &'v mut Vec<Train>,
+    read: usize,
+    write: usize,
+    pending: Pending,
+}
+
+impl Buf<'_> {
+    fn next_start(&self) -> Option<u64> {
+        let unread = self.v.get(self.read).map(|t| t.start);
+        let pending = self.pending.peek().map(|Reverse(key)| key.0);
+        unread.into_iter().chain(pending).min()
+    }
+
+    fn pop(&mut self) -> Option<Train> {
+        match (self.v.get(self.read), self.pending.peek()) {
+            (Some(t), Some(Reverse(key))) if key.0 < t.start => {}
+            (Some(t), _) => {
+                self.read += 1;
+                return Some(*t);
+            }
+            (None, _) => {}
+        }
+        let Reverse((start, len, stride, count)) = self.pending.pop()?;
+        Some(Train {
+            start,
+            len,
+            stride,
+            count,
+        })
+    }
+
+    /// Take the next unread trains when they are one fold (see
+    /// [`fold_layout`]) that no other train reaches into.
+    fn fold_ahead(&mut self) -> Option<([Train; MAX_PERIOD], usize)> {
+        let rest = self
+            .v
+            .get(self.read..)
+            .filter(|_| self.pending.is_empty())?;
+        let end = rest.first()?.end();
+        let n = rest.partition_point(|t| t.start < end);
+        let alone = rest.get(n).is_none_or(|t| t.start >= rest[n - 1].end());
+        let fold = fold_layout(&rest[..n]).filter(|_| alone)?;
+        self.read += n;
+        Some(fold)
+    }
+
+    fn defer(&mut self, t: Train) {
+        self.pending
+            .push(Reverse((t.start, t.len, t.stride, t.count)));
+    }
+
+    fn emit(&mut self, t: Train) {
+        if self.write == self.read {
+            match self.v.get(self.read) {
+                Some(&unread) => self.defer(unread),
+                None => self.v.push(t),
+            }
+            self.read += 1;
+        }
+        self.v[self.write] = t;
+        self.write += 1;
+    }
+}
+
+/// [`canonicalize`]'s run-by-run greedy, fed whole blocks of runs.
+struct Greedy<'v> {
+    buf: Buf<'v>,
+    /// The last block pushed, held until the next block shows whether its
+    /// last run continues into that block's first.
+    held: Option<Train>,
+    /// The progression being grown; a lone run has no stride yet.
+    open: Option<Train>,
+}
+
+impl Greedy<'_> {
+    /// Take the next block: runs after every run pushed so far.
+    fn push(&mut self, b: Train) {
+        let Some(h) = self.held.replace(b) else {
+            return;
+        };
+        if h.end() != b.start {
+            return self.extend(h);
+        }
+        // `h`'s last run and `b`'s first are one maximal run.
+        let last = h.nth(h.count - 1);
+        let joined = Train::new(last.start, last.len() + b.len, 0, 1);
+        if let Some(before) = h.slice(0, h.count - 1) {
+            self.extend(before);
+        }
+        match b.slice(1, b.count) {
+            Some(after) => {
+                self.extend(joined);
+                self.held = Some(after);
+            }
+            None => self.held = Some(joined),
+        }
+    }
+
+    /// Grow the open progression by the maximal runs of `b` in O(1): `b`'s
+    /// first run goes as the run-by-run greedy would take it, and the
+    /// rest continue whatever it then ends in exactly when that has `b`'s
+    /// stride.
+    fn extend(&mut self, b: Train) {
+        let open = match self.open.take() {
+            Some(o) if o.len == b.len && o.is_run() => {
+                Train::new(o.start, o.len, b.start - o.start, 2)
+            }
+            Some(o) if o.len == b.len && b.start == o.start + o.count * o.stride => Train {
+                count: o.count + 1,
+                ..o
+            },
+            closed => {
+                if let Some(o) = closed {
+                    self.buf.emit(o);
+                }
+                Train::new(b.start, b.len, 0, 1)
+            }
+        };
+        self.open = Some(match b.slice(1, b.count) {
+            None => open,
+            Some(_) if open.is_run() => b,
+            Some(_) if open.stride == b.stride => Train {
+                count: open.count + b.count - 1,
+                ..open
+            },
+            Some(after) => {
+                self.buf.emit(open);
+                after
+            }
+        });
+    }
+}
+
+/// Longest period, in trains, that [`fold_periods`] looks for.
+const MAX_PERIOD: usize = 32;
+
+/// Fold every stretch of the greedy's trains that repeats `reps ≥ 2` times
+/// at a fixed shift `P` — `k` trains, then the same `k` shifted by `P`,
+/// and so on — into one train of stride `P` and count `reps` per run of
+/// the first `k`, when that gives fewer trains. Scans left to right and
+/// takes the smallest `k ≤ MAX_PERIOD` at each position, so the result is
+/// still a function of the byte set.
+///
+/// This is what keeps same-stride operands compressed: windows of several
+/// equal-stride combs (a contested column band, a comb minus a narrower
+/// comb) alternate run by run, the greedy pairs neighbours within each
+/// period, and the fold turns the period's pairs back into one comb per
+/// window. Folded trains interleave, but only among themselves: they form
+/// a *group* whose members share stride and count and start inside the
+/// first member's first period (see [`groups`]).
+fn fold_periods(v: &mut Vec<Train>) {
+    let (mut read, mut write) = (0, 0);
+    while read < v.len() {
+        let Some((k, reps)) = period_at(&v[read..]) else {
+            v[write] = v[read];
+            (read, write) = (read + 1, write + 1);
+            continue;
+        };
+        let shift = v[read + k].start - v[read].start;
+        let mut first = [v[read]; MAX_PERIOD];
+        first[..k].copy_from_slice(&v[read..read + k]);
+        // Fewer trains out than in, so `write` never passes `read`.
+        for r in first[..k].iter().flat_map(Train::runs) {
+            v[write] = Train::new(r.start, r.len(), shift, reps as u64);
+            write += 1;
+        }
+        read += k * reps;
+    }
+    v.truncate(write);
+}
+
+/// The smallest period `k` at which `v` starts repeating, with the number
+/// of whole repetitions, when folding them saves trains.
+fn period_at(v: &[Train]) -> Option<(usize, usize)> {
+    (1..=MAX_PERIOD.min(v.len() / 2)).find_map(|k| {
+        let shift = v[k].start.checked_sub(v[0].start)?;
+        let repeats = |m: usize| {
+            let (a, b) = (v[m], v[m + k]);
+            (a.len, a.stride, a.count, a.start + shift) == (b.len, b.stride, b.count, b.start)
+        };
+        let matched = (0..v.len() - k).take_while(|&m| repeats(m)).count();
+        let reps = (matched + k) / k;
+        let runs: u64 = v[..k].iter().map(|t| t.count).sum();
+        (reps >= 2 && runs < (k * reps) as u64).then_some((k, reps))
+    })
+}
+
+/// Split ascending canonical trains into groups: a train alone, or the
+/// trains of one fold, which start before the first one's end.
+fn groups(trains: &[Train]) -> impl Iterator<Item = &[Train]> {
+    let mut rest = trains;
+    std::iter::from_fn(move || {
+        let first = rest.first()?;
+        let n = 1 + rest[1..].partition_point(|t| t.start < first.end());
+        let (group, tail) = rest.split_at(n);
+        rest = tail;
+        Some(group)
+    })
 }
 
 #[cfg(test)]
@@ -901,7 +1124,7 @@ mod tests {
     fn run_vs_train_cases() {
         let t = comb(10, 2, 8, 5); // runs at 10,18,26,34,42
         let big = StridedSet::from_train(Train::new(0, 100, 100, 1));
-        assert_eq!(big.intersect(&t).to_intervals(), t.to_intervals());
+        assert_eq!(big.intersect(&t), t);
         let hole = big.subtract(&t);
         assert_eq!(hole.total_len(), 90);
         assert_eq!(
@@ -943,10 +1166,14 @@ mod tests {
     }
 
     #[test]
-    fn runs_meeting_joins_train_seams() {
-        // A run touching a comb stays two trains; its maximal run does not.
+    fn a_run_touching_a_comb_joins_its_first_run() {
+        // [0, 100) ∪ [100, 150) is one maximal run; the comb's other two
+        // runs stay a train.
         let s = StridedSet::from_range(ByteRange::new(0, 100)).union(&comb(100, 50, 200, 3));
-        assert_eq!(s.train_count(), 2);
+        assert_eq!(
+            s.trains(),
+            [Train::new(0, 150, 0, 1), Train::new(300, 50, 200, 2)]
+        );
         // Meeting either side of the seam yields the whole maximal run.
         for r in [ByteRange::new(120, 130), ByteRange::new(10, 20)] {
             assert_eq!(s.runs_meeting(&r), vec![ByteRange::new(0, 150)]);
@@ -974,9 +1201,21 @@ mod tests {
     }
 
     #[test]
-    fn iter_runs_merges_interleaved_trains() {
-        // Two combs whose runs interleave: 0,20,40 and 7,27,47.
+    fn interleaved_combs_stay_whole() {
+        // Two combs whose runs interleave: 0,20,40 and 7,27,47. The greedy
+        // pairs 0 with 7 (stride 7) and 20 breaks that stride, so the pair
+        // repeats every 20 bytes and folds back into the two combs.
         let s = comb(0, 3, 20, 3).union(&comb(7, 3, 20, 3));
+        assert_eq!(
+            s.trains(),
+            [Train::new(0, 3, 20, 3), Train::new(7, 3, 20, 3)]
+        );
+        // Two repeats of a pair do not fold: that would save no train.
+        let pairs = comb(0, 3, 20, 2).union(&comb(7, 3, 20, 2));
+        assert_eq!(
+            pairs.trains(),
+            [0, 20].map(|start| Train::new(start, 3, 7, 2))
+        );
         let runs: Vec<ByteRange> = s.iter_runs().collect();
         let starts: Vec<u64> = runs.iter().map(|r| r.start).collect();
         assert_eq!(starts, vec![0, 7, 20, 27, 40, 47]);
@@ -1007,13 +1246,17 @@ mod tests {
     #[test]
     fn from_sorted_extents_coalesces() {
         let s = StridedSet::from_sorted_extents([(0u64, 4u64), (4, 4), (16, 8), (40, 8), (64, 8)]);
-        // [0,8) then 3 runs of 8 at stride 24.
         assert_eq!(s.total_len(), 32);
         assert_eq!(
             s.to_intervals(),
             dense(&[(0, 8), (16, 24), (40, 48), (64, 72)])
         );
-        assert!(s.train_count() <= 2, "{s}");
+        // The greedy pairs [0, 8) with [16, 24) (stride 16), so 40 opens
+        // the next train.
+        assert_eq!(
+            s.trains(),
+            [Train::new(0, 8, 16, 2), Train::new(40, 8, 24, 2)]
+        );
     }
 
     #[test]
@@ -1035,13 +1278,13 @@ mod tests {
             rebuilt = rebuilt.union(&slice);
         }
         assert_eq!(total, s.total_len(), "slices must not overlap");
-        assert_eq!(rebuilt.to_intervals(), s.to_intervals());
+        assert_eq!(rebuilt, s);
     }
 
     #[test]
     fn shard_slice_single_shard_is_identity() {
         let s = comb(7, 5, 32, 6);
-        assert_eq!(s.shard_slice(64, 1, 0).to_intervals(), s.to_intervals());
+        assert_eq!(s.shard_slice(64, 1, 0), s);
         assert!(StridedSet::new().shard_slice(16, 4, 2).is_empty());
     }
 
@@ -1053,11 +1296,53 @@ mod tests {
         for shard in 0..4 {
             let slice = s.shard_slice(16, 4, shard);
             if shard == 1 {
-                assert_eq!(slice.to_intervals(), s.to_intervals());
+                assert_eq!(slice, s);
             } else {
                 assert!(slice.is_empty(), "shard {shard}: {slice}");
             }
         }
+    }
+
+    #[test]
+    fn a_contested_band_stays_three_combs() {
+        // Three equal windows a row, equally spaced: the greedy makes one
+        // three-run train a row, and the fold restores the three columns.
+        let band = [2040, 4088, 6136].map(|start| comb(start, 16, 8192, 512));
+        let s = band[0].union(&band[1]).union(&band[2]);
+        let columns = band.map(|b| b.trains()[0]);
+        assert_eq!(s.trains(), columns);
+        assert_eq!(StridedSet::from_disjoint_trains(columns.to_vec()), s);
+    }
+
+    #[test]
+    fn a_fold_behind_a_split_train_waits_its_turn() {
+        // The comb's runs from 10 on wait as a remainder while the fold at
+        // 5 and 7 comes next in the input: the fold must not jump them.
+        let trains = [(0, 10, 5), (5, 100, 3), (7, 100, 3)]
+            .map(|(start, stride, count)| Train::new(start, 1, stride, count));
+        let s = StridedSet::from_disjoint_trains(trains.to_vec());
+        let dense = IntervalSet::from_ranges(trains.iter().flat_map(Train::runs));
+        assert_eq!(s.to_intervals(), dense);
+        assert_eq!(s, StridedSet::from_intervals(&dense));
+    }
+
+    #[test]
+    fn a_comb_splits_off_its_first_run_only_into_a_pair() {
+        // Runs 0, 10, 20 then a comb at 24, 34, 44: the greedy takes 24 into
+        // the stride-10 train only if it continues it — it does not, so the
+        // first train closes at 20 and the comb stays whole.
+        let s = comb(0, 2, 10, 3).union(&comb(24, 2, 10, 3));
+        assert_eq!(
+            s.trains(),
+            [Train::new(0, 2, 10, 3), Train::new(24, 2, 10, 3)]
+        );
+        // A lone run before a comb pairs with its first run, and the comb's
+        // remainder opens the next train.
+        let s = comb(0, 2, 2, 1).union(&comb(5, 2, 10, 4));
+        assert_eq!(
+            s.trains(),
+            [Train::new(0, 2, 5, 2), Train::new(15, 2, 10, 3)]
+        );
     }
 
     #[test]

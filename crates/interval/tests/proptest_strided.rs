@@ -1,7 +1,8 @@
 //! Property tests: `StridedSet` algebra must be extensionally equal to the
 //! dense `IntervalSet` algebra on random range soups, random train soups,
-//! and same-stride comb families, and promotion/demotion must round-trip
-//! losslessly.
+//! and same-stride comb families, promotion/demotion must round-trip
+//! losslessly, and every constructor and operation must return the
+//! canonical form.
 
 use atomio_interval::{ByteRange, IntervalSet, StridedSet, Train};
 use atomio_vtime::WireSize;
@@ -62,26 +63,86 @@ fn arb_comb_pair() -> impl Strategy<Value = (StridedSet, StridedSet)> {
         })
 }
 
-fn trains_disjoint_and_sorted(s: &StridedSet) -> bool {
-    let sorted = s.trains().windows(2).all(|w| w[0].start() <= w[1].start());
-    let total: u64 = s.trains().iter().map(Train::nbytes).sum();
-    // No train may be contiguous in disguise (`len == stride` with several
-    // runs): those must have been coalesced to a single run, or WireSize,
-    // run counts and overlap sweeps would disagree between representations.
-    let no_disguised_runs = s
-        .trains()
-        .iter()
-        .all(|t| t.is_run() || t.stride() > t.len());
-    // Disjointness check via the dense expansion: covered bytes must equal
-    // the sum of per-train bytes.
-    sorted && no_disguised_runs && s.to_intervals().total_len() == total
+/// The canonical form, written out run by run: the greedy takes the
+/// maximal runs in order, a run joining the open progression when it has
+/// the progression's length and continues its stride (the second run sets
+/// the stride).
+fn greedy_trains(runs: &[ByteRange]) -> Vec<Train> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < runs.len() {
+        let len = runs[i].len();
+        let mut j = i + 1;
+        if j < runs.len() && runs[j].len() == len {
+            let stride = runs[j].start - runs[i].start;
+            while j + 1 < runs.len()
+                && runs[j + 1].len() == len
+                && runs[j + 1].start - runs[j].start == stride
+            {
+                j += 1;
+            }
+            j += 1;
+        }
+        let stride = if j - i > 1 {
+            runs[i + 1].start - runs[i].start
+        } else {
+            len
+        };
+        out.push(Train::new(runs[i].start, len, stride, (j - i) as u64));
+        i = j;
+    }
+    out
+}
+
+/// ... then, scanning left to right, the first `k ≤ 32` trains that repeat
+/// at a fixed shift at least twice become one train per run, when that
+/// saves trains.
+fn folded(v: &[Train]) -> Vec<Train> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    'scan: while i < v.len() {
+        for k in (1..=32).take_while(|k| i + 2 * k <= v.len()) {
+            let shift = v[i + k].start() - v[i].start();
+            let moved = |t: &Train| Train::new(t.start() + shift, t.len(), t.stride(), t.count());
+            let mut reps = 1;
+            while i + (reps + 1) * k <= v.len()
+                && (0..k).all(|m| moved(&v[i + (reps - 1) * k + m]) == v[i + reps * k + m])
+            {
+                reps += 1;
+            }
+            let runs: u64 = v[i..i + k].iter().map(Train::count).sum();
+            if reps >= 2 && runs < (k * reps) as u64 {
+                for r in v[i..i + k].iter().flat_map(Train::runs) {
+                    out.push(Train::new(r.start, r.len(), shift, reps as u64));
+                }
+                i += k * reps;
+                continue 'scan;
+            }
+        }
+        out.push(v[i]);
+        i += 1;
+    }
+    out
+}
+
+/// The canonical form: exactly the trains the reference above makes of
+/// the dense set's runs, which `iter_runs` yields ascending and maximal —
+/// no two touch, so no train is contiguous in disguise (`len == stride`),
+/// and run counts, WireSize and overlap sweeps agree between equal sets.
+fn is_canonical(s: &StridedSet) -> bool {
+    let dense: Vec<ByteRange> = s.to_intervals().iter().copied().collect();
+    let runs: Vec<ByteRange> = s.iter_runs().collect();
+    s.trains() == folded(&greedy_trains(&dense))
+        && *s == StridedSet::from_intervals(&s.to_intervals())
+        && runs == dense
+        && runs.windows(2).all(|w| w[0].end < w[1].start)
 }
 
 proptest! {
     #[test]
     fn promote_demote_roundtrips((d, s) in arb_dense_pair()) {
         prop_assert_eq!(s.to_intervals(), d.clone());
-        prop_assert!(trains_disjoint_and_sorted(&s));
+        prop_assert!(is_canonical(&s));
         prop_assert_eq!(s.total_len(), d.total_len());
         prop_assert_eq!(s.run_count() as usize, d.run_count());
         prop_assert_eq!(s.span(), d.span());
@@ -101,13 +162,13 @@ proptest! {
     fn strided_matches_dense_on_train_soups(sa in arb_strided(), sb in arb_strided()) {
         let (da, db) = (sa.to_intervals(), sb.to_intervals());
         let u = sa.union(&sb);
-        prop_assert!(trains_disjoint_and_sorted(&u));
+        prop_assert!(is_canonical(&u));
         prop_assert_eq!(u.to_intervals(), da.union(&db));
         let x = sa.intersect(&sb);
-        prop_assert!(trains_disjoint_and_sorted(&x));
+        prop_assert!(is_canonical(&x));
         prop_assert_eq!(x.to_intervals(), da.intersect(&db));
         let m = sa.subtract(&sb);
-        prop_assert!(trains_disjoint_and_sorted(&m));
+        prop_assert!(is_canonical(&m));
         prop_assert_eq!(m.to_intervals(), da.subtract(&db));
         prop_assert_eq!(sa.overlaps(&sb), da.overlaps(&db));
     }
@@ -132,7 +193,7 @@ proptest! {
         let t = Train::new(start, len, len, count);
         prop_assert!(t.is_run());
         let s = StridedSet::from_train(t);
-        prop_assert!(trains_disjoint_and_sorted(&s));
+        prop_assert!(is_canonical(&s));
         prop_assert_eq!(s.run_count(), 1);
         prop_assert_eq!(s.wire_size(), 8 + 16);
         prop_assert_eq!(s.to_intervals(), IntervalSet::from_range(ByteRange::at(start, len * count)));
@@ -161,18 +222,47 @@ proptest! {
 
     #[test]
     fn algebra_laws_in_compressed_space(sa in arb_strided(), sb in arb_strided(), sc in arb_strided()) {
-        // Laws hold extensionally whatever the train decomposition.
+        // Canonical form: the laws hold on the trains themselves.
+        prop_assert_eq!(sa.union(&sb), sb.union(&sa));
         prop_assert_eq!(
-            sa.union(&sb).to_intervals(),
-            sb.union(&sa).to_intervals()
-        );
-        prop_assert_eq!(
-            sa.intersect(&sb.union(&sc)).to_intervals(),
-            sa.intersect(&sb).union(&sa.intersect(&sc)).to_intervals()
+            sa.intersect(&sb.union(&sc)),
+            sa.intersect(&sb).union(&sa.intersect(&sc))
         );
         let diff = sa.subtract(&sb);
         let both = sa.intersect(&sb);
-        prop_assert_eq!(diff.union(&both).to_intervals(), sa.to_intervals());
+        prop_assert_eq!(diff.union(&both), sa.clone());
         prop_assert!(!diff.overlaps(&both));
+    }
+
+    #[test]
+    fn every_operation_returns_the_canonical_form(
+        sa in arb_strided(),
+        sb in arb_strided(),
+        (da, dsa) in arb_dense_pair(),
+        (_, dsb) in arb_dense_pair(),
+        (unit, shards, shard) in (1u64..12, 1u64..5, 0u64..5),
+        cut in 0u64..8,
+    ) {
+        let shard = shard % shards;
+        for (x, y) in [(&sa, &sb), (&dsa, &dsb), (&sa, &dsb)] {
+            let mut grown = x.clone();
+            grown.union_with(y);
+            for s in [x.union(y), grown, x.intersect(y), x.subtract(y), x.shard_slice(unit, shards, shard)] {
+                prop_assert!(is_canonical(&s), "{}", s);
+            }
+            // Shard slices interleave: their trains in reverse shard order
+            // are a disjoint soup whose set is `x`.
+            let soup: Vec<Train> = (0..shards)
+                .rev()
+                .flat_map(|k| x.shard_slice(unit, shards, k).trains().to_vec())
+                .collect();
+            prop_assert_eq!(&StridedSet::from_disjoint_trains(soup), x);
+        }
+        // Extents cut inside their runs, so neighbours touch.
+        let extents = da.iter().flat_map(|r| {
+            let mid = (r.start + cut).min(r.end);
+            [(r.start, mid - r.start), (mid, r.end - mid)]
+        });
+        prop_assert_eq!(StridedSet::from_sorted_extents(extents), dsa);
     }
 }

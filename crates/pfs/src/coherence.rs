@@ -40,7 +40,8 @@ use crate::lockclass;
 /// `ranges` to storage and drop cache validity for exactly those ranges.
 ///
 /// Both directions carry the lock manager's own compressed [`StridedSet`];
-/// walk its bytes by maximal run ([`StridedSet::runs_meeting`]).
+/// walk its bytes by maximal run ([`StridedSet::iter_runs`]: the set is
+/// canonical, so every train's runs are maximal).
 ///
 /// Called by a lock manager *while another client's acquisition is being
 /// granted*, so implementations must only take client-local locks (the

@@ -20,7 +20,7 @@ impl PosixFile {
 
     /// Closed-loop vectored uncached write — what a lock holder issues for
     /// a noncontiguous request: the segments are pipelined through the NIC
-    /// and the servers ([`PosixFile::inject_writes`]) and the call returns
+    /// and the servers (`inject_writes`) and the call returns
     /// once the slowest is acknowledged, so the client link and the
     /// servers are busy at the same time instead of alternately. Each
     /// segment is its own POSIX write (applied as it lands, atomically

@@ -35,14 +35,11 @@ impl RevocationHandler for CacheCoherence {
         };
         let fs = self.fs.upgrade();
         // One flush, server request and invalidation per *maximal* run.
-        let runs = ranges
-            .span()
-            .map_or_else(Vec::new, |s| ranges.runs_meeting(&s));
         self.tracer.instant(
             Category::Coherence,
             "revoke dispatch",
             now,
-            &[("ranges", runs.len() as u64)],
+            &[("ranges", ranges.run_count())],
         );
         // The holder's cache mutex is the coherence point: it guards the
         // coverage too, its cached I/O paths read coverage and run the
@@ -60,7 +57,7 @@ impl RevocationHandler for CacheCoherence {
         let mut flushed = 0u64;
         let mut server_reqs = 0u64;
         let mut invalidated = 0u64;
-        for &r in &runs {
+        for r in ranges.iter_runs() {
             // Flush the holder's write-behind data for the revoked range —
             // the real-bytes half of the revocation. Since PR 7 the flush
             // is a first-class write: its bytes *occupy the server
@@ -137,7 +134,7 @@ impl RevocationHandler for CacheCoherence {
                     ("flushed_bytes", flushed),
                     ("invalidated_bytes", invalidated),
                 ];
-                push_footprint(&mut args, runs);
+                push_footprint(&mut args, ranges.iter_runs());
                 self.tracer
                     .span(Category::Coherence, "revoke flush", now, now + cost, &args);
             }
@@ -207,10 +204,8 @@ mod tests {
         let s = a.stats().snapshot();
         assert_eq!(s.coherence_invalidated_bytes, ranges.total_len());
         assert_eq!(
-            a.coherence_coverage().to_intervals(),
-            StridedSet::from_range(ByteRange::new(0, 600))
-                .subtract(ranges)
-                .to_intervals()
+            a.coherence_coverage(),
+            StridedSet::from_range(ByteRange::new(0, 600)).subtract(ranges)
         );
         let footprint = event("revoke flush").args.split_off(2); // after flushed/invalidated
         (
@@ -223,15 +218,13 @@ mod tests {
 
     #[test]
     fn revocation_across_a_train_seam_flushes_one_run() {
-        // A run touching a comb does not normalize away: two trains whose
-        // runs meet at byte 100. The handler must still see the maximal
-        // run [0, 150) — one flush, one server request, one invalidation.
+        // A run touching a comb: their runs meet at byte 100. The handler
+        // must see the maximal run [0, 150) — one flush, one server
+        // request, one invalidation.
         let seamed = StridedSet::from_range(ByteRange::new(0, 100))
             .union(&StridedSet::from_train(Train::new(100, 50, 200, 3)));
-        assert_eq!(seamed.train_count(), 2);
-        let got = serve_revocation(&seamed);
         assert_eq!(
-            got,
+            serve_revocation(&seamed),
             (
                 3,
                 250,
@@ -246,10 +239,6 @@ mod tests {
                 ]
             )
         );
-        // The same bytes in the compressor's own decomposition cost the same.
-        let dense = StridedSet::from_intervals(&seamed.to_intervals());
-        assert_ne!(dense, seamed);
-        assert_eq!(serve_revocation(&dense), got);
     }
 
     #[test]

@@ -562,7 +562,7 @@ fn prune_history(hist: &mut Vec<(StridedSet, VNanos)>, limit: usize) {
         if s.subtract(&acc).is_empty() {
             continue;
         }
-        acc = acc.union(&s);
+        acc.union_with(&s);
         kept.push((s, t));
     }
     if kept.len() > limit {
@@ -570,13 +570,9 @@ fn prune_history(hist: &mut Vec<(StridedSet, VNanos)>, limit: usize) {
         let t = tail.iter().map(|(_, t)| *t).max().expect("non-empty tail");
         let mut folded = StridedSet::new();
         for (s, _) in &tail {
-            folded = folded.union(s);
+            folded.union_with(s);
         }
-        // Re-compress: pairwise union never re-detects arithmetic
-        // progressions (normalize only coalesces touching/continuing
-        // trains), but a fold of per-run releases usually *is* one — one
-        // round trip through the canonical form finds it.
-        kept.push((StridedSet::from_intervals(&folded.to_intervals()), t));
+        kept.push((folded, t));
     }
     *hist = kept;
 }
@@ -1315,6 +1311,18 @@ mod tests {
             "domain 1 coverage revoked"
         );
         assert_eq!(m.token_set(1).total_len(), UNIT);
+    }
+
+    #[test]
+    fn a_token_grown_slot_by_slot_is_one_train() {
+        // One owner's 2 000 disjoint 512 B slots 2 KiB apart, granted in a
+        // shuffled order: the token is the slots' progression, one train.
+        let m = mgr(Distributed, 10, 0);
+        for i in 0..2000u64 {
+            let g = m.acquire_set(0, &at((i * 7 % 2000) * 2048, 512), Exclusive, 0);
+            m.release(g.id, 0);
+        }
+        assert_eq!(m.token_set(0), comb(0, 512, 2048, 2000));
     }
 
     #[test]
