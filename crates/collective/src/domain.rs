@@ -184,13 +184,6 @@ pub(crate) fn own_by_locality(
     }
 }
 
-/// Locate the domain containing file offset `off`, if any. `domains` must
-/// be ascending (as produced by [`partition_domains`]).
-pub(crate) fn domain_of(domains: &[FileDomain], off: u64) -> Option<usize> {
-    let idx = domains.partition_point(|d| d.range.end <= off);
-    (idx < domains.len() && domains[idx].range.contains(off)).then_some(idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,17 +241,6 @@ mod tests {
     #[test]
     fn empty_extent_yields_no_domains() {
         assert!(partition_domains(ByteRange::new(5, 5), &[0, 1], 64).is_empty());
-    }
-
-    #[test]
-    fn domain_lookup() {
-        let domains = partition_domains(ByteRange::new(0, 10_000), &[0, 1], 1024);
-        assert_eq!(domain_of(&domains, 0), Some(0));
-        assert_eq!(domain_of(&domains, 9_999), Some(1));
-        assert_eq!(domain_of(&domains, 10_000), None);
-        let boundary = domains[0].range.end;
-        assert_eq!(domain_of(&domains, boundary - 1), Some(0));
-        assert_eq!(domain_of(&domains, boundary), Some(1));
     }
 
     /// The stripe-ownership and coverage invariants every partition must

@@ -30,7 +30,8 @@
 //!    its domain, straight from the buffers the pieces arrived in: it sorts
 //!    the piece *references* by offset (`exchange::gather`), copies nothing,
 //!    and the file streams each run to the servers a stripe row at a time.
-//!    The pieces it routed to itself never touch a wire, so they leave
+//!    The pieces it routed to itself never touch a wire and are never
+//!    copied — they are slices of the caller's buffer — so they leave
 //!    before the `alltoallv` and only the received ones wait for it.
 //!    Domains are disjoint, so the writes need **no locks, no ordering
 //!    phases and no barriers beyond the closing drain**: MPI atomicity
@@ -50,7 +51,8 @@
 //! file I/O; and the classic **flat** single-tier `alltoallv`, which is the
 //! same loop with every rank its own leader and each domain one round.
 //! Both surrender first, ship each byte of the union once and produce
-//! byte-identical files.
+//! byte-identical files. They schedule writes only: [`two_phase_read`]
+//! runs one flat exchange whatever the schedule.
 
 mod domain;
 mod exchange;
@@ -59,7 +61,6 @@ mod surrender;
 mod two_phase;
 
 pub use domain::{choose_aggregators, partition_domains, FileDomain};
-pub use exchange::route_segments;
 pub use surrender::{higher_union_strided, surviving_pieces_strided};
 pub use two_phase::{
     two_phase_read, two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReadReport,

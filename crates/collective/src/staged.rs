@@ -2,12 +2,11 @@
 //! received, drain — one loop under both [`ExchangeSchedule`]s.
 //!
 //! Each round an aggregator writes in two batches under the round's epoch.
-//! What it routed to itself — on flat its own surviving pieces, on
-//! pipelined what the leader gathered from its node for its own domain —
-//! never touches a wire, so it leaves before the exchange and the pieces
-//! are dropped; what the exchange delivers leaves when it returns. The two
-//! are disjoint after the surrender, ride the one NIC in call order and
-//! retire together.
+//! What it routed to itself — its own surviving pieces, still slices of the
+//! caller's buffer, and on pipelined what its node-mates gathered to it for
+//! its domain — never touches a wire, so it leaves before the exchange;
+//! what the exchange delivers leaves when it returns. The two are disjoint
+//! after the surrender, ride the one NIC in call order and retire together.
 //!
 //! [`ExchangeSchedule::Pipelined`] composes three ideas, each one
 //! paper-faithful on its own:
@@ -62,7 +61,7 @@ use atomio_trace::Category;
 use atomio_vtime::{LinkClass, NodeTopology};
 
 use crate::domain::FileDomain;
-use crate::exchange::{gather, route_segments, Gathered, Piece};
+use crate::exchange::{gather, lend, route_segments, Gathered, Piece, PieceRef};
 use crate::surrender::{higher_union_strided, surrender, surviving_footprints};
 use crate::two_phase::{
     cut_domains, extent_of, ExchangeSchedule, Owners, TwoPhaseConfig, TwoPhaseReport,
@@ -98,7 +97,7 @@ fn meter(report: &mut TwoPhaseReport, class: LinkClass, bytes: u64) {
 fn submit_runs<'a>(
     comm: &Comm,
     file: &PosixFile,
-    pieces: impl Iterator<Item = &'a Piece>,
+    pieces: impl Iterator<Item = PieceRef<'a>>,
     k: usize,
     report: &mut TwoPhaseReport,
 ) -> (Option<u64>, Vec<ByteRange>) {
@@ -264,20 +263,23 @@ pub(crate) fn write_rounds(
             })
             .collect();
 
-        // Route this round's pieces, one bucket per world rank. Flat hands
-        // the buckets to the exchange as they are.
+        // Route this round's pieces: what falls in this rank's own domain
+        // stays in `buf`, the rest is copied into one bucket per world rank.
+        // Flat hands the buckets to the exchange as they are.
         let t_agg = comm.clock().now();
-        let outgoing = route_segments(comm.size(), &pieces, buf, base, &round_domains);
-        let payload: u64 = outgoing.iter().flatten().map(|p| p.1.len() as u64).sum();
+        let (mine, outgoing) =
+            route_segments(comm.rank(), comm.size(), &pieces, buf, base, &round_domains);
+        let sent = outgoing.iter().flatten().map(|p| p.1.len());
+        let payload = mine.iter().map(|p| p.1.len()).chain(sent).sum::<usize>() as u64;
         report.bytes_shipped += payload;
         let mut out_buckets = match node {
             None => outgoing,
             Some(node) => {
                 // Tier 1: funnel the pieces to the node leader, tagged with
                 // the exchange index of the owning aggregator (aggregators
-                // are leaders by construction). Non-leaders pay the
-                // intra-node link; the leader's own pieces never leave its
-                // memory.
+                // are leaders by construction, so only a leader keeps any
+                // back). Non-leaders pay the intra-node link; the leader's
+                // own pieces never leave its memory.
                 let tagged: Vec<TaggedPiece> = outgoing
                     .into_iter()
                     .enumerate()
@@ -310,9 +312,11 @@ pub(crate) fn write_rounds(
 
         // What an aggregator routed to itself never touches a wire, so it
         // does not wait for the exchange: it leaves for the servers now,
-        // under epoch `k`, and the pieces go with it.
+        // under epoch `k` — its own pieces straight from `buf`, on
+        // pipelined with what its node-mates gathered to it for its domain.
         let own = std::mem::take(&mut out_buckets[l.rank()]);
-        let (own_ticket, mut runs) = submit_runs(comm, file, own.iter(), k, &mut report);
+        let own_batch = mine.into_iter().chain(own.iter().map(lend));
+        let (own_ticket, mut runs) = submit_runs(comm, file, own_batch, k, &mut report);
         drop(own);
 
         // The exchange, of the rest. Each bucket is metered on the link
@@ -346,7 +350,8 @@ pub(crate) fn write_rounds(
         // Aggregation: nothing that arrives overlaps the own pieces or each
         // other, so the received pieces are put in file order by reference
         // and leave as they came, under the same epoch.
-        let (ticket, received) = submit_runs(comm, file, incoming.iter().flatten(), k, &mut report);
+        let arrived = incoming.iter().flatten().map(lend);
+        let (ticket, received) = submit_runs(comm, file, arrived, k, &mut report);
         tickets[k] = [own_ticket, ticket];
         runs.extend(received);
         report.write_runs += IntervalSet::from_ranges(runs).run_count();

@@ -10,8 +10,8 @@ use atomio_trace::Category;
 use atomio_vtime::{NodeTopology, WireSize};
 
 use crate::choose_aggregators;
-use crate::domain::{domain_of, own_by_locality, partition_domains, FileDomain};
-use crate::exchange::Piece;
+use crate::domain::{own_by_locality, partition_domains, FileDomain};
+use crate::exchange::{split, Piece};
 
 /// How the redistribution phase is scheduled across the node topology. Both
 /// schedules are the same round loop — route, submit own, exchange,
@@ -63,7 +63,9 @@ pub struct TwoPhaseConfig {
     /// With the threads-as-ranks runtime this is a modeling input; 1 means
     /// every rank is its own node and aggregators are simply ranks `0..A`.
     pub ranks_per_node: usize,
-    /// Redistribution schedule; see [`ExchangeSchedule`].
+    /// Redistribution schedule of the write; see [`ExchangeSchedule`].
+    /// [`two_phase_read`] ignores it and runs one flat exchange whatever
+    /// the schedule.
     pub schedule: ExchangeSchedule,
 }
 
@@ -246,6 +248,11 @@ pub fn two_phase_write(
 /// domain's requested coverage with large contiguous reads, then scatters
 /// the pieces back to the requesting ranks.
 ///
+/// The read runs one flat exchange whatever `cfg.schedule` says: a world
+/// `alltoallv` of requests and one of replies, with no node tier and no
+/// rounds. The requests are split along the domains by the same walk the
+/// write routes its data with.
+///
 /// `segments` must be ascending and non-overlapping in file offset — the
 /// form [`FileView::segments`](atomio_dtype::FileView::segments) produces —
 /// so that each returned piece maps back to exactly one segment.
@@ -296,25 +303,8 @@ pub fn two_phase_read(
 
     // Phase 1: ship (offset, len) requests to the owning aggregators.
     let mut requests: Vec<Vec<(u64, u64)>> = vec![Vec::new(); comm.size()];
-    for seg in segments {
-        let mut off = seg.file_off;
-        let end = seg.file_end();
-        while off < end {
-            let Some(di) = domain_of(&domains, off) else {
-                // Outside every domain: hop to the next domain boundary.
-                match next_domain_start(&domains, off) {
-                    Some(start) if start < end => {
-                        off = start;
-                        continue;
-                    }
-                    _ => break,
-                }
-            };
-            let dom = &domains[di];
-            let take = end.min(dom.range.end) - off;
-            requests[dom.rank].push((off, take));
-            off += take;
-        }
+    for (rank, part, _) in split(segments, &domains) {
+        requests[rank].push((part.start, part.len()));
     }
     let incoming_requests = comm.alltoallv(requests);
 
@@ -402,12 +392,6 @@ pub fn two_phase_read(
     comm.tracer()
         .span(Category::Exchange, "scatter", t2, comm.clock().now(), &[]);
     report
-}
-
-/// Start offset of the first domain beginning strictly after `off`, if any.
-fn next_domain_start(domains: &[FileDomain], off: u64) -> Option<u64> {
-    let idx = domains.partition_point(|d| d.range.start <= off);
-    domains.get(idx).map(|d| d.range.start)
 }
 
 #[cfg(test)]
