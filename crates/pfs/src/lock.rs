@@ -647,7 +647,7 @@ mod tests {
         let holder = m.acquire_set(0, &range(0, 100), Exclusive, 0);
         let m2 = Arc::clone(&m);
         let err = std::thread::spawn(move || {
-            // A leaf class: any ranked one would trip the rank check first.
+            // The lowest rank: any higher one would trip the rank check first.
             let pending = lockclass::server_pending(());
             let _g = pending.lock();
             m2.acquire_set(1, &range(50, 150), Exclusive, 0);

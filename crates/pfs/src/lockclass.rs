@@ -2,13 +2,13 @@
 //!
 //! Every mutex in this crate is an [`OrderedMutex`] built here, so the
 //! whole locking discipline is auditable at a glance and enforced at
-//! runtime by the lock-order engine (debug/test builds).
-//!
-//! The **ranked** chain pins the documented grant/revocation order — a
-//! thread may only climb it:
+//! runtime by the rank check (debug/test builds). Every class has a rank,
+//! and a thread may only climb them:
 //!
 //! ```text
-//! lock_state (10) → coherence registry (12) → cache (20)
+//! server_pending (5) → lock_state (10) → coherence_registry (12) → cache (20)
+//!   → files (30) → journal (32) → server_health (40) → server_recovery (50)
+//!   → fault_armed (52) → fault_hits (54)
 //! ```
 //!
 //! * a lock manager's state mutex is held while it publishes coverage
@@ -18,24 +18,54 @@
 //!   admits bytes to them;
 //! * revocation dispatch (`CoherenceHub::revoke`) runs with the manager
 //!   state *released* and the registry guard dropped before the handler
-//!   flushes, so no reverse edge exists.
-//!
-//! The **unranked** classes (files registry, journal, server health /
-//! recovery / pending, fault injector) have no documented total order;
-//! they are watched by discovered-cycle detection instead.
+//!   flushes, so no reverse edge exists;
+//! * cached reads, fills and syncs reach the files registry, the journal
+//!   and the servers under the cache mutex (the coherence point);
+//! * a faulted server request consults the fault injector and queues a
+//!   recovery under the server health mutex;
+//! * the deferred-request queue is taken with nothing else held, and
+//!   ranks lowest so the hold-at-wait tests can hold it into both waits.
 
 use atomio_check::OrderedMutex;
 
+pub(crate) fn server_pending<T>(value: T) -> OrderedMutex<T> {
+    OrderedMutex::new("pfs.server_pending", 5, value)
+}
+
 pub(crate) fn lock_state<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::with_rank("pfs.lock_state", 10, value)
+    OrderedMutex::new("pfs.lock_state", 10, value)
 }
 
 pub(crate) fn coherence_registry<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::with_rank("pfs.coherence_registry", 12, value)
+    OrderedMutex::new("pfs.coherence_registry", 12, value)
 }
 
 pub(crate) fn cache<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::with_rank("pfs.cache", 20, value)
+    OrderedMutex::new("pfs.cache", 20, value)
+}
+
+pub(crate) fn files<T>(value: T) -> OrderedMutex<T> {
+    OrderedMutex::new("pfs.files", 30, value)
+}
+
+pub(crate) fn journal<T>(value: T) -> OrderedMutex<T> {
+    OrderedMutex::new("pfs.journal", 32, value)
+}
+
+pub(crate) fn server_health<T>(value: T) -> OrderedMutex<T> {
+    OrderedMutex::new("pfs.server_health", 40, value)
+}
+
+pub(crate) fn server_recovery<T>(value: T) -> OrderedMutex<T> {
+    OrderedMutex::new("pfs.server_recovery", 50, value)
+}
+
+pub(crate) fn fault_armed<T>(value: T) -> OrderedMutex<T> {
+    OrderedMutex::new("pfs.fault_armed", 52, value)
+}
+
+pub(crate) fn fault_hits<T>(value: T) -> OrderedMutex<T> {
+    OrderedMutex::new("pfs.fault_hits", 54, value)
 }
 
 /// What a thread may hold where it waits in host time for another thread
@@ -57,30 +87,32 @@ pub(crate) const RECOVERY_WAIT: &[&str] = &[
     "pfs.cache",
 ];
 
-pub(crate) fn files<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::new("pfs.files", value)
-}
+// The rank check runs in debug builds only.
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::*;
 
-pub(crate) fn journal<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::new("pfs.journal", value)
-}
-
-pub(crate) fn server_health<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::new("pfs.server_health", value)
-}
-
-pub(crate) fn server_recovery<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::new("pfs.server_recovery", value)
-}
-
-pub(crate) fn server_pending<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::new("pfs.server_pending", value)
-}
-
-pub(crate) fn fault_armed<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::new("pfs.fault_armed", value)
-}
-
-pub(crate) fn fault_hits<T>(value: T) -> OrderedMutex<T> {
-    OrderedMutex::new("pfs.fault_hits", value)
+    /// Production takes the server health mutex under a cache (a cached
+    /// read reaching a faulted server); the reverse nesting panics the
+    /// first time it runs, naming both sites, whatever ran before it.
+    #[test]
+    fn cache_under_server_health_panics_with_both_sites() {
+        let err = std::thread::spawn(|| {
+            let health = server_health(());
+            let pages = cache(());
+            let _h = health.lock();
+            let _c = pages.lock();
+        })
+        .join()
+        .expect_err("must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("pfs.cache (rank 20) acquired at crates/pfs/src/lockclass.rs"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("pfs.server_health (rank 40) locked at crates/pfs/src/lockclass.rs"),
+            "{msg}"
+        );
+    }
 }

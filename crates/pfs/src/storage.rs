@@ -4,7 +4,7 @@
     clippy::disallowed_types,
     reason = "the block map and the atomicity gate are RwLocks, reader-parallel by design, \
               and OrderedMutex wraps a mutex only. Storage locks are leaves, taken with no \
-              other lock held and never nested, so they sit outside the lock-order graph"
+              other lock held and never nested, so they need no rank in the lock order"
 )]
 
 use std::collections::HashMap;
