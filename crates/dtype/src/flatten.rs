@@ -138,201 +138,6 @@ pub(crate) fn flatten_into(dt: &Datatype, base: i64, out: &mut Vec<Segment>) {
     }
 }
 
-/// One compressed entry of a flattened typemap: `count` blocks of `len`
-/// data bytes, block `i` at byte displacement `disp + i*stride`.
-///
-/// This is the strided counterpart of [`Segment`]: the paper's subarray
-/// filetypes lower to O(1) trains instead of O(rows) segments, which is
-/// what keeps view-negotiation cost proportional to the access description
-/// (§3.4). Trains are emitted with `stride > 0` ascending within each train
-/// (negative-stride constructors are flipped — the *set* of displacements
-/// is preserved, typemap order is not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrainSegment {
-    pub disp: i64,
-    pub len: u64,
-    pub stride: i64,
-    pub count: u64,
-}
-
-impl TrainSegment {
-    fn run(disp: i64, len: u64) -> TrainSegment {
-        TrainSegment {
-            disp,
-            len,
-            stride: len as i64,
-            count: 1,
-        }
-    }
-
-    /// End displacement of the last block (exclusive).
-    pub fn end(&self) -> i64 {
-        self.disp + (self.count as i64 - 1) * self.stride + self.len as i64
-    }
-
-    /// Expand to `(disp, len)` blocks, ascending.
-    pub fn blocks(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
-        (0..self.count as i64).map(|i| (self.disp + i * self.stride, self.len))
-    }
-}
-
-/// Append a train, coalescing touching runs and exact periodic
-/// continuations.
-fn push_train(out: &mut Vec<TrainSegment>, t: TrainSegment) {
-    if t.len == 0 || t.count == 0 {
-        return;
-    }
-    // A multi-block train whose blocks touch (`stride == len`) is
-    // contiguous in disguise: collapse it to a single run here, at the one
-    // funnel every producer goes through, so run counts, wire sizes and
-    // promote/demote agree with the dense flattening.
-    let t = if t.count > 1 && t.stride == t.len as i64 {
-        TrainSegment::run(t.disp, t.len * t.count)
-    } else {
-        t
-    };
-    if let Some(last) = out.last_mut() {
-        if last.count == 1 && t.count == 1 && last.end() == t.disp {
-            last.len += t.len;
-            last.stride = last.len as i64;
-            return;
-        }
-        if last.len == t.len
-            && last.count > 1
-            && (t.count == 1 || t.stride == last.stride)
-            && t.disp == last.disp + last.count as i64 * last.stride
-        {
-            last.count += t.count;
-            return;
-        }
-    }
-    out.push(t);
-}
-
-/// Emit `n` copies of `ts` placed `step` bytes apart. O(1) when the copy is
-/// a single train that the repetition extends; O(n·|ts|) otherwise (the
-/// irregular fallback, bounded by what dense flattening would cost anyway).
-fn repeat_trains(ts: &[TrainSegment], n: u64, step: i64, out: &mut Vec<TrainSegment>) {
-    if n == 0 || ts.is_empty() {
-        return;
-    }
-    if n == 1 {
-        for t in ts {
-            push_train(out, *t);
-        }
-        return;
-    }
-    if let [t] = ts {
-        if t.count == 1 && step.unsigned_abs() >= t.len {
-            // n copies of one run: a single train, flipped ascending when
-            // the step is negative (set semantics).
-            let (disp, stride) = if step >= 0 {
-                (t.disp, step)
-            } else {
-                (t.disp + (n as i64 - 1) * step, -step)
-            };
-            push_train(
-                out,
-                TrainSegment {
-                    disp,
-                    len: t.len,
-                    stride,
-                    count: n,
-                },
-            );
-            return;
-        }
-        if t.count > 1 && step == t.stride * t.count as i64 {
-            // The next copy continues the same period exactly.
-            push_train(
-                out,
-                TrainSegment {
-                    count: t.count * n,
-                    ..*t
-                },
-            );
-            return;
-        }
-    }
-    for i in 0..n as i64 {
-        for t in ts {
-            push_train(
-                out,
-                TrainSegment {
-                    disp: t.disp + i * step,
-                    ..*t
-                },
-            );
-        }
-    }
-}
-
-/// Strided lowering of `dt` displaced by `base`: the same byte multiset as
-/// [`flatten_into`], as trains. Regular spines (contiguous, vector,
-/// hvector, subarray compositions thereof) lower in O(1) per train; only
-/// irregular constructors (indexed/struct with sparse children) pay
-/// per-block cost.
-pub(crate) fn flatten_trains_into(dt: &Datatype, base: i64, out: &mut Vec<TrainSegment>) {
-    match dt {
-        Datatype::Elementary { size, .. } => push_train(out, TrainSegment::run(base, *size)),
-        Datatype::Contiguous { count, child } => {
-            train_block(child, base, *count, out);
-        }
-        Datatype::Vector {
-            count,
-            blocklen,
-            stride,
-            child,
-        } => {
-            let step = stride * child.extent() as i64;
-            let mut block = Vec::new();
-            train_block(child, base, *blocklen, &mut block);
-            repeat_trains(&block, *count, step, out);
-        }
-        Datatype::Hvector {
-            count,
-            blocklen,
-            stride_bytes,
-            child,
-        } => {
-            let mut block = Vec::new();
-            train_block(child, base, *blocklen, &mut block);
-            repeat_trains(&block, *count, *stride_bytes, out);
-        }
-        Datatype::Indexed { blocks, child } => {
-            let ext = child.extent() as i64;
-            for (bl, d) in blocks {
-                train_block(child, base + d * ext, *bl, out);
-            }
-        }
-        Datatype::Hindexed { blocks, child } => {
-            for (bl, d) in blocks {
-                train_block(child, base + d, *bl, out);
-            }
-        }
-        Datatype::Struct { fields } => {
-            for f in fields {
-                train_block(&f.child, base + f.disp, f.blocklen, out);
-            }
-        }
-        Datatype::Resized { child, .. } => flatten_trains_into(child, base, out),
-    }
-}
-
-/// Strided analogue of [`flatten_block`]: `blocklen` consecutive children.
-fn train_block(child: &Datatype, disp: i64, blocklen: u64, out: &mut Vec<TrainSegment>) {
-    if is_dense(child) {
-        push_train(
-            out,
-            TrainSegment::run(disp + child.lb(), blocklen * child.size()),
-        );
-        return;
-    }
-    let mut inner = Vec::new();
-    flatten_trains_into(child, disp, &mut inner);
-    repeat_trains(&inner, blocklen, child.extent() as i64, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,35 +188,6 @@ mod tests {
     fn vector_with_touching_blocks_coalesces() {
         let t = Datatype::vector(4, 5, 5, Datatype::byte()).unwrap();
         assert_eq!(t.flatten(), vec![Segment { disp: 0, len: 20 }]);
-    }
-
-    #[test]
-    fn train_lowering_coalesces_touching_blocks() {
-        // Regression: `blocklen == stride` used to lower to a periodic
-        // train `(len 5, stride 5, count 4)` — contiguous in disguise —
-        // while `flatten()` emitted one 20-byte segment, so run counts and
-        // wire sizes disagreed between the two lowerings.
-        let t = Datatype::vector(4, 5, 5, Datatype::byte()).unwrap();
-        assert_eq!(
-            t.flatten_trains(),
-            vec![TrainSegment {
-                disp: 0,
-                len: 20,
-                stride: 20,
-                count: 1
-            }]
-        );
-        // Same for hvector with step == run length.
-        let hv = Datatype::hvector(3, 2, 2, Datatype::byte()).unwrap();
-        assert_eq!(
-            hv.flatten_trains(),
-            vec![TrainSegment {
-                disp: 0,
-                len: 6,
-                stride: 6,
-                count: 1
-            }]
-        );
     }
 
     #[test]

@@ -313,21 +313,6 @@ impl Datatype {
         out
     }
 
-    /// Strided lowering: the same byte set as [`Datatype::flatten`] as
-    /// run-length-compressed trains. Regular spines (contiguous, vector,
-    /// hvector and the subarray compositions built from them) lower in
-    /// O(1) per train — independent of their repetition counts — which is
-    /// what keeps view-negotiation cost proportional to the access
-    /// *description* rather than its row count (paper §3.4).
-    ///
-    /// Trains are ascending within themselves (negative strides are
-    /// flipped), so the result describes the byte set, not typemap order.
-    pub fn flatten_trains(&self) -> Vec<crate::TrainSegment> {
-        let mut out = Vec::new();
-        crate::flatten::flatten_trains_into(self, 0, &mut out);
-        out
-    }
-
     /// Number of contiguous segments in one instance (after coalescing).
     pub fn segment_count(&self) -> usize {
         self.flatten().len()

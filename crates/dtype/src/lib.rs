@@ -16,18 +16,23 @@
 //! offsets and produces the [`IntervalSet`](atomio_interval::IntervalSet)s the atomicity strategies
 //! exchange and analyze.
 //!
-//! For negotiation-time work (view exchange, overlap analysis) the strided
-//! lowering [`Datatype::flatten_trains`] and [`FileView::strided_footprint`]
-//! emit run-length-compressed [`StridedSet`](atomio_interval::StridedSet)s —
-//! O(1) per periodic train instead of O(rows) — so the cost of describing an
-//! access scales with its structure, not its row count (paper §3.4).
+//! For negotiation-time work (view exchange, overlap analysis)
+//! [`FileView::strided_footprint`] emits run-length-compressed
+//! [`StridedSet`](atomio_interval::StridedSet)s — O(1) per periodic train
+//! instead of O(rows) — so the cost of describing an access scales with its
+//! structure, not its row count (paper §3.4). There is one lowering,
+//! [`Datatype::flatten`]; a view compresses its flattened tile once with
+//! [`StridedSet::from_sorted_extents`](atomio_interval::StridedSet::from_sorted_extents),
+//! whose canonical form makes the footprint a function of the bytes alone,
+//! and replicates those trains across whole tiles. `proptest_dtype` checks
+//! the strided footprint against the dense one and its train counts.
 
 mod flatten;
 mod kinds;
 mod subarray;
 mod view;
 
-pub use flatten::{Segment, TrainSegment};
+pub use flatten::Segment;
 pub use kinds::{Datatype, DatatypeError, StructField};
 pub use subarray::ArrayOrder;
 pub use view::{FileView, ViewError, ViewSegment};

@@ -84,10 +84,9 @@ pub struct FileView {
     filetype: Arc<Datatype>,
     /// Flattened filetype, displacements validated non-negative & monotone.
     tile: Vec<Segment>,
-    /// Strided lowering of one tile: the same byte set as `tile`,
-    /// run-length-compressed (O(1) trains for vector/subarray filetypes).
-    /// Sorted by start; disjoint because the tile is monotone.
-    tile_trains: Vec<Train>,
+    /// One tile's byte set in canonical compressed form: the same bytes as
+    /// `tile` (O(1) trains for vector/subarray filetypes).
+    tile_trains: StridedSet,
     /// Exclusive prefix sums of `tile` lengths: `prefix[i]` = logical offset
     /// of tile segment `i` within one tile.
     prefix: Vec<u64>,
@@ -160,18 +159,11 @@ impl FileView {
                 tile_end,
             });
         }
-        // The strided lowering of a validated (non-negative, monotone,
-        // non-interleaving) tile: displacements fit in u64 and trains are
-        // disjoint — within one tile and across tiles.
-        let mut tile_trains: Vec<Train> = filetype
-            .flatten_trains()
-            .into_iter()
-            .map(|t| {
-                debug_assert!(t.disp >= 0 && t.stride > 0);
-                Train::new(t.disp as u64, t.len, t.stride as u64, t.count)
-            })
-            .collect();
-        tile_trains.sort_unstable_by_key(Train::start);
+        // The validated tile is ascending and disjoint (non-negative,
+        // monotone), and tiles do not interleave, so its compression's
+        // trains stay disjoint within one tile and across tiles.
+        let tile_trains =
+            StridedSet::from_sorted_extents(tile.iter().map(|s| (s.disp as u64, s.len)));
         Ok(FileView {
             disp,
             filetype,
@@ -288,9 +280,10 @@ impl FileView {
     /// The set of file bytes touched by `[logical, logical+len)`, as a
     /// run-length-compressed [`StridedSet`] — extensionally identical to
     /// [`FileView::file_ranges`], but built in O(trains) per fully covered
-    /// tile instead of O(segments): the strided tile lowering is replicated
-    /// across whole tiles analytically, and only partial head/tail tiles
-    /// fall back to dense segment walking (then get re-compressed).
+    /// tile instead of O(segments): the tile's compressed trains are
+    /// replicated across whole tiles analytically, and only partial
+    /// head/tail tiles fall back to dense segment walking (then get
+    /// re-compressed).
     pub fn strided_file_ranges(&self, logical: u64, len: u64) -> StridedSet {
         if len == 0 {
             return StridedSet::new();
@@ -316,7 +309,7 @@ impl FileView {
         }
         let ntiles = last_full - first_full;
         let tile_base = self.disp + first_full * self.tile_extent;
-        for t in &self.tile_trains {
+        for t in self.tile_trains.trains() {
             let start = tile_base + t.start();
             if t.count() * t.stride() == self.tile_extent {
                 // Consecutive tiles continue the same period exactly: one

@@ -85,85 +85,43 @@ proptest! {
     }
 
     #[test]
-    fn flatten_trains_covers_same_bytes((m, n, sm, sn, rs, cs) in params()) {
+    fn subarray_tile_footprint_is_one_train(
+        (m, n, sm, sn, rs, cs) in params(),
+        disp in 0u64..64,
+    ) {
+        // One tile of a 2-D subarray is `sm` rows of `sn` bytes at the row
+        // stride: one train however many rows, never O(rows).
         let t = Datatype::subarray(&[m, n], &[sm, sn], &[rs, cs], ArrayOrder::C, Datatype::byte())
             .unwrap();
-        let mut dense: Vec<i64> = t
-            .flatten()
-            .iter()
-            .flat_map(|s| (0..s.len as i64).map(move |b| s.disp + b))
-            .collect();
-        dense.sort_unstable();
-        let mut strided: Vec<i64> = t
-            .flatten_trains()
-            .iter()
-            .flat_map(|tr| tr.blocks().flat_map(|(d, l)| (0..l as i64).map(move |b| d + b)))
-            .collect();
-        strided.sort_unstable();
-        prop_assert_eq!(strided, dense);
-        // A 2-D subarray lowers to O(1) trains, never O(rows).
-        prop_assert!(t.flatten_trains().len() <= 2, "{:?}", t.flatten_trains());
+        let v = FileView::new(disp, t).unwrap();
+        let tile = v.strided_footprint(v.tile_size());
+        prop_assert_eq!(tile.train_count(), 1, "{:?}", tile);
+        prop_assert_eq!(tile.total_len(), sm * sn);
     }
 
     #[test]
-    fn flatten_trains_matches_flatten_on_random_types(
-        count in 1u64..9,
-        blocklen in 1u64..5,
-        gap in 0i64..7,
-        inner_count in 1u64..4,
-        inner_gap in 0u64..3,
-    ) {
-        // vector(count, blocklen, stride) over a possibly sparse child
-        // (resized contiguous) — exercises both the O(1) train path and the
-        // irregular repetition fallback.
-        let child = Datatype::resized(
-            0,
-            2 * inner_count + inner_gap,
-            Datatype::contiguous(2 * inner_count, Datatype::byte()).unwrap(),
-        )
-        .unwrap();
-        let stride = blocklen as i64 + gap;
-        let t = Datatype::vector(count, blocklen, stride, child).unwrap();
-        let mut dense: Vec<i64> = t
-            .flatten()
-            .iter()
-            .flat_map(|s| (0..s.len as i64).map(move |b| s.disp + b))
-            .collect();
-        dense.sort_unstable();
-        dense.dedup();
-        let mut strided: Vec<i64> = t
-            .flatten_trains()
-            .iter()
-            .flat_map(|tr| tr.blocks().flat_map(|(d, l)| (0..l as i64).map(move |b| d + b)))
-            .collect();
-        strided.sort_unstable();
-        strided.dedup();
-        prop_assert_eq!(strided, dense);
-        // No emitted train may be contiguous in disguise: blocks that touch
-        // (`stride == len`) must have been coalesced into single runs.
-        prop_assert!(
-            t.flatten_trains()
-                .iter()
-                .all(|tr| tr.count == 1 || tr.stride != tr.len as i64),
-            "disguised contiguous train in {:?}",
-            t.flatten_trains()
-        );
-    }
-
-    #[test]
-    fn touching_blocks_lower_to_one_run_train(
+    fn touching_vector_view_footprint_is_one_run(
         count in 1u64..10,
         blocklen in 1u64..6,
+        pad in 0u64..3,
+        tiles in 1u64..5,
     ) {
-        // `blocklen == stride` is a contiguous type in disguise: the train
-        // lowering must emit the same single run the dense flattening does,
-        // or run counts, wire sizes and promote/demote disagree.
-        let t = Datatype::vector(count, blocklen, blocklen as i64, Datatype::byte()).unwrap();
-        let trains = t.flatten_trains();
-        prop_assert_eq!(trains.len(), 1, "{:?}", &trains);
-        prop_assert_eq!(trains[0].count, 1, "{:?}", &trains);
-        prop_assert_eq!(trains[0].len, count * blocklen);
-        prop_assert_eq!(t.flatten().len(), 1);
+        // `vector(count, b, b)` is a contiguous type in disguise: its tile
+        // compresses to one run, so run counts and wire sizes agree with
+        // the dense flattening. Padding the extent keeps the view strided.
+        let size = count * blocklen;
+        let vector = Datatype::vector(count, blocklen, blocklen as i64, Datatype::byte()).unwrap();
+        let ft = Datatype::resized(0, size + pad, vector).unwrap();
+        let v = FileView::new(0, ft).unwrap();
+        let tile = v.strided_footprint(size);
+        prop_assert_eq!(tile.train_count(), 1, "{:?}", tile);
+        prop_assert!(tile.trains()[0].is_run(), "{:?}", tile);
+        prop_assert_eq!(tile.total_len(), size);
+        // Whole tiles: one run when they touch, one train at the extent
+        // when padding separates them.
+        let all = v.strided_footprint(size * tiles);
+        prop_assert_eq!(all.train_count(), 1, "{:?}", all);
+        prop_assert_eq!(all.run_count(), if pad == 0 { 1 } else { tiles });
     }
 
     #[test]

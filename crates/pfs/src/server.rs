@@ -273,17 +273,16 @@ impl ServerSet {
     /// generates (after same-server stripe-unit merging) — the unit the
     /// `server_*_requests` client counters are charged in.
     pub fn requests_for(&self, range: ByteRange) -> u64 {
-        if range.is_empty() {
-            return 0;
-        }
-        self.split(range).len() as u64
+        self.split(range).count() as u64
     }
 
     /// Schedule one contiguous access arriving at `arrival`; returns its
     /// completion time (max over the per-server pieces). This is the *raw*
-    /// path: it ignores server health (recovery replay itself, and legacy
-    /// callers on fault-free file systems, go through here). Fault-aware
-    /// request paths use [`ServerSet::try_access`].
+    /// path: it ignores server health. Its callers are the fault-free RPC
+    /// path (and [`ServerSet::try_access`] without an active fault plan),
+    /// the revocation flush, which must not hold an acquirer's grant
+    /// behind a retry loop, and write-behind flushes on a fault-free file
+    /// system. Fault-aware request paths use [`ServerSet::try_access`].
     pub fn access(&self, arrival: VNanos, range: ByteRange, op: ServerOp) -> VNanos {
         if range.is_empty() {
             return arrival;
@@ -311,7 +310,7 @@ impl ServerSet {
             return Ok(arrival);
         }
         if self.faults.active() {
-            let pieces = self.split(range);
+            let pieces: Vec<(usize, u64)> = self.split(range).collect();
             let mut health = self.health.lock();
             // A server someone else is recovering comes back as soon as
             // that thread finishes its replay — in *host* time, while
@@ -428,23 +427,33 @@ impl ServerSet {
         self.recovered.notify_all();
     }
 
-    /// Decompose a contiguous range into `(server, bytes)` pieces, merging
-    /// consecutive stripe units that land on the same server.
-    fn split(&self, range: ByteRange) -> Vec<(usize, u64)> {
-        let n = self.horizons.len();
-        let mut per_server = vec![0u64; n];
-        let mut off = range.start;
-        while off < range.end {
-            let unit_end = (off / self.stripe_unit + 1) * self.stripe_unit;
-            let take = unit_end.min(range.end) - off;
-            per_server[self.server_of(off)] += take;
-            off += take;
-        }
-        per_server
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, b)| b > 0)
-            .collect()
+    /// Decompose a contiguous range into `(server, bytes)` pieces, ascending
+    /// by server, merging the stripe units that land on the same server.
+    /// Each server's bytes follow from the range's first and last stripe
+    /// unit: its whole units in between, less the head of the first unit
+    /// and the tail of the last when it owns them.
+    fn split(&self, range: ByteRange) -> impl Iterator<Item = (usize, u64)> {
+        let n = self.horizons.len() as u64;
+        let su = self.stripe_unit;
+        let first = range.start / su;
+        let last = range.end.saturating_sub(1) / su;
+        let units = if range.is_empty() {
+            0
+        } else {
+            last + 1 - first
+        };
+        let head = range.start - first * su;
+        let tail = (last + 1) * su - range.end;
+        (0..n).filter_map(move |server| {
+            // `server` owns every `n`th unit of `first..=last`, from the
+            // `(server - first) mod n`th on.
+            let owned = units
+                .saturating_sub((server + n - first % n) % n)
+                .div_ceil(n);
+            let head = if first % n == server { head } else { 0 };
+            let tail = if last % n == server { tail } else { 0 };
+            (owned > 0).then(|| (server as usize, owned * su - head - tail))
+        })
     }
 
     /// Reset all horizons to idle (between benchmark repetitions). Health
@@ -513,6 +522,53 @@ mod tests {
         );
         assert!(msg.contains("recovering-server wait"), "{msg}");
         s.mark_up(0);
+    }
+
+    /// The stripe-unit walk `split` replaces: one step per touched unit,
+    /// its bytes added to the unit's server.
+    fn split_by_walk(s: &ServerSet, range: ByteRange) -> Vec<(usize, u64)> {
+        let mut per_server = vec![0u64; s.server_count()];
+        let mut off = range.start;
+        while off < range.end {
+            let unit_end = (off / s.stripe_unit() + 1) * s.stripe_unit();
+            let take = unit_end.min(range.end) - off;
+            per_server[s.server_of(off)] += take;
+            off += take;
+        }
+        per_server
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, b)| b > 0)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn split_matches_the_stripe_unit_walk(
+            su in 1u64..5_000,
+            n in 1usize..=16,
+            shape in 0u8..4,
+            unit in 0u64..1_000,
+            x in 0u64..1 << 20,
+            y in 0u64..1 << 20,
+        ) {
+            let s = ServerSet::new(n, ServeCost::new(1_000, 1.0e9), su);
+            let start = unit * su + x % su;
+            let end = match shape {
+                // Empty.
+                0 => start,
+                // Inside the start's unit.
+                1 => start + 1 + y % ((unit + 1) * su - start),
+                // On a unit boundary, up to three rows on.
+                2 => (unit + 1 + y % (3 * n as u64)) * su,
+                // Many rows, ending anywhere in a unit.
+                _ => start + su * n as u64 * (2 + y % 8) + y % su,
+            };
+            let range = ByteRange::new(start, end);
+            let pieces: Vec<(usize, u64)> = s.split(range).collect();
+            proptest::prop_assert_eq!(&pieces, &split_by_walk(&s, range), "{:?}", range);
+            proptest::prop_assert_eq!(s.requests_for(range), pieces.len() as u64);
+        }
     }
 
     #[test]
