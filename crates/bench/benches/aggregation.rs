@@ -31,11 +31,13 @@
 //! (`bytes_shipped == bytes_written`), and `conflict_bytes` equal to the
 //! overlap volume `(P - 1) * header`; and, at full scale,
 //! `makespan(pipelined) <= makespan(flat)` at every P — write-behind has to
-//! pay for its per-round collectives (the 8-rank smoke geometry has three
-//! rounds and half of flat's aggregators, too little to overlap, and is
-//! exempt). Also asserted in every mode: no link class carries more than
-//! `bytes_shipped`, and on flat, where a byte rides one link in all,
-//! `wire_intra_bytes + wire_inter_bytes <= bytes_shipped` — a piece its
+//! pay for its per-round collectives — with more pipelined rounds than its
+//! write-behind depth, so a round retires on a later round's exchange (the
+//! 8-rank smoke geometry is one round with half of flat's aggregators,
+//! nothing to overlap, and is exempt). Also asserted in every mode: no link
+//! class carries more than `bytes_shipped`, and on flat, where a byte rides
+//! one link in all, `wire_intra_bytes + wire_inter_bytes <= bytes_shipped`
+//! — a piece its
 //! holder serves itself counts on no wire. File domains go to the aggregator candidate that
 //! already holds the most of them, and the schedules see different
 //! candidates — flat every rank, the multi-tier modes one leader per node
@@ -388,6 +390,17 @@ fn main() {
                 pipe.makespan_ns,
                 flat.makespan_ns
             );
+            for (mode, t) in row {
+                if let ("pipelined", ExchangeSchedule::Pipelined { depth, .. }) =
+                    (mode.key, mode.schedule)
+                {
+                    assert!(
+                        t.rounds > depth as usize,
+                        "P={p}: {} rounds retire nothing before the drain at depth {depth}",
+                        t.rounds
+                    );
+                }
+            }
         }
     }
 }

@@ -29,7 +29,8 @@
 //! 4. **I/O** — each aggregator issues a few large contiguous writes for
 //!    its domain, straight from the buffers the pieces arrived in: it sorts
 //!    the piece *references* by offset (`exchange::gather`), copies nothing,
-//!    and the file streams each run to the servers a stripe row at a time.
+//!    and the file prices each run as one request per server it touches
+//!    while streaming it to them a stripe row at a time.
 //!    The pieces it routed to itself never touch a wire and are never
 //!    copied — they are slices of the caller's buffer — so they leave
 //!    before the `alltoallv` and only the received ones wait for it.

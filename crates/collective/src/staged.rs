@@ -71,7 +71,8 @@ use crate::two_phase::{
 /// file offset, bytes)`.
 type TaggedPiece = (u64, u64, Vec<u8>);
 
-/// Default round size when `round_stripes` is 0.
+/// Default round size when `round_stripes` is 0: stripe units per server
+/// per round.
 const DEFAULT_ROUND_STRIPES: u64 = 4;
 
 /// Count `bytes` of redistribution payload on the meter of the link class
@@ -93,7 +94,8 @@ fn meter(report: &mut TwoPhaseReport, class: LinkClass, bytes: u64) {
 /// healthy file system one deferred batch whose ticket comes back for the
 /// round loop to retire; under a fault plan synchronously, with no ticket,
 /// and a dead server surfaces as a report entry — never a panic or a write
-/// through it. Either way the pieces are on storage when this returns.
+/// through it. Either way every piece whose servers are up is on storage
+/// when this returns.
 fn submit_runs<'a>(
     comm: &Comm,
     file: &PosixFile,
@@ -226,8 +228,9 @@ pub(crate) fn write_rounds(
         .map(|d| d.range);
 
     // Rounds: flat ships every domain whole; pipelined cuts them into
-    // `round_stripes` stripe units per round and keeps `depth` rounds of
-    // server writes in flight after a submit.
+    // `round_stripes` stripe rows per round — `round_stripes` units of each
+    // domain on every server, one request per server — and keeps `depth`
+    // rounds of server writes in flight after a submit.
     let max_len = domains.iter().map(|d| d.range.len()).max().unwrap_or(0);
     let (round_bytes, depth) = match cfg.schedule {
         ExchangeSchedule::Flat => (max_len.max(1), 0),
@@ -239,7 +242,8 @@ pub(crate) fn write_rounds(
                 0 => DEFAULT_ROUND_STRIPES,
                 n => n as u64,
             };
-            (stripes * file.stripe_unit(), depth as usize)
+            let row = file.stripe_unit() * file.server_count() as u64;
+            (stripes * row, depth as usize)
         }
     };
     let rounds = max_len.div_ceil(round_bytes).max(1) as usize;
@@ -533,11 +537,13 @@ mod tests {
                 depth: 2,
             },
         );
-        // 64 KiB over 2 aggregators = 32 KiB domains; 4 KiB rounds → 8.
-        assert!(pipe.iter().all(|r| r.rounds == 8), "{:?}", pipe[0].rounds);
+        // 64 KiB over 2 aggregators = 32 KiB domains; a one-stripe round is
+        // one 16 KiB stripe row of each domain (a unit on each of the four
+        // servers) → 2.
+        assert!(pipe.iter().all(|r| r.rounds == 2), "{:?}", pipe[0].rounds);
         // Aggregators issued one write per round, not one monolith.
         let agg_runs = pipe.iter().map(|r| r.write_runs).max().unwrap();
-        assert!(agg_runs >= 8, "expected per-round writes, got {agg_runs}");
+        assert!(agg_runs >= 2, "expected per-round writes, got {agg_runs}");
     }
 
     #[test]
@@ -669,7 +675,8 @@ mod tests {
                 // The exchange's price, rebuilt from the bytes each pair of
                 // its ranks moves. Flat runs one exchange over every rank,
                 // placed on the nodes; pipelined one per stripe round over
-                // the leaders, every pair across nodes. A bucket is its
+                // the leaders, every pair across nodes, a round being one
+                // stripe row of each domain. A bucket is its
                 // length word plus, per piece, offset, length word and bytes;
                 // a sender's first bucket also carries its count vector.
                 let flat = schedule == ExchangeSchedule::Flat;
@@ -680,7 +687,9 @@ mod tests {
                 let (n, per, round) = if flat {
                     (RANKS, 1, TOTAL / 4)
                 } else {
-                    (RANKS / PER_NODE, PER_NODE, fs.profile().stripe_unit)
+                    let servers = fs.servers();
+                    let row = servers.stripe_unit() * servers.server_count() as u64;
+                    (RANKS / PER_NODE, PER_NODE, row)
                 };
                 let class = |x: usize, y: usize| {
                     if flat && x / PER_NODE == y / PER_NODE {
@@ -822,10 +831,11 @@ mod tests {
     /// The early batch under a crash: 4 ranks, 2 per node, two aggregators.
     /// Ranks 0 and 1 write a 4 KiB unit each of the first domain (servers 0
     /// and 1), rank 3 the whole second one. Rank 0 owns the first domain on
-    /// either schedule, so its own unit — on pipelined the leader's node
-    /// share — is the first request server 0 ever sees. Crash server 0
-    /// there: for good, rank 0 reports the error and everyone completes
-    /// promptly; with a restart, the file is the fault-free one.
+    /// either schedule, so its own batch — its own unit, on pipelined the
+    /// node's whole share of the domain, one round — is the first request
+    /// server 0 ever sees. Crash server 0 there: for good, rank 0 reports
+    /// the error, everyone completes promptly and everything off server 0
+    /// lands; with a restart, the file is the fault-free one.
     #[test]
     fn a_crash_under_the_own_batch_is_reported_and_recovered() {
         use atomio_pfs::{FaultAction, FaultPlan, FaultSite, RestartPolicy};
@@ -885,7 +895,9 @@ mod tests {
                     assert!(errors[0] > 0, "{what}: {errors:?}");
                     assert!(reports[0].first_error.is_some(), "{what}");
                     assert_eq!(errors[1..], [0, 0, 0], "{what}");
-                    // Everything off server 0 still landed.
+                    // Everything off server 0 still landed — on pipelined
+                    // rank 1's unit rides the failed own batch behind rank
+                    // 0's, and a batch attempts every entry.
                     assert_eq!(snap[UNIT as usize..], expected[UNIT as usize..], "{what}");
                 } else {
                     assert_eq!(errors, [0; 4], "{what}");
@@ -945,17 +957,16 @@ mod tests {
     ///   second (servers 2, 3) from the next rank.
     ///
     /// Every rank ends on one clock: the last server piece, its ack, and
-    /// the closing barrier. Against writing the whole domain after the
-    /// exchange, as one request per owner, the early batch pays a second
-    /// request's `client_op_ns` and saves the exchange's span. Halo wins.
-    /// Disjoint loses by exactly the difference: each owner receives from
-    /// a node-mate, so its exchange runs on the intra-node link in less
-    /// than one `client_op_ns`.
+    /// the closing barrier. Each batch is its call's first extent and pays
+    /// no `client_op_ns` to issue; a second extent in one batch does. So
+    /// against writing the whole domain after the exchange, as one request
+    /// per owner, the early batch costs nothing on the NIC and saves the
+    /// exchange's span: both cases win, disjoint by exactly that span.
     #[test]
     fn flat_clocks_follow_from_the_own_and_the_received_batches() {
         const UNIT: u64 = 4 * 1024;
         let p = PlatformProfile::fast_test();
-        let inject = |bytes: u64| p.client_op_ns + p.client_link.payload_ns(bytes);
+        let send = |bytes: u64| p.client_link.payload_ns(bytes);
         let (lat, svc) = (p.client_link.latency_ns, p.serve.service_ns(UNIT));
         // One server takes its one-unit pieces in arrival order.
         let queue = |mut arrivals: Vec<u64>| {
@@ -978,36 +989,33 @@ mod tests {
             let (n, e) = exchanges[0];
             // The exchange ends while every own batch is still being
             // injected, so the received pieces follow it back to back.
-            assert!(e < n + inject(2 * UNIT), "{name}");
+            assert!(e < n + send(2 * UNIT), "{name}");
             // Arrival of a request that leaves after `before` on the NIC.
             let at = |before: u64| n + before + lat;
             let servers = if halo > 0 {
-                let (own, own7) = (inject(2 * UNIT), inject(3 * UNIT));
-                let head = vec![at(own + inject(UNIT)); 3];
+                // The received head and tail are two extents: the tail pays
+                // `client_op_ns` to issue.
+                let (own, own7) = (send(2 * UNIT), send(3 * UNIT));
+                let head = vec![at(own + send(UNIT)); 3];
+                let tail = own + 2 * send(UNIT) + p.client_op_ns;
                 vec![
-                    [head, vec![at(own7 + inject(UNIT))]].concat(),
+                    [head, vec![at(own7 + send(UNIT))]].concat(),
                     [vec![at(own); 3], vec![at(own7)]].concat(),
                     [vec![at(own); 3], vec![at(own7)]].concat(),
-                    [vec![at(own7)], vec![at(own + 2 * inject(UNIT)); 3]].concat(),
+                    [vec![at(own7)], vec![at(tail); 3]].concat(),
                 ]
             } else {
-                let half = inject(2 * UNIT);
+                let half = send(2 * UNIT);
                 let (own, received) = (vec![at(half); 4], vec![at(2 * half); 4]);
                 vec![own.clone(), own, received.clone(), received]
             };
             let end = servers.into_iter().map(queue).max().unwrap() + close;
             let clocks: Vec<u64> = out.iter().map(|o| o.0).collect();
             assert_eq!(clocks, vec![end; P], "{name}");
-            let whole_domain_after_exchange = e + inject(4 * UNIT) + lat + 4 * svc + close;
-            if halo > 0 {
-                assert!(end < whole_domain_after_exchange, "{name}");
-            } else {
-                assert!(e - n < p.client_op_ns, "{name}");
-                assert_eq!(
-                    end + (e - n),
-                    whole_domain_after_exchange + p.client_op_ns,
-                    "{name}"
-                );
+            let whole_domain_after_exchange = e + send(4 * UNIT) + lat + 4 * svc + close;
+            assert!(end < whole_domain_after_exchange, "{name}");
+            if halo == 0 {
+                assert_eq!(end + (e - n), whole_domain_after_exchange, "{name}");
             }
 
             assert!(out.iter().all(|o| o.1.rounds == 1), "{name}");
@@ -1036,7 +1044,8 @@ mod tests {
         for slow in [1u64, 100] {
             let mut profile = PlatformProfile::fast_test();
             profile.net.link = LinkCost::new(100 * slow, 10e9 / slow as f64);
-            let inject = profile.client_op_ns + profile.client_link.payload_ns(HALF);
+            // Each batch is its call's first extent: no `client_op_ns`.
+            let inject = profile.client_link.payload_ns(HALF);
             let service = profile.serve.service_ns(HALF / 2);
             let write = inject + profile.client_link.latency_ns + service;
             let fs = FileSystem::new(profile);

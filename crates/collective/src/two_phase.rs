@@ -30,8 +30,11 @@ pub enum ExchangeSchedule {
     /// stripe-aligned *rounds* whose aggregator writes stay in flight
     /// behind the following rounds' exchanges.
     Pipelined {
-        /// Stripe units per round (`0` means the default of 4). Smaller
-        /// rounds pipeline more finely but pay more per-round collectives.
+        /// Stripe units *per server* per round (`0` means the default of
+        /// 4): a round is `round_stripes` stripe rows of each domain, so
+        /// every server gets `round_stripes` units of each aggregator's
+        /// domain as one request. Smaller rounds pipeline more finely but
+        /// pay more per-round collectives and more server `per_op`s.
         round_stripes: u32,
         /// Write-behind depth: rounds of server writes in flight after a
         /// submit. Round `k - depth` retires when round `k`'s exchange
@@ -100,7 +103,8 @@ pub struct TwoPhaseReport {
     pub bytes_written: u64,
     /// Contiguous write runs this rank issued (the "large writes"): maximal
     /// file-contiguous extents, however many received pieces make one up —
-    /// runs, not pieces. Each leaves as one wire request per stripe row.
+    /// runs, not pieces. A run inside one batch is one extent: it pays one
+    /// `per_op` on each server it touches while it streams by stripe row.
     pub write_runs: usize,
     /// Bytes of this rank's request that a higher rank also writes and
     /// that it therefore surrendered before shipping anything. Summed over

@@ -29,7 +29,15 @@ impl PosixFile {
     /// segments before the failing one are applied and counted, none
     /// after.
     pub fn try_pwritev_direct(&self, segments: &[(u64, &[u8])]) -> Result<(), FsError> {
-        self.check_alive()?;
+        self.pwritev_landed(segments).1
+    }
+
+    /// [`PosixFile::try_pwritev_direct`], also returning how many of the
+    /// leading segments landed.
+    fn pwritev_landed(&self, segments: &[(u64, &[u8])]) -> (usize, Result<(), FsError>) {
+        if let Err(e) = self.check_alive() {
+            return (0, Err(e));
+        }
         let (inj, res) = self.inject_writes(segments.iter().copied(), |arrival, range, data| {
             self.drain_journal_overlap(range);
             let done = self.server_rpc(arrival, range, ServerOp::Write)?;
@@ -43,7 +51,7 @@ impl PosixFile {
             self.stats
                 .add(&self.stats.server_write_requests, inj.server_reqs);
         }
-        res
+        (inj.landed, res)
     }
 
     /// Synchronous uncached read, with the fault model of
@@ -86,13 +94,17 @@ impl PosixFile {
     ///
     /// For timing, entries that follow each other in the file (each starts
     /// where the one before it ended) are **one extent**, however many
-    /// slices hold its bytes, and every extent leaves as one wire request
-    /// per *stripe row* it touches: it is cut at the absolute multiples of
-    /// `stripe_unit × server_count`. Each request pays `client_op_ns +
-    /// payload_ns(len)` on the NIC and reaches the servers one link latency
-    /// after *its own* injection ends, so the servers work on the first rows
-    /// of a large extent while the rest is still being injected. An extent
-    /// inside one stripe row is a single request.
+    /// slices hold its bytes, and an extent is priced by the one rule of
+    /// [`PosixFile::try_pwritev_direct`]'s segments: `client_op_ns` to issue
+    /// it unless it is the batch's first, `payload_ns(len)` on the NIC, and
+    /// one `per_op` on each server it touches. It still *streams*: it leaves
+    /// as one wire request per stripe row (cut at the absolute multiples of
+    /// `stripe_unit × server_count`), each reaching the servers one link
+    /// latency after its own last byte is injected, so the servers work on
+    /// the first rows of a large extent while the rest is still being
+    /// injected; only a server's first row pays its `per_op`. Streaming
+    /// only starts the same work earlier, so a batch finishes no later than
+    /// the closed-loop write of the same extents.
     ///
     /// The requests are deposited under `epoch`. Redeem the returned ticket
     /// with [`PosixFile::complete_writes`], settling through an epoch at or
@@ -108,7 +120,9 @@ impl PosixFile {
     /// against individual server RPCs, not deferred tickets — so the
     /// writes go through the synchronous, retrying
     /// [`PosixFile::try_pwritev_direct`] instead: there is no ticket, and a
-    /// dead server is a typed error.
+    /// dead server is a typed error. Every entry is still attempted — an
+    /// entry whose server is down fails alone, the entries behind it land —
+    /// and the first error comes back.
     ///
     /// `racing` is for *deliberately racing* writers (non-atomic mode): the
     /// batch yields the scheduler between entries so concurrently
@@ -122,8 +136,14 @@ impl PosixFile {
         racing: bool,
     ) -> Result<Option<u64>, FsError> {
         if self.faults_active() {
-            self.try_pwritev_direct(writes)?;
-            return Ok(None);
+            let (mut rest, mut first_err) = (writes, None);
+            while !rest.is_empty() {
+                let (landed, res) = self.pwritev_landed(rest);
+                let Err(e) = res else { break };
+                first_err.get_or_insert(e);
+                rest = &rest[landed + 1..];
+            }
+            return first_err.map_or(Ok(None), Err);
         }
         Ok(Some(self.pwrite_batch(writes, epoch, racing)))
     }
@@ -148,18 +168,19 @@ impl PosixFile {
                 std::thread::yield_now();
             }
         }
-        // One wire request per stripe row an extent touches.
+        // Each extent is injected whole and leaves by stripe row: a row
+        // request goes once its last byte is on the wire.
         let mut reqs = Vec::with_capacity(extents.len());
         let (mut total, mut server_reqs) = (0u64, 0u64);
-        for e in &extents {
+        for (i, e) in extents.iter().enumerate() {
             total += e.len();
+            server_reqs += servers.requests_for(*e);
+            let start = self.inject_extent(t0, i == 0, e.len());
             let mut cur = e.start;
             while cur < e.end {
                 let range = ByteRange::new(cur, e.end.min((cur / row + 1) * row));
-                let occupancy = self.fs.profile.client_op_ns + link.payload_ns(range.len());
-                let (_, inj_end) = self.nic.serve(t0, occupancy);
-                reqs.push((inj_end + link.latency_ns, range));
-                server_reqs += servers.requests_for(range);
+                let sent = start + link.payload_ns(range.end - e.start);
+                reqs.push((sent + link.latency_ns, range, e.start));
                 cur = range.end;
             }
         }
@@ -240,9 +261,9 @@ mod tests {
         assert_eq!(s.bytes_read, 2048);
     }
 
-    // Batch timing on `fast_test`: NIC 1 byte/ns + 500 ns per request, link
-    // latency 1 us, servers 1 us per request + 1 byte/ns, four servers with
-    // 4 KiB stripes — a stripe row is 16 KiB.
+    // Batch timing on `fast_test`: NIC 1 byte/ns + 500 ns to issue each
+    // extent after the first, link latency 1 us, servers 1 us per request +
+    // 1 byte/ns, four servers with 4 KiB stripes — a stripe row is 16 KiB.
     const ROW: usize = 4 * 4096;
 
     /// Submit `writes` as one batch on a fresh file system, retire it, and
@@ -259,21 +280,33 @@ mod tests {
         (f.clock().now(), f.stats().snapshot())
     }
 
+    /// The same writes through the closed-loop path, on a fresh file system.
+    fn closed_loop_completion(writes: &[(u64, &[u8])]) -> (VNanos, StatsSnapshot) {
+        let fs = test_fs();
+        let f = fs.open(0, Clock::new(), "closed");
+        f.try_pwritev_direct(writes).unwrap();
+        (f.clock().now(), f.stats().snapshot())
+    }
+
     #[test]
     fn batch_extent_streams_to_the_servers_by_stripe_row() {
-        // One extent of eight stripe rows leaves as eight requests. Request
-        // i is injected by (i+1)·(500 + 16384) and lands 1 us later, where
-        // every server takes 1000 + 4096 ns for its stripe — less than one
-        // injection, so no request queues behind the one before it.
+        // One extent of eight stripe rows leaves as eight row requests.
+        // Row i is injected by (i+1)·16384 and lands 1 us later. Each server
+        // takes 1000 + 4096 ns for its unit of the first row — the extent's
+        // one `per_op` there — and 4096 for each later one, less than one
+        // row's injection, so no row queues behind the one before it.
         let data = vec![3u8; 8 * ROW];
         let (done, stats) = batch_completion(&[(0, &data)]);
-        let nic = 8 * (500 + ROW as u64);
-        let row_service = 1_000 + 4_096;
-        assert_eq!(done, nic + 1_000 + row_service + 1_000);
-        assert_eq!((stats.writes, stats.server_write_requests), (1, 8 * 4));
-        // Stored whole in the NIC first, the servers would start only after
-        // the last byte: NIC time + the whole extent's service.
-        assert!(done < nic + 1_000 + 8 * 4_096);
+        let nic = 8 * ROW as u64;
+        assert_eq!(done, nic + 1_000 + 4_096 + 1_000);
+        // One request per server: the extent's price, not the rows'.
+        assert_eq!((stats.writes, stats.server_write_requests), (1, 4));
+        // Stored whole in the NIC first — the closed-loop write of the same
+        // extent — the servers would start only after the last byte: NIC
+        // time + the whole extent's service.
+        let closed = closed_loop_completion(&[(0, &data)]);
+        assert_eq!(closed.0, nic + 1_000 + (1_000 + 8 * 4_096) + 1_000);
+        assert!(done < closed.0);
     }
 
     #[test]
@@ -294,11 +327,11 @@ mod tests {
             whole.1.server_write_requests,
             pieces.1.server_write_requests
         );
-        // Two requests: [off, ROW) on server 3 and [ROW, off + 6000) on
-        // server 0. The second is injected by 2·500 + 6000, lands 1 us
-        // later and is served in 1000 + 3500.
+        // Two rows: [off, ROW) on server 3 and [ROW, off + 6000) on server
+        // 0. The second is injected by 6000 — the batch's first extent pays
+        // no issue cost — lands 1 us later and is served in 1000 + 3500.
         assert_eq!(whole.1.server_write_requests, 2);
-        assert_eq!(whole.0, 7_000 + 1_000 + 4_500 + 1_000);
+        assert_eq!(whole.0, 6_000 + 1_000 + 4_500 + 1_000);
 
         // Entries with a gap between them stay separate extents.
         let apart = batch_completion(&[(0, &data[..1000]), (1001, &data[1000..2000])]);
@@ -307,19 +340,54 @@ mod tests {
 
     #[test]
     fn batch_extent_inside_one_row_is_a_single_request() {
-        // What a batch entry has always cost: `client_op_ns + payload_ns`
-        // on the NIC, one latency to the servers, the slowest per-server
-        // piece, one latency back. [4196, 10196) puts 3996 bytes on server 1
-        // and 2004 on server 2.
+        // A batch's first extent costs `payload_ns` on the NIC, one latency
+        // to the servers, the slowest per-server piece, one latency back —
+        // what one closed-loop write costs. [4196, 10196) puts 3996 bytes on
+        // server 1 and 2004 on server 2.
         let data = vec![9u8; 6000];
         let (done, stats) = batch_completion(&[(4196, &data)]);
-        assert_eq!(done, (500 + 6_000) + 1_000 + (1_000 + 3_996) + 1_000);
+        assert_eq!(done, 6_000 + 1_000 + (1_000 + 3_996) + 1_000);
         assert_eq!((stats.writes, stats.server_write_requests), (1, 2));
+        assert_eq!(done, closed_loop_completion(&[(4196, &data)]).0);
 
-        // Separate extents queue on the NIC one after the other.
+        // Separate extents queue on the NIC one after the other, the second
+        // paying `client_op_ns` to issue.
         let (done, stats) = batch_completion(&[(0, &data[..100]), (8192, &data[..200])]);
-        assert_eq!(done, (600 + 700) + 1_000 + (1_000 + 200) + 1_000);
+        assert_eq!(done, (100 + 700) + 1_000 + (1_000 + 200) + 1_000);
         assert_eq!((stats.writes, stats.server_write_requests), (2, 2));
+    }
+
+    proptest::proptest! {
+        /// One rule for a write extent: a random single extent — inside one
+        /// stripe row, ending on a row boundary, or spanning many rows —
+        /// counts the same server requests on the batch path and the
+        /// closed-loop path, and the batch, which only streams the same
+        /// work to the servers earlier, finishes no later.
+        #[test]
+        fn a_batch_extent_is_priced_as_its_closed_loop_write(
+            shape in 0u8..3,
+            x in 0u64..4 * ROW as u64,
+            y in 0u64..1 << 20,
+        ) {
+            let row = ROW as u64;
+            let len = match shape {
+                0 => 1 + y % (row - x % row),
+                1 => (x / row + 1 + y % 4) * row - x,
+                _ => row * (2 + y % 8) + y % row,
+            };
+            let data = vec![5u8; len as usize];
+            let fs = test_fs();
+            let f = fs.open(0, Clock::new(), "one");
+            let ticket = f.submit_writes(&[(x, &data)], 0, false).unwrap().unwrap();
+            f.complete_writes(ticket, 0);
+            let batch = (f.clock().now(), f.stats().snapshot());
+            let closed = closed_loop_completion(&[(x, &data)]);
+            proptest::prop_assert_eq!(
+                batch.1.server_write_requests,
+                closed.1.server_write_requests
+            );
+            proptest::prop_assert!(batch.0 <= closed.0, "{} > {}", batch.0, closed.0);
+        }
     }
 
     #[test]
@@ -484,13 +552,24 @@ mod tests {
         let ticket = f.submit_writes(&as_segments(&rows), 0, false).unwrap();
         f.complete_writes(ticket.expect("deferred batch"), 0);
         assert_rows_landed(&fs.snapshot("batch").unwrap(), &rows);
-        // Armed: no ticket, and a server that is down takes no byte — the
-        // batch stops at the request that finds it so.
+        // Armed: no ticket, and a server that is down takes no byte. Every
+        // entry is still attempted: the first error comes back, and the
+        // entries on servers that are up land, wherever they sit in the
+        // batch. Entry `i` of `strided_rows(4, 4096 + 512)` is on server `i`.
         let fs = crash_server0_at(1, RestartPolicy::Manual);
         let f = fs.open(0, Clock::new(), "batch");
         let err = f.submit_writes(&as_segments(&rows), 0, false).unwrap_err();
         assert!(matches!(err, FsError::RetriesExhausted { server: 0, .. }));
         assert_eq!(f.stats().snapshot().bytes_written, 0);
+        assert_eq!(fs.servers().pending_requests(), 0);
+        let mixed = strided_rows(4, 4096 + 512);
+        let err = f.submit_writes(&as_segments(&mixed), 0, false).unwrap_err();
+        assert!(matches!(err, FsError::RetriesExhausted { server: 0, .. }));
+        let s = f.stats().snapshot();
+        assert_eq!((s.writes, s.bytes_written), (3, 3 * SEG));
+        let image = fs.snapshot("batch").unwrap();
+        assert!(image[..SEG as usize].iter().all(|&b| b == 0));
+        assert_rows_landed(&image, &mixed[1..]);
         assert_eq!(fs.servers().pending_requests(), 0);
     }
 

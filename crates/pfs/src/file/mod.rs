@@ -616,15 +616,31 @@ impl PosixFile {
         );
     }
 
-    /// The one injection formula of every closed-loop multi-request write
-    /// (locked vectors, list I/O, cache flushes): requests leave back to
-    /// back through this client's NIC from the call's start — occupancy
-    /// `payload_ns(len)`, plus `client_op_ns` to issue each request after
-    /// the first — `land` puts each on the servers at `injection end +
-    /// latency` and returns its completion, and the caller's clock
-    /// advances once, to the slowest completion plus the ack. Stops at
-    /// the first request `land` fails; the time of those that landed is
-    /// still charged.
+    /// The NIC half of the one write-extent rule (DESIGN.md "One injection
+    /// formula"), shared by the closed-loop and the batch path: an extent
+    /// leaves this client's NIC back to back behind what the call has
+    /// already injected from `t0`, paying `client_op_ns` to issue it unless
+    /// it is the call's `first`, then `payload_ns(len)`. Returns when its
+    /// payload starts: its first `x` bytes have left by `start +
+    /// payload_ns(x)`.
+    fn inject_extent(&self, t0: VNanos, first: bool, len: u64) -> VNanos {
+        let issue = if first {
+            0
+        } else {
+            self.fs.profile.client_op_ns
+        };
+        let link = &self.fs.profile.client_link;
+        let (start, _) = self.nic.serve(t0, issue + link.payload_ns(len));
+        start + issue
+    }
+
+    /// Every closed-loop multi-request write (locked vectors, list I/O,
+    /// cache flushes): each request is one extent on the NIC
+    /// ([`PosixFile::inject_extent`]); `land` puts it on the servers at
+    /// `injection end + latency` — one `per_op` on each server it touches —
+    /// and returns its completion, and the caller's clock advances once, to
+    /// the slowest completion plus the ack. Stops at the first request
+    /// `land` fails; the time of those that landed is still charged.
     fn inject_writes<'a>(
         &self,
         mut requests: impl Iterator<Item = (u64, &'a [u8])>,
@@ -635,12 +651,12 @@ impl PosixFile {
             t0: self.clock.now(),
             ..Injected::default()
         };
-        let (mut done, mut issue) = (inj.t0, 0);
+        let mut done = inj.t0;
         let res = requests.try_for_each(|(off, data)| {
             let range = ByteRange::at(off, data.len() as u64);
-            let (_, inj_end) = self.nic.serve(inj.t0, issue + link.payload_ns(range.len()));
-            issue = self.fs.profile.client_op_ns;
-            done = done.max(land(inj_end + link.latency_ns, range, data)?);
+            let start = self.inject_extent(inj.t0, inj.landed == 0, range.len());
+            let arrival = start + link.payload_ns(range.len()) + link.latency_ns;
+            done = done.max(land(arrival, range, data)?);
             inj.landed += 1;
             inj.bytes += range.len();
             inj.server_reqs += self.fs.servers.requests_for(range);

@@ -81,12 +81,14 @@ enum Health {
 ///   program and not of real thread scheduling — this is what keeps the
 ///   Figure 8 reproduction deterministic. [`ServerSet::settle`] is
 ///   "through everything", for callers that fence with a barrier. A
-///   deferred request is whatever range the submitter stamps: batch writers
-///   ([`PosixFile::submit_writes`](crate::PosixFile::submit_writes)) cut
-///   their extents at stripe-row boundaries (`stripe_unit × n`), so each
-///   request touches every server at most once, pays each its `per_op`,
-///   and a long extent reaches the servers row by row as it is injected
-///   instead of all at once when its last byte has left the client.
+///   deferred request is one row of an **extent** and carries where that
+///   extent starts; the extent is priced as the one request an immediate
+///   access of it would be: each server pays the extent's `per_op` on the
+///   first row that reaches it and only the bytes of every later row. Batch
+///   writers ([`PosixFile::submit_writes`](crate::PosixFile::submit_writes))
+///   cut their extents at stripe-row boundaries (`stripe_unit × n`), so a
+///   long extent reaches the servers row by row as it is injected instead
+///   of all at once when its last byte has left the client.
 #[derive(Debug)]
 pub struct ServerSet {
     horizons: Vec<Horizon>,
@@ -129,6 +131,9 @@ struct PendingReq {
     seq: u64,
     arrival: VNanos,
     range: ByteRange,
+    /// Where the extent this request is a row of starts: the servers that
+    /// `extent_start..range.start` touches have had the extent's `per_op`.
+    extent_start: u64,
 }
 
 impl ServerSet {
@@ -165,11 +170,24 @@ impl ServerSet {
         &self.tracer
     }
 
-    /// Serve one `(server, bytes)` piece: schedule it on the server's
-    /// horizon, record its sojourn (queueing + service) in the
-    /// service-time histogram, and emit its span on the server's track.
-    fn serve_piece(&self, server: usize, bytes: u64, arrival: VNanos, op: ServerOp) -> VNanos {
-        let dur = self.serve.service_ns(bytes);
+    /// Serve one `(server, bytes)` piece of a request whose extent already
+    /// put `prior` bytes on this server (0 for a request of its own):
+    /// schedule it on the server's horizon, record its sojourn (queueing +
+    /// service) in the service-time histogram, and emit its span on the
+    /// server's track. The extent pays `per_op` with its first piece here;
+    /// a later piece pays what its bytes add to the extent's service time.
+    fn serve_piece(
+        &self,
+        server: usize,
+        prior: u64,
+        bytes: u64,
+        arrival: VNanos,
+        op: ServerOp,
+    ) -> VNanos {
+        let dur = match prior {
+            0 => self.serve.service_ns(bytes),
+            _ => self.serve.service_ns(prior + bytes) - self.serve.service_ns(prior),
+        };
         let (start, end) = self.horizons[server].serve(arrival, dur);
         self.latency
             .server_service
@@ -187,16 +205,18 @@ impl ServerSet {
 
     /// Deposit a batch of requests with virtual arrival stamps under
     /// `epoch`; returns a ticket to redeem once a
-    /// [`ServerSet::settle_through`] has covered that epoch. An empty
-    /// batch's completion is time zero.
-    pub fn submit(&self, client: usize, epoch: u64, reqs: Vec<(VNanos, ByteRange)>) -> u64 {
+    /// [`ServerSet::settle_through`] has covered that epoch. A request is
+    /// `(arrival, range, extent_start)`: the row `range` of the extent that
+    /// starts at `extent_start` (`range.start` for a request of its own; see
+    /// the type docs). An empty batch's completion is time zero.
+    pub fn submit(&self, client: usize, epoch: u64, reqs: Vec<(VNanos, ByteRange, u64)>) -> u64 {
         let mut p = self.pending.lock();
         let ticket = p.next_ticket;
         p.next_ticket += 1;
         if reqs.is_empty() {
             p.done.insert(ticket, 0);
         } else {
-            for (seq, (arrival, range)) in reqs.into_iter().enumerate() {
+            for (seq, (arrival, range, extent_start)) in reqs.into_iter().enumerate() {
                 p.reqs.push(PendingReq {
                     epoch,
                     ticket,
@@ -204,6 +224,7 @@ impl ServerSet {
                     seq: seq as u64,
                     arrival,
                     range,
+                    extent_start,
                 });
             }
         }
@@ -230,9 +251,12 @@ impl ServerSet {
         p.reqs = due.split_off(due.partition_point(|r| r.epoch <= epoch));
         for r in due {
             let mut done = r.arrival;
+            let opened = ByteRange::new(r.extent_start, r.range.start);
             for (server, bytes) in self.split(r.range) {
+                let prior = self.bytes_on(opened, server);
                 // Deferred requests are the two-phase write path's: writes.
-                done = done.max(self.serve_piece(server, bytes, r.arrival, ServerOp::Write));
+                let end = self.serve_piece(server, prior, bytes, r.arrival, ServerOp::Write);
+                done = done.max(end);
             }
             let slot = p.done.entry(r.ticket).or_insert(0);
             *slot = (*slot).max(done);
@@ -289,7 +313,7 @@ impl ServerSet {
         }
         let mut done = arrival;
         for (server, bytes) in self.split(range) {
-            done = done.max(self.serve_piece(server, bytes, arrival, op));
+            done = done.max(self.serve_piece(server, 0, bytes, arrival, op));
         }
         done
     }
@@ -377,7 +401,7 @@ impl ServerSet {
             drop(health);
             let mut done = arrival;
             for (server, bytes) in pieces {
-                done = done.max(self.serve_piece(server, bytes, arrival, op));
+                done = done.max(self.serve_piece(server, 0, bytes, arrival, op));
             }
             return Ok(done);
         }
@@ -429,31 +453,41 @@ impl ServerSet {
 
     /// Decompose a contiguous range into `(server, bytes)` pieces, ascending
     /// by server, merging the stripe units that land on the same server.
-    /// Each server's bytes follow from the range's first and last stripe
-    /// unit: its whole units in between, less the head of the first unit
-    /// and the tail of the last when it owns them.
-    fn split(&self, range: ByteRange) -> impl Iterator<Item = (usize, u64)> {
-        let n = self.horizons.len() as u64;
-        let su = self.stripe_unit;
-        let first = range.start / su;
-        let last = range.end.saturating_sub(1) / su;
-        let units = if range.is_empty() {
-            0
-        } else {
-            last + 1 - first
-        };
-        let head = range.start - first * su;
-        let tail = (last + 1) * su - range.end;
-        (0..n).filter_map(move |server| {
-            // `server` owns every `n`th unit of `first..=last`, from the
-            // `(server - first) mod n`th on.
-            let owned = units
-                .saturating_sub((server + n - first % n) % n)
-                .div_ceil(n);
-            let head = if first % n == server { head } else { 0 };
-            let tail = if last % n == server { tail } else { 0 };
-            (owned > 0).then(|| (server as usize, owned * su - head - tail))
+    fn split(&self, range: ByteRange) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (0..self.horizons.len()).filter_map(move |server| {
+            let bytes = self.bytes_on(range, server);
+            (bytes > 0).then_some((server, bytes))
         })
+    }
+
+    /// The bytes of `range` that land on `server`, from the range's first
+    /// and last stripe unit: the server's whole units in between, less the
+    /// head of the first unit and the tail of the last when it owns them.
+    fn bytes_on(&self, range: ByteRange, server: usize) -> u64 {
+        if range.is_empty() {
+            return 0;
+        }
+        let (n, su, server) = (self.horizons.len() as u64, self.stripe_unit, server as u64);
+        let (first, last) = (range.start / su, (range.end - 1) / su);
+        // `server` owns every `n`th unit of `first..=last`, from the
+        // `(server - first) mod n`th on.
+        let owned = (last + 1 - first)
+            .saturating_sub((server + n - first % n) % n)
+            .div_ceil(n);
+        if owned == 0 {
+            return 0;
+        }
+        let head = if first % n == server {
+            range.start - first * su
+        } else {
+            0
+        };
+        let tail = if last % n == server {
+            (last + 1) * su - range.end
+        } else {
+            0
+        };
+        owned * su - head - tail
     }
 
     /// Reset all horizons to idle (between benchmark repetitions). Health
@@ -642,12 +676,17 @@ mod tests {
         assert_eq!(s.total_busy(), 0);
     }
 
+    /// A deferred request that is an extent of its own.
+    fn own(arrival: VNanos, range: ByteRange) -> (VNanos, ByteRange, u64) {
+        (arrival, range, range.start)
+    }
+
     #[test]
     fn deferred_requests_replay_in_arrival_order() {
         // Submit out of order in real time; settle sorts by virtual arrival.
         let s = set();
-        let late = s.submit(1, 0, vec![(1_000, ByteRange::at(0, 512))]);
-        let early = s.submit(0, 0, vec![(0, ByteRange::at(0, 512))]);
+        let late = s.submit(1, 0, vec![own(1_000, ByteRange::at(0, 512))]);
+        let early = s.submit(0, 0, vec![own(0, ByteRange::at(0, 512))]);
         s.settle();
         let t_early = s.take_completion(early);
         let t_late = s.take_completion(late);
@@ -659,8 +698,14 @@ mod tests {
 
     #[test]
     fn deferred_outcome_independent_of_submit_order() {
-        let batch_a = vec![(0u64, ByteRange::at(0, 512)), (100, ByteRange::at(0, 512))];
-        let batch_b = vec![(0u64, ByteRange::at(0, 512)), (150, ByteRange::at(0, 512))];
+        let batch_a = vec![
+            own(0u64, ByteRange::at(0, 512)),
+            own(100, ByteRange::at(0, 512)),
+        ];
+        let batch_b = vec![
+            own(0u64, ByteRange::at(0, 512)),
+            own(150, ByteRange::at(0, 512)),
+        ];
 
         let s1 = set();
         let a1 = s1.submit(0, 0, batch_a.clone());
@@ -684,12 +729,56 @@ mod tests {
     #[test]
     fn equal_arrivals_tiebreak_by_client_then_seq() {
         let s = set();
-        let a = s.submit(1, 0, vec![(0, ByteRange::at(0, 1024))]);
-        let b = s.submit(0, 0, vec![(0, ByteRange::at(0, 1024))]);
+        let a = s.submit(1, 0, vec![own(0, ByteRange::at(0, 1024))]);
+        let b = s.submit(0, 0, vec![own(0, ByteRange::at(0, 1024))]);
         s.settle();
         // Client 0 wins the tiebreak even though it submitted second.
         assert_eq!(s.take_completion(b), 1_000 + 1024);
         assert_eq!(s.take_completion(a), 2 * (1_000 + 1024));
+    }
+
+    #[test]
+    fn rows_of_one_extent_pay_each_server_one_per_op() {
+        // Two rows of one extent: every server pays the extent's `per_op`
+        // with the first row and only the bytes of the second.
+        let s = set();
+        let rows = vec![
+            (0, ByteRange::at(0, 4096), 0),
+            (5_000, ByteRange::at(4096, 4096), 0),
+        ];
+        let t = s.submit(0, 0, rows);
+        s.settle();
+        assert_eq!(s.take_completion(t), 5_000 + 1024);
+        // The same ranges as two extents, adjacent or not in one batch: the
+        // second pays again.
+        let s = set();
+        let first = s.submit(0, 0, vec![own(0, ByteRange::at(0, 4096))]);
+        let second = s.submit(0, 0, vec![own(5_000, ByteRange::at(4096, 4096))]);
+        s.settle();
+        assert_eq!(s.take_completion(first), 1_000 + 1024);
+        assert_eq!(s.take_completion(second), 5_000 + 1_000 + 1024);
+        let s = set();
+        let both = vec![
+            own(0, ByteRange::at(0, 4096)),
+            own(5_000, ByteRange::at(4096, 4096)),
+        ];
+        let t = s.submit(0, 0, both);
+        s.settle();
+        assert_eq!(s.take_completion(t), 5_000 + 1_000 + 1024);
+        // Streamed by row or sent whole, an extent costs each server what
+        // one immediate access of it does, rounding included (a third of a
+        // nanosecond per byte).
+        let odd = || ServerSet::new(4, ServeCost::new(1_000, 3.0e9), 1024);
+        let streamed = odd();
+        let rows = (0..3)
+            .map(|r| (0, ByteRange::at(r * 4096, 4096), 0))
+            .collect();
+        let t = streamed.submit(0, 0, rows);
+        streamed.settle();
+        let whole = odd();
+        let done = whole.access(0, ByteRange::at(0, 3 * 4096), ServerOp::Write);
+        assert_eq!(streamed.take_completion(t), done);
+        assert_eq!(streamed.total_busy(), whole.total_busy());
     }
 
     #[test]
@@ -703,7 +792,7 @@ mod tests {
     #[test]
     fn settle_is_idempotent() {
         let s = set();
-        let t = s.submit(0, 0, vec![(5, ByteRange::at(0, 100))]);
+        let t = s.submit(0, 0, vec![own(5, ByteRange::at(0, 100))]);
         s.settle();
         s.settle();
         assert_eq!(s.take_completion(t), 5 + 1_000 + 100);
@@ -713,14 +802,14 @@ mod tests {
     #[should_panic(expected = "not settled")]
     fn unsettled_ticket_panics() {
         let s = set();
-        let t = s.submit(0, 0, vec![(0, ByteRange::at(0, 10))]);
+        let t = s.submit(0, 0, vec![own(0, ByteRange::at(0, 10))]);
         let _ = s.take_completion(t);
     }
     #[test]
     fn settle_through_leaves_later_epochs_pending() {
         let s = set();
-        let first = s.submit(0, 0, vec![(0, ByteRange::at(0, 512))]);
-        let second = s.submit(1, 1, vec![(10, ByteRange::at(0, 512))]);
+        let first = s.submit(0, 0, vec![own(0, ByteRange::at(0, 512))]);
+        let second = s.submit(1, 1, vec![own(10, ByteRange::at(0, 512))]);
         s.settle_through(0);
         assert_eq!(s.pending_requests(), 1, "epoch 1 must stay deposited");
         assert_eq!(s.take_completion(first), 1_000 + 512);
@@ -736,7 +825,7 @@ mod tests {
     }
 
     /// One `submit` call: `(client, epoch, requests)`.
-    type Batch = (usize, u64, Vec<(VNanos, ByteRange)>);
+    type Batch = (usize, u64, Vec<(VNanos, ByteRange, u64)>);
 
     /// Four clients, three epochs each, all on one server so that every
     /// ordering mistake shows in a completion time. An earlier epoch may
@@ -752,8 +841,8 @@ mod tests {
                     client,
                     epoch,
                     vec![
-                        (at, ByteRange::at(0, 256)),
-                        (at + 50, ByteRange::at(4096, 256)),
+                        own(at, ByteRange::at(0, 256)),
+                        own(at + 50, ByteRange::at(4096, 256)),
                     ],
                 ));
             }

@@ -390,16 +390,21 @@ fn golden_unlocked_rmw_fixture_findings_are_stable() {
     );
 }
 
+/// Write-behind depth of [`traced_pipelined_two_phase`]: double-buffered.
+const PIPE_DEPTH: u32 = 2;
+
 /// A deterministic traced run of the pipelined multi-tier two-phase
 /// schedule: 8 ranks on 2 nodes, overlapping halo footprints, 1-stripe
-/// rounds with double-buffered write-behind, and a cross-node direct read
-/// per rank afterwards that only the collective's closing barrier orders.
-fn traced_pipelined_two_phase(sink: &Arc<MemorySink>) {
+/// rounds (one stripe row of each domain) with double-buffered
+/// write-behind, and a cross-node direct read per rank afterwards that only
+/// the collective's closing barrier orders. Returns the rounds each rank
+/// ran.
+fn traced_pipelined_two_phase(sink: &Arc<MemorySink>) -> Vec<usize> {
     use atomio::collective::two_phase_write;
     use atomio::dtype::ViewSegment;
 
     const P: usize = 8;
-    const BLOCK: u64 = 8 * 1024;
+    const BLOCK: u64 = 16 * 1024;
     let fs = FileSystem::new(PlatformProfile::fast_test());
     fs.bind_tracer(Arc::clone(sink) as Arc<dyn TraceSink>);
     let sink = Arc::clone(sink);
@@ -423,10 +428,10 @@ fn traced_pipelined_two_phase(sink: &Arc<MemorySink>) {
             ranks_per_node: 4,
             schedule: ExchangeSchedule::Pipelined {
                 round_stripes: 1,
-                depth: 2,
+                depth: PIPE_DEPTH,
             },
         };
-        two_phase_write(&comm, &file, &segs, &buf, 0, &cfg);
+        let report = two_phase_write(&comm, &file, &segs, &buf, 0, &cfg);
         // Read the block diagonally opposite: it was written by the other
         // node's aggregator, so only the collective's final barrier edge
         // (through the per-group collective machinery) orders this read
@@ -440,7 +445,8 @@ fn traced_pipelined_two_phase(sink: &Arc<MemorySink>) {
                     .unwrap();
             }
         }
-    });
+        report.rounds
+    })
 }
 
 /// Acceptance: one pipelined multi-tier schedule, checked race-free from
@@ -468,13 +474,18 @@ fn pipelined_schedule_trace_is_race_free() {
 
 /// Golden fixture: the Chrome export of the pipelined run is byte-stable
 /// and checks clean through the import path (the invocation CI's
-/// tracecheck smoke runs). Regenerate with
-/// `UPDATE_GOLDEN=1 cargo test --test check_hb golden`.
+/// tracecheck smoke runs), and it runs more rounds than its write-behind
+/// depth, so the trace retires a round on a later round's exchange.
+/// Regenerate with `UPDATE_GOLDEN=1 cargo test --test check_hb golden`.
 #[test]
 fn golden_pipeline_trace_is_stable_and_clean() {
     let export = || {
         let sink = Arc::new(MemorySink::new());
-        traced_pipelined_two_phase(&sink);
+        let rounds = traced_pipelined_two_phase(&sink);
+        assert!(
+            rounds.iter().all(|&r| r > PIPE_DEPTH as usize),
+            "{rounds:?} rounds retire nothing before the drain at depth {PIPE_DEPTH}"
+        );
         sink.export_chrome()
     };
     let a = export();

@@ -12,6 +12,20 @@ use std::sync::Arc;
 
 const FILE_SPAN: u64 = 4096;
 const P: usize = 3;
+/// One stripe row of the test profile: a `FILE_SPAN` stripe unit on each
+/// of its four servers — the unit a pipelined round is counted in.
+const STRIPE_ROW: u64 = 4 * FILE_SPAN;
+
+/// Skew `fps` by `(holder, at, extra)`: rank `holder` also holds a block
+/// that starts `at` stripe rows in and runs `at + extra` rows — over half
+/// the extent, so at least a domain for two aggregators or more, and up to
+/// twelve pipelined rounds of one row each, more than any depth drawn here
+/// keeps in flight. `extra == 0` leaves the case unskewed.
+fn skew_footprints(fps: &mut [IntervalSet], (holder, at, extra): (usize, u64, u64)) {
+    if extra > 0 {
+        fps[holder].insert(ByteRange::at(at * STRIPE_ROW, (at + extra) * STRIPE_ROW));
+    }
+}
 
 /// Random canonical interval set within the file span, never empty.
 fn arb_footprint() -> impl PropStrategy<Value = IntervalSet> {
@@ -302,15 +316,8 @@ proptest! {
         round_stripes in 0u32..=2,
         depth in 0u32..=3,
     ) {
-        // `FILE_SPAN` is one stripe unit of the test profile. The block
-        // starts `at` stripes in and runs `at + extra` stripes: over half
-        // the extent, so at least a domain for two aggregators or more.
-        // `extra == 0` leaves the case unskewed.
         let mut fps = fps;
-        let (holder, at, extra) = skew;
-        if extra > 0 {
-            fps[holder].insert(ByteRange::at(at * FILE_SPAN, (at + extra) * FILE_SPAN));
-        }
+        skew_footprints(&mut fps, skew);
         let flat = run_two_phase_snapshot(&fps, TwoPhaseConfig {
             aggregators: Some(aggregators),
             ranks_per_node,
@@ -337,11 +344,14 @@ proptest! {
     #[test]
     fn both_schedules_ship_and_write_the_union_exactly_once(
         fps in prop::collection::vec(arb_footprint(), 4..=4),
+        skew in (0usize..4, 1u64..=2, 0u64..=4),
         aggregators in 1usize..=4,
         ranks_per_node in 1usize..=4,
         round_stripes in 0u32..=2,
         depth in 0u32..=3,
     ) {
+        let mut fps = fps;
+        skew_footprints(&mut fps, skew);
         let union = IntervalSet::from_ranges(fps.iter().flat_map(|f| f.iter().copied())).total_len();
         let asked: u64 = fps.iter().map(IntervalSet::total_len).sum();
         for schedule in [
