@@ -131,9 +131,10 @@ impl PosixFile {
         }
     }
 
-    /// Release-history entries retained by this file's lock manager
-    /// (diagnostics: the boundedness the history pruner guarantees for
-    /// long-running handles). 0 on lockless platforms.
+    /// Release-map runs held by this file's lock manager (diagnostics):
+    /// bounded by the distinct runs released, not by the number of
+    /// releases, so a long-running handle stays bounded. 0 on lockless
+    /// platforms.
     pub fn lock_history_len(&self) -> usize {
         self.file.locks.as_ref().map_or(0, LockManager::history_len)
     }

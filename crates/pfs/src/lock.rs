@@ -28,7 +28,8 @@
 //! **Domains** (Lustre-style extent locks): byte `b` belongs to lock domain
 //! `(b / stripe_unit) % domains` — the server that stores it. A request is
 //! sliced per domain ([`StridedSet::shard_slice`]) and ordered after each
-//! touched domain's own conflicting release history; the per-domain round
+//! touched domain's own latest conflicting release, which the domain keeps
+//! exactly, per byte run and mode; the per-domain round
 //! trips run concurrently, so virtual grant cost is **max over domains, not
 //! sum**: [`fanout_ns`] over the domains the grant must contact, each on
 //! its own server. With one domain that is exactly one
@@ -114,9 +115,6 @@ pub struct SetGrant {
 /// (which would otherwise hang the test run silently).
 const LOCK_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Soft cap on retained release-history entries per history vector.
-const RELEASE_HISTORY_LIMIT: usize = 512;
-
 /// Two requests conflict when they share a byte and at least one is
 /// exclusive.
 fn conflicts(a: (&StridedSet, LockMode), b: (&StridedSet, LockMode)) -> bool {
@@ -150,14 +148,74 @@ struct DomainToken {
     avail: VNanos,
 }
 
+/// The latest release time of every byte ever released in one mode, over
+/// disjoint runs: `start -> (end, vtime)`. It answers exactly what the
+/// whole release history would. Every run starts at an edge of some
+/// released run, so it holds at most one run per distinct released edge,
+/// however many releases there were.
+#[derive(Debug, Default)]
+struct ReleaseMap(BTreeMap<u64, (u64, VNanos)>);
+
+impl ReleaseMap {
+    /// Cut the run straddling `at`, if any, so that a run starts at `at`.
+    fn split(&mut self, at: u64) {
+        if let Some((&start, &(end, t))) = self.0.range(..at).next_back() {
+            if end > at {
+                self.0.insert(start, (at, t));
+                self.0.insert(at, (end, t));
+            }
+        }
+    }
+
+    /// Record a release of `set` at `t`: each byte keeps its latest time,
+    /// whatever order the releases arrive in.
+    fn record(&mut self, set: &StridedSet, t: VNanos) {
+        for r in set.iter_runs() {
+            self.split(r.start);
+            self.split(r.end);
+            // Every run starting in `r` now ends inside it: raise those,
+            // and fill the gaps between them with `t`.
+            let mut at = r.start;
+            while at < r.end {
+                match self.0.range(at..r.end).next().map(|(&s, &v)| (s, v)) {
+                    Some((s, (end, old))) if s == at => {
+                        self.0.insert(s, (end, old.max(t)));
+                        at = end;
+                    }
+                    next => {
+                        let stop = next.map_or(r.end, |(s, _)| s);
+                        self.0.insert(at, (stop, t));
+                        at = stop;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The latest release of any byte of `set`, or `None` if no byte of it
+    /// was ever released.
+    fn latest(&self, set: &StridedSet) -> Option<VNanos> {
+        set.iter_runs()
+            .flat_map(|r| {
+                let straddling = self.0.range(..=r.start).next_back();
+                straddling
+                    .filter(|(_, &(end, _))| end > r.start)
+                    .into_iter()
+                    .chain(self.0.range(r.start + 1..r.end))
+                    .map(|(_, &(_, t))| t)
+            })
+            .max()
+    }
+}
+
 /// One lock domain: the extent-lock state of one I/O server.
 #[derive(Debug, Default)]
 struct Domain {
-    /// `(set, vtime)` of past exclusive releases: a later conflicting grant
-    /// cannot begin before the writer's release in virtual time.
-    excl_release: Vec<(StridedSet, VNanos)>,
+    /// Past exclusive releases: a later conflicting grant cannot begin
+    /// before the writer's release in virtual time.
+    excl_release: ReleaseMap,
     /// Past shared releases: constrain later exclusive grants.
-    shared_release: Vec<(StridedSet, VNanos)>,
+    shared_release: ReleaseMap,
     tokens: Vec<DomainToken>,
 }
 
@@ -360,10 +418,9 @@ impl LockManager {
         let mut lost: BTreeMap<usize, StridedSet> = BTreeMap::new();
         for (d, slice) in &slices {
             let domain = &mut st.domains[*d];
-            earliest = earliest.max(latest_conflict(&domain.excl_release, slice).unwrap_or(0));
+            earliest = earliest.max(domain.excl_release.latest(slice).unwrap_or(0));
             if mode == LockMode::Exclusive {
-                earliest =
-                    earliest.max(latest_conflict(&domain.shared_release, slice).unwrap_or(0));
+                earliest = earliest.max(domain.shared_release.latest(slice).unwrap_or(0));
             }
             if self.tokens {
                 let cached = domain
@@ -494,16 +551,9 @@ impl LockManager {
             if let Some(t) = domain.tokens.iter_mut().find(|t| t.owner == g.owner) {
                 t.avail = t.avail.max(now);
             }
-            let hist = match g.mode {
-                LockMode::Exclusive => &mut domain.excl_release,
-                LockMode::Shared => &mut domain.shared_release,
-            };
-            hist.push((slice, now));
-            // Prune to `limit / 2` (hysteresis): with persistently distinct
-            // regions the history oscillates between limit/2 and limit, so
-            // the O(limit) set-algebra pass runs once per limit/2 releases.
-            if hist.len() > RELEASE_HISTORY_LIMIT {
-                prune_history(hist, RELEASE_HISTORY_LIMIT / 2);
+            match g.mode {
+                LockMode::Exclusive => domain.excl_release.record(&slice, now),
+                LockMode::Shared => domain.shared_release.record(&slice, now),
             }
         }
         self.cv.notify_all();
@@ -514,14 +564,15 @@ impl LockManager {
         self.state.lock().granted.len()
     }
 
-    /// Release-history entries retained across all domains (diagnostics;
-    /// bounded by pruning).
+    /// Release-map runs held across all domains and both modes
+    /// (diagnostics): bounded by the distinct runs released, not by the
+    /// number of releases.
     pub fn history_len(&self) -> usize {
         self.state
             .lock()
             .domains
             .iter()
-            .map(|d| d.excl_release.len() + d.shared_release.len())
+            .map(|d| d.excl_release.0.len() + d.shared_release.0.len())
             .sum()
     }
 
@@ -535,54 +586,6 @@ impl LockManager {
             .filter(|t| t.owner == owner)
             .fold(StridedSet::new(), |acc, t| acc.union(&t.ranges))
     }
-}
-
-/// Prune a release history down to at most `limit` entries so a
-/// long-running manager stays bounded.
-///
-/// Two stages:
-/// 1. **Exact dominance** — an entry whose byte set is covered by the
-///    union of entries with release time ≥ its own can never constrain a
-///    later grant beyond what the covering entries already enforce (any
-///    conflicting set intersects some covering entry with a ≥ time), so it
-///    is dropped with zero behaviour change. This is what keeps repeated
-///    lock/unlock cycles over the same footprint at O(1) retained entries.
-/// 2. **Conservative coarsening** — if genuinely distinct regions still
-///    exceed the cap, the oldest surplus folds into one `(union, max
-///    time)` entry. Membership stays exact (the union is the same byte
-///    set, and `StridedSet` compression collapses e.g. a progression of
-///    per-run releases into one train); only the *times* of the folded
-///    bytes are rounded up to the group's newest, which can only delay a
-///    later conflicting grant — monotone-safe for the serialization model.
-fn prune_history(hist: &mut Vec<(StridedSet, VNanos)>, limit: usize) {
-    hist.sort_by_key(|e| std::cmp::Reverse(e.1)); // newest first
-    let mut acc = StridedSet::new();
-    let mut kept: Vec<(StridedSet, VNanos)> = Vec::with_capacity(hist.len().min(limit + 1));
-    for (s, t) in hist.drain(..) {
-        if s.subtract(&acc).is_empty() {
-            continue;
-        }
-        acc.union_with(&s);
-        kept.push((s, t));
-    }
-    if kept.len() > limit {
-        let tail = kept.split_off(limit - 1);
-        let t = tail.iter().map(|(_, t)| *t).max().expect("non-empty tail");
-        let mut folded = StridedSet::new();
-        for (s, _) in &tail {
-            folded.union_with(s);
-        }
-        kept.push((folded, t));
-    }
-    *hist = kept;
-}
-
-/// Latest release time in `hist` conflicting with `set`, if any.
-fn latest_conflict(hist: &[(StridedSet, VNanos)], set: &StridedSet) -> Option<VNanos> {
-    hist.iter()
-        .filter(|(s, _)| s.overlaps(set))
-        .map(|(_, t)| *t)
-        .max()
 }
 
 #[cfg(test)]
@@ -727,7 +730,11 @@ mod tests {
         released.store(true, Ordering::SeqCst);
         m.release(s1.id, 500);
         h.join().unwrap();
-        assert_eq!(m.history_len(), 2, "both releases land in one history");
+        let st = m.state.lock();
+        assert!(
+            st.domains.iter().all(|d| d.shared_release.0.is_empty()),
+            "both releases land in the exclusive map"
+        );
     }
 
     #[test]
@@ -817,35 +824,17 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_max_release_times() {
-        for kind in PRESETS {
-            let m = mgr(kind, 0, 0);
-            // Push far more than the history limit of overlapping releases.
-            for i in 0..2_000u64 {
-                let g = m.acquire_set(0, &range(0, 10), Exclusive, 0);
-                m.release(g.id, g.granted_at.max(i));
-            }
-            let g = m.acquire_set(1, &range(5, 6), Exclusive, 0);
-            assert!(
-                g.granted_at >= 1_999,
-                "{kind:?}: history compaction lost the latest release time"
-            );
-        }
-    }
-
-    #[test]
     fn repeated_cycles_keep_history_bounded() {
-        // The release history of a long-running manager must not grow with
-        // the number of lock/unlock cycles (exact dominance pruning), under
-        // two ping-ponging owners and 7 regions spread over the domains.
-        // Pruning is lazy (it fires when a history crosses the limit), so
-        // the bound is the limit per history vector: two per domain, one
-        // for the mode-folding preset.
-        for (kind, histories) in [
+        // The release maps of a long-running manager must not grow with
+        // the number of lock/unlock cycles, under two ping-ponging owners
+        // and 7 one-run regions spread over the domains: they hold at most
+        // the distinct runs released, 7 per mode (one mode on the
+        // mode-folding preset).
+        for (kind, modes) in [
             (Central, 2),
             (Distributed, 1),
-            (Sharded, 2 * 4),
-            (ShardedTokens, 2 * 4),
+            (Sharded, 2),
+            (ShardedTokens, 2),
         ] {
             let m = mgr(kind, 0, 0);
             let mut now = 0;
@@ -859,7 +848,7 @@ mod tests {
                 }
             }
             assert!(
-                m.history_len() <= histories * RELEASE_HISTORY_LIMIT,
+                m.history_len() <= 7 * modes,
                 "{kind:?}: history grew to {}",
                 m.history_len()
             );
@@ -1377,47 +1366,62 @@ mod tests {
         h.join().unwrap();
     }
 
-    // -------------------------------------------------- history pruning
+    // -------------------------------------------------- release maps
 
-    #[test]
-    fn dominance_drops_covered_entries_exactly() {
-        // 1000 releases of the same range: only the newest can ever bind.
-        let mut hist: Vec<(StridedSet, VNanos)> = (0..1000).map(|t| (at(0, 10), t)).collect();
-        prune_history(&mut hist, RELEASE_HISTORY_LIMIT);
-        assert_eq!(hist.len(), 1);
-        assert_eq!(hist[0].1, 999);
-        assert_eq!(latest_conflict(&hist, &at(5, 1)), Some(999));
+    /// A release set: the union of one or two trains in the first 4 KiB,
+    /// each one run or several (touching runs merge into one).
+    fn arb_release_set() -> impl proptest::strategy::Strategy<Value = StridedSet> {
+        use proptest::strategy::Strategy;
+        let train = (0u64..4096, 1u64..64, 0u64..5, 1u64..8);
+        proptest::collection::vec(train, 1..3).prop_map(|trains| {
+            trains
+                .iter()
+                .fold(StridedSet::new(), |acc, &(start, len, gap, count)| {
+                    acc.union(&comb(start, len, len + gap * 16, count))
+                })
+        })
     }
 
-    #[test]
-    fn dominance_keeps_uncovered_older_entries() {
-        // Older entry sticks out beyond the newer one: both must stay.
-        let mut hist = vec![(at(0, 100), 10), (at(50, 30), 20)];
-        prune_history(&mut hist, RELEASE_HISTORY_LIMIT);
-        assert_eq!(hist.len(), 2);
-        assert_eq!(latest_conflict(&hist, &at(0, 1)), Some(10));
-        assert_eq!(latest_conflict(&hist, &at(60, 1)), Some(20));
-        assert_eq!(latest_conflict(&hist, &at(200, 1)), None);
-    }
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn coarsening_bounds_distinct_regions_and_compresses() {
-        // 4096 disjoint per-run releases in an arithmetic progression:
-        // dominance can't drop any, so the tail folds — and the folded
-        // union compresses back into one train.
-        let mut hist: Vec<(StridedSet, VNanos)> =
-            (0..4096u64).map(|i| (at(i * 64, 16), i)).collect();
-        prune_history(&mut hist, 32);
-        assert!(hist.len() <= 32, "len {}", hist.len());
-        // Folding may only *raise* constraint times, never lose a region.
-        let t = latest_conflict(&hist, &at(0, 1)).expect("region kept");
-        assert!(t <= 4095, "folded time must come from real releases");
-        // Bytes never released stay unconstrained: membership is exact.
-        assert_eq!(latest_conflict(&hist, &at(16, 8)), None);
-        let total_trains: usize = hist.iter().map(|(s, _)| s.train_count()).sum();
-        assert!(
-            total_trains <= 64,
-            "folded progression must compress, got {total_trains} trains"
-        );
+        /// The release maps answer exactly what the whole history answers:
+        /// the latest release over every past release of a conflicting
+        /// mode that shares a byte with the query, or `None`. Release times
+        /// arrive out of order.
+        #[test]
+        fn release_map_matches_brute_force_history(
+            releases in proptest::collection::vec(
+                (arb_release_set(), proptest::prelude::any::<bool>(), 0u64..1_000),
+                1..40,
+            ),
+            queries in proptest::collection::vec(
+                (arb_release_set(), proptest::prelude::any::<bool>()),
+                1..20,
+            ),
+        ) {
+            let mode = |exclusive: bool| if exclusive { Exclusive } else { Shared };
+            let mut domain = Domain::default();
+            for (set, exclusive, t) in &releases {
+                match mode(*exclusive) {
+                    Exclusive => domain.excl_release.record(set, *t),
+                    Shared => domain.shared_release.record(set, *t),
+                }
+            }
+            for (set, exclusive) in &queries {
+                let want = releases
+                    .iter()
+                    .filter(|(s, e, _)| conflicts((s, mode(*e)), (set, mode(*exclusive))))
+                    .map(|(_, _, t)| *t)
+                    .max();
+                let excl = domain.excl_release.latest(set);
+                let got = if *exclusive {
+                    excl.max(domain.shared_release.latest(set))
+                } else {
+                    excl
+                };
+                proptest::prop_assert_eq!(got, want, "query {} ({})", set, exclusive);
+            }
+        }
     }
 }
