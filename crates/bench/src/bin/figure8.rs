@@ -29,8 +29,8 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use atomio_bench::{
-    bar, check_shape, measure_colwise, measure_colwise_traced, strategies_for, Point, CSV_HEADER,
-    DEFAULT_R, PAPER_PROCS, PAPER_SIZES,
+    bar, check_shape, measure_colwise_two_phase, strategies_for, Point, CSV_HEADER, DEFAULT_R,
+    PAPER_PROCS, PAPER_SIZES,
 };
 use atomio_core::{IoPath, TwoPhaseConfig};
 use atomio_pfs::PlatformProfile;
@@ -89,28 +89,17 @@ fn main() {
                     let sink = trace_sink
                         .as_ref()
                         .filter(|_| panels == 1 && p == PAPER_PROCS[0]);
-                    let pt = match sink {
-                        Some(sink) => measure_colwise_traced(
-                            &profile,
-                            m,
-                            n,
-                            p,
-                            DEFAULT_R,
-                            Some(strategy),
-                            IoPath::Direct,
-                            TwoPhaseConfig::default(),
-                            sink,
-                        ),
-                        None => measure_colwise(
-                            &profile,
-                            m,
-                            n,
-                            p,
-                            DEFAULT_R,
-                            Some(strategy),
-                            IoPath::Direct,
-                        ),
-                    };
+                    let pt = measure_colwise_two_phase(
+                        &profile,
+                        m,
+                        n,
+                        p,
+                        DEFAULT_R,
+                        Some(strategy),
+                        IoPath::Direct,
+                        TwoPhaseConfig::default(),
+                        sink,
+                    );
                     writeln!(csv, "{}", pt.csv_row()).unwrap();
                     panel_points.push(pt);
                 }

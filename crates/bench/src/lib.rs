@@ -6,10 +6,10 @@
 //! measured in **virtual time** and reported as aggregate MiB/s — the unit
 //! of Figure 8's y-axes.
 //!
-//! The benches that emit a `BENCH_<name>.json` build on [`artifact`]: its
-//! flags, makespan arithmetic, `--trace` recorder and the artifact's frame
-//! are written there once, so a bench file is its scenario and its
-//! acceptance thresholds.
+//! The benches that emit a `BENCH_<name>.json` build on [`Args`] and
+//! [`Artifact`] (`artifact.rs`): flags, makespan arithmetic, the `--trace`
+//! recorder and the artifact's frame are written there once, so a bench
+//! file is its scenario and its acceptance thresholds.
 
 use std::sync::Arc;
 
@@ -99,57 +99,19 @@ pub fn measure_colwise(
         strategy,
         io_path,
         TwoPhaseConfig::default(),
+        None,
     )
 }
 
 /// [`measure_colwise`] with an explicit two-phase configuration, for
-/// aggregator-count sweeps. The configuration only matters when `strategy`
-/// is [`Strategy::TwoPhase`].
+/// aggregator-count sweeps, and an optional trace sink. The configuration
+/// only matters when `strategy` is [`Strategy::TwoPhase`]. With a `sink`,
+/// every rank's comm/lock/cache events and every server's service spans
+/// land in it, ready for [`MemorySink::export_chrome`]. Successive traced
+/// runs share the sink, so their timelines overlay (each run restarts
+/// virtual time at zero).
 #[allow(clippy::too_many_arguments)] // an experiment point is wide
 pub fn measure_colwise_two_phase(
-    profile: &PlatformProfile,
-    m: u64,
-    n: u64,
-    p: usize,
-    r: u64,
-    strategy: Option<Strategy>,
-    io_path: IoPath,
-    two_phase: TwoPhaseConfig,
-) -> Point {
-    measure_colwise_inner(profile, m, n, p, r, strategy, io_path, two_phase, None)
-}
-
-/// [`measure_colwise_two_phase`] with tracing: every rank's comm/lock/cache
-/// events and every server's service spans land in `sink`, ready for
-/// [`MemorySink::export_chrome`]. Successive traced runs share the sink, so
-/// their timelines overlay (each run restarts virtual time at zero).
-#[allow(clippy::too_many_arguments)] // an experiment point is wide
-pub fn measure_colwise_traced(
-    profile: &PlatformProfile,
-    m: u64,
-    n: u64,
-    p: usize,
-    r: u64,
-    strategy: Option<Strategy>,
-    io_path: IoPath,
-    two_phase: TwoPhaseConfig,
-    sink: &Arc<MemorySink>,
-) -> Point {
-    measure_colwise_inner(
-        profile,
-        m,
-        n,
-        p,
-        r,
-        strategy,
-        io_path,
-        two_phase,
-        Some(sink),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measure_colwise_inner(
     profile: &PlatformProfile,
     m: u64,
     n: u64,
@@ -299,7 +261,7 @@ pub fn check_shape(points: &[Point]) -> Vec<String> {
     failures
 }
 
-pub mod artifact;
+mod artifact;
 
 pub use artifact::{makespan, ratio, reduction, Args, Artifact, TraceFile};
 pub use atomio_trace::{json::Value, object};
@@ -421,6 +383,7 @@ mod tests {
                 ranks_per_node: 1,
                 schedule: ExchangeSchedule::Flat,
             },
+            None,
         );
         let eight = measure_colwise_two_phase(
             &prof,
@@ -435,6 +398,7 @@ mod tests {
                 ranks_per_node: 1,
                 schedule: ExchangeSchedule::Flat,
             },
+            None,
         );
         assert!(
             eight.mibps > one.mibps,

@@ -142,12 +142,6 @@ pub struct HbReport {
     pub findings: Vec<Finding>,
 }
 
-impl HbReport {
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
 impl std::fmt::Display for HbReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.findings.is_empty() {
@@ -597,14 +591,14 @@ mod tests {
     #[test]
     fn reads_never_conflict_with_reads() {
         let report = check_events(&[r(0, 0, 0, 64), r(1, 5, 0, 64)]);
-        assert!(report.is_clean());
+        assert!(report.findings.is_empty());
         assert_eq!(report.accesses, 2);
     }
 
     #[test]
     fn disjoint_writes_are_clean() {
         let report = check_events(&[w(0, 0, 0, 64), w(1, 5, 64, 64)]);
-        assert!(report.is_clean());
+        assert!(report.findings.is_empty());
     }
 
     #[test]
@@ -618,7 +612,7 @@ mod tests {
             r(1, 12, 0, 64),
             ev(1, Category::Lock, "lock release", 22, None, lock_args),
         ]);
-        assert!(report.is_clean(), "{report}");
+        assert!(report.findings.is_empty(), "{report}");
         assert!(report.sync_joins >= 1);
     }
 
@@ -632,7 +626,7 @@ mod tests {
             ev(1, Category::Lock, "lock wait", 2, Some(1), shared),
             r(1, 3, 0, 64),
         ]);
-        assert!(report.is_clean());
+        assert!(report.findings.is_empty());
         assert_eq!(report.sync_joins, 0, "shared/shared must not synchronize");
     }
 
@@ -666,7 +660,7 @@ mod tests {
             ),
             r(1, 15, 0, 64),
         ]);
-        assert!(report.is_clean(), "{report}");
+        assert!(report.findings.is_empty(), "{report}");
     }
 
     #[test]
@@ -677,7 +671,7 @@ mod tests {
             ev(1, Category::Comm, "barrier", 12, Some(3), &[]),
             r(1, 15, 0, 64),
         ]);
-        assert!(report.is_clean(), "{report}");
+        assert!(report.findings.is_empty(), "{report}");
     }
 
     #[test]
@@ -718,7 +712,7 @@ mod tests {
             ev(3, Category::Comm, "barrier", 20, Some(5), &[]),
             r(3, 26, 0, 64),
         ]);
-        assert!(report.is_clean(), "{report}");
+        assert!(report.findings.is_empty(), "{report}");
     }
 
     #[test]
@@ -750,7 +744,7 @@ mod tests {
             r(1, 12, 0, 64),
         ]);
         let report = check_chrome_json(&clean).unwrap();
-        assert!(report.is_clean(), "{report}");
+        assert!(report.findings.is_empty(), "{report}");
     }
 
     #[test]

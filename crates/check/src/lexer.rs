@@ -38,7 +38,7 @@ pub struct Tok {
 }
 
 impl Tok {
-    pub fn is(&self, kind: TokKind, text: &str) -> bool {
+    pub(crate) fn is(&self, kind: TokKind, text: &str) -> bool {
         self.kind == kind && self.text == text
     }
     pub fn is_ident(&self, text: &str) -> bool {

@@ -5,11 +5,12 @@
 //! revocation visibility contract, the declared `atomio-pfs` lock order)
 //! mechanically checkable.
 //!
-//! * [`hb`] — a vector-clock happens-before detector over recorded
+//! * `hb` ([`check_events`], [`check_chrome_json`]) — a vector-clock
+//!   happens-before detector over recorded
 //!   [`atomio_trace`] event streams: reports conflicting overlapping
 //!   byte accesses with no grant-release→acquire, revocation-flush, or
 //!   collective edge between them.
-//! * [`lockorder`] — [`OrderedMutex`], a drop-in mutex wrapper whose
+//! * `lockorder` — [`OrderedMutex`], a drop-in mutex wrapper whose
 //!   every class carries a declared rank that a thread may only climb,
 //!   and [`assert_may_wait`], which rejects a lock held where a thread
 //!   waits for another (debug/test builds only; release builds compile
@@ -19,9 +20,9 @@
 //! source rules themselves are compiler lint levels: see the workspace
 //! `Cargo.toml` and `crates/pfs/clippy.toml`.
 
-pub mod hb;
+mod hb;
 pub mod lexer;
-pub mod lockorder;
+mod lockorder;
 
 pub use hb::{check_chrome_json, check_events, write_accesses, AccessSite, Finding, HbReport};
 pub use lockorder::{assert_may_wait, OrderedMutex, OrderedMutexGuard};

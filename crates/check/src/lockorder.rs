@@ -98,10 +98,6 @@ impl<T> OrderedMutex<T> {
             inner: parking_lot::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
 }
 
 impl<T: ?Sized> OrderedMutex<T> {

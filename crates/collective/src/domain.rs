@@ -28,7 +28,7 @@ pub struct FileDomain {
 /// seats and is the assignment uniform holdings fall back to; which rank
 /// of a node serves, and which domain, follows what the ranks already hold
 /// (`TwoPhaseConfig::aggregators`).
-pub fn choose_aggregators(p: usize, want: usize, ranks_per_node: usize) -> Vec<usize> {
+pub(crate) fn choose_aggregators(p: usize, want: usize, ranks_per_node: usize) -> Vec<usize> {
     assert!(p > 0, "need at least one rank");
     let want = want.clamp(1, p);
     let rpn = ranks_per_node.max(1);

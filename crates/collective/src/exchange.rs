@@ -9,7 +9,7 @@ use crate::domain::FileDomain;
 /// travels through `Comm::alltoallv`. A piece is copied out of the caller's
 /// buffer where it enters a collective (`gatherv` or `alltoallv`), and only
 /// there: what a rank routes to its own domain stays a slice of it.
-pub type Piece = (u64, Vec<u8>);
+pub(crate) type Piece = (u64, Vec<u8>);
 
 /// A piece by reference — into the caller's buffer or a received [`Piece`].
 pub(crate) type PieceRef<'a> = (u64, &'a [u8]);

@@ -61,7 +61,7 @@ mod staged;
 mod surrender;
 mod two_phase;
 
-pub use domain::{choose_aggregators, partition_domains, FileDomain};
+pub use domain::{partition_domains, FileDomain};
 pub use surrender::{higher_union_strided, surviving_pieces_strided};
 pub use two_phase::{
     two_phase_read, two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReadReport,

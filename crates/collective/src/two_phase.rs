@@ -9,7 +9,7 @@ use atomio_pfs::{FsError, PosixFile};
 use atomio_trace::Category;
 use atomio_vtime::{NodeTopology, WireSize};
 
-use crate::choose_aggregators;
+use crate::domain::choose_aggregators;
 use crate::domain::{own_by_locality, partition_domains, FileDomain};
 use crate::exchange::{split, Piece};
 
@@ -56,7 +56,7 @@ pub struct TwoPhaseConfig {
     /// The pipelined schedule additionally clamps to the node count, so
     /// every aggregator is a node leader.
     ///
-    /// The count — and through [`choose_aggregators`] the count per node —
+    /// The count — and through `choose_aggregators` the count per node —
     /// is all this fixes. Which ranks serve, and which domain each gets,
     /// follows the footprints of the call: a domain goes to the candidate
     /// already holding the most of it, in rank order when nobody holds

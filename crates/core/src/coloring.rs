@@ -58,16 +58,6 @@ impl OverlapMatrix {
         self.bits[i * self.n + j]
     }
 
-    /// Number of processes whose views overlap process `i`.
-    pub fn degree(&self, i: usize) -> usize {
-        (0..self.n).filter(|&j| self.overlaps(i, j)).count()
-    }
-
-    /// Maximum degree Δ of the overlap graph.
-    pub fn max_degree(&self) -> usize {
-        (0..self.n).map(|i| self.degree(i)).max().unwrap_or(0)
-    }
-
     fn set(&mut self, i: usize, j: usize) {
         self.bits[i * self.n + j] = true;
         self.bits[j * self.n + i] = true;
@@ -104,7 +94,7 @@ pub fn greedy_color(w: &OverlapMatrix) -> Vec<usize> {
 }
 
 /// Number of colors (= I/O phases) of a coloring.
-pub fn color_count(colors: &[usize]) -> usize {
+pub(crate) fn color_count(colors: &[usize]) -> usize {
     colors.iter().max().map_or(0, |&c| c + 1)
 }
 
@@ -319,7 +309,15 @@ mod tests {
                 }
             }
         }
-        assert!(color_count(&colors) <= w.max_degree() + 1);
+        assert!(color_count(&colors) <= max_degree(&w) + 1);
+    }
+
+    /// Maximum degree Δ of the overlap graph.
+    fn max_degree(w: &OverlapMatrix) -> usize {
+        (0..w.len())
+            .map(|i| (0..w.len()).filter(|&j| w.overlaps(i, j)).count())
+            .max()
+            .unwrap_or(0)
     }
 
     /// W by one dense `IntervalSet::overlaps` test per pair: the reference
@@ -345,8 +343,7 @@ mod tests {
         assert!(w.overlaps(1, 0));
         assert!(!w.overlaps(1, 2), "touching but not overlapping");
         assert!(!w.overlaps(0, 2));
-        assert_eq!(w.degree(1), 1);
-        assert_eq!(w.max_degree(), 1);
+        assert_eq!(max_degree(&w), 1);
     }
 
     #[test]

@@ -982,8 +982,8 @@ impl<'c> MpiFile<'c> {
     /// phase each) and of every graph-coloring phase: ranks with `work`
     /// submit it open-loop and pipelined, a barrier proves every concurrent
     /// writer's requests are deposited, the writers settle
-    /// deterministically (see `ServerSet::settle`), and a second barrier
-    /// ends the phase. On the cached path the pipelining is delegated to
+    /// deterministically (see `ServerSet::settle_through`), and a second
+    /// barrier ends the phase. On the cached path the pipelining is delegated to
     /// write-behind + sync, the protocol §3 prescribes ("a file
     /// synchronization call immediately following every write call is
     /// required"), and one barrier follows.

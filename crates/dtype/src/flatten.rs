@@ -194,19 +194,20 @@ mod tests {
     fn struct_order_preserved_not_sorted() {
         // Struct fields flatten in field order even if displacements are
         // decreasing (MPI typemap order).
-        let t = Datatype::structured(vec![
-            crate::StructField {
-                blocklen: 1,
-                disp: 8,
-                child: Datatype::int32(),
-            },
-            crate::StructField {
-                blocklen: 1,
-                disp: 0,
-                child: Datatype::int32(),
-            },
-        ])
-        .unwrap();
+        let t = Datatype::Struct {
+            fields: vec![
+                crate::StructField {
+                    blocklen: 1,
+                    disp: 8,
+                    child: Datatype::int32(),
+                },
+                crate::StructField {
+                    blocklen: 1,
+                    disp: 0,
+                    child: Datatype::int32(),
+                },
+            ],
+        };
         assert_eq!(
             t.flatten(),
             vec![Segment { disp: 8, len: 4 }, Segment { disp: 0, len: 4 }]

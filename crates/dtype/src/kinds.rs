@@ -136,7 +136,7 @@ impl Datatype {
         }))
     }
 
-    pub fn hvector(
+    pub(crate) fn hvector(
         count: u64,
         blocklen: u64,
         stride_bytes: i64,
@@ -153,16 +153,6 @@ impl Datatype {
         }))
     }
 
-    pub fn indexed(
-        blocks: Vec<(u64, i64)>,
-        child: Arc<Datatype>,
-    ) -> Result<Arc<Datatype>, DatatypeError> {
-        if blocks.is_empty() {
-            return Err(DatatypeError::ZeroSize("indexed block list"));
-        }
-        Ok(Arc::new(Datatype::Indexed { blocks, child }))
-    }
-
     pub fn hindexed(
         blocks: Vec<(u64, i64)>,
         child: Arc<Datatype>,
@@ -171,13 +161,6 @@ impl Datatype {
             return Err(DatatypeError::ZeroSize("hindexed block list"));
         }
         Ok(Arc::new(Datatype::Hindexed { blocks, child }))
-    }
-
-    pub fn structured(fields: Vec<StructField>) -> Result<Arc<Datatype>, DatatypeError> {
-        if fields.is_empty() {
-            return Err(DatatypeError::ZeroSize("struct field list"));
-        }
-        Ok(Arc::new(Datatype::Struct { fields }))
     }
 
     pub fn resized(
@@ -235,7 +218,7 @@ impl Datatype {
     }
 
     /// Upper bound in bytes.
-    pub fn ub(&self) -> i64 {
+    pub(crate) fn ub(&self) -> i64 {
         match self {
             Datatype::Resized { lb, extent, .. } => lb + *extent as i64,
             _ => self.true_span().1,
@@ -255,7 +238,7 @@ impl Datatype {
     /// blocks (the span is linear in the block index), so this is O(blocks)
     /// for indexed types and O(1) for contiguous/vector — safe for types with
     /// enormous counts.
-    pub fn true_span(&self) -> (i64, i64) {
+    pub(crate) fn true_span(&self) -> (i64, i64) {
         match self {
             Datatype::Elementary { size, .. } => (0, *size as i64),
             Datatype::Contiguous { count, child } => {
@@ -314,7 +297,7 @@ impl Datatype {
     }
 
     /// Number of contiguous segments in one instance (after coalescing).
-    pub fn segment_count(&self) -> usize {
+    pub(crate) fn segment_count(&self) -> usize {
         self.flatten().len()
     }
 
@@ -394,7 +377,10 @@ mod tests {
 
     #[test]
     fn indexed_blocks() {
-        let t = Datatype::indexed(vec![(2, 0), (1, 10)], Datatype::int32()).unwrap();
+        let t = Datatype::Indexed {
+            blocks: vec![(2, 0), (1, 10)],
+            child: Datatype::int32(),
+        };
         assert_eq!(t.size(), 12);
         let segs = t.flatten();
         assert_eq!(
@@ -413,19 +399,20 @@ mod tests {
 
     #[test]
     fn struct_fields() {
-        let t = Datatype::structured(vec![
-            StructField {
-                blocklen: 1,
-                disp: 0,
-                child: Datatype::int32(),
-            },
-            StructField {
-                blocklen: 2,
-                disp: 8,
-                child: Datatype::double(),
-            },
-        ])
-        .unwrap();
+        let t = Datatype::Struct {
+            fields: vec![
+                StructField {
+                    blocklen: 1,
+                    disp: 0,
+                    child: Datatype::int32(),
+                },
+                StructField {
+                    blocklen: 2,
+                    disp: 8,
+                    child: Datatype::double(),
+                },
+            ],
+        };
         assert_eq!(t.size(), 4 + 16);
         assert_eq!(t.extent(), 24);
         assert_eq!(t.segment_count(), 2);
@@ -444,8 +431,6 @@ mod tests {
         assert!(Datatype::contiguous(0, Datatype::byte()).is_err());
         assert!(Datatype::vector(0, 1, 1, Datatype::byte()).is_err());
         assert!(Datatype::vector(1, 0, 1, Datatype::byte()).is_err());
-        assert!(Datatype::indexed(vec![], Datatype::byte()).is_err());
-        assert!(Datatype::structured(vec![]).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub enum ArrayOrder {
 /// inside the full array, and its extent equals the full array size, so the
 /// type tiles correctly when installed as a file view (repetition `r` of the
 /// filetype begins at `r * full_array_bytes`).
-pub fn build(
+pub(crate) fn build(
     sizes: &[u64],
     subsizes: &[u64],
     starts: &[u64],

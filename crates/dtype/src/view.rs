@@ -176,11 +176,6 @@ impl FileView {
         })
     }
 
-    /// Bytes per etype: I/O offsets are multiples of this.
-    pub fn etype_size(&self) -> u64 {
-        self.etype_size
-    }
-
     /// Convert an offset in etypes to a logical stream byte offset.
     pub fn etype_offset_to_bytes(&self, offset_etypes: u64) -> u64 {
         offset_etypes * self.etype_size

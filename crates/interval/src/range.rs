@@ -44,7 +44,7 @@ impl ByteRange {
     }
 
     /// True when the ranges overlap or touch end-to-start (can be coalesced).
-    pub fn adjoins(&self, other: &ByteRange) -> bool {
+    pub(crate) fn adjoins(&self, other: &ByteRange) -> bool {
         self.start <= other.end && other.start <= self.end
     }
 

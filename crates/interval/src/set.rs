@@ -222,11 +222,6 @@ impl IntervalSet {
         IntervalSet { runs: out }
     }
 
-    /// Complement within a universe range.
-    pub fn complement_within(&self, universe: ByteRange) -> IntervalSet {
-        IntervalSet::from_range(universe).subtract(self)
-    }
-
     /// The gaps between consecutive runs (no leading/trailing gap).
     pub fn gaps(&self) -> IntervalSet {
         let runs = self
@@ -360,7 +355,7 @@ mod tests {
         let a = set(&[(10, 20), (30, 40)]);
         assert_eq!(a.gaps(), set(&[(20, 30)]));
         assert_eq!(
-            a.complement_within(ByteRange::new(0, 50)),
+            IntervalSet::from_range(ByteRange::new(0, 50)).subtract(&a),
             set(&[(0, 10), (20, 30), (40, 50)])
         );
     }

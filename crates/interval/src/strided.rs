@@ -108,7 +108,7 @@ impl Train {
     }
 
     /// Total bytes covered (runs are disjoint by invariant).
-    pub fn nbytes(&self) -> u64 {
+    pub(crate) fn nbytes(&self) -> u64 {
         self.len * self.count
     }
 
@@ -118,7 +118,7 @@ impl Train {
     }
 
     /// Bounding range `[start, end)`.
-    pub fn bounds(&self) -> ByteRange {
+    pub(crate) fn bounds(&self) -> ByteRange {
         ByteRange::new(self.start, self.end())
     }
 

@@ -30,7 +30,7 @@ pub(crate) struct Endpoint {
 
 impl Endpoint {
     /// Every byte this rank puts on a wire.
-    pub fn sent(&self) -> u64 {
+    pub(crate) fn sent(&self) -> u64 {
         self.send.iter().sum()
     }
 
@@ -203,7 +203,7 @@ struct Round {
 const COLLECTIVE_TIMEOUT: Duration = Duration::from_secs(60);
 
 impl CollState {
-    pub fn new(nprocs: usize) -> Self {
+    pub(crate) fn new(nprocs: usize) -> Self {
         CollState {
             inner: Mutex::new(Round {
                 gen: 0,
@@ -232,7 +232,7 @@ impl CollState {
     ///
     /// Returns `(result, finish_time, bytes this rank sent)`; the caller
     /// must advance its clock to the finish time.
-    pub fn rendezvous<T, R>(
+    pub(crate) fn rendezvous<T, R>(
         &self,
         rank: usize,
         nprocs: usize,

@@ -74,15 +74,6 @@ impl Comm {
         self.world_rank
     }
 
-    /// World rank of this communicator's local rank `r`.
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        debug_assert!(r < self.size);
-        match &self.members {
-            Some(m) => m[r],
-            None => r,
-        }
-    }
-
     /// This rank's virtual clock.
     pub fn clock(&self) -> &Clock {
         &self.clock
@@ -222,7 +213,7 @@ impl Comm {
     /// Like [`Comm::split`], but ranks passing `None` opt out of every group
     /// (MPI's `MPI_UNDEFINED`) and receive `None`. Every rank of this
     /// communicator must still make the call — it is itself collective.
-    pub fn split_opt(&self, color: Option<u64>) -> Option<Comm> {
+    pub(crate) fn split_opt(&self, color: Option<u64>) -> Option<Comm> {
         self.split_with_net(color, self.shared.net.clone())
     }
 
@@ -398,14 +389,14 @@ mod tests {
             match sub {
                 Some(s) => {
                     let members = s.allgather(s.world_rank() as u64);
-                    Some((s.rank(), s.size(), members, s.world_rank_of(2)))
+                    Some((s.rank(), s.size(), members))
                 }
                 None => None,
             }
         });
-        assert_eq!(out[0], Some((0, 3, vec![0, 2, 4], 4)));
+        assert_eq!(out[0], Some((0, 3, vec![0, 2, 4])));
         assert_eq!(out[1], None);
-        assert_eq!(out[4], Some((2, 3, vec![0, 2, 4], 4)));
+        assert_eq!(out[4], Some((2, 3, vec![0, 2, 4])));
     }
 
     #[test]

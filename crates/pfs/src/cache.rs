@@ -26,7 +26,7 @@ pub struct CacheParams {
 impl CacheParams {
     /// NFS-flavoured client caching: aggressive read-ahead & write-behind
     /// (the ENFS behaviour the paper calls out in §3).
-    pub fn nfs_like() -> Self {
+    pub(crate) fn nfs_like() -> Self {
         CacheParams {
             enabled: true,
             page_size: 32 * 1024,
@@ -38,7 +38,7 @@ impl CacheParams {
     }
 
     /// Local/direct-attached file system (XFS on the Origin2000).
-    pub fn local_fs() -> Self {
+    pub(crate) fn local_fs() -> Self {
         CacheParams {
             enabled: true,
             page_size: 16 * 1024,
@@ -50,7 +50,7 @@ impl CacheParams {
     }
 
     /// GPFS-flavoured client caching.
-    pub fn gpfs_like() -> Self {
+    pub(crate) fn gpfs_like() -> Self {
         CacheParams {
             enabled: true,
             page_size: 256 * 1024,
@@ -62,7 +62,7 @@ impl CacheParams {
     }
 
     /// Tiny pages and thresholds for unit tests.
-    pub fn test_small() -> Self {
+    pub(crate) fn test_small() -> Self {
         CacheParams {
             enabled: true,
             page_size: 1024,
@@ -100,6 +100,7 @@ pub struct ClientCache {
     pub(crate) coverage: StridedSet,
     /// Total eviction-loop iterations ever run (diagnostics: the pressure
     /// test asserts this stays linear in the pages inserted).
+    #[cfg(test)]
     evict_scan_steps: u64,
 }
 
@@ -112,11 +113,12 @@ impl ClientCache {
             valid: IntervalSet::new(),
             dirty: IntervalSet::new(),
             coverage: StridedSet::new(),
+            #[cfg(test)]
             evict_scan_steps: 0,
         }
     }
 
-    pub fn params(&self) -> &CacheParams {
+    pub(crate) fn params(&self) -> &CacheParams {
         &self.params
     }
 
@@ -139,16 +141,6 @@ impl ClientCache {
     /// byte-accurate usable-contents view.
     pub fn resident_bytes(&self) -> u64 {
         self.pages.len() as u64 * self.params.page_size
-    }
-
-    /// Number of resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Cumulative eviction-scan iterations (diagnostics).
-    pub fn evict_scan_steps(&self) -> u64 {
-        self.evict_scan_steps
     }
 
     /// Buffer a write; marks the range dirty+valid. Returns true if the
@@ -174,7 +166,7 @@ impl ClientCache {
     /// not be fetched, charged for, or marked resident (the caller treats
     /// the beyond-EOF part of the miss as a zero hole instead). The result
     /// may be empty (miss entirely past EOF).
-    pub fn fetch_window(&self, miss: ByteRange, eof: u64) -> ByteRange {
+    pub(crate) fn fetch_window(&self, miss: ByteRange, eof: u64) -> ByteRange {
         let ps = self.params.page_size;
         let start = miss.start / ps * ps;
         let end = (miss.end).div_ceil(ps) * ps + self.params.read_ahead_pages * ps;
@@ -199,7 +191,7 @@ impl ClientCache {
     /// current fill is not enough). The caller runs
     /// [`ClientCache::enforce_cap`] once, after its closing copy-out;
     /// residency may transiently exceed the cap in between.
-    pub fn fill_deferred(&mut self, offset: u64, data: &[u8]) {
+    pub(crate) fn fill_deferred(&mut self, offset: u64, data: &[u8]) {
         let installed = ByteRange::at(offset, data.len() as u64);
         let incoming = IntervalSet::from_range(installed);
         for r in incoming.subtract(&self.dirty).iter() {
@@ -212,7 +204,7 @@ impl ClientCache {
     /// Evict clean pages FIFO down to the residency cap — the deferred
     /// half of [`ClientCache::fill_deferred`]. Cheap no-op under the cap.
     /// Returns the page-granular bytes evicted (0 when already under it).
-    pub fn enforce_cap(&mut self) -> u64 {
+    pub(crate) fn enforce_cap(&mut self) -> u64 {
         let before = self.resident_bytes();
         self.evict_clean(None);
         before.saturating_sub(self.resident_bytes())
@@ -311,7 +303,7 @@ impl ClientCache {
     /// stop trusting (and stop owing) every cached byte, exactly like
     /// closing a POSIX fd without fsync discards its unsynced write-behind
     /// data.
-    pub fn discard_all(&mut self) {
+    pub(crate) fn discard_all(&mut self) {
         self.pages.clear();
         self.fifo.clear();
         self.valid = IntervalSet::new();
@@ -324,7 +316,7 @@ impl ClientCache {
     /// servers through an uncached path (e.g. an atomic list-I/O write):
     /// the discarded write-behind data was logically superseded, and the
     /// cached copy is now stale. Returns the valid bytes dropped.
-    pub fn discard_range(&mut self, r: ByteRange) -> u64 {
+    pub(crate) fn discard_range(&mut self, r: ByteRange) -> u64 {
         self.dirty.remove(r);
         self.invalidate_range(r)
     }
@@ -387,7 +379,10 @@ impl ClientCache {
         let mut budget = self.fifo.len();
         while self.resident_bytes() > cap && budget > 0 {
             budget -= 1;
-            self.evict_scan_steps += 1;
+            #[cfg(test)]
+            {
+                self.evict_scan_steps += 1;
+            }
             let Some(page) = self.fifo.pop_front() else {
                 break;
             };
@@ -566,7 +561,7 @@ mod tests {
         for i in 0..64u64 {
             c.write(i * 1024, &[1u8; 1024]); // 64 dirty, unflushed pages
         }
-        assert_eq!(c.resident_pages(), 64);
+        assert_eq!(c.pages.len(), 64);
         c.fill(100 * 1024, &[7u8; 1024]); // 65th page: over cap, all else dirty
         let mut buf = [0u8; 1024];
         c.read(100 * 1024, &mut buf); // must not panic
@@ -591,7 +586,7 @@ mod tests {
             c.fill((dirty_pages + i) * 1024, &[2u8; 1024]);
         }
         assert!(c.resident_bytes() <= 64 * 1024);
-        let steps = c.evict_scan_steps();
+        let steps = c.evict_scan_steps;
         assert!(
             steps <= 4 * (fills + dirty_pages),
             "eviction scanned {steps} entries for {fills} fills — quadratic rescan"
@@ -612,13 +607,13 @@ mod tests {
         c.fill(0, &[1u8; 1024]);
         c.fill(1024, &[2u8; 1024]);
         c.fill(2048, &[3u8; 512]); // partial tail page: 2.5 pages of data
-        assert_eq!(c.resident_pages(), 3, "no spurious eviction");
+        assert_eq!(c.pages.len(), 3, "no spurious eviction");
         assert_eq!(c.resident_bytes(), 3 * 1024, "page-granular footprint");
         assert_eq!(c.valid_bytes(), 2 * 1024 + 512, "byte-accurate validity");
         assert!(c.missing(0, 2 * 1024 + 512).is_empty());
         // A fourth full page genuinely exceeds the whole-page cap: evict.
         c.fill(4096, &[4u8; 1024]);
-        assert_eq!(c.resident_pages(), 3);
+        assert_eq!(c.pages.len(), 3);
     }
 
     #[test]
@@ -641,11 +636,11 @@ mod tests {
     fn invalidate_range_is_byte_accurate_and_releases_empty_pages() {
         let mut c = cache(); // 1 KiB pages
         c.fill(0, &[7u8; 4 * 1024]);
-        assert_eq!(c.resident_pages(), 4);
+        assert_eq!(c.pages.len(), 4);
         // Invalidate the middle two pages plus a sliver of the last.
         let dropped = c.invalidate_range(ByteRange::new(1024, 3072 + 100));
         assert_eq!(dropped, 2 * 1024 + 100);
-        assert_eq!(c.resident_pages(), 2, "fully-invalid pages released");
+        assert_eq!(c.pages.len(), 2, "fully-invalid pages released");
         assert!(c.missing(0, 1024).is_empty(), "first page stays warm");
         assert_eq!(c.missing(1024, 2048).total_len(), 2048);
         // The partially-invalidated last page keeps its valid tail.
@@ -670,13 +665,13 @@ mod tests {
         c.fill(10 * 1024, &[8u8; 1024]);
         let dropped = c.invalidate_range(ByteRange::new(0, 1 << 50));
         assert_eq!(dropped, 2 * 1024);
-        assert_eq!(c.resident_pages(), 0);
+        assert_eq!(c.pages.len(), 0);
         // Partial overlap of a huge range keeps the untouched page.
         c.fill(0, &[7u8; 1024]);
         c.fill(10 * 1024, &[8u8; 1024]);
         let dropped = c.invalidate_range(ByteRange::new(1024, 1 << 50));
         assert_eq!(dropped, 1024);
-        assert_eq!(c.resident_pages(), 1);
+        assert_eq!(c.pages.len(), 1);
         let mut buf = [0u8; 4];
         c.read(0, &mut buf);
         assert_eq!(buf, [7u8; 4]);
@@ -689,7 +684,7 @@ mod tests {
             c.fill_deferred(i * 1024, &[7u8; 1024]);
         }
         assert_eq!(
-            c.resident_pages(),
+            c.pages.len(),
             80,
             "deferred fills may exceed the cap transiently"
         );
@@ -730,7 +725,7 @@ mod tests {
             c.fill(base, &[round as u8; 1024]);
             c.invalidate_range(ByteRange::at(base, 1024));
         }
-        assert_eq!(c.resident_pages(), 0);
+        assert_eq!(c.pages.len(), 0);
         // Refill and evict normally afterwards: the queue still works.
         for i in 0..80u64 {
             c.fill(i * 1024, &[9u8; 1024]);

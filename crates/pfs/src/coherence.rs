@@ -16,7 +16,7 @@
 //! [`LockManager`](crate::LockManager), in the presets that cache tokens
 //! ([`LockKind::has_tokens`](crate::LockKind::has_tokens)), pushes each
 //! revocation — once per holder, in ascending holder order — through a
-//! per-file [`CoherenceHub`], which routes it to the [`RevocationHandler`]
+//! per-file [`CoherenceHub`], which routes it to the `RevocationHandler`
 //! the holder's client registered at open time.
 //! The handler (built by [`FileSystem::open`](crate::FileSystem::open) when
 //! the platform runs [`CoherenceMode::LockDriven`](crate::CoherenceMode))
@@ -46,7 +46,7 @@ use crate::lockclass;
 /// Called by a lock manager *while another client's acquisition is being
 /// granted*, so implementations must only take client-local locks (the
 /// holder's cache mutex, the storage gate) — never a lock manager's.
-pub trait RevocationHandler: Send + Sync + std::fmt::Debug {
+pub(crate) trait RevocationHandler: Send + Sync + std::fmt::Debug {
     /// Serve the revocation; returns the dirty bytes flushed to storage on
     /// its behalf, so the dispatching lock manager can bill the revoking
     /// acquirer the per-byte flush cost
@@ -77,10 +77,9 @@ pub trait RevocationHandler: Send + Sync + std::fmt::Debug {
     /// cost-model-only handlers).
     fn superseded(&self) {}
 
-    /// The owner died
-    /// ([`FileSystem::crash_client`](crate::FileSystem::crash_client) or a
-    /// [`FaultAction::KillClient`] event): same obligations as
-    /// [`RevocationHandler::superseded`] — the register-supersede path
+    /// The owner died (a [`FaultAction::KillClient`] event): same
+    /// obligations as
+    /// `RevocationHandler::superseded` — the register-supersede path
     /// generalized to crash. Dirty write-behind
     /// data dies with the client (the documented close-without-fsync
     /// contract); coverage is cleared so the token ranges the manager
@@ -95,16 +94,16 @@ pub trait RevocationHandler: Send + Sync + std::fmt::Debug {
 /// (drop-and-resend timeouts, delivery delays) — billed to the revoking
 /// acquirer on top of the per-byte flush charge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RevokeOutcome {
+pub(crate) struct RevokeOutcome {
     pub flushed: u64,
     pub delay_ns: VNanos,
 }
 
-/// Per-file registry mapping a client id to its [`RevocationHandler`].
+/// Per-file registry mapping a client id to its `RevocationHandler`.
 ///
 /// One handler per client: re-opening the same file replaces the previous
 /// handle's registration (the caller must then call
-/// [`RevocationHandler::superseded`] on the returned predecessor, so the
+/// `RevocationHandler::superseded` on the returned predecessor, so the
 /// old handle cannot keep serving cached data it no longer receives
 /// revocations for), so in lock-driven mode each client keeps a single
 /// *live* handle per file (which is how every MPI rank uses it).
@@ -136,8 +135,8 @@ impl CoherenceHub {
     }
 
     /// Register (or replace) `owner`'s handler; returns the replaced one,
-    /// which the caller must notify via [`RevocationHandler::superseded`].
-    pub fn register(
+    /// which the caller must notify via `RevocationHandler::superseded`.
+    pub(crate) fn register(
         &self,
         owner: usize,
         handler: Arc<dyn RevocationHandler>,
@@ -148,7 +147,7 @@ impl CoherenceHub {
     /// Remove `owner`'s registration only if it still is `handler` — the
     /// dropped-handle path: a handle that was already superseded by a
     /// re-open must not tear down its successor's registration.
-    pub fn unregister_if(&self, owner: usize, handler: &Arc<dyn RevocationHandler>) {
+    pub(crate) fn unregister_if(&self, owner: usize, handler: &Arc<dyn RevocationHandler>) {
         let mut handlers = self.handlers.lock();
         if handlers
             .get(&owner)
@@ -169,7 +168,7 @@ impl CoherenceHub {
     /// charged to the acquirer as dispatch delay. A
     /// [`FaultAction::DelayRevocation`] stalls delivery — the handler runs
     /// at `now + ns`, and the acquirer's grant completes that much later.
-    pub fn revoke(&self, owner: usize, ranges: &StridedSet, now: VNanos) -> RevokeOutcome {
+    pub(crate) fn revoke(&self, owner: usize, ranges: &StridedSet, now: VNanos) -> RevokeOutcome {
         if ranges.is_empty() {
             return RevokeOutcome::default();
         }
@@ -206,7 +205,7 @@ impl CoherenceHub {
     /// register-supersede path generalized to crash) and remove the
     /// registration. Revocations for the dead client's still-held token
     /// ranges become no-ops, so rivals proceed unharmed.
-    pub fn crash(&self, owner: usize) -> bool {
+    pub(crate) fn crash(&self, owner: usize) -> bool {
         let handler = self.handlers.lock().remove(&owner);
         match handler {
             Some(h) => {
@@ -220,7 +219,7 @@ impl CoherenceHub {
     /// Dispatch a grant of `ranges` to `owner`'s handler, if any — see
     /// [`RevocationHandler::granted`] for why the lock manager calls this
     /// under its state mutex.
-    pub fn grant_coverage(&self, owner: usize, ranges: &StridedSet) {
+    pub(crate) fn grant_coverage(&self, owner: usize, ranges: &StridedSet) {
         if ranges.is_empty() {
             return;
         }

@@ -1,7 +1,6 @@
 /// File-system level errors.
 ///
-/// Aliased as [`PfsError`]: the fault-injection paths (PR 7) promised the
-/// strategy layers *typed* errors — a rejected server request or an
+/// Typed for the strategy layers: a rejected server request or an
 /// exhausted retry budget surfaces as a variant the caller can match and
 /// retry on, never a `panic!` inside the file system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,15 +26,9 @@ pub enum FsError {
     /// A request was rejected on every attempt of the client's fixed
     /// retry budget, each retry after an exponential vtime backoff, and
     /// the server still had not restarted (a
-    /// [`RestartPolicy::Manual`](crate::RestartPolicy::Manual)
-    /// crash with nobody calling
-    /// [`FileSystem::restart_server`](crate::FileSystem::restart_server)).
+    /// [`RestartPolicy::Manual`](crate::RestartPolicy::Manual) crash).
     RetriesExhausted { server: usize, attempts: u32 },
 }
-
-/// The public name the fault-tolerance work exports the error type under;
-/// `FsError` remains for existing callers.
-pub type PfsError = FsError;
 
 impl std::fmt::Display for FsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

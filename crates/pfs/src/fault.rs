@@ -78,9 +78,7 @@ pub enum RestartPolicy {
     /// counted in protocol events rather than a wall clock the servers
     /// don't have. Must be ≥ 1.
     Rejections(u32),
-    /// The server stays down until
-    /// [`FileSystem::restart_server`](crate::FileSystem::restart_server)
-    /// is called; retry loops eventually give up with
+    /// The server stays down; retry loops eventually give up with
     /// [`FsError::RetriesExhausted`](crate::FsError::RetriesExhausted).
     Manual,
 }
@@ -243,7 +241,7 @@ counters! {
     replayed_bytes,
     /// Torn records discarded by replay.
     torn_records_discarded,
-    /// Clients killed (by plan or by `FileSystem::crash_client`).
+    /// Clients killed by a [`FaultAction::KillClient`] event.
     client_deaths,
 }
 
@@ -257,7 +255,7 @@ struct Armed {
 /// armed events, consulted by the instrumented sites. One per
 /// [`FileSystem`](crate::FileSystem).
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     armed: OrderedMutex<Vec<Armed>>,
     hits: OrderedMutex<HashMap<FaultSite, u64>>,
     active: bool,
@@ -265,7 +263,7 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             active: !plan.is_empty(),
             armed: lockclass::fault_armed(
@@ -284,18 +282,18 @@ impl FaultInjector {
 
     /// Whether any event is scheduled at all. `false` keeps every
     /// instrumented site on its zero-cost path.
-    pub fn active(&self) -> bool {
+    pub(crate) fn active(&self) -> bool {
         self.active
     }
 
-    pub fn stats(&self) -> &FaultStats {
+    pub(crate) fn stats(&self) -> &FaultStats {
         &self.stats
     }
 
     /// Count one hit of `site` and return the action of the event that
     /// fires on it, if any. Each event fires at most once; two events on
     /// the same (site, hit) both fire is not supported — the first wins.
-    pub fn check(&self, site: FaultSite) -> Option<FaultAction> {
+    pub(crate) fn check(&self, site: FaultSite) -> Option<FaultAction> {
         if !self.active {
             return None;
         }

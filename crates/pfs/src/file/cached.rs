@@ -3,7 +3,7 @@
 
 use std::sync::atomic::Ordering;
 
-use atomio_interval::{ByteRange, StridedSet};
+use atomio_interval::ByteRange;
 use atomio_trace::Category;
 use atomio_vtime::VNanos;
 
@@ -435,12 +435,6 @@ impl PosixFile {
     pub fn lock_driven(&self) -> bool {
         self.fs.profile.lock_driven_coherence()
     }
-
-    /// The byte set this client currently holds token-validity rights
-    /// over (lock-driven coherence; empty on close-to-open platforms).
-    pub fn coherence_coverage(&self) -> StridedSet {
-        self.cache.lock().coverage.clone()
-    }
 }
 
 #[cfg(test)]
@@ -450,6 +444,15 @@ mod tests {
     use super::*;
     use crate::fault::RestartPolicy;
     use crate::lock::LockMode;
+    use atomio_interval::StridedSet;
+
+    impl PosixFile {
+        /// The byte set this client currently holds token-validity rights
+        /// over (lock-driven coherence; empty on close-to-open platforms).
+        pub(crate) fn coherence_coverage(&self) -> StridedSet {
+            self.cache.lock().coverage.clone()
+        }
+    }
 
     #[test]
     fn cached_write_is_invisible_until_sync() {

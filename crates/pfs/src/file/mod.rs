@@ -145,40 +145,6 @@ impl FileSystem {
         self.inner.servers.is_down(server)
     }
 
-    /// Restart a crashed server by fiat: run recovery (journal replay
-    /// across every file) and mark it up. Returns `false` if the server
-    /// was not down — or if another caller already owns its recovery.
-    /// This is the only way back up from
-    /// [`RestartPolicy::Manual`](crate::RestartPolicy::Manual).
-    pub fn restart_server(&self, server: usize) -> bool {
-        if !self.inner.servers.begin_recovery(server) {
-            return false;
-        }
-        self.inner.replay_journals();
-        self.inner.servers.mark_up(server);
-        true
-    }
-
-    /// Kill `client`'s handle on `name` by fiat: its token coverage, cache
-    /// and dirty write-behind data die with it (the register-supersede
-    /// path generalized to crash — see [`RevocationHandler::crashed`]),
-    /// and revocations aimed at the corpse become no-ops so rivals
-    /// proceed unharmed. Returns whether a live registration was killed.
-    /// Plan-driven deaths
-    /// ([`FaultAction::KillClient`](crate::FaultAction::KillClient)) fire
-    /// at the client's own flush site instead.
-    pub fn crash_client(&self, client: usize, name: &str) -> bool {
-        let file = self.inner.files.lock().get(name).cloned();
-        match file {
-            Some(f) if f.coherence.crash(client) => {
-                let fstats = self.inner.faults.stats();
-                fstats.add(&fstats.client_deaths, 1);
-                true
-            }
-            _ => false,
-        }
-    }
-
     pub fn profile(&self) -> &PlatformProfile {
         &self.inner.profile
     }
@@ -287,11 +253,6 @@ impl FileSystem {
     pub fn file_len(&self, name: &str) -> Option<u64> {
         let files = self.inner.files.lock();
         files.get(name).map(|f| f.storage.len())
-    }
-
-    /// Remove a file from the namespace.
-    pub fn delete(&self, name: &str) -> bool {
-        self.inner.files.lock().remove(name).is_some()
     }
 
     /// Reset all server timing horizons (between benchmark repetitions).
@@ -483,7 +444,7 @@ impl PosixFile {
 
     /// Whether a fault plan is armed on the owning file system
     /// ([`PosixFile::submit_writes`] is what acts on it).
-    pub fn faults_active(&self) -> bool {
+    pub(crate) fn faults_active(&self) -> bool {
         self.fs.faults.active()
     }
 
@@ -697,6 +658,20 @@ mod tests {
     use crate::profile::LockKind;
     use atomio_interval::StridedSet;
 
+    impl FileSystem {
+        /// Restart a crashed server by fiat: run recovery (journal replay
+        /// across every file) and mark it up. Returns `false` if the
+        /// server was not down, or if another caller owns its recovery.
+        pub(crate) fn restart_server(&self, server: usize) -> bool {
+            if !self.inner.servers.begin_recovery(server) {
+                return false;
+            }
+            self.inner.replay_journals();
+            self.inner.servers.mark_up(server);
+            true
+        }
+    }
+
     pub(super) fn test_fs() -> FileSystem {
         FileSystem::new(PlatformProfile::fast_test())
     }
@@ -718,7 +693,6 @@ mod tests {
         let fs = test_fs();
         assert!(fs.snapshot("nope").is_none());
         assert!(fs.file_len("nope").is_none());
-        assert!(!fs.delete("nope"));
     }
 
     /// fast_test timing with GPFS-style tokens and lock-driven coherence.
@@ -893,6 +867,7 @@ mod tests {
         a.try_pwrite(0, &[0xDDu8; 1024]).unwrap(); // dirty under coverage
         g.release();
         assert_eq!(a.try_sync().unwrap_err(), FsError::Closed, "killed");
+        assert_eq!(a.coherence_coverage().total_len(), 0, "coverage cleared");
         assert_eq!(
             a.try_pwrite_direct(0, &[1u8; 8]).unwrap_err(),
             FsError::Closed,
@@ -931,22 +906,5 @@ mod tests {
         assert_eq!(b.stats().snapshot().revocations_served, 0);
         let image = fs.snapshot("kill").unwrap();
         assert!(image.iter().all(|&x| x == 0), "the rival's cache stays put");
-    }
-
-    #[test]
-    fn crash_client_by_fiat_generalizes_supersede() {
-        let fs = gpfs_test_fs();
-        let a = fs.open(0, Clock::new(), "fiat");
-        let g = a.lock(ByteRange::new(0, 512), LockMode::Exclusive).unwrap();
-        a.try_pwrite(0, &[0xCCu8; 512]).unwrap();
-        g.release();
-        assert!(fs.crash_client(0, "fiat"));
-        assert!(!fs.crash_client(0, "fiat"), "already dead");
-        assert_eq!(a.coherence_coverage().total_len(), 0, "coverage cleared");
-        let b = fs.open(1, Clock::new(), "fiat");
-        let mut buf = [9u8; 16];
-        b.try_pread_direct(0, &mut buf).unwrap();
-        assert_eq!(buf, [0u8; 16], "corpse's write-behind data discarded");
-        assert_eq!(fs.fault_stats().client_deaths, 1);
     }
 }

@@ -40,7 +40,7 @@ use crate::storage::Storage;
 /// the append died partway — keeps its intended length for diagnostics but
 /// has no recoverable payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalRecord {
+pub(crate) struct JournalRecord {
     pub epoch: u64,
     pub offset: u64,
     pub data: Vec<u8>,
@@ -50,26 +50,20 @@ pub struct JournalRecord {
 }
 
 impl JournalRecord {
-    pub fn range(&self) -> ByteRange {
+    pub(crate) fn range(&self) -> ByteRange {
         ByteRange::at(self.offset, self.data.len() as u64)
     }
 }
 
 /// What one replay pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayReport {
+pub(crate) struct ReplayReport {
     /// Committed records applied to the block store.
     pub applied_records: u64,
     /// Bytes those records carried.
     pub applied_bytes: u64,
     /// Torn records discarded.
     pub torn_discarded: u64,
-}
-
-impl ReplayReport {
-    pub fn is_empty(&self) -> bool {
-        self.applied_records == 0 && self.torn_discarded == 0
-    }
 }
 
 #[derive(Debug, Default)]
@@ -82,7 +76,7 @@ struct JState {
 /// a relaxed atomic so the read-path gate costs one load when the journal
 /// is empty — the permanent state of a fault-free run.
 #[derive(Debug)]
-pub struct RevocationJournal {
+pub(crate) struct RevocationJournal {
     state: OrderedMutex<JState>,
     pending: AtomicU64,
 }
@@ -97,19 +91,19 @@ impl Default for RevocationJournal {
 }
 
 impl RevocationJournal {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RevocationJournal::default()
     }
 
     /// Records currently pending (committed-but-unapplied or torn).
-    pub fn pending(&self) -> u64 {
+    pub(crate) fn pending(&self) -> u64 {
         self.pending.load(Ordering::Acquire)
     }
 
     /// Append a committed intent record; returns its epoch. The caller
     /// must either apply the bytes and [`RevocationJournal::mark_applied`]
     /// the epoch, or leave the record for recovery replay to land.
-    pub fn append_committed(&self, offset: u64, data: &[u8]) -> u64 {
+    pub(crate) fn append_committed(&self, offset: u64, data: &[u8]) -> u64 {
         let mut st = self.state.lock();
         st.next_epoch += 1;
         let epoch = st.next_epoch;
@@ -127,7 +121,7 @@ impl RevocationJournal {
     /// payload is unrecoverable and replay will discard it. `intended_len`
     /// is kept (as a zero payload of that length's range start) purely so
     /// the record is visible to diagnostics; it never reaches storage.
-    pub fn append_torn(&self, offset: u64, intended_len: u64) {
+    pub(crate) fn append_torn(&self, offset: u64, intended_len: u64) {
         let mut st = self.state.lock();
         st.next_epoch += 1;
         let epoch = st.next_epoch;
@@ -143,7 +137,7 @@ impl RevocationJournal {
     /// Remove a record the caller has just applied to storage. No-op if a
     /// concurrent replay already consumed it (replay and flusher applying
     /// the same committed bytes twice is idempotent by construction).
-    pub fn mark_applied(&self, epoch: u64) {
+    pub(crate) fn mark_applied(&self, epoch: u64) {
         let mut st = self.state.lock();
         if let Some(pos) = st.records.iter().position(|r| r.epoch == epoch) {
             st.records.swap_remove(pos);
@@ -152,7 +146,7 @@ impl RevocationJournal {
     }
 
     /// Whether any pending record overlaps `range` — the read-path gate.
-    pub fn overlaps(&self, range: ByteRange) -> bool {
+    pub(crate) fn overlaps(&self, range: ByteRange) -> bool {
         if self.pending() == 0 || range.is_empty() {
             return false;
         }
@@ -167,7 +161,7 @@ impl RevocationJournal {
     /// order, discard every torn one, and clear the journal. Idempotent
     /// re-application is safe — a record's bytes may already be on disk if
     /// the crash hit after the apply.
-    pub fn replay(&self, storage: &Storage) -> ReplayReport {
+    pub(crate) fn replay(&self, storage: &Storage) -> ReplayReport {
         let records = {
             let mut st = self.state.lock();
             self.pending.store(0, Ordering::Release);
@@ -189,7 +183,7 @@ impl RevocationJournal {
     }
 
     /// Pending records, oldest first (diagnostics and tests).
-    pub fn pending_records(&self) -> Vec<JournalRecord> {
+    pub(crate) fn pending_records(&self) -> Vec<JournalRecord> {
         let mut recs = self.state.lock().records.clone();
         recs.sort_by_key(|r| r.epoch);
         recs
@@ -209,7 +203,7 @@ mod tests {
         s.write_atomic(10, b"hello");
         j.mark_applied(e);
         assert_eq!(j.pending(), 0);
-        assert!(j.replay(&s).is_empty());
+        assert_eq!(j.replay(&s), ReplayReport::default());
     }
 
     #[test]

@@ -50,16 +50,14 @@ mod stats;
 mod storage;
 
 pub use cache::{CacheParams, ClientCache};
-pub use coherence::{CoherenceHub, RevocationHandler, RevokeOutcome};
-pub use error::{FsError, PfsError};
+pub use coherence::CoherenceHub;
+pub use error::FsError;
 pub use fault::{
-    FaultAction, FaultEvent, FaultInjector, FaultPlan, FaultSite, FaultSnapshot, FaultStats,
-    RestartPolicy,
+    FaultAction, FaultEvent, FaultPlan, FaultSite, FaultSnapshot, FaultStats, RestartPolicy,
 };
 pub use file::{FileSystem, LockGuard, PosixFile};
-pub use journal::{JournalRecord, ReplayReport, RevocationJournal};
-pub use lock::{LockManager, LockMode, LockTicket, SetGrant};
+pub use lock::{LockManager, LockMode, SetGrant};
 pub use profile::{CoherenceMode, LockKind, PlatformProfile};
 pub use server::ServerSet;
 pub use stats::{ClientStats, FsLatency, LatencySnapshot, StatsSnapshot};
-pub use storage::{Storage, NONATOMIC_CHUNK};
+pub use storage::Storage;

@@ -90,7 +90,7 @@ pub enum LockMode {
 
 /// Priority ticket of a registered (not yet granted) lock request:
 /// `(request vtime, client, manager-wide sequence)` — the fair-queueing key.
-pub type LockTicket = (VNanos, usize, u64);
+pub(crate) type LockTicket = (VNanos, usize, u64);
 
 /// Outcome of one atomic multi-range grant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,7 +342,7 @@ impl LockManager {
     /// collective file-locking strategy interposes a barrier), grants
     /// follow the fair `(vtime, client, seq)` order exactly, making
     /// contention — and revocation counts — deterministic.
-    pub fn register_set(
+    pub(crate) fn register_set(
         &self,
         owner: usize,
         set: &StridedSet,
@@ -364,7 +364,7 @@ impl LockManager {
     /// atomically. `now` is the requester's virtual clock at request time;
     /// the grant time accounts for the round trips, any conflicting
     /// holder's release, and the revocations the grant caused.
-    pub fn wait_granted_set(
+    pub(crate) fn wait_granted_set(
         &self,
         prio: LockTicket,
         owner: usize,
@@ -567,24 +567,13 @@ impl LockManager {
     /// Release-map runs held across all domains and both modes
     /// (diagnostics): bounded by the distinct runs released, not by the
     /// number of releases.
-    pub fn history_len(&self) -> usize {
+    pub(crate) fn history_len(&self) -> usize {
         self.state
             .lock()
             .domains
             .iter()
             .map(|d| d.excl_release.0.len() + d.shared_release.0.len())
             .sum()
-    }
-
-    /// The token coverage `owner` holds across all domains.
-    pub fn token_set(&self, owner: usize) -> StridedSet {
-        self.state
-            .lock()
-            .domains
-            .iter()
-            .flat_map(|d| d.tokens.iter())
-            .filter(|t| t.owner == owner)
-            .fold(StridedSet::new(), |acc, t| acc.union(&t.ranges))
     }
 }
 
@@ -601,6 +590,19 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use LockKind::{Central, Distributed, Sharded, ShardedTokens};
     use LockMode::{Exclusive, Shared};
+
+    impl LockManager {
+        /// The token coverage `owner` holds across all domains.
+        pub(crate) fn token_set(&self, owner: usize) -> StridedSet {
+            self.state
+                .lock()
+                .domains
+                .iter()
+                .flat_map(|d| d.tokens.iter())
+                .filter(|t| t.owner == owner)
+                .fold(StridedSet::new(), |acc, t| acc.union(&t.ranges))
+        }
+    }
 
     const UNIT: u64 = 1024;
     const PRESETS: [LockKind; 4] = [Central, Distributed, Sharded, ShardedTokens];

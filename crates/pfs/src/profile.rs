@@ -32,7 +32,7 @@ impl LockKind {
     /// Whether this design keeps per-client token coverage — the designs
     /// whose revocation traffic can drive cache coherence
     /// ([`CoherenceMode::LockDriven`]).
-    pub fn has_tokens(&self) -> bool {
+    pub(crate) fn has_tokens(&self) -> bool {
         matches!(self, LockKind::Distributed | LockKind::ShardedTokens)
     }
 }
@@ -56,7 +56,7 @@ pub enum CoherenceMode {
     /// handshaking/two-phase strategies, unlocked I/O) read and write
     /// *through* instead — always correct, never stale, but uncached.
     /// Only meaningful with a token-caching lock design
-    /// ([`LockKind::has_tokens`]); on other designs the platform behaves
+    /// (`LockKind::has_tokens`); on other designs the platform behaves
     /// as [`CoherenceMode::CloseToOpen`].
     LockDriven,
 }
@@ -237,43 +237,6 @@ impl PlatformProfile {
         }
     }
 
-    /// Beyond Table 1: a Lustre-like cluster file system with per-server
-    /// (per-OST) extent-lock domains over the stripe grid. The paper's
-    /// platforms funnel every grant through one coordinator (or one token
-    /// server); Lustre's design — each object storage target runs its own
-    /// lock namespace — is the sharded preset of the
-    /// [`LockManager`](crate::LockManager), and the profile that turns
-    /// "locking loses" into a tunable axis. A lock inside one stripe is
-    /// granted by its OST with the I/O; only a request spanning several
-    /// OSTs pays `lock_grant_ns` up front.
-    pub fn lustre() -> Self {
-        PlatformProfile {
-            name: "Lustre",
-            file_system: "Lustre",
-            cpu: "Xeon",
-            cpu_mhz: 2400,
-            network: "InfiniBand",
-            io_servers: Some(8),
-            peak_io_mbps: 2048.0,
-            sim_servers: 8,
-            stripe_unit: 1024 * 1024, // Lustre's classic 1 MiB stripe
-            client_link: LinkCost::new(50_000, 5.0e6),
-            client_op_ns: 20_000,
-            serve: ServeCost::new(40_000, 6.0e6),
-            lock_kind: LockKind::Sharded,
-            lock_grant_ns: 400_000, // one OST lock-server round trip (multi-OST locks)
-            token_revoke_ns: 2_000_000,
-            token_revoke_byte_ns: 165.0,
-            retry_backoff_ns: 200_000,
-            cache: CacheParams::gpfs_like(),
-            coherence: CoherenceMode::CloseToOpen,
-            posix_atomic_calls: true,
-            nonatomic_chunk: crate::storage::NONATOMIC_CHUNK,
-            listio_atomic: false,
-            net: NetCost::myrinet(),
-        }
-    }
-
     /// Small, fast parameters for unit tests: cheap ops, central locks.
     pub fn fast_test() -> Self {
         PlatformProfile {
@@ -327,20 +290,12 @@ impl PlatformProfile {
         self
     }
 
-    /// This platform with the given cache-coherence mode. LockDriven only
-    /// takes effect on token-caching lock designs (see
-    /// [`PlatformProfile::lock_driven_coherence`]).
-    pub fn with_coherence(mut self, mode: CoherenceMode) -> Self {
-        self.coherence = mode;
-        self
-    }
-
     /// Whether this platform actually runs lock-driven cache coherence:
     /// the mode is selected *and* the lock design keeps revocable tokens.
     /// On any other design the token protocol has no revocation traffic to
     /// drive invalidations with, so the platform falls back to
     /// close-to-open behaviour.
-    pub fn lock_driven_coherence(&self) -> bool {
+    pub(crate) fn lock_driven_coherence(&self) -> bool {
         self.coherence == CoherenceMode::LockDriven && self.lock_kind.has_tokens()
     }
 
@@ -397,7 +352,10 @@ mod tests {
         assert!(!PlatformProfile::cplant().lock_driven_coherence());
         assert!(!PlatformProfile::origin2000().lock_driven_coherence());
         // Selecting LockDriven on a tokenless design is inert.
-        let xfs = PlatformProfile::origin2000().with_coherence(CoherenceMode::LockDriven);
+        let xfs = PlatformProfile {
+            coherence: CoherenceMode::LockDriven,
+            ..PlatformProfile::origin2000()
+        };
         assert_eq!(xfs.coherence, CoherenceMode::LockDriven);
         assert!(
             !xfs.lock_driven_coherence(),
@@ -407,16 +365,16 @@ mod tests {
         assert!(PlatformProfile::ibm_sp()
             .with_sharded_locks()
             .lock_driven_coherence());
-        assert!(!PlatformProfile::fast_test()
-            .with_coherence(CoherenceMode::LockDriven)
-            .with_sharded_locks()
-            .lock_driven_coherence());
+        assert!(!PlatformProfile {
+            coherence: CoherenceMode::LockDriven,
+            ..PlatformProfile::fast_test()
+        }
+        .with_sharded_locks()
+        .lock_driven_coherence());
     }
 
     #[test]
     fn sharding_conversion_respects_the_base_design() {
-        assert_eq!(PlatformProfile::lustre().lock_kind, LockKind::Sharded);
-        assert!(PlatformProfile::lustre().supports_locking());
         assert_eq!(
             PlatformProfile::ibm_sp().with_sharded_locks().lock_kind,
             LockKind::ShardedTokens,

@@ -46,7 +46,7 @@ enum Health {
     /// Restart triggered: exactly one client (whoever is handed the server
     /// by [`ServerSet::take_recovery_due`]) runs journal replay and then
     /// marks the server up. Requests addressed to it meanwhile wait for
-    /// that ([`ServerSet::try_access`]), so no reader can slip in between
+    /// that (`ServerSet::try_access`), so no reader can slip in between
     /// restart and replay.
     Recovering,
 }
@@ -66,7 +66,7 @@ enum Health {
 ///   horizons right away, in real-thread arrival order. Used for
 ///   synchronous RPC-style I/O where the caller blocks per request (the
 ///   locking strategy, independent I/O, cache fills).
-/// * [`ServerSet::submit`] / [`ServerSet::settle_through`] — deferred
+/// * `ServerSet::submit` / `ServerSet::settle_through` — deferred
 ///   (open-loop): concurrent writers deposit requests with *virtual*
 ///   arrival stamps and an **epoch**; `settle_through(e)` sorts the pending
 ///   requests of epochs `<= e` by `(arrival, client, seq)` and replays them
@@ -79,8 +79,7 @@ enum Health {
 ///   the replay: their requests are filtered out, so the replayed set, and
 ///   with it every horizon and completion time, is a function of the
 ///   program and not of real thread scheduling — this is what keeps the
-///   Figure 8 reproduction deterministic. [`ServerSet::settle`] is
-///   "through everything", for callers that fence with a barrier. A
+///   Figure 8 reproduction deterministic. A
 ///   deferred request is one row of an **extent** and carries where that
 ///   extent starts; the extent is priced as the one request an immediate
 ///   access of it would be: each server pays the extent's `per_op` on the
@@ -205,11 +204,16 @@ impl ServerSet {
 
     /// Deposit a batch of requests with virtual arrival stamps under
     /// `epoch`; returns a ticket to redeem once a
-    /// [`ServerSet::settle_through`] has covered that epoch. A request is
+    /// `ServerSet::settle_through` has covered that epoch. A request is
     /// `(arrival, range, extent_start)`: the row `range` of the extent that
     /// starts at `extent_start` (`range.start` for a request of its own; see
     /// the type docs). An empty batch's completion is time zero.
-    pub fn submit(&self, client: usize, epoch: u64, reqs: Vec<(VNanos, ByteRange, u64)>) -> u64 {
+    pub(crate) fn submit(
+        &self,
+        client: usize,
+        epoch: u64,
+        reqs: Vec<(VNanos, ByteRange, u64)>,
+    ) -> u64 {
         let mut p = self.pending.lock();
         let ticket = p.next_ticket;
         p.next_ticket += 1;
@@ -231,19 +235,13 @@ impl ServerSet {
         ticket
     }
 
-    /// Replay every pending request in `(arrival, client, seq)` order:
-    /// [`ServerSet::settle_through`] with no epoch left out.
-    pub fn settle(&self) {
-        self.settle_through(u64::MAX);
-    }
-
     /// Replay the pending requests of epochs `<= epoch` in `(arrival,
     /// client, seq)` order; later epochs stay pending and their tickets
     /// unsettled. Callers must know that every submitter has deposited all
     /// of its epochs `<= epoch` (see the type docs); the call is idempotent
     /// and thread-safe — of several concurrent callers the first replays,
     /// the rest find nothing left at or below `epoch`.
-    pub fn settle_through(&self, epoch: u64) {
+    pub(crate) fn settle_through(&self, epoch: u64) {
         let mut p = self.pending.lock();
         // Due requests first, in replay order; what is left stays pending.
         let mut due = std::mem::take(&mut p.reqs);
@@ -272,7 +270,7 @@ impl ServerSet {
                   synchronous), so no injected fault can reach it; a should_panic test \
                   pins the message"
     )]
-    pub fn take_completion(&self, ticket: u64) -> VNanos {
+    pub(crate) fn take_completion(&self, ticket: u64) -> VNanos {
         self.pending
             .lock()
             .done
@@ -289,24 +287,24 @@ impl ServerSet {
     }
 
     /// Which server owns the stripe unit containing `offset`.
-    pub fn server_of(&self, offset: u64) -> usize {
+    pub(crate) fn server_of(&self, offset: u64) -> usize {
         ((offset / self.stripe_unit) % self.horizons.len() as u64) as usize
     }
 
     /// How many per-server requests one contiguous access over `range`
     /// generates (after same-server stripe-unit merging) — the unit the
     /// `server_*_requests` client counters are charged in.
-    pub fn requests_for(&self, range: ByteRange) -> u64 {
+    pub(crate) fn requests_for(&self, range: ByteRange) -> u64 {
         self.split(range).count() as u64
     }
 
     /// Schedule one contiguous access arriving at `arrival`; returns its
     /// completion time (max over the per-server pieces). This is the *raw*
     /// path: it ignores server health. Its callers are the fault-free RPC
-    /// path (and [`ServerSet::try_access`] without an active fault plan),
+    /// path (and `ServerSet::try_access` without an active fault plan),
     /// the revocation flush, which must not hold an acquirer's grant
     /// behind a retry loop, and write-behind flushes on a fault-free file
-    /// system. Fault-aware request paths use [`ServerSet::try_access`].
+    /// system. Fault-aware request paths use `ServerSet::try_access`.
     pub fn access(&self, arrival: VNanos, range: ByteRange, op: ServerOp) -> VNanos {
         if range.is_empty() {
             return arrival;
@@ -324,7 +322,7 @@ impl ServerSet {
     /// partial service; the request either lands on every server or pays a
     /// retry. Without an active fault plan this is exactly `access` plus
     /// one branch.
-    pub fn try_access(
+    pub(crate) fn try_access(
         &self,
         arrival: VNanos,
         range: ByteRange,
@@ -409,8 +407,8 @@ impl ServerSet {
     }
 
     /// Crash `server` by fiat (benches and tests; plan-driven crashes fire
-    /// inside [`ServerSet::try_access`]).
-    pub fn crash(&self, server: usize, restart: RestartPolicy) {
+    /// inside `ServerSet::try_access`).
+    pub(crate) fn crash(&self, server: usize, restart: RestartPolicy) {
         let mut health = self.health.lock();
         if health[server] == Health::Up {
             health[server] = Health::Down { restart, seen: 0 };
@@ -421,22 +419,8 @@ impl ServerSet {
     }
 
     /// Whether `server` currently rejects requests.
-    pub fn is_down(&self, server: usize) -> bool {
+    pub(crate) fn is_down(&self, server: usize) -> bool {
         self.health.lock()[server] != Health::Up
-    }
-
-    /// Move a manually-crashed (or recovering) server toward recovery:
-    /// marks it `Recovering` and returns `true` if the caller now owns the
-    /// recovery (journal replay + [`ServerSet::mark_up`]).
-    pub(crate) fn begin_recovery(&self, server: usize) -> bool {
-        let mut health = self.health.lock();
-        match health[server] {
-            Health::Up | Health::Recovering => false,
-            Health::Down { .. } => {
-                health[server] = Health::Recovering;
-                true
-            }
-        }
     }
 
     /// Servers whose restart countdown completed on this caller's last
@@ -519,6 +503,22 @@ impl ServerSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ServerSet {
+        /// Move a manually-crashed (or recovering) server toward recovery:
+        /// marks it `Recovering` and returns `true` if the caller now owns the
+        /// recovery (journal replay + [`ServerSet::mark_up`]).
+        pub(crate) fn begin_recovery(&self, server: usize) -> bool {
+            let mut health = self.health.lock();
+            match health[server] {
+                Health::Up | Health::Recovering => false,
+                Health::Down { .. } => {
+                    health[server] = Health::Recovering;
+                    true
+                }
+            }
+        }
+    }
 
     fn set() -> ServerSet {
         // 4 servers, 1 KiB stripes, 1 us/op + 1 GB/s.
@@ -687,7 +687,7 @@ mod tests {
         let s = set();
         let late = s.submit(1, 0, vec![own(1_000, ByteRange::at(0, 512))]);
         let early = s.submit(0, 0, vec![own(0, ByteRange::at(0, 512))]);
-        s.settle();
+        s.settle_through(u64::MAX);
         let t_early = s.take_completion(early);
         let t_late = s.take_completion(late);
         // Early request served first: 1us op + 512ns.
@@ -710,13 +710,13 @@ mod tests {
         let s1 = set();
         let a1 = s1.submit(0, 0, batch_a.clone());
         let b1 = s1.submit(1, 0, batch_b.clone());
-        s1.settle();
+        s1.settle_through(u64::MAX);
         let (ca1, cb1) = (s1.take_completion(a1), s1.take_completion(b1));
 
         let s2 = set();
         let b2 = s2.submit(1, 0, batch_b);
         let a2 = s2.submit(0, 0, batch_a);
-        s2.settle();
+        s2.settle_through(u64::MAX);
         let (ca2, cb2) = (s2.take_completion(a2), s2.take_completion(b2));
 
         assert_eq!(
@@ -731,7 +731,7 @@ mod tests {
         let s = set();
         let a = s.submit(1, 0, vec![own(0, ByteRange::at(0, 1024))]);
         let b = s.submit(0, 0, vec![own(0, ByteRange::at(0, 1024))]);
-        s.settle();
+        s.settle_through(u64::MAX);
         // Client 0 wins the tiebreak even though it submitted second.
         assert_eq!(s.take_completion(b), 1_000 + 1024);
         assert_eq!(s.take_completion(a), 2 * (1_000 + 1024));
@@ -747,14 +747,14 @@ mod tests {
             (5_000, ByteRange::at(4096, 4096), 0),
         ];
         let t = s.submit(0, 0, rows);
-        s.settle();
+        s.settle_through(u64::MAX);
         assert_eq!(s.take_completion(t), 5_000 + 1024);
         // The same ranges as two extents, adjacent or not in one batch: the
         // second pays again.
         let s = set();
         let first = s.submit(0, 0, vec![own(0, ByteRange::at(0, 4096))]);
         let second = s.submit(0, 0, vec![own(5_000, ByteRange::at(4096, 4096))]);
-        s.settle();
+        s.settle_through(u64::MAX);
         assert_eq!(s.take_completion(first), 1_000 + 1024);
         assert_eq!(s.take_completion(second), 5_000 + 1_000 + 1024);
         let s = set();
@@ -763,7 +763,7 @@ mod tests {
             own(5_000, ByteRange::at(4096, 4096)),
         ];
         let t = s.submit(0, 0, both);
-        s.settle();
+        s.settle_through(u64::MAX);
         assert_eq!(s.take_completion(t), 5_000 + 1_000 + 1024);
         // Streamed by row or sent whole, an extent costs each server what
         // one immediate access of it does, rounding included (a third of a
@@ -774,7 +774,7 @@ mod tests {
             .map(|r| (0, ByteRange::at(r * 4096, 4096), 0))
             .collect();
         let t = streamed.submit(0, 0, rows);
-        streamed.settle();
+        streamed.settle_through(u64::MAX);
         let whole = odd();
         let done = whole.access(0, ByteRange::at(0, 3 * 4096), ServerOp::Write);
         assert_eq!(streamed.take_completion(t), done);
@@ -785,7 +785,7 @@ mod tests {
     fn empty_batch_settles_to_zero() {
         let s = set();
         let t = s.submit(0, 0, vec![]);
-        s.settle();
+        s.settle_through(u64::MAX);
         assert_eq!(s.take_completion(t), 0);
     }
 
@@ -793,8 +793,8 @@ mod tests {
     fn settle_is_idempotent() {
         let s = set();
         let t = s.submit(0, 0, vec![own(5, ByteRange::at(0, 100))]);
-        s.settle();
-        s.settle();
+        s.settle_through(u64::MAX);
+        s.settle_through(u64::MAX);
         assert_eq!(s.take_completion(t), 5 + 1_000 + 100);
     }
 
@@ -898,14 +898,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn settle_is_settle_through_everything() {
-        let forward: Vec<usize> = (0..epoch_batches().len()).collect();
-        assert_eq!(
-            replay(&forward, ServerSet::settle),
-            replay(&forward, |s| s.settle_through(u64::MAX))
-        );
     }
 }

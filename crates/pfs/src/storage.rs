@@ -15,12 +15,12 @@ use parking_lot::RwLock;
 
 /// Block size of the sparse store. Unwritten blocks read as zeroes, like
 /// holes in a Unix file.
-pub const BLOCK_SIZE: u64 = 64 * 1024;
+pub(crate) const BLOCK_SIZE: u64 = 64 * 1024;
 
 /// Chunk granularity at which *non-atomic* writes are applied. Two racing
 /// non-atomic writers can interleave at this granularity, which is how the
 /// simulator exhibits the intra-call interleaving POSIX atomicity forbids.
-pub const NONATOMIC_CHUNK: u64 = 4 * 1024;
+pub(crate) const NONATOMIC_CHUNK: u64 = 4 * 1024;
 
 /// The real bytes of one file: a sparse block store shared by all simulated
 /// clients.
@@ -28,7 +28,7 @@ pub const NONATOMIC_CHUNK: u64 = 4 * 1024;
 /// Two application modes (paper §2.1):
 /// * **POSIX-atomic** — the whole multi-byte write is applied under an
 ///   exclusive gate, so a concurrent reader/writer sees all or none of it.
-/// * **Non-atomic** — the write is applied in [`NONATOMIC_CHUNK`] pieces
+/// * **Non-atomic** — the write is applied in `NONATOMIC_CHUNK`-byte pieces
 ///   with scheduling yields in between, so concurrent writes to the same
 ///   region genuinely interleave (the "undefined result" the standard
 ///   warns about).
@@ -63,7 +63,7 @@ impl Storage {
 
     /// Apply one write call non-atomically: chunked at `chunk` bytes with
     /// yields in between, so racing writers interleave.
-    pub fn write_nonatomic(&self, offset: u64, data: &[u8], chunk: u64) {
+    pub(crate) fn write_nonatomic(&self, offset: u64, data: &[u8], chunk: u64) {
         let chunk = chunk.max(1) as usize;
         let mut off = offset;
         for piece in data.chunks(chunk) {
@@ -78,7 +78,7 @@ impl Storage {
 
     /// Apply several segments as one atomic operation — the
     /// `lio_listio`-with-atomicity extension discussed in paper §3.2.
-    pub fn write_listio_atomic(&self, segments: &[(u64, &[u8])]) {
+    pub(crate) fn write_listio_atomic(&self, segments: &[(u64, &[u8])]) {
         let _g = self.gate.write();
         for (off, data) in segments {
             self.apply(*off, data);

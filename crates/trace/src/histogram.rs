@@ -4,7 +4,7 @@ use crate::json::Value;
 
 /// Bucket count: one bucket for zero plus one per power of two up to
 /// `u64::MAX` — value `v > 0` lands in bucket `floor(log2 v) + 1`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 fn bucket_of(v: u64) -> usize {
     if v == 0 {
@@ -121,11 +121,11 @@ impl HistogramSnapshot {
         bounds_of(HISTOGRAM_BUCKETS - 1)
     }
 
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 
@@ -134,7 +134,7 @@ impl HistogramSnapshot {
     }
 
     /// Upper bound of the highest non-empty bucket (≥ the recorded max).
-    pub fn max_bound(&self) -> u64 {
+    pub(crate) fn max_bound(&self) -> u64 {
         self.buckets
             .iter()
             .enumerate()

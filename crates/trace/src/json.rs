@@ -130,7 +130,7 @@ macro_rules! object {
 }
 
 /// `s` with everything a JSON string may not hold literally escaped.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -32,7 +32,7 @@ mod sink;
 mod tracer;
 
 pub use chrome::export_chrome;
-pub use histogram::{HistogramSnapshot, LatencyHistogram, HISTOGRAM_BUCKETS};
+pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use json::{validate_chrome_trace, validate_json};
 pub use sink::{MemorySink, NoopSink, TraceSink};
 pub use tracer::{Category, TraceEvent, Tracer, Track};

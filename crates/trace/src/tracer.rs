@@ -130,14 +130,8 @@ impl Tracer {
         }
     }
 
-    /// Detach the sink; emissions become no-ops again.
-    pub fn unbind(&self) {
-        self.slot.enabled.store(false, Ordering::Release);
-        *self.slot.bound.lock() = None;
-    }
-
     pub fn is_enabled(&self) -> bool {
-        // Acquire pairs with the Release stores in `bind`/`unbind`: a
+        // Acquire pairs with the Release store in `bind`: a
         // thread that observes `enabled` also observes the bound sink.
         // (The mutex around `bound` already serializes the emit path; the
         // ordering here keeps the fast-path gate self-consistent rather
@@ -319,14 +313,5 @@ mod tests {
         for h in handles {
             h.join().expect("bind_like thread panicked");
         }
-    }
-
-    #[test]
-    fn unbind_stops_recording() {
-        let sink = Arc::new(MemorySink::new());
-        let t = Tracer::bound(Track::Rank(0), Arc::clone(&sink) as Arc<dyn TraceSink>);
-        t.unbind();
-        t.span(Category::Lock, "wait", 0, 1, &[]);
-        assert!(sink.drain().is_empty());
     }
 }

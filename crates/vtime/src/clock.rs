@@ -29,11 +29,6 @@ impl Clock {
         Clock(Arc::new(AtomicU64::new(0)))
     }
 
-    /// A new clock starting at `t`.
-    pub fn starting_at(t: VNanos) -> Self {
-        Clock(Arc::new(AtomicU64::new(t)))
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> VNanos {
         self.0.load(Ordering::Acquire)
@@ -72,7 +67,8 @@ mod tests {
 
     #[test]
     fn advance_to_is_monotone_max() {
-        let c = Clock::starting_at(100);
+        let c = Clock::new();
+        c.advance(100);
         assert_eq!(c.advance_to(50), 100, "must not move backwards");
         assert_eq!(c.advance_to(250), 250);
         assert_eq!(c.now(), 250);
@@ -88,7 +84,8 @@ mod tests {
 
     #[test]
     fn reset_overwrites() {
-        let c = Clock::starting_at(77);
+        let c = Clock::new();
+        c.advance(77);
         c.reset(3);
         assert_eq!(c.now(), 3);
     }

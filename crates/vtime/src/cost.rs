@@ -1,11 +1,9 @@
 use crate::VNanos;
 
 /// One kibibyte.
-pub const KIB: u64 = 1024;
+const KIB: u64 = 1024;
 /// One mebibyte.
 pub const MIB: u64 = 1024 * KIB;
-/// One gibibyte.
-pub const GIB: u64 = 1024 * MIB;
 
 const NANOS_PER_SEC: f64 = 1e9;
 
@@ -31,7 +29,7 @@ impl LinkCost {
     }
 
     /// Time to move `bytes` across the link, including latency.
-    pub fn transfer_ns(&self, bytes: u64) -> VNanos {
+    pub(crate) fn transfer_ns(&self, bytes: u64) -> VNanos {
         self.latency_ns + self.payload_ns(bytes)
     }
 

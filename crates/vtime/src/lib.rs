@@ -21,14 +21,12 @@ mod clock;
 mod cost;
 mod horizon;
 mod net;
-mod span;
 mod topo;
 mod wire;
 
 pub use clock::{Clock, VNanos};
-pub use cost::{bandwidth_mibps, fanout_ns, LinkCost, MemCost, ServeCost, GIB, KIB, MIB};
+pub use cost::{bandwidth_mibps, fanout_ns, LinkCost, MemCost, ServeCost, MIB};
 pub use horizon::Horizon;
 pub use net::{LinkClass, NetCost};
-pub use span::{Span, SpanSet};
 pub use topo::NodeTopology;
 pub use wire::WireSize;

@@ -50,19 +50,12 @@ impl NodeTopology {
     }
 
     /// The leader (lowest rank) of `rank`'s node.
-    pub fn leader_of(&self, rank: usize) -> usize {
+    pub(crate) fn leader_of(&self, rank: usize) -> usize {
         self.node_of(rank) * self.ranks_per_node
     }
 
     pub fn is_leader(&self, rank: usize) -> bool {
         self.leader_of(rank) == rank
-    }
-
-    /// World ranks living on `node`, ascending.
-    pub fn node_ranks(&self, node: usize) -> std::ops::Range<usize> {
-        let lo = node * self.ranks_per_node;
-        let hi = (lo + self.ranks_per_node).min(self.nprocs);
-        lo..hi
     }
 
     pub fn same_node(&self, a: usize, b: usize) -> bool {
@@ -85,7 +78,6 @@ mod tests {
         assert_eq!(t.leader_of(6), 4);
         assert!(t.is_leader(8));
         assert!(!t.is_leader(9));
-        assert_eq!(t.node_ranks(2), 8..10); // partially filled tail node
         assert!(t.same_node(4, 7));
         assert!(!t.same_node(3, 4));
     }

@@ -107,7 +107,7 @@ impl CrashRecovery {
 
     /// Decode a stamp byte back to its `(writer, round)` pair; `None` for
     /// 0 (never written) and for values past the last round.
-    pub fn decode(&self, stamp: u8) -> Option<(usize, u64)> {
+    pub(crate) fn decode(&self, stamp: u8) -> Option<(usize, u64)> {
         let v = (stamp as u64).checked_sub(1)?;
         let (writer, round) = ((v % self.rw.p as u64) as usize, v / self.rw.p as u64);
         (round < self.rw.rounds).then_some((writer, round))

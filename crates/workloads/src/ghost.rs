@@ -67,7 +67,7 @@ impl BlockBlock {
     }
 
     /// Process-grid coordinates of `rank` (row-major rank placement).
-    pub fn coords(&self, rank: usize) -> (usize, usize) {
+    pub(crate) fn coords(&self, rank: usize) -> (usize, usize) {
         (rank / self.pc, rank % self.pc)
     }
 

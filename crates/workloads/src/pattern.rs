@@ -5,9 +5,6 @@
 //! survived. Patterns must be pairwise distinct at every file offset;
 //! both generators below guarantee that for up to 251 ranks.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
 /// Constant per-rank stamp: every byte rank `r` writes is `stamp_byte(r)`.
 pub fn rank_stamp(rank: usize) -> impl Fn(u64) -> u8 + Clone {
     let b = stamp_byte(rank);
@@ -43,13 +40,6 @@ pub fn offset_stamps(p: usize) -> Vec<impl Fn(u64) -> u8 + Clone> {
     (0..p).map(offset_stamp).collect()
 }
 
-/// A reproducible random buffer (workload payloads that don't need
-/// verification).
-pub fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..len).map(|_| rng.random()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,11 +73,5 @@ mod tests {
         let p = offset_stamp(3);
         let distinct: std::collections::HashSet<u8> = (0..1000).map(&p).collect();
         assert!(distinct.len() > 50, "pattern should vary with offset");
-    }
-
-    #[test]
-    fn random_bytes_reproducible() {
-        assert_eq!(random_bytes(42, 64), random_bytes(42, 64));
-        assert_ne!(random_bytes(42, 64), random_bytes(43, 64));
     }
 }

@@ -48,7 +48,7 @@ impl RowWise {
     }
 
     /// Rows in `rank`'s view (`M/P + R` interior, `M/P + R/2` at the edges).
-    pub fn height(&self, rank: usize) -> u64 {
+    pub(crate) fn height(&self, rank: usize) -> u64 {
         let base = self.m / self.p as u64;
         if self.p == 1 {
             base
@@ -60,7 +60,7 @@ impl RowWise {
     }
 
     /// First row of `rank`'s view.
-    pub fn start_row(&self, rank: usize) -> u64 {
+    pub(crate) fn start_row(&self, rank: usize) -> u64 {
         if rank == 0 {
             0
         } else {

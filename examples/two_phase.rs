@@ -58,6 +58,7 @@ fn main() {
                 ranks_per_node: 1,
                 schedule: ExchangeSchedule::Flat,
             },
+            None,
         );
         sweep.push((a, pt.mibps));
     }
@@ -79,6 +80,7 @@ fn main() {
             Some(s),
             IoPath::Direct,
             TwoPhaseConfig::default(),
+            None,
         );
         rows.push(pt);
     }

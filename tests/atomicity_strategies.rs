@@ -417,6 +417,7 @@ fn two_phase_aggregator_sweep_stays_atomic() {
                 ranks_per_node: 1,
                 schedule: ExchangeSchedule::Flat,
             },
+            None,
         )
         .makespan
     });

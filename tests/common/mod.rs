@@ -1,13 +1,15 @@
 //! Shared helpers for the integration tests.
 
+// Each integration-test binary uses a different subset of these helpers.
+#![allow(dead_code)]
+
 use atomio::prelude::*;
 
 /// Run the column-wise concurrent write of the paper's experiments on `fs`:
 /// every rank builds its subarray view, fills a rank-stamped buffer, and
 /// calls a collective write with the given atomicity. Returns the per-rank
 /// write reports.
-#[allow(dead_code)] // each integration-test binary uses a different subset
-pub fn run_colwise(
+pub(crate) fn run_colwise(
     fs: &FileSystem,
     name: &str,
     spec: ColWise,
@@ -29,15 +31,13 @@ pub fn run_colwise(
 }
 
 /// Verify the final file of a column-wise run.
-#[allow(dead_code)] // each integration-test binary uses a different subset
-pub fn check_colwise(fs: &FileSystem, name: &str, spec: ColWise) -> verify::AtomicityReport {
+pub(crate) fn check_colwise(fs: &FileSystem, name: &str, spec: ColWise) -> verify::AtomicityReport {
     let snap = fs.snapshot(name).expect("file written");
     verify::check_mpi_atomicity(&snap, &spec.all_views(), &pattern::rank_stamps(spec.p))
 }
 
 /// Aggregate bandwidth in MiB/s over the reports' makespan.
-#[allow(dead_code)] // each integration-test binary uses a different subset
-pub fn bandwidth(reports: &[WriteReport]) -> f64 {
+pub(crate) fn bandwidth(reports: &[WriteReport]) -> f64 {
     let start = reports.iter().map(|r| r.start).min().unwrap();
     let end = reports.iter().map(|r| r.end).max().unwrap();
     let bytes: u64 = reports.iter().map(|r| r.bytes_written).sum();

@@ -1,6 +1,7 @@
 //! The source rules the compiler cannot check, over [`lex`] tokens. R1
 //! (no `unwrap`/`expect` on fault-reachable paths), R2 (no bare
-//! `Mutex`/`RwLock` in pfs) and R5 (no silently dropped `Result`) are
+//! `Mutex`/`RwLock` in pfs), R5 (no silently dropped `Result`) and the
+//! public-surface rule (no `pub` item its crate root does not export) are
 //! clippy and rustc lint levels, enforced by `cargo clippy --workspace
 //! --all-targets -- -D warnings`; this file pins their configuration and
 //! caps their exceptions. R3 (no `Ordering::Relaxed` outside a justified
@@ -219,7 +220,7 @@ fn toml_table(text: &str, table: &str) -> Vec<String> {
 /// is in place: each fault-reachable module denies `unwrap`/`expect`,
 /// `crates/pfs/clippy.toml` disallows the four bare lock types (and
 /// lets tests unwrap), and every workspace manifest takes the
-/// workspace's R5 lint levels.
+/// workspace's R5 and `unreachable_pub` lint levels.
 #[test]
 fn lint_levels_are_pinned() {
     for module in FAULT_REACHABLE {
@@ -252,7 +253,7 @@ fn lint_levels_are_pinned() {
     let root = read(&repo_root().join("Cargo.toml"));
     assert_eq!(
         toml_table(&root, "[workspace.lints.rust]"),
-        ["unused_must_use = \"deny\""]
+        ["unused_must_use = \"deny\"", "unreachable_pub = \"deny\""]
     );
     assert_eq!(
         toml_table(&root, "[workspace.lints.clippy]"),
@@ -272,13 +273,14 @@ fn lint_levels_are_pinned() {
     }
 }
 
-/// The lints the R1, R2 and R5 gates set.
-const GATE_LINTS: [&str; 5] = [
+/// The lints the R1, R2 and R5 gates and the public-surface rule set.
+const GATE_LINTS: [&str; 6] = [
     "unwrap_used",
     "expect_used",
     "disallowed_types",
     "unused_must_use",
     "let_underscore_must_use",
+    "unreachable_pub",
 ];
 
 /// Exceptions only shrink: the non-test `allow`/`expect` attributes that

@@ -13,7 +13,6 @@ use proptest::prelude::{prop, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
 use proptest::{prop_assert, prop_assert_eq, proptest};
 
-#[allow(dead_code)] // shared helpers; this binary uses a subset
 mod common;
 use common::run_colwise;
 
