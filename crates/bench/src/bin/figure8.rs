@@ -19,7 +19,9 @@
 //! Cplant size) it keeps the paper's whole-request phases and trails by up
 //! to a phase. A CSV dump and per-panel shape checks are emitted.
 //!
-//! Pass `--trace <path>` to additionally record the first panel's
+//! `--out <dir>` moves `figure8.csv` out of `results/`; an unknown flag, or
+//! a flag without its value, exits 2 with a usage line instead of starting
+//! the paper-scale run. Pass `--trace <path>` to additionally record the first panel's
 //! P = 4 points (every strategy on the first platform and size) as a
 //! Chrome-trace timeline: one track per rank, one per I/O server, with
 //! the strategies' runs overlaid on a shared virtual-time axis. Load the
@@ -36,20 +38,51 @@ use atomio_core::{IoPath, TwoPhaseConfig};
 use atomio_pfs::PlatformProfile;
 use atomio_trace::MemorySink;
 
+/// The binary's flags: `--quick`, `--out <dir>` (default `results`) and
+/// `--trace <path>`.
+#[derive(Debug, PartialEq)]
+struct Args {
+    quick: bool,
+    out: String,
+    trace: Option<String>,
+}
+
+impl Args {
+    fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        const USAGE: &str = "usage: cargo run --release -p atomio-bench --bin figure8 -- \
+                             [--quick] [--out <dir>] [--trace <path>]";
+        let (mut quick, mut out, mut trace) = (false, None, None);
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
+            let slot = match a.as_str() {
+                "--quick" => {
+                    quick = true;
+                    continue;
+                }
+                "--out" => &mut out,
+                "--trace" => &mut trace,
+                _ => return Err(format!("unknown argument {a}; {USAGE}")),
+            };
+            let value = args.next().filter(|v| !v.starts_with("--"));
+            *slot = Some(value.ok_or_else(|| format!("{a} needs a value; {USAGE}"))?);
+        }
+        Ok(Args {
+            quick,
+            out: out.unwrap_or_else(|| "results".to_string()),
+            trace,
+        })
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results".to_string());
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let Args {
+        quick,
+        out: out_dir,
+        trace: trace_path,
+    } = Args::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let trace_sink = trace_path.as_ref().map(|_| Arc::new(MemorySink::new()));
 
     let sizes: Vec<(u64, u64, &str)> = if quick {
@@ -151,5 +184,44 @@ fn main() {
             println!("  {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Args;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_strictly() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Args {
+                quick: false,
+                out: "results".to_string(),
+                trace: None,
+            })
+        );
+        assert_eq!(
+            parse(&["--trace", "t.json", "--quick", "--out", "/tmp/fig8"]),
+            Ok(Args {
+                quick: true,
+                out: "/tmp/fig8".to_string(),
+                trace: Some("t.json".to_string()),
+            })
+        );
+        // A typo, `--help` or a bare word is refused, not run at paper scale.
+        for bad in [&["--quik"][..], &["--help"], &["quick"], &["--quick", "-q"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.starts_with("unknown argument"), "{err}");
+        }
+        // A flag without its value, at the end or before another flag.
+        for bad in [&["--out"][..], &["--trace", "--quick"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("needs a value"), "{err}");
+        }
     }
 }

@@ -551,8 +551,9 @@ impl<'c> MpiFile<'c> {
         let strategy = self.strategy(collective)?;
         let offset = self.view.etype_offset_to_bytes(offset);
         let len = buf.len() as u64;
-        // Sieving plans on the compressed footprint and never materializes
-        // the request's segment list.
+        // Sieving builds no segment list of the whole request: it plans on
+        // the compressed footprint and patches each window from that
+        // window's own segments.
         let segments = match strategy {
             Some(Strategy::DataSieving) => Vec::new(),
             _ => self.view.segments(offset, len),

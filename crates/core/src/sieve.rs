@@ -14,10 +14,10 @@
 //!
 //! The planner works on the run-length-compressed
 //! [`StridedSet`](atomio_interval::StridedSet) footprint
-//! ([`FileView::strided_file_ranges`](atomio_dtype::FileView::strided_file_ranges)),
-//! streaming its runs in ascending order without ever materializing the
-//! dense run list, so planning a million-run request holds O(trains + windows)
-//! state.
+//! ([`FileView::strided_file_ranges`](atomio_dtype::FileView::strided_file_ranges),
+//! built by one walk over the request's pieces, as its data movement is),
+//! streaming its runs in ascending order without materializing the dense
+//! run list, so the plan holds O(trains + windows) state.
 
 use atomio_interval::{ByteRange, StridedSet};
 

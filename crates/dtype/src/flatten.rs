@@ -58,8 +58,8 @@ fn single_run(dt: &Datatype) -> bool {
 }
 
 impl Datatype {
-    /// Slow-path check used only for irregular constructors (indexed,
-    /// struct); bounded by the block count of the constructor itself.
+    /// Slow-path check used only for irregular constructors; bounded by
+    /// the block count of the constructor itself.
     fn flatten_naive_is_single(&self) -> bool {
         let mut out = Vec::new();
         flatten_into(self, 0, &mut out);
@@ -118,20 +118,9 @@ pub(crate) fn flatten_into(dt: &Datatype, base: i64, out: &mut Vec<Segment>) {
                 flatten_block(child, base + i as i64 * stride_bytes, *blocklen, out);
             }
         }
-        Datatype::Indexed { blocks, child } => {
-            let ext = child.extent() as i64;
-            for (bl, d) in blocks {
-                flatten_block(child, base + d * ext, *bl, out);
-            }
-        }
         Datatype::Hindexed { blocks, child } => {
             for (bl, d) in blocks {
                 flatten_block(child, base + d, *bl, out);
-            }
-        }
-        Datatype::Struct { fields } => {
-            for f in fields {
-                flatten_block(&f.child, base + f.disp, f.blocklen, out);
             }
         }
         Datatype::Resized { child, .. } => flatten_into(child, base, out),
@@ -188,30 +177,6 @@ mod tests {
     fn vector_with_touching_blocks_coalesces() {
         let t = Datatype::vector(4, 5, 5, Datatype::byte()).unwrap();
         assert_eq!(t.flatten(), vec![Segment { disp: 0, len: 20 }]);
-    }
-
-    #[test]
-    fn struct_order_preserved_not_sorted() {
-        // Struct fields flatten in field order even if displacements are
-        // decreasing (MPI typemap order).
-        let t = Datatype::Struct {
-            fields: vec![
-                crate::StructField {
-                    blocklen: 1,
-                    disp: 8,
-                    child: Datatype::int32(),
-                },
-                crate::StructField {
-                    blocklen: 1,
-                    disp: 0,
-                    child: Datatype::int32(),
-                },
-            ],
-        };
-        assert_eq!(
-            t.flatten(),
-            vec![Segment { disp: 8, len: 4 }, Segment { disp: 0, len: 4 }]
-        );
     }
 
     #[test]

@@ -3,15 +3,6 @@ use std::sync::Arc;
 use crate::flatten::{flatten_into, Segment};
 use crate::subarray;
 
-/// A field of a struct datatype: `blocklen` consecutive copies of `child`
-/// placed at byte displacement `disp`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructField {
-    pub blocklen: u64,
-    pub disp: i64,
-    pub child: Arc<Datatype>,
-}
-
 /// Errors from datatype construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatatypeError {
@@ -66,18 +57,11 @@ pub enum Datatype {
         stride_bytes: i64,
         child: Arc<Datatype>,
     },
-    /// Blocks of `(blocklen, disp)` with displacement in child extents.
-    Indexed {
-        blocks: Vec<(u64, i64)>,
-        child: Arc<Datatype>,
-    },
     /// Blocks of `(blocklen, disp)` with displacement in bytes.
     Hindexed {
         blocks: Vec<(u64, i64)>,
         child: Arc<Datatype>,
     },
-    /// Heterogeneous fields at byte displacements.
-    Struct { fields: Vec<StructField> },
     /// Same typemap as `child` but with overridden lower bound and extent
     /// (`MPI_Type_create_resized`); controls how the type tiles.
     Resized {
@@ -201,10 +185,9 @@ impl Datatype {
                 child,
                 ..
             } => count * blocklen * child.size(),
-            Datatype::Indexed { blocks, child } | Datatype::Hindexed { blocks, child } => {
+            Datatype::Hindexed { blocks, child } => {
                 blocks.iter().map(|(bl, _)| bl).sum::<u64>() * child.size()
             }
-            Datatype::Struct { fields } => fields.iter().map(|f| f.blocklen * f.child.size()).sum(),
             Datatype::Resized { child, .. } => child.size(),
         }
     }
@@ -236,7 +219,7 @@ impl Datatype {
     ///
     /// Strided constructors are evaluated analytically at their endpoint
     /// blocks (the span is linear in the block index), so this is O(blocks)
-    /// for indexed types and O(1) for contiguous/vector — safe for types with
+    /// for hindexed types and O(1) for contiguous/vector — safe for types with
     /// enormous counts.
     pub(crate) fn true_span(&self) -> (i64, i64) {
         match self {
@@ -263,25 +246,8 @@ impl Datatype {
                 let last = (*count as i64 - 1) * stride_bytes;
                 span_for_blocks([(0, *blocklen), (last, *blocklen)].into_iter(), child)
             }
-            Datatype::Indexed { blocks, child } => span_for_blocks(
-                blocks
-                    .iter()
-                    .map(|(bl, d)| (d * child.extent() as i64, *bl)),
-                child,
-            ),
             Datatype::Hindexed { blocks, child } => {
                 span_for_blocks(blocks.iter().map(|(bl, d)| (*d, *bl)), child)
-            }
-            Datatype::Struct { fields } => {
-                let mut lo = i64::MAX;
-                let mut hi = i64::MIN;
-                for f in fields {
-                    let (clo, chi) = f.child.true_span();
-                    let ext = f.child.extent() as i64;
-                    lo = lo.min(f.disp + clo);
-                    hi = hi.max(f.disp + (f.blocklen as i64 - 1) * ext + chi);
-                }
-                (lo, hi)
             }
             Datatype::Resized { child, .. } => child.true_span(),
         }
@@ -376,46 +342,11 @@ mod tests {
     }
 
     #[test]
-    fn indexed_blocks() {
-        let t = Datatype::Indexed {
-            blocks: vec![(2, 0), (1, 10)],
-            child: Datatype::int32(),
-        };
-        assert_eq!(t.size(), 12);
-        let segs = t.flatten();
-        assert_eq!(
-            segs,
-            vec![Segment { disp: 0, len: 8 }, Segment { disp: 40, len: 4 }]
-        );
-    }
-
-    #[test]
     fn hindexed_negative_disp() {
         let t = Datatype::hindexed(vec![(1, -8), (1, 8)], Datatype::double()).unwrap();
         assert_eq!(t.lb(), -8);
         assert_eq!(t.ub(), 16);
         assert_eq!(t.extent(), 24);
-    }
-
-    #[test]
-    fn struct_fields() {
-        let t = Datatype::Struct {
-            fields: vec![
-                StructField {
-                    blocklen: 1,
-                    disp: 0,
-                    child: Datatype::int32(),
-                },
-                StructField {
-                    blocklen: 2,
-                    disp: 8,
-                    child: Datatype::double(),
-                },
-            ],
-        };
-        assert_eq!(t.size(), 4 + 16);
-        assert_eq!(t.extent(), 24);
-        assert_eq!(t.segment_count(), 2);
     }
 
     #[test]

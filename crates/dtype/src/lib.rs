@@ -9,8 +9,8 @@
 //! separate `write()` at the file-system level.
 //!
 //! [`Datatype`] implements the MPI type constructors used by the paper and by
-//! ROMIO-style implementations: contiguous, vector/hvector, indexed/hindexed,
-//! struct, subarray (the constructor in the paper's Figure 4) and resized.
+//! ROMIO-style implementations: contiguous, vector/hvector, hindexed,
+//! subarray (the constructor in the paper's Figure 4) and resized.
 //! [`Datatype::flatten`] lowers any type to its canonical `(displacement,
 //! length)` segment list; [`FileView`] maps logical stream offsets to file
 //! offsets and produces the [`IntervalSet`](atomio_interval::IntervalSet)s the atomicity strategies
@@ -21,11 +21,14 @@
 //! [`StridedSet`](atomio_interval::StridedSet)s — O(1) per periodic train
 //! instead of O(rows) — so the cost of describing an access scales with its
 //! structure, not its row count (paper §3.4). There is one lowering,
-//! [`Datatype::flatten`]; a view compresses its flattened tile once with
+//! [`Datatype::flatten`], and one walk over the view: a request's pieces,
+//! one per tile segment touched (a contiguous view's request is one
+//! piece), stream in file order into [`FileView::segments`],
+//! [`FileView::window_segments`] and into
 //! [`StridedSet::from_sorted_extents`](atomio_interval::StridedSet::from_sorted_extents),
-//! whose canonical form makes the footprint a function of the bytes alone,
-//! and replicates those trains across whole tiles. `proptest_dtype` checks
-//! the strided footprint against the dense one and its train counts.
+//! whose canonical form makes the footprint a function of the bytes alone.
+//! `proptest_dtype` checks every mapping against a byte-by-byte brute-force
+//! map and the strided footprint's train counts.
 
 mod flatten;
 mod kinds;
@@ -33,6 +36,6 @@ mod subarray;
 mod view;
 
 pub use flatten::Segment;
-pub use kinds::{Datatype, DatatypeError, StructField};
+pub use kinds::{Datatype, DatatypeError};
 pub use subarray::ArrayOrder;
 pub use view::{FileView, ViewError, ViewSegment};

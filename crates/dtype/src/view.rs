@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use atomio_interval::{ByteRange, IntervalSet, StridedSet, Train};
+use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 
 use crate::flatten::Segment;
 use crate::kinds::Datatype;
@@ -84,9 +84,6 @@ pub struct FileView {
     filetype: Arc<Datatype>,
     /// Flattened filetype, displacements validated non-negative & monotone.
     tile: Vec<Segment>,
-    /// One tile's byte set in canonical compressed form: the same bytes as
-    /// `tile` (O(1) trains for vector/subarray filetypes).
-    tile_trains: StridedSet,
     /// Exclusive prefix sums of `tile` lengths: `prefix[i]` = logical offset
     /// of tile segment `i` within one tile.
     prefix: Vec<u64>,
@@ -159,16 +156,10 @@ impl FileView {
                 tile_end,
             });
         }
-        // The validated tile is ascending and disjoint (non-negative,
-        // monotone), and tiles do not interleave, so its compression's
-        // trains stay disjoint within one tile and across tiles.
-        let tile_trains =
-            StridedSet::from_sorted_extents(tile.iter().map(|s| (s.disp as u64, s.len)));
         Ok(FileView {
             disp,
             filetype,
             tile,
-            tile_trains,
             prefix,
             tile_size,
             tile_extent,
@@ -210,49 +201,74 @@ impl FileView {
         self.tile.len() == 1 && self.tile_size == self.tile_extent
     }
 
+    /// The pieces of the stream range `[logical, logical+len)` in ascending
+    /// file (and logical) order: one per tile segment touched, not
+    /// coalesced — except that a contiguous view's request is one piece.
+    /// The one walk every mapping below streams through.
+    fn pieces(&self, logical: u64, len: u64) -> impl Iterator<Item = ViewSegment> + '_ {
+        let end = logical + len;
+        let whole = self.is_contiguous();
+        let mut tile = logical / self.tile_size;
+        let mut seg = self
+            .prefix
+            .partition_point(|&p| p <= logical % self.tile_size)
+            - 1;
+        let mut at = logical;
+        std::iter::from_fn(move || {
+            if at == end {
+                return None;
+            }
+            let s = &self.tile[seg];
+            let in_seg = at - tile * self.tile_size - self.prefix[seg];
+            // A contiguous view maps the stream linearly from here on.
+            let take = if whole {
+                end - at
+            } else {
+                (s.len - in_seg).min(end - at)
+            };
+            let piece = ViewSegment {
+                file_off: self.disp + tile * self.tile_extent + s.disp as u64 + in_seg,
+                logical_off: at,
+                len: take,
+            };
+            at += take;
+            seg += 1;
+            if seg == self.tile.len() {
+                seg = 0;
+                tile += 1;
+            }
+            Some(piece)
+        })
+    }
+
+    /// Number of stream bytes the view maps below file offset `file_off`.
+    /// The map is strictly increasing (validated tiles are monotone and do
+    /// not interleave), so these are exactly the stream bytes
+    /// `[0, logical_before(file_off))`. O(log S) for S tile segments.
+    fn logical_before(&self, file_off: u64) -> u64 {
+        // Offsets relative to the first data byte, where tile `r` spans
+        // `[r·extent, r·extent + span)` with span ≤ extent.
+        let d0 = self.tile[0].disp as u64;
+        let Some(rel) = file_off.checked_sub(self.disp + d0) else {
+            return 0;
+        };
+        let in_tile = (rel % self.tile_extent + d0) as i64;
+        let i = self.tile.partition_point(|s| s.end() <= in_tile);
+        let within = match self.tile.get(i) {
+            Some(s) => self.prefix[i] + (in_tile - s.disp).max(0) as u64,
+            None => self.tile_size,
+        };
+        rel / self.tile_extent * self.tile_size + within
+    }
+
     /// Map the logical byte range `[logical, logical+len)` of the stream to
     /// file segments, in ascending file order, coalescing adjacent pieces.
     pub fn segments(&self, logical: u64, len: u64) -> Vec<ViewSegment> {
         let mut out: Vec<ViewSegment> = Vec::new();
-        if len == 0 {
-            return out;
-        }
-        let mut remaining = len;
-        let mut cur_logical = logical;
-
-        let mut tile_idx = logical / self.tile_size;
-        let in_tile = logical % self.tile_size;
-        // Locate starting segment inside the tile via the prefix sums.
-        let mut seg_idx = match self.prefix.binary_search(&in_tile) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let mut in_seg = in_tile - self.prefix[seg_idx];
-
-        while remaining > 0 {
-            let seg = &self.tile[seg_idx];
-            let take = remaining.min(seg.len - in_seg);
-            let file_off = self.disp + tile_idx * self.tile_extent + seg.disp as u64 + in_seg;
+        for p in self.pieces(logical, len) {
             match out.last_mut() {
-                Some(last)
-                    if last.file_end() == file_off
-                        && last.logical_off + last.len == cur_logical =>
-                {
-                    last.len += take
-                }
-                _ => out.push(ViewSegment {
-                    file_off,
-                    logical_off: cur_logical,
-                    len: take,
-                }),
-            }
-            remaining -= take;
-            cur_logical += take;
-            in_seg = 0;
-            seg_idx += 1;
-            if seg_idx == self.tile.len() {
-                seg_idx = 0;
-                tile_idx += 1;
+                Some(last) if last.file_end() == p.file_off => last.len += p.len,
+                _ => out.push(p),
             }
         }
         out
@@ -260,11 +276,7 @@ impl FileView {
 
     /// The set of file bytes touched by `[logical, logical+len)`.
     pub fn file_ranges(&self, logical: u64, len: u64) -> IntervalSet {
-        IntervalSet::from_extents(
-            self.segments(logical, len)
-                .into_iter()
-                .map(|s| (s.file_off, s.len)),
-        )
+        IntervalSet::from_extents(self.pieces(logical, len).map(|p| (p.file_off, p.len)))
     }
 
     /// Convenience: the file bytes of the first `len` stream bytes.
@@ -274,68 +286,13 @@ impl FileView {
 
     /// The set of file bytes touched by `[logical, logical+len)`, as a
     /// run-length-compressed [`StridedSet`] — extensionally identical to
-    /// [`FileView::file_ranges`], but built in O(trains) per fully covered
-    /// tile instead of O(segments): the tile's compressed trains are
-    /// replicated across whole tiles analytically, and only partial
-    /// head/tail tiles fall back to dense segment walking (then get
-    /// re-compressed).
+    /// [`FileView::file_ranges`]. The walk's pieces stream straight into
+    /// the canonical compressor, whose form is a function of the bytes, so
+    /// the trains (and what they cost on the wire) are the same however
+    /// the request is cut. Building it costs host work in the request's
+    /// pieces, the same walk the call's data movement makes.
     pub fn strided_file_ranges(&self, logical: u64, len: u64) -> StridedSet {
-        if len == 0 {
-            return StridedSet::new();
-        }
-        if self.is_contiguous() {
-            // One dense run: logical offsets map linearly to file offsets.
-            let d0 = self.tile[0].disp as u64;
-            return StridedSet::from_train(Train::new(self.disp + d0 + logical, len, len, 1));
-        }
-        let end = logical + len;
-        let first_full = logical.div_ceil(self.tile_size);
-        let last_full = end / self.tile_size;
-        if first_full >= last_full {
-            // No fully covered tile: the request is small relative to the
-            // tile — compress the dense segments directly.
-            return self.compress_partial(logical, len);
-        }
-
-        let mut trains: Vec<Train> = Vec::new();
-        if logical < first_full * self.tile_size {
-            let head = self.compress_partial(logical, first_full * self.tile_size - logical);
-            trains.extend_from_slice(head.trains());
-        }
-        let ntiles = last_full - first_full;
-        let tile_base = self.disp + first_full * self.tile_extent;
-        for t in self.tile_trains.trains() {
-            let start = tile_base + t.start();
-            if t.count() * t.stride() == self.tile_extent {
-                // Consecutive tiles continue the same period exactly: one
-                // train whatever the tile count (the column-wise case).
-                trains.push(Train::new(start, t.len(), t.stride(), t.count() * ntiles));
-            } else if t.is_run() && t.len() <= self.tile_extent {
-                // One run per tile instance (hindexed/struct blocks): a
-                // train over the tiles at the tile extent. Distinct tile
-                // runs stay disjoint across tiles, so each compresses
-                // independently — k trains total, not k·ntiles.
-                trains.push(Train::new(start, t.len(), self.tile_extent, ntiles));
-            } else {
-                // Irregular tile train (count·stride ≠ extent): replicate
-                // per tile (matches the dense path's per-tile cost; never
-                // hit by regular filetypes).
-                for tile in 0..ntiles {
-                    trains.push(Train::new(
-                        start + tile * self.tile_extent,
-                        t.len(),
-                        t.stride(),
-                        t.count(),
-                    ));
-                }
-            }
-        }
-        if last_full * self.tile_size < end {
-            let tail =
-                self.compress_partial(last_full * self.tile_size, end - last_full * self.tile_size);
-            trains.extend_from_slice(tail.trains());
-        }
-        StridedSet::from_disjoint_trains(trains)
+        StridedSet::from_sorted_extents(self.pieces(logical, len).map(|p| (p.file_off, p.len)))
     }
 
     /// Strided counterpart of [`FileView::footprint`]: the compressed file
@@ -347,82 +304,13 @@ impl FileView {
 
     /// The pieces of the request `[logical, logical+len)` whose file bytes
     /// fall inside `window`, ascending and coalesced — exactly
-    /// `segments(logical, len)` filtered to the window, but computed by
-    /// visiting only the filetype tiles the window intersects and, within
-    /// each tile, only the flattened segments the window touches (binary
-    /// search over the monotone tile). A data-sieving engine patching one
-    /// window pays O(log S + segments-in-window), never materializing the
-    /// request's full segment list.
+    /// `segments(logical, len)` clipped to the window. The view is
+    /// monotone, so those bytes are one stream range, found in O(log S); a
+    /// data-sieving engine patching one window walks only that range.
     pub fn window_segments(&self, logical: u64, len: u64, window: &ByteRange) -> Vec<ViewSegment> {
-        let mut out: Vec<ViewSegment> = Vec::new();
-        if len == 0 || window.is_empty() {
-            return out;
-        }
-        let req_end = logical + len;
-        let span_lo = self.tile[0].disp as u64;
-        let span_hi = self.tile.last().expect("validated non-empty").end() as u64;
-        // Tile r's data occupies file [disp + r·extent + span_lo,
-        // disp + r·extent + span_hi); extent ≥ span by validation, so tiles
-        // are visited in ascending file order.
-        let first_tile = logical / self.tile_size;
-        let last_tile = (req_end - 1) / self.tile_size;
-        let w_lo_tile = if window.start < self.disp + span_hi {
-            0
-        } else {
-            (window.start - self.disp - span_hi) / self.tile_extent + 1
-        };
-        let w_hi_tile = if window.end <= self.disp + span_lo {
-            return out;
-        } else {
-            (window.end - self.disp - span_lo - 1) / self.tile_extent
-        };
-        let r_lo = first_tile.max(w_lo_tile);
-        let r_hi = last_tile.min(w_hi_tile);
-        for r in r_lo..=r_hi {
-            let tile_base = self.disp + r * self.tile_extent;
-            // First tile segment whose file end lies past the window start.
-            let rel_start = window.start.saturating_sub(tile_base) as i64;
-            let mut i = self.tile.partition_point(|s| s.end() <= rel_start);
-            while i < self.tile.len() {
-                let seg = &self.tile[i];
-                let f0 = tile_base + seg.disp as u64;
-                if f0 >= window.end {
-                    break;
-                }
-                let l0 = r * self.tile_size + self.prefix[i];
-                // Clip to the window in file space...
-                let a = f0.max(window.start);
-                let b = (f0 + seg.len).min(window.end);
-                // ...then to the request in logical space.
-                let la = (l0 + (a - f0)).max(logical);
-                let lb = (l0 + (b - f0)).min(req_end);
-                if la < lb {
-                    let file_off = f0 + (la - l0);
-                    match out.last_mut() {
-                        Some(last)
-                            if last.file_end() == file_off && last.logical_off + last.len == la =>
-                        {
-                            last.len += lb - la;
-                        }
-                        _ => out.push(ViewSegment {
-                            file_off,
-                            logical_off: la,
-                            len: lb - la,
-                        }),
-                    }
-                }
-                i += 1;
-            }
-        }
-        out
-    }
-
-    fn compress_partial(&self, logical: u64, len: u64) -> StridedSet {
-        StridedSet::from_sorted_extents(
-            self.segments(logical, len)
-                .into_iter()
-                .map(|s| (s.file_off, s.len)),
-        )
+        let lo = self.logical_before(window.start).max(logical);
+        let hi = self.logical_before(window.end).min(logical + len);
+        self.segments(lo, hi.saturating_sub(lo))
     }
 }
 
@@ -563,6 +451,22 @@ mod tests {
         assert_eq!(fp.total_len(), 12);
         assert_eq!(fp.run_count(), 4);
         assert!(fp.contains(3) && fp.contains(39) && !fp.contains(0) && !fp.contains(6));
+    }
+
+    #[test]
+    fn contiguous_view_is_one_piece() {
+        // However many tiles a request crosses, a contiguous view maps it
+        // in one step; a padded tile is one piece per tile.
+        for ft in [
+            Datatype::byte(),
+            Datatype::contiguous(8, Datatype::byte()).unwrap(),
+        ] {
+            let v = FileView::new(3, ft).unwrap();
+            assert_eq!(v.pieces(5, 1 << 20).count(), 1);
+        }
+        let padded =
+            Datatype::resized(0, 8, Datatype::contiguous(2, Datatype::byte()).unwrap()).unwrap();
+        assert_eq!(FileView::new(0, padded).unwrap().pieces(1, 6).count(), 4);
     }
 
     #[test]

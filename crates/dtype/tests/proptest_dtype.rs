@@ -1,7 +1,9 @@
 //! Property tests: subarray flattening and view mapping against brute force.
 
+use std::sync::Arc;
+
 use atomio_dtype::{ArrayOrder, Datatype, FileView, ViewSegment};
-use atomio_interval::ByteRange;
+use atomio_interval::{ByteRange, IntervalSet, StridedSet};
 use proptest::prelude::*;
 
 /// Brute-force file offsets of a 2-D subarray's bytes, in stream order.
@@ -24,6 +26,59 @@ fn params() -> impl Strategy<Value = (u64, u64, u64, u64, u64, u64)> {
     })
 }
 
+/// A filetype with its brute-force tile: the offset of each data byte in
+/// stream order, relative to the view's displacement, and the extent at
+/// which tiles repeat.
+type Shape = (Arc<Datatype>, Vec<u64>, u64);
+
+/// Every view shape the mapping must handle: 2-D subarrays; ascending
+/// hindexed blocks whose first block may sit past the type's origin,
+/// padded by `resized` so that gaps separate the tiles (or not); and
+/// contiguous types, `MPI_BYTE` included.
+fn shapes() -> impl Strategy<Value = Shape> {
+    let subarray = params().prop_map(|(m, n, sm, sn, rs, cs)| {
+        let t = Datatype::subarray(
+            &[m, n],
+            &[sm, sn],
+            &[rs, cs],
+            ArrayOrder::C,
+            Datatype::byte(),
+        )
+        .unwrap();
+        (t, reference_offsets(m, n, sm, sn, rs, cs), m * n)
+    });
+    let hindexed =
+        (prop::collection::vec((0u64..4, 1u64..5), 1..5), 0u64..4).prop_map(|(blocks, pad)| {
+            let (mut cursor, mut blist, mut offs) = (0u64, Vec::new(), Vec::new());
+            for (gap, len) in blocks {
+                let disp = cursor + gap;
+                blist.push((len, disp as i64));
+                offs.extend(disp..disp + len);
+                cursor = disp + len;
+            }
+            let t = Datatype::hindexed(blist, Datatype::byte()).unwrap();
+            (
+                Datatype::resized(0, cursor + pad, t).unwrap(),
+                offs,
+                cursor + pad,
+            )
+        });
+    let contiguous = (1u64..9).prop_map(|k| {
+        let t = match k {
+            1 => Datatype::byte(),
+            _ => Datatype::contiguous(k, Datatype::byte()).unwrap(),
+        };
+        (t, (0..k).collect(), k)
+    });
+    prop_oneof![subarray, hindexed, contiguous]
+}
+
+/// The brute-force stream-to-file map of `shape` installed at `disp`.
+fn file_offset((_, tile, extent): &Shape, disp: u64, logical: u64) -> u64 {
+    let n = tile.len() as u64;
+    disp + logical / n * extent + tile[(logical % n) as usize]
+}
+
 proptest! {
     #[test]
     fn subarray_flatten_matches_bruteforce((m, n, sm, sn, rs, cs) in params()) {
@@ -43,45 +98,40 @@ proptest! {
 
     #[test]
     fn view_segments_cover_request_exactly(
-        (m, n, sm, sn, rs, cs) in params(),
+        shape in shapes(),
         disp in 0u64..64,
         req in (0u64..64, 1u64..64),
     ) {
-        let t = Datatype::subarray(&[m, n], &[sm, sn], &[rs, cs], ArrayOrder::C, Datatype::byte())
-            .unwrap();
-        let v = FileView::new(disp, t).unwrap();
+        let v = FileView::new(disp, shape.0.clone()).unwrap();
+        prop_assert_eq!(v.tile_size(), shape.1.len() as u64);
+        prop_assert_eq!(v.tile_extent(), shape.2);
         let (logical, len) = req;
-
-        // Brute-force stream->file map over enough tiles.
-        let per_tile = reference_offsets(m, n, sm, sn, rs, cs);
-        let tiles_needed = ((logical + len) / v.tile_size() + 2) as usize;
-        let mut stream_to_file = Vec::new();
-        for tile in 0..tiles_needed as u64 {
-            for &o in &per_tile {
-                stream_to_file.push(disp + tile * v.tile_extent() + o);
-            }
-        }
+        let map = |l| file_offset(&shape, disp, l);
 
         let segs = v.segments(logical, len);
         // Segments must be ascending in logical order, cover exactly
-        // [logical, logical+len), and match the brute-force map.
+        // [logical, logical+len), match the brute-force map, and be
+        // maximal: no segment continues its predecessor in the file.
         let mut cursor = logical;
-        for s in &segs {
+        for (i, s) in segs.iter().enumerate() {
             prop_assert_eq!(s.logical_off, cursor);
             for b in 0..s.len {
-                prop_assert_eq!(s.file_off + b, stream_to_file[(s.logical_off + b) as usize]);
+                prop_assert_eq!(s.file_off + b, map(s.logical_off + b));
+            }
+            if i > 0 {
+                prop_assert!(segs[i - 1].file_end() < s.file_off, "{:?}", segs);
             }
             cursor += s.len;
         }
         prop_assert_eq!(cursor, logical + len);
 
-        // file_ranges is consistent with segments.
-        let fr = v.file_ranges(logical, len);
-        prop_assert_eq!(fr.total_len(), len);
-
-        // The strided footprint is extensionally identical to the dense one.
+        // file_ranges holds exactly the request's bytes, and the strided
+        // footprint is the canonical compression of the same bytes.
+        let dense = IntervalSet::from_extents((logical..logical + len).map(|l| (map(l), 1)));
+        prop_assert_eq!(v.file_ranges(logical, len), dense.clone());
         let sr = v.strided_file_ranges(logical, len);
-        prop_assert_eq!(sr.to_intervals(), fr);
+        prop_assert_eq!(sr.to_intervals(), dense.clone());
+        prop_assert_eq!(sr, StridedSet::from_intervals(&dense));
     }
 
     #[test]
@@ -126,28 +176,31 @@ proptest! {
 
     #[test]
     fn window_segments_match_filtered_segments(
-        (m, n, sm, sn, rs, cs) in params(),
+        shape in shapes(),
         disp in 0u64..16,
         req in (0u64..64, 1u64..64),
-        win in (0u64..128, 0u64..64),
+        win in (0u64..1000, 0u64..1000),
     ) {
-        let t = Datatype::subarray(&[m, n], &[sm, sn], &[rs, cs], ArrayOrder::C, Datatype::byte())
-            .unwrap();
-        let v = FileView::new(disp, t).unwrap();
+        let v = FileView::new(disp, shape.0.clone()).unwrap();
         let (logical, len) = req;
-        let w = ByteRange::at(win.0, win.1);
+        let map = |l| file_offset(&shape, disp, l);
+        // Windows anywhere from file offset 0 (before `disp`) to past the
+        // request's last byte, so they start and end in the gaps between
+        // and inside tiles as well as in data.
+        let hi = map(logical + len - 1) + 4;
+        let w = ByteRange::at(win.0 * hi / 1000, win.1 * hi / 1000);
 
-        // Reference: the full segment list clipped to the window.
+        // Reference: the request's bytes the window holds, byte by byte,
+        // coalesced where they continue each other in the file.
         let mut want: Vec<ViewSegment> = Vec::new();
-        for s in v.segments(logical, len) {
-            let a = s.file_off.max(w.start);
-            let b = (s.file_off + s.len).min(w.end);
-            if a < b {
-                want.push(ViewSegment {
-                    file_off: a,
-                    logical_off: s.logical_off + (a - s.file_off),
-                    len: b - a,
-                });
+        for l in logical..logical + len {
+            let f = map(l);
+            if !w.contains(f) {
+                continue;
+            }
+            match want.last_mut() {
+                Some(last) if last.file_end() == f => last.len += 1,
+                _ => want.push(ViewSegment { file_off: f, logical_off: l, len: 1 }),
             }
         }
         prop_assert_eq!(v.window_segments(logical, len, &w), want);
@@ -179,29 +232,6 @@ proptest! {
             "footprint not compressed across tiles: {} trains for {} blocks",
             s.train_count(),
             nblocks
-        );
-    }
-
-    #[test]
-    fn strided_view_matches_dense_on_hindexed_soups(
-        blocks in prop::collection::vec((0u64..40, 1u64..6), 1..6),
-        req in (0u64..64, 1u64..64),
-    ) {
-        // Irregular footprints (the proptest_strategies generator shape):
-        // ascending disjoint hindexed blocks.
-        let mut cursor = 0u64;
-        let mut blist: Vec<(u64, i64)> = Vec::new();
-        for (gap, len) in blocks {
-            let disp = cursor + gap;
-            blist.push((len, disp as i64));
-            cursor = disp + len;
-        }
-        let t = Datatype::hindexed(blist, Datatype::byte()).unwrap();
-        let v = FileView::new(3, t).unwrap();
-        let (logical, len) = req;
-        prop_assert_eq!(
-            v.strided_file_ranges(logical, len).to_intervals(),
-            v.file_ranges(logical, len)
         );
     }
 

@@ -18,8 +18,9 @@ use atomio_pfs::{LockManager, LockMode, PlatformProfile};
 const CELL: u64 = 512;
 const STRIDE: u64 = 2048;
 const N: u64 = 1000;
-/// Runs per size; the fastest is kept, which discards a run slowed by an
-/// unrelated process.
+/// Runs per size, alternating the sizes so that a slow stretch of the
+/// host hits both; the fastest of each is kept, which discards a run
+/// slowed by an unrelated process.
 const RUNS: usize = 5;
 const MAX_RATIO: f64 = 6.0;
 
@@ -39,26 +40,25 @@ fn shuffled(n: u64, mut seed: u64) -> Vec<u64> {
     order
 }
 
-/// Best-of-`RUNS` host seconds for `cells` lock/release pairs, each run on
-/// a fresh manager.
-fn best_secs(profile: &PlatformProfile, cells: u64) -> f64 {
-    let sets: Vec<StridedSet> = shuffled(cells, 1)
+/// The storm's first `n` cells, in shuffled order.
+fn cells(n: u64) -> Vec<StridedSet> {
+    shuffled(n, 1)
         .into_iter()
         .map(|slot| StridedSet::from_range(ByteRange::at(slot * STRIDE, CELL)))
-        .collect();
-    (0..RUNS)
-        .map(|_| {
-            let m = LockManager::new(profile, None).expect("the platform has locks");
-            let t0 = Instant::now();
-            let mut now = 0;
-            for set in &sets {
-                let g = m.acquire_set(0, set, LockMode::Exclusive, now);
-                now = g.granted_at + 1;
-                m.release(g.id, now);
-            }
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+        .collect()
+}
+
+/// Host seconds for one lock/release pair per set, on a fresh manager.
+fn secs(profile: &PlatformProfile, sets: &[StridedSet]) -> f64 {
+    let m = LockManager::new(profile, None).expect("the platform has locks");
+    let t0 = Instant::now();
+    let mut now = 0;
+    for set in sets {
+        let g = m.acquire_set(0, set, LockMode::Exclusive, now);
+        now = g.granted_at + 1;
+        m.release(g.id, now);
+    }
+    t0.elapsed().as_secs_f64()
 }
 
 #[test]
@@ -70,12 +70,16 @@ fn lock_pairs_scale_linearly_with_the_cells_released() {
         stripe_unit: CELL,
         ..PlatformProfile::fast_test()
     };
+    let (small_sets, large_sets) = (cells(N), cells(4 * N));
     for (name, profile) in [
         ("central", storm.clone()),
         ("sharded", storm.with_sharded_locks()),
     ] {
-        let small = best_secs(&profile, N);
-        let large = best_secs(&profile, 4 * N);
+        let (mut small, mut large) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..RUNS {
+            small = small.min(secs(&profile, &small_sets));
+            large = large.min(secs(&profile, &large_sets));
+        }
         let ratio = large / small;
         eprintln!(
             "{name}: {:.2} us/pair at {N} cells, {:.2} at {}, ratio {ratio:.2}",

@@ -54,24 +54,33 @@ impl LatencyHistogram {
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let all: [u64; HISTOGRAM_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let (Some(lo), Some(hi)) = (
+            all.iter().position(|&c| c > 0),
+            all.iter().rposition(|&c| c > 0),
+        ) else {
+            return HistogramSnapshot::new();
+        };
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            first: lo,
+            counts: all[lo..=hi].to_vec(),
         }
     }
 }
 
 /// Plain-value copy of a [`LatencyHistogram`]; mergeable across ranks.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Only the buckets from the lowest to the highest non-empty one are
+/// stored: a latency spreads over a few adjacent buckets, so a snapshot
+/// holds tens of bytes where all 65 buckets took 520, which adds up where
+/// a benchmark keeps one per case it runs. Both ends are non-empty, so
+/// `==` compares the recorded samples.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
-    }
+    /// Bucket index of `counts[0]`.
+    first: usize,
+    counts: Vec<u64>,
 }
 
 impl HistogramSnapshot {
@@ -79,21 +88,42 @@ impl HistogramSnapshot {
         HistogramSnapshot::default()
     }
 
+    /// Widen the stored buckets to cover `lo..hi` (non-empty).
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.first = lo;
+        } else if lo < self.first {
+            let below = std::iter::repeat_n(0, self.first - lo);
+            self.counts.splice(0..0, below);
+            self.first = lo;
+        }
+        if hi - self.first > self.counts.len() {
+            self.counts.resize(hi - self.first, 0);
+        }
+    }
+
     /// Record into a plain snapshot (single-threaded accumulation).
     pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
+        let b = bucket_of(v);
+        self.cover(b, b + 1);
+        self.counts[b - self.first] += 1;
     }
 
     /// Add another snapshot's counts (cross-rank aggregation).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        if other.counts.is_empty() {
+            return;
+        }
+        self.cover(other.first, other.first + other.counts.len());
+        let at = other.first - self.first;
+        for (a, b) in self.counts[at..].iter_mut().zip(&other.counts) {
             *a += b;
         }
     }
 
     /// Total recorded samples.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.counts.iter().sum()
     }
 
     /// The q-quantile (q in `[0, 1]`), reported as the upper bound of the
@@ -112,13 +142,13 @@ impl HistogramSnapshot {
         }
         let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
         let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        for (i, &c) in self.counts.iter().enumerate() {
             cum += c;
             if cum >= rank {
-                return bounds_of(i);
+                return bounds_of(self.first + i);
             }
         }
-        bounds_of(HISTOGRAM_BUCKETS - 1)
+        bounds_of(self.first + self.counts.len() - 1)
     }
 
     pub(crate) fn p50(&self) -> u64 {
@@ -135,12 +165,10 @@ impl HistogramSnapshot {
 
     /// Upper bound of the highest non-empty bucket (≥ the recorded max).
     pub(crate) fn max_bound(&self) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, &c)| c > 0)
-            .map_or(0, |(i, _)| bounds_of(i).1)
+        match self.counts.len() {
+            0 => 0,
+            len => bounds_of(self.first + len - 1).1,
+        }
     }
 }
 
