@@ -14,11 +14,20 @@
 //! greedily into arithmetic progressions, and a stretch that repeats
 //! period after period folded into one comb per run — so `==` and the
 //! `WireSize` it is charged are functions of the byte set alone.
+//!
+//! The rule between the two forms: a canonical [`StridedSet`] is what is
+//! shipped or compared — lock requests, revocation messages, negotiation
+//! footprints, wire charges. State that grows grant by grant — a lock
+//! domain's release times and token owners, a cache's coverage — is a
+//! [`RunMap`], which rewrites only the runs an update meets instead of
+//! recompressing the whole set.
 
 mod range;
+mod runmap;
 mod set;
 mod strided;
 
 pub use range::ByteRange;
+pub use runmap::RunMap;
 pub use set::IntervalSet;
 pub use strided::{StridedSet, Train};

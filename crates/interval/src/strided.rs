@@ -21,7 +21,6 @@
 //! fold already (a same-stride difference or intersection whose pieces
 //! alternate within each period) is recognised on `k + 1` of its periods.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -567,19 +566,11 @@ impl StridedSet {
 
     /// Set union.
     pub fn union(&self, other: &StridedSet) -> StridedSet {
-        let mut u = self.clone();
-        u.union_with(other);
-        u
-    }
-
-    /// `self ∪= other` in `self`'s own buffer: a set grown grant by grant
-    /// (a lock token, a cache's coverage) is not copied per grant.
-    pub fn union_with(&mut self, other: &StridedSet) {
         let extra = other.subtract(self);
-        if !extra.is_empty() {
-            self.trains.extend(extra.trains);
-            canonicalize(&mut self.trains);
+        if extra.is_empty() {
+            return self.clone();
         }
+        StridedSet::from_disjoint_trains([&self.trains[..], &extra.trains].concat())
     }
 
     /// Set intersection.
@@ -722,7 +713,7 @@ fn canonicalize(trains: &mut Vec<Train>) {
             v: trains,
             read: 0,
             write: 0,
-            pending: PENDING.take(),
+            pending: Pending::new(),
         },
         held: None,
         open: None,
@@ -759,8 +750,7 @@ fn canonicalize(trains: &mut Vec<Train>) {
     if let Some(o) = greedy.open.take() {
         greedy.buf.emit(o);
     }
-    let Buf { write, pending, .. } = greedy.buf;
-    PENDING.set(pending);
+    let write = greedy.buf.write;
     trains.truncate(write);
     fold_periods(trains);
 }
@@ -815,13 +805,6 @@ fn canonical_over_periods(trains: &mut Vec<Train>, fold: &[Train]) -> bool {
 }
 
 type Pending = BinaryHeap<Reverse<(u64, u64, u64, u64)>>;
-
-thread_local! {
-    /// [`Buf::pending`]'s storage, kept for the thread's next call: a lock
-    /// token grown grant by grant would otherwise allocate a heap whenever
-    /// a grant lands in one of its gaps.
-    static PENDING: Cell<Pending> = Cell::default();
-}
 
 /// [`canonicalize`]'s one buffer: `v[..write]` is output and `v[read..]`
 /// input not yet taken, ascending. `pending` holds, by start, the

@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use atomio_interval::{ByteRange, IntervalSet, StridedSet};
+use atomio_interval::{ByteRange, IntervalSet, RunMap};
 use atomio_vtime::MemCost;
 
 /// Client cache behaviour knobs.
@@ -96,8 +96,8 @@ pub struct ClientCache {
     dirty: IntervalSet,
     /// Lock-driven coherence's token coverage: the bytes this client may
     /// cache, under the pages' own mutex. Grown by grants, shrunk by
-    /// revocations; empty on close-to-open platforms.
-    pub(crate) coverage: StridedSet,
+    /// revocations, one run at a time; empty on close-to-open platforms.
+    pub(crate) coverage: RunMap<()>,
     /// Total eviction-loop iterations ever run (diagnostics: the pressure
     /// test asserts this stays linear in the pages inserted).
     #[cfg(test)]
@@ -112,7 +112,7 @@ impl ClientCache {
             fifo: VecDeque::new(),
             valid: IntervalSet::new(),
             dirty: IntervalSet::new(),
-            coverage: StridedSet::new(),
+            coverage: RunMap::default(),
             #[cfg(test)]
             evict_scan_steps: 0,
         }
@@ -308,7 +308,7 @@ impl ClientCache {
         self.fifo.clear();
         self.valid = IntervalSet::new();
         self.dirty = IntervalSet::new();
-        self.coverage = StridedSet::new();
+        self.coverage = RunMap::default();
     }
 
     /// Drop `r` from the cache entirely, **discarding** (not flushing) any

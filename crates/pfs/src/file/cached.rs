@@ -45,7 +45,7 @@ impl PosixFile {
             }
             let req = ByteRange::at(offset, data.len() as u64);
             let mut needs_flush = false;
-            for r in cache.coverage.subtract_from_range(&req) {
+            for r in cache.coverage.gaps(req) {
                 let s = (r.start - offset) as usize;
                 self.try_pwrite_direct(r.start, &data[s..s + r.len() as usize])?;
                 // The cache has no validity rights here: drop any stale
@@ -54,7 +54,8 @@ impl PosixFile {
                 // and revocation flushes before shrinking it.)
                 cache.invalidate_range(r);
             }
-            for run in cache.coverage.runs_meeting(&req) {
+            let covered: Vec<ByteRange> = cache.coverage.runs_meeting(req).map(|r| r.0).collect();
+            for run in covered {
                 let r = ByteRange::new(run.start.max(req.start), run.end.min(req.end));
                 let s = (r.start - offset) as usize;
                 needs_flush |= self.pwrite_buffered_locked(
@@ -126,11 +127,12 @@ impl PosixFile {
                 return self.try_pread_direct(offset, buf);
             }
             let req = ByteRange::at(offset, buf.len() as u64);
-            for r in cache.coverage.subtract_from_range(&req) {
+            for r in cache.coverage.gaps(req) {
                 let s = (r.start - offset) as usize;
                 self.try_pread_direct(r.start, &mut buf[s..s + r.len() as usize])?;
             }
-            for clamp in cache.coverage.runs_meeting(&req) {
+            let covered: Vec<ByteRange> = cache.coverage.runs_meeting(req).map(|r| r.0).collect();
+            for clamp in covered {
                 // Each covered piece lies inside one maximal coverage run;
                 // clamp read-ahead to it so the cache never admits bytes
                 // the token does not protect.
@@ -450,7 +452,9 @@ mod tests {
         /// The byte set this client currently holds token-validity rights
         /// over (lock-driven coherence; empty on close-to-open platforms).
         pub(crate) fn coherence_coverage(&self) -> StridedSet {
-            self.cache.lock().coverage.clone()
+            let cache = self.cache.lock();
+            let runs = cache.coverage.iter().map(|(r, _)| (r.start, r.len()));
+            StridedSet::from_sorted_extents(runs)
         }
     }
 

@@ -52,12 +52,12 @@ impl RevocationHandler for CacheCoherence {
         // coverage admit or dirty bytes outside it, bytes no revocation
         // would ever visit again.)
         let mut cache = self.cache.lock();
-        // The revoked bytes are no longer ours to cache.
-        cache.coverage = cache.coverage.subtract(ranges);
         let mut flushed = 0u64;
         let mut server_reqs = 0u64;
         let mut invalidated = 0u64;
         for r in ranges.iter_runs() {
+            // The revoked bytes are no longer ours to cache.
+            cache.coverage.remove(r);
             // Flush the holder's write-behind data for the revoked range —
             // the real-bytes half of the revocation. Since PR 7 the flush
             // is a first-class write: its bytes *occupy the server
@@ -162,7 +162,10 @@ impl RevocationHandler for CacheCoherence {
         // are in place before any rival acquisition can revoke the token
         // — a revocation arriving later always finds something to
         // subtract.
-        self.cache.lock().coverage.union_with(ranges);
+        let mut cache = self.cache.lock();
+        for r in ranges.iter_runs() {
+            cache.coverage.insert(r, ());
+        }
     }
 
     fn superseded(&self) {

@@ -29,7 +29,7 @@
 //! `(b / stripe_unit) % domains` — the server that stores it. A request is
 //! sliced per domain ([`StridedSet::shard_slice`]) and ordered after each
 //! touched domain's own latest conflicting release, which the domain keeps
-//! exactly, per byte run and mode; the per-domain round
+//! exactly, in one [`RunMap`] of release times per mode; the per-domain round
 //! trips run concurrently, so virtual grant cost is **max over domains, not
 //! sum**: [`fanout_ns`] over the domains the grant must contact, each on
 //! its own server. With one domain that is exactly one
@@ -54,14 +54,18 @@
 //! reads.
 //!
 //! **Tokens** (GPFS, Schmuck & Haskin FAST'02): a client keeps the token
-//! over the bytes it locked after unlocking. A slice covered by the
-//! client's cached token in a domain skips that domain's round trip; a
-//! conflicting acquisition revokes the overlap from every other holder,
-//! paying `token_revoke_ns` per (holder, domain) and waiting for the
-//! holder's last release. With a [`CoherenceHub`] attached, each revocation
-//! is dispatched to the holder — ascending holder id, once per holder — and
-//! flushes and invalidates **exactly the revoked bytes** of its cache
+//! over the bytes it locked after unlocking; a domain keeps its tokens as
+//! one [`RunMap`] of owners. A slice the client already owns in a domain
+//! skips that domain's round trip; a conflicting acquisition revokes the
+//! overlap from every other holder, paying `token_revoke_ns` per (holder,
+//! domain) and waiting for the holder's last release. With a
+//! [`CoherenceHub`] attached, each revocation is dispatched to the holder —
+//! ascending holder id, once per holder, as one canonical [`StridedSet`] —
+//! and flushes and invalidates **exactly the revoked bytes** of its cache
 //! before the new grant completes.
+//!
+//! The rule: state that grows grant by grant is a [`RunMap`]; what is
+//! shipped or compared — requests, slices, revocations — a [`StridedSet`].
 //!
 //! **Mode fold.** The `Distributed` preset treats every request as
 //! exclusive, as the paper's GPFS experiments do (all writes).
@@ -71,7 +75,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use atomio_check::{assert_may_wait, OrderedMutex};
-use atomio_interval::StridedSet;
+use atomio_interval::{ByteRange, RunMap, StridedSet};
 use atomio_vtime::{fanout_ns, VNanos};
 use parking_lot::Condvar;
 
@@ -139,84 +143,24 @@ struct Granted {
     slices: Vec<(usize, StridedSet)>,
 }
 
-/// Per-client cached token coverage inside one domain.
-#[derive(Debug)]
-struct DomainToken {
-    owner: usize,
-    ranges: StridedSet,
-    /// Virtual time at which the owner last released a lock in this domain.
-    avail: VNanos,
-}
-
-/// The latest release time of every byte ever released in one mode, over
-/// disjoint runs: `start -> (end, vtime)`. It answers exactly what the
-/// whole release history would. Every run starts at an edge of some
-/// released run, so it holds at most one run per distinct released edge,
-/// however many releases there were.
-#[derive(Debug, Default)]
-struct ReleaseMap(BTreeMap<u64, (u64, VNanos)>);
-
-impl ReleaseMap {
-    /// Cut the run straddling `at`, if any, so that a run starts at `at`.
-    fn split(&mut self, at: u64) {
-        if let Some((&start, &(end, t))) = self.0.range(..at).next_back() {
-            if end > at {
-                self.0.insert(start, (at, t));
-                self.0.insert(at, (end, t));
-            }
-        }
-    }
-
-    /// Record a release of `set` at `t`: each byte keeps its latest time,
-    /// whatever order the releases arrive in.
-    fn record(&mut self, set: &StridedSet, t: VNanos) {
-        for r in set.iter_runs() {
-            self.split(r.start);
-            self.split(r.end);
-            // Every run starting in `r` now ends inside it: raise those,
-            // and fill the gaps between them with `t`.
-            let mut at = r.start;
-            while at < r.end {
-                match self.0.range(at..r.end).next().map(|(&s, &v)| (s, v)) {
-                    Some((s, (end, old))) if s == at => {
-                        self.0.insert(s, (end, old.max(t)));
-                        at = end;
-                    }
-                    next => {
-                        let stop = next.map_or(r.end, |(s, _)| s);
-                        self.0.insert(at, (stop, t));
-                        at = stop;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The latest release of any byte of `set`, or `None` if no byte of it
-    /// was ever released.
-    fn latest(&self, set: &StridedSet) -> Option<VNanos> {
-        set.iter_runs()
-            .flat_map(|r| {
-                let straddling = self.0.range(..=r.start).next_back();
-                straddling
-                    .filter(|(_, &(end, _))| end > r.start)
-                    .into_iter()
-                    .chain(self.0.range(r.start + 1..r.end))
-                    .map(|(_, &(_, t))| t)
-            })
-            .max()
-    }
+/// Disjoint runs, in any order, as the canonical set that ships them.
+fn compress(mut runs: Vec<ByteRange>) -> StridedSet {
+    runs.sort_unstable_by_key(|r| r.start);
+    StridedSet::from_sorted_extents(runs.iter().map(|r| (r.start, r.len())))
 }
 
 /// One lock domain: the extent-lock state of one I/O server.
 #[derive(Debug, Default)]
 struct Domain {
-    /// Past exclusive releases: a later conflicting grant cannot begin
-    /// before the writer's release in virtual time.
-    excl_release: ReleaseMap,
-    /// Past shared releases: constrain later exclusive grants.
-    shared_release: ReleaseMap,
-    tokens: Vec<DomainToken>,
+    /// Each byte's latest exclusive release: a later conflicting grant
+    /// cannot begin before the writer's release in virtual time.
+    excl_release: RunMap<VNanos>,
+    /// Each byte's latest shared release: constrains exclusive grants.
+    shared_release: RunMap<VNanos>,
+    /// The client whose cached token holds each byte (token presets only).
+    tokens: RunMap<usize>,
+    /// Virtual time at which each token holder last released a lock here.
+    avail: BTreeMap<usize, VNanos>,
 }
 
 #[derive(Debug)]
@@ -411,47 +355,45 @@ impl LockManager {
         let mut revocations = 0u64;
         // Domains the grant must contact: the width of the fan-out below.
         let mut missed = 0u64;
-        // Byte ranges each holder loses across all domains, aggregated so
-        // the coherence fan-out runs once per holder, in ascending holder
-        // order — the order holders flush onto the shared server horizons
-        // must not depend on the process.
-        let mut lost: BTreeMap<usize, StridedSet> = BTreeMap::new();
+        // Byte runs each holder loses across all domains (with the last
+        // domain it lost some in), aggregated so the coherence fan-out runs
+        // once per holder, in ascending holder order — the order holders
+        // flush onto the shared server horizons must not depend on the
+        // process.
+        let mut lost: BTreeMap<usize, (Option<usize>, Vec<ByteRange>)> = BTreeMap::new();
         for (d, slice) in &slices {
             let domain = &mut st.domains[*d];
-            earliest = earliest.max(domain.excl_release.latest(slice).unwrap_or(0));
+            let latest = |map: &RunMap<VNanos>| {
+                let runs = slice.iter_runs().flat_map(|r| map.runs_meeting(r));
+                runs.map(|(_, &t)| t).max().unwrap_or(0)
+            };
+            earliest = earliest.max(latest(&domain.excl_release));
             if mode == LockMode::Exclusive {
-                earliest = earliest.max(domain.shared_release.latest(slice).unwrap_or(0));
+                earliest = earliest.max(latest(&domain.shared_release));
             }
             if self.tokens {
-                let cached = domain
-                    .tokens
-                    .iter()
-                    .any(|t| t.owner == owner && slice.subtract(&t.ranges).is_empty());
-                if cached {
+                if slice.iter_runs().all(|r| domain.tokens.holds(r, &owner)) {
                     token_hits += 1;
                     continue;
                 }
-                // Revoke the overlap from every other holder's token; the
-                // rest of the holder's coverage (and cache) stays warm.
-                for t in domain.tokens.iter_mut().filter(|t| t.owner != owner) {
-                    if t.ranges.overlaps(slice) {
-                        if self.coherence.is_some() {
-                            lost.entry(t.owner)
-                                .or_default()
-                                .union_with(&t.ranges.intersect(slice));
+                // Take the slice from every other holder's token, revoking
+                // once per (holder, domain); the rest of the holder's
+                // coverage (and cache) stays warm.
+                for r in slice.iter_runs() {
+                    for (held, &holder) in domain.tokens.runs_meeting(r) {
+                        if holder == owner {
+                            continue;
                         }
-                        t.ranges = t.ranges.subtract(slice);
-                        earliest = earliest.max(t.avail);
-                        revocations += 1;
+                        let (last, runs) = lost.entry(holder).or_default();
+                        if *last != Some(*d) {
+                            *last = Some(*d);
+                            let avail = domain.avail.get(&holder).copied().unwrap_or(0);
+                            earliest = earliest.max(avail);
+                            revocations += 1;
+                        }
+                        runs.extend(held.intersect(&r));
                     }
-                }
-                match domain.tokens.iter_mut().find(|t| t.owner == owner) {
-                    Some(t) => t.ranges.union_with(slice),
-                    None => domain.tokens.push(DomainToken {
-                        owner,
-                        ranges: slice.clone(),
-                        avail: 0,
-                    }),
+                    domain.tokens.insert(r, owner);
                 }
             }
             missed += 1;
@@ -486,8 +428,8 @@ impl LockManager {
             // revocable by) any rival; see `RevocationHandler::granted`.
             hub.grant_coverage(owner, set);
             if !lost.is_empty() {
-                let taken = lost.values().fold(StridedSet::new(), |acc, r| acc.union(r));
-                st.pending_coherence.push((id, taken));
+                let taken = lost.values().flat_map(|(_, runs)| runs.iter().copied());
+                st.pending_coherence.push((id, compress(taken.collect())));
             }
         }
         // Dispatch the revocations with the state mutex released (a
@@ -503,8 +445,8 @@ impl LockManager {
             // stall the acquirer, not the holder).
             let mut flushed = 0u64;
             let mut fault_delay: VNanos = 0;
-            for (holder, ranges) in &lost {
-                let out = hub.revoke(*holder, ranges, granted_at);
+            for (holder, (_, runs)) in lost {
+                let out = hub.revoke(holder, &compress(runs), granted_at);
                 flushed += out.flushed;
                 fault_delay += out.delay_ns;
             }
@@ -548,12 +490,17 @@ impl LockManager {
         let g = st.granted.swap_remove(pos);
         for (d, slice) in g.slices {
             let domain = &mut st.domains[d];
-            if let Some(t) = domain.tokens.iter_mut().find(|t| t.owner == g.owner) {
-                t.avail = t.avail.max(now);
+            if self.tokens {
+                let avail = domain.avail.entry(g.owner).or_default();
+                *avail = (*avail).max(now);
             }
-            match g.mode {
-                LockMode::Exclusive => domain.excl_release.record(&slice, now),
-                LockMode::Shared => domain.shared_release.record(&slice, now),
+            let released = match g.mode {
+                LockMode::Exclusive => &mut domain.excl_release,
+                LockMode::Shared => &mut domain.shared_release,
+            };
+            // Each byte keeps its latest release, whatever the arrival order.
+            for r in slice.iter_runs() {
+                released.update(r, |t| Some(t.map_or(now, |&t| t.max(now))));
             }
         }
         self.cv.notify_all();
@@ -572,7 +519,7 @@ impl LockManager {
             .lock()
             .domains
             .iter()
-            .map(|d| d.excl_release.0.len() + d.shared_release.0.len())
+            .map(|d| d.excl_release.len() + d.shared_release.len())
             .sum()
     }
 }
@@ -594,13 +541,9 @@ mod tests {
     impl LockManager {
         /// The token coverage `owner` holds across all domains.
         pub(crate) fn token_set(&self, owner: usize) -> StridedSet {
-            self.state
-                .lock()
-                .domains
-                .iter()
-                .flat_map(|d| d.tokens.iter())
-                .filter(|t| t.owner == owner)
-                .fold(StridedSet::new(), |acc, t| acc.union(&t.ranges))
+            let st = self.state.lock();
+            let held = st.domains.iter().flat_map(|d| d.tokens.iter());
+            compress(held.filter(|&(_, &o)| o == owner).map(|(r, _)| r).collect())
         }
     }
 
@@ -734,7 +677,7 @@ mod tests {
         h.join().unwrap();
         let st = m.state.lock();
         assert!(
-            st.domains.iter().all(|d| d.shared_release.0.is_empty()),
+            st.domains.iter().all(|d| d.shared_release.is_empty()),
             "both releases land in the exclusive map"
         );
     }
@@ -1366,64 +1309,5 @@ mod tests {
         );
         m.release(g.id, 5);
         h.join().unwrap();
-    }
-
-    // -------------------------------------------------- release maps
-
-    /// A release set: the union of one or two trains in the first 4 KiB,
-    /// each one run or several (touching runs merge into one).
-    fn arb_release_set() -> impl proptest::strategy::Strategy<Value = StridedSet> {
-        use proptest::strategy::Strategy;
-        let train = (0u64..4096, 1u64..64, 0u64..5, 1u64..8);
-        proptest::collection::vec(train, 1..3).prop_map(|trains| {
-            trains
-                .iter()
-                .fold(StridedSet::new(), |acc, &(start, len, gap, count)| {
-                    acc.union(&comb(start, len, len + gap * 16, count))
-                })
-        })
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        /// The release maps answer exactly what the whole history answers:
-        /// the latest release over every past release of a conflicting
-        /// mode that shares a byte with the query, or `None`. Release times
-        /// arrive out of order.
-        #[test]
-        fn release_map_matches_brute_force_history(
-            releases in proptest::collection::vec(
-                (arb_release_set(), proptest::prelude::any::<bool>(), 0u64..1_000),
-                1..40,
-            ),
-            queries in proptest::collection::vec(
-                (arb_release_set(), proptest::prelude::any::<bool>()),
-                1..20,
-            ),
-        ) {
-            let mode = |exclusive: bool| if exclusive { Exclusive } else { Shared };
-            let mut domain = Domain::default();
-            for (set, exclusive, t) in &releases {
-                match mode(*exclusive) {
-                    Exclusive => domain.excl_release.record(set, *t),
-                    Shared => domain.shared_release.record(set, *t),
-                }
-            }
-            for (set, exclusive) in &queries {
-                let want = releases
-                    .iter()
-                    .filter(|(s, e, _)| conflicts((s, mode(*e)), (set, mode(*exclusive))))
-                    .map(|(_, _, t)| *t)
-                    .max();
-                let excl = domain.excl_release.latest(set);
-                let got = if *exclusive {
-                    excl.max(domain.shared_release.latest(set))
-                } else {
-                    excl
-                };
-                proptest::prop_assert_eq!(got, want, "query {} ({})", set, exclusive);
-            }
-        }
     }
 }

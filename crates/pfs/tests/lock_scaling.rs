@@ -1,10 +1,12 @@
 //! Host-time scaling guard for the lock manager: a lock/release pair must
 //! cost about the same however many distinct cells were released before
-//! it. One client locks `lock_storm`'s cells (512 B at stride 2 KiB, in a
-//! shuffled order) one at a time, at `N` and at `4 N` cells: linear work
-//! reads a ratio near 4, quadratic work near 16, and the guard fails above
-//! 6. A ratio does not depend on the machine's speed, only on how the work
-//! grows.
+//! it, on each of `lock_storm`'s three managers — `central` (one domain),
+//! `token` (one domain whose client keeps a token over every cell it
+//! locked) and `sharded` (one domain per server). One client locks the
+//! storm's cells (512 B at stride 2 KiB, in a shuffled order) one at a
+//! time, at `N` and at `4 N` cells: linear work reads a ratio near 4,
+//! quadratic work near 16, and the guard fails above 6. A ratio does not
+//! depend on the machine's speed, only on how the work grows.
 //!
 //! Timings mean nothing without optimizations, so the test is ignored in
 //! debug builds; run it with
@@ -13,7 +15,7 @@
 use std::time::Instant;
 
 use atomio_interval::{ByteRange, StridedSet};
-use atomio_pfs::{LockManager, LockMode, PlatformProfile};
+use atomio_pfs::{LockKind, LockManager, LockMode, PlatformProfile};
 
 const CELL: u64 = 512;
 const STRIDE: u64 = 2048;
@@ -73,6 +75,13 @@ fn lock_pairs_scale_linearly_with_the_cells_released() {
     let (small_sets, large_sets) = (cells(N), cells(4 * N));
     for (name, profile) in [
         ("central", storm.clone()),
+        (
+            "token",
+            PlatformProfile {
+                lock_kind: LockKind::Distributed,
+                ..storm.clone()
+            },
+        ),
         ("sharded", storm.with_sharded_locks()),
     ] {
         let (mut small, mut large) = (f64::INFINITY, f64::INFINITY);
