@@ -25,50 +25,29 @@
 //! (smoke: 4) and the network re-balanced so an exchange of the whole
 //! request volume and the file writes cost the same order of virtual time.
 //!
-//! Emits `BENCH_aggregation.json`. Acceptance, asserted in every mode at
-//! every P: byte-identical file contents across the three modes, every
-//! byte of the footprint union shipped and written exactly once
-//! (`bytes_shipped == bytes_written`), and `conflict_bytes` equal to the
-//! overlap volume `(P - 1) * header`; and, at full scale,
-//! `makespan(pipelined) <= makespan(flat)` at every P — write-behind has to
-//! pay for its per-round collectives — with more pipelined rounds than its
-//! write-behind depth, so a round retires on a later round's exchange (the
-//! 8-rank smoke geometry is one round with half of flat's aggregators,
-//! nothing to overlap, and is exempt). Also asserted in every mode: no link
-//! class carries more than `bytes_shipped`, and on flat, where a byte rides
-//! one link in all, `wire_intra_bytes + wire_inter_bytes <= bytes_shipped`
-//! — a piece its
-//! holder serves itself counts on no wire. File domains go to the aggregator candidate that
-//! already holds the most of them, and the schedules see different
-//! candidates — flat every rank, the multi-tier modes one leader per node
-//! holding its node's union — so `inter_byte_reduction` is no longer 1.00:
-//! flat's owners keep their own blocks off the wire and receive the rest
-//! (its one `alltoallv` prices each aggregator's receive, a node-mate's
-//! bytes at intra-node rates), the leaders keep whole nodes' blocks at
-//! home.
-//!
-//! Run with `cargo bench -p atomio-bench --bench aggregation` (flags:
-//! [`atomio_bench::Args`]); `--trace` records the pipelined smoke run — one
-//! deterministic multi-tier timeline, small enough for `tracecheck --hb` in
-//! CI. Both scales are `cmp`-gated against `BENCH_aggregation.json` and
-//! `tests/golden/aggregation_smoke.json`.
+//! Run with `cargo run --release -p atomio-bench --bin artifacts -- --write
+//! aggregation aggregation_smoke` (`BENCH_aggregation.json` and its smoke
+//! golden, both compared by `--check`). Asserted in every mode at every P:
+//! byte-identical files, the footprint union shipped and written once
+//! (`bytes_shipped == bytes_written`),
+//! `conflict_bytes == (P - 1) * header`, and no link class carrying more
+//! than `bytes_shipped` (flat: intra and inter together; a piece its
+//! holder serves itself rides no wire). The full-scale acceptance adds, at
+//! every P, `makespan(pipelined) <= makespan(flat)` and more pipelined
+//! rounds than its write-behind depth, so a round retires on a later
+//! round's exchange (the one-round smoke geometry is exempt). The trace
+//! records the pipelined run at the smallest P, for the happens-before
+//! check.
 
 use std::sync::Arc;
 
-use atomio_bench::{counters, makespan, object, ratio, Args, Artifact, Value};
+use crate::{counters, makespan, object, ratio, run_traced, Artifact, Scale, Value};
 use atomio_collective::{two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReport};
 use atomio_dtype::ViewSegment;
-use atomio_msg::run;
 use atomio_pfs::{FileSystem, PlatformProfile};
 use atomio_trace::{MemorySink, TraceSink, Track};
 use atomio_vtime::{LinkCost, VNanos};
 use atomio_workloads::pattern;
-
-struct Geometry {
-    header: u64,
-    block: u64,
-    ranks_per_node: usize,
-}
 
 /// One exchange-schedule point of the comparison.
 #[derive(Debug, Clone, Copy)]
@@ -77,25 +56,11 @@ struct Mode {
     schedule: ExchangeSchedule,
 }
 
+#[rustfmt::skip]
 const MODES: [Mode; 3] = [
-    Mode {
-        key: "flat",
-        schedule: ExchangeSchedule::Flat,
-    },
-    Mode {
-        key: "tiered",
-        schedule: ExchangeSchedule::Pipelined {
-            round_stripes: 4,
-            depth: 1,
-        },
-    },
-    Mode {
-        key: "pipelined",
-        schedule: ExchangeSchedule::Pipelined {
-            round_stripes: 4,
-            depth: 2,
-        },
-    },
+    Mode { key: "flat", schedule: ExchangeSchedule::Flat },
+    Mode { key: "tiered", schedule: ExchangeSchedule::Pipelined { round_stripes: 4, depth: 1 } },
+    Mode { key: "pipelined", schedule: ExchangeSchedule::Pipelined { round_stripes: 4, depth: 2 } },
 ];
 
 counters! {
@@ -140,53 +105,41 @@ fn segments_of(rank: usize, header: u64, block: u64) -> Vec<ViewSegment> {
     ]
 }
 
-/// Run the shared-header workload under one schedule; returns the totals
-/// and the final file bytes.
+/// Run the shared-header workload under one schedule, `p` ranks packed
+/// `ranks_per_node` to a node; returns the totals and the final file bytes.
 fn run_mode(
-    cfg: &Geometry,
+    (header, block): (u64, u64),
+    ranks_per_node: usize,
     p: usize,
     mode: Mode,
     name: &str,
     sink: Option<&Arc<MemorySink>>,
 ) -> (Totals, Vec<u8>) {
     let fs = FileSystem::new(bench_profile());
-    if let Some(s) = sink {
-        fs.bind_tracer(Arc::clone(s) as Arc<dyn TraceSink>);
-    }
-    let (header, block, rpn) = (cfg.header, cfg.block, cfg.ranks_per_node);
-    let name_owned = name.to_string();
-    let sink = sink.cloned();
-    let fs2 = fs.clone();
-    let out: Vec<(VNanos, VNanos, TwoPhaseReport)> =
-        run(p, fs.profile().net.clone(), move |comm| {
-            if let Some(s) = &sink {
-                comm.bind_tracer(Arc::clone(s) as Arc<dyn TraceSink>);
-            }
-            let file = fs2.open(comm.rank(), comm.clock().clone(), &name_owned);
-            if let Some(s) = &sink {
-                file.tracer().bind(
-                    Track::Rank(comm.rank()),
-                    Arc::clone(s) as Arc<dyn TraceSink>,
-                );
-            }
-            let segs = segments_of(comm.rank(), header, block);
-            let pat = pattern::rank_stamp(comm.rank());
-            let mut buf = vec![0u8; (header + block) as usize];
-            for s in &segs {
-                for i in 0..s.len {
-                    buf[(s.logical_off + i) as usize] = pat(s.file_off + i);
-                }
-            }
-            let tp = TwoPhaseConfig {
-                aggregators: None,
-                ranks_per_node: rpn,
-                schedule: mode.schedule,
-            };
-            comm.barrier();
-            let start = comm.clock().now();
-            let report = two_phase_write(&comm, &file, &segs, &buf, 0, &tp);
-            (start, comm.clock().now(), report)
-        });
+    let out: Vec<(VNanos, VNanos, TwoPhaseReport)> = run_traced(p, &fs, sink, |comm| {
+        let file = fs.open(comm.rank(), comm.clock().clone(), name);
+        if let Some(s) = sink {
+            let s = Arc::clone(s) as Arc<dyn TraceSink>;
+            file.tracer().bind(Track::Rank(comm.rank()), s);
+        }
+        let segs = segments_of(comm.rank(), header, block);
+        // The segments tile the buffer in order: each byte is its rank's
+        // stamp at its file offset.
+        let pat = pattern::rank_stamp(comm.rank());
+        let buf: Vec<u8> = segs
+            .iter()
+            .flat_map(|s| (s.file_off..s.file_off + s.len).map(&pat))
+            .collect();
+        let tp = TwoPhaseConfig {
+            aggregators: None,
+            ranks_per_node,
+            schedule: mode.schedule,
+        };
+        comm.barrier();
+        let start = comm.clock().now();
+        let report = two_phase_write(&comm, &file, &segs, &buf, 0, &tp);
+        (start, comm.clock().now(), report)
+    });
     let mut t = Totals {
         makespan_ns: makespan(out.iter().map(|(s, e, _)| (*s, *e))),
         ..Totals::default()
@@ -242,27 +195,16 @@ fn totals_of(row: &[(Mode, Totals)], key: &str) -> Totals {
     mode.expect("every mode runs in every panel").1
 }
 
-fn main() {
-    let args = Args::parse("aggregation");
-    let (header, block, ranks_per_node, procs) = if args.smoke {
+/// The aggregation scenario at `scale`, its pipelined run at the smallest
+/// P recording into `trace`.
+pub(crate) fn aggregation(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Artifact {
+    let smoke = scale == Scale::Smoke;
+    let (header, block, ranks_per_node, procs) = if smoke {
         (16 * 1024, 8 * 1024, 4, vec![8])
     } else {
         (64 * 1024, 16 * 1024, 16, vec![64, 256, 1024])
     };
-    let cfg = Geometry {
-        header,
-        block,
-        ranks_per_node,
-    };
-    println!(
-        "aggregation bench: shared {}-byte header + {}-byte private blocks, {} ranks/node{}",
-        cfg.header,
-        cfg.block,
-        cfg.ranks_per_node,
-        if args.smoke { " [smoke]" } else { "" }
-    );
 
-    let trace = args.trace_file();
     type Panel = (usize, Vec<(Mode, Totals)>);
     let mut panels: Vec<Panel> = Vec::new();
     for &p in &procs {
@@ -270,29 +212,22 @@ fn main() {
         let mut reference: Option<Vec<u8>> = None;
         for mode in MODES {
             let name = format!("agg-{p}-{}", mode.key);
-            let traced = mode.key == "pipelined" && args.smoke && p == procs[0];
-            let sink = trace.as_ref().filter(|_| traced).map(|t| t.sink());
-            let (t, snap) = run_mode(&cfg, p, mode, &name, sink);
+            let traced = mode.key == "pipelined" && p == procs[0];
+            let sink = trace.filter(|_| traced);
+            let (t, snap) = run_mode((header, block), ranks_per_node, p, mode, &name, sink);
             // All three schedules surrender to the highest rank: the
-            // bench doubles as an equivalence check.
-            match &reference {
-                Some(r) => assert_eq!(
-                    r, &snap,
-                    "P={p}: {} contents differ from the flat schedule",
-                    mode.key
-                ),
-                None => reference = Some(snap),
-            }
-            println!("P={p:<5} {:>10}  {}", mode.key, Value::from(&t));
+            // scenario doubles as an equivalence check.
+            let first = reference.get_or_insert_with(|| snap.clone());
+            assert_eq!(
+                first, &snap,
+                "{name}: contents differ from the flat schedule"
+            );
             row.push((mode, t));
         }
         panels.push((p, row));
     }
-    if let Some(t) = &trace {
-        t.export();
-    }
 
-    let mut artifact = Artifact::new(&args);
+    let mut artifact = Artifact::new("aggregation");
     artifact
         .field(
             "workload",
@@ -303,10 +238,10 @@ fn main() {
         .field(
             "geometry",
             object! {
-                "header_bytes": cfg.header,
-                "block_bytes": cfg.block,
-                "ranks_per_node": cfg.ranks_per_node,
-                "smoke": args.smoke,
+                "header_bytes": header,
+                "block_bytes": block,
+                "ranks_per_node": ranks_per_node,
+                "smoke": smoke,
             },
         )
         .field(
@@ -357,9 +292,19 @@ fn main() {
     }
 
     // Acceptance: `run_mode` asserted union-once shipping and the overlap
-    // volume in every mode at every P and `main` the byte identity; at full
-    // scale the pipelined schedule must also be no slower than flat.
-    let acceptance = panels.iter().find(|(p, _)| *p == 256 && !args.smoke);
+    // volume in every mode at every P and the panel loop the byte identity;
+    // at full scale the pipelined schedule must also be no slower than flat
+    // at every P, with more rounds than its write-behind depth, so a round
+    // retires on a later round's exchange.
+    let pass = panels.iter().all(|(_, row)| {
+        let (flat, pipe) = (totals_of(row, "flat"), totals_of(row, "pipelined"));
+        let retires = row.iter().all(|(mode, t)| match (mode.key, mode.schedule) {
+            ("pipelined", ExchangeSchedule::Pipelined { depth, .. }) => t.rounds > depth as usize,
+            _ => true,
+        });
+        pipe.makespan_ns <= flat.makespan_ns && retires
+    });
+    let acceptance = panels.iter().find(|(p, _)| *p == 256 && !smoke);
     artifact.acceptance(
         "P=256",
         acceptance.map(|(p, row)| {
@@ -376,31 +321,9 @@ fn main() {
                 "conflict_bytes": pipe.conflict_bytes,
                 "inter_byte_reduction": inter_reduction,
                 "makespan_speedup": speedup,
-                "pass": true,
+                "pass": pass,
             }
         }),
     );
-    artifact.write();
-    if !args.smoke {
-        for (p, row) in &panels {
-            let (flat, pipe) = (totals_of(row, "flat"), totals_of(row, "pipelined"));
-            assert!(
-                pipe.makespan_ns <= flat.makespan_ns,
-                "P={p}: pipelined ({} vns) is slower than flat ({} vns)",
-                pipe.makespan_ns,
-                flat.makespan_ns
-            );
-            for (mode, t) in row {
-                if let ("pipelined", ExchangeSchedule::Pipelined { depth, .. }) =
-                    (mode.key, mode.schedule)
-                {
-                    assert!(
-                        t.rounds > depth as usize,
-                        "P={p}: {} rounds retire nothing before the drain at depth {depth}",
-                        t.rounds
-                    );
-                }
-            }
-        }
-    }
+    artifact
 }

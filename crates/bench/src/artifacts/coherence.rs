@@ -21,41 +21,31 @@
 //! read asserts the exact current-round stamp, so a stale byte fails the
 //! run).
 //!
-//! Emits `BENCH_coherence.json`. Acceptance (full geometry, P = 8,
+//! Run with `cargo run --release -p atomio-bench --bin artifacts --
+//! --write coherence` (`BENCH_coherence.json`); `--check` runs
+//! `coherence_smoke`. Acceptance (full geometry, P = 8,
 //! checkpoint-then-reread): lock-driven cached atomic I/O must issue
-//! **≥ 5× fewer server read requests** than the direct bypass path
-//! (compared as counts, `lock_driven × 5 ≤ bypass`, so a mode that issues
-//! none passes without a quotient), with byte-identical, checker-verified
-//! file contents across all three modes and zero stale reads observed
-//! anywhere.
+//! **≥ 5× fewer server read requests** than the bypass path
+//! (`lock_driven × 5 ≤ bypass`), with byte-identical, checker-verified
+//! files across the three modes and no stale read.
 //!
 //! **Cost model for revocation flushes:** a revocation-triggered flush is
-//! a first-class write. Its bytes *occupy the I/O-server horizons* (they
-//! appear in `server_service` and delay later requests to the same
-//! servers, exactly like an explicit `sync`), and the revoking *acquirer*
-//! is charged the flat `token_revoke_ns` plus `token_revoke_byte_ns` per
-//! flushed write-behind byte — the holder's clock may be anywhere, so the
-//! wait is billed where it is actually suffered. Large write-behind
-//! transfers therefore no longer ride free under `lock_driven`: makespans
-//! are comparable across all three modes, and the *request-count* metrics
-//! (`server_read_requests`, which the acceptance compares) count real requests
-//! on every path.
+//! a first-class write that occupies the I/O-server horizons, and the
+//! revoking *acquirer* pays `token_revoke_ns` plus `token_revoke_byte_ns`
+//! per flushed write-behind byte, so makespans compare across all three
+//! modes (the artifact's `cost_model` quotes it).
 //!
-//! Run with `cargo bench -p atomio-bench --bench coherence` (flags:
-//! [`atomio_bench::Args`]); `--trace` records the revocation-heavy run —
-//! lock-driven coherence on the producer-consumer ping-pong at the
-//! smallest P — as a Perfetto-loadable timeline.
+//! The trace records the revocation-heavy run: lock-driven coherence on
+//! the producer-consumer ping-pong at the smallest P.
 
 use std::sync::Arc;
 
-use atomio_bench::{counters, makespan, object, ratio, reduction, Args, Artifact, Value};
+use super::gpfs_cached;
+use crate::{counters, makespan, object, ratio, reduction, run_traced, Artifact, Scale, Value};
 use atomio_core::verify::check_mpi_atomicity;
 use atomio_core::{Atomicity, IoPath, LockGranularity, MpiFile, OpenMode, Strategy};
-use atomio_msg::run;
-use atomio_pfs::{
-    CacheParams, CoherenceMode, FileSystem, LatencySnapshot, LockKind, PlatformProfile,
-};
-use atomio_trace::{MemorySink, TraceSink};
+use atomio_pfs::{CoherenceMode, FileSystem, LatencySnapshot, PlatformProfile};
+use atomio_trace::MemorySink;
 use atomio_vtime::VNanos;
 use atomio_workloads::{ReaderWriter, RwPreset};
 
@@ -67,41 +57,17 @@ struct Mode {
     coherence: CoherenceMode,
 }
 
+#[rustfmt::skip]
 const MODES: [Mode; 3] = [
-    Mode {
-        key: "bypass",
-        io_path: IoPath::Direct,
-        coherence: CoherenceMode::CloseToOpen,
-    },
-    Mode {
-        key: "close_to_open",
-        io_path: IoPath::Cached,
-        coherence: CoherenceMode::CloseToOpen,
-    },
-    Mode {
-        key: "lock_driven",
-        io_path: IoPath::Cached,
-        coherence: CoherenceMode::LockDriven,
-    },
+    Mode { key: "bypass", io_path: IoPath::Direct, coherence: CoherenceMode::CloseToOpen },
+    Mode { key: "close_to_open", io_path: IoPath::Cached, coherence: CoherenceMode::CloseToOpen },
+    Mode { key: "lock_driven", io_path: IoPath::Cached, coherence: CoherenceMode::LockDriven },
 ];
 
-/// GPFS-flavoured test platform: distributed tokens over fast_test
-/// timing, with a cache large enough to hold a rank's working set and a
-/// write-behind threshold the blocks stay under.
+/// The GPFS-flavoured platform with a write-behind threshold the blocks
+/// stay under.
 fn profile(coherence: CoherenceMode) -> PlatformProfile {
-    PlatformProfile {
-        lock_kind: LockKind::Distributed,
-        coherence,
-        cache: CacheParams {
-            enabled: true,
-            page_size: 4 * 1024,
-            read_ahead_pages: 2,
-            write_behind_limit: 1024 * 1024,
-            max_bytes: 4 * 1024 * 1024,
-            mem: atomio_vtime::MemCost::new(1.0e9),
-        },
-        ..PlatformProfile::fast_test()
-    }
+    gpfs_cached(coherence, 1024 * 1024)
 }
 
 counters! {
@@ -120,24 +86,18 @@ counters! {
     }
 }
 
-/// Run one reader-writer workload under one mode; returns the totals, the
-/// latency histograms, and the final (synced) file bytes. When `sink` is
-/// given, every rank's and server's events are recorded into it.
+/// Run one reader-writer workload under one mode and check its final
+/// (synced) file against the model; returns the totals and the latency
+/// histograms. When `sink` is given, every rank's and server's events are
+/// recorded into it.
 fn run_mode(
     spec: ReaderWriter,
     mode: Mode,
     name: &str,
     sink: Option<&Arc<MemorySink>>,
-) -> (Totals, LatencySnapshot, Vec<u8>) {
+) -> (Totals, LatencySnapshot) {
     let fs = FileSystem::new(profile(mode.coherence));
-    if let Some(s) = sink {
-        fs.bind_tracer(Arc::clone(s) as Arc<dyn TraceSink>);
-    }
-    let sink = sink.cloned();
-    let out = run(spec.p, fs.profile().net.clone(), |comm| {
-        if let Some(s) = &sink {
-            comm.bind_tracer(Arc::clone(s) as Arc<dyn TraceSink>);
-        }
+    let out = run_traced(spec.p, &fs, sink, |comm| {
         let rank = comm.rank();
         let own = spec.owner_range(rank);
         let read = spec.read_range(rank);
@@ -206,7 +166,7 @@ fn run_mode(
         .collect();
     let rep = check_mpi_atomicity(&snap, &views, &patterns);
     assert!(rep.is_atomic(), "{name}: not MPI-atomic: {rep:?}");
-    (t, latency, snap)
+    (t, latency)
 }
 
 /// The totals `key`'s mode produced in one panel.
@@ -215,60 +175,37 @@ fn totals_of(row: &[(Mode, Totals, LatencySnapshot)], key: &str) -> Totals {
     mode.expect("every mode runs in every panel").1
 }
 
-fn main() {
-    let args = Args::parse("coherence");
-    let (block, rounds, rereads, procs) = if args.smoke {
+/// The coherence scenario at `scale`, its traced run recording into
+/// `trace`.
+pub(crate) fn coherence(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Artifact {
+    let smoke = scale == Scale::Smoke;
+    let (block, rounds, rereads, procs) = if smoke {
         (8 * 1024, 2, 2, vec![4])
     } else {
         (64 * 1024, 4, 4, vec![4, 8])
     };
     // All three modes share the platform's revocation cost model; quote it
-    // in the header and JSON so the flushed-byte freight is interpretable.
+    // in the JSON so the flushed-byte freight is interpretable.
     let revoke_byte_ns = profile(CoherenceMode::LockDriven).token_revoke_byte_ns;
-    println!(
-        "coherence bench: reader-writer rounds, {block} B blocks x {rounds} rounds x {rereads} \
-         rereads{}",
-        if args.smoke { " [smoke]" } else { "" }
-    );
-    println!(
-        "revocation cost model: token_revoke_ns flat + {revoke_byte_ns} ns per flushed byte, \
-         charged to the acquirer"
-    );
 
     /// One (process count, preset) panel: per-mode totals and latency.
     type Panel = (usize, RwPreset, Vec<(Mode, Totals, LatencySnapshot)>);
     let presets = [RwPreset::CheckpointReread, RwPreset::ProducerConsumer];
-    let trace = args.trace_file();
     let mut panels: Vec<Panel> = Vec::new();
     for &p in &procs {
         for preset in presets {
             let spec =
                 ReaderWriter::new(p, block, rounds, rereads, preset).expect("valid geometry");
+            // `run_mode` holds every mode's file to the model: byte
+            // identity across the modes follows.
             let mut row = Vec::new();
-            let mut reference: Option<Vec<u8>> = None;
             for mode in MODES {
                 let name = format!("coh-{p}-{}-{}", preset.label(), mode.key);
                 let traced = mode.key == "lock_driven"
                     && preset == RwPreset::ProducerConsumer
                     && p == procs[0];
-                let sink = trace.as_ref().filter(|_| traced).map(|t| t.sink());
-                let (t, lat, snap) = run_mode(spec, mode, &name, sink);
-                match &reference {
-                    Some(r) => assert_eq!(
-                        r,
-                        &snap,
-                        "P={p} {}: {} contents differ from bypass",
-                        preset.label(),
-                        mode.key
-                    ),
-                    None => reference = Some(snap),
-                }
-                println!(
-                    "P={p:<3} {:>22} {:>14}  {}",
-                    preset.label(),
-                    mode.key,
-                    Value::from(&t)
-                );
+                let sink = trace.filter(|_| traced);
+                let (t, lat) = run_mode(spec, mode, &name, sink);
                 row.push((mode, t, lat));
             }
             // Producer-consumer under lock-driven coherence must actually
@@ -287,11 +224,8 @@ fn main() {
             panels.push((p, preset, row));
         }
     }
-    if let Some(t) = &trace {
-        t.export();
-    }
 
-    let mut artifact = Artifact::new(&args);
+    let mut artifact = Artifact::new("coherence");
     artifact
         .field(
             "workload",
@@ -301,7 +235,7 @@ fn main() {
         )
         .field(
             "geometry",
-            object! {"block": block, "rounds": rounds, "rereads": rereads, "smoke": args.smoke},
+            object! {"block": block, "rounds": rounds, "rereads": rereads, "smoke": smoke},
         )
         .field(
             "cost_model",
@@ -349,36 +283,24 @@ fn main() {
     // none passes without a quotient), with zero stale reads anywhere.
     let acceptance = panels
         .iter()
-        .find(|(p, preset, _)| *p == 8 && *preset == RwPreset::CheckpointReread && !args.smoke)
-        .map(|(_, _, row)| {
-            let (bypass, ld) = (totals_of(row, "bypass"), totals_of(row, "lock_driven"));
-            (bypass.server_read_requests, ld.server_read_requests)
-        });
-    artifact.acceptance(
-        "P=8",
-        acceptance.map(|(bypass, lock_driven)| {
-            object! {
-                "p": 8usize,
-                "preset": "checkpoint-then-reread",
-                "metric": "bypass / lock_driven server read requests (pass: lock_driven x 5 \
-                           <= bypass)",
-                "bypass_server_read_requests": bypass,
-                "lock_driven_server_read_requests": lock_driven,
-                "reduction": reduction(bypass, lock_driven),
-                "threshold": Value::fixed(5.0, 1),
-                "byte_identical": true,
-                "stale_reads": 0u64,
-                "pass": lock_driven * 5 <= bypass,
-            }
-        }),
-    );
-    artifact.write();
-    if let Some((bypass, lock_driven)) = acceptance {
-        assert!(
-            lock_driven * 5 <= bypass,
-            "acceptance: lock-driven cached atomic I/O must issue >= 5x fewer server \
-             read requests than bypass's {bypass} at P=8 checkpoint-then-reread, got \
-             {lock_driven}"
-        );
-    }
+        .find(|(p, preset, _)| *p == 8 && *preset == RwPreset::CheckpointReread && !smoke);
+    let acceptance = acceptance.map(|(_, _, row)| {
+        let bypass = totals_of(row, "bypass").server_read_requests;
+        let lock_driven = totals_of(row, "lock_driven").server_read_requests;
+        object! {
+            "p": 8usize,
+            "preset": "checkpoint-then-reread",
+            "metric": "bypass / lock_driven server read requests (pass: lock_driven x 5 <= \
+                       bypass)",
+            "bypass_server_read_requests": bypass,
+            "lock_driven_server_read_requests": lock_driven,
+            "reduction": reduction(bypass, lock_driven),
+            "threshold": Value::fixed(5.0, 1),
+            "byte_identical": true,
+            "stale_reads": 0u64,
+            "pass": lock_driven * 5 <= bypass,
+        }
+    });
+    artifact.acceptance("P=8", acceptance);
+    artifact
 }

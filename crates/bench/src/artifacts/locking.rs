@@ -19,28 +19,21 @@
 //!
 //! The platform stripes **column-aligned** (stripe unit = run length,
 //! one I/O server per writer column) and is costed **latency-dominated**
-//! (RPC latency ≫ per-request server occupancy), so each rank's request
-//! stream is independently overlappable. Under the earlier shared-stripe
-//! bandwidth-bound costing the makespan was server-capacity-bound —
-//! total bytes over aggregate server bandwidth floored every mode
-//! equally, and span's serialization surfaced only in `grant_wait_ns`.
-//! Now exact-footprint grants run all P streams concurrently (overlapped
-//! I/O) while span locking still runs them end to end, so the
-//! granularity win shows up in the makespan itself — and because no two
-//! ranks share a server horizon, the timing stays deterministic under
-//! real-thread racing.
+//! (RPC latency ≫ per-request server occupancy), so exact-footprint grants
+//! run all P streams concurrently while span locking runs them end to
+//! end: the granularity win shows in the makespan itself, and because no
+//! two ranks share a server horizon the timing is deterministic.
 //!
-//! Emits `BENCH_locking.json`; a reduction over a zero base is `null`.
-//! Acceptance (full geometry, P = 16): exact and sharded-exact locking
-//! must each serialize **at most a fifth of span's grants** (counts, so
-//! zero passes) *and* show **≥ 3× lower makespan** than bounding-span
-//! locking, with byte-identical file contents across all three modes.
-//!
-//! Run with `cargo bench -p atomio-bench --bench locking` (flags:
-//! [`atomio_bench::Args`]). Both scales are deterministic and `cmp`-gated
-//! in CI against `BENCH_locking.json` and `tests/golden/locking_smoke.json`.
+//! Run with `cargo run --release -p atomio-bench --bin artifacts --
+//! --write locking locking_smoke` (`BENCH_locking.json` and its smoke
+//! golden, both compared by `--check`); a reduction over a zero base is
+//! `null`. Acceptance (full geometry, P = 16): exact
+//! and sharded-exact locking must each serialize **at most a fifth of
+//! span's grants** (counts, so zero passes) *and* show **≥ 3× lower
+//! makespan** than bounding-span locking, with byte-identical file
+//! contents across all three modes.
 
-use atomio_bench::{counters, makespan, object, ratio, reduction, Args, Artifact, Value};
+use crate::{counters, makespan, object, ratio, reduction, Artifact, Scale, Value};
 use atomio_core::verify::check_mpi_atomicity;
 use atomio_core::{Atomicity, LockGranularity, MpiFile, OpenMode, Strategy};
 use atomio_msg::run;
@@ -56,22 +49,11 @@ struct Mode {
     sharded: bool,
 }
 
+#[rustfmt::skip]
 const MODES: [Mode; 3] = [
-    Mode {
-        key: "span",
-        granularity: LockGranularity::Span,
-        sharded: false,
-    },
-    Mode {
-        key: "exact",
-        granularity: LockGranularity::Exact,
-        sharded: false,
-    },
-    Mode {
-        key: "sharded",
-        granularity: LockGranularity::Exact,
-        sharded: true,
-    },
+    Mode { key: "span", granularity: LockGranularity::Span, sharded: false },
+    Mode { key: "exact", granularity: LockGranularity::Exact, sharded: false },
+    Mode { key: "sharded", granularity: LockGranularity::Exact, sharded: true },
 ];
 
 counters! {
@@ -89,18 +71,9 @@ counters! {
     }
 }
 
-/// Run the disjoint interleaved collective write under one mode; returns
-/// the totals, the latency histograms, and the final file bytes.
-/// The comparison platform: the test profile with **column-aligned
-/// declustered striping** (stripe unit = run length, one I/O server per
-/// writer column) and RPC costs re-balanced so one request is dominated
-/// by the client-paid link latency, not by the occupancy it deposits on
-/// the server horizon. Each rank's locked write is one pipelined vector
-/// (`PosixFile::try_pwritev_direct`) that lives on its own server and is
-/// independently overlappable: P vectors granted exactly run concurrently,
-/// while span locking still runs them end to end — and because no two
-/// ranks ever share a server horizon, the simulated timing is independent
-/// of real thread scheduling.
+/// The comparison platform: the test profile striped one server per
+/// writer column, with one request dominated by the client-paid link
+/// latency rather than by its server occupancy.
 fn bench_profile(spec: &IndependentStrided, sharded: bool) -> PlatformProfile {
     let mut p = PlatformProfile::fast_test();
     if sharded {
@@ -113,6 +86,8 @@ fn bench_profile(spec: &IndependentStrided, sharded: bool) -> PlatformProfile {
     p
 }
 
+/// Run the disjoint interleaved collective write under one mode; returns
+/// the totals, the latency histograms, and the final file bytes.
 fn run_mode(
     spec: IndependentStrided,
     mode: Mode,
@@ -158,17 +133,14 @@ fn totals_of(row: &[(Mode, Totals, LatencySnapshot)], key: &str) -> Totals {
     mode.expect("every mode runs in every panel").1
 }
 
-fn main() {
-    let args = Args::parse("locking");
-    let (rows, row_bytes, procs) = if args.smoke {
+/// The locking scenario at `scale`.
+pub(crate) fn locking(scale: Scale) -> Artifact {
+    let smoke = scale == Scale::Smoke;
+    let (rows, row_bytes, procs) = if smoke {
         (128, 256, vec![4, 16])
     } else {
         (4096, 4096, vec![4, 16, 64])
     };
-    println!(
-        "locking bench: disjoint interleaved writers, {rows} runs x {row_bytes} B rows{}",
-        if args.smoke { " [smoke]" } else { "" }
-    );
 
     type Panel = (usize, Vec<(Mode, Totals, LatencySnapshot)>);
     let mut panels: Vec<Panel> = Vec::new();
@@ -181,22 +153,19 @@ fn main() {
             let name = format!("lk-{p}-{}", mode.key);
             let (t, lat, snap) = run_mode(spec, mode, &name);
             // Disjoint writers: all three granularities must produce the
-            // same bytes — the bench doubles as an equivalence check.
-            match &reference {
-                Some(r) => assert_eq!(
-                    r, &snap,
-                    "P={p}: {} contents differ from span locking",
-                    mode.key
-                ),
-                None => reference = Some(snap),
-            }
-            println!("P={p:<4} {:>8}  {}", mode.key, Value::from(&t));
+            // same bytes — the scenario doubles as an equivalence check.
+            let first = reference.get_or_insert_with(|| snap.clone());
+            assert_eq!(
+                first, &snap,
+                "P={p}: {} differs from span locking",
+                mode.key
+            );
             row.push((mode, t, lat));
         }
         panels.push((p, row));
     }
 
-    let mut artifact = Artifact::new(&args);
+    let mut artifact = Artifact::new("locking");
     artifact
         .field(
             "workload",
@@ -206,7 +175,7 @@ fn main() {
         )
         .field(
             "geometry",
-            object! {"rows": rows, "row_bytes": row_bytes, "smoke": args.smoke},
+            object! {"rows": rows, "row_bytes": row_bytes, "smoke": smoke},
         )
         .field(
             "modes",
@@ -248,52 +217,34 @@ fn main() {
     // serialize at most a fifth of span's grants (compared as counts, so a
     // mode that serializes none passes without a quotient) AND beat its
     // makespan >= 3x (the overlapped-I/O win itself).
-    let acceptance = panels.iter().find(|(p, _)| *p == 16 && !args.smoke);
+    let acceptance = panels.iter().find(|(p, _)| *p == 16 && !smoke);
     let acceptance = acceptance.map(|(_, row)| {
         let span = totals_of(row, "span");
-        let fine: Vec<&Totals> = row
-            .iter()
-            .filter(|(m, _, _)| m.key != "span")
-            .map(|(_, t, _)| t)
-            .collect();
-        let serialized = fine.iter().map(|t| t.serialized_grants).max();
-        let speedup = fine.iter().map(|t| ratio(span.makespan_ns, t.makespan_ns));
-        (
-            span.serialized_grants,
-            serialized.expect("exact and sharded run"),
-            speedup.fold(f64::INFINITY, f64::min),
-        )
+        let fine = row.iter().filter(|(m, _, _)| m.key != "span");
+        let fine =
+            fine.map(|(_, t, _)| (t.serialized_grants, ratio(span.makespan_ns, t.makespan_ns)));
+        let serialized = fine
+            .clone()
+            .map(|(s, _)| s)
+            .max()
+            .expect("exact and sharded run");
+        let speedup = fine.map(|(_, x)| x).fold(f64::INFINITY, f64::min);
+        let span = span.serialized_grants;
+        object! {
+            "p": 16usize,
+            "metric": "serialized grants of span vs the worst of exact and sharded (pass: \
+                       fine x 5 <= span), and span / exact makespan (min over exact and \
+                       sharded)",
+            "span_serialized_grants": span,
+            "fine_serialized_grants": serialized,
+            "reduction": reduction(span, serialized),
+            "threshold": Value::fixed(5.0, 1),
+            "makespan_speedup": Value::fixed(speedup, 2),
+            "speedup_threshold": Value::fixed(3.0, 1),
+            "byte_identical": true,
+            "pass": serialized * 5 <= span && speedup >= 3.0,
+        }
     });
-    artifact.acceptance(
-        "P=16",
-        acceptance.map(|(span, fine, speedup)| {
-            object! {
-                "p": 16usize,
-                "metric": "serialized grants of span vs the worst of exact and sharded (pass: \
-                           fine x 5 <= span), and span / exact makespan (min over exact and \
-                           sharded)",
-                "span_serialized_grants": span,
-                "fine_serialized_grants": fine,
-                "reduction": reduction(span, fine),
-                "threshold": Value::fixed(5.0, 1),
-                "makespan_speedup": Value::fixed(speedup, 2),
-                "speedup_threshold": Value::fixed(3.0, 1),
-                "byte_identical": true,
-                "pass": fine * 5 <= span && speedup >= 3.0,
-            }
-        }),
-    );
-    artifact.write();
-    if let Some((span, fine, speedup)) = acceptance {
-        assert!(
-            fine * 5 <= span,
-            "acceptance: exact/sharded locking must serialize at most a fifth of span \
-             locking's {span} grants at P=16, got {fine}"
-        );
-        assert!(
-            speedup >= 3.0,
-            "acceptance: exact/sharded locking must beat span locking's makespan >= 3x \
-             at P=16 on the latency-dominated platform, got {speedup:.2}x"
-        );
-    }
+    artifact.acceptance("P=16", acceptance);
+    artifact
 }

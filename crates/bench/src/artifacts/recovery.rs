@@ -20,42 +20,29 @@
 //!   **zero** stale/torn reads with ≥ 1 replay and ≥ 1 torn record
 //!   discarded.
 //!
-//! Emits `BENCH_recovery.json`. Run with
-//! `cargo bench -p atomio-bench --bench recovery` (flags:
-//! [`atomio_bench::Args`]); `--trace` records the acceptance run, its
-//! `Category::Fault` events included.
+//! Run with `cargo run --release -p atomio-bench --bin artifacts -- --write
+//! recovery` (`BENCH_recovery.json`); `--check` runs `recovery_smoke`. The
+//! trace records the acceptance run, its `Category::Fault` events included.
 
 use std::sync::Arc;
 
-use atomio_bench::{makespan, object, ratio, Args, Artifact, Value};
+use super::gpfs_cached;
+use crate::{makespan, object, ratio, run_traced, Artifact, Scale, Value};
 use atomio_core::{Atomicity, IoPath, LockGranularity, MpiFile, OpenMode, Strategy};
-use atomio_msg::run;
 use atomio_pfs::{
-    CacheParams, CoherenceMode, FaultAction, FaultPlan, FaultSite, FaultSnapshot, FileSystem,
-    LatencySnapshot, LockKind, PlatformProfile, RestartPolicy,
+    CoherenceMode, FaultAction, FaultPlan, FaultSite, FaultSnapshot, FileSystem, LatencySnapshot,
+    PlatformProfile, RestartPolicy,
 };
-use atomio_trace::{MemorySink, TraceSink};
+use atomio_trace::MemorySink;
 use atomio_vtime::VNanos;
 use atomio_workloads::CrashRecovery;
 
-/// GPFS-flavoured platform like the coherence bench, but with a
-/// write-behind limit *below* one checkpoint block so every round's write
-/// flushes dirty runs mid-run — putting the write-ahead journal (and any
-/// scheduled crash) on the round loop's hot path instead of only at close.
+/// The GPFS-flavoured platform with a write-behind limit *below* one
+/// checkpoint block, so every round's write flushes dirty runs mid-run —
+/// putting the write-ahead journal (and any scheduled crash) on the round
+/// loop's hot path instead of only at close.
 fn profile(block: u64) -> PlatformProfile {
-    PlatformProfile {
-        lock_kind: LockKind::Distributed,
-        coherence: CoherenceMode::LockDriven,
-        cache: CacheParams {
-            enabled: true,
-            page_size: 4 * 1024,
-            read_ahead_pages: 2,
-            write_behind_limit: (block / 2).max(4 * 1024),
-            max_bytes: 4 * 1024 * 1024,
-            mem: atomio_vtime::MemCost::new(1.0e9),
-        },
-        ..PlatformProfile::fast_test()
-    }
+    gpfs_cached(CoherenceMode::LockDriven, (block / 2).max(4 * 1024))
 }
 
 /// Aggregate result of one whole run (all ranks).
@@ -65,33 +52,28 @@ struct RunResult {
     /// Stale/torn/corrupt verification reads observed (must be 0).
     anomalies: u64,
     retries: u64,
-    journal_replays: u64,
-    torn_discarded: u64,
     faults: FaultSnapshot,
     latency: LatencySnapshot,
     snap: Vec<u8>,
 }
 
-/// Run the crash-recovery workload on a file system built with `plan`.
-/// Every verification read is classified by the workload checker; the
-/// recovered final file must match the fault-free model exactly (the
-/// schedule never kills a client, so no round may be rolled back either).
+/// Run the crash-recovery workload on a file system built with `plan`
+/// (`None`: one that never heard of faults). Every verification read is
+/// classified by the workload checker; the recovered final file must match
+/// the fault-free model exactly (the schedule never kills a client, so no
+/// round may be rolled back either).
 fn run_plan(
     spec: CrashRecovery,
-    plan: FaultPlan,
+    plan: Option<FaultPlan>,
     name: &str,
     sink: Option<&Arc<MemorySink>>,
 ) -> RunResult {
-    let fs = FileSystem::with_faults(profile(spec.rw.block), plan);
-    if let Some(s) = sink {
-        fs.bind_tracer(Arc::clone(s) as Arc<dyn TraceSink>);
-    }
-    let sink = sink.cloned();
+    let fs = match plan {
+        Some(plan) => FileSystem::with_faults(profile(spec.rw.block), plan),
+        None => FileSystem::new(profile(spec.rw.block)),
+    };
     let rw = spec.rw;
-    let out = run(rw.p, fs.profile().net.clone(), |comm| {
-        if let Some(s) = &sink {
-            comm.bind_tracer(Arc::clone(s) as Arc<dyn TraceSink>);
-        }
+    let out = run_traced(rw.p, &fs, sink, |comm| {
         let rank = comm.rank();
         let own = rw.owner_range(rank);
         let mut file = MpiFile::open(&comm, &fs, name, OpenMode::ReadWrite).unwrap();
@@ -127,8 +109,6 @@ fn run_plan(
         makespan_ns: makespan(out.iter().map(|(s, e, _, _)| (*s, *e))),
         anomalies: 0,
         retries: 0,
-        journal_replays: 0,
-        torn_discarded: 0,
         faults: fs.fault_stats(),
         latency: fs.latency_snapshot(),
         snap: fs.snapshot(name).expect("file written"),
@@ -136,8 +116,6 @@ fn run_plan(
     for (_, _, s, anomalies) in &out {
         res.anomalies += anomalies;
         res.retries += s.retries;
-        res.journal_replays += s.journal_replays;
-        res.torn_discarded += s.torn_records_discarded;
     }
     assert_eq!(
         res.anomalies, 0,
@@ -176,89 +154,76 @@ impl From<&RunResult> for Value {
     }
 }
 
-fn main() {
-    let args = Args::parse("recovery");
-    let (block, rounds, rereads, procs, fault_rates) = if args.smoke {
+/// The recovery scenario at `scale`, its acceptance run recording into
+/// `trace`.
+pub(crate) fn recovery(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Artifact {
+    let smoke = scale == Scale::Smoke;
+    let (block, rounds, rereads, procs, fault_rates) = if smoke {
         (8 * 1024, 2, 2, vec![4], vec![0, 4, 8])
     } else {
         (64 * 1024, 4, 4, vec![4, 8], vec![0, 4, 8, 16])
     };
-    println!(
-        "recovery bench: crash-recovery checkpoint rounds, {block} B blocks x {rounds} rounds x \
-         {rereads} rereads{}",
-        if args.smoke { " [smoke]" } else { "" }
-    );
-
     // --- No-fault identity: FaultPlan::none() vs a plain FileSystem.
     let ident_spec =
         CrashRecovery::new(procs[0], block, rounds, rereads, 1, 0).expect("valid geometry");
-    let with_plan = run_plan(ident_spec, FaultPlan::none(), "rec-ident-plan", None);
-    let baseline = {
-        // Same workload on FileSystem::new — byte- and vtime-identical.
-        let rw = ident_spec.rw;
-        let fs = FileSystem::new(profile(rw.block));
-        let out = run(rw.p, fs.profile().net.clone(), |comm| {
-            let rank = comm.rank();
-            let own = rw.owner_range(rank);
-            let mut file =
-                MpiFile::open(&comm, &fs, "rec-ident-base", OpenMode::ReadWrite).unwrap();
-            file.set_atomicity(Atomicity::Atomic(Strategy::FileLocking(
-                LockGranularity::Exact,
-            )))
-            .unwrap();
-            file.set_io_path(IoPath::Cached);
-            comm.barrier();
-            let start = comm.clock().now();
-            for round in 0..rw.rounds {
-                let data = vec![rw.stamp(rank, round); rw.block as usize];
-                file.write_at(own.start, &data).unwrap();
-                comm.barrier();
-                let mut buf = vec![0u8; rw.block as usize];
-                for _ in 0..rw.rereads {
-                    file.read_at(own.start, &mut buf).unwrap();
-                }
-                comm.barrier();
-            }
-            let end = comm.clock().now();
-            file.close().unwrap();
-            (start, end)
-        });
-        (makespan(out), fs.snapshot("rec-ident-base").unwrap())
-    };
-    let identical = with_plan.snap == baseline.1 && with_plan.makespan_ns == baseline.0;
+    let with_plan = run_plan(ident_spec, Some(FaultPlan::none()), "rec-ident-plan", None);
+    let baseline = run_plan(ident_spec, None, "rec-ident-base", None);
+    let identical =
+        with_plan.snap == baseline.snap && with_plan.makespan_ns == baseline.makespan_ns;
     assert!(
         identical,
         "a FaultPlan::none() run must be byte- and vtime-identical to a fault-free file \
          system (makespan {} vs {})",
-        with_plan.makespan_ns, baseline.0
+        with_plan.makespan_ns, baseline.makespan_ns
     );
-    println!(
-        "no-fault identity: FaultPlan::none() == fault-free (makespan {} ns, {} B)",
-        baseline.0,
-        baseline.1.len()
-    );
+
+    let mut artifact = Artifact::new("recovery");
+    artifact
+        .field(
+            "workload",
+            "CrashRecovery checkpoint-then-reread rounds under deterministic fault schedules on \
+             the lock-driven cached path; every verification read classified \
+             clean/stale/torn/corrupt by the workload checker (any anomaly fails the run)",
+        )
+        .field(
+            "geometry",
+            object! {
+                "block": block,
+                "rounds": rounds,
+                "rereads": rereads,
+                "write_behind_limit": profile(block).cache.write_behind_limit,
+                "smoke": smoke,
+            },
+        )
+        .field(
+            "fault_model",
+            "seeded FaultPlan: server crashes (restart after 1-4 rejected requests), torn \
+             journal appends, dropped/delayed revocations; retries pay exponential vtime \
+             backoff (retry_backoff_ns << attempt)",
+        )
+        .field(
+            "no_fault_identity",
+            object! {"byte_identical": identical, "makespan_ns": baseline.makespan_ns},
+        );
 
     // --- Fault-rate sweep: seeded schedules at increasing fault counts.
     let servers = profile(block).sim_servers;
-    type Point = (usize, usize, RunResult, f64);
-    let mut points: Vec<Point> = Vec::new();
     for &p in &procs {
         let mut clean_makespan = 0;
         for &faults in &fault_rates {
             let spec = CrashRecovery::new(p, block, rounds, rereads, 0xA70 + p as u64, faults)
                 .expect("valid geometry");
             let plan = FaultPlan::seeded(spec.seed, servers, p, spec.faults);
-            let name = format!("rec-{p}-f{faults}");
-            let r = run_plan(spec, plan, &name, None);
+            let r = run_plan(spec, Some(plan), &format!("rec-{p}-f{faults}"), None);
             if faults == 0 {
                 clean_makespan = r.makespan_ns;
             }
-            let slowdown = ratio(r.makespan_ns, clean_makespan);
-            println!(
-                "P={p:<3} faults={faults:<3} slowdown={slowdown:.2}x  {}",
-                Value::from(&r)
-            );
-            points.push((p, faults, r, slowdown));
+            artifact.row(object! {
+                "p": p,
+                "faults_scheduled": faults,
+                "slowdown": Value::fixed(ratio(r.makespan_ns, clean_makespan), 3),
+                "run": &r,
+            });
         }
     }
 
@@ -276,66 +241,12 @@ fn main() {
             restart: RestartPolicy::Rejections(2),
         },
     );
-    let trace = args.trace_file();
-    let acc = run_plan(
-        acc_spec,
-        acc_plan,
-        &format!("rec-acc-{p_acc}"),
-        trace.as_ref().map(|t| t.sink()),
-    );
+    let acc = run_plan(acc_spec, Some(acc_plan), &format!("rec-acc-{p_acc}"), trace);
     let acc_pass = acc.anomalies == 0
         && acc.faults.journal_replays >= 1
         && acc.faults.torn_records_discarded >= 1
         && acc.faults.records_torn >= 1;
-    println!(
-        "acceptance (P={p_acc}, mid-flush torn append on server 0): replays={} \
-         torn_discarded={} anomalies={} -> {}",
-        acc.faults.journal_replays,
-        acc.faults.torn_records_discarded,
-        acc.anomalies,
-        if acc_pass { "pass" } else { "FAIL" }
-    );
 
-    if let Some(t) = &trace {
-        t.export();
-    }
-
-    let mut artifact = Artifact::new(&args);
-    artifact
-        .field(
-            "workload",
-            "CrashRecovery checkpoint-then-reread rounds under deterministic fault schedules on \
-             the lock-driven cached path; every verification read classified \
-             clean/stale/torn/corrupt by the workload checker (any anomaly fails the run)",
-        )
-        .field(
-            "geometry",
-            object! {
-                "block": block,
-                "rounds": rounds,
-                "rereads": rereads,
-                "write_behind_limit": profile(block).cache.write_behind_limit,
-                "smoke": args.smoke,
-            },
-        )
-        .field(
-            "fault_model",
-            "seeded FaultPlan: server crashes (restart after 1-4 rejected requests), torn \
-             journal appends, dropped/delayed revocations; retries pay exponential vtime \
-             backoff (retry_backoff_ns << attempt)",
-        )
-        .field(
-            "no_fault_identity",
-            object! {"byte_identical": identical, "makespan_ns": baseline.0},
-        );
-    for (p, faults, r, slowdown) in &points {
-        artifact.row(object! {
-            "p": *p,
-            "faults_scheduled": *faults,
-            "slowdown": Value::fixed(*slowdown, 3),
-            "run": r,
-        });
-    }
     artifact.acceptance(
         "mid-flush crash",
         Some(object! {
@@ -352,11 +263,5 @@ fn main() {
             "pass": acc_pass,
         }),
     );
-    artifact.write();
-    assert!(
-        acc_pass,
-        "acceptance: the mid-flush crash run must replay the journal (got {}), discard the \
-         torn record (got {}), and show zero stale/torn reads (got {})",
-        acc.faults.journal_replays, acc.faults.torn_records_discarded, acc.anomalies
-    );
+    artifact
 }

@@ -17,7 +17,9 @@
 //! within a few percent of rank ordering, and where one color class
 //! already saturates the servers (P = 16 on the small array, and on every
 //! Cplant size) it keeps the paper's whole-request phases and trails by up
-//! to a phase. A CSV dump and per-panel shape checks are emitted.
+//! to a phase. A CSV dump and per-panel shape checks are emitted; the
+//! panel loop is [`atomio_bench::figure8`], and `artifacts --check`
+//! compares its quick table with `tests/golden/figure8_quick.csv`.
 //!
 //! `--out <dir>` moves `figure8.csv` out of `results/`; an unknown flag, or
 //! a flag without its value, exits 2 with a usage line instead of starting
@@ -27,15 +29,9 @@
 //! the strategies' runs overlaid on a shared virtual-time axis. Load the
 //! file at <https://ui.perfetto.dev>.
 
-use std::io::Write as _;
 use std::sync::Arc;
 
-use atomio_bench::{
-    bar, check_shape, measure_colwise_two_phase, strategies_for, Point, CSV_HEADER, DEFAULT_R,
-    PAPER_PROCS, PAPER_SIZES,
-};
-use atomio_core::{IoPath, TwoPhaseConfig};
-use atomio_pfs::PlatformProfile;
+use atomio_bench::{bar, figure8, Scale, DEFAULT_R, PAPER_PROCS};
 use atomio_trace::MemorySink;
 
 /// The binary's flags: `--quick`, `--out <dir>` (default `results`) and
@@ -84,87 +80,44 @@ fn main() {
         std::process::exit(2);
     });
     let trace_sink = trace_path.as_ref().map(|_| Arc::new(MemorySink::new()));
-
-    let sizes: Vec<(u64, u64, &str)> = if quick {
-        PAPER_SIZES.iter().map(|&(m, n, l)| (m / 8, n, l)).collect()
-    } else {
-        PAPER_SIZES.to_vec()
-    };
-
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let csv_path = format!("{out_dir}/figure8.csv");
-    let mut csv = std::fs::File::create(&csv_path).expect("create CSV");
-    writeln!(csv, "{CSV_HEADER}").unwrap();
+    let scale = if quick { Scale::Smoke } else { Scale::Full };
 
     println!("Reproducing Figure 8 (column-wise overlapping writes, R = {DEFAULT_R} columns)");
     println!(
         "{} scale; bandwidth in MiB/s of modeled virtual time\n",
         if quick { "QUICK (M/8)" } else { "paper" }
     );
+    let fig = figure8(scale, trace_sink.as_ref());
 
-    let mut all_failures: Vec<String> = Vec::new();
-    let mut panels = 0;
-
-    for profile in PlatformProfile::paper_platforms() {
-        for &(m, n, label) in &sizes {
-            panels += 1;
-            println!(
-                "── {} ({})   array {m} x {n} ({label}) {}",
-                profile.name,
-                profile.file_system,
-                "─".repeat(20)
-            );
-            let mut panel_points: Vec<Point> = Vec::new();
-            for &p in &PAPER_PROCS {
-                for strategy in strategies_for(&profile) {
-                    // Trace only the first panel's smallest process count:
-                    // one readable timeline instead of 100+ overlaid runs.
-                    let sink = trace_sink
-                        .as_ref()
-                        .filter(|_| panels == 1 && p == PAPER_PROCS[0]);
-                    let pt = measure_colwise_two_phase(
-                        &profile,
-                        m,
-                        n,
-                        p,
-                        DEFAULT_R,
-                        Some(strategy),
-                        IoPath::Direct,
-                        TwoPhaseConfig::default(),
-                        sink,
-                    );
-                    writeln!(csv, "{}", pt.csv_row()).unwrap();
-                    panel_points.push(pt);
-                }
-            }
-            let max = panel_points.iter().map(|p| p.mibps).fold(0.0, f64::max);
-            for &p in &PAPER_PROCS {
-                println!("  P = {p}");
-                for pt in panel_points.iter().filter(|pt| pt.p == p) {
-                    println!(
-                        "    {:<22} {:>8.2}  {}",
-                        pt.strategy_label(),
-                        pt.mibps,
-                        bar(pt.mibps, max, 32)
-                    );
-                }
-            }
-            let failures = check_shape(&panel_points);
-            if failures.is_empty() {
+    for panel in &fig.panels {
+        println!(
+            "── {} ({})   array {} x {} ({}) {}",
+            panel.profile.name,
+            panel.profile.file_system,
+            panel.m,
+            panel.n,
+            panel.label,
+            "─".repeat(20)
+        );
+        let max = panel.points.iter().map(|p| p.mibps).fold(0.0, f64::max);
+        for p in PAPER_PROCS {
+            println!("  P = {p}");
+            for pt in panel.points.iter().filter(|pt| pt.p == p) {
                 println!(
-                    "  shape: OK (locking < coloring <= rank-ordering; rank-ordering scales)\n"
-                );
-            } else {
-                for f in &failures {
-                    println!("  shape: FAIL {f}");
-                }
-                println!();
-                all_failures.extend(
-                    failures
-                        .into_iter()
-                        .map(|f| format!("{} {label}: {f}", profile.name)),
+                    "    {:<22} {:>8.2}  {}",
+                    pt.strategy_label(),
+                    pt.mibps,
+                    bar(pt.mibps, max, 32)
                 );
             }
+        }
+        if panel.failures.is_empty() {
+            println!("  shape: OK (locking < coloring <= rank-ordering; rank-ordering scales)\n");
+        } else {
+            for f in &panel.failures {
+                println!("  shape: FAIL {f}");
+            }
+            println!();
         }
     }
 
@@ -175,12 +128,19 @@ fn main() {
             sink.len()
         );
     }
+    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    let csv_path = format!("{out_dir}/figure8.csv");
+    std::fs::write(&csv_path, fig.csv()).expect("write CSV");
     println!("CSV written to {csv_path}");
-    if all_failures.is_empty() {
-        println!("All {panels} panels match the paper's qualitative shape.");
+    let failures = fig.failures();
+    if failures.is_empty() {
+        println!(
+            "All {} panels match the paper's qualitative shape.",
+            fig.panels.len()
+        );
     } else {
-        println!("{} shape violations:", all_failures.len());
-        for f in &all_failures {
+        println!("{} shape violations:", failures.len());
+        for f in &failures {
             println!("  {f}");
         }
         std::process::exit(1);

@@ -18,31 +18,26 @@
 //! of schedules that are supposed to be coherent — a finding is a bug in
 //! either the schedule or the instrumentation.
 //!
-//! Exits non-zero after reporting the first failure per file; CI runs it
-//! over the emitted bench trace, all `BENCH_*.json` artifacts, and the
-//! golden `small_trace.json` (happens-before-checked).
+//! Exits non-zero after reporting the first failure per file. The
+//! `artifacts` runner applies the same checks ([`TraceCheck`]) in process
+//! to the traces it records.
 
-use atomio_check::check_chrome_json;
-use atomio_trace::{validate_chrome_trace, validate_json};
+use atomio_bench::TraceCheck;
+use atomio_trace::validate_json;
 
 const USAGE: &str = "usage: tracecheck [--chrome <file>]... [--json <file>]... [--hb <file>]...";
-
-enum Mode {
-    Json,
-    Chrome,
-    Hb,
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut checked = 0usize;
     let mut failures = 0usize;
-    let mut check = |path: &str, mode: Mode| {
+    // `None` checks plain JSON.
+    let mut check = |path: &str, mode: Option<TraceCheck>| {
         checked += 1;
         let kind = match mode {
-            Mode::Chrome => "chrome-trace",
-            Mode::Hb => "chrome-trace+hb",
-            Mode::Json => "json",
+            Some(TraceCheck::Chrome) => "chrome-trace",
+            Some(TraceCheck::Hb) => "chrome-trace+hb",
+            None => "json",
         };
         let data = match std::fs::read_to_string(path) {
             Ok(d) => d,
@@ -53,16 +48,8 @@ fn main() {
             }
         };
         let result = match mode {
-            Mode::Chrome => validate_chrome_trace(&data),
-            Mode::Json => validate_json(&data),
-            Mode::Hb => validate_chrome_trace(&data).and_then(|()| {
-                let report = check_chrome_json(&data)?;
-                if report.findings.is_empty() {
-                    Ok(())
-                } else {
-                    Err(format!("{report}"))
-                }
-            }),
+            Some(trace) => trace.check(&data),
+            None => validate_json(&data),
         };
         match result {
             Ok(()) => println!("OK   {path} ({kind}, {} bytes)", data.len()),
@@ -73,31 +60,22 @@ fn main() {
         }
     };
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--chrome" => match args.next() {
-                Some(p) => check(&p, Mode::Chrome),
-                None => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--hb" => match args.next() {
-                Some(p) => check(&p, Mode::Hb),
-                None => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--json" => match args.next() {
-                Some(p) => check(&p, Mode::Json),
-                None => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
+        let mode = match a.as_str() {
+            "--chrome" => Some(TraceCheck::Chrome),
+            "--hb" => Some(TraceCheck::Hb),
+            "--json" => None,
             // Bare paths are plain-JSON checks.
-            p => check(p, Mode::Json),
-        }
+            p => {
+                check(p, None);
+                continue;
+            }
+        };
+        // A flag's value is never a flag: `--chrome --hb x` is a usage error.
+        let Some(path) = args.next().filter(|p| !p.starts_with("--")) else {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        };
+        check(&path, mode);
     }
     if checked == 0 {
         eprintln!("{USAGE}");

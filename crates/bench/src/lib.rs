@@ -1,22 +1,22 @@
-//! Experiment harness shared by the `figure8`/`table1` binaries, the
-//! artifact benches and the bandwidth-shape tests.
+//! Experiment harness shared by the `figure8`, `table1` and `artifacts`
+//! binaries and the bandwidth-shape tests.
 //!
 //! One *experiment point* = one concurrent column-wise write (the paper's
 //! §4 workload) on one platform profile with one atomicity strategy,
 //! measured in **virtual time** and reported as aggregate MiB/s — the unit
 //! of Figure 8's y-axes.
 //!
-//! The benches that emit a `BENCH_<name>.json` build on [`Args`] and
-//! [`Artifact`] (`artifact.rs`): flags, makespan arithmetic, the `--trace`
-//! recorder and the artifact's frame are written there once, so a bench
-//! file is its scenario and its acceptance thresholds.
+//! Every checked-in artifact is a row of [`ROWS`], which the `artifacts`
+//! bin runs (`--check`, `--write <name>...`). A scenario
+//! (`artifacts/*.rs`) is a library function returning its artifact, whose
+//! frame and acceptance verdict are written once, in `artifact.rs`.
 
 use std::sync::Arc;
 
 use atomio_core::{
     Atomicity, IoPath, LockGranularity, MpiFile, OpenMode, Strategy, TwoPhaseConfig,
 };
-use atomio_msg::run;
+use atomio_msg::{run, Comm};
 use atomio_pfs::{FileSystem, PlatformProfile};
 use atomio_trace::{MemorySink, TraceSink};
 use atomio_vtime::{bandwidth_mibps, VNanos};
@@ -124,16 +124,8 @@ pub fn measure_colwise_two_phase(
 ) -> Point {
     let spec = ColWise::new(m, n, p, r).expect("valid experiment geometry");
     let fs = FileSystem::new(profile.clone());
-    if let Some(s) = sink {
-        fs.bind_tracer(Arc::clone(s) as Arc<dyn TraceSink>);
-    }
     let atomicity = strategy.map_or(Atomicity::NonAtomic, Atomicity::Atomic);
-    let sink = sink.cloned();
-
-    let reports = run(p, profile.net.clone(), move |comm| {
-        if let Some(s) = &sink {
-            comm.bind_tracer(Arc::clone(s) as Arc<dyn TraceSink>);
-        }
+    let reports = run_traced(p, &fs, sink, |comm| {
         let part = spec.partition(comm.rank());
         let buf = part.fill(pattern::rank_stamp(comm.rank()));
         let mut file = MpiFile::open(&comm, &fs, "bench", OpenMode::ReadWrite).unwrap();
@@ -160,6 +152,26 @@ pub fn measure_colwise_two_phase(
         bytes,
         mibps: bandwidth_mibps(bytes, makespan),
     }
+}
+
+/// [`run`] on `fs`'s network, with its servers and every rank recording
+/// into `sink` when one is given.
+fn run_traced<R: Send>(
+    p: usize,
+    fs: &FileSystem,
+    sink: Option<&Arc<MemorySink>>,
+    f: impl Fn(Comm) -> R + Send + Sync,
+) -> Vec<R> {
+    let bind = |s: &Arc<MemorySink>| Arc::clone(s) as Arc<dyn TraceSink>;
+    if let Some(s) = sink {
+        fs.bind_tracer(bind(s));
+    }
+    run(p, fs.profile().net.clone(), |comm| {
+        if let Some(s) = sink {
+            comm.bind_tracer(bind(s));
+        }
+        f(comm)
+    })
 }
 
 fn size_label(bytes: u64) -> &'static str {
@@ -262,9 +274,12 @@ pub fn check_shape(points: &[Point]) -> Vec<String> {
 }
 
 mod artifact;
+mod artifacts;
 
-pub use artifact::{makespan, ratio, reduction, Args, Artifact, TraceFile};
-pub use atomio_trace::{json::Value, object};
+pub use artifact::Scale;
+use artifact::{counters, makespan, ratio, reduction, Artifact};
+pub use artifacts::{figure8, Figure8, Panel, Row, Scenario, TraceCheck, ROWS};
+use atomio_trace::{json::Value, object};
 
 #[cfg(test)]
 mod tests {

@@ -38,9 +38,11 @@ impl ByteRange {
         other.is_empty() || (other.start >= self.start && other.end <= self.end)
     }
 
-    /// True when the two ranges share at least one byte.
+    /// True when the two ranges share at least one byte, exactly when
+    /// [`ByteRange::intersect`] is `Some`: an empty range shares none,
+    /// even strictly inside another.
     pub fn overlaps(&self, other: &ByteRange) -> bool {
-        self.start < other.end && other.start < self.end
+        self.start.max(other.start) < self.end.min(other.end)
     }
 
     /// True when the ranges overlap or touch end-to-start (can be coalesced).
@@ -124,6 +126,22 @@ mod tests {
         assert!(a.adjoins(&b));
         assert!(a.overlaps(&c));
         assert!(c.overlaps(&b));
+    }
+
+    /// An empty range shares no byte, not even strictly inside another,
+    /// and `overlaps` agrees with `intersect` either way round.
+    #[test]
+    fn an_empty_range_overlaps_nothing() {
+        let outer = ByteRange::new(1, 43);
+        let empty = ByteRange::new(20, 20);
+        assert!(!outer.overlaps(&empty) && !empty.overlaps(&outer));
+        assert!(!empty.overlaps(&empty));
+        let ranges = [outer, empty, ByteRange::new(0, 1), ByteRange::new(42, 50)];
+        for a in ranges {
+            for b in ranges {
+                assert_eq!(a.overlaps(&b), a.intersect(&b).is_some(), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

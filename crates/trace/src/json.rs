@@ -55,6 +55,37 @@ impl Value {
         }
     }
 
+    /// The value `path` names. Its `/`-separated segments each take an
+    /// object's member `key`, the first array element whose member `k`
+    /// renders as `v` (`k=v`, rendered by [`Value::scalar`]), or an array
+    /// index: `points/p=16/sharded/totals/makespan_ns`.
+    pub fn at(&self, path: &str) -> Result<&Value, String> {
+        path.split('/').try_fold(self, |v, seg| {
+            let next = match (v, seg.split_once('=')) {
+                (Value::Array(items), Some((k, want))) => items
+                    .iter()
+                    .find(|item| item.get(k).and_then(Value::scalar).as_deref() == Some(want)),
+                (Value::Array(items), None) => seg.parse().ok().and_then(|i: usize| items.get(i)),
+                (Value::Object(_), None) => v.get(seg),
+                _ => None,
+            };
+            next.ok_or_else(|| format!("segment `{seg}` does not resolve"))
+        })
+    }
+
+    /// A scalar as a document shows it, quotes aside: a number's text, a
+    /// string's content, `null`, `true` or `false`; `None` for an array or
+    /// an object.
+    pub fn scalar(&self) -> Option<String> {
+        match self {
+            Value::Null => Some("null".into()),
+            Value::Bool(b) => Some(b.to_string()),
+            Value::Number(n) => Some(n.clone()),
+            Value::String(s) => Some(s.clone()),
+            Value::Array(_) | Value::Object(_) => None,
+        }
+    }
+
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(a) => Some(a),
@@ -490,6 +521,33 @@ mod tests {
             v.get("a").unwrap().as_array().unwrap()[2].as_str(),
             Some("x\n")
         );
+    }
+
+    #[test]
+    fn paths_take_members_keyed_elements_and_indices() {
+        let v = parse(
+            r#"{"points": [{"p": 4, "m": {"x": 1}}, {"p": 16, "m": {"x": 2}}, {"p": 16}],
+                "s": "a", "flag": null}"#,
+        )
+        .unwrap();
+        assert_eq!(v.at("points/p=16/m/x").unwrap().scalar().unwrap(), "2");
+        assert_eq!(v.at("points/0/m/x").unwrap().scalar().unwrap(), "1");
+        assert_eq!(v.at("points/2").unwrap().get("m"), None);
+        assert_eq!(v.at("s").unwrap().scalar().unwrap(), "a");
+        assert_eq!(v.at("flag").unwrap().scalar().unwrap(), "null");
+        assert_eq!(v.at("points").unwrap().scalar(), None);
+        for (bad, seg) in [
+            ("points/p=64/m", "p=64"),
+            ("points/3", "3"),
+            ("s/x", "x"),
+            ("nope", "nope"),
+            ("points/x=1", "x=1"),
+        ] {
+            assert_eq!(
+                v.at(bad).unwrap_err(),
+                format!("segment `{seg}` does not resolve")
+            );
+        }
     }
 
     #[test]

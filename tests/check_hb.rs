@@ -473,8 +473,8 @@ fn pipelined_schedule_trace_is_race_free() {
 }
 
 /// Golden fixture: the Chrome export of the pipelined run is byte-stable
-/// and checks clean through the import path (the invocation CI's
-/// tracecheck smoke runs), and it runs more rounds than its write-behind
+/// and checks clean through the import path (the one `tracecheck --hb`
+/// runs), and it runs more rounds than its write-behind
 /// depth, so the trace retires a round on a later round's exchange.
 /// Regenerate with `UPDATE_GOLDEN=1 cargo test --test check_hb golden`.
 #[test]
@@ -515,7 +515,7 @@ fn golden_pipeline_trace_is_stable_and_clean() {
 
 /// The golden `small_trace.json` export (a fully locked, turn-based,
 /// barrier-separated schedule) must check clean through the Chrome-JSON
-/// import path — the same invocation CI's tracecheck smoke runs.
+/// import path — the same invocation `tracecheck --hb` runs.
 #[test]
 fn golden_small_trace_checks_clean() {
     let trace = std::fs::read_to_string(concat!(

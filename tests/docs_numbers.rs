@@ -1,10 +1,11 @@
 //! Every figure README.md and DESIGN.md quote is read from a checked-in
 //! artifact, not typed. A figure is written
-//! `<!-- atomio:FILE#PATH -->VALUE`: `FILE` is a `BENCH_*.json` or one of
-//! the two gated smoke goldens, `PATH` walks it (`key` takes an object
-//! member, `k=v` the first array element whose `k` renders as `v`, an
-//! integer an array index) and `VALUE` must be that JSON value as the
-//! artifact writes it. Outside code and markers no measured figure (a
+//! `<!-- atomio:FILE#PATH -->VALUE`: `FILE` is a checked-in JSON artifact
+//! (a row of `atomio_bench::ROWS`), `PATH` walks it as
+//! `atomio::trace::json::Value::at` does (`key` takes an object member,
+//! `k=v` the first array element whose `k` renders as `v`, an integer an
+//! array index) and `VALUE` must be that JSON value as the artifact writes
+//! it. A timing may be quoted only from a gated row. Outside code and markers no measured figure (a
 //! number with a time or bandwidth unit, or a `×` ratio) may stand
 //! unmarked, and DESIGN.md stays at or below 600 lines.
 //!
@@ -12,6 +13,7 @@
 //! docs_numbers` rewrites every marked value in place.
 
 use atomio::trace::json::{parse, Value};
+use atomio_bench::ROWS;
 use std::ops::Range;
 use std::path::Path;
 
@@ -19,14 +21,6 @@ const DOCS: [&str; 2] = ["README.md", "DESIGN.md"];
 const OPEN: &str = "<!-- atomio:";
 const CLOSE: &str = " -->";
 const DESIGN_MAX_LINES: usize = 600;
-
-/// Artifacts no CI gate regenerates byte for byte: their makespans move
-/// with host scheduling. Quote their counts only.
-const UNGATED: [&str; 3] = [
-    "BENCH_coherence.json",
-    "BENCH_recovery.json",
-    "BENCH_sieving.json",
-];
 
 const UNITS: [&str; 7] = ["vns", "ns", "ms", "µs", "MiB/s", "MB/s", "GB/s"];
 
@@ -81,39 +75,6 @@ fn markers(text: &str) -> Vec<Marker> {
     out
 }
 
-fn is_artifact(file: &str) -> bool {
-    let bench = file.starts_with("BENCH_") && file.ends_with(".json") && !file.contains('/');
-    bench
-        || file == "tests/golden/locking_smoke.json"
-        || file == "tests/golden/aggregation_smoke.json"
-}
-
-/// A scalar as the artifact writes it: a number's text, a string's
-/// content, `null`, `true` or `false`.
-fn render(v: &Value) -> Option<String> {
-    match v {
-        Value::Null => Some("null".into()),
-        Value::Bool(b) => Some(b.to_string()),
-        Value::Number(n) => Some(n.clone()),
-        Value::String(s) => Some(s.clone()),
-        Value::Array(_) | Value::Object(_) => None,
-    }
-}
-
-fn resolve<'a>(root: &'a Value, path: &str) -> Result<&'a Value, String> {
-    path.split('/').try_fold(root, |v, seg| {
-        let next = match (v, seg.split_once('=')) {
-            (Value::Array(items), Some((k, want))) => items
-                .iter()
-                .find(|item| item.get(k).and_then(render).as_deref() == Some(want)),
-            (Value::Array(items), None) => seg.parse().ok().and_then(|i: usize| items.get(i)),
-            (Value::Object(_), None) => v.get(seg),
-            _ => None,
-        };
-        next.ok_or_else(|| format!("segment `{seg}` does not resolve"))
-    })
-}
-
 /// A field whose value follows a makespan or a host timer.
 fn is_timing(path: &str) -> bool {
     let field = path.rsplit('/').next().unwrap_or(path);
@@ -123,17 +84,18 @@ fn is_timing(path: &str) -> bool {
             .any(|w| field.contains(w))
 }
 
+/// An artifact, and whether `--check` regenerates it byte for byte.
+type Loaded = Result<(Value, bool), String>;
+
 /// The value `m` must show, rendered from its artifact.
-fn expected(m: &Marker, load: &dyn Fn(&str) -> Result<Value, String>) -> Result<String, String> {
-    if !is_artifact(&m.file) {
-        return Err(format!("`{}` is not a checked-in artifact", m.file));
-    }
-    if UNGATED.contains(&m.file.as_str()) && is_timing(&m.path) {
+fn expected(m: &Marker, load: &dyn Fn(&str) -> Loaded) -> Result<String, String> {
+    let (doc, gated) = load(&m.file)?;
+    if !gated && is_timing(&m.path) {
         return Err("quotes a timing of an ungated artifact; quote its counts".into());
     }
-    let doc = load(&m.file)?;
-    let v = resolve(&doc, &m.path)?;
-    render(v).ok_or_else(|| "resolves to an array or object, not a figure".into())
+    let v = doc.at(&m.path)?;
+    v.scalar()
+        .ok_or_else(|| "resolves to an array or object, not a figure".into())
 }
 
 /// `s` as spaces of the same byte length, newlines kept.
@@ -217,7 +179,7 @@ fn unmarked_figures(text: &str) -> Vec<(usize, String)> {
 }
 
 /// Every finding in document `name`, as `name:line: …`.
-fn check(name: &str, text: &str, load: &dyn Fn(&str) -> Result<Value, String>) -> Vec<String> {
+fn check(name: &str, text: &str, load: &dyn Fn(&str) -> Loaded) -> Vec<String> {
     let mut out = Vec::new();
     for m in markers(text) {
         let found = &text[m.value.clone()];
@@ -245,7 +207,7 @@ fn check(name: &str, text: &str, load: &dyn Fn(&str) -> Result<Value, String>) -
 }
 
 /// `text` with every resolvable marker's value replaced by the artifact's.
-fn update(text: &str, load: &dyn Fn(&str) -> Result<Value, String>) -> String {
+fn update(text: &str, load: &dyn Fn(&str) -> Loaded) -> String {
     let mut out = text.to_string();
     for m in markers(text).iter().rev() {
         if let Ok(want) = expected(m, load) {
@@ -255,10 +217,16 @@ fn update(text: &str, load: &dyn Fn(&str) -> Result<Value, String>) -> String {
     out
 }
 
-fn load_artifact(file: &str) -> Result<Value, String> {
+/// A checked-in JSON artifact: a row of the `artifacts` table.
+fn load_artifact(file: &str) -> Loaded {
+    let row = ROWS
+        .iter()
+        .find(|r| r.checked_in == Some(file) && file.ends_with(".json"));
+    let row = row.ok_or_else(|| format!("`{file}` is not a checked-in artifact"))?;
     let text = std::fs::read_to_string(repo_root().join(file))
         .map_err(|e| format!("cannot read {file}: {e}"))?;
-    parse(&text).map_err(|e| format!("{file} is not JSON: {e}"))
+    let doc = parse(&text).map_err(|e| format!("{file} is not JSON: {e}"))?;
+    Ok((doc, row.gated))
 }
 
 /// The docs' figures match the artifacts (`UPDATE_GOLDEN=1` rewrites them
@@ -314,9 +282,9 @@ cargo bench  # 11 s, 2.4 ms
 ```
 ";
 
-fn fixture_load(file: &str) -> Result<Value, String> {
+fn fixture_load(file: &str) -> Loaded {
     match file {
-        "BENCH_fixture.json" => parse(FIXTURE_ARTIFACT),
+        "BENCH_fixture.json" => Ok((parse(FIXTURE_ARTIFACT)?, true)),
         _ => Err(format!("no fixture {file}")),
     }
 }
