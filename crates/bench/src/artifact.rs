@@ -69,6 +69,8 @@ pub(crate) use counters;
 /// `"acceptance"`. Top-level members and points take a line each;
 /// everything below them is printed inline.
 pub(crate) struct Artifact {
+    /// The scenario's name, which is also the name of its full-scale row.
+    bench: String,
     fields: Vec<(String, Value)>,
     points: Vec<String>,
     acceptance: Value,
@@ -77,6 +79,7 @@ pub(crate) struct Artifact {
 impl Artifact {
     pub(crate) fn new(bench: &str) -> Artifact {
         Artifact {
+            bench: bench.to_string(),
             fields: vec![("bench".to_string(), bench.into())],
             points: Vec::new(),
             acceptance: Value::Null,
@@ -111,12 +114,14 @@ impl Artifact {
     }
 
     /// The acceptance object — or, when the geometry that was run does not
-    /// contain the acceptance point `at` (a smoke run), a note saying so.
-    /// The note keeps the wording of the checked-in smoke goldens, which
-    /// are compared byte for byte.
+    /// contain the acceptance point `at` (a smoke run), a note naming the
+    /// full-scale row that does.
     pub(crate) fn acceptance(&mut self, at: &str, result: Option<Value>) {
         self.acceptance = result.unwrap_or_else(|| {
-            let note = format!("smoke geometry; run without --smoke for the {at} acceptance point");
+            let note = format!(
+                "smoke geometry; the {at} acceptance point is in the full-scale row, {}",
+                self.bench
+            );
             object! {"note": note.as_str()}
         });
     }
@@ -208,8 +213,8 @@ mod tests {
 
         a.acceptance("P=16", None);
         assert!(a.render().ends_with(
-            "  ],\n  \"acceptance\": {\"note\": \"smoke geometry; run without --smoke for the \
-             P=16 acceptance point\"}\n}\n"
+            "  ],\n  \"acceptance\": {\"note\": \"smoke geometry; the P=16 acceptance point \
+             is in the full-scale row, locking\"}\n}\n"
         ));
     }
 }

@@ -129,11 +129,11 @@ pub struct OrderedMutexGuard<'a, T: ?Sized> {
 }
 
 impl<'a, T: ?Sized> OrderedMutexGuard<'a, T> {
-    /// The wrapped `parking_lot` guard, for `Condvar::wait`-style APIs
-    /// that need it by `&mut`. While a wait has the mutex released the
-    /// held-stack still lists it — sound, because the waiting thread
-    /// acquires nothing while blocked and holds the mutex again on
-    /// return.
+    /// The wrapped `parking_lot` guard, for a wait that releases it while
+    /// parked (`atomio_vtime::Clock::park`). While a wait has the mutex
+    /// released the held-stack still lists it — sound, because the
+    /// waiting thread acquires nothing while blocked and holds the mutex
+    /// again on return.
     pub fn raw(&mut self) -> &mut parking_lot::MutexGuard<'a, T> {
         &mut self.guard
     }
@@ -161,7 +161,7 @@ impl<T: ?Sized> Drop for OrderedMutexGuard<'_, T> {
 
 /// Debug builds: panic unless every class this thread holds is in
 /// `allowed`. Call it where a thread is about to wait in *host* time for
-/// another thread to act (a condvar that thread signals): a class held
+/// another thread to act (a wait that thread ends): a class held
 /// there that the other thread needs first is a deadlock on any schedule
 /// that reaches it. The panic names each offending class, where it was
 /// locked, the wait `site` and its caller. Release builds compile it to

@@ -1,8 +1,7 @@
 use std::any::Any;
-use std::time::Duration;
 
-use atomio_vtime::{LinkClass, NetCost, VNanos, WireSize};
-use parking_lot::{Condvar, Mutex};
+use atomio_vtime::{Clock, LinkClass, NetCost, VNanos, Wait, Waiters, WireSize};
+use parking_lot::Mutex;
 
 use crate::comm::Comm;
 
@@ -183,14 +182,17 @@ impl Comm {
 /// finish time from every deposit, every rank reads what it needs) while
 /// the *cost* charged to the clocks models a switched fabric with log₂(P)
 /// latency trees. MPI semantics — all ranks must call collectives in the
-/// same order — are inherited naturally from the generation counter.
+/// same order — are inherited naturally from the generation counter. A rank
+/// that calls a different collective than the round under way parks for
+/// good, and the job table reports the mismatch with every rank's call.
 pub(crate) struct CollState {
     inner: Mutex<Round>,
-    cv: Condvar,
 }
 
 struct Round {
     gen: u64,
+    /// The collective this round runs, named by its first arrival.
+    op: &'static str,
     arrived: usize,
     leavers: usize,
     complete: bool,
@@ -198,15 +200,16 @@ struct Round {
     finish: VNanos,
     slots: Vec<Option<Box<dyn Any + Send>>>,
     endpoints: Vec<Endpoint>,
+    /// Ranks parked until the round completes or drains.
+    parked: Waiters,
 }
-
-const COLLECTIVE_TIMEOUT: Duration = Duration::from_secs(60);
 
 impl CollState {
     pub(crate) fn new(nprocs: usize) -> Self {
         CollState {
             inner: Mutex::new(Round {
                 gen: 0,
+                op: "",
                 arrived: 0,
                 leavers: 0,
                 complete: false,
@@ -214,14 +217,17 @@ impl CollState {
                 finish: 0,
                 slots: (0..nprocs).map(|_| None).collect(),
                 endpoints: vec![Endpoint::default(); nprocs],
+                parked: Waiters::default(),
             }),
-            cv: Condvar::new(),
         }
     }
 
     /// Execute one collective round.
     ///
-    /// * `now` — the caller's virtual arrival time;
+    /// * `op` — the collective's name: every rank of a round must call the
+    ///   same one, and it is the site a waiting rank parks at;
+    /// * `clock` — the caller's clock: its reading is the virtual arrival
+    ///   time, and it parks the rank while it waits;
     /// * `cost` — computes the round's finish time from the max arrival
     ///   clock and every rank's deposit, filling in each rank's
     ///   [`Endpoint`] (all zero on entry); evaluated once, by the last
@@ -234,9 +240,9 @@ impl CollState {
     /// must advance its clock to the finish time.
     pub(crate) fn rendezvous<T, R>(
         &self,
+        op: &'static str,
         rank: usize,
-        nprocs: usize,
-        now: VNanos,
+        clock: &Clock,
         contribution: T,
         cost: impl FnOnce(VNanos, &Slots, &mut [Endpoint]) -> VNanos,
         read: impl FnOnce(&mut Slots) -> R,
@@ -245,11 +251,14 @@ impl CollState {
         T: Send + 'static,
     {
         let mut g = self.inner.lock();
+        let nprocs = g.slots.len();
 
         // A previous round may still be draining (stragglers reading
-        // results); wait for it to be recycled before joining the next one.
-        while g.complete {
-            self.wait(&mut g, rank, "prior collective to drain");
+        // results); wait for it to be recycled before joining the next
+        // one. A round of another collective is one no call of this rank
+        // can join.
+        while g.complete || (g.arrived > 0 && g.op != op) {
+            clock.park(&mut g, |r| &mut r.parked, Wait::at(op));
         }
 
         let my_gen = g.gen;
@@ -257,18 +266,19 @@ impl CollState {
             g.slots[rank].is_none(),
             "rank {rank} double-entered a collective"
         );
+        g.op = op;
         g.slots[rank] = Some(Box::new(contribution));
         g.arrived += 1;
-        g.max_clock = g.max_clock.max(now);
+        g.max_clock = g.max_clock.max(clock.now());
 
         if g.arrived == nprocs {
             let round = &mut *g;
             round.finish = cost(round.max_clock, &round.slots, &mut round.endpoints);
             g.complete = true;
-            self.cv.notify_all();
+            g.parked.wake_all();
         } else {
             while !(g.complete && g.gen == my_gen) {
-                self.wait(&mut g, rank, "collective partners");
+                clock.park(&mut g, |r| &mut r.parked, Wait::at(op));
             }
         }
 
@@ -287,18 +297,9 @@ impl CollState {
                 *s = None;
             }
             g.endpoints.fill(Endpoint::default());
-            self.cv.notify_all();
+            g.parked.wake_all();
         }
         (result, finish, sent)
-    }
-
-    fn wait(&self, g: &mut parking_lot::MutexGuard<'_, Round>, rank: usize, what: &str) {
-        if self.cv.wait_for(g, COLLECTIVE_TIMEOUT).timed_out() {
-            panic!(
-                "rank {rank}: waited {COLLECTIVE_TIMEOUT:?} for {what} — likely deadlock \
-                 (mismatched collective calls across ranks?)"
-            );
-        }
     }
 }
 

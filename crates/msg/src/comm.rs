@@ -12,7 +12,8 @@ use atomio_vtime::{NetCost, NodeTopology};
 ///
 /// All operations charge virtual time to this rank's [`Clock`]. Collective
 /// calls must be made by every rank of the communicator in the same order
-/// (MPI semantics); a mismatch is detected as a timeout and panics.
+/// (MPI semantics); a mismatch parks the ranks for good, and the job table
+/// reports it as a deadlock naming each rank's collective.
 pub struct Comm {
     rank: usize,
     size: usize,
@@ -46,14 +47,14 @@ impl WireSize for SharedHandle {
 }
 
 impl Comm {
-    pub(crate) fn world(rank: usize, shared: Arc<Shared>) -> Self {
+    pub(crate) fn world(rank: usize, shared: Arc<Shared>, clock: Clock) -> Self {
         Comm {
             rank,
             size: shared.nprocs,
             world_rank: rank,
             members: None,
             placement: None,
-            clock: Clock::new(),
+            clock,
             shared,
             tracer: Tracer::disabled(),
         }
@@ -294,7 +295,7 @@ impl Comm {
         let (r, finish, bytes) =
             self.shared
                 .coll
-                .rendezvous(self.rank, self.size, start, contribution, cost, read);
+                .rendezvous(name, self.rank, &self.clock, contribution, cost, read);
         self.clock.advance_to(finish);
         if self.tracer.is_enabled() {
             match &self.members {

@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use crate::collective::CollState;
 use crate::comm::Comm;
-use atomio_vtime::NetCost;
+use atomio_vtime::{Job, NetCost};
 
 /// Shared state of one communicator.
 pub(crate) struct Shared {
@@ -24,32 +24,52 @@ impl Shared {
 /// Launch an `nprocs`-rank job: spawn one OS thread per rank, run `f` with
 /// that rank's [`Comm`], and return the per-rank results in rank order.
 ///
-/// This is the stand-in for `mpirun -np <nprocs>`. A panic on any rank is
-/// propagated to the caller after the other ranks are joined (matching the
-/// "job aborts" behaviour of a failed MPI process).
+/// This is the stand-in for `mpirun -np <nprocs>`. Each rank's clock is its
+/// slot in the job's [`Job`] table, which its thread leaves `Exited` when
+/// it returns or unwinds; a wait that can never be satisfied is reported
+/// as a [`Deadlock`](atomio_vtime::Deadlock) within milliseconds (see the
+/// table's docs). A panic on any rank is propagated to the caller after
+/// every rank is joined (matching the "job aborts" behaviour of a failed
+/// MPI process): the first rank, in rank order, that panicked on its own,
+/// else the deadlock report that woke the parked ranks.
 pub fn run<R, F>(nprocs: usize, net: NetCost, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Comm) -> R + Send + Sync,
 {
     assert!(nprocs > 0, "need at least one rank");
+    let job = Job::new(nprocs);
     let shared = Shared::new(nprocs, net);
     let f = &f;
-    std::thread::scope(|scope| {
+    let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..nprocs)
             .map(|rank| {
-                let comm = Comm::world(rank, Arc::clone(&shared));
-                scope.spawn(move || f(comm))
+                let seat = job.seat(rank);
+                let comm = Comm::world(rank, Arc::clone(&shared), seat.clock().clone());
+                scope.spawn(move || {
+                    let _seat = seat;
+                    f(comm)
+                })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    // A rank parked when the job deadlocked only echoes the report; any
+    // other panic is a cause.
+    let report = job.deadlock();
+    let echoes = |rank: usize| report.as_ref().is_some_and(|d| d.parked(rank));
+    let mut out = Vec::with_capacity(nprocs);
+    for (rank, joined) in joined.into_iter().enumerate() {
+        match joined {
+            Ok(r) => out.push(r),
+            Err(payload) if !echoes(rank) => std::panic::resume_unwind(payload),
+            Err(_) => {}
+        }
+    }
+    if let Some(report) = report {
+        std::panic::resume_unwind(Box::new(report.to_string()));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -68,6 +88,9 @@ mod tests {
         assert_eq!(out, vec![0]);
     }
 
+    /// The healthy ranks wait in a barrier rank 2 never reaches: the
+    /// table reports it as soon as all three park, and `run` re-raises rank
+    /// 2's own panic, not the report that woke the others.
     #[test]
     #[should_panic(expected = "rank 2 exploded")]
     fn propagates_rank_panics() {
@@ -75,6 +98,7 @@ mod tests {
             if c.rank() == 2 {
                 panic!("rank 2 exploded");
             }
+            c.barrier();
             c.rank()
         });
     }

@@ -35,7 +35,7 @@ impl PosixFile {
     pub fn lock_set(&self, set: &StridedSet, mode: LockMode) -> Result<LockGuard<'_>, FsError> {
         self.check_alive()?;
         let locks = self.lock_manager()?;
-        let grant = locks.acquire_set(self.client, set, mode, self.clock.now());
+        let grant = locks.acquire_set(self.client, set, mode, &self.clock);
         Ok(self.granted(locks, set, mode, grant))
     }
 
@@ -59,10 +59,9 @@ impl PosixFile {
                 return Err(e);
             }
         };
-        let now = self.clock.now();
-        let ticket = locks.register_set(self.client, set, mode, now);
+        let ticket = locks.register_set(self.client, set, mode, self.clock.now());
         sync();
-        let grant = locks.wait_granted_set(ticket, self.client, set, mode, now);
+        let grant = locks.wait_granted_set(ticket, set, mode, &self.clock);
         Ok(self.granted(locks, set, mode, grant))
     }
 

@@ -492,7 +492,7 @@ impl PosixFile {
         }
         let mut attempt: u32 = 0;
         loop {
-            match self.fs.servers.try_access(arrival, range, op) {
+            match self.fs.servers.try_access(&self.clock, arrival, range, op) {
                 Ok(done) => return Ok(done),
                 Err(FsError::ServerUnavailable { server }) => {
                     if attempt == 0 {
@@ -656,7 +656,9 @@ mod tests {
     use crate::fault::{FaultAction, FaultSite, RestartPolicy};
     use crate::lock::LockMode;
     use crate::profile::LockKind;
+    use crate::server::RECOVERING;
     use atomio_interval::StridedSet;
+    use atomio_vtime::Job;
 
     impl FileSystem {
         /// Restart a crashed server by fiat: run recovery (journal replay
@@ -797,20 +799,23 @@ mod tests {
         // Server 0 crashes on its first request and needs a manual restart;
         // the first write exhausts its budget against the *down* server.
         let fs = crash_server0_at(1, RestartPolicy::Manual);
-        let f = fs.open(0, Clock::new(), "wait");
+        // Rank 0 is this thread, rank 1 a writer that it wakes.
+        let job = Job::new(2);
+        let me = job.seat(0);
+        let f = fs.open(0, me.clock().clone(), "wait");
         assert!(f.try_pwrite_direct(0, &[1u8; 64]).is_err());
         // This thread now owns the recovery, and takes its time over it.
         assert!(fs.inner.servers.begin_recovery(0));
-        let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
-                let g = fs.open(1, Clock::new(), "wait");
-                tx.send(()).unwrap();
+                let seat = job.seat(1);
+                let g = fs.open(1, seat.clock().clone(), "wait");
                 let res = g.try_pwrite_direct(0, &[2u8; 64]);
                 (res, g.stats().snapshot().retries)
             });
-            rx.recv().unwrap();
-            for _ in 0..1_000 {
+            // The writer is parked on the recovering server before the
+            // replay starts: it waits rather than retrying.
+            while job.parked_at(1) != Some(RECOVERING) {
                 std::thread::yield_now();
             }
             fs.inner.replay_journals();

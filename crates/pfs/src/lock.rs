@@ -72,12 +72,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use atomio_check::{assert_may_wait, OrderedMutex};
 use atomio_interval::{ByteRange, RunMap, StridedSet};
-use atomio_vtime::{fanout_ns, VNanos};
-use parking_lot::Condvar;
+use atomio_vtime::{fanout_ns, Clock, VNanos, Wait, Waiters};
 
 use crate::coherence::CoherenceHub;
 use crate::lockclass;
@@ -114,10 +112,6 @@ pub struct SetGrant {
     /// locking exists to avoid, and the unit the `locking` bench counts.
     pub serialized: bool,
 }
-
-/// How long an admission wait may block before it is declared a deadlock
-/// (which would otherwise hang the test run silently).
-const LOCK_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Two requests conflict when they share a byte and at least one is
 /// exclusive.
@@ -181,6 +175,9 @@ struct LockState {
     /// token subtraction and its coherence flush, and read the holder's
     /// pre-flush data from the servers.
     pending_coherence: Vec<(u64, StridedSet)>,
+    /// Ranks parked in the admission wait; every change that may admit
+    /// one wakes them all.
+    parked: Waiters,
 }
 
 impl LockState {
@@ -196,13 +193,31 @@ impl LockState {
                 .any(|w| w.prio < prio && conflicts((&w.set, w.mode), req))
             || self.pending_coherence.iter().any(|(_, r)| r.overlaps(set))
     }
+
+    /// What `owner`, blocked on `(set, mode)`, reports if the job
+    /// deadlocks: the locks it holds here and the conflicting ones it waits
+    /// behind.
+    fn wait(&self, owner: usize, set: &StridedSet, mode: LockMode) -> Wait {
+        let mut wait = Wait::at(ADMISSION);
+        for g in &self.granted {
+            if g.owner == owner {
+                wait.holds(g.id);
+            }
+            if conflicts((&g.set, g.mode), (set, mode)) {
+                wait.behind(g.id, g.owner);
+            }
+        }
+        wait
+    }
 }
+
+/// The admission wait's site, in lock-order panics and deadlock reports.
+const ADMISSION: &str = "lock admission wait";
 
 /// The byte-range lock manager of one file; see the module docs.
 #[derive(Debug)]
 pub struct LockManager {
     state: OrderedMutex<LockState>,
-    cv: Condvar,
     domains: usize,
     stripe_unit: u64,
     tokens: bool,
@@ -248,8 +263,8 @@ impl LockManager {
                 waiters: Vec::new(),
                 domains: (0..domains).map(|_| Domain::default()).collect(),
                 pending_coherence: Vec::new(),
+                parked: Waiters::default(),
             }),
-            cv: Condvar::new(),
             domains,
             stripe_unit: profile.stripe_unit,
             tokens,
@@ -305,41 +320,32 @@ impl LockManager {
     }
 
     /// Second half: block until **every** range of the set is granted,
-    /// atomically. `now` is the requester's virtual clock at request time;
-    /// the grant time accounts for the round trips, any conflicting
-    /// holder's release, and the revocations the grant caused.
+    /// atomically, parking the caller's `clock` while it waits. The
+    /// ticket's vtime is the requester's clock at request time; the grant
+    /// time accounts for the round trips, any conflicting holder's release,
+    /// and the revocations the grant caused.
     pub(crate) fn wait_granted_set(
         &self,
         prio: LockTicket,
-        owner: usize,
         set: &StridedSet,
         mode: LockMode,
-        now: VNanos,
+        clock: &Clock,
     ) -> SetGrant {
+        let (now, owner, _) = prio;
         let mode = self.fold(mode);
         let slices = self.slices(set);
         let mut st = self.state.lock();
         // Only the holder's release admits this request: hold nothing it
         // may need, whether or not this call ends up waiting.
-        assert_may_wait("lock admission wait", lockclass::ADMISSION_WAIT);
+        assert_may_wait(ADMISSION, lockclass::ADMISSION_WAIT);
         // All-or-nothing across every touched domain: two requests conflict
         // iff some domain slice conflicts, and slicing partitions the byte
         // set, so whole-set overlap is the same test.
         let mut waited = false;
         while st.blocked(prio, set, mode) {
             waited = true;
-            if self.cv.wait_for(st.raw(), LOCK_TIMEOUT).timed_out() {
-                let holders: Vec<_> = st
-                    .granted
-                    .iter()
-                    .filter(|g| conflicts((&g.set, g.mode), (set, mode)))
-                    .map(|g| g.owner)
-                    .collect();
-                panic!(
-                    "client {owner}: lock {set} ({mode:?}) blocked {LOCK_TIMEOUT:?}; \
-                     held by clients {holders:?} — likely deadlock"
-                );
-            }
+            let wait = st.wait(owner, set, mode);
+            clock.park(st.raw(), |st| &mut st.parked, wait);
         }
         let pos = st
             .waiters
@@ -348,7 +354,7 @@ impl LockManager {
             .expect("own entry");
         st.waiters.swap_remove(pos);
         // Leaving the queue may unblock waiters queued behind this entry.
-        self.cv.notify_all();
+        st.parked.wake_all();
 
         let mut earliest = now;
         let mut token_hits = 0u64;
@@ -451,11 +457,9 @@ impl LockManager {
                 fault_delay += out.delay_ns;
             }
             granted_at += (flushed as f64 * self.revoke_byte_ns).round() as VNanos + fault_delay;
-            self.state
-                .lock()
-                .pending_coherence
-                .retain(|(gid, _)| *gid != id);
-            self.cv.notify_all();
+            let mut st = self.state.lock();
+            st.pending_coherence.retain(|(gid, _)| *gid != id);
+            st.parked.wake_all();
         }
         SetGrant {
             id,
@@ -466,16 +470,17 @@ impl LockManager {
         }
     }
 
-    /// Register and wait in one call (independent, non-collective I/O).
+    /// Register and wait in one call (independent, non-collective I/O),
+    /// at the time `clock` reads.
     pub fn acquire_set(
         &self,
         owner: usize,
         set: &StridedSet,
         mode: LockMode,
-        now: VNanos,
+        clock: &Clock,
     ) -> SetGrant {
-        let ticket = self.register_set(owner, set, mode, now);
-        self.wait_granted_set(ticket, owner, set, mode, now)
+        let ticket = self.register_set(owner, set, mode, clock.now());
+        self.wait_granted_set(ticket, set, mode, clock)
     }
 
     /// Release grant `id` (every range at once) at virtual time `now`. Any
@@ -503,7 +508,7 @@ impl LockManager {
                 released.update(r, |t| Some(t.map_or(now, |&t| t.max(now))));
             }
         }
-        self.cv.notify_all();
+        st.parked.wake_all();
     }
 
     /// Number of currently granted multi-range locks (diagnostics).
@@ -533,8 +538,10 @@ mod tests {
     use super::*;
     use crate::coherence::RevocationHandler;
     use atomio_interval::{ByteRange, Train};
+    use atomio_vtime::{Job, Seat};
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
     use LockKind::{Central, Distributed, Sharded, ShardedTokens};
     use LockMode::{Exclusive, Shared};
 
@@ -581,6 +588,31 @@ mod tests {
         StridedSet::from_train(Train::new(start, len, stride, count))
     }
 
+    /// A clock reading `now`, alone in its job: for a request that is
+    /// granted without waiting.
+    fn at_time(now: VNanos) -> Clock {
+        let clock = Clock::new();
+        clock.advance(now);
+        clock
+    }
+
+    /// Rank `rank` of `job`, its clock reading `now`: a thread that may
+    /// wait shares a job with every thread that may wake it. A slot no
+    /// thread takes (the test's own thread's, when it only releases) stays
+    /// running.
+    fn seat_at(job: &Job, rank: usize, now: VNanos) -> Seat {
+        let seat = job.seat(rank);
+        seat.clock().advance(now);
+        seat
+    }
+
+    /// Wait until `job`'s rank `rank` is parked in the admission wait.
+    fn until_admission_wait(job: &Job, rank: usize) {
+        while job.parked_at(rank) != Some(ADMISSION) {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn lockless_platform_has_no_manager() {
         assert!(LockManager::new(&profile(LockKind::None, 0, 0), None).is_none());
@@ -592,13 +624,13 @@ mod tests {
     #[cfg(debug_assertions)]
     fn guard_held_across_a_contended_acquire_panics() {
         let m = Arc::new(mgr(Central, 10, 0));
-        let holder = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+        let holder = m.acquire_set(0, &range(0, 100), Exclusive, &at_time(0));
         let m2 = Arc::clone(&m);
         let err = std::thread::spawn(move || {
             // The lowest rank: any higher one would trip the rank check first.
             let pending = lockclass::server_pending(());
             let _g = pending.lock();
-            m2.acquire_set(1, &range(50, 150), Exclusive, 0);
+            m2.acquire_set(1, &range(50, 150), Exclusive, &at_time(0));
         })
         .join()
         .expect_err("must panic instead of waiting under another mutex");
@@ -623,8 +655,8 @@ mod tests {
             (ShardedTokens, 1_000, 1_000),
         ] {
             let m = mgr(kind, grant_ns, 10_000);
-            let a = m.acquire_set(0, &range(0, 100), Exclusive, 0);
-            let b = m.acquire_set(1, &range(100, 200), Exclusive, 0);
+            let a = m.acquire_set(0, &range(0, 100), Exclusive, &at_time(0));
+            let b = m.acquire_set(1, &range(100, 200), Exclusive, &at_time(0));
             assert_eq!(a.granted_at, fee);
             assert_eq!(
                 b.granted_at, fee,
@@ -640,13 +672,13 @@ mod tests {
     fn shared_locks_coexist_exclusive_does_not() {
         for (kind, fee) in [(Central, 10), (Sharded, 0), (ShardedTokens, 10)] {
             let m = mgr(kind, 10, 0);
-            let s1 = m.acquire_set(0, &range(0, 100), Shared, 0);
-            let s2 = m.acquire_set(1, &range(50, 150), Shared, 0);
+            let s1 = m.acquire_set(0, &range(0, 100), Shared, &at_time(0));
+            let s2 = m.acquire_set(1, &range(50, 150), Shared, &at_time(0));
             m.release(s1.id, 500);
             m.release(s2.id, 700);
             // Exclusive over the shared region must start after both shared
             // releases in virtual time.
-            let x = m.acquire_set(2, &range(0, 150), Exclusive, 0);
+            let x = m.acquire_set(2, &range(0, 150), Exclusive, &at_time(0));
             assert_eq!(x.granted_at, 700 + fee, "{kind:?}");
             m.release(x.id, x.granted_at);
         }
@@ -659,10 +691,12 @@ mod tests {
         // ordered after that release in virtual time.
         let m = Arc::new(mgr(Distributed, 10, 0));
         let released = Arc::new(AtomicBool::new(false));
-        let s1 = m.acquire_set(0, &range(0, 100), Shared, 0);
+        let s1 = m.acquire_set(0, &range(0, 100), Shared, &at_time(0));
         let (m2, released2) = (Arc::clone(&m), Arc::clone(&released));
+        let job = Job::new(2);
+        let seat = seat_at(&job, 1, 0);
         let h = std::thread::spawn(move || {
-            let s2 = m2.acquire_set(1, &range(50, 150), Shared, 0);
+            let s2 = m2.acquire_set(1, &range(50, 150), Shared, seat.clock());
             assert!(
                 released2.load(Ordering::SeqCst),
                 "shared granted alongside shared"
@@ -671,7 +705,7 @@ mod tests {
             assert_eq!(s2.granted_at, 500 + 10);
             m2.release(s2.id, s2.granted_at);
         });
-        std::thread::sleep(Duration::from_millis(30));
+        until_admission_wait(&job, 1);
         released.store(true, Ordering::SeqCst);
         m.release(s1.id, 500);
         h.join().unwrap();
@@ -689,17 +723,19 @@ mod tests {
         for kind in PRESETS {
             let m = Arc::new(mgr(kind, 0, 0));
             let released = Arc::new(AtomicBool::new(false));
-            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, &at_time(0));
             let (m2, released2) = (Arc::clone(&m), Arc::clone(&released));
+            let job = Job::new(2);
+            let seat = seat_at(&job, 1, 0);
             let h = std::thread::spawn(move || {
-                let g2 = m2.acquire_set(0, &range(50, 60), Exclusive, 0);
+                let g2 = m2.acquire_set(0, &range(50, 60), Exclusive, seat.clock());
                 assert!(
                     released2.load(Ordering::SeqCst),
                     "{kind:?}: re-entrant grant over the owner's own held range"
                 );
                 m2.release(g2.id, g2.granted_at);
             });
-            std::thread::sleep(Duration::from_millis(30));
+            until_admission_wait(&job, 1);
             released.store(true, Ordering::SeqCst);
             m.release(g.id, 1_000);
             h.join().unwrap();
@@ -710,13 +746,13 @@ mod tests {
     fn conflicting_grant_ordered_after_release_vtime() {
         for (kind, fee) in [(Central, 10), (Sharded, 0)] {
             let m = mgr(kind, 10, 0);
-            let a = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let a = m.acquire_set(0, &range(0, 100), Exclusive, &at_time(0));
             assert_eq!(a.granted_at, fee);
             m.release(a.id, 1_000);
             // Second client requested "at" vtime 50, but the range was
             // released at vtime 1000: serialization is visible in virtual
             // time.
-            let b = m.acquire_set(1, &range(50, 60), Exclusive, 50);
+            let b = m.acquire_set(1, &range(50, 60), Exclusive, &at_time(50));
             assert_eq!(b.granted_at, 1_000 + fee, "{kind:?}");
             m.release(b.id, b.granted_at);
         }
@@ -727,13 +763,15 @@ mod tests {
         for kind in PRESETS {
             let m = Arc::new(mgr(kind, 0, 0));
             let counter = Arc::new(Mutex::new(0u64));
+            let job = Job::new(8);
             let handles: Vec<_> = (0..8)
                 .map(|owner| {
                     let m = Arc::clone(&m);
                     let counter = Arc::clone(&counter);
+                    let seat = job.seat(owner);
                     std::thread::spawn(move || {
                         // All conflict in domain 2 of the sharded presets.
-                        let g = m.acquire_set(owner, &at(2 * UNIT, 128), Exclusive, 0);
+                        let g = m.acquire_set(owner, &at(2 * UNIT, 128), Exclusive, seat.clock());
                         {
                             // Critical section: nobody else may hold the lock.
                             let mut c = counter.lock();
@@ -760,7 +798,7 @@ mod tests {
             let hold = 1_000u64;
             let mut last_grant = 0;
             for i in 0..10 {
-                let g = m.acquire_set(i, &range(0, 10), Exclusive, 0);
+                let g = m.acquire_set(i, &range(0, 10), Exclusive, &at_time(0));
                 m.release(g.id, g.granted_at + hold);
                 last_grant = g.granted_at;
             }
@@ -787,7 +825,7 @@ mod tests {
                 let owner = (i % 2) as usize;
                 let set = at((i % 7) * 600, 64);
                 for mode in [Exclusive, Shared] {
-                    let g = m.acquire_set(owner, &set, mode, now);
+                    let g = m.acquire_set(owner, &set, mode, &at_time(now));
                     m.release(g.id, g.granted_at + 1);
                     now = g.granted_at + 1;
                 }
@@ -804,7 +842,7 @@ mod tests {
     fn double_release_panics() {
         for kind in PRESETS {
             let m = mgr(kind, 0, 0);
-            let g = m.acquire_set(0, &range(0, 1), Exclusive, 0);
+            let g = m.acquire_set(0, &range(0, 1), Exclusive, &at_time(0));
             m.release(g.id, g.granted_at);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 m.release(g.id, g.granted_at)
@@ -828,6 +866,7 @@ mod tests {
                 .collect();
 
             let turn = Arc::new(AtomicUsize::new(0));
+            let job = Job::new(3);
             // Wait in REVERSE client order; fairness must still grant 0,1,2.
             let handles: Vec<_> = [2usize, 1, 0]
                 .into_iter()
@@ -835,8 +874,9 @@ mod tests {
                     let m = Arc::clone(&m);
                     let turn = Arc::clone(&turn);
                     let ticket = tickets[client];
+                    let seat = job.seat(client);
                     std::thread::spawn(move || {
-                        let g = m.wait_granted_set(ticket, client, &range(0, 100), Exclusive, 0);
+                        let g = m.wait_granted_set(ticket, &range(0, 100), Exclusive, seat.clock());
                         let my_turn = turn.fetch_add(1, Ordering::SeqCst);
                         assert_eq!(
                             my_turn, client,
@@ -863,14 +903,16 @@ mod tests {
             let late = m.register_set(1, &set, Exclusive, 200);
 
             let m2 = Arc::clone(&m);
+            let job = Job::new(2);
+            let seat = seat_at(&job, 1, 200);
             let h = std::thread::spawn(move || {
-                let g = m2.wait_granted_set(late, 1, &range(0, 10), Exclusive, 200);
+                let g = m2.wait_granted_set(late, &range(0, 10), Exclusive, seat.clock());
                 m2.release(g.id, g.granted_at);
                 g.granted_at
             });
-            // Give the late waiter a chance to (wrongly) grab the lock.
-            std::thread::sleep(Duration::from_millis(20));
-            let g = m.wait_granted_set(early, 0, &set, Exclusive, 100);
+            // The late waiter parks: it must not grab the lock.
+            until_admission_wait(&job, 1);
+            let g = m.wait_granted_set(early, &set, Exclusive, &at_time(100));
             m.release(g.id, g.granted_at + 50);
             let t_late = h.join().unwrap();
             assert!(
@@ -889,11 +931,13 @@ mod tests {
             let m = Arc::new(mgr(kind, 0, 0));
             let held = Arc::new(AtomicBool::new(true));
             // Holder pins only the LAST run of the comb.
-            let hold = m.acquire_set(9, &at(32 * 63, 8), Exclusive, 0);
+            let hold = m.acquire_set(9, &at(32 * 63, 8), Exclusive, &at_time(0));
 
             let (m2, held2) = (Arc::clone(&m), Arc::clone(&held));
+            let job = Job::new(2);
+            let seat = seat_at(&job, 1, 0);
             let waiter = std::thread::spawn(move || {
-                let g = m2.acquire_set(0, &comb(0, 8, 32, 64), Exclusive, 0);
+                let g = m2.acquire_set(0, &comb(0, 8, 32, 64), Exclusive, seat.clock());
                 assert!(
                     !held2.load(Ordering::SeqCst),
                     "{kind:?}: granted while a range was still held"
@@ -901,7 +945,7 @@ mod tests {
                 assert!(g.serialized, "blocked grant must report serialization");
                 m2.release(g.id, g.granted_at);
             });
-            std::thread::sleep(Duration::from_millis(30));
+            until_admission_wait(&job, 1);
             // While the set request waits, the comb itself holds nothing:
             // not even its untouched first runs.
             assert_eq!(m.active(), 1, "only the single-range holder is active");
@@ -918,8 +962,8 @@ mod tests {
         // Two interleaved strided footprints whose bounding spans overlap
         // almost entirely: exact list grants must not serialize them.
         let m = mgr(Central, 100, 0);
-        let ga = m.acquire_set(0, &comb(0, 8, 32, 64), Exclusive, 0);
-        let gb = m.acquire_set(1, &comb(8, 8, 32, 64), Exclusive, 0);
+        let ga = m.acquire_set(0, &comb(0, 8, 32, 64), Exclusive, &at_time(0));
+        let gb = m.acquire_set(1, &comb(8, 8, 32, 64), Exclusive, &at_time(0));
         assert_eq!(ga.granted_at, 100);
         assert_eq!(gb.granted_at, 100, "disjoint lists must not serialize");
         assert!(!ga.serialized && !gb.serialized);
@@ -927,7 +971,7 @@ mod tests {
         m.release(ga.id, 500);
         m.release(gb.id, 500);
         // A later overlapping set is constrained by both releases at once.
-        let gc = m.acquire_set(2, &comb(0, 16, 32, 64), Exclusive, 0);
+        let gc = m.acquire_set(2, &comb(0, 16, 32, 64), Exclusive, &at_time(0));
         assert_eq!(gc.granted_at, 500 + 100);
         assert!(gc.serialized);
         m.release(gc.id, 600);
@@ -939,7 +983,7 @@ mod tests {
     fn first_acquire_pays_grant_cost() {
         for kind in TOKEN_PRESETS {
             let m = mgr(kind, 1_000, 10_000);
-            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, &at_time(0));
             assert_eq!((g.token_hits, g.shard_trips), (0, 1));
             assert_eq!(g.granted_at, 1_000);
             m.release(g.id, g.granted_at + 5);
@@ -950,11 +994,11 @@ mod tests {
     fn reacquire_with_cached_token_is_cheap() {
         for kind in TOKEN_PRESETS {
             let m = mgr(kind, 1_000, 10_000);
-            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, &at_time(0));
             let t = g.granted_at;
             m.release(g.id, t + 500);
             // Same client, same range: token is cached, no round trip.
-            let g2 = m.acquire_set(0, &range(10, 20), Exclusive, t + 600);
+            let g2 = m.acquire_set(0, &range(10, 20), Exclusive, &at_time(t + 600));
             assert_eq!((g2.token_hits, g2.shard_trips), (1, 0));
             assert_eq!(
                 g2.granted_at,
@@ -970,11 +1014,11 @@ mod tests {
     fn conflicting_acquire_pays_revocation() {
         for kind in TOKEN_PRESETS {
             let m = mgr(kind, 1_000, 10_000);
-            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, &at_time(0));
             m.release(g.id, 50_000);
             // Client 1 overlaps client 0's cached token: revoke + grant,
             // and ordered after client 0's release vtime.
-            let g2 = m.acquire_set(1, &range(50, 150), Exclusive, 0);
+            let g2 = m.acquire_set(1, &range(50, 150), Exclusive, &at_time(0));
             assert_eq!(g2.token_hits, 0);
             assert_eq!(g2.granted_at, 50_000 + 1_000 + 10_000);
             m.release(g2.id, g2.granted_at);
@@ -993,7 +1037,7 @@ mod tests {
                 let m = mgr(kind, 1_000, 10_000);
                 let mut now = 0;
                 for i in 0..6 {
-                    let g = m.acquire_set(i % owners, &range(0, 10), Exclusive, now);
+                    let g = m.acquire_set(i % owners, &range(0, 10), Exclusive, &at_time(now));
                     m.release(g.id, g.granted_at + 100);
                     now = g.granted_at + 100;
                 }
@@ -1013,16 +1057,16 @@ mod tests {
         // set reaching outside the cached bytes pays the round trip.
         for kind in TOKEN_PRESETS {
             let m = mgr(kind, 1_000, 10_000);
-            let g = m.acquire_set(0, &comb(0, 8, 32, 16), Exclusive, 0);
+            let g = m.acquire_set(0, &comb(0, 8, 32, 16), Exclusive, &at_time(0));
             assert_eq!(g.token_hits, 0);
             m.release(g.id, 10);
 
-            let g2 = m.acquire_set(0, &comb(32, 4, 32, 8), Exclusive, 20);
+            let g2 = m.acquire_set(0, &comb(32, 4, 32, 8), Exclusive, &at_time(20));
             assert_eq!(g2.token_hits, 1, "sub-comb fully covered by cached token");
             assert_eq!(g2.shard_trips, 0);
             m.release(g2.id, 30);
 
-            let g3 = m.acquire_set(0, &comb(8, 8, 32, 16), Exclusive, 40);
+            let g3 = m.acquire_set(0, &comb(8, 8, 32, 16), Exclusive, &at_time(40));
             assert_eq!(g3.token_hits, 0, "gap bytes are not covered");
             m.release(g3.id, 50);
         }
@@ -1060,17 +1104,17 @@ mod tests {
     fn revocation_dispatches_exactly_the_lost_ranges() {
         for kind in TOKEN_PRESETS {
             let (m, seen) = recorded(kind, &[0]);
-            let g = m.acquire_set(0, &range(0, 100), Exclusive, 0);
+            let g = m.acquire_set(0, &range(0, 100), Exclusive, &at_time(0));
             let t = g.granted_at;
             m.release(g.id, t + 1);
             // Client 1 takes [50, 150): client 0 must be told to give up
             // exactly [50, 100) — not its whole token, not the whole cache.
-            let g2 = m.acquire_set(1, &range(50, 150), Exclusive, t + 2);
+            let g2 = m.acquire_set(1, &range(50, 150), Exclusive, &at_time(t + 2));
             m.release(g2.id, g2.granted_at);
             let lost = StridedSet::from_range(ByteRange::new(50, 100));
             assert_eq!(*seen.lock(), [(0, lost)]);
             // A non-conflicting acquisition revokes nothing.
-            let g3 = m.acquire_set(1, &range(200, 300), Exclusive, g2.granted_at + 1);
+            let g3 = m.acquire_set(1, &range(200, 300), Exclusive, &at_time(g2.granted_at + 1));
             m.release(g3.id, g3.granted_at);
             assert_eq!(seen.lock().len(), 1);
         }
@@ -1085,10 +1129,15 @@ mod tests {
         for kind in TOKEN_PRESETS {
             let (m, seen) = recorded(kind, &[1, 2]);
             for holder in [2, 1] {
-                let g = m.acquire_set(holder, &at(holder as u64 * 100, 100), Exclusive, 0);
+                let g = m.acquire_set(
+                    holder,
+                    &at(holder as u64 * 100, 100),
+                    Exclusive,
+                    &at_time(0),
+                );
                 m.release(g.id, g.granted_at);
             }
-            let g = m.acquire_set(0, &range(0, 400), Exclusive, 0);
+            let g = m.acquire_set(0, &range(0, 400), Exclusive, &at_time(0));
             m.release(g.id, g.granted_at);
             let order: Vec<usize> = seen.lock().iter().map(|(holder, _)| *holder).collect();
             assert_eq!(order, [1, 2], "{kind:?}");
@@ -1102,17 +1151,17 @@ mod tests {
         // One domain: the server grants the lock with the data request, so
         // the grant lands at max(now, conflicting release) and sends no trip.
         let m = mgr(Sharded, 10_000, 0);
-        let g = m.acquire_set(0, &at(100, 64), Exclusive, 500);
+        let g = m.acquire_set(0, &at(100, 64), Exclusive, &at_time(500));
         assert_eq!((g.granted_at, g.shard_trips), (500, 0));
         assert!(!g.serialized);
         m.release(g.id, 3_000);
         // Conflicting, requested before that release: ordered after it.
-        let h = m.acquire_set(1, &at(120, 8), Exclusive, 1_000);
+        let h = m.acquire_set(1, &at(120, 8), Exclusive, &at_time(1_000));
         assert_eq!((h.granted_at, h.shard_trips), (3_000, 0));
         assert!(h.serialized);
         m.release(h.id, 4_000);
         // Requested after the last release: granted on arrival.
-        let k = m.acquire_set(2, &at(120, 8), Exclusive, 5_000);
+        let k = m.acquire_set(2, &at(120, 8), Exclusive, &at_time(5_000));
         assert_eq!((k.granted_at, k.shard_trips), (5_000, 0));
         m.release(k.id, k.granted_at);
     }
@@ -1123,9 +1172,9 @@ mod tests {
         // needs the fan-out first — one extra injection, one parallel trip,
         // after the later of the two domains' conflicting releases.
         let m = mgr(Sharded, 10_000, 0);
-        let d1 = m.acquire_set(0, &at(UNIT, 64), Exclusive, 0);
+        let d1 = m.acquire_set(0, &at(UNIT, 64), Exclusive, &at_time(0));
         m.release(d1.id, 20_000);
-        let g = m.acquire_set(1, &at(UNIT - 64, 128), Exclusive, 0);
+        let g = m.acquire_set(1, &at(UNIT - 64, 128), Exclusive, &at_time(0));
         assert_eq!(g.shard_trips, 2);
         assert_eq!(g.granted_at, 20_000 + 1_000 + 10_000);
         assert!(g.serialized);
@@ -1138,7 +1187,7 @@ mod tests {
         // grant; ShardedTokens must deliver the token in the grant reply.
         for kind in [Central, Distributed, ShardedTokens] {
             let m = mgr(kind, 10_000, 0);
-            let g = m.acquire_set(0, &at(100, 64), Exclusive, 500);
+            let g = m.acquire_set(0, &at(100, 64), Exclusive, &at_time(500));
             assert_eq!((g.granted_at, g.shard_trips), (500 + 10_000, 1), "{kind:?}");
             m.release(g.id, g.granted_at);
         }
@@ -1155,13 +1204,15 @@ mod tests {
             .map(|c| m.register_set(c, &set, Exclusive, 0))
             .collect();
         let turn = Arc::new(AtomicUsize::new(0));
+        let job = Job::new(3);
         let handles: Vec<_> = [2usize, 1, 0]
             .into_iter()
             .map(|client| {
                 let (m, turn, set) = (Arc::clone(&m), Arc::clone(&turn), set.clone());
                 let ticket = tickets[client];
+                let seat = job.seat(client);
                 std::thread::spawn(move || {
-                    let g = m.wait_granted_set(ticket, client, &set, Exclusive, 0);
+                    let g = m.wait_granted_set(ticket, &set, Exclusive, seat.clock());
                     assert_eq!(turn.fetch_add(1, Ordering::SeqCst), client);
                     assert_eq!(m.active(), 1, "exclusive grant must be sole");
                     m.release(g.id, g.granted_at + 100);
@@ -1179,7 +1230,7 @@ mod tests {
         let m = mgr(Sharded, 10_000, 0);
         // A request spanning all 4 domains: 3 extra injections + ONE
         // parallel round trip, not 4 serialized trips.
-        let g = m.acquire_set(0, &at(0, 4 * UNIT), Exclusive, 0);
+        let g = m.acquire_set(0, &at(0, 4 * UNIT), Exclusive, &at_time(0));
         assert_eq!(g.shard_trips, 4);
         assert_eq!(g.granted_at, 3 * 1_000 + 10_000);
         assert!(g.granted_at < 4 * 10_000);
@@ -1190,8 +1241,8 @@ mod tests {
     fn different_domains_never_serialize() {
         // One domain each: every grant rides its request.
         let m = mgr(Sharded, 10_000, 0);
-        let a = m.acquire_set(0, &at(0, UNIT), Exclusive, 0);
-        let b = m.acquire_set(1, &at(UNIT, UNIT), Exclusive, 0);
+        let a = m.acquire_set(0, &at(0, UNIT), Exclusive, &at_time(0));
+        let b = m.acquire_set(1, &at(UNIT, UNIT), Exclusive, &at_time(0));
         assert_eq!(a.granted_at, 0);
         assert_eq!(b.granted_at, 0);
         assert!(!b.serialized);
@@ -1199,7 +1250,7 @@ mod tests {
         m.release(b.id, 50);
         // Conflicts are per-domain: a later lock in domain 1 sees only
         // domain 1's release history, not domain 0's much later release.
-        let c = m.acquire_set(2, &at(UNIT, UNIT), Exclusive, 0);
+        let c = m.acquire_set(2, &at(UNIT, UNIT), Exclusive, &at_time(0));
         assert_eq!(c.granted_at, 50);
         assert!(c.serialized);
         m.release(c.id, c.granted_at);
@@ -1210,8 +1261,8 @@ mod tests {
         // Two interleaved footprints that both touch every domain but never
         // the same byte: exact slices are disjoint in every domain.
         let m = mgr(Sharded, 10_000, 0);
-        let ga = m.acquire_set(0, &comb(0, 256, 512, 16), Exclusive, 0);
-        let gb = m.acquire_set(1, &comb(256, 256, 512, 16), Exclusive, 0);
+        let ga = m.acquire_set(0, &comb(0, 256, 512, 16), Exclusive, &at_time(0));
+        let gb = m.acquire_set(1, &comb(256, 256, 512, 16), Exclusive, &at_time(0));
         assert!(!ga.serialized && !gb.serialized);
         assert_eq!(ga.granted_at, gb.granted_at);
         m.release(ga.id, 100);
@@ -1222,20 +1273,20 @@ mod tests {
     fn token_mode_caches_per_domain() {
         let m = mgr(ShardedTokens, 10_000, 50_000);
         // First acquisition over domains 0 and 1: two misses.
-        let g = m.acquire_set(0, &at(0, 2 * UNIT), Exclusive, 0);
+        let g = m.acquire_set(0, &at(0, 2 * UNIT), Exclusive, &at_time(0));
         assert_eq!((g.shard_trips, g.token_hits), (2, 0));
         m.release(g.id, 100);
         assert_eq!(m.token_set(0).total_len(), 2 * UNIT);
 
         // Re-acquiring a subset: both domains hit, no round trip at all.
-        let g2 = m.acquire_set(0, &at(512, UNIT), Exclusive, 200);
+        let g2 = m.acquire_set(0, &at(512, UNIT), Exclusive, &at_time(200));
         assert_eq!((g2.shard_trips, g2.token_hits), (0, 2));
         assert_eq!(g2.granted_at, 200, "all-hit grant pays no trips");
         m.release(g2.id, 300);
 
         // Another client revokes only domain 1's coverage: one revocation,
         // ordered after client 0's avail there.
-        let g3 = m.acquire_set(1, &at(UNIT, UNIT), Exclusive, 0);
+        let g3 = m.acquire_set(1, &at(UNIT, UNIT), Exclusive, &at_time(0));
         assert_eq!(g3.shard_trips, 1);
         assert_eq!(g3.granted_at, 300 + 10_000 + 50_000);
         m.release(g3.id, g3.granted_at);
@@ -1253,7 +1304,7 @@ mod tests {
         // shuffled order: the token is the slots' progression, one train.
         let m = mgr(Distributed, 10, 0);
         for i in 0..2000u64 {
-            let g = m.acquire_set(0, &at((i * 7 % 2000) * 2048, 512), Exclusive, 0);
+            let g = m.acquire_set(0, &at((i * 7 % 2000) * 2048, 512), Exclusive, &at_time(0));
             m.release(g.id, 0);
         }
         assert_eq!(m.token_set(0), comb(0, 512, 2048, 2000));
@@ -1286,14 +1337,16 @@ mod tests {
         let m = Arc::new(LockManager::new(&profile(ShardedTokens, 0, 0), Some(hub)).unwrap());
 
         // Client 0 seeds a token, then releases (token retained).
-        let g = m.acquire_set(0, &at(0, 64), Exclusive, 0);
+        let g = m.acquire_set(0, &at(0, 64), Exclusive, &at_time(0));
         m.release(g.id, 1);
 
         // Client 1's shared grant revokes client 0's token; the dispatch
         // to client 0's (slow) handler is in flight for ~80 ms.
         let m2 = Arc::clone(&m);
+        let job = Job::new(2);
+        let seat = seat_at(&job, 1, 2);
         let h = std::thread::spawn(move || {
-            let g = m2.acquire_set(1, &at(0, 64), Shared, 2);
+            let g = m2.acquire_set(1, &at(0, 64), Shared, seat.clock());
             m2.release(g.id, 3);
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -1302,7 +1355,7 @@ mod tests {
         // but must still be held until the pending flush has landed.
         // (If client 1 hasn't even started yet, client 2 performs the
         // revocation itself, synchronously — `done` is true either way.)
-        let g = m.acquire_set(2, &at(0, 64), Shared, 4);
+        let g = m.acquire_set(2, &at(0, 64), Shared, seat_at(&job, 0, 4).clock());
         assert!(
             done.load(Ordering::SeqCst),
             "shared grant admitted while the revocation flush was still pending"

@@ -70,7 +70,8 @@ pub(crate) fn fault_hits<T>(value: T) -> OrderedMutex<T> {
 
 /// What a thread may hold where it waits in host time for another thread
 /// ([`atomio_check::assert_may_wait`], debug builds). Each list opens
-/// with the condvar's own class, which the wait releases; every other
+/// with the class of the mutex the wait parks under, which it releases
+/// while parked; every other
 /// entry is a class the test suite holds there, with the reason the
 /// thread it waits for never needs it.
 ///

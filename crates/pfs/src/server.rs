@@ -4,8 +4,7 @@
 use atomio_check::{assert_may_wait, OrderedMutex};
 use atomio_interval::ByteRange;
 use atomio_trace::{Category, Tracer, Track};
-use atomio_vtime::{Horizon, ServeCost, VNanos};
-use parking_lot::Condvar;
+use atomio_vtime::{Clock, Horizon, ServeCost, VNanos, Wait, Waiters};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -51,6 +50,19 @@ enum Health {
     Recovering,
 }
 
+/// Every server's availability, and the ranks waiting for one to recover.
+#[derive(Debug)]
+struct Availability {
+    health: Vec<Health>,
+    /// Ranks parked on a `Recovering` server; [`ServerSet::mark_up`] wakes
+    /// them.
+    parked: Waiters,
+}
+
+/// The recovering-server wait's site, in lock-order panics and deadlock
+/// reports.
+pub(crate) const RECOVERING: &str = "recovering-server wait";
+
 /// The file system's I/O servers in virtual time.
 ///
 /// A file is striped round-robin over `n` servers in `stripe_unit` blocks.
@@ -95,10 +107,7 @@ pub struct ServerSet {
     stripe_unit: u64,
     /// Per-server availability; all `Up` (and never locked) without an
     /// active fault plan.
-    health: OrderedMutex<Vec<Health>>,
-    /// Signalled by [`ServerSet::mark_up`]; requests addressed to a
-    /// `Recovering` server wait on it.
-    recovered: Condvar,
+    health: OrderedMutex<Availability>,
     /// Servers whose restart countdown just completed, awaiting recovery
     /// by the client that observed it.
     recovery_due: OrderedMutex<Vec<usize>>,
@@ -143,8 +152,10 @@ impl ServerSet {
             horizons: (0..n).map(|_| Horizon::new()).collect(),
             serve,
             stripe_unit,
-            health: lockclass::server_health(vec![Health::Up; n]),
-            recovered: Condvar::new(),
+            health: lockclass::server_health(Availability {
+                health: vec![Health::Up; n],
+                parked: Waiters::default(),
+            }),
             recovery_due: lockclass::server_recovery(Vec::new()),
             faults: Arc::new(FaultInjector::new(FaultPlan::none())),
             pending: lockclass::server_pending(Pending::default()),
@@ -321,9 +332,11 @@ impl ServerSet {
     /// rejects the whole request if any touched server is down — no
     /// partial service; the request either lands on every server or pays a
     /// retry. Without an active fault plan this is exactly `access` plus
-    /// one branch.
+    /// one branch. `clock` is the caller's: it parks the rank while a
+    /// server it addresses is being recovered.
     pub(crate) fn try_access(
         &self,
+        clock: &Clock,
         arrival: VNanos,
         range: ByteRange,
         op: ServerOp,
@@ -333,7 +346,7 @@ impl ServerSet {
         }
         if self.faults.active() {
             let pieces: Vec<(usize, u64)> = self.split(range).collect();
-            let mut health = self.health.lock();
+            let mut avail = self.health.lock();
             // A server someone else is recovering comes back as soon as
             // that thread finishes its replay — in *host* time, while
             // retry backoff is virtual. Rejecting here would let this
@@ -342,19 +355,19 @@ impl ServerSet {
             // for `mark_up` instead. (The recovering thread never comes
             // through here for a server it owns: it goes from
             // `take_recovery_due` straight to replay and `mark_up`.)
-            assert_may_wait("recovering-server wait", lockclass::RECOVERY_WAIT);
+            assert_may_wait(RECOVERING, lockclass::RECOVERY_WAIT);
             while pieces
                 .iter()
-                .any(|&(server, _)| health[server] == Health::Recovering)
+                .any(|&(server, _)| avail.health[server] == Health::Recovering)
             {
-                self.recovered.wait(health.raw());
+                clock.park(avail.raw(), |a| &mut a.parked, Wait::at(RECOVERING));
             }
             for &(server, _) in &pieces {
                 if let Some(FaultAction::CrashServer { restart }) =
                     self.faults.check(FaultSite::ServerRequest { server })
                 {
-                    if health[server] == Health::Up {
-                        health[server] = Health::Down { restart, seen: 0 };
+                    if avail.health[server] == Health::Up {
+                        avail.health[server] = Health::Down { restart, seen: 0 };
                         self.faults
                             .stats()
                             .add(&self.faults.stats().server_crashes, 1);
@@ -368,7 +381,7 @@ impl ServerSet {
             // server. The error names the first unavailable server.
             let mut unavailable = None;
             for &(server, _) in &pieces {
-                match health[server] {
+                match avail.health[server] {
                     Health::Up => {}
                     Health::Down { restart, seen } => {
                         self.faults.stats().add(&self.faults.stats().rejections, 1);
@@ -377,10 +390,10 @@ impl ServerSet {
                                 // Countdown complete: this client owns the
                                 // recovery (it will find the server in
                                 // `take_recovery_due`).
-                                health[server] = Health::Recovering;
+                                avail.health[server] = Health::Recovering;
                                 self.recovery_due.lock().push(server);
                             } else {
-                                health[server] = Health::Down {
+                                avail.health[server] = Health::Down {
                                     restart,
                                     seen: seen + 1,
                                 };
@@ -396,7 +409,7 @@ impl ServerSet {
             if let Some(server) = unavailable {
                 return Err(FsError::ServerUnavailable { server });
             }
-            drop(health);
+            drop(avail);
             let mut done = arrival;
             for (server, bytes) in pieces {
                 done = done.max(self.serve_piece(server, 0, bytes, arrival, op));
@@ -409,9 +422,9 @@ impl ServerSet {
     /// Crash `server` by fiat (benches and tests; plan-driven crashes fire
     /// inside `ServerSet::try_access`).
     pub(crate) fn crash(&self, server: usize, restart: RestartPolicy) {
-        let mut health = self.health.lock();
-        if health[server] == Health::Up {
-            health[server] = Health::Down { restart, seen: 0 };
+        let mut avail = self.health.lock();
+        if avail.health[server] == Health::Up {
+            avail.health[server] = Health::Down { restart, seen: 0 };
             self.faults
                 .stats()
                 .add(&self.faults.stats().server_crashes, 1);
@@ -420,7 +433,7 @@ impl ServerSet {
 
     /// Whether `server` currently rejects requests.
     pub(crate) fn is_down(&self, server: usize) -> bool {
-        self.health.lock()[server] != Health::Up
+        self.health.lock().health[server] != Health::Up
     }
 
     /// Servers whose restart countdown completed on this caller's last
@@ -431,8 +444,9 @@ impl ServerSet {
 
     /// Recovery finished: the server serves again.
     pub(crate) fn mark_up(&self, server: usize) {
-        self.health.lock()[server] = Health::Up;
-        self.recovered.notify_all();
+        let mut avail = self.health.lock();
+        avail.health[server] = Health::Up;
+        avail.parked.wake_all();
     }
 
     /// Decompose a contiguous range into `(server, bytes)` pieces, ascending
@@ -480,8 +494,10 @@ impl ServerSet {
         for h in &self.horizons {
             h.reset();
         }
-        self.health.lock().fill(Health::Up);
-        self.recovered.notify_all();
+        let mut avail = self.health.lock();
+        avail.health.fill(Health::Up);
+        avail.parked.wake_all();
+        drop(avail);
         self.recovery_due.lock().clear();
         let mut p = self.pending.lock();
         assert!(p.reqs.is_empty(), "reset with unsettled requests");
@@ -509,11 +525,11 @@ mod tests {
         /// marks it `Recovering` and returns `true` if the caller now owns the
         /// recovery (journal replay + [`ServerSet::mark_up`]).
         pub(crate) fn begin_recovery(&self, server: usize) -> bool {
-            let mut health = self.health.lock();
-            match health[server] {
+            let mut avail = self.health.lock();
+            match avail.health[server] {
                 Health::Up | Health::Recovering => false,
                 Health::Down { .. } => {
-                    health[server] = Health::Recovering;
+                    avail.health[server] = Health::Recovering;
                     true
                 }
             }
@@ -544,7 +560,7 @@ mod tests {
                 .spawn(|| {
                     let pending = lockclass::server_pending(());
                     let _g = pending.lock();
-                    s.try_access(0, ByteRange::at(0, 64), ServerOp::Read)
+                    s.try_access(&Clock::new(), 0, ByteRange::at(0, 64), ServerOp::Read)
                 })
                 .join()
                 .expect_err("must panic instead of waiting under another mutex")

@@ -16,6 +16,7 @@ use std::time::Instant;
 
 use atomio_interval::{ByteRange, StridedSet};
 use atomio_pfs::{LockKind, LockManager, LockMode, PlatformProfile};
+use atomio_vtime::Clock;
 
 const CELL: u64 = 512;
 const STRIDE: u64 = 2048;
@@ -53,12 +54,11 @@ fn cells(n: u64) -> Vec<StridedSet> {
 /// Host seconds for one lock/release pair per set, on a fresh manager.
 fn secs(profile: &PlatformProfile, sets: &[StridedSet]) -> f64 {
     let m = LockManager::new(profile, None).expect("the platform has locks");
+    let clock = Clock::new();
     let t0 = Instant::now();
-    let mut now = 0;
     for set in sets {
-        let g = m.acquire_set(0, set, LockMode::Exclusive, now);
-        now = g.granted_at + 1;
-        m.release(g.id, now);
+        let g = m.acquire_set(0, set, LockMode::Exclusive, &clock);
+        m.release(g.id, clock.advance_to(g.granted_at + 1));
     }
     t0.elapsed().as_secs_f64()
 }

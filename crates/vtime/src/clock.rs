@@ -1,5 +1,8 @@
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+use crate::job::Table;
 
 /// Virtual nanoseconds. All simulated time in the workspace uses this unit.
 pub type VNanos = u64;
@@ -13,6 +16,10 @@ pub type VNanos = u64;
 /// owning rank's thread advances it, so reads by that thread are always
 /// consistent.
 ///
+/// The atomic is the rank's slot in its [`Job`](crate::Job) table, so a
+/// clock is also the handle a library wait parks its rank with
+/// ([`Clock::park`]). [`Clock::new`] is the clock of a job of one rank.
+///
 /// ```
 /// use atomio_vtime::Clock;
 /// let c = Clock::new();
@@ -20,35 +27,62 @@ pub type VNanos = u64;
 /// c.advance_to(300); // no-op: clocks never go backwards
 /// assert_eq!(c.now(), 500);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Clock(Arc<AtomicU64>);
+#[derive(Clone)]
+pub struct Clock {
+    pub(crate) table: Arc<Table>,
+    pub(crate) rank: usize,
+}
 
 impl Clock {
-    /// A new clock at virtual time zero.
+    /// A new clock at virtual time zero: the only rank of a job of its own.
     pub fn new() -> Self {
-        Clock(Arc::new(AtomicU64::new(0)))
+        Clock {
+            table: Table::new(1),
+            rank: 0,
+        }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> VNanos {
-        self.0.load(Ordering::Acquire)
+        self.table.clock(self.rank).load(Ordering::Acquire)
     }
 
     /// Advance by `delta` nanoseconds, returning the new time.
     pub fn advance(&self, delta: VNanos) -> VNanos {
-        self.0.fetch_add(delta, Ordering::AcqRel) + delta
+        self.table
+            .clock(self.rank)
+            .fetch_add(delta, Ordering::AcqRel)
+            + delta
     }
 
     /// Advance to at least `t` (clocks are monotone; earlier targets are
     /// ignored). Returns the resulting time.
     pub fn advance_to(&self, t: VNanos) -> VNanos {
-        self.0.fetch_max(t, Ordering::AcqRel).max(t)
+        self.table
+            .clock(self.rank)
+            .fetch_max(t, Ordering::AcqRel)
+            .max(t)
     }
 
     /// Overwrite the clock. Only used by runtimes when (re)initializing a
     /// rank; normal simulation code should use the monotone operations.
     pub fn reset(&self, t: VNanos) {
-        self.0.store(t, Ordering::Release);
+        self.table.clock(self.rank).store(t, Ordering::Release);
+    }
+}
+
+impl Default for Clock {
+    fn default() -> Self {
+        Clock::new()
+    }
+}
+
+impl fmt::Debug for Clock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Clock")
+            .field("rank", &self.rank)
+            .field("now", &self.now())
+            .finish()
     }
 }
 

@@ -16,10 +16,16 @@
 //! paper's collective-I/O strategies behave — the resulting makespan is
 //! independent of the real-time order in which the racing OS threads reach
 //! the resource, so simulated results are reproducible run-to-run.
+//!
+//! A [`Job`] is the table of one simulated job's ranks: each rank's clock
+//! and whether it is running, parked at a wait, or exited. The waits that
+//! block one rank on another park through it, so a hang becomes a
+//! [`Deadlock`] report instead of a silent stall.
 
 mod clock;
 mod cost;
 mod horizon;
+mod job;
 mod net;
 mod topo;
 mod wire;
@@ -27,6 +33,7 @@ mod wire;
 pub use clock::{Clock, VNanos};
 pub use cost::{bandwidth_mibps, fanout_ns, LinkCost, MemCost, ServeCost, MIB};
 pub use horizon::Horizon;
+pub use job::{Deadlock, Job, Seat, Wait, Waiters};
 pub use net::{LinkClass, NetCost};
 pub use topo::NodeTopology;
 pub use wire::WireSize;

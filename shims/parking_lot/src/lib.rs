@@ -8,11 +8,11 @@
 //! * `Mutex::lock` / `RwLock::read` / `RwLock::write` return guards directly
 //!   (no `Result`); a poisoned std lock is recovered with `into_inner`,
 //!   mirroring parking_lot's lack of poisoning.
-//! * `Condvar::wait` / `Condvar::wait_for` take the guard by `&mut`
-//!   reference, parking_lot style.
+//! * `MutexGuard::unlocked` releases the lock around a closure and takes
+//!   it back afterwards, parking_lot style. There is no `Condvar`: the
+//!   workspace's waits park through `atomio_vtime::Clock::park`.
 
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
 
 /// Mutual exclusion, parking_lot-flavoured: `lock()` never fails.
 #[derive(Debug, Default)]
@@ -21,8 +21,9 @@ pub struct Mutex<T: ?Sized> {
 }
 
 /// RAII guard for [`Mutex`]. Wraps the std guard in an `Option` so
-/// [`Condvar`] can temporarily take ownership during a wait.
+/// [`MutexGuard::unlocked`] can release it for a while.
 pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a std::sync::Mutex<T>,
     guard: Option<std::sync::MutexGuard<'a, T>>,
 }
 
@@ -41,6 +42,7 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
+            mutex: &self.inner,
             guard: Some(unpoison(self.inner.lock())),
         }
     }
@@ -63,60 +65,13 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Result of a timed [`Condvar`] wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
-/// Condition variable taking its [`MutexGuard`] by `&mut`, parking_lot style.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.guard.take().expect("guard active");
-        guard.guard = Some(unpoison(self.inner.wait(g)));
-    }
-
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.guard.take().expect("guard active");
-        let (g, res) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, res)) => (g, res),
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.guard = Some(g);
-        WaitTimeoutResult {
-            timed_out: res.timed_out(),
-        }
-    }
-
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
-    }
-
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
+impl<T: ?Sized> MutexGuard<'_, T> {
+    /// Release the lock, run `f`, and lock again before returning.
+    pub fn unlocked<U>(s: &mut Self, f: impl FnOnce() -> U) -> U {
+        drop(s.guard.take());
+        let out = f();
+        s.guard = Some(unpoison(s.mutex.lock()));
+        out
     }
 }
 
@@ -209,30 +164,13 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
+    fn unlocked_lets_another_thread_in() {
+        let m = Arc::new(Mutex::new(1));
+        let m2 = Arc::clone(&m);
         let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(res.timed_out());
+        MutexGuard::unlocked(&mut g, || {
+            std::thread::spawn(move || *m2.lock() += 1).join().unwrap();
+        });
+        assert_eq!(*g, 2, "the other thread took the lock meanwhile");
     }
 }

@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use atomio::check::{check_chrome_json, check_events, write_accesses};
 use atomio::prelude::*;
+use atomio::vtime::Job;
 use atomio::vtime::MemCost;
 
 /// The `lock_coherence.rs` platform: GPFS-style distributed tokens with
@@ -61,13 +62,15 @@ fn traced_locked_stress(fs: &FileSystem, iters: usize) -> Arc<MemorySink> {
     let floor = Arc::new(Mutex::new(vec![0u8; FILE as usize]));
 
     let mut handles = Vec::new();
+    let job = Job::new(4);
     for client in 0..4usize {
         let fs = fs.clone();
+        let seat = job.seat(client);
         let floor = Arc::clone(&floor);
         let sink = Arc::clone(&sink);
         let writer = client < 2;
         handles.push(std::thread::spawn(move || {
-            let f = fs.open(client, Clock::new(), "stress");
+            let f = fs.open(client, seat.clock().clone(), "stress");
             f.tracer()
                 .bind(Track::Rank(client), sink as Arc<dyn TraceSink>);
             let mut rng = Rng(0x9E3779B97F4A7C15 ^ (client as u64 + 1));

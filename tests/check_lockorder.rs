@@ -7,6 +7,7 @@
 
 use atomio::check::lexer::{lex, TokKind};
 use atomio::prelude::*;
+use atomio::vtime::Job;
 
 /// The classes `crates/pfs/src/lockclass.rs` declares, in source order,
 /// read from its `OrderedMutex::new("class", rank, …)` tokens.
@@ -93,11 +94,13 @@ fn coherent_profile() -> PlatformProfile {
 fn run_two_client_workload(fs: &FileSystem) -> u64 {
     let both_open = std::sync::Arc::new(std::sync::Barrier::new(2));
     let mut handles = Vec::new();
+    let job = Job::new(2);
     for client in 0..2usize {
         let fs = fs.clone();
+        let seat = job.seat(client);
         let both_open = std::sync::Arc::clone(&both_open);
         handles.push(std::thread::spawn(move || {
-            let f = fs.open(client, Clock::new(), "order");
+            let f = fs.open(client, seat.clock().clone(), "order");
             both_open.wait();
             let r = ByteRange::at(client as u64 * 512, 1024);
             let g = f.lock(r, LockMode::Exclusive).unwrap();

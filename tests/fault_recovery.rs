@@ -11,6 +11,7 @@
 use std::sync::{Arc, Mutex};
 
 use atomio::prelude::*;
+use atomio::vtime::Job;
 use atomio::vtime::MemCost;
 
 /// fast_test timing with GPFS-style distributed tokens, lock-driven
@@ -65,12 +66,14 @@ fn run_faulted_stress(plan: FaultPlan) -> FaultSnapshot {
     let floor = Arc::new(Mutex::new(vec![0u8; FILE as usize]));
 
     let mut handles = Vec::new();
+    let job = Job::new(CLIENTS);
     for client in 0..CLIENTS {
         let fs = fs.clone();
+        let seat = job.seat(client);
         let floor = Arc::clone(&floor);
         let writer = client < 2;
         handles.push(std::thread::spawn(move || {
-            let f = fs.open(client, Clock::new(), "stress");
+            let f = fs.open(client, seat.clock().clone(), "stress");
             let mut rng = Rng(0x9E3779B97F4A7C15 ^ (client as u64 + 1));
             for _ in 0..ITERS {
                 let len = 1 + rng.below(4096);
@@ -168,8 +171,8 @@ fn empty_plan_is_inert() {
 // ------------------------------------------------ collective-write fault grid
 
 /// Every collective write path: the four that used to leave the collective
-/// on a failed write (the healthy ranks then sat in a barrier until the
-/// 60 s deadlock timeout) and the three that used to write *through* a
+/// on a failed write (the healthy ranks then sat in a barrier they could
+/// never leave) and the three that used to write *through* a
 /// crashed server and report success.
 const COLLECTIVE_WRITES: [(Strategy, IoPath); 7] = [
     (Strategy::FileLocking(LockGranularity::Span), IoPath::Direct),
@@ -195,8 +198,8 @@ type Outcome = (Result<WriteReport, atomio::core::Error>, u64);
 
 /// One collective column-wise write under `strategy`/`path` with server
 /// `DEAD` crashing on the first request it sees. Every rank must come
-/// back, with its write's outcome and its retry count, well inside the
-/// collective deadlock timeout.
+/// back, with its write's outcome and its retry count; a rank left parked
+/// fails the run with the job table's deadlock report.
 fn faulted_collective_write(
     restart: RestartPolicy,
     strategy: Strategy,
@@ -413,7 +416,7 @@ type ReadOutcome = (
 /// One collective column-wise read under `atomicity`/`path` of a file
 /// seeded with [`seeded`] by one whole-file write, with server `DEAD`
 /// crashing on the first request it sees after that write. Every rank must
-/// come back well inside the collective deadlock timeout.
+/// come back; a rank left parked fails the run with a deadlock report.
 fn faulted_collective_read(
     restart: RestartPolicy,
     atomicity: Atomicity,

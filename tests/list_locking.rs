@@ -8,6 +8,7 @@ mod common;
 
 use atomio::pfs::LockManager;
 use atomio::prelude::*;
+use atomio::vtime::Job;
 use proptest::prelude::{prop, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
 use proptest::{prop_assert, prop_assert_eq, proptest};
@@ -233,8 +234,9 @@ proptest! {
 fn random_concurrent_multi_range_acquirers_never_deadlock() {
     // Random multi-range (comb) requests from racing threads over sharded
     // domains, mixed shared/exclusive: every acquisition is all-or-nothing
-    // under fair queueing, so no interleaving can deadlock. The managers'
-    // 60 s wait timeout turns a deadlock into a panic, failing the test.
+    // under fair queueing, so no interleaving can deadlock. The threads
+    // share one job table, which turns a deadlock into a panic at once,
+    // failing the test.
     let sharded = PlatformProfile {
         lock_kind: LockKind::Sharded,
         sim_servers: 4,
@@ -246,9 +248,11 @@ fn random_concurrent_multi_range_acquirers_never_deadlock() {
     let m = Arc::new(LockManager::new(&sharded, None).unwrap());
     let threads = 8;
     let iters = 150;
+    let job = Job::new(threads);
     let handles: Vec<_> = (0..threads)
         .map(|owner| {
             let m = Arc::clone(&m);
+            let seat = job.seat(owner);
             std::thread::spawn(move || {
                 // Per-thread deterministic pseudo-random stream (SplitMix64).
                 let mut state = 0x9E3779B97F4A7C15u64.wrapping_mul(owner as u64 + 1);
@@ -270,7 +274,8 @@ fn random_concurrent_multi_range_acquirers_never_deadlock() {
                     } else {
                         LockMode::Exclusive
                     };
-                    let g = m.acquire_set(owner, &set, mode, i);
+                    seat.clock().advance_to(i);
+                    let g = m.acquire_set(owner, &set, mode, seat.clock());
                     std::thread::yield_now();
                     m.release(g.id, g.granted_at + 1);
                 }

@@ -9,6 +9,7 @@ mod common;
 use std::sync::{Arc, Mutex};
 
 use atomio::prelude::*;
+use atomio::vtime::Job;
 use common::{check_colwise, run_colwise};
 
 /// fast_test timing with GPFS-style distributed tokens, lock-driven
@@ -79,12 +80,14 @@ fn run_revocation_stress(profile: PlatformProfile) {
     let floor = Arc::new(Mutex::new(vec![0u8; FILE as usize]));
 
     let mut handles = Vec::new();
+    let job = Job::new(4);
     for client in 0..4usize {
         let fs = fs.clone();
+        let seat = job.seat(client);
         let floor = Arc::clone(&floor);
         let writer = client < 2;
         handles.push(std::thread::spawn(move || {
-            let f = fs.open(client, Clock::new(), "stress");
+            let f = fs.open(client, seat.clock().clone(), "stress");
             let mut rng = Rng(0x9E3779B97F4A7C15 ^ (client as u64 + 1));
             for _ in 0..ITERS {
                 let len = 1 + rng.below(4096);
