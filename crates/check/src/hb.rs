@@ -454,16 +454,16 @@ pub fn check_events(events: &[TraceEvent]) -> HbReport {
     run_checker(events.iter().filter_map(classify_event).collect())
 }
 
-/// The write accesses the checker extracts from `events`, as `(rank,
-/// byte runs)` in stream order — what it *sees*, so a test can tell a
-/// clean verdict from a blind one (an I/O path whose writes emit no
-/// event, or none in the vocabulary, races with nothing).
-pub fn write_accesses(events: &[TraceEvent]) -> Vec<(usize, Vec<(u64, u64)>)> {
+/// The accesses the checker extracts from `events`, as `(rank, byte runs,
+/// write)` in stream order — what it *sees*, so a test can tell a clean
+/// verdict from a blind one (an I/O path whose accesses emit no event, or
+/// none in the vocabulary, races with nothing).
+pub fn accesses(events: &[TraceEvent]) -> Vec<(usize, Footprint, bool)> {
     events
         .iter()
         .filter_map(classify_event)
         .filter_map(|e| match e.kind {
-            Kind::Access { fp, write: true } => Some((e.rank, fp)),
+            Kind::Access { fp, write } => Some((e.rank, fp, write)),
             _ => None,
         })
         .collect()

@@ -24,5 +24,5 @@ mod hb;
 pub mod lexer;
 mod lockorder;
 
-pub use hb::{check_chrome_json, check_events, write_accesses, AccessSite, Finding, HbReport};
+pub use hb::{accesses, check_chrome_json, check_events, AccessSite, Finding, HbReport};
 pub use lockorder::{assert_may_wait, OrderedMutex, OrderedMutexGuard};

@@ -132,7 +132,7 @@ pub struct TwoPhaseReport {
 }
 
 /// Per-rank accounting of one two-phase collective read.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TwoPhaseReadReport {
     pub aggregator_count: usize,
     /// Bytes this rank read from the servers as an aggregator.
@@ -249,7 +249,8 @@ pub fn two_phase_write(
 }
 
 /// One collective read through the aggregators: each aggregator fetches its
-/// domain's requested coverage with large contiguous reads, then scatters
+/// domain's requested coverage as large contiguous runs — one closed-loop
+/// vector read ([`PosixFile::preadv_direct_past_failures`]) — then scatters
 /// the pieces back to the requesting ranks.
 ///
 /// The read runs one flat exchange whatever `cfg.schedule` says: a world
@@ -263,7 +264,8 @@ pub fn two_phase_write(
 ///
 /// Under fault injection every rank still completes the call: an
 /// aggregator whose run fails answers that run's requests with the error,
-/// which lands in the requesters' [`TwoPhaseReadReport::first_error`].
+/// which lands in the requesters' [`TwoPhaseReadReport::first_error`], and
+/// still reads the runs after it.
 pub fn two_phase_read(
     comm: &Comm,
     file: &PosixFile,
@@ -316,43 +318,42 @@ pub fn two_phase_read(
     // accesses, then answer each request from the staged buffer. A run that
     // fails is answered with its error: the aggregator still joins the
     // reply exchange and the closing barrier.
-    let mine = domains.iter().find(|d| d.rank == comm.rank());
     let mut report = TwoPhaseReadReport {
         aggregator_count: domains.len(),
-        bytes_read_from_servers: 0,
-        read_runs: 0,
-        read_errors: 0,
-        first_error: None,
+        ..TwoPhaseReadReport::default()
     };
     let mut replies: Vec<Vec<Reply>> = (0..comm.size()).map(|_| Vec::new()).collect();
-    if mine.is_some() {
+    if domains.iter().any(|d| d.rank == comm.rank()) {
         // Stage per covered run (not per domain extent — see the write path).
         let coverage =
             IntervalSet::from_extents(incoming_requests.iter().flatten().map(|&(o, l)| (o, l)));
-        let staged: Vec<Result<Vec<u8>, FsError>> = coverage
-            .iter()
-            .map(|run| {
-                let mut data = vec![0u8; run.len() as usize];
-                report.read_runs += 1;
-                let read = file.try_pread_direct(run.start, &mut data);
-                match read {
-                    Ok(()) => report.bytes_read_from_servers += run.len(),
-                    Err(_) => report.read_errors += 1,
-                }
-                read.map(|()| data)
-            })
+        let runs = coverage.runs();
+        let mut staged: Vec<Vec<u8>> = runs.iter().map(|r| vec![0u8; r.len() as usize]).collect();
+        let mut failed: Vec<Option<FsError>> = vec![None; runs.len()];
+        let starts = runs.iter().map(|r| r.start);
+        let mut reads: Vec<(u64, &mut [u8])> = starts
+            .zip(staged.iter_mut().map(Vec::as_mut_slice))
             .collect();
+        file.preadv_direct_past_failures(&mut reads, |i, e| failed[i] = Some(e));
+        report.read_runs = runs.len();
+        report.read_errors = failed.iter().flatten().count();
+        report.bytes_read_from_servers = runs
+            .iter()
+            .zip(&failed)
+            .filter(|(_, e)| e.is_none())
+            .map(|(r, _)| r.len())
+            .sum();
         for (src, reqs) in incoming_requests.iter().enumerate() {
             for &(off, len) in reqs {
                 // A request is contiguous and part of the union, so it lies
                 // inside exactly one coverage run.
-                let ri = coverage.runs().partition_point(|r| r.end <= off);
-                replies[src].push(match &staged[ri] {
-                    Ok(data) => {
-                        let rel = (off - coverage.runs()[ri].start) as usize;
-                        Reply::Bytes((off, data[rel..rel + len as usize].to_vec()))
+                let ri = runs.partition_point(|r| r.end <= off);
+                replies[src].push(match &failed[ri] {
+                    None => {
+                        let rel = (off - runs[ri].start) as usize;
+                        Reply::Bytes((off, staged[ri][rel..rel + len as usize].to_vec()))
                     }
-                    Err(e) => Reply::Failed(e.clone()),
+                    Some(e) => Reply::Failed(e.clone()),
                 });
             }
         }
@@ -549,6 +550,60 @@ mod tests {
         for e in exchanges {
             assert_eq!(e.dur, Some(expected), "{e:?}");
         }
+    }
+
+    #[test]
+    fn a_failed_aggregator_run_is_answered_with_its_error_and_later_runs_are_read() {
+        use atomio_pfs::{FaultAction, FaultPlan, FaultSite, RestartPolicy};
+        use atomio_vtime::Clock;
+        // One aggregator reads two runs: rank 0's [0, 512) on server 0,
+        // which crashes on its first request for good, then rank 1's
+        // [4096, 4608) on server 1.
+        let plan = FaultPlan::none().with(
+            FaultSite::ServerRequest { server: 0 },
+            1,
+            FaultAction::CrashServer {
+                restart: RestartPolicy::Manual,
+            },
+        );
+        let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
+        let seed = fs.open(0, Clock::new(), "rd");
+        seed.try_pwrite_direct(4096, &[7u8; 512]).unwrap();
+        let cfg = TwoPhaseConfig {
+            aggregators: Some(1),
+            ..TwoPhaseConfig::default()
+        };
+        // `run` returns once every rank has.
+        let outcomes = run(2, fs.profile().net.clone(), |comm| {
+            let file = fs.open(comm.rank(), comm.clock().clone(), "rd");
+            let segs = vec![ViewSegment {
+                file_off: comm.rank() as u64 * 4096,
+                logical_off: 0,
+                len: 512,
+            }];
+            let mut buf = vec![0u8; 512];
+            let report = two_phase_read(&comm, &file, &segs, &mut buf, 0, &cfg);
+            (report, buf)
+        });
+        let aggregator: Vec<&TwoPhaseReadReport> = outcomes
+            .iter()
+            .map(|(r, _)| r)
+            .filter(|r| r.read_runs > 0)
+            .collect();
+        let [agg] = aggregator[..] else {
+            panic!("one aggregator: {outcomes:?}")
+        };
+        assert_eq!((agg.read_runs, agg.read_errors), (2, 1));
+        assert_eq!(agg.bytes_read_from_servers, 512);
+        let (failed, lost) = &outcomes[0];
+        assert!(matches!(
+            failed.first_error,
+            Some(FsError::RetriesExhausted { server: 0, .. })
+        ));
+        assert_eq!(lost, &vec![0u8; 512]);
+        let (healthy, read) = &outcomes[1];
+        assert!(healthy.first_error.is_none());
+        assert_eq!(read, &vec![7u8; 512]);
     }
 
     #[test]

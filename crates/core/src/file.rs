@@ -6,7 +6,7 @@ use atomio_collective::{
 use atomio_dtype::{Datatype, FileView, ViewSegment};
 use atomio_interval::{ByteRange, StridedSet};
 use atomio_msg::Comm;
-use atomio_pfs::{FileSystem, LockGuard, LockMode, PosixFile};
+use atomio_pfs::{carve, FileSystem, LockGuard, LockMode, PosixFile};
 use atomio_trace::Category;
 use atomio_vtime::VNanos;
 
@@ -347,16 +347,8 @@ impl<'c> MpiFile<'c> {
         &self.name
     }
 
-    pub fn comm(&self) -> &Comm {
-        self.comm
-    }
-
     pub fn view(&self) -> &FileView {
         &self.view
-    }
-
-    pub fn atomicity(&self) -> Atomicity {
-        self.atomicity
     }
 
     /// Underlying POSIX-level handle (stats, direct access in tests).
@@ -582,11 +574,7 @@ impl<'c> MpiFile<'c> {
                 });
                 let written = self
                     .lock(&lockset, LockMode::Exclusive, collective, Ok(()))
-                    .and_then(|guard| {
-                        let written = self.write_segments_locked(&segments, buf, offset);
-                        drop(guard);
-                        written
-                    });
+                    .and_then(|_guard| self.write_segments_locked(&segments, buf, offset));
                 self.closing(collective, written)?;
             }
             Some(Strategy::ListIo) => {
@@ -704,11 +692,7 @@ impl<'c> MpiFile<'c> {
                 let lockset = granular(self.view.strided_file_ranges(offset, len), granularity);
                 let read = self
                     .lock(&lockset, LockMode::Shared, collective, fresh)
-                    .and_then(|guard| {
-                        let read = self.read_segments(&segments, buf, offset);
-                        drop(guard);
-                        read
-                    });
+                    .and_then(|_guard| self.read_segments(&segments, buf, offset));
                 self.closing(collective, read)?;
             }
             Some(Strategy::DataSieving) => {
@@ -969,11 +953,9 @@ impl<'c> MpiFile<'c> {
         let slices = seg_slices(segs, buf, base);
         match self.io_path {
             IoPath::Direct => self.posix.try_pwritev_direct(&slices)?,
-            IoPath::Cached => {
-                for (off, data) in slices {
-                    self.posix.try_pwrite(off, data)?;
-                }
-            }
+            IoPath::Cached => slices
+                .iter()
+                .try_for_each(|&(o, d)| self.posix.try_pwrite(o, d))?,
         }
         Ok(())
     }
@@ -1082,13 +1064,16 @@ impl<'c> MpiFile<'c> {
         self.io_path == IoPath::Cached && self.posix.lock_driven()
     }
 
+    /// [`MpiFile::write_segments`]' mirror: through the client cache, or as
+    /// one vectored direct read.
     fn read_segments(&self, segs: &[ViewSegment], buf: &mut [u8], base: u64) -> Result<(), Error> {
-        for seg in segs {
-            let dst = &mut buf[(seg.logical_off - base) as usize..][..seg.len as usize];
-            match self.io_path {
-                IoPath::Direct => self.posix.try_pread_direct(seg.file_off, dst)?,
-                IoPath::Cached => self.posix.try_pread(seg.file_off, dst)?,
-            }
+        let logical = segs.iter().map(|s| ByteRange::at(s.logical_off, s.len));
+        let mut slices = carve(buf, base, logical)
+            .zip(segs)
+            .map(|((_, dst), s)| (s.file_off, dst));
+        match self.io_path {
+            IoPath::Direct => self.posix.try_preadv_direct(&mut Vec::from_iter(slices))?,
+            IoPath::Cached => slices.try_for_each(|(off, dst)| self.posix.try_pread(off, dst))?,
         }
         Ok(())
     }

@@ -1,6 +1,6 @@
 use std::any::Any;
 
-use atomio_vtime::{Clock, LinkClass, NetCost, VNanos, Wait, Waiters, WireSize};
+use atomio_vtime::{Clock, LinkClass, NetCost, VNanos, Wait, Waiters, Wakeup, WireSize};
 use parking_lot::Mutex;
 
 use crate::comm::Comm;
@@ -250,6 +250,9 @@ impl CollState {
     where
         T: Send + 'static,
     {
+        // Declared before the guard: the ranks this call wakes are
+        // unparked once the round mutex is released.
+        let mut woken = Wakeup::default();
         let mut g = self.inner.lock();
         let nprocs = g.slots.len();
 
@@ -275,7 +278,7 @@ impl CollState {
             let round = &mut *g;
             round.finish = cost(round.max_clock, &round.slots, &mut round.endpoints);
             g.complete = true;
-            g.parked.wake_all();
+            g.parked.wake_all(&mut woken);
         } else {
             while !(g.complete && g.gen == my_gen) {
                 clock.park(&mut g, |r| &mut r.parked, Wait::at(op));
@@ -297,7 +300,7 @@ impl CollState {
                 *s = None;
             }
             g.endpoints.fill(Endpoint::default());
-            g.parked.wake_all();
+            g.parked.wake_all(&mut woken);
         }
         (result, finish, sent)
     }

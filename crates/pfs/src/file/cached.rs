@@ -7,7 +7,7 @@ use atomio_interval::ByteRange;
 use atomio_trace::Category;
 use atomio_vtime::VNanos;
 
-use super::PosixFile;
+use super::{carve, PosixFile};
 use crate::cache::ClientCache;
 use crate::error::FsError;
 use crate::fault::{FaultAction, FaultSite};
@@ -70,15 +70,7 @@ impl PosixFile {
             }
             return Ok(());
         }
-        self.pwrite_buffered(offset, data)
-    }
-
-    /// The write-behind body of [`PosixFile::try_pwrite`] (close-to-open path).
-    fn pwrite_buffered(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
-        let needs_flush = {
-            let mut cache = self.cache.lock();
-            self.pwrite_buffered_locked(&mut cache, offset, data)
-        };
+        let needs_flush = self.pwrite_buffered_locked(&mut self.cache.lock(), offset, data);
         if needs_flush {
             self.try_sync()?;
         }
@@ -120,46 +112,26 @@ impl PosixFile {
             return self.try_pread_direct(offset, buf);
         }
         if self.lock_driven() {
+            // Without validity rights the request is one gap, read through.
             let mut cache = self.cache.lock();
-            if cache.coverage.is_empty() {
-                // No validity rights: pure read-through, nothing cached.
-                drop(cache);
-                return self.try_pread_direct(offset, buf);
-            }
             let req = ByteRange::at(offset, buf.len() as u64);
-            for r in cache.coverage.gaps(req) {
-                let s = (r.start - offset) as usize;
-                self.try_pread_direct(r.start, &mut buf[s..s + r.len() as usize])?;
-            }
+            self.preadv_landed(carve(buf, offset, cache.coverage.gaps(req)), true)
+                .1?;
+            // Each covered piece lies inside one maximal coverage run; clamp
+            // read-ahead to it so the cache never admits bytes the token
+            // does not protect.
             let covered: Vec<ByteRange> = cache.coverage.runs_meeting(req).map(|r| r.0).collect();
-            for clamp in covered {
-                // Each covered piece lies inside one maximal coverage run;
-                // clamp read-ahead to it so the cache never admits bytes
-                // the token does not protect.
-                let r = ByteRange::new(clamp.start.max(req.start), clamp.end.min(req.end));
-                let s = (r.start - offset) as usize;
-                let hit = self.pread_cached_locked(
-                    &mut cache,
-                    r.start,
-                    &mut buf[s..s + r.len() as usize],
-                    Some(clamp),
-                )?;
+            let pieces = covered
+                .iter()
+                .map(|c| ByteRange::new(c.start.max(req.start), c.end.min(req.end)));
+            for (clamp, (off, dst)) in covered.iter().zip(carve(buf, offset, pieces)) {
+                let hit = self.pread_cached_locked(&mut cache, off, dst, Some(*clamp))?;
                 self.stats.add(&self.stats.coherent_hit_bytes, hit);
             }
             return Ok(());
         }
-        self.pread_cached(offset, buf, None).map(|_| ())
-    }
-
-    /// The cached-read body of [`PosixFile::try_pread`] (close-to-open path).
-    fn pread_cached(
-        &self,
-        offset: u64,
-        buf: &mut [u8],
-        clamp: Option<ByteRange>,
-    ) -> Result<u64, FsError> {
-        let mut cache = self.cache.lock();
-        self.pread_cached_locked(&mut cache, offset, buf, clamp)
+        let hit = self.pread_cached_locked(&mut self.cache.lock(), offset, buf, None);
+        hit.map(|_| ())
     }
 
     /// Serve one read from an already-locked cache: hits from resident
@@ -174,81 +146,68 @@ impl PosixFile {
         clamp: Option<ByteRange>,
     ) -> Result<u64, FsError> {
         let len = buf.len() as u64;
-        let link = &self.fs.profile.client_link;
-
         let missing = cache.missing(offset, len);
         let hit = len - missing.total_len();
         self.stats.add(&self.stats.cache_hit_bytes, hit);
         self.stats
             .add(&self.stats.cache_miss_bytes, missing.total_len());
+        let (tracer, now) = (&self.tracer, self.clock.now());
         if hit > 0 {
-            self.tracer.instant(
-                Category::Cache,
-                "cache hit",
-                self.clock.now(),
-                &[("bytes", hit)],
-            );
+            tracer.instant(Category::Cache, "cache hit", now, &[("bytes", hit)]);
         }
         if !missing.is_empty() {
-            self.tracer.instant(
-                Category::Cache,
-                "cache miss",
-                self.clock.now(),
-                &[("bytes", missing.total_len())],
-            );
-        }
-
-        if !missing.is_empty() {
-            let mut done = self.clock.now();
+            let miss = [("bytes", missing.total_len())];
+            tracer.instant(Category::Cache, "cache miss", now, &miss);
+            // Every miss's fetch window is one segment of one closed-loop
+            // read, staged back to back in `data`. The window is clamped at
+            // the server file size: a real client's EOF-adjacent miss gets a
+            // short read, not read-ahead pages of bytes that don't exist.
+            let eof = self.file.storage.len();
+            let window = |cache: &ClientCache, miss: &ByteRange| {
+                let w = cache.fetch_window(*miss, eof);
+                match clamp {
+                    // The EOF-clamped window can fall entirely *before* the
+                    // coverage run (covered miss past a short file): nothing
+                    // on the servers to fetch, so the whole miss is a zero
+                    // hole.
+                    Some(c) if !w.is_empty() => {
+                        w.intersect(&c).unwrap_or(ByteRange::new(w.start, w.start))
+                    }
+                    _ => w,
+                }
+            };
+            let total: u64 = missing.iter().map(|m| window(cache, m).len()).sum();
+            let mut data = vec![0u8; total as usize];
+            let mut rest = data.as_mut_slice();
+            let windows = missing.iter().map(|m| window(cache, m));
+            let reads = windows.filter(|w| !w.is_empty()).map(|w| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(w.len() as usize);
+                rest = tail;
+                (w.start, head)
+            });
+            let (inj, res) = self.preadv_landed(reads, false);
+            if inj.landed > 0 {
+                let (end, fill) = (self.clock.now(), [("bytes", inj.bytes)]);
+                tracer.span(Category::Cache, "cache fill", inj.t0, end, &fill);
+            }
+            res?;
+            let mut fetched = data.as_slice();
             for miss in missing.iter() {
-                // The fetch window is clamped at the server file size: a
-                // real client's EOF-adjacent miss gets a short read, not
-                // read-ahead pages of bytes that don't exist.
-                let mut window = cache.fetch_window(*miss, self.file.storage.len());
-                if let (false, Some(c)) = (window.is_empty(), clamp) {
-                    // The EOF-clamped window can fall entirely *before*
-                    // the coverage run (covered miss past a short file):
-                    // nothing on the servers to fetch, so the whole miss
-                    // is a zero hole, handled below.
-                    window = window
-                        .intersect(&c)
-                        .unwrap_or(ByteRange::new(window.start, window.start));
-                }
-                if !window.is_empty() {
-                    self.drain_journal_overlap(window);
-                    let mut data = vec![0u8; window.len() as usize];
-                    let d = self.server_rpc(
-                        self.clock.now() + link.latency_ns,
-                        window,
-                        ServerOp::Read,
-                    )?;
-                    done = done.max(d + link.latency_ns + link.payload_ns(window.len()));
-                    self.tracer.span(
-                        Category::Cache,
-                        "cache fill",
-                        self.clock.now(),
-                        d + link.latency_ns + link.payload_ns(window.len()),
-                        &[("bytes", window.len())],
-                    );
-                    self.file.storage.read_atomic(window.start, &mut data);
-                    self.stats.add(
-                        &self.stats.server_read_requests,
-                        self.fs.servers.requests_for(window),
-                    );
-                    // Deferred eviction: the pass runs once after the
-                    // closing copy-out, so this fill can never drop a page
-                    // an earlier part of the *same* read already hit.
-                    cache.fill_deferred(window.start, &data);
-                }
+                // Deferred eviction: the pass runs once after the closing
+                // copy-out, so a fill can never drop a page an earlier part
+                // of the *same* read already hit.
+                let w = window(cache, miss);
+                let (bytes, tail) = fetched.split_at(w.len() as usize);
+                cache.fill_deferred(w.start, bytes);
+                fetched = tail;
                 // Any part of the miss past EOF is a hole: the short read
-                // proves it empty, so it caches as zeros at no transfer
-                // cost (and no virtual time).
-                let hole_start = miss.start.max(window.end);
+                // proves it empty, so it caches as zeros at no transfer cost
+                // (and no virtual time).
+                let hole_start = miss.start.max(w.end);
                 if hole_start < miss.end {
                     cache.fill_deferred(hole_start, &vec![0u8; (miss.end - hole_start) as usize]);
                 }
             }
-            self.clock.advance_to(done);
         }
         self.clock.advance(cache.params().mem.copy_ns(len));
         cache.read(offset, buf);
@@ -326,7 +285,8 @@ impl PosixFile {
                 return Err(FsError::Closed);
             }
         }
-        let (inj, res) = self.inject_writes(
+        let (inj, res) = self.round_trips(
+            ServerOp::Write,
             runs.iter().map(|(off, data)| (*off, data.as_slice())),
             |arrival, range, data| {
                 if faulty {

@@ -4,25 +4,22 @@
 use atomio_interval::ByteRange;
 use atomio_trace::Category;
 
-use super::{write_args, PosixFile};
+use super::{access_args, resume_past_failures, Injected, PosixFile};
 use crate::error::FsError;
 use crate::server::ServerOp;
 
 impl PosixFile {
-    /// Synchronous uncached write: request → servers → ack, charged in
-    /// virtual time; bytes really applied to storage (POSIX-atomically when
-    /// the platform says so). A down server is retried with vtime backoff,
-    /// and the typed error comes back once the retry budget is spent or
-    /// this handle is dead.
+    /// Synchronous uncached write, the one-segment
+    /// [`PosixFile::try_pwritev_direct`]. A down server is retried with
+    /// vtime backoff, and the typed error comes back once the retry budget
+    /// is spent or this handle is dead.
     pub fn try_pwrite_direct(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
         self.try_pwritev_direct(&[(offset, data)])
     }
 
     /// Closed-loop vectored uncached write — what a lock holder issues for
     /// a noncontiguous request: the segments are pipelined through the NIC
-    /// and the servers (`inject_writes`) and the call returns
-    /// once the slowest is acknowledged, so the client link and the
-    /// servers are busy at the same time instead of alternately. Each
+    /// and the servers, and the call returns with the last ack. Each
     /// segment is its own POSIX write (applied as it lands, atomically
     /// when the platform says so); nothing is atomic *across* segments —
     /// that is [`PosixFile::try_listio_direct_atomic`]. On a fault the
@@ -32,55 +29,81 @@ impl PosixFile {
         self.pwritev_landed(segments).1
     }
 
-    /// [`PosixFile::try_pwritev_direct`], also returning how many of the
-    /// leading segments landed.
-    fn pwritev_landed(&self, segments: &[(u64, &[u8])]) -> (usize, Result<(), FsError>) {
-        if let Err(e) = self.check_alive() {
-            return (0, Err(e));
-        }
-        let (inj, res) = self.inject_writes(segments.iter().copied(), |arrival, range, data| {
+    /// [`PosixFile::try_pwritev_direct`], also returning what landed.
+    fn pwritev_landed(&self, segments: &[(u64, &[u8])]) -> (Injected, Result<(), FsError>) {
+        let op = ServerOp::Write;
+        let (inj, res) = self.round_trips(op, segments.iter().copied(), |arrival, range, data| {
             self.drain_journal_overlap(range);
-            let done = self.server_rpc(arrival, range, ServerOp::Write)?;
+            let done = self.server_rpc(arrival, range, op)?;
             self.apply_write(range.start, data);
             Ok(done)
         });
         if inj.landed > 0 {
-            self.trace_write("direct write", &inj, &segments[..inj.landed]);
+            self.trace_access("direct write", &inj);
             self.stats.add(&self.stats.writes, inj.landed as u64);
             self.stats.add(&self.stats.bytes_written, inj.bytes);
             self.stats
                 .add(&self.stats.server_write_requests, inj.server_reqs);
         }
-        (inj.landed, res)
+        (inj, res)
     }
 
-    /// Synchronous uncached read, with the fault model of
+    /// Synchronous uncached read: the one-segment
+    /// [`PosixFile::try_preadv_direct`], with the fault model of
     /// [`PosixFile::try_pwrite_direct`].
     pub fn try_pread_direct(&self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
-        self.check_alive()?;
-        let len = buf.len() as u64;
-        let range = ByteRange::at(offset, len);
-        self.drain_journal_overlap(range);
-        let link = &self.fs.profile.client_link;
-        let t0 = self.clock.now();
-        let done = self.server_rpc(t0 + link.latency_ns, range, ServerOp::Read)?;
-        self.clock
-            .advance_to(done + link.latency_ns + link.payload_ns(len));
-        self.tracer.span(
-            Category::Io,
-            "direct read",
-            t0,
-            self.clock.now(),
-            &[("off", offset), ("bytes", len)],
+        self.try_preadv_direct(&mut [(offset, buf)])
+    }
+
+    /// Closed-loop vectored uncached read, the twin of
+    /// [`PosixFile::try_pwritev_direct`]: the requests are pipelined to the
+    /// servers, and the call returns with the last reply. On a fault the
+    /// segments before the failing one are read and counted, none after.
+    pub fn try_preadv_direct(&self, segments: &mut [(u64, &mut [u8])]) -> Result<(), FsError> {
+        self.preadv_landed(segments.iter_mut().map(|(o, b)| (*o, &mut **b)), true)
+            .1
+    }
+
+    /// [`PosixFile::try_preadv_direct`] run to the end: the read resumes
+    /// past a failing segment, as [`PosixFile::submit_writes`] does under a
+    /// fault plan, and `failed` hears each failing segment's index and error.
+    pub fn preadv_direct_past_failures(
+        &self,
+        segments: &mut [(u64, &mut [u8])],
+        failed: impl FnMut(usize, FsError),
+    ) {
+        let n = segments.len();
+        resume_past_failures(
+            n,
+            |i| self.preadv_landed(segments[i..].iter_mut().map(|(o, b)| (*o, &mut **b)), true),
+            failed,
         );
-        self.file.storage.read_atomic(offset, buf);
-        self.stats.add(&self.stats.reads, 1);
-        self.stats.add(&self.stats.bytes_read, len);
-        self.stats.add(
-            &self.stats.server_read_requests,
-            self.fs.servers.requests_for(range),
-        );
-        Ok(())
+    }
+
+    /// The one closed-loop read, shared by direct reads and cache fills,
+    /// each segment fetched through the journal gate and
+    /// [`PosixFile::server_rpc`]. A `direct` read is counted and traced as
+    /// an access; a cache fill, by the cached read it serves.
+    pub(super) fn preadv_landed<'b>(
+        &self,
+        segments: impl Iterator<Item = (u64, &'b mut [u8])>,
+        direct: bool,
+    ) -> (Injected, Result<(), FsError>) {
+        let op = ServerOp::Read;
+        let (inj, res) = self.round_trips(op, segments, |arrival, range, buf| {
+            self.drain_journal_overlap(range);
+            let done = self.server_rpc(arrival, range, op)?;
+            self.file.storage.read_atomic(range.start, buf);
+            Ok(done)
+        });
+        self.stats
+            .add(&self.stats.server_read_requests, inj.server_reqs);
+        if direct && inj.landed > 0 {
+            self.trace_access("direct read", &inj);
+            self.stats.add(&self.stats.reads, inj.landed as u64);
+            self.stats.add(&self.stats.bytes_read, inj.bytes);
+        }
+        (inj, res)
     }
 
     /// What every collective open-loop writer submits through.
@@ -92,19 +115,10 @@ impl PosixFile {
     /// through its NIC without waiting for per-request acks — the
     /// asynchronous-I/O counterpart of [`PosixFile::try_pwritev_direct`].
     ///
-    /// For timing, entries that follow each other in the file (each starts
-    /// where the one before it ended) are **one extent**, however many
-    /// slices hold its bytes, and an extent is priced by the one rule of
-    /// [`PosixFile::try_pwritev_direct`]'s segments: `client_op_ns` to issue
-    /// it unless it is the batch's first, `payload_ns(len)` on the NIC, and
-    /// one `per_op` on each server it touches. It still *streams*: it leaves
-    /// as one wire request per stripe row (cut at the absolute multiples of
-    /// `stripe_unit × server_count`), each reaching the servers one link
-    /// latency after its own last byte is injected, so the servers work on
-    /// the first rows of a large extent while the rest is still being
-    /// injected; only a server's first row pays its `per_op`. Streaming
-    /// only starts the same work earlier, so a batch finishes no later than
-    /// the closed-loop write of the same extents.
+    /// For timing, entries that follow each other in the file are **one
+    /// extent**, however many slices hold its bytes, priced by the one
+    /// request rule and streamed by stripe row (DESIGN.md "One injection
+    /// formula"), so a batch finishes no later than its closed-loop twin.
     ///
     /// The requests are deposited under `epoch`. Redeem the returned ticket
     /// with [`PosixFile::complete_writes`], settling through an epoch at or
@@ -116,13 +130,11 @@ impl PosixFile {
     /// [`ServerSet`](crate::ServerSet)).
     ///
     /// Under a fault plan nothing may stay in flight across a crash/replay
-    /// cycle and no byte may land on a server that is down — faults fire
-    /// against individual server RPCs, not deferred tickets — so the
-    /// writes go through the synchronous, retrying
-    /// [`PosixFile::try_pwritev_direct`] instead: there is no ticket, and a
-    /// dead server is a typed error. Every entry is still attempted — an
-    /// entry whose server is down fails alone, the entries behind it land —
-    /// and the first error comes back.
+    /// cycle — faults fire against individual server RPCs, not deferred
+    /// tickets — so the writes go through the retrying
+    /// [`PosixFile::try_pwritev_direct`] instead, with no ticket. Every entry
+    /// is still attempted — one whose server is down fails alone, those
+    /// behind it land — and the first error comes back.
     ///
     /// `racing` is for *deliberately racing* writers (non-atomic mode): the
     /// batch yields the scheduler between entries so concurrently
@@ -135,15 +147,11 @@ impl PosixFile {
         epoch: u64,
         racing: bool,
     ) -> Result<Option<u64>, FsError> {
-        if self.faults_active() {
-            let (mut rest, mut first_err) = (writes, None);
-            while !rest.is_empty() {
-                let (landed, res) = self.pwritev_landed(rest);
-                let Err(e) = res else { break };
-                first_err.get_or_insert(e);
-                rest = &rest[landed + 1..];
-            }
-            return first_err.map_or(Ok(None), Err);
+        if self.fs.faults.active() {
+            let mut first = None;
+            let failed = |_, e| first = first.take().or(Some(e));
+            resume_past_failures(writes.len(), |i| self.pwritev_landed(&writes[i..]), failed);
+            return first.map_or(Ok(None), Err);
         }
         Ok(Some(self.pwrite_batch(writes, epoch, racing)))
     }
@@ -189,7 +197,7 @@ impl PosixFile {
         self.stats
             .add(&self.stats.server_write_requests, server_reqs);
         if self.tracer.is_enabled() {
-            let args = write_args(total, writes);
+            let args = access_args(total, writes.iter().map(|(o, d)| (*o, d.len() as u64)));
             self.tracer.instant(Category::Io, "batch write", t0, &args);
         }
         self.fs.servers.submit(self.client, epoch, reqs)
@@ -213,13 +221,13 @@ impl PosixFile {
     /// so no other write can interleave anywhere between them. A failed
     /// segment fails the whole call and none of them is applied.
     pub fn try_listio_direct_atomic(&self, segments: &[(u64, &[u8])]) -> Result<(), FsError> {
-        self.check_alive()?;
-        let (inj, res) = self.inject_writes(segments.iter().copied(), |arrival, range, _| {
+        let op = ServerOp::Write;
+        let (inj, res) = self.round_trips(op, segments.iter().copied(), |arrival, range, _| {
             self.drain_journal_overlap(range);
-            self.server_rpc(arrival, range, ServerOp::Write)
+            self.server_rpc(arrival, range, op)
         });
         res?;
-        self.trace_write("listio write", &inj, segments);
+        self.trace_access("listio write", &inj);
         self.file.storage.write_listio_atomic(segments);
         if self.fs.profile.cache.enabled {
             // The atomic write bypassed the cache: drop this client's own
@@ -483,50 +491,123 @@ mod tests {
         }
     }
 
+    /// The two directions of a closed-loop vector.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Dir {
+        Write,
+        Read,
+    }
+    const BOTH: [Dir; 2] = [Dir::Write, Dir::Read];
+
+    /// `rows` as one closed-loop vector in `dir` through a fresh handle on
+    /// `fs`'s file "v": a write stores them; a read fetches them back from
+    /// a file seeded with them beforehand, off the clock and the servers.
+    /// Returns the handle, the call's result, and what each row's bytes
+    /// hold afterwards: the file's for a write, the buffer's for a read.
+    fn vector(
+        fs: &FileSystem,
+        dir: Dir,
+        rows: &[(u64, Vec<u8>)],
+    ) -> (PosixFile, Result<(), FsError>, Vec<Vec<u8>>) {
+        let f = fs.open(0, Clock::new(), "v");
+        if dir == Dir::Write {
+            let res = f.try_pwritev_direct(&as_segments(rows));
+            let image = fs.snapshot("v").unwrap();
+            let at = |i: u64| image.get(i as usize).copied().unwrap_or(0);
+            let held = rows
+                .iter()
+                .map(|(off, d)| (*off..*off + d.len() as u64).map(at).collect())
+                .collect();
+            return (f, res, held);
+        }
+        for (off, data) in rows {
+            f.file.storage.write_atomic(*off, data);
+        }
+        let mut bufs: Vec<Vec<u8>> = rows.iter().map(|(_, d)| vec![0; d.len()]).collect();
+        let mut segs: Vec<(u64, &mut [u8])> = (rows.iter().map(|r| r.0))
+            .zip(bufs.iter_mut().map(Vec::as_mut_slice))
+            .collect();
+        let res = f.try_preadv_direct(&mut segs);
+        (f, res, bufs)
+    }
+
+    /// The calls, bytes and server requests `dir` moved.
+    fn moved(dir: Dir, s: &StatsSnapshot) -> (u64, u64, u64) {
+        match dir {
+            Dir::Write => (s.writes, s.bytes_written, s.server_write_requests),
+            Dir::Read => (s.reads, s.bytes_read, s.server_read_requests),
+        }
+    }
+
     #[test]
     fn one_segment_vector_costs_exactly_one_synchronous_write() {
-        let data = [9u8; SEG as usize];
-        let f = test_fs().open(0, Clock::new(), "one");
-        f.try_pwrite_direct(4096, &data).unwrap();
-        let g = test_fs().open(0, Clock::new(), "one");
-        g.try_pwritev_direct(&[(4096, &data)]).unwrap();
-        // payload, request latency, service, ack latency — in turn.
-        assert_eq!(f.clock().now(), SEG + LAT + SERVICE + LAT);
-        assert_eq!(g.clock().now(), f.clock().now());
-        assert_eq!(g.stats().snapshot(), f.stats().snapshot());
-        assert_eq!(f.stats().snapshot().server_write_requests, 1);
+        // A write: payload, request latency, service, ack latency. A read:
+        // request latency, service, reply latency, payload. Same sum.
+        let row = [(4096, vec![9u8; SEG as usize])];
+        for dir in BOTH {
+            let (g, res, _) = vector(&test_fs(), dir, &row);
+            res.unwrap();
+            let fs = test_fs();
+            let f = fs.open(0, Clock::new(), "v");
+            let mut buf = [0u8; SEG as usize];
+            match dir {
+                Dir::Write => f.try_pwrite_direct(4096, &row[0].1),
+                Dir::Read => f.try_pread_direct(4096, &mut buf),
+            }
+            .unwrap();
+            assert_eq!(f.clock().now(), LAT + SERVICE + LAT + SEG, "{dir:?}");
+            assert_eq!(g.clock().now(), f.clock().now(), "{dir:?}");
+            assert_eq!(g.stats().snapshot(), f.stats().snapshot(), "{dir:?}");
+            assert_eq!(moved(dir, &f.stats().snapshot()), (1, SEG, 1), "{dir:?}");
+        }
     }
 
     #[test]
     fn vector_over_distinct_servers_is_bound_by_the_nic() {
-        // One segment per server: each is served the moment it arrives, so
-        // the last injected one finishes last.
+        // One segment per server: each is served the moment it arrives. A
+        // write's payloads queue on the NIC, so the last injected one
+        // finishes last. A read's requests carry none: they leave OP apart,
+        // and the replies, SEG > OP apart, queue on the link instead.
         let n = 4;
         let rows = strided_rows(n, 4096);
-        let fs = test_fs();
-        let f = fs.open(0, Clock::new(), "spread");
-        f.try_pwritev_direct(&as_segments(&rows)).unwrap();
-        assert_eq!(
-            f.clock().now(),
-            n * SEG + (n - 1) * OP + LAT + SERVICE + LAT
-        );
-        let s = f.stats().snapshot();
-        assert_eq!((s.writes, s.bytes_written), (n, n * SEG));
-        assert_eq!(s.server_write_requests, n);
-        assert_rows_landed(&fs.snapshot("spread").unwrap(), &rows);
+        for dir in BOTH {
+            let (f, res, held) = vector(&test_fs(), dir, &rows);
+            res.unwrap();
+            let end = match dir {
+                Dir::Write => n * SEG + (n - 1) * OP + LAT + SERVICE + LAT,
+                Dir::Read => LAT + SERVICE + LAT + n * SEG,
+            };
+            assert_eq!(f.clock().now(), end, "{dir:?}");
+            assert_eq!(
+                moved(dir, &f.stats().snapshot()),
+                (n, n * SEG, n),
+                "{dir:?}"
+            );
+            assert!(held.iter().zip(&rows).all(|(h, (_, d))| h == d), "{dir:?}");
+        }
     }
 
     #[test]
     fn vector_on_one_server_is_bound_by_that_servers_horizon() {
-        // Every segment homes on server 0 and arrives faster (SEG + OP
-        // apart) than it is served, so they queue: the end time is the
-        // first arrival plus n services, whatever the NIC could inject.
+        // Every segment homes on server 0 and arrives faster (at most
+        // SEG + OP apart) than it is served, so they queue: the end time is
+        // the first arrival plus n services plus the last reply, whatever
+        // the client link could carry.
         let n = 4;
         let rows = strided_rows(n, 4 * 4096);
-        let f = test_fs().open(0, Clock::new(), "queue");
-        f.try_pwritev_direct(&as_segments(&rows)).unwrap();
-        assert_eq!(f.clock().now(), SEG + LAT + n * SERVICE + LAT);
-        assert!(f.clock().now() > n * SEG + (n - 1) * OP + LAT + SERVICE + LAT);
+        for dir in BOTH {
+            let (f, res, _) = vector(&test_fs(), dir, &rows);
+            res.unwrap();
+            let (end, link_bound) = match dir {
+                Dir::Write => (
+                    SEG + LAT + n * SERVICE + LAT,
+                    n * SEG + (n - 1) * OP + LAT + SERVICE + LAT,
+                ),
+                Dir::Read => (LAT + n * SERVICE + LAT + SEG, LAT + SERVICE + LAT + n * SEG),
+            };
+            assert_eq!(f.clock().now(), end, "{dir:?}");
+            assert!(end > link_bound, "{dir:?}");
+        }
     }
 
     #[test]
@@ -577,30 +658,35 @@ mod tests {
     fn vector_stops_at_the_failing_segment_with_the_earlier_ones_applied() {
         let k = 3;
         let rows = strided_rows(4, 4 * 4096);
+        for dir in BOTH {
+            let fs = crash_server0_at(k, RestartPolicy::Manual);
+            let (f, res, held) = vector(&fs, dir, &rows);
+            assert_eq!(
+                res.unwrap_err(),
+                FsError::RetriesExhausted {
+                    server: 0,
+                    attempts: MAX_RETRIES + 1
+                }
+            );
+            // Exactly the first k − 1 segments landed: moved, counted, and
+            // their time charged; the failing one and those after it are
+            // not.
+            let k1 = k - 1;
+            let s = f.stats().snapshot();
+            assert_eq!(moved(dir, &s), (k1, k1 * SEG, k1), "{dir:?}");
+            assert_eq!(f.clock().now(), LAT + k1 * SERVICE + LAT + SEG, "{dir:?}");
+            let (landed, rest) = held.split_at(k1 as usize);
+            assert!(
+                landed.iter().zip(&rows).all(|(h, (_, d))| h == d),
+                "{dir:?}"
+            );
+            assert!(rest.iter().flatten().all(|&b| b == 0), "{dir:?}");
+        }
+        // Nothing past segment k − 1 reached the file.
         let fs = crash_server0_at(k, RestartPolicy::Manual);
-        let f = fs.open(0, Clock::new(), "stop");
-        let err = f.try_pwritev_direct(&as_segments(&rows)).unwrap_err();
-        assert_eq!(
-            err,
-            FsError::RetriesExhausted {
-                server: 0,
-                attempts: MAX_RETRIES + 1
-            }
-        );
-        // Exactly the first k − 1 segments landed: applied, counted, and
-        // their time charged; the failing one and those after it are not.
-        let s = f.stats().snapshot();
-        assert_eq!((s.writes, s.bytes_written), (k - 1, (k - 1) * SEG));
-        assert_eq!(s.server_write_requests, k - 1);
-        assert_eq!(f.clock().now(), SEG + LAT + (k - 1) * SERVICE + LAT);
-        let (last_off, last) = &rows[k as usize - 2];
-        let image = fs.snapshot("stop").unwrap();
-        assert_eq!(
-            image.len() as u64,
-            last_off + SEG,
-            "nothing past segment k−1"
-        );
-        assert_eq!(&image[*last_off as usize..], last.as_slice());
+        vector(&fs, Dir::Write, &rows).1.unwrap_err();
+        let (last_off, _) = &rows[k as usize - 2];
+        assert_eq!(fs.snapshot("v").unwrap().len() as u64, last_off + SEG);
     }
 
     #[test]

@@ -172,6 +172,7 @@ impl FileSystem {
     /// Open (creating if needed) `name` on behalf of `client`; `clock` is
     /// the client's virtual clock, charged by every operation.
     pub fn open(&self, client: usize, clock: Clock, name: &str) -> PosixFile {
+        let profile = &self.inner.profile;
         let file = {
             let mut files = self.inner.files.lock();
             Arc::clone(files.entry(name.to_string()).or_insert_with(|| {
@@ -180,18 +181,16 @@ impl FileSystem {
                 let coherence = Arc::new(hub);
                 Arc::new(FileObj {
                     storage: Storage::new(),
-                    locks: LockManager::new(&self.inner.profile, Some(Arc::clone(&coherence))),
+                    locks: LockManager::new(name, profile, Some(Arc::clone(&coherence))),
                     coherence,
                     journal: RevocationJournal::new(),
                 })
             }))
         };
-        let cache = Arc::new(lockclass::cache(ClientCache::new(
-            self.inner.profile.cache.clone(),
-        )));
+        let cache = Arc::new(lockclass::cache(ClientCache::new(profile.cache.clone())));
         let stats = Arc::new(ClientStats::default());
         let tracer = Tracer::disabled();
-        let handler = if self.inner.profile.lock_driven_coherence() {
+        let handler = if profile.lock_driven_coherence() {
             // Wire this client into the revocation fan-out: a conflicting
             // acquisition elsewhere flushes this cache's dirty bytes and
             // invalidates exactly the revoked ranges. One live handle per
@@ -281,10 +280,11 @@ impl FileSystem {
 ///   platform enables it) with read-ahead and write-behind — the behaviour
 ///   the paper's §3 warns makes handshaking strategies require an explicit
 ///   `try_sync` + `try_invalidate`;
-/// * `try_pwrite_direct`/`try_pread_direct` bypass the cache, the way
-///   locked I/O does in ROMIO's atomic mode ("while a file region is
-///   locked, all read/write requests to it will directly go to the file
-///   server").
+/// * the `_direct` calls bypass the cache, the way locked I/O does in
+///   ROMIO's atomic mode ("while a file region is locked, all read/write
+///   requests to it will directly go to the file server"); each is one
+///   closed-loop vector, priced like a cache fill or flush by one rule in
+///   both directions (DESIGN.md "One injection formula").
 ///
 /// Every operation reports failure as a typed [`FsError`]. Without a fault
 /// plan the I/O calls never fail, so fault-free callers may `unwrap` them.
@@ -342,14 +342,15 @@ impl Drop for PosixFile {
     }
 }
 
-/// What one [`PosixFile::inject_writes`] call moved: its start time and
-/// the totals over the requests that landed.
+/// What one [`PosixFile::round_trips`] call moved: its start time, the
+/// totals over the requests that landed and, while tracing, their footprint.
 #[derive(Default)]
 struct Injected {
     t0: VNanos,
     landed: usize,
     bytes: u64,
     server_reqs: u64,
+    footprint: Vec<(u64, u64)>,
 }
 
 /// Cap on footprint runs carried in one *sync* event's args (lock grants
@@ -357,7 +358,7 @@ struct Injected {
 /// bounding box plus `("elided", 1)` — conservative for the
 /// happens-before checker: a *larger* sync footprint can only add edges
 /// (masking, never inventing, a race). Access events never degrade (a
-/// larger access footprint *would* invent races): see [`write_args`].
+/// larger access footprint *would* invent races): see [`access_args`].
 const FOOTPRINT_RUN_CAP: usize = 32;
 
 /// Append a sync event's byte footprint to trace args as repeated
@@ -378,15 +379,47 @@ fn push_footprint(args: &mut Vec<(&'static str, u64)>, runs: impl IntoIterator<I
     }
 }
 
-/// Trace args of a multi-segment write access: the byte total and the
-/// **exact** footprint, one `("lo", x), ("len", y)` pair per segment.
-fn write_args(bytes: u64, segments: &[(u64, &[u8])]) -> Vec<(&'static str, u64)> {
+/// Trace args of an access: the byte total and the **exact** footprint,
+/// one `("lo", x), ("len", y)` pair per non-empty `(offset, len)` segment.
+fn access_args(bytes: u64, segments: impl Iterator<Item = (u64, u64)>) -> Vec<(&'static str, u64)> {
     let mut args = vec![("bytes", bytes)];
-    for (off, data) in segments.iter().filter(|(_, d)| !d.is_empty()) {
-        args.push(("lo", *off));
-        args.push(("len", data.len() as u64));
+    for (off, len) in segments.filter(|&(_, len)| len > 0) {
+        args.push(("lo", off));
+        args.push(("len", len));
     }
     args
+}
+
+/// `buf`, whose first byte is at offset `base`, cut at the ascending,
+/// disjoint `ranges` in it: a [`PosixFile::try_preadv_direct`] vector.
+pub fn carve(
+    mut buf: &mut [u8],
+    mut base: u64,
+    ranges: impl IntoIterator<Item = ByteRange>,
+) -> impl Iterator<Item = (u64, &mut [u8])> {
+    ranges.into_iter().map(move |r| {
+        let rest = &mut std::mem::take(&mut buf)[(r.start - base) as usize..];
+        let (piece, rest) = rest.split_at_mut(r.len() as usize);
+        (buf, base) = (rest, r.end);
+        (r.start, piece)
+    })
+}
+
+/// Run a vectored call over `n` entries to the end: `call(i)` issues
+/// entries `i..`, and after a failure the run resumes past the failing
+/// entry, whose index and error `failed` hears.
+fn resume_past_failures(
+    n: usize,
+    mut call: impl FnMut(usize) -> (Injected, Result<(), FsError>),
+    mut failed: impl FnMut(usize, FsError),
+) {
+    let mut i = 0;
+    while i < n {
+        let (inj, res) = call(i);
+        let Err(e) = res else { break };
+        failed(i + inj.landed, e);
+        i += inj.landed + 1;
+    }
 }
 
 /// Rejected-request retries [`PosixFile::server_rpc`] pays before giving
@@ -394,10 +427,6 @@ fn write_args(bytes: u64, segments: &[(u64, &[u8])]) -> Vec<(&'static str, u64)>
 const MAX_RETRIES: u32 = 8;
 
 impl PosixFile {
-    pub fn client(&self) -> usize {
-        self.client
-    }
-
     pub fn clock(&self) -> &Clock {
         &self.clock
     }
@@ -440,12 +469,6 @@ impl PosixFile {
     /// Number of I/O servers backing this file.
     pub fn server_count(&self) -> usize {
         self.fs.servers.server_count()
-    }
-
-    /// Whether a fault plan is armed on the owning file system
-    /// ([`PosixFile::submit_writes`] is what acts on it).
-    pub(crate) fn faults_active(&self) -> bool {
-        self.fs.faults.active()
     }
 
     // ------------------------------------------------------- fault plumbing
@@ -577,13 +600,11 @@ impl PosixFile {
         );
     }
 
-    /// The NIC half of the one write-extent rule (DESIGN.md "One injection
-    /// formula"), shared by the closed-loop and the batch path: an extent
-    /// leaves this client's NIC back to back behind what the call has
-    /// already injected from `t0`, paying `client_op_ns` to issue it unless
-    /// it is the call's `first`, then `payload_ns(len)`. Returns when its
-    /// payload starts: its first `x` bytes have left by `start +
-    /// payload_ns(x)`.
+    /// The NIC half of the one request rule, shared by the closed-loop and
+    /// the batch path: a request leaves the NIC behind what the call has
+    /// injected since `t0`, paying `client_op_ns` unless it is the call's
+    /// `first`, then `payload_ns(len)` of the bytes it carries out. Returns
+    /// when its payload starts.
     fn inject_extent(&self, t0: VNanos, first: bool, len: u64) -> VNanos {
         let issue = if first {
             0
@@ -595,45 +616,66 @@ impl PosixFile {
         start + issue
     }
 
-    /// Every closed-loop multi-request write (locked vectors, list I/O,
-    /// cache flushes): each request is one extent on the NIC
-    /// ([`PosixFile::inject_extent`]); `land` puts it on the servers at
-    /// `injection end + latency` — one `per_op` on each server it touches —
-    /// and returns its completion, and the caller's clock advances once, to
-    /// the slowest completion plus the ack. Stops at the first request
+    /// Every closed-loop call, both directions (DESIGN.md "One injection
+    /// formula"): each request is one extent on the NIC
+    /// ([`PosixFile::inject_extent`]) carrying a write's bytes out; `land`
+    /// puts it on the servers a latency later and returns its completion.
+    /// The replies, ready a latency after that, are received one after
+    /// another in ready order, each taking `payload_ns` of a read's bytes,
+    /// and the clock advances once, to the last. Stops at the first request
     /// `land` fails; the time of those that landed is still charged.
-    fn inject_writes<'a>(
+    fn round_trips<T: AsRef<[u8]>>(
         &self,
-        mut requests: impl Iterator<Item = (u64, &'a [u8])>,
-        mut land: impl FnMut(VNanos, ByteRange, &'a [u8]) -> Result<VNanos, FsError>,
+        op: ServerOp,
+        mut requests: impl Iterator<Item = (u64, T)>,
+        mut land: impl FnMut(VNanos, ByteRange, T) -> Result<VNanos, FsError>,
     ) -> (Injected, Result<(), FsError>) {
         let link = &self.fs.profile.client_link;
         let mut inj = Injected {
             t0: self.clock.now(),
             ..Injected::default()
         };
-        let mut done = inj.t0;
-        let res = requests.try_for_each(|(off, data)| {
-            let range = ByteRange::at(off, data.len() as u64);
-            let start = self.inject_extent(inj.t0, inj.landed == 0, range.len());
-            let arrival = start + link.payload_ns(range.len()) + link.latency_ns;
-            done = done.max(land(arrival, range, data)?);
+        if let Err(e) = self.check_alive() {
+            return (inj, Err(e));
+        }
+        // The replies, (ready, bytes back): the latest kept aside, so a
+        // one-segment call allocates nothing.
+        let (mut latest, mut replies) = (None, Vec::new());
+        let res = requests.try_for_each(|(off, item)| {
+            let range = ByteRange::at(off, item.as_ref().len() as u64);
+            let (out, back) = match op {
+                ServerOp::Write => (range.len(), 0),
+                _ => (0, range.len()),
+            };
+            let start = self.inject_extent(inj.t0, inj.landed == 0, out);
+            let arrival = start + link.payload_ns(out) + link.latency_ns;
+            let ready = land(arrival, range, item)? + link.latency_ns;
+            replies.extend(latest.replace((ready, back)));
             inj.landed += 1;
             inj.bytes += range.len();
             inj.server_reqs += self.fs.servers.requests_for(range);
+            if self.tracer.is_enabled() {
+                inj.footprint.push((off, range.len()));
+            }
             Ok(())
         });
+        if !replies.is_empty() {
+            replies.extend(latest.take());
+        }
+        replies.sort_unstable();
+        let order = latest.iter().chain(&replies);
+        let last = order.fold(inj.t0, |t, &(ready, n)| t.max(ready) + link.payload_ns(n));
         if inj.landed > 0 {
-            self.clock.advance_to(done + link.latency_ns);
+            self.clock.advance_to(last);
         }
         (inj, res)
     }
 
-    /// One `Category::Io` span for a finished [`PosixFile::inject_writes`]
-    /// call, carrying the written footprint for the happens-before checker.
-    fn trace_write(&self, name: &'static str, inj: &Injected, segments: &[(u64, &[u8])]) {
+    /// One `Category::Io` span for a finished [`PosixFile::round_trips`]
+    /// call, carrying the accessed footprint for the happens-before checker.
+    fn trace_access(&self, name: &'static str, inj: &Injected) {
         if self.tracer.is_enabled() {
-            let args = write_args(inj.bytes, segments);
+            let args = access_args(inj.bytes, inj.footprint.iter().copied());
             self.tracer
                 .span(Category::Io, name, inj.t0, self.clock.now(), &args);
         }

@@ -55,7 +55,7 @@ pub use error::FsError;
 pub use fault::{
     FaultAction, FaultEvent, FaultPlan, FaultSite, FaultSnapshot, FaultStats, RestartPolicy,
 };
-pub use file::{FileSystem, LockGuard, PosixFile};
+pub use file::{carve, FileSystem, LockGuard, PosixFile};
 pub use lock::{LockManager, LockMode, SetGrant};
 pub use profile::{CoherenceMode, LockKind, PlatformProfile};
 pub use server::ServerSet;

@@ -75,7 +75,7 @@ use std::sync::Arc;
 
 use atomio_check::{assert_may_wait, OrderedMutex};
 use atomio_interval::{ByteRange, RunMap, StridedSet};
-use atomio_vtime::{fanout_ns, Clock, VNanos, Wait, Waiters};
+use atomio_vtime::{fanout_ns, Clock, VNanos, Wait, Waiters, Wakeup};
 
 use crate::coherence::CoherenceHub;
 use crate::lockclass;
@@ -194,11 +194,11 @@ impl LockState {
             || self.pending_coherence.iter().any(|(_, r)| r.overlaps(set))
     }
 
-    /// What `owner`, blocked on `(set, mode)`, reports if the job
-    /// deadlocks: the locks it holds here and the conflicting ones it waits
-    /// behind.
-    fn wait(&self, owner: usize, set: &StridedSet, mode: LockMode) -> Wait {
-        let mut wait = Wait::at(ADMISSION);
+    /// What `owner`, blocked on `(set, mode)` in `file`'s manager, reports
+    /// if the job deadlocks: the locks it holds here and the conflicting
+    /// ones it waits behind.
+    fn wait(&self, file: &Arc<str>, owner: usize, set: &StridedSet, mode: LockMode) -> Wait {
+        let mut wait = Wait::on(ADMISSION, file);
         for g in &self.granted {
             if g.owner == owner {
                 wait.holds(g.id);
@@ -217,6 +217,8 @@ const ADMISSION: &str = "lock admission wait";
 /// The byte-range lock manager of one file; see the module docs.
 #[derive(Debug)]
 pub struct LockManager {
+    /// The file's name: a deadlock report names each lock by it.
+    file: Arc<str>,
     state: OrderedMutex<LockState>,
     domains: usize,
     stripe_unit: u64,
@@ -243,10 +245,15 @@ pub struct LockManager {
 }
 
 impl LockManager {
-    /// The manager `profile.lock_kind` selects (the preset table of the
-    /// module docs), or `None` on a lockless platform. `coherence` is the
-    /// file's revocation fan-out; only the token presets use it.
-    pub fn new(profile: &PlatformProfile, coherence: Option<Arc<CoherenceHub>>) -> Option<Self> {
+    /// The manager of file `file` that `profile.lock_kind` selects (the
+    /// preset table of the module docs), or `None` on a lockless platform.
+    /// `coherence` is the file's revocation fan-out; only the token presets
+    /// use it.
+    pub fn new(
+        file: &str,
+        profile: &PlatformProfile,
+        coherence: Option<Arc<CoherenceHub>>,
+    ) -> Option<Self> {
         let (domains, tokens, fold_modes, rides_data) = match profile.lock_kind {
             LockKind::None => return None,
             LockKind::Central => (1, false, false, false),
@@ -256,6 +263,7 @@ impl LockManager {
         };
         assert!(domains > 0 && profile.stripe_unit > 0);
         Some(LockManager {
+            file: file.into(),
             state: lockclass::lock_state(LockState {
                 next_id: 0,
                 next_seq: 0,
@@ -334,6 +342,7 @@ impl LockManager {
         let (now, owner, _) = prio;
         let mode = self.fold(mode);
         let slices = self.slices(set);
+        let mut woken = Wakeup::default();
         let mut st = self.state.lock();
         // Only the holder's release admits this request: hold nothing it
         // may need, whether or not this call ends up waiting.
@@ -344,7 +353,7 @@ impl LockManager {
         let mut waited = false;
         while st.blocked(prio, set, mode) {
             waited = true;
-            let wait = st.wait(owner, set, mode);
+            let wait = st.wait(&self.file, owner, set, mode);
             clock.park(st.raw(), |st| &mut st.parked, wait);
         }
         let pos = st
@@ -354,7 +363,7 @@ impl LockManager {
             .expect("own entry");
         st.waiters.swap_remove(pos);
         // Leaving the queue may unblock waiters queued behind this entry.
-        st.parked.wake_all();
+        st.parked.wake_all(&mut woken);
 
         let mut earliest = now;
         let mut token_hits = 0u64;
@@ -443,6 +452,7 @@ impl LockManager {
         // before the grant is returned, and under the `pending_coherence`
         // gate so no overlapping grant can be admitted mid-dispatch.
         drop(st);
+        drop(woken);
         if let Some(hub) = self.coherence.as_ref().filter(|_| !lost.is_empty()) {
             // The flat `revoke_ns` fees were charged above; the flush's
             // *bytes* are known only once the holders have served their
@@ -457,9 +467,10 @@ impl LockManager {
                 fault_delay += out.delay_ns;
             }
             granted_at += (flushed as f64 * self.revoke_byte_ns).round() as VNanos + fault_delay;
+            let mut woken = Wakeup::default();
             let mut st = self.state.lock();
             st.pending_coherence.retain(|(gid, _)| *gid != id);
-            st.parked.wake_all();
+            st.parked.wake_all(&mut woken);
         }
         SetGrant {
             id,
@@ -486,6 +497,7 @@ impl LockManager {
     /// Release grant `id` (every range at once) at virtual time `now`. Any
     /// token stays with the client.
     pub fn release(&self, id: u64, now: VNanos) {
+        let mut woken = Wakeup::default();
         let mut st = self.state.lock();
         let pos = st
             .granted
@@ -508,7 +520,7 @@ impl LockManager {
                 released.update(r, |t| Some(t.map_or(now, |&t| t.max(now))));
             }
         }
-        st.parked.wake_all();
+        st.parked.wake_all(&mut woken);
     }
 
     /// Number of currently granted multi-range locks (diagnostics).
@@ -573,7 +585,7 @@ mod tests {
     }
 
     fn mgr(kind: LockKind, grant_ns: VNanos, revoke_ns: VNanos) -> LockManager {
-        LockManager::new(&profile(kind, grant_ns, revoke_ns), None).unwrap()
+        LockManager::new("t", &profile(kind, grant_ns, revoke_ns), None).unwrap()
     }
 
     fn range(start: u64, end: u64) -> StridedSet {
@@ -615,7 +627,7 @@ mod tests {
 
     #[test]
     fn lockless_platform_has_no_manager() {
-        assert!(LockManager::new(&profile(LockKind::None, 0, 0), None).is_none());
+        assert!(LockManager::new("t", &profile(LockKind::None, 0, 0), None).is_none());
     }
 
     /// A class held into a contended acquisition panics before the
@@ -1096,7 +1108,7 @@ mod tests {
             let seen = Arc::clone(&seen);
             hub.register(holder, Arc::new(Recorder { holder, seen }));
         }
-        let m = LockManager::new(&profile(kind, 1_000, 10_000), Some(hub)).unwrap();
+        let m = LockManager::new("t", &profile(kind, 1_000, 10_000), Some(hub)).unwrap();
         (m, seen)
     }
 
@@ -1334,7 +1346,7 @@ mod tests {
         let done = Arc::new(AtomicBool::new(false));
         let done2 = Arc::clone(&done);
         hub.register(0, Arc::new(SlowFlush { done: done2 }));
-        let m = Arc::new(LockManager::new(&profile(ShardedTokens, 0, 0), Some(hub)).unwrap());
+        let m = Arc::new(LockManager::new("t", &profile(ShardedTokens, 0, 0), Some(hub)).unwrap());
 
         // Client 0 seeds a token, then releases (token retained).
         let g = m.acquire_set(0, &at(0, 64), Exclusive, &at_time(0));

@@ -4,7 +4,7 @@
 use atomio_check::{assert_may_wait, OrderedMutex};
 use atomio_interval::ByteRange;
 use atomio_trace::{Category, Tracer, Track};
-use atomio_vtime::{Clock, Horizon, ServeCost, VNanos, Wait, Waiters};
+use atomio_vtime::{Clock, Horizon, ServeCost, VNanos, Wait, Waiters, Wakeup};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -444,9 +444,10 @@ impl ServerSet {
 
     /// Recovery finished: the server serves again.
     pub(crate) fn mark_up(&self, server: usize) {
+        let mut woken = Wakeup::default();
         let mut avail = self.health.lock();
         avail.health[server] = Health::Up;
-        avail.parked.wake_all();
+        avail.parked.wake_all(&mut woken);
     }
 
     /// Decompose a contiguous range into `(server, bytes)` pieces, ascending
@@ -494,10 +495,12 @@ impl ServerSet {
         for h in &self.horizons {
             h.reset();
         }
+        let mut woken = Wakeup::default();
         let mut avail = self.health.lock();
         avail.health.fill(Health::Up);
-        avail.parked.wake_all();
+        avail.parked.wake_all(&mut woken);
         drop(avail);
+        drop(woken);
         self.recovery_due.lock().clear();
         let mut p = self.pending.lock();
         assert!(p.reqs.is_empty(), "reset with unsettled requests");

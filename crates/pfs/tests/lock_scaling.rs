@@ -53,7 +53,7 @@ fn cells(n: u64) -> Vec<StridedSet> {
 
 /// Host seconds for one lock/release pair per set, on a fresh manager.
 fn secs(profile: &PlatformProfile, sets: &[StridedSet]) -> f64 {
-    let m = LockManager::new(profile, None).expect("the platform has locks");
+    let m = LockManager::new("storm", profile, None).expect("the platform has locks");
     let clock = Clock::new();
     let t0 = Instant::now();
     for set in sets {

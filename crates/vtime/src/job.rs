@@ -7,7 +7,8 @@
 //! [`Clock::park`], which marks the rank's slot `Parked` at the wait's
 //! [`Wait`] site and sleeps until a notifier wakes it. Every notifier wakes
 //! the ranks it may release through the resource's [`Waiters`], which marks
-//! each one `Running` *before* it unparks the thread. So a rank woken but
+//! each one `Running` under the resource's mutex, and unparks the threads
+//! through a [`Wakeup`] once that mutex is released. So a rank woken but
 //! not yet rescheduled never reads as parked.
 //!
 //! **The detector** (Chandy–Misra's quiescence rule). When a rank parks, or
@@ -93,12 +94,14 @@ impl Drop for Seat {
     }
 }
 
-/// Why a rank is parked: the wait's site and, at a lock, the lock ids the
-/// rank holds and those it waits behind (with their holders). Up to four
-/// of each are kept, so parking allocates nothing.
-#[derive(Debug, Clone, Copy)]
+/// Why a rank is parked: the wait's site and, at a lock, the file whose
+/// lock manager it waits in, the lock ids the rank holds there and those
+/// it waits behind (with their holders). Up to four of each are kept, and
+/// the file's name is a shared `Arc<str>`, so parking allocates nothing.
+#[derive(Debug, Clone)]
 pub struct Wait {
     site: &'static str,
+    file: Option<Arc<str>>,
     holds: Few<u64>,
     behind: Few<(u64, usize)>,
 }
@@ -108,8 +111,18 @@ impl Wait {
     pub fn at(site: &'static str) -> Wait {
         Wait {
             site,
+            file: None,
             holds: Few::default(),
             behind: Few::default(),
+        }
+    }
+
+    /// A wait at `site` in `file`'s lock manager: the locks it lists are
+    /// that file's.
+    pub fn on(site: &'static str, file: &Arc<str>) -> Wait {
+        Wait {
+            file: Some(Arc::clone(file)),
+            ..Wait::at(site)
         }
     }
 
@@ -127,6 +140,9 @@ impl Wait {
 impl fmt::Display for Wait {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.site)?;
+        if let Some(file) = &self.file {
+            write!(f, " on {file}")?;
+        }
         if self.holds.len > 0 {
             f.write_str("; holds ")?;
             self.holds.list(f, |f, id| write!(f, "lock {id}"))?;
@@ -210,12 +226,47 @@ impl fmt::Display for Deadlock {
 pub struct Waiters(Vec<Clock>);
 
 impl Waiters {
-    /// Wake every rank parked here: mark it `Running`, then unpark it. Call
-    /// it under the resource's mutex, after the change that may release
-    /// them; a woken rank that is still blocked parks again.
-    pub fn wake_all(&mut self) {
-        for clock in self.0.drain(..) {
-            clock.table.wake(clock.rank);
+    /// Wake every rank parked here. Call it under the resource's mutex,
+    /// after the change that may release them: each rank is marked
+    /// `Running` now, under one lock of its job's table, and its thread
+    /// joins `woken`, which unparks it when it drops. Declare `woken`
+    /// before the guard, so the guard is released first and a woken rank
+    /// does not preempt its waker only to block on the mutex again. A
+    /// woken rank that is still blocked parks again.
+    pub fn wake_all(&mut self, woken: &mut Wakeup) {
+        let mut clocks = self.0.drain(..).peekable();
+        while let Some(first) = clocks.next() {
+            let table = first.table;
+            let mut slots = table.slots.lock();
+            table.wake(&mut slots, first.rank, woken);
+            while let Some(next) = clocks.next_if(|c| Arc::ptr_eq(&c.table, &table)) {
+                table.wake(&mut slots, next.rank, woken);
+            }
+        }
+    }
+}
+
+/// Threads [`Waiters::wake_all`] marked `Running`, unparked when this
+/// drops. The first eight are kept inline, so a wake allocates nothing.
+#[derive(Debug, Default)]
+pub struct Wakeup {
+    threads: [Option<Thread>; 8],
+    more: Vec<Thread>,
+}
+
+impl Wakeup {
+    fn push(&mut self, thread: Thread) {
+        match self.threads.iter_mut().find(|t| t.is_none()) {
+            Some(slot) => *slot = Some(thread),
+            None => self.more.push(thread),
+        }
+    }
+}
+
+impl Drop for Wakeup {
+    fn drop(&mut self) {
+        for thread in self.threads.iter().flatten().chain(&self.more) {
+            thread.unpark();
         }
     }
 }
@@ -236,6 +287,7 @@ impl Clock {
         wait: Wait,
     ) {
         waiters(&mut **guard).0.push(self.clone());
+        let site = wait.site;
         self.table.park(self.rank, wait);
         let Some(report) = MutexGuard::unlocked(guard, || self.table.sleep(self.rank)) else {
             return;
@@ -247,7 +299,7 @@ impl Clock {
         panic!(
             "rank {}: parked in {} when the job deadlocked; rank {} reports it",
             self.rank,
-            wait.site,
+            site,
             first.unwrap_or(self.rank)
         );
     }
@@ -314,17 +366,16 @@ impl Table {
         self.detect(&mut slots);
     }
 
-    /// Mark `rank` `Running` if it is parked, and unpark its thread.
-    fn wake(&self, rank: usize) {
-        let mut slots = self.slots.lock();
+    /// Mark `rank` `Running` if it is parked, and hand its thread to
+    /// `woken` to unpark.
+    fn wake(&self, slots: &mut Slots, rank: usize, woken: &mut Wakeup) {
         let State::Parked(_, thread) = std::mem::replace(&mut slots.state[rank], State::Running)
         else {
             // Running already, or exited since it parked here.
             return;
         };
         self.ranks[rank].parked.store(false, Ordering::Release);
-        drop(slots);
-        thread.unpark();
+        woken.push(thread);
     }
 
     fn exit(&self, rank: usize) {
@@ -346,7 +397,7 @@ impl Table {
             let ranks = (slots.state.iter().zip(self.ranks.iter()))
                 .map(|(state, rank)| {
                     let wait = match state {
-                        State::Parked(wait, _) => Some(*wait),
+                        State::Parked(wait, _) => Some(wait.clone()),
                         State::Running | State::Exited => None,
                     };
                     (rank.clock.load(Ordering::Acquire), wait)
@@ -416,9 +467,10 @@ mod tests {
                 std::thread::yield_now();
             }
             assert_eq!(job.parked_at(1), Some("gate"));
+            let mut woken = Wakeup::default();
             let mut g = gate.lock();
             g.open = true;
-            g.waiters.wake_all();
+            g.waiters.wake_all(&mut woken);
         });
         assert!(job.deadlock().is_none());
     }
@@ -466,14 +518,14 @@ mod tests {
 
     #[test]
     fn a_lock_wait_lists_its_locks_and_caps_them() {
-        let mut wait = Wait::at("lock admission wait");
+        let mut wait = Wait::on("lock admission wait", &Arc::from("a"));
         wait.holds(3);
         for id in 0..6 {
             wait.behind(id, 1);
         }
         assert_eq!(
             wait.to_string(),
-            "lock admission wait; holds lock 3; behind lock 0 (rank 1), lock 1 (rank 1), \
+            "lock admission wait on a; holds lock 3; behind lock 0 (rank 1), lock 1 (rank 1), \
              lock 2 (rank 1), lock 3 (rank 1) and 2 more"
         );
     }

@@ -33,7 +33,7 @@ mod wire;
 pub use clock::{Clock, VNanos};
 pub use cost::{bandwidth_mibps, fanout_ns, LinkCost, MemCost, ServeCost, MIB};
 pub use horizon::Horizon;
-pub use job::{Deadlock, Job, Seat, Wait, Waiters};
+pub use job::{Deadlock, Job, Seat, Wait, Waiters, Wakeup};
 pub use net::{LinkClass, NetCost};
 pub use topo::NodeTopology;
 pub use wire::WireSize;

@@ -6,7 +6,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use atomio::check::{check_chrome_json, check_events, write_accesses};
+use atomio::check::{accesses, check_chrome_json, check_events};
 use atomio::prelude::*;
 use atomio::vtime::Job;
 use atomio::vtime::MemCost;
@@ -185,7 +185,8 @@ fn unlocked_sieved_rmw_is_flagged() {
 
 /// One traced collective write of a column-wise partitioning of `rows`
 /// rows over 4 ranks under `atomicity`, with 4 ghost columns (neighbours
-/// share bytes in every row).
+/// share bytes in every row). A locked write is read back under the
+/// shared lock.
 fn traced_colwise_write(rows: u64, atomicity: Atomicity) -> (ColWise, Arc<MemorySink>) {
     traced_colwise_write_on(PlatformProfile::fast_test(), rows, atomicity)
 }
@@ -211,6 +212,10 @@ fn traced_colwise_write_on(
             file.set_atomicity(atomicity).unwrap();
             comm.barrier();
             file.write_at_all(0, &buf).unwrap();
+            if let Atomicity::Atomic(Strategy::FileLocking(_)) = atomicity {
+                let mut back = vec![0u8; buf.len()];
+                file.read_at_all(0, &mut back).unwrap();
+            }
             file.close().unwrap();
         });
     }
@@ -237,18 +242,20 @@ fn locked_colwise_write_checks_clean(rows: u64, granularity: LockGranularity) {
     let (spec, sink) =
         traced_colwise_write(rows, Atomicity::Atomic(Strategy::FileLocking(granularity)));
     let events = sink.snapshot();
-    let writes = write_accesses(&events);
+    let seen = accesses(&events);
     for (rank, view) in spec.all_views().iter().enumerate() {
-        let seen: Vec<(u64, u64)> = writes
-            .iter()
-            .filter(|(r, _)| *r == rank)
-            .flat_map(|(_, fp)| fp.iter().copied())
-            .collect();
         let want: Vec<(u64, u64)> = view.iter().map(|r| (r.start, r.len())).collect();
-        assert_eq!(
-            seen, want,
-            "{granularity:?}, rank {rank}: the checker must see exactly the bytes it wrote"
-        );
+        for (write, verb) in [(true, "wrote"), (false, "read back")] {
+            let got: Vec<(u64, u64)> = seen
+                .iter()
+                .filter(|(r, _, w)| (*r, *w) == (rank, write))
+                .flat_map(|(_, fp, _)| fp.iter().copied())
+                .collect();
+            assert_eq!(
+                got, want,
+                "{granularity:?}, rank {rank}: the checker must see exactly the bytes it {verb}"
+            );
+        }
     }
     let report = check_events(&events);
     assert!(
@@ -280,15 +287,16 @@ fn split_coloring_write_is_seen_whole_and_race_free() {
     let (spec, sink) =
         traced_colwise_write_on(client_bound, 16, Atomicity::Atomic(Strategy::GraphColoring));
     let events = sink.snapshot();
-    let writes = write_accesses(&events);
+    let writes = accesses(&events);
     for (rank, view) in spec.all_views().iter().enumerate() {
-        let batches: Vec<_> = writes.iter().filter(|(r, _)| *r == rank).collect();
+        let batches: Vec<_> = writes.iter().filter(|(r, _, w)| *r == rank && *w).collect();
         assert_eq!(
             batches.len(),
             1 + rank % 2,
             "rank {rank}: free and held batches"
         );
-        let seen = IntervalSet::from_extents(batches.iter().flat_map(|(_, fp)| fp.iter().copied()));
+        let seen =
+            IntervalSet::from_extents(batches.iter().flat_map(|(_, fp, _)| fp.iter().copied()));
         assert_eq!(
             &seen, view,
             "rank {rank}: the checker must see what it wrote"
@@ -343,7 +351,8 @@ fn ridden_sharded_grants_order_overlapping_writers() {
         "ridden grants must still order conflicting writers:\n{report}"
     );
     assert!(report.sync_joins > 0, "no grant-release edge was drawn");
-    assert_eq!(write_accesses(&events).len(), P, "every write is seen");
+    let writes = accesses(&events).into_iter().filter(|(_, _, w)| *w);
+    assert_eq!(writes.count(), P, "every write is seen");
     let image = fs.snapshot("ridden").expect("file written");
     let check = verify::check_mpi_atomicity(&image, &views, &pattern::rank_stamps(P));
     assert!(check.is_atomic(), "{check:?}");

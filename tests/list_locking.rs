@@ -245,7 +245,7 @@ fn random_concurrent_multi_range_acquirers_never_deadlock() {
         client_op_ns: 100,
         ..PlatformProfile::fast_test()
     };
-    let m = Arc::new(LockManager::new(&sharded, None).unwrap());
+    let m = Arc::new(LockManager::new("sharded", &sharded, None).unwrap());
     let threads = 8;
     let iters = 150;
     let job = Job::new(threads);
