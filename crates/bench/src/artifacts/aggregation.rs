@@ -44,7 +44,7 @@ use std::sync::Arc;
 use crate::{counters, makespan, object, ratio, run_traced, Artifact, Scale, Value};
 use atomio_collective::{two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReport};
 use atomio_dtype::ViewSegment;
-use atomio_pfs::{FileSystem, PlatformProfile};
+use atomio_pfs::{FileSystem, PlatformProfile, Snapshot};
 use atomio_trace::{MemorySink, TraceSink, Track};
 use atomio_vtime::{LinkCost, VNanos};
 use atomio_workloads::pattern;
@@ -114,7 +114,7 @@ fn run_mode(
     mode: Mode,
     name: &str,
     sink: Option<&Arc<MemorySink>>,
-) -> (Totals, Vec<u8>) {
+) -> (Totals, Snapshot) {
     let fs = FileSystem::new(bench_profile());
     let out: Vec<(VNanos, VNanos, TwoPhaseReport)> = run_traced(p, &fs, sink, |comm| {
         let file = fs.open(comm.rank(), comm.clock().clone(), name);
@@ -209,7 +209,7 @@ pub(crate) fn aggregation(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Arti
     let mut panels: Vec<Panel> = Vec::new();
     for &p in &procs {
         let mut row = Vec::new();
-        let mut reference: Option<Vec<u8>> = None;
+        let mut reference: Option<Snapshot> = None;
         for mode in MODES {
             let name = format!("agg-{p}-{}", mode.key);
             let traced = mode.key == "pipelined" && p == procs[0];

@@ -37,7 +37,7 @@ use crate::{counters, makespan, object, ratio, reduction, Artifact, Scale, Value
 use atomio_core::verify::check_mpi_atomicity;
 use atomio_core::{Atomicity, LockGranularity, MpiFile, OpenMode, Strategy};
 use atomio_msg::run;
-use atomio_pfs::{FileSystem, LatencySnapshot, PlatformProfile};
+use atomio_pfs::{FileSystem, LatencySnapshot, PlatformProfile, Snapshot};
 use atomio_vtime::{LinkCost, ServeCost, VNanos};
 use atomio_workloads::{pattern, IndependentStrided};
 
@@ -92,7 +92,7 @@ fn run_mode(
     spec: IndependentStrided,
     mode: Mode,
     name: &str,
-) -> (Totals, LatencySnapshot, Vec<u8>) {
+) -> (Totals, LatencySnapshot, Snapshot) {
     let fs = FileSystem::new(bench_profile(&spec, mode.sharded));
     let out = run(spec.p, fs.profile().net.clone(), |comm| {
         let buf = spec.fill(comm.rank(), pattern::rank_stamp(comm.rank()));
@@ -148,7 +148,7 @@ pub(crate) fn locking(scale: Scale) -> Artifact {
         let spec = IndependentStrided::disjoint_interleaved(p, rows, row_bytes / p as u64)
             .expect("valid geometry");
         let mut row = Vec::new();
-        let mut reference: Option<Vec<u8>> = None;
+        let mut reference: Option<Snapshot> = None;
         for mode in MODES {
             let name = format!("lk-{p}-{}", mode.key);
             let (t, lat, snap) = run_mode(spec, mode, &name);

@@ -31,7 +31,7 @@ use crate::{makespan, object, ratio, run_traced, Artifact, Scale, Value};
 use atomio_core::{Atomicity, IoPath, LockGranularity, MpiFile, OpenMode, Strategy};
 use atomio_pfs::{
     CoherenceMode, FaultAction, FaultPlan, FaultSite, FaultSnapshot, FileSystem, LatencySnapshot,
-    PlatformProfile, RestartPolicy,
+    PlatformProfile, RestartPolicy, Snapshot,
 };
 use atomio_trace::MemorySink;
 use atomio_vtime::VNanos;
@@ -54,7 +54,7 @@ struct RunResult {
     retries: u64,
     faults: FaultSnapshot,
     latency: LatencySnapshot,
-    snap: Vec<u8>,
+    snap: Snapshot,
 }
 
 /// Run the crash-recovery workload on a file system built with `plan`
@@ -126,7 +126,7 @@ fn run_plan(
         rw.expected_final(),
         "{name}: recovered contents differ from the fault-free model"
     );
-    spec.verify_snapshot(&res.snap)
+    spec.verify_snapshot(&res.snap.to_vec())
         .unwrap_or_else(|(rank, a)| panic!("{name}: rank {rank} block: {a}"));
     res
 }

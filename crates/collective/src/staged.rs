@@ -865,7 +865,7 @@ mod tests {
         };
         let clean = FileSystem::new(PlatformProfile::fast_test());
         write(&clean, "ref", ExchangeSchedule::Flat);
-        let expected = clean.snapshot("ref").unwrap();
+        let expected = clean.snapshot("ref").unwrap().to_vec();
 
         for (name, schedule) in SCHEDULES {
             for restart in [RestartPolicy::Manual, RestartPolicy::Rejections(2)] {
@@ -890,7 +890,7 @@ mod tests {
                     "{what}"
                 );
                 let errors: Vec<usize> = reports.iter().map(|r| r.write_errors).collect();
-                let snap = fs.snapshot("crash").unwrap();
+                let snap = fs.snapshot("crash").unwrap().to_vec();
                 if restart == RestartPolicy::Manual {
                     assert!(errors[0] > 0, "{what}: {errors:?}");
                     assert!(reports[0].first_error.is_some(), "{what}");

@@ -430,7 +430,7 @@ mod tests {
             let buf = vec![(comm.rank() + 1) as u8; 150];
             two_phase_write(&comm, &file, &segs, &buf, 0, &TwoPhaseConfig::default())
         });
-        let snap = fs.snapshot("tp").unwrap();
+        let snap = fs.snapshot("tp").unwrap().to_vec();
         assert_eq!(snap.len(), 250);
         assert!(snap[..100].iter().all(|&b| b == 1), "rank 0 exclusive");
         assert!(
@@ -490,7 +490,7 @@ mod tests {
             });
             assert_eq!(reports[1].bytes_shipped, 0, "{name}");
             assert_eq!(reports[1].conflict_bytes, 4000, "{name}");
-            let snap = fs.snapshot(name).unwrap();
+            let snap = fs.snapshot(name).unwrap().to_vec();
             assert_eq!(snap.len(), 12288, "{name}");
             assert!(snap[..4096].iter().all(|&b| b == 1), "{name}");
             assert!(snap[4096..].iter().all(|&b| b == 3), "{name}");
@@ -629,7 +629,7 @@ mod tests {
             let buf = vec![(comm.rank() + 1) as u8; 150];
             two_phase_write(&comm, &file, &segs, &buf, 0, &TwoPhaseConfig::default());
         });
-        let snap = fs.snapshot("enfs").unwrap();
+        let snap = fs.snapshot("enfs").unwrap().to_vec();
         assert!(snap[100..150].iter().all(|&b| b == 2));
     }
 

@@ -20,6 +20,72 @@
 //!   writer: even per-call POSIX atomicity was violated.
 
 use atomio_interval::{ByteRange, IntervalSet};
+use atomio_pfs::Snapshot;
+
+/// A file image the checker reads region by region, in place.
+pub trait FileImage {
+    /// Length in bytes.
+    fn byte_len(&self) -> u64;
+
+    /// Whether `f` holds for every chunk of `[start, end)` (`end <= byte_len`):
+    /// the chunks tile the range in order, and the walk stops at the first
+    /// `false`.
+    fn all_chunks(&self, start: u64, end: u64, f: impl FnMut(&[u8]) -> bool) -> bool;
+}
+
+impl FileImage for [u8] {
+    fn byte_len(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn all_chunks(&self, start: u64, end: u64, mut f: impl FnMut(&[u8]) -> bool) -> bool {
+        f(&self[start as usize..end as usize])
+    }
+}
+
+impl FileImage for Vec<u8> {
+    fn byte_len(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn all_chunks(&self, start: u64, end: u64, f: impl FnMut(&[u8]) -> bool) -> bool {
+        self.as_slice().all_chunks(start, end, f)
+    }
+}
+
+impl FileImage for Snapshot {
+    fn byte_len(&self) -> u64 {
+        self.len()
+    }
+
+    fn all_chunks(&self, start: u64, end: u64, f: impl FnMut(&[u8]) -> bool) -> bool {
+        self.chunks(start, end).all(f)
+    }
+}
+
+/// Bytes of pattern compared per `memcmp`.
+const COMPARE: usize = 4096;
+
+/// Whether every byte of `region` in `file` is `pattern`'s: each in-place
+/// chunk is compared against the pattern filled into `buf`, one buffer at a
+/// time.
+fn written_by<I, P>(file: &I, region: ByteRange, pattern: &P, buf: &mut [u8; COMPARE]) -> bool
+where
+    I: FileImage + ?Sized,
+    P: Fn(u64) -> u8,
+{
+    let mut at = region.start;
+    file.all_chunks(region.start, region.end, |chunk| {
+        chunk.chunks(COMPARE).all(|piece| {
+            let want = &mut buf[..piece.len()];
+            for (i, b) in want.iter_mut().enumerate() {
+                *b = pattern(at + i as u64);
+            }
+            at += piece.len() as u64;
+            *want == *piece
+        })
+    })
+}
 
 /// Verdict of the atomicity checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,12 +143,16 @@ impl AtomicityReport {
 /// Patterns must be pairwise distinguishable on overlapped bytes; the
 /// usual choice is a per-rank constant stamp
 /// (`atomio_workloads::pattern::rank_stamp`).
-pub fn check_mpi_atomicity<P>(
-    file: &[u8],
+///
+/// The image is any [`FileImage`] — a byte slice, a vector or a
+/// [`Snapshot`] — and is read in place, region by region.
+pub fn check_mpi_atomicity<I, P>(
+    file: &I,
     footprints: &[IntervalSet],
     patterns: &[P],
 ) -> AtomicityReport
 where
+    I: FileImage + ?Sized,
     P: Fn(u64) -> u8,
 {
     assert_eq!(footprints.len(), patterns.len(), "one pattern per rank");
@@ -106,52 +176,47 @@ where
     // order_edges[l * n + w] = true means "l must precede w".
     let mut edges = vec![false; nranks * nranks];
 
+    let len = file.byte_len();
+    let mut cover = Vec::with_capacity(nranks);
+    let mut buf = [0u8; COMPARE];
     for win in bounds.windows(2) {
         let region = ByteRange::new(win[0], win[1]);
         if region.is_empty() {
             continue;
         }
-        let cover: Vec<usize> = (0..nranks)
-            .filter(|&r| footprints[r].contains(region.start))
-            .collect();
+        cover.clear();
+        cover.extend((0..nranks).filter(|&r| footprints[r].contains(region.start)));
         if cover.is_empty() {
             continue;
         }
         report.total_regions += 1;
 
-        if region.end > file.len() as u64 {
-            report.beyond_eof += region.end - (file.len() as u64).max(region.start);
-            if region.start >= file.len() as u64 {
+        if region.end > len {
+            report.beyond_eof += region.end - len.max(region.start);
+            if region.start >= len {
                 report.interleaved_regions.push(region);
                 continue;
             }
         }
-        let hi = region.end.min(file.len() as u64);
-        let bytes = &file[region.start as usize..hi as usize];
+        let present = ByteRange::new(region.start, region.end.min(len));
 
         // Which covering rank wrote this whole region?
-        let matches: Vec<usize> = cover
+        let winner = cover
             .iter()
             .copied()
-            .filter(|&r| {
-                bytes
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &b)| b == patterns[r](region.start + i as u64))
-            })
-            .collect();
+            .find(|&r| written_by(file, present, &patterns[r], &mut buf));
 
         if cover.len() == 1 {
-            if matches.is_empty() {
+            if winner.is_none() {
                 report.exclusive_mismatches.push(region);
             }
             continue;
         }
 
         report.overlapped_regions += 1;
-        match matches.first() {
+        match winner {
             None => report.interleaved_regions.push(region),
-            Some(&winner) => {
+            Some(winner) => {
                 for &loser in cover.iter().filter(|&&r| r != winner) {
                     edges[loser * nranks + winner] = true;
                 }

@@ -625,7 +625,10 @@ mod tests {
         assert_eq!(s.cache_hit_bytes, 0);
         // Uncovered cached writes also write through.
         f.try_pwrite(0, &[3u8; 512]).unwrap();
-        assert_eq!(&fs.snapshot("coh").unwrap()[..512], &[3u8; 512][..]);
+        assert_eq!(
+            &fs.snapshot("coh").unwrap().to_vec()[..512],
+            &[3u8; 512][..]
+        );
     }
 
     #[test]
@@ -645,7 +648,7 @@ mod tests {
         let f = fs.open(0, Clock::new(), "torn");
         f.try_pwrite(0, &[7u8; 1024]).unwrap(); // write-behind
         f.try_sync().unwrap();
-        assert_eq!(&fs.snapshot("torn").unwrap()[..], &[7u8; 1024][..]);
+        assert_eq!(&fs.snapshot("torn").unwrap().to_vec()[..], &[7u8; 1024][..]);
         let fstats = fs.fault_stats();
         assert_eq!(fstats.records_torn, 1);
         assert_eq!(fstats.torn_records_discarded, 1, "replay discarded it");
@@ -676,7 +679,7 @@ mod tests {
         f.try_sync().unwrap(); // commit lands, apply is skipped by the crash
         assert!(fs.server_down(0));
         assert_eq!(
-            &fs.snapshot("pend").unwrap()[..],
+            &fs.snapshot("pend").unwrap().to_vec()[..],
             &[9u8; 256][..],
             "snapshot overlays the committed-but-unapplied record"
         );

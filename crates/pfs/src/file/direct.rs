@@ -281,7 +281,7 @@ mod tests {
         let f = fs.open(0, Clock::new(), "batch");
         let ticket = f.pwrite_batch(writes, 0, false);
         f.complete_writes(ticket, 0);
-        let image = fs.snapshot("batch").unwrap();
+        let image = fs.snapshot("batch").unwrap().to_vec();
         for (off, data) in writes {
             assert_eq!(&image[*off as usize..][..data.len()], *data);
         }
@@ -512,7 +512,7 @@ mod tests {
         let f = fs.open(0, Clock::new(), "v");
         if dir == Dir::Write {
             let res = f.try_pwritev_direct(&as_segments(rows));
-            let image = fs.snapshot("v").unwrap();
+            let image = fs.snapshot("v").unwrap().to_vec();
             let at = |i: u64| image.get(i as usize).copied().unwrap_or(0);
             let held = rows
                 .iter()
@@ -621,7 +621,7 @@ mod tests {
         assert_eq!((s.retries, s.faults_injected), (2, 1));
         assert_eq!(s.journal_replays, 1, "the second rejection owns recovery");
         assert!(!fs.server_down(0));
-        assert_rows_landed(&fs.snapshot("retry").unwrap(), &rows);
+        assert_rows_landed(&fs.snapshot("retry").unwrap().to_vec(), &rows);
     }
 
     #[test]
@@ -632,7 +632,7 @@ mod tests {
         let f = fs.open(0, Clock::new(), "batch");
         let ticket = f.submit_writes(&as_segments(&rows), 0, false).unwrap();
         f.complete_writes(ticket.expect("deferred batch"), 0);
-        assert_rows_landed(&fs.snapshot("batch").unwrap(), &rows);
+        assert_rows_landed(&fs.snapshot("batch").unwrap().to_vec(), &rows);
         // Armed: no ticket, and a server that is down takes no byte. Every
         // entry is still attempted: the first error comes back, and the
         // entries on servers that are up land, wherever they sit in the
@@ -648,7 +648,7 @@ mod tests {
         assert!(matches!(err, FsError::RetriesExhausted { server: 0, .. }));
         let s = f.stats().snapshot();
         assert_eq!((s.writes, s.bytes_written), (3, 3 * SEG));
-        let image = fs.snapshot("batch").unwrap();
+        let image = fs.snapshot("batch").unwrap().to_vec();
         assert!(image[..SEG as usize].iter().all(|&b| b == 0));
         assert_rows_landed(&image, &mixed[1..]);
         assert_eq!(fs.servers().pending_requests(), 0);
@@ -686,7 +686,7 @@ mod tests {
         let fs = crash_server0_at(k, RestartPolicy::Manual);
         vector(&fs, Dir::Write, &rows).1.unwrap_err();
         let (last_off, _) = &rows[k as usize - 2];
-        assert_eq!(fs.snapshot("v").unwrap().len() as u64, last_off + SEG);
+        assert_eq!(fs.snapshot("v").unwrap().len(), last_off + SEG);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::lockclass;
 use crate::profile::PlatformProfile;
 use crate::server::{ServerOp, ServerSet};
 use crate::stats::{ClientStats, FsLatency, LatencySnapshot};
-use crate::storage::Storage;
+use crate::storage::{Snapshot, Storage};
 
 mod cached;
 mod direct;
@@ -227,25 +227,23 @@ impl FileSystem {
         }
     }
 
-    /// Consistent copy of a file's *durable* bytes, or `None` if it was
-    /// never opened. Committed-but-unapplied journal records are overlaid
-    /// in epoch order (they are durable — recovery replay will land them);
-    /// torn records are not. The journal itself is left untouched, so the
-    /// observer never races recovery.
-    pub fn snapshot(&self, name: &str) -> Option<Vec<u8>> {
+    /// A consistent [`Snapshot`] of a file's *durable* bytes, or `None` if
+    /// it was never opened. It shares the file's blocks: no byte is copied
+    /// until the file (or the snapshot) writes a shared block again.
+    /// Committed-but-unapplied journal records are overlaid in epoch order
+    /// (they are durable — recovery replay will land them) onto the
+    /// snapshot's own blocks, so storage is untouched; torn records are
+    /// not. The journal itself is left untouched, so the observer never
+    /// races recovery.
+    pub fn snapshot(&self, name: &str) -> Option<Snapshot> {
         let file = self.inner.files.lock().get(name).cloned()?;
-        let mut bytes = file.storage.snapshot();
+        let mut snap = file.storage.snapshot();
         for r in file.journal.pending_records() {
-            if !r.committed {
-                continue;
+            if r.committed {
+                snap.overlay(r.offset, &r.data);
             }
-            let end = r.offset as usize + r.data.len();
-            if bytes.len() < end {
-                bytes.resize(end, 0);
-            }
-            bytes[r.offset as usize..end].copy_from_slice(&r.data);
         }
-        Some(bytes)
+        Some(snap)
     }
 
     /// Length of a file, or `None` if absent.
@@ -866,7 +864,7 @@ mod tests {
             // neither rejected nor charged a retry.
             assert_eq!(writer.join().unwrap(), (Ok(()), 0));
         });
-        assert_eq!(&fs.snapshot("wait").unwrap()[..64], &[2u8; 64]);
+        assert_eq!(&fs.snapshot("wait").unwrap().to_vec()[..64], &[2u8; 64]);
     }
 
     #[test]
@@ -951,7 +949,7 @@ mod tests {
         assert_eq!(a.clock().now(), t);
         assert_eq!(a.stats().snapshot().lock_acquires, 1);
         assert_eq!(b.stats().snapshot().revocations_served, 0);
-        let image = fs.snapshot("kill").unwrap();
+        let image = fs.snapshot("kill").unwrap().to_vec();
         assert!(image.iter().all(|&x| x == 0), "the rival's cache stays put");
     }
 }

@@ -256,7 +256,7 @@ mod tests {
         a.try_pwrite(0, &[0xA0u8; 4096]).unwrap(); // write-behind: stays dirty
         g.release();
         assert!(
-            fs.snapshot("coh").unwrap().iter().all(|&x| x == 0),
+            fs.snapshot("coh").unwrap().to_vec().iter().all(|&x| x == 0),
             "write-behind data must not have reached the servers yet"
         );
 
@@ -470,7 +470,11 @@ mod tests {
         a.try_pwrite(0, &[0xAAu8; 2048]).unwrap(); // write-behind: stays dirty
         g.release();
         assert!(
-            fs.snapshot("scoh").unwrap().iter().all(|&x| x == 0),
+            fs.snapshot("scoh")
+                .unwrap()
+                .to_vec()
+                .iter()
+                .all(|&x| x == 0),
             "write-behind data must not have reached the servers yet"
         );
 

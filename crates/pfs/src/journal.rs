@@ -219,7 +219,7 @@ mod tests {
         assert_eq!(rep.applied_records, 2);
         assert_eq!(rep.applied_bytes, 8);
         assert_eq!(rep.torn_discarded, 0);
-        assert_eq!(&s.snapshot()[..4], b"bbbb");
+        assert_eq!(&s.snapshot().to_vec()[..4], b"bbbb");
         assert_eq!(j.pending(), 0);
     }
 
@@ -238,7 +238,7 @@ mod tests {
         let rep = j.replay(&s);
         assert_eq!(rep.applied_records, 1);
         assert_eq!(rep.torn_discarded, 1);
-        let snap = s.snapshot();
+        let snap = s.snapshot().to_vec();
         assert_eq!(&snap[..3], b"new", "committed record replayed");
         assert_eq!(&snap[3..9], b"oldold", "torn record must not land");
         assert!(!j.overlaps(ByteRange::new(0, 9)), "journal drained");
@@ -252,7 +252,7 @@ mod tests {
         s.write_atomic(5, b"xyz"); // applied, but crash before mark_applied
         let rep = j.replay(&s);
         assert_eq!(rep.applied_records, 1);
-        assert_eq!(&s.snapshot()[5..8], b"xyz");
+        assert_eq!(&s.snapshot().to_vec()[5..8], b"xyz");
     }
 
     #[test]

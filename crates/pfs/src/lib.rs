@@ -12,9 +12,10 @@
 //!   with a per-request overhead + bandwidth cost model in virtual time.
 //! * **Real bytes, really racing** ([`Storage`]) — file contents live in a
 //!   sparse block store written by the racing rank threads, so atomicity
-//!   violations are *observable*, not merely modeled. POSIX per-call
-//!   atomicity can be switched off to demonstrate even intra-call
-//!   interleaving (paper §2.1).
+//!   violations are *observable*, not merely modeled. Its blocks are
+//!   copy-on-write, so a [`Snapshot`] of a file shares them instead of
+//!   copying the file. POSIX per-call atomicity can be switched off to
+//!   demonstrate even intra-call interleaving (paper §2.1).
 //! * **Client caching** ([`ClientCache`]) — page cache with read-ahead and
 //!   write-behind plus explicit `sync`/`invalidate`, reproducing the cache
 //!   coherence hazards §3 says the handshaking strategies must handle —
@@ -60,4 +61,4 @@ pub use lock::{LockManager, LockMode, SetGrant};
 pub use profile::{CoherenceMode, LockKind, PlatformProfile};
 pub use server::ServerSet;
 pub use stats::{ClientStats, FsLatency, LatencySnapshot, StatsSnapshot};
-pub use storage::Storage;
+pub use storage::{Snapshot, Storage};

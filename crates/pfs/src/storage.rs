@@ -7,23 +7,73 @@
               other lock held and never nested, so they need no rank in the lock order"
 )]
 
-use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use bytes::BytesMut;
 use parking_lot::RwLock;
 
 /// Block size of the sparse store. Unwritten blocks read as zeroes, like
 /// holes in a Unix file.
 pub(crate) const BLOCK_SIZE: u64 = 64 * 1024;
+const BLOCK: usize = BLOCK_SIZE as usize;
+
+/// What a hole reads as.
+static ZEROES: [u8; BLOCK] = [0; BLOCK];
 
 /// Chunk granularity at which *non-atomic* writes are applied. Two racing
 /// non-atomic writers can interleave at this granularity, which is how the
 /// simulator exhibits the intra-call interleaving POSIX atomicity forbids.
 pub(crate) const NONATOMIC_CHUNK: u64 = 4 * 1024;
 
+/// One block of bytes (one allocation), shared by the storage and every
+/// snapshot that holds it; `None` is a hole.
+type Block = Option<Arc<[u8]>>;
+
+/// A zeroed block: one allocation.
+fn zero_block() -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, BLOCK).collect()
+}
+
+/// Write `data` at `offset` into `blocks`: a hole gets a zeroed block, and
+/// a block another holder shares is copied first (`Arc::make_mut`).
+fn write_blocks(blocks: &mut Vec<Block>, offset: u64, data: &[u8]) {
+    let need = (offset + data.len() as u64).div_ceil(BLOCK_SIZE) as usize;
+    if blocks.len() < need {
+        blocks.resize(need, None);
+    }
+    let mut cursor = 0usize;
+    while cursor < data.len() {
+        let abs = offset + cursor as u64;
+        let at = (abs % BLOCK_SIZE) as usize;
+        let take = (data.len() - cursor).min(BLOCK - at);
+        let block = blocks[(abs / BLOCK_SIZE) as usize].get_or_insert_with(zero_block);
+        Arc::make_mut(block)[at..at + take].copy_from_slice(&data[cursor..cursor + take]);
+        cursor += take;
+    }
+}
+
+/// The bytes of `[start, end)` in order, borrowed in place: one chunk per
+/// block touched, a hole's (or a missing block's) from [`ZEROES`].
+fn chunks(blocks: &[Block], start: u64, end: u64) -> impl Iterator<Item = &[u8]> {
+    let touched = if start < end {
+        start / BLOCK_SIZE..end.div_ceil(BLOCK_SIZE)
+    } else {
+        0..0
+    };
+    touched.map(move |b| {
+        let base = b * BLOCK_SIZE;
+        let bytes: &[u8] = match blocks.get(b as usize) {
+            Some(Some(block)) => block,
+            _ => &ZEROES,
+        };
+        &bytes[(start.max(base) - base) as usize..(end.min(base + BLOCK_SIZE) - base) as usize]
+    })
+}
+
 /// The real bytes of one file: a sparse block store shared by all simulated
-/// clients.
+/// clients. Blocks are reference-counted and copy-on-write, so a
+/// [`Snapshot`] shares them instead of copying the file.
 ///
 /// Two application modes (paper §2.1):
 /// * **POSIX-atomic** — the whole multi-byte write is applied under an
@@ -34,7 +84,8 @@ pub(crate) const NONATOMIC_CHUNK: u64 = 4 * 1024;
 ///   warns about).
 #[derive(Debug, Default)]
 pub struct Storage {
-    blocks: RwLock<HashMap<u64, BytesMut>>,
+    /// Block `i` holds bytes `[i, i + 1) * BLOCK_SIZE`.
+    blocks: RwLock<Vec<Block>>,
     len: AtomicU64,
     /// Exclusive gate giving single-call atomicity to writes (and
     /// consistent snapshots to atomic reads).
@@ -88,26 +139,32 @@ impl Storage {
     /// Read with single-call atomicity (consistent with atomic writes).
     pub fn read_atomic(&self, offset: u64, buf: &mut [u8]) {
         let _g = self.gate.read();
-        self.fetch(offset, buf);
+        let blocks = self.blocks.read();
+        let mut at = 0;
+        for chunk in chunks(&blocks, offset, offset + buf.len() as u64) {
+            buf[at..at + chunk.len()].copy_from_slice(chunk);
+            at += chunk.len();
+        }
     }
 
-    /// Copy of the whole file (for verification). Takes the gate so the
-    /// snapshot is consistent with atomic writes.
-    pub fn snapshot(&self) -> Vec<u8> {
+    /// The whole file as a [`Snapshot`], consistent with atomic writes (it
+    /// takes the gate). It costs one reference per block and copies no
+    /// byte; a later write copies only the block it touches.
+    pub fn snapshot(&self) -> Snapshot {
         let _g = self.gate.write();
-        let mut out = vec![0u8; self.len() as usize];
-        self.fetch(0, &mut out);
-        out
+        Snapshot {
+            blocks: self.blocks.read().clone(),
+            len: self.len(),
+        }
     }
 
     /// Set the file length to exactly `new_len`, discarding data beyond it.
     pub fn truncate(&self, new_len: u64) {
         let _g = self.gate.write();
         let mut blocks = self.blocks.write();
-        blocks.retain(|&b, _| b * BLOCK_SIZE < new_len);
-        if let Some(buf) = blocks.get_mut(&(new_len / BLOCK_SIZE)) {
-            let keep = (new_len % BLOCK_SIZE) as usize;
-            buf[keep..].fill(0);
+        blocks.truncate(new_len.div_ceil(BLOCK_SIZE) as usize);
+        if let Some(Some(block)) = blocks.get_mut((new_len / BLOCK_SIZE) as usize) {
+            Arc::make_mut(block)[(new_len % BLOCK_SIZE) as usize..].fill(0);
         }
         self.len.store(new_len, Ordering::Release);
     }
@@ -117,49 +174,114 @@ impl Storage {
             return;
         }
         let mut blocks = self.blocks.write();
-        let mut cursor = 0usize;
-        while cursor < data.len() {
-            let abs = offset + cursor as u64;
-            let block_idx = abs / BLOCK_SIZE;
-            let in_block = (abs % BLOCK_SIZE) as usize;
-            let take = data.len() - cursor;
-            let take = take.min(BLOCK_SIZE as usize - in_block);
-            let block = blocks
-                .entry(block_idx)
-                .or_insert_with(|| BytesMut::zeroed(BLOCK_SIZE as usize));
-            block[in_block..in_block + take].copy_from_slice(&data[cursor..cursor + take]);
-            cursor += take;
-        }
+        write_blocks(&mut blocks, offset, data);
         self.len
             .fetch_max(offset + data.len() as u64, Ordering::AcqRel);
     }
+}
 
-    fn fetch(&self, offset: u64, buf: &mut [u8]) {
-        if buf.is_empty() {
-            return;
+/// A file's bytes at one instant, sharing the file's blocks: taking it
+/// copies block references, and a block is copied only when the file (or
+/// the snapshot itself) writes it afterwards. It is read in place, a block
+/// at a time ([`Snapshot::chunks`]); comparing it never flattens it, and
+/// [`Snapshot::to_vec`] is the one copy.
+#[derive(Clone, Default)]
+pub struct Snapshot {
+    blocks: Vec<Block>,
+    len: u64,
+}
+
+impl Snapshot {
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bytes of `[start, end)`, clipped to the snapshot, in order and in
+    /// place: one chunk per 64 KiB block touched, a hole's read as zeroes.
+    pub fn chunks(&self, start: u64, end: u64) -> impl Iterator<Item = &[u8]> {
+        chunks(&self.blocks, start.min(self.len), end.min(self.len))
+    }
+
+    /// The bytes as one contiguous vector: a full copy.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len as usize);
+        for chunk in self.chunks(0, self.len) {
+            out.extend_from_slice(chunk);
         }
-        let blocks = self.blocks.read();
-        let mut cursor = 0usize;
-        while cursor < buf.len() {
-            let abs = offset + cursor as u64;
-            let block_idx = abs / BLOCK_SIZE;
-            let in_block = (abs % BLOCK_SIZE) as usize;
-            let take = (buf.len() - cursor).min(BLOCK_SIZE as usize - in_block);
-            match blocks.get(&block_idx) {
-                Some(block) => {
-                    buf[cursor..cursor + take].copy_from_slice(&block[in_block..in_block + take]);
-                }
-                None => buf[cursor..cursor + take].fill(0),
-            }
-            cursor += take;
+        out
+    }
+
+    /// The first byte, writable (its block is copied if shared), or `None`
+    /// when empty.
+    pub fn first_mut(&mut self) -> Option<&mut u8> {
+        if self.len == 0 {
+            return None;
         }
+        if self.blocks.is_empty() {
+            self.blocks.push(None);
+        }
+        Arc::make_mut(self.blocks[0].get_or_insert_with(zero_block)).first_mut()
+    }
+
+    /// Write `data` at `offset` into this snapshot only (a journal record
+    /// that is durable but not yet applied), extending it as needed.
+    pub(crate) fn overlay(&mut self, offset: u64, data: &[u8]) {
+        write_blocks(&mut self.blocks, offset, data);
+        self.len = self.len.max(offset + data.len() as u64);
+    }
+}
+
+/// Prints like the `Vec<u8>` it stands for.
+impl fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.chunks(0, self.len).flatten())
+            .finish()
+    }
+}
+
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Snapshot) -> bool {
+        // Equal lengths tile into equal chunks; a shared block is equal.
+        self.len == other.len
+            && self
+                .chunks(0, self.len)
+                .zip(other.chunks(0, other.len))
+                .all(|(a, b)| std::ptr::eq(a, b) || a == b)
+    }
+}
+
+impl PartialEq<[u8]> for Snapshot {
+    fn eq(&self, other: &[u8]) -> bool {
+        let mut rest = other;
+        self.len == other.len() as u64
+            && self.chunks(0, self.len).all(|chunk| {
+                let (head, tail) = rest.split_at(chunk.len());
+                rest = tail;
+                head == chunk
+            })
+    }
+}
+
+impl PartialEq<Vec<u8>> for Snapshot {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        *self == other[..]
+    }
+}
+
+impl<const N: usize> PartialEq<&[u8; N]> for Snapshot {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        *self == other[..]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn write_then_read_roundtrip() {
@@ -200,7 +322,7 @@ mod tests {
         let s = Storage::new();
         s.write_atomic(0, b"abc");
         s.write_atomic(100, b"xyz");
-        let snap = s.snapshot();
+        let snap = s.snapshot().to_vec();
         assert_eq!(snap.len(), 103);
         assert_eq!(&snap[0..3], b"abc");
         assert_eq!(&snap[100..103], b"xyz");
@@ -215,9 +337,85 @@ mod tests {
         assert_eq!(s.len(), BLOCK_SIZE + 10);
         // Re-extend and confirm the tail was zeroed.
         s.write_atomic(2 * BLOCK_SIZE, b"z");
-        let snap = s.snapshot();
+        let snap = s.snapshot().to_vec();
         assert_eq!(snap[BLOCK_SIZE as usize + 9], 7);
         assert_eq!(snap[BLOCK_SIZE as usize + 10], 0);
+    }
+
+    /// Whether block `i` of the storage and of `snap` is one allocation.
+    fn shared(s: &Storage, snap: &Snapshot, i: usize) -> bool {
+        match (&s.blocks.read()[i], &snap.blocks[i]) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn snapshot_shares_every_block() {
+        let s = Storage::new();
+        s.write_atomic(0, &vec![1u8; 2 * BLOCK]);
+        s.write_atomic(3 * BLOCK_SIZE, b"tail");
+        let snap = s.snapshot();
+        assert_eq!(snap.blocks.len(), 4);
+        assert!([0, 1, 3].iter().all(|&i| shared(&s, &snap, i)));
+        assert!(snap.blocks[2].is_none(), "a hole stays a hole");
+        assert_eq!(snap.chunks(0, snap.len()).count(), 4);
+    }
+
+    #[test]
+    fn a_write_copies_only_the_block_it_touches() {
+        let s = Storage::new();
+        s.write_atomic(0, &vec![1u8; 3 * BLOCK]);
+        let snap = s.snapshot();
+        s.write_atomic(BLOCK_SIZE + 5, b"x");
+        assert!(shared(&s, &snap, 0) && shared(&s, &snap, 2));
+        assert!(!shared(&s, &snap, 1), "the written block was copied");
+        // Unshared again, the next write to it copies nothing.
+        let copy = s.blocks.read()[1].as_ref().map(|b| b.as_ptr());
+        s.write_atomic(BLOCK_SIZE + 6, b"y");
+        assert_eq!(s.blocks.read()[1].as_ref().map(|b| b.as_ptr()), copy);
+    }
+
+    #[test]
+    fn a_held_snapshot_keeps_its_bytes() {
+        let s = Storage::new();
+        let before: Vec<u8> = (0..2 * BLOCK + 100).map(|i| i as u8).collect();
+        s.write_atomic(0, &before);
+        let held = s.snapshot();
+        s.write_atomic(10, b"overwritten");
+        s.truncate(BLOCK_SIZE + 7);
+        // A journal overlay lands in its own snapshot only.
+        let mut overlaid = s.snapshot();
+        overlaid.overlay(3 * BLOCK_SIZE, b"journal");
+        assert_eq!(overlaid.len(), 3 * BLOCK_SIZE + 7);
+        assert_eq!(overlaid.to_vec()[3 * BLOCK..], *b"journal");
+        assert_eq!(s.len(), BLOCK_SIZE + 7, "the overlay never reaches storage");
+        assert_eq!(s.blocks.read().len(), 2);
+        assert_ne!(s.snapshot(), overlaid);
+        // So does a flipped byte.
+        *overlaid.first_mut().unwrap() ^= 0xFF;
+        let mut first = [0u8];
+        s.read_atomic(0, &mut first);
+        assert_eq!(first, [before[0]]);
+        assert_eq!(held, before, "the held snapshot reads its own bytes");
+    }
+
+    #[test]
+    fn holes_compare_as_zeroes() {
+        let s = Storage::new();
+        s.write_atomic(2 * BLOCK_SIZE, b"z");
+        let mut want = vec![0u8; 2 * BLOCK + 1];
+        want[2 * BLOCK] = b'z';
+        assert_eq!(s.snapshot(), want);
+        assert_eq!(Snapshot::default(), Vec::new());
+        assert_eq!(Snapshot::default().first_mut(), None);
+        // A length with no block behind it: the flipped byte gets one.
+        let extended = Storage::new();
+        extended.truncate(10);
+        let mut snap = extended.snapshot();
+        *snap.first_mut().unwrap() = 1;
+        assert_eq!(snap.to_vec(), [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(extended.snapshot(), &[0u8; 10]);
     }
 
     #[test]
@@ -279,7 +477,7 @@ mod tests {
             for w in writers {
                 w.join().unwrap();
             }
-            let snap = s.snapshot();
+            let snap = s.snapshot().to_vec();
             let first = snap[0];
             if snap.iter().any(|&b| b != first) {
                 saw_mixed = true;
@@ -296,7 +494,7 @@ mod tests {
     fn listio_applies_all_segments_atomically() {
         let s = Storage::new();
         s.write_listio_atomic(&[(0, b"ab".as_slice()), (10, b"cd".as_slice())]);
-        let snap = s.snapshot();
+        let snap = s.snapshot().to_vec();
         assert_eq!(&snap[0..2], b"ab");
         assert_eq!(&snap[10..12], b"cd");
     }

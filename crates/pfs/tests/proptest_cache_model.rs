@@ -74,7 +74,7 @@ proptest! {
 
         // After a final sync, the server-side file must equal the model.
         f.try_sync().unwrap();
-        let snap = fs.snapshot("model").unwrap();
+        let snap = fs.snapshot("model").unwrap().to_vec();
         let written = snap.len().min(model.len());
         prop_assert_eq!(&snap[..written], &model[..written]);
         prop_assert!(model[written..].iter().all(|&b| b == 0));

@@ -34,10 +34,6 @@ impl NodeTopology {
         self.nprocs
     }
 
-    pub fn ranks_per_node(&self) -> usize {
-        self.ranks_per_node
-    }
-
     /// Number of (possibly partially filled) nodes.
     pub fn nodes(&self) -> usize {
         self.nprocs.div_ceil(self.ranks_per_node)

@@ -32,7 +32,7 @@ fn run_mode(atomicity: Atomicity, posix_atomic: bool, name: &str) -> (Vec<u8>, C
         file.write_at_all(0, &buf).unwrap();
         file.close().unwrap();
     });
-    (fs.snapshot(name).unwrap(), spec)
+    (fs.snapshot(name).unwrap().to_vec(), spec)
 }
 
 /// Render the file as M rows; `0` = rank 0's byte, `1` = rank 1's, `?` = mixed garbage.

@@ -35,11 +35,11 @@ fn write_behind_hides_data_until_sync() {
         if comm.rank() == 0 {
             // Small write stays under the write-behind threshold.
             file.write_at(0, b"hidden").unwrap();
-            let before = fs.snapshot("wb").unwrap();
+            let before = fs.snapshot("wb").unwrap().to_vec();
             comm.barrier();
             file.sync().unwrap();
             comm.barrier();
-            let after = fs.snapshot("wb").unwrap();
+            let after = fs.snapshot("wb").unwrap().to_vec();
             (before, after)
         } else {
             comm.barrier();
@@ -114,7 +114,7 @@ fn skipping_the_sync_step_breaks_visibility() {
         }
         comm.barrier();
     });
-    let snap = fs.snapshot("nosync").unwrap_or_default();
+    let snap = fs.snapshot("nosync").unwrap_or_default().to_vec();
     let written: u64 = snap.iter().filter(|&&b| b != 0).count() as u64;
     assert!(
         written < spec.file_bytes(),

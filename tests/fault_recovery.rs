@@ -120,7 +120,7 @@ fn run_faulted_stress(plan: FaultPlan) -> FaultSnapshot {
     // exactly the newest version of every byte — journal replay may apply
     // committed flushes late, but it must never resurrect old data or
     // leave a torn record applied.
-    let snap = fs.snapshot("stress").unwrap();
+    let snap = fs.snapshot("stress").unwrap().to_vec();
     let fl = floor.lock().unwrap();
     for (i, (&got, &want)) in snap.iter().zip(fl.iter()).enumerate() {
         assert_eq!(got, want, "byte {i}: servers hold {got}, newest is {want}");
@@ -277,7 +277,7 @@ fn collective_writes_fail_typed_on_exactly_the_ranks_of_a_dead_server() {
                 Err(e) => panic!("{strategy}/{path:?}: rank {rank}: untyped failure {e}"),
             }
         }
-        let image = fs.snapshot("grid").unwrap_or_default();
+        let image = fs.snapshot("grid").unwrap_or_default().to_vec();
         let landed = (0..image.len() as u64).filter(|&o| on_dead(o) && image[o as usize] != 0);
         assert_eq!(
             landed.count(),

@@ -162,7 +162,7 @@ fn final_bytes(
         file.write_at_all(0, &buf).unwrap();
         file.close().unwrap();
     });
-    let mut snap = fs.snapshot("eq").unwrap();
+    let mut snap = fs.snapshot("eq").unwrap().to_vec();
     snap.resize(FILE_SPAN as usize, 0);
     snap
 }

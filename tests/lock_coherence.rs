@@ -135,7 +135,7 @@ fn run_revocation_stress(profile: PlatformProfile) {
 
     // After every handle synced, the servers must hold exactly the newest
     // version of every byte (revocation flushes never resurrect old data).
-    let snap = fs.snapshot("stress").unwrap();
+    let snap = fs.snapshot("stress").unwrap().to_vec();
     let fl = floor.lock().unwrap();
     for (i, (&got, &want)) in snap.iter().zip(fl.iter()).enumerate() {
         assert_eq!(got, want, "byte {i}: servers hold {got}, newest is {want}");
@@ -200,7 +200,7 @@ fn write_behind_visibility_contract() {
     g.release();
     w.try_sync().unwrap();
     assert_eq!(
-        &fs.snapshot("vis").unwrap()[..1024],
+        &fs.snapshot("vis").unwrap().to_vec()[..1024],
         &[0xDDu8; 1024][..],
         "sync publishes write-behind data to every accessor"
     );

@@ -239,7 +239,7 @@ fn run_two_phase_snapshot(footprints: &[IntervalSet], cfg: TwoPhaseConfig) -> Ve
         file.write_at_all(0, &buf).unwrap();
         file.close().unwrap();
     });
-    fs.snapshot("sched").unwrap()
+    fs.snapshot("sched").unwrap().to_vec()
 }
 
 /// Run `two_phase_write` itself on `footprints` under `cfg` and return
@@ -433,7 +433,7 @@ fn check_color_order(
             expected[run.start as usize..run.end as usize].fill(pattern::stamp_byte(r));
         }
     }
-    let mut image = fs.snapshot("colors").unwrap_or_default();
+    let mut image = fs.snapshot("colors").unwrap_or_default().to_vec();
     image.resize(expected.len(), 0);
     if image != expected {
         return Err(format!(

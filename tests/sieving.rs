@@ -274,7 +274,7 @@ fn sieve_one_window(
         let d = file.posix().stats().snapshot().delta(&before);
         (d.reads, d.writes)
     });
-    (fs.snapshot("rmw").unwrap(), ops[0])
+    (fs.snapshot("rmw").unwrap().to_vec(), ops[0])
 }
 
 #[test]

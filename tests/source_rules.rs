@@ -526,12 +526,14 @@ fn takes_self(toks: &[Tok], at: usize) -> bool {
 
 /// Every `pub fn` under `crates/*/src` has a caller somewhere in the
 /// repository — library code, tests, benches, examples or the frozen
-/// `benchmark/` package. A name is called when it appears as an
-/// identifier token anywhere except right after `fn`, so comments, doc
-/// text and strings do not count. A name several `pub fn`s share needs
-/// more: an associated fn without `self` counts as called only through
-/// `Type::name`, or `Self::name` inside an `impl Type`, so a called
-/// `Tracer::disabled` cannot hide an uncalled `disabled` of another type.
+/// `benchmark/` package. A name is called only through call or path
+/// syntax: `.name(` (or `.name::<…>(`), `::name`, or a bare `name(`.
+/// Comments, doc text and strings do not count, and neither does a bare
+/// identifier, so a field or a local sharing the name hides nothing. A
+/// name several `pub fn`s share needs more: an associated fn without
+/// `self` counts as called only through `Type::name`, or `Self::name`
+/// inside an `impl Type`, so a called `Tracer::disabled` cannot hide an
+/// uncalled `disabled` of another type.
 /// There is no allowlist: an uncalled function is deleted, not excused.
 #[test]
 fn every_pub_fn_is_called_somewhere() {
@@ -571,6 +573,12 @@ fn every_pub_fn_is_called_somewhere() {
                 }
             }
             if i == 0 || !toks[i - 1].is_ident("fn") {
+                let after = |p: &str| i > 0 && toks[i - 1].is_punct(p);
+                let then = |p: &str| toks.get(i + 1).is_some_and(|n| n.is_punct(p));
+                // A call (`name(`, `.name(`, `.name::<…>(`) or a path.
+                if !(then("(") || after(".") && then("::") || after("::")) {
+                    continue;
+                }
                 called.insert(t.text.clone());
                 if i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].kind == TokKind::Ident {
                     let ty = match toks[i - 2].text.as_str() {

@@ -53,7 +53,7 @@ fn displacement_shifts_the_whole_view() {
         file.write_at_all(0, &[7u8; 8]).unwrap();
         file.close().unwrap();
     });
-    let snap = fs.snapshot("disp").unwrap();
+    let snap = fs.snapshot("disp").unwrap().to_vec();
     // First view byte = disp + row 0, col 3.
     assert_eq!(snap[disp as usize + 3], 7);
     assert_eq!(snap[disp as usize + 11], 7);
@@ -88,7 +88,7 @@ fn offset_walks_tiles() {
         file.write_at_all(3, b"AB").unwrap(); // logical 3..5 -> tiles 1 and 2
         file.close().unwrap();
     });
-    let snap = fs.snapshot("tile").unwrap();
+    let snap = fs.snapshot("tile").unwrap().to_vec();
     assert_eq!(snap[9], b'A'); // tile 1, second byte (logical 3)
     assert_eq!(snap[16], b'B'); // tile 2, first byte (logical 4)
 }
@@ -107,7 +107,7 @@ fn partial_tile_requests() {
         report.segments
     });
     assert_eq!(collected[0], 2);
-    let snap = fs.snapshot("part").unwrap();
+    let snap = fs.snapshot("part").unwrap().to_vec();
     assert_eq!(snap.len() as u64, 8 + 6); // row 1 cols 2..6 end at offset 14
     assert_eq!(&snap[2..6], &[9u8; 4]);
     assert_eq!(&snap[10..14], &[9u8; 4]);
@@ -125,7 +125,7 @@ fn invalid_view_is_rejected_collectively() {
         file.write_at_all(0, b"ok").unwrap();
         file.close().unwrap();
     });
-    assert_eq!(&fs.snapshot("bad").unwrap()[..2], b"ok");
+    assert_eq!(&fs.snapshot("bad").unwrap().to_vec()[..2], b"ok");
 }
 
 #[test]
@@ -146,7 +146,7 @@ fn etype_offsets_count_elements_not_bytes() {
         assert_eq!(buf, [0xAB; 8]);
         file.close().unwrap();
     });
-    let snap = fs.snapshot("etype").unwrap();
+    let snap = fs.snapshot("etype").unwrap().to_vec();
     // Row 1 of the 4x4 int array starts at byte 16; cols 2..4 at bytes 24..32.
     assert!(snap[..24].iter().all(|&b| b == 0));
     assert_eq!(&snap[24..32], &[0xAB; 8]);
