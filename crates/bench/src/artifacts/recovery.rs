@@ -126,7 +126,7 @@ fn run_plan(
         rw.expected_final(),
         "{name}: recovered contents differ from the fault-free model"
     );
-    spec.verify_snapshot(&res.snap.to_vec())
+    spec.verify_snapshot(|start, end| res.snap.chunks(start, end))
         .unwrap_or_else(|(rank, a)| panic!("{name}: rank {rank} block: {a}"));
     res
 }

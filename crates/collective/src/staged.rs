@@ -54,7 +54,7 @@
 //! leaders' choice riding the node broadcast that carries the extent.
 
 use atomio_dtype::ViewSegment;
-use atomio_interval::{ByteRange, IntervalSet, StridedSet};
+use atomio_interval::{ByteRange, StridedSet};
 use atomio_msg::Comm;
 use atomio_pfs::PosixFile;
 use atomio_trace::Category;
@@ -357,8 +357,12 @@ pub(crate) fn write_rounds(
         let arrived = incoming.iter().flatten().map(lend);
         let (ticket, received) = submit_runs(comm, file, arrived, k, &mut report);
         tickets[k] = [own_ticket, ticket];
+        // The two batches' runs are disjoint: a run of their union starts
+        // wherever one does not touch the run before it.
         runs.extend(received);
-        report.write_runs += IntervalSet::from_ranges(runs).run_count();
+        runs.sort_unstable_by_key(|r| r.start);
+        let joined = runs.windows(2).filter(|w| w[0].end == w[1].start).count();
+        report.write_runs += runs.len() - joined;
     }
 
     // Drain: once every leader has submitted its last round, retire every

@@ -5,7 +5,7 @@
 //! two-phase round loop routes them, so no losing byte crosses a wire.
 
 use atomio_dtype::ViewSegment;
-use atomio_interval::{ByteRange, IntervalSet, StridedSet};
+use atomio_interval::{ByteRange, StridedSet};
 
 /// Union of the file-view footprints of every rank *higher* than `me` —
 /// the region this process must surrender under process-rank ordering
@@ -29,11 +29,7 @@ pub fn higher_union_strided(all_footprints: &[StridedSet], me: usize) -> Strided
     if well_compressed {
         higher.iter().fold(StridedSet::new(), |acc, s| acc.union(s))
     } else {
-        StridedSet::from_intervals(&IntervalSet::from_ranges(
-            higher
-                .iter()
-                .flat_map(|s| s.trains().iter().flat_map(|t| t.runs())),
-        ))
+        StridedSet::from_ranges(higher.iter().flat_map(StridedSet::iter))
     }
 }
 
@@ -101,6 +97,8 @@ pub(crate) fn surrender(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use atomio_interval::Train;
 
@@ -116,18 +114,27 @@ mod tests {
         StridedSet::from_sorted_extents([(start, end - start)])
     }
 
-    /// The dense reference: each segment minus `surrendered` by
-    /// `IntervalSet` algebra, pieces in file order.
-    fn dense_pieces(segments: &[ViewSegment], surrendered: &IntervalSet) -> Vec<ViewSegment> {
-        let mut out = Vec::new();
+    /// The set's bytes, one by one: the reference.
+    fn points(s: &StridedSet) -> BTreeSet<u64> {
+        s.iter().flat_map(|r| r.start..r.end).collect()
+    }
+
+    /// The byte-by-byte reference: each segment's bytes outside
+    /// `surrendered`, joined into pieces in file order.
+    fn dense_pieces(segments: &[ViewSegment], surrendered: &BTreeSet<u64>) -> Vec<ViewSegment> {
+        let mut out: Vec<ViewSegment> = Vec::new();
         for s in segments {
-            let own = IntervalSet::from_extents([(s.file_off, s.len)]);
-            for piece in own.subtract(surrendered).iter() {
-                out.push(seg(
-                    piece.start,
-                    s.logical_off + (piece.start - s.file_off),
-                    piece.len(),
-                ));
+            let mut open = false;
+            for i in 0..s.len {
+                let byte = s.file_off + i;
+                if surrendered.contains(&byte) {
+                    open = false;
+                } else if open {
+                    out.last_mut().expect("an open piece").len += 1;
+                } else {
+                    out.push(seg(byte, s.logical_off + i, 1));
+                    open = true;
+                }
             }
         }
         out
@@ -171,22 +178,19 @@ mod tests {
         let surr = StridedSet::from_train(Train::new(8, 4, 16, 8));
         assert_eq!(
             surviving_pieces_strided(&segs, &surr),
-            dense_pieces(&segs, &surr.to_intervals())
+            dense_pieces(&segs, &points(&surr))
         );
-        // And the union agrees with the dense fold over the higher ranks.
-        let views_dense = [
-            IntervalSet::from_extents((0..8u64).map(|r| (r * 16, 8u64))),
-            IntervalSet::from_extents((0..8u64).map(|r| (r * 16 + 6, 8u64))),
-            IntervalSet::from_extents((0..8u64).map(|r| (r * 16 + 12, 4u64))),
-        ];
-        let views_strided: Vec<StridedSet> =
-            views_dense.iter().map(StridedSet::from_intervals).collect();
+        // And the union agrees with the byte-by-byte union over the higher
+        // ranks.
+        let rows =
+            |col: u64, width: u64| (0..8u64).map(move |r| ByteRange::at(r * 16 + col, width));
+        let views: Vec<StridedSet> = [(0, 8), (6, 8), (12, 4)]
+            .map(|(col, width)| StridedSet::from_ranges(rows(col, width)))
+            .to_vec();
         for me in 0..3 {
-            let higher = views_dense[me + 1..]
-                .iter()
-                .fold(IntervalSet::new(), |acc, v| acc.union(v));
+            let higher: BTreeSet<u64> = views[me + 1..].iter().flat_map(points).collect();
             assert_eq!(
-                higher_union_strided(&views_strided, me).to_intervals(),
+                points(&higher_union_strided(&views, me)),
                 higher,
                 "rank {me}"
             );
@@ -194,13 +198,33 @@ mod tests {
     }
 
     #[test]
+    fn a_poorly_compressed_union_is_built_from_its_runs() {
+        // Runs of ten different lengths a rank: trains ≈ runs, so the union
+        // takes the batch build, not the train fold.
+        let views: Vec<StridedSet> = (0..3u64)
+            .map(|k| {
+                let runs = (0..10u64).map(|i| ByteRange::at(i * 97 + k * 13, 1 + (i * 7 + k) % 23));
+                StridedSet::from_ranges(runs)
+            })
+            .collect();
+        let trains: usize = views[1..].iter().map(StridedSet::train_count).sum();
+        assert!(trains > 4 * 2 + 8, "{trains} trains take the train fold");
+        let higher: BTreeSet<u64> = views[1..].iter().flat_map(points).collect();
+        assert_eq!(points(&higher_union_strided(&views, 0)), higher);
+    }
+
+    #[test]
     fn survivors_total_matches_set_subtraction() {
         let segs = [seg(0, 0, 10), seg(20, 10, 10), seg(40, 20, 10)];
         let surr = StridedSet::from_sorted_extents([(5u64, 20u64), (45, 2)]);
         let got = surviving_pieces_strided(&segs, &surr);
-        let got_set = IntervalSet::from_extents(got.iter().map(|s| (s.file_off, s.len)));
-        let mine = IntervalSet::from_extents(segs.iter().map(|s| (s.file_off, s.len)));
-        assert_eq!(got_set, mine.subtract(&surr.to_intervals()));
+        let bytes = |pieces: &[ViewSegment]| -> BTreeSet<u64> {
+            pieces
+                .iter()
+                .flat_map(|s| s.file_off..s.file_end())
+                .collect()
+        };
+        assert_eq!(bytes(&got), &bytes(&segs) - &points(&surr));
         // Logical offsets remain consistent with the file offsets.
         for s in &got {
             let parent = segs

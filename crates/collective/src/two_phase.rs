@@ -3,7 +3,7 @@
 //! `staged` module) and the collective read.
 
 use atomio_dtype::ViewSegment;
-use atomio_interval::{ByteRange, IntervalSet, StridedSet};
+use atomio_interval::{ByteRange, StridedSet};
 use atomio_msg::Comm;
 use atomio_pfs::{FsError, PosixFile};
 use atomio_trace::Category;
@@ -325,9 +325,9 @@ pub fn two_phase_read(
     let mut replies: Vec<Vec<Reply>> = (0..comm.size()).map(|_| Vec::new()).collect();
     if domains.iter().any(|d| d.rank == comm.rank()) {
         // Stage per covered run (not per domain extent — see the write path).
-        let coverage =
-            IntervalSet::from_extents(incoming_requests.iter().flatten().map(|&(o, l)| (o, l)));
-        let runs = coverage.runs();
+        let requested = incoming_requests.iter().flatten();
+        let requested = requested.map(|&(o, l)| ByteRange::at(o, l));
+        let runs: Vec<ByteRange> = StridedSet::from_ranges(requested).iter().collect();
         let mut staged: Vec<Vec<u8>> = runs.iter().map(|r| vec![0u8; r.len() as usize]).collect();
         let mut failed: Vec<Option<FsError>> = vec![None; runs.len()];
         let starts = runs.iter().map(|r| r.start);

@@ -243,7 +243,7 @@ pub fn split_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomio_interval::{ByteRange, IntervalSet, Train};
+    use atomio_interval::{ByteRange, Train};
 
     fn chain(n: usize) -> OverlapMatrix {
         let edges: Vec<_> = (1..n).map(|i| (i - 1, i)).collect();
@@ -320,19 +320,35 @@ mod tests {
             .unwrap_or(0)
     }
 
-    /// W by one dense `IntervalSet::overlaps` test per pair: the reference
+    /// Whether two ascending run lists share a byte: a two-pointer walk.
+    fn runs_meet(a: &[ByteRange], b: &[ByteRange]) -> bool {
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if a[i].overlaps(&b[j]) {
+                return true;
+            }
+            if a[i].end <= b[j].end {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        false
+    }
+
+    /// W by one merge walk over the maximal runs per pair: the reference
     /// `from_strided` must equal.
     fn dense_matrix(footprints: &[StridedSet]) -> OverlapMatrix {
-        let dense: Vec<IntervalSet> = footprints.iter().map(StridedSet::to_intervals).collect();
+        let runs: Vec<Vec<ByteRange>> = footprints.iter().map(|s| s.iter().collect()).collect();
         let mut edges = Vec::new();
-        for i in 0..dense.len() {
-            for j in i + 1..dense.len() {
-                if dense[i].overlaps(&dense[j]) {
+        for i in 0..runs.len() {
+            for j in i + 1..runs.len() {
+                if runs_meet(&runs[i], &runs[j]) {
                     edges.push((i, j));
                 }
             }
         }
-        OverlapMatrix::from_edges(dense.len(), &edges)
+        OverlapMatrix::from_edges(runs.len(), &edges)
     }
 
     #[test]
@@ -452,7 +468,7 @@ mod tests {
         assert_eq!(color_count(&colors), 1);
         let held = held_bytes(&fps, &colors, &PlatformProfile::fast_test());
         let segments: Vec<ViewSegment> = fps[1]
-            .iter_runs()
+            .iter()
             .scan(0, |logical, run| {
                 let seg = ViewSegment {
                     file_off: run.start,

@@ -74,7 +74,7 @@ pub(crate) fn plan_windows(footprint: &StridedSet, cfg: &SieveConfig) -> Vec<Byt
     let buffer = cfg.buffer_size.max(1);
     let mut out = Vec::new();
     let mut cur: Option<ByteRange> = None;
-    for run in footprint.iter_runs() {
+    for run in footprint.iter() {
         cur = Some(match cur {
             None => run,
             // Without RMW a window must stay hole-free: only touching runs

@@ -19,7 +19,7 @@
 //! * [`Outcome::Interleaved`] — some region holds bytes from more than one
 //!   writer: even per-call POSIX atomicity was violated.
 
-use atomio_interval::{ByteRange, IntervalSet};
+use atomio_interval::{ByteRange, StridedSet};
 use atomio_pfs::Snapshot;
 
 /// A file image the checker reads region by region, in place.
@@ -148,7 +148,7 @@ impl AtomicityReport {
 /// [`Snapshot`] — and is read in place, region by region.
 pub fn check_mpi_atomicity<I, P>(
     file: &I,
-    footprints: &[IntervalSet],
+    footprints: &[StridedSet],
     patterns: &[P],
 ) -> AtomicityReport
 where
@@ -159,7 +159,11 @@ where
     let nranks = footprints.len();
 
     // Elementary region boundaries: all run endpoints of all footprints.
-    let mut bounds: Vec<u64> = footprints.iter().flat_map(|s| s.boundaries()).collect();
+    let runs: u64 = footprints.iter().map(StridedSet::run_count).sum();
+    let mut bounds: Vec<u64> = Vec::with_capacity(2 * runs as usize);
+    for run in footprints.iter().flat_map(StridedSet::iter) {
+        bounds.extend([run.start, run.end]);
+    }
     bounds.sort_unstable();
     bounds.dedup();
 
@@ -185,7 +189,9 @@ where
             continue;
         }
         cover.clear();
-        cover.extend((0..nranks).filter(|&r| footprints[r].contains(region.start)));
+        // No boundary falls inside the region: a footprint meeting it
+        // covers all of it.
+        cover.extend((0..nranks).filter(|&r| footprints[r].overlaps_range(&region)));
         if cover.is_empty() {
             continue;
         }
@@ -266,10 +272,10 @@ mod tests {
     use super::*;
 
     /// Two ranks with one overlapping run each; pattern = constant stamp.
-    fn two_rank_setup() -> (Vec<IntervalSet>, Vec<impl Fn(u64) -> u8>) {
+    fn two_rank_setup() -> (Vec<StridedSet>, Vec<impl Fn(u64) -> u8>) {
         let fp = vec![
-            IntervalSet::from_range(ByteRange::new(0, 60)),
-            IntervalSet::from_range(ByteRange::new(40, 100)),
+            StridedSet::from_range(ByteRange::new(0, 60)),
+            StridedSet::from_range(ByteRange::new(40, 100)),
         ];
         let pats = vec![move |_o: u64| 0xAAu8, move |_o: u64| 0xBBu8];
         (fp, pats)
@@ -323,8 +329,8 @@ mod tests {
         // Two disjoint overlap areas between the same pair, with opposite
         // winners: per-region single-source, but no serialization.
         let fp = vec![
-            IntervalSet::from_extents([(0u64, 20u64), (40, 20)]),
-            IntervalSet::from_extents([(10u64, 20u64), (50, 20)]),
+            StridedSet::from_sorted_extents([(0u64, 20u64), (40, 20)]),
+            StridedSet::from_sorted_extents([(10u64, 20u64), (50, 20)]),
         ];
         let pats = vec![move |_o: u64| 1u8, move |_o: u64| 2u8];
         let mut file = vec![0u8; 100];
@@ -358,9 +364,9 @@ mod tests {
     #[test]
     fn three_way_overlap_single_winner() {
         let fp = vec![
-            IntervalSet::from_range(ByteRange::new(0, 30)),
-            IntervalSet::from_range(ByteRange::new(10, 40)),
-            IntervalSet::from_range(ByteRange::new(20, 50)),
+            StridedSet::from_range(ByteRange::new(0, 30)),
+            StridedSet::from_range(ByteRange::new(10, 40)),
+            StridedSet::from_range(ByteRange::new(20, 50)),
         ];
         let pats: Vec<_> = (0..3).map(|r| move |_o: u64| (r + 1) as u8).collect();
         let mut file = vec![0u8; 50];
@@ -376,8 +382,8 @@ mod tests {
     #[test]
     fn position_dependent_patterns_work() {
         let fp = vec![
-            IntervalSet::from_range(ByteRange::new(0, 16)),
-            IntervalSet::from_range(ByteRange::new(8, 24)),
+            StridedSet::from_range(ByteRange::new(0, 16)),
+            StridedSet::from_range(ByteRange::new(8, 24)),
         ];
         let pats = vec![move |o: u64| (o as u8).wrapping_mul(2), move |o: u64| {
             (o as u8).wrapping_mul(2).wrapping_add(1)
@@ -395,7 +401,7 @@ mod tests {
 
     #[test]
     fn snapshot_shorter_than_footprint_counts_beyond_eof() {
-        let fp = vec![IntervalSet::from_range(ByteRange::new(0, 100))];
+        let fp = vec![StridedSet::from_range(ByteRange::new(0, 100))];
         let pats = vec![move |_o: u64| 7u8];
         let file = vec![7u8; 50];
         let rep = check_mpi_atomicity(&file, &fp, &pats);

@@ -13,8 +13,8 @@
 //! subarray (the constructor in the paper's Figure 4) and resized.
 //! [`Datatype::flatten`] lowers any type to its canonical `(displacement,
 //! length)` segment list; [`FileView`] maps logical stream offsets to file
-//! offsets and produces the [`IntervalSet`](atomio_interval::IntervalSet)s the atomicity strategies
-//! exchange and analyze.
+//! offsets and produces the footprints the atomicity strategies exchange
+//! and analyze.
 //!
 //! For negotiation-time work (view exchange, overlap analysis)
 //! [`FileView::strided_footprint`] emits run-length-compressed

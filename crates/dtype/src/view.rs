@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use atomio_interval::{ByteRange, IntervalSet, StridedSet};
+use atomio_interval::{ByteRange, StridedSet};
 
 use crate::flatten::Segment;
 use crate::kinds::Datatype;
@@ -274,19 +274,8 @@ impl FileView {
         out
     }
 
-    /// The set of file bytes touched by `[logical, logical+len)`.
-    pub fn file_ranges(&self, logical: u64, len: u64) -> IntervalSet {
-        IntervalSet::from_extents(self.pieces(logical, len).map(|p| (p.file_off, p.len)))
-    }
-
-    /// Convenience: the file bytes of the first `len` stream bytes.
-    pub fn footprint(&self, len: u64) -> IntervalSet {
-        self.file_ranges(0, len)
-    }
-
     /// The set of file bytes touched by `[logical, logical+len)`, as a
-    /// run-length-compressed [`StridedSet`] — extensionally identical to
-    /// [`FileView::file_ranges`]. The walk's pieces stream straight into
+    /// run-length-compressed [`StridedSet`]. The walk's pieces stream straight into
     /// the canonical compressor, whose form is a function of the bytes, so
     /// the trains (and what they cost on the wire) are the same however
     /// the request is cut. Building it costs host work in the request's
@@ -295,9 +284,9 @@ impl FileView {
         StridedSet::from_sorted_extents(self.pieces(logical, len).map(|p| (p.file_off, p.len)))
     }
 
-    /// Strided counterpart of [`FileView::footprint`]: the compressed file
-    /// footprint of the first `len` stream bytes — what the handshaking
-    /// strategies allgather during view negotiation.
+    /// The compressed file footprint of the first `len` stream bytes — what
+    /// the handshaking strategies allgather during view negotiation and the
+    /// atomicity oracle checks against.
     pub fn strided_footprint(&self, len: u64) -> StridedSet {
         self.strided_file_ranges(0, len)
     }
@@ -447,10 +436,15 @@ mod tests {
     #[test]
     fn footprint_matches_segments() {
         let v = colwise_view(4, 12, 3, 3);
-        let fp = v.footprint(12);
+        let fp = v.strided_footprint(12);
         assert_eq!(fp.total_len(), 12);
         assert_eq!(fp.run_count(), 4);
-        assert!(fp.contains(3) && fp.contains(39) && !fp.contains(0) && !fp.contains(6));
+        let runs: Vec<ByteRange> = fp.iter().collect();
+        let segments = v.segments(0, 12);
+        let want = segments.iter().map(|s| ByteRange::at(s.file_off, s.len));
+        assert_eq!(runs, want.collect::<Vec<_>>());
+        assert_eq!(runs[0].start, 3);
+        assert!(runs.iter().any(|r| r.contains(39)));
     }
 
     #[test]

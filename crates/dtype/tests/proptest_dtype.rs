@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use atomio_dtype::{ArrayOrder, Datatype, FileView, ViewSegment};
-use atomio_interval::{ByteRange, IntervalSet, StridedSet};
+use atomio_interval::ByteRange;
 use proptest::prelude::*;
 
 /// Brute-force file offsets of a 2-D subarray's bytes, in stream order.
@@ -16,6 +16,21 @@ fn reference_offsets(m: u64, n: u64, sm: u64, sn: u64, rs: u64, cs: u64) -> Vec<
         }
     }
     offs
+}
+
+/// The maximal runs of a set of file offsets, ascending.
+fn runs_of(offsets: impl IntoIterator<Item = u64>) -> Vec<ByteRange> {
+    let mut sorted: Vec<u64> = offsets.into_iter().collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut runs: Vec<ByteRange> = Vec::new();
+    for o in sorted {
+        match runs.last_mut() {
+            Some(r) if r.end == o => r.end = o + 1,
+            _ => runs.push(ByteRange::new(o, o + 1)),
+        }
+    }
+    runs
 }
 
 fn params() -> impl Strategy<Value = (u64, u64, u64, u64, u64, u64)> {
@@ -125,13 +140,11 @@ proptest! {
         }
         prop_assert_eq!(cursor, logical + len);
 
-        // file_ranges holds exactly the request's bytes, and the strided
-        // footprint is the canonical compression of the same bytes.
-        let dense = IntervalSet::from_extents((logical..logical + len).map(|l| (map(l), 1)));
-        prop_assert_eq!(v.file_ranges(logical, len), dense.clone());
+        // The strided footprint holds exactly the request's bytes, as
+        // their maximal runs.
         let sr = v.strided_file_ranges(logical, len);
-        prop_assert_eq!(sr.to_intervals(), dense.clone());
-        prop_assert_eq!(sr, StridedSet::from_intervals(&dense));
+        let want = runs_of((logical..logical + len).map(map));
+        prop_assert_eq!(sr.iter().collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -226,7 +239,8 @@ proptest! {
         let v = FileView::new(0, ft).unwrap();
         let len = v.tile_size() * tiles;
         let s = v.strided_file_ranges(0, len);
-        prop_assert_eq!(s.to_intervals(), v.file_ranges(0, len));
+        let want = runs_of(v.segments(0, len).iter().flat_map(|g| g.file_off..g.file_end()));
+        prop_assert_eq!(s.iter().collect::<Vec<_>>(), want);
         prop_assert!(
             s.train_count() <= nblocks + 2,
             "footprint not compressed across tiles: {} trains for {} blocks",

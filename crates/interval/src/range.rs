@@ -70,24 +70,6 @@ impl ByteRange {
             end: self.end.max(other.end),
         }
     }
-
-    /// Subtraction `self \ other`: zero, one, or two pieces.
-    pub fn subtract(&self, other: &ByteRange) -> (Option<ByteRange>, Option<ByteRange>) {
-        match self.intersect(other) {
-            None => (Some(*self), None),
-            Some(cut) => {
-                let left = (self.start < cut.start).then_some(ByteRange {
-                    start: self.start,
-                    end: cut.start,
-                });
-                let right = (cut.end < self.end).then_some(ByteRange {
-                    start: cut.end,
-                    end: self.end,
-                });
-                (left, right)
-            }
-        }
-    }
 }
 
 impl WireSize for ByteRange {
@@ -156,30 +138,6 @@ mod tests {
             a.intersect(&ByteRange::new(2, 3)),
             Some(ByteRange::new(2, 3))
         );
-    }
-
-    #[test]
-    fn subtraction_cases() {
-        let a = ByteRange::new(10, 20);
-        // disjoint
-        assert_eq!(a.subtract(&ByteRange::new(0, 5)), (Some(a), None));
-        // cut in the middle -> two pieces
-        assert_eq!(
-            a.subtract(&ByteRange::new(12, 15)),
-            (Some(ByteRange::new(10, 12)), Some(ByteRange::new(15, 20)))
-        );
-        // cut the left edge
-        assert_eq!(
-            a.subtract(&ByteRange::new(0, 15)),
-            (None, Some(ByteRange::new(15, 20)))
-        );
-        // cut the right edge
-        assert_eq!(
-            a.subtract(&ByteRange::new(15, 30)),
-            (Some(ByteRange::new(10, 15)), None)
-        );
-        // fully covered
-        assert_eq!(a.subtract(&ByteRange::new(0, 30)), (None, None));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's column-wise M×N pattern gives every rank a footprint of M
 //! equal-length runs, one per row, all `N` bytes apart. Materializing that
-//! as a dense [`IntervalSet`] costs O(M) to build, O(M) to ship through the
+//! as a list of runs costs O(M) to build, O(M) to ship through the
 //! view-exchange allgather and O(M) per pairwise intersection — §3.4 assumes
 //! negotiation overhead proportional to the *description* of the access,
 //! not its row count. [`StridedSet`] stores the same byte set as sorted
@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 
 use atomio_vtime::WireSize;
 
-use crate::{ByteRange, IntervalSet};
+use crate::ByteRange;
 
 /// A periodic train of byte runs: `count` runs of `len` bytes, the i-th at
 /// `start + i*stride`.
@@ -486,10 +486,20 @@ impl StridedSet {
         StridedSet { trains }
     }
 
-    /// Compress a dense set losslessly. O(runs).
-    pub fn from_intervals(s: &IntervalSet) -> Self {
-        let runs = s.runs().iter().map(|r| Train::new(r.start, r.len(), 0, 1));
-        StridedSet::from_disjoint_trains(runs.collect())
+    /// Build from arbitrary ranges — unsorted, overlapping, touching or
+    /// empty: they are sorted, merged into maximal runs and compressed.
+    /// O(n log n) in the ranges.
+    pub fn from_ranges(ranges: impl IntoIterator<Item = ByteRange>) -> Self {
+        let mut runs: Vec<ByteRange> = ranges.into_iter().filter(|r| !r.is_empty()).collect();
+        runs.sort_unstable_by_key(|r| r.start);
+        runs.dedup_by(|next, run| {
+            let joins = run.adjoins(next);
+            if joins {
+                run.end = run.end.max(next.end);
+            }
+            joins
+        });
+        StridedSet::from_sorted_extents(runs.iter().map(|r| (r.start, r.len())))
     }
 
     /// Compress ascending, non-overlapping `(offset, len)` extents (the
@@ -506,11 +516,6 @@ impl StridedSet {
             })
             .collect();
         StridedSet::from_disjoint_trains(runs)
-    }
-
-    /// Lossless expansion to the dense representation.
-    pub fn to_intervals(&self) -> IntervalSet {
-        IntervalSet::from_ranges(self.iter_runs())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -610,7 +615,7 @@ impl StridedSet {
     /// fold's trains period by period): O(1) per yielded run with no
     /// materialized run list, which is what lets a data-sieving planner
     /// walk a million-run footprint while holding only O(1) state.
-    pub fn iter_runs(&self) -> impl Iterator<Item = ByteRange> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = ByteRange> + '_ {
         groups(&self.trains).flat_map(|group| {
             (0..group[0].count).flat_map(move |i| group.iter().map(move |t| t.nth(i)))
         })
@@ -1013,10 +1018,24 @@ fn groups(trains: &[Train]) -> impl Iterator<Item = &[Train]> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
-    fn dense(ranges: &[(u64, u64)]) -> IntervalSet {
-        IntervalSet::from_ranges(ranges.iter().map(|&(a, b)| ByteRange::new(a, b)))
+    /// The maximal runs, ascending.
+    fn runs(s: &StridedSet) -> Vec<ByteRange> {
+        s.iter().collect()
+    }
+
+    /// The runs written out, `(start, end)` each.
+    fn ranges(pairs: &[(u64, u64)]) -> Vec<ByteRange> {
+        pairs.iter().map(|&(a, b)| ByteRange::new(a, b)).collect()
+    }
+
+    /// The byte set as points: the reference every operation is checked
+    /// against.
+    fn points(s: &StridedSet) -> BTreeSet<u64> {
+        s.iter().flat_map(|r| r.start..r.end).collect()
     }
 
     fn comb(start: u64, len: u64, stride: u64, count: u64) -> StridedSet {
@@ -1036,11 +1055,11 @@ mod tests {
     fn colwise_footprint_is_one_train() {
         // 8 rows of 4 bytes at column 3 of a 16-wide array.
         let rows: Vec<ByteRange> = (0..8u64).map(|r| ByteRange::at(r * 16 + 3, 4)).collect();
-        let s = StridedSet::from_intervals(&IntervalSet::from_ranges(rows.iter().copied()));
+        let s = StridedSet::from_ranges(rows.iter().rev().copied());
         assert_eq!(s.train_count(), 1);
         assert_eq!(s.run_count(), 8);
         assert_eq!(s.total_len(), 32);
-        assert_eq!(s.to_intervals(), IntervalSet::from_ranges(rows));
+        assert_eq!(runs(&s), rows);
     }
 
     #[test]
@@ -1055,10 +1074,7 @@ mod tests {
         let shared = a.intersect(&b);
         assert_eq!(shared.train_count(), 1);
         assert_eq!(shared.total_len(), 8 * 2);
-        assert_eq!(
-            shared.to_intervals(),
-            a.to_intervals().intersect(&b.to_intervals())
-        );
+        assert_eq!(points(&shared), &points(&a) & &points(&b));
     }
 
     #[test]
@@ -1067,7 +1083,7 @@ mod tests {
         let b = comb(8, 6, 16, 8);
         let u = a.union(&b);
         assert_eq!(u.train_count(), 1, "windows merge into one train: {u}");
-        assert_eq!(u.to_intervals(), a.to_intervals().union(&b.to_intervals()));
+        assert_eq!(points(&u), &points(&a) | &points(&b));
     }
 
     #[test]
@@ -1076,10 +1092,7 @@ mod tests {
         let ghost = comb(6, 4, 16, 4); // columns [6, 10)
         let kept = a.subtract(&ghost);
         assert_eq!(kept.total_len(), 4 * 6);
-        assert_eq!(
-            kept.to_intervals(),
-            a.to_intervals().subtract(&ghost.to_intervals())
-        );
+        assert_eq!(points(&kept), &points(&a) - &points(&ghost));
     }
 
     #[test]
@@ -1087,19 +1100,11 @@ mod tests {
         let a = comb(0, 3, 10, 7); // stride 10
         let b = comb(1, 4, 7, 9); // stride 7
         for (x, y) in [(&a, &b), (&b, &a)] {
-            assert_eq!(
-                x.intersect(y).to_intervals(),
-                x.to_intervals().intersect(&y.to_intervals())
-            );
-            assert_eq!(
-                x.subtract(y).to_intervals(),
-                x.to_intervals().subtract(&y.to_intervals())
-            );
-            assert_eq!(
-                x.union(y).to_intervals(),
-                x.to_intervals().union(&y.to_intervals())
-            );
-            assert_eq!(x.overlaps(y), x.to_intervals().overlaps(&y.to_intervals()));
+            let (px, py) = (points(x), points(y));
+            assert_eq!(points(&x.intersect(y)), &px & &py);
+            assert_eq!(points(&x.subtract(y)), &px - &py);
+            assert_eq!(points(&x.union(y)), &px | &py);
+            assert_eq!(x.overlaps(y), !px.is_disjoint(&py));
         }
     }
 
@@ -1110,10 +1115,7 @@ mod tests {
         assert_eq!(big.intersect(&t), t);
         let hole = big.subtract(&t);
         assert_eq!(hole.total_len(), 90);
-        assert_eq!(
-            hole.to_intervals(),
-            big.to_intervals().subtract(&t.to_intervals())
-        );
+        assert_eq!(points(&hole), &points(&big) - &points(&t));
         // A run inside one gap.
         let gap_run = StridedSet::from_train(Train::new(13, 3, 3, 1));
         assert!(!gap_run.overlaps(&t));
@@ -1121,12 +1123,12 @@ mod tests {
 
     #[test]
     fn wire_size_reflects_compression() {
-        let rows: Vec<ByteRange> = (0..4096u64).map(|r| ByteRange::at(r * 8192, 16)).collect();
-        let dense_set = IntervalSet::from_ranges(rows.iter().copied());
-        let strided = StridedSet::from_intervals(&dense_set);
+        let rows = (0..4096u64).map(|r| ByteRange::at(r * 8192, 16));
+        let strided = StridedSet::from_ranges(rows);
         assert_eq!(strided.train_count(), 1);
         assert_eq!(strided.wire_size(), 8 + 32);
-        assert_eq!(dense_set.wire_size(), 8 + 4096 * 16);
+        // A plain run list of the same bytes would carry 16 bytes a row.
+        assert_eq!(strided.run_count(), 4096);
     }
 
     #[test]
@@ -1141,10 +1143,9 @@ mod tests {
         // Range covering several periods.
         let wide = ByteRange::new(0, 64);
         let pieces = ghost.subtract_from_range(&wide);
-        let rebuilt = IntervalSet::from_ranges(pieces);
         assert_eq!(
-            rebuilt,
-            IntervalSet::from_range(wide).subtract(&ghost.to_intervals())
+            pieces,
+            ranges(&[(0, 6), (10, 22), (26, 38), (42, 54), (58, 64)])
         );
     }
 
@@ -1199,15 +1200,10 @@ mod tests {
             pairs.trains(),
             [0, 20].map(|start| Train::new(start, 3, 7, 2))
         );
-        let runs: Vec<ByteRange> = s.iter_runs().collect();
-        let starts: Vec<u64> = runs.iter().map(|r| r.start).collect();
-        assert_eq!(starts, vec![0, 7, 20, 27, 40, 47]);
-        assert_eq!(
-            IntervalSet::from_ranges(runs.iter().copied()),
-            s.to_intervals()
-        );
-        assert_eq!(runs.len() as u64, s.run_count());
-        assert!(StridedSet::new().iter_runs().next().is_none());
+        let starts = [0, 7, 20, 27, 40, 47];
+        assert_eq!(runs(&s), starts.map(|start| ByteRange::at(start, 3)));
+        assert_eq!(starts.len() as u64, s.run_count());
+        assert!(StridedSet::new().iter().next().is_none());
     }
 
     #[test]
@@ -1230,10 +1226,7 @@ mod tests {
     fn from_sorted_extents_coalesces() {
         let s = StridedSet::from_sorted_extents([(0u64, 4u64), (4, 4), (16, 8), (40, 8), (64, 8)]);
         assert_eq!(s.total_len(), 32);
-        assert_eq!(
-            s.to_intervals(),
-            dense(&[(0, 8), (16, 24), (40, 48), (64, 72)])
-        );
+        assert_eq!(runs(&s), ranges(&[(0, 8), (16, 24), (40, 48), (64, 72)]));
         // The greedy pairs [0, 8) with [16, 24) (stride 16), so 40 opens
         // the next train.
         assert_eq!(
@@ -1252,7 +1245,7 @@ mod tests {
         for shard in 0..shards {
             let slice = s.shard_slice(unit, shards, shard);
             // Every byte of the slice really lives on `shard`.
-            for run in slice.iter_runs() {
+            for run in slice.iter() {
                 for unit_idx in run.start / unit..=(run.end - 1) / unit {
                     assert_eq!(unit_idx % shards, shard, "byte on wrong shard");
                 }
@@ -1304,9 +1297,16 @@ mod tests {
         let trains = [(0, 10, 5), (5, 100, 3), (7, 100, 3)]
             .map(|(start, stride, count)| Train::new(start, 1, stride, count));
         let s = StridedSet::from_disjoint_trains(trains.to_vec());
-        let dense = IntervalSet::from_ranges(trains.iter().flat_map(Train::runs));
-        assert_eq!(s.to_intervals(), dense);
-        assert_eq!(s, StridedSet::from_intervals(&dense));
+        let mut want: Vec<ByteRange> = trains.iter().flat_map(Train::runs).collect();
+        want.sort_unstable();
+        assert_eq!(runs(&s), want);
+        // The greedy's cut of runs 0, 5, 7, 10, 20, 30, 40, 105, 107, 205,
+        // 207; two repeats of a pair save no train, so nothing folds.
+        assert_eq!(
+            s.trains(),
+            [(0, 5, 2), (7, 3, 2), (20, 10, 3), (105, 2, 2), (205, 2, 2)]
+                .map(|(start, stride, count)| Train::new(start, 1, stride, count))
+        );
     }
 
     #[test]
@@ -1329,15 +1329,25 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_examples() {
-        for ranges in [
-            vec![(0u64, 1u64)],
-            vec![(0, 5), (10, 15), (20, 25)],
-            vec![(0, 5), (10, 15), (20, 25), (30, 31)],
-            vec![(3, 9), (12, 13), (50, 90)],
-        ] {
-            let d = dense(&ranges);
-            assert_eq!(StridedSet::from_intervals(&d).to_intervals(), d);
-        }
+    fn from_ranges_merges_unsorted_touching_and_empty_ranges() {
+        // Unsorted, overlapping, touching and empty ranges.
+        let soup = ranges(&[
+            (20, 25),
+            (0, 5),
+            (3, 9),
+            (9, 12),
+            (30, 30),
+            (21, 22),
+            (50, 90),
+        ]);
+        let s = StridedSet::from_ranges(soup);
+        assert_eq!(runs(&s), ranges(&[(0, 12), (20, 25), (50, 90)]));
+        assert!(StridedSet::from_ranges(ranges(&[(4, 4)])).is_empty());
+        // Equal runs at a fixed stride compress, whatever order they came in.
+        let s = StridedSet::from_ranges(ranges(&[(20, 25), (10, 15), (0, 5), (30, 31)]));
+        assert_eq!(
+            s.trains(),
+            [Train::new(0, 5, 10, 3), Train::new(30, 1, 1, 1)]
+        );
     }
 }

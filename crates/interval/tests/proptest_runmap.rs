@@ -4,7 +4,7 @@
 //! runs each other owner loses) and cache coverage (`()` inserts and
 //! removals) — and keep every run maximal for its value.
 
-use atomio_interval::{ByteRange, IntervalSet, RunMap, StridedSet, Train};
+use atomio_interval::{ByteRange, RunMap, StridedSet, Train};
 use proptest::prelude::*;
 
 const UNIVERSE: u64 = 128;
@@ -19,6 +19,18 @@ fn arb_request() -> impl Strategy<Value = StridedSet> {
         StridedSet::from_train(Train::new(start, len, len + gap, count))
             .intersect(&StridedSet::from_range(ByteRange::new(0, UNIVERSE)))
     })
+}
+
+/// The maximal runs of ascending bytes.
+fn runs_of(bytes: impl Iterator<Item = u64>) -> Vec<ByteRange> {
+    let mut runs: Vec<ByteRange> = Vec::new();
+    for b in bytes {
+        match runs.last_mut() {
+            Some(r) if r.end == b => r.end = b + 1,
+            _ => runs.push(ByteRange::new(b, b + 1)),
+        }
+    }
+    runs
 }
 
 /// The maximal runs of equal values in a per-byte array.
@@ -67,13 +79,7 @@ fn check<V: Clone + PartialEq + std::fmt::Debug>(
         .collect();
     assert_eq!(meeting, want_meeting, "runs meeting {}", query);
     let holes = (query.start..query.end).filter(|&b| bytes[b as usize].is_none());
-    let want_gaps = IntervalSet::from_ranges(holes.map(|b| ByteRange::new(b, b + 1)));
-    assert_eq!(
-        map.gaps(query),
-        want_gaps.runs().to_vec(),
-        "gaps in {}",
-        query
-    );
+    assert_eq!(map.gaps(query), runs_of(holes), "gaps in {}", query);
 }
 
 proptest! {
@@ -114,14 +120,14 @@ proptest! {
         let mut bytes: Vec<Option<usize>> = vec![None; UNIVERSE as usize];
         for (owner, set) in &grants {
             let in_set = |b: u64| set.overlaps_range(&ByteRange::new(b, b + 1));
-            let hit = set.iter_runs().all(|r| map.holds(r, owner));
+            let hit = set.iter().all(|r| map.holds(r, owner));
             let want_hit = (0..UNIVERSE).filter(|&b| in_set(b)).all(|b| bytes[b as usize] == Some(*owner));
             prop_assert_eq!(hit, want_hit, "{} requests {}", owner, set);
             if hit {
                 continue;
             }
             for holder in (0..4).filter(|h| h != owner) {
-                let lost = set.iter_runs().flat_map(|r| {
+                let lost = set.iter().flat_map(|r| {
                     map.runs_meeting(r)
                         .filter(|&(_, &h)| h == holder)
                         .filter_map(move |(held, _)| held.intersect(&r))
@@ -130,10 +136,9 @@ proptest! {
                 });
                 let lost = StridedSet::from_sorted_extents(lost);
                 let want = (0..UNIVERSE).filter(|&b| in_set(b) && bytes[b as usize] == Some(holder));
-                let want = IntervalSet::from_ranges(want.map(|b| ByteRange::new(b, b + 1)));
-                prop_assert_eq!(lost, StridedSet::from_intervals(&want), "{} loses to {}", holder, owner);
+                prop_assert_eq!(lost.iter().collect::<Vec<_>>(), runs_of(want), "{} loses to {}", holder, owner);
             }
-            for r in set.iter_runs() {
+            for r in set.iter() {
                 map.insert(r, *owner);
                 for b in r.start..r.end {
                     bytes[b as usize] = Some(*owner);

@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use atomio_interval::{ByteRange, IntervalSet, RunMap};
+use atomio_interval::{ByteRange, RunMap};
 use atomio_vtime::MemCost;
 
 /// Client cache behaviour knobs.
@@ -79,8 +79,8 @@ impl CacheParams {
 /// Pure data structure: all *timing* (what a miss costs, when write-behind
 /// flushes) is charged by [`PosixFile`](crate::PosixFile), which also moves
 /// bytes between the cache and the simulated servers. Validity and
-/// dirtiness are tracked byte-accurately as absolute-file-offset interval
-/// sets, so partial-page writes never fabricate data.
+/// dirtiness are tracked byte-accurately as run maps over absolute file
+/// offsets, so partial-page writes never fabricate data.
 #[derive(Debug)]
 pub struct ClientCache {
     params: CacheParams,
@@ -92,8 +92,11 @@ pub struct ClientCache {
     /// instead of an O(len) mid-queue removal — which keeps each eviction
     /// pass linear in the pages it visits, not quadratic.
     fifo: VecDeque<u64>,
-    valid: IntervalSet,
-    dirty: IntervalSet,
+    /// The bytes whose cached contents are usable, and the subset of them
+    /// not yet written back: state grown write by write, so run maps whose
+    /// touching runs always join — a flush drains maximal runs.
+    valid: RunMap<()>,
+    dirty: RunMap<()>,
     /// Lock-driven coherence's token coverage: the bytes this client may
     /// cache, under the pages' own mutex. Grown by grants, shrunk by
     /// revocations, one run at a time; empty on close-to-open platforms.
@@ -110,8 +113,8 @@ impl ClientCache {
             params,
             pages: HashMap::new(),
             fifo: VecDeque::new(),
-            valid: IntervalSet::new(),
-            dirty: IntervalSet::new(),
+            valid: RunMap::default(),
+            dirty: RunMap::default(),
             coverage: RunMap::default(),
             #[cfg(test)]
             evict_scan_steps: 0,
@@ -123,13 +126,13 @@ impl ClientCache {
     }
 
     pub fn dirty_bytes(&self) -> u64 {
-        self.dirty.total_len()
+        bytes(&self.dirty)
     }
 
     /// Bytes whose cached contents are usable (byte-accurate, may be less
     /// than [`ClientCache::resident_bytes`] when pages are partially valid).
     pub fn valid_bytes(&self) -> u64 {
-        self.valid.total_len()
+        bytes(&self.valid)
     }
 
     /// Memory footprint of the cache at **page granularity**: every
@@ -148,16 +151,17 @@ impl ClientCache {
     pub fn write(&mut self, offset: u64, data: &[u8]) -> bool {
         self.copy_in(offset, data);
         let r = ByteRange::at(offset, data.len() as u64);
-        self.valid.insert(r);
-        self.dirty.insert(r);
+        self.valid.insert(r, ());
+        self.dirty.insert(r, ());
         // The written range is dirty, so eviction cannot touch it.
         self.evict_clean(None);
         self.dirty_bytes() > self.params.write_behind_limit
     }
 
-    /// The sub-ranges of `[offset, offset+len)` not present in cache.
-    pub fn missing(&self, offset: u64, len: u64) -> IntervalSet {
-        IntervalSet::from_range(ByteRange::at(offset, len)).subtract(&self.valid)
+    /// The sub-ranges of `[offset, offset+len)` not present in cache,
+    /// ascending.
+    pub fn missing(&self, offset: u64, len: u64) -> Vec<ByteRange> {
+        self.valid.gaps(ByteRange::at(offset, len))
     }
 
     /// Expand a missing range to page boundaries plus the read-ahead window
@@ -193,11 +197,10 @@ impl ClientCache {
     /// residency may transiently exceed the cap in between.
     pub(crate) fn fill_deferred(&mut self, offset: u64, data: &[u8]) {
         let installed = ByteRange::at(offset, data.len() as u64);
-        let incoming = IntervalSet::from_range(installed);
-        for r in incoming.subtract(&self.dirty).iter() {
+        for r in self.dirty.gaps(installed) {
             let rel = (r.start - offset) as usize;
             self.copy_in(r.start, &data[rel..rel + r.len() as usize]);
-            self.valid.insert(*r);
+            self.valid.insert(r, ());
         }
     }
 
@@ -215,7 +218,7 @@ impl ClientCache {
     pub fn read(&self, offset: u64, buf: &mut [u8]) {
         let want = ByteRange::at(offset, buf.len() as u64);
         assert!(
-            self.valid.contains_range(&want),
+            self.valid.holds(want, &()),
             "cache read of non-resident range {want}"
         );
         self.copy_out(offset, buf);
@@ -227,7 +230,7 @@ impl ClientCache {
         let dirty = std::mem::take(&mut self.dirty);
         dirty
             .iter()
-            .map(|r| {
+            .map(|(r, ())| {
                 let mut buf = vec![0u8; r.len() as usize];
                 self.copy_out(r.start, &mut buf);
                 (r.start, buf)
@@ -241,15 +244,18 @@ impl ClientCache {
     /// flush exactly a revoked byte set. The drained bytes become clean but
     /// stay valid/resident; dirty data outside `r` is untouched.
     pub fn take_dirty_runs_in(&mut self, r: ByteRange) -> Vec<(u64, Vec<u8>)> {
-        let want = IntervalSet::from_range(r).intersect(&self.dirty);
-        self.dirty = self.dirty.subtract(&want);
-        want.iter()
+        let runs: Vec<(u64, Vec<u8>)> = self
+            .dirty
+            .runs_meeting(r)
+            .filter_map(|(run, ())| run.intersect(&r))
             .map(|run| {
                 let mut buf = vec![0u8; run.len() as usize];
                 self.copy_out(run.start, &mut buf);
                 (run.start, buf)
             })
-            .collect()
+            .collect();
+        self.dirty.remove(r);
+        runs
     }
 
     /// Drop every clean page (close-to-open invalidation). Dirty data must
@@ -258,11 +264,11 @@ impl ClientCache {
         assert!(
             self.dirty.is_empty(),
             "invalidate with {} dirty bytes — flush first",
-            self.dirty.total_len()
+            self.dirty_bytes()
         );
         self.pages.clear();
         self.fifo.clear();
-        self.valid = IntervalSet::new();
+        self.valid = RunMap::default();
     }
 
     /// Byte-accurate invalidation: drop validity for exactly `r`, releasing
@@ -272,15 +278,18 @@ impl ClientCache {
     /// bytes invalidated — the coherence cost the stats layer charges.
     pub fn invalidate_range(&mut self, r: ByteRange) -> u64 {
         assert!(
-            !self.dirty.overlaps_range(&r),
+            !meets(&self.dirty, r),
             "invalidate_range({r}) overlaps dirty data — flush first"
         );
-        if r.is_empty() || !self.valid.overlaps_range(&r) {
-            return 0; // nothing resident there: no set algebra, no page sweep
+        let dropped: u64 = self
+            .valid
+            .runs_meeting(r)
+            .filter_map(|(run, ())| run.intersect(&r))
+            .map(|run| run.len())
+            .sum();
+        if dropped == 0 {
+            return 0; // nothing resident there: no page sweep
         }
-        let dropped = IntervalSet::from_range(r)
-            .intersect(&self.valid)
-            .total_len();
         self.valid.remove(r);
         // Release pages the range fully de-validated. Their queue entries
         // become tombstones, skipped lazily by `evict_clean`. Sweep the
@@ -291,7 +300,7 @@ impl ClientCache {
         let (first, last) = (r.start / ps, (r.end - 1) / ps);
         let valid = &self.valid;
         self.pages.retain(|&page, _| {
-            page < first || page > last || valid.overlaps_range(&ByteRange::at(page * ps, ps))
+            page < first || page > last || meets(valid, ByteRange::at(page * ps, ps))
         });
         self.compact_fifo_if_bloated();
         dropped
@@ -306,8 +315,8 @@ impl ClientCache {
     pub(crate) fn discard_all(&mut self) {
         self.pages.clear();
         self.fifo.clear();
-        self.valid = IntervalSet::new();
-        self.dirty = IntervalSet::new();
+        self.valid = RunMap::default();
+        self.dirty = RunMap::default();
         self.coverage = RunMap::default();
     }
 
@@ -390,7 +399,7 @@ impl ClientCache {
                 continue; // tombstone of an invalidated page
             }
             let range = ByteRange::at(page * ps, ps);
-            if self.dirty.overlaps_range(&range) || protect.is_some_and(|p| range.overlaps(&p)) {
+            if meets(&self.dirty, range) || protect.is_some_and(|p| range.overlaps(&p)) {
                 self.fifo.push_back(page); // unevictable: second chance
                 continue;
             }
@@ -415,6 +424,16 @@ impl ClientCache {
         }
         self.fifo = rebuilt;
     }
+}
+
+/// The bytes a byte-set run map holds.
+fn bytes(set: &RunMap<()>) -> u64 {
+    set.iter().map(|(run, ())| run.len()).sum()
+}
+
+/// Whether a byte-set run map holds any byte of `r`.
+fn meets(set: &RunMap<()>, r: ByteRange) -> bool {
+    set.runs_meeting(r).next().is_some()
 }
 
 #[cfg(test)]
@@ -443,7 +462,7 @@ mod tests {
         c.write(0, &[1u8; 10]);
         c.write(20, &[2u8; 10]);
         let miss = c.missing(0, 30);
-        assert_eq!(miss, IntervalSet::from_range(ByteRange::new(10, 20)));
+        assert_eq!(miss, vec![ByteRange::new(10, 20)]);
     }
 
     #[test]
@@ -489,7 +508,7 @@ mod tests {
         let _ = c.take_dirty_runs();
         c.invalidate();
         assert_eq!(c.valid_bytes(), 0);
-        assert_eq!(c.missing(0, 50).total_len(), 50);
+        assert_eq!(c.missing(0, 50), vec![ByteRange::new(0, 50)]);
     }
 
     #[test]
@@ -642,7 +661,7 @@ mod tests {
         assert_eq!(dropped, 2 * 1024 + 100);
         assert_eq!(c.pages.len(), 2, "fully-invalid pages released");
         assert!(c.missing(0, 1024).is_empty(), "first page stays warm");
-        assert_eq!(c.missing(1024, 2048).total_len(), 2048);
+        assert_eq!(c.missing(1024, 2048), vec![ByteRange::at(1024, 2048)]);
         // The partially-invalidated last page keeps its valid tail.
         assert!(c.missing(3072 + 100, 1024 - 100).is_empty());
         let mut buf = [0u8; 4];
@@ -712,7 +731,7 @@ mod tests {
         let dropped = c.discard_range(ByteRange::new(0, 100));
         assert_eq!(dropped, 100);
         assert_eq!(c.dirty_bytes(), 10, "other dirty data untouched");
-        assert_eq!(c.missing(0, 100).total_len(), 100);
+        assert_eq!(c.missing(0, 100), vec![ByteRange::at(0, 100)]);
     }
 
     #[test]

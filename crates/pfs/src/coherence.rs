@@ -40,7 +40,7 @@ use crate::lockclass;
 /// `ranges` to storage and drop cache validity for exactly those ranges.
 ///
 /// Both directions carry the lock manager's own compressed [`StridedSet`];
-/// walk its bytes by maximal run ([`StridedSet::iter_runs`]: the set is
+/// walk its bytes by maximal run ([`StridedSet::iter`]: the set is
 /// canonical, so every train's runs are maximal).
 ///
 /// Called by a lock manager *while another client's acquisition is being

@@ -147,16 +147,16 @@ impl PosixFile {
     ) -> Result<u64, FsError> {
         let len = buf.len() as u64;
         let missing = cache.missing(offset, len);
-        let hit = len - missing.total_len();
+        let missed: u64 = missing.iter().map(ByteRange::len).sum();
+        let hit = len - missed;
         self.stats.add(&self.stats.cache_hit_bytes, hit);
-        self.stats
-            .add(&self.stats.cache_miss_bytes, missing.total_len());
+        self.stats.add(&self.stats.cache_miss_bytes, missed);
         let (tracer, now) = (&self.tracer, self.clock.now());
         if hit > 0 {
             tracer.instant(Category::Cache, "cache hit", now, &[("bytes", hit)]);
         }
         if !missing.is_empty() {
-            let miss = [("bytes", missing.total_len())];
+            let miss = [("bytes", missed)];
             tracer.instant(Category::Cache, "cache miss", now, &miss);
             // Every miss's fetch window is one segment of one closed-loop
             // read, staged back to back in `data`. The window is clamped at

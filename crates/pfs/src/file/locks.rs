@@ -107,11 +107,11 @@ impl PosixFile {
                 ("token_hits", grant.token_hits),
                 ("excl", (mode == LockMode::Exclusive) as u64),
             ];
-            push_footprint(&mut args, set.iter_runs());
+            push_footprint(&mut args, set.iter());
             self.tracer
                 .span(Category::Lock, "lock wait", now, grant.granted_at, &args);
             release_args.push(("excl", (mode == LockMode::Exclusive) as u64));
-            push_footprint(&mut release_args, set.iter_runs());
+            push_footprint(&mut release_args, set.iter());
         }
         self.clock.advance_to(grant.granted_at);
         // The grant's token confers cache-validity rights over the set

@@ -55,7 +55,7 @@ impl RevocationHandler for CacheCoherence {
         let mut flushed = 0u64;
         let mut server_reqs = 0u64;
         let mut invalidated = 0u64;
-        for r in ranges.iter_runs() {
+        for r in ranges.iter() {
             // The revoked bytes are no longer ours to cache.
             cache.coverage.remove(r);
             // Flush the holder's write-behind data for the revoked range —
@@ -134,7 +134,7 @@ impl RevocationHandler for CacheCoherence {
                     ("flushed_bytes", flushed),
                     ("invalidated_bytes", invalidated),
                 ];
-                push_footprint(&mut args, ranges.iter_runs());
+                push_footprint(&mut args, ranges.iter());
                 self.tracer
                     .span(Category::Coherence, "revoke flush", now, now + cost, &args);
             }
@@ -163,7 +163,7 @@ impl RevocationHandler for CacheCoherence {
         // — a revocation arriving later always finds something to
         // subtract.
         let mut cache = self.cache.lock();
-        for r in ranges.iter_runs() {
+        for r in ranges.iter() {
             cache.coverage.insert(r, ());
         }
     }

@@ -379,7 +379,7 @@ impl LockManager {
         for (d, slice) in &slices {
             let domain = &mut st.domains[*d];
             let latest = |map: &RunMap<VNanos>| {
-                let runs = slice.iter_runs().flat_map(|r| map.runs_meeting(r));
+                let runs = slice.iter().flat_map(|r| map.runs_meeting(r));
                 runs.map(|(_, &t)| t).max().unwrap_or(0)
             };
             earliest = earliest.max(latest(&domain.excl_release));
@@ -387,14 +387,14 @@ impl LockManager {
                 earliest = earliest.max(latest(&domain.shared_release));
             }
             if self.tokens {
-                if slice.iter_runs().all(|r| domain.tokens.holds(r, &owner)) {
+                if slice.iter().all(|r| domain.tokens.holds(r, &owner)) {
                     token_hits += 1;
                     continue;
                 }
                 // Take the slice from every other holder's token, revoking
                 // once per (holder, domain); the rest of the holder's
                 // coverage (and cache) stays warm.
-                for r in slice.iter_runs() {
+                for r in slice.iter() {
                     for (held, &holder) in domain.tokens.runs_meeting(r) {
                         if holder == owner {
                             continue;
@@ -516,7 +516,7 @@ impl LockManager {
                 LockMode::Shared => &mut domain.shared_release,
             };
             // Each byte keeps its latest release, whatever the arrival order.
-            for r in slice.iter_runs() {
+            for r in slice.iter() {
                 released.update(r, |t| Some(t.map_or(now, |&t| t.max(now))));
             }
         }

@@ -3,9 +3,14 @@
 //! checked against a plain `HashMap<u64, u8>` mirror — guarding the
 //! byte-accurate range-invalidation API and the eviction fixes.
 //!
+//! Every drain, in either regime, must return the mirror's drained bytes
+//! as their maximal runs, ascending, no two touching: one flush request per
+//! run, so a split run would be an extra server request.
+//!
 //! Two regimes:
 //! * **unbounded residency** — the cache must agree with the mirror
-//!   *exactly*: same valid set, same contents, same dirty runs;
+//!   *exactly*: same valid set and byte counts, same contents, same dirty
+//!   runs;
 //! * **tight residency cap** — eviction may drop clean bytes, so the
 //!   valid set must be a *subset* of the mirror's, contents must match
 //!   wherever the cache claims validity, dirty data must never be lost,
@@ -14,7 +19,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use atomio_interval::{ByteRange, IntervalSet};
+use atomio_interval::ByteRange;
 use atomio_pfs::{CacheParams, ClientCache};
 use atomio_vtime::MemCost;
 use proptest::prelude::*;
@@ -93,14 +98,63 @@ impl Mirror {
     }
 }
 
-fn runs_to_map(runs: &[(u64, Vec<u8>)]) -> HashMap<u64, u8> {
-    let mut out = HashMap::new();
-    for (off, data) in runs {
-        for (i, &b) in data.iter().enumerate() {
-            out.insert(off + i as u64, b);
+/// The maximal runs of a set of bytes, ascending.
+fn runs_of(bytes: impl IntoIterator<Item = u64>) -> Vec<ByteRange> {
+    let mut sorted: Vec<u64> = bytes.into_iter().collect();
+    sorted.sort_unstable();
+    let mut runs: Vec<ByteRange> = Vec::new();
+    for b in sorted {
+        match runs.last_mut() {
+            Some(r) if r.end == b => r.end = b + 1,
+            _ => runs.push(ByteRange::new(b, b + 1)),
         }
     }
+    runs
+}
+
+/// The pieces of `within` that `missing` (ascending, inside it) leaves.
+fn present(missing: &[ByteRange], within: ByteRange) -> Vec<ByteRange> {
+    let mut out = Vec::new();
+    let mut cursor = within.start;
+    for m in missing {
+        if m.start > cursor {
+            out.push(ByteRange::new(cursor, m.start));
+        }
+        cursor = m.end;
+    }
+    if cursor < within.end {
+        out.push(ByteRange::new(cursor, within.end));
+    }
     out
+}
+
+/// A drain against the mirror's: the same bytes, as exactly the maximal
+/// runs of the drained bytes, ascending — the flush shape the server
+/// request count depends on.
+fn check_drain(runs: &[(u64, Vec<u8>)], want: HashMap<u64, u8>, what: &str) {
+    let shape: Vec<ByteRange> = runs
+        .iter()
+        .map(|(off, data)| ByteRange::at(*off, data.len() as u64))
+        .collect();
+    prop_assert!(
+        shape.windows(2).all(|w| w[0].end < w[1].start),
+        "{} returned runs out of order or touching: {:?}",
+        what,
+        shape
+    );
+    prop_assert_eq!(
+        &shape,
+        &runs_of(want.keys().copied()),
+        "{} flush shape",
+        what
+    );
+    let mut got = HashMap::new();
+    for (off, data) in runs {
+        for (i, &b) in data.iter().enumerate() {
+            got.insert(off + i as u64, b);
+        }
+    }
+    prop_assert_eq!(got, want, "{} diverged from model", what);
 }
 
 /// Check cache contents against the mirror for every byte the cache
@@ -108,10 +162,8 @@ fn runs_to_map(runs: &[(u64, Vec<u8>)]) -> HashMap<u64, u8> {
 /// sets to be identical (no-eviction regime).
 fn check_agreement(cache: &ClientCache, m: &Mirror, exact: bool) {
     let missing = cache.missing(0, FILE);
-    for run in IntervalSet::from_range(ByteRange::new(0, FILE))
-        .subtract(&missing)
-        .iter()
-    {
+    prop_assert!(missing.windows(2).all(|w| w[0].end < w[1].start));
+    for run in present(&missing, ByteRange::new(0, FILE)) {
         let mut buf = vec![0u8; run.len() as usize];
         cache.read(run.start, &mut buf);
         for (i, &got) in buf.iter().enumerate() {
@@ -124,13 +176,15 @@ fn check_agreement(cache: &ClientCache, m: &Mirror, exact: bool) {
         }
     }
     if exact {
-        for o in &m.valid {
-            prop_assert!(
-                !missing.contains(*o),
-                "model-valid byte {} missing from cache",
-                o
-            );
-        }
+        prop_assert_eq!(
+            missing,
+            present(&runs_of(m.valid.iter().copied()), ByteRange::new(0, FILE))
+        );
+        prop_assert_eq!(
+            cache.valid_bytes(),
+            m.valid.len() as u64,
+            "valid accounting diverged"
+        );
     }
 }
 
@@ -154,10 +208,7 @@ fn apply(cache: &mut ClientCache, m: &mut Mirror, op: &Op, exact: bool) {
         Op::Read { off, len } => {
             // Reads must agree wherever the cache claims residency.
             let miss = cache.missing(off, len);
-            for run in IntervalSet::from_range(ByteRange::at(off, len))
-                .subtract(&miss)
-                .iter()
-            {
+            for run in present(&miss, ByteRange::at(off, len)) {
                 let mut buf = vec![0u8; run.len() as usize];
                 cache.read(run.start, &mut buf);
                 for (i, &got) in buf.iter().enumerate() {
@@ -166,40 +217,45 @@ fn apply(cache: &mut ClientCache, m: &mut Mirror, op: &Op, exact: bool) {
             }
             if exact {
                 for o in off..off + len {
-                    prop_assert_eq!(miss.contains(o), !m.valid.contains(&o));
+                    let missed = miss.iter().any(|r| r.contains(o));
+                    prop_assert_eq!(missed, !m.valid.contains(&o));
                 }
             }
         }
         Op::TakeDirty => {
-            let got = runs_to_map(&cache.take_dirty_runs());
-            let want = m.drain_dirty(ByteRange::new(0, u64::MAX));
-            prop_assert_eq!(got, want, "take_dirty_runs diverged from model");
+            let runs = cache.take_dirty_runs();
+            check_drain(
+                &runs,
+                m.drain_dirty(ByteRange::new(0, u64::MAX)),
+                "take_dirty_runs",
+            );
         }
         Op::FlushRange { off, len } => {
             let r = ByteRange::at(off, len);
-            let got = runs_to_map(&cache.take_dirty_runs_in(r));
-            let want = m.drain_dirty(r);
-            prop_assert_eq!(got, want, "take_dirty_runs_in diverged from model");
+            let runs = cache.take_dirty_runs_in(r);
+            check_drain(&runs, m.drain_dirty(r), "take_dirty_runs_in");
         }
         Op::InvalidateRange { off, len } => {
             let r = ByteRange::at(off, len);
             // Protocol discipline (what a served revocation does): flush
             // the range first, then drop its validity.
-            let got = runs_to_map(&cache.take_dirty_runs_in(r));
-            let want = m.drain_dirty(r);
-            prop_assert_eq!(got, want);
+            let runs = cache.take_dirty_runs_in(r);
+            check_drain(&runs, m.drain_dirty(r), "take_dirty_runs_in");
             cache.invalidate_range(r);
             m.invalidate_range(r);
             prop_assert_eq!(
-                cache.missing(off, len).total_len(),
-                len,
+                cache.missing(off, len),
+                vec![r],
                 "invalidated range must be fully missing"
             );
         }
         Op::Invalidate => {
-            let got = runs_to_map(&cache.take_dirty_runs());
-            let want = m.drain_dirty(ByteRange::new(0, u64::MAX));
-            prop_assert_eq!(got, want);
+            let runs = cache.take_dirty_runs();
+            check_drain(
+                &runs,
+                m.drain_dirty(ByteRange::new(0, u64::MAX)),
+                "take_dirty_runs",
+            );
             cache.invalidate();
             m.valid.clear();
         }

@@ -1,4 +1,4 @@
-use atomio_interval::IntervalSet;
+use atomio_interval::StridedSet;
 
 use crate::layout::{positive, Partition, WorkloadError};
 
@@ -87,7 +87,7 @@ impl ColWise {
     }
 
     /// Every rank's view footprint, in rank order.
-    pub fn all_views(&self) -> Vec<IntervalSet> {
+    pub fn all_views(&self) -> Vec<StridedSet> {
         (0..self.p).map(|k| self.partition(k).footprint()).collect()
     }
 }
@@ -130,7 +130,7 @@ mod tests {
         let union = c
             .all_views()
             .into_iter()
-            .fold(IntervalSet::new(), |acc, v| acc.union(&v));
+            .fold(StridedSet::new(), |acc, v| acc.union(&v));
         assert_eq!(union.total_len(), c.file_bytes());
         assert_eq!(union.run_count(), 1);
     }

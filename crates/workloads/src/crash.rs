@@ -150,28 +150,48 @@ impl CrashRecovery {
     /// block must hold **some** complete round's stamp of its owner (a
     /// crash may roll a killed client's un-synced round back, never tear
     /// one). Returns the per-rank round each block survived at.
-    pub fn verify_snapshot(&self, snap: &[u8]) -> Result<Vec<u64>, (usize, ReadAnomaly)> {
+    ///
+    /// The image is read in place: `chunks(start, end)` yields the bytes of
+    /// `[start, end)` in order, in as many pieces as the image keeps them
+    /// (a snapshot's blocks, or one slice). Panics when the image ends
+    /// inside a block.
+    pub fn verify_snapshot<'a, C>(
+        &self,
+        chunks: impl Fn(u64, u64) -> C,
+    ) -> Result<Vec<u64>, (usize, ReadAnomaly)>
+    where
+        C: IntoIterator<Item = &'a [u8]>,
+    {
         let mut survived = Vec::with_capacity(self.rw.p);
         for rank in 0..self.rw.p {
             let range = self.rw.owner_range(rank);
-            let block = &snap[range.start as usize..range.end as usize];
-            let first = block[0];
-            if let Some(pos) = block.iter().position(|&b| b != first) {
-                return Err((
-                    rank,
-                    ReadAnomaly::Torn {
-                        first_differing: pos as u64,
-                        stamps: (first, block[pos]),
-                    },
-                ));
+            let (mut first, mut seen) = (None, 0u64);
+            for chunk in chunks(range.start, range.end) {
+                let Some(&lead) = chunk.first() else { continue };
+                let first = *first.get_or_insert(lead);
+                if let Some(pos) = chunk.iter().position(|&b| b != first) {
+                    return Err((
+                        rank,
+                        ReadAnomaly::Torn {
+                            first_differing: seen + pos as u64,
+                            stamps: (first, chunk[pos]),
+                        },
+                    ));
+                }
+                seen += chunk.len() as u64;
             }
-            match self.decode(first) {
+            assert_eq!(
+                seen,
+                range.len(),
+                "the image ends inside rank {rank}'s block"
+            );
+            match first.and_then(|stamp| self.decode(stamp)) {
                 Some((w, r)) if w == rank => survived.push(r),
                 _ => {
                     return Err((
                         rank,
                         ReadAnomaly::Corrupt {
-                            got: first,
+                            got: first.unwrap_or_default(),
                             expected: self.rw.stamp(rank, self.rw.rounds - 1),
                         },
                     ))
@@ -252,12 +272,39 @@ mod tests {
         // syncing later rounds): legal, reported as survived-at-0.
         let range = c.rw.owner_range(2);
         snap[range.start as usize..range.end as usize].fill(c.rw.stamp(2, 0));
-        assert_eq!(c.verify_snapshot(&snap).unwrap(), vec![2, 2, 0, 2]);
+        assert_eq!(c.verify_snapshot(slice(&snap)).unwrap(), vec![2, 2, 0, 2]);
         // But a torn block is never legal.
         snap[range.start as usize] = c.rw.stamp(2, 1);
         assert!(matches!(
-            c.verify_snapshot(&snap),
+            c.verify_snapshot(slice(&snap)),
             Err((2, ReadAnomaly::Torn { .. }))
         ));
+    }
+
+    /// A chunk source answered from one slice.
+    fn slice<'a>(image: &'a [u8]) -> impl Fn(u64, u64) -> [&'a [u8]; 1] + 'a {
+        move |start, end| [&image[start as usize..end as usize]]
+    }
+
+    #[test]
+    fn snapshot_checker_reads_a_block_in_pieces() {
+        let c = spec();
+        let mut snap = c.rw.expected_final();
+        let range = c.rw.owner_range(1);
+        let pieces = |start: u64, end: u64| snap[start as usize..end as usize].chunks(24);
+        assert_eq!(c.verify_snapshot(pieces).unwrap(), vec![2, 2, 2, 2]);
+        // The divergence is placed within the block, not within its piece.
+        snap[range.start as usize + 50] = c.rw.stamp(1, 0);
+        let pieces = |start: u64, end: u64| snap[start as usize..end as usize].chunks(24);
+        assert_eq!(
+            c.verify_snapshot(pieces),
+            Err((
+                1,
+                ReadAnomaly::Torn {
+                    first_differing: 50,
+                    stamps: (c.rw.stamp(1, 2), c.rw.stamp(1, 0)),
+                }
+            ))
+        );
     }
 }

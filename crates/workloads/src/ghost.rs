@@ -1,4 +1,4 @@
-use atomio_interval::IntervalSet;
+use atomio_interval::StridedSet;
 
 use crate::layout::{positive, Partition, WorkloadError};
 
@@ -91,7 +91,7 @@ impl BlockBlock {
             .expect("validated geometry")
     }
 
-    pub fn all_views(&self) -> Vec<IntervalSet> {
+    pub fn all_views(&self) -> Vec<StridedSet> {
         (0..self.nprocs())
             .map(|k| self.partition(k).footprint())
             .collect()
@@ -142,7 +142,7 @@ mod tests {
         let union = b
             .all_views()
             .into_iter()
-            .fold(IntervalSet::new(), |acc, v| acc.union(&v));
+            .fold(StridedSet::new(), |acc, v| acc.union(&v));
         assert_eq!(union.total_len(), b.file_bytes());
     }
 
@@ -152,7 +152,7 @@ mod tests {
         let union = b
             .all_views()
             .into_iter()
-            .fold(IntervalSet::new(), |acc, v| acc.union(&v));
+            .fold(StridedSet::new(), |acc, v| acc.union(&v));
         assert_eq!(union.total_len(), b.file_bytes());
     }
 

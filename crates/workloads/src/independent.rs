@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use atomio_dtype::{Datatype, FileView};
-use atomio_interval::IntervalSet;
+use atomio_interval::StridedSet;
 
 use crate::layout::WorkloadError;
 
@@ -116,12 +116,12 @@ impl IndependentStrided {
     }
 
     /// The set of file bytes `rank` writes.
-    pub fn footprint(&self, rank: usize) -> IntervalSet {
-        self.view(rank).footprint(self.data_bytes())
+    pub fn footprint(&self, rank: usize) -> StridedSet {
+        self.view(rank).strided_footprint(self.data_bytes())
     }
 
     /// Every rank's footprint, in rank order.
-    pub fn all_views(&self) -> Vec<IntervalSet> {
+    pub fn all_views(&self) -> Vec<StridedSet> {
         (0..self.p).map(|r| self.footprint(r)).collect()
     }
 
@@ -201,7 +201,7 @@ mod tests {
             }
         }
         // Slots pack the period exactly: the union is one contiguous block.
-        let union = views.iter().fold(IntervalSet::new(), |acc, v| acc.union(v));
+        let union = views.iter().fold(StridedSet::new(), |acc, v| acc.union(v));
         assert_eq!(union.run_count(), 1);
         assert_eq!(union.total_len(), 4 * 8 * 16);
         // Every rank's bounding span covers (virtually) the whole file —

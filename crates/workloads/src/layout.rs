@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use atomio_dtype::{ArrayOrder, Datatype, DatatypeError, FileView, ViewError};
-use atomio_interval::IntervalSet;
+use atomio_interval::StridedSet;
 
 /// Errors from workload construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,8 +120,8 @@ impl Partition {
     }
 
     /// The set of file bytes this rank's view covers.
-    pub fn footprint(&self) -> IntervalSet {
-        self.view.footprint(self.data_bytes())
+    pub fn footprint(&self) -> StridedSet {
+        self.view.strided_footprint(self.data_bytes())
     }
 
     /// Build this rank's write buffer such that the byte destined for file

@@ -1,4 +1,4 @@
-use atomio_interval::IntervalSet;
+use atomio_interval::StridedSet;
 
 use crate::layout::{positive, Partition, WorkloadError};
 
@@ -79,7 +79,7 @@ impl RowWise {
         .expect("validated geometry")
     }
 
-    pub fn all_views(&self) -> Vec<IntervalSet> {
+    pub fn all_views(&self) -> Vec<StridedSet> {
         (0..self.p).map(|k| self.partition(k).footprint()).collect()
     }
 }
@@ -133,7 +133,7 @@ mod tests {
         let union = w
             .all_views()
             .into_iter()
-            .fold(IntervalSet::new(), |acc, v| acc.union(&v));
+            .fold(StridedSet::new(), |acc, v| acc.union(&v));
         assert_eq!(union.total_len(), w.file_bytes());
     }
 

@@ -1,4 +1,4 @@
-use atomio_interval::{ByteRange, IntervalSet};
+use atomio_interval::{ByteRange, StridedSet};
 
 use crate::layout::WorkloadError;
 
@@ -132,9 +132,9 @@ impl ReaderWriter {
 
     /// Every rank's owned footprint, in rank order (for the atomicity
     /// checker).
-    pub fn all_views(&self) -> Vec<IntervalSet> {
+    pub fn all_views(&self) -> Vec<StridedSet> {
         (0..self.p)
-            .map(|r| IntervalSet::from_range(self.owner_range(r)))
+            .map(|r| StridedSet::from_range(self.owner_range(r)))
             .collect()
     }
 
@@ -166,7 +166,7 @@ mod tests {
         let union = w
             .all_views()
             .iter()
-            .fold(IntervalSet::new(), |acc, v| acc.union(v));
+            .fold(StridedSet::new(), |acc, v| acc.union(v));
         assert_eq!(union.run_count(), 1);
         assert_eq!(union.total_len(), 4096);
     }

@@ -19,7 +19,7 @@ pub mod prelude {
         SieveConfig, Strategy, WriteReport,
     };
     pub use atomio_dtype::{ArrayOrder, Datatype, FileView};
-    pub use atomio_interval::{ByteRange, IntervalSet, StridedSet, Train};
+    pub use atomio_interval::{ByteRange, StridedSet, Train};
     pub use atomio_msg::{run, Comm, NetCost};
     pub use atomio_pfs::{
         CacheParams, CoherenceMode, FaultAction, FaultPlan, FaultSite, FaultSnapshot, FileSystem,

@@ -153,8 +153,8 @@ fn non_posix_platform_interleaves_within_a_call() {
         });
         let snap = fs.snapshot(&name).unwrap();
         let views = vec![
-            IntervalSet::from_range(ByteRange::at(0, len as u64)),
-            IntervalSet::from_range(ByteRange::at(0, len as u64)),
+            StridedSet::from_range(ByteRange::at(0, len as u64)),
+            StridedSet::from_range(ByteRange::at(0, len as u64)),
         ];
         let rep = verify::check_mpi_atomicity(&snap, &views, &pattern::rank_stamps(2));
         if rep.outcome() == verify::Outcome::Interleaved {
@@ -545,11 +545,11 @@ fn two_phase_collective_read_returns_written_data() {
             .iter()
             .enumerate()
             .filter(|(r, _)| *r > comm.rank())
-            .fold(IntervalSet::new(), |acc, (_, v)| acc.union(v));
+            .fold(StridedSet::new(), |acc, (_, v)| acc.union(v));
         let mut clean = true;
         for seg in part.view.segments(0, buf.len() as u64) {
             for i in 0..seg.len {
-                if !winner.contains(seg.file_off + i) {
+                if !winner.overlaps_range(&ByteRange::at(seg.file_off + i, 1)) {
                     clean &=
                         back[(seg.logical_off + i) as usize] == buf[(seg.logical_off + i) as usize];
                 }

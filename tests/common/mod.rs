@@ -43,3 +43,18 @@ pub(crate) fn bandwidth(reports: &[WriteReport]) -> f64 {
     let bytes: u64 = reports.iter().map(|r| r.bytes_written).sum();
     bandwidth_mibps(bytes, end - start)
 }
+
+/// The maximal runs of a soup of ranges, ascending: a sorted merge walk
+/// written out here, the reference a `StridedSet` is compared against.
+pub(crate) fn merged_runs(ranges: impl IntoIterator<Item = ByteRange>) -> Vec<ByteRange> {
+    let mut sorted: Vec<ByteRange> = ranges.into_iter().filter(|r| !r.is_empty()).collect();
+    sorted.sort_unstable_by_key(|r| r.start);
+    let mut runs: Vec<ByteRange> = Vec::new();
+    for r in sorted {
+        match runs.last_mut() {
+            Some(run) if r.start <= run.end => run.end = run.end.max(r.end),
+            _ => runs.push(r),
+        }
+    }
+    runs
+}

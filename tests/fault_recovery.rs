@@ -256,7 +256,7 @@ fn collective_writes_fail_typed_on_exactly_the_ranks_of_a_dead_server() {
                 Strategy::RankOrdering => {
                     let higher = views[rank + 1..]
                         .iter()
-                        .fold(IntervalSet::new(), |acc, v| acc.union(v));
+                        .fold(StridedSet::new(), |acc, v| acc.union(v));
                     views[rank].subtract(&higher)
                 }
                 _ => views[rank].clone(),

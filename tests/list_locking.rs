@@ -116,14 +116,17 @@ fn disjoint_interleaved_writers_admit_full_parallelism() {
 const FILE_SPAN: u64 = 4096;
 const P: usize = 3;
 
-/// Random canonical interval set within the file span, never empty.
-fn arb_footprint() -> impl PropStrategy<Value = IntervalSet> {
+/// Random footprint within the file span, never empty.
+fn arb_footprint() -> impl PropStrategy<Value = StridedSet> {
     prop::collection::vec((0u64..FILE_SPAN - 64, 1u64..128), 1..8).prop_map(|runs| {
-        IntervalSet::from_extents(runs.into_iter().map(|(o, l)| (o, l.min(FILE_SPAN - o))))
+        StridedSet::from_ranges(
+            runs.into_iter()
+                .map(|(o, l)| ByteRange::at(o, l.min(FILE_SPAN - o))),
+        )
     })
 }
 
-fn filetype_of(fp: &IntervalSet) -> Arc<Datatype> {
+fn filetype_of(fp: &StridedSet) -> Arc<Datatype> {
     let blocks: Vec<(u64, i64)> = fp.iter().map(|r| (r.len(), r.start as i64)).collect();
     Datatype::hindexed(blocks, Datatype::byte()).expect("non-empty")
 }
@@ -131,7 +134,7 @@ fn filetype_of(fp: &IntervalSet) -> Arc<Datatype> {
 /// Run a concurrent atomic write of `footprints` and return the final
 /// file bytes (padded to the full span for stable comparison).
 fn final_bytes(
-    footprints: &[IntervalSet],
+    footprints: &[StridedSet],
     profile: PlatformProfile,
     atomicity: Atomicity,
     sieve: Option<SieveConfig>,

@@ -78,8 +78,8 @@ fn independent_locked_writes_are_atomic() {
     });
     let snap = fs.snapshot("ind2").unwrap();
     let views = vec![
-        IntervalSet::from_range(ByteRange::at(0, 64 * 1024)),
-        IntervalSet::from_range(ByteRange::at(0, 64 * 1024)),
+        StridedSet::from_range(ByteRange::at(0, 64 * 1024)),
+        StridedSet::from_range(ByteRange::at(0, 64 * 1024)),
     ];
     let rep = verify::check_mpi_atomicity(&snap, &views, &pattern::rank_stamps(2));
     assert!(rep.is_atomic(), "{rep:?}");

@@ -3,6 +3,8 @@
 //! must yield a serializable result, rank ordering must partition exactly,
 //! and the checker itself must agree with a brute-force serial oracle.
 
+mod common;
+
 use atomio::core::{greedy_color, held_bytes, split_request, OverlapMatrix};
 use atomio::prelude::*;
 use proptest::prelude::{prop, ProptestConfig};
@@ -21,27 +23,32 @@ const STRIPE_ROW: u64 = 4 * FILE_SPAN;
 /// the extent, so at least a domain for two aggregators or more, and up to
 /// twelve pipelined rounds of one row each, more than any depth drawn here
 /// keeps in flight. `extra == 0` leaves the case unskewed.
-fn skew_footprints(fps: &mut [IntervalSet], (holder, at, extra): (usize, u64, u64)) {
+fn skew_footprints(fps: &mut [StridedSet], (holder, at, extra): (usize, u64, u64)) {
     if extra > 0 {
-        fps[holder].insert(ByteRange::at(at * STRIPE_ROW, (at + extra) * STRIPE_ROW));
+        let block =
+            StridedSet::from_range(ByteRange::at(at * STRIPE_ROW, (at + extra) * STRIPE_ROW));
+        fps[holder] = fps[holder].union(&block);
     }
 }
 
-/// Random canonical interval set within the file span, never empty.
-fn arb_footprint() -> impl PropStrategy<Value = IntervalSet> {
+/// Random footprint within the file span, never empty.
+fn arb_footprint() -> impl PropStrategy<Value = StridedSet> {
     prop::collection::vec((0u64..FILE_SPAN - 64, 1u64..128), 1..8).prop_map(|runs| {
-        IntervalSet::from_extents(runs.into_iter().map(|(o, l)| (o, l.min(FILE_SPAN - o))))
+        StridedSet::from_ranges(
+            runs.into_iter()
+                .map(|(o, l)| ByteRange::at(o, l.min(FILE_SPAN - o))),
+        )
     })
 }
 
-fn filetype_of(fp: &IntervalSet) -> Arc<Datatype> {
+fn filetype_of(fp: &StridedSet) -> Arc<Datatype> {
     let blocks: Vec<(u64, i64)> = fp.iter().map(|r| (r.len(), r.start as i64)).collect();
     Datatype::hindexed(blocks, Datatype::byte()).expect("non-empty")
 }
 
 /// Run a concurrent write of `footprints` under `atomicity`; return the
 /// checker report.
-fn run_and_check(footprints: &[IntervalSet], atomicity: Atomicity) -> verify::AtomicityReport {
+fn run_and_check(footprints: &[StridedSet], atomicity: Atomicity) -> verify::AtomicityReport {
     let profile = PlatformProfile::fast_test();
     let fs = FileSystem::new(profile.clone());
     let fs2 = fs.clone();
@@ -164,7 +171,7 @@ proptest! {
             }
         }
         // ...then corrupt one overlapped byte with garbage from neither.
-        let victim = overlap.runs()[0].start;
+        let victim = overlap.span().expect("overlapping footprints").start;
         file[victim as usize] = 0xFF;
         let rep = verify::check_mpi_atomicity(
             &file,
@@ -177,7 +184,7 @@ proptest! {
 
 /// Like `run_and_check`, but with an explicit two-phase configuration.
 fn run_two_phase_and_check(
-    footprints: &[IntervalSet],
+    footprints: &[StridedSet],
     cfg: TwoPhaseConfig,
 ) -> verify::AtomicityReport {
     let profile = PlatformProfile::fast_test();
@@ -212,7 +219,7 @@ fn run_two_phase_and_check(
 
 /// Run a two-phase collective write of `footprints` under `cfg` and
 /// return the resulting file image.
-fn run_two_phase_snapshot(footprints: &[IntervalSet], cfg: TwoPhaseConfig) -> Vec<u8> {
+fn run_two_phase_snapshot(footprints: &[StridedSet], cfg: TwoPhaseConfig) -> Vec<u8> {
     let profile = PlatformProfile::fast_test();
     let fs = FileSystem::new(profile.clone());
     let fs2 = fs.clone();
@@ -244,7 +251,7 @@ fn run_two_phase_snapshot(footprints: &[IntervalSet], cfg: TwoPhaseConfig) -> Ve
 
 /// Run `two_phase_write` itself on `footprints` under `cfg` and return
 /// every rank's report.
-fn run_two_phase_reports(footprints: &[IntervalSet], cfg: TwoPhaseConfig) -> Vec<TwoPhaseReport> {
+fn run_two_phase_reports(footprints: &[StridedSet], cfg: TwoPhaseConfig) -> Vec<TwoPhaseReport> {
     let fs = FileSystem::new(PlatformProfile::fast_test());
     run(footprints.len(), fs.profile().net.clone(), |comm| {
         let file = fs.open(comm.rank(), comm.clock().clone(), "reports");
@@ -352,8 +359,11 @@ proptest! {
     ) {
         let mut fps = fps;
         skew_footprints(&mut fps, skew);
-        let union = IntervalSet::from_ranges(fps.iter().flat_map(|f| f.iter().copied())).total_len();
-        let asked: u64 = fps.iter().map(IntervalSet::total_len).sum();
+        let union: u64 = common::merged_runs(fps.iter().flat_map(StridedSet::iter))
+            .iter()
+            .map(ByteRange::len)
+            .sum();
+        let asked: u64 = fps.iter().map(StridedSet::total_len).sum();
         for schedule in [
             ExchangeSchedule::Flat,
             ExchangeSchedule::Pipelined { round_stripes, depth },
@@ -422,9 +432,8 @@ fn check_color_order(
         report
     });
 
-    let views: Vec<IntervalSet> = parts.iter().map(Partition::footprint).collect();
-    let strided: Vec<StridedSet> = views.iter().map(StridedSet::from_intervals).collect();
-    let colors = greedy_color(&OverlapMatrix::from_strided(&strided));
+    let views: Vec<StridedSet> = parts.iter().map(Partition::footprint).collect();
+    let colors = greedy_color(&OverlapMatrix::from_strided(&views));
     let mut order: Vec<usize> = (0..parts.len()).collect();
     order.sort_by_key(|&r| colors[r]);
     let mut expected = vec![0u8; (ROWS * COLS) as usize];
@@ -441,7 +450,7 @@ fn check_color_order(
         ));
     }
 
-    let held = held_bytes(&strided, &colors, profile);
+    let held = held_bytes(&views, &colors, profile);
     for (r, (part, report)) in parts.iter().zip(&reports).enumerate() {
         if (report.color, report.bytes_written) != (colors[r], part.data_bytes()) {
             return Err(format!("rank {r}: {report:?}"));
@@ -465,7 +474,7 @@ fn check_color_order(
                 return Err(format!("rank {r}: {seg:?} is covered up to {at}"));
             }
         }
-        let free = IntervalSet::from_extents(free.iter().map(|p| (p.file_off, p.len)));
+        let free = StridedSet::from_ranges(free.iter().map(|p| ByteRange::at(p.file_off, p.len)));
         if let Some(o) = (0..parts.len()).find(|&o| o != r && free.overlaps(&views[o])) {
             return Err(format!("rank {r}: a free piece touches rank {o}'s request"));
         }
@@ -473,7 +482,7 @@ fn check_color_order(
     Ok(held.total_len()
         < views
             .iter()
-            .fold(IntervalSet::new(), |u, v| u.union(v))
+            .fold(StridedSet::new(), |u, v| u.union(v))
             .total_len())
 }
 

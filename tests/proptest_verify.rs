@@ -26,18 +26,20 @@ fn near_edge() -> impl PropStrategy<Value = u64> {
 
 /// Runs of up to 9 000 bytes that start near an edge: most cross it, and
 /// some span several of the checker's compare buffers.
-fn arb_footprint() -> impl PropStrategy<Value = IntervalSet> {
-    prop::collection::vec((near_edge(), 1u64..9000), 1..5).prop_map(IntervalSet::from_extents)
+fn arb_footprint() -> impl PropStrategy<Value = StridedSet> {
+    prop::collection::vec((near_edge(), 1u64..9000), 1..5).prop_map(|runs| {
+        StridedSet::from_ranges(runs.into_iter().map(|(o, l)| ByteRange::at(o, l)))
+    })
 }
 
 /// The checker's report over `image`, rendered for comparison.
-fn report<I: verify::FileImage + ?Sized>(image: &I, fps: &[IntervalSet]) -> String {
+fn report<I: verify::FileImage + ?Sized>(image: &I, fps: &[StridedSet]) -> String {
     let patterns: Vec<_> = (0..fps.len()).map(pattern).collect();
     format!("{:?}", verify::check_mpi_atomicity(image, fps, &patterns))
 }
 
 /// Write rank `r`'s bytes over all of `fp`.
-fn write_rank(s: &Storage, fp: &IntervalSet, r: usize) {
+fn write_rank(s: &Storage, fp: &StridedSet, r: usize) {
     let pat = pattern(r);
     for run in fp.iter() {
         let data: Vec<u8> = (run.start..run.end).map(&pat).collect();
@@ -75,10 +77,14 @@ fn an_interleaving_across_a_block_edge_is_found() {
     // Both ranks cover [BLOCK - 100, BLOCK + 100). Each block's half holds
     // one rank's bytes, so each chunk alone matches a writer; the region
     // as a whole matches none.
-    let fps = vec![IntervalSet::from_extents([(BLOCK - 100, 200)]); 2];
+    let fps = vec![StridedSet::from_range(ByteRange::at(BLOCK - 100, 200)); 2];
     let s = Storage::new();
-    write_rank(&s, &IntervalSet::from_extents([(BLOCK - 100, 100)]), 0);
-    write_rank(&s, &IntervalSet::from_extents([(BLOCK, 100)]), 1);
+    write_rank(
+        &s,
+        &StridedSet::from_range(ByteRange::at(BLOCK - 100, 100)),
+        0,
+    );
+    write_rank(&s, &StridedSet::from_range(ByteRange::at(BLOCK, 100)), 1);
     let patterns: Vec<_> = (0..2).map(pattern).collect();
     let snap = s.snapshot();
     let rep = verify::check_mpi_atomicity(&snap, &fps, &patterns);

@@ -59,7 +59,7 @@ fn sieving_matrix_workloads_by_platforms() {
 
     for profile in paper_platforms() {
         let lockful = profile.supports_locking();
-        let workloads: Vec<(&str, Vec<Partition>, Vec<IntervalSet>)> = vec![
+        let workloads: Vec<(&str, Vec<Partition>, Vec<StridedSet>)> = vec![
             (
                 "colwise",
                 (0..colwise.p).map(|r| colwise.partition(r)).collect(),

@@ -17,8 +17,8 @@ fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// Every `.rs` file in the repository outside `target/` and dot dirs.
-fn repo_rust_files() -> Vec<PathBuf> {
+/// Every file in the repository outside `target/` and dot dirs.
+fn repo_files() -> Vec<PathBuf> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         for entry in std::fs::read_dir(dir).expect("repo tree readable") {
             let path = entry.expect("repo entry readable").path();
@@ -27,13 +27,20 @@ fn repo_rust_files() -> Vec<PathBuf> {
                 if name != "target" && !name.starts_with('.') {
                     walk(&path, out);
                 }
-            } else if name.ends_with(".rs") {
+            } else {
                 out.push(path);
             }
         }
     }
     let mut files = Vec::new();
     walk(repo_root(), &mut files);
+    files
+}
+
+/// Every `.rs` file in the repository outside `target/` and dot dirs.
+fn repo_rust_files() -> Vec<PathBuf> {
+    let mut files = repo_files();
+    files.retain(|path| path.extension().is_some_and(|ext| ext == "rs"));
     files
 }
 
@@ -438,6 +445,74 @@ fn collective_rule_bites_on_planted_sources() {
     );
     let with_msg = format!("{manifest}atomio-msg = {{ path = \"../msg\" }}\n");
     assert_eq!(collective_rule_violations(&[], &with_msg).len(), 1);
+}
+
+/// The frozen benchmark's name for a footprint, spelled in two halves so
+/// that this file does not say it.
+const ALIAS: &str = concat!("Interval", "Set");
+
+/// The one line outside `benchmark/` that may say [`ALIAS`], and its file.
+const ALIAS_HOME: (&str, &str) = (
+    "crates/interval/src/lib.rs",
+    concat!("pub type ", "Interval", "Set = StridedSet;"),
+);
+
+/// Every `file:line` under `crates/`, `src/`, `tests/` or `examples/` that
+/// says [`ALIAS`], except the alias itself and the comments of its file.
+fn alias_spellings(files: &[(String, String)]) -> Vec<String> {
+    let scoped = |rel: &str| {
+        let top = rel.split('/').next().unwrap_or_default();
+        ["crates", "src", "tests", "examples"].contains(&top)
+    };
+    let mut found = Vec::new();
+    for (rel, text) in files.iter().filter(|(rel, _)| scoped(rel)) {
+        for (i, line) in text.lines().enumerate() {
+            let line = line.trim();
+            let home = rel == ALIAS_HOME.0 && (line == ALIAS_HOME.1 || line.starts_with("//"));
+            if line.contains(ALIAS) && !home {
+                found.push(format!("{rel}:{}", i + 1));
+            }
+        }
+    }
+    found
+}
+
+/// One byte-set type per role: a footprint or message is a `StridedSet`,
+/// growing state is a `RunMap`. The old dense type's name survives only as
+/// the alias that the frozen `benchmark/` package spells; no library code,
+/// test or example may use it.
+#[test]
+fn the_benchmark_alias_is_spelled_only_where_it_is_defined() {
+    let files: Vec<(String, String)> = repo_files()
+        .iter()
+        .map(|path| {
+            let bytes = std::fs::read(path).expect("file readable");
+            (rel(path), String::from_utf8_lossy(&bytes).into_owned())
+        })
+        .collect();
+    assert!(
+        files
+            .iter()
+            .any(|(rel, text)| rel == ALIAS_HOME.0 && text.contains(ALIAS_HOME.1)),
+        "{} lost the alias",
+        ALIAS_HOME.0
+    );
+    let found = alias_spellings(&files);
+    assert!(
+        found.is_empty(),
+        "{ALIAS} spelled outside its alias: {found:?}"
+    );
+    // The rule bites: a use anywhere in scope, a code line beside the
+    // alias, and not `benchmark/`.
+    let planted = |rel: &str, text: &str| vec![(rel.to_string(), text.to_string())];
+    let code = format!("let views: Vec<{ALIAS}> = all_views();");
+    assert_eq!(
+        alias_spellings(&planted("tests/x.rs", &format!("\n{code}"))),
+        ["tests/x.rs:2"]
+    );
+    assert_eq!(alias_spellings(&planted(ALIAS_HOME.0, &code)).len(), 1);
+    assert_eq!(alias_spellings(&planted("examples/x.md", &code)).len(), 1);
+    assert!(alias_spellings(&planted("benchmark/src/probes.rs", &code)).is_empty());
 }
 
 /// `MpiFile` takes every byte-range lock in one helper, so a collective
