@@ -20,7 +20,7 @@ use crate::{counters, makespan, object, ratio, Artifact, Scale, Value};
 use atomio_core::verify::check_mpi_atomicity;
 use atomio_core::{Atomicity, LockGranularity, MpiFile, OpenMode, SieveConfig, Strategy};
 use atomio_msg::run;
-use atomio_pfs::{FileSystem, LockMode, PlatformProfile};
+use atomio_pfs::{FileSystem, IoPath, LockMode, PlatformProfile};
 use atomio_vtime::VNanos;
 use atomio_workloads::{pattern, ColWise};
 
@@ -54,7 +54,7 @@ fn run_per_run_locking(spec: ColWise, name: &str) -> Totals {
                 )
                 .expect("fast_test supports locking");
             let data = &buf[seg.logical_off as usize..][..seg.len as usize];
-            posix.try_pwrite_direct(seg.file_off, data).unwrap();
+            posix.write(IoPath::Direct, [(seg.file_off, data)]).unwrap();
             guard.release();
         }
         (start, comm.clock().now(), posix.stats().snapshot())

@@ -403,7 +403,7 @@ pub fn two_phase_read(
 mod tests {
     use super::*;
     use atomio_msg::run;
-    use atomio_pfs::{FileSystem, PlatformProfile};
+    use atomio_pfs::{FileSystem, IoPath, PlatformProfile};
 
     /// Two ranks, overlapping contiguous views: [0, 150) and [100, 250).
     fn overlap_segments(rank: usize) -> Vec<ViewSegment> {
@@ -568,7 +568,7 @@ mod tests {
         );
         let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
         let seed = fs.open(0, Clock::new(), "rd");
-        seed.try_pwrite_direct(4096, &[7u8; 512]).unwrap();
+        seed.write(IoPath::Direct, [(4096, &[7u8; 512])]).unwrap();
         let cfg = TwoPhaseConfig {
             aggregators: Some(1),
             ..TwoPhaseConfig::default()
@@ -792,7 +792,7 @@ mod tests {
         {
             let f = fs.open(0, atomio_vtime::Clock::new(), "scatter");
             let data: Vec<u8> = (0..300u64).map(|o| (o % 251) as u8).collect();
-            f.try_pwrite_direct(0, &data).unwrap();
+            f.write(IoPath::Direct, [(0, &data)]).unwrap();
         }
         let out = run(2, fs.profile().net.clone(), |comm| {
             let file = fs.open(comm.rank(), comm.clock().clone(), "scatter");

@@ -6,7 +6,7 @@ use atomio_collective::{
 use atomio_dtype::{Datatype, FileView, ViewSegment};
 use atomio_interval::{ByteRange, StridedSet};
 use atomio_msg::Comm;
-use atomio_pfs::{carve, FileSystem, LockGuard, LockMode, PosixFile};
+use atomio_pfs::{carve, FileSystem, IoPath, LockGuard, LockMode, PosixFile};
 use atomio_trace::Category;
 use atomio_vtime::VNanos;
 
@@ -199,30 +199,6 @@ pub enum Atomicity {
     NonAtomic,
     /// Atomic mode, implemented by the given strategy.
     Atomic(Strategy),
-}
-
-/// Whether data I/O goes through the client cache or directly to servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoPath {
-    /// Bypass the client cache, like ROMIO's locked atomic-mode I/O.
-    Direct,
-    /// Use the client page cache. On close-to-open platforms the
-    /// handshaking strategies then issue the `sync`-after-write /
-    /// `invalidate`-before-read calls §3 requires. On a platform with
-    /// lock-driven coherence
-    /// ([`CoherenceMode::LockDriven`](atomio_pfs::CoherenceMode)) the
-    /// token protocol itself keeps the cache coherent: the locking
-    /// strategies ([`Strategy::FileLocking`], [`Strategy::DataSieving`])
-    /// run their atomic I/O *through* the cache — writes may stay
-    /// write-behind past the lock release (a conflicting acquisition
-    /// revokes the token and flushes them), re-reads are served from warm
-    /// pages, and no blanket invalidation ever happens. The trade-off:
-    /// cross-client visibility of those locked writes requires the reader
-    /// to lock (or the writer to [`MpiFile::sync`]) — a non-locking
-    /// accessor reads the servers and can miss still-buffered data even
-    /// after a barrier, exactly the GPFS contract; see
-    /// `write_segments_locked` for the full statement.
-    Cached,
 }
 
 /// File open mode.
@@ -565,7 +541,9 @@ impl<'c> MpiFile<'c> {
 
         match strategy {
             None if collective => self.write_phase(Some((&segments, buf, offset)), true)?,
-            None => self.write_segments(&segments, buf, offset)?,
+            None => self
+                .posix
+                .write(self.io_path, seg_slices(&segments, buf, offset))?,
             Some(Strategy::FileLocking(granularity)) => {
                 let lockset = granular(self.view.strided_file_ranges(offset, len), granularity);
                 report.lock_footprint = (!lockset.is_empty()).then(|| LockFootprint {
@@ -574,7 +552,10 @@ impl<'c> MpiFile<'c> {
                 });
                 let written = self
                     .lock(&lockset, LockMode::Exclusive, collective, Ok(()))
-                    .and_then(|_guard| self.write_segments_locked(&segments, buf, offset));
+                    .and_then(|_guard| {
+                        let slices = seg_slices(&segments, buf, offset);
+                        Ok(self.posix.write(self.locked_path(), slices)?)
+                    });
                 self.closing(collective, written)?;
             }
             Some(Strategy::ListIo) => {
@@ -810,16 +791,18 @@ impl<'c> MpiFile<'c> {
         } else {
             None
         };
-        // Lock-driven coherence: the granted token covers every window, so
-        // the RMW runs through the client cache. Otherwise, like all
-        // close-to-open locked I/O, sieving goes straight to the servers —
-        // the RMW staging buffer *is* the cache.
-        let cached = locked && self.lock_driven_cached();
+        // An unlocked sieve goes to the servers: its staging buffer *is*
+        // the cache.
+        let path = if locked {
+            self.locked_path()
+        } else {
+            IoPath::Direct
+        };
         let mut staging = Vec::new();
         for w in &windows {
             let segs = self.view.window_segments(offset, len, w);
             let patches = seg_slices(&segs, buf, offset);
-            self.rmw(*w, &patches, cached, !locked, &mut staging)?;
+            self.rmw(*w, &patches, path, !locked, &mut staging)?;
         }
         drop(guard);
         Ok(WriteReport {
@@ -856,18 +839,12 @@ impl<'c> MpiFile<'c> {
         let (windows, lockset) = self.sieve_plan(offset, len);
         let start = self.comm.clock().now();
         let guard = self.lock(&lockset, LockMode::Shared, collective, ready)?;
-        let cached = self.lock_driven_cached();
+        let path = self.locked_path();
         let mut staged = Vec::new();
         for w in &windows {
             staged.clear();
             staged.resize(w.len() as usize, 0);
-            if cached {
-                // The shared grant's token covers the window: a repeat
-                // read is served from the client cache.
-                self.posix.try_pread(w.start, &mut staged)?;
-            } else {
-                self.posix.try_pread_direct(w.start, &mut staged)?;
-            }
+            self.posix.read(path, [(w.start, &mut staged)])?;
             for seg in self.view.window_segments(offset, len, w) {
                 let src = &staged[(seg.file_off - w.start) as usize..][..seg.len as usize];
                 buf[(seg.logical_off - offset) as usize..][..seg.len as usize].copy_from_slice(src);
@@ -896,9 +873,9 @@ impl<'c> MpiFile<'c> {
     /// One sieve window's read-modify-write: read the window whole, patch
     /// the ascending `(offset, bytes)` pieces into it, and write it back as
     /// **one** contiguous request — two round trips however many pieces
-    /// there are; pieces that cover the window skip the read. `cached`
-    /// goes through the client cache (the hole-fill read may hit warm
-    /// pages, the write-back stays write-behind), otherwise to the servers.
+    /// there are; pieces that cover the window skip the read. Both go along
+    /// `path`: through the client cache the hole-fill read may hit warm
+    /// pages and the write-back stays write-behind.
     ///
     /// Not atomic by itself: between the read and the write-back another
     /// writer can update a hole byte, and the write-back buries it under
@@ -909,7 +886,7 @@ impl<'c> MpiFile<'c> {
         &self,
         window: ByteRange,
         patches: &[(u64, &[u8])],
-        cached: bool,
+        path: IoPath,
         racing: bool,
         staging: &mut Vec<u8>,
     ) -> Result<(), Error> {
@@ -917,11 +894,7 @@ impl<'c> MpiFile<'c> {
         staging.clear();
         staging.resize(window.len() as usize, 0);
         if covered < window.len() {
-            if cached {
-                self.posix.try_pread(window.start, staging)?;
-            } else {
-                self.posix.try_pread_direct(window.start, staging)?;
-            }
+            self.posix.read(path, [(window.start, &mut *staging)])?;
             if racing {
                 std::thread::yield_now();
             }
@@ -929,11 +902,7 @@ impl<'c> MpiFile<'c> {
         for (off, data) in patches {
             staging[(off - window.start) as usize..][..data.len()].copy_from_slice(data);
         }
-        if cached {
-            self.posix.try_pwrite(window.start, staging)?;
-        } else {
-            self.posix.try_pwrite_direct(window.start, staging)?;
-        }
+        self.posix.write(path, [(window.start, &*staging)])?;
         Ok(())
     }
 
@@ -944,20 +913,6 @@ impl<'c> MpiFile<'c> {
             OpenMode::ReadOnly => Err(Error::ReadOnly),
             OpenMode::ReadWrite => Ok(()),
         }
-    }
-
-    /// The request through the client cache, or as one vectored direct
-    /// write: every segment in flight at once, one wait for the slowest
-    /// ack.
-    fn write_segments(&self, segs: &[ViewSegment], buf: &[u8], base: u64) -> Result<(), Error> {
-        let slices = seg_slices(segs, buf, base);
-        match self.io_path {
-            IoPath::Direct => self.posix.try_pwritev_direct(&slices)?,
-            IoPath::Cached => slices
-                .iter()
-                .try_for_each(|&(o, d)| self.posix.try_pwrite(o, d))?,
-        }
-        Ok(())
     }
 
     /// One barrier-delimited write phase — the data movement of the
@@ -1004,8 +959,9 @@ impl<'c> MpiFile<'c> {
             }
             IoPath::Cached => {
                 let written = work.map_or(Ok(()), |(segs, buf, base)| {
-                    self.write_segments(segs, buf, base)
-                        .and_then(|()| self.posix.try_sync().map_err(Error::from))
+                    let slices = seg_slices(segs, buf, base);
+                    self.posix.write(IoPath::Cached, slices)?;
+                    self.posix.try_sync()
                 });
                 self.comm.barrier();
                 written?;
@@ -1014,23 +970,25 @@ impl<'c> MpiFile<'c> {
         Ok(())
     }
 
-    /// Data movement *inside* a held exclusive lock. Default: direct I/O
-    /// (ROMIO behaviour — "while a file region is locked, all read/write
-    /// requests to it will directly go to the file server"; the cache
-    /// would defeat the lock), issued as **one pipelined vector**: under
-    /// byte-range locking the overlapping writers run one after another,
-    /// so the time a holder keeps its lock *is* the makespan, and keeping
-    /// the client link and the servers busy together instead of paying a
-    /// round trip per segment is what shortens the hold. The call returns
-    /// only when every segment is acknowledged, so release still implies
-    /// durability.
+    /// The path of every access made inside a held lock: a locking
+    /// strategy's writes and data sieving's reads and read-modify-writes.
+    /// By default the servers, ROMIO's rule — "while a file region is
+    /// locked, all read/write requests to it will directly go to the file
+    /// server"; the cache would defeat the lock. A locked write is then
+    /// **one pipelined vector**: under byte-range locking the overlapping
+    /// writers run one after another, so the time a holder keeps its lock
+    /// *is* the makespan, and keeping the client link and the servers busy
+    /// together instead of paying a round trip per segment is what shortens
+    /// the hold. The call returns only when every segment is acknowledged,
+    /// so release implies durability.
     ///
-    /// On a lock-driven-coherence platform with the cached path selected,
-    /// the cache does NOT defeat the lock — the granted token confers
-    /// cache-validity rights — so writes go through write-behind: they may
-    /// stay buffered past the release, and a conflicting acquisition
-    /// revokes the token, flushing exactly these bytes before the rival's
-    /// grant completes.
+    /// On a lock-driven-coherence platform with [`IoPath::Cached`]
+    /// selected, the cache does NOT defeat the lock — the granted token
+    /// confers cache-validity rights — so the locked I/O runs through the
+    /// cache: a repeat read is served from warm pages, and writes go
+    /// through write-behind. They may stay buffered past the release, and a
+    /// conflicting acquisition revokes the token, flushing exactly these
+    /// bytes before the rival's grant completes.
     ///
     /// **Visibility contract (GPFS semantics, deliberately weaker than the
     /// direct path):** the data is guaranteed on the servers only once a
@@ -1040,42 +998,23 @@ impl<'c> MpiFile<'c> {
     /// token, which flushes first. A reader that never locks — `ListIo`
     /// reads, direct/handshaking reads, a `FileSystem::snapshot` checker —
     /// reads the servers and can miss still-buffered bytes *even after a
-    /// barrier*, unlike the direct path where release implies
-    /// durability. Programs mixing locked cached writes with non-locking
+    /// barrier*. Programs mixing locked cached writes with non-locking
     /// readers must interpose [`MpiFile::sync`] (or `close`, which syncs).
-    fn write_segments_locked(
-        &self,
-        segs: &[ViewSegment],
-        buf: &[u8],
-        base: u64,
-    ) -> Result<(), Error> {
-        if self.lock_driven_cached() {
-            self.write_segments(segs, buf, base)
+    fn locked_path(&self) -> IoPath {
+        if self.posix.lock_driven() {
+            self.io_path
         } else {
-            self.posix
-                .try_pwritev_direct(&seg_slices(segs, buf, base))
-                .map_err(Error::from)
+            IoPath::Direct
         }
     }
 
-    /// Whether this handle skips blanket invalidation because the token
-    /// protocol keeps the cache coherent.
-    fn lock_driven_cached(&self) -> bool {
-        self.io_path == IoPath::Cached && self.posix.lock_driven()
-    }
-
-    /// [`MpiFile::write_segments`]' mirror: through the client cache, or as
-    /// one vectored direct read.
+    /// The request's segments, read along this handle's path.
     fn read_segments(&self, segs: &[ViewSegment], buf: &mut [u8], base: u64) -> Result<(), Error> {
         let logical = segs.iter().map(|s| ByteRange::at(s.logical_off, s.len));
-        let mut slices = carve(buf, base, logical)
+        let slices = carve(buf, base, logical)
             .zip(segs)
             .map(|((_, dst), s)| (s.file_off, dst));
-        match self.io_path {
-            IoPath::Direct => self.posix.try_preadv_direct(&mut Vec::from_iter(slices))?,
-            IoPath::Cached => slices.try_for_each(|(off, dst)| self.posix.try_pread(off, dst))?,
-        }
-        Ok(())
+        Ok(self.posix.read(self.io_path, slices)?)
     }
 
     fn invalidate_if_cached(&self) -> Result<(), Error> {

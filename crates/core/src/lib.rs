@@ -61,7 +61,9 @@ pub use atomio_collective::{
 pub use coloring::{greedy_color, held_bytes, split_request, OverlapMatrix};
 pub use error::Error;
 pub use file::{
-    Atomicity, CloseReport, IoPath, LockFootprint, LockGranularity, MpiFile, OpenMode, ReadReport,
+    Atomicity, CloseReport, LockFootprint, LockGranularity, MpiFile, OpenMode, ReadReport,
     Strategy, WriteReport,
 };
 pub use sieve::SieveConfig;
+
+pub use atomio_pfs::IoPath;

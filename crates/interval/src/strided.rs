@@ -169,7 +169,7 @@ impl Train {
             return self.overlaps_range(&other.bounds());
         }
         if self.stride == other.stride {
-            return !shift_windows(self, other).is_empty();
+            return shift_windows(self, other).next().is_some();
         }
         let (small, big) = if self.count <= other.count {
             (self, other)
@@ -215,33 +215,25 @@ type ShiftWindow = (i128, (u64, u64), (u64, u64));
 /// here; each entry carries the run-local cut window and the index range of
 /// `self`'s runs it applies to. At most `⌈(len_a + len_b)/d⌉ + 1 ≤ 2`
 /// entries since both run lengths are below the stride.
-fn shift_windows(a: &Train, b: &Train) -> Vec<ShiftWindow> {
+fn shift_windows(a: &Train, b: &Train) -> impl Iterator<Item = ShiftWindow> {
     debug_assert_eq!(a.stride, b.stride);
     debug_assert!(!a.is_run() && !b.is_run());
     let d = a.stride as i128;
     let (sa, sb) = (a.start as i128, b.start as i128);
     let (la, lb) = (a.len as i128, b.len as i128);
+    let (ca, cb) = (a.count as i128, b.count as i128);
     // Overlap of a-run i and b-run i+j requires  sa - sb - lb < j*d < sa - sb + la.
-    let jmin = (sa - sb - lb).div_euclid(d) + 1;
-    let jmax = (sa - sb + la - 1).div_euclid(d);
-    let jmin = jmin.max(-(a.count as i128 - 1));
-    let jmax = jmax.min(b.count as i128 - 1);
-    let mut out = Vec::new();
-    for j in jmin..=jmax {
+    let jmin = ((sa - sb - lb).div_euclid(d) + 1).max(-(ca - 1));
+    let jmax = (sa - sb + la - 1).div_euclid(d).min(cb - 1);
+    (jmin..=jmax).filter_map(move |j| {
         // Cut window of b-run i+j within a-run i, in run-local coordinates.
         let rel = sb + j * d - sa; // may be negative (cut starts before run)
         let lo = rel.clamp(0, la) as u64;
         let hi = (rel + lb).clamp(0, la) as u64;
-        if lo >= hi {
-            continue;
-        }
         let ilo = (-j).max(0) as u64;
-        let ihi = (a.count as i128).min(b.count as i128 - j) as u64;
-        if ilo < ihi {
-            out.push((j, (lo, hi), (ilo, ihi)));
-        }
-    }
-    out
+        let ihi = ca.min(cb - j) as u64;
+        (lo < hi && ilo < ihi).then_some((j, (lo, hi), (ilo, ihi)))
+    })
 }
 
 /// `t ∩ r` as up to three trains (left partial run, full middle runs, right
@@ -396,7 +388,7 @@ fn train_minus_cuts<G: AsRef<[Train]>>(
 /// Same-stride subtraction: split `a`'s index space at the boundaries of
 /// the (at most two) shift windows, then cut each region's run shape once.
 fn train_minus_same_stride(a: &Train, b: &Train, out: &mut Vec<Train>) {
-    let cuts = shift_windows(a, b);
+    let cuts: Vec<ShiftWindow> = shift_windows(a, b).collect();
     if cuts.is_empty() {
         out.push(*a);
         return;

@@ -7,15 +7,15 @@ use atomio_interval::ByteRange;
 use atomio_trace::Category;
 use atomio_vtime::VNanos;
 
-use super::{carve, PosixFile};
+use super::{carve, IoPath, PosixFile};
 use crate::cache::ClientCache;
 use crate::error::FsError;
 use crate::fault::{FaultAction, FaultSite};
 use crate::server::ServerOp;
 
 impl PosixFile {
-    /// Write through the client cache (write-behind). Falls back to direct
-    /// I/O when the platform disables caching.
+    /// One segment of a cached [`PosixFile::write`]: through the client
+    /// cache (write-behind), or direct when the platform disables caching.
     ///
     /// Under lock-driven coherence the cache may only buffer bytes the
     /// client holds token coverage for: covered sub-ranges are buffered
@@ -27,10 +27,10 @@ impl PosixFile {
     /// concurrent revocation also takes before shrinking coverage — and a
     /// revocation can never land mid-call and leave dirty bytes outside
     /// coverage.
-    pub fn try_pwrite(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
+    pub(super) fn pwrite_cached(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
         self.check_alive()?;
         if !self.fs.profile.cache.enabled {
-            return self.try_pwrite_direct(offset, data);
+            return self.write(IoPath::Direct, [(offset, data)]);
         }
         if self.lock_driven() {
             let mut cache = self.cache.lock();
@@ -41,13 +41,13 @@ impl PosixFile {
                 // invalidate. (Coverage only *grows* on this client's own
                 // thread, so releasing the mutex here cannot race a grant.)
                 drop(cache);
-                return self.try_pwrite_direct(offset, data);
+                return self.write(IoPath::Direct, [(offset, data)]);
             }
             let req = ByteRange::at(offset, data.len() as u64);
             let mut needs_flush = false;
             for r in cache.coverage.gaps(req) {
                 let s = (r.start - offset) as usize;
-                self.try_pwrite_direct(r.start, &data[s..s + r.len() as usize])?;
+                self.write(IoPath::Direct, [(r.start, &data[s..s + r.len() as usize])])?;
                 // The cache has no validity rights here: drop any stale
                 // clean copy of what was just overwritten. (Dirty bytes
                 // cannot exist outside coverage: buffering requires it,
@@ -95,21 +95,23 @@ impl PosixFile {
         needs_flush
     }
 
-    /// Read through the client cache (with read-ahead on misses).
+    /// One segment of a cached [`PosixFile::read`]: through the client
+    /// cache (with read-ahead on misses), or direct when the platform
+    /// disables caching.
     ///
     /// Under lock-driven coherence only token-covered sub-ranges go
     /// through the cache (their validity is guaranteed: any conflicting
     /// write must first revoke the token, which invalidates exactly those
     /// ranges); uncovered sub-ranges are read directly and *not* cached,
-    /// so no stale byte can ever be admitted. As in [`PosixFile::try_pwrite`],
+    /// so no stale byte can ever be admitted. As for a cached write,
     /// reading coverage and the cached accesses share one hold of the
     /// cache mutex, so a concurrent revocation cannot slip between the
     /// two and let stale bytes in under a coverage the client no longer
     /// holds.
-    pub fn try_pread(&self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
+    pub(super) fn pread_cached(&self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
         self.check_alive()?;
         if !self.fs.profile.cache.enabled {
-            return self.try_pread_direct(offset, buf);
+            return self.read(IoPath::Direct, [(offset, buf)]);
         }
         if self.lock_driven() {
             // Without validity rights the request is one gap, read through.
@@ -424,17 +426,17 @@ mod tests {
         let writer = fs.open(0, Clock::new(), "a");
         let reader = fs.open(1, Clock::new(), "a");
 
-        writer.try_pwrite(0, b"fresh!").unwrap();
+        writer.write(IoPath::Cached, [(0, b"fresh!")]).unwrap();
         // Write-behind: nothing on the servers yet.
         let mut buf = [0u8; 6];
-        reader.try_pread_direct(0, &mut buf).unwrap();
+        reader.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         assert_eq!(
             &buf, &[0u8; 6],
             "write-behind data must not be visible before sync"
         );
 
         writer.try_sync().unwrap();
-        reader.try_pread_direct(0, &mut buf).unwrap();
+        reader.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         assert_eq!(&buf, b"fresh!");
     }
 
@@ -444,17 +446,17 @@ mod tests {
         let a = fs.open(0, Clock::new(), "a");
         let b = fs.open(1, Clock::new(), "a");
 
-        a.try_pwrite_direct(0, b"old").unwrap();
+        a.write(IoPath::Direct, [(0, b"old")]).unwrap();
         let mut buf = [0u8; 3];
-        b.try_pread(0, &mut buf).unwrap(); // b now caches "old"
+        b.read(IoPath::Cached, [(0, &mut buf)]).unwrap(); // b now caches "old"
         assert_eq!(&buf, b"old");
 
-        a.try_pwrite_direct(0, b"new").unwrap();
-        b.try_pread(0, &mut buf).unwrap();
+        a.write(IoPath::Direct, [(0, b"new")]).unwrap();
+        b.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         assert_eq!(&buf, b"old", "cached page must serve stale data");
 
         b.try_invalidate().unwrap();
-        b.try_pread(0, &mut buf).unwrap();
+        b.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         assert_eq!(&buf, b"new", "invalidate must force a fresh fetch");
     }
 
@@ -462,11 +464,12 @@ mod tests {
     fn write_behind_flushes_on_threshold() {
         let fs = test_fs(); // write_behind_limit = 4 KiB in test params
         let f = fs.open(0, Clock::new(), "a");
-        f.try_pwrite(0, &vec![1u8; 8 * 1024]).unwrap();
+        f.write(IoPath::Cached, [(0, &vec![1u8; 8 * 1024])])
+            .unwrap();
         // Threshold exceeded -> auto flush -> visible to others.
         let g = fs.open(1, Clock::new(), "a");
         let mut buf = vec![0u8; 8 * 1024];
-        g.try_pread_direct(0, &mut buf).unwrap();
+        g.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         assert!(buf.iter().all(|&b| b == 1));
         assert!(f.stats().snapshot().flushes >= 1);
     }
@@ -478,20 +481,20 @@ mod tests {
         // bytes that don't exist. 1 KiB pages, 2 pages read-ahead.
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "short");
-        f.try_pwrite_direct(0, &[7u8; 100]).unwrap(); // file is 100 bytes long
+        f.write(IoPath::Direct, [(0, &[7u8; 100])]).unwrap(); // file is 100 bytes long
         let t0 = f.clock().now();
 
         let mut buf = [0u8; 100];
-        f.try_pread(0, &mut buf).unwrap();
+        f.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         assert!(buf.iter().all(|&b| b == 7));
         let clamped_cost = f.clock().now() - t0;
 
         // The same read against a file long enough for the full 3 KiB
         // window must cost strictly more — the unclamped fetch volume.
         let g = fs.open(1, Clock::new(), "long");
-        g.try_pwrite_direct(0, &vec![7u8; 4096]).unwrap();
+        g.write(IoPath::Direct, [(0, &vec![7u8; 4096])]).unwrap();
         let t0 = g.clock().now();
-        g.try_pread(0, &mut buf).unwrap();
+        g.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         let full_cost = g.clock().now() - t0;
         assert!(
             clamped_cost < full_cost,
@@ -502,7 +505,7 @@ mod tests {
         // Read-ahead past EOF must not have marked pages resident: a later
         // read behind EOF is a miss, not a phantom hit.
         let mut tail = [0u8; 50];
-        f.try_pread(2000, &mut tail).unwrap();
+        f.read(IoPath::Cached, [(2000, &mut tail)]).unwrap();
         assert_eq!(tail, [0u8; 50]);
         let s = f.stats().snapshot();
         assert_eq!(
@@ -515,10 +518,10 @@ mod tests {
     fn cached_read_entirely_past_eof_is_free_zeros() {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "a");
-        f.try_pwrite_direct(0, b"x").unwrap();
+        f.write(IoPath::Direct, [(0, b"x")]).unwrap();
         let t0 = f.clock().now();
         let mut buf = [9u8; 16];
-        f.try_pread(5000, &mut buf).unwrap();
+        f.read(IoPath::Cached, [(5000, &mut buf)]).unwrap();
         assert_eq!(buf, [0u8; 16]);
         let s = f.stats().snapshot();
         assert_eq!(
@@ -534,9 +537,9 @@ mod tests {
     fn read_of_hole_returns_zeros() {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "a");
-        f.try_pwrite_direct(100, b"x").unwrap();
+        f.write(IoPath::Direct, [(100, b"x")]).unwrap();
         let mut buf = [9u8; 4];
-        f.try_pread(0, &mut buf).unwrap();
+        f.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         assert_eq!(buf, [0, 0, 0, 0]);
     }
 
@@ -546,7 +549,7 @@ mod tests {
         let f = fs.open(0, Clock::new(), "coh");
         let r = ByteRange::new(0, 2048);
         let g = f.lock(r, LockMode::Exclusive).unwrap();
-        f.try_pwrite(0, &[7u8; 2048]).unwrap();
+        f.write(IoPath::Cached, [(0, &[7u8; 2048])]).unwrap();
         g.release();
         assert_eq!(f.coherence_coverage().total_len(), 2048);
         // Re-read under a (cheap, token-cached) shared lock: the write
@@ -554,7 +557,7 @@ mod tests {
         // zero server read requests, no blanket invalidation anywhere.
         let g = f.lock(r, LockMode::Shared).unwrap();
         let mut buf = [0u8; 2048];
-        f.try_pread(0, &mut buf).unwrap();
+        f.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         g.release();
         assert_eq!(buf, [7u8; 2048]);
         let s = f.stats().snapshot();
@@ -571,12 +574,12 @@ mod tests {
         // the covered miss caches as a zero hole.
         let fs = gpfs_test_fs();
         let f = fs.open(0, Clock::new(), "eof");
-        f.try_pwrite_direct(0, &[7u8; 1200]).unwrap(); // file length 1200, unaligned
+        f.write(IoPath::Direct, [(0, &[7u8; 1200])]).unwrap(); // file length 1200, unaligned
         let g = f
             .lock(ByteRange::new(1500, 2000), LockMode::Exclusive)
             .unwrap();
         let mut buf = [9u8; 500];
-        f.try_pread(1500, &mut buf).unwrap(); // covered, wholly past EOF
+        f.read(IoPath::Cached, [(1500, &mut buf)]).unwrap(); // covered, wholly past EOF
         g.release();
         assert_eq!(buf, [0u8; 500], "past-EOF covered bytes read as zeros");
         assert_eq!(
@@ -596,11 +599,12 @@ mod tests {
         // deferred until after the copy-out.
         let fs = test_fs(); // cap 64 KiB, 1 KiB pages
         let f = fs.open(0, Clock::new(), "big");
-        f.try_pwrite_direct(0, &vec![7u8; 80 * 1024]).unwrap();
+        f.write(IoPath::Direct, [(0, &vec![7u8; 80 * 1024])])
+            .unwrap();
         let mut warm = vec![0u8; 64 * 1024];
-        f.try_pread(0, &mut warm).unwrap(); // warm the cache to its cap
+        f.read(IoPath::Cached, [(0, &mut warm)]).unwrap(); // warm the cache to its cap
         let mut big = vec![0u8; 72 * 1024];
-        f.try_pread(0, &mut big).unwrap(); // head hits + tail fills: must not panic
+        f.read(IoPath::Cached, [(0, &mut big)]).unwrap(); // head hits + tail fills: must not panic
         assert!(big.iter().all(|&b| b == 7));
         // The cache settled back under its cap after the read.
         assert!(f.cache.lock().resident_bytes() <= 64 * 1024);
@@ -614,17 +618,17 @@ mod tests {
         // No token coverage: reads fall through to direct I/O and admit
         // nothing into the cache, so a later write by another client can
         // never be shadowed by a stale page.
-        g.try_pwrite_direct(0, &[1u8; 512]).unwrap();
+        g.write(IoPath::Direct, [(0, &[1u8; 512])]).unwrap();
         let mut buf = [0u8; 512];
-        f.try_pread(0, &mut buf).unwrap();
+        f.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         assert_eq!(buf, [1u8; 512]);
-        g.try_pwrite_direct(0, &[2u8; 512]).unwrap();
-        f.try_pread(0, &mut buf).unwrap();
+        g.write(IoPath::Direct, [(0, &[2u8; 512])]).unwrap();
+        f.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         assert_eq!(buf, [2u8; 512], "uncovered bytes must never be cached");
         let s = f.stats().snapshot();
         assert_eq!(s.cache_hit_bytes, 0);
         // Uncovered cached writes also write through.
-        f.try_pwrite(0, &[3u8; 512]).unwrap();
+        f.write(IoPath::Cached, [(0, &[3u8; 512])]).unwrap();
         assert_eq!(
             &fs.snapshot("coh").unwrap().to_vec()[..512],
             &[3u8; 512][..]
@@ -646,7 +650,7 @@ mod tests {
         );
         let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
         let f = fs.open(0, Clock::new(), "torn");
-        f.try_pwrite(0, &[7u8; 1024]).unwrap(); // write-behind
+        f.write(IoPath::Cached, [(0, &[7u8; 1024])]).unwrap(); // write-behind
         f.try_sync().unwrap();
         assert_eq!(&fs.snapshot("torn").unwrap().to_vec()[..], &[7u8; 1024][..]);
         let fstats = fs.fault_stats();
@@ -675,7 +679,7 @@ mod tests {
         );
         let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
         let f = fs.open(0, Clock::new(), "pend");
-        f.try_pwrite(0, &[9u8; 256]).unwrap();
+        f.write(IoPath::Cached, [(0, &[9u8; 256])]).unwrap();
         f.try_sync().unwrap(); // commit lands, apply is skipped by the crash
         assert!(fs.server_down(0));
         assert_eq!(
@@ -688,7 +692,7 @@ mod tests {
         assert_eq!(fstats.replayed_records, 1);
         assert_eq!(fstats.replayed_bytes, 256);
         let mut buf = [0u8; 256];
-        f.try_pread_direct(0, &mut buf).unwrap();
+        f.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         assert_eq!(buf, [9u8; 256], "replay landed the record");
     }
 }

@@ -9,33 +9,16 @@ use crate::error::FsError;
 use crate::server::ServerOp;
 
 impl PosixFile {
-    /// Synchronous uncached write, the one-segment
-    /// [`PosixFile::try_pwritev_direct`]. A down server is retried with
-    /// vtime backoff, and the typed error comes back once the retry budget
-    /// is spent or this handle is dead.
-    pub fn try_pwrite_direct(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
-        self.try_pwritev_direct(&[(offset, data)])
-    }
-
-    /// Closed-loop vectored uncached write — what a lock holder issues for
-    /// a noncontiguous request: the segments are pipelined through the NIC
-    /// and the servers, and the call returns with the last ack. Each
-    /// segment is its own POSIX write (applied as it lands, atomically
-    /// when the platform says so); nothing is atomic *across* segments —
-    /// that is [`PosixFile::try_listio_direct_atomic`]. On a fault the
-    /// segments before the failing one are applied and counted, none
-    /// after.
-    pub fn try_pwritev_direct(&self, segments: &[(u64, &[u8])]) -> Result<(), FsError> {
-        self.pwritev_landed(segments).1
-    }
-
-    /// [`PosixFile::try_pwritev_direct`], also returning what landed.
-    fn pwritev_landed(&self, segments: &[(u64, &[u8])]) -> (Injected, Result<(), FsError>) {
+    /// The direct arm of [`PosixFile::write`], also returning what landed.
+    pub(super) fn pwritev_landed<T: AsRef<[u8]>>(
+        &self,
+        segments: impl Iterator<Item = (u64, T)>,
+    ) -> (Injected, Result<(), FsError>) {
         let op = ServerOp::Write;
-        let (inj, res) = self.round_trips(op, segments.iter().copied(), |arrival, range, data| {
+        let (inj, res) = self.round_trips(op, segments, |arrival, range, data| {
             self.drain_journal_overlap(range);
             let done = self.server_rpc(arrival, range, op)?;
-            self.apply_write(range.start, data);
+            self.apply_write(range.start, data.as_ref());
             Ok(done)
         });
         if inj.landed > 0 {
@@ -48,23 +31,7 @@ impl PosixFile {
         (inj, res)
     }
 
-    /// Synchronous uncached read: the one-segment
-    /// [`PosixFile::try_preadv_direct`], with the fault model of
-    /// [`PosixFile::try_pwrite_direct`].
-    pub fn try_pread_direct(&self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
-        self.try_preadv_direct(&mut [(offset, buf)])
-    }
-
-    /// Closed-loop vectored uncached read, the twin of
-    /// [`PosixFile::try_pwritev_direct`]: the requests are pipelined to the
-    /// servers, and the call returns with the last reply. On a fault the
-    /// segments before the failing one are read and counted, none after.
-    pub fn try_preadv_direct(&self, segments: &mut [(u64, &mut [u8])]) -> Result<(), FsError> {
-        self.preadv_landed(segments.iter_mut().map(|(o, b)| (*o, &mut **b)), true)
-            .1
-    }
-
-    /// [`PosixFile::try_preadv_direct`] run to the end: the read resumes
+    /// A direct [`PosixFile::read`] run to the end: the read resumes
     /// past a failing segment, as [`PosixFile::submit_writes`] does under a
     /// fault plan, and `failed` hears each failing segment's index and error.
     pub fn preadv_direct_past_failures(
@@ -84,16 +51,16 @@ impl PosixFile {
     /// each segment fetched through the journal gate and
     /// [`PosixFile::server_rpc`]. A `direct` read is counted and traced as
     /// an access; a cache fill, by the cached read it serves.
-    pub(super) fn preadv_landed<'b>(
+    pub(super) fn preadv_landed<B: AsRef<[u8]> + AsMut<[u8]>>(
         &self,
-        segments: impl Iterator<Item = (u64, &'b mut [u8])>,
+        segments: impl Iterator<Item = (u64, B)>,
         direct: bool,
     ) -> (Injected, Result<(), FsError>) {
         let op = ServerOp::Read;
-        let (inj, res) = self.round_trips(op, segments, |arrival, range, buf| {
+        let (inj, res) = self.round_trips(op, segments, |arrival, range, mut buf| {
             self.drain_journal_overlap(range);
             let done = self.server_rpc(arrival, range, op)?;
-            self.file.storage.read_atomic(range.start, buf);
+            self.file.storage.read_atomic(range.start, buf.as_mut());
             Ok(done)
         });
         self.stats
@@ -113,7 +80,7 @@ impl PosixFile {
     /// from the caller's slices, while its *timing* is deposited with the
     /// servers as virtually-stamped requests. The client paces injections
     /// through its NIC without waiting for per-request acks — the
-    /// asynchronous-I/O counterpart of [`PosixFile::try_pwritev_direct`].
+    /// asynchronous-I/O counterpart of a direct [`PosixFile::write`].
     ///
     /// For timing, entries that follow each other in the file are **one
     /// extent**, however many slices hold its bytes, priced by the one
@@ -131,10 +98,10 @@ impl PosixFile {
     ///
     /// Under a fault plan nothing may stay in flight across a crash/replay
     /// cycle — faults fire against individual server RPCs, not deferred
-    /// tickets — so the writes go through the retrying
-    /// [`PosixFile::try_pwritev_direct`] instead, with no ticket. Every entry
-    /// is still attempted — one whose server is down fails alone, those
-    /// behind it land — and the first error comes back.
+    /// tickets — so the writes go through a retrying direct
+    /// [`PosixFile::write`] instead, with no ticket. Every entry is still
+    /// attempted — one whose server is down fails alone, those behind it
+    /// land — and the first error comes back.
     ///
     /// `racing` is for *deliberately racing* writers (non-atomic mode): the
     /// batch yields the scheduler between entries so concurrently
@@ -150,7 +117,8 @@ impl PosixFile {
         if self.fs.faults.active() {
             let mut first = None;
             let failed = |_, e| first = first.take().or(Some(e));
-            resume_past_failures(writes.len(), |i| self.pwritev_landed(&writes[i..]), failed);
+            let write = |i: usize| self.pwritev_landed(writes[i..].iter().copied());
+            resume_past_failures(writes.len(), write, failed);
             return first.map_or(Ok(None), Err);
         }
         Ok(Some(self.pwrite_batch(writes, epoch, racing)))
@@ -258,10 +226,10 @@ mod tests {
     fn direct_write_read_roundtrip_and_time() {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "a");
-        f.try_pwrite_direct(0, &[7u8; 2048]).unwrap();
+        f.write(IoPath::Direct, [(0, &[7u8; 2048])]).unwrap();
         assert!(f.clock().now() > 0, "direct I/O must cost virtual time");
         let mut buf = [0u8; 2048];
-        f.try_pread_direct(0, &mut buf).unwrap();
+        f.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         assert!(buf.iter().all(|&b| b == 7));
         let s = f.stats().snapshot();
         assert_eq!(s.writes, 1);
@@ -292,7 +260,7 @@ mod tests {
     fn closed_loop_completion(writes: &[(u64, &[u8])]) -> (VNanos, StatsSnapshot) {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "closed");
-        f.try_pwritev_direct(writes).unwrap();
+        f.write(IoPath::Direct, writes.iter().copied()).unwrap();
         (f.clock().now(), f.stats().snapshot())
     }
 
@@ -412,7 +380,7 @@ mod tests {
         let fs2 = test_fs();
         let f2 = fs2.open(0, Clock::new(), "seq");
         for (o, d) in &rows {
-            f2.try_pwrite_direct(*o, d).unwrap();
+            f2.write(IoPath::Direct, [(*o, d)]).unwrap();
         }
         let t_seq = f2.clock().now();
         assert!(
@@ -439,12 +407,12 @@ mod tests {
         };
         let per_segment = on_cplant(&|f| {
             for (o, d) in &rows {
-                f.try_pwrite_direct(*o, d).unwrap();
+                f.write(IoPath::Direct, [(*o, d)]).unwrap();
             }
         });
         let write_behind = on_cplant(&|f| {
             for (o, d) in &rows {
-                f.try_pwrite(*o, d).unwrap();
+                f.write(IoPath::Cached, [(*o, d)]).unwrap();
             }
             f.try_sync().unwrap();
         });
@@ -511,7 +479,7 @@ mod tests {
     ) -> (PosixFile, Result<(), FsError>, Vec<Vec<u8>>) {
         let f = fs.open(0, Clock::new(), "v");
         if dir == Dir::Write {
-            let res = f.try_pwritev_direct(&as_segments(rows));
+            let res = f.write(IoPath::Direct, rows.iter().map(|(o, d)| (*o, d)));
             let image = fs.snapshot("v").unwrap().to_vec();
             let at = |i: u64| image.get(i as usize).copied().unwrap_or(0);
             let held = rows
@@ -524,10 +492,7 @@ mod tests {
             f.file.storage.write_atomic(*off, data);
         }
         let mut bufs: Vec<Vec<u8>> = rows.iter().map(|(_, d)| vec![0; d.len()]).collect();
-        let mut segs: Vec<(u64, &mut [u8])> = (rows.iter().map(|r| r.0))
-            .zip(bufs.iter_mut().map(Vec::as_mut_slice))
-            .collect();
-        let res = f.try_preadv_direct(&mut segs);
+        let res = f.read(IoPath::Direct, rows.iter().map(|r| r.0).zip(&mut bufs));
         (f, res, bufs)
     }
 
@@ -551,8 +516,8 @@ mod tests {
             let f = fs.open(0, Clock::new(), "v");
             let mut buf = [0u8; SEG as usize];
             match dir {
-                Dir::Write => f.try_pwrite_direct(4096, &row[0].1),
-                Dir::Read => f.try_pread_direct(4096, &mut buf),
+                Dir::Write => f.write(IoPath::Direct, [(4096, &row[0].1)]),
+                Dir::Read => f.read(IoPath::Direct, [(4096, &mut buf)]),
             }
             .unwrap();
             assert_eq!(f.clock().now(), LAT + SERVICE + LAT + SEG, "{dir:?}");
@@ -615,7 +580,7 @@ mod tests {
         let rows = strided_rows(4, 4 * 4096);
         let fs = crash_server0_at(3, RestartPolicy::Rejections(2));
         let f = fs.open(0, Clock::new(), "retry");
-        f.try_pwritev_direct(&as_segments(&rows)).unwrap();
+        f.write(IoPath::Direct, as_segments(&rows)).unwrap();
         let s = f.stats().snapshot();
         assert_eq!((s.writes, s.bytes_written), (4, 4 * SEG));
         assert_eq!((s.retries, s.faults_injected), (2, 1));
@@ -700,8 +665,8 @@ mod tests {
 
         // Two dirty runs on two servers, flushed by one sync.
         let g = test_fs().open(0, Clock::new(), "flush");
-        g.try_pwrite(0, &rows[0].1).unwrap();
-        g.try_pwrite(4096, &rows[1].1).unwrap();
+        g.write(IoPath::Cached, [(0, &rows[0].1)]).unwrap();
+        g.write(IoPath::Cached, [(4096, &rows[1].1)]).unwrap();
         let t0 = g.clock().now();
         g.try_sync().unwrap();
         assert_eq!(g.clock().now() - t0, 2 * SEG + OP + LAT + SERVICE + LAT);
@@ -716,10 +681,11 @@ mod tests {
         // 4 servers twice, merged to 4 requests; a 1 KiB access touches 1.
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "acct");
-        f.try_pwrite_direct(0, &vec![1u8; 32 * 1024]).unwrap();
-        f.try_pwrite_direct(0, &[1u8; 1024]).unwrap();
+        f.write(IoPath::Direct, [(0, &vec![1u8; 32 * 1024])])
+            .unwrap();
+        f.write(IoPath::Direct, [(0, &[1u8; 1024])]).unwrap();
         let mut buf = vec![0u8; 8 * 1024];
-        f.try_pread_direct(0, &mut buf).unwrap();
+        f.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         let s = f.stats().snapshot();
         assert_eq!(s.server_write_requests, 4 + 1);
         assert_eq!(s.server_read_requests, 2);

@@ -196,8 +196,11 @@ mod tests {
             let guard = f
                 .lock(ByteRange::new(0, 1 << 30), LockMode::Exclusive)
                 .unwrap();
-            f.try_pwrite_direct(0, &vec![client as u8; hold_write as usize])
-                .unwrap();
+            f.write(
+                IoPath::Direct,
+                [(0, &vec![client as u8; hold_write as usize])],
+            )
+            .unwrap();
             guard.release();
             ends.push(f.clock().now());
         }

@@ -91,12 +91,12 @@ impl FsInner {
 /// namespace of files. Cloning the handle shares the instance.
 ///
 /// ```
-/// use atomio_pfs::{FileSystem, PlatformProfile};
+/// use atomio_pfs::{FileSystem, IoPath, PlatformProfile};
 /// use atomio_vtime::Clock;
 ///
 /// let fs = FileSystem::new(PlatformProfile::fast_test());
 /// let f = fs.open(0, Clock::new(), "data");
-/// f.try_pwrite_direct(0, b"hello").unwrap();
+/// f.write(IoPath::Direct, [(0, b"hello")]).unwrap();
 /// assert_eq!(fs.snapshot("data").unwrap(), b"hello");
 /// ```
 #[derive(Clone)]
@@ -271,16 +271,30 @@ impl FileSystem {
     }
 }
 
+/// Whether data I/O goes through the client cache or directly to servers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IoPath {
+    /// Bypass the client cache: one closed-loop vector to the servers.
+    Direct,
+    /// Use the client page cache, one segment at a time. On close-to-open
+    /// platforms another client sees a write only after this one syncs and
+    /// it invalidates (§3); under lock-driven coherence
+    /// ([`CoherenceMode::LockDriven`](crate::CoherenceMode)) the token
+    /// protocol keeps the cache coherent, and bytes outside this client's
+    /// token coverage go to the servers.
+    Cached,
+}
+
 /// A client-side POSIX-style file handle on the simulated file system.
 ///
-/// Two I/O paths, selected per call:
-/// * `try_pwrite`/`try_pread` go through the client page cache (when the
+/// Two I/O paths, selected per call by [`IoPath`]:
+/// * [`IoPath::Cached`] goes through the client page cache (when the
 ///   platform enables it) with read-ahead and write-behind — the behaviour
 ///   the paper's §3 warns makes handshaking strategies require an explicit
 ///   `try_sync` + `try_invalidate`;
-/// * the `_direct` calls bypass the cache, the way locked I/O does in
+/// * [`IoPath::Direct`] bypasses the cache, the way locked I/O does in
 ///   ROMIO's atomic mode ("while a file region is locked, all read/write
-///   requests to it will directly go to the file server"); each is one
+///   requests to it will directly go to the file server"); each call is one
 ///   closed-loop vector, priced like a cache fill or flush by one rule in
 ///   both directions (DESIGN.md "One injection formula").
 ///
@@ -389,7 +403,7 @@ fn access_args(bytes: u64, segments: impl Iterator<Item = (u64, u64)>) -> Vec<(&
 }
 
 /// `buf`, whose first byte is at offset `base`, cut at the ascending,
-/// disjoint `ranges` in it: a [`PosixFile::try_preadv_direct`] vector.
+/// disjoint `ranges` in it: the segments of a [`PosixFile::read`].
 pub fn carve(
     mut buf: &mut [u8],
     mut base: u64,
@@ -467,6 +481,59 @@ impl PosixFile {
     /// Number of I/O servers backing this file.
     pub fn server_count(&self) -> usize {
         self.fs.servers.server_count()
+    }
+
+    /// Write the `(offset, bytes)` segments along `path`. A direct write
+    /// is one closed-loop vector: the segments are pipelined through the
+    /// NIC and the servers, and the call returns with the last ack. Each
+    /// segment is its own POSIX write (applied as it lands, atomically when
+    /// the platform says so); nothing is atomic *across* segments — that is
+    /// [`PosixFile::try_listio_direct_atomic`]. A down server is retried
+    /// with vtime backoff; once the retry budget is spent, or this handle is
+    /// dead, the typed error comes back, with the segments before the
+    /// failing one applied and counted and none after. A cached write
+    /// buffers the segments one after another.
+    pub fn write<T: AsRef<[u8]>>(
+        &self,
+        path: IoPath,
+        segments: impl IntoIterator<Item = (u64, T)>,
+    ) -> Result<(), FsError> {
+        match path {
+            IoPath::Direct => self.pwritev_landed(segments.into_iter()).1,
+            IoPath::Cached => segments
+                .into_iter()
+                .try_for_each(|(off, data)| self.pwrite_cached(off, data.as_ref())),
+        }
+    }
+
+    /// Read the `(offset, buffer)` segments along `path`, the twin of
+    /// [`PosixFile::write`]: a direct read pipelines the requests to the
+    /// servers and returns with the last reply, and on a fault the segments
+    /// before the failing one are read and counted, none after. A cached
+    /// read serves the segments one after another.
+    pub fn read<B: AsRef<[u8]> + AsMut<[u8]>>(
+        &self,
+        path: IoPath,
+        segments: impl IntoIterator<Item = (u64, B)>,
+    ) -> Result<(), FsError> {
+        match path {
+            IoPath::Direct => self.preadv_landed(segments.into_iter(), true).1,
+            IoPath::Cached => segments
+                .into_iter()
+                .try_for_each(|(off, mut buf)| self.pread_cached(off, buf.as_mut())),
+        }
+    }
+
+    /// One cached segment of [`PosixFile::write`], under the name the
+    /// frozen benchmark calls.
+    pub fn try_pwrite(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
+        self.write(IoPath::Cached, [(offset, data)])
+    }
+
+    /// One direct segment of [`PosixFile::write`], under the name the
+    /// frozen benchmark calls.
+    pub fn try_pwrite_direct(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
+        self.write(IoPath::Direct, [(offset, data)])
     }
 
     // ------------------------------------------------------- fault plumbing
@@ -754,12 +821,12 @@ mod tests {
         let run = |fs: FileSystem| {
             let a = fs.open(0, Clock::new(), "id");
             let b = fs.open(1, Clock::new(), "id");
-            a.try_pwrite_direct(0, &[1u8; 4096]).unwrap();
-            a.try_pwrite(4096, &[2u8; 2048]).unwrap();
+            a.write(IoPath::Direct, [(0, &[1u8; 4096])]).unwrap();
+            a.write(IoPath::Cached, [(4096, &[2u8; 2048])]).unwrap();
             a.try_sync().unwrap();
             let mut buf = vec![0u8; 6144];
-            b.try_pread(0, &mut buf).unwrap();
-            b.try_pwrite_direct(1024, &[3u8; 512]).unwrap();
+            b.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
+            b.write(IoPath::Direct, [(1024, &[3u8; 512])]).unwrap();
             (fs.snapshot("id").unwrap(), a.clock().now(), b.clock().now())
         };
         let plain = run(FileSystem::new(PlatformProfile::fast_test()));
@@ -784,10 +851,10 @@ mod tests {
         );
         let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
         let f = fs.open(0, Clock::new(), "crash");
-        f.try_pwrite_direct(0, &[1u8; 512]).unwrap(); // hit 1: served
-        f.try_pwrite_direct(0, &[2u8; 512]).unwrap(); // hit 2: crash + retries
+        f.write(IoPath::Direct, [(0, &[1u8; 512])]).unwrap(); // hit 1: served
+        f.write(IoPath::Direct, [(0, &[2u8; 512])]).unwrap(); // hit 2: crash + retries
         let mut buf = [0u8; 512];
-        f.try_pread_direct(0, &mut buf).unwrap();
+        f.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         assert_eq!(buf, [2u8; 512], "no write lost to the crash");
         let s = f.stats().snapshot();
         assert!(s.retries >= 2, "two rejections before the restart");
@@ -800,9 +867,9 @@ mod tests {
         // The degraded run must cost more vtime than a fault-free one.
         let clean = FileSystem::new(PlatformProfile::fast_test());
         let g = clean.open(0, Clock::new(), "crash");
-        g.try_pwrite_direct(0, &[1u8; 512]).unwrap();
-        g.try_pwrite_direct(0, &[2u8; 512]).unwrap();
-        g.try_pread_direct(0, &mut buf).unwrap();
+        g.write(IoPath::Direct, [(0, &[1u8; 512])]).unwrap();
+        g.write(IoPath::Direct, [(0, &[2u8; 512])]).unwrap();
+        g.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         assert!(f.clock().now() > g.clock().now(), "backoff must cost vtime");
     }
 
@@ -820,7 +887,7 @@ mod tests {
         );
         let f = fs.open(0, Clock::new(), "manual");
         // Stripe unit 4 KiB: offset 4096 homes on server 1.
-        let err = f.try_pwrite_direct(4096, &[1u8; 128]).unwrap_err();
+        let err = f.write(IoPath::Direct, [(4096, &[1u8; 128])]).unwrap_err();
         assert_eq!(
             err,
             FsError::RetriesExhausted {
@@ -831,7 +898,7 @@ mod tests {
         assert!(fs.server_down(1));
         assert!(fs.restart_server(1), "manual restart");
         assert!(!fs.restart_server(1), "already up");
-        f.try_pwrite_direct(4096, &[1u8; 128]).unwrap();
+        f.write(IoPath::Direct, [(4096, &[1u8; 128])]).unwrap();
     }
 
     #[test]
@@ -843,14 +910,14 @@ mod tests {
         let job = Job::new(2);
         let me = job.seat(0);
         let f = fs.open(0, me.clock().clone(), "wait");
-        assert!(f.try_pwrite_direct(0, &[1u8; 64]).is_err());
+        assert!(f.write(IoPath::Direct, [(0, &[1u8; 64])]).is_err());
         // This thread now owns the recovery, and takes its time over it.
         assert!(fs.inner.servers.begin_recovery(0));
         std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
                 let seat = job.seat(1);
                 let g = fs.open(1, seat.clock().clone(), "wait");
-                let res = g.try_pwrite_direct(0, &[2u8; 64]);
+                let res = g.write(IoPath::Direct, [(0, &[2u8; 64])]);
                 (res, g.stats().snapshot().retries)
             });
             // The writer is parked on the recovering server before the
@@ -881,10 +948,10 @@ mod tests {
         let fs = FileSystem::with_faults(PlatformProfile::fast_test(), plan);
         let a = fs.open(0, Clock::new(), "gate");
         let b = fs.open(1, Clock::new(), "gate");
-        a.try_pwrite(0, &[5u8; 128]).unwrap();
+        a.write(IoPath::Cached, [(0, &[5u8; 128])]).unwrap();
         a.try_sync().unwrap(); // record pending, server 0 down
         let mut buf = [0u8; 128];
-        b.try_pread_direct(0, &mut buf).unwrap(); // retry drives recovery
+        b.read(IoPath::Direct, [(0, &mut buf)]).unwrap(); // retry drives recovery
         assert_eq!(buf, [5u8; 128], "no stale read around the journal");
         assert!(fs.fault_stats().replayed_records >= 1);
     }
@@ -909,12 +976,12 @@ mod tests {
         let g = a
             .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
             .unwrap();
-        a.try_pwrite(0, &[0xDDu8; 1024]).unwrap(); // dirty under coverage
+        a.write(IoPath::Cached, [(0, &[0xDDu8; 1024])]).unwrap(); // dirty under coverage
         g.release();
         assert_eq!(a.try_sync().unwrap_err(), FsError::Closed, "killed");
         assert_eq!(a.coherence_coverage().total_len(), 0, "coverage cleared");
         assert_eq!(
-            a.try_pwrite_direct(0, &[1u8; 8]).unwrap_err(),
+            a.write(IoPath::Direct, [(0, &[1u8; 8])]).unwrap_err(),
             FsError::Closed,
             "a dead handle stays dead"
         );
@@ -925,8 +992,8 @@ mod tests {
             .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
             .unwrap();
         let mut buf = [9u8; 16];
-        b.try_pread_direct(0, &mut buf).unwrap();
-        b.try_pwrite(0, &[0xBBu8; 16]).unwrap(); // the rival's own dirty bytes
+        b.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
+        b.write(IoPath::Cached, [(0, &[0xBBu8; 16])]).unwrap(); // the rival's own dirty bytes
         g.release();
         assert_eq!(buf, [0u8; 16], "dirty bytes must die with the client");
         assert_eq!(fs.fault_stats().client_deaths, 1);

@@ -199,7 +199,7 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         a.tracer().bind(Track::Rank(0), sink.clone());
         let g = a.lock(ByteRange::new(0, 600), LockMode::Exclusive).unwrap();
-        a.try_pwrite(0, &[0xA0u8; 600]).unwrap();
+        a.write(IoPath::Cached, [(0, &[0xA0u8; 600])]).unwrap();
         g.release();
         a.file.coherence.revoke(0, ranges, 0);
         let events = sink.snapshot();
@@ -253,7 +253,7 @@ mod tests {
         let g = a
             .lock(ByteRange::new(0, 4096), LockMode::Exclusive)
             .unwrap();
-        a.try_pwrite(0, &[0xA0u8; 4096]).unwrap(); // write-behind: stays dirty
+        a.write(IoPath::Cached, [(0, &[0xA0u8; 4096])]).unwrap(); // write-behind: stays dirty
         g.release();
         assert!(
             fs.snapshot("coh").unwrap().to_vec().iter().all(|&x| x == 0),
@@ -267,9 +267,9 @@ mod tests {
             .lock(ByteRange::new(1024, 2048), LockMode::Exclusive)
             .unwrap();
         let mut seen = [0u8; 1024];
-        b.try_pread_direct(1024, &mut seen).unwrap();
+        b.read(IoPath::Direct, [(1024, &mut seen)]).unwrap();
         assert_eq!(seen, [0xA0u8; 1024], "revocation must flush A's data");
-        b.try_pwrite_direct(1024, &[0xB1u8; 1024]).unwrap();
+        b.write(IoPath::Direct, [(1024, &[0xB1u8; 1024])]).unwrap();
         g.release();
 
         let s = a.stats().snapshot();
@@ -286,7 +286,7 @@ mod tests {
         // fresh (B's bytes), the untouched ranges come from A's warm cache.
         let g = a.lock(ByteRange::new(0, 4096), LockMode::Shared).unwrap();
         let mut buf = [0u8; 4096];
-        a.try_pread(0, &mut buf).unwrap();
+        a.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         g.release();
         assert_eq!(&buf[0..1024], &[0xA0u8; 1024][..]);
         assert_eq!(&buf[1024..2048], &[0xB1u8; 1024][..], "no stale read");
@@ -306,7 +306,7 @@ mod tests {
             let g = a
                 .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
                 .unwrap();
-            a.try_pwrite(0, &[0xDDu8; 1024]).unwrap(); // write-behind, never synced
+            a.write(IoPath::Cached, [(0, &[0xDDu8; 1024])]).unwrap(); // write-behind, never synced
             g.release();
         } // dropped without sync: the data is gone, and so is the handler
 
@@ -315,7 +315,7 @@ mod tests {
             .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
             .unwrap();
         let mut buf = [9u8; 16];
-        b.try_pread_direct(0, &mut buf).unwrap();
+        b.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         g.release();
         assert_eq!(buf, [0u8; 16], "discarded write-behind data resurrected");
 
@@ -324,10 +324,10 @@ mod tests {
         let g = a2
             .lock(ByteRange::new(0, 512), LockMode::Exclusive)
             .unwrap();
-        a2.try_pwrite(0, &[0xEEu8; 512]).unwrap();
+        a2.write(IoPath::Cached, [(0, &[0xEEu8; 512])]).unwrap();
         g.release();
         let g = b.lock(ByteRange::new(0, 512), LockMode::Exclusive).unwrap();
-        b.try_pread_direct(0, &mut buf).unwrap();
+        b.read(IoPath::Direct, [(0, &mut buf)]).unwrap();
         g.release();
         assert_eq!(buf, [0xEEu8; 16], "live handle must still be revocable");
         assert_eq!(a2.stats().snapshot().revocations_served, 1);
@@ -347,7 +347,8 @@ mod tests {
         let g = a
             .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
             .unwrap();
-        a.try_pwrite(0, &[0x11u8; 1024]).unwrap(); // dirty write-behind under coverage
+        // Dirty write-behind under coverage.
+        a.write(IoPath::Cached, [(0, &[0x11u8; 1024])]).unwrap();
         g.release();
         assert_eq!(a.coherence_coverage().total_len(), 1024);
 
@@ -361,22 +362,22 @@ mod tests {
         // close-without-fsync contract as dropping the handle): its reads
         // fall through to the servers, and its sync flushes nothing.
         let mut buf = [9u8; 16];
-        a.try_pread(0, &mut buf).unwrap();
+        a.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         assert_eq!(buf, [0u8; 16], "old handle must not serve discarded data");
         a.try_sync().unwrap();
         let b = fs.open(1, Clock::new(), "dup");
         let mut seen = [9u8; 16];
-        b.try_pread_direct(0, &mut seen).unwrap();
+        b.read(IoPath::Direct, [(0, &mut seen)]).unwrap();
         assert_eq!(seen, [0u8; 16], "discarded write-behind data resurrected");
 
         // The successor participates in coherence normally.
         let g = a2
             .lock(ByteRange::new(0, 512), LockMode::Exclusive)
             .unwrap();
-        a2.try_pwrite(0, &[0x22u8; 512]).unwrap();
+        a2.write(IoPath::Cached, [(0, &[0x22u8; 512])]).unwrap();
         g.release();
         let g = b.lock(ByteRange::new(0, 512), LockMode::Exclusive).unwrap();
-        b.try_pread_direct(0, &mut seen).unwrap();
+        b.read(IoPath::Direct, [(0, &mut seen)]).unwrap();
         g.release();
         assert_eq!(seen, [0x22u8; 16], "successor must still be revocable");
         assert_eq!(a2.stats().snapshot().revoke_flushed_bytes, 512);
@@ -420,8 +421,11 @@ mod tests {
                 if mode == LockMode::Exclusive {
                     // Dirty write-behind, so revocations flush real bytes.
                     let first = set.trains()[0].nth(0);
-                    f.try_pwrite(first.start, &vec![step as u8; first.len() as usize])
-                        .unwrap();
+                    f.write(
+                        IoPath::Cached,
+                        [(first.start, &vec![step as u8; first.len() as usize])],
+                    )
+                    .unwrap();
                 }
                 g.release();
                 let locks = f.file.locks.as_ref().unwrap();
@@ -467,7 +471,7 @@ mod tests {
         let g = a
             .lock(ByteRange::new(0, 2048), LockMode::Exclusive)
             .unwrap();
-        a.try_pwrite(0, &[0xAAu8; 2048]).unwrap(); // write-behind: stays dirty
+        a.write(IoPath::Cached, [(0, &[0xAAu8; 2048])]).unwrap(); // write-behind: stays dirty
         g.release();
         assert!(
             fs.snapshot("scoh")
@@ -485,7 +489,7 @@ mod tests {
             .lock(ByteRange::new(1024, 1536), LockMode::Shared)
             .unwrap();
         let mut seen = [0u8; 512];
-        b.try_pread(1024, &mut seen).unwrap();
+        b.read(IoPath::Cached, [(1024, &mut seen)]).unwrap();
         g.release();
         assert_eq!(seen, [0xAAu8; 512], "revocation must flush A's data");
 
@@ -502,7 +506,7 @@ mod tests {
         // re-fetched, the rest comes from A's warm (still dirty) cache.
         let g = a.lock(ByteRange::new(0, 2048), LockMode::Shared).unwrap();
         let mut buf = [0u8; 2048];
-        a.try_pread(0, &mut buf).unwrap();
+        a.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         g.release();
         assert_eq!(buf, [0xAAu8; 2048], "no stale or lost bytes anywhere");
     }

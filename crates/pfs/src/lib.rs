@@ -16,6 +16,10 @@
 //!   copy-on-write, so a [`Snapshot`] of a file shares them instead of
 //!   copying the file. POSIX per-call atomicity can be switched off to
 //!   demonstrate even intra-call interleaving (paper §2.1).
+//! * **One request signature** ([`PosixFile`]) — every closed-loop access
+//!   is a `read` or `write` of `(offset, bytes)` segments along an
+//!   [`IoPath`]: one pipelined vector to the servers, or segment by
+//!   segment through the client cache.
 //! * **Client caching** ([`ClientCache`]) — page cache with read-ahead and
 //!   write-behind plus explicit `sync`/`invalidate`, reproducing the cache
 //!   coherence hazards §3 says the handshaking strategies must handle —
@@ -56,7 +60,7 @@ pub use error::FsError;
 pub use fault::{
     FaultAction, FaultEvent, FaultPlan, FaultSite, FaultSnapshot, FaultStats, RestartPolicy,
 };
-pub use file::{carve, FileSystem, LockGuard, PosixFile};
+pub use file::{carve, FileSystem, IoPath, LockGuard, PosixFile};
 pub use lock::{LockManager, LockMode, SetGrant};
 pub use profile::{CoherenceMode, LockKind, PlatformProfile};
 pub use server::ServerSet;

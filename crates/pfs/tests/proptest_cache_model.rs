@@ -4,7 +4,7 @@
 //! cache may only change *when* data becomes globally visible, never *what*
 //! a single client observes of its own operations.
 
-use atomio_pfs::{FileSystem, PlatformProfile};
+use atomio_pfs::{FileSystem, IoPath, PlatformProfile};
 use atomio_vtime::Clock;
 use proptest::prelude::*;
 
@@ -43,7 +43,7 @@ proptest! {
         for op in &ops {
             match *op {
                 Op::WriteCached { off, len, fill } => {
-                    f.try_pwrite(off, &vec![fill; len as usize]).unwrap();
+                    f.write(IoPath::Cached, [(off, &vec![fill; len as usize])]).unwrap();
                     model[off as usize..(off + len) as usize].fill(fill);
                 }
                 Op::WriteDirect { off, len, fill } => {
@@ -51,14 +51,14 @@ proptest! {
                     // client view coherent the client must first flush its
                     // own overlapping dirty data (like O_DIRECT discipline).
                     f.try_sync().unwrap();
-                    f.try_pwrite_direct(off, &vec![fill; len as usize]).unwrap();
+                    f.write(IoPath::Direct, [(off, &vec![fill; len as usize])]).unwrap();
                     // ...and drop stale clean pages covering that range.
                     f.try_invalidate().unwrap();
                     model[off as usize..(off + len) as usize].fill(fill);
                 }
                 Op::Read { off, len } => {
                     let mut buf = vec![0u8; len as usize];
-                    f.try_pread(off, &mut buf).unwrap();
+                    f.read(IoPath::Cached, [(off, &mut buf)]).unwrap();
                     prop_assert_eq!(
                         &buf[..],
                         &model[off as usize..(off + len) as usize],
@@ -87,13 +87,15 @@ proptest! {
         let mut last = 0;
         for op in &ops {
             match *op {
-                Op::WriteCached { off, len, fill } => f.try_pwrite(off, &vec![fill; len as usize]),
+                Op::WriteCached { off, len, fill } => {
+                    f.write(IoPath::Cached, [(off, &vec![fill; len as usize])])
+                }
                 Op::WriteDirect { off, len, fill } => {
-                    f.try_pwrite_direct(off, &vec![fill; len as usize])
+                    f.write(IoPath::Direct, [(off, &vec![fill; len as usize])])
                 }
                 Op::Read { off, len } => {
                     let mut buf = vec![0u8; len as usize];
-                    f.try_pread(off, &mut buf)
+                    f.read(IoPath::Cached, [(off, &mut buf)])
                 }
                 Op::Sync => f.try_sync(),
                 Op::Invalidate => f.try_invalidate(),

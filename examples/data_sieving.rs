@@ -35,7 +35,7 @@ fn main() {
                 .lock(ByteRange::at(seg.file_off, seg.len), LockMode::Exclusive)
                 .expect("lockful platform");
             let data = &buf[seg.logical_off as usize..][..seg.len as usize];
-            posix.try_pwrite_direct(seg.file_off, data).unwrap();
+            posix.write(IoPath::Direct, [(seg.file_off, data)]).unwrap();
             guard.release();
         }
         posix.stats().snapshot()

@@ -26,6 +26,44 @@ fn cached_strategies_remain_atomic() {
     }
 }
 
+/// The close-to-open side of the locked path: with the cache on and
+/// `IoPath::Cached` selected, I/O inside a held lock still goes to the
+/// servers (ROMIO's rule), so an independent locked or sieved write is
+/// there when the call returns — release implies durability, no sync
+/// needed — and a sieved read fetches nothing into the cache.
+#[test]
+fn locked_io_goes_to_the_servers_on_close_to_open_platforms() {
+    let fs = FileSystem::new(PlatformProfile::fast_test());
+    assert!(fs.profile().cache.enabled && fs.profile().coherence == CoherenceMode::CloseToOpen);
+    run(1, fs.profile().net.clone(), |comm| {
+        let mut file = MpiFile::open(&comm, &fs, "locked", OpenMode::ReadWrite).unwrap();
+        file.set_io_path(IoPath::Cached);
+        let strategies = [
+            Strategy::FileLocking(LockGranularity::Exact),
+            Strategy::DataSieving,
+        ];
+        for (i, strategy) in strategies.into_iter().enumerate() {
+            file.set_atomicity(Atomicity::Atomic(strategy)).unwrap();
+            // Below the 4 KiB write-behind limit: a cached write would linger.
+            let (at, data) = (i * 2048, vec![i as u8 + 1; 512]);
+            file.write_at(at as u64, &data).unwrap();
+            let image = fs.snapshot("locked").unwrap().to_vec();
+            let landed = image.get(at..at + 512);
+            assert_eq!(landed, Some(&data[..]), "{strategy}: not on the servers");
+        }
+        let misses = file.posix().stats().snapshot().cache_miss_bytes;
+        let mut buf = vec![0u8; 512];
+        file.read_at(2048, &mut buf).unwrap();
+        assert_eq!(buf, [2u8; 512]);
+        let s = file.posix().stats().snapshot();
+        assert_eq!(
+            s.cache_miss_bytes, misses,
+            "a sieved read went through the cache"
+        );
+        file.close().unwrap();
+    });
+}
+
 #[test]
 fn write_behind_hides_data_until_sync() {
     let fs = FileSystem::new(PlatformProfile::fast_test());
@@ -109,8 +147,11 @@ fn skipping_the_sync_step_breaks_visibility() {
         // sync. Buffers are small enough to stay under write-behind limits.
         for seg in part.view.segments(0, part.data_bytes()) {
             let lo = seg.logical_off as usize;
-            file.try_pwrite(seg.file_off, &buf[lo..lo + seg.len as usize])
-                .unwrap();
+            file.write(
+                IoPath::Cached,
+                [(seg.file_off, &buf[lo..lo + seg.len as usize])],
+            )
+            .unwrap();
         }
         comm.barrier();
     });
@@ -127,12 +168,15 @@ fn read_ahead_populates_cache() {
     let fs = FileSystem::new(PlatformProfile::fast_test());
     run(1, fs.profile().net.clone(), |comm| {
         let file = fs.open(0, comm.clock().clone(), "ra");
-        file.try_pwrite_direct(0, &vec![5u8; 8 * 1024]).unwrap();
+        file.write(IoPath::Direct, [(0, &vec![5u8; 8 * 1024])])
+            .unwrap();
         let mut buf = [0u8; 16];
-        file.try_pread(0, &mut buf).unwrap(); // miss: fetches window incl. read-ahead
+        // Miss: fetches the window, read-ahead included.
+        file.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
         let miss1 = file.stats().snapshot().cache_miss_bytes;
         let mut buf2 = [0u8; 512];
-        file.try_pread(1024, &mut buf2).unwrap(); // within the read-ahead window: hit
+        // Within the read-ahead window: a hit.
+        file.read(IoPath::Cached, [(1024, &mut buf2)]).unwrap();
         let s = file.stats().snapshot();
         assert_eq!(
             s.cache_miss_bytes, miss1,
@@ -147,14 +191,15 @@ fn read_ahead_populates_cache() {
     let read_1mib = |cached: bool| {
         let fs = FileSystem::new(PlatformProfile::cplant());
         let file = fs.open(0, Clock::new(), "ra");
-        file.try_pwrite_direct(0, &vec![1u8; 1 << 20]).unwrap();
+        file.write(IoPath::Direct, [(0, &vec![1u8; 1 << 20])])
+            .unwrap();
         let t0 = file.clock().now();
         let mut buf = [0u8; 4096];
         for off in (0..1u64 << 20).step_by(4096) {
             if cached {
-                file.try_pread(off, &mut buf).unwrap();
+                file.read(IoPath::Cached, [(off, &mut buf)]).unwrap();
             } else {
-                file.try_pread_direct(off, &mut buf).unwrap();
+                file.read(IoPath::Direct, [(off, &mut buf)]).unwrap();
             }
         }
         file.clock().now() - t0
@@ -172,12 +217,16 @@ fn cached_write_costs_less_vtime_than_direct_until_sync() {
     run(1, fs.profile().net.clone(), |comm| {
         let cached = fs.open(0, comm.clock().clone(), "c");
         let t0 = comm.clock().now();
-        cached.try_pwrite(0, &vec![1u8; 16 * 1024]).unwrap();
+        cached
+            .write(IoPath::Cached, [(0, &vec![1u8; 16 * 1024])])
+            .unwrap();
         let t_cached = comm.clock().now() - t0;
 
         let direct = fs.open(0, comm.clock().clone(), "d");
         let t1 = comm.clock().now();
-        direct.try_pwrite_direct(0, &vec![1u8; 16 * 1024]).unwrap();
+        direct
+            .write(IoPath::Direct, [(0, &vec![1u8; 16 * 1024])])
+            .unwrap();
         let t_direct = comm.clock().now() - t1;
         assert!(
             t_cached < t_direct / 2,

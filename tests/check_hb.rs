@@ -91,13 +91,14 @@ fn traced_locked_stress(fs: &FileSystem, iters: usize) -> Arc<MemorySink> {
                             .unwrap()
                             + 1
                     };
-                    f.try_pwrite(off, &vec![v; len as usize]).unwrap();
+                    f.write(IoPath::Cached, [(off, &vec![v; len as usize])])
+                        .unwrap();
                     floor.lock().unwrap()[off as usize..(off + len) as usize].fill(v);
                     guard.release();
                 } else {
                     let guard = f.lock(range, LockMode::Shared).unwrap();
                     let mut buf = vec![0u8; len as usize];
-                    f.try_pread(off, &mut buf).unwrap();
+                    f.read(IoPath::Cached, [(off, &mut buf)]).unwrap();
                     guard.release();
                 }
             }
@@ -456,8 +457,11 @@ fn traced_pipelined_two_phase(sink: &Arc<MemorySink>) -> Vec<usize> {
             comm.barrier();
             if comm.rank() == turn {
                 let mut back = vec![0u8; BLOCK as usize];
-                file.try_pread_direct(((comm.rank() + P / 2) % P) as u64 * BLOCK, &mut back)
-                    .unwrap();
+                file.read(
+                    IoPath::Direct,
+                    [(((comm.rank() + P / 2) % P) as u64 * BLOCK, &mut back)],
+                )
+                .unwrap();
             }
         }
         report.rounds

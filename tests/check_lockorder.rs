@@ -104,12 +104,12 @@ fn run_two_client_workload(fs: &FileSystem) -> u64 {
             both_open.wait();
             let r = ByteRange::at(client as u64 * 512, 1024);
             let g = f.lock(r, LockMode::Exclusive).unwrap();
-            f.try_pwrite(r.start, &vec![client as u8 + 1; 1024])
+            f.write(IoPath::Cached, [(r.start, &vec![client as u8 + 1; 1024])])
                 .unwrap();
             g.release();
             let g = f.lock(r, LockMode::Shared).unwrap();
             let mut buf = vec![0u8; 1024];
-            f.try_pread(r.start, &mut buf).unwrap();
+            f.read(IoPath::Cached, [(r.start, &mut buf)]).unwrap();
             g.release();
             f.try_sync().unwrap();
             // Closing drops the handle's tokens: a rival still running

@@ -90,7 +90,8 @@ fn run_faulted_stress(plan: FaultPlan) -> FaultSnapshot {
                             .unwrap()
                             + 1
                     };
-                    f.try_pwrite(off, &vec![v; len as usize]).unwrap();
+                    f.write(IoPath::Cached, [(off, &vec![v; len as usize])])
+                        .unwrap();
                     floor.lock().unwrap()[off as usize..(off + len) as usize].fill(v);
                     guard.release();
                 } else {
@@ -98,7 +99,7 @@ fn run_faulted_stress(plan: FaultPlan) -> FaultSnapshot {
                     let snap: Vec<u8> =
                         floor.lock().unwrap()[off as usize..(off + len) as usize].to_vec();
                     let mut buf = vec![0u8; len as usize];
-                    f.try_pread(off, &mut buf).unwrap();
+                    f.read(IoPath::Cached, [(off, &mut buf)]).unwrap();
                     guard.release();
                     for (i, (&got, &min)) in buf.iter().zip(snap.iter()).enumerate() {
                         assert!(
@@ -335,7 +336,9 @@ fn collective_locked_write_fails_only_the_rank_with_a_dead_handle() {
                 let mut buf = part.fill(pattern::rank_stamp(comm.rank()));
                 let mut file = MpiFile::open(&comm, &fs, "dead", OpenMode::ReadWrite).unwrap();
                 // One cached byte each, so every rank's sync has a flush to make.
-                file.posix().try_pwrite(comm.rank() as u64, &[1]).unwrap();
+                file.posix()
+                    .write(IoPath::Cached, [(comm.rank() as u64, &[1])])
+                    .unwrap();
                 let synced = file.sync();
                 file.set_view(0, part.filetype.clone()).unwrap();
                 file.set_atomicity(Atomicity::Atomic(strategy)).unwrap();
@@ -431,7 +434,7 @@ fn faulted_collective_read(
     let spec = asymmetric_spec();
     let image: Vec<u8> = (0..spec.file_bytes()).map(seeded).collect();
     fs.open(0, Clock::new(), "grid")
-        .try_pwrite_direct(0, &image)
+        .write(IoPath::Direct, [(0, &image)])
         .unwrap();
     assert!(!fs.server_down(DEAD), "the seed write must not crash it");
     let started = std::time::Instant::now();

@@ -107,7 +107,8 @@ fn run_revocation_stress(profile: PlatformProfile) {
                             .unwrap()
                             + 1
                     };
-                    f.try_pwrite(off, &vec![v; len as usize]).unwrap(); // write-behind
+                    f.write(IoPath::Cached, [(off, &vec![v; len as usize])])
+                        .unwrap(); // write-behind
                     floor.lock().unwrap()[off as usize..(off + len) as usize].fill(v);
                     guard.release();
                 } else {
@@ -115,7 +116,7 @@ fn run_revocation_stress(profile: PlatformProfile) {
                     let snap: Vec<u8> =
                         floor.lock().unwrap()[off as usize..(off + len) as usize].to_vec();
                     let mut buf = vec![0u8; len as usize];
-                    f.try_pread(off, &mut buf).unwrap();
+                    f.read(IoPath::Cached, [(off, &mut buf)]).unwrap();
                     guard.release();
                     for (i, (&got, &min)) in buf.iter().zip(snap.iter()).enumerate() {
                         assert!(
@@ -172,13 +173,13 @@ fn write_behind_visibility_contract() {
     let g = w
         .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
         .unwrap();
-    w.try_pwrite(0, &[0xCCu8; 1024]).unwrap();
+    w.write(IoPath::Cached, [(0, &[0xCCu8; 1024])]).unwrap();
     g.release();
 
     // Non-locking reader after the release: reads the servers, and the
     // write-behind data legitimately is not there yet.
     let mut buf = [0u8; 1024];
-    r.try_pread(0, &mut buf).unwrap();
+    r.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
     assert_eq!(
         buf, [0u8; 1024],
         "a non-locking reader may miss write-behind data — by contract"
@@ -187,7 +188,7 @@ fn write_behind_visibility_contract() {
     // Locking reader: the shared grant revokes the writer's token, which
     // flushes before the grant completes — never a stale byte.
     let g = r.lock(ByteRange::new(0, 1024), LockMode::Shared).unwrap();
-    r.try_pread(0, &mut buf).unwrap();
+    r.read(IoPath::Cached, [(0, &mut buf)]).unwrap();
     g.release();
     assert_eq!(buf, [0xCCu8; 1024], "a locking reader always sees the data");
 
@@ -196,7 +197,7 @@ fn write_behind_visibility_contract() {
     let g = w
         .lock(ByteRange::new(0, 1024), LockMode::Exclusive)
         .unwrap();
-    w.try_pwrite(0, &[0xDDu8; 1024]).unwrap();
+    w.write(IoPath::Cached, [(0, &[0xDDu8; 1024])]).unwrap();
     g.release();
     w.try_sync().unwrap();
     assert_eq!(

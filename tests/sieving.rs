@@ -187,7 +187,7 @@ fn sieving_slashes_server_requests_vs_per_run_locking() {
                 .lock(ByteRange::at(seg.file_off, seg.len), LockMode::Exclusive)
                 .unwrap();
             let data = &buf[seg.logical_off as usize..][..seg.len as usize];
-            posix.try_pwrite_direct(seg.file_off, data).unwrap();
+            posix.write(IoPath::Direct, [(seg.file_off, data)]).unwrap();
             guard.release();
         }
         posix.stats().snapshot()
@@ -262,7 +262,7 @@ fn sieve_one_window(
     let ops = run(1, fs.profile().net.clone(), |comm| {
         let mut file = MpiFile::open(&comm, &fs, "rmw", OpenMode::ReadWrite).unwrap();
         if !seed.is_empty() {
-            file.posix().try_pwrite_direct(0, seed).unwrap();
+            file.posix().write(IoPath::Direct, [(0, seed)]).unwrap();
         }
         let filetype = Datatype::vector(blocks, 8, stride, Datatype::byte()).unwrap();
         file.set_view(disp, filetype).unwrap();

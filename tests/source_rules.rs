@@ -447,19 +447,44 @@ fn collective_rule_bites_on_planted_sources() {
     assert_eq!(collective_rule_violations(&[], &with_msg).len(), 1);
 }
 
-/// The frozen benchmark's name for a footprint, spelled in two halves so
-/// that this file does not say it.
-const ALIAS: &str = concat!("Interval", "Set");
+/// The names the frozen `benchmark/` package spells and nothing else may,
+/// each with its home: the file and the one line there that defines it.
+/// Every name is spelled in two halves so that this file does not say it.
+const BENCHMARK_NAMES: [(&str, &str, &str); 3] = [
+    (
+        concat!("Interval", "Set"),
+        "crates/interval/src/lib.rs",
+        concat!("pub type ", "Interval", "Set = StridedSet;"),
+    ),
+    (
+        concat!("try_", "pwrite"),
+        "crates/pfs/src/file/mod.rs",
+        concat!(
+            "pub fn try_",
+            "pwrite(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {"
+        ),
+    ),
+    (
+        concat!("try_", "pwrite_direct"),
+        "crates/pfs/src/file/mod.rs",
+        concat!(
+            "pub fn try_",
+            "pwrite_direct(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {"
+        ),
+    ),
+];
 
-/// The one line outside `benchmark/` that may say [`ALIAS`], and its file.
-const ALIAS_HOME: (&str, &str) = (
-    "crates/interval/src/lib.rs",
-    concat!("pub type ", "Interval", "Set = StridedSet;"),
-);
+/// Whether `line` says the identifier `name` whole, not as the head or
+/// tail of a longer identifier.
+fn says(line: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(name)
+        .any(|(at, _)| !line[..at].ends_with(ident) && !line[at + name.len()..].starts_with(ident))
+}
 
 /// Every `file:line` under `crates/`, `src/`, `tests/` or `examples/` that
-/// says [`ALIAS`], except the alias itself and the comments of its file.
-fn alias_spellings(files: &[(String, String)]) -> Vec<String> {
+/// says `name`, except its home line and the comments of its home file.
+fn spellings(files: &[(String, String)], (name, home, defined): (&str, &str, &str)) -> Vec<String> {
     let scoped = |rel: &str| {
         let top = rel.split('/').next().unwrap_or_default();
         ["crates", "src", "tests", "examples"].contains(&top)
@@ -468,8 +493,8 @@ fn alias_spellings(files: &[(String, String)]) -> Vec<String> {
     for (rel, text) in files.iter().filter(|(rel, _)| scoped(rel)) {
         for (i, line) in text.lines().enumerate() {
             let line = line.trim();
-            let home = rel == ALIAS_HOME.0 && (line == ALIAS_HOME.1 || line.starts_with("//"));
-            if line.contains(ALIAS) && !home {
+            let at_home = rel == home && (line == defined || line.starts_with("//"));
+            if says(line, name) && !at_home {
                 found.push(format!("{rel}:{}", i + 1));
             }
         }
@@ -477,12 +502,12 @@ fn alias_spellings(files: &[(String, String)]) -> Vec<String> {
     found
 }
 
-/// One byte-set type per role: a footprint or message is a `StridedSet`,
-/// growing state is a `RunMap`. The old dense type's name survives only as
-/// the alias that the frozen `benchmark/` package spells; no library code,
-/// test or example may use it.
+/// One home per name the frozen `benchmark/` package spells. The old dense
+/// byte-set type survives only as an alias, and the two one-segment writes
+/// only as one-line forms of `PosixFile::write`; no library code, test or
+/// example may use them.
 #[test]
-fn the_benchmark_alias_is_spelled_only_where_it_is_defined() {
+fn every_benchmark_name_is_spelled_only_at_its_home() {
     let files: Vec<(String, String)> = repo_files()
         .iter()
         .map(|path| {
@@ -490,29 +515,47 @@ fn the_benchmark_alias_is_spelled_only_where_it_is_defined() {
             (rel(path), String::from_utf8_lossy(&bytes).into_owned())
         })
         .collect();
-    assert!(
-        files
-            .iter()
-            .any(|(rel, text)| rel == ALIAS_HOME.0 && text.contains(ALIAS_HOME.1)),
-        "{} lost the alias",
-        ALIAS_HOME.0
-    );
-    let found = alias_spellings(&files);
-    assert!(
-        found.is_empty(),
-        "{ALIAS} spelled outside its alias: {found:?}"
-    );
-    // The rule bites: a use anywhere in scope, a code line beside the
-    // alias, and not `benchmark/`.
     let planted = |rel: &str, text: &str| vec![(rel.to_string(), text.to_string())];
-    let code = format!("let views: Vec<{ALIAS}> = all_views();");
-    assert_eq!(
-        alias_spellings(&planted("tests/x.rs", &format!("\n{code}"))),
-        ["tests/x.rs:2"]
-    );
-    assert_eq!(alias_spellings(&planted(ALIAS_HOME.0, &code)).len(), 1);
-    assert_eq!(alias_spellings(&planted("examples/x.md", &code)).len(), 1);
-    assert!(alias_spellings(&planted("benchmark/src/probes.rs", &code)).is_empty());
+    for row @ (name, home, defined) in BENCHMARK_NAMES {
+        assert!(
+            files
+                .iter()
+                .any(|(rel, text)| rel == home && text.lines().any(|l| l.trim() == defined)),
+            "{home} lost `{defined}`"
+        );
+        let found = spellings(&files, row);
+        assert!(
+            found.is_empty(),
+            "{name} spelled outside its home: {found:?}"
+        );
+        // The rule bites: a use anywhere in scope and a code line beside the
+        // home line, but not the home line, a comment at home, `benchmark/`
+        // or a longer identifier.
+        let code = format!("let x = {name}(all);");
+        assert_eq!(
+            spellings(&planted("tests/x.rs", &format!("\n{code}")), row),
+            ["tests/x.rs:2"],
+            "{name}"
+        );
+        assert_eq!(spellings(&planted(home, &code), row).len(), 1, "{name}");
+        assert_eq!(
+            spellings(&planted("examples/x.md", &code), row).len(),
+            1,
+            "{name}"
+        );
+        let quiet = [
+            ("benchmark/src/probes.rs", code.clone()),
+            (home, format!("    {defined}")),
+            (home, format!("// {code}")),
+            ("tests/x.rs", format!("let x = {name}_direct(all);")),
+        ];
+        for (rel, text) in quiet {
+            assert!(
+                spellings(&planted(rel, &text), row).is_empty(),
+                "{rel}: {text}"
+            );
+        }
+    }
 }
 
 /// `MpiFile` takes every byte-range lock in one helper, so a collective
