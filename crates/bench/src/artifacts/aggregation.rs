@@ -35,14 +35,21 @@
 //! holder serves itself rides no wire). The full-scale acceptance adds, at
 //! every P, `makespan(pipelined) <= makespan(flat)` and more pipelined
 //! rounds than its write-behind depth, so a round retires on a later
-//! round's exchange (the one-round smoke geometry is exempt). The trace
-//! records the pipelined run at the smallest P, for the happens-before
-//! check.
+//! round's exchange (the one-round smoke geometry is exempt). After its
+//! write, every run reads each rank's footprint back through
+//! `two_phase_read` under the same schedule and asserts the final image's
+//! bytes (the header as the highest rank wrote it) and the union read from
+//! the servers exactly once; its `read_back` counters are gated with the
+//! rest. The trace records the pipelined run, read-back included, at the
+//! smallest P, for the happens-before check.
 
 use std::sync::Arc;
 
 use crate::{counters, makespan, object, ratio, run_traced, Artifact, Scale, Value};
-use atomio_collective::{two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReport};
+use atomio_collective::{
+    two_phase_read, two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReadReport,
+    TwoPhaseReport,
+};
 use atomio_dtype::ViewSegment;
 use atomio_pfs::{FileSystem, PlatformProfile, Snapshot};
 use atomio_trace::{MemorySink, TraceSink, Track};
@@ -77,6 +84,18 @@ counters! {
     }
 }
 
+counters! {
+    /// The byte-checked read-back of one run (all ranks). Counts only: its
+    /// aggregators read closed-loop, and the servers book concurrent
+    /// closed-loop requests in host arrival order, so its makespan is not
+    /// reproducible run to run.
+    struct ReadBack {
+        bytes_checked: u64,
+        bytes_read_from_servers: u64,
+        read_runs: usize,
+    }
+}
+
 /// The comparison platform: the test profile with the network re-balanced
 /// so shipping the whole request volume and the aggregators' file writes
 /// are the same order of magnitude (inter-node fabric at 2 GB/s against
@@ -106,7 +125,9 @@ fn segments_of(rank: usize, header: u64, block: u64) -> Vec<ViewSegment> {
 }
 
 /// Run the shared-header workload under one schedule, `p` ranks packed
-/// `ranks_per_node` to a node; returns the totals and the final file bytes.
+/// `ranks_per_node` to a node, then read every rank's footprint back under
+/// the same schedule; returns the totals, the read-back's counters and the
+/// final file bytes.
 fn run_mode(
     (header, block): (u64, u64),
     ranks_per_node: usize,
@@ -114,9 +135,10 @@ fn run_mode(
     mode: Mode,
     name: &str,
     sink: Option<&Arc<MemorySink>>,
-) -> (Totals, Snapshot) {
+) -> (Totals, ReadBack, Snapshot) {
     let fs = FileSystem::new(bench_profile());
-    let out: Vec<(VNanos, VNanos, TwoPhaseReport)> = run_traced(p, &fs, sink, |comm| {
+    type Out = (VNanos, VNanos, TwoPhaseReport, TwoPhaseReadReport);
+    let out: Vec<Out> = run_traced(p, &fs, sink, |comm| {
         let file = fs.open(comm.rank(), comm.clock().clone(), name);
         if let Some(s) = sink {
             let s = Arc::clone(s) as Arc<dyn TraceSink>;
@@ -138,13 +160,43 @@ fn run_mode(
         comm.barrier();
         let start = comm.clock().now();
         let report = two_phase_write(&comm, &file, &segs, &buf, 0, &tp);
-        (start, comm.clock().now(), report)
+        let end = comm.clock().now();
+        // The header holds the highest rank's stamp, the block this rank's.
+        let winner = pattern::rank_stamp(p - 1);
+        let image = |o: u64| if o < header { winner(o) } else { pat(o) };
+        let expected: Vec<u8> = segs
+            .iter()
+            .flat_map(|s| (s.file_off..s.file_off + s.len).map(image))
+            .collect();
+        let mut back = vec![0u8; expected.len()];
+        let read = two_phase_read(&comm, &file, &segs, &mut back, 0, &tp);
+        assert!(
+            back == expected,
+            "{name}: rank {} read back other bytes",
+            comm.rank()
+        );
+        (start, end, report, read)
     });
     let mut t = Totals {
-        makespan_ns: makespan(out.iter().map(|(s, e, _)| (*s, *e))),
+        makespan_ns: makespan(out.iter().map(|(s, e, ..)| (*s, *e))),
         ..Totals::default()
     };
-    for (_, _, r) in &out {
+    let mut rb = ReadBack::default();
+    for (_, _, _, r) in &out {
+        rb.bytes_checked += header + block;
+        rb.bytes_read_from_servers += r.bytes_read_from_servers;
+        rb.read_runs += r.read_runs;
+        assert_eq!(
+            r.read_errors, 0,
+            "{name}: fault-free read-back reported errors"
+        );
+    }
+    assert_eq!(
+        rb.bytes_read_from_servers,
+        header + p as u64 * block,
+        "{name}: the read-back must read the footprint union from the servers once"
+    );
+    for (_, _, r, _) in &out {
         t.bytes_shipped += r.bytes_shipped;
         t.bytes_written += r.bytes_written;
         t.wire_intra_bytes += r.wire_intra_bytes;
@@ -186,12 +238,12 @@ fn run_mode(
         t.bytes_shipped
     );
     let snap = fs.snapshot(name).expect("file written");
-    (t, snap)
+    (t, rb, snap)
 }
 
 /// The totals `key`'s mode produced in one panel.
-fn totals_of(row: &[(Mode, Totals)], key: &str) -> Totals {
-    let mode = row.iter().find(|(m, _)| m.key == key);
+fn totals_of(row: &[(Mode, Totals, ReadBack)], key: &str) -> Totals {
+    let mode = row.iter().find(|(m, ..)| m.key == key);
     mode.expect("every mode runs in every panel").1
 }
 
@@ -205,7 +257,7 @@ pub(crate) fn aggregation(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Arti
         (64 * 1024, 16 * 1024, 16, vec![64, 256, 1024])
     };
 
-    type Panel = (usize, Vec<(Mode, Totals)>);
+    type Panel = (usize, Vec<(Mode, Totals, ReadBack)>);
     let mut panels: Vec<Panel> = Vec::new();
     for &p in &procs {
         let mut row = Vec::new();
@@ -214,7 +266,7 @@ pub(crate) fn aggregation(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Arti
             let name = format!("agg-{p}-{}", mode.key);
             let traced = mode.key == "pipelined" && p == procs[0];
             let sink = trace.filter(|_| traced);
-            let (t, snap) = run_mode((header, block), ranks_per_node, p, mode, &name, sink);
+            let (t, rb, snap) = run_mode((header, block), ranks_per_node, p, mode, &name, sink);
             // All three schedules surrender to the highest rank: the
             // scenario doubles as an equivalence check.
             let first = reference.get_or_insert_with(|| snap.clone());
@@ -222,7 +274,7 @@ pub(crate) fn aggregation(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Arti
                 first, &snap,
                 "{name}: contents differ from the flat schedule"
             );
-            row.push((mode, t));
+            row.push((mode, t, rb));
         }
         panels.push((p, row));
     }
@@ -279,12 +331,13 @@ pub(crate) fn aggregation(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Arti
     };
     for (p, row) in &panels {
         let flat = totals_of(row, "flat");
-        let modes = row.iter().map(|(mode, t)| {
+        let modes = row.iter().map(|(mode, t, rb)| {
             let (inter_reduction, speedup) = vs_flat(&flat, t);
             let point = object! {
                 "totals": t,
                 "inter_byte_reduction": inter_reduction,
                 "makespan_speedup": speedup,
+                "read_back": rb,
             };
             (mode.key, point)
         });
@@ -298,10 +351,14 @@ pub(crate) fn aggregation(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Arti
     // retires on a later round's exchange.
     let pass = panels.iter().all(|(_, row)| {
         let (flat, pipe) = (totals_of(row, "flat"), totals_of(row, "pipelined"));
-        let retires = row.iter().all(|(mode, t)| match (mode.key, mode.schedule) {
-            ("pipelined", ExchangeSchedule::Pipelined { depth, .. }) => t.rounds > depth as usize,
-            _ => true,
-        });
+        let retires = row
+            .iter()
+            .all(|(mode, t, _)| match (mode.key, mode.schedule) {
+                ("pipelined", ExchangeSchedule::Pipelined { depth, .. }) => {
+                    t.rounds > depth as usize
+                }
+                _ => true,
+            });
         pipe.makespan_ns <= flat.makespan_ns && retires
     });
     let acceptance = panels.iter().find(|(p, _)| *p == 256 && !smoke);
@@ -318,6 +375,7 @@ pub(crate) fn aggregation(scale: Scale, trace: Option<&Arc<MemorySink>>) -> Arti
                            at every P; makespan(pipelined) <= makespan(flat) at every P",
                 "byte_identical": true,
                 "shipped_equals_written": true,
+                "read_back_identical": true,
                 "conflict_bytes": pipe.conflict_bytes,
                 "inter_byte_reduction": inter_reduction,
                 "makespan_speedup": speedup,

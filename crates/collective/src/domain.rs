@@ -60,12 +60,6 @@ pub(crate) fn choose_aggregators(p: usize, want: usize, ranks_per_node: usize) -
 /// byte imbalance is bounded by one stripe unit plus the edge partials,
 /// however the extent is aligned.
 ///
-/// (The previous byte-space split rounded `extent.start + share·(i+1)` up
-/// to the next stripe multiple, which with a stripe-unaligned
-/// `extent.start` silently inflated the first domain by up to a full
-/// stripe and starved the last — splitting the unit *grid* keeps the
-/// shares even relative to the stripe units that actually exist.)
-///
 /// Aggregators whose share rounds away (tiny extents, many aggregators)
 /// simply get no domain; the returned list contains only non-empty domains,
 /// in ascending file order.

@@ -65,15 +65,15 @@ pub(crate) fn route_segments<'a>(
     (own, out)
 }
 
-/// What an aggregator writes, ready to leave as it is: references to the
-/// pieces — received, or routed to itself — in ascending file order.
-/// Nothing is staged or copied — a sparse request over a huge file costs
-/// nothing but its covered bytes.
+/// What an aggregator writes, ready to leave as it is: the pieces —
+/// routed to itself, by reference, or received, by value — in ascending
+/// file order. Nothing is staged or copied — a sparse request over a huge
+/// file costs nothing but its covered bytes.
 #[derive(Debug)]
-pub(crate) struct Gathered<'a> {
+pub(crate) struct Gathered<T> {
     /// `(absolute file offset, bytes)` per piece, ascending, no two
     /// overlapping — the batch `PosixFile::submit_writes` takes.
-    pub writes: Vec<PieceRef<'a>>,
+    pub writes: Vec<(u64, T)>,
     /// Maximal file-contiguous runs the pieces form (the "large writes"),
     /// ascending. They outlive the pieces, so runs can be counted over
     /// several batches.
@@ -82,22 +82,22 @@ pub(crate) struct Gathered<'a> {
     pub bytes: u64,
 }
 
-/// Gather the pieces an aggregator writes: sort the *references* by file
-/// offset and group file-adjacent pieces into runs. Every sender surrendered
-/// what a higher rank overwrites before routing, so no two pieces may
-/// overlap; the order they arrive in is therefore irrelevant, and that is
-/// checked here.
-pub(crate) fn gather<'a>(pieces: impl Iterator<Item = PieceRef<'a>>) -> Gathered<'a> {
-    let mut writes: Vec<PieceRef> = pieces.filter(|(_, d)| !d.is_empty()).collect();
-    writes.sort_unstable_by_key(|&(off, _)| off);
+/// Gather the pieces an aggregator writes: sort them by file offset —
+/// moving references or `Vec`s, never bytes — and group file-adjacent
+/// pieces into runs. Every sender surrendered what a higher rank overwrites
+/// before routing, so no two pieces may overlap; the order they arrive in
+/// is therefore irrelevant, and that is checked here.
+pub(crate) fn gather<T: AsRef<[u8]>>(pieces: impl Iterator<Item = (u64, T)>) -> Gathered<T> {
+    let mut writes: Vec<(u64, T)> = pieces.filter(|(_, d)| !d.as_ref().is_empty()).collect();
+    writes.sort_unstable_by_key(|w| w.0);
     let (mut runs, mut bytes) = (Vec::<ByteRange>::new(), 0u64);
-    for &(off, data) in &writes {
-        let piece = ByteRange::at(off, data.len() as u64);
+    for (off, data) in &writes {
+        let piece = ByteRange::at(*off, data.as_ref().len() as u64);
         match runs.last_mut() {
-            Some(run) if run.end == off => run.end = piece.end,
+            Some(run) if run.end == piece.start => run.end = piece.end,
             last => {
                 assert!(
-                    last.is_none_or(|run| run.end <= off),
+                    last.is_none_or(|run| run.end <= piece.start),
                     "overlapping pieces reached an aggregator: a sender skipped the surrender rule"
                 );
                 runs.push(piece);

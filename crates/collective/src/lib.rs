@@ -28,15 +28,14 @@
 //!    `atomio-core::verify` accepts — and no losing byte crosses a wire;
 //! 4. **I/O** — each aggregator issues a few large contiguous writes for
 //!    its domain, straight from the buffers the pieces arrived in: it sorts
-//!    the piece *references* by offset (`exchange::gather`), copies nothing,
-//!    and the file prices each run as one request per server it touches
-//!    while streaming it to them a stripe row at a time.
-//!    The pieces it routed to itself never touch a wire and are never
-//!    copied — they are slices of the caller's buffer — so they leave
-//!    before the `alltoallv` and only the received ones wait for it.
-//!    Domains are disjoint, so the writes need **no locks, no ordering
-//!    phases and no barriers beyond the closing drain**: MPI atomicity
-//!    comes free.
+//!    the pieces by offset (`exchange::gather`), moving references or
+//!    `Vec`s but copying no byte, and the file prices each run as one
+//!    request per server it touches while streaming it to them a stripe
+//!    row at a time. The pieces it routed to itself never touch a wire —
+//!    they are slices of the caller's buffer — so they leave before the
+//!    `alltoallv`. Domains are disjoint, so the writes need **no locks, no
+//!    ordering phases and no barriers beyond the closing drain**: MPI
+//!    atomicity comes free.
 //!
 //! The cost is one extra pass of the footprint union over the network
 //! (charged through the `alltoallv` virtual-time model) against far fewer,
@@ -52,8 +51,9 @@
 //! file I/O; and the classic **flat** single-tier `alltoallv`, which is the
 //! same loop with every rank its own leader and each domain one round.
 //! Both surrender first, ship each byte of the union once and produce
-//! byte-identical files. They schedule writes only: [`two_phase_read`]
-//! runs one flat exchange whatever the schedule.
+//! byte-identical files. [`two_phase_read`] runs the same loop the other
+//! way: nothing surrendered, ownership by the raw footprints, requests up
+//! the tiers and replies — slices of the aggregators' run buffers — back.
 
 mod domain;
 mod exchange;
@@ -62,8 +62,6 @@ mod surrender;
 mod two_phase;
 
 pub use domain::{partition_domains, FileDomain};
+pub use staged::{two_phase_read, two_phase_write};
 pub use surrender::{higher_union_strided, surviving_pieces_strided};
-pub use two_phase::{
-    two_phase_read, two_phase_write, ExchangeSchedule, TwoPhaseConfig, TwoPhaseReadReport,
-    TwoPhaseReport,
-};
+pub use two_phase::{ExchangeSchedule, TwoPhaseConfig, TwoPhaseReadReport, TwoPhaseReport};

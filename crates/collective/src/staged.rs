@@ -1,5 +1,8 @@
-//! The write-side round loop: route, submit own, exchange, retire, submit
-//! received, drain — one loop under both [`ExchangeSchedule`]s.
+//! The two-phase entry points and their round loop, one loop under both
+//! [`ExchangeSchedule`]s and in both directions: negotiate, cut the domains
+//! into rounds, then per round funnel through the node tier and exchange. A write routes, submits
+//! its own batch, exchanges, retires, submits the received batch and
+//! drains; a read asks, serves and answers.
 //!
 //! Each round an aggregator writes in two batches under the round's epoch.
 //! What it routed to itself — its own surviving pieces, still slices of the
@@ -8,28 +11,16 @@
 //! what the exchange delivers leaves when it returns. The two are disjoint
 //! after the surrender, ride the one NIC in call order and retire together.
 //!
-//! [`ExchangeSchedule::Pipelined`] composes three ideas, each one
-//! paper-faithful on its own:
-//!
-//! 1. **Intra-node aggregation.** Ranks sharing a node funnel their pieces
-//!    to the node leader over the intra-node link class (shared memory /
-//!    NUMA fabric), which is orders of magnitude cheaper than the
-//!    inter-node network, so each node enters the network exchange with
-//!    one coalesced request (Kang et al.).
-//! 2. **Leaders-only exchange.** Only the node leaders join the inter-node
-//!    `alltoallv`, so its latency tree is `log₂(nodes)` rather than
-//!    `log₂(P)`.
-//! 3. **Barrier-free write-behind.** The redistribution is cut into
-//!    stripe-aligned rounds; aggregators submit round `k`'s writes to the
-//!    deferred server pipe under epoch `k` and only *retire* them `depth`
-//!    rounds later, so round `k`'s exchange runs while the file writes of
-//!    rounds `k-depth..k` are still in flight. Nothing fences a
-//!    retirement: when round `k`'s exchange returns, every leader has
-//!    entered it and therefore deposited all of its rounds `< k`, so
-//!    settling through epoch `k-1` replays a set that is a function of the
-//!    program, whatever faster leaders have already submitted for round
-//!    `k` (see [`ServerSet`](atomio_pfs::ServerSet) for the epoch
-//!    contract).
+//! [`ExchangeSchedule::Pipelined`] funnels each node's pieces to its leader
+//! over the intra-node link (Kang et al.), runs the exchange over the
+//! leaders only (a `log₂(nodes)` latency tree), and writes behind with no
+//! barrier: aggregators submit round `k`'s writes under epoch `k` and
+//! retire them `depth` rounds later. Nothing fences a retirement: when
+//! round `k`'s exchange returns, every leader has entered it and therefore
+//! deposited all of its rounds `< k`, so settling through epoch `k-1`
+//! replays a set that is a function of the program, whatever faster leaders
+//! have already submitted for round `k` (see
+//! [`ServerSet`](atomio_pfs::ServerSet) for the epoch contract).
 //!
 //! [`ExchangeSchedule::Flat`] is the degenerate schedule of the same loop:
 //! every rank is its own leader on the world communicator (no split, no
@@ -38,180 +29,188 @@
 //! whole domain is one round, so the loop body runs once: submit own,
 //! exchange, submit received, barrier, settle, barrier.
 //!
-//! Overlap is gone before the first piece moves: every rank surrenders the
-//! bytes a higher rank also writes (the paper's rank-ordering rule, the
-//! same [`surrender`] `Strategy::RankOrdering` uses), so no tier
-//! deduplicates, tags or orders anything, every byte of the union rides
-//! each link class at most once, and the file is byte-identical on either
-//! schedule for any overlapping footprint. The pipelined negotiation stays
-//! hierarchical: footprints are allgathered inside the node, and only
-//! per-node *unions* cross the network.
-//!
-//! What survives the surrender also decides who aggregates what: each file
-//! domain goes to the candidate already holding the most of it (see
-//! `cut_domains`) — on flat any rank, by its own surviving bytes; on
-//! pipelined a node leader, by what its node keeps of its union, the
-//! leaders' choice riding the node broadcast that carries the extent.
+//! A write surrenders before anything moves (the rank-ordering rule of
+//! [`surviving_pieces_strided`]), so no tier deduplicates, tags or orders
+//! anything and every byte of the union rides each link class at most
+//! once; each domain goes to the candidate holding the most of what
+//! survives (`cut_domains`). A read surrenders nothing, so ownership
+//! follows the raw footprints. Its requests — one `(offset, length)` per
+//! part of a segment inside a domain — funnel to the leader and cross in
+//! the leaders' exchange; each aggregator reads its round's requested runs
+//! with one closed-loop vector read, and the replies, slices of the run
+//! buffers, travel back the same way, the leader handing each node-mate its
+//! own. A byte is copied from the servers into a run buffer and from its
+//! reply into the caller's buffer, nowhere else. A closed-loop read cannot
+//! overlap a later round, so a read's rounds run one after another.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use atomio_dtype::ViewSegment;
 use atomio_interval::{ByteRange, StridedSet};
 use atomio_msg::Comm;
-use atomio_pfs::PosixFile;
+use atomio_pfs::{FsError, PosixFile};
 use atomio_trace::Category;
-use atomio_vtime::{LinkClass, NodeTopology};
+use atomio_vtime::{NodeTopology, WireSize};
 
 use crate::domain::FileDomain;
-use crate::exchange::{gather, lend, route_segments, Gathered, Piece, PieceRef};
-use crate::surrender::{higher_union_strided, surrender, surviving_footprints};
+use crate::exchange::{gather, lend, route_segments, split, Piece};
+use crate::surrender::{higher_union_strided, surviving_footprints, surviving_pieces_strided};
 use crate::two_phase::{
-    cut_domains, extent_of, ExchangeSchedule, Owners, TwoPhaseConfig, TwoPhaseReport,
+    cut_domains, extent_of, ExchangeSchedule, Owners, TwoPhaseConfig, TwoPhaseReadReport,
+    TwoPhaseReport,
 };
 
-/// A node-tier piece on its way to the leader: `(destination leader index,
-/// file offset, bytes)`.
-type TaggedPiece = (u64, u64, Vec<u8>);
+/// A read request: `(file offset, length)` of one part of a segment inside
+/// one domain.
+type Request = (u64, u64);
+
+/// An aggregator's answer to one read request: its bytes, as a slice of the
+/// buffer the aggregator read the request's run into, or that run's error.
+#[derive(Debug, Clone)]
+enum Reply {
+    Bytes(Arc<[u8]>, Range<usize>),
+    Failed(FsError),
+}
+
+impl WireSize for Reply {
+    fn wire_size(&self) -> usize {
+        match self {
+            // The request's offset, a length word and the bytes.
+            Reply::Bytes(_, at) => 16 + at.len(),
+            // The request's offset and an error code.
+            Reply::Failed(_) => 16,
+        }
+    }
+}
 
 /// Default round size when `round_stripes` is 0: stripe units per server
 /// per round.
 const DEFAULT_ROUND_STRIPES: u64 = 4;
 
-/// Count `bytes` of redistribution payload on the meter of the link class
-/// that carries them — the class the exchange prices them on.
-fn meter(report: &mut TwoPhaseReport, class: LinkClass, bytes: u64) {
-    match class {
-        LinkClass::Intra => report.wire_intra_bytes += bytes,
-        LinkClass::Inter => report.wire_inter_bytes += bytes,
+/// Sort `tagged` items into `n` buckets by tag, each in arrival order.
+fn bucket<T>(tagged: impl Iterator<Item = (u64, T)>, n: usize) -> Vec<Vec<T>> {
+    let mut buckets: Vec<Vec<T>> = std::iter::repeat_with(Vec::new).take(n).collect();
+    for (dest, item) in tagged {
+        buckets[dest as usize].push(item);
+    }
+    buckets
+}
+
+/// What both directions agree on before their first round.
+struct Plan {
+    /// The node lane (pipelined only).
+    node: Option<Comm>,
+    /// The exchange communicator: on flat the world itself, placed on the
+    /// nodes so that its exchange prices each pair on the link class that
+    /// carries it; on pipelined the leaders (`None` below a leader).
+    exchange: Option<Comm>,
+    /// Maps an aggregator's world rank to its index on `exchange`.
+    stride: usize,
+    domains: Vec<FileDomain>,
+    /// Bytes of each domain a round covers.
+    round_bytes: u64,
+    /// Write-behind depth: rounds of server writes in flight after a
+    /// submit (0: retire everything at the drain).
+    depth: usize,
+    rounds: usize,
+}
+
+impl Plan {
+    /// Round `k`'s slice of every domain that reaches it.
+    fn round(&self, k: usize) -> Vec<FileDomain> {
+        let slice = |d: &FileDomain| {
+            let start = d.range.start + k as u64 * self.round_bytes;
+            (start < d.range.end).then(|| FileDomain {
+                rank: d.rank,
+                range: ByteRange::new(start, (start + self.round_bytes).min(d.range.end)),
+            })
+        };
+        self.domains.iter().filter_map(slice).collect()
     }
 }
 
-/// The write step: put an aggregator's pieces of round `k` in file order,
-/// hand them to the file as they are and account their bytes in `report`.
-/// Returns the batch's ticket and the runs it wrote; the caller counts runs
-/// over everything the round wrote, so a run split across two batches
-/// counts once.
+/// Phase 0 of either direction: negotiation, domain ownership and the
+/// round cut. Flat allgathers every footprint over the world. Pipelined
+/// stays hierarchical: footprints are allgathered inside the node; the
+/// leaders allgather one *union* per node across the network, choose the
+/// owners from those unions (for a write, from what each node keeps of its
+/// own) and broadcast to their node the span, the owners and, for a write,
+/// the union of every higher node. No per-rank footprint crosses a node
+/// boundary, and block placement puts every higher rank on this node or a
+/// higher one, so that is all the surrender rule needs.
 ///
-/// They leave through [`PosixFile::submit_writes`] under epoch `k`: on a
-/// healthy file system one deferred batch whose ticket comes back for the
-/// round loop to retire; under a fault plan synchronously, with no ticket,
-/// and a dead server surfaces as a report entry — never a panic or a write
-/// through it. Either way every piece whose servers are up is on storage
-/// when this returns.
-fn submit_runs<'a>(
+/// Returns the plan (`None` when no rank has a byte, after a barrier that
+/// leaves the clocks aligned) and the union of every higher rank's
+/// footprint, which a write surrenders (empty for a read).
+fn negotiate(
     comm: &Comm,
     file: &PosixFile,
-    pieces: impl Iterator<Item = PieceRef<'a>>,
-    k: usize,
-    report: &mut TwoPhaseReport,
-) -> (Option<u64>, Vec<ByteRange>) {
-    let t_w = comm.clock().now();
-    let Gathered {
-        writes,
-        runs,
-        bytes,
-    } = gather(pieces);
-    report.bytes_written += bytes;
-    let ticket = if writes.is_empty() {
-        None
-    } else {
-        file.submit_writes(&writes, k as u64, false)
-            .unwrap_or_else(|e| {
-                report.write_errors += 1;
-                report.first_error.get_or_insert(e);
-                None
-            })
-    };
-    comm.tracer().span(
-        Category::Exchange,
-        "round write",
-        t_w,
-        comm.clock().now(),
-        &[("round", k as u64), ("bytes", bytes)],
-    );
-    (ticket, runs)
-}
-
-/// The body of [`two_phase_write`](crate::two_phase_write), on either
-/// schedule.
-pub(crate) fn write_rounds(
-    comm: &Comm,
-    file: &PosixFile,
-    segments: &[ViewSegment],
-    buf: &[u8],
-    base: u64,
     cfg: &TwoPhaseConfig,
-) -> TwoPhaseReport {
+    segments: &[ViewSegment],
+    write: bool,
+) -> (Option<Plan>, StridedSet) {
+    assert!(
+        segments
+            .windows(2)
+            .all(|w| w[0].file_end() <= w[1].file_off),
+        "two-phase I/O needs ascending, non-overlapping segments (as FileView::segments yields)"
+    );
     let rpn = cfg.ranks_per_node.max(1);
     let topo = NodeTopology::new(comm.size(), rpn);
-    // The node lane (pipelined only) and the exchange communicator it
-    // feeds: on flat the world itself, placed on `topo` so that its
-    // exchange prices each pair on the link class that carries it; on
-    // pipelined the leaders. `stride` maps an aggregator's world rank to
-    // its index on the exchange communicator.
     let (node, exchange, stride) = match cfg.schedule {
         ExchangeSchedule::Flat => (None, Some(comm.placed(topo)), 1),
         ExchangeSchedule::Pipelined { .. } => {
             (Some(comm.split_node(&topo)), comm.split_leaders(&topo), rpn)
         }
     };
-    let (node, leaders) = (node.as_ref(), exchange.as_ref());
-
     // On the pipelined schedule aggregators are clamped to the node count
-    // so every aggregator is a node leader and the write phase never
-    // re-crosses the network.
-    let cap = if node.is_some() {
-        topo.nodes()
-    } else {
-        comm.size()
+    // so every aggregator is a node leader and no I/O re-crosses the
+    // network.
+    let cap = node.as_ref().map_or(comm.size(), |_| topo.nodes());
+    // A write surrenders to every higher rank and owns by what survives; a
+    // read keeps every footprint whole.
+    let above = |fps: &[StridedSet], me| match write {
+        true => higher_union_strided(fps, me),
+        false => StridedSet::new(),
+    };
+    let held = |fps: &[StridedSet]| Owners::Held {
+        held: match write {
+            true => surviving_footprints(fps),
+            false => fps.to_vec(),
+        },
+        stride,
     };
 
-    // Phase 0: negotiation, then surrender before shipping — what a higher
-    // rank overwrites never enters any tier — and domain ownership by what
-    // survives. Flat allgathers every footprint over the world, so every
-    // rank applies the ownership rule to every rank's surviving bytes.
-    // Pipelined stays hierarchical: footprints are allgathered over the
-    // cheap links inside the node; the leaders allgather one *union* per
-    // node across the network, apply the rule to what each node keeps of
-    // its union, and hand their node the global span, the owners they chose
-    // and the union of every higher node — no per-rank footprint ever
-    // crosses a node boundary. Block placement puts every higher rank on
-    // this node or a higher one, so that is all the surrender rule needs.
     let t0 = comm.clock().now();
     let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
-    let (extent, owners, (pieces, conflict_bytes)) = match node {
+    let (extent, owners, higher) = match &node {
         None => {
             let all = comm.allgather(footprint);
-            let survivors = surrender(segments, &all, comm.rank());
-            let held = surviving_footprints(&all);
-            (extent_of(&all), Owners::Held { held, stride }, survivors)
+            (extent_of(&all), held(&all), above(&all, comm.rank()))
         }
         Some(node) => {
             let mut footprints = node.allgather(footprint);
-            let from_leaders = leaders.map(|l| {
+            let from_leaders = exchange.as_ref().map(|l| {
                 let node_union = footprints[0].union(&higher_union_strided(&footprints, 0));
                 let node_unions = l.allgather(node_union);
                 let extent = extent_of(&node_unions);
                 let owners: Vec<usize> = extent.map_or_else(Vec::new, |extent| {
-                    let held = surviving_footprints(&node_unions);
-                    let held = Owners::Held { held, stride };
+                    let held = held(&node_unions);
                     let domains = cut_domains(comm.size(), file, cfg, extent, cap, &held);
                     domains.iter().map(|d| d.rank).collect()
                 });
-                (extent, owners, higher_union_strided(&node_unions, l.rank()))
+                (extent, owners, above(&node_unions, l.rank()))
             });
             let (extent, owners, higher_nodes) = node.bcast(0, from_leaders);
             footprints.push(higher_nodes);
-            let survivors = surrender(segments, &footprints, node.rank());
-            (extent, Owners::Chosen(owners), survivors)
+            let higher = above(&footprints, node.rank());
+            (extent, Owners::Chosen(owners), higher)
         }
-    };
-
-    let mut report = TwoPhaseReport {
-        conflict_bytes,
-        ..TwoPhaseReport::default()
     };
     let Some(extent) = extent else {
         comm.barrier(); // nobody has data this round; leave clocks aligned
-        return report;
+        return (None, higher);
     };
     let domains = cut_domains(comm.size(), file, cfg, extent, cap, &owners);
     comm.tracer().span(
@@ -221,16 +220,10 @@ pub(crate) fn write_rounds(
         comm.clock().now(),
         &[("aggregators", domains.len() as u64)],
     );
-    report.aggregator_count = domains.len();
-    report.domain = domains
-        .iter()
-        .find(|d| d.rank == comm.rank())
-        .map(|d| d.range);
 
     // Rounds: flat ships every domain whole; pipelined cuts them into
     // `round_stripes` stripe rows per round — `round_stripes` units of each
-    // domain on every server, one request per server — and keeps `depth`
-    // rounds of server writes in flight after a submit.
+    // domain on every server, one request per server.
     let max_len = domains.iter().map(|d| d.range.len()).max().unwrap_or(0);
     let (round_bytes, depth) = match cfg.schedule {
         ExchangeSchedule::Flat => (max_len.max(1), 0),
@@ -247,32 +240,111 @@ pub(crate) fn write_rounds(
         }
     };
     let rounds = max_len.div_ceil(round_bytes).max(1) as usize;
-    report.rounds = rounds;
+    let plan = Plan {
+        node,
+        exchange,
+        stride,
+        domains,
+        round_bytes,
+        depth,
+        rounds,
+    };
+    (Some(plan), higher)
+}
+
+/// The write step: put an aggregator's pieces of round `k` in file order,
+/// hand them to the file as they are and account their bytes in `report`.
+/// Returns the batch's ticket and the runs it wrote; the caller counts runs
+/// over everything the round wrote, so a run split across two batches
+/// counts once.
+///
+/// They leave through [`PosixFile::submit_writes`] under epoch `k`: on a
+/// healthy file system one deferred batch whose ticket comes back for the
+/// round loop to retire; under a fault plan synchronously, with no ticket,
+/// and a dead server surfaces as a report entry — never a panic or a write
+/// through it. Either way every piece whose servers are up is on storage
+/// when this returns, and a piece passed by value is already freed.
+fn submit_runs<T: AsRef<[u8]>>(
+    comm: &Comm,
+    file: &PosixFile,
+    pieces: impl Iterator<Item = (u64, T)>,
+    k: usize,
+    report: &mut TwoPhaseReport,
+) -> (Option<u64>, Vec<ByteRange>) {
+    let t_w = comm.clock().now();
+    let batch = gather(pieces);
+    report.bytes_written += batch.bytes;
+    let ticket = if batch.writes.is_empty() {
+        None
+    } else {
+        file.submit_writes(batch.writes, k as u64, false)
+            .unwrap_or_else(|e| {
+                report.write_errors += 1;
+                report.first_error.get_or_insert(e);
+                None
+            })
+    };
+    comm.tracer().span(
+        Category::Exchange,
+        "round write",
+        t_w,
+        comm.clock().now(),
+        &[("round", k as u64), ("bytes", batch.bytes)],
+    );
+    (ticket, batch.runs)
+}
+
+/// One collective, MPI-atomic write through two-phase redistribution.
+///
+/// All ranks of `comm` must call this together (it is built from
+/// collectives). `segments` is this rank's request mapped through its file
+/// view; `buf` holds the data, whose first byte is logical stream offset
+/// `base`.
+///
+/// Issues **zero lock requests**: domains are disjoint by construction, so
+/// the aggregators' writes cannot conflict, and overlapped user data was
+/// already surrendered to the highest rank (paper §3.3.2) *before* the
+/// exchange — every byte of the union is shipped and written exactly once.
+/// Both [`ExchangeSchedule`]s run this module's one round loop.
+pub fn two_phase_write(
+    comm: &Comm,
+    file: &PosixFile,
+    segments: &[ViewSegment],
+    buf: &[u8],
+    base: u64,
+    cfg: &TwoPhaseConfig,
+) -> TwoPhaseReport {
+    let (plan, higher) = negotiate(comm, file, cfg, segments, true);
+    let pieces = surviving_pieces_strided(segments, &higher);
+    let len = |segs: &[ViewSegment]| segs.iter().map(|s| s.len).sum::<u64>();
+    let mut report = TwoPhaseReport {
+        conflict_bytes: len(segments) - len(&pieces),
+        ..TwoPhaseReport::default()
+    };
+    let Some(plan) = plan else { return report };
+    let (node, leaders) = (plan.node.as_ref(), plan.exchange.as_ref());
+    report.aggregator_count = plan.domains.len();
+    let owned = plan.domains.iter().find(|d| d.rank == comm.rank());
+    report.domain = owned.map(|d| d.range);
+    report.rounds = plan.rounds;
 
     // Two tickets per round — the aggregator's own pieces and the received
     // ones — open until the round is retired. Under a fault plan the write
     // step is synchronous and leaves none, so nothing is ever pending and
     // nothing is retired.
-    let mut tickets: Vec<[Option<u64>; 2]> = vec![[None; 2]; rounds];
+    let mut tickets: Vec<[Option<u64>; 2]> = vec![[None; 2]; plan.rounds];
+    // Redistribution payload per link class, intra then inter: each byte is
+    // metered on the class that carries it (`Comm::link_class`, the rule
+    // the exchange prices it by), so both schedules report on one meter.
+    let mut metered = [0u64; 2];
 
-    for k in 0..rounds {
-        let round_domains: Vec<FileDomain> = domains
-            .iter()
-            .filter_map(|d| {
-                let start = d.range.start + k as u64 * round_bytes;
-                (start < d.range.end).then(|| FileDomain {
-                    rank: d.rank,
-                    range: ByteRange::new(start, (start + round_bytes).min(d.range.end)),
-                })
-            })
-            .collect();
-
+    for k in 0..plan.rounds {
         // Route this round's pieces: what falls in this rank's own domain
         // stays in `buf`, the rest is copied into one bucket per world rank.
         // Flat hands the buckets to the exchange as they are.
         let t_agg = comm.clock().now();
         let (mine, outgoing) =
-            route_segments(comm.rank(), comm.size(), &pieces, buf, base, &round_domains);
+            route_segments(comm.rank(), comm.size(), &pieces, buf, base, &plan.round(k));
         let sent = outgoing.iter().flatten().map(|p| p.1.len());
         let payload = mine.iter().map(|p| p.1.len()).chain(sent).sum::<usize>() as u64;
         report.bytes_shipped += payload;
@@ -284,16 +356,16 @@ pub(crate) fn write_rounds(
                 // are leaders by construction, so only a leader keeps any
                 // back). Non-leaders pay the intra-node link; the leader's
                 // own pieces never leave its memory.
-                let tagged: Vec<TaggedPiece> = outgoing
+                let tagged: Vec<(u64, Piece)> = outgoing
                     .into_iter()
                     .enumerate()
                     .flat_map(|(dst, bucket)| {
-                        let li = (dst / stride) as u64;
-                        bucket.into_iter().map(move |(off, data)| (li, off, data))
+                        let li = (dst / plan.stride) as u64;
+                        bucket.into_iter().map(move |piece| (li, piece))
                     })
                     .collect();
                 if node.rank() != 0 {
-                    meter(&mut report, node.link_class(node.rank(), 0), payload);
+                    metered[node.link_class(node.rank(), 0) as usize] += payload;
                 }
                 let node_pieces = node.gatherv(0, tagged);
                 comm.tracer().span(
@@ -304,12 +376,10 @@ pub(crate) fn write_rounds(
                     &[("round", k as u64), ("bytes", payload)],
                 );
                 // The leader sorts its node's pieces by destination — each
-                // one a `Vec` move, so nothing is charged.
-                let mut buckets: Vec<Vec<Piece>> = vec![Vec::new(); topo.nodes()];
-                for (dest, off, data) in node_pieces.into_iter().flatten().flatten() {
-                    buckets[dest as usize].push((off, data));
-                }
-                buckets
+                // one a `Vec` move, so nothing is charged; below it there is
+                // nothing to sort.
+                let gathered = node_pieces.into_iter().flatten().flatten();
+                bucket(gathered, leaders.map_or(0, Comm::size))
             }
         };
         let Some(l) = leaders else { continue };
@@ -323,15 +393,13 @@ pub(crate) fn write_rounds(
         let (own_ticket, mut runs) = submit_runs(comm, file, own_batch, k, &mut report);
         drop(own);
 
-        // The exchange, of the rest. Each bucket is metered on the link
-        // class the exchange prices it on (`Comm::link_class`, one rule),
-        // so both schedules report on the same meters.
+        // The exchange, of the rest.
         let t_ex = comm.clock().now();
         let mut wire = 0u64;
         for (j, bucket) in out_buckets.iter().enumerate() {
             let n: u64 = bucket.iter().map(|p| p.1.len() as u64).sum();
             wire += n;
-            meter(&mut report, l.link_class(l.rank(), j), n);
+            metered[l.link_class(l.rank(), j) as usize] += n;
         }
         let incoming = l.alltoallv(out_buckets);
         comm.tracer().span(
@@ -345,16 +413,16 @@ pub(crate) fn write_rounds(
         // Retire the round that fell out of the write-behind window. Every
         // leader entered exchange `k` to let it return, so every round
         // `< k` is deposited: settling through `k - 1` needs no barrier.
-        if depth > 0 && k >= depth {
-            for t in tickets[k - depth].iter_mut().filter_map(Option::take) {
+        if plan.depth > 0 && k >= plan.depth {
+            for t in tickets[k - plan.depth].iter_mut().filter_map(Option::take) {
                 file.complete_writes(t, k as u64 - 1);
             }
         }
 
         // Aggregation: nothing that arrives overlaps the own pieces or each
-        // other, so the received pieces are put in file order by reference
-        // and leave as they came, under the same epoch.
-        let arrived = incoming.iter().flatten().map(lend);
+        // other, so the received pieces are put in file order and leave as
+        // they came, under the same epoch, each freed once it is applied.
+        let arrived = incoming.into_iter().flatten();
         let (ticket, received) = submit_runs(comm, file, arrived, k, &mut report);
         tickets[k] = [own_ticket, ticket];
         // The two batches' runs are disjoint: a run of their union starts
@@ -379,9 +447,139 @@ pub(crate) fn write_rounds(
     }
     comm.barrier();
 
+    [report.wire_intra_bytes, report.wire_inter_bytes] = metered;
     let stats = file.stats();
     stats.add(&stats.wire_intra_bytes, report.wire_intra_bytes);
     stats.add(&stats.wire_inter_bytes, report.wire_inter_bytes);
+    report
+}
+
+/// The read step: read the union of the `incoming` requests, as its maximal
+/// runs, each into a buffer of its own, built in one allocation, with one
+/// closed-loop vector read that resumes past a failed run — and answer each
+/// request, per source in request order, with its slice of its run's buffer
+/// or its run's error.
+fn serve(
+    file: &PosixFile,
+    incoming: &[Vec<Request>],
+    report: &mut TwoPhaseReadReport,
+) -> Vec<Vec<Reply>> {
+    let requested = incoming.iter().flatten().map(|r| ByteRange::at(r.0, r.1));
+    let runs: Vec<ByteRange> = StridedSet::from_ranges(requested).iter().collect();
+    let zeroed = |r: &ByteRange| std::iter::repeat_n(0u8, r.len() as usize).collect();
+    let mut buffers: Vec<Arc<[u8]>> = runs.iter().map(zeroed).collect();
+    let fresh = |b| Arc::get_mut(b).expect("a new buffer has one owner");
+    let starts = runs.iter().map(|r| r.start);
+    let mut reads: Vec<(u64, &mut [u8])> = starts.zip(buffers.iter_mut().map(fresh)).collect();
+    let mut failed: Vec<Option<FsError>> = vec![None; runs.len()];
+    file.preadv_direct_past_failures(&mut reads, |i, e| failed[i] = Some(e));
+    report.read_runs += runs.len();
+    report.read_errors += failed.iter().flatten().count();
+    let read = runs.iter().zip(&failed).filter(|(_, e)| e.is_none());
+    report.bytes_read_from_servers += read.map(|(r, _)| r.len()).sum::<u64>();
+    let answer = |&(off, len): &Request| {
+        // A request is contiguous and part of the union, so it lies inside
+        // exactly one run.
+        let i = runs.partition_point(|r| r.end <= off);
+        match &failed[i] {
+            None => {
+                let at = (off - runs[i].start) as usize;
+                Reply::Bytes(Arc::clone(&buffers[i]), at..at + len as usize)
+            }
+            Some(e) => Reply::Failed(e.clone()),
+        }
+    };
+    let answer_all = |asked: &Vec<Request>| asked.iter().map(answer).collect();
+    incoming.iter().map(answer_all).collect()
+}
+
+/// One collective read through the aggregators, the write's round loop
+/// run the other way: the same negotiation, domains, rounds and node tier
+/// under `cfg.schedule`, with ownership following the raw footprints,
+/// since a read surrenders nothing. Each round the ranks' requests travel
+/// to the owning aggregators, each aggregator reads its round's requested
+/// runs, each into a buffer of its own, with one closed-loop vector read
+/// ([`PosixFile::preadv_direct_past_failures`]), and the replies — slices
+/// of those buffers, never copies — travel back the same way into `buf`,
+/// whose first byte is logical stream offset `base`.
+///
+/// `segments` must be ascending and non-overlapping in file offset — the
+/// form [`FileView::segments`](atomio_dtype::FileView::segments) produces —
+/// so that each reply maps back to exactly one segment.
+///
+/// Under fault injection every rank still completes the call: an
+/// aggregator whose run fails answers that run's requests with the error,
+/// which lands in the requesters' [`TwoPhaseReadReport::first_error`], and
+/// still reads the runs after it.
+pub fn two_phase_read(
+    comm: &Comm,
+    file: &PosixFile,
+    segments: &[ViewSegment],
+    buf: &mut [u8],
+    base: u64,
+    cfg: &TwoPhaseConfig,
+) -> TwoPhaseReadReport {
+    let mut report = TwoPhaseReadReport::default();
+    let Some(plan) = negotiate(comm, file, cfg, segments, false).0 else {
+        return report;
+    };
+    report.aggregator_count = plan.domains.len();
+    for k in 0..plan.rounds {
+        let t_r = comm.clock().now();
+        let round = plan.round(k);
+        // Ask: one request per part of a segment inside a domain, tagged
+        // with the exchange index of its owner. A node's requests meet at
+        // its leader; on flat every rank leads itself.
+        let asked: Vec<(u64, Request)> = split(segments, &round)
+            .map(|(rank, part, _)| ((rank / plan.stride) as u64, (part.start, part.len())))
+            .collect();
+        let gathered = match &plan.node {
+            None => Some(vec![asked]),
+            Some(node) => node.gatherv(0, asked),
+        };
+        // Serve: the leaders exchange the requests, each aggregator answers
+        // what it was asked, and the answers cross back in the requests'
+        // order, so the leader can hand each node-mate its own replies in
+        // the order that mate asked.
+        let handed = plan.exchange.as_ref().zip(gathered).map(|(l, gathered)| {
+            let requests = bucket(gathered.iter().flatten().copied(), l.size());
+            let answers = serve(file, &l.alltoallv(requests), &mut report);
+            let answered = l.alltoallv(answers);
+            let mut answered: Vec<_> = answered.into_iter().map(Vec::into_iter).collect();
+            let mut reply_to = |&(li, _): &(u64, Request)| {
+                answered[li as usize].next().expect("one reply per request")
+            };
+            let replies = |asked: &Vec<(u64, Request)>| asked.iter().map(&mut reply_to).collect();
+            gathered.iter().map(replies).collect::<Vec<Vec<Reply>>>()
+        });
+        let replies: Vec<Reply> = match &plan.node {
+            None => handed.into_iter().flatten().flatten().collect(),
+            Some(node) => {
+                let mates = handed.unwrap_or_else(|| vec![Vec::new(); node.size()]);
+                node.alltoallv(mates).swap_remove(0)
+            }
+        };
+        // Place each reply where this rank asked for it.
+        for ((_, _, logical), reply) in split(segments, &round).zip(replies) {
+            match reply {
+                Reply::Bytes(run, at) => {
+                    let rel = (logical - base) as usize;
+                    buf[rel..rel + at.len()].copy_from_slice(&run[at]);
+                }
+                Reply::Failed(e) => {
+                    report.first_error.get_or_insert(e);
+                }
+            }
+        }
+        comm.tracer().span(
+            Category::Exchange,
+            "read round",
+            t_r,
+            comm.clock().now(),
+            &[("round", k as u64)],
+        );
+    }
+    comm.barrier();
     report
 }
 
@@ -392,9 +590,10 @@ mod tests {
 
     use atomio_pfs::{FileSystem, PlatformProfile};
     use atomio_trace::{MemorySink, TraceSink};
+    use atomio_vtime::LinkClass;
 
     use super::*;
-    use crate::two_phase::{two_phase_write, ExchangeSchedule};
+    use crate::two_phase::ExchangeSchedule;
 
     const P: usize = 8;
     const RPN: usize = 4;

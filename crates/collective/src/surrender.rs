@@ -80,21 +80,6 @@ pub(crate) fn surviving_footprints(footprints: &[StridedSet]) -> Vec<StridedSet>
     kept
 }
 
-/// What rank `me` puts into a two-phase exchange: its segments minus
-/// everything a higher rank will overwrite, and how many bytes that took
-/// away. `footprints[me + 1..]` must cover every higher rank (one entry per
-/// rank, or pre-merged unions — only their union matters).
-pub(crate) fn surrender(
-    segments: &[ViewSegment],
-    footprints: &[StridedSet],
-    me: usize,
-) -> (Vec<ViewSegment>, u64) {
-    let pieces = surviving_pieces_strided(segments, &higher_union_strided(footprints, me));
-    let asked: u64 = segments.iter().map(|s| s.len).sum();
-    let kept: u64 = pieces.iter().map(|s| s.len).sum();
-    (pieces, asked - kept)
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;

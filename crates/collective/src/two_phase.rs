@@ -1,21 +1,16 @@
-//! The two-phase entry points and their configuration: the collective
-//! write (whose body, the one round loop both schedules run, lives in the
-//! `staged` module) and the collective read.
+//! The two-phase configuration, reports and domain cut; the entry points
+//! and the one round loop they share live in the `staged` module.
 
-use atomio_dtype::ViewSegment;
 use atomio_interval::{ByteRange, StridedSet};
-use atomio_msg::Comm;
 use atomio_pfs::{FsError, PosixFile};
-use atomio_trace::Category;
-use atomio_vtime::{NodeTopology, WireSize};
+use atomio_vtime::NodeTopology;
 
 use crate::domain::choose_aggregators;
 use crate::domain::{own_by_locality, partition_domains, FileDomain};
-use crate::exchange::{split, Piece};
 
-/// How the redistribution phase is scheduled across the node topology. Both
-/// schedules are the same round loop — route, submit own, exchange,
-/// retire, submit received, drain — and write byte-identical files.
+/// How the redistribution phase is scheduled across the node topology, in
+/// either direction. Both schedules are the same round loop, write
+/// byte-identical files and read the same bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeSchedule {
     /// Classic single-tier two-phase, the degenerate schedule of the loop:
@@ -41,7 +36,8 @@ pub enum ExchangeSchedule {
         /// returns — that rendezvous proves every leader has deposited its
         /// earlier rounds, so no barrier is needed. `1` keeps one round in
         /// flight, `2` double-buffers, `0` means unbounded (retire
-        /// everything at the end).
+        /// everything at the end). A read ignores it: a closed-loop read
+        /// cannot overlap a later round, so its rounds run one by one.
         depth: u32,
     },
 }
@@ -66,9 +62,7 @@ pub struct TwoPhaseConfig {
     /// With the threads-as-ranks runtime this is a modeling input; 1 means
     /// every rank is its own node and aggregators are simply ranks `0..A`.
     pub ranks_per_node: usize,
-    /// Redistribution schedule of the write; see [`ExchangeSchedule`].
-    /// [`two_phase_read`] ignores it and runs one flat exchange whatever
-    /// the schedule.
+    /// Redistribution schedule of both directions; see [`ExchangeSchedule`].
     pub schedule: ExchangeSchedule,
 }
 
@@ -134,6 +128,7 @@ pub struct TwoPhaseReport {
 /// Per-rank accounting of one two-phase collective read.
 #[derive(Debug, Clone, Default)]
 pub struct TwoPhaseReadReport {
+    /// Aggregators that received a (non-empty) file domain.
     pub aggregator_count: usize,
     /// Bytes this rank read from the servers as an aggregator.
     pub bytes_read_from_servers: u64,
@@ -146,24 +141,6 @@ pub struct TwoPhaseReadReport {
     /// The first error behind bytes this rank asked for, whichever
     /// aggregator's run it came from — the error the caller returns.
     pub first_error: Option<FsError>,
-}
-
-/// An aggregator's answer to one read request: the bytes, or the error of
-/// the run they lie in.
-#[derive(Debug)]
-enum Reply {
-    Bytes(Piece),
-    Failed(FsError),
-}
-
-impl WireSize for Reply {
-    fn wire_size(&self) -> usize {
-        match self {
-            Reply::Bytes(piece) => piece.wire_size(),
-            // The request's offset and an error code.
-            Reply::Failed(_) => 16,
-        }
-    }
 }
 
 /// The aggregate file extent of `footprints`; `None` when all are empty.
@@ -219,189 +196,11 @@ pub(crate) fn cut_domains(
     domains
 }
 
-/// One collective, MPI-atomic write through two-phase redistribution.
-///
-/// All ranks of `comm` must call this together (it is built from
-/// collectives). `segments` is this rank's request mapped through its file
-/// view; `buf` holds the data, whose first byte is logical stream offset
-/// `base`.
-///
-/// Issues **zero lock requests**: domains are disjoint by construction, so
-/// the aggregators' writes cannot conflict, and overlapped user data was
-/// already surrendered to the highest rank (paper §3.3.2) *before* the
-/// exchange — every byte of the union is shipped and written exactly once.
-/// Both [`ExchangeSchedule`]s run the one round loop in the `staged` module.
-pub fn two_phase_write(
-    comm: &Comm,
-    file: &PosixFile,
-    segments: &[ViewSegment],
-    buf: &[u8],
-    base: u64,
-    cfg: &TwoPhaseConfig,
-) -> TwoPhaseReport {
-    assert!(
-        segments
-            .windows(2)
-            .all(|w| w[0].file_end() <= w[1].file_off),
-        "two_phase_write needs ascending, non-overlapping segments (as FileView::segments yields)"
-    );
-    crate::staged::write_rounds(comm, file, segments, buf, base, cfg)
-}
-
-/// One collective read through the aggregators: each aggregator fetches its
-/// domain's requested coverage as large contiguous runs — one closed-loop
-/// vector read ([`PosixFile::preadv_direct_past_failures`]) — then scatters
-/// the pieces back to the requesting ranks.
-///
-/// The read runs one flat exchange whatever `cfg.schedule` says: a world
-/// `alltoallv` of requests and one of replies, with no node tier and no
-/// rounds. The requests are split along the domains by the same walk the
-/// write routes its data with.
-///
-/// `segments` must be ascending and non-overlapping in file offset — the
-/// form [`FileView::segments`](atomio_dtype::FileView::segments) produces —
-/// so that each returned piece maps back to exactly one segment.
-///
-/// Under fault injection every rank still completes the call: an
-/// aggregator whose run fails answers that run's requests with the error,
-/// which lands in the requesters' [`TwoPhaseReadReport::first_error`], and
-/// still reads the runs after it.
-pub fn two_phase_read(
-    comm: &Comm,
-    file: &PosixFile,
-    segments: &[ViewSegment],
-    buf: &mut [u8],
-    base: u64,
-    cfg: &TwoPhaseConfig,
-) -> TwoPhaseReadReport {
-    assert!(
-        segments
-            .windows(2)
-            .all(|w| w[0].file_end() <= w[1].file_off),
-        "two_phase_read needs ascending, non-overlapping segments (as FileView::segments yields)"
-    );
-    // Phase 0: exchange flattened views, run-length-compressed. The
-    // allgather's wire charge is the *compressed* encoding — O(trains) per
-    // rank, not O(rows) — so the modeled §3.4 negotiation overhead scales
-    // with the access description, exactly like the handshaking strategies.
-    let t0 = comm.clock().now();
-    let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
-    let footprints = comm.allgather(footprint);
-    let domains = match extent_of(&footprints) {
-        // An aggregator that asked for most of a domain keeps what it reads.
-        Some(extent) => {
-            let held = Owners::Held {
-                held: footprints,
-                stride: 1,
-            };
-            cut_domains(comm.size(), file, cfg, extent, comm.size(), &held)
-        }
-        None => Vec::new(), // nobody has data this round
-    };
-    comm.tracer().span(
-        Category::Exchange,
-        "negotiate domains",
-        t0,
-        comm.clock().now(),
-        &[("aggregators", domains.len() as u64)],
-    );
-    let t1 = comm.clock().now();
-
-    // Phase 1: ship (offset, len) requests to the owning aggregators.
-    let mut requests: Vec<Vec<(u64, u64)>> = vec![Vec::new(); comm.size()];
-    for (rank, part, _) in split(segments, &domains) {
-        requests[rank].push((part.start, part.len()));
-    }
-    let incoming_requests = comm.alltoallv(requests);
-
-    // Phase 2: aggregators read the union of requested ranges in few large
-    // accesses, then answer each request from the staged buffer. A run that
-    // fails is answered with its error: the aggregator still joins the
-    // reply exchange and the closing barrier.
-    let mut report = TwoPhaseReadReport {
-        aggregator_count: domains.len(),
-        ..TwoPhaseReadReport::default()
-    };
-    let mut replies: Vec<Vec<Reply>> = (0..comm.size()).map(|_| Vec::new()).collect();
-    if domains.iter().any(|d| d.rank == comm.rank()) {
-        // Stage per covered run (not per domain extent — see the write path).
-        let requested = incoming_requests.iter().flatten();
-        let requested = requested.map(|&(o, l)| ByteRange::at(o, l));
-        let runs: Vec<ByteRange> = StridedSet::from_ranges(requested).iter().collect();
-        let mut staged: Vec<Vec<u8>> = runs.iter().map(|r| vec![0u8; r.len() as usize]).collect();
-        let mut failed: Vec<Option<FsError>> = vec![None; runs.len()];
-        let starts = runs.iter().map(|r| r.start);
-        let mut reads: Vec<(u64, &mut [u8])> = starts
-            .zip(staged.iter_mut().map(Vec::as_mut_slice))
-            .collect();
-        file.preadv_direct_past_failures(&mut reads, |i, e| failed[i] = Some(e));
-        report.read_runs = runs.len();
-        report.read_errors = failed.iter().flatten().count();
-        report.bytes_read_from_servers = runs
-            .iter()
-            .zip(&failed)
-            .filter(|(_, e)| e.is_none())
-            .map(|(r, _)| r.len())
-            .sum();
-        for (src, reqs) in incoming_requests.iter().enumerate() {
-            for &(off, len) in reqs {
-                // A request is contiguous and part of the union, so it lies
-                // inside exactly one coverage run.
-                let ri = runs.partition_point(|r| r.end <= off);
-                replies[src].push(match &failed[ri] {
-                    None => {
-                        let rel = (off - runs[ri].start) as usize;
-                        Reply::Bytes((off, staged[ri][rel..rel + len as usize].to_vec()))
-                    }
-                    Some(e) => Reply::Failed(e.clone()),
-                });
-            }
-        }
-        comm.compute(
-            file.profile()
-                .cache
-                .mem
-                .copy_ns(report.bytes_read_from_servers),
-        );
-    }
-    let incoming_data = comm.alltoallv(replies);
-    comm.tracer().span(
-        Category::Exchange,
-        "read exchange",
-        t1,
-        comm.clock().now(),
-        &[("bytes", report.bytes_read_from_servers)],
-    );
-    let t2 = comm.clock().now();
-
-    // Phase 3: place received pieces into the user buffer via the segment
-    // map (segments are ascending in file offset, pieces were split per
-    // segment, so each piece lies inside exactly one segment).
-    for reply in incoming_data.into_iter().flatten() {
-        let (off, data) = match reply {
-            Reply::Bytes(piece) => piece,
-            Reply::Failed(e) => {
-                report.first_error.get_or_insert(e);
-                continue;
-            }
-        };
-        let idx = segments.partition_point(|s| s.file_end() <= off);
-        let seg = segments
-            .get(idx)
-            .filter(|s| s.file_off <= off && off + data.len() as u64 <= s.file_end())
-            .expect("returned piece must lie inside one requested segment");
-        let rel = (seg.logical_off + (off - seg.file_off) - base) as usize;
-        buf[rel..rel + data.len()].copy_from_slice(&data);
-    }
-    comm.barrier();
-    comm.tracer()
-        .span(Category::Exchange, "scatter", t2, comm.clock().now(), &[]);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::staged::{two_phase_read, two_phase_write};
+    use atomio_dtype::ViewSegment;
     use atomio_msg::run;
     use atomio_pfs::{FileSystem, IoPath, PlatformProfile};
 

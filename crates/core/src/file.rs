@@ -948,7 +948,7 @@ impl<'c> MpiFile<'c> {
             IoPath::Direct => {
                 let ticket = work.map_or(Ok(None), |(segs, buf, base)| {
                     self.posix
-                        .submit_writes(&seg_slices(segs, buf, base), 0, racing)
+                        .submit_writes(seg_slices(segs, buf, base), 0, racing)
                 });
                 self.comm.barrier();
                 if let Ok(Some(t)) = ticket {

@@ -77,7 +77,8 @@ impl PosixFile {
     ///
     /// On a healthy file system this is a pipelined batched write — a
     /// `writev`: every entry's data is applied to storage now, straight
-    /// from the caller's slices, while its *timing* is deposited with the
+    /// from the caller's buffers, and an entry passed by value is dropped
+    /// as soon as it is applied, while its *timing* is deposited with the
     /// servers as virtually-stamped requests. The client paces injections
     /// through its NIC without waiting for per-request acks — the
     /// asynchronous-I/O counterpart of a direct [`PosixFile::write`].
@@ -108,36 +109,53 @@ impl PosixFile {
     /// submitting ranks interleave — and the undefined outcomes the paper's
     /// Figure 2 demonstrates stay observable — even on a single-CPU host.
     /// Writers whose batches are disjoint by construction skip the yields.
-    pub fn submit_writes(
+    pub fn submit_writes<T: AsRef<[u8]>>(
         &self,
-        writes: &[(u64, &[u8])],
+        writes: impl IntoIterator<Item = (u64, T)>,
         epoch: u64,
         racing: bool,
     ) -> Result<Option<u64>, FsError> {
         if self.fs.faults.active() {
+            let writes: Vec<(u64, T)> = writes.into_iter().collect();
             let mut first = None;
             let failed = |_, e| first = first.take().or(Some(e));
-            let write = |i: usize| self.pwritev_landed(writes[i..].iter().copied());
+            let write = |i: usize| self.pwritev_landed(writes[i..].iter().map(|(o, d)| (*o, d)));
             resume_past_failures(writes.len(), write, failed);
             return first.map_or(Ok(None), Err);
         }
-        Ok(Some(self.pwrite_batch(writes, epoch, racing)))
+        Ok(Some(self.pwrite_batch(writes.into_iter(), epoch, racing)))
     }
 
     /// The healthy-file-system body of [`PosixFile::submit_writes`]:
-    /// apply, deposit, and return the ticket.
-    fn pwrite_batch(&self, writes: &[(u64, &[u8])], epoch: u64, racing: bool) -> u64 {
+    /// apply, deposit, and return the ticket. Each entry is dropped once it
+    /// is applied.
+    fn pwrite_batch<T: AsRef<[u8]>>(
+        &self,
+        writes: impl Iterator<Item = (u64, T)>,
+        epoch: u64,
+        racing: bool,
+    ) -> u64 {
         let link = &self.fs.profile.client_link;
         let servers = &self.fs.servers;
         let row = servers.stripe_unit() * servers.server_count() as u64;
         let t0 = self.clock.now();
         // Apply every entry; for timing, coalesce file-adjacent entries.
-        let mut extents: Vec<ByteRange> = Vec::with_capacity(writes.len());
-        for &(off, data) in writes.iter().filter(|(_, d)| !d.is_empty()) {
+        let hint = writes.size_hint().0;
+        let mut extents: Vec<ByteRange> = Vec::with_capacity(hint);
+        let traced = self.tracer.is_enabled();
+        let mut footprint = Vec::with_capacity(if traced { hint } else { 0 });
+        for (off, data) in writes {
+            let data = data.as_ref();
+            if data.is_empty() {
+                continue;
+            }
             let len = data.len() as u64;
             match extents.last_mut() {
                 Some(e) if e.end == off => e.end += len,
                 _ => extents.push(ByteRange::at(off, len)),
+            }
+            if traced {
+                footprint.push((off, len));
             }
             self.apply_write(off, data);
             if racing {
@@ -164,8 +182,8 @@ impl PosixFile {
         self.stats.add(&self.stats.bytes_written, total);
         self.stats
             .add(&self.stats.server_write_requests, server_reqs);
-        if self.tracer.is_enabled() {
-            let args = access_args(total, writes.iter().map(|(o, d)| (*o, d.len() as u64)));
+        if traced {
+            let args = access_args(total, footprint.into_iter());
             self.tracer.instant(Category::Io, "batch write", t0, &args);
         }
         self.fs.servers.submit(self.client, epoch, reqs)
@@ -247,7 +265,7 @@ mod tests {
     fn batch_completion(writes: &[(u64, &[u8])]) -> (VNanos, StatsSnapshot) {
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "batch");
-        let ticket = f.pwrite_batch(writes, 0, false);
+        let ticket = f.pwrite_batch(writes.iter().copied(), 0, false);
         f.complete_writes(ticket, 0);
         let image = fs.snapshot("batch").unwrap().to_vec();
         for (off, data) in writes {
@@ -354,7 +372,7 @@ mod tests {
             let data = vec![5u8; len as usize];
             let fs = test_fs();
             let f = fs.open(0, Clock::new(), "one");
-            let ticket = f.submit_writes(&[(x, &data)], 0, false).unwrap().unwrap();
+            let ticket = f.submit_writes([(x, &data)], 0, false).unwrap().unwrap();
             f.complete_writes(ticket, 0);
             let batch = (f.clock().now(), f.stats().snapshot());
             let closed = closed_loop_completion(&[(x, &data)]);
@@ -418,7 +436,7 @@ mod tests {
         });
         let listio = on_cplant(&|f| f.try_listio_direct_atomic(&segs).unwrap());
         let batch = on_cplant(&|f| {
-            let ticket = f.submit_writes(&segs, 0, false).unwrap();
+            let ticket = f.submit_writes(segs.iter().copied(), 0, false).unwrap();
             f.complete_writes(ticket.expect("no fault plan: deferred"), 0);
         });
         for (path, t) in [
@@ -595,7 +613,7 @@ mod tests {
         // Healthy: a ticket, redeemed after the submitters' fence.
         let fs = test_fs();
         let f = fs.open(0, Clock::new(), "batch");
-        let ticket = f.submit_writes(&as_segments(&rows), 0, false).unwrap();
+        let ticket = f.submit_writes(as_segments(&rows), 0, false).unwrap();
         f.complete_writes(ticket.expect("deferred batch"), 0);
         assert_rows_landed(&fs.snapshot("batch").unwrap().to_vec(), &rows);
         // Armed: no ticket, and a server that is down takes no byte. Every
@@ -604,12 +622,12 @@ mod tests {
         // batch. Entry `i` of `strided_rows(4, 4096 + 512)` is on server `i`.
         let fs = crash_server0_at(1, RestartPolicy::Manual);
         let f = fs.open(0, Clock::new(), "batch");
-        let err = f.submit_writes(&as_segments(&rows), 0, false).unwrap_err();
+        let err = f.submit_writes(as_segments(&rows), 0, false).unwrap_err();
         assert!(matches!(err, FsError::RetriesExhausted { server: 0, .. }));
         assert_eq!(f.stats().snapshot().bytes_written, 0);
         assert_eq!(fs.servers().pending_requests(), 0);
         let mixed = strided_rows(4, 4096 + 512);
-        let err = f.submit_writes(&as_segments(&mixed), 0, false).unwrap_err();
+        let err = f.submit_writes(as_segments(&mixed), 0, false).unwrap_err();
         assert!(matches!(err, FsError::RetriesExhausted { server: 0, .. }));
         let s = f.stats().snapshot();
         assert_eq!((s.writes, s.bytes_written), (3, 3 * SEG));

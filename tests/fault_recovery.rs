@@ -383,24 +383,43 @@ fn collective_locked_write_fails_only_the_rank_with_a_dead_handle() {
 
 // ------------------------------------------------- collective-read fault grid
 
-/// Every collective read mode on both paths: two-phase used to panic in its
+/// The two-phase read of the grid's pipelined row: two nodes of two ranks,
+/// so requests and replies ride the node tier, in one-stripe-row rounds.
+const PIPELINED: TwoPhaseConfig = TwoPhaseConfig {
+    aggregators: None,
+    ranks_per_node: 2,
+    schedule: ExchangeSchedule::Pipelined {
+        round_stripes: 1,
+        depth: 1,
+    },
+};
+
+/// Every collective read mode on both paths, the two-phase ones under the
+/// default flat schedule and once pipelined: two-phase used to panic in its
 /// aggregators' reads, locking and non-atomic reads used to leave the
 /// closing barrier early.
-const COLLECTIVE_READS: [(Atomicity, IoPath); 8] = [
-    (Atomicity::Atomic(Strategy::TwoPhase), IoPath::Direct),
-    (Atomicity::Atomic(Strategy::TwoPhase), IoPath::Cached),
+const COLLECTIVE_READS: [(Atomicity, IoPath, Option<TwoPhaseConfig>); 9] = [
+    (Atomicity::Atomic(Strategy::TwoPhase), IoPath::Direct, None),
+    (Atomicity::Atomic(Strategy::TwoPhase), IoPath::Cached, None),
+    (
+        Atomicity::Atomic(Strategy::TwoPhase),
+        IoPath::Direct,
+        Some(PIPELINED),
+    ),
     (
         Atomicity::Atomic(Strategy::FileLocking(LockGranularity::Span)),
         IoPath::Direct,
+        None,
     ),
     (
         Atomicity::Atomic(Strategy::FileLocking(LockGranularity::Span)),
         IoPath::Cached,
+        None,
     ),
-    (Atomicity::Atomic(Strategy::ListIo), IoPath::Direct),
-    (Atomicity::Atomic(Strategy::ListIo), IoPath::Cached),
-    (Atomicity::NonAtomic, IoPath::Direct),
-    (Atomicity::NonAtomic, IoPath::Cached),
+    (Atomicity::Atomic(Strategy::ListIo), IoPath::Direct, None),
+    (Atomicity::Atomic(Strategy::ListIo), IoPath::Cached, None),
+    (Atomicity::NonAtomic, IoPath::Direct, None),
+    (Atomicity::NonAtomic, IoPath::Cached, None),
 ];
 
 /// The byte the seeded file holds at `offset`.
@@ -416,14 +435,14 @@ type ReadOutcome = (
     u64,
 );
 
-/// One collective column-wise read under `atomicity`/`path` of a file
-/// seeded with [`seeded`] by one whole-file write, with server `DEAD`
-/// crashing on the first request it sees after that write. Every rank must
-/// come back; a rank left parked fails the run with a deadlock report.
+/// One collective column-wise read under `atomicity`/`path` (and `two_phase`
+/// when given) of a file seeded with [`seeded`] by one whole-file write,
+/// with server `DEAD` crashing on the first request it sees after that
+/// write. Every rank must come back; a rank left parked fails the run with
+/// a deadlock report.
 fn faulted_collective_read(
     restart: RestartPolicy,
-    atomicity: Atomicity,
-    path: IoPath,
+    (atomicity, path, two_phase): (Atomicity, IoPath, Option<TwoPhaseConfig>),
 ) -> Vec<ReadOutcome> {
     let plan = FaultPlan::none().with(
         FaultSite::ServerRequest { server: DEAD },
@@ -444,6 +463,9 @@ fn faulted_collective_read(
         let mut file = MpiFile::open(&comm, &fs, "grid", OpenMode::ReadWrite).unwrap();
         file.set_view(0, part.filetype.clone()).unwrap();
         file.set_io_path(path);
+        if let Some(cfg) = two_phase {
+            file.set_two_phase_config(cfg);
+        }
         file.set_atomicity(atomicity).unwrap();
         let read = file.read_at_all(0, &mut buf);
         let retries = file.posix().stats().snapshot().retries;
@@ -454,7 +476,7 @@ fn faulted_collective_read(
     });
     assert!(
         started.elapsed() < std::time::Duration::from_secs(5),
-        "{atomicity:?}/{path:?}: ranks took {:?} to return",
+        "{atomicity:?}/{path:?}/{two_phase:?}: ranks took {:?} to return",
         started.elapsed()
     );
     outcomes
@@ -468,12 +490,12 @@ fn collective_reads_fail_typed_on_exactly_the_ranks_of_a_dead_server() {
     let views = spec.all_views();
     let unit = PlatformProfile::fast_test().stripe_unit;
     let on_dead = |offset: u64| (offset / unit) as usize % 4 == DEAD;
-    for (atomicity, path) in COLLECTIVE_READS {
-        let outcomes = faulted_collective_read(RestartPolicy::Manual, atomicity, path);
+    for row @ (atomicity, path, two_phase) in COLLECTIVE_READS {
+        let outcomes = faulted_collective_read(RestartPolicy::Manual, row);
         for (rank, (read, buf, _)) in outcomes.iter().enumerate() {
-            // A two-phase aggregator reads its whole domain, and every
-            // domain here spans whole stripe rows: each rank's bytes come
-            // from a run on the dead server.
+            // A two-phase aggregator reads whole stripe rows — its domain,
+            // or a row a round on the pipelined row — so each rank's bytes
+            // come from a run on the dead server.
             let touches_dead = atomicity == Atomicity::Atomic(Strategy::TwoPhase)
                 || views[rank]
                     .iter()
@@ -482,15 +504,20 @@ fn collective_reads_fail_typed_on_exactly_the_ranks_of_a_dead_server() {
                 Ok(_) => {
                     assert!(
                         !touches_dead,
-                        "{atomicity:?}/{path:?}: rank {rank} reported success over a dead server"
+                        "{atomicity:?}/{path:?}/{two_phase:?}: rank {rank} reported success over a dead server"
                     );
                     assert_eq!(*buf, spec.partition(rank).fill(seeded), "rank {rank}");
                 }
                 Err(atomio::core::Error::Fs(FsError::RetriesExhausted { server, .. })) => {
-                    assert!(touches_dead, "{atomicity:?}/{path:?}: rank {rank} failed");
+                    assert!(
+                        touches_dead,
+                        "{atomicity:?}/{path:?}/{two_phase:?}: rank {rank} failed"
+                    );
                     assert_eq!(*server, DEAD);
                 }
-                Err(e) => panic!("{atomicity:?}/{path:?}: rank {rank}: untyped failure {e}"),
+                Err(e) => {
+                    panic!("{atomicity:?}/{path:?}/{two_phase:?}: rank {rank}: untyped failure {e}")
+                }
             }
         }
     }
@@ -501,16 +528,19 @@ fn collective_reads_fail_typed_on_exactly_the_ranks_of_a_dead_server() {
 #[test]
 fn collective_reads_ride_out_a_restarting_server() {
     let spec = asymmetric_spec();
-    for (atomicity, path) in COLLECTIVE_READS {
-        let outcomes = faulted_collective_read(RestartPolicy::Rejections(3), atomicity, path);
+    for row @ (atomicity, path, two_phase) in COLLECTIVE_READS {
+        let outcomes = faulted_collective_read(RestartPolicy::Rejections(3), row);
         for (rank, (read, buf, _)) in outcomes.iter().enumerate() {
             assert!(
                 read.is_ok(),
-                "{atomicity:?}/{path:?}: rank {rank}: {read:?}"
+                "{atomicity:?}/{path:?}/{two_phase:?}: rank {rank}: {read:?}"
             );
             assert_eq!(*buf, spec.partition(rank).fill(seeded), "rank {rank}");
         }
         let retries: u64 = outcomes.iter().map(|(_, _, retries)| retries).sum();
-        assert!(retries > 0, "{atomicity:?}/{path:?}: the crash never bit");
+        assert!(
+            retries > 0,
+            "{atomicity:?}/{path:?}/{two_phase:?}: the crash never bit"
+        );
     }
 }

@@ -217,14 +217,37 @@ fn run_two_phase_and_check(
     verify::check_mpi_atomicity(&snap, footprints, &pattern::offset_stamps(footprints.len()))
 }
 
-/// Run a two-phase collective write of `footprints` under `cfg` and
-/// return the resulting file image.
-fn run_two_phase_snapshot(footprints: &[StridedSet], cfg: TwoPhaseConfig) -> Vec<u8> {
+/// `fp` as the view segments of a buffer holding its runs back to back.
+fn segments_of(fp: &StridedSet) -> Vec<atomio::dtype::ViewSegment> {
+    let mut logical_off = 0;
+    fp.iter()
+        .map(|r| {
+            let seg = atomio::dtype::ViewSegment {
+                file_off: r.start,
+                logical_off,
+                len: r.len(),
+            };
+            logical_off += r.len();
+            seg
+        })
+        .collect()
+}
+
+/// Every rank's read-back: the bytes it got and its read report.
+type ReadBacks = Vec<(Vec<u8>, atomio::collective::TwoPhaseReadReport)>;
+
+/// Run a two-phase collective write of `footprints` under `cfg`, then have
+/// every rank read its footprint back through `two_phase_read` under the
+/// same `cfg`; return the file image and every rank's read-back.
+fn run_two_phase_round_trip(
+    footprints: &[StridedSet],
+    cfg: TwoPhaseConfig,
+) -> (Vec<u8>, ReadBacks) {
     let profile = PlatformProfile::fast_test();
     let fs = FileSystem::new(profile.clone());
     let fs2 = fs.clone();
     let fps = footprints.to_vec();
-    run(footprints.len(), profile.net.clone(), move |comm| {
+    let reads = run(footprints.len(), profile.net.clone(), move |comm| {
         let fp = &fps[comm.rank()];
         let ft = filetype_of(fp);
         let buf: Vec<u8> = {
@@ -245,8 +268,13 @@ fn run_two_phase_snapshot(footprints: &[StridedSet], cfg: TwoPhaseConfig) -> Vec
         comm.barrier();
         file.write_at_all(0, &buf).unwrap();
         file.close().unwrap();
+        let posix = fs2.open(comm.rank(), comm.clock().clone(), "sched");
+        let mut back = vec![0u8; buf.len()];
+        let report =
+            atomio::collective::two_phase_read(&comm, &posix, &segments_of(fp), &mut back, 0, &cfg);
+        (back, report)
     });
-    fs.snapshot("sched").unwrap().to_vec()
+    (fs.snapshot("sched").unwrap().to_vec(), reads)
 }
 
 /// Run `two_phase_write` itself on `footprints` under `cfg` and return
@@ -255,20 +283,9 @@ fn run_two_phase_reports(footprints: &[StridedSet], cfg: TwoPhaseConfig) -> Vec<
     let fs = FileSystem::new(PlatformProfile::fast_test());
     run(footprints.len(), fs.profile().net.clone(), |comm| {
         let file = fs.open(comm.rank(), comm.clock().clone(), "reports");
-        let mut logical_off = 0;
-        let segs: Vec<atomio::dtype::ViewSegment> = footprints[comm.rank()]
-            .iter()
-            .map(|r| {
-                let seg = atomio::dtype::ViewSegment {
-                    file_off: r.start,
-                    logical_off,
-                    len: r.len(),
-                };
-                logical_off += r.len();
-                seg
-            })
-            .collect();
-        let buf = vec![comm.rank() as u8; logical_off as usize];
+        let segs = segments_of(&footprints[comm.rank()]);
+        let len = footprints[comm.rank()].total_len();
+        let buf = vec![comm.rank() as u8; len as usize];
         atomio::collective::two_phase_write(&comm, &file, &segs, &buf, 0, &cfg)
     })
 }
@@ -313,7 +330,9 @@ proptest! {
     /// skewed — one rank also holds a contiguous block at least a domain
     /// long behind the random runs — so the two schedules place their file
     /// domains by holdings, each from its own view of them, not in rank
-    /// order.
+    /// order. Read back under the same schedule, every rank gets exactly
+    /// the image's bytes over its footprint, with no error, and the
+    /// aggregators of either schedule read the footprint union once.
     #[test]
     fn pipelined_schedule_is_byte_identical_to_flat(
         fps in prop::collection::vec(arb_footprint(), P..=P),
@@ -325,23 +344,37 @@ proptest! {
     ) {
         let mut fps = fps;
         skew_footprints(&mut fps, skew);
-        let flat = run_two_phase_snapshot(&fps, TwoPhaseConfig {
+        let (flat, flat_reads) = run_two_phase_round_trip(&fps, TwoPhaseConfig {
             aggregators: Some(aggregators),
             ranks_per_node,
             schedule: ExchangeSchedule::Flat,
         });
-        let piped = run_two_phase_snapshot(&fps, TwoPhaseConfig {
+        let (piped, piped_reads) = run_two_phase_round_trip(&fps, TwoPhaseConfig {
             aggregators: Some(aggregators),
             ranks_per_node,
             schedule: ExchangeSchedule::Pipelined { round_stripes, depth },
         });
-        prop_assert!(
-            flat == piped,
-            "schedules diverge: A={aggregators} rpn={ranks_per_node} \
-             stripes={round_stripes} depth={depth} on {fps:?}"
+        let what = format!(
+            "A={aggregators} rpn={ranks_per_node} stripes={round_stripes} depth={depth} on {fps:?}"
         );
+        prop_assert!(flat == piped, "schedules diverge: {what}");
         let rep = verify::check_mpi_atomicity(&piped, &fps, &pattern::offset_stamps(P));
         prop_assert!(rep.is_atomic(), "pipelined result not atomic: {rep:?}");
+
+        let union: u64 = common::merged_runs(fps.iter().flat_map(StridedSet::iter))
+            .iter()
+            .map(ByteRange::len)
+            .sum();
+        for (name, reads) in [("flat", &flat_reads), ("pipelined", &piped_reads)] {
+            for (rank, (back, report)) in reads.iter().enumerate() {
+                let image = fps[rank].iter().flat_map(|r| &piped[r.start as usize..r.end as usize]);
+                prop_assert!(back.iter().eq(image), "{name}: rank {rank} read other bytes: {what}");
+                prop_assert!(report.read_errors == 0, "{name}: rank {rank}: {what}");
+                prop_assert!(report.first_error.is_none(), "{name}: rank {rank}: {what}");
+            }
+            let read: u64 = reads.iter().map(|r| r.1.bytes_read_from_servers).sum();
+            prop_assert!(read == union, "{name}: {read} bytes read for a union of {union}: {what}");
+        }
     }
 
     /// Surrender before shipping: whatever the footprints, aggregators,
