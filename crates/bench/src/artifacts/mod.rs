@@ -1,7 +1,8 @@
 //! The checked-in artifacts, one table of [`ROWS`], and the scenarios
 //! that regenerate them. The `artifacts` bin runs the table: `--check`
-//! regenerates every gated row and compares it with its checked-in file
-//! byte for byte, `--write <name>...` re-records rows.
+//! regenerates every row, checks each one's acceptance and compares each
+//! gated one with its checked-in file byte for byte, `--write <name>...`
+//! re-records rows.
 
 use std::sync::Arc;
 

@@ -6,22 +6,24 @@
 //! cargo run --release -p atomio-bench --bin artifacts -- --write <name>...
 //! ```
 //!
-//! `--check` regenerates every gated and every smoke row into
-//! `target/artifacts/`, traces included, and fails on a gated row whose
-//! bytes differ from its checked-in file, an acceptance failure, a trace
-//! that fails its check, or a checked-in JSON artifact that does not
-//! parse. A moved field prints as its path (`Value::at`'s syntax, in the
-//! regenerated file, or the checked-in one for a field that is gone) with
-//! its old → new value, a CSV cell as `row=KEY/COLUMN`, and bytes that
-//! moved with no value as "layout". `--write <name>...` regenerates rows
-//! over their checked-in files; `UPDATE_GOLDEN=1 cargo test --test
-//! docs_numbers` then re-quotes the docs.
+//! `--check` regenerates every row into `target/artifacts/`, traces
+//! included, and fails on a gated row whose bytes differ from its
+//! checked-in file, any row's acceptance failure, a trace that fails its
+//! check, or a checked-in JSON artifact that does not parse; an ungated
+//! row's bytes are not compared. A moved field prints as its path
+//! (`Value::at`'s syntax, in the regenerated file, or the checked-in one
+//! for a field that is gone) with its old → new value, a CSV cell as
+//! `row=KEY/COLUMN`, and bytes that moved with no value as "layout".
+//! `--write <name>...` regenerates rows over their checked-in files;
+//! `UPDATE_GOLDEN=1 cargo test --test docs_numbers` then re-quotes the
+//! docs. Each row's verdict line ends with what it cost the host: wall
+//! seconds, minor faults and user and sys milliseconds (ungated).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use atomio_bench::{Row, Scale, ROWS};
+use atomio_bench::{Row, ROWS};
 use atomio_trace::json::{parse, Value};
 use atomio_trace::{validate_json, MemorySink};
 
@@ -68,15 +70,12 @@ fn main() {
 
     let check = matches!(mode, Mode::Check);
     let rows: Vec<&Row> = match mode {
-        Mode::Check => ROWS
-            .iter()
-            .filter(|r| r.gated || r.scale == Scale::Smoke)
-            .collect(),
+        Mode::Check => ROWS.iter().collect(),
         Mode::Write(rows) => rows,
     };
     let mut failed = 0;
     for row in rows {
-        let start = Instant::now();
+        let (start, before) = (Instant::now(), host_counts());
         let (text, mut problems) = regenerate(row, &out);
         match (row.checked_in, check) {
             (Some(file), false) => write(root.join(file), &text),
@@ -88,7 +87,10 @@ fn main() {
             _ => {}
         }
         let secs = start.elapsed().as_secs_f64();
-        failed += report(&format!("{} ({secs:.1} s)", row.name), &problems);
+        let now = host_counts();
+        let [faults, user, sys] = std::array::from_fn(|i| now[i].saturating_sub(before[i]));
+        let cost = format!("{secs:.1} s, {faults} minor faults, user {user} ms, sys {sys} ms");
+        failed += report(&format!("{} ({cost})", row.name), &problems);
     }
     let json = ROWS
         .iter()
@@ -102,6 +104,20 @@ fn main() {
         eprintln!("{failed} check(s) failed");
         std::process::exit(1);
     }
+}
+
+/// This process's minor faults and user and sys milliseconds so far,
+/// every thread's, exited ones included: fields 10, 14 and 15 of
+/// `/proc/self/stat`, whose times count `USER_HZ` = 100 ticks a second.
+/// Zeros where the file cannot be read.
+fn host_counts() -> [u64; 3] {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // Fields 3 onward follow the parenthesised command name.
+    let rest = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    let field = |n: usize| fields.get(n - 3).and_then(|f| f.parse().ok());
+    let [faults, user, sys] = [10, 14, 15].map(|n| field(n).unwrap_or(0u64));
+    [faults, user * 10, sys * 10]
 }
 
 /// Print `what`'s verdict; 1 when it failed.

@@ -52,8 +52,8 @@
 //! same loop with every rank its own leader and each domain one round.
 //! Both surrender first, ship each byte of the union once and produce
 //! byte-identical files. [`two_phase_read`] runs the same loop the other
-//! way: nothing surrendered, ownership by the raw footprints, requests up
-//! the tiers and replies — slices of the aggregators' run buffers — back.
+//! way, surrendering nothing and asking nothing: the aggregators answer
+//! from the negotiated footprints with slices of their run buffers.
 
 mod domain;
 mod exchange;

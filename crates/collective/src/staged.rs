@@ -2,7 +2,7 @@
 //! [`ExchangeSchedule`]s and in both directions: negotiate, cut the domains
 //! into rounds, then per round funnel through the node tier and exchange. A write routes, submits
 //! its own batch, exchanges, retires, submits the received batch and
-//! drains; a read asks, serves and answers.
+//! drains; a read serves and answers.
 //!
 //! Each round an aggregator writes in two batches under the round's epoch.
 //! What it routed to itself — its own surviving pieces, still slices of the
@@ -34,16 +34,17 @@
 //! anything and every byte of the union rides each link class at most
 //! once; each domain goes to the candidate holding the most of what
 //! survives (`cut_domains`). A read surrenders nothing, so ownership
-//! follows the raw footprints. Its requests — one `(offset, length)` per
-//! part of a segment inside a domain — funnel to the leader and cross in
-//! the leaders' exchange; each aggregator reads its round's requested runs
-//! with one closed-loop vector read, and the replies, slices of the run
-//! buffers, travel back the same way, the leader handing each node-mate its
-//! own. A byte is copied from the servers into a run buffer and from its
-//! reply into the caller's buffer, nowhere else. A closed-loop read cannot
-//! overlap a later round, so a read's rounds run one after another.
+//! follows the raw footprints, and it asks nothing: negotiation leaves each
+//! aggregator its exchange peers' footprints (every rank's on flat, every
+//! node's union on pipelined), so it reads their union inside its round
+//! domain with one closed-loop vector read and sends each peer its runs,
+//! slices of the run buffers, the leader cutting each node-mate's share by
+//! that mate's footprint. A byte is copied from the servers into a run
+//! buffer and from its reply into the caller's buffer, nowhere else. A
+//! closed-loop read cannot overlap a later round, so a read's rounds run
+//! one after another.
 
-use std::ops::Range;
+use std::iter::repeat;
 use std::sync::Arc;
 
 use atomio_dtype::ViewSegment;
@@ -54,34 +55,33 @@ use atomio_trace::Category;
 use atomio_vtime::{NodeTopology, WireSize};
 
 use crate::domain::FileDomain;
-use crate::exchange::{gather, lend, route_segments, split, Piece};
+use crate::exchange::{gather, lend, route_segments, Piece};
 use crate::surrender::{higher_union_strided, surviving_footprints, surviving_pieces_strided};
 use crate::two_phase::{
     cut_domains, extent_of, ExchangeSchedule, Owners, TwoPhaseConfig, TwoPhaseReadReport,
     TwoPhaseReport,
 };
 
-/// A read request: `(file offset, length)` of one part of a segment inside
-/// one domain.
-type Request = (u64, u64);
-
-/// An aggregator's answer to one read request: its bytes, as a slice of the
-/// buffer the aggregator read the request's run into, or that run's error.
-#[derive(Debug, Clone)]
-enum Reply {
-    Bytes(Arc<[u8]>, Range<usize>),
-    Failed(FsError),
+/// An aggregator's answer: the file `range` it covers and the run holding
+/// it (the run's file offset and the buffer it was read into), or that
+/// run's error. A node-mate's share is the same run under a narrower range.
+#[derive(Clone)]
+struct Reply {
+    range: ByteRange,
+    run: Result<(u64, Arc<[u8]>), FsError>,
 }
 
 impl WireSize for Reply {
     fn wire_size(&self) -> usize {
-        match self {
-            // The request's offset, a length word and the bytes.
-            Reply::Bytes(_, at) => 16 + at.len(),
-            // The request's offset and an error code.
-            Reply::Failed(_) => 16,
-        }
+        // Offset, then length or error code, then the bytes (none on error).
+        16 + self.run.as_ref().map_or(0, |_| self.range.len() as usize)
     }
+}
+
+/// The parts of `set` inside `range`, ascending.
+fn inside(set: &StridedSet, range: ByteRange) -> impl Iterator<Item = ByteRange> {
+    let runs = set.runs_meeting(&range).into_iter();
+    runs.filter_map(move |r| r.intersect(&range))
 }
 
 /// Default round size when `round_stripes` is 0: stripe units per server
@@ -107,6 +107,11 @@ struct Plan {
     exchange: Option<Comm>,
     /// Maps an aggregator's world rank to its index on `exchange`.
     stride: usize,
+    /// At a read's aggregator, its exchange peers' footprints by exchange
+    /// index: every rank's on flat, every node's union on pipelined.
+    peers: Vec<StridedSet>,
+    /// Each node-mate's footprint, by node rank (pipelined only).
+    mates: Vec<StridedSet>,
     domains: Vec<FileDomain>,
     /// Bytes of each domain a round covers.
     round_bytes: u64,
@@ -184,10 +189,11 @@ fn negotiate(
 
     let t0 = comm.clock().now();
     let footprint = StridedSet::from_sorted_extents(segments.iter().map(|s| (s.file_off, s.len)));
-    let (extent, owners, higher) = match &node {
+    let (extent, owners, higher, peers, mates) = match &node {
         None => {
             let all = comm.allgather(footprint);
-            (extent_of(&all), held(&all), above(&all, comm.rank()))
+            let (owners, higher) = (held(&all), above(&all, comm.rank()));
+            (extent_of(&all), owners, higher, Some(all), vec![])
         }
         Some(node) => {
             let mut footprints = node.allgather(footprint);
@@ -200,12 +206,14 @@ fn negotiate(
                     let domains = cut_domains(comm.size(), file, cfg, extent, cap, &held);
                     domains.iter().map(|d| d.rank).collect()
                 });
-                (extent, owners, above(&node_unions, l.rank()))
+                ((extent, owners, above(&node_unions, l.rank())), node_unions)
             });
+            let (from_leaders, unions) = from_leaders.unzip();
             let (extent, owners, higher_nodes) = node.bcast(0, from_leaders);
             footprints.push(higher_nodes);
             let higher = above(&footprints, node.rank());
-            (extent, Owners::Chosen(owners), higher)
+            footprints.pop();
+            (extent, Owners::Chosen(owners), higher, unions, footprints)
         }
     };
     let Some(extent) = extent else {
@@ -240,10 +248,15 @@ fn negotiate(
         }
     };
     let rounds = max_len.div_ceil(round_bytes).max(1) as usize;
+    // Only a read's aggregators answer from their peers' footprints.
+    let serves = !write && domains.iter().any(|d| d.rank == comm.rank());
+    let peers = peers.filter(|_| serves).unwrap_or_default();
     let plan = Plan {
         node,
         exchange,
         stride,
+        peers,
+        mates,
         domains,
         round_bytes,
         depth,
@@ -454,18 +467,22 @@ pub fn two_phase_write(
     report
 }
 
-/// The read step: read the union of the `incoming` requests, as its maximal
-/// runs, each into a buffer of its own, built in one allocation, with one
-/// closed-loop vector read that resumes past a failed run — and answer each
-/// request, per source in request order, with its slice of its run's buffer
-/// or its run's error.
+/// The read step: read the union of what the `peers` want of this
+/// aggregator's round `domain` — each peer's footprint inside it — as its
+/// maximal runs, each into a buffer of its own, built in one allocation,
+/// with one closed-loop vector read that resumes past a failed run; and
+/// answer each peer with one reply per run of its footprint there, a slice
+/// of the union run holding it or that run's error.
 fn serve(
     file: &PosixFile,
-    incoming: &[Vec<Request>],
+    peers: &[StridedSet],
+    domain: Option<ByteRange>,
     report: &mut TwoPhaseReadReport,
 ) -> Vec<Vec<Reply>> {
-    let requested = incoming.iter().flatten().map(|r| ByteRange::at(r.0, r.1));
-    let runs: Vec<ByteRange> = StridedSet::from_ranges(requested).iter().collect();
+    let wants = |fp| domain.iter().flat_map(|&d| inside(fp, d)).collect();
+    let wanted: Vec<Vec<ByteRange>> = peers.iter().map(wants).collect();
+    let union = StridedSet::from_ranges(wanted.iter().flatten().copied());
+    let runs: Vec<ByteRange> = union.iter().collect();
     let zeroed = |r: &ByteRange| std::iter::repeat_n(0u8, r.len() as usize).collect();
     let mut buffers: Vec<Arc<[u8]>> = runs.iter().map(zeroed).collect();
     let fresh = |b| Arc::get_mut(b).expect("a new buffer has one owner");
@@ -477,40 +494,38 @@ fn serve(
     report.read_errors += failed.iter().flatten().count();
     let read = runs.iter().zip(&failed).filter(|(_, e)| e.is_none());
     report.bytes_read_from_servers += read.map(|(r, _)| r.len()).sum::<u64>();
-    let answer = |&(off, len): &Request| {
-        // A request is contiguous and part of the union, so it lies inside
-        // exactly one run.
-        let i = runs.partition_point(|r| r.end <= off);
-        match &failed[i] {
-            None => {
-                let at = (off - runs[i].start) as usize;
-                Reply::Bytes(Arc::clone(&buffers[i]), at..at + len as usize)
-            }
-            Some(e) => Reply::Failed(e.clone()),
-        }
+    let answer = |&range: &ByteRange| {
+        // Part of the union, a peer's run lies in exactly one union run.
+        let i = runs.partition_point(|r| r.end <= range.start);
+        let run = failed[i].clone();
+        let run = run.map_or_else(|| Ok((runs[i].start, Arc::clone(&buffers[i]))), Err);
+        Reply { range, run }
     };
-    let answer_all = |asked: &Vec<Request>| asked.iter().map(answer).collect();
-    incoming.iter().map(answer_all).collect()
+    let answer_all = |w: &Vec<ByteRange>| w.iter().map(answer).collect();
+    wanted.iter().map(answer_all).collect()
 }
 
 /// One collective read through the aggregators, the write's round loop
 /// run the other way: the same negotiation, domains, rounds and node tier
 /// under `cfg.schedule`, with ownership following the raw footprints,
-/// since a read surrenders nothing. Each round the ranks' requests travel
-/// to the owning aggregators, each aggregator reads its round's requested
-/// runs, each into a buffer of its own, with one closed-loop vector read
-/// ([`PosixFile::preadv_direct_past_failures`]), and the replies — slices
-/// of those buffers, never copies — travel back the same way into `buf`,
-/// whose first byte is logical stream offset `base`.
+/// since a read surrenders nothing. Nobody asks: each round every
+/// aggregator reads the union of its exchange peers' negotiated footprints
+/// inside its round domain with one closed-loop vector read
+/// ([`PosixFile::preadv_direct_past_failures`]), each run into a buffer of
+/// its own, and sends each peer its runs, slices of those buffers, never
+/// copies; on pipelined the leader cuts each node-mate's share by that
+/// mate's footprint. Each rank places a reply by its file offset into
+/// `buf`, whose first byte is logical stream offset `base`.
 ///
-/// `segments` must be ascending and non-overlapping in file offset — the
-/// form [`FileView::segments`](atomio_dtype::FileView::segments) produces —
-/// so that each reply maps back to exactly one segment.
+/// `segments` must be ascending and non-overlapping in file offset (the
+/// form [`FileView::segments`](atomio_dtype::FileView::segments) produces,
+/// asserted on entry): a reply finds its segments by binary search and
+/// may span several that touch in the file.
 ///
-/// Under fault injection every rank still completes the call: an
-/// aggregator whose run fails answers that run's requests with the error,
-/// which lands in the requesters' [`TwoPhaseReadReport::first_error`], and
-/// still reads the runs after it.
+/// Under fault injection every rank still completes the call: a reply cut
+/// from a failed run carries its error, which lands in the readers'
+/// [`TwoPhaseReadReport::first_error`], and the aggregator still reads the
+/// runs after it.
 pub fn two_phase_read(
     comm: &Comm,
     file: &PosixFile,
@@ -526,49 +541,42 @@ pub fn two_phase_read(
     report.aggregator_count = plan.domains.len();
     for k in 0..plan.rounds {
         let t_r = comm.clock().now();
-        let round = plan.round(k);
-        // Ask: one request per part of a segment inside a domain, tagged
-        // with the exchange index of its owner. A node's requests meet at
-        // its leader; on flat every rank leads itself.
-        let asked: Vec<(u64, Request)> = split(segments, &round)
-            .map(|(rank, part, _)| ((rank / plan.stride) as u64, (part.start, part.len())))
-            .collect();
-        let gathered = match &plan.node {
-            None => Some(vec![asked]),
-            Some(node) => node.gatherv(0, asked),
-        };
-        // Serve: the leaders exchange the requests, each aggregator answers
-        // what it was asked, and the answers cross back in the requests'
-        // order, so the leader can hand each node-mate its own replies in
-        // the order that mate asked.
-        let handed = plan.exchange.as_ref().zip(gathered).map(|(l, gathered)| {
-            let requests = bucket(gathered.iter().flatten().copied(), l.size());
-            let answers = serve(file, &l.alltoallv(requests), &mut report);
-            let answered = l.alltoallv(answers);
-            let mut answered: Vec<_> = answered.into_iter().map(Vec::into_iter).collect();
-            let mut reply_to = |&(li, _): &(u64, Request)| {
-                answered[li as usize].next().expect("one reply per request")
-            };
-            let replies = |asked: &Vec<(u64, Request)>| asked.iter().map(&mut reply_to).collect();
-            gathered.iter().map(replies).collect::<Vec<Vec<Reply>>>()
+        // Serve: every aggregator answers its exchange peers.
+        let handed = plan.exchange.as_ref().map(|l| {
+            let mine = plan.round(k).into_iter().find(|d| d.rank == comm.rank());
+            let mut answers = serve(file, &plan.peers, mine.map(|d| d.range), &mut report);
+            answers.resize_with(l.size(), Vec::new);
+            l.alltoallv(answers)
         });
-        let replies: Vec<Reply> = match &plan.node {
+        // On pipelined the leader cuts each node-mate's share out of what
+        // its node received; below it nothing arrived, so nothing is cut.
+        let mut replies: Vec<Reply> = match &plan.node {
             None => handed.into_iter().flatten().flatten().collect(),
             Some(node) => {
-                let mates = handed.unwrap_or_else(|| vec![Vec::new(); node.size()]);
-                node.alltoallv(mates).swap_remove(0)
+                let got: Vec<Reply> = handed.into_iter().flatten().flatten().collect();
+                let share = |fp| {
+                    let parts = got.iter().flat_map(|r| inside(fp, r.range).zip(repeat(r)));
+                    parts
+                        .map(|(range, r)| Reply { range, ..r.clone() })
+                        .collect()
+                };
+                node.alltoallv(plan.mates.iter().map(share).collect())
+                    .swap_remove(0)
             }
         };
-        // Place each reply where this rank asked for it.
-        for ((_, _, logical), reply) in split(segments, &round).zip(replies) {
-            match reply {
-                Reply::Bytes(run, at) => {
-                    let rel = (logical - base) as usize;
-                    buf[rel..rel + at.len()].copy_from_slice(&run[at]);
-                }
-                Reply::Failed(e) => {
-                    report.first_error.get_or_insert(e);
-                }
+        // Place each reply by its file offset, in file order, so the first
+        // error is the first one this rank's bytes met.
+        replies.sort_unstable_by_key(|r| r.range.start);
+        for Reply { range: r, run } in replies {
+            let Ok((start, run)) = run.map_err(|e| report.first_error.get_or_insert(e)) else {
+                continue;
+            };
+            let first = segments.partition_point(|s| s.file_end() <= r.start);
+            for seg in segments[first..].iter().take_while(|s| s.file_off < r.end) {
+                let lo = seg.file_off.max(r.start);
+                let n = (seg.file_end().min(r.end) - lo) as usize;
+                let at = (seg.logical_off + (lo - seg.file_off) - base) as usize;
+                buf[at..at + n].copy_from_slice(&run[(lo - start) as usize..][..n]);
             }
         }
         comm.tracer().span(
@@ -956,6 +964,111 @@ mod tests {
                 if flat {
                     assert_eq!(intra, sum(|r| r.wire_intra_bytes), "{what}");
                 }
+            }
+        }
+    }
+
+    /// A read asks nothing. Eight ranks, two per node, read a shared 32 KiB
+    /// header and a 12 KiB block of their own that a write of the same
+    /// layout left. Each rank's track shows negotiation's collectives (flat:
+    /// one world `allgather`; pipelined: the node and leader splits, two
+    /// `allgather`s each, the node's `allgather`, the leaders' `allgather`
+    /// at a leader and the node's `bcast`), then per round one `alltoallv`
+    /// on flat and on pipelined the leaders' and the node's at a leader and
+    /// the node's below it, then the closing barrier, and nothing else. On
+    /// pipelined the leaders' exchange carries exactly what it carries when
+    /// only one rank of each node wants the header: a node-mate's copy is
+    /// cut at its leader, not shipped across the network again.
+    #[test]
+    fn a_read_round_exchanges_only_replies_and_a_node_gets_a_shared_header_once() {
+        use atomio_trace::Track;
+        const RANKS: usize = 8;
+        const PER_NODE: usize = 2;
+        const HEADER: u64 = 32 * 1024;
+        const OWN: u64 = 12 * 1024;
+        let block = |r: usize| ByteRange::at(HEADER + r as u64 * OWN, OWN);
+        let segs = |r: usize| {
+            let seg = |file_off, logical_off, len| ViewSegment {
+                file_off,
+                logical_off,
+                len,
+            };
+            [seg(0, 0, HEADER), seg(block(r).start, HEADER, OWN)]
+        };
+        for (name, schedule) in SCHEDULES {
+            let flat = schedule == ExchangeSchedule::Flat;
+            let cfg = TwoPhaseConfig {
+                aggregators: None,
+                ranks_per_node: PER_NODE,
+                schedule,
+            };
+            let fs = FileSystem::new(PlatformProfile::fast_test());
+            atomio_msg::run(RANKS, fs.profile().net.clone(), |comm| {
+                let file = fs.open(comm.rank(), comm.clock().clone(), name);
+                let buf = vec![comm.rank() as u8 + 1; (HEADER + OWN) as usize];
+                two_phase_write(&comm, &file, &segs(comm.rank()), &buf, 0, &cfg);
+            });
+            let image = fs.snapshot(name).unwrap().to_vec();
+            let mut leaders_sent = Vec::new();
+            // Every rank wants the header, then only the odd ones.
+            for every in [true, false] {
+                let what = format!("{name}, every rank reads the header: {every}");
+                let wants = |r: usize| every || r % 2 == 1;
+                let sink = Arc::new(MemorySink::new());
+                let backs = atomio_msg::run(RANKS, fs.profile().net.clone(), |comm| {
+                    comm.bind_tracer(sink.clone());
+                    let me = comm.rank();
+                    let file = fs.open(me, comm.clock().clone(), name);
+                    let segs = &segs(me)[usize::from(!wants(me))..];
+                    let mut back = vec![0u8; (HEADER + OWN) as usize];
+                    let report = two_phase_read(&comm, &file, segs, &mut back, 0, &cfg);
+                    assert!(report.first_error.is_none(), "{what}");
+                    back
+                });
+                for (r, back) in backs.iter().enumerate() {
+                    let own = &image[block(r).start as usize..block(r).end as usize];
+                    assert_eq!(&back[HEADER as usize..], own, "{what}, rank {r}");
+                    let header = if wants(r) {
+                        &image[..HEADER as usize]
+                    } else {
+                        &[0; HEADER as usize]
+                    };
+                    assert_eq!(&back[..HEADER as usize], header, "{what}, rank {r}");
+                }
+
+                let events = sink.snapshot();
+                for r in 0..RANKS {
+                    let on = || events.iter().filter(move |ev| ev.track == Track::Rank(r));
+                    let rounds = on().filter(|ev| ev.name == "read round").count();
+                    assert_eq!(rounds, if flat { 1 } else { 2 }, "{what}, rank {r}");
+                    let comm_spans = on().filter(|ev| ev.cat == Category::Comm);
+                    let names: Vec<&str> = comm_spans.map(|ev| ev.name).collect();
+                    let lead = r % PER_NODE == 0;
+                    let expected = if flat {
+                        vec!["allgather", "alltoallv", "barrier"]
+                    } else {
+                        let mut names = vec!["allgather"; 5 + usize::from(lead)];
+                        names.push("bcast");
+                        names.extend(vec!["alltoallv"; 1 + usize::from(lead)].repeat(rounds));
+                        names.push("barrier");
+                        names
+                    };
+                    assert_eq!(names, expected, "{what}, rank {r}");
+                }
+                // The leaders' exchange: the sub-communicator of one rank
+                // per node.
+                let leaders = events.iter().filter(|ev| {
+                    let members = ev.args.iter().filter(|a| a.0 == "mem").count();
+                    ev.name == "alltoallv" && members == RANKS / PER_NODE
+                });
+                leaders_sent.push(leaders.map(|ev| ev.args[0].1).sum::<u64>());
+            }
+            if !flat {
+                // Every header byte lies in one node's domain and crosses
+                // to each of the other three nodes, once.
+                let others = (RANKS / PER_NODE - 1) as u64;
+                assert!(leaders_sent[0] >= others * HEADER, "{leaders_sent:?}");
+                assert_eq!(leaders_sent[0], leaders_sent[1], "{name}");
             }
         }
     }

@@ -135,10 +135,10 @@ pub struct TwoPhaseReadReport {
     /// Contiguous read runs this rank issued.
     pub read_runs: usize,
     /// Runs this rank failed to read as an aggregator under fault
-    /// injection (0 when healthy). A failed run's requests are answered
-    /// with its error, so the collective still completes.
+    /// injection (0 when healthy). Every reply cut from a failed run
+    /// carries its error, so the collective still completes.
     pub read_errors: usize,
-    /// The first error behind bytes this rank asked for, whichever
+    /// The first error behind bytes this rank reads, whichever
     /// aggregator's run it came from — the error the caller returns.
     pub first_error: Option<FsError>,
 }
@@ -511,10 +511,17 @@ mod tests {
                     logical_off: 20,
                     len: 20,
                 },
+                // Touches its predecessor in the file and continues it in
+                // the stream: one run, one reply spanning both segments.
+                ViewSegment {
+                    file_off: 70,
+                    logical_off: 40,
+                    len: 10,
+                },
             ];
-            let data: Vec<u8> = (0..40).collect();
+            let data: Vec<u8> = (0..50).collect();
             two_phase_write(&comm, &file, &segs, &data, 0, &TwoPhaseConfig::default());
-            let mut back = vec![0u8; 40];
+            let mut back = vec![0u8; 50];
             two_phase_read(
                 &comm,
                 &file,

@@ -384,7 +384,7 @@ fn collective_locked_write_fails_only_the_rank_with_a_dead_handle() {
 // ------------------------------------------------- collective-read fault grid
 
 /// The two-phase read of the grid's pipelined row: two nodes of two ranks,
-/// so requests and replies ride the node tier, in one-stripe-row rounds.
+/// so replies ride the node tier, in one-stripe-row rounds.
 const PIPELINED: TwoPhaseConfig = TwoPhaseConfig {
     aggregators: None,
     ranks_per_node: 2,
