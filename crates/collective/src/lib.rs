@@ -22,7 +22,10 @@
 //!    negotiation what need not be sent, applied to placement;
 //! 3. **Redistribution** — every rank first *surrenders* the bytes a higher
 //!    rank also writes (process-rank ordering, §3.3.2; the `surrender`
-//!    module is the one implementation `Strategy::RankOrdering` uses too),
+//!    module is the one implementation `Strategy::RankOrdering` uses too:
+//!    one sweep from the highest rank down, in which each rank keeps its
+//!    footprint minus the union above it and that union grows by what the
+//!    rank keeps),
 //!    then an `alltoallv` moves the surviving pieces to the aggregators
 //!    owning them. The highest rank wins every overlap — the serialization
 //!    `atomio-core::verify` accepts — and no losing byte crosses a wire;

@@ -56,7 +56,7 @@ use atomio_vtime::{NodeTopology, WireSize};
 
 use crate::domain::FileDomain;
 use crate::exchange::{gather, lend, route_segments, Piece};
-use crate::surrender::{higher_union_strided, surviving_footprints, surviving_pieces_strided};
+use crate::surrender::{disjoint_union, surviving_footprints, surviving_pieces_strided};
 use crate::two_phase::{
     cut_domains, extent_of, ExchangeSchedule, Owners, TwoPhaseConfig, TwoPhaseReadReport,
     TwoPhaseReport,
@@ -173,18 +173,15 @@ fn negotiate(
     // so every aggregator is a node leader and no I/O re-crosses the
     // network.
     let cap = node.as_ref().map_or(comm.size(), |_| topo.nodes());
-    // A write surrenders to every higher rank and owns by what survives; a
-    // read keeps every footprint whole.
-    let above = |fps: &[StridedSet], me| match write {
-        true => higher_union_strided(fps, me),
-        false => StridedSet::new(),
-    };
-    let held = |fps: &[StridedSet]| Owners::Held {
-        held: match write {
-            true => surviving_footprints(fps),
-            false => fps.to_vec(),
-        },
-        stride,
+    // A write surrenders to every higher rank and owns by what survives,
+    // one sweep giving both; a read keeps every footprint whole.
+    let surrender = |fps: &[StridedSet], me: usize| {
+        let kept = write.then(|| surviving_footprints(fps, StridedSet::new()).0);
+        let higher = kept
+            .as_ref()
+            .map_or_else(StridedSet::new, |k| disjoint_union(&k[me + 1..]));
+        let held = kept.unwrap_or_else(|| fps.to_vec());
+        (Owners::Held { held, stride }, higher)
     };
 
     let t0 = comm.clock().now();
@@ -192,27 +189,29 @@ fn negotiate(
     let (extent, owners, higher, peers, mates) = match &node {
         None => {
             let all = comm.allgather(footprint);
-            let (owners, higher) = (held(&all), above(&all, comm.rank()));
+            let (owners, higher) = surrender(&all, comm.rank());
             (extent_of(&all), owners, higher, Some(all), vec![])
         }
         Some(node) => {
-            let mut footprints = node.allgather(footprint);
+            let footprints = node.allgather(footprint);
             let from_leaders = exchange.as_ref().map(|l| {
-                let node_union = footprints[0].union(&higher_union_strided(&footprints, 0));
+                let node_union = surviving_footprints(&footprints, StridedSet::new()).1;
                 let node_unions = l.allgather(node_union);
                 let extent = extent_of(&node_unions);
+                let (held, higher_nodes) = surrender(&node_unions, l.rank());
                 let owners: Vec<usize> = extent.map_or_else(Vec::new, |extent| {
-                    let held = held(&node_unions);
                     let domains = cut_domains(comm.size(), file, cfg, extent, cap, &held);
                     domains.iter().map(|d| d.rank).collect()
                 });
-                ((extent, owners, above(&node_unions, l.rank())), node_unions)
+                ((extent, owners, higher_nodes), node_unions)
             });
             let (from_leaders, unions) = from_leaders.unzip();
             let (extent, owners, higher_nodes) = node.bcast(0, from_leaders);
-            footprints.push(higher_nodes);
-            let higher = above(&footprints, node.rank());
-            footprints.pop();
+            // Every higher node's union lies above this node's ranks.
+            let higher = match write {
+                true => surviving_footprints(&footprints[node.rank() + 1..], higher_nodes).1,
+                false => StridedSet::new(),
+            };
             (extent, Owners::Chosen(owners), higher, unions, footprints)
         }
     };

@@ -1,6 +1,7 @@
 //! The paper's surrender rule (§3.3.2, Figure 7), implemented once: the
 //! highest rank wins every overlap, so each rank subtracts the union of all
-//! higher ranks' footprints from its request *before* any byte moves.
+//! higher ranks' footprints from its request *before* any byte moves;
+//! every such union comes from one top-down sweep, `surviving_footprints`.
 //! `Strategy::RankOrdering` writes the surviving pieces itself; the
 //! two-phase round loop routes them, so no losing byte crosses a wire.
 
@@ -10,27 +11,12 @@ use atomio_interval::{ByteRange, StridedSet};
 /// Union of the file-view footprints of every rank *higher* than `me` —
 /// the region this process must surrender under process-rank ordering
 /// (paper §3.3.2: "the higher ranked process wins the right to access the
-/// overlapped regions while others surrender their writes"). Computed
-/// train-by-train in compressed space, without expanding rows. For the
+/// overlapped regions while others surrender their writes"): the union the
+/// sweep over those ranks ends with (`surviving_footprints`). For the
 /// paper's column-wise pattern the result is O(1) trains — the higher
 /// ranks' merged column window per row — whatever M is.
-///
-/// Footprints that compress well (a handful of trains per rank) are folded
-/// in train space; poorly compressed ones (trains ≈ runs, e.g. irregular
-/// hindexed soups) would make the fold quadratic in total trains, so they
-/// fall back to one batch build of the runs — linear in runs — and
-/// recompress the result.
 pub fn higher_union_strided(all_footprints: &[StridedSet], me: usize) -> StridedSet {
-    let higher = &all_footprints[me + 1..];
-    let total_trains: usize = higher.iter().map(StridedSet::train_count).sum();
-    let total_runs: u64 = higher.iter().map(StridedSet::run_count).sum();
-    let well_compressed =
-        total_trains <= 4 * higher.len() + 8 || total_runs >= 4 * total_trains as u64;
-    if well_compressed {
-        higher.iter().fold(StridedSet::new(), |acc, s| acc.union(s))
-    } else {
-        StridedSet::from_ranges(higher.iter().flat_map(StridedSet::iter))
-    }
+    surviving_footprints(&all_footprints[me + 1..], StridedSet::new()).1
 }
 
 /// Recompute a process's write set under rank ordering: keep only the
@@ -60,24 +46,39 @@ pub fn surviving_pieces_strided(
     out
 }
 
-/// What every rank still holds once all of them have surrendered:
-/// `footprints[r]` minus the union of `footprints[r + 1..]`, for every `r`
-/// in one descending pass — pairwise disjoint, and together the union.
-pub(crate) fn surviving_footprints(footprints: &[StridedSet]) -> Vec<StridedSet> {
-    let mut higher = StridedSet::new();
+/// The surrender sweep, the one computation of the rule: from the highest
+/// rank down, beneath `above` (the union of every footprint higher than
+/// all of `footprints`), each rank keeps its footprint minus the union
+/// above it, and that union grows by what the rank keeps. Returns what
+/// every rank keeps and the union of `above` and every footprint.
+///
+/// The kept sets are pairwise disjoint and disjoint from `above`, so the
+/// union grows by laying trains side by side, and the union above rank
+/// `r` is `above` and `kept[r + 1..]` side by side ([`disjoint_union`]):
+/// no union is ever folded.
+pub(crate) fn surviving_footprints(
+    footprints: &[StridedSet],
+    above: StridedSet,
+) -> (Vec<StridedSet>, StridedSet) {
+    let mut higher = above;
     let mut kept: Vec<StridedSet> = footprints
         .iter()
         .rev()
         .map(|f| {
             let mine = f.subtract(&higher);
-            // Disjoint by construction: the union is the trains side by side.
-            let both = higher.trains().iter().chain(mine.trains()).copied();
-            higher = StridedSet::from_disjoint_trains(both.collect());
+            higher = disjoint_union([&higher, &mine]);
             mine
         })
         .collect();
     kept.reverse();
-    kept
+    (kept, higher)
+}
+
+/// Pairwise disjoint sets (what one sweep's ranks keep) as one canonical
+/// set: their trains side by side.
+pub(crate) fn disjoint_union<'a>(sets: impl IntoIterator<Item = &'a StridedSet>) -> StridedSet {
+    let trains = sets.into_iter().flat_map(StridedSet::trains).copied();
+    StridedSet::from_disjoint_trains(trains.collect())
 }
 
 #[cfg(test)]
@@ -184,18 +185,21 @@ mod tests {
 
     #[test]
     fn a_poorly_compressed_union_is_built_from_its_runs() {
-        // Runs of ten different lengths a rank: trains ≈ runs, so the union
-        // takes the batch build, not the train fold.
+        // Runs of ten different lengths a rank, so trains ≈ runs: the union
+        // above rank 0 is what the higher ranks keep, side by side, however
+        // poorly their footprints compress.
         let views: Vec<StridedSet> = (0..3u64)
             .map(|k| {
                 let runs = (0..10u64).map(|i| ByteRange::at(i * 97 + k * 13, 1 + (i * 7 + k) % 23));
                 StridedSet::from_ranges(runs)
             })
             .collect();
-        let trains: usize = views[1..].iter().map(StridedSet::train_count).sum();
-        assert!(trains > 4 * 2 + 8, "{trains} trains take the train fold");
         let higher: BTreeSet<u64> = views[1..].iter().flat_map(points).collect();
-        assert_eq!(points(&higher_union_strided(&views, 0)), higher);
+        let (kept, all) = surviving_footprints(&views, StridedSet::new());
+        assert_eq!(points(&disjoint_union(&kept[1..])), higher);
+        assert_eq!(disjoint_union(&kept[1..]), higher_union_strided(&views, 0));
+        let union = views.iter().fold(StridedSet::new(), |acc, s| acc.union(s));
+        assert_eq!(all, union, "the sweep's union is the canonical one");
     }
 
     #[test]

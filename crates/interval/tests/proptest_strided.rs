@@ -29,8 +29,7 @@ fn arb_soup() -> impl Strategy<Value = (Vec<ByteRange>, StridedSet)> {
 }
 
 /// An irregular soup: runs of many lengths, so its trains ≈ its runs —
-/// the footprints `higher_union_strided` batch-builds through
-/// `from_ranges` instead of folding unions.
+/// the shape that compresses worst.
 fn arb_irregular_soup() -> impl Strategy<Value = Vec<ByteRange>> {
     prop::collection::vec((0u64..4096, 0u64..48), 8..64).prop_map(|rs| {
         rs.into_iter()

@@ -7,79 +7,112 @@ use atomio_interval::ByteRange;
 use atomio_trace::Category;
 use atomio_vtime::VNanos;
 
-use super::{carve, IoPath, PosixFile};
+use super::{carve, PosixFile};
 use crate::cache::ClientCache;
 use crate::error::FsError;
 use crate::fault::{FaultAction, FaultSite};
 use crate::server::ServerOp;
 
+/// A call's segments, held so its cut can walk them twice; a one-segment
+/// call allocates nothing.
+fn hold<S>(segments: impl IntoIterator<Item = S>) -> (Option<S>, Vec<S>) {
+    let mut segments = segments.into_iter();
+    (segments.next(), segments.collect())
+}
+
+/// The bytes of `r` in a segment whose first byte is at offset `off`.
+fn piece(data: &[u8], off: u64, r: ByteRange) -> &[u8] {
+    &data[(r.start - off) as usize..][..r.len() as usize]
+}
+
 impl PosixFile {
-    /// One segment of a cached [`PosixFile::write`]: through the client
-    /// cache (write-behind), or direct when the platform disables caching.
-    ///
-    /// Under lock-driven coherence the cache may only buffer bytes the
-    /// client holds token coverage for: covered sub-ranges are buffered
-    /// (and may stay dirty past the lock release — a conflicting
-    /// acquisition will revoke the token and flush them), uncovered
-    /// sub-ranges write through directly, dropping any stale clean copy.
-    /// Coverage lives in the cache, so reading it and buffering the writes
-    /// happen under one hold of the cache mutex — the coherence point a
-    /// concurrent revocation also takes before shrinking coverage — and a
-    /// revocation can never land mid-call and leave dirty bytes outside
-    /// coverage.
-    pub(super) fn pwrite_cached(&self, offset: u64, data: &[u8]) -> Result<(), FsError> {
+    /// The coverage cut of a cached call: the piece of `[*at, end)` from
+    /// `*at`, with the maximal coverage run holding it (`None`: uncovered,
+    /// so the servers', never the cache's), and `*at` moved past it. Off
+    /// lock-driven platforms one run covers every byte; with the cache
+    /// disabled none does.
+    fn cut(
+        &self,
+        cache: &ClientCache,
+        at: &mut u64,
+        end: u64,
+    ) -> Option<(ByteRange, Option<ByteRange>)> {
+        let rest = ByteRange::new(*at, end);
+        let run = match (self.fs.profile.cache.enabled, self.lock_driven()) {
+            _ if rest.is_empty() => return None,
+            (false, _) => None,
+            (true, false) => Some(ByteRange::new(0, u64::MAX)),
+            (true, true) => cache.coverage.runs_meeting(rest).next().map(|(r, _)| r),
+        };
+        let piece = match run {
+            Some(r) if r.start <= *at => (ByteRange::new(*at, r.end.min(end)), run),
+            _ => (ByteRange::new(*at, run.map_or(end, |r| r.start)), None),
+        };
+        *at = piece.0.end;
+        Some(piece)
+    }
+
+    /// The uncovered pieces of `len` bytes at `off`, by [`PosixFile::cut`].
+    fn gaps<'a>(
+        &'a self,
+        cache: &'a ClientCache,
+        off: u64,
+        len: usize,
+    ) -> impl Iterator<Item = ByteRange> + 'a {
+        let (mut at, end) = (off, off + len as u64);
+        let cut = std::iter::from_fn(move || self.cut(cache, &mut at, end));
+        cut.filter_map(|(r, run)| run.is_none().then_some(r))
+    }
+
+    /// The cached arm of [`PosixFile::write`], under one hold of the cache
+    /// mutex, the coherence point a revocation takes before shrinking
+    /// coverage. Every uncovered byte of the call leaves first, as one
+    /// closed-loop vector, and the cache drops its stale clean copies (it
+    /// holds no dirty byte outside coverage). Then the covered pieces are
+    /// buffered, a segment that crosses the write-behind limit flushed
+    /// before the next; they may stay dirty until a conflicting acquisition
+    /// revokes the token. A failure stops the call where one served segment
+    /// by segment stops: the segments before the one holding the failing
+    /// gap (the vector's last segment taken) are applied whole.
+    pub(super) fn pwrite_cached<T: AsRef<[u8]>>(
+        &self,
+        segments: impl IntoIterator<Item = (u64, T)>,
+    ) -> Result<(), FsError> {
         self.check_alive()?;
-        if !self.fs.profile.cache.enabled {
-            return self.write(IoPath::Direct, [(offset, data)]);
-        }
-        if self.lock_driven() {
-            let mut cache = self.cache.lock();
-            if cache.coverage.is_empty() {
-                // No validity rights at all (the common case for
-                // strategies that never lock): pure write-through, and
-                // coverage-empty implies the cache holds nothing to
-                // invalidate. (Coverage only *grows* on this client's own
-                // thread, so releasing the mutex here cannot race a grant.)
-                drop(cache);
-                return self.write(IoPath::Direct, [(offset, data)]);
+        let (first, rest) = hold(segments);
+        let segments = || first.iter().chain(&rest).map(|(off, d)| (*off, d.as_ref()));
+        let mut cache = self.cache.lock();
+        let (coverage, mut last) = (&*cache, 0);
+        let uncovered = segments().enumerate().flat_map(|(i, (off, data))| {
+            last = i;
+            let gaps = self.gaps(coverage, off, data.len());
+            gaps.map(move |r| (r.start, piece(data, off, r)))
+        });
+        let mut res = self.pwritev_landed(uncovered).1;
+        let mut whole = if res.is_ok() { usize::MAX } else { last };
+        for (i, (off, data)) in segments().enumerate() {
+            let (mut at, end, mut needs_flush) = (off, off + data.len() as u64, false);
+            while let Some((r, run)) = self.cut(&cache, &mut at, end) {
+                if run.is_none() {
+                    cache.invalidate_range(r);
+                } else if i < whole {
+                    let bytes = piece(data, off, r);
+                    needs_flush |= self.pwrite_buffered_locked(&mut cache, r.start, bytes);
+                }
             }
-            let req = ByteRange::at(offset, data.len() as u64);
-            let mut needs_flush = false;
-            for r in cache.coverage.gaps(req) {
-                let s = (r.start - offset) as usize;
-                self.write(IoPath::Direct, [(r.start, &data[s..s + r.len() as usize])])?;
-                // The cache has no validity rights here: drop any stale
-                // clean copy of what was just overwritten. (Dirty bytes
-                // cannot exist outside coverage: buffering requires it,
-                // and revocation flushes before shrinking it.)
-                cache.invalidate_range(r);
-            }
-            let covered: Vec<ByteRange> = cache.coverage.runs_meeting(req).map(|r| r.0).collect();
-            for run in covered {
-                let r = ByteRange::new(run.start.max(req.start), run.end.min(req.end));
-                let s = (r.start - offset) as usize;
-                needs_flush |= self.pwrite_buffered_locked(
-                    &mut cache,
-                    r.start,
-                    &data[s..s + r.len() as usize],
-                );
-            }
-            drop(cache);
             if needs_flush {
-                self.try_sync()?;
+                // The flush `try_sync` makes, under the hold this call has.
+                if let Err(e) = self.flush_runs(cache.take_dirty_runs()) {
+                    (whole, res) = (i + 1, Err(e));
+                }
             }
-            return Ok(());
         }
-        let needs_flush = self.pwrite_buffered_locked(&mut self.cache.lock(), offset, data);
-        if needs_flush {
-            self.try_sync()?;
-        }
-        Ok(())
+        drop(cache);
+        self.settle_fate(res)
     }
 
     /// Buffer one write into an already-locked cache; returns whether the
-    /// write-behind threshold was crossed (the caller flushes *after*
-    /// releasing the cache mutex — `sync` re-takes it).
+    /// write-behind threshold was crossed.
     fn pwrite_buffered_locked(&self, cache: &mut ClientCache, offset: u64, data: &[u8]) -> bool {
         self.clock
             .advance(cache.params().mem.copy_ns(data.len() as u64));
@@ -95,57 +128,54 @@ impl PosixFile {
         needs_flush
     }
 
-    /// One segment of a cached [`PosixFile::read`]: through the client
-    /// cache (with read-ahead on misses), or direct when the platform
-    /// disables caching.
-    ///
-    /// Under lock-driven coherence only token-covered sub-ranges go
-    /// through the cache (their validity is guaranteed: any conflicting
-    /// write must first revoke the token, which invalidates exactly those
-    /// ranges); uncovered sub-ranges are read directly and *not* cached,
-    /// so no stale byte can ever be admitted. As for a cached write,
-    /// reading coverage and the cached accesses share one hold of the
-    /// cache mutex, so a concurrent revocation cannot slip between the
-    /// two and let stale bytes in under a coverage the client no longer
-    /// holds.
-    pub(super) fn pread_cached(&self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
+    /// The cached arm of [`PosixFile::read`], cut and held as a write is:
+    /// every uncovered byte is read first, as one closed-loop vector, and
+    /// never cached; then each covered piece is served by the cache, its
+    /// read-ahead clamped to its coverage run. Under lock-driven coherence
+    /// covered bytes are valid: a conflicting write must first revoke the
+    /// token, which invalidates them. A failed request stops the call as
+    /// it stops a write.
+    pub(super) fn pread_cached<B: AsRef<[u8]> + AsMut<[u8]>>(
+        &self,
+        segments: impl IntoIterator<Item = (u64, B)>,
+    ) -> Result<(), FsError> {
         self.check_alive()?;
-        if !self.fs.profile.cache.enabled {
-            return self.read(IoPath::Direct, [(offset, buf)]);
-        }
-        if self.lock_driven() {
-            // Without validity rights the request is one gap, read through.
-            let mut cache = self.cache.lock();
-            let req = ByteRange::at(offset, buf.len() as u64);
-            self.preadv_landed(carve(buf, offset, cache.coverage.gaps(req)), true)
-                .1?;
-            // Each covered piece lies inside one maximal coverage run; clamp
-            // read-ahead to it so the cache never admits bytes the token
-            // does not protect.
-            let covered: Vec<ByteRange> = cache.coverage.runs_meeting(req).map(|r| r.0).collect();
-            let pieces = covered
-                .iter()
-                .map(|c| ByteRange::new(c.start.max(req.start), c.end.min(req.end)));
-            for (clamp, (off, dst)) in covered.iter().zip(carve(buf, offset, pieces)) {
-                let hit = self.pread_cached_locked(&mut cache, off, dst, Some(*clamp))?;
-                self.stats.add(&self.stats.coherent_hit_bytes, hit);
+        let (mut first, mut rest) = hold(segments);
+        let mut cache = self.cache.lock();
+        let (coverage, mut last) = (&*cache, 0);
+        let segments = first.iter_mut().chain(&mut rest).enumerate();
+        let uncovered = segments.flat_map(|(i, (off, buf))| {
+            last = i;
+            let buf = buf.as_mut();
+            carve(buf, *off, self.gaps(coverage, *off, buf.len()))
+        });
+        let res = self.preadv_landed(uncovered, true).1;
+        let whole = if res.is_ok() { usize::MAX } else { last };
+        for (off, buf) in first.iter_mut().chain(&mut rest).take(whole) {
+            let (off, buf) = (*off, buf.as_mut());
+            let (mut at, end) = (off, off + buf.len() as u64);
+            while let Some((r, run)) = self.cut(&cache, &mut at, end) {
+                let Some(run) = run else { continue };
+                let dst = &mut buf[(r.start - off) as usize..][..r.len() as usize];
+                let hit = self.pread_cached_locked(&mut cache, r.start, dst, run)?;
+                if self.lock_driven() {
+                    self.stats.add(&self.stats.coherent_hit_bytes, hit);
+                }
             }
-            return Ok(());
         }
-        let hit = self.pread_cached_locked(&mut self.cache.lock(), offset, buf, None);
-        hit.map(|_| ())
+        res
     }
 
     /// Serve one read from an already-locked cache: hits from resident
-    /// pages, misses fetched with page alignment and read-ahead (`clamp`
-    /// bounds the fetch window to a token-coverage run under lock-driven
-    /// coherence). Returns the bytes served from cache.
+    /// pages, misses fetched with page alignment and read-ahead, the fetch
+    /// window clamped to the coverage run `run`. Returns the bytes served
+    /// from cache.
     fn pread_cached_locked(
         &self,
         cache: &mut ClientCache,
         offset: u64,
         buf: &mut [u8],
-        clamp: Option<ByteRange>,
+        run: ByteRange,
     ) -> Result<u64, FsError> {
         let len = buf.len() as u64;
         let missing = cache.missing(offset, len);
@@ -166,17 +196,12 @@ impl PosixFile {
             // short read, not read-ahead pages of bytes that don't exist.
             let eof = self.file.storage.len();
             let window = |cache: &ClientCache, miss: &ByteRange| {
+                // The EOF-clamped window can fall entirely *before* the
+                // coverage run (covered miss past a short file): nothing on
+                // the servers to fetch, so the whole miss is a zero hole.
                 let w = cache.fetch_window(*miss, eof);
-                match clamp {
-                    // The EOF-clamped window can fall entirely *before* the
-                    // coverage run (covered miss past a short file): nothing
-                    // on the servers to fetch, so the whole miss is a zero
-                    // hole.
-                    Some(c) if !w.is_empty() => {
-                        w.intersect(&c).unwrap_or(ByteRange::new(w.start, w.start))
-                    }
-                    _ => w,
-                }
+                w.intersect(&run)
+                    .unwrap_or(ByteRange::new(w.start, w.start))
             };
             let total: u64 = missing.iter().map(|m| window(cache, m).len()).sum();
             let mut data = vec![0u8; total as usize];
@@ -633,6 +658,137 @@ mod tests {
             &fs.snapshot("coh").unwrap().to_vec()[..512],
             &[3u8; 512][..]
         );
+    }
+
+    #[test]
+    fn a_cached_call_sends_all_its_uncovered_bytes_as_one_vector() {
+        // Three 512-byte segments on servers 0, 1 and 2; the token covers
+        // only the middle one. fast_test: 1 ns per payload byte, 1 µs link
+        // latency, 500 ns per extra request, 1 µs + 1 ns per byte a piece.
+        const SEG: u64 = 512;
+        const LAT: u64 = 1_000;
+        const OP: u64 = 500;
+        const SERVICE: u64 = 1_000 + SEG;
+        let fs = gpfs_test_fs();
+        let f = fs.open(0, Clock::new(), "cut");
+        let sink = Arc::new(atomio_trace::MemorySink::new());
+        f.tracer().bind(atomio_trace::Track::Rank(0), sink.clone());
+        let offs = [0, 4096, 8192];
+        // Stale clean copies of the uncovered bytes, which the write must
+        // drop: the servers' copies change under them.
+        for off in [offs[0], offs[2]] {
+            f.cache.lock().fill(off, &[0xEE; SEG as usize]);
+        }
+        let middle = ByteRange::at(offs[1], SEG);
+        let g = f.lock(middle, LockMode::Exclusive).unwrap();
+        assert_eq!(f.coherence_coverage(), StridedSet::from_range(middle));
+        let copy = fs.profile().cache.mem.copy_ns(SEG);
+        let spans = |name: &str| {
+            sink.snapshot()
+                .into_iter()
+                .filter(|e| e.name == name)
+                .collect::<Vec<_>>()
+        };
+        let footprint = |name: &str| spans(name)[0].args[1..].to_vec();
+        let gaps = vec![("lo", 0), ("len", SEG), ("lo", 8192), ("len", SEG)];
+
+        let data = [[1u8; SEG as usize], [2; SEG as usize], [3; SEG as usize]];
+        let t0 = f.clock().now();
+        f.write(IoPath::Cached, offs.iter().copied().zip(&data))
+            .unwrap();
+        // One vector of the two gaps (DESIGN.md's n-segment write on n
+        // servers), then the middle buffered.
+        assert_eq!(
+            f.clock().now() - t0,
+            2 * SEG + OP + 2 * LAT + SERVICE + copy
+        );
+        assert_eq!(spans("direct write").len(), 1, "one closed-loop call");
+        assert_eq!(footprint("direct write"), gaps);
+        let s = f.stats().snapshot();
+        assert_eq!((s.writes, s.server_write_requests), (3, 2));
+        {
+            let cache = f.cache.lock();
+            assert_eq!(
+                (cache.valid_bytes(), cache.dirty_bytes()),
+                (SEG, SEG),
+                "stale copies dropped"
+            );
+            let mut held = [0u8; SEG as usize];
+            cache.read(offs[1], &mut held);
+            assert_eq!(held, data[1]);
+        }
+        let image = fs.snapshot("cut").unwrap().to_vec();
+        assert_eq!(&image[..512], &data[0][..]);
+        assert_eq!(&image[4096..4608], &[0u8; 512][..], "write-behind");
+        assert_eq!(&image[8192..], &data[2][..]);
+        g.release();
+
+        // The read of the same shape: the gaps in one vector (n segments
+        // read on n servers), the middle a cache hit.
+        let mut bufs = [[0u8; SEG as usize]; 3];
+        let t1 = f.clock().now();
+        f.read(IoPath::Cached, offs.iter().copied().zip(&mut bufs))
+            .unwrap();
+        assert_eq!(bufs, data);
+        assert_eq!(f.clock().now() - t1, 2 * LAT + SERVICE + 2 * SEG + copy);
+        assert_eq!(spans("direct read").len(), 1, "one closed-loop call");
+        assert_eq!(footprint("direct read"), gaps);
+        let s = f.stats().snapshot();
+        assert_eq!((s.server_read_requests, s.coherent_hit_bytes), (2, SEG));
+        // One segment cut three ways: a gap, the covered middle, a gap.
+        let mut span = [9u8; 3 * SEG as usize];
+        f.read(IoPath::Cached, [(offs[1] - SEG, &mut span)])
+            .unwrap();
+        assert_eq!(
+            span[..],
+            [[0; SEG as usize], data[1], [0; SEG as usize]].concat()
+        );
+        f.try_sync().unwrap();
+        assert_eq!(
+            &fs.snapshot("cut").unwrap().to_vec()[4096..4608],
+            &data[1][..]
+        );
+    }
+
+    #[test]
+    fn a_failed_uncovered_vector_stops_the_call_at_its_segment() {
+        // Segment A (server 1) is half covered, B (server 0, which crashes
+        // on its first request and stays down) is uncovered, C is covered.
+        // Served segment by segment, a call applies A whole and stops at
+        // B's failing gap; sending the gaps as one vector must too.
+        let plan = crate::fault::FaultPlan::none().with(
+            FaultSite::ServerRequest { server: 0 },
+            1,
+            FaultAction::CrashServer {
+                restart: RestartPolicy::Manual,
+            },
+        );
+        let fs = FileSystem::with_faults(gpfs_test_fs().profile().clone(), plan);
+        let f = fs.open(0, Clock::new(), "stop");
+        let _g = f
+            .lock(ByteRange::new(4352, 5120), LockMode::Exclusive)
+            .unwrap();
+        let down = |e: FsError| matches!(e, FsError::RetriesExhausted { server: 0, .. });
+        let (a, b, c) = ([1u8; 512], [2u8; 512], [3u8; 512]);
+        let segments = [(4096, &a), (0, &b), (4608, &c)];
+        assert!(down(f.write(IoPath::Cached, segments).unwrap_err()));
+        let image = fs.snapshot("stop").unwrap().to_vec();
+        assert_eq!(image.len(), 4352, "A's gap landed, nothing after it");
+        assert_eq!(&image[4096..], &a[..256]);
+        assert!(image[..512].iter().all(|&x| x == 0));
+        assert_eq!(f.cache.lock().dirty_bytes(), 256, "A's covered half only");
+
+        let before = f.stats().snapshot();
+        let mut bufs = [[0u8; 512]; 3];
+        let [ra, rb, rc] = &mut bufs;
+        let segments = [(4096, ra), (0, rb), (4608, rc)];
+        assert!(down(f.read(IoPath::Cached, segments).unwrap_err()));
+        assert_eq!(bufs[0], a, "A's gap read, its covered half a hit");
+        assert_eq!(bufs[2], [0; 512], "C is not served");
+        let s = f.stats().snapshot();
+        assert_eq!(s.reads - before.reads, 2);
+        assert_eq!(s.cache_hit_bytes - before.cache_hit_bytes, 256);
+        assert_eq!(s.cache_miss_bytes, before.cache_miss_bytes);
     }
 
     #[test]

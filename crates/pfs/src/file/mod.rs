@@ -252,11 +252,6 @@ impl FileSystem {
         files.get(name).map(|f| f.storage.len())
     }
 
-    /// Reset all server timing horizons (between benchmark repetitions).
-    pub fn reset_timing(&self) {
-        self.inner.servers.reset();
-    }
-
     /// The stripe unit in bytes: file byte `b` lives on server
     /// `(b / stripe_unit) % servers`. Collective-I/O layers align their
     /// aggregator file domains to this boundary so one aggregator's domain
@@ -276,12 +271,13 @@ impl FileSystem {
 pub enum IoPath {
     /// Bypass the client cache: one closed-loop vector to the servers.
     Direct,
-    /// Use the client page cache, one segment at a time. On close-to-open
-    /// platforms another client sees a write only after this one syncs and
-    /// it invalidates (§3); under lock-driven coherence
+    /// Use the client page cache. On close-to-open platforms another
+    /// client sees a write only after this one syncs and it invalidates
+    /// (§3); under lock-driven coherence
     /// ([`CoherenceMode::LockDriven`](crate::CoherenceMode)) the token
-    /// protocol keeps the cache coherent, and bytes outside this client's
-    /// token coverage go to the servers.
+    /// protocol keeps the cache coherent, and the bytes of a call outside
+    /// this client's token coverage go to the servers as one closed-loop
+    /// vector, as a [`IoPath::Direct`] call does.
     Cached,
 }
 
@@ -291,7 +287,9 @@ pub enum IoPath {
 /// * [`IoPath::Cached`] goes through the client page cache (when the
 ///   platform enables it) with read-ahead and write-behind — the behaviour
 ///   the paper's §3 warns makes handshaking strategies require an explicit
-///   `try_sync` + `try_invalidate`;
+///   `try_sync` + `try_invalidate`. Each call is cut at the cache's
+///   coverage once: what the cache may not hold leaves as one direct
+///   vector, the rest is served by the cache;
 /// * [`IoPath::Direct`] bypasses the cache, the way locked I/O does in
 ///   ROMIO's atomic mode ("while a file region is locked, all read/write
 ///   requests to it will directly go to the file server"); each call is one
@@ -305,12 +303,12 @@ pub enum IoPath {
 /// ([`CoherenceMode::LockDriven`](crate::CoherenceMode)) the cached path
 /// obeys the token protocol: cache admission requires token *coverage*
 /// (the union of this client's granted byte sets, minus what later
-/// revocations took back), bytes outside coverage fall through to direct
-/// I/O, and a served revocation flushes + invalidates exactly the revoked
-/// ranges — so locked I/O can run through the cache with no blanket
-/// `sync`/`invalidate` and no stale reads. Covered writes follow GPFS
-/// visibility semantics: they may stay write-behind past the lock
-/// release, reaching the servers only when a conflicting acquisition
+/// revocations took back), a call's bytes outside coverage fall through
+/// to one direct vector, and a served revocation flushes + invalidates
+/// exactly the revoked ranges — so locked I/O can run through the cache
+/// with no blanket `sync`/`invalidate` and no stale reads. Covered writes
+/// follow GPFS visibility semantics: they may stay write-behind past the
+/// lock release, reaching the servers only when a conflicting acquisition
 /// revokes the token or this client syncs — an accessor that neither
 /// locks nor waits for a sync reads the servers and can legitimately miss
 /// them. The coverage set lives in the cache, under one coherence point,
@@ -492,7 +490,8 @@ impl PosixFile {
     /// with vtime backoff; once the retry budget is spent, or this handle is
     /// dead, the typed error comes back, with the segments before the
     /// failing one applied and counted and none after. A cached write
-    /// buffers the segments one after another.
+    /// sends the bytes outside the cache's coverage as one such vector,
+    /// then buffers the covered ones segment by segment.
     pub fn write<T: AsRef<[u8]>>(
         &self,
         path: IoPath,
@@ -500,9 +499,7 @@ impl PosixFile {
     ) -> Result<(), FsError> {
         match path {
             IoPath::Direct => self.pwritev_landed(segments.into_iter()).1,
-            IoPath::Cached => segments
-                .into_iter()
-                .try_for_each(|(off, data)| self.pwrite_cached(off, data.as_ref())),
+            IoPath::Cached => self.pwrite_cached(segments),
         }
     }
 
@@ -510,7 +507,8 @@ impl PosixFile {
     /// [`PosixFile::write`]: a direct read pipelines the requests to the
     /// servers and returns with the last reply, and on a fault the segments
     /// before the failing one are read and counted, none after. A cached
-    /// read serves the segments one after another.
+    /// read fetches the bytes outside the cache's coverage as one such
+    /// vector, then serves the covered ones from the cache.
     pub fn read<B: AsRef<[u8]> + AsMut<[u8]>>(
         &self,
         path: IoPath,
@@ -518,9 +516,7 @@ impl PosixFile {
     ) -> Result<(), FsError> {
         match path {
             IoPath::Direct => self.preadv_landed(segments.into_iter(), true).1,
-            IoPath::Cached => segments
-                .into_iter()
-                .try_for_each(|(off, mut buf)| self.pread_cached(off, buf.as_mut())),
+            IoPath::Cached => self.pread_cached(segments),
         }
     }
 

@@ -489,24 +489,6 @@ impl ServerSet {
         owned * su - head - tail
     }
 
-    /// Reset all horizons to idle (between benchmark repetitions). Health
-    /// is restored too — repetitions start with every server up.
-    pub fn reset(&self) {
-        for h in &self.horizons {
-            h.reset();
-        }
-        let mut woken = Wakeup::default();
-        let mut avail = self.health.lock();
-        avail.health.fill(Health::Up);
-        avail.parked.wake_all(&mut woken);
-        drop(avail);
-        drop(woken);
-        self.recovery_due.lock().clear();
-        let mut p = self.pending.lock();
-        assert!(p.reqs.is_empty(), "reset with unsettled requests");
-        p.done.clear();
-    }
-
     /// Deferred requests deposited and not yet replayed (diagnostics): zero
     /// between collective writes.
     pub fn pending_requests(&self) -> usize {
@@ -684,14 +666,6 @@ mod tests {
     fn empty_access_is_free() {
         let s = set();
         assert_eq!(s.access(77, ByteRange::at(10, 0), ServerOp::Read), 77);
-        assert_eq!(s.total_busy(), 0);
-    }
-
-    #[test]
-    fn reset_clears_horizons() {
-        let s = set();
-        s.access(0, ByteRange::at(0, 4096), ServerOp::Write);
-        s.reset();
         assert_eq!(s.total_busy(), 0);
     }
 

@@ -63,12 +63,6 @@ impl Clock {
             .fetch_max(t, Ordering::AcqRel)
             .max(t)
     }
-
-    /// Overwrite the clock. Only used by runtimes when (re)initializing a
-    /// rank; normal simulation code should use the monotone operations.
-    pub fn reset(&self, t: VNanos) {
-        self.table.clock(self.rank).store(t, Ordering::Release);
-    }
 }
 
 impl Default for Clock {
@@ -114,13 +108,5 @@ mod tests {
         let b = a.clone();
         a.advance(42);
         assert_eq!(b.now(), 42);
-    }
-
-    #[test]
-    fn reset_overwrites() {
-        let c = Clock::new();
-        c.advance(77);
-        c.reset(3);
-        assert_eq!(c.now(), 3);
     }
 }

@@ -36,11 +36,6 @@ impl Horizon {
     pub fn busy_until(&self) -> VNanos {
         *self.busy_until.lock()
     }
-
-    /// Reset to idle-at-zero (used between benchmark repetitions).
-    pub fn reset(&self) {
-        *self.busy_until.lock() = 0;
-    }
 }
 
 #[cfg(test)]
@@ -71,13 +66,5 @@ mod tests {
             h.serve(50, 10);
         }
         assert_eq!(h.busy_until(), 80);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let h = Horizon::new();
-        h.serve(0, 99);
-        h.reset();
-        assert_eq!(h.busy_until(), 0);
     }
 }

@@ -177,13 +177,14 @@ fn token_manager_rewards_reuse_across_writes() {
 #[test]
 fn shared_read_locks_do_not_serialize() {
     let fs = FileSystem::new(PlatformProfile::fast_test());
-    // Seed the file.
-    run(1, fs.profile().net.clone(), |comm| {
-        let f = fs.open(0, comm.clock().clone(), "shared");
-        f.write(IoPath::Direct, [(0, &vec![3u8; 4096])]).unwrap();
-    });
-    fs.reset_timing();
     let clocks = run(4, fs.profile().net.clone(), |comm| {
+        // Seed the file. The seed is acknowledged before rank 0 enters the
+        // barrier, so no reader queues behind it on the servers.
+        if comm.rank() == 0 {
+            let f = fs.open(0, comm.clock().clone(), "shared");
+            f.write(IoPath::Direct, [(0, &vec![3u8; 4096])]).unwrap();
+        }
+        comm.barrier();
         let mut file = MpiFile::open(&comm, &fs, "shared", OpenMode::ReadOnly).unwrap();
         file.set_atomicity(Atomicity::Atomic(Strategy::FileLocking(
             LockGranularity::Span,
