@@ -13,20 +13,8 @@ use crate::error::FsError;
 use crate::fault::{FaultAction, FaultSite};
 use crate::server::ServerOp;
 
-/// A call's segments, held so its cut can walk them twice; a one-segment
-/// call allocates nothing.
-fn hold<S>(segments: impl IntoIterator<Item = S>) -> (Option<S>, Vec<S>) {
-    let mut segments = segments.into_iter();
-    (segments.next(), segments.collect())
-}
-
-/// The bytes of `r` in a segment whose first byte is at offset `off`.
-fn piece(data: &[u8], off: u64, r: ByteRange) -> &[u8] {
-    &data[(r.start - off) as usize..][..r.len() as usize]
-}
-
 impl PosixFile {
-    /// The coverage cut of a cached call: the piece of `[*at, end)` from
+    /// The coverage cut of a cached segment: the piece of `[*at, end)` from
     /// `*at`, with the maximal coverage run holding it (`None`: uncovered,
     /// so the servers', never the cache's), and `*at` moved past it. Off
     /// lock-driven platforms one run covers every byte; with the cache
@@ -52,7 +40,8 @@ impl PosixFile {
         Some(piece)
     }
 
-    /// The uncovered pieces of `len` bytes at `off`, by [`PosixFile::cut`].
+    /// The uncovered pieces of the segment of `len` bytes at `off`, by
+    /// [`PosixFile::cut`].
     fn gaps<'a>(
         &'a self,
         cache: &'a ClientCache,
@@ -64,49 +53,31 @@ impl PosixFile {
         cut.filter_map(|(r, run)| run.is_none().then_some(r))
     }
 
-    /// The cached arm of [`PosixFile::write`], under one hold of the cache
-    /// mutex, the coherence point a revocation takes before shrinking
-    /// coverage. Every uncovered byte of the call leaves first, as one
-    /// closed-loop vector, and the cache drops its stale clean copies (it
-    /// holds no dirty byte outside coverage). Then the covered pieces are
-    /// buffered, a segment that crosses the write-behind limit flushed
-    /// before the next; they may stay dirty until a conflicting acquisition
-    /// revokes the token. A failure stops the call where one served segment
-    /// by segment stops: the segments before the one holding the failing
-    /// gap (the vector's last segment taken) are applied whole.
-    pub(super) fn pwrite_cached<T: AsRef<[u8]>>(
-        &self,
-        segments: impl IntoIterator<Item = (u64, T)>,
-    ) -> Result<(), FsError> {
+    /// One segment of a cached [`PosixFile::write`], under one hold of the
+    /// cache mutex, the coherence point a revocation takes before shrinking
+    /// coverage. Its uncovered bytes leave first, as one closed-loop vector,
+    /// and the cache drops its stale clean copies of them (it holds no
+    /// dirty byte outside coverage). Then the covered pieces are buffered,
+    /// and flushed under the same hold if they cross the write-behind
+    /// limit; they may stay dirty until a conflicting acquisition revokes
+    /// the token.
+    pub(super) fn pwrite_cached(&self, off: u64, data: &[u8]) -> Result<(), FsError> {
         self.check_alive()?;
-        let (first, rest) = hold(segments);
-        let segments = || first.iter().chain(&rest).map(|(off, d)| (*off, d.as_ref()));
         let mut cache = self.cache.lock();
-        let (coverage, mut last) = (&*cache, 0);
-        let uncovered = segments().enumerate().flat_map(|(i, (off, data))| {
-            last = i;
-            let gaps = self.gaps(coverage, off, data.len());
-            gaps.map(move |r| (r.start, piece(data, off, r)))
-        });
-        let mut res = self.pwritev_landed(uncovered).1;
-        let mut whole = if res.is_ok() { usize::MAX } else { last };
-        for (i, (off, data)) in segments().enumerate() {
-            let (mut at, end, mut needs_flush) = (off, off + data.len() as u64, false);
-            while let Some((r, run)) = self.cut(&cache, &mut at, end) {
-                if run.is_none() {
-                    cache.invalidate_range(r);
-                } else if i < whole {
-                    let bytes = piece(data, off, r);
-                    needs_flush |= self.pwrite_buffered_locked(&mut cache, r.start, bytes);
-                }
-            }
-            if needs_flush {
-                // The flush `try_sync` makes, under the hold this call has.
-                if let Err(e) = self.flush_runs(cache.take_dirty_runs()) {
-                    (whole, res) = (i + 1, Err(e));
-                }
+        let gaps = self.gaps(&cache, off, data.len());
+        let slice = |r: ByteRange| &data[(r.start - off) as usize..][..r.len() as usize];
+        self.pwritev_landed(gaps.map(|r| (r.start, slice(r)))).1?;
+        let (mut at, end, mut needs_flush) = (off, off + data.len() as u64, false);
+        while let Some((r, run)) = self.cut(&cache, &mut at, end) {
+            if run.is_none() {
+                cache.invalidate_range(r);
+            } else {
+                needs_flush |= self.pwrite_buffered_locked(&mut cache, r.start, slice(r));
             }
         }
+        // The flush `try_sync` makes, under the hold this call has.
+        let runs = needs_flush.then(|| cache.take_dirty_runs());
+        let res = self.flush_runs(runs.unwrap_or_default());
         drop(cache);
         self.settle_fate(res)
     }
@@ -128,42 +99,27 @@ impl PosixFile {
         needs_flush
     }
 
-    /// The cached arm of [`PosixFile::read`], cut and held as a write is:
-    /// every uncovered byte is read first, as one closed-loop vector, and
-    /// never cached; then each covered piece is served by the cache, its
-    /// read-ahead clamped to its coverage run. Under lock-driven coherence
-    /// covered bytes are valid: a conflicting write must first revoke the
-    /// token, which invalidates them. A failed request stops the call as
-    /// it stops a write.
-    pub(super) fn pread_cached<B: AsRef<[u8]> + AsMut<[u8]>>(
-        &self,
-        segments: impl IntoIterator<Item = (u64, B)>,
-    ) -> Result<(), FsError> {
+    /// One segment of a cached [`PosixFile::read`], cut and held as a
+    /// write's: its uncovered bytes are read first, as one closed-loop
+    /// vector, and never cached; then each covered piece is served by the
+    /// cache, its read-ahead clamped to its coverage run. Under lock-driven
+    /// coherence covered bytes are valid: a conflicting write must first
+    /// revoke the token, which invalidates them.
+    pub(super) fn pread_cached(&self, off: u64, buf: &mut [u8]) -> Result<(), FsError> {
         self.check_alive()?;
-        let (mut first, mut rest) = hold(segments);
         let mut cache = self.cache.lock();
-        let (coverage, mut last) = (&*cache, 0);
-        let segments = first.iter_mut().chain(&mut rest).enumerate();
-        let uncovered = segments.flat_map(|(i, (off, buf))| {
-            last = i;
-            let buf = buf.as_mut();
-            carve(buf, *off, self.gaps(coverage, *off, buf.len()))
-        });
-        let res = self.preadv_landed(uncovered, true).1;
-        let whole = if res.is_ok() { usize::MAX } else { last };
-        for (off, buf) in first.iter_mut().chain(&mut rest).take(whole) {
-            let (off, buf) = (*off, buf.as_mut());
-            let (mut at, end) = (off, off + buf.len() as u64);
-            while let Some((r, run)) = self.cut(&cache, &mut at, end) {
-                let Some(run) = run else { continue };
-                let dst = &mut buf[(r.start - off) as usize..][..r.len() as usize];
-                let hit = self.pread_cached_locked(&mut cache, r.start, dst, run)?;
-                if self.lock_driven() {
-                    self.stats.add(&self.stats.coherent_hit_bytes, hit);
-                }
+        let gaps = self.gaps(&cache, off, buf.len());
+        self.preadv_landed(carve(buf, off, gaps), true).1?;
+        let (mut at, end) = (off, off + buf.len() as u64);
+        while let Some((r, run)) = self.cut(&cache, &mut at, end) {
+            let Some(run) = run else { continue };
+            let dst = &mut buf[(r.start - off) as usize..][..r.len() as usize];
+            let hit = self.pread_cached_locked(&mut cache, r.start, dst, run)?;
+            if self.lock_driven() {
+                self.stats.add(&self.stats.coherent_hit_bytes, hit);
             }
         }
-        res
+        Ok(())
     }
 
     /// Serve one read from an already-locked cache: hits from resident
@@ -661,10 +617,11 @@ mod tests {
     }
 
     #[test]
-    fn a_cached_call_sends_all_its_uncovered_bytes_as_one_vector() {
-        // Three 512-byte segments on servers 0, 1 and 2; the token covers
-        // only the middle one. fast_test: 1 ns per payload byte, 1 µs link
-        // latency, 500 ns per extra request, 1 µs + 1 ns per byte a piece.
+    fn a_cached_segment_sends_all_its_uncovered_bytes_as_one_vector() {
+        // One segment of three 512-byte pieces from 3 584: a gap on server
+        // 0, the covered middle and a gap on server 1. fast_test: 1 ns per
+        // payload byte, 1 µs link latency, 500 ns per extra request, 1 µs +
+        // 1 ns per byte a piece.
         const SEG: u64 = 512;
         const LAT: u64 = 1_000;
         const OP: u64 = 500;
@@ -673,13 +630,12 @@ mod tests {
         let f = fs.open(0, Clock::new(), "cut");
         let sink = Arc::new(atomio_trace::MemorySink::new());
         f.tracer().bind(atomio_trace::Track::Rank(0), sink.clone());
-        let offs = [0, 4096, 8192];
-        // Stale clean copies of the uncovered bytes, which the write must
-        // drop: the servers' copies change under them.
-        for off in [offs[0], offs[2]] {
+        let (lo, middle, hi) = (3584, ByteRange::at(4096, SEG), 4608);
+        // Stale clean copies of the gaps, which the write must drop: the
+        // servers' copies change under them.
+        for off in [lo, hi] {
             f.cache.lock().fill(off, &[0xEE; SEG as usize]);
         }
-        let middle = ByteRange::at(offs[1], SEG);
         let g = f.lock(middle, LockMode::Exclusive).unwrap();
         assert_eq!(f.coherence_coverage(), StridedSet::from_range(middle));
         let copy = fs.profile().cache.mem.copy_ns(SEG);
@@ -690,12 +646,11 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let footprint = |name: &str| spans(name)[0].args[1..].to_vec();
-        let gaps = vec![("lo", 0), ("len", SEG), ("lo", 8192), ("len", SEG)];
+        let gaps = vec![("lo", lo), ("len", SEG), ("lo", hi), ("len", SEG)];
 
-        let data = [[1u8; SEG as usize], [2; SEG as usize], [3; SEG as usize]];
+        let data = [[1u8; SEG as usize], [2; SEG as usize], [3; SEG as usize]].concat();
         let t0 = f.clock().now();
-        f.write(IoPath::Cached, offs.iter().copied().zip(&data))
-            .unwrap();
+        f.write(IoPath::Cached, [(lo, &data)]).unwrap();
         // One vector of the two gaps (DESIGN.md's n-segment write on n
         // servers), then the middle buffered.
         assert_eq!(
@@ -714,49 +669,41 @@ mod tests {
                 "stale copies dropped"
             );
             let mut held = [0u8; SEG as usize];
-            cache.read(offs[1], &mut held);
-            assert_eq!(held, data[1]);
+            cache.read(middle.start, &mut held);
+            assert_eq!(held[..], data[512..1024]);
         }
         let image = fs.snapshot("cut").unwrap().to_vec();
-        assert_eq!(&image[..512], &data[0][..]);
-        assert_eq!(&image[4096..4608], &[0u8; 512][..], "write-behind");
-        assert_eq!(&image[8192..], &data[2][..]);
+        let gaps_only = [&data[..512], &[0; 512], &data[1024..]].concat();
+        assert_eq!(
+            image[lo as usize..],
+            gaps_only,
+            "the middle is write-behind"
+        );
         g.release();
 
         // The read of the same shape: the gaps in one vector (n segments
         // read on n servers), the middle a cache hit.
-        let mut bufs = [[0u8; SEG as usize]; 3];
+        let mut buf = [9u8; 3 * SEG as usize];
         let t1 = f.clock().now();
-        f.read(IoPath::Cached, offs.iter().copied().zip(&mut bufs))
-            .unwrap();
-        assert_eq!(bufs, data);
+        f.read(IoPath::Cached, [(lo, &mut buf)]).unwrap();
+        assert_eq!(buf[..], data);
         assert_eq!(f.clock().now() - t1, 2 * LAT + SERVICE + 2 * SEG + copy);
         assert_eq!(spans("direct read").len(), 1, "one closed-loop call");
         assert_eq!(footprint("direct read"), gaps);
         let s = f.stats().snapshot();
         assert_eq!((s.server_read_requests, s.coherent_hit_bytes), (2, SEG));
-        // One segment cut three ways: a gap, the covered middle, a gap.
-        let mut span = [9u8; 3 * SEG as usize];
-        f.read(IoPath::Cached, [(offs[1] - SEG, &mut span)])
-            .unwrap();
-        assert_eq!(
-            span[..],
-            [[0; SEG as usize], data[1], [0; SEG as usize]].concat()
-        );
         f.try_sync().unwrap();
-        assert_eq!(
-            &fs.snapshot("cut").unwrap().to_vec()[4096..4608],
-            &data[1][..]
-        );
+        assert_eq!(fs.snapshot("cut").unwrap().to_vec()[lo as usize..], data);
     }
 
     #[test]
-    fn a_failed_uncovered_vector_stops_the_call_at_its_segment() {
-        // Segment A (server 1) is half covered, B (server 0, which crashes
-        // on its first request and stays down) is uncovered, C is covered.
-        // Served segment by segment, a call applies A whole and stops at
-        // B's failing gap; sending the gaps as one vector must too.
-        let plan = crate::fault::FaultPlan::none().with(
+    fn a_failed_segment_stops_a_cached_call() {
+        // Server 0 crashes for good on its first request, and the token
+        // covers [4096, 5120). Segment B's first half lies on server 0,
+        // uncovered, its second half is covered; A is covered, C half
+        // covered. A call stops at its failing gap: nothing after it is
+        // sent, buffered or served, B's covered half included.
+        let plan = FaultPlan::none().with(
             FaultSite::ServerRequest { server: 0 },
             1,
             FaultAction::CrashServer {
@@ -766,29 +713,35 @@ mod tests {
         let fs = FileSystem::with_faults(gpfs_test_fs().profile().clone(), plan);
         let f = fs.open(0, Clock::new(), "stop");
         let _g = f
-            .lock(ByteRange::new(4352, 5120), LockMode::Exclusive)
+            .lock(ByteRange::new(4096, 5120), LockMode::Exclusive)
             .unwrap();
         let down = |e: FsError| matches!(e, FsError::RetriesExhausted { server: 0, .. });
-        let (a, b, c) = ([1u8; 512], [2u8; 512], [3u8; 512]);
-        let segments = [(4096, &a), (0, &b), (4608, &c)];
+        let (b, a, c) = ([2u8; 512], [1u8; 512], [3u8; 512]);
+        let segments = [(3840, &b), (4352, &a), (4864, &c)];
         assert!(down(f.write(IoPath::Cached, segments).unwrap_err()));
-        let image = fs.snapshot("stop").unwrap().to_vec();
-        assert_eq!(image.len(), 4352, "A's gap landed, nothing after it");
-        assert_eq!(&image[4096..], &a[..256]);
-        assert!(image[..512].iter().all(|&x| x == 0));
-        assert_eq!(f.cache.lock().dirty_bytes(), 256, "A's covered half only");
+        assert!(fs.snapshot("stop").unwrap().to_vec().is_empty());
+        assert_eq!(f.cache.lock().dirty_bytes(), 0, "nothing buffered");
 
         let before = f.stats().snapshot();
-        let mut bufs = [[0u8; 512]; 3];
-        let [ra, rb, rc] = &mut bufs;
-        let segments = [(4096, ra), (0, rb), (4608, rc)];
+        let mut bufs = [[9u8; 512]; 3];
+        let [rb, ra, rc] = &mut bufs;
+        let segments = [(3840, rb), (4352, ra), (4864, rc)];
         assert!(down(f.read(IoPath::Cached, segments).unwrap_err()));
-        assert_eq!(bufs[0], a, "A's gap read, its covered half a hit");
-        assert_eq!(bufs[2], [0; 512], "C is not served");
-        let s = f.stats().snapshot();
-        assert_eq!(s.reads - before.reads, 2);
-        assert_eq!(s.cache_hit_bytes - before.cache_hit_bytes, 256);
-        assert_eq!(s.cache_miss_bytes, before.cache_miss_bytes);
+        assert!(bufs.iter().flatten().all(|&x| x == 9), "nothing served");
+        assert_eq!(f.stats().snapshot().reads, before.reads);
+
+        // A flush that fails mid-call stops it too: X is covered and
+        // crosses the write-behind limit (4 KiB), its flush meets server 0,
+        // and Y's gap (server 2) is never sent.
+        let h = fs.open(1, Clock::new(), "flush");
+        let _g = h
+            .lock(ByteRange::new(0, 5120), LockMode::Exclusive)
+            .unwrap();
+        let (x, y) = ([4u8; 5120], [5u8; 512]);
+        let segments = [(0, &x[..]), (8192, &y[..])];
+        assert!(down(h.write(IoPath::Cached, segments).unwrap_err()));
+        assert!(fs.snapshot("flush").unwrap().to_vec().len() <= 5120);
+        assert_eq!(h.stats().snapshot().writes, 1, "Y not written");
     }
 
     #[test]

@@ -271,13 +271,13 @@ impl FileSystem {
 pub enum IoPath {
     /// Bypass the client cache: one closed-loop vector to the servers.
     Direct,
-    /// Use the client page cache. On close-to-open platforms another
-    /// client sees a write only after this one syncs and it invalidates
-    /// (§3); under lock-driven coherence
+    /// Use the client page cache, one segment at a time. On close-to-open
+    /// platforms another client sees a write only after this one syncs and
+    /// it invalidates (§3); under lock-driven coherence
     /// ([`CoherenceMode::LockDriven`](crate::CoherenceMode)) the token
-    /// protocol keeps the cache coherent, and the bytes of a call outside
-    /// this client's token coverage go to the servers as one closed-loop
-    /// vector, as a [`IoPath::Direct`] call does.
+    /// protocol keeps the cache coherent, and the bytes of a segment
+    /// outside this client's token coverage go to the servers as one
+    /// closed-loop vector, as a [`IoPath::Direct`] call does.
     Cached,
 }
 
@@ -287,7 +287,7 @@ pub enum IoPath {
 /// * [`IoPath::Cached`] goes through the client page cache (when the
 ///   platform enables it) with read-ahead and write-behind — the behaviour
 ///   the paper's §3 warns makes handshaking strategies require an explicit
-///   `try_sync` + `try_invalidate`. Each call is cut at the cache's
+///   `try_sync` + `try_invalidate`. Each segment is cut at the cache's
 ///   coverage once: what the cache may not hold leaves as one direct
 ///   vector, the rest is served by the cache;
 /// * [`IoPath::Direct`] bypasses the cache, the way locked I/O does in
@@ -303,12 +303,13 @@ pub enum IoPath {
 /// ([`CoherenceMode::LockDriven`](crate::CoherenceMode)) the cached path
 /// obeys the token protocol: cache admission requires token *coverage*
 /// (the union of this client's granted byte sets, minus what later
-/// revocations took back), a call's bytes outside coverage fall through
-/// to one direct vector, and a served revocation flushes + invalidates
-/// exactly the revoked ranges — so locked I/O can run through the cache
-/// with no blanket `sync`/`invalidate` and no stale reads. Covered writes
-/// follow GPFS visibility semantics: they may stay write-behind past the
-/// lock release, reaching the servers only when a conflicting acquisition
+/// revocations took back), a segment's bytes outside coverage fall
+/// through to one direct vector, and a served revocation flushes +
+/// invalidates exactly the revoked ranges — so locked I/O can run through
+/// the cache with no blanket `sync`/`invalidate` and no stale reads.
+/// Covered writes follow GPFS visibility semantics: they may stay
+/// write-behind past the lock release, reaching the servers only when a
+/// conflicting acquisition
 /// revokes the token or this client syncs — an accessor that neither
 /// locks nor waits for a sync reads the servers and can legitimately miss
 /// them. The coverage set lives in the cache, under one coherence point,
@@ -490,8 +491,8 @@ impl PosixFile {
     /// with vtime backoff; once the retry budget is spent, or this handle is
     /// dead, the typed error comes back, with the segments before the
     /// failing one applied and counted and none after. A cached write
-    /// sends the bytes outside the cache's coverage as one such vector,
-    /// then buffers the covered ones segment by segment.
+    /// takes the segments one after another: each sends its bytes outside
+    /// the cache's coverage as one such vector and buffers the rest.
     pub fn write<T: AsRef<[u8]>>(
         &self,
         path: IoPath,
@@ -499,7 +500,9 @@ impl PosixFile {
     ) -> Result<(), FsError> {
         match path {
             IoPath::Direct => self.pwritev_landed(segments.into_iter()).1,
-            IoPath::Cached => self.pwrite_cached(segments),
+            IoPath::Cached => segments
+                .into_iter()
+                .try_for_each(|(off, data)| self.pwrite_cached(off, data.as_ref())),
         }
     }
 
@@ -507,8 +510,9 @@ impl PosixFile {
     /// [`PosixFile::write`]: a direct read pipelines the requests to the
     /// servers and returns with the last reply, and on a fault the segments
     /// before the failing one are read and counted, none after. A cached
-    /// read fetches the bytes outside the cache's coverage as one such
-    /// vector, then serves the covered ones from the cache.
+    /// read takes the segments one after another: each fetches its bytes
+    /// outside the cache's coverage as one such vector and serves the rest
+    /// from the cache.
     pub fn read<B: AsRef<[u8]> + AsMut<[u8]>>(
         &self,
         path: IoPath,
@@ -516,7 +520,9 @@ impl PosixFile {
     ) -> Result<(), FsError> {
         match path {
             IoPath::Direct => self.preadv_landed(segments.into_iter(), true).1,
-            IoPath::Cached => self.pread_cached(segments),
+            IoPath::Cached => segments
+                .into_iter()
+                .try_for_each(|(off, mut buf)| self.pread_cached(off, buf.as_mut())),
         }
     }
 
